@@ -416,6 +416,14 @@ impl<S: GradedSource> ShardedSource<S> {
                 return Ok(false); // every shard exhausted before `target`
             };
             state.runs[winner].pos += 1;
+            if state.merged.len() == state.merged.capacity() {
+                // Double, but never past the list: `push` alone would leave
+                // a fully merged 100 000-entry list in 131 072 slots.
+                let have = state.merged.len();
+                state
+                    .merged
+                    .reserve_exact(have.max(MIN_CHUNK).min(self.len - have));
+            }
             state.merged.push(entry);
             self.frontier
                 .store(entry.grade.value().to_bits(), Ordering::Relaxed);
@@ -845,6 +853,18 @@ mod tests {
             let mut got = Vec::new();
             sharded.sorted_batch(0, 500, &mut got);
             assert_eq!(got, want, "S={shards}: entries and tie order");
+        }
+    }
+
+    #[test]
+    fn merged_prefix_never_reserves_past_the_list() {
+        // 300 is not a power of two: doubling alone would end at 512 slots.
+        let sharded = ShardedSource::from_pairs(pairs(300, 7), 3);
+        let mut out = Vec::new();
+        for depth in [1, 40, 170, 300] {
+            sharded.sorted_batch(0, depth, &mut out);
+            let capacity = sharded.state.lock().unwrap().merged.capacity();
+            assert!((depth..=300).contains(&capacity), "{capacity} at {depth}");
         }
     }
 

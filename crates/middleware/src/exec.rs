@@ -465,15 +465,16 @@ impl Garlic {
         let n = self.catalog.universe_size();
         let plan = Plan {
             strategy: Strategy::FaGeneric,
-            description: format!(
-                "weighted conjunction of {m} atoms with weights {weights:?} \
-                 under the Fagin-Wimmers rule (FW97); monotone, evaluated by A0"
-            ),
             estimated_cost: 2.0
                 * m as f64
                 * (n as f64).powf((m as f64 - 1.0) / m as f64)
                 * (k as f64).powf(1.0 / m as f64),
             atoms,
+            n,
+            m,
+            k,
+            matches: 0,
+            weights,
         };
         Ok(QueryResult {
             answers: run.topk,
@@ -1287,6 +1288,11 @@ mod tests {
             .top_k_weighted(&[(color.clone(), 2.0), (shape.clone(), 1.0)], 12)
             .unwrap();
         assert_ne!(weighted.answers.grades(), unweighted.answers.grades());
+        assert_eq!(
+            weighted.plan.description(),
+            "weighted conjunction of 2 atoms with weights [2.0, 1.0] under the \
+             Fagin-Wimmers rule (FW97); monotone, evaluated by A0"
+        );
 
         let sources = vec![
             garlic.catalog().evaluate(&color).unwrap(),

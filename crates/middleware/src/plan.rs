@@ -72,10 +72,79 @@ pub struct Plan {
     pub strategy: Strategy,
     /// The distinct atoms, in evaluation order.
     pub atoms: Vec<AtomicQuery>,
-    /// Human-readable explanation (for EXPLAIN output).
-    pub description: String,
     /// A middleware-cost estimate (unweighted accesses).
     pub estimated_cost: f64,
+    /// Universe size N the plan was made for.
+    pub n: usize,
+    /// Number of lists the strategy combines: atoms, or literals for
+    /// [`Strategy::FaNnf`].
+    pub m: usize,
+    /// The requested page size.
+    pub k: usize,
+    /// Size of the crisp match set ([`Strategy::Filtered`] only, else 0).
+    pub matches: usize,
+    /// The Fagin–Wimmers weights of a weighted conjunction, else empty.
+    pub weights: Vec<f64>,
+}
+
+impl Plan {
+    /// Human-readable explanation (for EXPLAIN output), rendered from the
+    /// strategy and the numbers above — a plan travels with every
+    /// [`crate::QueryResult`], so it carries no prose of its own.
+    pub fn description(&self) -> String {
+        let Plan {
+            n, m, k, matches, ..
+        } = *self;
+        match &self.strategy {
+            Strategy::FaNnf => format!(
+                "query contains negation: rewriting to negation-normal form \
+                 with {m} literal(s); negated literals read their atom's \
+                 list in reverse with complemented grades (Section 7's \
+                 π_notQ observation), restoring monotonicity so A0 applies"
+            ),
+            Strategy::NaiveCalculus => format!(
+                "query contains negation: not monotone, falling back to the naive \
+                 linear scan (Section 7 shows e.g. Q AND NOT Q is Θ(N), so no \
+                 sublinear strategy exists in general); scanning {m} list(s) of \
+                 {n} objects"
+            ),
+            Strategy::InternalPushdown { subsystem } => format!(
+                "all {m} conjuncts served by {subsystem}, which evaluates the \
+                 conjunction internally under ITS OWN semantics \
+                 (Section 8): expect rankings to differ from Garlic's \
+                 min rule; cost is k sorted accesses on one fused list"
+            ),
+            Strategy::Filtered { crisp_index } => format!(
+                "conjunct [{crisp_index}] is crisp with only {matches} \
+                 matches: enumerate its match set and random-access the \
+                 other {} conjunct(s) for just those objects (the \
+                 Section 4 'Beatles' strategy)",
+                m - 1
+            ),
+            Strategy::FaMin => format!(
+                "flat conjunction of {m} atoms under min: algorithm A0' \
+                 (sorted access to the k-match depth, random access only for \
+                 the pivot list's candidates, Theorem 4.4); expected cost \
+                 O(N^(({m}-1)/{m}) k^(1/{m})) for independent lists"
+            ),
+            Strategy::B0Max => format!(
+                "flat disjunction of {m} atoms under max: algorithm B0 \
+                 (top k of each list, no random access, Theorem 4.5); cost \
+                 m*k = {} independent of N",
+                m * k
+            ),
+            Strategy::FaGeneric if !self.weights.is_empty() => format!(
+                "weighted conjunction of {m} atoms with weights {:?} \
+                 under the Fagin-Wimmers rule (FW97); monotone, evaluated by A0",
+                self.weights
+            ),
+            Strategy::FaGeneric => format!(
+                "positive compound query over {m} atoms: monotone under the \
+                 standard calculus, so algorithm A0 applies (Theorem 4.2) with \
+                 the query itself as the aggregation function"
+            ),
+        }
+    }
 }
 
 impl std::fmt::Display for Plan {
@@ -86,7 +155,7 @@ impl std::fmt::Display for Plan {
             writeln!(f, "  [{i}] {a}")?;
         }
         writeln!(f, "estimated cost: {:.1}", self.estimated_cost)?;
-        write!(f, "{}", self.description)
+        write!(f, "{}", self.description())
     }
 }
 
@@ -112,6 +181,16 @@ pub fn plan(
     for a in &atoms {
         catalog.resolve(&a.attribute)?;
     }
+    let chosen = move |strategy, m, estimated_cost| Plan {
+        strategy,
+        atoms,
+        estimated_cost,
+        n,
+        m,
+        k,
+        matches: 0,
+        weights: Vec::new(),
+    };
 
     // Non-positive queries cannot be evaluated by A₀ over the raw atom
     // lists (monotonicity fails — and Section 7 shows some such queries are
@@ -120,29 +199,9 @@ pub fn plan(
     if !query.is_positive() {
         if options.negation_pushdown {
             let lits = query.to_nnf().literals.len();
-            return Ok(Plan {
-                strategy: Strategy::FaNnf,
-                description: format!(
-                    "query contains negation: rewriting to negation-normal form \
-                     with {lits} literal(s); negated literals read their atom's \
-                     list in reverse with complemented grades (Section 7's \
-                     π_notQ observation), restoring monotonicity so A0 applies"
-                ),
-                estimated_cost: fa_cost_estimate(n, lits, k),
-                atoms,
-            });
+            return Ok(chosen(Strategy::FaNnf, lits, fa_cost_estimate(n, lits, k)));
         }
-        return Ok(Plan {
-            strategy: Strategy::NaiveCalculus,
-            description: format!(
-                "query contains negation: not monotone, falling back to the naive \
-                 linear scan (Section 7 shows e.g. Q AND NOT Q is Θ(N), so no \
-                 sublinear strategy exists in general); scanning {m} list(s) of \
-                 {n} objects"
-            ),
-            estimated_cost: (m * n) as f64,
-            atoms,
-        });
+        return Ok(chosen(Strategy::NaiveCalculus, m, (m * n) as f64));
     }
 
     if let Some(flat) = query.as_flat_and() {
@@ -156,20 +215,12 @@ pub fn plan(
                     .unwrap_or(false)
             });
             if all_same && first.supports_internal_conjunction() {
-                return Ok(Plan {
-                    strategy: Strategy::InternalPushdown {
-                        subsystem: first.name().to_owned(),
-                    },
-                    description: format!(
-                        "all {m} conjuncts served by {}, which evaluates the \
-                         conjunction internally under ITS OWN semantics \
-                         (Section 8): expect rankings to differ from Garlic's \
-                         min rule; cost is k sorted accesses on one fused list",
-                        first.name()
-                    ),
-                    estimated_cost: k as f64,
-                    atoms,
-                });
+                let subsystem = first.name().to_owned();
+                return Ok(chosen(
+                    Strategy::InternalPushdown { subsystem },
+                    m,
+                    k as f64,
+                ));
             }
         }
 
@@ -190,61 +241,24 @@ pub fn plan(
             let filtered_cost = (matches * m) as f64;
             if filtered_cost < fa_cost_estimate(n, m, k) {
                 return Ok(Plan {
-                    strategy: Strategy::Filtered { crisp_index },
-                    description: format!(
-                        "conjunct [{crisp_index}] is crisp with only {matches} \
-                         matches: enumerate its match set and random-access the \
-                         other {} conjunct(s) for just those objects (the \
-                         Section 4 'Beatles' strategy)",
-                        m - 1
-                    ),
-                    estimated_cost: filtered_cost,
-                    atoms,
+                    matches,
+                    ..chosen(Strategy::Filtered { crisp_index }, m, filtered_cost)
                 });
             }
         }
 
         if m >= 1 {
-            return Ok(Plan {
-                strategy: Strategy::FaMin,
-                description: format!(
-                    "flat conjunction of {m} atoms under min: algorithm A0' \
-                     (sorted access to the k-match depth, random access only for \
-                     the pivot list's candidates, Theorem 4.4); expected cost \
-                     O(N^(({m}-1)/{m}) k^(1/{m})) for independent lists"
-                ),
-                estimated_cost: fa_cost_estimate(n, m, k),
-                atoms,
-            });
+            return Ok(chosen(Strategy::FaMin, m, fa_cost_estimate(n, m, k)));
         }
     }
 
     if let Some(flat) = query.as_flat_or() {
         let m = flat.len();
-        return Ok(Plan {
-            strategy: Strategy::B0Max,
-            description: format!(
-                "flat disjunction of {m} atoms under max: algorithm B0 \
-                 (top k of each list, no random access, Theorem 4.5); cost \
-                 m*k = {} independent of N",
-                m * k
-            ),
-            estimated_cost: (m * k) as f64,
-            atoms,
-        });
+        return Ok(chosen(Strategy::B0Max, m, (m * k) as f64));
     }
 
     // General positive query: A₀ with the compound aggregation.
-    Ok(Plan {
-        strategy: Strategy::FaGeneric,
-        description: format!(
-            "positive compound query over {m} atoms: monotone under the \
-             standard calculus, so algorithm A0 applies (Theorem 4.2) with \
-             the query itself as the aggregation function"
-        ),
-        estimated_cost: fa_cost_estimate(n, m, k),
-        atoms,
-    })
+    Ok(chosen(Strategy::FaGeneric, m, fa_cost_estimate(n, m, k)))
 }
 
 #[cfg(test)]
@@ -289,7 +303,7 @@ mod tests {
         let f = Fixture::new();
         let p = plan(&f.catalog(), &beatles_red(), 3, PlannerOptions::default()).unwrap();
         assert_eq!(p.strategy, Strategy::Filtered { crisp_index: 0 });
-        assert!(p.description.contains("Beatles") || p.description.contains("crisp"));
+        assert!(p.description().contains("Beatles"));
     }
 
     #[test]
@@ -373,6 +387,89 @@ mod tests {
                 subsystem: String::new()
             })
         );
+    }
+
+    /// `Plan::description` is rendered on demand from the strategy and the
+    /// plan's scalars; this pins the text of every strategy (the weighted
+    /// conjunction's is pinned where it is planned, in `exec.rs`).
+    #[test]
+    fn description_text_is_pinned_per_strategy() {
+        let f = Fixture::new();
+        let cat = f.catalog();
+        let n = cat.universe_size();
+        let color = || GarlicQuery::atom("AlbumColor", Target::text("red"));
+        let shape = || GarlicQuery::atom("Shape", Target::text("round"));
+        let review = || GarlicQuery::atom("Review", Target::terms(&["rock"]));
+        let fuzzy_and = GarlicQuery::and(color(), shape());
+        let negated = GarlicQuery::and(color(), GarlicQuery::not(shape()));
+        let internal = PlannerOptions {
+            prefer_internal: true,
+            ..Default::default()
+        };
+        let pushdown = PlannerOptions {
+            negation_pushdown: true,
+            ..Default::default()
+        };
+        let describe = |q: &GarlicQuery, k, opts| plan(&cat, q, k, opts).unwrap().description();
+
+        let filtered = plan(&cat, &beatles_red(), 3, PlannerOptions::default()).unwrap();
+        assert_eq!(
+            filtered.description(),
+            format!(
+                "conjunct [0] is crisp with only {} matches: enumerate its match set and \
+                 random-access the other 1 conjunct(s) for just those objects (the Section 4 \
+                 'Beatles' strategy)",
+                filtered.matches
+            )
+        );
+        assert!(filtered.matches > 0);
+        assert_eq!(
+            describe(&fuzzy_and, 3, PlannerOptions::default()),
+            "flat conjunction of 2 atoms under min: algorithm A0' (sorted access to the \
+             k-match depth, random access only for the pivot list's candidates, Theorem 4.4); \
+             expected cost O(N^((2-1)/2) k^(1/2)) for independent lists"
+        );
+        assert_eq!(
+            describe(
+                &GarlicQuery::or(color(), shape()),
+                7,
+                PlannerOptions::default()
+            ),
+            "flat disjunction of 2 atoms under max: algorithm B0 (top k of each list, no \
+             random access, Theorem 4.5); cost m*k = 14 independent of N"
+        );
+        assert_eq!(
+            describe(
+                &GarlicQuery::and(color(), GarlicQuery::or(shape(), review())),
+                2,
+                PlannerOptions::default()
+            ),
+            "positive compound query over 3 atoms: monotone under the standard calculus, so \
+             algorithm A0 applies (Theorem 4.2) with the query itself as the aggregation \
+             function"
+        );
+        assert_eq!(
+            describe(&negated, 2, PlannerOptions::default()),
+            format!(
+                "query contains negation: not monotone, falling back to the naive linear scan \
+                 (Section 7 shows e.g. Q AND NOT Q is Θ(N), so no sublinear strategy exists in \
+                 general); scanning 2 list(s) of {n} objects"
+            )
+        );
+        assert_eq!(
+            describe(&negated, 2, pushdown),
+            "query contains negation: rewriting to negation-normal form with 2 literal(s); \
+             negated literals read their atom's list in reverse with complemented grades \
+             (Section 7's π_notQ observation), restoring monotonicity so A0 applies"
+        );
+        assert_eq!(
+            describe(&fuzzy_and, 3, internal),
+            "all 2 conjuncts served by cd_qbic, which evaluates the conjunction internally \
+             under ITS OWN semantics (Section 8): expect rankings to differ from Garlic's min \
+             rule; cost is k sorted accesses on one fused list"
+        );
+        // EXPLAIN's `Display` ends with the same text.
+        assert!(filtered.to_string().ends_with(&filtered.description()));
     }
 
     #[test]

@@ -57,6 +57,16 @@
 //! footer found via the trailer, and both get the same full open-time
 //! verification; a decoder never trusts a varint stream past the bytes
 //! its checksum covered.
+//!
+//! A v2 block is a delta chain, so reading entry `i` means decoding the
+//! `i` entries in front of it. The reader shortens that walk with
+//! **restart points** ([`Restart`]): the decoder's state — byte offset,
+//! previous object id, previous grade bits — in front of every
+//! [`RESTART_INTERVAL`]-th entry, noted down while `open` decodes each
+//! block to verify it. They live in memory only; the file holds none and
+//! its bytes are the same with or without them. [`BlockV2`] is the one
+//! decoder: it resumes from a restart (or from a block's start, which is
+//! the zero state) and applies every framing check wherever it starts.
 
 use garlic_agg::Grade;
 use garlic_core::GradedEntry;
@@ -121,17 +131,7 @@ pub fn decode_raw(block: &[u8], index: usize) -> (u64, f64) {
     (object, f64::from_bits(bits))
 }
 
-/// Decodes the entry at `index` within an open-time-verified block. Grade
-/// bits are trusted under the same reasoning as [`decode_entries`] (and
-/// clamped into `[0, 1]` unconditionally), so the positional and batched
-/// sorted paths behave identically on any block a verified load can
-/// produce.
-pub fn decode_entry(block: &[u8], index: usize) -> GradedEntry {
-    let (object, value) = decode_raw(block, index);
-    GradedEntry::new(object, Grade::clamped(value))
-}
-
-/// Decodes the entries in slots `[from, to)` of an open-time-verified
+/// Decodes the entries in slots `[from, to)` of an open-time-verified v1
 /// block, appending to `out` — the hot path of sequential streaming.
 /// `chunks_exact` hands the compiler fixed 16-byte windows, so the loop
 /// compiles without per-entry bounds checks — and without a per-entry
@@ -141,7 +141,8 @@ pub fn decode_entry(block: &[u8], index: usize) -> GradedEntry {
 /// mutation fails the load's checksum and panics there, per the same
 /// torn-write/bit-rot — not adversary — trust model as the checksums
 /// themselves). [`Grade::clamped`] still upholds the `[0, 1]` type
-/// invariant unconditionally.
+/// invariant unconditionally, so every read path behaves identically on
+/// any block a verified load can produce.
 pub fn decode_entries(block: &[u8], from: usize, to: usize, out: &mut Vec<GradedEntry>) {
     let payload = &block[from * ENTRY_LEN..to * ENTRY_LEN];
     out.reserve(to - from);
@@ -450,177 +451,237 @@ pub fn encode_block_v2(entries: &[GradedEntry], kind: RegionKind, dict: Option<&
     out
 }
 
-/// Walks a v2 block, handing each `(index, object id, grade bits)` to
-/// `visit`; `visit` returns `false` to stop early (a table lookup that
-/// has passed its target id). Verifies the varint framing as it goes:
-/// mid-varint truncation, delta underflow/overflow, out-of-range
-/// dictionary indices, and trailing bytes after the last entry all
-/// return a typed detail string for [`StorageError::CorruptBlock`].
-pub fn walk_block_v2(
-    bytes: &[u8],
-    count: usize,
-    kind: RegionKind,
-    dict: Option<&[u64]>,
-    mut visit: impl FnMut(usize, u64, u64) -> bool,
-) -> Result<(), String> {
-    let mut off = 0usize;
-    let mut prev_id: u64 = 0;
-    let mut prev_bits: u64 = 0;
-    for i in 0..count {
-        let raw_id = read_varint(bytes, &mut off)
-            .ok_or_else(|| format!("entry {i}: id varint truncated"))?;
-        let id = if i == 0 {
-            raw_id
-        } else {
-            match kind {
-                RegionKind::Data => prev_id.wrapping_add(unzigzag(raw_id) as u64),
-                RegionKind::Table => {
-                    if raw_id == 0 {
-                        return Err(format!("entry {i}: zero table id delta"));
-                    }
-                    prev_id
-                        .checked_add(raw_id)
-                        .ok_or_else(|| format!("entry {i}: table id delta overflows"))?
+/// Entries between two restart points of a v2 block. A constant, not an
+/// option: it trades index memory (one [`Restart`] per interval, about
+/// 1.5 B per entry over both regions) against the longest walk a probe or
+/// a one-entry read can make, and no caller in the repository wants a
+/// different trade.
+pub const RESTART_INTERVAL: usize = 32;
+
+/// The v2 decoder's state in front of one entry: where its bytes start
+/// and what the previous entry decoded to, which is all a delta chain
+/// needs to resume. The default value is the state at a block's start.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Restart {
+    /// Object id of the previous entry.
+    pub prev_id: u64,
+    /// Grade bits of the previous entry.
+    pub prev_bits: u64,
+    /// Byte offset of the entry within the block.
+    pub offset: u32,
+}
+
+#[cold]
+fn fault(index: usize, what: &str) -> String {
+    format!("entry {index}: {what}")
+}
+
+/// A checksum-verified v2 block together with what decoding it needs.
+/// Every read of a v2 block — the full decode `open` verifies with, a
+/// sorted range, a table probe — is one resumable walk ([`BlockV2::run`]):
+/// start state in, entries out.
+#[derive(Debug, Clone, Copy)]
+pub struct BlockV2<'a> {
+    /// The block's encoded bytes.
+    pub bytes: &'a [u8],
+    /// Number of entries the block holds.
+    pub count: usize,
+    /// Which region's encoding the bytes use.
+    pub kind: RegionKind,
+    /// The sorted grade dictionary in dictionary mode
+    /// ([`FLAG_GRADE_DICT`]), else `None`.
+    pub dict: Option<&'a [u64]>,
+    /// The block's restart points: element `r` stands in front of entry
+    /// `(r + 1) * RESTART_INTERVAL`. Empty means "decode from the start",
+    /// which is always correct and is what `open` does.
+    pub restarts: &'a [Restart],
+}
+
+impl<'a> BlockV2<'a> {
+    /// The block with no restart points, so every read decodes from its
+    /// start — what `open` verifies with, before any restart exists.
+    pub fn from_start(
+        bytes: &'a [u8],
+        count: usize,
+        kind: RegionKind,
+        dict: Option<&'a [u64]>,
+    ) -> Self {
+        BlockV2 {
+            bytes,
+            count,
+            kind,
+            dict,
+            restarts: &[],
+        }
+    }
+
+    /// Walks the entries from `first` on, whose decoder state is `state`,
+    /// handing each `(index, object id, grade bits, end offset)` to
+    /// `visit`; `visit` returns `false` to stop early. Verifies the
+    /// framing as it goes: mid-varint truncation, zero or overflowing
+    /// table id deltas, grade delta underflow, out-of-range dictionary
+    /// indices, and — when the walk reaches the block's end — trailing
+    /// bytes all return a detail string for
+    /// [`StorageError::CorruptBlock`].
+    #[inline(always)]
+    fn run(
+        &self,
+        first: usize,
+        state: Restart,
+        visit: impl FnMut(usize, u64, u64, usize) -> bool,
+    ) -> Result<(), String> {
+        // One instantiation per (region, grade mode) pair, so the encoding
+        // dispatch is resolved outside the per-entry loop.
+        match (self.kind, self.dict) {
+            (RegionKind::Data, Some(d)) => self.run_as::<true, true>(d, first, state, visit),
+            (RegionKind::Data, None) => self.run_as::<true, false>(&[], first, state, visit),
+            (RegionKind::Table, Some(d)) => self.run_as::<false, true>(d, first, state, visit),
+            (RegionKind::Table, None) => self.run_as::<false, false>(&[], first, state, visit),
+        }
+    }
+
+    #[inline(always)]
+    fn run_as<const DATA: bool, const DICT: bool>(
+        &self,
+        dict: &[u64],
+        first: usize,
+        state: Restart,
+        mut visit: impl FnMut(usize, u64, u64, usize) -> bool,
+    ) -> Result<(), String> {
+        let bytes = self.bytes;
+        let mut off = state.offset as usize;
+        let mut prev_id = state.prev_id;
+        let mut prev_bits = state.prev_bits;
+        for i in first..self.count {
+            let raw_id =
+                read_varint_hot(bytes, &mut off).ok_or_else(|| fault(i, "id varint truncated"))?;
+            let id = if i == 0 {
+                raw_id
+            } else if DATA {
+                prev_id.wrapping_add(unzigzag(raw_id) as u64)
+            } else {
+                if raw_id == 0 {
+                    return Err(fault(i, "zero table id delta"));
                 }
-            }
-        };
-        let bits = match dict {
-            Some(dict) => {
-                let index = read_varint(bytes, &mut off)
-                    .ok_or_else(|| format!("entry {i}: grade index truncated"))?;
+                prev_id
+                    .checked_add(raw_id)
+                    .ok_or_else(|| fault(i, "table id delta overflows"))?
+            };
+            let bits = if DICT {
+                let index = read_varint_hot(bytes, &mut off)
+                    .ok_or_else(|| fault(i, "grade index truncated"))?;
                 *dict
                     .get(index as usize)
-                    .ok_or_else(|| format!("entry {i}: grade index {index} out of dictionary"))?
-            }
-            None if i == 0 => {
+                    .ok_or_else(|| fault(i, &format!("grade index {index} out of dictionary")))?
+            } else if i == 0 {
                 let slot = bytes
                     .get(off..off + 8)
-                    .ok_or_else(|| format!("entry {i}: first grade truncated"))?;
+                    .ok_or_else(|| fault(i, "first grade truncated"))?;
                 off += 8;
                 u64::from_le_bytes(slot.try_into().expect("8-byte slot"))
-            }
-            None => {
-                let delta = read_varint(bytes, &mut off)
-                    .ok_or_else(|| format!("entry {i}: grade delta truncated"))?;
-                match kind {
-                    RegionKind::Data => prev_bits
+            } else {
+                let delta = read_varint_hot(bytes, &mut off)
+                    .ok_or_else(|| fault(i, "grade delta truncated"))?;
+                if DATA {
+                    prev_bits
                         .checked_sub(delta)
-                        .ok_or_else(|| format!("entry {i}: grade delta underflows"))?,
-                    RegionKind::Table => prev_bits.wrapping_add(unzigzag(delta) as u64),
+                        .ok_or_else(|| fault(i, "grade delta underflows"))?
+                } else {
+                    prev_bits.wrapping_add(unzigzag(delta) as u64)
                 }
+            };
+            prev_id = id;
+            prev_bits = bits;
+            if !visit(i, id, bits, off) {
+                return Ok(());
             }
-        };
-        prev_id = id;
-        prev_bits = bits;
-        if !visit(i, id, bits) {
+        }
+        if off != bytes.len() {
+            return Err(format!(
+                "{} trailing bytes after last entry",
+                bytes.len() - off
+            ));
+        }
+        Ok(())
+    }
+
+    /// The last restart at or before entry `slot`, as `run` takes it.
+    fn resume_at(&self, slot: usize) -> (usize, Restart) {
+        match (slot / RESTART_INTERVAL).min(self.restarts.len()) {
+            0 => (0, Restart::default()),
+            r => (r * RESTART_INTERVAL, self.restarts[r - 1]),
+        }
+    }
+
+    /// Decodes the whole block from its start into raw `(object id, grade
+    /// bits)` pairs, appending its restart points to `restarts` — the
+    /// verification-time path. Grade *validity* is the caller's concern,
+    /// mirroring [`decode_raw`].
+    pub fn decode_all(&self, restarts: &mut Vec<Restart>) -> Result<Vec<(u64, u64)>, String> {
+        let mut out = Vec::with_capacity(self.count);
+        self.run(0, Restart::default(), |i, id, bits, end| {
+            out.push((id, bits));
+            if (i + 1) % RESTART_INTERVAL == 0 && i + 1 < self.count {
+                restarts.push(Restart {
+                    prev_id: id,
+                    prev_bits: bits,
+                    // Block lengths are bounded by 2 × MAX_BLOCK_SIZE.
+                    offset: end as u32,
+                });
+            }
+            true
+        })?;
+        Ok(out)
+    }
+
+    /// Decodes entries `[from, to)`, appending to `out` — the v2
+    /// counterpart of [`decode_entries`]. The walk resumes at the restart
+    /// in front of `from`, so a short read costs at most
+    /// [`RESTART_INTERVAL`] entries of skipping, wherever in the block it
+    /// lands. Grade bits are trusted for the reason [`decode_entries`]
+    /// trusts them; a framing error (a block mutated after open) is a
+    /// typed detail, never a panic.
+    pub fn decode_range(
+        &self,
+        from: usize,
+        to: usize,
+        out: &mut Vec<GradedEntry>,
+    ) -> Result<(), String> {
+        let to = to.min(self.count);
+        if from >= to {
             return Ok(());
         }
-    }
-    if off != bytes.len() {
-        return Err(format!(
-            "{} trailing bytes after last entry",
-            bytes.len() - off
-        ));
-    }
-    Ok(())
-}
-
-/// Decodes a full v2 block into raw `(object id, grade bits)` pairs —
-/// the verification-time path. Grade *validity* is the caller's concern,
-/// mirroring [`decode_raw`].
-pub fn decode_block_v2(
-    bytes: &[u8],
-    count: usize,
-    kind: RegionKind,
-    dict: Option<&[u64]>,
-) -> Result<Vec<(u64, u64)>, String> {
-    let mut out = Vec::with_capacity(count);
-    walk_block_v2(bytes, count, kind, dict, |_, id, bits| {
-        out.push((id, bits));
-        true
-    })?;
-    Ok(out)
-}
-
-/// Decodes entries `[from, to)` of an open-time-verified v2 block,
-/// appending to `out` — the v2 counterpart of [`decode_entries`]. The
-/// stream is sequential, so the walk starts at entry 0 regardless of
-/// `from`; it stops as soon as `to` entries have been seen. Framing
-/// errors are unreachable on checksum-verified bytes (open validated
-/// this exact byte run), so they panic like a failed post-open checksum
-/// would, rather than plumbing `Result` through the hot path.
-pub fn decode_entries_v2(
-    bytes: &[u8],
-    count: usize,
-    from: usize,
-    to: usize,
-    kind: RegionKind,
-    dict: Option<&[u64]>,
-    out: &mut Vec<GradedEntry>,
-) {
-    out.reserve(to - from);
-    // Dedicated monomorphized loops rather than [`walk_block_v2`]: the
-    // visitor indirection, per-byte varint reads, and per-entry encoding
-    // dispatch cost enough to show up on warm full scans, and this path
-    // never needs the walker's typed error reporting — open already
-    // verified these exact bytes.
-    match (kind, dict) {
-        (RegionKind::Data, Some(d)) => decode_v2_loop::<true, true>(bytes, count, from, to, d, out),
-        (RegionKind::Data, None) => decode_v2_loop::<true, false>(bytes, count, from, to, &[], out),
-        (RegionKind::Table, Some(d)) => {
-            decode_v2_loop::<false, true>(bytes, count, from, to, d, out)
-        }
-        (RegionKind::Table, None) => {
-            decode_v2_loop::<false, false>(bytes, count, from, to, &[], out)
-        }
-    }
-}
-
-/// The monomorphized body of [`decode_entries_v2`]: one instantiation
-/// per (region, dictionary-mode) pair so the encoding dispatch is
-/// resolved at compile time and the hot loop is branch-minimal.
-#[inline(always)]
-fn decode_v2_loop<const DATA: bool, const DICT: bool>(
-    bytes: &[u8],
-    count: usize,
-    from: usize,
-    to: usize,
-    dict: &[u64],
-    out: &mut Vec<GradedEntry>,
-) {
-    const TAMPERED: &str = "verified v2 block mutated after open";
-    let mut off = 0usize;
-    let mut prev_id: u64 = 0;
-    let mut prev_bits: u64 = 0;
-    for i in 0..count.min(to) {
-        let raw_id = read_varint_hot(bytes, &mut off).expect(TAMPERED);
-        let id = if i == 0 {
-            raw_id
-        } else if DATA {
-            prev_id.wrapping_add(unzigzag(raw_id) as u64)
-        } else {
-            prev_id.checked_add(raw_id).expect(TAMPERED)
-        };
-        let bits = if DICT {
-            let index = read_varint_hot(bytes, &mut off).expect(TAMPERED);
-            *dict.get(index as usize).expect(TAMPERED)
-        } else if i == 0 {
-            let slot = bytes.get(off..off + 8).expect(TAMPERED);
-            off += 8;
-            u64::from_le_bytes(slot.try_into().expect("8-byte slot"))
-        } else {
-            let delta = read_varint_hot(bytes, &mut off).expect(TAMPERED);
-            if DATA {
-                prev_bits.checked_sub(delta).expect(TAMPERED)
-            } else {
-                prev_bits.wrapping_add(unzigzag(delta) as u64)
+        out.reserve(to - from);
+        let (first, state) = self.resume_at(from);
+        self.run(first, state, |i, id, bits, _| {
+            if i >= from {
+                out.push(GradedEntry::new(id, Grade::clamped(f64::from_bits(bits))));
             }
-        };
-        prev_id = id;
-        prev_bits = bits;
-        if i >= from {
-            out.push(GradedEntry::new(id, Grade::clamped(f64::from_bits(bits))));
-        }
+            // A range ending with the block walks off its end, where the
+            // trailing-bytes check sits.
+            i + 1 < to || to == self.count
+        })
+    }
+
+    /// Looks `object` up in a table block: binary search over the restart
+    /// points' previous ids, then a walk of at most [`RESTART_INTERVAL`]
+    /// entries that stops at the first id past the probe.
+    pub fn lookup(&self, object: u64) -> Result<Option<Grade>, String> {
+        debug_assert_eq!(
+            self.kind,
+            RegionKind::Table,
+            "only table blocks are id-ordered"
+        );
+        let r = self.restarts.partition_point(|r| r.prev_id < object);
+        let (first, state) = self.resume_at(r * RESTART_INTERVAL);
+        let mut hit = None;
+        self.run(first, state, |_, id, bits, _| {
+            if id == object {
+                hit = Some(Grade::clamped(f64::from_bits(bits)));
+            }
+            id < object
+        })?;
+        Ok(hit)
     }
 }
 
@@ -874,7 +935,9 @@ mod tests {
         let mut slot = [0u8; ENTRY_LEN];
         let entry = GradedEntry::new(ObjectId(42), Grade::new(0.625).unwrap());
         encode_entry(&mut slot, entry);
-        assert_eq!(decode_entry(&slot, 0), entry);
+        let mut decoded = Vec::new();
+        decode_entries(&slot, 0, 1, &mut decoded);
+        assert_eq!(decoded, [entry]);
     }
 
     fn footer() -> Footer {
@@ -971,16 +1034,37 @@ mod tests {
         entries
     }
 
+    fn block<'a>(
+        bytes: &'a [u8],
+        count: usize,
+        kind: RegionKind,
+        dict: Option<&'a [u64]>,
+        restarts: &'a [Restart],
+    ) -> BlockV2<'a> {
+        BlockV2 {
+            restarts,
+            ..BlockV2::from_start(bytes, count, kind, dict)
+        }
+    }
+
+    fn dict_of(entries: &[GradedEntry]) -> Vec<u64> {
+        let mut dict: Vec<u64> = entries.iter().map(|e| e.grade.value().to_bits()).collect();
+        dict.sort_unstable();
+        dict.dedup();
+        dict
+    }
+
     #[test]
     fn v2_block_round_trips_both_regions_and_modes() {
         for kind in [RegionKind::Data, RegionKind::Table] {
             let entries = v2_entries(kind);
-            let mut dict: Vec<u64> = entries.iter().map(|e| e.grade.value().to_bits()).collect();
-            dict.sort_unstable();
-            dict.dedup();
+            let dict = dict_of(&entries);
             for dict in [None, Some(dict.as_slice())] {
                 let bytes = encode_block_v2(&entries, kind, dict);
-                let raw = decode_block_v2(&bytes, entries.len(), kind, dict).unwrap();
+                let block = block(&bytes, entries.len(), kind, dict, &[]);
+                let mut restarts = Vec::new();
+                let raw = block.decode_all(&mut restarts).unwrap();
+                assert!(restarts.is_empty(), "four entries need no restart");
                 let decoded: Vec<GradedEntry> = raw
                     .iter()
                     .map(|&(id, bits)| {
@@ -989,27 +1073,182 @@ mod tests {
                     .collect();
                 assert_eq!(decoded, entries, "{kind:?} dict={}", dict.is_some());
                 let mut partial = Vec::new();
-                decode_entries_v2(&bytes, entries.len(), 1, 3, kind, dict, &mut partial);
+                block.decode_range(1, 3, &mut partial).unwrap();
                 assert_eq!(partial, entries[1..3]);
             }
         }
+    }
+
+    /// `count` entries in skeleton (data) or id (table) order, with ties,
+    /// id gaps of every varint width, and few enough distinct grades for
+    /// dictionary mode.
+    fn long_entries(kind: RegionKind, count: usize) -> Vec<GradedEntry> {
+        let mut entries: Vec<GradedEntry> = (0..count as u64)
+            .map(|i| {
+                let id = 5 + i * 3 + (i % 7) * 1000 + (i / 50) * 70_000;
+                GradedEntry::new(ObjectId(id), Grade::clamped((i * 37 % 11) as f64 / 10.0))
+            })
+            .collect();
+        match kind {
+            RegionKind::Data => {
+                entries.sort_by_key(|e| (std::cmp::Reverse(e.grade), e.object));
+            }
+            RegionKind::Table => entries.sort_by_key(|e| e.object),
+        }
+        entries
+    }
+
+    /// The restart index's defining property: a decode resumed from any
+    /// restart equals the decode from the block's start — for every
+    /// `(from, to)` range and every probe id, on all four region × grade
+    /// mode encodings, with block lengths below, at, just past, and well
+    /// past a multiple of the interval.
+    #[test]
+    fn resumed_decode_equals_decode_from_the_start() {
+        let counts = [
+            1,
+            RESTART_INTERVAL - 1,
+            RESTART_INTERVAL,
+            RESTART_INTERVAL + 1,
+            2 * RESTART_INTERVAL,
+            3 * RESTART_INTERVAL + 5,
+        ];
+        for kind in [RegionKind::Data, RegionKind::Table] {
+            for count in counts {
+                let entries = long_entries(kind, count);
+                let dict = dict_of(&entries);
+                for dict in [None, Some(dict.as_slice())] {
+                    let what = format!("{kind:?} count={count} dict={}", dict.is_some());
+                    let bytes = encode_block_v2(&entries, kind, dict);
+                    let from_zero = block(&bytes, count, kind, dict, &[]);
+                    let mut restarts = Vec::new();
+                    from_zero.decode_all(&mut restarts).unwrap();
+                    assert_eq!(restarts.len(), (count - 1) / RESTART_INTERVAL, "{what}");
+                    let resumed = block(&bytes, count, kind, dict, &restarts);
+                    for from in 0..=count {
+                        for to in from..=count + 1 {
+                            let (mut a, mut b) = (Vec::new(), Vec::new());
+                            from_zero.decode_range(from, to, &mut a).unwrap();
+                            resumed.decode_range(from, to, &mut b).unwrap();
+                            assert_eq!(a, entries[from..to.min(count)], "{what} [{from}, {to})");
+                            assert_eq!(a, b, "{what} [{from}, {to})");
+                        }
+                    }
+                    if kind == RegionKind::Table {
+                        // Every present id (first, last, and both sides of
+                        // every restart among them), each id's absent
+                        // neighbours, below the first and above the last.
+                        let mut probes = vec![0, u64::MAX];
+                        for e in &entries {
+                            probes.extend([e.object.0 - 1, e.object.0, e.object.0 + 1]);
+                        }
+                        for probe in probes {
+                            let want = entries
+                                .iter()
+                                .find(|e| e.object.0 == probe)
+                                .map(|e| e.grade);
+                            assert_eq!(from_zero.lookup(probe).unwrap(), want, "{what} {probe}");
+                            assert_eq!(resumed.lookup(probe).unwrap(), want, "{what} {probe}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every framing check holds wherever the walk starts: a block whose
+    /// bytes change behind a restart is a typed detail from a resumed
+    /// range and a resumed probe alike, never a panic.
+    #[test]
+    fn resumed_decode_keeps_every_framing_check() {
+        let count = 2 * RESTART_INTERVAL + 8;
+        let entries = long_entries(RegionKind::Table, count);
+        let last = entries[count - 1].object.0;
+        let dict = dict_of(&entries);
+        let bytes = encode_block_v2(&entries, RegionKind::Table, Some(&dict));
+        let mut restarts = Vec::new();
+        block(&bytes, count, RegionKind::Table, Some(&dict), &[])
+            .decode_all(&mut restarts)
+            .unwrap();
+        let tail = restarts[1].offset as usize;
+
+        // Trailing bytes: seen by the walks that reach the block's end.
+        let mut padded = bytes.clone();
+        padded.push(0);
+        let b = block(&padded, count, RegionKind::Table, Some(&dict), &restarts);
+        let err = b
+            .decode_range(count - 1, count, &mut Vec::new())
+            .unwrap_err();
+        assert!(err.contains("trailing"), "{err}");
+        assert!(b.lookup(last + 1).unwrap_err().contains("trailing"));
+        assert_eq!(b.lookup(last).unwrap(), Some(entries[count - 1].grade));
+
+        // Truncation inside the last run.
+        let b = block(
+            &bytes[..bytes.len() - 1],
+            count,
+            RegionKind::Table,
+            Some(&dict),
+            &restarts,
+        );
+        assert!(b.lookup(last).unwrap_err().contains("truncated"));
+
+        // A zero id delta right behind the second restart.
+        let mut zeroed = bytes.clone();
+        let mut off = tail;
+        let delta = read_varint(&bytes, &mut off).unwrap();
+        assert!(delta < 0x80, "one-byte delta expected");
+        zeroed[tail] = 0;
+        let b = block(&zeroed, count, RegionKind::Table, Some(&dict), &restarts);
+        let err = b.lookup(last).unwrap_err();
+        assert!(err.contains("zero table id delta"), "{err}");
+        let err = b
+            .decode_range(2 * RESTART_INTERVAL, count, &mut Vec::new())
+            .unwrap_err();
+        assert!(err.contains("zero table id delta"), "{err}");
+
+        // A dictionary index past the dictionary, same place.
+        let b = block(
+            &bytes,
+            count,
+            RegionKind::Table,
+            Some(&dict[..1]),
+            &restarts,
+        );
+        assert!(b.lookup(last).unwrap_err().contains("dictionary"));
+
+        // An overflowing id delta: the previous id sits at the top.
+        let top = [
+            GradedEntry::new(ObjectId(u64::MAX - 1), Grade::HALF),
+            GradedEntry::new(ObjectId(u64::MAX), Grade::HALF),
+        ];
+        let mut bytes = encode_block_v2(&top, RegionKind::Table, Some(&dict_of(&top)));
+        let n = bytes.len();
+        bytes[n - 2] = 2; // delta 1 -> 2
+        let err = block(&bytes, 2, RegionKind::Table, Some(&dict_of(&top)), &[])
+            .lookup(u64::MAX)
+            .unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
     }
 
     #[test]
     fn v2_block_decode_flags_framing_corruption() {
         let entries = v2_entries(RegionKind::Data);
         let bytes = encode_block_v2(&entries, RegionKind::Data, None);
+        let decode = |bytes: &[u8]| {
+            block(bytes, entries.len(), RegionKind::Data, None, &[]).decode_all(&mut Vec::new())
+        };
         // Every truncation point either fails or yields fewer entries.
         for cut in 0..bytes.len() {
             assert!(
-                decode_block_v2(&bytes[..cut], entries.len(), RegionKind::Data, None).is_err(),
+                decode(&bytes[..cut]).is_err(),
                 "cut at {cut} must not decode cleanly"
             );
         }
         // Trailing garbage after the last entry is caught too.
         let mut padded = bytes.clone();
         padded.push(0);
-        let err = decode_block_v2(&padded, entries.len(), RegionKind::Data, None).unwrap_err();
+        let err = decode(&padded).unwrap_err();
         assert!(err.contains("trailing"), "{err}");
         // A dictionary index past the dictionary is typed, not a panic.
         let dict = [Grade::HALF.value().to_bits()];
@@ -1018,7 +1257,9 @@ mod tests {
             GradedEntry::new(ObjectId(2), Grade::HALF),
         ];
         let encoded = encode_block_v2(&two, RegionKind::Table, Some(&dict));
-        let err = decode_block_v2(&encoded, 2, RegionKind::Table, Some(&[])).unwrap_err();
+        let err = block(&encoded, 2, RegionKind::Table, Some(&[]), &[])
+            .decode_all(&mut Vec::new())
+            .unwrap_err();
         assert!(err.contains("dictionary"), "{err}");
     }
 

@@ -9,8 +9,8 @@
 //! can tell exactly which store state it observes.
 //!
 //! The manifest is replaced **atomically**, the same way segments are
-//! published: all bytes go to a `MANIFEST.tmp` sibling, the file is
-//! fsynced, renamed over `MANIFEST`, and the directory fsynced. A crash
+//! published: all bytes go to a `MANIFEST.<pid>.<n>.tmp` sibling, the file
+//! is fsynced, renamed over `MANIFEST`, and the directory fsynced. A crash
 //! therefore always leaves either the old manifest or the new one — never
 //! a torn mix — and any file the surviving manifest does not reference is
 //! garbage the next open collects.
@@ -27,6 +27,7 @@ use crate::error::StorageError;
 use crate::format::fnv1a64;
 use crate::vfs::{std_vfs, Vfs};
 use crate::wal::sync_parent_dir;
+use crate::writer::{tmp_sibling, TmpGuard};
 
 /// The 8-byte magic the manifest starts with.
 pub const MANIFEST_MAGIC: [u8; 8] = *b"GRLCMAN1";
@@ -97,12 +98,16 @@ impl Manifest {
     /// [`store`](Manifest::store) through an explicit [`Vfs`].
     pub fn store_with(&self, dir: &Path, vfs: &Arc<dyn Vfs>) -> Result<(), StorageError> {
         let path = dir.join(MANIFEST_NAME);
-        let tmp = dir.join(format!("{MANIFEST_NAME}.tmp"));
+        // Same publication as a segment's: a tmp name of this store's own,
+        // removed again if anything before the rename fails.
+        let tmp = tmp_sibling(&path);
         let mut file = vfs.create(&tmp)?;
+        let guard = TmpGuard::new(vfs.as_ref(), &tmp);
         file.write_all(&self.encode())?;
         file.sync_all()?;
         drop(file);
         vfs.rename(&tmp, &path)?;
+        guard.disarm();
         sync_parent_dir(vfs.as_ref(), &path)?;
         Ok(())
     }
@@ -271,7 +276,11 @@ mod tests {
         manifest.store(&dir).unwrap();
         assert_eq!(Manifest::load(&dir).unwrap(), manifest);
         // Replacing is atomic: no tmp sibling survives.
-        assert!(!dir.join("MANIFEST.tmp").exists());
+        let names: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, [MANIFEST_NAME]);
     }
 
     #[test]

@@ -33,9 +33,9 @@ use garlic_core::{GradedEntry, ObjectId};
 use crate::cache::{BlockCache, BlockKey};
 use crate::error::StorageError;
 use crate::format::{
-    decode_block_v2, decode_raw, encode_entry, fnv1a64, read_u64, walk_block_v2, Footer, FooterV2,
-    RegionKind, ENTRY_LEN, FLAG_CRISP, FLAG_GRADE_DICT, FORMAT_V1, FORMAT_VERSION, HEADER_LEN,
-    HEADER_MAGIC, TRAILER_LEN, TRAILER_MAGIC,
+    decode_raw, encode_entry, fnv1a64, read_u64, BlockV2, Footer, FooterV2, RegionKind, Restart,
+    ENTRY_LEN, FLAG_CRISP, FLAG_GRADE_DICT, FORMAT_V1, FORMAT_VERSION, HEADER_LEN, HEADER_MAGIC,
+    RESTART_INTERVAL, TRAILER_LEN, TRAILER_MAGIC,
 };
 use crate::vfs::{std_vfs, Vfs, VfsRead};
 
@@ -154,6 +154,13 @@ struct V2Layout {
     /// Each data block's greatest grade — the fence consulted before a
     /// threshold-hinted scan loads the block.
     grade_max: Vec<Grade>,
+    /// The restart points of every data block, block after block: the
+    /// decoder state in front of every [`RESTART_INTERVAL`]-th entry, noted
+    /// down by the open-time scan, so a read resumes next to its first
+    /// entry instead of at the block's start.
+    data_restarts: Vec<Restart>,
+    /// The same for the table region.
+    table_restarts: Vec<Restart>,
 }
 
 impl SegmentSource {
@@ -220,7 +227,7 @@ impl SegmentSource {
 
         let mut footer_bytes = vec![0u8; footer_len as usize];
         file.read_exact_at(&mut footer_bytes, footer_offset)?;
-        let (footer, layout, stats) = if version == FORMAT_V1 {
+        let (footer, layout, max_object) = if version == FORMAT_V1 {
             let footer = Footer::parse(&footer_bytes)?;
             // All footer geometry is untrusted until it survives these
             // checks: overflow in a forged footer must be an error, not a
@@ -241,7 +248,7 @@ impl SegmentSource {
                 });
             }
             let stats = verify_blocks(file.as_ref(), &footer)?;
-            (footer, None, stats)
+            (footer, None, stats.max_object)
         } else {
             let v2 = FooterV2::parse(&footer_bytes)?;
             // v2 blocks are variable-length: their file offsets are prefix
@@ -272,6 +279,8 @@ impl SegmentSource {
                     .iter()
                     .map(|&bits| Grade::clamped(f64::from_bits(bits)))
                     .collect(),
+                data_restarts: stats.data_restarts,
+                table_restarts: stats.table_restarts,
             };
             let footer = Footer {
                 flags: v2.flags,
@@ -284,7 +293,7 @@ impl SegmentSource {
                 table_checksums: v2.table_checksums,
                 table_first_ids: v2.table_first_ids,
             };
-            (footer, Some(layout), stats)
+            (footer, Some(layout), stats.max_object)
         };
 
         let segment_id = NEXT_SEGMENT_ID.fetch_add(1, Ordering::Relaxed);
@@ -304,7 +313,7 @@ impl SegmentSource {
             entries_per_block: footer.block_size / ENTRY_LEN,
             footer,
             layout,
-            max_object: stats.max_object,
+            max_object,
         })
     }
 
@@ -400,6 +409,16 @@ impl SegmentSource {
             blocks_loaded: self.fence_loaded.load(Ordering::Relaxed),
             blocks_skipped: self.fence_skipped.load(Ordering::Relaxed),
         }
+    }
+
+    /// Bytes of memory the restart index holds (0 for a v1 segment, whose
+    /// fixed slots need none): one [`Restart`] per [`RESTART_INTERVAL`]
+    /// entries of each region.
+    pub fn restart_index_bytes(&self) -> usize {
+        self.layout.as_ref().map_or(0, |layout| {
+            (layout.data_restarts.capacity() + layout.table_restarts.capacity())
+                * std::mem::size_of::<Restart>()
+        })
     }
 
     /// This source's process-unique cache namespace: the `segment` half of
@@ -546,8 +565,34 @@ impl SegmentSource {
         }
     }
 
+    /// Block `index` of a v2 region as the decoder takes it: its bytes, its
+    /// entry count, and its slice of the region's restart points (every
+    /// block but the last holds the same number of them).
+    fn block_v2<'a>(
+        &'a self,
+        layout: &'a V2Layout,
+        kind: RegionKind,
+        bytes: &'a [u8],
+        index: u64,
+    ) -> BlockV2<'a> {
+        let count = self.entries_in_block(index);
+        let region = match kind {
+            RegionKind::Data => &layout.data_restarts,
+            RegionKind::Table => &layout.table_restarts,
+        };
+        let start = index as usize * ((self.entries_per_block - 1) / RESTART_INTERVAL);
+        BlockV2 {
+            bytes,
+            count,
+            kind,
+            dict: layout.dict.as_deref(),
+            restarts: &region[start..start + (count - 1) / RESTART_INTERVAL],
+        }
+    }
+
     /// Appends slots `[from, to)` of data block `index` to `out`,
-    /// dispatching on the block encoding.
+    /// dispatching on the block encoding. A decode failure (a v2 block
+    /// mutated after open) is a typed error, not a panic.
     fn decode_data_range(
         &self,
         block: &[u8],
@@ -555,95 +600,45 @@ impl SegmentSource {
         from: usize,
         to: usize,
         out: &mut Vec<GradedEntry>,
-    ) {
+    ) -> Result<(), StorageError> {
         match &self.layout {
             None => crate::format::decode_entries(block, from, to, out),
-            Some(layout) => crate::format::decode_entries_v2(
-                block,
-                self.entries_in_block(index),
-                from,
-                to,
-                RegionKind::Data,
-                layout.dict.as_deref(),
-                out,
-            ),
+            Some(layout) => self
+                .block_v2(layout, RegionKind::Data, block, index)
+                .decode_range(from, to, out)
+                .map_err(|detail| StorageError::CorruptBlock {
+                    block: index,
+                    detail,
+                })?,
         }
+        Ok(())
     }
 
-    /// Binary search (v1) or early-exit walk (v2) for `object` in table
-    /// block `index`. A decode failure (a block mutated after open) is a
-    /// typed error, not a panic.
+    /// Binary search for `object` in table block `index`: over the slots
+    /// (v1), or over the restart points and then a walk of at most
+    /// [`RESTART_INTERVAL`] entries (v2). Grade bits are trusted on both
+    /// paths for the same reason: the block came through a
+    /// checksum-verified load of bytes `open` validated. A decode failure
+    /// (a block mutated after open) is a typed error, not a panic.
     fn lookup_in_table(
         &self,
         block: &[u8],
         index: u64,
         object: ObjectId,
     ) -> Result<Option<Grade>, StorageError> {
-        let count = self.entries_in_block(index);
         match &self.layout {
-            None => Ok(lookup_in_table_block(block, count, object)),
-            Some(layout) => {
-                // Ids are ascending, so the walk can stop at the first id
-                // past the probe. Grade bits are trusted for the same
-                // reason the v1 path trusts them: the block came through a
-                // checksum-verified load of bytes `open` validated.
-                let mut hit = None;
-                walk_block_v2(
-                    block,
-                    count,
-                    RegionKind::Table,
-                    layout.dict.as_deref(),
-                    |_, id, bits| {
-                        if id == object.0 {
-                            hit = Some(Grade::clamped(f64::from_bits(bits)));
-                        }
-                        id < object.0
-                    },
-                )
+            None => Ok(lookup_in_table_block(
+                block,
+                self.entries_in_block(index),
+                object,
+            )),
+            Some(layout) => self
+                .block_v2(layout, RegionKind::Table, block, index)
+                .lookup(object.0)
                 .map_err(|detail| StorageError::CorruptBlock {
                     block: self.footer.data_blocks + index,
                     detail,
-                })?;
-                Ok(hit)
-            }
-        }
-    }
-
-    /// Fallible core of [`GradedSource::sorted_access`].
-    fn sorted_access_impl(&self, rank: usize) -> Result<Option<GradedEntry>, StorageError> {
-        if rank >= self.footer.num_entries as usize {
-            return Ok(None);
-        }
-        let index = (rank / self.entries_per_block) as u64;
-        let block = self.try_data_block(index)?;
-        let slot = rank % self.entries_per_block;
-        match &self.layout {
-            None => Ok(Some(crate::format::decode_entry(&block, slot))),
-            Some(layout) => {
-                // v2 blocks are delta chains: walk up to the slot, no
-                // allocation, stop as soon as it is decoded.
-                let mut hit = None;
-                walk_block_v2(
-                    &block,
-                    self.entries_in_block(index),
-                    RegionKind::Data,
-                    layout.dict.as_deref(),
-                    |i, id, bits| {
-                        if i == slot {
-                            hit = Some(GradedEntry::new(
-                                ObjectId(id),
-                                Grade::clamped(f64::from_bits(bits)),
-                            ));
-                        }
-                        i < slot
-                    },
-                )
-                .map_err(|detail| StorageError::CorruptBlock {
-                    block: index,
-                    detail,
-                })?;
-                Ok(hit)
-            }
+                }),
         }
     }
 
@@ -700,7 +695,7 @@ impl SegmentSource {
             let block = self.try_data_block(block_index)?;
             let in_block = rank % self.entries_per_block;
             let take = (end - rank).min(self.entries_per_block - in_block);
-            self.decode_data_range(&block, block_index, in_block, in_block + take, out);
+            self.decode_data_range(&block, block_index, in_block, in_block + take, out)?;
             rank += take;
         }
         Ok(end - start)
@@ -742,7 +737,7 @@ impl SegmentSource {
             self.fence_loaded.fetch_add(1, Ordering::Relaxed);
             let in_block = rank % self.entries_per_block;
             let take = (end - rank).min(self.entries_per_block - in_block);
-            self.decode_data_range(&block, block_index, in_block, in_block + take, out);
+            self.decode_data_range(&block, block_index, in_block, in_block + take, out)?;
             rank += take;
             if out.last().is_some_and(|entry| entry.grade < bound) {
                 truncated = true;
@@ -781,8 +776,9 @@ impl GradedSource for SegmentSource {
     }
 
     fn sorted_access(&self, rank: usize) -> Option<GradedEntry> {
-        self.sorted_access_impl(rank)
-            .unwrap_or_else(|e| self.infallible_panic(e))
+        let mut one = Vec::with_capacity(1);
+        self.sorted_batch(rank, 1, &mut one);
+        one.pop()
     }
 
     fn random_access(&self, object: ObjectId) -> Option<Grade> {
@@ -931,6 +927,10 @@ fn lookup_in_table_block(block: &[u8], count: usize, object: ObjectId) -> Option
 struct VerifiedStats {
     /// The largest object id graded, `None` for an empty segment.
     max_object: Option<ObjectId>,
+    /// The restart points of every data block, in order (v2 only).
+    data_restarts: Vec<Restart>,
+    /// The restart points of every table block, in order (v2 only).
+    table_restarts: Vec<Restart>,
 }
 
 /// The open-time integrity scan: one sequential pass over both regions,
@@ -1035,6 +1035,8 @@ fn verify_blocks(file: &dyn VfsRead, footer: &Footer) -> Result<VerifiedStats, S
     }
     Ok(VerifiedStats {
         max_object: prev_id.map(ObjectId),
+        data_restarts: Vec::new(),
+        table_restarts: Vec::new(),
     })
 }
 
@@ -1042,13 +1044,18 @@ fn verify_blocks(file: &dyn VfsRead, footer: &Footer) -> Result<VerifiedStats, S
 /// varint-frame decoding of every block and validation of the footer's
 /// per-block grade fences against the actual first/last entries. The two
 /// regions use different encodings, so the cross-region digest hashes each
-/// entry's *canonical* 16-byte slot rather than its encoded bytes.
+/// entry's *canonical* 16-byte slot rather than its encoded bytes. This is
+/// the one place a block is decoded from its start, and the decode notes
+/// down the restart points every later read resumes from.
 fn verify_blocks_v2(file: &dyn VfsRead, footer: &FooterV2) -> Result<VerifiedStats, StorageError> {
     let entries_per_block = footer.block_size / ENTRY_LEN;
     let dict = (footer.flags & FLAG_GRADE_DICT != 0).then_some(footer.grade_dict.as_slice());
     let mut buf = Vec::new();
     let mut slot = [0u8; ENTRY_LEN];
     let mut pos = HEADER_LEN;
+
+    let mut data_restarts = Vec::new();
+    let mut table_restarts = Vec::new();
 
     let mut prev: Option<GradedEntry> = None;
     let mut ones = 0u64;
@@ -1064,12 +1071,12 @@ fn verify_blocks_v2(file: &dyn VfsRead, footer: &FooterV2) -> Result<VerifiedSta
             return Err(StorageError::ChecksumMismatch { block: i as u64 });
         }
         let count = (footer.num_entries as usize - i * entries_per_block).min(entries_per_block);
-        let pairs = decode_block_v2(&buf, count, RegionKind::Data, dict).map_err(|detail| {
-            StorageError::CorruptBlock {
+        let pairs = BlockV2::from_start(&buf, count, RegionKind::Data, dict)
+            .decode_all(&mut data_restarts)
+            .map_err(|detail| StorageError::CorruptBlock {
                 block: i as u64,
                 detail,
-            }
-        })?;
+            })?;
         for (index, &(object, bits)) in pairs.iter().enumerate() {
             let grade =
                 Grade::new(f64::from_bits(bits)).map_err(|e| StorageError::CorruptBlock {
@@ -1130,12 +1137,12 @@ fn verify_blocks_v2(file: &dyn VfsRead, footer: &FooterV2) -> Result<VerifiedSta
             return Err(StorageError::ChecksumMismatch { block: file_block });
         }
         let count = (footer.num_entries as usize - i * entries_per_block).min(entries_per_block);
-        let pairs = decode_block_v2(&buf, count, RegionKind::Table, dict).map_err(|detail| {
-            StorageError::CorruptBlock {
+        let pairs = BlockV2::from_start(&buf, count, RegionKind::Table, dict)
+            .decode_all(&mut table_restarts)
+            .map_err(|detail| StorageError::CorruptBlock {
                 block: file_block,
                 detail,
-            }
-        })?;
+            })?;
         for (index, &(object, bits)) in pairs.iter().enumerate() {
             let grade =
                 Grade::new(f64::from_bits(bits)).map_err(|e| StorageError::CorruptBlock {
@@ -1169,8 +1176,12 @@ fn verify_blocks_v2(file: &dyn VfsRead, footer: &FooterV2) -> Result<VerifiedSta
     if data_digest != table_digest {
         return Err(StorageError::RegionMismatch);
     }
+    data_restarts.shrink_to_fit();
+    table_restarts.shrink_to_fit();
     Ok(VerifiedStats {
         max_object: prev_id.map(ObjectId),
+        data_restarts,
+        table_restarts,
     })
 }
 

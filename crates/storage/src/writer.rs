@@ -2,15 +2,19 @@
 //!
 //! [`SegmentWriter`] takes one graded list and lays it down in the
 //! [`crate::format`] layout. Segments are written **atomically**: all bytes
-//! go to a `<name>.tmp` sibling first, the file is fsynced, then renamed
-//! over the final path (and the directory fsynced), so a crash mid-write
-//! can leave a stale temp file but never a half-written segment at the
-//! published name. Once published, a segment is never modified — updates
+//! go to a `<name>.<pid>.<n>.tmp` sibling first, the file is fsynced, then
+//! renamed over the final path (and the directory fsynced), so a crash
+//! mid-write can leave a stale temp file but never a half-written segment
+//! at the published name. The sibling's name is unique to the write, so
+//! any number of writers may publish one path at once: each fills a file
+//! of its own, every rename publishes a whole segment, and the last one
+//! wins. Once published, a segment is never modified — updates
 //! are "write a new segment, swap the path", which is what makes the
 //! shared block cache trivially coherent.
 
 use std::io;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use garlic_agg::Grade;
@@ -251,11 +255,7 @@ impl SegmentWriter {
         // From here until the rename publishes the segment, any error (or
         // panic) leaves a stale tmp sibling — the guard removes it so a
         // failed build cannot leak files an operator has to garbage-collect.
-        let mut guard = TmpGuard {
-            vfs: self.vfs.as_ref(),
-            path: &tmp_path,
-            armed: true,
-        };
+        let guard = TmpGuard::new(self.vfs.as_ref(), &tmp_path);
         let mut out = VfsBufWriter::new(file);
 
         out.write_all(&HEADER_MAGIC)?;
@@ -366,7 +366,7 @@ impl SegmentWriter {
         file.sync_all()?;
         drop(file);
         self.vfs.rename(&tmp_path, path)?;
-        guard.armed = false;
+        guard.disarm();
         // Make the rename itself durable: fsync the containing directory.
         if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
             self.vfs.sync_dir(dir)?;
@@ -389,18 +389,43 @@ impl Default for SegmentWriter {
     }
 }
 
-fn tmp_sibling(path: &Path) -> std::path::PathBuf {
+/// A sibling of `path` to build its next version in: `<name>.<pid>.<n>.tmp`,
+/// with `n` drawn from a process-wide counter. No two publications share a
+/// name — not two threads of this process, not two processes — so one
+/// writer can neither truncate the file another is filling nor rename or
+/// remove it from under it.
+pub(crate) fn tmp_sibling(path: &Path) -> std::path::PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
     let mut name = path.file_name().map(|n| n.to_owned()).unwrap_or_default();
-    name.push(".tmp");
+    name.push(format!(
+        ".{}.{}.tmp",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     path.with_file_name(name)
 }
 
 /// Removes the tmp sibling on drop unless the rename published it first —
 /// so an error (or panic) anywhere in the build leaves no stray files.
-struct TmpGuard<'a> {
+pub(crate) struct TmpGuard<'a> {
     vfs: &'a dyn Vfs,
     path: &'a Path,
     armed: bool,
+}
+
+impl<'a> TmpGuard<'a> {
+    pub(crate) fn new(vfs: &'a dyn Vfs, path: &'a Path) -> Self {
+        TmpGuard {
+            vfs,
+            path,
+            armed: true,
+        }
+    }
+
+    /// The rename has published the file: there is nothing left to remove.
+    pub(crate) fn disarm(mut self) {
+        self.armed = false;
+    }
 }
 
 impl Drop for TmpGuard<'_> {
@@ -461,6 +486,15 @@ mod tests {
 
     fn g(v: f64) -> Grade {
         Grade::new(v).unwrap()
+    }
+
+    /// Whether any `<name>.….tmp` sibling of `path` is lying around.
+    fn tmp_debris(path: &Path) -> bool {
+        let name = path.file_name().unwrap().to_str().unwrap().to_owned();
+        fs::read_dir(path.parent().unwrap()).unwrap().any(|entry| {
+            let sibling = entry.unwrap().file_name().into_string().unwrap();
+            sibling.starts_with(&format!("{name}.")) && sibling.ends_with(".tmp")
+        })
     }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
@@ -538,7 +572,7 @@ mod tests {
         let path = temp_path("clean.seg");
         SegmentWriter::new().write_grades(&path, &[g(0.5)]).unwrap();
         assert!(path.exists());
-        assert!(!tmp_sibling(&path).exists());
+        assert!(!tmp_debris(&path));
     }
 
     /// The RAII guard's real job: a build that *fails* must not leak its
@@ -566,7 +600,7 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, StorageError::Io(_)), "{name}: {err}");
             assert!(!path.exists(), "{name}: nothing published");
-            assert!(!tmp_sibling(&path).exists(), "{name}: tmp cleaned up");
+            assert!(!tmp_debris(&path), "{name}: tmp cleaned up");
         }
     }
 
@@ -588,7 +622,51 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, StorageError::Io(_)));
         assert!(!path.exists());
-        assert!(!tmp_sibling(&path).exists());
+        assert!(!tmp_debris(&path));
+    }
+
+    /// ROADMAP item 0: writers racing on one target used to share one
+    /// `<name>.tmp`, so one truncated, renamed or removed the file another
+    /// was filling — `Io(NotFound)` for the loser at best, a torn segment
+    /// published at worst. Every write now builds in a file of its own:
+    /// all of them succeed, and whatever the path holds after each rename
+    /// is one writer's whole segment.
+    #[test]
+    fn racing_writers_on_one_target_each_publish_a_whole_segment() {
+        use crate::{BlockCache, SegmentSource};
+        use garlic_core::access::GradedSource;
+        use std::sync::Barrier;
+
+        const WRITERS: usize = 8;
+        const ROUNDS: usize = 6;
+        let path = temp_path("raced.seg");
+        // Writer `w` publishes `1000 + w` entries, all graded `w / WRITERS`,
+        // so a published file names its writer and a mix of two is invalid.
+        let lists: Vec<Vec<Grade>> = (0..WRITERS)
+            .map(|w| vec![g(w as f64 / WRITERS as f64); 1000 + w])
+            .collect();
+        let barrier = Barrier::new(WRITERS);
+        std::thread::scope(|scope| {
+            for grades in &lists {
+                let (path, barrier, lists) = (&path, &barrier, &lists);
+                scope.spawn(move || {
+                    for round in 0..ROUNDS {
+                        barrier.wait();
+                        SegmentWriter::with_block_size(256)
+                            .unwrap()
+                            .write_grades(path, grades)
+                            .unwrap_or_else(|e| panic!("round {round}: {e}"));
+                        let seg = SegmentSource::open(path, Arc::new(BlockCache::new(4)))
+                            .unwrap_or_else(|e| panic!("round {round}: published torn: {e}"));
+                        let w = seg.len() - 1000;
+                        let mut out = Vec::new();
+                        seg.sorted_batch(0, usize::MAX, &mut out);
+                        assert!(out.iter().all(|e| e.grade == lists[w][0]), "mixed writers");
+                    }
+                });
+            }
+        });
+        assert!(!tmp_debris(&path));
     }
 
     #[test]

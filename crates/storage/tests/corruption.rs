@@ -716,3 +716,52 @@ fn swapped_region_order_is_detected() {
     );
     assert!(open(&path).is_err());
 }
+
+/// `open` verified the file; then a table block changes underneath it. The
+/// restart index was built from the bytes `open` saw, so a read that
+/// resumed inside the changed block without re-checking it could decode a
+/// plausible wrong grade. It cannot: every cache miss re-verifies the
+/// block's checksum before any decoder sees it, whichever byte changed —
+/// in front of the first restart, behind the last, or the byte a restart
+/// points at. Every probe is answered with the true grade or a typed
+/// error, and the probes of the changed block get the error.
+#[test]
+fn v2_table_block_mutated_after_open_is_a_typed_error_never_a_wrong_grade() {
+    use garlic_core::access::GradedSource;
+    use garlic_core::ObjectId;
+
+    let grades: Vec<Grade> = (0..300u64)
+        .map(|i| Grade::clamped((i * 7 % 300) as f64 / 300.0))
+        .collect();
+    let path = temp_path("mutated-after-open.seg");
+    // 100 entries per block: three restarts in each of the three blocks.
+    SegmentWriter::with_block_size(1600)
+        .unwrap()
+        .write_grades(&path, &grades)
+        .unwrap();
+    let pristine = std::fs::read(&path).unwrap();
+    let footer_at = footer_offset(&pristine);
+    let footer = FooterV2::parse(&pristine[footer_at..pristine.len() - 24]).unwrap();
+    let table_at = 8 + footer.data_block_lens.iter().sum::<u64>() as usize;
+
+    for at in (table_at..footer_at).step_by(29) {
+        std::fs::write(&path, &pristine).unwrap();
+        let seg = open(&path).unwrap();
+        let mut damaged = pristine.clone();
+        damaged[at] ^= 0x04;
+        std::fs::write(&path, damaged).unwrap();
+
+        let mut typed = 0;
+        for (id, &grade) in grades.iter().enumerate() {
+            let mut out = Vec::new();
+            match seg.try_random_batch(&[ObjectId(id as u64)], &mut out) {
+                Ok(()) => assert_eq!(out, [Some(grade)], "byte {at}, object {id}"),
+                Err(e) => {
+                    typed += 1;
+                    assert!(out.is_empty(), "byte {at}: partial answer beside {e}");
+                }
+            }
+        }
+        assert!(typed >= 100, "byte {at}: the changed block answered");
+    }
+}

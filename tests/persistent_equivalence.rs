@@ -38,8 +38,12 @@ fn grade_lists() -> Vec<(&'static str, Vec<Grade>)> {
     ]
 }
 
-fn segment_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("garlic-persistent-eq-{}", std::process::id()));
+/// A directory of `test`'s own: tests run on parallel threads and write
+/// the same attribute names, so they must not share one.
+fn segment_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir()
+        .join(format!("garlic-persistent-eq-{}", std::process::id()))
+        .join(test);
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
@@ -56,19 +60,21 @@ fn vector_garlic(lists: &[(&str, Vec<Grade>)]) -> Garlic {
 
 /// Builds (or reuses) the segment files and opens a disk-backed Garlic
 /// over them with the given cache.
-fn disk_garlic(lists: &[(&str, Vec<Grade>)], cache: Arc<BlockCache>) -> Garlic {
-    disk_garlic_versioned(lists, cache, garlic::storage::format::FORMAT_VERSION, "")
+fn disk_garlic(test: &str, lists: &[(&str, Vec<Grade>)], cache: Arc<BlockCache>) -> Garlic {
+    let version = garlic::storage::format::FORMAT_VERSION;
+    disk_garlic_versioned(test, lists, cache, version, "")
 }
 
 /// Like [`disk_garlic`], but pinning the segment format version (file
-/// names are tagged so v1 and v2 builds coexist in the shared directory).
+/// names are tagged so v1 and v2 builds coexist in the test's directory).
 fn disk_garlic_versioned(
+    test: &str,
     lists: &[(&str, Vec<Grade>)],
     cache: Arc<BlockCache>,
     version: u32,
     tag: &str,
 ) -> Garlic {
-    let dir = segment_dir();
+    let dir = segment_dir(test);
     let writer = SegmentWriter::with_block_size(256)
         .unwrap()
         .with_version(version)
@@ -86,8 +92,8 @@ fn disk_garlic_versioned(
 
 /// A disk-backed Garlic whose every attribute is a 3-shard id-range
 /// partition of v2 segments, served through the scatter-gather merge.
-fn sharded_disk_garlic(lists: &[(&str, Vec<Grade>)], cache: Arc<BlockCache>) -> Garlic {
-    let dir = segment_dir();
+fn sharded_disk_garlic(test: &str, lists: &[(&str, Vec<Grade>)], cache: Arc<BlockCache>) -> Garlic {
+    let dir = segment_dir(test);
     let writer = SegmentWriter::with_block_size(256).unwrap();
     let mut sub = DiskSubsystem::with_cache("segments", N, cache);
     for (attr, grades) in lists {
@@ -128,7 +134,7 @@ fn strategy_queries() -> Vec<(GarlicQuery, Strategy)> {
 fn every_strategy_answers_identically_from_disk() {
     let lists = grade_lists();
     let mem = vector_garlic(&lists);
-    let disk = disk_garlic(&lists, Arc::new(BlockCache::new(1024)));
+    let disk = disk_garlic("strategies", &lists, Arc::new(BlockCache::new(1024)));
 
     for (query, expected_strategy) in strategy_queries() {
         for k in [1, 7, 50] {
@@ -166,11 +172,18 @@ fn format_versions_and_sharding_are_invisible_to_every_strategy() {
     let backends = [
         (
             "v1",
-            disk_garlic_versioned(&lists, Arc::new(BlockCache::new(1024)), FORMAT_V1, "-v1"),
+            disk_garlic_versioned(
+                "formats",
+                &lists,
+                Arc::new(BlockCache::new(1024)),
+                FORMAT_V1,
+                "-v1",
+            ),
         ),
         (
             "v2",
             disk_garlic_versioned(
+                "formats",
                 &lists,
                 Arc::new(BlockCache::new(1024)),
                 FORMAT_VERSION,
@@ -179,7 +192,7 @@ fn format_versions_and_sharding_are_invisible_to_every_strategy() {
         ),
         (
             "sharded-v2",
-            sharded_disk_garlic(&lists, Arc::new(BlockCache::new(1024))),
+            sharded_disk_garlic("formats", &lists, Arc::new(BlockCache::new(1024))),
         ),
     ];
 
@@ -210,7 +223,7 @@ fn format_versions_and_sharding_are_invisible_to_every_strategy() {
 fn paged_sessions_answer_identically_from_disk() {
     let lists = grade_lists();
     let mem = vector_garlic(&lists);
-    let disk = disk_garlic(&lists, Arc::new(BlockCache::new(1024)));
+    let disk = disk_garlic("paged", &lists, Arc::new(BlockCache::new(1024)));
 
     let batches = [3usize, 1, 10, 25];
     for (query, _) in strategy_queries() {
@@ -231,7 +244,7 @@ fn cold_and_thrashing_caches_are_invisible_in_answers() {
     // A 2-block cache cannot even hold one region: every query runs under
     // constant eviction. A fresh Garlic per query set = fully cold opens.
     let tiny = Arc::new(BlockCache::new(2));
-    let disk = disk_garlic(&lists, Arc::clone(&tiny));
+    let disk = disk_garlic("thrashing", &lists, Arc::clone(&tiny));
 
     for (query, _) in strategy_queries() {
         let from_mem = mem.top_k(&query, 20).unwrap();
@@ -255,11 +268,11 @@ fn a_cold_reopened_service_pages_identically_to_a_warm_one() {
         GarlicQuery::atom("B", Target::text("t")),
     );
 
-    let warm = disk_garlic(&lists, Arc::new(BlockCache::new(1024)));
+    let warm = disk_garlic("reopened", &lists, Arc::new(BlockCache::new(1024)));
     let (reference, _) = warm.top_k_paged(&query, &[5, 5, 5, 5]).unwrap();
 
     // First "process": takes the first two pages.
-    let first = disk_garlic(&lists, Arc::new(BlockCache::new(1024)));
+    let first = disk_garlic("reopened", &lists, Arc::new(BlockCache::new(1024)));
     let mut session = first.open_session(&query, 20).unwrap();
     let page0 = session.next_batch(5).unwrap();
     let page1 = session.next_batch(5).unwrap();
@@ -270,7 +283,7 @@ fn a_cold_reopened_service_pages_identically_to_a_warm_one() {
     drop(first);
 
     // Second "process": cold reopen; skip to where the first got, continue.
-    let second = disk_garlic(&lists, Arc::new(BlockCache::new(1024)));
+    let second = disk_garlic("reopened", &lists, Arc::new(BlockCache::new(1024)));
     let mut session = second.open_session(&query, 20).unwrap();
     let skipped = session.next_batch(resumed_at).unwrap();
     assert_eq!(skipped.len(), resumed_at);
@@ -292,7 +305,11 @@ fn a_cold_reopened_service_pages_identically_to_a_warm_one() {
 fn concurrent_service_batches_answer_identically_from_disk() {
     let lists = grade_lists();
     let mem_service = GarlicService::new(vector_garlic(&lists));
-    let disk_service = GarlicService::new(disk_garlic(&lists, Arc::new(BlockCache::new(64))));
+    let disk_service = GarlicService::new(disk_garlic(
+        "concurrent",
+        &lists,
+        Arc::new(BlockCache::new(64)),
+    ));
 
     let batch: Vec<(GarlicQuery, usize)> = strategy_queries()
         .into_iter()
@@ -311,7 +328,7 @@ fn concurrent_service_batches_answer_identically_from_disk() {
 #[test]
 fn catalogs_over_disk_subsystems_introspect_like_any_other() {
     let lists = grade_lists();
-    let disk = disk_garlic(&lists, Arc::new(BlockCache::new(16)));
+    let disk = disk_garlic("catalogs", &lists, Arc::new(BlockCache::new(16)));
     assert_eq!(disk.catalog().names(), vec!["segments".to_owned()]);
     assert_eq!(disk.catalog().len(), 1);
     assert!(!disk.catalog().is_empty());
