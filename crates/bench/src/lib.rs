@@ -112,7 +112,37 @@ impl ExpArgs {
     }
 }
 
-pub mod report;
+/// Median wall-clock nanoseconds of `a` and of `b`, timed in alternating
+/// rounds — the order flips every round, so machine drift lands on both
+/// sides instead of one — after one untimed warm-up round. The shared
+/// clock of the two self-checking gates (`gate_*` binaries).
+pub fn interleaved_medians(rounds: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    let mut sides: [(&mut dyn FnMut(), Vec<f64>); 2] = [(&mut a, vec![]), (&mut b, vec![])];
+    for round in 0..=rounds {
+        for i in 0..2 {
+            let (run, times) = &mut sides[(i + round) % 2];
+            let t = std::time::Instant::now();
+            run();
+            if round > 0 {
+                times.push(t.elapsed().as_nanos() as f64);
+            }
+        }
+    }
+    let [a, b] = sides.map(|(_, times)| garlic_stats::quantile(&times, 0.5));
+    (a, b)
+}
+
+/// A gate's verdict: `numerator <= bound × denominator`, printed either
+/// way; the caller turns the returned verdict into the process exit code.
+pub fn gate_holds(what: &str, numerator_ns: f64, denominator_ns: f64, bound: f64) -> bool {
+    let ratio = numerator_ns / denominator_ns;
+    let holds = ratio <= bound;
+    println!(
+        "{what}: {numerator_ns:.0} ns / {denominator_ns:.0} ns = {ratio:.3}x (bound {bound}x) {}",
+        if holds { "ok" } else { "FAIL" }
+    );
+    holds
+}
 
 /// Prints an experiment header then the table (or CSV / JSON).
 pub fn emit(id: &str, claim: &str, args: &ExpArgs, table: &garlic_stats::Table, notes: &[&str]) {

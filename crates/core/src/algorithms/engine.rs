@@ -100,15 +100,6 @@ use crate::topk::{validate_inputs, TopK, TopKError};
 /// memory (`m · CHUNK` entries) on full-database streams.
 const CHUNK: usize = 4096;
 
-/// Minimum levels per round for the opt-in *parallel* per-source fetch
-/// ([`Engine::with_parallel_fetch`]) to pay for its thread spawns: below
-/// this the sequential walk always wins. Sources are `Sync` (a
-/// [`GradedSource`] bound), and the entries are folded into the
-/// bookkeeping only after all fetches complete, in the exact positional
-/// round-robin order — so results, tie order, and per-source access counts
-/// are bit-identical to the sequential fetch.
-const PARALLEL_LEVELS: usize = 2048;
-
 /// Flat, slot-addressed candidate bookkeeping — see the module docs.
 #[derive(Debug, Default)]
 struct Slab {
@@ -356,8 +347,6 @@ pub struct Engine<S> {
     probes: Vec<ObjectId>,
     /// Reusable completion scratch: the grades `random_batch` answered.
     probe_grades: Vec<Option<Grade>>,
-    /// Opt-in parallel per-source fetch (see [`Engine::with_parallel_fetch`]).
-    parallel_fetch: bool,
     /// Cooperative cancellation: checked between batch rounds (see
     /// [`Engine::set_deadline`]).
     deadline: Option<std::time::Instant>,
@@ -397,7 +386,6 @@ impl<S: GradedSource> Engine<S> {
             probe_slots: Vec::new(),
             probes: Vec::new(),
             probe_grades: Vec::new(),
-            parallel_fetch: false,
             deadline: None,
             profile: EngineProfile::default(),
         })
@@ -427,24 +415,6 @@ impl<S: GradedSource> Engine<S> {
             }
             _ => Ok(()),
         }
-    }
-
-    /// Opts deep fetch rounds into a *parallel* per-source sorted phase:
-    /// when a round pulls at least [`PARALLEL_LEVELS`] levels from `m >= 2`
-    /// lists, each list's batch is read on its own scoped thread.
-    ///
-    /// Off by default: for materialised in-memory sources a batch read is a
-    /// small slice copy, cheaper than the thread spawns — and a concurrent
-    /// service already parallelises *across* queries, so nesting threads
-    /// inside each engine would oversubscribe the machine. Enable it when
-    /// individual batch reads are genuinely expensive (sources that compute
-    /// grades during the read, decompress, or talk to remote subsystems).
-    /// Either way the results, tie order, and per-source access counts are
-    /// bit-identical — batching and threading are access-plan choices, not
-    /// semantic ones (pinned by this module's tests).
-    pub fn with_parallel_fetch(mut self, enabled: bool) -> Self {
-        self.parallel_fetch = enabled;
-        self
     }
 
     /// The sources the engine streams from.
@@ -583,43 +553,15 @@ impl<S: GradedSource> Engine<S> {
         let mut scratch = std::mem::take(&mut self.scratch);
         let depth = self.depth;
         let mut failed: Option<crate::access::SourceError> = None;
-        if self.parallel_fetch && levels >= PARALLEL_LEVELS && m >= 2 {
-            // Parallel per-source fetch: one scoped thread per list, each
-            // writing its own scratch buffer. See PARALLEL_LEVELS for why
-            // this cannot change results or access counts.
-            let mut results: Vec<Result<usize, crate::access::SourceError>> =
-                (0..m).map(|_| Ok(0)).collect();
-            std::thread::scope(|scope| {
-                for ((buf, source), slot) in scratch
-                    .iter_mut()
-                    .zip(&self.sources)
-                    .zip(results.iter_mut())
-                {
-                    scope.spawn(move || {
-                        buf.clear();
-                        *slot = source.try_sorted_batch(depth, levels, buf);
-                    });
+        for (buf, source) in scratch.iter_mut().zip(&self.sources) {
+            buf.clear();
+            match source.try_sorted_batch(depth, levels, buf) {
+                Ok(got) => {
+                    debug_assert_eq!(got, levels, "depth + levels <= N implies full batches")
                 }
-            });
-            for result in results {
-                match result {
-                    Ok(got) => {
-                        debug_assert_eq!(got, levels, "depth + levels <= N implies full batches")
-                    }
-                    Err(e) => failed = Some(e),
-                }
-            }
-        } else {
-            for (buf, source) in scratch.iter_mut().zip(&self.sources) {
-                buf.clear();
-                match source.try_sorted_batch(depth, levels, buf) {
-                    Ok(got) => {
-                        debug_assert_eq!(got, levels, "depth + levels <= N implies full batches")
-                    }
-                    Err(e) => {
-                        failed = Some(e);
-                        break;
-                    }
+                Err(e) => {
+                    failed = Some(e);
+                    break;
                 }
             }
         }
@@ -1260,47 +1202,6 @@ mod tests {
         let stats = total_stats(session.sources());
         assert!(stats.unweighted() <= 2 * 2 * 4, "stats {stats:?}");
         assert_eq!(stats.sorted, 2 * 4);
-    }
-
-    #[test]
-    fn parallel_fetch_rounds_match_sequential_results_and_counts() {
-        // Deep enough that advance_to_depth pulls >= PARALLEL_LEVELS levels
-        // per round, exercising the scoped-thread fetch path.
-        let n = 2 * PARALLEL_LEVELS + 37;
-        let list = |mult: usize| {
-            let grades: Vec<Grade> = (0..n)
-                .map(|i| Grade::clamped((i * mult % n) as f64 / n as f64))
-                .collect();
-            MemorySource::from_grades(&grades)
-        };
-        let cs = counted(vec![list(7919), list(104_729), list(1)]);
-        let mut engine = Engine::open(cs).unwrap().with_parallel_fetch(true);
-        engine.advance_to_depth(n).unwrap();
-        assert_eq!(engine.depth(), n);
-        assert_eq!(engine.matched().len(), n);
-        // Exactly m*N entries billed, same as any sequential full scan.
-        let stats = total_stats(engine.sources());
-        assert_eq!(stats.sorted, 3 * n as u64);
-        assert_eq!(stats.random, 0);
-        // Spot-check bookkeeping against direct positional access.
-        for id in [0u64, 1, (n as u64) / 2, (n as u64) - 1] {
-            let vec = engine.grade_vector(ObjectId(id)).expect("fully scanned");
-            for (i, g) in vec.iter().enumerate() {
-                assert_eq!(
-                    Some(*g),
-                    engine.sources()[i].inner().random_access(ObjectId(id))
-                );
-            }
-        }
-        // And against the default sequential fetch: identical match order
-        // and identical per-source counts.
-        let mut sequential =
-            Engine::open(counted(vec![list(7919), list(104_729), list(1)])).unwrap();
-        sequential.advance_to_depth(n).unwrap();
-        assert_eq!(engine.matched(), sequential.matched());
-        for (p, s) in engine.sources().iter().zip(sequential.sources()) {
-            assert_eq!(p.stats(), s.stats());
-        }
     }
 
     #[test]

@@ -209,6 +209,21 @@ impl Garlic {
         plan(&self.catalog, query, k, self.options)
     }
 
+    /// Starts one query's clock — only when a registry is attached.
+    fn query_timer(&self) -> Option<SpanTimer> {
+        self.telemetry.as_ref().map(|_| SpanTimer::start())
+    }
+
+    /// The one recorder of `middleware.queries` / `.query_latency_ns`:
+    /// every entry point that executes calls it once, after success.
+    fn record_query(&self, timer: Option<SpanTimer>) {
+        if let (Some(t), Some(timer)) = (&self.telemetry, timer) {
+            t.counter("middleware.queries").inc();
+            t.histogram("middleware.query_latency_ns")
+                .record(timer.elapsed_ns());
+        }
+    }
+
     /// EXPLAIN ANALYZE: plans, executes through the resumable session
     /// path, and returns the answers together with a per-query trace —
     /// the plan decision, engine phase timings, per-source Section 5
@@ -229,6 +244,7 @@ impl Garlic {
         k: usize,
         deadline: Option<std::time::Instant>,
     ) -> Result<Explain, MiddlewareError> {
+        let timer = self.query_timer();
         let plan_timer = SpanTimer::start();
         let plan = self.plan_for(query, k)?;
         let plan_ns = plan_timer.elapsed_ns();
@@ -311,6 +327,7 @@ impl Garlic {
             }
         }
         root.push(exec);
+        self.record_query(timer);
 
         Ok(Explain {
             plan,
@@ -324,14 +341,10 @@ impl Garlic {
 
     /// Plans and executes a top-k query.
     pub fn top_k(&self, query: &GarlicQuery, k: usize) -> Result<QueryResult, MiddlewareError> {
-        let timer = self.telemetry.as_ref().map(|_| SpanTimer::start());
+        let timer = self.query_timer();
         let plan = self.plan_for(query, k)?;
         let (answers, stats, degraded) = self.execute(query, &plan, k)?;
-        if let (Some(t), Some(timer)) = (&self.telemetry, timer) {
-            t.counter("middleware.queries").inc();
-            t.histogram("middleware.query_latency_ns")
-                .record(timer.elapsed_ns());
-        }
+        self.record_query(timer);
         Ok(QueryResult {
             answers,
             stats,
@@ -356,18 +369,14 @@ impl Garlic {
         if deadline.is_none() {
             return self.top_k(query, k);
         }
-        let timer = self.telemetry.as_ref().map(|_| SpanTimer::start());
+        let timer = self.query_timer();
         let plan = self.plan_for(query, k)?;
         let mut session = plan
             .strategy
             .open_session(&self.catalog, query, &plan.atoms)?;
         session.set_deadline(deadline);
         let answers = session.next_batch(k)?;
-        if let (Some(t), Some(timer)) = (&self.telemetry, timer) {
-            t.counter("middleware.queries").inc();
-            t.histogram("middleware.query_latency_ns")
-                .record(timer.elapsed_ns());
-        }
+        self.record_query(timer);
         Ok(QueryResult {
             answers,
             stats: session.stats(),
@@ -411,6 +420,7 @@ impl Garlic {
         let total: usize = batches.iter().sum();
         let total = total.min(self.catalog.universe_size());
 
+        let timer = self.query_timer();
         let mut session = self.open_session(query, total.max(1))?;
         let mut out = Vec::with_capacity(batches.len());
         let mut remaining = total;
@@ -423,16 +433,8 @@ impl Garlic {
             out.push(session.next_batch(take)?);
             remaining -= take;
         }
+        self.record_query(timer);
         Ok((out, session.stats()))
-    }
-
-    /// Alias of [`Garlic::top_k_paged`], kept for existing callers.
-    pub fn top_batches(
-        &self,
-        query: &GarlicQuery,
-        batches: &[usize],
-    ) -> Result<(Vec<TopK>, AccessStats), MiddlewareError> {
-        self.top_k_paged(query, batches)
     }
 
     /// A *weighted* conjunction of atomic queries (Section 4's pointer to
@@ -458,9 +460,11 @@ impl Garlic {
                 reason: "weights must be non-negative, finite, with a positive sum".into(),
             });
         }
+        let timer = self.query_timer();
         let sources = counted_atoms(&self.catalog, &atoms)?;
         let agg = garlic_agg::weighted::FaginWimmers::new(min_agg(), &weights);
         let run = fagin_run(&sources, &agg, k, self.options.fa_options())?;
+        self.record_query(timer);
         let m = atoms.len();
         let n = self.catalog.universe_size();
         let plan = Plan {
@@ -1036,7 +1040,7 @@ mod tests {
             GarlicQuery::atom("Shape", Target::text("round")),
         );
 
-        let (batches, _) = garlic.top_batches(&q, &[3, 3, 3]).unwrap();
+        let (batches, _) = garlic.top_k_paged(&q, &[3, 3, 3]).unwrap();
         assert_eq!(batches.len(), 3);
         let oneshot = garlic.top_k(&q, 9).unwrap();
         let mut paged: Vec<Grade> = Vec::new();
@@ -1057,7 +1061,7 @@ mod tests {
             GarlicQuery::atom("Artist", Target::text("Beatles")),
             GarlicQuery::atom("AlbumColor", Target::text("red")),
         );
-        let (batches, _) = garlic.top_batches(&q, &[2, 2]).unwrap();
+        let (batches, _) = garlic.top_k_paged(&q, &[2, 2]).unwrap();
         let oneshot = garlic.top_k(&q, 4).unwrap();
         let mut paged: Vec<Grade> = Vec::new();
         for b in &batches {
@@ -1254,10 +1258,10 @@ mod tests {
         let f = Fixture::new();
         let garlic = f.garlic();
         let q = GarlicQuery::atom("AlbumColor", Target::text("red"));
-        let (batches, _) = garlic.top_batches(&q, &[10, 10]).unwrap();
+        let (batches, _) = garlic.top_k_paged(&q, &[10, 10]).unwrap();
         let total: usize = batches.iter().map(|b| b.len()).sum();
         assert_eq!(total, 12); // N = 12
-        assert!(garlic.top_batches(&q, &[0]).is_err());
+        assert!(garlic.top_k_paged(&q, &[0]).is_err());
     }
 
     #[test]
@@ -1468,12 +1472,21 @@ mod tests {
         let span = ex.trace.find("telemetry").expect("delta span");
         assert_eq!(span.get_field("probe.calls"), Some("1"));
 
-        // And the plain path records the query histogram + counter.
+        // Every executing entry point records histogram + counter once:
+        // the explain above, the plain path, then both deadline arms, one
+        // paged session and one weighted conjunction.
         garlic.top_k(&q, 2).unwrap();
+        assert_eq!(telemetry.snapshot().counter("middleware.queries"), 2);
+        let far = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        garlic.top_k_with_deadline(&q, 2, None).unwrap();
+        garlic.top_k_with_deadline(&q, 2, Some(far)).unwrap();
+        garlic.top_k_paged(&q, &[1, 1]).unwrap();
+        let atom = AtomicQuery::new("AlbumColor", Target::text("red"));
+        garlic.top_k_weighted(&[(atom, 1.0)], 2).unwrap();
         let snap = telemetry.snapshot();
-        assert_eq!(snap.counter("middleware.queries"), 1);
+        assert_eq!(snap.counter("middleware.queries"), 6);
         match snap.get("middleware.query_latency_ns") {
-            Some(MetricValue::Histogram(h)) => assert_eq!(h.count, 1),
+            Some(MetricValue::Histogram(h)) => assert_eq!(h.count, 6),
             other => panic!("expected histogram, got {other:?}"),
         }
     }

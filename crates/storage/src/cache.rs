@@ -37,10 +37,6 @@
 //!   lose to anything warmer and are *rejected* — returned to the caller
 //!   but never made resident, so they cannot displace even probation
 //!   residents with a history.
-//!
-//! [`BlockCache::strict_lru`] builds the old strict-LRU cache for
-//! comparison (the `bench_compress` hit-rate gate measures exactly this
-//! difference).
 
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -98,8 +94,8 @@ struct CacheState {
     protected: BTreeMap<u64, BlockKey>,
     /// How many resident blocks are currently protected.
     protected_members: usize,
-    /// TinyLFU frequency sketch gating admission (`None` under
-    /// [`BlockCache::strict_lru`]).
+    /// TinyLFU frequency sketch gating admission (`None` at capacity 0,
+    /// where nothing is ever resident).
     sketch: Option<FrequencySketch>,
     next_tick: u64,
     /// Single-flight table: one entry per block currently being read from
@@ -297,8 +293,7 @@ impl std::fmt::Display for CacheStats {
 }
 
 /// A shared, thread-safe block cache: segmented LRU with TinyLFU
-/// admission by default (see the module docs), strict LRU via
-/// [`BlockCache::strict_lru`].
+/// admission (see the module docs).
 ///
 /// Every counter a stats read needs — hits, misses, evictions, admission
 /// decisions, and the resident-block count — is an atomic maintained
@@ -307,8 +302,7 @@ impl std::fmt::Display for CacheStats {
 /// frequency without contending with readers.
 pub struct BlockCache {
     capacity: usize,
-    /// Target size of the protected segment (0 disables promotion — which
-    /// is exactly the strict-LRU recency structure).
+    /// Target size of the protected segment (0 disables promotion).
     protected_cap: usize,
     state: Mutex<CacheState>,
     hits: AtomicU64,
@@ -329,28 +323,15 @@ impl BlockCache {
         // ~4/5 protected is the classic SLRU split: enough probation room
         // to observe second touches, most of the budget for the proven
         // working set.
-        Self::with_policy(capacity_blocks, capacity_blocks * 4 / 5, true)
-    }
-
-    /// A strict-LRU cache — no segmentation, no admission filter; every
-    /// loaded block is cached and the coldest resident is always the
-    /// victim. This is the pre-v2 behaviour, kept for comparison: the
-    /// scan-resistance benchmarks measure the default policy against it.
-    pub fn strict_lru(capacity_blocks: usize) -> Self {
-        Self::with_policy(capacity_blocks, 0, false)
-    }
-
-    fn with_policy(capacity_blocks: usize, protected_cap: usize, tiny_lfu: bool) -> Self {
         BlockCache {
             capacity: capacity_blocks,
-            protected_cap,
+            protected_cap: capacity_blocks * 4 / 5,
             state: Mutex::new(CacheState {
                 blocks: FxHashMap::default(),
                 probation: BTreeMap::new(),
                 protected: BTreeMap::new(),
                 protected_members: 0,
-                sketch: (tiny_lfu && capacity_blocks > 0)
-                    .then(|| FrequencySketch::new(capacity_blocks)),
+                sketch: (capacity_blocks > 0).then(|| FrequencySketch::new(capacity_blocks)),
                 next_tick: 0,
                 in_flight: FxHashMap::default(),
             }),
@@ -1055,31 +1036,6 @@ mod tests {
                 .get_or_load(key(b), || panic!("hot block {b} was evicted by the scan"))
                 .unwrap();
         }
-    }
-
-    #[test]
-    fn strict_lru_is_not_scan_resistant() {
-        // The comparison cache keeps the old failure mode on purpose.
-        let cache = BlockCache::strict_lru(8);
-        for _ in 0..2 {
-            for b in 0..4 {
-                cache.get_or_load(key(b), || Ok(bytes(b as u8))).unwrap();
-            }
-        }
-        for b in 100..200 {
-            cache.get_or_load(key(b), || Ok(bytes(0))).unwrap();
-        }
-        let reloaded = std::cell::Cell::new(0);
-        for b in 0..4 {
-            cache
-                .get_or_load(key(b), || {
-                    reloaded.set(reloaded.get() + 1);
-                    Ok(bytes(b as u8))
-                })
-                .unwrap();
-        }
-        assert_eq!(reloaded.get(), 4, "strict LRU loses the whole hot set");
-        assert_eq!(cache.stats().rejected, 0, "strict LRU never rejects");
     }
 
     #[test]

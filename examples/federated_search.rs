@@ -71,7 +71,7 @@ fn main() {
             GarlicQuery::atom("Review", Target::terms(&["rock"])),
         ),
     );
-    let (pages, stats) = garlic.top_batches(&browse, &[4, 4]).unwrap();
+    let (pages, stats) = garlic.top_k_paged(&browse, &[4, 4]).unwrap();
     for (p, page) in pages.iter().enumerate() {
         println!("   page {}:", p + 1);
         for e in page.entries() {

@@ -217,3 +217,29 @@ fn explained_backends_agree_with_memory() {
         }
     }
 }
+
+/// Attaching a metrics registry is invisible to the caller: same answers
+/// and same billed `stats` for every strategy, one `middleware.queries`
+/// tick per execution (`gate_telemetry_overhead` times this pair).
+#[test]
+fn telemetry_attachment_changes_neither_answers_nor_bill() {
+    let n = 300;
+    let plain = memory_garlic(&grade_lists(n, 77), n);
+    let telemetry = garlic::Telemetry::new();
+    let attached = plain.clone().with_telemetry(Arc::clone(&telemetry));
+    let atom = |a: &str| GarlicQuery::atom(a, Target::text("t"));
+    let compound = GarlicQuery::and(atom("A"), GarlicQuery::or(atom("B"), atom("C")));
+    let mut queries = strategy_queries();
+    queries.push((compound, Strategy::FaGeneric));
+    for (query, strategy) in &queries {
+        for k in [1, 10] {
+            let want = plain.top_k(query, k).unwrap();
+            let got = attached.top_k(query, k).unwrap();
+            assert_eq!(&got.plan.strategy, strategy, "{query}");
+            assert_eq!(want.answers.entries(), got.answers.entries(), "{query}");
+            assert_eq!(want.stats, got.stats, "{query} k={k}: same billed cost");
+        }
+    }
+    let metered = telemetry.snapshot().counter("middleware.queries");
+    assert_eq!(metered, 2 * queries.len() as u64);
+}
