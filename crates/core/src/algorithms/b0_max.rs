@@ -8,16 +8,15 @@
 //! (being non-strict) escapes the Ω(N^((m-1)/m) k^(1/m)) lower bound
 //! (Remark 6.1); experiment E07 measures this.
 //!
-//! A thin shell over the shared [`engine`](crate::algorithms::engine): the
-//! top-`k`-of-every-list phase is one batched stream to depth `k`, and the
-//! per-object best grade is the engine's [`best_seen`](Engine::best_seen)
-//! scoring. The resumable paging counterpart is
-//! [`B0Session`](crate::algorithms::engine::B0Session).
+//! A thin shell over [`B0Session`]: the top-`k`-of-every-list phase is the
+//! session's first page — one batched stream to depth `k`, each seen
+//! object scored by the best grade any list showed for it. Later pages
+//! deepen the same prefixes.
 
 use crate::access::GradedSource;
 use crate::topk::{validate_inputs, TopK, TopKError};
 
-use super::engine::Engine;
+use super::engine::B0Session;
 
 /// Runs algorithm B₀ for the standard fuzzy disjunction
 /// `A₁ ∨ ... ∨ A_m` (aggregation fixed to max).
@@ -31,13 +30,7 @@ where
     S: GradedSource,
 {
     validate_inputs(sources, k)?;
-
-    // Sorted access phase: the top k of every list, as one batched stream.
-    let mut engine = Engine::open(sources.iter().collect())?;
-    engine.advance_to_depth(k)?;
-
-    // Computation phase: best grade any list showed, per seen object.
-    Ok(TopK::select(engine.best_seen(), k))
+    B0Session::new(sources.iter().collect())?.next_batch(k)
 }
 
 #[cfg(test)]

@@ -15,15 +15,15 @@
 //! [`GradedSource::sorted_batch`] and grade completion through
 //! [`GradedSource::random_batch`], so block-backed sources see a handful of
 //! large requests instead of millions of virtual calls. The algorithm
-//! modules (`fa`, `fa_min`, `b0_max`, `filtered`, `naive`, `resume`) are
-//! thin, paper-annotated shells over this engine.
+//! modules (`fa`, `fa_min`, `b0_max`, `filtered`, `naive`) are thin,
+//! paper-annotated shells over this engine and its sessions.
 //!
 //! # The slab
 //!
 //! Bookkeeping is data-oriented and allocation-free on the hot path. The
 //! per-object `HashMap<ObjectId, Partial>` of earlier revisions — two
 //! heap-allocated `Vec<Option<_>>`s per candidate, SipHash on every
-//! observation — is replaced by a [`Slab`]:
+//! observation — is replaced by a slab:
 //!
 //! * an `ObjectId → u32` **slot map** keyed by the vendored [`crate::fx`]
 //!   hash (a few arithmetic ops per lookup);
@@ -66,18 +66,26 @@
 //! for the next `k` answers resumes the sorted phase at the stored depth
 //! ("continue where we left off", Section 4), so paging through a ranked
 //! result set costs the same sorted accesses as one evaluation at the
-//! cumulative `k`. Each page completes — and scores, once, through the
-//! zero-alloc [`Aggregation::combine_reusing`] path — only the slots
-//! discovered since the previous page (a high-water mark over the slab;
-//! completed grade vectors stay complete, so cached scores stay valid),
-//! and the returned-set is a slot-indexed bitvec. Per-page work beyond
-//! the fresh slots is therefore one bounded-heap selection over the
-//! cached score array (unreturned candidates must re-compete every page;
-//! the aggregation itself is never re-run). [`B0Session`] is the
-//! analogous session for the max-disjunction algorithm B₀, whose paging
-//! cost is `m·k` cumulative.
+//! cumulative `k` — and "the top k" is simply the first page: there is no
+//! separate one-shot implementation to agree with. One session type runs
+//! three strategies, which differ only in where the sorted phase stops
+//! and which objects a page grades: A₀ ([`EngineSession::new`]: every
+//! object seen), A₀′ ([`EngineSession::min`]: the pivot list's prefix at
+//! or above `g₀`, Proposition 4.3 — the rest wait in the slab, and since
+//! `g₀` only falls as the cumulative `k` grows a later page picks up what
+//! it needs) and the naive scan ([`EngineSession::scan`]: everything, by
+//! sorted access alone). Each page completes — and scores, once, through
+//! the zero-alloc [`Aggregation::combine_reusing`] path — only its
+//! candidates that no earlier page graded (completed grade vectors stay
+//! complete, so cached scores stay valid); where each slot stands is one
+//! slot-indexed byte. Per-page work beyond the fresh
+//! slots is therefore one bounded-heap selection over the cached score
+//! array (unreturned candidates must re-compete every page; the
+//! aggregation itself is never re-run). [`B0Session`] is the analogous
+//! session for the max-disjunction algorithm B₀, whose paging cost is
+//! `m·k` cumulative.
 //!
-//! Both sessions expose their **k-th score frontier**
+//! Both session types expose their **k-th score frontier**
 //! ([`EngineSession::frontier`], [`B0Session::frontier`]) — the overall
 //! grade of the worst answer handed out so far. It is the natural
 //! advisory stop-threshold hint for auxiliary scans over block-backed
@@ -266,8 +274,7 @@ impl Slab {
 }
 
 /// A borrowed read-only view of one candidate's bookkeeping — what the
-/// algorithm shells (`fa`, `fa_min`) inspect instead of the old per-object
-/// `Partial` struct.
+/// `fa` shell inspects to pick its candidates.
 pub(crate) struct PartialView<'a> {
     slab: &'a Slab,
     slot: u32,
@@ -282,17 +289,6 @@ impl<'a> PartialView<'a> {
     /// The sorted rank list `list` showed the object at, if any.
     pub fn rank(&self, list: usize) -> Option<usize> {
         self.slab.rank(self.slot, list)
-    }
-
-    /// The grade list `list` revealed (either access kind), if any.
-    pub fn grade(&self, list: usize) -> Option<Grade> {
-        self.slab.grade(self.slot, list)
-    }
-
-    /// The complete grade vector as a borrowed slice; `None` while any
-    /// grade is missing.
-    pub fn grades(&self) -> Option<&'a [Grade]> {
-        self.slab.grade_slice(self.slot)
     }
 }
 
@@ -320,6 +316,15 @@ pub struct EngineProfile {
     /// Object probes carried by those calls (= random accesses billed by
     /// the completion path).
     pub random_probes: u64,
+}
+
+/// The cooperative cancellation check every batch round starts with.
+#[inline]
+pub(crate) fn check_deadline(deadline: Option<std::time::Instant>) -> Result<(), TopKError> {
+    match deadline {
+        Some(deadline) if std::time::Instant::now() >= deadline => Err(TopKError::DeadlineExceeded),
+        _ => Ok(()),
+    }
 }
 
 /// Nanoseconds elapsed since `start`, saturating.
@@ -409,12 +414,7 @@ impl<S: GradedSource> Engine<S> {
 
     #[inline]
     fn check_deadline(&self) -> Result<(), TopKError> {
-        match self.deadline {
-            Some(deadline) if std::time::Instant::now() >= deadline => {
-                Err(TopKError::DeadlineExceeded)
-            }
-            _ => Ok(()),
-        }
+        check_deadline(self.deadline)
     }
 
     /// The sources the engine streams from.
@@ -607,24 +607,13 @@ impl<S: GradedSource> Engine<S> {
         // (its grades are already present); billing must match.
         self.pending.sort_unstable();
         self.pending.dedup();
-        let start = std::time::Instant::now();
-        let result = self.complete_pending();
-        self.profile.random_ns += elapsed_ns(start);
-        result
+        self.complete_pending()
     }
 
-    /// Completes every slot from `from_slot` on — the session high-water
-    /// path: slots below the mark were completed by an earlier call and
-    /// complete vectors stay complete, so only the tail needs work.
-    fn complete_slots_from(&mut self, from_slot: usize) -> Result<(), TopKError> {
-        self.pending.clear();
-        for slot in from_slot as u32..self.slab.len() as u32 {
-            if !self.slab.complete(slot) {
-                self.pending.push(slot);
-            }
-        }
+    /// The random-access phase proper, timed into the profile.
+    fn complete_pending(&mut self) -> Result<(), TopKError> {
         let start = std::time::Instant::now();
-        let result = self.complete_pending();
+        let result = self.probe_pending();
         self.profile.random_ns += elapsed_ns(start);
         result
     }
@@ -636,7 +625,7 @@ impl<S: GradedSource> Engine<S> {
     /// leaves every already-answered grade in place: retrying re-probes
     /// only the still-missing `(object, list)` pairs, so nothing is billed
     /// twice on resume.
-    fn complete_pending(&mut self) -> Result<(), TopKError> {
+    fn probe_pending(&mut self) -> Result<(), TopKError> {
         if self.pending.is_empty() {
             return Ok(());
         }
@@ -702,14 +691,6 @@ impl<S: GradedSource> Engine<S> {
     pub fn overall<A: Aggregation>(&self, object: ObjectId, agg: &A) -> Option<Grade> {
         self.grade_slice(object).map(|grades| agg.combine(grades))
     }
-
-    /// Each seen object with the best grade any list has shown for it —
-    /// algorithm B₀'s scoring rule (no random access involved). First-seen
-    /// order.
-    pub fn best_seen(&self) -> impl Iterator<Item = (ObjectId, Grade)> + '_ {
-        (0..self.slab.len() as u32)
-            .map(move |slot| (self.slab.id(slot), self.slab.best_grade(slot)))
-    }
 }
 
 /// A growable slot-indexed bitvec: the sessions' returned-set, replacing a
@@ -735,23 +716,69 @@ impl SlotSet {
     }
 }
 
-/// A resumable top-k session over a monotone aggregation: algorithm A₀
-/// kept alive between batches, implementing Section 4's "continue where we
-/// left off". Grades already fetched (by either access kind) are never
-/// re-fetched, so the cumulative *sorted* cost of paging equals one A₀
-/// evaluation at the cumulative `k`.
+/// Where a slot of an [`EngineSession`] stands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Status {
+    /// Seen, but no page has graded it in full yet.
+    Waiting,
+    /// Graded in full and scored; competes for every page until chosen.
+    Graded,
+    /// Handed out.
+    Returned,
+}
+
+/// The strategy a session runs: where its sorted phase stops and which
+/// objects its random phase grades. Fixed by the constructor.
+enum Rule<A> {
+    /// Algorithm A₀ (Theorem 4.2), any monotone aggregation: sorted access
+    /// until the cumulative `k` objects have matched, then every object
+    /// seen is graded in full.
+    Monotone(A),
+    /// Algorithm A₀′ (Proposition 4.3), `t = min`: A₀'s sorted phase, but
+    /// only the pivot list's prefix at or above `g₀` is graded.
+    Min {
+        /// `(g₀, i₀)`: the least grade any list has shown for a matched
+        /// object, and the first list (in match order) that showed it.
+        pivot: Option<(Grade, usize)>,
+        /// How many of [`Engine::matched`] are folded into `pivot`.
+        folded: usize,
+    },
+    /// The naive algorithm (Section 4), any aggregation: the first page
+    /// reads every list to the end, which grades every object.
+    Scan(A),
+}
+
+impl<A> Rule<A> {
+    /// Whether a page grades this (seen) slot.
+    fn grades(&self, slab: &Slab, slot: u32) -> bool {
+        match *self {
+            Rule::Monotone(_) | Rule::Scan(_) => true,
+            Rule::Min {
+                pivot: Some((g0, i0)),
+                ..
+            } => slab.has_rank(slot, i0) && slab.grades[slot as usize * slab.m + i0] >= g0,
+            Rule::Min { pivot: None, .. } => false,
+        }
+    }
+}
+
+/// A resumable top-k session over the engine: algorithm A₀
+/// ([`EngineSession::new`]), A₀′ ([`EngineSession::min`]) or the naive scan
+/// ([`EngineSession::scan`]) kept alive between pages, implementing
+/// Section 4's "continue where we left off". Grades already fetched (by
+/// either access kind) are never re-fetched, so the cumulative *sorted*
+/// cost of paging equals one evaluation at the cumulative `k` — and a
+/// single page is exactly that evaluation.
 pub struct EngineSession<S, A> {
     engine: Engine<S>,
-    agg: A,
-    returned: SlotSet,
-    /// Slots below this mark were completed — and scored — by an earlier
-    /// page; each page only completes, probes for, and scores the slots
-    /// discovered since.
-    completed_slots: usize,
-    /// `scores[slot]` = the overall grade under `agg`, computed exactly
-    /// once when the slot was completed (complete grade vectors never
-    /// change, so neither can the score). Selection re-reads this array;
-    /// it never re-runs the aggregation.
+    rule: Rule<A>,
+    /// Where each slot stands. Under A₀′ the `Waiting` ones stay in the
+    /// slab: `g₀` only falls as the cumulative `k` grows, so a later
+    /// page's candidate set can only take more of them.
+    status: Vec<Status>,
+    /// `scores[slot]` = the overall grade, computed exactly once when the
+    /// slot was graded (complete grade vectors never change, so neither
+    /// can the score). Meaningful once a slot is no longer `Waiting`.
     scores: Vec<Grade>,
     /// Working buffer lent to [`Aggregation::combine_reusing`].
     scratch: Vec<Grade>,
@@ -769,14 +796,44 @@ where
     S: GradedSource,
     A: Aggregation,
 {
-    /// Opens a session over the given sources and monotone aggregation.
+    /// Opens an A₀ session over the given sources and monotone aggregation.
     pub fn new(sources: Vec<S>, agg: A) -> Result<Self, TopKError> {
+        Self::open(sources, Rule::Monotone(agg))
+    }
+
+    /// Opens an A₀′ session for the standard fuzzy conjunction
+    /// `A₁ ∧ ... ∧ A_m` (aggregation fixed to min, whatever `A` is).
+    ///
+    /// Each page grades only the not-yet-graded candidates
+    /// `{x ∈ X^{i₀}_T : μ_{i₀}(x) ≥ g₀}` of the *current* pivot list and
+    /// selects among everything graded so far. Every object outside that
+    /// set scores at most `g₀` and the matched set — at least the
+    /// cumulative `k` objects scoring at least `g₀` — lies inside it, so
+    /// each prefix of the concatenated pages is a valid top-k. The pivot
+    /// may move between pages, so the cumulative random cost is bounded by
+    /// A₀'s, not by one A₀′ run at the cumulative `k`.
+    pub fn min(sources: Vec<S>) -> Result<Self, TopKError> {
+        Self::open(
+            sources,
+            Rule::Min {
+                pivot: None,
+                folded: 0,
+            },
+        )
+    }
+
+    /// Opens a naive-scan session: correct for *any* aggregation, at a
+    /// cost of `m·N` sorted accesses paid by the first page.
+    pub fn scan(sources: Vec<S>, agg: A) -> Result<Self, TopKError> {
+        Self::open(sources, Rule::Scan(agg))
+    }
+
+    fn open(sources: Vec<S>, rule: Rule<A>) -> Result<Self, TopKError> {
         validate_inputs(&sources, 1)?;
         Ok(EngineSession {
             engine: Engine::open(sources)?,
-            agg,
-            returned: SlotSet::default(),
-            completed_slots: 0,
+            rule,
+            status: Vec::new(),
             scores: Vec::new(),
             scratch: Vec::new(),
             cumulative: 0,
@@ -788,6 +845,24 @@ where
     /// How many answers have been handed out so far.
     pub fn returned(&self) -> usize {
         self.cumulative
+    }
+
+    /// How many objects the session has graded in full so far — the size
+    /// of its cumulative random-access candidate set.
+    pub fn graded(&self) -> usize {
+        let waiting = |s: &&Status| **s == Status::Waiting;
+        self.status.len() - self.status.iter().filter(waiting).count()
+    }
+
+    /// Proposition 4.3's `(g₀, i₀)` as of the last page — the threshold
+    /// grade and the pivot list whose prefix holds every possible winner.
+    /// `None` before the first page and for sessions not opened with
+    /// [`EngineSession::min`].
+    pub fn pivot(&self) -> Option<(Grade, usize)> {
+        match self.rule {
+            Rule::Min { pivot, .. } => pivot,
+            _ => None,
+        }
     }
 
     /// The session's current **k-th score frontier**: the overall grade of
@@ -838,60 +913,91 @@ where
         if k == 0 {
             return Err(TopKError::ZeroK);
         }
-        let target = (self.cumulative + k).min(self.engine.n());
+        let n = self.engine.n();
+        let target = (self.cumulative + k).min(n);
         if target == self.cumulative {
             return Ok(TopK::from_entries(Vec::new()));
         }
 
-        // Resume the sorted phase until the *cumulative* match target.
-        self.engine.advance_until_matched(target)?;
+        // Sorted phase, resumed at the stored depth: until the *cumulative*
+        // target has matched — all `N` objects for the naive scan.
+        let stop = match self.rule {
+            Rule::Scan(_) => n,
+            _ => target,
+        };
+        self.engine.advance_until_matched(stop)?;
 
-        // Complete — and score — slots discovered since the last page
-        // only: everything below the high-water mark is already complete
-        // with a cached score, so no access is repeated and no
-        // aggregation is re-run.
-        self.engine.complete_slots_from(self.completed_slots)?;
-        for slot in self.completed_slots as u32..self.engine.slab.len() as u32 {
-            let grades = self
-                .engine
-                .slab
-                .grade_slice(slot)
-                .expect("grades completed above");
-            self.scores
-                .push(self.agg.combine_reusing(grades, &mut self.scratch));
+        // x₀ ∈ L with the least overall grade; sorted access has shown
+        // every grade of a matched object.
+        let slab = &self.engine.slab;
+        if let Rule::Min { pivot, folded } = &mut self.rule {
+            for id in &self.engine.matched[*folded..] {
+                let slot = slab.slot_of(*id).expect("matched objects are seen");
+                let grades = slab.grade_slice(slot).expect("matched in every list");
+                for (i, &grade) in grades.iter().enumerate() {
+                    if pivot.is_none_or(|(g0, _)| grade < g0) {
+                        *pivot = Some((grade, i));
+                    }
+                }
+            }
+            *folded = self.engine.matched.len();
         }
-        self.completed_slots = self.engine.slab.len();
 
-        // The next `target - cumulative` best among objects not yet
-        // returned. (Filtering *before* selection keeps the batch size
-        // exact even when fresh objects tie an already-returned one at the
-        // cut grade — selecting top-`target` first and subtracting could
-        // let a tie displace a returned object and hand out extra entries.)
-        let engine = &self.engine;
-        let returned = &self.returned;
-        let scores = &self.scores;
-        let fresh = TopK::select(
-            (0..engine.slab.len() as u32)
-                .filter(|&slot| !returned.contains(slot))
-                .map(|slot| (engine.slab.id(slot), scores[slot as usize])),
-            target - self.cumulative,
+        // Random phase: complete this page's candidates that no earlier
+        // page graded. A failed completion marks nothing graded, so a
+        // retry finds the same candidates and re-probes only what is
+        // still missing.
+        self.status.resize(slab.len(), Status::Waiting);
+        let (rule, status) = (&self.rule, &self.status);
+        let Engine { slab, pending, .. } = &mut self.engine;
+        pending.clear();
+        pending.extend((0..slab.len() as u32).filter(|&slot| {
+            status[slot as usize] == Status::Waiting
+                && rule.grades(slab, slot)
+                && !slab.complete(slot)
+        }));
+        self.engine.complete_pending()?;
+
+        // Computation phase, one pass: score those candidates — once,
+        // straight off the slab's grade slices — and select the next
+        // `target - cumulative` best among graded objects not yet returned.
+        // (Filtering *before* selection keeps the batch size exact even
+        // when fresh objects tie an already-returned one at the cut grade
+        // — selecting top-`target` first and subtracting could let a tie
+        // displace a returned object and hand out extra entries.)
+        let slab = &self.engine.slab;
+        self.scores.resize(slab.len(), Grade::ZERO);
+        let (rule, status, scores, scratch) = (
+            &self.rule,
+            &mut self.status,
+            &mut self.scores,
+            &mut self.scratch,
         );
-        for e in fresh.entries() {
-            let slot = self
-                .engine
-                .slab
-                .slot_of(e.object)
-                .expect("selected objects are seen");
-            self.returned.insert(slot);
+        let graded = (0..slab.len()).filter_map(|at| {
+            let slot = at as u32;
+            if status[at] == Status::Waiting && rule.grades(slab, slot) {
+                let grades = slab.grade_slice(slot).expect("grades completed above");
+                scores[at] = match rule {
+                    Rule::Monotone(agg) | Rule::Scan(agg) => agg.combine_reusing(grades, scratch),
+                    Rule::Min { .. } => grades.iter().min().copied().expect("m >= 1"),
+                };
+                status[at] = Status::Graded;
+            }
+            (status[at] == Status::Graded).then(|| (slab.id(slot), scores[at]))
+        });
+        let page = TopK::select(graded, target - self.cumulative);
+        for e in page.entries() {
+            let slot = slab.slot_of(e.object).expect("selected objects are seen");
+            self.status[slot as usize] = Status::Returned;
         }
-        if let Some(last) = fresh.entries().last() {
+        if let Some(last) = page.entries().last() {
             // Pages are handed out best-first, so the latest page's worst
             // grade is the cumulative k-th score.
             self.frontier = Some(last.grade);
             self.frontier_history.push((target, last.grade));
         }
         self.cumulative = target;
-        Ok(fresh)
+        Ok(page)
     }
 }
 
@@ -998,8 +1104,10 @@ impl<S: GradedSource> B0Session<S> {
 mod tests {
     use super::*;
     use crate::access::{counted, total_stats, MemorySource};
-    use garlic_agg::iterated::min_agg;
-    use std::collections::{HashMap, HashSet};
+    use garlic_agg::iterated::{min_agg, IteratedTNorm};
+    use std::collections::HashSet;
+
+    type MinAgg = IteratedTNorm<garlic_agg::tnorms::Minimum>;
 
     fn g(v: f64) -> Grade {
         Grade::new(v).unwrap()
@@ -1090,9 +1198,7 @@ mod tests {
         let mut engine = Engine::open(cs).unwrap();
         engine.advance_to_depth(2).unwrap();
         assert_eq!(total_stats(engine.sources()).sorted, 2 * 2);
-        let best: HashMap<ObjectId, Grade> = engine.best_seen().collect();
-        assert_eq!(best[&ObjectId(0)], g(1.0));
-        assert_eq!(best[&ObjectId(3)], g(0.9));
+        assert_eq!(engine.seen().count(), 4);
         // Clamped at N, idempotent past it.
         engine.advance_to_depth(99).unwrap();
         assert_eq!(engine.depth(), 4);
@@ -1151,6 +1257,114 @@ mod tests {
         assert_eq!(distinct.len(), 4);
         assert!(session.next_batch(1).unwrap().is_empty());
         assert!(session.next_batch(0).is_err());
+    }
+
+    #[test]
+    fn every_session_yields_a_short_page_at_exhaustion_then_empty_ones() {
+        let agg = min_agg();
+        let mut sessions = [
+            EngineSession::new(sources(), &agg).unwrap(),
+            EngineSession::min(sources()).unwrap(),
+            EngineSession::scan(sources(), &agg).unwrap(),
+        ];
+        for session in &mut sessions {
+            assert_eq!(session.next_batch(3).unwrap().len(), 3);
+            assert_eq!(session.next_batch(3).unwrap().len(), 1);
+            assert!(session.next_batch(3).unwrap().is_empty());
+            assert_eq!(session.returned(), 4);
+        }
+    }
+
+    /// Six objects a..f = 0..5, built so that Proposition 4.3's pivot is
+    /// list 0 at k = 1 and list 1 at k = 2.
+    fn pivot_moving_sources() -> Vec<MemorySource> {
+        vec![
+            MemorySource::from_grades(&[g(1.0), g(0.9), g(0.8), g(0.3), g(0.2), g(0.1)]),
+            MemorySource::from_grades(&[g(0.85), g(0.95), g(0.5), g(0.4), g(0.9), g(0.05)]),
+        ]
+    }
+
+    #[test]
+    fn min_session_defers_non_candidates_and_follows_a_moving_pivot() {
+        let (a, b) = (ObjectId(0), ObjectId(1));
+        let mut session = EngineSession::<_, MinAgg>::min(counted(pivot_moving_sources())).unwrap();
+        assert_eq!(session.pivot(), None);
+
+        // Page 1: T = 2, L = {b}, x₀ = b at .9 in list 0. Candidates are
+        // list 0's prefix at or above .9 — {a, b}; e (seen in list 1 only)
+        // is deferred, where plain A₀ would have probed it.
+        let first = session.next_batch(1).unwrap();
+        assert_eq!(first.entries(), &[GradedEntry::new(b, g(0.9))]);
+        assert_eq!(session.pivot(), Some((g(0.9), 0)));
+        assert_eq!(session.graded(), 2);
+        assert_eq!(
+            total_stats(session.sources()),
+            crate::AccessStats::new(4, 1)
+        );
+
+        // Page 2: T = 3, a matches at .85 in list 1 — the pivot moves.
+        // List 1's prefix at or above .85 is {b, e, a}: e is completed
+        // now, c (seen in list 0 only) stays deferred.
+        let second = session.next_batch(1).unwrap();
+        assert_eq!(second.entries(), &[GradedEntry::new(a, g(0.85))]);
+        assert_eq!(session.pivot(), Some((g(0.85), 1)));
+        assert_eq!(session.graded(), 3);
+        assert_eq!(
+            total_stats(session.sources()),
+            crate::AccessStats::new(6, 2)
+        );
+
+        // The rest: both lists run out, sorted access alone grades c, d, f.
+        let rest = session.next_batch(9).unwrap();
+        assert_eq!(rest.grades(), vec![g(0.5), g(0.3), g(0.2), g(0.05)]);
+        assert_eq!(
+            total_stats(session.sources()),
+            crate::AccessStats::new(12, 2)
+        );
+
+        // Plain A₀ over the same pages pays for e and c as soon as it
+        // sees them.
+        let mut a0 = EngineSession::new(counted(pivot_moving_sources()), min_agg()).unwrap();
+        for k in [1, 1, 9] {
+            a0.next_batch(k).unwrap();
+        }
+        assert_eq!(total_stats(a0.sources()), crate::AccessStats::new(12, 3));
+    }
+
+    #[test]
+    fn scan_session_pays_m_times_n_on_the_first_page_and_nothing_after() {
+        // A non-monotone aggregation: only the scan may run it.
+        struct DistanceFromHalf;
+        impl Aggregation for DistanceFromHalf {
+            fn name(&self) -> String {
+                "1 - 2|x1 - 1/2|".into()
+            }
+            fn combine(&self, grades: &[Grade]) -> Grade {
+                Grade::clamped(1.0 - 2.0 * (grades[0].value() - 0.5).abs())
+            }
+            fn is_monotone(&self) -> bool {
+                false
+            }
+            fn is_strict(&self, _arity: usize) -> bool {
+                false
+            }
+        }
+        let mut session = EngineSession::scan(counted(sources()), DistanceFromHalf).unwrap();
+        let first = session.next_batch(1).unwrap();
+        // List 0 grades 1.0, .8, .6, .4: objects 2 and 3 are nearest 1/2.
+        assert_eq!(first.objects(), vec![ObjectId(2)]);
+        assert_eq!(
+            total_stats(session.sources()),
+            crate::AccessStats::new(8, 0)
+        );
+        assert_eq!(
+            session.next_batch(2).unwrap().objects(),
+            vec![ObjectId(3), ObjectId(1)]
+        );
+        assert_eq!(
+            total_stats(session.sources()),
+            crate::AccessStats::new(8, 0)
+        );
     }
 
     #[test]

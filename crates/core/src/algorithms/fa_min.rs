@@ -10,16 +10,20 @@
 //! prefixes. The saving is the constant-factor improvement measured by
 //! experiment E11.
 //!
-//! A thin shell over the shared [`engine`](crate::algorithms::engine):
-//! only the candidate-selection rule above is A₀′-specific.
+//! The rule itself — fold the matched set into `(g₀, i₀)`, grade the
+//! pivot prefix at or above `g₀` — lives once, in
+//! [`EngineSession::min`], where it also pages. This module is the
+//! one-evaluation view of it: a single page, with the diagnostics the
+//! experiments report.
 
+use garlic_agg::iterated::IteratedTNorm;
+use garlic_agg::tnorms::Minimum;
 use garlic_agg::Grade;
 
 use crate::access::GradedSource;
-use crate::object::ObjectId;
 use crate::topk::{validate_inputs, TopK, TopKError};
 
-use super::engine::Engine;
+use super::engine::EngineSession;
 
 /// Diagnostics from one run of A₀′.
 #[derive(Debug, Clone)]
@@ -51,67 +55,21 @@ where
     S: GradedSource,
 {
     validate_inputs(sources, k)?;
-
-    // Sorted access phase — identical to A₀'s (batched, on the engine).
-    let mut engine = Engine::open(sources.iter().collect())?;
-    engine.advance_until_matched(k)?;
-    let stop_depth = engine.depth();
-
-    // Random access phase. Find x₀ ∈ L with least overall grade; its
-    // minimising list is i₀ and grade g₀. All grades of matched objects are
-    // already known from sorted access.
-    let m = engine.m();
-    let (g0, i0) = engine
-        .matched()
-        .iter()
-        .map(|id| {
-            let v = engine.view(*id).expect("matched objects are seen");
-            let (list, grade) = (0..m)
-                .map(|i| (i, v.grade(i).expect("matched objects are fully graded")))
-                .min_by(|a, b| a.1.cmp(&b.1))
-                .expect("m >= 1");
-            (grade, list)
-        })
-        .min_by(|a, b| a.0.cmp(&b.0))
-        .expect("matched set has at least k >= 1 members");
-
-    // Candidates: objects of X^{i₀}_T whose grade there is at least g₀.
-    let candidates: Vec<ObjectId> = engine
-        .views()
-        .filter(|v| v.rank(i0).is_some() && v.grade(i0).expect("rank implies grade") >= g0)
-        .map(|v| v.id())
-        .collect();
-    let candidate_count = candidates.len();
+    let mut session = EngineSession::<_, IteratedTNorm<Minimum>>::min(sources.iter().collect())?;
+    let topk = session.next_batch(k)?;
+    let (threshold, pivot_list) = session
+        .pivot()
+        .expect("the matched set has at least k >= 1 members");
     debug_assert!(
-        candidate_count >= k,
+        session.graded() >= k,
         "the matched set is contained in the candidate set"
     );
-
-    // "For each candidate x, do random access to each subsystem j ≠ i₀."
-    engine.complete_grades(candidates.iter().copied())?;
-
-    // Computation phase: overall grade is the min of the (borrowed, never
-    // cloned) slab grade slice.
-    let topk = TopK::select(
-        candidates.into_iter().map(|id| {
-            let grade = engine
-                .grade_slice(id)
-                .expect("candidate grades were completed")
-                .iter()
-                .min()
-                .copied()
-                .expect("m >= 1");
-            (id, grade)
-        }),
-        k,
-    );
-
     Ok(FaMinRun {
         topk,
-        stop_depth,
-        threshold: g0,
-        pivot_list: i0,
-        candidates: candidate_count,
+        stop_depth: session.engine().depth(),
+        threshold,
+        pivot_list,
+        candidates: session.graded(),
     })
 }
 

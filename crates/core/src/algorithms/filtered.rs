@@ -16,31 +16,234 @@
 //! shared [`engine`](crate::algorithms::engine) over the graded conjuncts,
 //! so its bookkeeping and metering are the same code path as A₀'s phase 2.
 //! Note the whole ranking over `S` costs the same regardless of `k` (the
-//! padding objects need no access at all), which is why the middleware can
-//! page this strategy from one materialised session.
+//! padding objects need no access at all), which is why a
+//! [`FilteredSession`] pays it once, on its first page, and cuts every
+//! later page from the scored match set for free.
 
 use garlic_agg::{Aggregation, Grade};
 
 use crate::access::{GradedSource, SetAccess};
+use crate::graded_set::GradedEntry;
 use crate::object::ObjectId;
 use crate::topk::{TopK, TopKError};
 
-use super::engine::Engine;
+use super::engine::{check_deadline, Engine, EngineProfile};
+
+/// The filtered strategy as a resumable session: the first page fetches
+/// the crisp conjunct's match set `S` and grades it (`|S|·m` accesses,
+/// under the deadline in force *then*); every page takes the best of what
+/// is left of `S`, and once `S` runs out pads with non-matching objects at
+/// grade 0, in id order, at no access cost.
+pub struct FilteredSession<C, S, A> {
+    crisp: C,
+    /// Completion engine over the graded conjuncts — `None` for the
+    /// degenerate single-conjunct query, which has none.
+    engine: Option<Engine<S>>,
+    crisp_position: usize,
+    agg: A,
+    n: usize,
+    deadline: Option<std::time::Instant>,
+    /// The match set, once fetched (kept for the padding's membership
+    /// test, and so a page retried after an error never fetches it twice).
+    matches: Option<Vec<ObjectId>>,
+    /// The matches not yet handed out, with their overall grades — `None`
+    /// until the first page has graded them.
+    scored: Option<Vec<GradedEntry>>,
+    /// The next object id to consider as padding.
+    pad_from: u64,
+    cumulative: usize,
+}
+
+impl<C, S, A> FilteredSession<C, S, A>
+where
+    C: SetAccess,
+    S: GradedSource,
+    A: Aggregation,
+{
+    /// Opens a session. No source is accessed until the first page.
+    ///
+    /// * `crisp` — the subsystem answering the crisp conjunct (grades all
+    ///   0/1), with set access;
+    /// * `graded` — the remaining `m - 1` conjuncts' sources;
+    /// * `crisp_position` — where the crisp conjunct sits in the
+    ///   aggregation's argument order (matters for non-commutative
+    ///   aggregations such as weighted ones);
+    /// * `agg` — the m-ary aggregation; must be zero-annihilating.
+    pub fn new(crisp: C, graded: Vec<S>, crisp_position: usize, agg: A) -> Result<Self, TopKError> {
+        let m = graded.len() + 1;
+        if crisp_position >= m {
+            return Err(TopKError::UnsupportedAggregation {
+                reason: "crisp_position out of range",
+            });
+        }
+        if !agg.zero_annihilates(m) {
+            return Err(TopKError::UnsupportedAggregation {
+                reason: "the filtered strategy requires a zero-annihilating aggregation \
+                         (e.g. any t-norm); with a mean, non-matching objects can still \
+                         have positive overall grades",
+            });
+        }
+        let n = crisp.len();
+        if graded.iter().any(|s| s.len() != n) {
+            return Err(TopKError::MismatchedSources {
+                sizes: std::iter::once(n)
+                    .chain(graded.iter().map(|s| s.len()))
+                    .collect(),
+            });
+        }
+        Ok(FilteredSession {
+            crisp,
+            engine: if graded.is_empty() {
+                None
+            } else {
+                Some(Engine::open(graded)?)
+            },
+            crisp_position,
+            agg,
+            n,
+            deadline: None,
+            matches: None,
+            scored: None,
+            pad_from: 0,
+            cumulative: 0,
+        })
+    }
+
+    /// How many answers have been handed out so far.
+    pub fn returned(&self) -> usize {
+        self.cumulative
+    }
+
+    /// The crisp conjunct's source.
+    pub fn crisp(&self) -> &C {
+        &self.crisp
+    }
+
+    /// The graded conjuncts' sources, in argument order.
+    pub fn graded(&self) -> &[S] {
+        self.engine.as_ref().map_or(&[], |e| e.sources())
+    }
+
+    /// Phase timings and batch counts of the completion engine.
+    pub fn profile(&self) -> EngineProfile {
+        self.engine
+            .as_ref()
+            .map(|e| e.profile())
+            .unwrap_or_default()
+    }
+
+    /// Sets (or clears) a cooperative deadline, checked before the match
+    /// set is fetched and between the completion engine's batch rounds.
+    /// A page that fails with [`TopKError::DeadlineExceeded`] leaves the
+    /// session resumable, exactly as on
+    /// [`EngineSession::set_deadline`](super::engine::EngineSession::set_deadline).
+    pub fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
+        self.deadline = deadline;
+        if let Some(engine) = &mut self.engine {
+            engine.set_deadline(deadline);
+        }
+    }
+
+    /// Steps 1 and 2 of the strategy, once: the match set `S` of the crisp
+    /// conjunct, then random access for every other conjunct, matches only
+    /// — the engine's completion phase over the graded lists (no sorted
+    /// phase). Resumable after an error at either step.
+    fn grade_matches(&mut self) -> Result<(), TopKError> {
+        if self.scored.is_some() {
+            return Ok(());
+        }
+        if self.matches.is_none() {
+            check_deadline(self.deadline)?;
+            self.matches = Some(
+                self.crisp
+                    .try_matching_set()
+                    .map_err(TopKError::SourceFailed)?,
+            );
+        }
+        let matches = self.matches.as_deref().expect("fetched above");
+        if let Some(engine) = &mut self.engine {
+            // One batched random_batch per graded list covers every match,
+            // so block-backed sources decode each block once.
+            engine.complete_grades(matches.iter().copied())?;
+        }
+        // The degenerate single-conjunct query has no graded list: every
+        // match grades `t(1)`.
+        let (engine, at) = (self.engine.as_ref(), self.crisp_position);
+        let mut grades: Vec<Grade> = Vec::new();
+        let scored = matches
+            .iter()
+            .map(|&object| {
+                let completed = engine.map_or(&[][..], |e| {
+                    e.grade_slice(object).expect("matches were completed above")
+                });
+                grades.clear();
+                grades.extend_from_slice(&completed[..at]);
+                grades.push(Grade::ONE);
+                grades.extend_from_slice(&completed[at..]);
+                GradedEntry {
+                    object,
+                    grade: self.agg.combine(&grades),
+                }
+            })
+            .collect();
+        self.scored = Some(scored);
+        Ok(())
+    }
+
+    /// Returns the next `k` best answers (fewer once all `N` objects have
+    /// been handed out), never repeating an object.
+    pub fn next_batch(&mut self, k: usize) -> Result<TopK, TopKError> {
+        if k == 0 {
+            return Err(TopKError::ZeroK);
+        }
+        let take = k.min(self.n - self.cumulative);
+        if take == 0 {
+            return Ok(TopK::from_entries(Vec::new()));
+        }
+        self.grade_matches()?;
+        let scored = self.scored.as_mut().expect("graded above");
+
+        // The best `take` of the matches left; what remains for later
+        // pages is everything ranked after this page's worst.
+        let mut page = TopK::select(scored.iter().map(|e| (e.object, e.grade)), take);
+        match page.entries().last() {
+            Some(&worst) if page.len() == take => scored.retain(|e| {
+                (std::cmp::Reverse(e.grade), e.object)
+                    > (std::cmp::Reverse(worst.grade), worst.object)
+            }),
+            _ => scored.clear(),
+        }
+
+        // Pad with non-matching objects at grade 0 once S is used up:
+        // their overall grade is known to be 0 *without any access* —
+        // that is the whole point of the strategy.
+        if page.len() < take {
+            let in_set: std::collections::HashSet<ObjectId> =
+                self.matches.iter().flatten().copied().collect();
+            let mut entries = page.into_entries();
+            while entries.len() < take && self.pad_from < self.n as u64 {
+                let object = ObjectId(self.pad_from);
+                self.pad_from += 1;
+                if !in_set.contains(&object) {
+                    entries.push(GradedEntry {
+                        object,
+                        grade: Grade::ZERO,
+                    });
+                }
+            }
+            page = TopK::from_entries(entries);
+        }
+        self.cumulative += page.len();
+        Ok(page)
+    }
+}
 
 /// Evaluates a conjunction with one crisp conjunct via the filtered
-/// strategy.
-///
-/// * `crisp` — the subsystem answering the crisp conjunct (grades all 0/1),
-///   with set access;
-/// * `graded` — the remaining `m - 1` conjuncts' sources;
-/// * `crisp_position` — where the crisp conjunct sits in the aggregation's
-///   argument order (matters for non-commutative aggregations such as
-///   weighted ones);
-/// * `agg` — the m-ary aggregation; must be zero-annihilating.
+/// strategy — the first page of a [`FilteredSession`] (see
+/// [`FilteredSession::new`] for the arguments).
 ///
 /// If fewer than `k` objects match the crisp conjunct, the answer is padded
-/// with non-matching objects at grade 0 (their overall grade is known to be
-/// 0 *without any access* — that is the whole point of the strategy).
+/// with non-matching objects at grade 0.
 pub fn filtered_topk<C, S, A>(
     crisp: &C,
     graded: &[S],
@@ -53,81 +256,11 @@ where
     S: GradedSource,
     A: Aggregation,
 {
-    let m = graded.len() + 1;
-    if crisp_position >= m {
-        return Err(TopKError::UnsupportedAggregation {
-            reason: "crisp_position out of range",
-        });
+    let mut session = FilteredSession::new(crisp, graded.iter().collect(), crisp_position, agg)?;
+    if k > session.n {
+        return Err(TopKError::KTooLarge { k, n: session.n });
     }
-    if !agg.zero_annihilates(m) {
-        return Err(TopKError::UnsupportedAggregation {
-            reason: "the filtered strategy requires a zero-annihilating aggregation \
-                     (e.g. any t-norm); with a mean, non-matching objects can still \
-                     have positive overall grades",
-        });
-    }
-    let n = crisp.len();
-    if k == 0 {
-        return Err(TopKError::ZeroK);
-    }
-    if k > n {
-        return Err(TopKError::KTooLarge { k, n });
-    }
-    if graded.iter().any(|s| s.len() != n) {
-        return Err(TopKError::MismatchedSources {
-            sizes: std::iter::once(n)
-                .chain(graded.iter().map(|s| s.len()))
-                .collect(),
-        });
-    }
-
-    // Step 1: the match set S of the crisp conjunct.
-    let matches = crisp.try_matching_set().map_err(TopKError::SourceFailed)?;
-
-    // Step 2: random access for every other conjunct, matches only — the
-    // engine's completion phase over the graded lists (no sorted phase).
-    let mut scored: Vec<(ObjectId, Grade)> = Vec::with_capacity(matches.len());
-    if graded.is_empty() {
-        // Degenerate single-conjunct query: every match grades 1.
-        scored.extend(matches.iter().map(|&id| (id, agg.combine(&[Grade::ONE]))));
-    } else {
-        let mut engine = Engine::open(graded.iter().collect())?;
-        // One batched random_batch per graded list covers every match, so
-        // block-backed sources decode each block once.
-        engine.complete_grades(matches.iter().copied())?;
-        let mut grades: Vec<Grade> = Vec::with_capacity(m);
-        for &id in &matches {
-            let completed = engine
-                .grade_slice(id)
-                .expect("matches were completed above");
-            grades.clear();
-            for (i, &grade) in completed.iter().enumerate() {
-                if i == crisp_position {
-                    grades.push(Grade::ONE);
-                }
-                grades.push(grade);
-            }
-            if crisp_position == m - 1 {
-                grades.push(Grade::ONE);
-            }
-            debug_assert_eq!(grades.len(), m);
-            scored.push((id, agg.combine(&grades)));
-        }
-    }
-
-    // Pad with non-matching objects at grade 0 if S is smaller than k.
-    if scored.len() < k {
-        let in_set: std::collections::HashSet<ObjectId> = matches.iter().copied().collect();
-        let mut candidates = (0..n as u64).map(ObjectId);
-        while scored.len() < k {
-            let id = candidates.next().expect("k <= N guarantees enough objects");
-            if !in_set.contains(&id) {
-                scored.push((id, Grade::ZERO));
-            }
-        }
-    }
-
-    Ok(TopK::select(scored, k))
+    session.next_batch(k)
 }
 
 #[cfg(test)]
@@ -189,6 +322,57 @@ mod tests {
         assert_eq!(top.len(), 5);
         assert_eq!(top.grades()[3], Grade::ZERO);
         assert_eq!(top.grades()[4], Grade::ZERO);
+    }
+
+    #[test]
+    fn session_pages_the_matches_then_pads_and_bills_once() {
+        let mut session = FilteredSession::new(
+            CountingSource::new(crisp()),
+            counted(vec![colour()]),
+            0,
+            min_agg(),
+        )
+        .unwrap();
+        fn bill<A: Aggregation>(
+            s: &FilteredSession<CountingSource<MemorySource>, CountingSource<MemorySource>, A>,
+        ) -> (crate::AccessStats, crate::AccessStats) {
+            (s.crisp().stats(), s.graded()[0].stats())
+        }
+        assert_eq!(bill(&session), Default::default());
+
+        let first = session.next_batch(2).unwrap();
+        assert_eq!(first.objects(), vec![ObjectId(3), ObjectId(1)]);
+        let paid = bill(&session);
+        assert_eq!((paid.0.sorted, paid.1.random), (3, 3));
+
+        // The last match, then padding in id order — one page, one order.
+        let second = session.next_batch(2).unwrap();
+        assert_eq!(second.objects(), vec![ObjectId(4), ObjectId(0)]);
+        assert_eq!(second.grades(), vec![g(0.1), Grade::ZERO]);
+        let third = session.next_batch(5).unwrap();
+        assert_eq!(third.objects(), vec![ObjectId(2), ObjectId(5)]);
+        assert!(session.next_batch(1).unwrap().is_empty());
+        assert_eq!(session.returned(), 6);
+        assert_eq!(bill(&session), paid);
+    }
+
+    #[test]
+    fn session_checks_the_deadline_before_any_access_and_resumes() {
+        let mut session = FilteredSession::new(
+            CountingSource::new(crisp()),
+            counted(vec![colour()]),
+            0,
+            min_agg(),
+        )
+        .unwrap();
+        session.set_deadline(Some(std::time::Instant::now()));
+        assert_eq!(session.next_batch(2), Err(TopKError::DeadlineExceeded));
+        assert_eq!(session.crisp().stats().sorted, 0);
+        session.set_deadline(None);
+        assert_eq!(
+            session.next_batch(2).unwrap(),
+            filtered_topk(&crisp(), &[&colour()], 0, &min_agg(), 2).unwrap()
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! | [`order_stat`] (median & friends) | Remark 6.1, identity (13) | j-th largest |
 //! | [`ullman`] | §9 | min, m = 2 |
 //! | [`filtered`] ("Beatles" strategy) | §4 opening example | zero-annihilating aggregations with one crisp conjunct |
-//! | [`resume`] | §4, "continue where we left off" | monotone aggregations |
+//! | [`engine`] sessions | §4, "continue where we left off" | A₀, A₀′, B₀, naive — and [`filtered`]'s own |
 //!
 //! All of the A₀-family modules are thin, paper-annotated shells over one
 //! [`engine`] — the shared round-robin sorted phase, candidate bookkeeping,
@@ -28,5 +28,4 @@ pub mod fa_min;
 pub mod filtered;
 pub mod naive;
 pub mod order_stat;
-pub mod resume;
 pub mod ullman;

@@ -6,9 +6,9 @@
 //! measured against, and the optimum for the provably hard query of
 //! Section 7.
 //!
-//! A thin shell over the shared [`engine`](crate::algorithms::engine): the
-//! exhaustive scan is one batched stream of every list to depth `N`, after
-//! which every grade vector is complete without any random access.
+//! A thin shell over [`EngineSession::scan`]: the exhaustive scan is the
+//! session's first page — one batched stream of every list to depth `N`,
+//! after which every grade vector is complete without any random access.
 
 use garlic_agg::Aggregation;
 
@@ -16,7 +16,7 @@ use crate::access::GradedSource;
 use crate::object::ObjectId;
 use crate::topk::{validate_inputs, TopK, TopKError};
 
-use super::engine::Engine;
+use super::engine::EngineSession;
 
 /// Evaluates `F_t(A_1, ..., A_m)` by exhaustively streaming every list
 /// (steps 1–3 of the paper's naive algorithm) and returns the top `k`
@@ -26,27 +26,8 @@ where
     S: GradedSource,
     A: Aggregation,
 {
-    let n = validate_inputs(sources, k)?;
-
-    // "Have the subsystem ... output explicitly the graded set consisting of
-    // all pairs (x, μ(x)) for every object x."
-    let mut engine = Engine::open(sources.iter().collect())?;
-    engine.advance_to_depth(n)?;
-
-    // "Use this information to compute μ(x) for every object x." At full
-    // depth every list has shown every object, so all vectors are complete
-    // — scored straight off the slab slices into the bounded-heap
-    // selection, with no per-object clone or intermediate candidate Vec.
-    let mut scratch = Vec::new();
-    Ok(TopK::select(
-        engine.views().map(|v| {
-            let grades = v
-                .grades()
-                .expect("full-depth streams complete every grade vector");
-            (v.id(), agg.combine_reusing(grades, &mut scratch))
-        }),
-        k,
-    ))
+    validate_inputs(sources, k)?;
+    EngineSession::scan(sources.iter().collect(), agg)?.next_batch(k)
 }
 
 /// The naive algorithm implemented with **zero sorted accesses**: probe

@@ -17,9 +17,10 @@ use garlic_core::algorithms::b0_max::b0_max_topk;
 use garlic_core::algorithms::fa::{fagin_run, fagin_topk, FaOptions};
 use garlic_core::algorithms::fa_min::fagin_min_run;
 use garlic_core::algorithms::naive::naive_topk;
-use garlic_core::algorithms::resume::ResumableFa;
-use garlic_core::{AccessStats, GradedSource, ObjectId, TopK};
+use garlic_core::{AccessStats, EngineSession, GradedSource, ObjectId, TopK};
 use proptest::prelude::*;
+
+type MinAgg = garlic_agg::iterated::IteratedTNorm<garlic_agg::tnorms::Minimum>;
 
 /// Reference re-implementations of the seed *positional* algorithms: the
 /// exact pre-engine control flow, one `sorted_access(rank)` per entry.
@@ -270,7 +271,7 @@ proptest! {
         let agg = min_agg();
 
         let engine_sources = counted_of(&db);
-        let mut session = garlic_core::EngineSession::new(engine_sources, &agg).unwrap();
+        let mut session = EngineSession::new(engine_sources, &agg).unwrap();
 
         let ref_sources = counted_of(&db);
         let mut phase = reference::Phase::new(m, n);
@@ -323,6 +324,7 @@ proptest! {
         let ref_stats = total_stats(&ref_sources);
 
         prop_assert!(engine_run.topk.same_grades(&ref_top, 0.0));
+        prop_assert_eq!(engine_run.topk.entries(), ref_top.entries());
         prop_assert_eq!(engine_stats, ref_stats);
     }
 
@@ -368,12 +370,12 @@ proptest! {
     fn resumable_paging_matches_seed_sorted_cost(db in db_strategy(), batch in 1usize..5) {
         // Paging through the whole result set: grades equal the one-shot
         // ranking and the sorted cost equals one evaluation at k = N
-        // (m·N), the seed ResumableFa property.
+        // (m·N), the seed resumption property.
         let n = db[0].len();
         let m = db.len();
         let sources = counted_of(&db);
         let agg = min_agg();
-        let mut session = ResumableFa::new(&sources, &agg).unwrap();
+        let mut session = EngineSession::new(sources.iter().collect(), &agg).unwrap();
         let mut collected: Vec<Grade> = Vec::new();
         loop {
             let chunk = session.next_batch(batch).unwrap();
@@ -390,6 +392,15 @@ proptest! {
         for (got, want) in collected.iter().zip(oneshot.grades()) {
             prop_assert!(got.approx_eq(want, 0.0));
         }
+    }
+
+    /// Paged A₀′ on random databases and random page splits.
+    #[test]
+    fn paged_fa_min_is_a_valid_ranking_at_every_prefix_within_a0s_bill(
+        db in db_strategy(),
+        splits in proptest::collection::vec(1usize..7, 1..8),
+    ) {
+        assert_paged_fa_min(&db, &splits);
     }
 
     // Bugfix-grade coverage for `FaOptions::shrink_depths` (the Section 4
@@ -432,6 +443,74 @@ proptest! {
         // (c) the refinement never changes the answer, only the cost.
         prop_assert!(shrunk.topk.same_grades(&plain.topk, 0.0));
         prop_assert!(shrunk.candidates <= plain.candidates);
+    }
+}
+
+/// What paging A₀′ must deliver over `splits` (then one page for whatever
+/// is left): no object twice, grades never rising, the brute-force grade
+/// sequence — so every prefix is a valid top-k — at the sorted cost of one
+/// evaluation at the cumulative k and a total no higher than plain A₀ kept
+/// alive over the same pages. The first page is one seed A₀′ run, exactly.
+fn assert_paged_fa_min(db: &[Vec<Grade>], splits: &[usize]) {
+    let n = db[0].len();
+    let truth = reference::naive(&sources_of(db), &min_agg(), n).grades();
+    let mut session = EngineSession::<_, MinAgg>::min(counted_of(db)).unwrap();
+    let mut a0 = EngineSession::new(counted_of(db), min_agg()).unwrap();
+
+    let mut seen = std::collections::HashSet::new();
+    let mut grades: Vec<Grade> = Vec::new();
+    for (page_no, &k) in splits.iter().chain(std::iter::once(&n)).enumerate() {
+        let page = session.next_batch(k).unwrap();
+        a0.next_batch(k).unwrap();
+        for e in page.entries() {
+            assert!(seen.insert(e.object), "{} handed out twice", e.object);
+            grades.push(e.grade);
+        }
+        assert_eq!(&grades[..], &truth[..grades.len()]);
+        assert_eq!(session.returned(), grades.len());
+
+        let stats = total_stats(session.sources());
+        let a0_stats = total_stats(a0.sources());
+        assert_eq!(stats.sorted, a0_stats.sorted);
+        assert!(
+            stats.random <= a0_stats.random,
+            "{:?} > {:?}",
+            stats,
+            a0_stats
+        );
+
+        // One evaluation at the cumulative k: same sorted cost — and, for
+        // the first page, the same entries and the same bill.
+        let oneshot = counted_of(db);
+        let seed = reference::fagin_min(&oneshot, grades.len());
+        assert_eq!(stats.sorted, total_stats(&oneshot).sorted);
+        if page_no == 0 {
+            assert_eq!(page.entries(), seed.entries());
+            assert_eq!(stats, total_stats(&oneshot));
+        }
+    }
+    assert_eq!(grades.len(), n);
+}
+
+/// The hand-built input of the property above: Proposition 4.3's pivot is
+/// list 0 at k = 1 and list 1 at k = 2, so the second page completes an
+/// object the first one deferred.
+#[test]
+fn paged_fa_min_holds_when_the_pivot_list_changes_between_pages() {
+    let g = |v: f64| Grade::new(v).unwrap();
+    let db = vec![
+        vec![g(1.0), g(0.9), g(0.8), g(0.3), g(0.2), g(0.1)],
+        vec![g(0.85), g(0.95), g(0.5), g(0.4), g(0.9), g(0.05)],
+    ];
+    let mut session = EngineSession::<_, MinAgg>::min(sources_of(&db)).unwrap();
+    let mut pivots = Vec::new();
+    for _ in 0..2 {
+        session.next_batch(1).unwrap();
+        pivots.push(session.pivot().unwrap().1);
+    }
+    assert_eq!(pivots, vec![0, 1]);
+    for splits in [&[1, 1][..], &[1, 1, 1, 1, 1, 1], &[2, 2], &[1, 4]] {
+        assert_paged_fa_min(&db, splits);
     }
 }
 

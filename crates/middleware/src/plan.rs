@@ -55,8 +55,6 @@ pub struct PlannerOptions {
     /// atoms (trades Garlic semantics for efficiency — "the user could
     /// request an internal conjunction for the sake of efficiency").
     pub prefer_internal: bool,
-    /// Use the per-list depth-shrinking refinement inside A₀.
-    pub shrink_depths: bool,
     /// Evaluate negated queries by pushing negations to the sources
     /// (negation-normal form + complement sources) and running A₀, instead
     /// of the naive scan. Same answers; the cost advantage depends on the
@@ -261,6 +259,41 @@ pub fn plan(
     Ok(chosen(Strategy::FaGeneric, m, fa_cost_estimate(n, m, k)))
 }
 
+/// Plans a *weighted* conjunction (Fagin–Wimmers, \[FW97\]): the weighting
+/// of min is monotone, so the plan is algorithm A₀ over the conjuncts as
+/// given, with `weights` selecting the aggregation.
+pub(crate) fn plan_weighted(
+    catalog: &Catalog,
+    weighted_atoms: &[(AtomicQuery, f64)],
+    k: usize,
+) -> Result<Plan, MiddlewareError> {
+    let (atoms, weights): (Vec<AtomicQuery>, Vec<f64>) = weighted_atoms.iter().cloned().unzip();
+    if atoms.is_empty() {
+        return Err(MiddlewareError::Unsupported {
+            reason: "weighted conjunction needs at least one conjunct".into(),
+        });
+    }
+    if weights.iter().any(|w| !w.is_finite() || *w < 0.0) || weights.iter().sum::<f64>() <= 0.0 {
+        return Err(MiddlewareError::Unsupported {
+            reason: "weights must be non-negative, finite, with a positive sum".into(),
+        });
+    }
+    for a in &atoms {
+        catalog.resolve(&a.attribute)?;
+    }
+    let (n, m) = (catalog.universe_size(), atoms.len());
+    Ok(Plan {
+        strategy: Strategy::FaGeneric,
+        estimated_cost: fa_cost_estimate(n, m, k),
+        atoms,
+        n,
+        m,
+        k,
+        matches: 0,
+        weights,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,7 +424,7 @@ mod tests {
 
     /// `Plan::description` is rendered on demand from the strategy and the
     /// plan's scalars; this pins the text of every strategy (the weighted
-    /// conjunction's is pinned where it is planned, in `exec.rs`).
+    /// conjunction's is pinned where it is executed, in `exec.rs`).
     #[test]
     fn description_text_is_pinned_per_strategy() {
         let f = Fixture::new();

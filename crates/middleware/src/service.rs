@@ -445,20 +445,52 @@ mod tests {
         let telemetry = Telemetry::new();
         let garlic = demo_garlic().with_telemetry(Arc::clone(&telemetry));
         let svc = GarlicService::with_threads(garlic, 2).with_deadline(Duration::ZERO);
-        // A disjunction runs through the B0 engine, which checks the
-        // deadline before its first batch round.
-        let q = GarlicQuery::or(
-            GarlicQuery::atom("AlbumColor", Target::text("red")),
-            GarlicQuery::atom("Shape", Target::text("round")),
-        );
-        assert!(matches!(
-            svc.top_k(&q, 3),
-            Err(MiddlewareError::DeadlineExceeded)
-        ));
-        assert_eq!(telemetry.snapshot().counter("service.deadline_exceeded"), 1);
-        // A generous deadline leaves the same query untouched.
+        let color = || GarlicQuery::atom("AlbumColor", Target::text("red"));
+        let shape = || GarlicQuery::atom("Shape", Target::text("round"));
+        // Every strategy checks the deadline before its first access: the
+        // B0 engine, A0', and the two whose whole cost is paid by the
+        // first page — the naive scan behind a negation and the filtered
+        // strategy behind a crisp conjunct.
+        let queries = [
+            GarlicQuery::or(color(), shape()),
+            GarlicQuery::and(color(), shape()),
+            GarlicQuery::and(color(), GarlicQuery::not(shape())),
+            GarlicQuery::and(
+                GarlicQuery::atom("Artist", Target::text("Beatles")),
+                color(),
+            ),
+        ];
         let relaxed = svc.clone().with_deadline(Duration::from_secs(3600));
-        assert_eq!(relaxed.top_k(&q, 3).unwrap().answers.len(), 3);
+        for (i, q) in queries.iter().enumerate() {
+            assert!(
+                matches!(svc.top_k(q, 3), Err(MiddlewareError::DeadlineExceeded)),
+                "{q}"
+            );
+            assert_eq!(
+                telemetry.snapshot().counter("service.deadline_exceeded"),
+                i as u64 + 1,
+                "{q}"
+            );
+            // A generous deadline leaves the same query untouched.
+            let want = relaxed.top_k(q, 3).unwrap();
+            assert_eq!(want.answers.len(), 3, "{q}");
+
+            // The failed page left its session resumable: clear the
+            // deadline and it answers, with nothing billed twice.
+            let mut session = svc.garlic().open_session(q, 3).unwrap();
+            session.set_deadline(Some(std::time::Instant::now()));
+            assert!(
+                matches!(
+                    session.next_batch(3),
+                    Err(MiddlewareError::DeadlineExceeded)
+                ),
+                "{q}"
+            );
+            session.set_deadline(None);
+            let page = session.next_batch(3).unwrap();
+            assert_eq!(page.entries(), want.answers.entries(), "{q}");
+            assert_eq!(session.stats(), want.stats, "{q}");
+        }
     }
 
     #[test]

@@ -478,7 +478,7 @@ fn fault(index: usize, what: &str) -> String {
 
 /// A checksum-verified v2 block together with what decoding it needs.
 /// Every read of a v2 block — the full decode `open` verifies with, a
-/// sorted range, a table probe — is one resumable walk ([`BlockV2::run`]):
+/// sorted range, a table probe — is one resumable walk (the private `run`):
 /// start state in, entries out.
 #[derive(Debug, Clone, Copy)]
 pub struct BlockV2<'a> {

@@ -8,7 +8,7 @@
 //! [`SegmentSource`] that serves the Section 4 sorted/random access
 //! contract straight off disk through a shared LRU [`BlockCache`].
 //!
-//! * [`format`] — the version-1 file layout: checksummed fixed-size
+//! * [`mod@format`] — the version-1 file layout: checksummed fixed-size
 //!   blocks holding the grade-descending sorted run, a mirrored
 //!   object-ordered table region for random access, and a self-checksummed
 //!   footer with the block index;

@@ -422,7 +422,7 @@ impl SegmentSource {
     }
 
     /// This source's process-unique cache namespace: the `segment` half of
-    /// every [`BlockKey`](crate::cache::BlockKey) it inserts. Pass it to
+    /// every cache key (`BlockKey`) it inserts. Pass it to
     /// [`BlockCache::retire`](crate::BlockCache::retire) once the segment
     /// is replaced (compaction does) so its dead blocks stop occupying
     /// residency.

@@ -69,8 +69,8 @@ impl Telemetry {
         resolve(&self.histograms, name)
     }
 
-    /// Registers a pull collector appended to every [`snapshot`]
-    /// (`Telemetry::snapshot`). Use for components that already keep their
+    /// Registers a pull collector appended to every
+    /// [`snapshot`](Telemetry::snapshot). Use for components that already keep their
     /// own atomic stats and should not pay for double-counting.
     pub fn register_collector<F>(&self, f: F)
     where

@@ -132,11 +132,6 @@ fn chaos_garlic(
 }
 
 /// The invariant: one of {bit-identical, typed error, flagged degraded}.
-///
-/// `reference` must come from the same execution path (one-shot vs
-/// deadline-carrying session) as the outcome: the paths rank identically
-/// but may order grade-0 ties differently, so bit-identity is pinned
-/// per path.
 fn assert_outcome(
     query: &GarlicQuery,
     outcome: &Result<QueryResult, MiddlewareError>,
@@ -230,26 +225,14 @@ proptest! {
         }
 
         let pool = query_pool();
-        // With a deadline configured the service serves through the
-        // resumable session path; its ranking is pinned against a
-        // same-path fault-free reference (grade-0 ties may order
-        // differently than the one-shot path, legitimately).
-        let far_future = std::time::Instant::now() + Duration::from_secs(3600);
+        // One fault-free reference per query: with or without a deadline
+        // the service executes the same session.
         let mut references = Vec::with_capacity(pool.len());
         for query in &pool {
-            let want_oneshot = reference.top_k(query, k).unwrap();
-            let want_session;
-            let want = if tight_deadline {
-                want_session = reference
-                    .top_k_with_deadline(query, k, Some(far_future))
-                    .unwrap();
-                &want_session
-            } else {
-                &want_oneshot
-            };
+            let want = reference.top_k(query, k).unwrap();
             let got = service.top_k(query, k);
-            assert_outcome(query, &got, want);
-            references.push(want_oneshot);
+            assert_outcome(query, &got, &want);
+            references.push(want);
         }
 
         // Heal the disk. Quarantines are sticky for the life of the open

@@ -3,13 +3,14 @@
 //! **bit-equal** to the Section-5 totals the [`CountingSource`] wrappers
 //! bill — for every planner strategy the catalogue can reach, on the
 //! memory, disk, and sharded-disk backends. The trace is rendered from the
-//! same counters the executor bills against, so there is no second
-//! bookkeeping path to drift; these tests pin that invariant.
+//! same counters the executor bills against, and EXPLAIN executes through
+//! the same session `top_k` does, so there is no second bookkeeping path
+//! and no second execution path to drift; these tests pin both.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use garlic::middleware::{Catalog, Explain, Garlic, GarlicQuery, Strategy};
+use garlic::middleware::{Catalog, Explain, Garlic, GarlicQuery, PlannerOptions, Strategy};
 use garlic::subsys::{DiskSubsystem, Target, VectorSubsystem};
 use garlic::{AccessStats, BlockCache, Grade, SegmentWriter};
 use proptest::prelude::*;
@@ -31,19 +32,39 @@ fn grade_lists(n: usize, seed: u64) -> Vec<(&'static str, Vec<Grade>)> {
     vec![("A", a), ("B", b), ("C", c), ("K", crisp)]
 }
 
-/// One query per strategy named in the acceptance criterion.
-fn strategy_queries() -> Vec<(GarlicQuery, Strategy)> {
+/// One query per strategy these backends can reach (Section 8 pushdown
+/// needs a subsystem with an internal conjunction; `exec.rs` covers it),
+/// with the planner options that select it.
+fn strategy_queries() -> Vec<(GarlicQuery, Strategy, PlannerOptions)> {
     let atom = |a: &str| GarlicQuery::atom(a, Target::text("t"));
+    let negated = || GarlicQuery::and(atom("A"), GarlicQuery::not(atom("B")));
+    let default = PlannerOptions::default();
+    let pushdown = PlannerOptions {
+        negation_pushdown: true,
+        ..default
+    };
     vec![
-        (GarlicQuery::and(atom("A"), atom("B")), Strategy::FaMin),
-        (GarlicQuery::or(atom("A"), atom("C")), Strategy::B0Max),
         (
-            GarlicQuery::and(atom("A"), GarlicQuery::not(atom("B"))),
-            Strategy::NaiveCalculus,
+            GarlicQuery::and(atom("A"), atom("B")),
+            Strategy::FaMin,
+            default,
         ),
+        (
+            GarlicQuery::or(atom("A"), atom("C")),
+            Strategy::B0Max,
+            default,
+        ),
+        (negated(), Strategy::NaiveCalculus, default),
+        (negated(), Strategy::FaNnf, pushdown),
         (
             GarlicQuery::and(atom("K"), atom("A")),
             Strategy::Filtered { crisp_index: 0 },
+            default,
+        ),
+        (
+            GarlicQuery::and(atom("A"), GarlicQuery::or(atom("B"), atom("C"))),
+            Strategy::FaGeneric,
+            default,
         ),
     ]
 }
@@ -100,7 +121,8 @@ fn summed(ex: &Explain) -> AccessStats {
 /// fields carry those exact numbers, and the explained execution returns
 /// the same answers and bill a plain `top_k` does.
 fn assert_explain_bills_exactly(garlic: &Garlic, backend: &str) {
-    for (query, expected_strategy) in strategy_queries() {
+    for (query, expected_strategy, options) in strategy_queries() {
+        let garlic = &Garlic::with_options(garlic.catalog().clone(), options);
         for k in [1, 5, 23] {
             let ex = garlic.explain(&query, k).unwrap();
             assert_eq!(
@@ -132,18 +154,17 @@ fn assert_explain_bills_exactly(garlic: &Garlic, backend: &str) {
                     "{backend}: random count rendered for {label} in {query}"
                 );
             }
-            // EXPLAIN executes through the same streaming session a paging
-            // client uses; the one-shot `top_k` algorithms may schedule
-            // random probes (and break zero-grade ties) differently, but
-            // the grade sequence must agree and the *bill* must equal a
-            // real single-page session's bill exactly.
+            // One execution path: what EXPLAIN traces is what `top_k`
+            // runs — entries, tie order and bill.
             let plain = garlic.top_k(&query, k).unwrap();
-            let grades =
-                |t: &garlic::TopK| -> Vec<Grade> { t.entries().iter().map(|e| e.grade).collect() };
             assert_eq!(
-                grades(&ex.answers),
-                grades(&plain.answers),
-                "{backend}: explaining {query} at k={k} must not change the scores"
+                ex.answers.entries(),
+                plain.answers.entries(),
+                "{backend}: explaining {query} at k={k} must not change the answer"
+            );
+            assert_eq!(
+                ex.stats, plain.stats,
+                "{backend}: explain bills exactly what top_k bills for {query} at k={k}"
             );
             let (pages, paged_stats) = garlic.top_k_paged(&query, &[k]).unwrap();
             assert_eq!(
@@ -194,11 +215,12 @@ fn explained_backends_agree_with_memory() {
     let disk = disk_garlic(&lists, n, None, "agree-flat");
     let sharded = disk_garlic(&lists, n, Some(3), "agree-shard");
 
-    for (query, _) in strategy_queries() {
+    for (query, _, options) in strategy_queries() {
+        let with_options = |g: &Garlic| Garlic::with_options(g.catalog().clone(), options);
         for k in [1, 7, 50] {
-            let want = mem.explain(&query, k).unwrap();
+            let want = with_options(&mem).explain(&query, k).unwrap();
             for (name, backend) in [("disk", &disk), ("sharded-disk", &sharded)] {
-                let got = backend.explain(&query, k).unwrap();
+                let got = with_options(backend).explain(&query, k).unwrap();
                 assert_eq!(
                     got.answers.entries(),
                     want.answers.entries(),
@@ -226,12 +248,10 @@ fn telemetry_attachment_changes_neither_answers_nor_bill() {
     let n = 300;
     let plain = memory_garlic(&grade_lists(n, 77), n);
     let telemetry = garlic::Telemetry::new();
-    let attached = plain.clone().with_telemetry(Arc::clone(&telemetry));
-    let atom = |a: &str| GarlicQuery::atom(a, Target::text("t"));
-    let compound = GarlicQuery::and(atom("A"), GarlicQuery::or(atom("B"), atom("C")));
-    let mut queries = strategy_queries();
-    queries.push((compound, Strategy::FaGeneric));
-    for (query, strategy) in &queries {
+    let queries = strategy_queries();
+    for (query, strategy, options) in &queries {
+        let plain = Garlic::with_options(plain.catalog().clone(), *options);
+        let attached = plain.clone().with_telemetry(Arc::clone(&telemetry));
         for k in [1, 10] {
             let want = plain.top_k(query, k).unwrap();
             let got = attached.top_k(query, k).unwrap();
