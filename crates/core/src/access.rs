@@ -14,27 +14,55 @@
 //! capability crisp relational subsystems have — enumerating the exact-match
 //! set — which enables the "Beatles" filtered strategy of Section 4.
 //!
+//! # Required core, provided adaptors
+//!
+//! A source implements **three** methods — [`GradedSource::len`],
+//! [`GradedSource::try_sorted_batch`] (sorted access, batched) and
+//! [`GradedSource::try_random_batch`] (random access, batched), both
+//! fallible — and a crisp source one more,
+//! [`SetAccess::try_matching_set`]. Query engines call nothing else, plus
+//! [`GradedSource::try_sorted_batch_bounded`] and
+//! [`GradedSource::degraded`], which have correct defaults a source
+//! overrides only when it can do better (skip metadata) or has something
+//! to report (a dropped shard).
+//!
+//! Every other method — the positional
+//! [`sorted_access`](GradedSource::sorted_access) /
+//! [`random_access`](GradedSource::random_access) of the paper, the
+//! infallible `sorted_batch` / `random_batch` / `sorted_batch_bounded` /
+//! [`matching_set`](SetAccess::matching_set), and
+//! [`open_sorted`](GradedSource::open_sorted) — is a **provided adaptor**
+//! over that core: the same stream and the same answers, with a typed
+//! [`SourceError`] turned into a panic (one message, defined once in this
+//! module; never a `None` or a short read). They exist for tests, examples
+//! and experiment code over sources that cannot fail. Because the adaptors
+//! sit *on top of* the fallible core, a wrapper that forgets to forward a
+//! fallible method does not compile, rather than silently turning a typed
+//! error into a panic.
+//!
 //! # The cursor contract
 //!
-//! Positional access ([`GradedSource::sorted_access`]) re-resolves a rank on
-//! every call; production streaming instead goes through **cursors**:
+//! Production streaming goes through **cursors**:
 //! [`GradedSource::open_sorted`] yields a [`SortedCursor`] whose
-//! [`next_batch`](SortedCursor::next_batch) appends the next `n` entries of
-//! the descending-grade stream in one call. Implementations provide the
-//! batched primitive [`GradedSource::sorted_batch`]; sources backed by a
-//! materialised ranking (e.g. [`MemorySource`]) satisfy it with a sequential
-//! slice walk rather than a per-rank lookup. The contract every
-//! implementation must honour:
+//! [`try_next_batch`](SortedCursor::try_next_batch) appends the next `n`
+//! entries of the descending-grade stream in one
+//! [`try_sorted_batch`](GradedSource::try_sorted_batch) call; sources backed
+//! by a materialised ranking (e.g. [`MemorySource`]) satisfy it with a
+//! sequential slice walk rather than a per-rank lookup. What every
+//! implementation of the core must honour:
 //!
-//! * **Same stream.** The cursor yields exactly the sequence
-//!   `sorted_access(0), sorted_access(1), ...` — descending grades, each
-//!   object exactly once, ties broken by the source's fixed *skeleton* (for
-//!   the in-memory sources: descending grade, then ascending object id). The
-//!   batch size is an access-plan choice and must never change the stream.
-//! * **Batching.** `next_batch(&mut out, n)` appends up to `n` entries to
-//!   `out` and returns how many were appended; a short (or zero) count means
-//!   the list is exhausted. Entries are *appended* — the caller owns the
-//!   buffer and may reuse it across calls to amortise allocation.
+//! * **Same stream.** Any way of cutting the stream into batches yields
+//!   the same sequence — descending grades, each object exactly once, ties
+//!   broken by the source's fixed *skeleton* (for the in-memory sources:
+//!   descending grade, then ascending object id). The batch size is an
+//!   access-plan choice and must never change the stream;
+//!   `sorted_access(rank)` is the batch `(rank, 1)`.
+//! * **Batching.** A batch appends up to `count` entries to `out` and
+//!   returns how many were appended; a short (or zero) count means the
+//!   list is exhausted. Entries are *appended* — the caller owns the buffer
+//!   and may reuse it across calls to amortise allocation.
+//! * **Failure.** On `Err`, `out` is back at its pre-call length: a failed
+//!   read is retryable and hands over nothing, so nothing is billed.
 //! * **Resumption.** A cursor is a plain rank position
 //!   ([`SortedCursor::position`]); [`SortedCursor::at`] reopens a stream at
 //!   any rank, which is what makes paging sessions ("continue where we left
@@ -45,29 +73,35 @@
 //!   Section 5 sorted-access cost `S` — while updating its counter once per
 //!   batch.
 //!
-//! Random access has the analogous batched primitive:
-//! [`GradedSource::random_batch`] answers many probes in one call (default:
-//! the per-object loop), positionally aligned with its input, with each
-//! *hit* billed as one Section 5 random access — so block-backed sources
-//! can group probes by block without changing a single measured count.
+//! Random access is batched the same way:
+//! [`GradedSource::try_random_batch`] answers many probes in one call,
+//! positionally aligned with its input, with each *hit* billed as one
+//! Section 5 random access — so block-backed sources can group probes by
+//! block without changing a single measured count. `random_access(object)`
+//! is the batch `[object]`.
 //!
 //! # Threshold hints
 //!
 //! Once an engine knows its current *k-th score frontier* — the grade of
 //! the worst entry that could still matter — deeper stream entries below
-//! that grade can never change the answer. [`GradedSource::sorted_batch_bounded`]
-//! carries that knowledge to the source as an **advisory bound**: the
-//! source may stop early once it can *prove* every remaining entry grades
-//! strictly below the bound (disk-backed sources prove it from per-block
-//! grade fences without even loading the blocks). The hint never changes
-//! *which* entries are emitted — the output is always an exact prefix of
-//! the unbounded stream, same entries, same tie order — and
-//! [`CountingSource`] bills exactly the entries obtained, so Section 5
-//! accounting is identical for the entries actually consumed. A *dirty*
-//! hint (a bound higher than the true frontier) is therefore harmless:
-//! the caller sees [`BoundedBatch::truncated`], knows the suppressed
-//! suffix grades below the bound, and can resume unbounded from
-//! `start + appended` to recover the identical full stream.
+//! that grade can never change the answer.
+//! [`GradedSource::try_sorted_batch_bounded`] carries that knowledge to the
+//! source as an **advisory bound**: the source may stop early once it can
+//! *prove* every remaining entry grades strictly below the bound
+//! (disk-backed sources prove it from per-block grade fences without even
+//! loading the blocks). The provided default reads
+//! [`try_sorted_batch`](GradedSource::try_sorted_batch) in chunks and stops
+//! after the first chunk that ends below the bound; sources with skip
+//! metadata, and wrappers that must pass the hint through, override it.
+//! The hint never changes *which* entries are emitted — the output is
+//! always an exact prefix of the unbounded stream, same entries, same tie
+//! order — and [`CountingSource`] bills exactly the entries obtained, so
+//! Section 5 accounting is identical for the entries actually consumed. A
+//! *dirty* hint (a bound higher than the true frontier) is therefore
+//! harmless: the caller sees [`BoundedBatch::truncated`], knows the
+//! suppressed suffix grades below the bound, and can resume unbounded from
+//! `start + appended` to recover the identical full stream. No grade is
+//! strictly below [`Grade::ZERO`], so a zero bound is "no bound".
 //!
 //! # Threading
 //!
@@ -88,13 +122,12 @@ use crate::cost::AccessStats;
 use crate::graded_set::{GradedEntry, GradedSet};
 use crate::object::ObjectId;
 
-/// A typed runtime failure from a fallible source read.
+/// A typed runtime failure from a source read.
 ///
 /// In-memory sources never fail; disk-backed sources surface I/O errors
-/// (after their own retry policy is exhausted) through the `try_*` read
-/// variants as a `SourceError` instead of panicking. `quarantined`
-/// distinguishes a source that has poisoned itself — every subsequent read
-/// fails fast with the same error — from a one-off failure.
+/// (after their own retry policy is exhausted) as a `SourceError`.
+/// `quarantined` distinguishes a source that has poisoned itself — every
+/// subsequent read fails fast with the same error — from a one-off failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SourceError {
     /// Which source failed (a path or label, best-effort).
@@ -119,80 +152,99 @@ impl std::fmt::Display for SourceError {
 
 impl std::error::Error for SourceError {}
 
+/// Where every infallible adaptor ends when the fallible core fails: the
+/// caller chose a signature with no error channel.
+fn infallible(e: SourceError) -> ! {
+    panic!("read failed on an infallible adaptor (the try_* methods return this as a typed error): {e}")
+}
+
 /// A subsystem's view of one atomic query: a graded set reachable through
 /// sorted access and random access.
 ///
-/// Sorted access is *positional* (`rank` is 0-based); this models "ask for
-/// the top 10, then the next 10" as well as one-by-one streaming, and makes
-/// instrumentation and resumption trivial. Every object in the database is
-/// graded (possibly with grade 0), so `len()` is the database size `N`.
+/// **Required** (3): [`len`](GradedSource::len),
+/// [`try_sorted_batch`](GradedSource::try_sorted_batch),
+/// [`try_random_batch`](GradedSource::try_random_batch). Everything else is
+/// **provided** on top of those (see the module docs): override
+/// [`try_sorted_batch_bounded`](GradedSource::try_sorted_batch_bounded) to
+/// use skip metadata or pass a hint through a wrapper, and
+/// [`degraded`](GradedSource::degraded) on wrappers; leave the infallible
+/// and positional adaptors alone. A source written against the positional
+/// pair alone no longer compiles:
+///
+/// ```compile_fail,E0046
+/// use garlic_agg::Grade;
+/// use garlic_core::access::GradedSource;
+/// use garlic_core::{GradedEntry, ObjectId};
+///
+/// struct Positional;
+/// impl GradedSource for Positional {
+///     fn len(&self) -> usize {
+///         0
+///     }
+///     fn sorted_access(&self, _rank: usize) -> Option<GradedEntry> {
+///         None
+///     }
+///     fn random_access(&self, _object: ObjectId) -> Option<Grade> {
+///         None
+///     }
+/// }
+/// ```
+///
+/// Sorted access is *positional* (`start` is a 0-based rank); this models
+/// "ask for the top 10, then the next 10" as well as one-by-one streaming,
+/// and makes instrumentation and resumption trivial. Every object in the
+/// database is graded (possibly with grade 0), so `len()` is the database
+/// size `N`.
 ///
 /// Sources are `Send + Sync`: a graded answer is an owned handle that many
-/// concurrent queries (and the engine's parallel sorted phase) may read
-/// simultaneously through `&self`.
+/// concurrent queries may read simultaneously through `&self`.
 pub trait GradedSource: Send + Sync {
-    /// The number of graded objects (the database size `N`).
+    /// **Required.** The number of graded objects (the database size `N`).
     fn len(&self) -> usize;
 
-    /// Whether the source grades no objects.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Sorted access: the `rank`-th entry (0-based) in descending-grade
-    /// order, or `None` past the end. Tie order is fixed by the source (the
-    /// paper's *skeleton*).
-    fn sorted_access(&self, rank: usize) -> Option<GradedEntry>;
-
-    /// Random access: the grade of `object`, or `None` for an unknown object.
-    fn random_access(&self, object: ObjectId) -> Option<Grade>;
-
-    /// Batched random access: appends one `Option<Grade>` per probe to
-    /// `out`, positionally aligned with `objects` (so `out` grows by
-    /// exactly `objects.len()`). Semantically identical to looping
-    /// [`random_access`](GradedSource::random_access) — same grades, same
-    /// misses, and [`CountingSource`] bills one random access per *hit*
-    /// either way — but an implementation may reorder its internal I/O:
-    /// [`SegmentSource`] groups probes by table block so each cached block
-    /// is fetched and decoded once per batch, not once per probe.
+    /// **Required.** Batched sorted access: appends up to `count` entries
+    /// of the descending-grade stream, starting at rank `start`, to `out`
+    /// and returns how many were appended. A short count means the list is
+    /// exhausted. Tie order is fixed by the source (the paper's
+    /// *skeleton*); see the module docs for the full cursor contract.
     ///
-    /// Probes may repeat and may miss; both are answered (and billed)
-    /// per-probe, exactly like the loop.
+    /// A read failure is a typed [`SourceError`] and leaves `out` at its
+    /// pre-call length. Sources that cannot fail always return `Ok`.
+    fn try_sorted_batch(
+        &self,
+        start: usize,
+        count: usize,
+        out: &mut Vec<GradedEntry>,
+    ) -> Result<usize, SourceError>;
+
+    /// **Required.** Batched random access: appends one `Option<Grade>`
+    /// per probe to `out`, positionally aligned with `objects` (so `out`
+    /// grows by exactly `objects.len()`); `None` answers an unknown
+    /// object. Probes may repeat and may miss; each is answered — and each
+    /// hit billed by [`CountingSource`] — on its own, but an implementation
+    /// may reorder its internal I/O: [`SegmentSource`] groups probes by
+    /// table block so each cached block is fetched and decoded once per
+    /// batch, not once per probe.
+    ///
+    /// A read failure is a typed [`SourceError`] and leaves `out` at its
+    /// pre-call length.
     ///
     /// [`SegmentSource`]: https://docs.rs/garlic-storage
-    fn random_batch(&self, objects: &[ObjectId], out: &mut Vec<Option<Grade>>) {
-        out.extend(objects.iter().map(|&object| self.random_access(object)));
-    }
-
-    /// Batched sorted access: appends up to `count` entries starting at
-    /// `start` (in the same descending-grade order as
-    /// [`sorted_access`](GradedSource::sorted_access)) to `out`, returning
-    /// how many were appended. A short count means the list is exhausted.
-    ///
-    /// The default loops [`sorted_access`](GradedSource::sorted_access);
-    /// sources holding a materialised ranking should override it with a
-    /// sequential walk (see the module docs for the full cursor contract).
-    fn sorted_batch(&self, start: usize, count: usize, out: &mut Vec<GradedEntry>) -> usize {
-        let mut appended = 0;
-        for rank in start..start.saturating_add(count) {
-            let Some(entry) = self.sorted_access(rank) else {
-                break;
-            };
-            out.push(entry);
-            appended += 1;
-        }
-        appended
-    }
+    fn try_random_batch(
+        &self,
+        objects: &[ObjectId],
+        out: &mut Vec<Option<Grade>>,
+    ) -> Result<(), SourceError>;
 
     /// Batched sorted access with an advisory stop-threshold (see the
     /// module docs): appends up to `count` entries starting at `start`,
-    /// exactly like [`sorted_batch`](GradedSource::sorted_batch), but the
-    /// source may stop early once it can prove that every remaining entry
-    /// in the stream grades **strictly below** `bound`. The entries
-    /// appended are always an exact prefix of the unbounded stream (same
-    /// entries, same tie order); entries below the bound *may* still be
-    /// emitted (implementations stop at their natural granularity, e.g. a
-    /// block boundary) — the bound is a permission to stop, never a
+    /// exactly like [`try_sorted_batch`](GradedSource::try_sorted_batch),
+    /// but the source may stop early once it can prove that every
+    /// remaining entry in the stream grades **strictly below** `bound`.
+    /// The entries appended are always an exact prefix of the unbounded
+    /// stream (same entries, same tie order); entries below the bound *may*
+    /// still be emitted (implementations stop at their natural granularity,
+    /// e.g. a block boundary) — the bound is a permission to stop, never a
     /// filter.
     ///
     /// Returns the number appended plus whether the source stopped because
@@ -200,11 +252,96 @@ pub trait GradedSource: Send + Sync {
     /// provably grades below `bound`) rather than because the request was
     /// satisfied or the stream ended.
     ///
-    /// The default walks [`sorted_batch`](GradedSource::sorted_batch) in
-    /// chunks and stops after the first chunk whose final (least) entry
+    /// The default walks [`try_sorted_batch`](GradedSource::try_sorted_batch)
+    /// in chunks and stops after the first chunk whose final (least) entry
     /// falls below the bound — correct for any source, since the stream
-    /// descends. Sources with skip metadata (block grade fences) should
-    /// override it to avoid even loading provably useless regions.
+    /// descends. Sources with skip metadata (block grade fences) override
+    /// it to avoid even loading provably useless regions.
+    fn try_sorted_batch_bounded(
+        &self,
+        start: usize,
+        count: usize,
+        bound: Grade,
+        out: &mut Vec<GradedEntry>,
+    ) -> Result<BoundedBatch, SourceError> {
+        const CHUNK: usize = 256;
+        let base = out.len();
+        let mut appended = 0;
+        let mut below = false;
+        while appended < count && !below {
+            let take = (count - appended).min(CHUNK);
+            let got = self
+                .try_sorted_batch(start + appended, take, out)
+                .inspect_err(|_| out.truncate(base))?;
+            appended += got;
+            if got < take {
+                break;
+            }
+            // The stream descends, so once its tail entry dips below the
+            // bound every deeper entry is provably below it too.
+            below = out.last().is_some_and(|e| e.grade < bound);
+        }
+        Ok(BoundedBatch {
+            appended,
+            truncated: below,
+        })
+    }
+
+    /// Whether this source has dropped part of its data and is serving a
+    /// *degraded* stream (e.g. a sharded source that lost a quarantined
+    /// shard and now grades that shard's objects as zero). Results computed
+    /// over a degraded source are correct for the surviving data but must
+    /// be flagged to the caller. Wrappers forward it; a source of its own
+    /// data is never degraded.
+    fn degraded(&self) -> bool {
+        false
+    }
+
+    /// Whether the source grades no objects.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Adaptor: the paper's positional sorted access — the `rank`-th entry
+    /// (0-based) of the stream, or `None` past the end. One
+    /// [`try_sorted_batch`](GradedSource::try_sorted_batch) of one entry.
+    ///
+    /// # Panics
+    /// Panics if the read fails, like every infallible adaptor below.
+    fn sorted_access(&self, rank: usize) -> Option<GradedEntry> {
+        let mut one = Vec::with_capacity(1);
+        self.try_sorted_batch(rank, 1, &mut one)
+            .unwrap_or_else(|e| infallible(e));
+        one.pop()
+    }
+
+    /// Adaptor: the paper's per-object random access — the grade of
+    /// `object`, or `None` for an unknown object. One
+    /// [`try_random_batch`](GradedSource::try_random_batch) of one probe.
+    fn random_access(&self, object: ObjectId) -> Option<Grade> {
+        let mut one = Vec::with_capacity(1);
+        self.try_random_batch(&[object], &mut one)
+            .unwrap_or_else(|e| infallible(e));
+        one.pop().flatten()
+    }
+
+    /// Adaptor: [`try_sorted_batch`](GradedSource::try_sorted_batch) for
+    /// callers without an error channel.
+    fn sorted_batch(&self, start: usize, count: usize, out: &mut Vec<GradedEntry>) -> usize {
+        self.try_sorted_batch(start, count, out)
+            .unwrap_or_else(|e| infallible(e))
+    }
+
+    /// Adaptor: [`try_random_batch`](GradedSource::try_random_batch) for
+    /// callers without an error channel.
+    fn random_batch(&self, objects: &[ObjectId], out: &mut Vec<Option<Grade>>) {
+        self.try_random_batch(objects, out)
+            .unwrap_or_else(|e| infallible(e))
+    }
+
+    /// Adaptor:
+    /// [`try_sorted_batch_bounded`](GradedSource::try_sorted_batch_bounded)
+    /// for callers without an error channel.
     fn sorted_batch_bounded(
         &self,
         start: usize,
@@ -212,31 +349,8 @@ pub trait GradedSource: Send + Sync {
         bound: Grade,
         out: &mut Vec<GradedEntry>,
     ) -> BoundedBatch {
-        const CHUNK: usize = 256;
-        let mut appended = 0;
-        while appended < count {
-            let take = (count - appended).min(CHUNK);
-            let got = self.sorted_batch(start + appended, take, out);
-            appended += got;
-            if got < take {
-                return BoundedBatch {
-                    appended,
-                    truncated: false,
-                };
-            }
-            // The stream descends, so once its tail entry dips below the
-            // bound every deeper entry is provably below it too.
-            if out.last().is_some_and(|e| e.grade < bound) {
-                return BoundedBatch {
-                    appended,
-                    truncated: true,
-                };
-            }
-        }
-        BoundedBatch {
-            appended,
-            truncated: out.last().is_some_and(|e| e.grade < bound) && appended > 0,
-        }
+        self.try_sorted_batch_bounded(start, count, bound, out)
+            .unwrap_or_else(|e| infallible(e))
     }
 
     /// Opens a [`SortedCursor`] over this source's descending-grade stream,
@@ -247,59 +361,11 @@ pub trait GradedSource: Send + Sync {
     {
         SortedCursor::new(self)
     }
-
-    /// Fallible [`sorted_batch`](GradedSource::sorted_batch): identical
-    /// stream, identical billing, but a disk-backed source reports a read
-    /// failure as a typed [`SourceError`] instead of panicking. In-memory
-    /// sources keep the infallible default (which simply delegates).
-    ///
-    /// Query engines use the `try_*` variants exclusively; the infallible
-    /// methods remain the required primitive for sources that cannot fail.
-    fn try_sorted_batch(
-        &self,
-        start: usize,
-        count: usize,
-        out: &mut Vec<GradedEntry>,
-    ) -> Result<usize, SourceError> {
-        Ok(self.sorted_batch(start, count, out))
-    }
-
-    /// Fallible [`random_batch`](GradedSource::random_batch): same
-    /// alignment and billing, with I/O failures surfaced as a typed error.
-    fn try_random_batch(
-        &self,
-        objects: &[ObjectId],
-        out: &mut Vec<Option<Grade>>,
-    ) -> Result<(), SourceError> {
-        self.random_batch(objects, out);
-        Ok(())
-    }
-
-    /// Fallible [`sorted_batch_bounded`](GradedSource::sorted_batch_bounded)
-    /// with the same advisory-bound semantics.
-    fn try_sorted_batch_bounded(
-        &self,
-        start: usize,
-        count: usize,
-        bound: Grade,
-        out: &mut Vec<GradedEntry>,
-    ) -> Result<BoundedBatch, SourceError> {
-        Ok(self.sorted_batch_bounded(start, count, bound, out))
-    }
-
-    /// Whether this source has dropped part of its data and is serving a
-    /// *degraded* stream (e.g. a sharded source that lost a quarantined
-    /// shard and now grades that shard's objects as zero). Results computed
-    /// over a degraded source are correct for the surviving data but must
-    /// be flagged to the caller. In-memory sources are never degraded.
-    fn degraded(&self) -> bool {
-        false
-    }
 }
 
-/// What [`GradedSource::sorted_batch_bounded`] did: how many entries were
-/// appended and whether the source stopped early because the rest of the
-/// stream provably grades below the bound.
+/// What [`GradedSource::try_sorted_batch_bounded`] did: how many entries
+/// were appended and whether the source stopped early because the rest of
+/// the stream provably grades below the bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BoundedBatch {
     /// Entries appended to the output — an exact prefix of the unbounded
@@ -312,14 +378,14 @@ pub struct BoundedBatch {
 }
 
 /// A streaming cursor over one source's sorted order: the stateful face of
-/// [`GradedSource::sorted_batch`]. See the module docs for the contract
+/// [`GradedSource::try_sorted_batch`]. See the module docs for the contract
 /// (batching, resumption, tie order = the source's skeleton).
 ///
 /// A cursor may carry an advisory **stop-threshold bound** (typically the
 /// engine's current k-th score frontier, via
 /// [`with_bound`](SortedCursor::with_bound)): batches then go through
-/// [`GradedSource::sorted_batch_bounded`], letting the source stop — and a
-/// fence-aware source skip whole blocks — once the rest of the stream
+/// [`GradedSource::try_sorted_batch_bounded`], letting the source stop —
+/// and a fence-aware source skip whole blocks — once the rest of the stream
 /// provably grades below the bound. The emitted entries stay an exact
 /// prefix of the unbounded stream; after a short batch,
 /// [`stopped_by_bound`](SortedCursor::stopped_by_bound) distinguishes
@@ -328,8 +394,8 @@ pub struct BoundedBatch {
 /// (the dirty-hint recovery path).
 ///
 /// The cursor also implements [`Iterator`] for one-at-a-time consumption
-/// (which ignores any bound); prefer
-/// [`next_batch`](SortedCursor::next_batch) on hot paths.
+/// (which ignores any bound and panics on a read failure); prefer
+/// [`try_next_batch`](SortedCursor::try_next_batch) on hot paths.
 #[derive(Debug)]
 pub struct SortedCursor<'a, S: ?Sized> {
     source: &'a S,
@@ -341,12 +407,7 @@ pub struct SortedCursor<'a, S: ?Sized> {
 impl<'a, S: GradedSource + ?Sized> SortedCursor<'a, S> {
     /// Opens a cursor at rank 0.
     pub fn new(source: &'a S) -> Self {
-        SortedCursor {
-            source,
-            position: 0,
-            bound: None,
-            stopped_by_bound: false,
-        }
+        SortedCursor::at(source, 0)
     }
 
     /// Reopens a cursor at an arbitrary rank — resumption for paging
@@ -380,9 +441,9 @@ impl<'a, S: GradedSource + ?Sized> SortedCursor<'a, S> {
         self.bound
     }
 
-    /// Whether the most recent [`next_batch`](SortedCursor::next_batch)
-    /// ended early because of the bound (the remaining suffix provably
-    /// grades below it) rather than because the stream is exhausted.
+    /// Whether the most recent batch ended early because of the bound (the
+    /// remaining suffix provably grades below it) rather than because the
+    /// stream is exhausted.
     pub fn stopped_by_bound(&self) -> bool {
         self.stopped_by_bound
     }
@@ -393,6 +454,13 @@ impl<'a, S: GradedSource + ?Sized> SortedCursor<'a, S> {
         self.position
     }
 
+    /// Adaptor: [`try_next_batch`](SortedCursor::try_next_batch) for
+    /// callers without an error channel; panics if the read fails.
+    pub fn next_batch(&mut self, out: &mut Vec<GradedEntry>, n: usize) -> usize {
+        self.try_next_batch(out, n)
+            .unwrap_or_else(|e| infallible(e))
+    }
+
     /// Appends up to `n` next entries to `out`, returning how many were
     /// appended; `0` means the stream is exhausted — unless a bound is set
     /// and [`stopped_by_bound`](SortedCursor::stopped_by_bound) reports
@@ -400,26 +468,10 @@ impl<'a, S: GradedSource + ?Sized> SortedCursor<'a, S> {
     /// has stopped the stream, further calls return `0` without touching
     /// the source (the suffix is already proven useless) until
     /// [`set_bound`](SortedCursor::set_bound) changes or clears it.
-    pub fn next_batch(&mut self, out: &mut Vec<GradedEntry>, n: usize) -> usize {
-        let got = match self.bound {
-            None => self.source.sorted_batch(self.position, n, out),
-            Some(_) if self.stopped_by_bound => 0,
-            Some(bound) => {
-                let result = self
-                    .source
-                    .sorted_batch_bounded(self.position, n, bound, out);
-                self.stopped_by_bound = result.truncated;
-                result.appended
-            }
-        };
-        self.position += got;
-        got
-    }
-
-    /// Fallible [`next_batch`](SortedCursor::next_batch): same stream, same
-    /// bound semantics, but a disk-backed source's read failure surfaces as
-    /// a typed [`SourceError`]. The cursor position only advances by the
-    /// entries actually appended, so a failed call is retryable.
+    ///
+    /// A read failure surfaces as a typed [`SourceError`]; the cursor only
+    /// advances by the entries actually appended, so a failed call is
+    /// retryable.
     pub fn try_next_batch(
         &mut self,
         out: &mut Vec<GradedEntry>,
@@ -454,15 +506,17 @@ impl<S: GradedSource + ?Sized> Iterator for SortedCursor<'_, S> {
 /// Extra capability of crisp sources: enumerate every object whose grade is
 /// exactly 1 (the classical relation "result set"). Powers the filtered
 /// conjunction strategy of Section 4.
+///
+/// **Required** (1): [`try_matching_set`](SetAccess::try_matching_set).
 pub trait SetAccess: GradedSource {
-    /// All objects with grade 1, in unspecified order.
-    fn matching_set(&self) -> Vec<ObjectId>;
+    /// **Required.** All objects with grade 1, in unspecified order; a read
+    /// failure is a typed [`SourceError`].
+    fn try_matching_set(&self) -> Result<Vec<ObjectId>, SourceError>;
 
-    /// Fallible [`matching_set`](SetAccess::matching_set): disk-backed
-    /// crisp sources surface read failures as a typed [`SourceError`]
-    /// instead of panicking.
-    fn try_matching_set(&self) -> Result<Vec<ObjectId>, SourceError> {
-        Ok(self.matching_set())
+    /// Adaptor: [`try_matching_set`](SetAccess::try_matching_set) for
+    /// callers without an error channel; panics if the read fails.
+    fn matching_set(&self) -> Vec<ObjectId> {
+        self.try_matching_set().unwrap_or_else(|e| infallible(e))
     }
 }
 
@@ -506,32 +560,38 @@ impl GradedSource for MemorySource {
         self.set.len()
     }
 
-    fn sorted_access(&self, rank: usize) -> Option<GradedEntry> {
-        self.set.at_rank(rank)
-    }
-
-    fn random_access(&self, object: ObjectId) -> Option<Grade> {
-        self.index.get(&object).copied()
-    }
-
-    /// Native batched streaming: one bounds-checked slice copy per batch
-    /// instead of `count` per-rank lookups.
-    fn sorted_batch(&self, start: usize, count: usize, out: &mut Vec<GradedEntry>) -> usize {
+    /// One bounds-checked slice copy per batch.
+    fn try_sorted_batch(
+        &self,
+        start: usize,
+        count: usize,
+        out: &mut Vec<GradedEntry>,
+    ) -> Result<usize, SourceError> {
         let entries = self.set.as_slice();
         let start = start.min(entries.len());
         let end = start.saturating_add(count).min(entries.len());
         out.extend_from_slice(&entries[start..end]);
-        end - start
+        Ok(end - start)
+    }
+
+    fn try_random_batch(
+        &self,
+        objects: &[ObjectId],
+        out: &mut Vec<Option<Grade>>,
+    ) -> Result<(), SourceError> {
+        out.extend(objects.iter().map(|o| self.index.get(o).copied()));
+        Ok(())
     }
 }
 
 impl SetAccess for MemorySource {
-    fn matching_set(&self) -> Vec<ObjectId> {
-        self.set
+    fn try_matching_set(&self) -> Result<Vec<ObjectId>, SourceError> {
+        Ok(self
+            .set
             .iter()
             .take_while(|e| e.grade == Grade::ONE)
             .map(|e| e.object)
-            .collect()
+            .collect())
     }
 }
 
@@ -540,7 +600,7 @@ impl SetAccess for MemorySource {
 /// [`GradedSource`] by shared reference — including shared *across threads*:
 /// each access kind bills exactly one increment per entry obtained, so the
 /// totals are identical whether the source was read sequentially or from a
-/// parallel sorted phase.
+/// parallel sorted phase, in batches or through the positional adaptors.
 #[derive(Debug)]
 pub struct CountingSource<S> {
     inner: S,
@@ -583,68 +643,14 @@ impl<S: GradedSource> CountingSource<S> {
     }
 }
 
+/// Every path bills what `out` gained, with one counter update per call:
+/// entries for the sorted kind, hits for the random kind. A failed read
+/// hands over nothing (the core's contract), so it bills nothing.
 impl<S: GradedSource> GradedSource for CountingSource<S> {
     fn len(&self) -> usize {
         self.inner.len()
     }
 
-    fn sorted_access(&self, rank: usize) -> Option<GradedEntry> {
-        let entry = self.inner.sorted_access(rank);
-        if entry.is_some() {
-            // Only successful retrievals count as "objects obtained".
-            self.sorted.fetch_add(1, Ordering::Relaxed);
-        }
-        entry
-    }
-
-    fn random_access(&self, object: ObjectId) -> Option<Grade> {
-        let grade = self.inner.random_access(object);
-        if grade.is_some() {
-            self.random.fetch_add(1, Ordering::Relaxed);
-        }
-        grade
-    }
-
-    /// Batch-aware metering: delegates to the inner source's (possibly
-    /// native) batch path and bills every entry obtained with a single
-    /// counter update — the reported Section 5 sorted cost is identical to
-    /// per-rank access.
-    fn sorted_batch(&self, start: usize, count: usize, out: &mut Vec<GradedEntry>) -> usize {
-        let got = self.inner.sorted_batch(start, count, out);
-        self.sorted.fetch_add(got as u64, Ordering::Relaxed);
-        got
-    }
-
-    /// Batch-aware random metering: one counter update per batch, billing
-    /// exactly one random access per successful probe — identical Section 5
-    /// random cost to the per-object loop.
-    fn random_batch(&self, objects: &[ObjectId], out: &mut Vec<Option<Grade>>) {
-        let before = out.len();
-        self.inner.random_batch(objects, out);
-        debug_assert_eq!(out.len(), before + objects.len(), "one slot per probe");
-        let hits = out[before..].iter().filter(|g| g.is_some()).count();
-        self.random.fetch_add(hits as u64, Ordering::Relaxed);
-    }
-
-    /// Bounded batches bill exactly the entries obtained — a threshold
-    /// hint changes how *few* entries a caller reads, never the Section 5
-    /// price of the entries it does read.
-    fn sorted_batch_bounded(
-        &self,
-        start: usize,
-        count: usize,
-        bound: Grade,
-        out: &mut Vec<GradedEntry>,
-    ) -> BoundedBatch {
-        let result = self.inner.sorted_batch_bounded(start, count, bound, out);
-        self.sorted
-            .fetch_add(result.appended as u64, Ordering::Relaxed);
-        result
-    }
-
-    /// Fallible paths bill exactly the entries obtained — a failed batch
-    /// still charges for whatever was appended before the error, which is
-    /// exactly the work the subsystem performed.
     fn try_sorted_batch(
         &self,
         start: usize,
@@ -653,8 +659,8 @@ impl<S: GradedSource> GradedSource for CountingSource<S> {
     ) -> Result<usize, SourceError> {
         let before = out.len();
         let result = self.inner.try_sorted_batch(start, count, out);
-        let got = out.len() - before;
-        self.sorted.fetch_add(got as u64, Ordering::Relaxed);
+        self.sorted
+            .fetch_add((out.len() - before) as u64, Ordering::Relaxed);
         result
     }
 
@@ -670,6 +676,8 @@ impl<S: GradedSource> GradedSource for CountingSource<S> {
         result
     }
 
+    /// A threshold hint changes how *few* entries a caller reads, never the
+    /// Section 5 price of the entries it does read.
     fn try_sorted_batch_bounded(
         &self,
         start: usize,
@@ -681,8 +689,8 @@ impl<S: GradedSource> GradedSource for CountingSource<S> {
         let result = self
             .inner
             .try_sorted_batch_bounded(start, count, bound, out);
-        let got = out.len() - before;
-        self.sorted.fetch_add(got as u64, Ordering::Relaxed);
+        self.sorted
+            .fetch_add((out.len() - before) as u64, Ordering::Relaxed);
         result
     }
 
@@ -692,15 +700,9 @@ impl<S: GradedSource> GradedSource for CountingSource<S> {
 }
 
 impl<S: SetAccess> SetAccess for CountingSource<S> {
-    fn matching_set(&self) -> Vec<ObjectId> {
-        let set = self.inner.matching_set();
-        // Enumerating the match set retrieves |set| objects from the
-        // subsystem; bill it as sorted access (it is a prefix of the sorted
-        // order: exactly the grade-1 block).
-        self.sorted.fetch_add(set.len() as u64, Ordering::Relaxed);
-        set
-    }
-
+    /// Enumerating the match set retrieves |set| objects from the
+    /// subsystem; bill it as sorted access (it is a prefix of the sorted
+    /// order: exactly the grade-1 block).
     fn try_matching_set(&self) -> Result<Vec<ObjectId>, SourceError> {
         let set = self.inner.try_matching_set()?;
         self.sorted.fetch_add(set.len() as u64, Ordering::Relaxed);
@@ -718,106 +720,56 @@ pub fn total_stats<S: GradedSource>(sources: &[CountingSource<S>]) -> AccessStat
     sources.iter().map(|s| s.stats()).sum()
 }
 
-/// Forwards every trait method — including the fallible `try_*` variants
-/// and the degradation flag — so wrapper types reach the inner source's
-/// overrides instead of the infallible defaults.
-macro_rules! forward_graded_source {
-    () => {
-        fn len(&self) -> usize {
-            (**self).len()
+/// `&S`, `Box<S>` and `Arc<S>` are sources when `S` is: each forwards the
+/// required core plus the two overridable defaults, so the pointee's native
+/// bounded read and degradation flag are reached; the adaptors then sit on
+/// the forwarded core. `Arc<dyn GradedSource>` is the canonical *owned*
+/// answer handle a subsystem returns: cheap to clone, `'static`, and
+/// shareable across the threads of a concurrent service.
+macro_rules! forward_access {
+    ($($pointer:ty),*) => {$(
+        impl<S: GradedSource + ?Sized> GradedSource for $pointer {
+            fn len(&self) -> usize {
+                (**self).len()
+            }
+            fn try_sorted_batch(
+                &self,
+                start: usize,
+                count: usize,
+                out: &mut Vec<GradedEntry>,
+            ) -> Result<usize, SourceError> {
+                (**self).try_sorted_batch(start, count, out)
+            }
+            fn try_random_batch(
+                &self,
+                objects: &[ObjectId],
+                out: &mut Vec<Option<Grade>>,
+            ) -> Result<(), SourceError> {
+                (**self).try_random_batch(objects, out)
+            }
+            fn try_sorted_batch_bounded(
+                &self,
+                start: usize,
+                count: usize,
+                bound: Grade,
+                out: &mut Vec<GradedEntry>,
+            ) -> Result<BoundedBatch, SourceError> {
+                (**self).try_sorted_batch_bounded(start, count, bound, out)
+            }
+            fn degraded(&self) -> bool {
+                (**self).degraded()
+            }
         }
-        fn sorted_access(&self, rank: usize) -> Option<GradedEntry> {
-            (**self).sorted_access(rank)
+
+        impl<S: SetAccess + ?Sized> SetAccess for $pointer {
+            fn try_matching_set(&self) -> Result<Vec<ObjectId>, SourceError> {
+                (**self).try_matching_set()
+            }
         }
-        fn random_access(&self, object: ObjectId) -> Option<Grade> {
-            (**self).random_access(object)
-        }
-        fn sorted_batch(&self, start: usize, count: usize, out: &mut Vec<GradedEntry>) -> usize {
-            (**self).sorted_batch(start, count, out)
-        }
-        fn random_batch(&self, objects: &[ObjectId], out: &mut Vec<Option<Grade>>) {
-            (**self).random_batch(objects, out)
-        }
-        fn sorted_batch_bounded(
-            &self,
-            start: usize,
-            count: usize,
-            bound: Grade,
-            out: &mut Vec<GradedEntry>,
-        ) -> BoundedBatch {
-            (**self).sorted_batch_bounded(start, count, bound, out)
-        }
-        fn try_sorted_batch(
-            &self,
-            start: usize,
-            count: usize,
-            out: &mut Vec<GradedEntry>,
-        ) -> Result<usize, SourceError> {
-            (**self).try_sorted_batch(start, count, out)
-        }
-        fn try_random_batch(
-            &self,
-            objects: &[ObjectId],
-            out: &mut Vec<Option<Grade>>,
-        ) -> Result<(), SourceError> {
-            (**self).try_random_batch(objects, out)
-        }
-        fn try_sorted_batch_bounded(
-            &self,
-            start: usize,
-            count: usize,
-            bound: Grade,
-            out: &mut Vec<GradedEntry>,
-        ) -> Result<BoundedBatch, SourceError> {
-            (**self).try_sorted_batch_bounded(start, count, bound, out)
-        }
-        fn degraded(&self) -> bool {
-            (**self).degraded()
-        }
-    };
+    )*};
 }
 
-impl<S: GradedSource + ?Sized> GradedSource for &S {
-    forward_graded_source!();
-}
-
-impl<S: GradedSource + ?Sized> GradedSource for Box<S> {
-    forward_graded_source!();
-}
-
-impl<S: SetAccess + ?Sized> SetAccess for &S {
-    fn matching_set(&self) -> Vec<ObjectId> {
-        (**self).matching_set()
-    }
-    fn try_matching_set(&self) -> Result<Vec<ObjectId>, SourceError> {
-        (**self).try_matching_set()
-    }
-}
-
-impl<S: SetAccess + ?Sized> SetAccess for Box<S> {
-    fn matching_set(&self) -> Vec<ObjectId> {
-        (**self).matching_set()
-    }
-    fn try_matching_set(&self) -> Result<Vec<ObjectId>, SourceError> {
-        (**self).try_matching_set()
-    }
-}
-
-/// `Arc<dyn GradedSource>` is the canonical *owned* answer handle a
-/// subsystem returns: cheap to clone, `'static`, and shareable across the
-/// threads of a concurrent service.
-impl<S: GradedSource + ?Sized> GradedSource for Arc<S> {
-    forward_graded_source!();
-}
-
-impl<S: SetAccess + ?Sized> SetAccess for Arc<S> {
-    fn matching_set(&self) -> Vec<ObjectId> {
-        (**self).matching_set()
-    }
-    fn try_matching_set(&self) -> Result<Vec<ObjectId>, SourceError> {
-        (**self).try_matching_set()
-    }
-}
+forward_access!(&S, Box<S>, Arc<S>);
 
 #[cfg(test)]
 mod tests {
@@ -947,17 +899,30 @@ mod tests {
 
     #[test]
     fn default_sorted_batch_agrees_with_native() {
-        /// A source with only the positional default.
+        /// A source whose core resolves one rank (one probe) at a time.
         struct Positional(MemorySource);
         impl GradedSource for Positional {
             fn len(&self) -> usize {
                 self.0.len()
             }
-            fn sorted_access(&self, rank: usize) -> Option<GradedEntry> {
-                self.0.sorted_access(rank)
+            fn try_sorted_batch(
+                &self,
+                start: usize,
+                count: usize,
+                out: &mut Vec<GradedEntry>,
+            ) -> Result<usize, SourceError> {
+                let before = out.len();
+                let ranks = start..start.saturating_add(count);
+                out.extend(ranks.map_while(|rank| self.0.sorted_access(rank)));
+                Ok(out.len() - before)
             }
-            fn random_access(&self, object: ObjectId) -> Option<Grade> {
-                self.0.random_access(object)
+            fn try_random_batch(
+                &self,
+                objects: &[ObjectId],
+                out: &mut Vec<Option<Grade>>,
+            ) -> Result<(), SourceError> {
+                out.extend(objects.iter().map(|&object| self.0.random_access(object)));
+                Ok(())
             }
         }
         let native = source();

@@ -12,8 +12,8 @@
 //!
 //! [`Engine`] packages those parts once, on top of the *batched* cursor
 //! layer of [`crate::access`]: sorted streaming goes through
-//! [`GradedSource::sorted_batch`] and grade completion through
-//! [`GradedSource::random_batch`], so block-backed sources see a handful of
+//! [`GradedSource::try_sorted_batch`] and grade completion through
+//! [`GradedSource::try_random_batch`], so block-backed sources see a handful of
 //! large requests instead of millions of virtual calls. The algorithm
 //! modules (`fa`, `fa_min`, `b0_max`, `filtered`, `naive`) are thin,
 //! paper-annotated shells over this engine and its sessions.
@@ -58,7 +58,7 @@
 //! allows; past it the engine degrades gracefully to single-level rounds,
 //! never reading an entry the positional algorithm would not. The
 //! random-access phase likewise bills one access per `(object, list)` pair
-//! whether completed one by one or via [`GradedSource::random_batch`].
+//! whether completed one by one or via [`GradedSource::try_random_batch`].
 //!
 //! # Sessions
 //!
@@ -588,7 +588,7 @@ impl<S: GradedSource> Engine<S> {
     /// access is not needed"). Objects never seen before get fresh entries.
     ///
     /// Completion is batched per list through
-    /// [`GradedSource::random_batch`]: one call per list carrying every
+    /// [`GradedSource::try_random_batch`]: one call per list carrying every
     /// object that list is missing, so block-backed sources decode each
     /// block once. Exactly one random access per missing `(object, list)`
     /// pair is billed — the same count the per-object loop would produce.

@@ -14,7 +14,7 @@
 
 use garlic_agg::Grade;
 
-use crate::access::{BoundedBatch, GradedSource, SourceError};
+use crate::access::{GradedSource, SourceError};
 use crate::graded_set::GradedEntry;
 use crate::object::ObjectId;
 
@@ -48,58 +48,9 @@ impl<S: GradedSource> GradedSource for ComplementSource<S> {
         self.inner.len()
     }
 
-    fn sorted_access(&self, rank: usize) -> Option<GradedEntry> {
-        let n = self.inner.len();
-        if rank >= n {
-            return None;
-        }
-        // The worst object under Q is the best under ¬Q.
-        let entry = self.inner.sorted_access(n - 1 - rank)?;
-        Some(GradedEntry {
-            object: entry.object,
-            grade: entry.grade.complement(),
-        })
-    }
-
-    fn random_access(&self, object: ObjectId) -> Option<Grade> {
-        self.inner.random_access(object).map(Grade::complement)
-    }
-
-    /// Native batched probing: one batched probe of the underlying list,
-    /// complementing the hits in place — so a block-grouping inner source
-    /// (e.g. a disk segment) keeps its one-fetch-per-block plan under
-    /// negation.
-    fn random_batch(&self, objects: &[ObjectId], out: &mut Vec<Option<Grade>>) {
-        let base = out.len();
-        self.inner.random_batch(objects, out);
-        for grade in &mut out[base..] {
-            *grade = grade.map(Grade::complement);
-        }
-    }
-
-    /// Native batched streaming: one batched read of the *tail* of the
-    /// underlying list, emitted in reverse with complemented grades.
-    fn sorted_batch(&self, start: usize, count: usize, out: &mut Vec<GradedEntry>) -> usize {
-        let n = self.inner.len();
-        if start >= n {
-            return 0;
-        }
-        let take = count.min(n - start);
-        // Complement ranks [start, start + take) are inner ranks
-        // (n - start - take, n - start], walked backwards.
-        let mut tail = Vec::with_capacity(take);
-        let got = self.inner.sorted_batch(n - start - take, take, &mut tail);
-        debug_assert_eq!(got, take, "inner list advertised {n} entries");
-        out.extend(tail.iter().rev().map(|e| GradedEntry {
-            object: e.object,
-            grade: e.grade.complement(),
-        }));
-        take
-    }
-
-    /// Fallible paths forward to the inner source's `try_*` overrides so a
-    /// disk-backed list under negation reports a typed error instead of
-    /// panicking.
+    /// One batched read of the *tail* of the underlying list, emitted in
+    /// reverse with complemented grades: the worst object under Q is the
+    /// best under ¬Q.
     fn try_sorted_batch(
         &self,
         start: usize,
@@ -111,6 +62,8 @@ impl<S: GradedSource> GradedSource for ComplementSource<S> {
             return Ok(0);
         }
         let take = count.min(n - start);
+        // Complement ranks [start, start + take) are inner ranks
+        // (n - start - take, n - start], walked backwards.
         let mut tail = Vec::with_capacity(take);
         let got = self
             .inner
@@ -123,6 +76,9 @@ impl<S: GradedSource> GradedSource for ComplementSource<S> {
         Ok(take)
     }
 
+    /// One batched probe of the underlying list, complementing the hits in
+    /// place — so a block-grouping inner source (e.g. a disk segment) keeps
+    /// its one-fetch-per-block plan under negation.
     fn try_random_batch(
         &self,
         objects: &[ObjectId],
@@ -136,41 +92,9 @@ impl<S: GradedSource> GradedSource for ComplementSource<S> {
         Ok(())
     }
 
-    /// The reversed stream cannot translate the bound to the inner list's
-    /// orientation block-for-block, so bounded reads chunk the fallible
-    /// unbounded path and stop once the (descending) complemented stream
-    /// dips below the bound — the same contract as the trait default.
-    fn try_sorted_batch_bounded(
-        &self,
-        start: usize,
-        count: usize,
-        bound: Grade,
-        out: &mut Vec<GradedEntry>,
-    ) -> Result<BoundedBatch, SourceError> {
-        const CHUNK: usize = 256;
-        let mut appended = 0;
-        while appended < count {
-            let take = (count - appended).min(CHUNK);
-            let got = self.try_sorted_batch(start + appended, take, out)?;
-            appended += got;
-            if got < take {
-                return Ok(BoundedBatch {
-                    appended,
-                    truncated: false,
-                });
-            }
-            if out.last().is_some_and(|e| e.grade < bound) {
-                return Ok(BoundedBatch {
-                    appended,
-                    truncated: true,
-                });
-            }
-        }
-        Ok(BoundedBatch {
-            appended,
-            truncated: out.last().is_some_and(|e| e.grade < bound) && appended > 0,
-        })
-    }
+    // The reversed stream cannot translate a bound to the inner list's
+    // orientation block-for-block, so bounded reads keep the trait's
+    // chunked default over `try_sorted_batch`.
 
     fn degraded(&self) -> bool {
         self.inner.degraded()

@@ -371,24 +371,19 @@ impl<S: GradedSource> ShardedSource<S> {
         self.consumed.store(0, Ordering::Relaxed);
     }
 
-    /// Extends the merged prefix to `target` entries (or to exhaustion).
-    fn try_ensure_merged(&self, state: &mut MergeState, target: usize) -> Result<(), SourceError> {
-        // `grade < ZERO` is never true, so a ZERO bound never stops early.
-        self.try_ensure_merged_bounded(state, target, Grade::ZERO)
-            .map(|_| ())
-    }
-
-    /// Extends the merged prefix to `target` entries, additionally stopping
-    /// as soon as the lowest merged grade falls strictly below `bound`: the
-    /// skeleton order is descending, so everything still unmerged — in
-    /// *every* shard — is then also below the bound, and no shard needs
-    /// another refill. Returns `true` iff the stop was due to the bound.
+    /// Extends the merged prefix to `target` entries (or to exhaustion),
+    /// additionally stopping as soon as the lowest merged grade falls
+    /// strictly below `bound`: the skeleton order is descending, so
+    /// everything still unmerged — in *every* shard — is then also below
+    /// the bound, and no shard needs another refill. Returns `true` iff the
+    /// stop was due to the bound; no grade is below [`Grade::ZERO`], so a
+    /// zero bound never stops early.
     ///
     /// A shard failure either drops the shard (degraded reads + a
     /// quarantined error) or aborts with the merged prefix unextended
     /// beyond already-completed rounds, so a later retry resumes exactly
     /// where this call left off.
-    fn try_ensure_merged_bounded(
+    fn try_ensure_merged(
         &self,
         state: &mut MergeState,
         target: usize,
@@ -528,31 +523,14 @@ impl<S: GradedSource> GradedSource for ShardedSource<S> {
         self.len
     }
 
-    fn sorted_access(&self, rank: usize) -> Option<GradedEntry> {
-        let mut state = self.state();
-        self.try_ensure_merged(&mut state, rank.saturating_add(1))
-            .unwrap_or_else(|e| panic!("shard failure on infallible sorted path: {e}"));
-        state.merged.get(rank).copied()
-    }
-
-    fn sorted_batch(&self, start: usize, count: usize, out: &mut Vec<GradedEntry>) -> usize {
-        self.try_sorted_batch(start, count, out)
-            .unwrap_or_else(|e| panic!("shard failure on infallible sorted path: {e}"))
-    }
-
     fn try_sorted_batch(
         &self,
         start: usize,
         count: usize,
         out: &mut Vec<GradedEntry>,
     ) -> Result<usize, SourceError> {
-        let mut state = self.state();
-        self.try_ensure_merged(&mut state, start.saturating_add(count))?;
-        let merged = &state.merged;
-        let from = start.min(merged.len());
-        let to = start.saturating_add(count).min(merged.len());
-        out.extend_from_slice(&merged[from..to]);
-        Ok(to - from)
+        self.try_sorted_batch_bounded(start, count, Grade::ZERO, out)
+            .map(|batch| batch.appended)
     }
 
     /// Bound-aware merge: stops extending the merged prefix — and thus
@@ -562,17 +540,6 @@ impl<S: GradedSource> GradedSource for ShardedSource<S> {
     /// depths. Emitted entries are still an exact prefix of the unbounded
     /// stream (the default-impl contract), and a prefix already cached by a
     /// deeper earlier scan is served in full rather than re-truncated.
-    fn sorted_batch_bounded(
-        &self,
-        start: usize,
-        count: usize,
-        bound: Grade,
-        out: &mut Vec<GradedEntry>,
-    ) -> BoundedBatch {
-        self.try_sorted_batch_bounded(start, count, bound, out)
-            .unwrap_or_else(|e| panic!("shard failure on infallible sorted path: {e}"))
-    }
-
     fn try_sorted_batch_bounded(
         &self,
         start: usize,
@@ -581,8 +548,7 @@ impl<S: GradedSource> GradedSource for ShardedSource<S> {
         out: &mut Vec<GradedEntry>,
     ) -> Result<BoundedBatch, SourceError> {
         let mut state = self.state();
-        let stopped =
-            self.try_ensure_merged_bounded(&mut state, start.saturating_add(count), bound)?;
+        let stopped = self.try_ensure_merged(&mut state, start.saturating_add(count), bound)?;
         let merged = &state.merged;
         let from = start.min(merged.len());
         let to = start.saturating_add(count).min(merged.len());
@@ -593,26 +559,9 @@ impl<S: GradedSource> GradedSource for ShardedSource<S> {
         })
     }
 
-    fn random_access(&self, object: ObjectId) -> Option<Grade> {
-        let shard = self.shard_of(object);
-        if self.dropped[shard].load(Ordering::Acquire) {
-            let universe = self.degrade_universe.unwrap_or(0);
-            return self
-                .shard_range(shard, universe)
-                .contains(&object.0)
-                .then_some(Grade::ZERO);
-        }
-        self.shards[shard].random_access(object)
-    }
-
     /// Routes each probe to its owning shard by fence lookup, forwards one
     /// grouped batch per shard (so block-backed shards batch their own
     /// I/O), and scatters the answers back into probe order.
-    fn random_batch(&self, objects: &[ObjectId], out: &mut Vec<Option<Grade>>) {
-        self.try_random_batch(objects, out)
-            .unwrap_or_else(|e| panic!("shard failure on infallible random path: {e}"))
-    }
-
     fn try_random_batch(
         &self,
         objects: &[ObjectId],
@@ -678,15 +627,9 @@ impl<S: GradedSource> GradedSource for ShardedSource<S> {
 impl<S: SetAccess> SetAccess for ShardedSource<S> {
     /// The union of the shards' grade-1 sets. Order is unspecified by the
     /// contract; this yields shard order (ascending id ranges), each
-    /// shard's own enumeration order within.
-    fn matching_set(&self) -> Vec<ObjectId> {
-        self.try_matching_set()
-            .unwrap_or_else(|e| panic!("shard failure on infallible set path: {e}"))
-    }
-
-    /// Fallible union: a quarantined shard under degraded reads
-    /// contributes nothing (its objects all read as grade zero), any other
-    /// failure propagates.
+    /// shard's own enumeration order within. A quarantined shard under
+    /// degraded reads contributes nothing (its objects all read as grade
+    /// zero), any other failure propagates.
     fn try_matching_set(&self) -> Result<Vec<ObjectId>, SourceError> {
         let mut set = Vec::new();
         for (index, shard) in self.shards.iter().enumerate() {

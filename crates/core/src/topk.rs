@@ -78,20 +78,6 @@ impl TopK {
         TopK { entries }
     }
 
-    /// Wraps entries that are **already** in descending-grade order (ties
-    /// by ascending object id) without re-sorting — the zero-cost path for
-    /// slices of a previously ranked answer. Debug builds assert the order.
-    pub fn from_sorted_entries(entries: Vec<GradedEntry>) -> Self {
-        debug_assert!(
-            entries
-                .windows(2)
-                .all(|w| (w[1].grade, std::cmp::Reverse(w[1].object))
-                    <= (w[0].grade, std::cmp::Reverse(w[0].object))),
-            "entries must already be in (grade desc, object asc) order"
-        );
-        TopK { entries }
-    }
-
     /// Number of answers (== k unless the database was smaller than k).
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -299,21 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn from_sorted_entries_preserves_ranked_slices() {
-        let all = TopK::select(
-            [
-                (ObjectId(0), g(0.1)),
-                (ObjectId(1), g(0.9)),
-                (ObjectId(2), g(0.5)),
-            ],
-            3,
-        );
-        let slice = TopK::from_sorted_entries(all.entries()[1..].to_vec());
-        assert_eq!(slice.objects(), vec![ObjectId(2), ObjectId(0)]);
-        assert_eq!(all.clone().into_entries(), all.entries().to_vec());
-    }
-
-    #[test]
     fn same_grades_tolerates_object_swaps() {
         let a = TopK::select([(ObjectId(0), g(0.5)), (ObjectId(1), g(0.5))], 1);
         let b = TopK::select([(ObjectId(1), g(0.5)), (ObjectId(2), g(0.5))], 1);
@@ -353,6 +324,7 @@ mod tests {
     #[test]
     fn into_graded_set_round_trips() {
         let t = TopK::select([(ObjectId(0), g(0.1)), (ObjectId(1), g(0.9))], 2);
+        assert_eq!(t.clone().into_entries(), t.entries().to_vec());
         let set = t.into_graded_set();
         assert_eq!(set.at_rank(0).unwrap().object, ObjectId(1));
     }

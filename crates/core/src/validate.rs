@@ -194,7 +194,7 @@ pub fn validate_source<S: GradedSource>(source: &S) -> Result<(), SourceViolatio
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::MemorySource;
+    use crate::access::{MemorySource, SourceError};
     use crate::complement::ComplementSource;
     use crate::graded_set::GradedEntry;
     use garlic_agg::Grade;
@@ -220,11 +220,8 @@ mod tests {
         kind: u8,
     }
 
-    impl GradedSource for Broken {
-        fn len(&self) -> usize {
-            3
-        }
-        fn sorted_access(&self, rank: usize) -> Option<GradedEntry> {
+    impl Broken {
+        fn entry(&self, rank: usize) -> Option<GradedEntry> {
             match (self.kind, rank) {
                 // kind 0: ascending grades.
                 (0, r) if r < 3 => Some(GradedEntry::new(r, Grade::clamped(r as f64 / 3.0))),
@@ -240,13 +237,38 @@ mod tests {
                 _ => None,
             }
         }
-        fn random_access(&self, object: ObjectId) -> Option<Grade> {
+        fn grade(&self, object: ObjectId) -> Option<Grade> {
             match self.kind {
                 3 => Some(g(0.1)),
                 4 => None,
                 0 => Some(Grade::clamped(object.0 as f64 / 3.0)),
                 _ => Some(g(0.5)),
             }
+        }
+    }
+
+    impl GradedSource for Broken {
+        fn len(&self) -> usize {
+            3
+        }
+        fn try_sorted_batch(
+            &self,
+            start: usize,
+            count: usize,
+            out: &mut Vec<GradedEntry>,
+        ) -> Result<usize, SourceError> {
+            let before = out.len();
+            let ranks = start..start.saturating_add(count);
+            out.extend(ranks.map_while(|rank| self.entry(rank)));
+            Ok(out.len() - before)
+        }
+        fn try_random_batch(
+            &self,
+            objects: &[ObjectId],
+            out: &mut Vec<Option<Grade>>,
+        ) -> Result<(), SourceError> {
+            out.extend(objects.iter().map(|&object| self.grade(object)));
+            Ok(())
         }
     }
 
@@ -280,30 +302,35 @@ mod tests {
         assert!(format!("{err}").contains("descending"));
     }
 
-    /// A source whose batch path disagrees with its positional path.
+    /// A source whose `sorted_access` adaptor, overridden, disagrees with
+    /// the stream its core serves.
     struct LyingCursor(MemorySource);
 
     impl GradedSource for LyingCursor {
         fn len(&self) -> usize {
             self.0.len()
         }
-        fn sorted_access(&self, rank: usize) -> Option<GradedEntry> {
-            self.0.sorted_access(rank)
-        }
-        fn random_access(&self, object: ObjectId) -> Option<Grade> {
-            self.0.random_access(object)
-        }
-        fn sorted_batch(&self, start: usize, count: usize, out: &mut Vec<GradedEntry>) -> usize {
+        fn try_sorted_batch(
+            &self,
+            start: usize,
+            count: usize,
+            out: &mut Vec<GradedEntry>,
+        ) -> Result<usize, SourceError> {
             // Streams the list *backwards* — violating the cursor contract.
             let n = self.0.len();
-            if start >= n {
-                return 0;
-            }
-            let take = count.min(n - start);
-            for i in 0..take {
-                out.push(self.0.sorted_access(n - 1 - start - i).unwrap());
-            }
-            take
+            let take = count.min(n.saturating_sub(start));
+            out.extend((0..take).map(|i| self.0.sorted_access(n - 1 - start - i).unwrap()));
+            Ok(take)
+        }
+        fn try_random_batch(
+            &self,
+            objects: &[ObjectId],
+            out: &mut Vec<Option<Grade>>,
+        ) -> Result<(), SourceError> {
+            self.0.try_random_batch(objects, out)
+        }
+        fn sorted_access(&self, rank: usize) -> Option<GradedEntry> {
+            self.0.sorted_access(rank)
         }
     }
 
@@ -316,18 +343,28 @@ mod tests {
         ));
     }
 
-    /// A source whose batched random path disagrees with per-object access.
+    /// A source whose `random_batch` adaptor, overridden, disagrees with
+    /// per-object access.
     struct LyingBatch(MemorySource);
 
     impl GradedSource for LyingBatch {
         fn len(&self) -> usize {
             self.0.len()
         }
-        fn sorted_access(&self, rank: usize) -> Option<GradedEntry> {
-            self.0.sorted_access(rank)
+        fn try_sorted_batch(
+            &self,
+            start: usize,
+            count: usize,
+            out: &mut Vec<GradedEntry>,
+        ) -> Result<usize, SourceError> {
+            self.0.try_sorted_batch(start, count, out)
         }
-        fn random_access(&self, object: ObjectId) -> Option<Grade> {
-            self.0.random_access(object)
+        fn try_random_batch(
+            &self,
+            objects: &[ObjectId],
+            out: &mut Vec<Option<Grade>>,
+        ) -> Result<(), SourceError> {
+            self.0.try_random_batch(objects, out)
         }
         fn random_batch(&self, objects: &[ObjectId], out: &mut Vec<Option<Grade>>) {
             // Answers every probe — even ones the source does not grade.

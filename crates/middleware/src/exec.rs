@@ -285,7 +285,7 @@ impl Garlic {
             plan,
             degraded,
         } = result;
-        let per_source = session.per_source_stats();
+        let per_source = session.per_source_stats(&plan, query);
 
         let mut root = Span::new(format!("query: {query} top-{k}"));
         let mut plan_span = Span::new(format!("plan: {:?}", plan.strategy));
@@ -469,63 +469,29 @@ impl Plan {
         query: &GarlicQuery,
     ) -> Result<QuerySession, MiddlewareError> {
         let atoms = &self.atoms[..];
-        let atom_labels = || -> Vec<String> { atoms.iter().map(|a| a.attribute.clone()).collect() };
-        let (kind, labels) = match &self.strategy {
-            Strategy::FaMin => (
-                SessionKind::Engine(EngineSession::min(counted_atoms(catalog, atoms)?)?),
-                atom_labels(),
-            ),
+        let kind = match &self.strategy {
+            Strategy::FaMin => {
+                SessionKind::Engine(EngineSession::min(counted_atoms(catalog, atoms)?)?)
+            }
             Strategy::FaGeneric => {
                 let agg: SessionAgg = if self.weights.is_empty() {
                     Box::new(QueryAggregation::new(query, atoms))
                 } else {
                     Box::new(FaginWimmers::new(min_agg(), &self.weights))
                 };
-                (
-                    SessionKind::Engine(EngineSession::new(counted_atoms(catalog, atoms)?, agg)?),
-                    atom_labels(),
-                )
+                SessionKind::Engine(EngineSession::new(counted_atoms(catalog, atoms)?, agg)?)
             }
             Strategy::FaNnf => {
-                let nnf = query.to_nnf();
-                let labels = nnf
-                    .literals
-                    .iter()
-                    .map(|lit| {
-                        if lit.negated {
-                            format!("¬{}", lit.atom.attribute)
-                        } else {
-                            lit.atom.attribute.clone()
-                        }
-                    })
-                    .collect();
                 let (sources, agg) = nnf_sources(catalog, query)?;
-                (
-                    SessionKind::Engine(EngineSession::new(sources, Box::new(agg) as SessionAgg)?),
-                    labels,
-                )
+                SessionKind::Engine(EngineSession::new(sources, Box::new(agg) as SessionAgg)?)
             }
-            Strategy::NaiveCalculus => (
-                SessionKind::Engine(EngineSession::scan(
-                    counted_atoms(catalog, atoms)?,
-                    Box::new(QueryAggregation::new(query, atoms)) as SessionAgg,
-                )?),
-                atom_labels(),
-            ),
-            Strategy::B0Max => (
-                SessionKind::B0(B0Session::new(counted_atoms(catalog, atoms)?)?),
-                atom_labels(),
-            ),
+            Strategy::NaiveCalculus => SessionKind::Engine(EngineSession::scan(
+                counted_atoms(catalog, atoms)?,
+                Box::new(QueryAggregation::new(query, atoms)) as SessionAgg,
+            )?),
+            Strategy::B0Max => SessionKind::B0(B0Session::new(counted_atoms(catalog, atoms)?)?),
             Strategy::InternalPushdown { .. } => {
-                let fused = atoms
-                    .iter()
-                    .map(|a| a.attribute.as_str())
-                    .collect::<Vec<_>>()
-                    .join("∧");
-                (
-                    SessionKind::B0(B0Session::new(vec![pushdown_source(catalog, atoms)?])?),
-                    vec![format!("{fused} (fused)")],
-                )
+                SessionKind::B0(B0Session::new(vec![pushdown_source(catalog, atoms)?])?)
             }
             Strategy::Filtered { crisp_index } => {
                 let crisp_atom = &atoms[*crisp_index];
@@ -537,18 +503,13 @@ impl Plan {
                 );
                 let others = atoms.iter().enumerate().filter(|(i, _)| i != crisp_index);
                 let graded = counted_atoms(catalog, others.map(|(_, a)| a))?;
-                let mut labels = atom_labels();
-                labels[*crisp_index].push_str(" (crisp)");
-                (
-                    SessionKind::Filtered {
-                        session: FilteredSession::new(crisp, graded, *crisp_index, min_agg())?,
-                        crisp_index: *crisp_index,
-                    },
-                    labels,
-                )
+                SessionKind::Filtered {
+                    session: FilteredSession::new(crisp, graded, *crisp_index, min_agg())?,
+                    crisp_index: *crisp_index,
+                }
             }
         };
-        Ok(QuerySession { kind, labels })
+        Ok(QuerySession { kind })
     }
 }
 
@@ -575,10 +536,6 @@ impl Plan {
 /// the paper's multi-user middleware implies.
 pub struct QuerySession {
     kind: SessionKind,
-    /// One human-readable label per metered source, in source order
-    /// (attribute names; `¬attr` for complemented NNF literals, `(crisp)`
-    /// / `(fused)` markers for the filtered and pushdown forms).
-    labels: Vec<String>,
 }
 
 enum SessionKind {
@@ -654,13 +611,35 @@ impl QuerySession {
 
     /// Per-source `(label, cost)` pairs in source order — read straight
     /// from the session's [`CountingSource`]s, so they sum to exactly
-    /// [`QuerySession::stats`].
-    pub fn per_source_stats(&self) -> Vec<(String, AccessStats)> {
+    /// [`QuerySession::stats`]. `plan` and `query` are the ones the session
+    /// was opened for; they name the sources: attribute names, `¬attr` for
+    /// complemented NNF literals, `(crisp)` / `(fused)` markers for the
+    /// filtered and pushdown forms.
+    pub fn per_source_stats(&self, plan: &Plan, query: &GarlicQuery) -> Vec<(String, AccessStats)> {
+        let attributes = || plan.atoms.iter().map(|a| a.attribute.as_str());
+        let mut labels: Vec<String> = match &plan.strategy {
+            Strategy::FaNnf => {
+                let literals = query.to_nnf().literals;
+                let mark = |negated| if negated { "¬" } else { "" };
+                literals
+                    .iter()
+                    .map(|lit| format!("{}{}", mark(lit.negated), lit.atom.attribute))
+                    .collect()
+            }
+            Strategy::InternalPushdown { .. } => {
+                vec![format!(
+                    "{} (fused)",
+                    attributes().collect::<Vec<_>>().join("∧")
+                )]
+            }
+            _ => attributes().map(str::to_owned).collect(),
+        };
         let mut stats: Vec<AccessStats> = self.graded().iter().map(|s| s.stats()).collect();
         if let Some((at, crisp)) = self.crisp() {
+            labels[at].push_str(" (crisp)");
             stats.insert(at, crisp.stats());
         }
-        self.labels.iter().cloned().zip(stats).collect()
+        labels.into_iter().zip(stats).collect()
     }
 
     /// Engine-phase detail for EXPLAIN. The filtered strategy has no

@@ -265,26 +265,19 @@ impl LiveSource {
 
         // Rebuild the visible statistics from the base footer plus the
         // overlay's deltas (newest layer wins, so consult `active` first).
-        let mut len = base.as_ref().map_or(0, |b| b.len());
-        let mut ones = base.as_ref().map_or(0, |b| b.exact_match_count()) as i64;
-        let mut seen: FxHashMap<ObjectId, ()> = FxHashMap::default();
-        let mut delta = |object: ObjectId, state: MemEntry| {
-            if seen.insert(object, ()).is_some() {
-                return (0i64, 0i64);
-            }
-            let old = base.as_ref().and_then(|b| b.random_access(object));
-            let new = state.grade();
-            let d_len = i64::from(new.is_some()) - i64::from(old.is_some());
-            let d_ones = i64::from(new == Some(Grade::ONE)) - i64::from(old == Some(Grade::ONE));
-            (d_len, d_ones)
-        };
+        let mut newest: FxHashMap<ObjectId, MemEntry> = FxHashMap::default();
         for (object, state) in active.table_iter().chain(frozen_mem.table_iter()) {
-            let (d_len, d_ones) = delta(object, state);
-            len = (len as i64 + d_len) as usize;
-            ones += d_ones;
+            newest.entry(object).or_insert(state);
+        }
+        let mut len = base.as_ref().map_or(0, |b| b.len());
+        let mut ones = base.as_ref().map_or(0, |b| b.exact_match_count());
+        let objects: Vec<ObjectId> = newest.keys().copied().collect();
+        let olds = base_grades(base.as_deref(), &objects)?;
+        for (object, old) in objects.iter().zip(olds) {
+            adjust_stats(&mut len, &mut ones, old, newest[object].grade());
         }
         if let Some(universe) = opts.universe {
-            let max_overlay = seen.keys().map(|o| o.index()).max();
+            let max_overlay = objects.iter().map(|o| o.index()).max();
             let max_base = base
                 .as_ref()
                 .and_then(|b| b.max_object())
@@ -316,7 +309,7 @@ impl LiveSource {
                 base,
                 manifest,
                 len,
-                ones: ones.max(0) as u64,
+                ones,
                 version: 0,
                 cached: None,
             }),
@@ -371,6 +364,17 @@ impl LiveSource {
             .inner
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
+        // Everything the statistics need from disk is read before the
+        // batch is logged: a failed base read acknowledges and applies
+        // nothing.
+        let mut unheld: Vec<ObjectId> = ops
+            .iter()
+            .map(WalOp::object)
+            .filter(|&object| overlay_state(&inner, object).is_none())
+            .collect();
+        unheld.sort_unstable();
+        unheld.dedup();
+        let in_base = base_grades(inner.base.as_deref(), &unheld)?;
         match &self.shared.metrics {
             Some(m) => {
                 let start = std::time::Instant::now();
@@ -382,15 +386,16 @@ impl LiveSource {
         }
         for &op in ops {
             let object = op.object();
-            let old = visible_grade(&inner, object);
+            let old = match overlay_state(&inner, object) {
+                Some(state) => state.grade(),
+                None => in_base[unheld.binary_search(&object).expect("probed above")],
+            };
             let new = match op {
                 WalOp::Upsert { grade, .. } => Some(grade),
                 WalOp::Delete { .. } => None,
             };
-            inner.len =
-                (inner.len as i64 + i64::from(new.is_some()) - i64::from(old.is_some())) as usize;
-            inner.ones = (inner.ones as i64 + i64::from(new == Some(Grade::ONE))
-                - i64::from(old == Some(Grade::ONE))) as u64;
+            let inner = &mut *inner;
+            adjust_stats(&mut inner.len, &mut inner.ones, old, new);
             inner.active.apply(op);
         }
         inner.bump_version();
@@ -540,19 +545,39 @@ impl Drop for LiveSource {
     }
 }
 
-/// The object's currently visible grade across every layer (newest wins):
-/// active memtable, then frozen layers newest→oldest, then the base
-/// segment.
-fn visible_grade(inner: &LiveInner, object: ObjectId) -> Option<Grade> {
-    if let Some(state) = inner.active.get(object) {
-        return state.grade();
+/// The object's state in the overlay (newest wins): active memtable, then
+/// frozen layers newest→oldest. `None` means no layer holds a write for it
+/// and the base segment decides.
+fn overlay_state(inner: &LiveInner, object: ObjectId) -> Option<MemEntry> {
+    inner.active.get(object).or_else(|| {
+        inner
+            .frozen
+            .iter()
+            .rev()
+            .find_map(|layer| layer.get(object))
+    })
+}
+
+/// The base segment's grade of each of `objects`, in order: one probe
+/// batch grouped by table block, failing with the segment's typed error.
+fn base_grades(
+    base: Option<&SegmentSource>,
+    objects: &[ObjectId],
+) -> Result<Vec<Option<Grade>>, StorageError> {
+    let mut grades = Vec::with_capacity(objects.len());
+    match base {
+        Some(base) => base.random_batch_impl(objects, &mut grades)?,
+        None => grades.resize(objects.len(), None),
     }
-    for layer in inner.frozen.iter().rev() {
-        if let Some(state) = layer.get(object) {
-            return state.grade();
-        }
-    }
-    inner.base.as_ref().and_then(|b| b.random_access(object))
+    Ok(grades)
+}
+
+/// Moves the visible statistics for one object whose visible grade goes
+/// from `old` to `new`.
+fn adjust_stats(len: &mut usize, ones: &mut u64, old: Option<Grade>, new: Option<Grade>) {
+    *len = (*len as i64 + i64::from(new.is_some()) - i64::from(old.is_some())) as usize;
+    *ones = (*ones as i64 + i64::from(new == Some(Grade::ONE)) - i64::from(old == Some(Grade::ONE)))
+        as u64;
 }
 
 fn crisp_of(inner: &LiveInner) -> bool {
@@ -704,15 +729,12 @@ impl LiveSnapshot {
         self.ones
     }
 
-    /// Refills the shadow-filtered base lookahead. The merge cursor only
-    /// advances after a successful read (`try_*` leaves `tmp` unchanged on
-    /// error), so a failed refill is retryable: the cursor state is as if
-    /// the call never happened.
-    fn refill_base(
-        &self,
-        st: &mut MergeState,
-        bound: Option<Grade>,
-    ) -> Result<Refill, SourceError> {
+    /// Refills the shadow-filtered base lookahead, passing `bound` through
+    /// to the base's fences. The merge cursor only advances after a
+    /// successful read (`try_*` leaves `tmp` unchanged on error), so a
+    /// failed refill is retryable: the cursor state is as if the call never
+    /// happened.
+    fn refill_base(&self, st: &mut MergeState, bound: Grade) -> Result<Refill, SourceError> {
         let Some(base) = &self.base else {
             st.base_exhausted = true;
             return Ok(Refill::Exhausted);
@@ -720,31 +742,21 @@ impl LiveSnapshot {
         let mut tmp = Vec::with_capacity(MERGE_CHUNK);
         while st.base_buf.is_empty() && !st.base_exhausted {
             tmp.clear();
-            let (got, bound_stop) = match bound {
-                Some(b) => {
-                    let result =
-                        base.try_sorted_batch_bounded(st.base_rank, MERGE_CHUNK, b, &mut tmp)?;
-                    (result.appended, result.truncated)
-                }
-                None => (
-                    base.try_sorted_batch(st.base_rank, MERGE_CHUNK, &mut tmp)?,
-                    false,
-                ),
-            };
-            st.base_rank += got;
+            let read = base.try_sorted_batch_bounded(st.base_rank, MERGE_CHUNK, bound, &mut tmp)?;
+            st.base_rank += read.appended;
             st.base_buf.extend(
                 tmp.iter()
                     .filter(|e| !self.shadow.contains_key(&e.object))
                     .copied(),
             );
-            if bound_stop {
+            if read.truncated {
                 return Ok(if st.base_buf.is_empty() {
                     Refill::BoundStop
                 } else {
                     Refill::Ready
                 });
             }
-            if got < MERGE_CHUNK {
+            if read.appended < MERGE_CHUNK {
                 st.base_exhausted = true;
             }
         }
@@ -755,44 +767,11 @@ impl LiveSnapshot {
         })
     }
 
-    /// Grows the merged prefix to `target` entries (or until both streams
-    /// end).
-    fn ensure_merged(&self, st: &mut MergeState, target: usize) -> Result<(), SourceError> {
-        while st.merged.len() < target {
-            if st.base_buf.is_empty() && !st.base_exhausted {
-                self.refill_base(st, None)?;
-            }
-            let overlay_next = self.overlay.get(st.overlay_pos).copied();
-            let base_next = st.base_buf.front().copied();
-            let next = match (overlay_next, base_next) {
-                (None, None) => return Ok(()),
-                (Some(entry), None) => {
-                    st.overlay_pos += 1;
-                    entry
-                }
-                (None, Some(entry)) => {
-                    st.base_buf.pop_front();
-                    entry
-                }
-                (Some(o), Some(b)) => {
-                    if o.grade > b.grade || (o.grade == b.grade && o.object < b.object) {
-                        st.overlay_pos += 1;
-                        o
-                    } else {
-                        st.base_buf.pop_front();
-                        b
-                    }
-                }
-            };
-            st.merged.push(next);
-        }
-        Ok(())
-    }
-
-    /// Bounded variant: returns `true` when it stopped because every
-    /// remaining entry provably grades strictly below `bound` (rather
-    /// than reaching `target` or exhausting the streams).
-    fn ensure_merged_bounded(
+    /// Grows the merged prefix to `target` entries, or until both streams
+    /// end, or until every remaining entry provably grades strictly below
+    /// `bound` — returning `true` only in that last case. No grade is below
+    /// [`Grade::ZERO`], so a zero bound is the plain unbounded merge.
+    fn ensure_merged(
         &self,
         st: &mut MergeState,
         target: usize,
@@ -806,7 +785,7 @@ impl LiveSnapshot {
                 return Ok(true);
             }
             if st.base_buf.is_empty() && !st.base_exhausted && !base_bound_stopped {
-                if let Refill::BoundStop = self.refill_base(st, Some(bound))? {
+                if let Refill::BoundStop = self.refill_base(st, bound)? {
                     base_bound_stopped = true;
                 }
             }
@@ -843,41 +822,11 @@ impl LiveSnapshot {
         }
         Ok(false)
     }
-
-    /// Terminal handler for the infallible [`GradedSource`] methods when
-    /// the base segment has an injected or real I/O failure. Callers that
-    /// want typed errors use the `try_*` accessors instead.
-    fn infallible_panic(&self, e: SourceError) -> ! {
-        panic!(
-            "live snapshot failed on the infallible read path (callers wanting \
-             typed errors use the try_* accessors): {e}"
-        )
-    }
 }
 
 impl GradedSource for LiveSnapshot {
     fn len(&self) -> usize {
         self.len
-    }
-
-    fn sorted_access(&self, rank: usize) -> Option<GradedEntry> {
-        let mut st = self.merge.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Err(e) = self.ensure_merged(&mut st, rank.saturating_add(1)) {
-            self.infallible_panic(e)
-        }
-        st.merged.get(rank).copied()
-    }
-
-    fn random_access(&self, object: ObjectId) -> Option<Grade> {
-        match self.shadow.get(&object) {
-            Some(state) => state.grade(),
-            None => self.base.as_ref().and_then(|b| b.random_access(object)),
-        }
-    }
-
-    fn sorted_batch(&self, start: usize, count: usize, out: &mut Vec<GradedEntry>) -> usize {
-        self.try_sorted_batch(start, count, out)
-            .unwrap_or_else(|e| self.infallible_panic(e))
     }
 
     fn try_sorted_batch(
@@ -886,24 +835,8 @@ impl GradedSource for LiveSnapshot {
         count: usize,
         out: &mut Vec<GradedEntry>,
     ) -> Result<usize, SourceError> {
-        let mut st = self.merge.lock().unwrap_or_else(PoisonError::into_inner);
-        let target = start.saturating_add(count);
-        self.ensure_merged(&mut st, target)?;
-        let end = st.merged.len().min(target);
-        let begin = start.min(end);
-        out.extend_from_slice(&st.merged[begin..end]);
-        Ok(end - begin)
-    }
-
-    fn sorted_batch_bounded(
-        &self,
-        start: usize,
-        count: usize,
-        bound: Grade,
-        out: &mut Vec<GradedEntry>,
-    ) -> BoundedBatch {
-        self.try_sorted_batch_bounded(start, count, bound, out)
-            .unwrap_or_else(|e| self.infallible_panic(e))
+        self.try_sorted_batch_bounded(start, count, Grade::ZERO, out)
+            .map(|batch| batch.appended)
     }
 
     fn try_sorted_batch_bounded(
@@ -915,7 +848,7 @@ impl GradedSource for LiveSnapshot {
     ) -> Result<BoundedBatch, SourceError> {
         let mut st = self.merge.lock().unwrap_or_else(PoisonError::into_inner);
         let target = start.saturating_add(count);
-        let bound_stop = self.ensure_merged_bounded(&mut st, target, bound)?;
+        let bound_stop = self.ensure_merged(&mut st, target, bound)?;
         let end = st.merged.len().min(target);
         let begin = start.min(end);
         out.extend_from_slice(&st.merged[begin..end]);
@@ -924,11 +857,6 @@ impl GradedSource for LiveSnapshot {
             appended,
             truncated: bound_stop && appended < count,
         })
-    }
-
-    fn random_batch(&self, objects: &[ObjectId], out: &mut Vec<Option<Grade>>) {
-        self.try_random_batch(objects, out)
-            .unwrap_or_else(|e| self.infallible_panic(e))
     }
 
     fn try_random_batch(
@@ -964,18 +892,9 @@ impl GradedSource for LiveSnapshot {
         }
         Ok(())
     }
-
-    fn degraded(&self) -> bool {
-        self.base.as_ref().is_some_and(|b| b.degraded())
-    }
 }
 
 impl SetAccess for LiveSnapshot {
-    fn matching_set(&self) -> Vec<ObjectId> {
-        self.try_matching_set()
-            .unwrap_or_else(|e| self.infallible_panic(e))
-    }
-
     fn try_matching_set(&self) -> Result<Vec<ObjectId>, SourceError> {
         // Overlay ones are the overlay's skeleton prefix; base ones come
         // from its own matching set, minus anything the overlay shadows.
@@ -1347,6 +1266,92 @@ mod tests {
         assert_eq!(fresh.len(), 2001);
         assert_eq!(fresh.random_access(ObjectId(5000)), Some(g(0.5)));
         assert!(fresh.sorted_access(1999).is_some());
+    }
+
+    #[test]
+    fn write_batch_base_read_fault_is_typed_and_applies_nothing() {
+        // Cache capacity 0: every base probe is a real read.
+        let dir = temp_store("write-fault");
+        let fault = Arc::new(FaultVfs::new());
+        let reopen = || {
+            let opts = LiveOptions {
+                vfs: Some(Arc::clone(&fault) as Arc<dyn Vfs>),
+                ..LiveOptions::default()
+            };
+            LiveSource::open(&dir, Arc::new(BlockCache::new(0)), opts).unwrap()
+        };
+        let live = reopen();
+        let base: Vec<WalOp> = (0..200u64)
+            .map(|i| WalOp::Upsert {
+                object: ObjectId(i),
+                grade: if i % 10 == 0 {
+                    Grade::ONE
+                } else {
+                    g(i as f64 / 200.0)
+                },
+            })
+            .collect();
+        live.write_batch(&base).unwrap();
+        live.flush().unwrap();
+        live.upsert(ObjectId(500), g(0.5)).unwrap();
+        let acknowledged = (live.live_len(), live.ones(), live.wal_bytes());
+        assert_eq!(acknowledged.0, 201);
+        assert_eq!(acknowledged.1, 20);
+
+        // Objects 3, 10 and 900 are held by no memtable: the statistics
+        // need their base grades, and the segment cannot be read.
+        let batch = [
+            WalOp::Upsert {
+                object: ObjectId(3),
+                grade: Grade::ONE,
+            },
+            WalOp::Delete {
+                object: ObjectId(10),
+            },
+            WalOp::Upsert {
+                object: ObjectId(500),
+                grade: g(0.9),
+            },
+            WalOp::Upsert {
+                object: ObjectId(900),
+                grade: Grade::ONE,
+            },
+        ];
+        fault.push_rule(FaultRule {
+            path_contains: ".seg".to_owned(),
+            op: FaultOp::Read,
+            nth: 0,
+            kind: FaultKind::Permanent,
+        });
+        let err = live.write_batch(&batch).unwrap_err();
+        assert!(matches!(err, StorageError::Io(_)), "typed error: {err}");
+        // Nothing was logged and nothing applied; the store mutex is not
+        // poisoned and a write the overlay can account for still lands.
+        assert_eq!(
+            (live.live_len(), live.ones(), live.wal_bytes()),
+            acknowledged
+        );
+        live.upsert(ObjectId(500), g(0.6)).unwrap();
+
+        // The segment quarantined itself (reopen to recover, as for reads).
+        // Once the disk is back, the store holds exactly the acknowledged
+        // writes and takes the batch.
+        fault.clear();
+        drop(live);
+        let live = reopen();
+        assert_eq!((live.live_len(), live.ones()), (201, 20));
+        let snap = live.snapshot();
+        assert_eq!(snap.random_access(ObjectId(3)), Some(g(3.0 / 200.0)));
+        assert_eq!(snap.random_access(ObjectId(10)), Some(Grade::ONE));
+        assert_eq!(snap.random_access(ObjectId(500)), Some(g(0.6)));
+        assert_eq!(snap.random_access(ObjectId(900)), None);
+        live.write_batch(&batch).unwrap();
+        assert_eq!((live.live_len(), live.ones()), (201, 21));
+        let snap = live.snapshot();
+        assert_eq!(snap.random_access(ObjectId(3)), Some(Grade::ONE));
+        assert_eq!(snap.random_access(ObjectId(10)), None);
+        assert_eq!(snap.random_access(ObjectId(500)), Some(g(0.9)));
+        assert_eq!(snap.random_access(ObjectId(900)), Some(Grade::ONE));
     }
 
     #[test]

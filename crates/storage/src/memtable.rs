@@ -21,7 +21,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 
 use garlic_agg::Grade;
-use garlic_core::access::{GradedSource, SetAccess};
+use garlic_core::access::{GradedSource, SetAccess, SourceError};
 use garlic_core::{GradedEntry, ObjectId};
 
 use crate::wal::WalOp;
@@ -125,28 +125,39 @@ impl GradedSource for Memtable {
         self.skeleton.len()
     }
 
-    fn sorted_access(&self, rank: usize) -> Option<GradedEntry> {
-        self.entries_desc().nth(rank)
-    }
-
-    fn random_access(&self, object: ObjectId) -> Option<Grade> {
-        self.get(object).and_then(MemEntry::grade)
-    }
-
-    fn sorted_batch(&self, start: usize, count: usize, out: &mut Vec<GradedEntry>) -> usize {
+    fn try_sorted_batch(
+        &self,
+        start: usize,
+        count: usize,
+        out: &mut Vec<GradedEntry>,
+    ) -> Result<usize, SourceError> {
         let before = out.len();
         out.extend(self.entries_desc().skip(start).take(count));
-        out.len() - before
+        Ok(out.len() - before)
+    }
+
+    fn try_random_batch(
+        &self,
+        objects: &[ObjectId],
+        out: &mut Vec<Option<Grade>>,
+    ) -> Result<(), SourceError> {
+        out.extend(
+            objects
+                .iter()
+                .map(|&object| self.get(object).and_then(MemEntry::grade)),
+        );
+        Ok(())
     }
 }
 
 impl SetAccess for Memtable {
-    fn matching_set(&self) -> Vec<ObjectId> {
+    fn try_matching_set(&self) -> Result<Vec<ObjectId>, SourceError> {
         // Grade-1 entries are the skeleton's prefix.
-        self.entries_desc()
+        Ok(self
+            .entries_desc()
             .take_while(|e| e.grade == Grade::ONE)
             .map(|e| e.object)
-            .collect()
+            .collect())
     }
 }
 

@@ -15,7 +15,7 @@
 //! version (the round-trip property suite holds it to that).
 //!
 //! On v2 segments the per-block grade fences additionally power
-//! [`GradedSource::sorted_batch_bounded`]: a threshold-hinted scan stops
+//! [`GradedSource::try_sorted_batch_bounded`]: a threshold-hinted scan stops
 //! *before loading* the first block whose `grade_max` falls below the
 //! bound, skipping the cache, the I/O, and the decode for the entire
 //! remaining region.
@@ -77,14 +77,14 @@ impl Default for RetryPolicy {
 ///
 /// `open` verifies the entire file, so a file that is left alone never
 /// fails afterwards. If the *medium* fails later (dying disk, segment
-/// deleted or rewritten underneath the source), the fallible
-/// [`GradedSource::try_sorted_batch`]-family methods retry transiently
-/// failing block loads per the [`RetryPolicy`], then — once the budget is
-/// exhausted — **quarantine** the source: the failure surfaces as a typed
-/// [`SourceError`] with `quarantined` set and every later read fails fast
-/// with [`StorageError::Quarantined`]. Only the legacy *infallible* trait
-/// methods still panic on such a failure, and nothing in the query
-/// execution path uses them against disk-backed sources.
+/// deleted or rewritten underneath the source), the `try_*` reads this
+/// source implements retry transiently failing block loads per the
+/// [`RetryPolicy`], then — once the budget is exhausted — **quarantine**
+/// the source: the failure surfaces as a typed [`SourceError`] with
+/// `quarantined` set and every later read fails fast with
+/// [`StorageError::Quarantined`]. Only the trait's provided *infallible*
+/// adaptors panic on such a failure, and nothing in the query execution
+/// or write path uses them against disk-backed sources.
 pub struct SegmentSource {
     file: Box<dyn VfsRead>,
     path: PathBuf,
@@ -400,7 +400,7 @@ impl SegmentSource {
     }
 
     /// Cumulative block outcomes of every threshold-hinted scan
-    /// ([`sorted_batch_bounded`](GradedSource::sorted_batch_bounded)) this
+    /// ([`try_sorted_batch_bounded`](GradedSource::try_sorted_batch_bounded)) this
     /// source served: blocks decoded vs blocks the grade fence (or a
     /// decoded block ending below the bound) let the scan skip. Plain
     /// relaxed counters, bumped once per *block*, never per entry.
@@ -543,17 +543,6 @@ impl SegmentSource {
         )
     }
 
-    /// The infallible trait methods' escape hatch: a read failure that a
-    /// caller did not opt into handling (via the `try_*` accessors) has no
-    /// channel left but a panic.
-    fn infallible_panic(&self, e: StorageError) -> ! {
-        panic!(
-            "segment {} failed on the infallible read path (callers wanting typed \
-             errors use the try_* accessors): {e}",
-            self.path.display()
-        )
-    }
-
     /// Lifts a storage failure into the access layer's typed error,
     /// flagging it quarantined when the segment has poisoned itself.
     fn source_error(&self, e: StorageError) -> SourceError {
@@ -642,9 +631,9 @@ impl SegmentSource {
         }
     }
 
-    /// Fallible core of [`GradedSource::random_batch`]: on error the slice
+    /// Body of [`GradedSource::try_random_batch`]: on error the slice
     /// `out[base..]` may hold partial answers — the caller truncates.
-    fn random_batch_impl(
+    pub(crate) fn random_batch_impl(
         &self,
         objects: &[ObjectId],
         out: &mut Vec<Option<Grade>>,
@@ -677,33 +666,14 @@ impl SegmentSource {
         Ok(())
     }
 
-    /// Fallible core of [`GradedSource::sorted_batch`]: on error `out` may
-    /// hold a partial append — the caller truncates.
-    fn sorted_batch_impl(
-        &self,
-        start: usize,
-        count: usize,
-        out: &mut Vec<GradedEntry>,
-    ) -> Result<usize, StorageError> {
-        let n = self.footer.num_entries as usize;
-        let start = start.min(n);
-        let end = start.saturating_add(count).min(n);
-        out.reserve(end - start);
-        let mut rank = start;
-        while rank < end {
-            let block_index = (rank / self.entries_per_block) as u64;
-            let block = self.try_data_block(block_index)?;
-            let in_block = rank % self.entries_per_block;
-            let take = (end - rank).min(self.entries_per_block - in_block);
-            self.decode_data_range(&block, block_index, in_block, in_block + take, out)?;
-            rank += take;
-        }
-        Ok(end - start)
-    }
-
-    /// Fallible core of [`GradedSource::sorted_batch_bounded`] — the
-    /// grade-fence skipping logic lives here; see the trait method's docs.
-    fn sorted_batch_bounded_impl(
+    /// The one sorted scan, behind both
+    /// [`GradedSource::try_sorted_batch`] (which passes [`Grade::ZERO`]: no
+    /// grade is below it, so nothing is ever fenced out) and
+    /// [`GradedSource::try_sorted_batch_bounded`] — the grade-fence
+    /// skipping logic lives here; see that method's docs. The fence
+    /// counters only count scans that carry a real bound. On error `out`
+    /// may hold a partial append — the caller truncates.
+    fn sorted_scan(
         &self,
         start: usize,
         count: usize,
@@ -714,6 +684,10 @@ impl SegmentSource {
         let start = start.min(n);
         let end = start.saturating_add(count).min(n);
         let base = out.len();
+        let hinted = bound > Grade::ZERO;
+        if !hinted {
+            out.reserve(end - start);
+        }
         let mut rank = start;
         let mut truncated = false;
         // Last block the unbounded scan would touch — the denominator for
@@ -734,7 +708,9 @@ impl SegmentSource {
                 }
             }
             let block = self.try_data_block(block_index)?;
-            self.fence_loaded.fetch_add(1, Ordering::Relaxed);
+            if hinted {
+                self.fence_loaded.fetch_add(1, Ordering::Relaxed);
+            }
             let in_block = rank % self.entries_per_block;
             let take = (end - rank).min(self.entries_per_block - in_block);
             self.decode_data_range(&block, block_index, in_block, in_block + take, out)?;
@@ -751,23 +727,6 @@ impl SegmentSource {
             truncated,
         })
     }
-
-    /// Fallible core of [`SetAccess::matching_set`].
-    fn matching_set_impl(&self) -> Result<Vec<ObjectId>, StorageError> {
-        let mut out = Vec::with_capacity(self.footer.ones as usize);
-        let mut batch = Vec::new();
-        let mut rank = 0usize;
-        'scan: while self.sorted_batch_impl(rank, self.entries_per_block.max(1), &mut batch)? > 0 {
-            rank += batch.len();
-            for entry in batch.drain(..) {
-                if entry.grade != Grade::ONE {
-                    break 'scan;
-                }
-                out.push(entry.object);
-            }
-        }
-        Ok(out)
-    }
 }
 
 impl GradedSource for SegmentSource {
@@ -775,81 +734,24 @@ impl GradedSource for SegmentSource {
         self.footer.num_entries as usize
     }
 
-    fn sorted_access(&self, rank: usize) -> Option<GradedEntry> {
-        let mut one = Vec::with_capacity(1);
-        self.sorted_batch(rank, 1, &mut one);
-        one.pop()
-    }
-
-    fn random_access(&self, object: ObjectId) -> Option<Grade> {
-        let fences = &self.footer.table_first_ids;
-        // The fence index names each table block's smallest id; the object,
-        // if present, can only live in the last block whose fence is <= it.
-        let candidate = fences.partition_point(|&first| first <= object.0);
-        if candidate == 0 {
-            return None;
-        }
-        let index = (candidate - 1) as u64;
-        self.try_table_block(index)
-            .and_then(|block| self.lookup_in_table(&block, index, object))
-            .unwrap_or_else(|e| self.infallible_panic(e))
-    }
-
-    /// Native batched probing: probes are grouped by table block (sorted
-    /// by the footer's fence index), so each touched block is fetched from
-    /// the shared cache — and its checksum re-verified on a miss — **once
-    /// per batch**, not once per probe. Results land positionally aligned
-    /// with `objects`, and misses/duplicates behave exactly like the
-    /// per-object loop.
-    fn random_batch(&self, objects: &[ObjectId], out: &mut Vec<Option<Grade>>) {
-        self.random_batch_impl(objects, out)
-            .unwrap_or_else(|e| self.infallible_panic(e))
-    }
-
-    /// Native batched streaming: decodes each touched data block once,
-    /// straight into `out`.
-    fn sorted_batch(&self, start: usize, count: usize, out: &mut Vec<GradedEntry>) -> usize {
-        self.sorted_batch_impl(start, count, out)
-            .unwrap_or_else(|e| self.infallible_panic(e))
-    }
-
-    /// Threshold-hinted streaming. On a v2 segment the footer's
-    /// `grade_max` fences answer "can this block still matter?" *before*
-    /// the block is loaded: the scan stops at the first block whose fence
-    /// falls below `bound`, skipping its cache request, its I/O, and its
-    /// decode — and everything after it, since blocks are grade-descending.
-    /// On v1 the fence check is unavailable, but the scan still stops at
-    /// block granularity once a decoded block ends below the bound. Either
-    /// way the emitted entries are an exact prefix of the unbounded
-    /// stream, and `truncated` is only reported when every remaining entry
-    /// provably grades below `bound`.
-    fn sorted_batch_bounded(
-        &self,
-        start: usize,
-        count: usize,
-        bound: Grade,
-        out: &mut Vec<GradedEntry>,
-    ) -> BoundedBatch {
-        self.sorted_batch_bounded_impl(start, count, bound, out)
-            .unwrap_or_else(|e| self.infallible_panic(e))
-    }
-
-    /// Typed-error streaming: `out` is restored to its pre-call length on
-    /// failure, so a caller can retry (or fail over) without double-billed
-    /// or duplicated entries.
+    /// Decodes each touched data block once, straight into `out`; `out` is
+    /// restored to its pre-call length on failure, so a caller can retry
+    /// (or fail over) without double-billed or duplicated entries.
     fn try_sorted_batch(
         &self,
         start: usize,
         count: usize,
         out: &mut Vec<GradedEntry>,
     ) -> Result<usize, SourceError> {
-        let base = out.len();
-        self.sorted_batch_impl(start, count, out).map_err(|e| {
-            out.truncate(base);
-            self.source_error(e)
-        })
+        self.try_sorted_batch_bounded(start, count, Grade::ZERO, out)
+            .map(|batch| batch.appended)
     }
 
+    /// Probes are grouped by table block (sorted by the footer's fence
+    /// index), so each touched block is fetched from the shared cache — and
+    /// its checksum re-verified on a miss — **once per batch**, not once
+    /// per probe. Results land positionally aligned with `objects`, and
+    /// misses/duplicates are answered probe by probe.
     fn try_random_batch(
         &self,
         objects: &[ObjectId],
@@ -862,6 +764,16 @@ impl GradedSource for SegmentSource {
         })
     }
 
+    /// Threshold-hinted streaming. On a v2 segment the footer's
+    /// `grade_max` fences answer "can this block still matter?" *before*
+    /// the block is loaded: the scan stops at the first block whose fence
+    /// falls below `bound`, skipping its cache request, its I/O, and its
+    /// decode — and everything after it, since blocks are grade-descending.
+    /// On v1 the fence check is unavailable, but the scan still stops at
+    /// block granularity once a decoded block ends below the bound. Either
+    /// way the emitted entries are an exact prefix of the unbounded
+    /// stream, and `truncated` is only reported when every remaining entry
+    /// provably grades below `bound`.
     fn try_sorted_batch_bounded(
         &self,
         start: usize,
@@ -870,24 +782,30 @@ impl GradedSource for SegmentSource {
         out: &mut Vec<GradedEntry>,
     ) -> Result<BoundedBatch, SourceError> {
         let base = out.len();
-        self.sorted_batch_bounded_impl(start, count, bound, out)
-            .map_err(|e| {
-                out.truncate(base);
-                self.source_error(e)
-            })
+        self.sorted_scan(start, count, bound, out).map_err(|e| {
+            out.truncate(base);
+            self.source_error(e)
+        })
     }
 }
 
 impl SetAccess for SegmentSource {
     /// The grade-1 prefix of the sorted order — identical semantics to
-    /// [`MemorySource::matching_set`](garlic_core::access::MemorySource).
-    fn matching_set(&self) -> Vec<ObjectId> {
-        self.matching_set_impl()
-            .unwrap_or_else(|e| self.infallible_panic(e))
-    }
-
+    /// [`MemorySource`](garlic_core::access::MemorySource)'s.
     fn try_matching_set(&self) -> Result<Vec<ObjectId>, SourceError> {
-        self.matching_set_impl().map_err(|e| self.source_error(e))
+        let mut out = Vec::with_capacity(self.footer.ones as usize);
+        let mut batch = Vec::new();
+        let mut rank = 0usize;
+        'scan: while self.try_sorted_batch(rank, self.entries_per_block.max(1), &mut batch)? > 0 {
+            rank += batch.len();
+            for entry in batch.drain(..) {
+                if entry.grade != Grade::ONE {
+                    break 'scan;
+                }
+                out.push(entry.object);
+            }
+        }
+        Ok(out)
     }
 }
 

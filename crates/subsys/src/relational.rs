@@ -8,7 +8,7 @@
 //! subsystem.
 
 use garlic_agg::Grade;
-use garlic_core::access::{GradedSource, MemorySource, SetAccess};
+use garlic_core::access::{GradedSource, MemorySource, SetAccess, SourceError};
 use garlic_core::graded_set::GradedEntry;
 use garlic_core::ObjectId;
 use std::collections::HashMap;
@@ -265,22 +265,28 @@ impl GradedSource for CrispSource {
     fn len(&self) -> usize {
         self.inner.len()
     }
-    fn sorted_access(&self, rank: usize) -> Option<GradedEntry> {
-        self.inner.sorted_access(rank)
+    /// Streams the materialised matches-first ranking as a sequential
+    /// slice walk (no per-rank index resolution).
+    fn try_sorted_batch(
+        &self,
+        start: usize,
+        count: usize,
+        out: &mut Vec<GradedEntry>,
+    ) -> Result<usize, SourceError> {
+        self.inner.try_sorted_batch(start, count, out)
     }
-    fn random_access(&self, object: ObjectId) -> Option<Grade> {
-        self.inner.random_access(object)
-    }
-    /// Native cursor: streams the materialised matches-first ranking as a
-    /// sequential slice walk (no per-rank index resolution).
-    fn sorted_batch(&self, start: usize, count: usize, out: &mut Vec<GradedEntry>) -> usize {
-        self.inner.sorted_batch(start, count, out)
+    fn try_random_batch(
+        &self,
+        objects: &[ObjectId],
+        out: &mut Vec<Option<Grade>>,
+    ) -> Result<(), SourceError> {
+        self.inner.try_random_batch(objects, out)
     }
 }
 
 impl SetAccess for CrispSource {
-    fn matching_set(&self) -> Vec<ObjectId> {
-        self.matches.clone()
+    fn try_matching_set(&self) -> Result<Vec<ObjectId>, SourceError> {
+        Ok(self.matches.clone())
     }
 }
 
