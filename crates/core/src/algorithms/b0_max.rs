@@ -8,15 +8,19 @@
 //! (being non-strict) escapes the Ω(N^((m-1)/m) k^(1/m)) lower bound
 //! (Remark 6.1); experiment E07 measures this.
 //!
-//! A thin shell over [`B0Session`]: the top-`k`-of-every-list phase is the
-//! session's first page — one batched stream to depth `k`, each seen
-//! object scored by the best grade any list showed for it. Later pages
-//! deepen the same prefixes.
+//! B₀ is a rule of the one engine session, not a session of its own: this
+//! module is a thin shell over [`EngineSession::max`], whose first page is
+//! the top-`k`-of-every-list phase — one batched stream to depth `k`, each
+//! seen object scored by the best grade any list showed for it. Later
+//! pages deepen the same prefixes.
+
+use garlic_agg::iterated::IteratedTCoNorm;
+use garlic_agg::tconorms::Maximum;
 
 use crate::access::GradedSource;
 use crate::topk::{validate_inputs, TopK, TopKError};
 
-use super::engine::B0Session;
+use super::engine::EngineSession;
 
 /// Runs algorithm B₀ for the standard fuzzy disjunction
 /// `A₁ ∨ ... ∨ A_m` (aggregation fixed to max).
@@ -30,7 +34,7 @@ where
     S: GradedSource,
 {
     validate_inputs(sources, k)?;
-    B0Session::new(sources.iter().collect())?.next_batch(k)
+    EngineSession::<_, IteratedTCoNorm<Maximum>>::max(sources.iter().collect())?.next_batch(k)
 }
 
 #[cfg(test)]

@@ -68,25 +68,27 @@
 //! result set costs the same sorted accesses as one evaluation at the
 //! cumulative `k` — and "the top k" is simply the first page: there is no
 //! separate one-shot implementation to agree with. One session type runs
-//! three strategies, which differ only in where the sorted phase stops
+//! four strategies, which differ only in where the sorted phase stops
 //! and which objects a page grades: A₀ ([`EngineSession::new`]: every
 //! object seen), A₀′ ([`EngineSession::min`]: the pivot list's prefix at
 //! or above `g₀`, Proposition 4.3 — the rest wait in the slab, and since
 //! `g₀` only falls as the cumulative `k` grows a later page picks up what
-//! it needs) and the naive scan ([`EngineSession::scan`]: everything, by
-//! sorted access alone). Each page completes — and scores, once, through
+//! it needs), the naive scan ([`EngineSession::scan`]: everything, by
+//! sorted access alone) and B₀ ([`EngineSession::max`]: the sorted phase
+//! stops at depth = cumulative `k`, nothing is probed, and an object
+//! scores the best grade any list has shown for it — `m·k` cumulative
+//! cost). Each page completes — and scores, once, through
 //! the zero-alloc [`Aggregation::combine_reusing`] path — only its
 //! candidates that no earlier page graded (completed grade vectors stay
 //! complete, so cached scores stay valid); where each slot stands is one
 //! slot-indexed byte. Per-page work beyond the fresh
 //! slots is therefore one bounded-heap selection over the cached score
 //! array (unreturned candidates must re-compete every page; the
-//! aggregation itself is never re-run). [`B0Session`] is the analogous
-//! session for the max-disjunction algorithm B₀, whose paging cost is
-//! `m·k` cumulative.
+//! aggregation itself is never re-run — only B₀'s best-grade-so-far can
+//! still rise on a deeper page, so it alone is re-read until returned).
 //!
-//! Both session types expose their **k-th score frontier**
-//! ([`EngineSession::frontier`], [`B0Session::frontier`]) — the overall
+//! A session exposes its **k-th score frontier**
+//! ([`EngineSession::frontier`]) — the overall
 //! grade of the worst answer handed out so far. It is the natural
 //! advisory stop-threshold hint for auxiliary scans over block-backed
 //! sources ([`SortedCursor::set_bound`](crate::access::SortedCursor)):
@@ -612,6 +614,9 @@ impl<S: GradedSource> Engine<S> {
 
     /// The random-access phase proper, timed into the profile.
     fn complete_pending(&mut self) -> Result<(), TopKError> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
         let start = std::time::Instant::now();
         let result = self.probe_pending();
         self.profile.random_ns += elapsed_ns(start);
@@ -626,9 +631,6 @@ impl<S: GradedSource> Engine<S> {
     /// only the still-missing `(object, list)` pairs, so nothing is billed
     /// twice on resume.
     fn probe_pending(&mut self) -> Result<(), TopKError> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
         for i in 0..self.sources.len() {
             self.check_deadline()?;
             let Engine {
@@ -693,29 +695,6 @@ impl<S: GradedSource> Engine<S> {
     }
 }
 
-/// A growable slot-indexed bitvec: the sessions' returned-set, replacing a
-/// per-page-hashed `HashSet<ObjectId>`.
-#[derive(Debug, Default)]
-struct SlotSet {
-    words: Vec<u64>,
-}
-
-impl SlotSet {
-    fn contains(&self, slot: u32) -> bool {
-        self.words
-            .get(slot as usize / 64)
-            .is_some_and(|w| w & (1 << (slot % 64)) != 0)
-    }
-
-    fn insert(&mut self, slot: u32) {
-        let word = slot as usize / 64;
-        if word >= self.words.len() {
-            self.words.resize(word + 1, 0);
-        }
-        self.words[word] |= 1 << (slot % 64);
-    }
-}
-
 /// Where a slot of an [`EngineSession`] stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Status {
@@ -746,10 +725,14 @@ enum Rule<A> {
     /// The naive algorithm (Section 4), any aggregation: the first page
     /// reads every list to the end, which grades every object.
     Scan(A),
+    /// Algorithm B₀ (Theorem 4.5), `t = max`: sorted access to depth =
+    /// cumulative `k` in every list, no random access; an object scores
+    /// the best grade any list has shown for it so far.
+    Max,
 }
 
 impl<A> Rule<A> {
-    /// Whether a page grades this (seen) slot.
+    /// Whether a page grades this (seen) slot in full.
     fn grades(&self, slab: &Slab, slot: u32) -> bool {
         match *self {
             Rule::Monotone(_) | Rule::Scan(_) => true,
@@ -757,14 +740,15 @@ impl<A> Rule<A> {
                 pivot: Some((g0, i0)),
                 ..
             } => slab.has_rank(slot, i0) && slab.grades[slot as usize * slab.m + i0] >= g0,
-            Rule::Min { pivot: None, .. } => false,
+            Rule::Min { pivot: None, .. } | Rule::Max => false,
         }
     }
 }
 
 /// A resumable top-k session over the engine: algorithm A₀
-/// ([`EngineSession::new`]), A₀′ ([`EngineSession::min`]) or the naive scan
-/// ([`EngineSession::scan`]) kept alive between pages, implementing
+/// ([`EngineSession::new`]), A₀′ ([`EngineSession::min`]), the naive scan
+/// ([`EngineSession::scan`]) or B₀ ([`EngineSession::max`]) kept alive
+/// between pages, implementing
 /// Section 4's "continue where we left off". Grades already fetched (by
 /// either access kind) are never re-fetched, so the cumulative *sorted*
 /// cost of paging equals one evaluation at the cumulative `k` — and a
@@ -826,6 +810,16 @@ where
     /// cost of `m·N` sorted accesses paid by the first page.
     pub fn scan(sources: Vec<S>, agg: A) -> Result<Self, TopKError> {
         Self::open(sources, Rule::Scan(agg))
+    }
+
+    /// Opens a B₀ session for the standard fuzzy disjunction
+    /// `A₁ ∨ ... ∨ A_m` (aggregation fixed to max, whatever `A` is):
+    /// paging deepens the per-list prefixes to the cumulative `k`, so the
+    /// total cost of paging is exactly `m · Σkᵢ` sorted accesses —
+    /// identical to one B₀ run at the cumulative `k` — with no random
+    /// access at all.
+    pub fn max(sources: Vec<S>) -> Result<Self, TopKError> {
+        Self::open(sources, Rule::Max)
     }
 
     fn open(sources: Vec<S>, rule: Rule<A>) -> Result<Self, TopKError> {
@@ -920,12 +914,13 @@ where
         }
 
         // Sorted phase, resumed at the stored depth: until the *cumulative*
-        // target has matched — all `N` objects for the naive scan.
-        let stop = match self.rule {
-            Rule::Scan(_) => n,
-            _ => target,
-        };
-        self.engine.advance_until_matched(stop)?;
+        // target has matched — all `N` objects for the naive scan — or,
+        // for B₀, to the cumulative target's depth whatever has matched.
+        match self.rule {
+            Rule::Scan(_) => self.engine.advance_until_matched(n)?,
+            Rule::Max => self.engine.advance_to_depth(target)?,
+            _ => self.engine.advance_until_matched(target)?,
+        }
 
         // x₀ ∈ L with the least overall grade; sorted access has shown
         // every grade of a matched object.
@@ -975,11 +970,18 @@ where
         );
         let graded = (0..slab.len()).filter_map(|at| {
             let slot = at as u32;
+            if let Rule::Max = rule {
+                // A deeper page can show the object higher in another
+                // list, so B₀'s score is read afresh until it is returned.
+                return (status[at] != Status::Returned)
+                    .then(|| (slab.id(slot), slab.best_grade(slot)));
+            }
             if status[at] == Status::Waiting && rule.grades(slab, slot) {
                 let grades = slab.grade_slice(slot).expect("grades completed above");
                 scores[at] = match rule {
                     Rule::Monotone(agg) | Rule::Scan(agg) => agg.combine_reusing(grades, scratch),
                     Rule::Min { .. } => grades.iter().min().copied().expect("m >= 1"),
+                    Rule::Max => unreachable!("B₀ grades nothing in full"),
                 };
                 status[at] = Status::Graded;
             }
@@ -998,105 +1000,6 @@ where
         }
         self.cumulative = target;
         Ok(page)
-    }
-}
-
-/// A resumable session for the max-disjunction algorithm B₀ (Theorem 4.5):
-/// paging deepens the per-list prefixes to the cumulative `k`, so the total
-/// cost of paging is exactly `m · Σkᵢ` sorted accesses — identical to one
-/// B₀ run at the cumulative `k` — with no random access at all.
-pub struct B0Session<S> {
-    engine: Engine<S>,
-    returned: SlotSet,
-    cumulative: usize,
-    /// The worst grade handed out so far — see [`EngineSession::frontier`].
-    frontier: Option<Grade>,
-    /// `(cumulative k, frontier)` per non-empty page — see
-    /// [`EngineSession::frontier_history`].
-    frontier_history: Vec<(usize, Grade)>,
-}
-
-impl<S: GradedSource> B0Session<S> {
-    /// Opens a session over the given sources (aggregation fixed to max).
-    pub fn new(sources: Vec<S>) -> Result<Self, TopKError> {
-        validate_inputs(&sources, 1)?;
-        Ok(B0Session {
-            engine: Engine::open(sources)?,
-            returned: SlotSet::default(),
-            cumulative: 0,
-            frontier: None,
-            frontier_history: Vec::new(),
-        })
-    }
-
-    /// How many answers have been handed out so far.
-    pub fn returned(&self) -> usize {
-        self.cumulative
-    }
-
-    /// The worst grade handed out so far — the session's k-th score
-    /// frontier, usable as an advisory cursor bound exactly as described
-    /// on [`EngineSession::frontier`]. `None` before the first non-empty
-    /// page.
-    pub fn frontier(&self) -> Option<Grade> {
-        self.frontier
-    }
-
-    /// The frontier's progression, one entry per non-empty page — see
-    /// [`EngineSession::frontier_history`].
-    pub fn frontier_history(&self) -> &[(usize, Grade)] {
-        &self.frontier_history
-    }
-
-    /// The underlying engine (e.g. for reading its [`EngineProfile`]).
-    pub fn engine(&self) -> &Engine<S> {
-        &self.engine
-    }
-
-    /// The session's sources.
-    pub fn sources(&self) -> &[S] {
-        self.engine.sources()
-    }
-
-    /// Sets (or clears) a cooperative deadline on the underlying engine —
-    /// same resumable semantics as [`EngineSession::set_deadline`].
-    pub fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
-        self.engine.set_deadline(deadline);
-    }
-
-    /// Returns the next `k` best answers under max (fewer if the database
-    /// is exhausted).
-    pub fn next_batch(&mut self, k: usize) -> Result<TopK, TopKError> {
-        if k == 0 {
-            return Err(TopKError::ZeroK);
-        }
-        let target = (self.cumulative + k).min(self.engine.n());
-        if target == self.cumulative {
-            return Ok(TopK::from_entries(Vec::new()));
-        }
-        self.engine.advance_to_depth(target)?;
-        let engine = &self.engine;
-        let returned = &self.returned;
-        let fresh = TopK::select(
-            (0..engine.slab.len() as u32)
-                .filter(|&slot| !returned.contains(slot))
-                .map(|slot| (engine.slab.id(slot), engine.slab.best_grade(slot))),
-            target - self.cumulative,
-        );
-        for e in fresh.entries() {
-            let slot = self
-                .engine
-                .slab
-                .slot_of(e.object)
-                .expect("selected objects are seen");
-            self.returned.insert(slot);
-        }
-        if let Some(last) = fresh.entries().last() {
-            self.frontier = Some(last.grade);
-            self.frontier_history.push((target, last.grade));
-        }
-        self.cumulative = target;
-        Ok(fresh)
     }
 }
 
@@ -1266,6 +1169,7 @@ mod tests {
             EngineSession::new(sources(), &agg).unwrap(),
             EngineSession::min(sources()).unwrap(),
             EngineSession::scan(sources(), &agg).unwrap(),
+            EngineSession::max(sources()).unwrap(),
         ];
         for session in &mut sessions {
             assert_eq!(session.next_batch(3).unwrap().len(), 3);
@@ -1395,7 +1299,7 @@ mod tests {
 
     #[test]
     fn b0_session_frontier_tracks_the_worst_returned_grade() {
-        let mut session = B0Session::new(sources()).unwrap();
+        let mut session = EngineSession::<_, MinAgg>::max(sources()).unwrap();
         assert_eq!(session.frontier(), None);
         let first = session.next_batch(1).unwrap();
         assert_eq!(session.frontier(), first.entries().last().map(|e| e.grade));
@@ -1421,7 +1325,7 @@ mod tests {
     #[test]
     fn b0_session_paging_costs_m_times_cumulative_k() {
         let paged = counted(sources());
-        let mut session = B0Session::new(paged).unwrap();
+        let mut session = EngineSession::<_, MinAgg>::max(paged).unwrap();
         let first = session.next_batch(1).unwrap();
         let second = session.next_batch(2).unwrap();
         assert_eq!(first.len(), 1);

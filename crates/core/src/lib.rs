@@ -61,7 +61,7 @@ pub mod validate;
 pub use access::{
     CountingSource, GradedSource, MemorySource, SetAccess, SortedCursor, SourceError,
 };
-pub use algorithms::engine::{B0Session, Engine, EngineProfile, EngineSession};
+pub use algorithms::engine::{Engine, EngineProfile, EngineSession};
 pub use complement::ComplementSource;
 pub use cost::{AccessStats, CostModel};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet};

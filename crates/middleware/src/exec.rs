@@ -1,16 +1,23 @@
-//! The executor: runs a [`Plan`] against the catalog's subsystems, through
-//! counting sources so every answer comes back with its Section 5
-//! middleware cost.
+//! The executor: one request in, one result out.
 //!
-//! There is one execution path. A plan is executed by opening its
+//! A [`QueryRequest`] says everything a caller can ask of a query — how
+//! many answers, and optionally a deadline, an execution trace and
+//! Fagin–Wimmers weights on the conjuncts; the options compose freely.
+//! [`Garlic::run`] answers it with a [`QueryResult`]: the ranked page, its
+//! measured Section 5 middleware cost (every source is read through a
+//! counting wrapper), the plan, and — when the request asked for a trace —
+//! what only a traced run adds ([`Explain`]). [`Garlic::top_k`] is the
+//! shorthand for the plain request.
+//!
+//! There is one execution path. The request is planned, the plan's
 //! [`QuerySession`] — a resumable session of the core engine, one per
-//! strategy — arming the caller's deadline on it, and pulling pages:
-//! [`Garlic::top_k`], [`Garlic::explain`] and [`Garlic::top_k_weighted`]
-//! pull one, [`Garlic::top_k_paged`] pulls several, and a caller holding
-//! the session from [`Garlic::open_session`] pulls as many as it likes.
-//! "The top k" is the first page of "continue where we left off"
-//! (Section 4), so what EXPLAIN traces is what `top_k` runs and bills.
-//! No source is accessed before the first page is asked for.
+//! strategy — is opened with the request's deadline armed on it, and a
+//! page is pulled. "The top k" is the first page of "continue where we
+//! left off" (Section 4): a caller that wants more pages takes the armed
+//! session itself from [`Garlic::open_session`] and pulls as many as it
+//! likes, so paging composes with deadlines and weights through the
+//! session, and what a trace shows is what the plain request runs and
+//! bills. No source is accessed before the first page is asked for.
 //!
 //! Ownership: [`Garlic`] owns its [`Catalog`] and a [`QuerySession`] owns
 //! the `Arc` answer handles it streams from, so both are `'static`,
@@ -25,17 +32,17 @@ use garlic_agg::tnorms::Minimum;
 use garlic_agg::weighted::FaginWimmers;
 use garlic_agg::{Aggregation, Grade};
 use garlic_core::access::{total_stats, CountingSource};
-use garlic_core::algorithms::engine::{B0Session, EngineProfile, EngineSession};
+use garlic_core::algorithms::engine::{EngineProfile, EngineSession};
 use garlic_core::algorithms::filtered::FilteredSession;
 use garlic_core::complement::ComplementSource;
 use garlic_core::{AccessStats, GradedSource, TopK, TopKError};
 use garlic_subsys::AtomicQuery;
-use garlic_telemetry::{MetricValue, QueryTrace, Span, SpanTimer, Telemetry};
+use garlic_telemetry::{MetricValue, QueryTrace, Span, SpanTimer, Telemetry, TelemetrySnapshot};
 
 use crate::catalog::Catalog;
 use crate::error::MiddlewareError;
-use crate::plan::{plan, plan_weighted, Plan, PlannerOptions, Strategy};
-use crate::query::{GarlicQuery, NnfAggregation, QueryAggregation};
+use crate::plan::{plan, Plan, PlannerOptions, Strategy};
+use crate::query::{GarlicQuery, QueryAggregation};
 
 /// A subsystem answer — an owned `Arc` handle — behind the Section 5
 /// metering wrapper.
@@ -68,7 +75,7 @@ fn counted_atoms<'a>(
 fn nnf_sources(
     catalog: &Catalog,
     query: &GarlicQuery,
-) -> Result<(Vec<Counted>, NnfAggregation), MiddlewareError> {
+) -> Result<(Vec<Counted>, QueryAggregation), MiddlewareError> {
     let nnf = query.to_nnf();
     let sources: Vec<Counted> = nnf
         .literals
@@ -83,7 +90,61 @@ fn nnf_sources(
             Ok(counted(source))
         })
         .collect::<Result<_, MiddlewareError>>()?;
-    Ok((sources, NnfAggregation::new(nnf)))
+    Ok((sources, QueryAggregation::nnf(nnf)))
+}
+
+/// One top-k request: "the top `k` answers to this query", optionally
+/// bounded by a deadline, traced, or with its conjuncts weighted. The
+/// request *borrows* the query and the weights, so building one allocates
+/// nothing; start from [`QueryRequest::new`] and set what the query needs:
+///
+/// ```
+/// # use garlic_middleware::{GarlicQuery, QueryRequest};
+/// # use garlic_subsys::Target;
+/// let query = GarlicQuery::atom("AlbumColor", Target::text("red"));
+/// let request = QueryRequest {
+///     trace: true,
+///     ..QueryRequest::new(&query, 10)
+/// };
+/// assert!(request.deadline.is_none() && request.weights.is_empty());
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct QueryRequest<'a> {
+    /// The query to answer.
+    pub query: &'a GarlicQuery,
+    /// How many answers: the page size of [`Garlic::run`], the anticipated
+    /// cumulative result size (a planning estimate only) of
+    /// [`Garlic::open_session`].
+    pub k: usize,
+    /// A cooperative deadline. The engine checks it once per batch round —
+    /// the first check comes before any source is accessed, whatever the
+    /// strategy — and once it has passed the query fails with
+    /// [`MiddlewareError::DeadlineExceeded`] instead of running away,
+    /// leaving every source consistent.
+    pub deadline: Option<Instant>,
+    /// EXPLAIN ANALYZE: also return the per-query execution trace
+    /// ([`QueryResult::explain`]). The execution traced is the one the
+    /// plain request performs: same answers, same bill.
+    pub trace: bool,
+    /// Fagin–Wimmers weights, one per conjunct of a flat conjunction
+    /// (Section 4's pointer to \[FW97\]: "the user decides that color is
+    /// twice as important to him as shape"); empty for an unweighted
+    /// query. Non-negative, finite, with a positive sum. The weighting of
+    /// min is monotone, so algorithm A₀ applies unchanged.
+    pub weights: &'a [f64],
+}
+
+impl<'a> QueryRequest<'a> {
+    /// The plain request: the top `k`, no deadline, no trace, no weights.
+    pub fn new(query: &'a GarlicQuery, k: usize) -> Self {
+        QueryRequest {
+            query,
+            k,
+            deadline: None,
+            trace: false,
+            weights: &[],
+        }
+    }
 }
 
 /// A query answer with its plan and measured middleware cost.
@@ -100,10 +161,12 @@ pub struct QueryResult {
     /// correct for the surviving data and `stats` bills exactly the
     /// accesses performed, but unreadable objects are missing.
     pub degraded: bool,
+    /// What the trace adds, when the request set [`QueryRequest::trace`].
+    pub explain: Option<Box<Explain>>,
 }
 
-/// An executed EXPLAIN: the plan, the answers it produced, the billed
-/// Section 5 cost, and the per-query execution trace.
+/// What only a traced run adds to its [`QueryResult`]: the per-source
+/// split of the bill and the per-query execution trace.
 ///
 /// The trace's `source[i]` spans are rendered from the same
 /// [`CountingSource`] totals `stats` sums over — the per-source counts in
@@ -111,23 +174,12 @@ pub struct QueryResult {
 /// re-derived estimates (pinned by the `explain_equivalence` suite).
 #[derive(Debug, Clone)]
 pub struct Explain {
-    /// The plan the planner chose.
-    pub plan: Plan,
-    /// The answers the traced execution produced — entry for entry what
-    /// [`Garlic::top_k`] returns.
-    pub answers: TopK,
-    /// Total billed middleware cost of the traced execution — what
-    /// [`Garlic::top_k`] bills.
-    pub stats: AccessStats,
     /// Per-source `(label, cost)` pairs, in source order — the exact
-    /// [`CountingSource`] totals, summing to `stats`.
+    /// [`CountingSource`] totals, summing to [`QueryResult::stats`].
     pub per_source: Vec<(String, AccessStats)>,
     /// The execution trace (plan decision, engine phases, per-source
     /// costs, storage counter deltas when telemetry is attached).
     pub trace: QueryTrace,
-    /// Whether some source served a degraded stream — see
-    /// [`QueryResult::degraded`].
-    pub degraded: bool,
 }
 
 impl std::fmt::Display for Explain {
@@ -169,11 +221,11 @@ impl Garlic {
         }
     }
 
-    /// Attaches a metrics registry (builder style). Query entry points
-    /// then record `middleware.queries` and the
-    /// `middleware.query_latency_ns` histogram — one registry check per
-    /// query, never per entry — and [`Garlic::explain`] appends a span of
-    /// registry counter deltas to its trace.
+    /// Attaches a metrics registry (builder style). [`Garlic::run`] then
+    /// records `middleware.queries` and the `middleware.query_latency_ns`
+    /// histogram — one registry check per query, never per entry — and a
+    /// traced request appends a span of registry counter deltas to its
+    /// trace.
     pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
         self.telemetry = Some(telemetry);
         self
@@ -189,116 +241,90 @@ impl Garlic {
         &self.catalog
     }
 
-    /// Plans without executing (the zero-cost half of EXPLAIN; see
-    /// [`Garlic::explain`] for the traced, executing form).
+    /// Plans the plain request without executing it (the zero-cost half of
+    /// EXPLAIN; set [`QueryRequest::trace`] for the traced, executing form).
     pub fn plan_for(&self, query: &GarlicQuery, k: usize) -> Result<Plan, MiddlewareError> {
-        plan(&self.catalog, query, k, self.options)
+        plan(&self.catalog, &QueryRequest::new(query, k), self.options)
     }
 
-    /// Starts one query's clock — only when a registry is attached.
-    fn query_timer(&self) -> Option<SpanTimer> {
-        self.telemetry.as_ref().map(|_| SpanTimer::start())
+    /// Plans and executes the plain top-k request — shorthand for
+    /// [`Garlic::run`] on [`QueryRequest::new`].
+    pub fn top_k(&self, query: &GarlicQuery, k: usize) -> Result<QueryResult, MiddlewareError> {
+        self.run(&QueryRequest::new(query, k))
     }
 
-    /// The one recorder of `middleware.queries` / `.query_latency_ns`:
-    /// every entry point that executes calls it once, after success.
-    fn record_query(&self, timer: Option<SpanTimer>) {
+    /// Answers one request: plans it, opens the plan's session with the
+    /// deadline armed, and pulls the one page of `k` answers. Asking for
+    /// more answers than there are objects is an error here
+    /// ([`TopKError::KTooLarge`]), not a short page.
+    ///
+    /// With [`QueryRequest::trace`] set the result also carries the
+    /// per-query trace — the plan decision, engine phase timings,
+    /// per-source Section 5 access counts (bit-equal to the billed
+    /// [`CountingSource`] totals), and, when telemetry is attached, the
+    /// storage counter deltas the query caused.
+    pub fn run(&self, request: &QueryRequest<'_>) -> Result<QueryResult, MiddlewareError> {
+        let timer = self.telemetry.as_ref().map(|_| SpanTimer::start());
+        // A traced request also times its two phases.
+        let phase_timer = || request.trace.then(SpanTimer::start);
+        let plan_timer = phase_timer();
+        let plan = plan(&self.catalog, request, self.options)?;
+        let plan_ns = plan_timer.map(|t| t.elapsed_ns());
+        let k = request.k;
+        if k > plan.n {
+            return Err(TopKError::KTooLarge { k, n: plan.n }.into());
+        }
+
+        let traced = self.telemetry.as_ref().filter(|_| request.trace);
+        let before = traced.map(|t| t.snapshot());
+        let exec_timer = phase_timer();
+        let mut session = plan.open_session(&self.catalog, request)?;
+        let answers = session.next_batch(k)?;
+        let exec_ns = exec_timer.map(|t| t.elapsed_ns());
+
+        let mut result = QueryResult {
+            answers,
+            stats: session.stats(),
+            plan,
+            degraded: session.degraded(),
+            explain: None,
+        };
+        if request.trace {
+            let per_source = session.per_source_stats(&result.plan, request.query);
+            let mut root = Span::new(format!("query: {} top-{k}", request.query));
+            root.push(plan_span(&result.plan, plan_ns));
+            root.push(self.execute_span(&result, &session, &per_source, exec_ns, before));
+            result.explain = Some(Box::new(Explain {
+                per_source,
+                trace: QueryTrace::new(root),
+            }));
+        }
+        // The one recorder of `middleware.queries` / `.query_latency_ns`:
+        // once per request, after success.
         if let (Some(t), Some(timer)) = (&self.telemetry, timer) {
             t.counter("middleware.queries").inc();
             t.histogram("middleware.query_latency_ns")
                 .record(timer.elapsed_ns());
         }
+        Ok(result)
     }
 
-    /// The one execution path: opens the plan's session, arms the
-    /// deadline, and pulls one page per entry of `pages`.
-    fn run(
+    /// The trace's `execute` span: the bill, the engine phases, one span
+    /// per source and — given the registry snapshot taken before the run —
+    /// the counters the run moved.
+    fn execute_span(
         &self,
-        query: &GarlicQuery,
-        plan: &Plan,
-        pages: &[usize],
-        deadline: Option<Instant>,
-    ) -> Result<(Vec<TopK>, QuerySession), MiddlewareError> {
-        let mut session = plan.open_session(&self.catalog, query)?;
-        session.set_deadline(deadline);
-        let pages = pages
-            .iter()
-            .map(|&k| session.next_batch(k))
-            .collect::<Result<_, _>>()?;
-        Ok((pages, session))
-    }
-
-    /// [`Garlic::run`] for the entry points that ask for exactly "the top
-    /// `k`": one page, and `k > N` is an error rather than a short page.
-    fn run_one(
-        &self,
-        query: &GarlicQuery,
-        plan: Plan,
-        k: usize,
-        deadline: Option<Instant>,
-    ) -> Result<(QueryResult, QuerySession), MiddlewareError> {
-        if k > plan.n {
-            return Err(TopKError::KTooLarge { k, n: plan.n }.into());
-        }
-        let (mut pages, session) = self.run(query, &plan, &[k], deadline)?;
-        let result = QueryResult {
-            answers: pages.pop().expect("one page was asked for"),
-            stats: session.stats(),
-            plan,
-            degraded: session.degraded(),
-        };
-        Ok((result, session))
-    }
-
-    /// EXPLAIN ANALYZE: plans, executes, and returns the answers together
-    /// with a per-query trace — the plan decision, engine phase timings,
-    /// per-source Section 5 access counts (bit-equal to the billed
-    /// [`CountingSource`] totals), and, when telemetry is attached, the
-    /// storage counter deltas the query caused. The execution traced is
-    /// the one [`Garlic::top_k`] performs: same answers, same bill.
-    pub fn explain(&self, query: &GarlicQuery, k: usize) -> Result<Explain, MiddlewareError> {
-        self.explain_with_deadline(query, k, None)
-    }
-
-    /// [`Garlic::explain`] with a cooperative deadline: the engine checks
-    /// it between batch rounds and fails with
-    /// [`MiddlewareError::DeadlineExceeded`] once it passes, leaving
-    /// every source consistent.
-    pub fn explain_with_deadline(
-        &self,
-        query: &GarlicQuery,
-        k: usize,
-        deadline: Option<Instant>,
-    ) -> Result<Explain, MiddlewareError> {
-        let timer = self.query_timer();
-        let plan_timer = SpanTimer::start();
-        let plan = self.plan_for(query, k)?;
-        let plan_ns = plan_timer.elapsed_ns();
-
-        let before = self.telemetry.as_ref().map(|t| t.snapshot());
-        let exec_timer = SpanTimer::start();
-        let (result, session) = self.run_one(query, plan, k, deadline)?;
-        let exec_ns = exec_timer.elapsed_ns();
-        let QueryResult {
-            answers,
-            stats,
-            plan,
-            degraded,
-        } = result;
-        let per_source = session.per_source_stats(&plan, query);
-
-        let mut root = Span::new(format!("query: {query} top-{k}"));
-        let mut plan_span = Span::new(format!("plan: {:?}", plan.strategy));
-        plan_span.duration_ns = Some(plan_ns);
-        plan_span.add_field("atoms", plan.atoms.len());
-        plan_span.add_field("estimated_cost", format!("{:.1}", plan.estimated_cost));
-        root.push(plan_span);
-
+        result: &QueryResult,
+        session: &QuerySession,
+        per_source: &[(String, AccessStats)],
+        exec_ns: Option<u64>,
+        before: Option<TelemetrySnapshot>,
+    ) -> Span {
         let mut exec = Span::new("execute");
-        exec.duration_ns = Some(exec_ns);
-        exec.add_field("answers", answers.len());
-        exec.add_field("S", stats.sorted);
-        exec.add_field("R", stats.random);
+        exec.duration_ns = exec_ns;
+        exec.add_field("answers", result.answers.len());
+        exec.add_field("S", result.stats.sorted);
+        exec.add_field("R", result.stats.random);
 
         let EngineDetails {
             profile,
@@ -346,107 +372,41 @@ impl Garlic {
                 exec.push(storage);
             }
         }
-        root.push(exec);
-        self.record_query(timer);
-
-        Ok(Explain {
-            plan,
-            answers,
-            stats,
-            per_source,
-            trace: QueryTrace::new(root),
-            degraded,
-        })
+        exec
     }
 
-    /// Plans and executes a top-k query.
-    pub fn top_k(&self, query: &GarlicQuery, k: usize) -> Result<QueryResult, MiddlewareError> {
-        self.top_k_with_deadline(query, k, None)
-    }
-
-    /// [`Garlic::top_k`] with a cooperative deadline. The engine checks
-    /// the deadline once per batch round — the first check comes before
-    /// any source is accessed, whatever the strategy — and when it passes
-    /// the query fails with [`MiddlewareError::DeadlineExceeded`] instead
-    /// of running away.
-    pub fn top_k_with_deadline(
-        &self,
-        query: &GarlicQuery,
-        k: usize,
-        deadline: Option<Instant>,
-    ) -> Result<QueryResult, MiddlewareError> {
-        let timer = self.query_timer();
-        let plan = self.plan_for(query, k)?;
-        let (result, _) = self.run_one(query, plan, k, deadline)?;
-        self.record_query(timer);
-        Ok(result)
-    }
-
-    /// Opens a resumable [`QuerySession`] for a query: every strategy in
-    /// the Section 4/8 catalogue pages through its ranked result set batch
-    /// by batch, never repeating an object and never re-evaluating.
-    /// `k_hint` is the anticipated cumulative result size, used only for
-    /// planning estimates.
+    /// Opens the request's resumable [`QuerySession`], deadline armed, for
+    /// callers that page: every strategy in the Section 4/8 catalogue
+    /// pages through its ranked result set batch by batch, never repeating
+    /// an object and never re-evaluating. Pages past the `N`-th object
+    /// come back short, then empty. The A₀ family "continues where it left
+    /// off" (Section 4), so its cumulative sorted cost equals a single
+    /// evaluation at the cumulative k; B₀-family paging costs `m·k`
+    /// cumulative; the filtered and naive strategies — whose evaluation
+    /// cost does not depend on k — pay it on the first page and cut later
+    /// pages from what they graded.
+    ///
+    /// The request's `k` (clamped to `1..=N`) is only the planner's
+    /// estimate of the cumulative result size; `trace` is not consulted —
+    /// a session reports its own [`QuerySession::per_source_stats`] and
+    /// [`QuerySession::engine_details`].
     pub fn open_session(
         &self,
-        query: &GarlicQuery,
-        k_hint: usize,
+        request: &QueryRequest<'_>,
     ) -> Result<QuerySession, MiddlewareError> {
-        self.plan_for(query, k_hint.max(1))?
-            .open_session(&self.catalog, query)
+        let k = request.k.min(self.catalog.universe_size()).max(1);
+        let request = QueryRequest { k, ..*request };
+        plan(&self.catalog, &request, self.options)?.open_session(&self.catalog, &request)
     }
+}
 
-    /// Pages through a query's ranked result set: returns one [`TopK`] per
-    /// requested batch size, never repeating an object, plus the *total*
-    /// middleware cost. Pages past the `N`-th object come back short, then
-    /// empty. The A₀ family "continues where it left off" (Section 4), so
-    /// its cumulative sorted cost equals a single evaluation at the
-    /// cumulative k; B₀-family paging costs `m·k` cumulative; the filtered
-    /// and naive strategies — whose evaluation cost does not depend on k —
-    /// pay it on the first page and cut later pages from what they graded.
-    pub fn top_k_paged(
-        &self,
-        query: &GarlicQuery,
-        batches: &[usize],
-    ) -> Result<(Vec<TopK>, AccessStats), MiddlewareError> {
-        if batches.contains(&0) {
-            return Err(MiddlewareError::TopK(TopKError::ZeroK));
-        }
-        let total: usize = batches.iter().sum();
-        let total = total.min(self.catalog.universe_size());
-
-        let timer = self.query_timer();
-        let plan = self.plan_for(query, total.max(1))?;
-        let (pages, session) = self.run(query, &plan, batches, None)?;
-        self.record_query(timer);
-        Ok((pages, session.stats()))
-    }
-
-    /// A *weighted* conjunction of atomic queries (Section 4's pointer to
-    /// \[FW97\]: "the user decides that color is twice as important to him
-    /// as shape"). Weights are non-negative with a positive sum; the
-    /// aggregation is the Fagin–Wimmers weighting of min, which is
-    /// monotone, so algorithm A₀ applies unchanged.
-    pub fn top_k_weighted(
-        &self,
-        weighted_atoms: &[(AtomicQuery, f64)],
-        k: usize,
-    ) -> Result<QueryResult, MiddlewareError> {
-        let timer = self.query_timer();
-        let plan = plan_weighted(&self.catalog, weighted_atoms, k)?;
-        // The conjunction the weights annotate; the plan's weights, not
-        // this query's connectives, choose the aggregation.
-        let query = plan
-            .atoms
-            .iter()
-            .cloned()
-            .map(GarlicQuery::Atom)
-            .reduce(GarlicQuery::and)
-            .expect("a weighted plan has at least one conjunct");
-        let (result, _) = self.run_one(&query, plan, k, None)?;
-        self.record_query(timer);
-        Ok(result)
-    }
+/// The trace's `plan` span.
+fn plan_span(plan: &Plan, plan_ns: Option<u64>) -> Span {
+    let mut span = Span::new(format!("plan: {:?}", plan.strategy));
+    span.duration_ns = plan_ns;
+    span.add_field("atoms", plan.atoms.len());
+    span.add_field("estimated_cost", format!("{:.1}", plan.estimated_cost));
+    span
 }
 
 /// The single fused internal-conjunction list (Section 8), metered.
@@ -459,16 +419,16 @@ fn pushdown_source(catalog: &Catalog, atoms: &[AtomicQuery]) -> Result<Counted, 
 }
 
 impl Plan {
-    /// Opens the plan's resumable session (see [`QuerySession`]): asks the
-    /// subsystems for their answer handles and wraps them in meters, but
-    /// accesses nothing — every strategy does its first access on its
-    /// first page.
-    pub(crate) fn open_session(
+    /// Opens the plan's resumable session (see [`QuerySession`]) with the
+    /// request's deadline armed: asks the subsystems for their answer
+    /// handles and wraps them in meters, but accesses nothing — every
+    /// strategy does its first access on its first page.
+    fn open_session(
         &self,
         catalog: &Catalog,
-        query: &GarlicQuery,
+        request: &QueryRequest<'_>,
     ) -> Result<QuerySession, MiddlewareError> {
-        let atoms = &self.atoms[..];
+        let (atoms, query) = (&self.atoms[..], request.query);
         let kind = match &self.strategy {
             Strategy::FaMin => {
                 SessionKind::Engine(EngineSession::min(counted_atoms(catalog, atoms)?)?)
@@ -489,9 +449,11 @@ impl Plan {
                 counted_atoms(catalog, atoms)?,
                 Box::new(QueryAggregation::new(query, atoms)) as SessionAgg,
             )?),
-            Strategy::B0Max => SessionKind::B0(B0Session::new(counted_atoms(catalog, atoms)?)?),
+            Strategy::B0Max => {
+                SessionKind::Engine(EngineSession::max(counted_atoms(catalog, atoms)?)?)
+            }
             Strategy::InternalPushdown { .. } => {
-                SessionKind::B0(B0Session::new(vec![pushdown_source(catalog, atoms)?])?)
+                SessionKind::Engine(EngineSession::max(vec![pushdown_source(catalog, atoms)?])?)
             }
             Strategy::Filtered { crisp_index } => {
                 let crisp_atom = &atoms[*crisp_index];
@@ -509,26 +471,32 @@ impl Plan {
                 }
             }
         };
-        Ok(QuerySession { kind })
+        let mut session = QuerySession { kind };
+        session.set_deadline(request.deadline);
+        Ok(session)
     }
 }
 
 /// A resumable, strategy-agnostic paging session over one planned query —
-/// what every [`Garlic`] entry point executes through.
+/// what every request executes through.
 ///
-/// * A₀-family strategies hold a live [`EngineSession`] — each batch
-///   resumes the sorted phase at the stored depth ("continue where we left
-///   off", Section 4), so cumulative sorted cost equals one evaluation at
-///   the cumulative `k`. The flat min conjunction runs A₀′: a page
-///   random-accesses only the pivot list's candidates and leaves the rest
-///   of what it has seen for a later page to complete if it must.
-/// * B₀-family strategies (flat disjunctions and Section 8 pushdown) hold a
-///   [`B0Session`] — paging deepens the per-list prefixes, `m·k` cumulative
-///   cost, no random access.
-/// * The naive scan (an [`EngineSession`] that reads every list to the
-///   end) and the filtered strategy (a [`FilteredSession`]) — whose
-///   evaluation cost is independent of `k` — pay it on their first page
-///   and cut every later page from the scored set at zero access cost.
+/// Every strategy but one holds a live [`EngineSession`], under the rule
+/// the strategy names:
+///
+/// * A₀-family strategies resume the sorted phase at the stored depth on
+///   each batch ("continue where we left off", Section 4), so cumulative
+///   sorted cost equals one evaluation at the cumulative `k`. The flat min
+///   conjunction runs A₀′: a page random-accesses only the pivot list's
+///   candidates and leaves the rest of what it has seen for a later page
+///   to complete if it must.
+/// * B₀-family strategies (flat disjunctions and Section 8 pushdown) deepen
+///   the per-list prefixes page by page — `m·k` cumulative cost, no random
+///   access.
+/// * The naive scan reads every list to the end on its first page; like
+///   the filtered strategy (the exception: a [`FilteredSession`]) its
+///   evaluation cost is independent of `k`, so it is paid by the first
+///   page and every later page is cut from the scored set at zero access
+///   cost.
 ///
 /// A session owns everything it streams from (`Arc` answer handles plus
 /// its own bookkeeping), so it is `'static` and `Send`: open it on one
@@ -540,7 +508,6 @@ pub struct QuerySession {
 
 enum SessionKind {
     Engine(EngineSession<Counted, SessionAgg>),
-    B0(B0Session<Counted>),
     Filtered {
         session: FilteredSession<CountedCrisp, Counted, IteratedTNorm<Minimum>>,
         /// Where the crisp conjunct sits among the plan's atoms.
@@ -565,7 +532,6 @@ impl QuerySession {
     pub fn next_batch(&mut self, k: usize) -> Result<TopK, MiddlewareError> {
         match &mut self.kind {
             SessionKind::Engine(session) => session.next_batch(k),
-            SessionKind::B0(session) => session.next_batch(k),
             SessionKind::Filtered { session, .. } => session.next_batch(k),
         }
         .map_err(MiddlewareError::from)
@@ -575,7 +541,6 @@ impl QuerySession {
     pub fn returned(&self) -> usize {
         match &self.kind {
             SessionKind::Engine(session) => session.returned(),
-            SessionKind::B0(session) => session.returned(),
             SessionKind::Filtered { session, .. } => session.returned(),
         }
     }
@@ -584,7 +549,6 @@ impl QuerySession {
     fn graded(&self) -> &[Counted] {
         match &self.kind {
             SessionKind::Engine(session) => session.sources(),
-            SessionKind::B0(session) => session.sources(),
             SessionKind::Filtered { session, .. } => session.graded(),
         }
     }
@@ -651,11 +615,6 @@ impl QuerySession {
                 depth: s.engine().depth(),
                 frontier: s.frontier_history(),
             },
-            SessionKind::B0(s) => EngineDetails {
-                profile: s.engine().profile(),
-                depth: s.engine().depth(),
-                frontier: s.frontier_history(),
-            },
             SessionKind::Filtered { session, .. } => EngineDetails {
                 profile: session.profile(),
                 depth: 0,
@@ -673,7 +632,6 @@ impl QuerySession {
     pub fn set_deadline(&mut self, deadline: Option<Instant>) {
         match &mut self.kind {
             SessionKind::Engine(session) => session.set_deadline(deadline),
-            SessionKind::B0(session) => session.set_deadline(deadline),
             SessionKind::Filtered { session, .. } => session.set_deadline(deadline),
         }
     }
@@ -714,6 +672,82 @@ mod tests {
             cat.register(self.text.clone()).unwrap();
             Garlic::new(cat)
         }
+    }
+
+    /// Pages through `q` on one session: the pages and the total bill.
+    fn paged(garlic: &Garlic, q: &GarlicQuery, batches: &[usize]) -> (Vec<TopK>, AccessStats) {
+        let request = QueryRequest::new(q, batches.iter().sum());
+        let mut session = garlic.open_session(&request).unwrap();
+        let pages = batches
+            .iter()
+            .map(|&k| session.next_batch(k).unwrap())
+            .collect();
+        (pages, session.stats())
+    }
+
+    /// Runs the traced request; its `explain` is always there.
+    fn traced(garlic: &Garlic, q: &GarlicQuery, k: usize) -> (QueryResult, Explain) {
+        let request = QueryRequest {
+            trace: true,
+            ..QueryRequest::new(q, k)
+        };
+        let mut result = garlic.run(&request).unwrap();
+        let explain = *result.explain.take().expect("a traced request explains");
+        (result, explain)
+    }
+
+    /// Runs the conjunction of `atoms` under the given weights.
+    fn weighted(
+        garlic: &Garlic,
+        weighted_atoms: &[(AtomicQuery, f64)],
+        k: usize,
+    ) -> Result<QueryResult, MiddlewareError> {
+        let (atoms, weights): (Vec<_>, Vec<f64>) = weighted_atoms
+            .iter()
+            .map(|(a, w)| (GarlicQuery::Atom(a.clone()), *w))
+            .unzip();
+        garlic.run(&QueryRequest {
+            weights: &weights,
+            ..QueryRequest::new(&GarlicQuery::And(atoms), k)
+        })
+    }
+
+    /// The seven `(options, query)` pairs that make the planner pick each
+    /// of its seven strategies on the demo catalog.
+    fn one_query_per_strategy() -> [(PlannerOptions, GarlicQuery); 7] {
+        let color = || GarlicQuery::atom("AlbumColor", Target::text("red"));
+        let shape = || GarlicQuery::atom("Shape", Target::text("round"));
+        let review = || GarlicQuery::atom("Review", Target::terms(&["rock"]));
+        let options = |prefer_internal, negation_pushdown| PlannerOptions {
+            prefer_internal,
+            negation_pushdown,
+        };
+        let negated = GarlicQuery::and(color(), GarlicQuery::not(shape()));
+        [
+            (options(false, false), GarlicQuery::and(color(), shape())),
+            (options(false, false), GarlicQuery::or(color(), shape())),
+            (
+                options(false, false),
+                GarlicQuery::and(
+                    GarlicQuery::atom("Artist", Target::text("Beatles")),
+                    color(),
+                ),
+            ),
+            (
+                options(false, false),
+                GarlicQuery::and(color(), GarlicQuery::or(shape(), review())),
+            ),
+            (options(false, false), negated.clone()),
+            (options(false, true), negated),
+            (options(true, false), GarlicQuery::and(color(), shape())),
+        ]
+    }
+
+    fn summed(explain: &Explain) -> AccessStats {
+        explain
+            .per_source
+            .iter()
+            .fold(AccessStats::default(), |acc, (_, s)| acc + *s)
     }
 
     #[test]
@@ -850,7 +884,7 @@ mod tests {
             GarlicQuery::atom("Shape", Target::text("round")),
         );
 
-        let (batches, _) = garlic.top_k_paged(&q, &[3, 3, 3]).unwrap();
+        let (batches, _) = paged(&garlic, &q, &[3, 3, 3]);
         assert_eq!(batches.len(), 3);
         let oneshot = garlic.top_k(&q, 9).unwrap();
         let mut paged: Vec<Grade> = Vec::new();
@@ -871,7 +905,7 @@ mod tests {
             GarlicQuery::atom("Artist", Target::text("Beatles")),
             GarlicQuery::atom("AlbumColor", Target::text("red")),
         );
-        let (batches, _) = garlic.top_k_paged(&q, &[2, 2]).unwrap();
+        let (batches, _) = paged(&garlic, &q, &[2, 2]);
         let oneshot = garlic.top_k(&q, 4).unwrap();
         let mut paged: Vec<Grade> = Vec::new();
         for b in &batches {
@@ -911,7 +945,7 @@ mod tests {
                 ),
             ),
         ] {
-            let (batches, paged_stats) = garlic.top_k_paged(&q, &[2, 3, 4]).unwrap();
+            let (batches, paged_stats) = paged(&garlic, &q, &[2, 3, 4]);
             let oneshot = garlic.top_k(&q, 9).unwrap();
 
             // Same answers at every boundary...
@@ -920,7 +954,7 @@ mod tests {
                 assert!(got.approx_eq(want, 1e-12), "{label}");
             }
             // ...the one-shot sorted cost, exactly...
-            let mut session = garlic.open_session(&q, 9).unwrap();
+            let mut session = garlic.open_session(&QueryRequest::new(&q, 9)).unwrap();
             for b in [2usize, 3, 4] {
                 session.next_batch(b).unwrap();
             }
@@ -947,35 +981,9 @@ mod tests {
     #[test]
     fn single_page_entry_points_reject_k_above_n_and_paging_clamps() {
         let f = Fixture::new();
-        let color = || GarlicQuery::atom("AlbumColor", Target::text("red"));
-        let shape = || GarlicQuery::atom("Shape", Target::text("round"));
-        let review = || GarlicQuery::atom("Review", Target::terms(&["rock"]));
-        let options = |prefer_internal, negation_pushdown| PlannerOptions {
-            prefer_internal,
-            negation_pushdown,
-        };
-        let negated = GarlicQuery::and(color(), GarlicQuery::not(shape()));
-        let cases = [
-            (options(false, false), GarlicQuery::and(color(), shape())),
-            (options(false, false), GarlicQuery::or(color(), shape())),
-            (
-                options(false, false),
-                GarlicQuery::and(
-                    GarlicQuery::atom("Artist", Target::text("Beatles")),
-                    color(),
-                ),
-            ),
-            (
-                options(false, false),
-                GarlicQuery::and(color(), GarlicQuery::or(shape(), review())),
-            ),
-            (options(false, false), negated.clone()),
-            (options(false, true), negated),
-            (options(true, false), GarlicQuery::and(color(), shape())),
-        ];
         let far = Instant::now() + std::time::Duration::from_secs(3600);
         let mut strategies = std::collections::HashSet::new();
-        for (opts, q) in cases {
+        for (opts, q) in one_query_per_strategy() {
             let garlic = Garlic::with_options(f.garlic().catalog().clone(), opts);
             let n = garlic.catalog().universe_size();
             let strategy = garlic.plan_for(&q, n).unwrap().strategy;
@@ -987,29 +995,22 @@ mod tests {
                 other => panic!("{strategy:?}: expected KTooLarge, got {other:?}"),
             };
             for deadline in [None, Some(far)] {
-                assert_eq!(
-                    garlic
-                        .top_k_with_deadline(&q, n, deadline)
-                        .unwrap()
-                        .answers
-                        .len(),
-                    n,
-                    "{strategy:?}"
-                );
-                too_large(
-                    garlic
-                        .top_k_with_deadline(&q, n + 1, deadline)
-                        .map(|r| r.answers),
-                );
-                too_large(
-                    garlic
-                        .explain_with_deadline(&q, n + 1, deadline)
-                        .map(|e| e.answers),
-                );
+                for trace in [false, true] {
+                    let request = |k| QueryRequest {
+                        deadline,
+                        trace,
+                        ..QueryRequest::new(&q, k)
+                    };
+                    assert_eq!(
+                        garlic.run(&request(n)).unwrap().answers.len(),
+                        n,
+                        "{strategy:?}"
+                    );
+                    too_large(garlic.run(&request(n + 1)).map(|r| r.answers));
+                }
             }
             too_large(garlic.top_k(&q, n + 1).map(|r| r.answers));
-            too_large(garlic.explain(&q, n + 1).map(|e| e.answers));
-            let (pages, _) = garlic.top_k_paged(&q, &[n, 1]).unwrap();
+            let (pages, _) = paged(&garlic, &q, &[n, 1]);
             assert_eq!((pages[0].len(), pages[1].len()), (n, 0), "{strategy:?}");
         }
         assert_eq!(strategies.len(), 7, "every strategy exercised");
@@ -1018,7 +1019,7 @@ mod tests {
         let n = garlic.catalog().universe_size();
         let atom = AtomicQuery::new("AlbumColor", Target::text("red"));
         assert!(matches!(
-            garlic.top_k_weighted(&[(atom, 1.0)], n + 1),
+            weighted(&garlic, &[(atom, 1.0)], n + 1),
             Err(MiddlewareError::TopK(TopKError::KTooLarge { .. }))
         ));
     }
@@ -1034,7 +1035,7 @@ mod tests {
             Strategy::NaiveCalculus
         ));
 
-        let (batches, stats) = garlic.top_k_paged(&q, &[3, 3]).unwrap();
+        let (batches, stats) = paged(&garlic, &q, &[3, 3]);
         let oneshot = garlic.top_k(&q, 6).unwrap();
         let paged: Vec<Grade> = batches.iter().flat_map(|b| b.grades()).collect();
         for (got, want) in paged.iter().zip(oneshot.answers.grades()) {
@@ -1052,7 +1053,7 @@ mod tests {
             GarlicQuery::atom("AlbumColor", Target::text("red")),
             GarlicQuery::atom("Shape", Target::text("round")),
         );
-        let (batches, stats) = garlic.top_k_paged(&q, &[2, 2, 2]).unwrap();
+        let (batches, stats) = paged(&garlic, &q, &[2, 2, 2]);
         let oneshot = garlic.top_k(&q, 6).unwrap();
         let paged: Vec<Grade> = batches.iter().flat_map(|b| b.grades()).collect();
         assert_eq!(paged.len(), 6);
@@ -1086,7 +1087,7 @@ mod tests {
             garlic.plan_for(&q, 4).unwrap().strategy,
             Strategy::InternalPushdown { .. }
         ));
-        let (batches, stats) = garlic.top_k_paged(&q, &[2, 2]).unwrap();
+        let (batches, stats) = paged(&garlic, &q, &[2, 2]);
         let oneshot = garlic.top_k(&q, 4).unwrap();
         let paged: Vec<Grade> = batches.iter().flat_map(|b| b.grades()).collect();
         for (got, want) in paged.iter().zip(oneshot.answers.grades()) {
@@ -1119,7 +1120,7 @@ mod tests {
             garlic.plan_for(&q, 6).unwrap().strategy,
             Strategy::FaNnf
         ));
-        let (batches, _) = garlic.top_k_paged(&q, &[3, 3]).unwrap();
+        let (batches, _) = paged(&garlic, &q, &[3, 3]);
         let oneshot = garlic.top_k(&q, 6).unwrap();
         let paged: Vec<Grade> = batches.iter().flat_map(|b| b.grades()).collect();
         assert_eq!(paged.len(), 6);
@@ -1133,7 +1134,7 @@ mod tests {
         let f = Fixture::new();
         let garlic = f.garlic();
         let q = GarlicQuery::atom("AlbumColor", Target::text("red"));
-        let mut session = garlic.open_session(&q, 12).unwrap();
+        let mut session = garlic.open_session(&QueryRequest::new(&q, 12)).unwrap();
         let mut seen = std::collections::HashSet::new();
         let mut total = 0usize;
         loop {
@@ -1156,10 +1157,18 @@ mod tests {
         let f = Fixture::new();
         let garlic = f.garlic();
         let q = GarlicQuery::atom("AlbumColor", Target::text("red"));
-        let (batches, _) = garlic.top_k_paged(&q, &[10, 10]).unwrap();
+        let (batches, _) = paged(&garlic, &q, &[10, 10]);
         let total: usize = batches.iter().map(|b| b.len()).sum();
         assert_eq!(total, 12); // N = 12
-        assert!(garlic.top_k_paged(&q, &[0]).is_err());
+        let mut session = garlic.open_session(&QueryRequest::new(&q, 0)).unwrap();
+        assert!(matches!(
+            session.next_batch(0),
+            Err(MiddlewareError::TopK(TopKError::ZeroK))
+        ));
+        assert!(matches!(
+            garlic.top_k(&q, 0),
+            Err(MiddlewareError::TopK(TopKError::ZeroK))
+        ));
     }
 
     #[test]
@@ -1170,9 +1179,7 @@ mod tests {
         let shape = AtomicQuery::new("Shape", Target::text("round"));
 
         // Equal weights recover the unweighted min conjunction.
-        let equal = garlic
-            .top_k_weighted(&[(color.clone(), 1.0), (shape.clone(), 1.0)], 12)
-            .unwrap();
+        let equal = weighted(&garlic, &[(color.clone(), 1.0), (shape.clone(), 1.0)], 12).unwrap();
         let unweighted = garlic
             .top_k(
                 &GarlicQuery::and(
@@ -1186,9 +1193,8 @@ mod tests {
 
         // "Color twice as important as shape": grades must differ from the
         // unweighted ones, and match the naive FW reference.
-        let weighted = garlic
-            .top_k_weighted(&[(color.clone(), 2.0), (shape.clone(), 1.0)], 12)
-            .unwrap();
+        let weighted =
+            weighted(&garlic, &[(color.clone(), 2.0), (shape.clone(), 1.0)], 12).unwrap();
         assert_ne!(weighted.answers.grades(), unweighted.answers.grades());
         assert_eq!(
             weighted.plan.description(),
@@ -1209,10 +1215,28 @@ mod tests {
     fn weighted_conjunction_rejects_bad_weights() {
         let f = Fixture::new();
         let garlic = f.garlic();
-        let color = AtomicQuery::new("AlbumColor", Target::text("red"));
-        assert!(garlic.top_k_weighted(&[], 1).is_err());
-        assert!(garlic.top_k_weighted(&[(color.clone(), -1.0)], 1).is_err());
-        assert!(garlic.top_k_weighted(&[(color, 0.0)], 1).is_err());
+        let color = GarlicQuery::atom("AlbumColor", Target::text("red"));
+        let shape = GarlicQuery::atom("Shape", Target::text("round"));
+        let rejected = |q: &GarlicQuery, weights: &[f64]| {
+            let request = QueryRequest {
+                weights,
+                ..QueryRequest::new(q, 1)
+            };
+            matches!(
+                garlic.run(&request),
+                Err(MiddlewareError::Unsupported { .. })
+            )
+        };
+        assert!(rejected(&color, &[1.0, 2.0])); // one weight per conjunct
+        assert!(rejected(&color, &[-1.0]));
+        assert!(rejected(&color, &[0.0]));
+        assert!(rejected(&color, &[f64::NAN]));
+        // Only a flat conjunction of distinct atoms can be weighted.
+        let either = GarlicQuery::or(color.clone(), shape.clone());
+        assert!(rejected(&either, &[1.0, 1.0]));
+        let twice = GarlicQuery::and(color.clone(), color.clone());
+        assert!(rejected(&twice, &[1.0, 1.0]));
+        assert!(!rejected(&GarlicQuery::and(color, shape), &[1.0, 1.0]));
     }
 
     #[test]
@@ -1287,19 +1311,15 @@ mod tests {
             GarlicQuery::atom("AlbumColor", Target::text("red")),
             GarlicQuery::atom("Shape", Target::text("round")),
         );
-        let ex = garlic.explain(&q, 3).unwrap();
+        let (result, ex) = traced(&garlic, &q, 3);
 
         // Same ranking as the plain execution path.
         let plain = garlic.top_k(&q, 3).unwrap();
-        assert_eq!(ex.answers.entries(), plain.answers.entries());
-        assert_eq!(ex.plan.strategy, plain.plan.strategy);
+        assert_eq!(result.answers.entries(), plain.answers.entries());
+        assert_eq!(result.plan.strategy, plain.plan.strategy);
 
         // The per-source totals are the billed totals, bit for bit.
-        let sum: AccessStats = ex
-            .per_source
-            .iter()
-            .fold(AccessStats::default(), |acc, (_, s)| acc + *s);
-        assert_eq!(sum, ex.stats);
+        assert_eq!(summed(&ex), result.stats);
         assert_eq!(ex.per_source.len(), 2);
 
         // The rendered trace carries the plan, the engine phases, and one
@@ -1323,31 +1343,23 @@ mod tests {
         let garlic = f.garlic();
         let a = GarlicQuery::atom("AlbumColor", Target::text("red"));
         let q = GarlicQuery::and(a.clone(), GarlicQuery::not(a));
-        let ex = garlic.explain(&q, 2).unwrap();
-        assert!(matches!(ex.plan.strategy, Strategy::NaiveCalculus));
+        let (result, ex) = traced(&garlic, &q, 2);
+        assert!(matches!(result.plan.strategy, Strategy::NaiveCalculus));
         // The scan is an engine run like any other: every list read to N.
         let engine = ex.trace.find("engine").expect("engine span");
         let n = garlic.catalog().universe_size();
         assert_eq!(engine.get_field("depth"), Some(n.to_string().as_str()));
-        let sum: AccessStats = ex
-            .per_source
-            .iter()
-            .fold(AccessStats::default(), |acc, (_, s)| acc + *s);
-        assert_eq!(sum, ex.stats);
+        assert_eq!(summed(&ex), result.stats);
 
         // Filtered: the crisp match set is labelled in place.
         let filtered = GarlicQuery::and(
             GarlicQuery::atom("Artist", Target::text("Beatles")),
             GarlicQuery::atom("AlbumColor", Target::text("red")),
         );
-        let ex = garlic.explain(&filtered, 2).unwrap();
-        assert!(matches!(ex.plan.strategy, Strategy::Filtered { .. }));
+        let (result, ex) = traced(&garlic, &filtered, 2);
+        assert!(matches!(result.plan.strategy, Strategy::Filtered { .. }));
         assert!(ex.per_source.iter().any(|(l, _)| l.ends_with("(crisp)")));
-        let sum: AccessStats = ex
-            .per_source
-            .iter()
-            .fold(AccessStats::default(), |acc, (_, s)| acc + *s);
-        assert_eq!(sum, ex.stats);
+        assert_eq!(summed(&ex), result.stats);
     }
 
     #[test]
@@ -1367,28 +1379,103 @@ mod tests {
         });
         let garlic = f.garlic().with_telemetry(Arc::clone(&telemetry));
         let q = GarlicQuery::atom("AlbumColor", Target::text("red"));
-        let ex = garlic.explain(&q, 2).unwrap();
+        let (_, ex) = traced(&garlic, &q, 2);
         // The collector's counter advanced between the two snapshots, so
         // the delta span surfaces it.
         let span = ex.trace.find("telemetry").expect("delta span");
         assert_eq!(span.get_field("probe.calls"), Some("1"));
+    }
 
-        // Every executing entry point records histogram + counter once:
-        // the explain above, the plain path, then both deadline arms, one
-        // paged session and one weighted conjunction.
-        garlic.top_k(&q, 2).unwrap();
-        assert_eq!(telemetry.snapshot().counter("middleware.queries"), 2);
-        let far = std::time::Instant::now() + std::time::Duration::from_secs(60);
-        garlic.top_k_with_deadline(&q, 2, None).unwrap();
-        garlic.top_k_with_deadline(&q, 2, Some(far)).unwrap();
-        garlic.top_k_paged(&q, &[1, 1]).unwrap();
-        let atom = AtomicQuery::new("AlbumColor", Target::text("red"));
-        garlic.top_k_weighted(&[(atom, 1.0)], 2).unwrap();
-        let snap = telemetry.snapshot();
-        assert_eq!(snap.counter("middleware.queries"), 6);
-        match snap.get("middleware.query_latency_ns") {
-            Some(MetricValue::Histogram(h)) => assert_eq!(h.count, 6),
-            other => panic!("expected histogram, got {other:?}"),
+    /// The request matrix, as one table: under every strategy the planner
+    /// can pick, a deadline and a trace change nothing about the answers
+    /// or the bill, and every request is one `middleware.queries`; a
+    /// weighted conjunction takes the same options, pages through its
+    /// session and is served by the service like any other request.
+    #[test]
+    fn deadline_trace_and_weights_compose_with_every_strategy() {
+        let f = Fixture::new();
+        let telemetry = Telemetry::new();
+        let queries = || telemetry.snapshot().counter("middleware.queries");
+        let far = Instant::now() + std::time::Duration::from_secs(3600);
+        let check = |garlic: &Garlic, plain: &QueryResult, base: QueryRequest<'_>| {
+            for deadline in [None, Some(far)] {
+                for trace in [false, true] {
+                    let label = format!("{:?} {deadline:?} trace={trace}", plain.plan.strategy);
+                    let before = queries();
+                    let request = QueryRequest {
+                        deadline,
+                        trace,
+                        ..base
+                    };
+                    let got = garlic.run(&request).unwrap();
+                    assert_eq!(queries(), before + 1, "{label}");
+                    assert_eq!(got.answers.entries(), plain.answers.entries(), "{label}");
+                    assert_eq!(got.stats, plain.stats, "{label}");
+                    assert_eq!(got.plan.strategy, plain.plan.strategy, "{label}");
+                    assert_eq!(got.explain.is_some(), trace, "{label}");
+                    if let Some(explain) = &got.explain {
+                        assert_eq!(summed(explain), got.stats, "{label}");
+                    }
+                }
+            }
+        };
+
+        let mut strategies = std::collections::HashSet::new();
+        for (opts, q) in one_query_per_strategy() {
+            let garlic = Garlic::with_options(f.garlic().catalog().clone(), opts)
+                .with_telemetry(Arc::clone(&telemetry));
+            let plain = garlic.top_k(&q, 3).unwrap();
+            strategies.insert(std::mem::discriminant(&plain.plan.strategy));
+            check(&garlic, &plain, QueryRequest::new(&q, 3));
         }
+        assert_eq!(strategies.len(), 7, "every strategy exercised");
+
+        // Weighted × {far deadline, trace}.
+        let garlic = f.garlic().with_telemetry(Arc::clone(&telemetry));
+        let q = GarlicQuery::and(
+            GarlicQuery::atom("AlbumColor", Target::text("red")),
+            GarlicQuery::atom("Shape", Target::text("round")),
+        );
+        let request = QueryRequest {
+            weights: &[2.0, 1.0],
+            ..QueryRequest::new(&q, 9)
+        };
+        let plain = garlic.run(&request).unwrap();
+        assert_eq!(plain.plan.weights, [2.0, 1.0]);
+        assert_ne!(
+            plain.answers.grades(),
+            garlic.top_k(&q, 9).unwrap().answers.grades()
+        );
+        check(&garlic, &plain, request);
+
+        // Weighted × paged: [2, 3, 4] on the request's session is one
+        // page of 9, at the one page's sorted cost.
+        let mut session = garlic.open_session(&request).unwrap();
+        let pages: Vec<Grade> = [2, 3, 4]
+            .iter()
+            .flat_map(|&k| session.next_batch(k).unwrap().grades())
+            .collect();
+        assert_eq!(pages, plain.answers.grades());
+        assert_eq!(session.stats().sorted, plain.stats.sorted);
+
+        // Weighted × served: the service's deadline reaches it.
+        let service = crate::GarlicService::with_threads(garlic, 1);
+        let served = service.run(&request).unwrap();
+        assert_eq!(served.answers.entries(), plain.answers.entries());
+        assert!(matches!(
+            service
+                .with_deadline(std::time::Duration::ZERO)
+                .run(&request),
+            Err(MiddlewareError::DeadlineExceeded)
+        ));
+    }
+
+    /// `bench_e2e` keeps every `QueryResult` of a run alive and reads peak
+    /// RSS: the result may carry one pointer for the optional trace on top
+    /// of the 160 bytes it had before the request API, and no more.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn query_result_grew_by_at_most_one_pointer() {
+        assert!(std::mem::size_of::<QueryResult>() <= 160 + 8);
     }
 }

@@ -1,9 +1,9 @@
 //! # garlic-middleware — the Garlic analogue
 //!
 //! The middleware of the paper: it holds a [`catalog::Catalog`] of
-//! subsystems, plans Boolean queries over their attributes
+//! subsystems, plans a [`exec::QueryRequest`] over their attributes
 //! ([`plan::plan`]), and executes the plan with full cost accounting
-//! ([`exec::Garlic::top_k`]).
+//! ([`exec::Garlic::run`]; [`exec::Garlic::top_k`] for the plain request).
 //!
 //! The planner implements the full Section 4/8 strategy catalogue: the
 //! filtered "Beatles" strategy, A₀′ for conjunctions, B₀ for disjunctions,
@@ -19,7 +19,7 @@
 //! execution.
 //!
 //! ```
-//! use garlic_middleware::{Catalog, Garlic, GarlicQuery, GarlicService};
+//! use garlic_middleware::{Catalog, Garlic, GarlicQuery, GarlicService, QueryRequest};
 //! use garlic_subsys::{cd_store::demo_subsystems, Target};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
@@ -40,8 +40,8 @@
 //!
 //! // The same middleware, as a concurrent multi-query service:
 //! let service = GarlicService::new(garlic);
-//! let batch = vec![(query.clone(), 2), (query, 1)];
-//! let results = service.top_k_batch(&batch);
+//! let batch = [QueryRequest::new(&query, 2), QueryRequest::new(&query, 1)];
+//! let results = service.serve_batch(&batch);
 //! assert_eq!(results[0].as_ref().unwrap().answers.len(), 2);
 //! assert_eq!(results[1].as_ref().unwrap().answers.len(), 1);
 //! ```
@@ -59,11 +59,11 @@ pub mod service;
 
 pub use catalog::Catalog;
 pub use error::{MiddlewareError, QueryError};
-pub use exec::{EngineDetails, Explain, Garlic, QueryResult, QuerySession};
+pub use exec::{EngineDetails, Explain, Garlic, QueryRequest, QueryResult, QuerySession};
 pub use parser::{parse_query, ParseError};
 pub use plan::{Plan, PlannerOptions, Strategy};
 pub use query::{GarlicQuery, QueryAggregation};
-pub use service::{GarlicService, QueryRequest};
+pub use service::GarlicService;
 
 // Re-exported so downstream callers can attach a registry and consume
 // traces without naming the telemetry crate themselves.

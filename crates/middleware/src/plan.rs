@@ -9,12 +9,13 @@
 //! | flat disjunction | algorithm B₀ | Thm 4.5 |
 //! | any other positive query | algorithm A₀ with the compound-query aggregation | Thm 4.2 |
 //! | query with negation | naive scan under the calculus | §4 naive |
+//! | flat conjunction, request carries weights | algorithm A₀ with the Fagin–Wimmers weighting of min | §4, \[FW97\] |
 
 use garlic_subsys::AtomicQuery;
 
 use crate::catalog::Catalog;
 use crate::error::MiddlewareError;
-use crate::query::GarlicQuery;
+use crate::exec::QueryRequest;
 
 /// The chosen evaluation strategy.
 #[derive(Debug, Clone, PartialEq)]
@@ -164,13 +165,22 @@ fn fa_cost_estimate(n: usize, m: usize, k: usize) -> f64 {
     2.0 * m * n.powf((m - 1.0) / m) * k.powf(1.0 / m)
 }
 
-/// Plans a top-k evaluation of `query` against the catalog.
+/// Plans a top-k evaluation of the request's query against the catalog.
+///
+/// Non-empty [`QueryRequest::weights`] ask for a *weighted* conjunction
+/// (Fagin–Wimmers, \[FW97\]): the query must be a flat conjunction of
+/// distinct atoms with one finite, non-negative weight per atom and a
+/// positive sum. The weighting of min is monotone, so the plan is
+/// algorithm A₀ over the conjuncts as written, with `weights` selecting
+/// the aggregation.
 pub fn plan(
     catalog: &Catalog,
-    query: &GarlicQuery,
-    k: usize,
+    request: &QueryRequest<'_>,
     options: PlannerOptions,
 ) -> Result<Plan, MiddlewareError> {
+    let QueryRequest {
+        query, k, weights, ..
+    } = *request;
     let atoms = query.atoms();
     let n = catalog.universe_size();
     let m = atoms.len();
@@ -187,8 +197,27 @@ pub fn plan(
         m,
         k,
         matches: 0,
-        weights: Vec::new(),
+        weights: weights.to_vec(),
     };
+
+    if !weights.is_empty() {
+        if query
+            .as_flat_and()
+            .is_none_or(|flat| flat.len() != weights.len())
+        {
+            return Err(MiddlewareError::Unsupported {
+                reason: "weights need a flat conjunction of distinct atoms, one weight per atom"
+                    .into(),
+            });
+        }
+        if weights.iter().any(|w| !w.is_finite() || *w < 0.0) || weights.iter().sum::<f64>() <= 0.0
+        {
+            return Err(MiddlewareError::Unsupported {
+                reason: "weights must be non-negative, finite, with a positive sum".into(),
+            });
+        }
+        return Ok(chosen(Strategy::FaGeneric, m, fa_cost_estimate(n, m, k)));
+    }
 
     // Non-positive queries cannot be evaluated by A₀ over the raw atom
     // lists (monotonicity fails — and Section 7 shows some such queries are
@@ -259,44 +288,10 @@ pub fn plan(
     Ok(chosen(Strategy::FaGeneric, m, fa_cost_estimate(n, m, k)))
 }
 
-/// Plans a *weighted* conjunction (Fagin–Wimmers, \[FW97\]): the weighting
-/// of min is monotone, so the plan is algorithm A₀ over the conjuncts as
-/// given, with `weights` selecting the aggregation.
-pub(crate) fn plan_weighted(
-    catalog: &Catalog,
-    weighted_atoms: &[(AtomicQuery, f64)],
-    k: usize,
-) -> Result<Plan, MiddlewareError> {
-    let (atoms, weights): (Vec<AtomicQuery>, Vec<f64>) = weighted_atoms.iter().cloned().unzip();
-    if atoms.is_empty() {
-        return Err(MiddlewareError::Unsupported {
-            reason: "weighted conjunction needs at least one conjunct".into(),
-        });
-    }
-    if weights.iter().any(|w| !w.is_finite() || *w < 0.0) || weights.iter().sum::<f64>() <= 0.0 {
-        return Err(MiddlewareError::Unsupported {
-            reason: "weights must be non-negative, finite, with a positive sum".into(),
-        });
-    }
-    for a in &atoms {
-        catalog.resolve(&a.attribute)?;
-    }
-    let (n, m) = (catalog.universe_size(), atoms.len());
-    Ok(Plan {
-        strategy: Strategy::FaGeneric,
-        estimated_cost: fa_cost_estimate(n, m, k),
-        atoms,
-        n,
-        m,
-        k,
-        matches: 0,
-        weights,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::GarlicQuery;
     use garlic_subsys::cd_store::demo_subsystems;
     use garlic_subsys::Target;
     use rand::rngs::StdRng;
@@ -324,6 +319,16 @@ mod tests {
         }
     }
 
+    /// Plans the plain request for `q`.
+    fn plan_of(
+        catalog: &Catalog,
+        q: &GarlicQuery,
+        k: usize,
+        options: PlannerOptions,
+    ) -> Result<Plan, MiddlewareError> {
+        plan(catalog, &QueryRequest::new(q, k), options)
+    }
+
     fn beatles_red() -> GarlicQuery {
         GarlicQuery::and(
             GarlicQuery::atom("Artist", Target::text("Beatles")),
@@ -334,7 +339,7 @@ mod tests {
     #[test]
     fn beatles_query_plans_filtered() {
         let f = Fixture::new();
-        let p = plan(&f.catalog(), &beatles_red(), 3, PlannerOptions::default()).unwrap();
+        let p = plan_of(&f.catalog(), &beatles_red(), 3, PlannerOptions::default()).unwrap();
         assert_eq!(p.strategy, Strategy::Filtered { crisp_index: 0 });
         assert!(p.description().contains("Beatles"));
     }
@@ -346,7 +351,7 @@ mod tests {
             GarlicQuery::atom("AlbumColor", Target::text("red")),
             GarlicQuery::atom("Shape", Target::text("round")),
         );
-        let p = plan(&f.catalog(), &q, 3, PlannerOptions::default()).unwrap();
+        let p = plan_of(&f.catalog(), &q, 3, PlannerOptions::default()).unwrap();
         assert_eq!(p.strategy, Strategy::FaMin);
     }
 
@@ -357,7 +362,7 @@ mod tests {
             GarlicQuery::atom("AlbumColor", Target::text("red")),
             GarlicQuery::atom("Shape", Target::text("round")),
         );
-        let p = plan(&f.catalog(), &q, 3, PlannerOptions::default()).unwrap();
+        let p = plan_of(&f.catalog(), &q, 3, PlannerOptions::default()).unwrap();
         assert_eq!(p.strategy, Strategy::B0Max);
         assert_eq!(p.estimated_cost, 6.0);
     }
@@ -367,7 +372,7 @@ mod tests {
         let f = Fixture::new();
         let a = GarlicQuery::atom("AlbumColor", Target::text("red"));
         let q = GarlicQuery::and(a.clone(), GarlicQuery::not(a));
-        let p = plan(&f.catalog(), &q, 1, PlannerOptions::default()).unwrap();
+        let p = plan_of(&f.catalog(), &q, 1, PlannerOptions::default()).unwrap();
         assert_eq!(p.strategy, Strategy::NaiveCalculus);
     }
 
@@ -381,7 +386,7 @@ mod tests {
                 GarlicQuery::atom("Review", Target::terms(&["rock"])),
             ),
         );
-        let p = plan(&f.catalog(), &q, 2, PlannerOptions::default()).unwrap();
+        let p = plan_of(&f.catalog(), &q, 2, PlannerOptions::default()).unwrap();
         assert_eq!(p.strategy, Strategy::FaGeneric);
     }
 
@@ -396,7 +401,7 @@ mod tests {
             prefer_internal: true,
             ..Default::default()
         };
-        let p = plan(&f.catalog(), &q, 3, opts).unwrap();
+        let p = plan_of(&f.catalog(), &q, 3, opts).unwrap();
         assert_eq!(
             p.strategy,
             Strategy::InternalPushdown {
@@ -413,7 +418,7 @@ mod tests {
             ..Default::default()
         };
         // Artist lives in the relational store: cannot push down.
-        let p = plan(&f.catalog(), &beatles_red(), 3, opts).unwrap();
+        let p = plan_of(&f.catalog(), &beatles_red(), 3, opts).unwrap();
         assert_ne!(
             std::mem::discriminant(&p.strategy),
             std::mem::discriminant(&Strategy::InternalPushdown {
@@ -443,9 +448,9 @@ mod tests {
             negation_pushdown: true,
             ..Default::default()
         };
-        let describe = |q: &GarlicQuery, k, opts| plan(&cat, q, k, opts).unwrap().description();
+        let describe = |q: &GarlicQuery, k, opts| plan_of(&cat, q, k, opts).unwrap().description();
 
-        let filtered = plan(&cat, &beatles_red(), 3, PlannerOptions::default()).unwrap();
+        let filtered = plan_of(&cat, &beatles_red(), 3, PlannerOptions::default()).unwrap();
         assert_eq!(
             filtered.description(),
             format!(
@@ -510,7 +515,7 @@ mod tests {
         let f = Fixture::new();
         let q = GarlicQuery::atom("Tempo", Target::text("fast"));
         assert!(matches!(
-            plan(&f.catalog(), &q, 1, PlannerOptions::default()),
+            plan_of(&f.catalog(), &q, 1, PlannerOptions::default()),
             Err(MiddlewareError::UnboundAttribute { .. })
         ));
     }

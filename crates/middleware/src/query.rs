@@ -155,7 +155,8 @@ pub struct Literal {
     pub negated: bool,
 }
 
-/// A query in negation-normal form: negations appear only on atoms.
+/// A query converted to negation-normal form — negations appear only on
+/// atoms — with its literal table.
 ///
 /// Under the standard calculus an NNF query is *monotone in its literals'
 /// grades* (only min/max combine them), so algorithm A₀ applies — with each
@@ -163,44 +164,15 @@ pub struct Literal {
 /// [`ComplementSource`](garlic_core::ComplementSource), per the Section 7
 /// observation that the sorted order of `¬Q` is the reverse of `Q`'s.
 #[derive(Debug, Clone, PartialEq)]
-pub enum NnfNode {
-    /// Index into [`Nnf::literals`].
-    Lit(usize),
-    /// Conjunction.
-    And(Vec<NnfNode>),
-    /// Disjunction.
-    Or(Vec<NnfNode>),
-}
-
-/// A query converted to negation-normal form, with its literal table.
-#[derive(Debug, Clone, PartialEq)]
 pub struct Nnf {
     /// Distinct literals, in first-occurrence order. Note `Q` and `¬Q` are
     /// *different* literals over the same atom (the hard query of Section 7
     /// produces exactly that pair).
     pub literals: Vec<Literal>,
-    /// The formula over literal indexes.
-    pub root: NnfNode,
-}
-
-impl Nnf {
-    /// Grades one object from its literals' grades (min for ∧, max for ∨).
-    pub fn grade(&self, literal_grades: &[Grade]) -> Grade {
-        fn eval(node: &NnfNode, grades: &[Grade]) -> Grade {
-            match node {
-                NnfNode::Lit(i) => grades[*i],
-                NnfNode::And(children) => children
-                    .iter()
-                    .map(|c| eval(c, grades))
-                    .fold(Grade::ONE, Grade::min),
-                NnfNode::Or(children) => children
-                    .iter()
-                    .map(|c| eval(c, grades))
-                    .fold(Grade::ZERO, Grade::max),
-            }
-        }
-        eval(&self.root, literal_grades)
-    }
+    /// The negation-free formula over literal indexes, in the one core
+    /// algebra: graded from the literals' grades like any other
+    /// [`Query`] (see [`QueryAggregation::nnf`]).
+    pub root: Query,
 }
 
 impl GarlicQuery {
@@ -215,7 +187,7 @@ impl GarlicQuery {
     }
 }
 
-fn nnf_rec(query: &GarlicQuery, negate: bool, literals: &mut Vec<Literal>) -> NnfNode {
+fn nnf_rec(query: &GarlicQuery, negate: bool, literals: &mut Vec<Literal>) -> Query {
     match query {
         GarlicQuery::Atom(a) => {
             let lit = Literal {
@@ -226,64 +198,25 @@ fn nnf_rec(query: &GarlicQuery, negate: bool, literals: &mut Vec<Literal>) -> Nn
                 literals.push(lit);
                 literals.len() - 1
             });
-            NnfNode::Lit(idx)
+            Query::Atom(idx)
         }
         GarlicQuery::And(qs) => {
             let children = qs.iter().map(|q| nnf_rec(q, negate, literals)).collect();
             if negate {
-                NnfNode::Or(children) // ¬(A ∧ B) = ¬A ∨ ¬B
+                Query::Or(children) // ¬(A ∧ B) = ¬A ∨ ¬B
             } else {
-                NnfNode::And(children)
+                Query::And(children)
             }
         }
         GarlicQuery::Or(qs) => {
             let children = qs.iter().map(|q| nnf_rec(q, negate, literals)).collect();
             if negate {
-                NnfNode::And(children) // ¬(A ∨ B) = ¬A ∧ ¬B
+                Query::And(children) // ¬(A ∨ B) = ¬A ∧ ¬B
             } else {
-                NnfNode::Or(children)
+                Query::Or(children)
             }
         }
         GarlicQuery::Not(q) => nnf_rec(q, !negate, literals),
-    }
-}
-
-/// An NNF query as an aggregation over its *literals'* grades — always
-/// monotone, so A₀ evaluates any Boolean query once negations are pushed
-/// to the sources.
-#[derive(Debug, Clone)]
-pub struct NnfAggregation {
-    nnf: Nnf,
-}
-
-impl NnfAggregation {
-    /// Wraps an NNF query.
-    pub fn new(nnf: Nnf) -> Self {
-        NnfAggregation { nnf }
-    }
-
-    /// The literal table, in the order grades must be supplied.
-    pub fn literals(&self) -> &[Literal] {
-        &self.nnf.literals
-    }
-}
-
-impl Aggregation for NnfAggregation {
-    fn name(&self) -> String {
-        "garlic-nnf-query".to_owned()
-    }
-
-    fn combine(&self, grades: &[Grade]) -> Grade {
-        self.nnf.grade(grades)
-    }
-
-    fn is_monotone(&self) -> bool {
-        true // min/max over literal grades only.
-    }
-
-    fn is_strict(&self, _arity: usize) -> bool {
-        matches!(&self.nnf.root, NnfNode::And(children)
-            if children.iter().all(|c| matches!(c, NnfNode::Lit(_))))
     }
 }
 
@@ -305,6 +238,18 @@ impl QueryAggregation {
             core: query.to_core(atoms),
             positive: query.is_positive(),
             conjunctive: query.as_flat_and().is_some(),
+        }
+    }
+
+    /// An NNF query as an aggregation over its *literals'* grades — always
+    /// monotone (min/max over literal grades only), so A₀ evaluates any
+    /// Boolean query once negations are pushed to the sources.
+    pub fn nnf(nnf: Nnf) -> Self {
+        QueryAggregation {
+            conjunctive: matches!(&nnf.root, Query::And(children)
+                if children.iter().all(|c| matches!(c, Query::Atom(_)))),
+            core: nnf.root,
+            positive: true,
         }
     }
 }
@@ -452,7 +397,7 @@ mod tests {
         let nnf = q.to_nnf();
         assert_eq!(nnf.literals.len(), 3);
         assert!(nnf.literals.iter().all(|l| l.negated));
-        assert!(matches!(nnf.root, NnfNode::Or(_)));
+        assert!(matches!(nnf.root, Query::Or(_)));
     }
 
     #[test]
@@ -495,7 +440,8 @@ mod tests {
                 // Approximate: the calculus path may complement twice
                 // (1 − (1 − x) differs from x by an ulp for some x).
                 assert!(nnf
-                    .grade(&lit_grades)
+                    .root
+                    .grade(&lit_grades, &calc)
                     .approx_eq(core.grade(&atom_grades, &calc), 1e-12));
             }
         }
@@ -505,7 +451,7 @@ mod tests {
     fn nnf_aggregation_is_monotone_and_conjunctive_when_flat() {
         let red = GarlicQuery::atom("Color", Target::text("red"));
         let hard = GarlicQuery::and(red.clone(), GarlicQuery::not(red));
-        let agg = NnfAggregation::new(hard.to_nnf());
+        let agg = QueryAggregation::nnf(hard.to_nnf());
         assert!(agg.is_monotone());
         assert!(agg.is_strict(2)); // flat AND over literals
         let g = |v: f64| Grade::new(v).unwrap();

@@ -1,13 +1,20 @@
-//! The concurrent service layer: many independent queries, one shared
+//! The concurrent service layer: many independent requests, one shared
 //! catalog.
 //!
 //! Fagin's middleware is explicitly *multi-user* — "a single Garlic query
 //! can access data in a number of different subsystems", and many users
 //! issue such queries at once. The ownership redesign (owned
 //! [`Catalog`](crate::Catalog), `Send + Sync` subsystems, `Arc` answer
-//! handles) makes that literal: [`GarlicService`] executes batches of
-//! independent queries concurrently on a scoped thread pool over one
-//! shared [`Garlic`].
+//! handles) makes that literal: [`GarlicService`] takes the same
+//! [`QueryRequest`] as [`Garlic::run`] and returns the same
+//! [`QueryResult`], one at a time ([`GarlicService::run`], or
+//! [`GarlicService::top_k`] for the plain request) or as a batch executed
+//! concurrently on a scoped thread pool ([`GarlicService::serve_batch`]) —
+//! so a traced, weighted or deadline-bound request is served like any
+//! other.
+//!
+//! Every request, batched or not, goes through one serve path: admission
+//! → deadline → `catch_unwind` → service metrics.
 //!
 //! # Cost accounting under concurrency
 //!
@@ -22,16 +29,13 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use garlic_telemetry::SpanTimer;
 
 use crate::error::MiddlewareError;
-use crate::exec::{Explain, Garlic, QueryResult};
+use crate::exec::{Garlic, QueryRequest, QueryResult};
 use crate::query::GarlicQuery;
-
-/// A top-k request: the query and how many answers to return.
-pub type QueryRequest = (GarlicQuery, usize);
 
 /// A thread-safe, cloneable query service over one shared [`Garlic`].
 ///
@@ -104,8 +108,9 @@ impl GarlicService {
     /// Applies a per-query deadline: each served query gets `budget` from
     /// admission, checked cooperatively by the engine between batch
     /// rounds, and fails with [`MiddlewareError::DeadlineExceeded`] once
-    /// it passes. Sessions opened directly on the [`Garlic`] are not
-    /// affected.
+    /// it passes. A request that carries its own
+    /// [`QueryRequest::deadline`] runs under the earlier of the two.
+    /// Sessions opened directly on the [`Garlic`] are not affected.
     pub fn with_deadline(mut self, budget: Duration) -> Self {
         self.deadline = Some(budget);
         self
@@ -130,10 +135,16 @@ impl GarlicService {
         self.threads
     }
 
-    /// Serves one query on the calling thread, with the service's full
-    /// isolation (admission control, deadline, panic containment).
+    /// Serves the plain top-k request — shorthand for
+    /// [`GarlicService::run`] on [`QueryRequest::new`].
     pub fn top_k(&self, query: &GarlicQuery, k: usize) -> Result<QueryResult, MiddlewareError> {
-        self.serve_isolated(|deadline| self.garlic.top_k_with_deadline(query, k, deadline))
+        self.serve(&QueryRequest::new(query, k))
+    }
+
+    /// Serves one request on the calling thread, with the service's full
+    /// isolation (admission control, deadline, panic containment).
+    pub fn run(&self, request: &QueryRequest<'_>) -> Result<QueryResult, MiddlewareError> {
+        self.serve(request)
     }
 
     /// Tries to admit one query, shedding load with a typed error when
@@ -150,116 +161,80 @@ impl GarlicService {
         if admitted {
             Ok(Some(Admitted(inflight)))
         } else {
-            if let Some(t) = self.garlic.telemetry() {
-                t.counter("service.shed_load").inc();
-            }
             Err(MiddlewareError::Overloaded { limit: *limit })
         }
     }
 
-    /// The one hardened serve path: admission → deadline → catch_unwind.
+    /// The one hardened serve path: admission → deadline → catch_unwind →
+    /// metrics. With telemetry attached to the shared [`Garlic`], every
+    /// request that enters — answered, failed, shed or panicked — is
+    /// counted once by `service.queries` and timed into the
+    /// `service.query_latency_ns` histogram, and the three abnormal
+    /// outcomes by `service.shed_load`, `service.deadline_exceeded` and
+    /// `service.panics`.
     ///
     /// `AssertUnwindSafe` is sound here because a panicking evaluation
     /// only ever touches per-query state (its own sessions and counters);
     /// the shared catalog is read-only during queries and the storage
     /// layer recovers poisoned locks via `PoisonError::into_inner`.
-    fn serve_isolated<T>(
-        &self,
-        serve: impl FnOnce(Option<std::time::Instant>) -> Result<T, MiddlewareError>,
-    ) -> Result<T, MiddlewareError> {
-        let _permit = self.admit()?;
-        let deadline = self.deadline.map(|d| std::time::Instant::now() + d);
-        let result = catch_unwind(AssertUnwindSafe(|| serve(deadline)));
-        match result {
-            Ok(out) => {
-                if matches!(out, Err(MiddlewareError::DeadlineExceeded)) {
-                    if let Some(t) = self.garlic.telemetry() {
-                        t.counter("service.deadline_exceeded").inc();
-                    }
-                }
-                out
-            }
-            Err(panic) => {
-                if let Some(t) = self.garlic.telemetry() {
-                    t.counter("service.panics").inc();
-                }
+    fn serve(&self, request: &QueryRequest<'_>) -> Result<QueryResult, MiddlewareError> {
+        let timer = SpanTimer::start();
+        let result = self.admit().and_then(|_permit| {
+            let budget = self.deadline.map(|d| Instant::now() + d);
+            let request = QueryRequest {
+                deadline: [request.deadline, budget].into_iter().flatten().min(),
+                ..*request
+            };
+            catch_unwind(AssertUnwindSafe(|| self.garlic.run(&request))).unwrap_or_else(|panic| {
                 let reason = panic
                     .downcast_ref::<String>()
                     .cloned()
                     .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_owned()))
                     .unwrap_or_else(|| "non-string panic payload".to_owned());
                 Err(MiddlewareError::Internal { reason })
+            })
+        });
+        if let Some(t) = self.garlic.telemetry() {
+            t.counter("service.queries").inc();
+            t.histogram("service.query_latency_ns")
+                .record(timer.elapsed_ns());
+            let abnormal = match &result {
+                Err(MiddlewareError::Overloaded { .. }) => Some("service.shed_load"),
+                Err(MiddlewareError::DeadlineExceeded) => Some("service.deadline_exceeded"),
+                Err(MiddlewareError::Internal { .. }) => Some("service.panics"),
+                _ => None,
+            };
+            if let Some(name) = abnormal {
+                t.counter(name).inc();
             }
         }
+        result
     }
 
-    /// Executes a batch of independent top-k queries concurrently and
-    /// returns one result per request, **in request order**.
+    /// Executes a batch of independent requests concurrently and returns
+    /// one result per request, **in request order**.
     ///
-    /// Queries are pulled from a shared work queue by up to
-    /// `min(threads, batch len)` scoped worker threads; each evaluation is
-    /// fully independent (own metered sources, own engine state), so
-    /// results, tie order, and per-query access counts are identical to
-    /// serving the batch sequentially.
+    /// Requests are pulled from a shared work queue by up to
+    /// `min(threads, batch len)` scoped worker threads, each through the
+    /// one serve path; every evaluation is fully independent (own metered
+    /// sources, own engine state), so results, tie order, and per-query
+    /// access counts are identical to serving the batch sequentially.
     ///
-    /// When the shared [`Garlic`] has telemetry attached, the batch
-    /// records `service.queries`, the `service.query_latency_ns`
-    /// histogram, and the `service.queue_depth` gauge (requests not yet
-    /// claimed by a worker) — handles resolved once per batch, one update
-    /// per query.
-    pub fn top_k_batch(
+    /// With telemetry attached the batch also keeps the
+    /// `service.queue_depth` gauge (requests not yet claimed by a worker).
+    pub fn serve_batch(
         &self,
-        requests: &[QueryRequest],
+        requests: &[QueryRequest<'_>],
     ) -> Vec<Result<QueryResult, MiddlewareError>> {
-        self.run_batch(requests, |q, k| {
-            self.serve_isolated(|deadline| self.garlic.top_k_with_deadline(q, k, deadline))
-        })
-    }
-
-    /// Like [`GarlicService::top_k_batch`], but serves every request
-    /// through [`Garlic::explain`]: one executed answer **with its
-    /// per-query trace** per request, in request order.
-    pub fn explain_batch(
-        &self,
-        requests: &[QueryRequest],
-    ) -> Vec<Result<Explain, MiddlewareError>> {
-        self.run_batch(requests, |q, k| {
-            self.serve_isolated(|deadline| self.garlic.explain_with_deadline(q, k, deadline))
-        })
-    }
-
-    /// The shared batch driver: a work queue drained by scoped workers,
-    /// results slotted back in request order, with optional service
-    /// metrics around every served query.
-    fn run_batch<T, F>(&self, requests: &[QueryRequest], serve: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&GarlicQuery, usize) -> T + Sync,
-    {
-        // Resolve metric handles once per batch; every per-query update is
-        // then a relaxed atomic on an owned handle.
-        let metrics = self.garlic.telemetry().map(|t| {
-            (
-                t.counter("service.queries"),
-                t.histogram("service.query_latency_ns"),
-                t.gauge("service.queue_depth"),
-            )
-        });
-        let serve_timed = |query: &GarlicQuery, k: usize| {
-            if let Some((queries, latency, _)) = &metrics {
-                let timer = SpanTimer::start();
-                let out = serve(query, k);
-                queries.inc();
-                latency.record(timer.elapsed_ns());
-                out
-            } else {
-                serve(query, k)
-            }
-        };
-        let note_claimed = |i: usize| {
-            if let Some((_, _, depth)) = &metrics {
+        let depth = self
+            .garlic
+            .telemetry()
+            .map(|t| t.gauge("service.queue_depth"));
+        let serve_claimed = |i: usize, request: &QueryRequest<'_>| {
+            if let Some(depth) = &depth {
                 depth.set(requests.len().saturating_sub(i + 1) as i64);
             }
+            self.serve(request)
         };
 
         let workers = self.threads.min(requests.len());
@@ -267,24 +242,20 @@ impl GarlicService {
             return requests
                 .iter()
                 .enumerate()
-                .map(|(i, (q, k))| {
-                    note_claimed(i);
-                    serve_timed(q, *k)
-                })
+                .map(|(i, request)| serve_claimed(i, request))
                 .collect();
         }
 
         let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<T>>> = requests.iter().map(|_| Mutex::new(None)).collect();
+        let slots: Vec<_> = requests.iter().map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some((query, k)) = requests.get(i) else {
+                    let Some(request) = requests.get(i) else {
                         break;
                     };
-                    note_claimed(i);
-                    let result = serve_timed(query, *k);
+                    let result = serve_claimed(i, request);
                     *slots[i].lock().expect("no panics while holding the slot") = Some(result);
                 });
             }
@@ -332,7 +303,8 @@ mod tests {
         GarlicService::with_threads(demo_garlic(), threads)
     }
 
-    fn requests() -> Vec<QueryRequest> {
+    /// Owned `(query, k)` pairs; [`borrowed`] turns them into requests.
+    fn requests() -> Vec<(GarlicQuery, usize)> {
         let atoms = [
             GarlicQuery::atom("AlbumColor", Target::text("red")),
             GarlicQuery::atom("Shape", Target::text("round")),
@@ -355,6 +327,50 @@ mod tests {
         out
     }
 
+    fn borrowed(owned: &[(GarlicQuery, usize)]) -> Vec<QueryRequest<'_>> {
+        owned
+            .iter()
+            .map(|(q, k)| QueryRequest::new(q, *k))
+            .collect()
+    }
+
+    /// A subsystem serving attribute `Hook` whose evaluation first runs a
+    /// caller-supplied closure: how the tests park or sabotage a query
+    /// *inside* the serve path.
+    struct Hooked(Box<dyn Fn() + Send + Sync>);
+
+    impl garlic_subsys::Subsystem for Hooked {
+        fn name(&self) -> &str {
+            "hooked"
+        }
+        fn attributes(&self) -> Vec<String> {
+            vec!["Hook".to_owned()]
+        }
+        fn universe_size(&self) -> usize {
+            12
+        }
+        fn evaluate(
+            &self,
+            _query: &garlic_subsys::AtomicQuery,
+        ) -> Result<Arc<dyn garlic_core::GradedSource>, garlic_subsys::SubsystemError> {
+            (self.0)();
+            let grades = [garlic_agg::Grade::HALF; 12];
+            Ok(Arc::new(garlic_core::MemorySource::from_grades(&grades)))
+        }
+    }
+
+    /// The demo middleware plus a [`Hooked`] subsystem, with telemetry,
+    /// and the query that reaches the hook.
+    fn hooked_garlic(
+        telemetry: &Arc<garlic_telemetry::Telemetry>,
+        hook: impl Fn() + Send + Sync + 'static,
+    ) -> (Garlic, GarlicQuery) {
+        let mut catalog = demo_garlic().catalog().clone();
+        catalog.register(Hooked(Box::new(hook))).unwrap();
+        let garlic = Garlic::new(catalog).with_telemetry(Arc::clone(telemetry));
+        (garlic, GarlicQuery::atom("Hook", Target::text("any")))
+    }
+
     #[test]
     fn batch_results_arrive_in_request_order_and_match_sequential() {
         // One shared middleware for both modes: the comparison isolates
@@ -362,13 +378,14 @@ mod tests {
         let garlic = demo_garlic();
         let concurrent = GarlicService::with_threads(garlic.clone(), 4);
         let sequential = GarlicService::with_threads(garlic, 1);
-        let reqs = requests();
+        let owned = requests();
+        let reqs = borrowed(&owned);
         assert!(reqs.len() >= 8, "a real batch");
 
-        let par = concurrent.top_k_batch(&reqs);
-        let seq = sequential.top_k_batch(&reqs);
+        let par = concurrent.serve_batch(&reqs);
+        let seq = sequential.serve_batch(&reqs);
         assert_eq!(par.len(), reqs.len());
-        for ((p, s), (q, _)) in par.iter().zip(&seq).zip(&reqs) {
+        for ((p, s), (q, _)) in par.iter().zip(&seq).zip(&owned) {
             let p = p.as_ref().unwrap();
             let s = s.as_ref().unwrap();
             assert_eq!(p.answers.entries(), s.answers.entries(), "{q}");
@@ -379,12 +396,12 @@ mod tests {
     #[test]
     fn batch_reports_per_query_errors_in_place() {
         let svc = service(3);
-        let reqs = vec![
+        let owned = vec![
             (GarlicQuery::atom("AlbumColor", Target::text("red")), 2),
             (GarlicQuery::atom("Tempo", Target::text("fast")), 2),
             (GarlicQuery::atom("Shape", Target::text("round")), 2),
         ];
-        let results = svc.top_k_batch(&reqs);
+        let results = svc.serve_batch(&borrowed(&owned));
         assert!(results[0].is_ok());
         assert!(matches!(
             results[1],
@@ -413,7 +430,7 @@ mod tests {
 
     #[test]
     fn empty_batch_is_fine() {
-        assert!(service(4).top_k_batch(&[]).is_empty());
+        assert!(service(4).serve_batch(&[]).is_empty());
     }
 
     #[test]
@@ -422,8 +439,9 @@ mod tests {
         let telemetry = Telemetry::new();
         let garlic = demo_garlic().with_telemetry(Arc::clone(&telemetry));
         let svc = GarlicService::with_threads(garlic, 4);
-        let reqs = requests();
-        let results = svc.top_k_batch(&reqs);
+        let owned = requests();
+        let reqs = borrowed(&owned);
+        let results = svc.serve_batch(&reqs);
         assert!(results.iter().all(|r| r.is_ok()));
 
         let snap = telemetry.snapshot();
@@ -477,7 +495,7 @@ mod tests {
 
             // The failed page left its session resumable: clear the
             // deadline and it answers, with nothing billed twice.
-            let mut session = svc.garlic().open_session(q, 3).unwrap();
+            let mut session = svc.garlic().open_session(&QueryRequest::new(q, 3)).unwrap();
             session.set_deadline(Some(std::time::Instant::now()));
             assert!(
                 matches!(
@@ -497,22 +515,22 @@ mod tests {
     fn admission_limit_sheds_excess_load_and_releases_permits() {
         use garlic_telemetry::Telemetry;
         let telemetry = Telemetry::new();
-        let garlic = demo_garlic().with_telemetry(Arc::clone(&telemetry));
+        // An evaluation that parks until the main thread has observed the
+        // shed.
+        let gate = Arc::new(std::sync::Barrier::new(2));
+        let (garlic, parked) = hooked_garlic(&telemetry, {
+            let gate = Arc::clone(&gate);
+            move || {
+                gate.wait(); // slot taken
+                gate.wait(); // shed observed
+            }
+        });
         let svc = GarlicService::with_threads(garlic, 2).with_admission_limit(1);
         let q = GarlicQuery::atom("AlbumColor", Target::text("red"));
 
-        let gate = std::sync::Barrier::new(2);
         std::thread::scope(|scope| {
-            // Occupy the single admission slot with a query that parks
-            // until the main thread has observed the shed.
-            scope.spawn(|| {
-                let held: Result<(), MiddlewareError> = svc.serve_isolated(|_| {
-                    gate.wait(); // slot taken
-                    gate.wait(); // shed observed
-                    Ok(())
-                });
-                held.unwrap();
-            });
+            // Occupy the single admission slot with the parked query.
+            scope.spawn(|| svc.top_k(&parked, 1).unwrap());
             gate.wait();
             // Clones share the admission counter, so the bound is
             // service-wide.
@@ -522,7 +540,12 @@ mod tests {
             ));
             gate.wait();
         });
-        assert_eq!(telemetry.snapshot().counter("service.shed_load"), 1);
+        let snap = telemetry.snapshot();
+        assert_eq!(snap.counter("service.shed_load"), 1);
+        // The shed query is one served query like the parked one, and
+        // nothing else.
+        assert_eq!(snap.counter("service.queries"), 2);
+        assert_eq!(snap.counter("service.panics"), 0);
         // The permit was returned when the held query finished.
         assert!(svc.top_k(&q, 2).is_ok());
     }
@@ -531,17 +554,18 @@ mod tests {
     fn a_panicking_evaluation_is_isolated_as_a_typed_error() {
         use garlic_telemetry::Telemetry;
         let telemetry = Telemetry::new();
-        let garlic = demo_garlic().with_telemetry(Arc::clone(&telemetry));
+        let (garlic, sabotaged) = hooked_garlic(&telemetry, || panic!("sabotaged evaluation"));
         let svc = GarlicService::with_threads(garlic, 2).with_admission_limit(4);
-        let caught: Result<(), MiddlewareError> =
-            svc.serve_isolated(|_| panic!("sabotaged evaluation"));
-        match caught {
+        match svc.top_k(&sabotaged, 1) {
             Err(MiddlewareError::Internal { reason }) => {
                 assert!(reason.contains("sabotaged evaluation"))
             }
             other => panic!("expected an isolated internal error, got {other:?}"),
         }
-        assert_eq!(telemetry.snapshot().counter("service.panics"), 1);
+        let snap = telemetry.snapshot();
+        assert_eq!(snap.counter("service.panics"), 1);
+        assert_eq!(snap.counter("service.queries"), 1);
+        assert_eq!(snap.counter("service.shed_load"), 0);
         // The panic released its admission permit and left the shared
         // middleware serviceable.
         let q = GarlicQuery::atom("AlbumColor", Target::text("red"));
@@ -549,18 +573,46 @@ mod tests {
     }
 
     #[test]
+    fn every_served_query_is_recorded_batched_or_not() {
+        use garlic_telemetry::{MetricValue, Telemetry};
+        let telemetry = Telemetry::new();
+        let garlic = demo_garlic().with_telemetry(Arc::clone(&telemetry));
+        let svc = GarlicService::with_threads(garlic, 2);
+        let owned = requests();
+        for (q, k) in &owned[..3] {
+            svc.top_k(q, *k).unwrap();
+        }
+        let results = svc.serve_batch(&borrowed(&owned[3..7]));
+        assert!(results.iter().all(|r| r.is_ok()));
+
+        let snap = telemetry.snapshot();
+        assert_eq!(snap.counter("service.queries"), 7);
+        assert_eq!(snap.counter("middleware.queries"), 7);
+        match snap.get("service.query_latency_ns") {
+            Some(MetricValue::Histogram(h)) => assert_eq!(h.count, 7),
+            other => panic!("expected latency histogram, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn explain_batch_returns_traces_matching_top_k_batch() {
         let garlic = demo_garlic();
         let svc = GarlicService::with_threads(garlic, 4);
-        let reqs = requests();
-        let plain = svc.top_k_batch(&reqs);
-        let traced = svc.explain_batch(&reqs);
+        let owned = requests();
+        let reqs = borrowed(&owned);
+        let with_trace: Vec<_> = reqs
+            .iter()
+            .map(|r| QueryRequest { trace: true, ..*r })
+            .collect();
+        let plain = svc.serve_batch(&reqs);
+        let traced = svc.serve_batch(&with_trace);
         assert_eq!(plain.len(), traced.len());
-        for ((p, t), (q, _)) in plain.iter().zip(&traced).zip(&reqs) {
+        for ((p, t), (q, _)) in plain.iter().zip(&traced).zip(&owned) {
             let (p, t) = (p.as_ref().unwrap(), t.as_ref().unwrap());
             assert_eq!(p.answers.entries(), t.answers.entries(), "{q}");
             // Each trace's per-source counts sum to its own billed total.
-            let sum = t
+            let explain = t.explain.as_ref().expect("a traced request explains");
+            let sum = explain
                 .per_source
                 .iter()
                 .fold(garlic_core::AccessStats::default(), |acc, (_, s)| acc + *s);

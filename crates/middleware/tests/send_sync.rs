@@ -9,10 +9,12 @@
 use std::sync::Arc;
 
 use garlic_core::access::{CountingSource, MemorySource, SortedCursor};
-use garlic_core::algorithms::engine::{B0Session, Engine, EngineSession};
+use garlic_core::algorithms::engine::{Engine, EngineSession};
 use garlic_core::complement::ComplementSource;
 use garlic_core::{GradedSource, SetAccess};
-use garlic_middleware::{Catalog, Garlic, GarlicService, QueryResult, QuerySession};
+use garlic_middleware::{
+    Catalog, Explain, Garlic, GarlicService, QueryRequest, QueryResult, QuerySession,
+};
 use garlic_subsys::{
     CrispSource, QbicStore, RelationalStore, Subsystem, TextStore, VectorSubsystem,
 };
@@ -36,8 +38,8 @@ fn core_source_types_are_send_sync() {
 #[test]
 fn engine_and_sessions_are_send_sync() {
     assert_send_sync::<Engine<Arc<dyn GradedSource>>>();
-    assert_send_sync::<B0Session<CountingSource<Arc<dyn GradedSource>>>>();
-    // The session aggregation slot used by the middleware is Send + Sync.
+    // One session type, whatever the rule (A₀, A₀′, the scan, B₀); the
+    // aggregation slot used by the middleware is Send + Sync.
     assert_send_sync::<
         EngineSession<
             CountingSource<Arc<dyn GradedSource>>,
@@ -62,7 +64,9 @@ fn middleware_service_types_are_send_sync_and_static() {
     assert_send_sync::<Garlic>();
     assert_send_sync::<QuerySession>();
     assert_send_sync::<GarlicService>();
+    assert_send_sync::<QueryRequest<'_>>();
     assert_send_sync::<QueryResult>();
+    assert_send_sync::<Explain>();
 
     // Sessions and services are 'static: storable in server state, movable
     // across threads, no borrow of a subsystem's stack frame.
@@ -85,7 +89,7 @@ fn a_live_session_actually_moves_across_threads() {
     let garlic = Garlic::new(cat);
 
     let q = garlic_middleware::parse_query("AlbumColor = red AND Shape = round").unwrap();
-    let mut session = garlic.open_session(&q, 6).unwrap();
+    let mut session = garlic.open_session(&QueryRequest::new(&q, 6)).unwrap();
     let first = session.next_batch(3).unwrap();
 
     let (session, second) = std::thread::spawn(move || {
@@ -97,8 +101,8 @@ fn a_live_session_actually_moves_across_threads() {
     assert_eq!(session.returned(), 6);
 
     // Identical to a single-threaded paged run over the same catalog.
-    let (batches, stats) = garlic.top_k_paged(&q, &[3, 3]).unwrap();
-    assert_eq!(first.entries(), batches[0].entries());
-    assert_eq!(second.entries(), batches[1].entries());
-    assert_eq!(session.stats(), stats);
+    let mut reference = garlic.open_session(&QueryRequest::new(&q, 6)).unwrap();
+    assert_eq!(first.entries(), reference.next_batch(3).unwrap().entries());
+    assert_eq!(second.entries(), reference.next_batch(3).unwrap().entries());
+    assert_eq!(session.stats(), reference.stats());
 }

@@ -7,9 +7,9 @@
 //! cargo run --release --example federated_search
 //! ```
 
-use garlic::middleware::{Catalog, Garlic, GarlicQuery, PlannerOptions};
+use garlic::middleware::{Catalog, Garlic, GarlicQuery, PlannerOptions, QueryRequest};
 use garlic::subsys::cd_store::{demo_albums, demo_subsystems};
-use garlic::subsys::{AtomicQuery, Target};
+use garlic::subsys::Target;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -33,14 +33,15 @@ fn main() {
 
     // 1. Weighted conjunction: colour twice as important as review match.
     println!("== weighted: red covers (x2) with rock reviews (x1)");
+    let red_rock = GarlicQuery::and(
+        GarlicQuery::atom("AlbumColor", Target::text("red")),
+        GarlicQuery::atom("Review", Target::terms(&["rock"])),
+    );
     let weighted = garlic
-        .top_k_weighted(
-            &[
-                (AtomicQuery::new("AlbumColor", Target::text("red")), 2.0),
-                (AtomicQuery::new("Review", Target::terms(&["rock"])), 1.0),
-            ],
-            3,
-        )
+        .run(&QueryRequest {
+            weights: &[2.0, 1.0],
+            ..QueryRequest::new(&red_rock, 3)
+        })
         .unwrap();
     for e in weighted.answers.entries() {
         println!("   {:<30} grade {}", name_of(e.object.index()), e.grade);
@@ -71,12 +72,12 @@ fn main() {
             GarlicQuery::atom("Review", Target::terms(&["rock"])),
         ),
     );
-    let (pages, stats) = garlic.top_k_paged(&browse, &[4, 4]).unwrap();
-    for (p, page) in pages.iter().enumerate() {
-        println!("   page {}:", p + 1);
-        for e in page.entries() {
+    let mut session = garlic.open_session(&QueryRequest::new(&browse, 8)).unwrap();
+    for p in 1..=2 {
+        println!("   page {p}:");
+        for e in session.next_batch(4).unwrap().entries() {
             println!("     {:<28} grade {}", name_of(e.object.index()), e.grade);
         }
     }
-    println!("   total cost across both pages: {stats}");
+    println!("   total cost across both pages: {}", session.stats());
 }

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use garlic::middleware::{Catalog, Garlic, GarlicQuery, GarlicService, Telemetry};
+use garlic::middleware::{Catalog, Garlic, GarlicQuery, GarlicService, QueryRequest, Telemetry};
 use garlic::subsys::{Target, VectorSubsystem};
 use garlic::Grade;
 
@@ -34,7 +34,8 @@ fn main() {
     let telemetry = Telemetry::new();
     let garlic = Garlic::new(catalog).with_telemetry(Arc::clone(&telemetry));
 
-    // 1. EXPLAIN: plan + *execute* + render the span tree. The per-source
+    // 1. EXPLAIN — a request with `trace` set: plan + *execute* + render
+    //    the span tree next to the answers. The per-source
     //    S/R counts in the trace are read from the same CountingSource
     //    wrappers the executor bills against — they cannot drift.
     let atom = |a: &str| GarlicQuery::atom(a, Target::text("t"));
@@ -44,16 +45,21 @@ fn main() {
         GarlicQuery::and(atom("Color"), GarlicQuery::not(atom("Shape"))),
     ];
     for query in &queries {
-        let ex = garlic.explain(query, 10).unwrap();
+        let request = QueryRequest {
+            trace: true,
+            ..QueryRequest::new(query, 10)
+        };
+        let result = garlic.run(&request).unwrap();
+        let ex = result.explain.as_ref().expect("a traced request explains");
         println!("{ex}");
         let summed = ex
             .per_source
             .iter()
             .fold(garlic::AccessStats::default(), |acc, (_, s)| acc + *s);
-        assert_eq!(summed, ex.stats, "trace counts are the billed counts");
+        assert_eq!(summed, result.stats, "trace counts are the billed counts");
         println!(
             "   billed {} == sum of {} per-source spans\n",
-            ex.stats,
+            result.stats,
             ex.per_source.len()
         );
     }
@@ -69,7 +75,11 @@ fn main() {
             )
         })
         .collect();
-    let results = service.top_k_batch(&batch);
+    let requests: Vec<_> = batch
+        .iter()
+        .map(|(q, k)| QueryRequest::new(q, *k))
+        .collect();
+    let results = service.serve_batch(&requests);
     println!(
         "== served {} queries on {} worker threads",
         results.len(),

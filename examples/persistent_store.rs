@@ -12,7 +12,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use garlic::middleware::{parse_query, Catalog, Garlic, GarlicService};
+use garlic::middleware::{parse_query, Catalog, Garlic, GarlicService, QueryRequest};
 use garlic::subsys::{DiskSubsystem, Subsystem};
 use garlic::{BlockCache, Grade, SegmentWriter};
 use rand::rngs::StdRng;
@@ -92,12 +92,14 @@ fn serve() {
         "InStock = yes AND Color = red",
         "Shape = round AND NOT Color = red",
     ];
-    let batch: Vec<_> = texts
+    let queries: Vec<_> = texts
         .iter()
-        .map(|t| (parse_query(t).expect("demo queries parse"), 3))
+        .map(|t| parse_query(t).expect("demo queries parse"))
         .collect();
-    for ((query, k), result) in batch.iter().zip(service.top_k_batch(&batch)) {
+    let batch: Vec<_> = queries.iter().map(|q| QueryRequest::new(q, 3)).collect();
+    for (request, result) in batch.iter().zip(service.serve_batch(&batch)) {
         let result = result.expect("demo queries execute");
+        let QueryRequest { query, k, .. } = request;
         println!("\ntop-{k} for {query}  [{:?}]", result.plan.strategy);
         for entry in result.answers.entries() {
             println!("  {}  grade {}", entry.object, entry.grade);
@@ -111,7 +113,7 @@ fn serve() {
     let cold = cache.stats();
     println!("\ncache after the cold batch: {cold}");
     // The same batch again: the working set is now resident.
-    for result in service.top_k_batch(&batch) {
+    for result in service.serve_batch(&batch) {
         result.expect("demo queries execute");
     }
     let warm = cache.stats();

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use garlic::middleware::{parse_query, Catalog, Garlic, GarlicService};
+use garlic::middleware::{parse_query, Catalog, Garlic, GarlicService, QueryRequest};
 use garlic::subsys::cd_store::{demo_albums, demo_subsystems};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,13 +45,14 @@ fn main() {
         "Shape = oval AND AlbumColor = orange",
         r#"Review ~ "gentle folk" OR AlbumColor = purple"#,
     ];
-    let batch: Vec<_> = texts
+    let queries: Vec<_> = texts
         .iter()
-        .map(|t| (parse_query(t).expect("demo queries parse"), 2))
+        .map(|t| parse_query(t).expect("demo queries parse"))
         .collect();
+    let batch: Vec<_> = queries.iter().map(|q| QueryRequest::new(q, 2)).collect();
 
     println!("== batch of {} queries, served concurrently", batch.len());
-    for (text, result) in texts.iter().zip(service.top_k_batch(&batch)) {
+    for (text, result) in texts.iter().zip(service.serve_batch(&batch)) {
         let result = result.expect("demo queries execute");
         let best = result
             .answers

@@ -5,10 +5,24 @@
 //! counts. Concurrency is an execution detail; it must never be observable
 //! in answers or in measured cost.
 
-use garlic::middleware::{Catalog, Garlic, GarlicQuery, GarlicService, PlannerOptions, Strategy};
+use garlic::middleware::{
+    Catalog, Garlic, GarlicQuery, GarlicService, PlannerOptions, QueryRequest, Strategy,
+};
 use garlic::subsys::{Target, VectorSubsystem};
 use garlic::Grade;
+use garlic::{AccessStats, TopK};
 use proptest::prelude::*;
+
+/// Pages through `q` on one session: the pages and the total bill.
+fn paged(garlic: &Garlic, q: &GarlicQuery, batches: &[usize]) -> (Vec<TopK>, AccessStats) {
+    let request = QueryRequest::new(q, batches.iter().sum());
+    let mut session = garlic.open_session(&request).unwrap();
+    let pages = batches
+        .iter()
+        .map(|&k| session.next_batch(k).unwrap())
+        .collect();
+    (pages, session.stats())
+}
 
 /// A federated two-subsystem catalog over randomly graded lists: three
 /// fuzzy attributes split across the subsystems, same universe.
@@ -88,7 +102,11 @@ proptest! {
         // ...versus the concurrent service over the SAME shared catalog.
         let service = GarlicService::with_threads(garlic, 4);
         prop_assert!(service.threads() >= 2);
-        let concurrent = service.top_k_batch(&requests);
+        let borrowed: Vec<_> = requests
+            .iter()
+            .map(|(q, k)| QueryRequest::new(q, *k))
+            .collect();
+        let concurrent = service.serve_batch(&borrowed);
 
         for ((seq, conc), (query, k)) in sequential.iter().zip(&concurrent).zip(&requests) {
             let conc = conc.as_ref().unwrap();
@@ -124,7 +142,7 @@ proptest! {
         // Reference pagings, single-threaded.
         let reference: Vec<_> = queries
             .iter()
-            .map(|q| garlic.top_k_paged(q, &[2, 3]).unwrap())
+            .map(|q| paged(&garlic, q, &[2, 3]))
             .collect();
 
         // The same pagings, all running simultaneously on worker threads.
@@ -132,7 +150,7 @@ proptest! {
         let paged: Vec<_> = std::thread::scope(|scope| {
             let handles: Vec<_> = queries
                 .iter()
-                .map(|q| scope.spawn(move || garlic_ref.top_k_paged(q, &[2, 3]).unwrap()))
+                .map(|q| scope.spawn(move || paged(garlic_ref, q, &[2, 3])))
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });

@@ -23,6 +23,47 @@ fn all_examples_build() {
     assert!(status.success(), "cargo build --examples failed: {status}");
 }
 
+/// `federated_search` — the weighted, negated and paged walkthrough — is
+/// seeded, so its output is pinned byte for byte: weights ride on the
+/// request and paging on its session without a character changing.
+#[test]
+fn federated_search_output_is_pinned() {
+    let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
+    let output = std::process::Command::new(cargo)
+        .args(["run", "--quiet", "--example", "federated_search"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .expect("failed to spawn cargo run --example federated_search");
+    assert!(output.status.success(), "example failed: {output:?}");
+    let expected = r"== weighted: red covers (x2) with rock reviews (x1)
+   Scarlet Parade — Beatles       grade 0.4220
+   Ruby District — Animals        grade 0.3847
+   Crimson Meadows — Beatles      grade 0.3720
+   cost: S=12 R=4
+
+== negated: red covers that are NOT round (NNF pushdown)
+   strategy: FaNnf
+   Scarlet Parade — Beatles       grade 0.7185
+   Crimson Meadows — Beatles      grade 0.5935
+   Ruby District — Animals        grade 0.5791
+   cost: S=12 R=4
+
+== paged: psychedelic-or-rock reviews AND red-ish covers, 2 pages of 4
+   page 1:
+     Crimson Meadows — Beatles    grade 0.3626
+     Rose Highway — Byrds         grade 0.2531
+     Scarlet Parade — Beatles     grade 0.2479
+     Cinnamon Mile — Byrds        grade 0.2317
+   page 2:
+     Ruby District — Animals      grade 0.2317
+     Red Lantern — Kinks          grade 0.2138
+     Pinball Sky — Who            grade 0.1384
+     Odessey Grove — Zombies      grade 0.1168
+   total cost across both pages: S=33 R=9
+";
+    assert_eq!(String::from_utf8_lossy(&output.stdout), expected);
+}
+
 /// The `quickstart.rs` scenario, asserted rather than printed: two ranked
 /// lists, min-rule conjunction, top 3 by A₀.
 #[test]
@@ -66,7 +107,7 @@ fn quickstart_path_end_to_end() {
 /// served straight from RAM, and the shared cache must actually be used.
 #[test]
 fn persistent_store_path_end_to_end() {
-    use garlic::middleware::{parse_query, Catalog, Garlic, GarlicService};
+    use garlic::middleware::{parse_query, Catalog, Garlic, GarlicService, QueryRequest};
     use garlic::subsys::{DiskSubsystem, VectorSubsystem};
     use garlic::{BlockCache, SegmentWriter};
     use rand::rngs::StdRng;
@@ -114,15 +155,16 @@ fn persistent_store_path_end_to_end() {
         "InStock = yes AND Color = red",
         "Shape = round AND NOT Color = red",
     ];
-    let batch: Vec<_> = texts
+    let queries: Vec<_> = texts
         .iter()
-        .map(|t| (parse_query(t).expect("demo queries parse"), 3))
+        .map(|t| parse_query(t).expect("demo queries parse"))
         .collect();
-    for ((query, _), (from_disk, from_mem)) in batch.iter().zip(
+    let batch: Vec<_> = queries.iter().map(|q| QueryRequest::new(q, 3)).collect();
+    for (query, (from_disk, from_mem)) in queries.iter().zip(
         disk_service
-            .top_k_batch(&batch)
+            .serve_batch(&batch)
             .into_iter()
-            .zip(mem_service.top_k_batch(&batch)),
+            .zip(mem_service.serve_batch(&batch)),
     ) {
         let (from_disk, from_mem) = (from_disk.unwrap(), from_mem.unwrap());
         assert_eq!(
@@ -244,7 +286,7 @@ fn live_store_path_end_to_end() {
 /// serving each query directly, answer for answer and cost for cost.
 #[test]
 fn service_demo_path_end_to_end() {
-    use garlic::middleware::{parse_query, Catalog, Garlic, GarlicService};
+    use garlic::middleware::{parse_query, Catalog, Garlic, GarlicService, QueryRequest};
     use garlic::subsys::cd_store::demo_subsystems;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -267,16 +309,17 @@ fn service_demo_path_end_to_end() {
         "Shape = oval AND AlbumColor = orange",
         r#"Review ~ "gentle folk" OR AlbumColor = purple"#,
     ];
-    let batch: Vec<_> = texts
+    let queries: Vec<_> = texts
         .iter()
-        .map(|t| (parse_query(t).expect("demo queries parse"), 2))
+        .map(|t| parse_query(t).expect("demo queries parse"))
         .collect();
+    let batch: Vec<_> = queries.iter().map(|q| QueryRequest::new(q, 2)).collect();
 
-    let results = service.top_k_batch(&batch);
+    let results = service.serve_batch(&batch);
     assert_eq!(results.len(), batch.len());
-    for ((query, k), result) in batch.iter().zip(results) {
+    for (request, result) in batch.iter().zip(results) {
         let concurrent = result.expect("demo queries execute");
-        let direct = service.garlic().top_k(query, *k).unwrap();
+        let direct = service.garlic().run(request).unwrap();
         assert_eq!(concurrent.answers.entries(), direct.answers.entries());
         assert_eq!(concurrent.stats, direct.stats);
     }

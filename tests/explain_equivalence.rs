@@ -1,16 +1,18 @@
-//! The observability acceptance property: the per-source access counts an
-//! executed [`Explain`](garlic::middleware::Explain) trace reports must be
+//! The observability acceptance property: the per-source access counts a
+//! traced request's [`Explain`](garlic::middleware::Explain) reports must be
 //! **bit-equal** to the Section-5 totals the [`CountingSource`] wrappers
 //! bill — for every planner strategy the catalogue can reach, on the
 //! memory, disk, and sharded-disk backends. The trace is rendered from the
-//! same counters the executor bills against, and EXPLAIN executes through
-//! the same session `top_k` does, so there is no second bookkeeping path
+//! same counters the executor bills against, and a traced request is the
+//! plain request with `trace` set, so there is no second bookkeeping path
 //! and no second execution path to drift; these tests pin both.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use garlic::middleware::{Catalog, Explain, Garlic, GarlicQuery, PlannerOptions, Strategy};
+use garlic::middleware::{
+    Catalog, Explain, Garlic, GarlicQuery, PlannerOptions, QueryRequest, QueryResult, Strategy,
+};
 use garlic::subsys::{DiskSubsystem, Target, VectorSubsystem};
 use garlic::{AccessStats, BlockCache, Grade, SegmentWriter};
 use proptest::prelude::*;
@@ -110,6 +112,17 @@ fn disk_garlic(lists: &[(&str, Vec<Grade>)], n: usize, shards: Option<usize>, ta
     Garlic::new(cat)
 }
 
+/// Runs the traced request: the result, and the [`Explain`] it carries.
+fn explain(garlic: &Garlic, query: &GarlicQuery, k: usize) -> (QueryResult, Explain) {
+    let request = QueryRequest {
+        trace: true,
+        ..QueryRequest::new(query, k)
+    };
+    let mut result = garlic.run(&request).unwrap();
+    let explain = *result.explain.take().expect("a traced request explains");
+    (result, explain)
+}
+
 fn summed(ex: &Explain) -> AccessStats {
     ex.per_source
         .iter()
@@ -124,14 +137,14 @@ fn assert_explain_bills_exactly(garlic: &Garlic, backend: &str) {
     for (query, expected_strategy, options) in strategy_queries() {
         let garlic = &Garlic::with_options(garlic.catalog().clone(), options);
         for k in [1, 5, 23] {
-            let ex = garlic.explain(&query, k).unwrap();
+            let (traced, ex) = explain(garlic, &query, k);
             assert_eq!(
-                ex.plan.strategy, expected_strategy,
+                traced.plan.strategy, expected_strategy,
                 "{backend}: {query} must exercise the intended strategy"
             );
             assert_eq!(
                 summed(&ex),
-                ex.stats,
+                traced.stats,
                 "{backend}: per-source counts must sum bit-equal to the \
                  billed total for {query} at k={k}"
             );
@@ -158,22 +171,23 @@ fn assert_explain_bills_exactly(garlic: &Garlic, backend: &str) {
             // runs — entries, tie order and bill.
             let plain = garlic.top_k(&query, k).unwrap();
             assert_eq!(
-                ex.answers.entries(),
+                traced.answers.entries(),
                 plain.answers.entries(),
                 "{backend}: explaining {query} at k={k} must not change the answer"
             );
             assert_eq!(
-                ex.stats, plain.stats,
+                traced.stats, plain.stats,
                 "{backend}: explain bills exactly what top_k bills for {query} at k={k}"
             );
-            let (pages, paged_stats) = garlic.top_k_paged(&query, &[k]).unwrap();
+            let mut session = garlic.open_session(&QueryRequest::new(&query, k)).unwrap();
             assert_eq!(
-                ex.answers.entries(),
-                pages[0].entries(),
+                traced.answers.entries(),
+                session.next_batch(k).unwrap().entries(),
                 "{backend}: explain answers match the paged session for {query} at k={k}"
             );
             assert_eq!(
-                ex.stats, paged_stats,
+                traced.stats,
+                session.stats(),
                 "{backend}: explain bills exactly what a one-page session \
                  bills for {query} at k={k}"
             );
@@ -218,9 +232,9 @@ fn explained_backends_agree_with_memory() {
     for (query, _, options) in strategy_queries() {
         let with_options = |g: &Garlic| Garlic::with_options(g.catalog().clone(), options);
         for k in [1, 7, 50] {
-            let want = with_options(&mem).explain(&query, k).unwrap();
+            let (want, want_ex) = explain(&with_options(&mem), &query, k);
             for (name, backend) in [("disk", &disk), ("sharded-disk", &sharded)] {
-                let got = with_options(backend).explain(&query, k).unwrap();
+                let (got, got_ex) = explain(&with_options(backend), &query, k);
                 assert_eq!(
                     got.answers.entries(),
                     want.answers.entries(),
@@ -231,8 +245,8 @@ fn explained_backends_agree_with_memory() {
                     "{name}: Section-5 billing for {query} at k={k}"
                 );
                 assert_eq!(
-                    summed(&got),
-                    summed(&want),
+                    summed(&got_ex),
+                    summed(&want_ex),
                     "{name}: per-source sums for {query} at k={k}"
                 );
             }

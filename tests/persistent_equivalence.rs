@@ -8,9 +8,9 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use garlic::middleware::{Catalog, Garlic, GarlicQuery, GarlicService, Strategy};
+use garlic::middleware::{Catalog, Garlic, GarlicQuery, GarlicService, QueryRequest, Strategy};
 use garlic::subsys::{DiskSubsystem, Target, VectorSubsystem};
-use garlic::{BlockCache, Grade, SegmentWriter};
+use garlic::{AccessStats, BlockCache, Grade, SegmentWriter, TopK};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -219,6 +219,17 @@ fn format_versions_and_sharding_are_invisible_to_every_strategy() {
     }
 }
 
+/// Pages through `q` on one session: the pages and the total bill.
+fn paged(garlic: &Garlic, q: &GarlicQuery, batches: &[usize]) -> (Vec<TopK>, AccessStats) {
+    let request = QueryRequest::new(q, batches.iter().sum());
+    let mut session = garlic.open_session(&request).unwrap();
+    let pages = batches
+        .iter()
+        .map(|&k| session.next_batch(k).unwrap())
+        .collect();
+    (pages, session.stats())
+}
+
 #[test]
 fn paged_sessions_answer_identically_from_disk() {
     let lists = grade_lists();
@@ -227,8 +238,8 @@ fn paged_sessions_answer_identically_from_disk() {
 
     let batches = [3usize, 1, 10, 25];
     for (query, _) in strategy_queries() {
-        let (mem_pages, mem_stats) = mem.top_k_paged(&query, &batches).unwrap();
-        let (disk_pages, disk_stats) = disk.top_k_paged(&query, &batches).unwrap();
+        let (mem_pages, mem_stats) = paged(&mem, &query, &batches);
+        let (disk_pages, disk_stats) = paged(&disk, &query, &batches);
         assert_eq!(mem_pages.len(), disk_pages.len());
         for (i, (m, d)) in mem_pages.iter().zip(&disk_pages).enumerate() {
             assert_eq!(d.entries(), m.entries(), "page {i} of {query}");
@@ -269,11 +280,11 @@ fn a_cold_reopened_service_pages_identically_to_a_warm_one() {
     );
 
     let warm = disk_garlic("reopened", &lists, Arc::new(BlockCache::new(1024)));
-    let (reference, _) = warm.top_k_paged(&query, &[5, 5, 5, 5]).unwrap();
+    let (reference, _) = paged(&warm, &query, &[5, 5, 5, 5]);
 
     // First "process": takes the first two pages.
     let first = disk_garlic("reopened", &lists, Arc::new(BlockCache::new(1024)));
-    let mut session = first.open_session(&query, 20).unwrap();
+    let mut session = first.open_session(&QueryRequest::new(&query, 20)).unwrap();
     let page0 = session.next_batch(5).unwrap();
     let page1 = session.next_batch(5).unwrap();
     assert_eq!(page0.entries(), reference[0].entries());
@@ -284,7 +295,7 @@ fn a_cold_reopened_service_pages_identically_to_a_warm_one() {
 
     // Second "process": cold reopen; skip to where the first got, continue.
     let second = disk_garlic("reopened", &lists, Arc::new(BlockCache::new(1024)));
-    let mut session = second.open_session(&query, 20).unwrap();
+    let mut session = second.open_session(&QueryRequest::new(&query, 20)).unwrap();
     let skipped = session.next_batch(resumed_at).unwrap();
     assert_eq!(skipped.len(), resumed_at);
     let page2 = session.next_batch(5).unwrap();
@@ -316,8 +327,12 @@ fn concurrent_service_batches_answer_identically_from_disk() {
         .enumerate()
         .map(|(i, (q, _))| (q, 5 + 3 * i))
         .collect();
-    let from_mem = mem_service.top_k_batch(&batch);
-    let from_disk = disk_service.top_k_batch(&batch);
+    let requests: Vec<_> = batch
+        .iter()
+        .map(|(q, k)| QueryRequest::new(q, *k))
+        .collect();
+    let from_mem = mem_service.serve_batch(&requests);
+    let from_disk = disk_service.serve_batch(&requests);
     for ((m, d), (q, _)) in from_mem.iter().zip(&from_disk).zip(&batch) {
         let (m, d) = (m.as_ref().unwrap(), d.as_ref().unwrap());
         assert_eq!(d.answers.entries(), m.answers.entries(), "{q}");
