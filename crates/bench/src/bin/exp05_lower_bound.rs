@@ -13,7 +13,7 @@
 use garlic_agg::iterated::min_agg;
 use garlic_bench::{emit, ExpArgs};
 use garlic_core::access::{counted, total_stats};
-use garlic_core::algorithms::fa::{fagin_run, FaOptions};
+use garlic_core::algorithms::fa::fagin_run;
 use garlic_stats::bounds::cost_scale;
 use garlic_stats::table::{fmt_f64, fmt_prob};
 use garlic_stats::{exceedance, Table};
@@ -47,7 +47,7 @@ fn main() {
             if t % 50 == 0 {
                 let db = ScoringDatabase::from_skeleton(&skeleton, &UniformGrades, &mut rng);
                 let sources = counted(db.to_sources());
-                let run = fagin_run(&sources, &min_agg(), k, FaOptions::default()).unwrap();
+                let run = fagin_run(&sources, &min_agg(), k).unwrap();
                 if run.stop_depth != t_star {
                     a0_matches_tstar = false;
                 }

@@ -10,7 +10,7 @@
 use garlic_agg::iterated::min_agg;
 use garlic_bench::{emit, ExpArgs};
 use garlic_core::access::{counted, total_stats};
-use garlic_core::algorithms::{fa::fagin_run, fa::FaOptions, naive::naive_topk};
+use garlic_core::algorithms::{fa::fagin_run, naive::naive_topk};
 use garlic_stats::table::fmt_f64;
 use garlic_stats::{log_log_fit, Table};
 use garlic_workload::correlation::hard_query_database;
@@ -30,7 +30,7 @@ fn main() {
             let db = hard_query_database(n, &mut rng);
 
             let sources = counted(db.to_sources());
-            fagin_run(&sources, &min_agg(), k, FaOptions::default()).unwrap();
+            fagin_run(&sources, &min_agg(), k).unwrap();
             a0_total += total_stats(&sources).unweighted();
 
             let sources = counted(db.to_sources());

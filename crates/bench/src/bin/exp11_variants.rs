@@ -9,7 +9,7 @@
 use garlic_agg::iterated::min_agg;
 use garlic_bench::{emit, independent_workload, ExpArgs};
 use garlic_core::access::total_stats;
-use garlic_core::algorithms::fa::{fagin_run, FaOptions};
+use garlic_core::algorithms::fa::{fagin_run, fagin_shrunk_run};
 use garlic_core::algorithms::fa_min::fagin_min_run;
 use garlic_stats::table::fmt_f64;
 use garlic_stats::Table;
@@ -27,21 +27,13 @@ fn main() {
             let seed = 110_000 + t as u64;
 
             let sources = independent_workload(m, n, &UniformGrades, seed);
-            fagin_run(&sources, &min_agg(), k, FaOptions::default()).unwrap();
+            fagin_run(&sources, &min_agg(), k).unwrap();
             let s = total_stats(&sources);
             rows[0].0 += s.sorted;
             rows[0].1 += s.random;
 
             let sources = independent_workload(m, n, &UniformGrades, seed);
-            fagin_run(
-                &sources,
-                &min_agg(),
-                k,
-                FaOptions {
-                    shrink_depths: true,
-                },
-            )
-            .unwrap();
+            fagin_shrunk_run(&sources, &min_agg(), k).unwrap();
             let s = total_stats(&sources);
             rows[1].0 += s.sorted;
             rows[1].1 += s.random;

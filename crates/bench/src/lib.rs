@@ -1,7 +1,7 @@
 //! # garlic-bench — the experiment harness
 //!
-//! One binary per quantitative claim in the paper (see `EXPERIMENTS.md` at
-//! the workspace root for the claim ↔ binary index); this library holds the
+//! One binary per quantitative claim in the paper (a claim ↔ binary index,
+//! `EXPERIMENTS.md`, is planned: ROADMAP item 7); this library holds the
 //! shared measurement plumbing.
 //!
 //! Run any experiment with
@@ -13,7 +13,7 @@
 
 use garlic_agg::Aggregation;
 use garlic_core::access::{counted, total_stats, CountingSource, MemorySource};
-use garlic_core::algorithms::fa::{fagin_run, FaOptions, FaRun};
+use garlic_core::algorithms::fa::{fagin_run, FaRun};
 use garlic_core::AccessStats;
 use garlic_workload::distributions::{GradeDistribution, UniformGrades};
 use garlic_workload::scoring::ScoringDatabase;
@@ -45,8 +45,7 @@ pub fn independent_workload(
 /// Runs one A₀ trial on an independent uniform workload.
 pub fn fa_trial<A: Aggregation>(m: usize, n: usize, k: usize, agg: &A, seed: u64) -> Trial {
     let sources = independent_workload(m, n, &UniformGrades, seed);
-    let run: FaRun =
-        fagin_run(&sources, agg, k, FaOptions::default()).expect("valid trial parameters");
+    let run: FaRun = fagin_run(&sources, agg, k).expect("valid trial parameters");
     Trial {
         stats: total_stats(&sources),
         depth: run.stop_depth,

@@ -28,10 +28,9 @@
 //!
 //! Every other method — the positional
 //! [`sorted_access`](GradedSource::sorted_access) /
-//! [`random_access`](GradedSource::random_access) of the paper, the
+//! [`random_access`](GradedSource::random_access) of the paper and the
 //! infallible `sorted_batch` / `random_batch` / `sorted_batch_bounded` /
-//! [`matching_set`](SetAccess::matching_set), and
-//! [`open_sorted`](GradedSource::open_sorted) — is a **provided adaptor**
+//! [`matching_set`](SetAccess::matching_set) — is a **provided adaptor**
 //! over that core: the same stream and the same answers, with a typed
 //! [`SourceError`] turned into a panic (one message, defined once in this
 //! module; never a `None` or a short read). They exist for tests, examples
@@ -40,16 +39,14 @@
 //! fallible method does not compile, rather than silently turning a typed
 //! error into a panic.
 //!
-//! # The cursor contract
+//! # The batch contract
 //!
-//! Production streaming goes through **cursors**:
-//! [`GradedSource::open_sorted`] yields a [`SortedCursor`] whose
-//! [`try_next_batch`](SortedCursor::try_next_batch) appends the next `n`
-//! entries of the descending-grade stream in one
-//! [`try_sorted_batch`](GradedSource::try_sorted_batch) call; sources backed
-//! by a materialised ranking (e.g. [`MemorySource`]) satisfy it with a
-//! sequential slice walk rather than a per-rank lookup. What every
-//! implementation of the core must honour:
+//! Production streaming is **batched**: one
+//! [`try_sorted_batch`](GradedSource::try_sorted_batch) call appends the
+//! next `count` entries of the descending-grade stream from rank `start`;
+//! sources backed by a materialised ranking (e.g. [`MemorySource`])
+//! satisfy it with a sequential slice walk rather than a per-rank lookup.
+//! What every implementation of the core must honour:
 //!
 //! * **Same stream.** Any way of cutting the stream into batches yields
 //!   the same sequence — descending grades, each object exactly once, ties
@@ -63,11 +60,10 @@
 //!   and may reuse it across calls to amortise allocation.
 //! * **Failure.** On `Err`, `out` is back at its pre-call length: a failed
 //!   read is retryable and hands over nothing, so nothing is billed.
-//! * **Resumption.** A cursor is a plain rank position
-//!   ([`SortedCursor::position`]); [`SortedCursor::at`] reopens a stream at
-//!   any rank, which is what makes paging sessions ("continue where we left
-//!   off", Section 4) restartable across batches and across process
-//!   boundaries.
+//! * **Resumption.** A stream position is a plain rank: passing it as
+//!   `start` resumes the stream there, which is what makes paging sessions
+//!   ("continue where we left off", Section 4) restartable across batches
+//!   and across process boundaries.
 //! * **Metering.** [`CountingSource`] bills each *entry* obtained, not each
 //!   call: a batch of 50 entries counts as 50 sorted accesses — exactly the
 //!   Section 5 sorted-access cost `S` — while updating its counter once per
@@ -206,7 +202,7 @@ pub trait GradedSource: Send + Sync {
     /// of the descending-grade stream, starting at rank `start`, to `out`
     /// and returns how many were appended. A short count means the list is
     /// exhausted. Tie order is fixed by the source (the paper's
-    /// *skeleton*); see the module docs for the full cursor contract.
+    /// *skeleton*); see the module docs for the full batch contract.
     ///
     /// A read failure is a typed [`SourceError`] and leaves `out` at its
     /// pre-call length. Sources that cannot fail always return `Ok`.
@@ -352,15 +348,6 @@ pub trait GradedSource: Send + Sync {
         self.try_sorted_batch_bounded(start, count, bound, out)
             .unwrap_or_else(|e| infallible(e))
     }
-
-    /// Opens a [`SortedCursor`] over this source's descending-grade stream,
-    /// positioned at rank 0.
-    fn open_sorted(&self) -> SortedCursor<'_, Self>
-    where
-        Self: Sized,
-    {
-        SortedCursor::new(self)
-    }
 }
 
 /// What [`GradedSource::try_sorted_batch_bounded`] did: how many entries
@@ -375,132 +362,6 @@ pub struct BoundedBatch {
     /// grades strictly below the bound; `false` when the request was
     /// satisfied or the stream is exhausted.
     pub truncated: bool,
-}
-
-/// A streaming cursor over one source's sorted order: the stateful face of
-/// [`GradedSource::try_sorted_batch`]. See the module docs for the contract
-/// (batching, resumption, tie order = the source's skeleton).
-///
-/// A cursor may carry an advisory **stop-threshold bound** (typically the
-/// engine's current k-th score frontier, via
-/// [`with_bound`](SortedCursor::with_bound)): batches then go through
-/// [`GradedSource::try_sorted_batch_bounded`], letting the source stop —
-/// and a fence-aware source skip whole blocks — once the rest of the stream
-/// provably grades below the bound. The emitted entries stay an exact
-/// prefix of the unbounded stream; after a short batch,
-/// [`stopped_by_bound`](SortedCursor::stopped_by_bound) distinguishes
-/// "suffix provably below the bound" from "stream exhausted", and clearing
-/// the bound resumes the untruncated remainder from the same position
-/// (the dirty-hint recovery path).
-///
-/// The cursor also implements [`Iterator`] for one-at-a-time consumption
-/// (which ignores any bound and panics on a read failure); prefer
-/// [`try_next_batch`](SortedCursor::try_next_batch) on hot paths.
-#[derive(Debug)]
-pub struct SortedCursor<'a, S: ?Sized> {
-    source: &'a S,
-    position: usize,
-    bound: Option<Grade>,
-    stopped_by_bound: bool,
-}
-
-impl<'a, S: GradedSource + ?Sized> SortedCursor<'a, S> {
-    /// Opens a cursor at rank 0.
-    pub fn new(source: &'a S) -> Self {
-        SortedCursor::at(source, 0)
-    }
-
-    /// Reopens a cursor at an arbitrary rank — resumption for paging
-    /// sessions that stopped at a known depth.
-    pub fn at(source: &'a S, position: usize) -> Self {
-        SortedCursor {
-            source,
-            position,
-            bound: None,
-            stopped_by_bound: false,
-        }
-    }
-
-    /// Attaches an advisory stop-threshold: batches may end early once
-    /// every remaining entry provably grades strictly below `bound`.
-    pub fn with_bound(mut self, bound: Grade) -> Self {
-        self.bound = Some(bound);
-        self
-    }
-
-    /// Sets or clears the advisory bound mid-stream — e.g. tightening it
-    /// as the engine's k-th score frontier rises, or clearing it to
-    /// recover the untruncated remainder after a dirty hint.
-    pub fn set_bound(&mut self, bound: Option<Grade>) {
-        self.bound = bound;
-        self.stopped_by_bound = false;
-    }
-
-    /// The current advisory bound, if any.
-    pub fn bound(&self) -> Option<Grade> {
-        self.bound
-    }
-
-    /// Whether the most recent batch ended early because of the bound (the
-    /// remaining suffix provably grades below it) rather than because the
-    /// stream is exhausted.
-    pub fn stopped_by_bound(&self) -> bool {
-        self.stopped_by_bound
-    }
-
-    /// The rank the next entry will come from (== entries consumed so far
-    /// for a cursor opened at 0).
-    pub fn position(&self) -> usize {
-        self.position
-    }
-
-    /// Adaptor: [`try_next_batch`](SortedCursor::try_next_batch) for
-    /// callers without an error channel; panics if the read fails.
-    pub fn next_batch(&mut self, out: &mut Vec<GradedEntry>, n: usize) -> usize {
-        self.try_next_batch(out, n)
-            .unwrap_or_else(|e| infallible(e))
-    }
-
-    /// Appends up to `n` next entries to `out`, returning how many were
-    /// appended; `0` means the stream is exhausted — unless a bound is set
-    /// and [`stopped_by_bound`](SortedCursor::stopped_by_bound) reports
-    /// the short batch came from the threshold instead. Once the bound
-    /// has stopped the stream, further calls return `0` without touching
-    /// the source (the suffix is already proven useless) until
-    /// [`set_bound`](SortedCursor::set_bound) changes or clears it.
-    ///
-    /// A read failure surfaces as a typed [`SourceError`]; the cursor only
-    /// advances by the entries actually appended, so a failed call is
-    /// retryable.
-    pub fn try_next_batch(
-        &mut self,
-        out: &mut Vec<GradedEntry>,
-        n: usize,
-    ) -> Result<usize, SourceError> {
-        let got = match self.bound {
-            None => self.source.try_sorted_batch(self.position, n, out)?,
-            Some(_) if self.stopped_by_bound => 0,
-            Some(bound) => {
-                let result = self
-                    .source
-                    .try_sorted_batch_bounded(self.position, n, bound, out)?;
-                self.stopped_by_bound = result.truncated;
-                result.appended
-            }
-        };
-        self.position += got;
-        Ok(got)
-    }
-}
-
-impl<S: GradedSource + ?Sized> Iterator for SortedCursor<'_, S> {
-    type Item = GradedEntry;
-
-    fn next(&mut self) -> Option<GradedEntry> {
-        let entry = self.source.sorted_access(self.position)?;
-        self.position += 1;
-        Some(entry)
-    }
 }
 
 /// Extra capability of crisp sources: enumerate every object whose grade is
@@ -842,13 +703,16 @@ mod tests {
 
     #[test]
     fn cursor_streams_the_positional_order() {
+        // The stream position is the number of entries read so far.
         let s = source();
-        let mut cursor = s.open_sorted();
         let mut batch = Vec::new();
-        assert_eq!(cursor.next_batch(&mut batch, 3), 3);
-        assert_eq!(cursor.position(), 3);
-        assert_eq!(cursor.next_batch(&mut batch, 3), 1, "short batch at end");
-        assert_eq!(cursor.next_batch(&mut batch, 3), 0, "exhausted");
+        assert_eq!(s.sorted_batch(batch.len(), 3, &mut batch), 3);
+        assert_eq!(
+            s.sorted_batch(batch.len(), 3, &mut batch),
+            1,
+            "short batch at end"
+        );
+        assert_eq!(s.sorted_batch(batch.len(), 3, &mut batch), 0, "exhausted");
         let positional: Vec<GradedEntry> = (0..4).map(|r| s.sorted_access(r).unwrap()).collect();
         assert_eq!(batch, positional);
     }
@@ -856,20 +720,9 @@ mod tests {
     #[test]
     fn cursor_resumes_at_an_arbitrary_rank() {
         let s = source();
-        let mut cursor = SortedCursor::at(&s, 2);
         let mut batch = Vec::new();
-        cursor.next_batch(&mut batch, 10);
-        assert_eq!(batch.len(), 2);
+        assert_eq!(s.sorted_batch(2, 10, &mut batch), 2);
         assert_eq!(batch[0], s.sorted_access(2).unwrap());
-        assert_eq!(cursor.position(), 4);
-    }
-
-    #[test]
-    fn cursor_iterates_like_sorted_access() {
-        let s = source();
-        let streamed: Vec<GradedEntry> = s.open_sorted().collect();
-        let positional: Vec<GradedEntry> = (0..4).map(|r| s.sorted_access(r).unwrap()).collect();
-        assert_eq!(streamed, positional);
     }
 
     #[test]
@@ -987,16 +840,17 @@ mod tests {
         s.sorted_batch(0, 20, &mut full);
         // A deliberately dirty (too-high) hint: almost everything is
         // suppressed on the first pass.
-        let mut cursor = s.open_sorted().with_bound(g(0.95));
-        assert_eq!(cursor.bound(), Some(g(0.95)));
         let mut streamed = Vec::new();
-        while cursor.next_batch(&mut streamed, 4) > 0 {}
-        assert!(cursor.stopped_by_bound(), "short batch came from the bound");
+        let stopped = loop {
+            let read = s.sorted_batch_bounded(streamed.len(), 4, g(0.95), &mut streamed);
+            if read.truncated || read.appended < 4 {
+                break read.truncated;
+            }
+        };
+        assert!(stopped, "short batch came from the bound");
         assert_eq!(streamed, full[..streamed.len()], "still an exact prefix");
-        // Recovery: clear the bound and resume from the same position.
-        cursor.set_bound(None);
-        while cursor.next_batch(&mut streamed, 4) > 0 {}
-        assert!(!cursor.stopped_by_bound());
+        // Recovery: resume unbounded from the same position.
+        while s.sorted_batch(streamed.len(), 4, &mut streamed) > 0 {}
         assert_eq!(streamed, full, "dirty hint recovered the identical stream");
     }
 
@@ -1065,9 +919,8 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(boxed.sorted_batch(0, 4, &mut out), 4);
         assert_eq!(out[0], boxed.sorted_access(0).unwrap());
-        let mut cursor = boxed.open_sorted();
-        let mut streamed = Vec::new();
-        cursor.next_batch(&mut streamed, 4);
-        assert_eq!(streamed, out);
+        let mut native = Vec::new();
+        source().sorted_batch(0, 4, &mut native);
+        assert_eq!(native, out);
     }
 }

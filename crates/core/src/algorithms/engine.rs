@@ -10,13 +10,15 @@
 //! 3. a **random-access completion** step that fills the missing grades of
 //!    a chosen candidate set.
 //!
-//! [`Engine`] packages those parts once, on top of the *batched* cursor
-//! layer of [`crate::access`]: sorted streaming goes through
+//! The crate-private `Engine` packages those parts once, on top of the
+//! *batched* access core of [`crate::access`]: sorted streaming goes through
 //! [`GradedSource::try_sorted_batch`] and grade completion through
 //! [`GradedSource::try_random_batch`], so block-backed sources see a handful of
-//! large requests instead of millions of virtual calls. The algorithm
-//! modules (`fa`, `fa_min`, `b0_max`, `filtered`, `naive`) are thin,
-//! paper-annotated shells over this engine and its sessions.
+//! large requests instead of millions of virtual calls. Its one public face
+//! is [`EngineSession`]; the algorithm modules (`fa`, `fa_min`, `b0_max`,
+//! `naive`) are thin, paper-annotated shells over a session's first page,
+//! and `filtered`, `order_stat` and `naive_random_topk` borrow only its
+//! batched completion.
 //!
 //! # The slab
 //!
@@ -31,7 +33,7 @@
 //!   `grades[s·m .. s·m+m]`, its sorted ranks at the same stride in a
 //!   `Vec<u32>` — one contiguous allocation each, grown geometrically, no
 //!   per-object boxes, and the grade vector of a completed object is a
-//!   *borrowable slice* ([`Engine::grade_slice`]) so scoring never clones;
+//!   *borrowable slice* so scoring never clones;
 //! * per-slot `u64` **seen-bitmasks** (one word per 64 lists) for both
 //!   access kinds, making "has list i shown this object?" a bit test and
 //!   "is the grade vector complete?" an O(1) word compare for `m ≤ 64`.
@@ -68,35 +70,33 @@
 //! result set costs the same sorted accesses as one evaluation at the
 //! cumulative `k` — and "the top k" is simply the first page: there is no
 //! separate one-shot implementation to agree with. One session type runs
-//! four strategies, which differ only in where the sorted phase stops
-//! and which objects a page grades: A₀ ([`EngineSession::new`]: every
-//! object seen), A₀′ ([`EngineSession::min`]: the pivot list's prefix at
-//! or above `g₀`, Proposition 4.3 — the rest wait in the slab, and since
-//! `g₀` only falls as the cumulative `k` grows a later page picks up what
-//! it needs), the naive scan ([`EngineSession::scan`]: everything, by
-//! sorted access alone) and B₀ ([`EngineSession::max`]: the sorted phase
-//! stops at depth = cumulative `k`, nothing is probed, and an object
-//! scores the best grade any list has shown for it — `m·k` cumulative
-//! cost). Each page completes — and scores, once, through
-//! the zero-alloc [`Aggregation::combine_reusing`] path — only its
-//! candidates that no earlier page graded (completed grade vectors stay
-//! complete, so cached scores stay valid); where each slot stands is one
-//! slot-indexed byte. Per-page work beyond the fresh
-//! slots is therefore one bounded-heap selection over the cached score
-//! array (unreturned candidates must re-compete every page; the
-//! aggregation itself is never re-run — only B₀'s best-grade-so-far can
-//! still rise on a deeper page, so it alone is re-read until returned).
+//! five rules, which differ only in where the sorted phase stops and
+//! which objects a page grades:
 //!
-//! A session exposes its **k-th score frontier**
-//! ([`EngineSession::frontier`]) — the overall
-//! grade of the worst answer handed out so far. It is the natural
-//! advisory stop-threshold hint for auxiliary scans over block-backed
-//! sources ([`SortedCursor::set_bound`](crate::access::SortedCursor)):
-//! v2 segments use the bound to skip whole data blocks whose fence says
-//! every entry is already below the frontier. The hint is strictly an
-//! access-plan optimisation — a stale or wrong frontier can only make a
-//! bounded scan stop later or earlier than optimal, never change which
-//! entries a consumer that honours the bound contract observes.
+//! * A₀ ([`EngineSession::new`]): every object seen;
+//! * A₀ with per-list depths ([`EngineSession::shrunk`], Section 4's
+//!   refinement): only `∪ᵢ X^i_{Tᵢ}`, where the `Tᵢ ≤ T` are the deepest
+//!   ranks the cumulative `k` matched objects of earliest worst rank need;
+//! * A₀′ ([`EngineSession::min`], Proposition 4.3): the pivot list's
+//!   prefix at or above `g₀`;
+//! * the naive scan ([`EngineSession::scan`]): everything, by sorted
+//!   access alone;
+//! * B₀ ([`EngineSession::max`]): the sorted phase stops at depth =
+//!   cumulative `k`, nothing is probed, and an object scores the best
+//!   grade any list has shown for it — `m·k` cumulative cost.
+//!
+//! Under the shrunk and A₀′ rules the objects a page does not grade wait
+//! in the slab: the `Tᵢ` only rise and `g₀` only falls as the cumulative
+//! `k` grows, so a later page picks up what it needs. Each page
+//! completes — and scores, once, through the zero-alloc
+//! [`Aggregation::combine_reusing`] path — only its candidates that no
+//! earlier page graded (completed grade vectors stay complete, so cached
+//! scores stay valid); where each slot stands is one slot-indexed byte.
+//! Per-page work beyond the fresh slots is therefore one bounded-heap
+//! selection over the cached score array (unreturned candidates must
+//! re-compete every page; the aggregation itself is never re-run — only
+//! B₀'s best-grade-so-far can still rise on a deeper page, so it alone is
+//! re-read until returned).
 
 use garlic_agg::{Aggregation, Grade};
 
@@ -275,25 +275,6 @@ impl Slab {
     }
 }
 
-/// A borrowed read-only view of one candidate's bookkeeping — what the
-/// `fa` shell inspects to pick its candidates.
-pub(crate) struct PartialView<'a> {
-    slab: &'a Slab,
-    slot: u32,
-}
-
-impl<'a> PartialView<'a> {
-    /// The object this view describes.
-    pub fn id(&self) -> ObjectId {
-        self.slab.id(self.slot)
-    }
-
-    /// The sorted rank list `list` showed the object at, if any.
-    pub fn rank(&self, list: usize) -> Option<usize> {
-        self.slab.rank(self.slot, list)
-    }
-}
-
 /// An always-on, allocation-free profile of one engine's work, split into
 /// the paper's two phases. Timings are taken once per `advance_*` /
 /// completion call (never per entry, never per batch), so keeping the
@@ -338,7 +319,7 @@ fn elapsed_ns(start: std::time::Instant) -> u64 {
 /// streaming at a uniform depth (the paper's `T`), slab candidate
 /// bookkeeping, and batched random-access completion. See the module docs.
 #[derive(Debug)]
-pub struct Engine<S> {
+pub(crate) struct Engine<S> {
     sources: Vec<S>,
     n: usize,
     slab: Slab,
@@ -355,7 +336,7 @@ pub struct Engine<S> {
     /// Reusable completion scratch: the grades `random_batch` answered.
     probe_grades: Vec<Option<Grade>>,
     /// Cooperative cancellation: checked between batch rounds (see
-    /// [`Engine::set_deadline`]).
+    /// `set_deadline`).
     deadline: Option<std::time::Instant>,
     /// Phase timings and batch counts (see [`EngineProfile`]).
     profile: EngineProfile,
@@ -370,7 +351,7 @@ impl<S: GradedSource> Engine<S> {
     /// Panics if the database size exceeds `u32::MAX` ranks (the slab
     /// stores ranks as `u32`; at 16 bytes per entry that bound is only
     /// reachable past 64 GiB per list).
-    pub fn open(sources: Vec<S>) -> Result<Self, TopKError> {
+    pub(crate) fn open(sources: Vec<S>) -> Result<Self, TopKError> {
         if sources.is_empty() {
             return Err(TopKError::NoSources);
         }
@@ -405,13 +386,8 @@ impl<S: GradedSource> Engine<S> {
     /// engine state stays consistent at every check point: clearing or
     /// extending the deadline and repeating the call resumes the identical
     /// stream with no access re-billed.
-    pub fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
+    pub(crate) fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
         self.deadline = deadline;
-    }
-
-    /// The cooperative deadline currently in force, if any.
-    pub fn deadline(&self) -> Option<std::time::Instant> {
-        self.deadline
     }
 
     #[inline]
@@ -420,63 +396,14 @@ impl<S: GradedSource> Engine<S> {
     }
 
     /// The sources the engine streams from.
-    pub fn sources(&self) -> &[S] {
+    pub(crate) fn sources(&self) -> &[S] {
         &self.sources
-    }
-
-    /// Unwraps the engine, returning its sources.
-    pub fn into_sources(self) -> Vec<S> {
-        self.sources
-    }
-
-    /// Number of lists, `m`.
-    pub fn m(&self) -> usize {
-        self.sources.len()
-    }
-
-    /// Database size, `N`.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Common depth already consumed from every list (the paper's `T` once
-    /// the sorted phase stops).
-    pub fn depth(&self) -> usize {
-        self.depth
     }
 
     /// Phase timings and batch counts accumulated so far (always on — see
     /// [`EngineProfile`] for the cost argument).
-    pub fn profile(&self) -> EngineProfile {
+    pub(crate) fn profile(&self) -> EngineProfile {
         self.profile
-    }
-
-    /// Objects seen in *every* list under sorted access — the paper's
-    /// matched set `L`, in match order.
-    pub fn matched(&self) -> &[ObjectId] {
-        &self.matched
-    }
-
-    /// Every candidate's bookkeeping, in first-seen order.
-    pub(crate) fn views(&self) -> impl Iterator<Item = PartialView<'_>> {
-        (0..self.slab.len() as u32).map(move |slot| PartialView {
-            slab: &self.slab,
-            slot,
-        })
-    }
-
-    /// One candidate's bookkeeping, if the object has been seen.
-    pub(crate) fn view(&self, object: ObjectId) -> Option<PartialView<'_>> {
-        self.slab.slot_of(object).map(|slot| PartialView {
-            slab: &self.slab,
-            slot,
-        })
-    }
-
-    /// Every object seen so far, via either access kind, in first-seen
-    /// order.
-    pub fn seen(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.slab.ids.iter().copied()
     }
 
     /// Runs the sorted phase round-robin until at least `k` objects have
@@ -490,7 +417,7 @@ impl<S: GradedSource> Engine<S> {
     /// [`TopKError::SourceFailed`] or [`TopKError::DeadlineExceeded`] can
     /// be retried by calling again with the same target, and no consumed
     /// entry is re-read or re-billed.
-    pub fn advance_until_matched(&mut self, k: usize) -> Result<(), TopKError> {
+    fn advance_until_matched(&mut self, k: usize) -> Result<(), TopKError> {
         let start = std::time::Instant::now();
         let mut result = Ok(());
         while self.matched.len() < k && self.depth < self.n {
@@ -500,7 +427,7 @@ impl<S: GradedSource> Engine<S> {
             }
             // T >= k, and at most m objects can complete per level.
             let by_depth = k.saturating_sub(self.depth);
-            let by_matches = (k - self.matched.len()).div_ceil(self.m());
+            let by_matches = (k - self.matched.len()).div_ceil(self.sources.len());
             let step = by_depth
                 .max(by_matches)
                 .max(1)
@@ -518,8 +445,8 @@ impl<S: GradedSource> Engine<S> {
     /// Streams every list down to `target` (clamped to `N`) regardless of
     /// matches — the full-scan primitive behind B₀ (`target = k`) and the
     /// naive baseline (`target = N`). Errors are resumable exactly as on
-    /// [`Engine::advance_until_matched`].
-    pub fn advance_to_depth(&mut self, target: usize) -> Result<(), TopKError> {
+    /// `advance_until_matched`.
+    fn advance_to_depth(&mut self, target: usize) -> Result<(), TopKError> {
         let start = std::time::Instant::now();
         let target = target.min(self.n);
         let mut result = Ok(());
@@ -538,7 +465,7 @@ impl<S: GradedSource> Engine<S> {
         result
     }
 
-    /// Fetches `levels` more entries from every list (one batched cursor
+    /// Fetches `levels` more entries from every list (one batched sorted
     /// read per list) and folds them into the bookkeeping in the exact
     /// interleaved order of the positional round-robin loop, so match order
     /// — and therefore every downstream tie-break — is preserved.
@@ -594,7 +521,7 @@ impl<S: GradedSource> Engine<S> {
     /// object that list is missing, so block-backed sources decode each
     /// block once. Exactly one random access per missing `(object, list)`
     /// pair is billed — the same count the per-object loop would produce.
-    pub fn complete_grades(
+    pub(crate) fn complete_grades(
         &mut self,
         objects: impl IntoIterator<Item = ObjectId>,
     ) -> Result<(), TopKError> {
@@ -676,22 +603,10 @@ impl<S: GradedSource> Engine<S> {
 
     /// The complete grade vector of an object as a borrowed slice — the
     /// zero-copy scoring path. `None` until every grade is known.
-    pub fn grade_slice(&self, object: ObjectId) -> Option<&[Grade]> {
+    pub(crate) fn grade_slice(&self, object: ObjectId) -> Option<&[Grade]> {
         self.slab
             .slot_of(object)
             .and_then(|slot| self.slab.grade_slice(slot))
-    }
-
-    /// The full grade vector of an object, if complete. Allocates; prefer
-    /// [`Engine::grade_slice`] on hot paths.
-    pub fn grade_vector(&self, object: ObjectId) -> Option<Vec<Grade>> {
-        self.grade_slice(object).map(<[Grade]>::to_vec)
-    }
-
-    /// The overall grade of an object under `agg`, if its vector is
-    /// complete. Scores straight from the slab slice — no clone.
-    pub fn overall<A: Aggregation>(&self, object: ObjectId, agg: &A) -> Option<Grade> {
-        self.grade_slice(object).map(|grades| agg.combine(grades))
     }
 }
 
@@ -713,13 +628,22 @@ enum Rule<A> {
     /// until the cumulative `k` objects have matched, then every object
     /// seen is graded in full.
     Monotone(A),
+    /// A₀ with Section 4's per-list depths, any monotone aggregation: A₀'s
+    /// sorted phase, but only `∪ᵢ X^i_{Tᵢ}` is graded.
+    Shrunk {
+        agg: A,
+        /// The `Tᵢ ≤ T`: the deepest rank list `i` shows any of the
+        /// cumulative `k` matched objects of earliest worst rank (ties by
+        /// id) at, plus one — so `∩ᵢ X^i_{Tᵢ}` still holds `k` objects.
+        depths: Vec<usize>,
+    },
     /// Algorithm A₀′ (Proposition 4.3), `t = min`: A₀'s sorted phase, but
     /// only the pivot list's prefix at or above `g₀` is graded.
     Min {
         /// `(g₀, i₀)`: the least grade any list has shown for a matched
         /// object, and the first list (in match order) that showed it.
         pivot: Option<(Grade, usize)>,
-        /// How many of [`Engine::matched`] are folded into `pivot`.
+        /// How many of the engine's matched objects are folded into `pivot`.
         folded: usize,
     },
     /// The naive algorithm (Section 4), any aggregation: the first page
@@ -734,9 +658,13 @@ enum Rule<A> {
 impl<A> Rule<A> {
     /// Whether a page grades this (seen) slot in full.
     fn grades(&self, slab: &Slab, slot: u32) -> bool {
-        match *self {
+        match self {
             Rule::Monotone(_) | Rule::Scan(_) => true,
-            Rule::Min {
+            Rule::Shrunk { depths, .. } => depths
+                .iter()
+                .enumerate()
+                .any(|(i, &t)| slab.rank(slot, i).is_some_and(|r| r < t)),
+            &Rule::Min {
                 pivot: Some((g0, i0)),
                 ..
             } => slab.has_rank(slot, i0) && slab.grades[slot as usize * slab.m + i0] >= g0,
@@ -746,9 +674,10 @@ impl<A> Rule<A> {
 }
 
 /// A resumable top-k session over the engine: algorithm A₀
-/// ([`EngineSession::new`]), A₀′ ([`EngineSession::min`]), the naive scan
-/// ([`EngineSession::scan`]) or B₀ ([`EngineSession::max`]) kept alive
-/// between pages, implementing
+/// ([`EngineSession::new`]), A₀ with per-list depths
+/// ([`EngineSession::shrunk`]), A₀′ ([`EngineSession::min`]), the naive
+/// scan ([`EngineSession::scan`]) or B₀ ([`EngineSession::max`]) kept
+/// alive between pages, implementing
 /// Section 4's "continue where we left off". Grades already fetched (by
 /// either access kind) are never re-fetched, so the cumulative *sorted*
 /// cost of paging equals one evaluation at the cumulative `k` — and a
@@ -756,9 +685,10 @@ impl<A> Rule<A> {
 pub struct EngineSession<S, A> {
     engine: Engine<S>,
     rule: Rule<A>,
-    /// Where each slot stands. Under A₀′ the `Waiting` ones stay in the
-    /// slab: `g₀` only falls as the cumulative `k` grows, so a later
-    /// page's candidate set can only take more of them.
+    /// Where each slot stands. Under the shrunk and A₀′ rules the
+    /// `Waiting` ones stay in the slab: the `Tᵢ` only rise and `g₀` only
+    /// falls as the cumulative `k` grows, so a later page's candidate set
+    /// can only take more of them.
     status: Vec<Status>,
     /// `scores[slot]` = the overall grade, computed exactly once when the
     /// slot was graded (complete grade vectors never change, so neither
@@ -767,11 +697,8 @@ pub struct EngineSession<S, A> {
     /// Working buffer lent to [`Aggregation::combine_reusing`].
     scratch: Vec<Grade>,
     cumulative: usize,
-    /// The overall grade of the worst answer handed out so far (the k-th
-    /// score frontier at the cumulative `k`), once a non-empty page exists.
-    frontier: Option<Grade>,
-    /// `(cumulative k, frontier)` after each non-empty page — the
-    /// frontier's progression, one entry per page, for EXPLAIN output.
+    /// `(cumulative k, k-th score)` after each non-empty page — the
+    /// score frontier's progression, one entry per page, for EXPLAIN.
     frontier_history: Vec<(usize, Grade)>,
 }
 
@@ -783,6 +710,26 @@ where
     /// Opens an A₀ session over the given sources and monotone aggregation.
     pub fn new(sources: Vec<S>, agg: A) -> Result<Self, TopKError> {
         Self::open(sources, Rule::Monotone(agg))
+    }
+
+    /// Opens an A₀ session with Section 4's per-list depths: "instead of
+    /// using a uniform value of T, we might find Tᵢ ≤ T for each i such
+    /// that `∩ᵢ X^i_{Tᵢ}` contains k members ... which could lead to fewer
+    /// random accesses".
+    ///
+    /// Each page runs A₀'s sorted phase to the cumulative `k`, takes the
+    /// cumulative `k` matched objects of earliest worst rank (ties by id),
+    /// sets each `Tᵢ` to the deepest rank list `i` shows one of them at,
+    /// and grades only the not-yet-graded objects of `∪ᵢ X^i_{Tᵢ}`. An
+    /// object that matches on a later page has a worst rank at or past the
+    /// old depth, so the chosen set only grows and no `Tᵢ` ever falls; by
+    /// Proposition 4.1's upward closure every object outside the union
+    /// scores at most the `k` chosen ones, so each prefix of the
+    /// concatenated pages is a valid top-k. Sorted cost is A₀'s; random
+    /// cost is at most A₀'s over the same pages.
+    pub fn shrunk(sources: Vec<S>, agg: A) -> Result<Self, TopKError> {
+        let depths = vec![0; sources.len()];
+        Self::open(sources, Rule::Shrunk { agg, depths })
     }
 
     /// Opens an A₀′ session for the standard fuzzy conjunction
@@ -831,7 +778,6 @@ where
             scores: Vec::new(),
             scratch: Vec::new(),
             cumulative: 0,
-            frontier: None,
             frontier_history: Vec::new(),
         })
     }
@@ -859,31 +805,24 @@ where
         }
     }
 
-    /// The session's current **k-th score frontier**: the overall grade of
-    /// the worst answer handed out so far, or `None` before the first
-    /// non-empty page. Pages are selected best-first, so this value only
-    /// falls as the session advances.
-    ///
-    /// Use it as the advisory stop-threshold hint for auxiliary bounded
-    /// scans ([`SortedCursor::set_bound`](crate::access::SortedCursor)):
-    /// under a monotone aggregation no unseen object scoring above the
-    /// frontier can lie entirely below it in any list, so a source is free
-    /// to stop streaming — and a v2 segment to skip whole blocks — once
-    /// its grades fall under this value. Correctness never depends on the
-    /// hint: it is permission to stop early, not a filter.
-    pub fn frontier(&self) -> Option<Grade> {
-        self.frontier
-    }
-
-    /// The frontier's progression: `(cumulative k, k-th score)` after each
-    /// non-empty page, oldest first. One entry per page — kept for EXPLAIN.
+    /// The score frontier's progression: `(cumulative k, k-th score)` after
+    /// each non-empty page, oldest first — the overall grade of the worst
+    /// answer handed out so far, which only falls as the session advances.
+    /// One entry per page, kept for EXPLAIN.
     pub fn frontier_history(&self) -> &[(usize, Grade)] {
         &self.frontier_history
     }
 
-    /// The underlying engine (e.g. for reading metered sources).
-    pub fn engine(&self) -> &Engine<S> {
-        &self.engine
+    /// Common sorted depth consumed from every list so far (the paper's
+    /// `T` at the cumulative `k`).
+    pub fn depth(&self) -> usize {
+        self.engine.depth
+    }
+
+    /// Phase timings and batch counts accumulated over every page (always
+    /// on — see [`EngineProfile`] for the cost argument).
+    pub fn profile(&self) -> EngineProfile {
+        self.engine.profile()
     }
 
     /// The session's sources.
@@ -891,8 +830,22 @@ where
         self.engine.sources()
     }
 
-    /// Sets (or clears) a cooperative deadline on the underlying engine —
-    /// see [`Engine::set_deadline`]. A page that fails with
+    /// Size of the matched set `L` so far.
+    pub(crate) fn matched(&self) -> usize {
+        self.engine.matched.len()
+    }
+
+    /// The per-list depths `Tᵢ` the last page graded down to: the shrunk
+    /// rule's, or the uniform depth `T` in every list under the others.
+    pub(crate) fn per_list_depths(&self) -> Vec<usize> {
+        match &self.rule {
+            Rule::Shrunk { depths, .. } => depths.clone(),
+            _ => vec![self.engine.depth; self.engine.sources.len()],
+        }
+    }
+
+    /// Sets (or clears) a cooperative deadline, checked once per batch
+    /// round of either phase. A page that fails with
     /// [`TopKError::DeadlineExceeded`] leaves the session resumable:
     /// extend (or clear) the deadline and call
     /// [`next_batch`](EngineSession::next_batch) again to get the identical
@@ -907,7 +860,7 @@ where
         if k == 0 {
             return Err(TopKError::ZeroK);
         }
-        let n = self.engine.n();
+        let n = self.engine.n;
         let target = (self.cumulative + k).min(n);
         if target == self.cumulative {
             return Ok(TopK::from_entries(Vec::new()));
@@ -922,20 +875,42 @@ where
             _ => self.engine.advance_until_matched(target)?,
         }
 
-        // x₀ ∈ L with the least overall grade; sorted access has shown
-        // every grade of a matched object.
-        let slab = &self.engine.slab;
-        if let Rule::Min { pivot, folded } = &mut self.rule {
-            for id in &self.engine.matched[*folded..] {
-                let slot = slab.slot_of(*id).expect("matched objects are seen");
-                let grades = slab.grade_slice(slot).expect("matched in every list");
-                for (i, &grade) in grades.iter().enumerate() {
-                    if pivot.is_none_or(|(g0, _)| grade < g0) {
-                        *pivot = Some((grade, i));
+        let (slab, matched) = (&self.engine.slab, &self.engine.matched);
+        match &mut self.rule {
+            // x₀ ∈ L with the least overall grade; sorted access has shown
+            // every grade of a matched object.
+            Rule::Min { pivot, folded } => {
+                for id in &matched[*folded..] {
+                    let slot = slab.slot_of(*id).expect("matched objects are seen");
+                    let grades = slab.grade_slice(slot).expect("matched in every list");
+                    for (i, &grade) in grades.iter().enumerate() {
+                        if pivot.is_none_or(|(g0, _)| grade < g0) {
+                            *pivot = Some((grade, i));
+                        }
+                    }
+                }
+                *folded = matched.len();
+            }
+            // The `target` matched objects of earliest worst rank, ties by
+            // id, and the deepest rank each list shows one of them at.
+            Rule::Shrunk { depths, .. } => {
+                let rank = |slot, i| slab.rank(slot, i).expect("matched in every list");
+                let mut by_worst: Vec<(usize, ObjectId, u32)> = matched
+                    .iter()
+                    .map(|&id| {
+                        let slot = slab.slot_of(id).expect("matched objects are seen");
+                        let worst = (0..slab.m).map(|i| rank(slot, i)).max();
+                        (worst.expect("m >= 1"), id, slot)
+                    })
+                    .collect();
+                by_worst.sort_unstable();
+                for &(_, _, slot) in by_worst.iter().take(target) {
+                    for (i, t) in depths.iter_mut().enumerate() {
+                        *t = (*t).max(rank(slot, i) + 1);
                     }
                 }
             }
-            *folded = self.engine.matched.len();
+            _ => {}
         }
 
         // Random phase: complete this page's candidates that no earlier
@@ -979,7 +954,9 @@ where
             if status[at] == Status::Waiting && rule.grades(slab, slot) {
                 let grades = slab.grade_slice(slot).expect("grades completed above");
                 scores[at] = match rule {
-                    Rule::Monotone(agg) | Rule::Scan(agg) => agg.combine_reusing(grades, scratch),
+                    Rule::Monotone(agg) | Rule::Scan(agg) | Rule::Shrunk { agg, .. } => {
+                        agg.combine_reusing(grades, scratch)
+                    }
                     Rule::Min { .. } => grades.iter().min().copied().expect("m >= 1"),
                     Rule::Max => unreachable!("B₀ grades nothing in full"),
                 };
@@ -995,7 +972,6 @@ where
         if let Some(last) = page.entries().last() {
             // Pages are handed out best-first, so the latest page's worst
             // grade is the cumulative k-th score.
-            self.frontier = Some(last.grade);
             self.frontier_history.push((target, last.grade));
         }
         self.cumulative = target;
@@ -1031,20 +1007,20 @@ mod tests {
         // List 0 order: 0,1,2,3. List 1 order: 3,2,1,0.
         // Depth 1: {0},{3}. Depth 2: {0,1},{3,2}: no match yet.
         // Depth 3: {0,1,2},{3,2,1}: objects 1 and 2 match.
-        assert_eq!(engine.depth(), 3);
-        assert_eq!(engine.matched().len(), 2);
+        assert_eq!(engine.depth, 3);
+        assert_eq!(engine.matched.len(), 2);
     }
 
     #[test]
     fn advance_is_idempotent_and_resumable() {
         let mut engine = Engine::open(sources()).unwrap();
         engine.advance_until_matched(1).unwrap();
-        let depth = engine.depth();
+        let depth = engine.depth;
         engine.advance_until_matched(1).unwrap();
-        assert_eq!(engine.depth(), depth); // no extra work
+        assert_eq!(engine.depth, depth); // no extra work
         engine.advance_until_matched(4).unwrap();
-        assert_eq!(engine.depth(), 4);
-        assert_eq!(engine.matched().len(), 4);
+        assert_eq!(engine.depth, 4);
+        assert_eq!(engine.matched.len(), 4);
     }
 
     #[test]
@@ -1064,12 +1040,8 @@ mod tests {
         let mut engine = Engine::open(sources()).unwrap();
         engine.advance_until_matched(1).unwrap();
         // Object 0 was seen only in list 0 (rank 0); complete it.
-        assert!(engine.grade_vector(ObjectId(0)).is_none());
+        assert!(engine.grade_slice(ObjectId(0)).is_none());
         engine.complete_grades([ObjectId(0)]).unwrap();
-        assert_eq!(
-            engine.overall(ObjectId(0), &min_agg()),
-            Some(g(0.3)) // min(1.0, 0.3)
-        );
         assert_eq!(engine.grade_slice(ObjectId(0)), Some(&[g(1.0), g(0.3)][..]));
     }
 
@@ -1089,10 +1061,12 @@ mod tests {
 
     #[test]
     fn overall_is_none_until_complete() {
+        // Nothing can be scored from a partial grade vector: seen in one
+        // list only, or never seen at all.
         let mut engine = Engine::open(sources()).unwrap();
         engine.advance_until_matched(1).unwrap();
-        assert_eq!(engine.overall(ObjectId(0), &min_agg()), None);
-        assert_eq!(engine.overall(ObjectId(99), &min_agg()), None);
+        assert_eq!(engine.grade_slice(ObjectId(0)), None);
+        assert_eq!(engine.grade_slice(ObjectId(99)), None);
     }
 
     #[test]
@@ -1101,10 +1075,10 @@ mod tests {
         let mut engine = Engine::open(cs).unwrap();
         engine.advance_to_depth(2).unwrap();
         assert_eq!(total_stats(engine.sources()).sorted, 2 * 2);
-        assert_eq!(engine.seen().count(), 4);
+        assert_eq!(engine.slab.len(), 4);
         // Clamped at N, idempotent past it.
         engine.advance_to_depth(99).unwrap();
-        assert_eq!(engine.depth(), 4);
+        assert_eq!(engine.depth, 4);
         assert_eq!(total_stats(engine.sources()).sorted, 2 * 4);
     }
 
@@ -1139,12 +1113,12 @@ mod tests {
             .collect();
         let mut engine = Engine::open(lists).unwrap();
         engine.advance_until_matched(1).unwrap();
-        assert!(!engine.matched().is_empty());
-        let id = engine.matched()[0];
+        assert!(!engine.matched.is_empty());
+        let id = engine.matched[0];
         let slice = engine.grade_slice(id).expect("matched objects complete");
         assert_eq!(slice.len(), m);
         engine.advance_to_depth(2).unwrap();
-        assert_eq!(engine.matched().len(), 2);
+        assert_eq!(engine.matched.len(), 2);
     }
 
     #[test]
@@ -1167,6 +1141,7 @@ mod tests {
         let agg = min_agg();
         let mut sessions = [
             EngineSession::new(sources(), &agg).unwrap(),
+            EngineSession::shrunk(sources(), &agg).unwrap(),
             EngineSession::min(sources()).unwrap(),
             EngineSession::scan(sources(), &agg).unwrap(),
             EngineSession::max(sources()).unwrap(),
@@ -1236,6 +1211,36 @@ mod tests {
     }
 
     #[test]
+    fn shrunk_session_grades_the_shrunk_union_and_its_depths_only_rise() {
+        let (a, b) = (ObjectId(0), ObjectId(1));
+        let agg = min_agg();
+        let mut session = EngineSession::shrunk(counted(pivot_moving_sources()), &agg).unwrap();
+
+        // Page 1: T = 2, L = {b} at ranks (1, 0), so T₀ = 2 and T₁ = 1.
+        // The union {a, b} is graded; e (rank 1 of list 1 only) waits,
+        // where plain A₀ would have probed it.
+        let first = session.next_batch(1).unwrap();
+        assert_eq!(first.entries(), &[GradedEntry::new(b, g(0.9))]);
+        assert_eq!(session.per_list_depths(), vec![2, 1]);
+        assert_eq!(session.graded(), 2);
+        assert_eq!(
+            total_stats(session.sources()),
+            crate::AccessStats::new(4, 1)
+        );
+
+        // Page 2: T = 3 and a matches with worst rank 2, so T₁ rises to 3
+        // and e is graded now.
+        let second = session.next_batch(1).unwrap();
+        assert_eq!(second.entries(), &[GradedEntry::new(a, g(0.85))]);
+        assert_eq!(session.per_list_depths(), vec![2, 3]);
+        assert_eq!(session.graded(), 3);
+        assert_eq!(
+            total_stats(session.sources()),
+            crate::AccessStats::new(6, 2)
+        );
+    }
+
+    #[test]
     fn scan_session_pays_m_times_n_on_the_first_page_and_nothing_after() {
         // A non-monotone aggregation: only the scan may run it.
         struct DistanceFromHalf;
@@ -1271,28 +1276,35 @@ mod tests {
         );
     }
 
+    /// The cumulative k-th score as of the last non-empty page.
+    fn frontier<S: GradedSource, A: Aggregation>(session: &EngineSession<S, A>) -> Option<Grade> {
+        session.frontier_history().last().map(|&(_, grade)| grade)
+    }
+
     #[test]
     fn session_frontier_is_the_cumulative_kth_score() {
         let agg = min_agg();
         let mut session = EngineSession::new(sources(), &agg).unwrap();
-        assert_eq!(session.frontier(), None);
+        assert_eq!(frontier(&session), None);
         let first = session.next_batch(2).unwrap();
-        assert_eq!(session.frontier(), first.entries().last().map(|e| e.grade));
+        assert_eq!(frontier(&session), first.entries().last().map(|e| e.grade));
         let second = session.next_batch(2).unwrap();
         let cut = second.entries().last().map(|e| e.grade);
-        assert_eq!(session.frontier(), cut);
-        assert!(session.frontier() <= first.entries().last().map(|e| e.grade));
+        assert_eq!(frontier(&session), cut);
+        assert!(frontier(&session) <= first.entries().last().map(|e| e.grade));
         // Exhausted pages are empty and leave the frontier in place.
         assert!(session.next_batch(1).unwrap().is_empty());
-        assert_eq!(session.frontier(), cut);
+        assert_eq!(frontier(&session), cut);
+        assert_eq!(session.frontier_history().len(), 2);
 
-        // The frontier is a valid advisory cursor bound: a bounded scan
-        // emits an exact prefix of the unbounded stream and only withholds
-        // entries strictly below the bound.
+        // The frontier is a valid advisory bound: a bounded read emits an
+        // exact prefix of the unbounded stream and only withholds entries
+        // strictly below the bound.
         let source = &session.sources()[0];
-        let bound = session.frontier().unwrap();
-        let full: Vec<GradedEntry> = source.open_sorted().collect();
-        let hinted: Vec<GradedEntry> = source.open_sorted().with_bound(bound).collect();
+        let bound = frontier(&session).unwrap();
+        let (mut full, mut hinted) = (Vec::new(), Vec::new());
+        source.sorted_batch(0, 4, &mut full);
+        source.sorted_batch_bounded(0, 4, bound, &mut hinted);
         assert_eq!(full[..hinted.len()], hinted[..]);
         assert!(full[hinted.len()..].iter().all(|e| e.grade < bound));
     }
@@ -1300,11 +1312,11 @@ mod tests {
     #[test]
     fn b0_session_frontier_tracks_the_worst_returned_grade() {
         let mut session = EngineSession::<_, MinAgg>::max(sources()).unwrap();
-        assert_eq!(session.frontier(), None);
+        assert_eq!(frontier(&session), None);
         let first = session.next_batch(1).unwrap();
-        assert_eq!(session.frontier(), first.entries().last().map(|e| e.grade));
+        assert_eq!(frontier(&session), first.entries().last().map(|e| e.grade));
         let second = session.next_batch(2).unwrap();
-        assert_eq!(session.frontier(), second.entries().last().map(|e| e.grade));
+        assert_eq!(frontier(&session), second.entries().last().map(|e| e.grade));
     }
 
     #[test]

@@ -20,31 +20,20 @@
 //!
 //! The paper also sketches a refinement: "instead of using a uniform value
 //! of T, we might find Tᵢ ≤ T for each i such that `∩ᵢ X^i_{Tᵢ}` contains k
-//! members ... which could lead to fewer random accesses." Enable it with
-//! [`FaOptions::shrink_depths`].
+//! members ... which could lead to fewer random accesses." That is
+//! [`fagin_shrunk_run`].
 //!
-//! This module is a thin shell over the shared
-//! [`engine`](crate::algorithms::engine): phases 1–2 are the engine's
-//! batched sorted streaming and random-access completion, with identical
-//! Section 5 access counts to the positional formulation.
+//! Both are the first page of an [`EngineSession`] — [`EngineSession::new`]
+//! and [`EngineSession::shrunk`] — with the diagnostics the experiments
+//! report read off the session. Paging further is the same session's next
+//! page.
 
 use garlic_agg::Aggregation;
 
 use crate::access::GradedSource;
-use crate::object::ObjectId;
 use crate::topk::{validate_inputs, TopK, TopKError};
 
-use super::engine::Engine;
-
-/// Tuning knobs for algorithm A₀.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FaOptions {
-    /// After the sorted phase, shrink each list's prefix from the uniform
-    /// `T` to a per-list `Tᵢ ≤ T` that still witnesses `k` matches, and
-    /// restrict the random-access phase to `∪ᵢ X^i_{Tᵢ}`. Saves random
-    /// accesses at no extra sorted cost (the Section 4 refinement).
-    pub shrink_depths: bool,
-}
+use super::engine::EngineSession;
 
 /// Diagnostics from one run of A₀, for the experiment harness.
 #[derive(Debug, Clone)]
@@ -54,7 +43,7 @@ pub struct FaRun {
     /// The uniform sorted depth `T` at which the phase stopped.
     pub stop_depth: usize,
     /// Per-list depths `Tᵢ` actually used for the random-access phase
-    /// (all equal to `stop_depth` unless shrinking was enabled).
+    /// (all equal to `stop_depth` except under [`fagin_shrunk_run`]).
     pub per_list_depths: Vec<usize>,
     /// Size of the matched set `L` when the sorted phase stopped.
     pub matched: usize,
@@ -72,112 +61,62 @@ where
     S: GradedSource,
     A: Aggregation,
 {
-    fagin_run(sources, agg, k, FaOptions::default()).map(|run| run.topk)
+    fagin_run(sources, agg, k).map(|run| run.topk)
 }
 
-/// Runs algorithm A₀ with options, returning diagnostics alongside the
-/// answers.
-pub fn fagin_run<S, A>(
-    sources: &[S],
-    agg: &A,
+/// Runs algorithm A₀, returning diagnostics alongside the answers.
+pub fn fagin_run<S, A>(sources: &[S], agg: &A, k: usize) -> Result<FaRun, TopKError>
+where
+    S: GradedSource,
+    A: Aggregation,
+{
+    first_page(sources, agg, k, EngineSession::new)
+}
+
+/// Runs A₀ with Section 4's per-list depths `Tᵢ ≤ T`: the same sorted
+/// phase, then random access only for `∪ᵢ X^i_{Tᵢ}`, where the `Tᵢ` are
+/// the deepest ranks the `k` matched objects of earliest worst rank (ties
+/// by id) need. Never more random accesses than [`fagin_run`], at the same
+/// sorted cost and with the same answer.
+pub fn fagin_shrunk_run<S, A>(sources: &[S], agg: &A, k: usize) -> Result<FaRun, TopKError>
+where
+    S: GradedSource,
+    A: Aggregation,
+{
+    first_page(sources, agg, k, EngineSession::shrunk)
+}
+
+/// An A₀ session constructor: [`EngineSession::new`] or
+/// [`EngineSession::shrunk`].
+type Open<'a, S, A> = fn(Vec<&'a S>, &'a A) -> Result<EngineSession<&'a S, &'a A>, TopKError>;
+
+/// The session that `open` builds, one page of `k`, and the run's
+/// diagnostics read off it.
+fn first_page<'a, S, A>(
+    sources: &'a [S],
+    agg: &'a A,
     k: usize,
-    options: FaOptions,
+    open: Open<'a, S, A>,
 ) -> Result<FaRun, TopKError>
 where
     S: GradedSource,
     A: Aggregation,
 {
     validate_inputs(sources, k)?;
-    let m = sources.len();
     debug_assert!(
         agg.is_monotone(),
         "A0 is only guaranteed correct for monotone aggregations (Theorem 4.2)"
     );
-
-    // Phase 1: sorted access until k matches (batched round-robin streaming
-    // on the shared engine).
-    let mut engine = Engine::open(sources.iter().collect())?;
-    engine.advance_until_matched(k)?;
-    let stop_depth = engine.depth();
-    let matched = engine.matched().len();
-    debug_assert!(matched >= k);
-
-    // Optional refinement: per-list depths Tᵢ ≤ T still witnessing k matches.
-    let per_list_depths = if options.shrink_depths {
-        shrink_depths(&engine, k)
-    } else {
-        vec![stop_depth; m]
-    };
-
-    // Phase 2: random access for every object inside some (possibly shrunk)
-    // prefix.
-    let candidates: Vec<ObjectId> = engine
-        .views()
-        .filter(|v| {
-            per_list_depths
-                .iter()
-                .enumerate()
-                .any(|(i, &t_i)| v.rank(i).is_some_and(|r| r < t_i))
-        })
-        .map(|v| v.id())
-        .collect();
-    let candidate_count = candidates.len();
-    engine.complete_grades(candidates.iter().copied())?;
-
-    // Phase 3: computation, scoring straight off the slab's grade slices
-    // (no per-candidate clone; `scratch` serves aggregations that need an
-    // owned working buffer).
-    let mut scratch = Vec::new();
-    let topk = TopK::select(
-        candidates.into_iter().map(|id| {
-            let grades = engine
-                .grade_slice(id)
-                .expect("candidate grades were completed");
-            (id, agg.combine_reusing(grades, &mut scratch))
-        }),
-        k,
-    );
-
+    let mut session = open(sources.iter().collect(), agg)?;
+    let topk = session.next_batch(k)?;
+    debug_assert!(session.matched() >= k);
     Ok(FaRun {
         topk,
-        stop_depth,
-        per_list_depths,
-        matched,
-        candidates: candidate_count,
+        stop_depth: session.depth(),
+        per_list_depths: session.per_list_depths(),
+        matched: session.matched(),
+        candidates: session.graded(),
     })
-}
-
-/// Chooses per-list depths `Tᵢ ≤ T` such that `∩ᵢ X^i_{Tᵢ}` still contains
-/// `k` objects: pick the `k` matched objects with the earliest worst rank,
-/// then clamp each list at the deepest rank any chosen object needs there.
-fn shrink_depths<S: GradedSource>(engine: &Engine<S>, k: usize) -> Vec<usize> {
-    let m = engine.m();
-    let mut by_worst_rank: Vec<(usize, &ObjectId)> = engine
-        .matched()
-        .iter()
-        .map(|id| {
-            let v = engine.view(*id).expect("matched objects are seen");
-            let worst = (0..m)
-                .map(|i| {
-                    v.rank(i)
-                        .expect("matched objects have a rank in every list")
-                })
-                .max()
-                .expect("m >= 1");
-            (worst, id)
-        })
-        .collect();
-    by_worst_rank.sort_by_key(|&(worst, id)| (worst, *id));
-
-    let mut depths = vec![0usize; m];
-    for &(_, id) in by_worst_rank.iter().take(k) {
-        let v = engine.view(*id).expect("matched objects are seen");
-        for (i, depth) in depths.iter_mut().enumerate() {
-            let r = v.rank(i).expect("matched");
-            *depth = (*depth).max(r + 1);
-        }
-    }
-    depths
 }
 
 #[cfg(test)]
@@ -185,6 +124,7 @@ mod tests {
     use super::*;
     use crate::access::{counted, total_stats, MemorySource};
     use crate::algorithms::naive::naive_topk;
+    use crate::object::ObjectId;
     use garlic_agg::iterated::{min_agg, product_agg};
     use garlic_agg::means::ArithmeticMean;
     use garlic_agg::Grade;
@@ -222,7 +162,7 @@ mod tests {
 
     #[test]
     fn reports_stop_depth() {
-        let run = fagin_run(&sources(), &min_agg(), 1, FaOptions::default()).unwrap();
+        let run = fagin_run(&sources(), &min_agg(), 1).unwrap();
         // From the SortedPhase test: first match appears at depth 3.
         assert_eq!(run.stop_depth, 3);
         assert_eq!(run.matched, 2);
@@ -231,16 +171,8 @@ mod tests {
 
     #[test]
     fn shrink_never_increases_candidates() {
-        let plain = fagin_run(&sources(), &min_agg(), 1, FaOptions::default()).unwrap();
-        let shrunk = fagin_run(
-            &sources(),
-            &min_agg(),
-            1,
-            FaOptions {
-                shrink_depths: true,
-            },
-        )
-        .unwrap();
+        let plain = fagin_run(&sources(), &min_agg(), 1).unwrap();
+        let shrunk = fagin_shrunk_run(&sources(), &min_agg(), 1).unwrap();
         assert!(shrunk.candidates <= plain.candidates);
         assert!(shrunk
             .per_list_depths

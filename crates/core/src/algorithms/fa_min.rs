@@ -66,7 +66,7 @@ where
     );
     Ok(FaMinRun {
         topk,
-        stop_depth: session.engine().depth(),
+        stop_depth: session.depth(),
         threshold,
         pivot_list,
         candidates: session.graded(),
@@ -77,7 +77,7 @@ where
 mod tests {
     use super::*;
     use crate::access::{counted, total_stats, MemorySource};
-    use crate::algorithms::fa::{fagin_run, FaOptions};
+    use crate::algorithms::fa::fagin_run;
     use crate::algorithms::naive::naive_topk;
     use garlic_agg::iterated::min_agg;
 
@@ -105,7 +105,7 @@ mod tests {
     fn candidates_never_exceed_a0_union() {
         // A₀′ restricts random access to one list's prefix; A₀ uses the
         // whole union — Proposition 4.3's point.
-        let a0 = fagin_run(&sources(), &min_agg(), 1, FaOptions::default()).unwrap();
+        let a0 = fagin_run(&sources(), &min_agg(), 1).unwrap();
         let a0p = fagin_min_run(&sources(), 1).unwrap();
         assert!(a0p.candidates <= a0.candidates);
         assert_eq!(a0p.stop_depth, a0.stop_depth); // identical sorted phase

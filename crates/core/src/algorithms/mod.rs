@@ -1,25 +1,35 @@
 //! The query-evaluation algorithms of the paper.
 //!
-//! | Module | Paper reference | Applies to |
-//! |---|---|---|
-//! | [`naive`] | §4, "obvious naive algorithm" | any aggregation |
-//! | [`fa`] (algorithm A₀ — *Fagin's Algorithm*) | §4, Theorem 4.2 | monotone aggregations |
-//! | [`fa_min`] (algorithm A₀′) | §4, Prop. 4.3 / Theorem 4.4 | min |
-//! | [`b0_max`] (algorithm B₀) | §4, Theorem 4.5 | max |
-//! | [`order_stat`] (median & friends) | Remark 6.1, identity (13) | j-th largest |
-//! | [`ullman`] | §9 | min, m = 2 |
-//! | [`filtered`] ("Beatles" strategy) | §4 opening example | zero-annihilating aggregations with one crisp conjunct |
-//! | [`engine`] sessions | §4, "continue where we left off" | A₀, A₀′, B₀, naive — and [`filtered`]'s own |
+//! | Module | Paper reference | Applies to | Runs as |
+//! |---|---|---|---|
+//! | [`naive`] | §4, "obvious naive algorithm" | any aggregation | first page of [`EngineSession::scan`]; the random-access-only variant is one batched completion |
+//! | [`fa`] (algorithm A₀ — *Fagin's Algorithm*) | §4, Theorem 4.2 | monotone aggregations | first page of [`EngineSession::new`] |
+//! | [`fa`] with per-list depths `Tᵢ ≤ T` | §4, the refinement after Theorem 4.2 | monotone aggregations | first page of [`EngineSession::shrunk`] |
+//! | [`fa_min`] (algorithm A₀′) | §4, Prop. 4.3 / Theorem 4.4 | min | first page of [`EngineSession::min`] |
+//! | [`b0_max`] (algorithm B₀) | §4, Theorem 4.5 | max | first page of [`EngineSession::max`] |
+//! | [`order_stat`] (median & friends) | Remark 6.1, identity (13) | j-th largest | one A₀′ page per j-subset, pooled into one batched completion |
+//! | [`ullman`] | §9 | min, m = 2 | positional stream over the fallible batched core |
+//! | [`filtered`] ("Beatles" strategy) | §4 opening example | zero-annihilating aggregations with one crisp conjunct | its own session, over one batched completion |
+//! | [`engine`] | §4, "continue where we left off" | all of the above | [`EngineSession`]: every later page |
 //!
-//! All of the A₀-family modules are thin, paper-annotated shells over one
-//! [`engine`] — the shared round-robin sorted phase, candidate bookkeeping,
-//! and random-access completion, built on the batched cursor layer of
+//! Every A₀-family algorithm is a page of one [`EngineSession`] — the
+//! shared round-robin sorted phase, candidate bookkeeping, and
+//! random-access completion, built on the batched access core of
 //! [`crate::access`]. Algorithms speak to subsystems exclusively through
 //! [`crate::access::GradedSource`] (sorted + random access), so wrapping
 //! the sources in [`CountingSource`](crate::access::CountingSource)
 //! measures exactly the middleware cost of Section 5 — batched streaming
 //! included (the engine consumes entry-for-entry what the positional loop
-//! would; see [`engine`]).
+//! would; see [`engine`]), and a failing source is a typed
+//! [`TopKError::SourceFailed`](crate::topk::TopKError::SourceFailed) from
+//! every entry point.
+//!
+//! [`EngineSession`]: engine::EngineSession
+//! [`EngineSession::new`]: engine::EngineSession::new
+//! [`EngineSession::shrunk`]: engine::EngineSession::shrunk
+//! [`EngineSession::min`]: engine::EngineSession::min
+//! [`EngineSession::scan`]: engine::EngineSession::scan
+//! [`EngineSession::max`]: engine::EngineSession::max
 
 pub mod b0_max;
 pub mod engine;

@@ -16,7 +16,7 @@ use crate::access::GradedSource;
 use crate::object::ObjectId;
 use crate::topk::{validate_inputs, TopK, TopKError};
 
-use super::engine::EngineSession;
+use super::engine::{Engine, EngineSession};
 
 /// Evaluates `F_t(A_1, ..., A_m)` by exhaustively streaming every list
 /// (steps 1–3 of the paper's naive algorithm) and returns the top `k`
@@ -37,42 +37,23 @@ where
 /// this algorithm — it has *no* sorted cost at all, at the price of a
 /// linear (`m·N`) random cost — which is why that theorem is stated only
 /// for algorithms whose unweighted cost stays below `N`.
+///
+/// The probes are one batched completion of objects `0..N` on a fresh
+/// engine: one random-access batch per list.
 pub fn naive_random_topk<S, A>(sources: &[S], agg: &A, k: usize) -> Result<TopK, TopKError>
 where
     S: GradedSource,
     A: Aggregation,
 {
     let n = validate_inputs(sources, k)?;
-    let m = sources.len();
-    let mut scored = Vec::with_capacity(n);
-    for x in 0..n as u64 {
-        let id = ObjectId(x);
-        let mut grades = Vec::with_capacity(m);
-        for source in sources {
-            grades.push(
-                source
-                    .random_access(id)
-                    .expect("every source grades every object"),
-            );
-        }
-        scored.push((id, agg.combine(&grades)));
-    }
+    let objects = (0..n as u64).map(ObjectId);
+    let mut engine = Engine::open(sources.iter().collect())?;
+    engine.complete_grades(objects.clone())?;
+    let scored = objects.map(|id| {
+        let grades = engine.grade_slice(id).expect("completed above");
+        (id, agg.combine(grades))
+    });
     Ok(TopK::select(scored, k))
-}
-
-/// Like [`naive_topk`] but grades *all* `N` objects (the `k = N` case the
-/// paper's Remark 5.2 discusses: every entry must be accessed). Useful as a
-/// ground-truth oracle in tests.
-pub fn naive_all<S, A>(sources: &[S], agg: &A) -> Result<TopK, TopKError>
-where
-    S: GradedSource,
-    A: Aggregation,
-{
-    let n = sources.first().map(|s| s.len()).unwrap_or(0);
-    if n == 0 {
-        return Err(TopKError::NoSources);
-    }
-    naive_topk(sources, agg, n)
 }
 
 #[cfg(test)]
@@ -119,7 +100,8 @@ mod tests {
 
     #[test]
     fn naive_all_grades_everything() {
-        let all = naive_all(&sources(), &min_agg()).unwrap();
+        // Remark 5.2's k = N: every object is graded and handed out.
+        let all = naive_topk(&sources(), &min_agg(), 4).unwrap();
         assert_eq!(all.len(), 4);
     }
 

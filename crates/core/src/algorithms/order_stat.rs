@@ -22,6 +22,7 @@ use crate::access::GradedSource;
 use crate::object::ObjectId;
 use crate::topk::{validate_inputs, TopK, TopKError};
 
+use super::engine::Engine;
 use super::fa_min::fagin_min_topk;
 
 /// Finds the top-k answers under the *j-th largest* aggregation (1-based)
@@ -51,19 +52,16 @@ where
     }
 
     // Step 4: grade every pooled candidate under the true order statistic
-    // (random access to every list) and keep the best k.
+    // and keep the best k. One batched completion on a fresh engine: m
+    // random accesses per candidate, in ascending id order, whatever the
+    // subset runs already saw.
+    let mut engine = Engine::open(sources.iter().collect())?;
+    engine.complete_grades(pooled.iter().copied())?;
     let agg = KthLargest::new(j);
-    let mut scored = Vec::with_capacity(pooled.len());
-    for id in pooled {
-        let grades: Vec<_> = sources
-            .iter()
-            .map(|s| {
-                s.random_access(id)
-                    .expect("every source grades every object")
-            })
-            .collect();
-        scored.push((id, agg.combine(&grades)));
-    }
+    let scored = pooled.into_iter().map(|id| {
+        let grades = engine.grade_slice(id).expect("completed above");
+        (id, agg.combine(grades))
+    });
     Ok(TopK::select(scored, k))
 }
 

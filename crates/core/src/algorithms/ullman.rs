@@ -18,9 +18,14 @@
 //!
 //! Experiment E09 reproduces both regimes.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use garlic_agg::Grade;
 
 use crate::access::GradedSource;
+use crate::graded_set::GradedEntry;
+use crate::object::ObjectId;
 use crate::topk::{validate_inputs, TopK, TopKError};
 
 /// Diagnostics from a run of Ullman's algorithm.
@@ -41,14 +46,9 @@ where
     require_two(sources)?;
     let n = validate_inputs(sources, 1)?;
 
-    let mut best: Option<(crate::object::ObjectId, Grade)> = None;
-    let mut probes = 0;
+    let mut best: Option<(ObjectId, Grade)> = None;
     for rank in 0..n {
-        let entry = sources[0].sorted_access(rank).expect("rank < N");
-        let g2 = sources[1]
-            .random_access(entry.object)
-            .expect("every source grades every object");
-        probes += 1;
+        let (entry, g2) = step(sources, rank)?;
         let overall = entry.grade.min(g2);
         if best.is_none_or(|(_, g)| overall > g) {
             best = Some((entry.object, overall));
@@ -59,7 +59,6 @@ where
         }
     }
     let (object, grade) = best.expect("N >= 1");
-    let _ = probes;
     Ok(TopK::select([(object, grade)], 1))
 }
 
@@ -74,7 +73,8 @@ where
     ullman_run(sources, k).map(|run| run.topk)
 }
 
-/// [`ullman_topk`] with diagnostics.
+/// [`ullman_topk`] with diagnostics. The k best seen objects live in a
+/// k-entry heap, so `n` probes cost `O(n log k)` bookkeeping.
 pub fn ullman_run<S>(sources: &[S], k: usize) -> Result<UllmanRun, TopKError>
 where
     S: GradedSource,
@@ -82,27 +82,50 @@ where
     require_two(sources)?;
     let n = validate_inputs(sources, k)?;
 
-    let mut seen: Vec<(crate::object::ObjectId, Grade)> = Vec::new();
+    // The k best seen so far under `TopK::select`'s order (grade, then
+    // lower id), worst on top — so the answer is the one a selection over
+    // everything seen would make, and the k-th best grade is one peek.
+    let mut best: BinaryHeap<Reverse<(Grade, Reverse<ObjectId>)>> = BinaryHeap::with_capacity(k);
     let mut probes = 0;
     for rank in 0..n {
-        let entry = sources[0].sorted_access(rank).expect("rank < N");
-        let g2 = sources[1]
-            .random_access(entry.object)
-            .expect("every source grades every object");
+        let (entry, g2) = step(sources, rank)?;
         probes += 1;
-        seen.push((entry.object, entry.grade.min(g2)));
+        let seen = Reverse((entry.grade.min(g2), Reverse(entry.object)));
+        if best.len() < k {
+            best.push(seen);
+        } else if let Some(mut worst) = best.peek_mut().filter(|worst| seen < **worst) {
+            *worst = seen;
+        }
 
         // Threshold: unseen objects have list-1 grade <= entry.grade, so
-        // overall grade <= entry.grade.
-        let at_least_threshold = seen.iter().filter(|(_, g)| *g >= entry.grade).count();
-        if at_least_threshold >= k {
+        // overall grade <= entry.grade; stop once k seen objects reach it.
+        let kth = best.peek().filter(|_| best.len() == k);
+        if kth.is_some_and(|Reverse((grade, _))| *grade >= entry.grade) {
             break;
         }
     }
+    let seen = best
+        .into_iter()
+        .map(|Reverse((grade, Reverse(id)))| (id, grade));
     Ok(UllmanRun {
         topk: TopK::select(seen, k),
         probes,
     })
+}
+
+/// One step of Section 9's stream through the fallible batched core: list
+/// 1's entry at `rank` (one sorted access) and that object's list-2 grade
+/// (one random access; a miss grades zero, as in the engine).
+fn step<S: GradedSource>(sources: &[S], rank: usize) -> Result<(GradedEntry, Grade), TopKError> {
+    let (mut entry, mut grade) = (Vec::with_capacity(1), Vec::with_capacity(1));
+    sources[0]
+        .try_sorted_batch(rank, 1, &mut entry)
+        .map_err(TopKError::SourceFailed)?;
+    let entry: GradedEntry = *entry.first().expect("rank < N");
+    sources[1]
+        .try_random_batch(&[entry.object], &mut grade)
+        .map_err(TopKError::SourceFailed)?;
+    Ok((entry, grade[0].unwrap_or(Grade::ZERO)))
 }
 
 fn require_two<S: GradedSource>(sources: &[S]) -> Result<(), TopKError> {
@@ -120,7 +143,6 @@ mod tests {
     use super::*;
     use crate::access::{counted, total_stats, MemorySource};
     use crate::algorithms::naive::naive_topk;
-    use crate::object::ObjectId;
     use garlic_agg::iterated::min_agg;
 
     fn g(v: f64) -> Grade {

@@ -146,9 +146,8 @@ mod tests {
     fn batched_streaming_matches_positional_reversal() {
         let c = ComplementSource::new(base());
         for batch_size in 1..=5 {
-            let mut cursor = crate::access::SortedCursor::new(&c);
             let mut streamed = Vec::new();
-            while cursor.next_batch(&mut streamed, batch_size) > 0 {}
+            while c.sorted_batch(streamed.len(), batch_size, &mut streamed) > 0 {}
             let positional: Vec<GradedEntry> =
                 (0..4).map(|r| c.sorted_access(r).unwrap()).collect();
             assert_eq!(streamed, positional, "batch size {batch_size}");

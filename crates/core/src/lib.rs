@@ -6,15 +6,15 @@
 //! * [`graded_set`] — graded (fuzzy) sets, the paper's answer semantics
 //!   (Section 2);
 //! * [`access`] — the sorted-access / random-access subsystem contract,
-//!   batched sorted cursors, and the metering wrapper (Section 4);
+//!   batched at its core, and the metering wrapper (Section 4);
 //! * [`cost`] — the middleware cost model `c₁S + c₂R` (Section 5);
 //! * [`query`] — Boolean queries over atoms with calculus-parameterised
 //!   graded semantics (Sections 2–3);
 //! * [`algorithms`] — A₀ (Fagin's Algorithm), A₀′, B₀, the median
 //!   algorithm, Ullman's algorithm, the filtered strategy, the naive
-//!   baselines, and resumable paging (Sections 4, 9, Remark 6.1), all
-//!   built as thin shells over one unified, batching
-//!   [`engine`](algorithms::engine);
+//!   baselines, and resumable paging (Sections 4, 9, Remark 6.1); every
+//!   A₀-family algorithm is the first page of one batching
+//!   [`EngineSession`];
 //! * [`complement`] — negated atoms as reversed, grade-complemented
 //!   sources (the Section 7 `π_{¬Q}` observation);
 //! * [`sharded`] — scatter-gather over object-id-range shards: a
@@ -58,10 +58,8 @@ pub mod sharded;
 pub mod topk;
 pub mod validate;
 
-pub use access::{
-    CountingSource, GradedSource, MemorySource, SetAccess, SortedCursor, SourceError,
-};
-pub use algorithms::engine::{Engine, EngineProfile, EngineSession};
+pub use access::{CountingSource, GradedSource, MemorySource, SetAccess, SourceError};
+pub use algorithms::engine::{EngineProfile, EngineSession};
 pub use complement::ComplementSource;
 pub use cost::{AccessStats, CostModel};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet};

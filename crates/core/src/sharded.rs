@@ -939,14 +939,11 @@ mod tests {
         let mut full = Vec::new();
         flat.sorted_batch(0, 4000, &mut full);
         let sharded = ShardedSource::from_pairs(data, 4);
-        // A cursor hinted with a high stop threshold (the engine's k-th
-        // score frontier in real use) must emit an exact prefix, be honest
-        // about truncation, and stop the merge long before depth N.
+        // Reads hinted with a high stop threshold (the engine's k-th score
+        // frontier in real use) must emit an exact prefix, be honest about
+        // truncation, and stop the merge long before depth N.
         let bound = g(0.8);
-        let mut cursor = sharded.open_sorted().with_bound(bound);
-        let mut got = Vec::new();
-        while cursor.next_batch(&mut got, 256) > 0 {}
-        assert!(cursor.stopped_by_bound());
+        let got = bounded_scan(&sharded, bound);
         assert_eq!(got[..], full[..got.len()], "exact prefix");
         assert!(
             full[got.len()..].iter().all(|e| e.grade < bound),
@@ -964,11 +961,21 @@ mod tests {
             full.iter().map(|e| (e.object, e.grade)).collect::<Vec<_>>(),
             4,
         );
-        let mut all = Vec::new();
-        let mut cursor = fresh.open_sorted().with_bound(Grade::ZERO);
-        while cursor.next_batch(&mut all, 256) > 0 {}
-        assert!(!cursor.stopped_by_bound());
-        assert_eq!(all, full);
+        assert_eq!(bounded_scan(&fresh, Grade::ZERO), full);
+    }
+
+    /// Bounded reads of 256 from rank 0 until one is short or truncated;
+    /// asserts a non-zero bound is what stopped them.
+    fn bounded_scan(source: &impl GradedSource, bound: Grade) -> Vec<GradedEntry> {
+        let mut got = Vec::new();
+        let truncated = loop {
+            let read = source.sorted_batch_bounded(got.len(), 256, bound, &mut got);
+            if read.truncated || read.appended < 256 {
+                break read.truncated;
+            }
+        };
+        assert_eq!(truncated, bound > Grade::ZERO);
+        got
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub enum SourceViolation {
         /// The object.
         object: ObjectId,
     },
-    /// The batched cursor stream diverged from positional sorted access.
+    /// The batched sorted stream diverged from positional sorted access.
     InconsistentCursor {
         /// The rank at which the streams diverged.
         rank: usize,
@@ -81,7 +81,7 @@ impl std::fmt::Display for SourceViolation {
             SourceViolation::InconsistentCursor { rank } => {
                 write!(
                     f,
-                    "cursor stream diverges from sorted access at rank {rank}"
+                    "batched stream diverges from sorted access at rank {rank}"
                 )
             }
             SourceViolation::InconsistentRandomBatch { probe } => {
@@ -95,7 +95,7 @@ impl std::fmt::Display for SourceViolation {
 }
 
 /// Audits a source against the full contract — positional sorted access,
-/// random access, the batched cursor stream, and batched random access.
+/// random access, the batched sorted stream, and batched random access.
 /// Costs `2·len()` sorted (one positional pass, one batched pass) plus
 /// `2·len()` random accesses (one per-object pass, one batched pass).
 pub fn validate_source<S: GradedSource>(source: &S) -> Result<(), SourceViolation> {
@@ -135,12 +135,11 @@ pub fn validate_source<S: GradedSource>(source: &S) -> Result<(), SourceViolatio
         }
     }
 
-    // The cursor contract: batched streaming must replay the positional
-    // stream exactly, for any batch size (here an arbitrary uneven one, so
-    // batch boundaries land mid-list).
-    let mut cursor = crate::access::SortedCursor::new(source);
+    // The batch contract: batched streaming, resumed at the rank reached,
+    // must replay the positional stream exactly, for any batch size (here
+    // an arbitrary uneven one, so batch boundaries land mid-list).
     let mut streamed = Vec::with_capacity(n);
-    while cursor.next_batch(&mut streamed, 7) > 0 {}
+    while source.sorted_batch(streamed.len(), 7, &mut streamed) > 0 {}
     if streamed.len() != n {
         return Err(SourceViolation::InconsistentCursor {
             rank: streamed.len().min(n),
@@ -316,7 +315,7 @@ mod tests {
             count: usize,
             out: &mut Vec<GradedEntry>,
         ) -> Result<usize, SourceError> {
-            // Streams the list *backwards* — violating the cursor contract.
+            // Streams the list *backwards* — violating the batch contract.
             let n = self.0.len();
             let take = count.min(n.saturating_sub(start));
             out.extend((0..take).map(|i| self.0.sorted_access(n - 1 - start - i).unwrap()));

@@ -1,4 +1,4 @@
-//! The cursor-based engine vs the seed positional algorithms.
+//! The batched engine vs the seed positional algorithms.
 //!
 //! The batched engine must be *observably identical* to the positional
 //! round-robin formulation the paper states: same answers, same grades, and
@@ -14,7 +14,7 @@ use garlic_agg::means::ArithmeticMean;
 use garlic_agg::{Aggregation, Grade};
 use garlic_core::access::{counted, total_stats, CountingSource, MemorySource};
 use garlic_core::algorithms::b0_max::b0_max_topk;
-use garlic_core::algorithms::fa::{fagin_run, fagin_topk, FaOptions};
+use garlic_core::algorithms::fa::{fagin_run, fagin_shrunk_run, fagin_topk};
 use garlic_core::algorithms::fa_min::fagin_min_run;
 use garlic_core::algorithms::naive::naive_topk;
 use garlic_core::{AccessStats, EngineSession, GradedSource, ObjectId, TopK};
@@ -403,7 +403,16 @@ proptest! {
         assert_paged_fa_min(&db, &splits);
     }
 
-    // Bugfix-grade coverage for `FaOptions::shrink_depths` (the Section 4
+    /// Paged shrunk A₀ on random databases and random page splits.
+    #[test]
+    fn paged_shrunk_is_a_valid_ranking_at_every_prefix_within_a0s_bill(
+        db in db_strategy(),
+        splits in proptest::collection::vec(1usize..7, 1..8),
+    ) {
+        assert_paged_shrunk(&db, &splits);
+    }
+
+    // Bugfix-grade coverage for `fagin_shrunk_run` (the Section 4
     // per-list depth refinement).
     #[test]
     fn shrunk_depths_still_witness_k_matches_and_the_same_topk(db in db_strategy(), k_frac in 0.0f64..=1.0) {
@@ -411,14 +420,8 @@ proptest! {
         let k = ((k_frac * n as f64) as usize).clamp(1, n);
         let sources = sources_of(&db);
 
-        let plain = fagin_run(&sources, &min_agg(), k, FaOptions::default()).unwrap();
-        let shrunk = fagin_run(
-            &sources,
-            &min_agg(),
-            k,
-            FaOptions { shrink_depths: true },
-        )
-        .unwrap();
+        let plain = fagin_run(&sources, &min_agg(), k).unwrap();
+        let shrunk = fagin_shrunk_run(&sources, &min_agg(), k).unwrap();
 
         // (a) each Tᵢ is a real shrink: Tᵢ ≤ T, and never deeper than N.
         prop_assert_eq!(shrunk.per_list_depths.len(), sources.len());
@@ -486,6 +489,57 @@ fn assert_paged_fa_min(db: &[Vec<Grade>], splits: &[usize]) {
         assert_eq!(stats.sorted, total_stats(&oneshot).sorted);
         if page_no == 0 {
             assert_eq!(page.entries(), seed.entries());
+            assert_eq!(stats, total_stats(&oneshot));
+        }
+    }
+    assert_eq!(grades.len(), n);
+}
+
+/// What paging shrunk A₀ must deliver over `splits` (then one page for
+/// whatever is left): no object twice and the brute-force grade sequence,
+/// so every prefix is a valid top-k; the sorted bill `m·T` of one run at
+/// the cumulative k; a total no higher than plain A₀ kept alive over the
+/// same pages; per-list depths `Tᵢ` that never fall as the cumulative k
+/// grows; and a first page that is one `fagin_shrunk_run`, entries and
+/// bill.
+fn assert_paged_shrunk(db: &[Vec<Grade>], splits: &[usize]) {
+    let (m, n) = (db.len(), db[0].len());
+    let truth = reference::naive(&sources_of(db), &min_agg(), n).grades();
+    let agg = min_agg();
+    let mut session = EngineSession::shrunk(counted_of(db), &agg).unwrap();
+    let mut a0 = EngineSession::new(counted_of(db), &agg).unwrap();
+
+    let mut seen = std::collections::HashSet::new();
+    let mut grades: Vec<Grade> = Vec::new();
+    let mut depths = vec![0; m];
+    for (page_no, &k) in splits.iter().chain(std::iter::once(&n)).enumerate() {
+        let page = session.next_batch(k).unwrap();
+        a0.next_batch(k).unwrap();
+        for e in page.entries() {
+            assert!(seen.insert(e.object), "{} handed out twice", e.object);
+            grades.push(e.grade);
+        }
+        assert_eq!(&grades[..], &truth[..grades.len()]);
+
+        let stats = total_stats(session.sources());
+        let a0_stats = total_stats(a0.sources());
+        let oneshot = counted_of(db);
+        let run = fagin_shrunk_run(&oneshot, &agg, grades.len()).unwrap();
+        assert_eq!(session.depth(), run.stop_depth);
+        assert_eq!(stats.sorted, (m * run.stop_depth) as u64);
+        assert_eq!(stats.sorted, a0_stats.sorted);
+        assert!(stats.random <= a0_stats.random, "{stats:?} > {a0_stats:?}");
+        assert!(
+            run.per_list_depths
+                .iter()
+                .zip(&depths)
+                .all(|(t, was)| t >= was),
+            "Tᵢ fell: {depths:?} -> {:?}",
+            run.per_list_depths
+        );
+        depths = run.per_list_depths;
+        if page_no == 0 {
+            assert_eq!(page.entries(), run.topk.entries());
             assert_eq!(stats, total_stats(&oneshot));
         }
     }

@@ -27,7 +27,7 @@ fn well_behaved_memory_source_passes_the_audit() {
 #[test]
 fn metered_source_passes_and_audit_cost_is_linear() {
     // The audit promises 2·len() sorted (one positional pass plus one
-    // batched cursor pass) + 2·len() random accesses (one per-object pass
+    // batched sorted pass) + 2·len() random accesses (one per-object pass
     // plus one batched pass; the batched pass's deliberate miss probes
     // bill nothing); the metering wrapper lets us hold it to that.
     let source = CountingSource::new(MemorySource::from_grades(&[g(0.7), g(0.2), g(0.4)]));

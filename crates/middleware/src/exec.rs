@@ -611,8 +611,8 @@ impl QuerySession {
     pub fn engine_details(&self) -> EngineDetails<'_> {
         match &self.kind {
             SessionKind::Engine(s) => EngineDetails {
-                profile: s.engine().profile(),
-                depth: s.engine().depth(),
+                profile: s.profile(),
+                depth: s.depth(),
                 frontier: s.frontier_history(),
             },
             SessionKind::Filtered { session, .. } => EngineDetails {

@@ -8,8 +8,8 @@
 
 use std::sync::Arc;
 
-use garlic_core::access::{CountingSource, MemorySource, SortedCursor};
-use garlic_core::algorithms::engine::{Engine, EngineSession};
+use garlic_core::access::{CountingSource, MemorySource};
+use garlic_core::algorithms::engine::EngineSession;
 use garlic_core::complement::ComplementSource;
 use garlic_core::{GradedSource, SetAccess};
 use garlic_middleware::{
@@ -32,14 +32,12 @@ fn core_source_types_are_send_sync() {
     assert_send_sync::<Arc<dyn GradedSource>>();
     assert_send_sync::<Arc<dyn SetAccess>>();
     assert_send_sync::<Box<dyn GradedSource>>();
-    assert_send_sync::<SortedCursor<'_, dyn GradedSource>>();
 }
 
 #[test]
 fn engine_and_sessions_are_send_sync() {
-    assert_send_sync::<Engine<Arc<dyn GradedSource>>>();
-    // One session type, whatever the rule (A₀, A₀′, the scan, B₀); the
-    // aggregation slot used by the middleware is Send + Sync.
+    // One session type, whatever the rule (A₀, shrunk A₀, A₀′, the scan,
+    // B₀); the aggregation slot used by the middleware is Send + Sync.
     assert_send_sync::<
         EngineSession<
             CountingSource<Arc<dyn GradedSource>>,

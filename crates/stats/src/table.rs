@@ -1,6 +1,6 @@
 //! Fixed-width text tables (and CSV) for the experiment binaries, so every
 //! `expNN_*` harness prints paper-style rows that can be pasted into
-//! EXPERIMENTS.md.
+//! `EXPERIMENTS.md` (planned: ROADMAP item 7).
 
 /// A simple column-aligned table.
 #[derive(Debug, Clone)]

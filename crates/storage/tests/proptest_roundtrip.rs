@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use garlic_agg::iterated::min_agg;
 use garlic_agg::Grade;
-use garlic_core::access::{CountingSource, GradedSource, MemorySource, SetAccess, SortedCursor};
+use garlic_core::access::{CountingSource, GradedSource, MemorySource, SetAccess};
 use garlic_core::algorithms::fa::fagin_topk;
 use garlic_core::{GradedEntry, ObjectId};
 use garlic_storage::format::{FORMAT_V1, FORMAT_VERSION};
@@ -92,7 +92,7 @@ proptest! {
         }
     }
 
-    /// The batched cursor stream replays the positional stream for any
+    /// The batched sorted stream replays the positional stream for any
     /// batch size, and metering bills identically on both backends.
     #[test]
     fn cursor_stream_and_counts_match_memory(
@@ -109,11 +109,9 @@ proptest! {
         let mem = CountingSource::new(MemorySource::from_pairs(pairs));
 
         let mut seg_stream = Vec::new();
-        let mut cursor = seg.open_sorted();
-        while cursor.next_batch(&mut seg_stream, batch) > 0 {}
+        while seg.sorted_batch(seg_stream.len(), batch, &mut seg_stream) > 0 {}
         let mut mem_stream = Vec::new();
-        let mut cursor = mem.open_sorted();
-        while cursor.next_batch(&mut mem_stream, batch) > 0 {}
+        while mem.sorted_batch(mem_stream.len(), batch, &mut mem_stream) > 0 {}
 
         prop_assert_eq!(seg_stream, mem_stream);
         prop_assert_eq!(seg.stats(), mem.stats(), "identical Section-5 bills");
@@ -244,8 +242,7 @@ proptest! {
 
         let mut streams = [Vec::new(), Vec::new()];
         for (seg, stream) in segs.iter().zip(streams.iter_mut()) {
-            let mut cursor = seg.open_sorted();
-            while cursor.next_batch(stream, batch) > 0 {}
+            while seg.sorted_batch(stream.len(), batch, stream) > 0 {}
         }
         let [s1, s2] = streams;
         prop_assert_eq!(s1, s2, "identical streams and tie order");
@@ -260,11 +257,11 @@ proptest! {
         prop_assert_eq!(v1.stats(), v2.stats(), "identical Section-5 bills");
     }
 
-    /// A threshold-hinted cursor — with an arbitrary, possibly dirty hint
-    /// — emits an exact prefix of the unbounded stream on every backend
-    /// and format, is honest about why it stopped, bills exactly the
-    /// entries it emitted, and resumes into the full stream once the
-    /// stale hint is cleared.
+    /// Threshold-hinted reads — with an arbitrary, possibly dirty hint —
+    /// emit an exact prefix of the unbounded stream on every backend and
+    /// format, are honest about why they stopped, bill exactly the entries
+    /// they emitted, and resume into the full stream once the stale hint
+    /// is dropped.
     #[test]
     fn hinted_cursors_stay_exact_under_dirty_hints(
         pairs in pairs_strategy(),
@@ -290,9 +287,13 @@ proptest! {
         let bound = Grade::clamped(bound_num as f64 / 10.0);
 
         let seg = CountingSource::new(reopen(&path));
-        let mut cursor = seg.open_sorted().with_bound(bound);
         let mut emitted = Vec::new();
-        while cursor.next_batch(&mut emitted, batch) > 0 {}
+        let stopped_by_bound = loop {
+            let read = seg.sorted_batch_bounded(emitted.len(), batch, bound, &mut emitted);
+            if read.truncated || read.appended < batch {
+                break read.truncated;
+            }
+        };
 
         prop_assert_eq!(&emitted[..], &full[..emitted.len()], "exact prefix");
         prop_assert_eq!(
@@ -300,7 +301,7 @@ proptest! {
             emitted.len() as u64,
             "billed exactly the emitted entries"
         );
-        if cursor.stopped_by_bound() {
+        if stopped_by_bound {
             prop_assert!(
                 full[emitted.len()..].iter().all(|e| e.grade < bound),
                 "only entries strictly below the bound were withheld"
@@ -309,17 +310,16 @@ proptest! {
             prop_assert_eq!(emitted.len(), full.len(), "no stop means the whole stream");
         }
 
-        // The hint was advisory: clear it and the cursor resumes into the
-        // exact remainder of the stream.
-        cursor.set_bound(None);
-        while cursor.next_batch(&mut emitted, batch) > 0 {}
+        // The hint was advisory: unbounded reads from the rank reached
+        // resume into the exact remainder of the stream.
+        while seg.sorted_batch(emitted.len(), batch, &mut emitted) > 0 {}
         prop_assert_eq!(emitted, full, "stitched stream equals the unbounded one");
     }
 
-    /// Paging that stops mid-stream and resumes from a **cold** cursor — a
-    /// fresh `SegmentSource` over a fresh cache, positioned by rank alone,
-    /// as a process restart would — continues exactly where the warm
-    /// stream left off.
+    /// Paging that stops mid-stream and resumes **cold** — a fresh
+    /// `SegmentSource` over a fresh cache, positioned by rank alone, as a
+    /// process restart would — continues exactly where the warm stream
+    /// left off.
     #[test]
     fn paging_resumes_from_a_cold_cursor(
         pairs in pairs_strategy(),
@@ -338,21 +338,26 @@ proptest! {
         let mut first_leg: Vec<GradedEntry> = Vec::new();
         let resume_at = {
             let seg = reopen(&path);
-            let mut cursor = seg.open_sorted();
             loop {
                 let want = (cut - first_leg.len()).min(5);
-                if want == 0 || cursor.next_batch(&mut first_leg, want) == 0 {
+                if want == 0 || seg.sorted_batch(first_leg.len(), want, &mut first_leg) == 0 {
                     break;
                 }
             }
-            cursor.position()
+            first_leg.len()
         };
 
         // Second process: reopen cold, resume at the remembered rank.
         let seg = reopen(&path);
-        let mut cursor = SortedCursor::at(&seg, resume_at);
         let mut second_leg = first_leg;
-        while cursor.next_batch(&mut second_leg, 7) > 0 {}
+        let mut rank = resume_at;
+        loop {
+            let got = seg.sorted_batch(rank, 7, &mut second_leg);
+            if got == 0 {
+                break;
+            }
+            rank += got;
+        }
 
         let reference: Vec<GradedEntry> =
             (0..mem.len()).map(|r| mem.sorted_access(r).unwrap()).collect();

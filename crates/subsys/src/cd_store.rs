@@ -222,9 +222,8 @@ mod tests {
                 .unwrap(),
         ];
         for src in &sources {
-            let mut cursor = src.open_sorted();
             let mut streamed = Vec::new();
-            while cursor.next_batch(&mut streamed, 5) > 0 {}
+            while src.sorted_batch(streamed.len(), 5, &mut streamed) > 0 {}
             assert_eq!(streamed.len(), demo_albums().len());
             for (rank, e) in streamed.iter().enumerate() {
                 assert_eq!(Some(*e), src.sorted_access(rank));

@@ -445,9 +445,8 @@ mod tests {
         let src = store
             .evaluate(&AtomicQuery::new("Color", Target::text("blue")))
             .unwrap();
-        let mut cursor = src.open_sorted();
         let mut streamed = Vec::new();
-        while cursor.next_batch(&mut streamed, 5) > 0 {}
+        while src.sorted_batch(streamed.len(), 5, &mut streamed) > 0 {}
         assert_eq!(streamed.len(), 23);
         for (rank, e) in streamed.iter().enumerate() {
             assert_eq!(Some(*e), src.sorted_access(rank));

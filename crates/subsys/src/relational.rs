@@ -399,10 +399,9 @@ mod tests {
         let src = s
             .predicate_source("Artist", &Value::text("Beatles"))
             .unwrap();
-        let mut cursor = src.open_sorted();
         let mut streamed = Vec::new();
-        assert_eq!(cursor.next_batch(&mut streamed, 2), 2);
-        assert_eq!(cursor.next_batch(&mut streamed, 2), 1);
+        assert_eq!(src.sorted_batch(0, 2, &mut streamed), 2);
+        assert_eq!(src.sorted_batch(2, 2, &mut streamed), 1);
         // The grade-1 block (the match set) streams before all non-matches.
         assert_eq!(streamed[0].grade, Grade::ONE);
         assert_eq!(streamed[1].grade, Grade::ONE);

@@ -253,10 +253,9 @@ mod tests {
         let src = s
             .evaluate(&AtomicQuery::new("Review", Target::terms(&["rock"])))
             .unwrap();
-        let mut cursor = src.open_sorted();
         let mut streamed = Vec::new();
-        assert_eq!(cursor.next_batch(&mut streamed, 3), 3);
-        assert_eq!(cursor.next_batch(&mut streamed, 3), 1);
+        assert_eq!(src.sorted_batch(0, 3, &mut streamed), 3);
+        assert_eq!(src.sorted_batch(3, 3, &mut streamed), 1);
         for (rank, e) in streamed.iter().enumerate() {
             assert_eq!(Some(*e), src.sorted_access(rank));
         }

@@ -98,7 +98,7 @@ proptest! {
     fn every_subsystem_cursor_replays_the_positional_stream(
         n in 1usize..40, seed in 0u64..300, batch in 1usize..9
     ) {
-        // The cursor contract (see garlic_core::access docs) must hold for
+        // The batch contract (see garlic_core::access docs) must hold for
         // the sources every subsystem family produces, at any batch size.
         let mut rng = garlic_workload::seeded_rng(seed);
         let qbic = QbicStore::synthetic("q", n, &mut rng);
@@ -113,11 +113,9 @@ proptest! {
             rel.evaluate(&AtomicQuery::new("Artist", Target::text("Beatles"))).unwrap(),
         ];
         for src in &sources {
-            let mut cursor = src.open_sorted();
             let mut streamed = Vec::new();
-            while cursor.next_batch(&mut streamed, batch) > 0 {}
+            while src.sorted_batch(streamed.len(), batch, &mut streamed) > 0 {}
             prop_assert_eq!(streamed.len(), n);
-            prop_assert_eq!(cursor.position(), n);
             for (rank, entry) in streamed.iter().enumerate() {
                 prop_assert_eq!(Some(*entry), src.sorted_access(rank));
             }

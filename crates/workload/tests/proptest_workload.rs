@@ -1,8 +1,10 @@
 //! Property tests for the Section 5 combinatorial framework: skeletons,
-//! intersection depths, scoring-database consistency — and the cursor
+//! intersection depths, scoring-database consistency — and the batched
 //! engine's behaviour on skeleton-derived workloads.
 
-use garlic_core::{Engine, GradedSource};
+use garlic_agg::iterated::min_agg;
+use garlic_core::algorithms::fa::fagin_run;
+use garlic_core::GradedSource;
 use garlic_workload::distributions::{
     BoundedGrades, CrispGrades, GradeDistribution, QuantizedGrades, StridedGrades, UniformGrades,
 };
@@ -129,25 +131,23 @@ proptest! {
         prop_assert!(db.consistent_with(&skeleton));
         let k = ((k_frac * n as f64) as usize).clamp(1, n);
 
-        let mut engine = Engine::open(db.to_sources()).unwrap();
-        engine.advance_until_matched(k).unwrap();
-        prop_assert_eq!(engine.depth(), skeleton.matching_depth(k));
-        prop_assert!(engine.matched().len() >= k);
+        let run = fagin_run(&db.to_sources(), &min_agg(), k).unwrap();
+        prop_assert_eq!(run.stop_depth, skeleton.matching_depth(k));
+        prop_assert!(run.matched >= k);
     }
 
     #[test]
     fn batched_cursors_replay_skeleton_order(
         m in 1usize..4, n in 1usize..50, seed in 0u64..300, batch in 1usize..8
     ) {
-        // Cursor streaming over scoring-database sources must walk each
+        // Batched streaming over scoring-database sources must walk each
         // list in its skeleton order, at any batch size.
         let mut rng = garlic_workload::seeded_rng(seed);
         let skeleton = Skeleton::random(m, n, &mut rng);
         let db = ScoringDatabase::from_skeleton(&skeleton, &UniformGrades, &mut rng);
         for (i, source) in db.to_sources().iter().enumerate() {
-            let mut cursor = source.open_sorted();
             let mut streamed = Vec::new();
-            while cursor.next_batch(&mut streamed, batch) > 0 {}
+            while source.sorted_batch(streamed.len(), batch, &mut streamed) > 0 {}
             prop_assert_eq!(streamed.len(), n);
             for (rank, entry) in streamed.iter().enumerate() {
                 prop_assert_eq!(entry.object, skeleton.list(i).object_at(rank), "list {i} rank {rank}");

@@ -32,8 +32,8 @@
 //! * [`stats`] — summaries, regression, tail probabilities, Chernoff
 //!   machinery, table output for the experiment harness.
 //!
-//! See `README.md` for a tour and `EXPERIMENTS.md` for the paper-claim vs.
-//! measured-result index.
+//! See `README.md` for a tour; a paper-claim vs. measured-result index,
+//! `EXPERIMENTS.md`, is planned (ROADMAP item 7).
 
 #![forbid(unsafe_code)]
 

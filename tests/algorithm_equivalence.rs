@@ -12,11 +12,12 @@ use garlic::agg::order_stat::KthLargest;
 use garlic::agg::Aggregation;
 use garlic::core::access::MemorySource;
 use garlic::core::algorithms::b0_max::b0_max_topk;
-use garlic::core::algorithms::fa::{fagin_run, fagin_topk, FaOptions};
+use garlic::core::algorithms::fa::{fagin_run, fagin_shrunk_run, fagin_topk};
 use garlic::core::algorithms::fa_min::fagin_min_topk;
 use garlic::core::algorithms::naive::naive_topk;
 use garlic::core::algorithms::order_stat::{median_topk, order_statistic_topk};
-use garlic::core::algorithms::ullman::{ullman_top1, ullman_topk};
+use garlic::core::algorithms::ullman::{ullman_run, ullman_top1, ullman_topk};
+use garlic::core::GradedSource;
 use garlic::Grade;
 use proptest::prelude::*;
 
@@ -53,6 +54,25 @@ fn assert_matches_naive<A: Aggregation>(db: &[Vec<Grade>], agg: &A, k: usize, wh
         fast.grades(),
         naive.grades()
     );
+}
+
+/// Section 9's top-k rule in its plainest form: after every probe, count
+/// the seen objects at or above the current list-1 grade; stop at `k`.
+/// Returns how many objects were probed.
+fn ullman_reference_probes(sources: &[MemorySource], k: usize) -> usize {
+    let mut seen = Vec::new();
+    for rank in 0..sources[0].len() {
+        let entry = sources[0].sorted_access(rank).unwrap();
+        seen.push(
+            entry
+                .grade
+                .min(sources[1].random_access(entry.object).unwrap()),
+        );
+        if seen.iter().filter(|&&g| g >= entry.grade).count() >= k {
+            break;
+        }
+    }
+    seen.len()
 }
 
 proptest! {
@@ -92,9 +112,8 @@ proptest! {
         let n = db[0].len();
         let k = 1 + k_seed % n;
         let sources = to_sources(&db);
-        let plain = fagin_run(&sources, &min_agg(), k, FaOptions::default()).unwrap();
-        let shrunk = fagin_run(&sources, &min_agg(), k,
-            FaOptions { shrink_depths: true }).unwrap();
+        let plain = fagin_run(&sources, &min_agg(), k).unwrap();
+        let shrunk = fagin_shrunk_run(&sources, &min_agg(), k).unwrap();
         prop_assert!(shrunk.topk.same_grades(&plain.topk, 1e-12));
         prop_assert!(shrunk.candidates <= plain.candidates);
     }
@@ -155,6 +174,7 @@ proptest! {
         let fast = ullman_topk(&sources, k).unwrap();
         let slow = naive_topk(&sources, &min_agg(), k).unwrap();
         prop_assert!(fast.same_grades(&slow, 1e-12));
+        prop_assert_eq!(ullman_run(&sources, k).unwrap().probes, ullman_reference_probes(&sources, k));
     }
 
     #[test]
@@ -201,7 +221,6 @@ proptest! {
         let n = db[0].len();
         let k = 1 + k_seed % n;
         use garlic::core::complement::ComplementSource;
-        use garlic::core::GradedSource;
         let a = MemorySource::from_grades(&db[0]);
         let b = MemorySource::from_grades(&db[1]);
         let pair: Vec<Box<dyn GradedSource>> =

@@ -7,7 +7,7 @@ use garlic::agg::iterated::{max_agg, min_agg};
 use garlic::agg::Aggregation;
 use garlic::core::access::{counted, total_stats};
 use garlic::core::algorithms::b0_max::b0_max_topk;
-use garlic::core::algorithms::fa::{fagin_run, FaOptions};
+use garlic::core::algorithms::fa::fagin_run;
 use garlic::core::algorithms::naive::naive_topk;
 use garlic::workload::correlation::{hard_query_database, is_complement_pair};
 use garlic::workload::distributions::UniformGrades;
@@ -41,7 +41,7 @@ fn a0_stops_at_t_star() {
         let skeleton = Skeleton::random(3, 500, &mut rng);
         let db = ScoringDatabase::from_skeleton(&skeleton, &UniformGrades, &mut rng);
         let k = 1 + (seed as usize % 20);
-        let run = fagin_run(&db.to_sources(), &min_agg(), k, FaOptions::default()).unwrap();
+        let run = fagin_run(&db.to_sources(), &min_agg(), k).unwrap();
         assert_eq!(run.stop_depth, skeleton.matching_depth(k), "seed {seed}");
     }
 }
@@ -53,7 +53,7 @@ fn a0_sorted_cost_is_m_times_depth() {
     let skeleton = Skeleton::random(3, 400, &mut rng);
     let db = ScoringDatabase::from_skeleton(&skeleton, &UniformGrades, &mut rng);
     let sources = counted(db.to_sources());
-    let run = fagin_run(&sources, &min_agg(), 5, FaOptions::default()).unwrap();
+    let run = fagin_run(&sources, &min_agg(), 5).unwrap();
     assert_eq!(total_stats(&sources).sorted, (3 * run.stop_depth) as u64);
 }
 
@@ -86,7 +86,7 @@ fn hard_query_intersection_stays_empty_until_half() {
     let n = 1000;
     let mut rng = garlic::workload::seeded_rng(3);
     let db = hard_query_database(n, &mut rng);
-    let run = fagin_run(&db.to_sources(), &min_agg(), 1, FaOptions::default()).unwrap();
+    let run = fagin_run(&db.to_sources(), &min_agg(), 1).unwrap();
     // The two lists are exact reverses: first match at depth ⌈(N+1)/2⌉.
     assert!(run.stop_depth >= n / 2, "depth {} < N/2", run.stop_depth);
 }
@@ -101,7 +101,7 @@ fn k_equals_n_is_linear() {
     let skeleton = Skeleton::random(m, n, &mut rng);
     let db = ScoringDatabase::from_skeleton(&skeleton, &UniformGrades, &mut rng);
     let sources = counted(db.to_sources());
-    let run = fagin_run(&sources, &min_agg(), n, FaOptions::default()).unwrap();
+    let run = fagin_run(&sources, &min_agg(), n).unwrap();
     assert_eq!(run.topk.len(), n);
     assert_eq!(total_stats(&sources).sorted, (m * n) as u64);
 }
@@ -192,7 +192,7 @@ fn correlation_orders_cost() {
             let mut rng = garlic::workload::seeded_rng(400 + seed);
             let db = latent_database(2, n, rho, &mut rng);
             let sources = counted(db.to_sources());
-            fagin_run(&sources, &min_agg(), k, FaOptions::default()).unwrap();
+            fagin_run(&sources, &min_agg(), k).unwrap();
             total += total_stats(&sources).unweighted();
         }
         total
