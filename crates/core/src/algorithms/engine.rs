@@ -70,13 +70,16 @@
 //! result set costs the same sorted accesses as one evaluation at the
 //! cumulative `k` — and "the top k" is simply the first page: there is no
 //! separate one-shot implementation to agree with. One session type runs
-//! five rules, which differ only in where the sorted phase stops and
+//! six rules, which differ only in where the sorted phase stops and
 //! which objects a page grades:
 //!
 //! * A₀ ([`EngineSession::new`]): every object seen;
 //! * A₀ with per-list depths ([`EngineSession::shrunk`], Section 4's
 //!   refinement): only `∪ᵢ X^i_{Tᵢ}`, where the `Tᵢ ≤ T` are the deepest
 //!   ranks the cumulative `k` matched objects of earliest worst rank need;
+//! * A₀ with a threshold stop ([`EngineSession::threshold`]): the sorted
+//!   phase may end before `T`, and only the objects that can still reach
+//!   the `k`-th lower bound are graded (below);
 //! * A₀′ ([`EngineSession::min`], Proposition 4.3): the pivot list's
 //!   prefix at or above `g₀`;
 //! * the naive scan ([`EngineSession::scan`]): everything, by sorted
@@ -85,9 +88,10 @@
 //!   cumulative `k`, nothing is probed, and an object scores the best
 //!   grade any list has shown for it — `m·k` cumulative cost.
 //!
-//! Under the shrunk and A₀′ rules the objects a page does not grade wait
-//! in the slab: the `Tᵢ` only rise and `g₀` only falls as the cumulative
-//! `k` grows, so a later page picks up what it needs. Each page
+//! Under the shrunk, threshold and A₀′ rules the objects a page does not
+//! grade wait in the slab: the `Tᵢ` only rise, and `g₀` and the threshold
+//! rule's cut only fall, as the cumulative `k` grows, so a later page
+//! picks up what it needs. Each page
 //! completes — and scores, once, through the zero-alloc
 //! [`Aggregation::combine_reusing`] path — only its candidates that no
 //! earlier page graded (completed grade vectors stay complete, so cached
@@ -97,6 +101,61 @@
 //! re-compete every page; the aggregation itself is never re-run — only
 //! B₀'s best-grade-so-far can still rise on a deeper page, so it alone is
 //! re-read until returned).
+//!
+//! # The threshold stop
+//!
+//! A₀ reads until `k` objects have *matched*, which for a compound
+//! aggregation such as `min(a, max(b, c))` is far deeper than the answer
+//! needs. The threshold rule keeps A₀'s batch schedule and makes no
+//! random access before it stops. At each batch boundary, with depth `d`:
+//!
+//! * `τ = t(ℓ₁, …, ℓ_m)`, where `ℓᵢ` is the last grade list `i` showed,
+//!   bounds every unseen object from above (monotonicity);
+//! * `W(x) = t(known grades, 0 for the unknown)` bounds a seen object from
+//!   below, `B(x) = t(known grades, ℓᵢ for an unknown list i)` from above.
+//!
+//! The sorted phase stops once the cumulative `k` objects have `W(x) > τ`
+//! (strictly), or on A₀'s own "`k` matched" condition, or at the end of
+//! the lists, so `d ≤ T`. τ only falls and every `W` only rises, so the
+//! set `{x : W(x) > τ}` only grows; it is counted incrementally, through a
+//! max-heap of the uncounted slots and one `W` refresh per distinct slot a
+//! batch touched. At the stop, with `cut` the `k`-th largest `W`, a page
+//! grades only the seen objects with `B(x) ≥ cut`.
+//!
+//! **Answers are A₀'s, entry for entry.** At least `k` graded objects score
+//! `≥ cut`. An unseen object scores `≤ τ < cut` (a "matched" stop reads
+//! exactly A₀'s prefixes, so A₀ grades no unseen object either), and a
+//! seen object left waiting scores `≤ B(x) < cut`. Everything A₀ grades
+//! that this rule does not therefore scores strictly below every object
+//! `TopK::select`'s `(grade desc, id asc)` order can pick, and the pick is
+//! the same.
+//!
+//! **One page bills no more than A₀.** The sorted bill is `S = m·d ≤ m·T`.
+//! A pair `(x, i)` this rule probes is either probed by A₀ too, or `x`
+//! appears in list `i` at a rank in `[d, T)`, an entry only A₀ reads by
+//! sorted access; mapping each probe to that access is injective, so
+//! `S + R ≤ S_A₀ + R_A₀`. `R` alone can exceed A₀'s.
+//!
+//! **Paging is a valid ranking, not A₀'s paged bill.** Every prefix of the
+//! concatenated pages is A₀'s, and the cumulative sorted bill is at most
+//! one A₀ evaluation at the cumulative `k`. But a pair probed on one page
+//! can be read by sorted access on the next, so the paged `S + R` can
+//! exceed A₀ paged alike.
+//!
+//! Both arguments need `t` monotone — the precondition A₀ already trusts.
+//! Plain TA (Fagin–Lotem–Naor), which probes every object it sees as it
+//! goes and stops once `k` *graded* objects reach `τ`, does not keep the
+//! single-page bound: on min conjunctions it can bill more than A₀.
+//!
+//! # Failures
+//!
+//! A failed page leaves the session resumable. A sorted round keeps the
+//! batches its lists did return, so the retry reads only the lists that
+//! failed; a random round keeps every grade it learned, so the retry
+//! probes only what is still missing. Retrying a page with the same `k`
+//! bills no access twice.
+
+use std::collections::BinaryHeap;
 
 use garlic_agg::{Aggregation, Grade};
 
@@ -123,7 +182,8 @@ struct Slab {
     slots: FxHashMap<ObjectId, u32>,
     /// `slot → ObjectId`, in first-seen order.
     ids: Vec<ObjectId>,
-    /// m-strided grades; validity is governed by `grade_mask`.
+    /// m-strided grades; validity is governed by `grade_mask`, and a grade
+    /// no list has revealed reads as zero.
     grades: Vec<Grade>,
     /// m-strided sorted ranks; validity is governed by `rank_mask`.
     ranks: Vec<u32>,
@@ -195,6 +255,24 @@ impl Slab {
         self.grade_mask[w] & b != 0
     }
 
+    /// The lists `0..m` that `pick` selects, as a mask of the slab's
+    /// per-slot word layout.
+    fn list_mask(m: usize, mut pick: impl FnMut(usize) -> bool) -> Vec<u64> {
+        let mut mask = vec![0u64; m.div_ceil(64).max(1)];
+        for list in (0..m).filter(|&list| pick(list)) {
+            mask[list / 64] |= 1u64 << (list % 64);
+        }
+        mask
+    }
+
+    /// Whether every list in `mask` (see [`Slab::list_mask`]) has revealed
+    /// the slot's grade.
+    #[inline]
+    fn knows_all(&self, slot: u32, mask: &[u64]) -> bool {
+        let known = &self.grade_mask[slot as usize * self.words..][..self.words];
+        known.iter().zip(mask).all(|(&k, &need)| k & need == need)
+    }
+
     /// Whether list `list` has shown this slot under sorted access.
     #[inline]
     fn has_rank(&self, slot: u32, list: usize) -> bool {
@@ -241,8 +319,13 @@ impl Slab {
     /// path); `None` while any grade is missing.
     #[inline]
     fn grade_slice(&self, slot: u32) -> Option<&[Grade]> {
-        self.complete(slot)
-            .then(|| &self.grades[slot as usize * self.m..][..self.m])
+        self.complete(slot).then(|| self.row(slot))
+    }
+
+    /// The slot's grades, the unknown ones at zero.
+    #[inline]
+    fn row(&self, slot: u32) -> &[Grade] {
+        &self.grades[slot as usize * self.m..][..self.m]
     }
 
     /// Folds one sorted observation in; returns `true` when this was the
@@ -289,7 +372,7 @@ pub struct EngineProfile {
     /// Wall-clock nanoseconds inside random-access completion.
     pub random_ns: u64,
     /// Batched cursor reads issued by the sorted phase (one per list per
-    /// fetch round).
+    /// fetch round; a retried round re-issues only the failed ones).
     pub sorted_batches: u64,
     /// Entries folded in by the sorted phase across all lists.
     pub sorted_entries: u64,
@@ -325,8 +408,16 @@ pub(crate) struct Engine<S> {
     slab: Slab,
     matched: Vec<ObjectId>,
     depth: usize,
-    /// One reusable fetch buffer per list (scratch reuse across rounds).
+    /// The grade at the deepest rank read so far, per list (the paper's
+    /// `μ_Ai` at depth `T`; zero before the first round).
+    last: Vec<Grade>,
+    /// One reusable fetch buffer per list, holding the entries from rank
+    /// `depth` on that a round fetched but did not fold in (see
+    /// `pull_levels`); empty between successful rounds.
     scratch: Vec<Vec<GradedEntry>>,
+    /// The slot of every entry folded in since the threshold rule last
+    /// drained it; `None` (nothing recorded) under every other rule.
+    touched: Option<Vec<u32>>,
     /// Reusable completion scratch: slots pending completion.
     pending: Vec<u32>,
     /// Reusable completion scratch: slots probed for the current list.
@@ -369,7 +460,9 @@ impl<S: GradedSource> Engine<S> {
             slab: Slab::new(m),
             matched: Vec::new(),
             depth: 0,
+            last: vec![Grade::ZERO; m],
             scratch: vec![Vec::new(); m],
+            touched: None,
             pending: Vec::new(),
             probe_slots: Vec::new(),
             probes: Vec::new(),
@@ -408,19 +501,25 @@ impl<S: GradedSource> Engine<S> {
 
     /// Runs the sorted phase round-robin until at least `k` objects have
     /// been seen in every list ("wait until there are at least k matches"),
-    /// or the lists are exhausted. Idempotent for already-achieved targets,
-    /// so sessions can call it repeatedly with a growing `k`.
+    /// the lists are exhausted, or `stop` — asked before the first round
+    /// and after every round — says the phase may end early. Idempotent
+    /// for already-achieved targets, so sessions can call it repeatedly
+    /// with a growing `k`.
     ///
     /// Streaming is batched (see the module docs for why the batch sizes
     /// cannot overshoot the positional stop depth).
     /// Errors leave the already-folded prefix intact: a transient
     /// [`TopKError::SourceFailed`] or [`TopKError::DeadlineExceeded`] can
-    /// be retried by calling again with the same target, and no consumed
-    /// entry is re-read or re-billed.
-    fn advance_until_matched(&mut self, k: usize) -> Result<(), TopKError> {
+    /// be retried by calling again with the same target, and no entry is
+    /// re-read or re-billed.
+    fn advance_until_matched(
+        &mut self,
+        k: usize,
+        mut stop: impl FnMut(&mut Self) -> bool,
+    ) -> Result<(), TopKError> {
         let start = std::time::Instant::now();
         let mut result = Ok(());
-        while self.matched.len() < k && self.depth < self.n {
+        while !stop(self) && self.matched.len() < k && self.depth < self.n {
             if let Err(e) = self.check_deadline() {
                 result = Err(e);
                 break;
@@ -471,23 +570,28 @@ impl<S: GradedSource> Engine<S> {
     /// — and therefore every downstream tie-break — is preserved.
     ///
     /// All `m` fetches complete **before** any entry is folded in, so a
-    /// failed fetch leaves the bookkeeping untouched at the pre-round depth:
-    /// retrying the round re-reads only this round's entries and never
-    /// observes an entry twice.
+    /// failed fetch leaves the bookkeeping untouched at the pre-round depth.
+    /// The lists that did answer keep their entries in `scratch`, and the
+    /// retry reads only what a list is still missing: no entry is billed
+    /// twice. (Entries kept past a retry's smaller `levels` are folded by
+    /// the next round.)
     fn pull_levels(&mut self, levels: usize) -> Result<(), TopKError> {
         debug_assert!(self.depth + levels <= self.n);
-        let m = self.sources.len();
-        self.profile.sorted_batches += m as u64;
-        self.profile.sorted_entries += (levels * m) as u64;
         let mut scratch = std::mem::take(&mut self.scratch);
         let depth = self.depth;
         let mut failed: Option<crate::access::SourceError> = None;
         for (buf, source) in scratch.iter_mut().zip(&self.sources) {
-            buf.clear();
-            match source.try_sorted_batch(depth, levels, buf) {
-                Ok(got) => {
-                    debug_assert_eq!(got, levels, "depth + levels <= N implies full batches")
-                }
+            let have = buf.len();
+            if have >= levels {
+                continue;
+            }
+            self.profile.sorted_batches += 1;
+            match source.try_sorted_batch(depth + have, levels - have, buf) {
+                Ok(got) => debug_assert_eq!(
+                    got,
+                    levels - have,
+                    "depth + levels <= N implies full batches"
+                ),
                 Err(e) => {
                     failed = Some(e);
                     break;
@@ -505,8 +609,16 @@ impl<S: GradedSource> Engine<S> {
                 if self.slab.observe(slot, i, self.depth + level, entry.grade) {
                     self.matched.push(entry.object);
                 }
+                if let Some(touched) = &mut self.touched {
+                    touched.push(slot);
+                }
             }
         }
+        for (last, buf) in self.last.iter_mut().zip(&mut scratch) {
+            *last = buf[levels - 1].grade;
+            buf.drain(..levels);
+        }
+        self.profile.sorted_entries += (levels * scratch.len()) as u64;
         self.depth += levels;
         self.scratch = scratch;
         Ok(())
@@ -637,6 +749,10 @@ enum Rule<A> {
         /// id) at, plus one — so `∩ᵢ X^i_{Tᵢ}` still holds `k` objects.
         depths: Vec<usize>,
     },
+    /// A₀ with a threshold stop, any monotone aggregation: the sorted phase
+    /// may end once `k` lower bounds beat `τ`, and only the objects whose
+    /// upper bound reaches the `k`-th lower bound are graded.
+    Threshold(Box<Bounds<A>>),
     /// Algorithm A₀′ (Proposition 4.3), `t = min`: A₀'s sorted phase, but
     /// only the pivot list's prefix at or above `g₀` is graded.
     Min {
@@ -655,45 +771,247 @@ enum Rule<A> {
     Max,
 }
 
-impl<A> Rule<A> {
-    /// Whether a page grades this (seen) slot in full.
-    fn grades(&self, slab: &Slab, slot: u32) -> bool {
-        match self {
-            Rule::Monotone(_) | Rule::Scan(_) => true,
-            Rule::Shrunk { depths, .. } => depths
-                .iter()
-                .enumerate()
-                .any(|(i, &t)| slab.rank(slot, i).is_some_and(|r| r < t)),
-            &Rule::Min {
-                pivot: Some((g0, i0)),
-                ..
-            } => slab.has_rank(slot, i0) && slab.grades[slot as usize * slab.m + i0] >= g0,
-            Rule::Min { pivot: None, .. } | Rule::Max => false,
+/// Why a threshold session's sorted phase ended (see
+/// [`EngineSession::threshold`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SortedStop {
+    /// The cumulative `k` seen objects' lower bounds beat `τ`.
+    Threshold,
+    /// A₀'s own stop: the cumulative `k` objects matched.
+    Matched,
+    /// Every list was read to the end.
+    Exhausted,
+}
+
+impl std::fmt::Display for SortedStop {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            SortedStop::Threshold => "threshold",
+            SortedStop::Matched => "matched",
+            SortedStop::Exhausted => "exhausted",
+        })
+    }
+}
+
+/// The threshold rule's bookkeeping: the per-slot lower bounds `W` and the
+/// incremental count of `{x : W(x) > τ}` (see the module docs).
+struct Bounds<A> {
+    agg: A,
+    /// `W(x)` per slot: `t` of the known grades with 0 for the unknown
+    /// ones, refreshed whenever sorted access shows the slot; its exact
+    /// score once graded. Only rises.
+    lower: Vec<Grade>,
+    /// Whether the slot is counted among those with `W(x) > τ` — a set
+    /// that only grows, as τ only falls and `W` only rises.
+    above: Vec<bool>,
+    /// How many slots are counted.
+    count: usize,
+    /// Uncounted slots by `W`, largest first. An entry whose slot has
+    /// since been counted is skipped when it surfaces.
+    heap: BinaryHeap<(Grade, u32)>,
+    /// Slots graded since the last refresh, whose exact scores go on the
+    /// heap only if a later page asks.
+    graded: Vec<u32>,
+    /// The refresh each slot was last recomputed in, so a slot a batch
+    /// shows in several lists is recomputed once.
+    stamp: Vec<u32>,
+    refreshes: u32,
+    /// The lists whose unknown grade alone forces `t` to zero,
+    /// `t(1, …, 0ᵢ, …, 1) = 0` (every list of a t-norm; the left operand of
+    /// `min(a, max(b, c))`), as a list mask: a slot missing one of them has
+    /// `W(x) = 0` exactly, so a refresh need not recompute it.
+    zeroing: Vec<u64>,
+    /// `τ` as of the last refresh.
+    tau: Grade,
+    /// Why the last page's sorted phase ended.
+    stop: Option<SortedStop>,
+    /// The grade vector a bound is taken over (no per-slot allocation,
+    /// whatever `m` is).
+    point: Vec<Grade>,
+    /// Scratch for the `k`-th largest `W`.
+    ranked: Vec<Grade>,
+}
+
+impl<A: Aggregation> Bounds<A> {
+    fn new(agg: A, m: usize) -> Self {
+        let mut point = Vec::new();
+        let zeroing = Slab::list_mask(m, |i| {
+            Self::capped(&agg, &mut point, m, i, Grade::ZERO) == Grade::ZERO
+        });
+        Bounds {
+            agg,
+            lower: Vec::new(),
+            above: Vec::new(),
+            count: 0,
+            heap: BinaryHeap::new(),
+            graded: Vec::new(),
+            stamp: Vec::new(),
+            refreshes: 0,
+            zeroing,
+            tau: Grade::ONE,
+            stop: None,
+            point,
+            ranked: Vec::new(),
+        }
+    }
+
+    /// `t(1, …, gᵢ, …, 1)`: the most a slot whose list-`i` grade is at most
+    /// `g` can score.
+    fn capped(agg: &A, point: &mut Vec<Grade>, m: usize, i: usize, g: Grade) -> Grade {
+        point.clear();
+        point.resize(m, Grade::ONE);
+        point[i] = g;
+        agg.combine(point)
+    }
+
+    /// `B(x)`: `t` of the slot's known grades, with the last grade list `i`
+    /// showed standing in for an unknown grade of list `i`. (`W(x)` needs
+    /// no copy: the slab's row holds the unknown grades at zero.)
+    fn upper(&mut self, slab: &Slab, slot: u32, last: &[Grade], scratch: &mut Vec<Grade>) -> Grade {
+        self.point.clear();
+        self.point.extend_from_slice(slab.row(slot));
+        for (i, grade) in self.point.iter_mut().enumerate() {
+            if !slab.has_grade(slot, i) {
+                *grade = last[i];
+            }
+        }
+        self.agg.combine_reusing(&self.point, scratch)
+    }
+
+    /// Folds the slots sorted access showed since the last refresh into
+    /// `W`, recomputes `τ`, and returns how many slots have `W(x) > τ`.
+    fn refresh<S>(&mut self, engine: &mut Engine<S>, scratch: &mut Vec<Grade>) -> usize {
+        let Engine {
+            slab,
+            last,
+            touched,
+            ..
+        } = engine;
+        let touched = touched
+            .as_mut()
+            .expect("the threshold rule records touched slots");
+        self.refreshes += 1;
+        self.lower.resize(slab.len(), Grade::ZERO);
+        self.above.resize(slab.len(), false);
+        self.stamp.resize(slab.len(), 0);
+        for slot in self.graded.drain(..) {
+            if !self.above[slot as usize] {
+                self.heap.push((self.lower[slot as usize], slot));
+            }
+        }
+        for slot in touched.drain(..) {
+            let at = slot as usize;
+            if !slab.knows_all(slot, &self.zeroing)
+                || std::mem::replace(&mut self.stamp[at], self.refreshes) == self.refreshes
+            {
+                continue;
+            }
+            let w = self.agg.combine_reusing(slab.row(slot), scratch);
+            self.settle(slot, w);
+        }
+        self.tau = self.agg.combine_reusing(last, scratch);
+        while let Some(&(w, slot)) = self.heap.peek() {
+            if w <= self.tau {
+                break;
+            }
+            self.heap.pop();
+            let above = &mut self.above[slot as usize];
+            if !*above {
+                *above = true;
+                self.count += 1;
+            }
+        }
+        self.count
+    }
+
+    /// Records the exact score of a slot just graded.
+    fn grade(&mut self, slot: u32, score: Grade) {
+        self.lower[slot as usize] = score;
+        self.graded.push(slot);
+    }
+
+    /// Records a new lower bound for the slot; an uncounted slot whose
+    /// bound rose goes back on the heap. (A bound of zero never beats τ, so
+    /// a fresh slot at zero stays off.)
+    fn settle(&mut self, slot: u32, w: Grade) {
+        let at = slot as usize;
+        if w > self.lower[at] {
+            self.lower[at] = w;
+            if !self.above[at] {
+                self.heap.push((w, slot));
+            }
+        }
+    }
+
+    /// The waiting slots a page grades: those whose upper bound `B` reaches
+    /// the `target`-th largest `W`.
+    fn candidates(
+        &mut self,
+        slab: &Slab,
+        last: &[Grade],
+        waiting: impl Iterator<Item = u32>,
+        target: usize,
+        fresh: &mut Vec<u32>,
+        scratch: &mut Vec<Grade>,
+    ) {
+        // Only positive bounds can rank above zero: when fewer than
+        // `target` are positive, the cut is zero.
+        self.ranked.clear();
+        self.ranked
+            .extend(self.lower.iter().copied().filter(|&w| w > Grade::ZERO));
+        let cut = match self.ranked.len() {
+            len if len < target => Grade::ZERO,
+            _ => {
+                *self
+                    .ranked
+                    .select_nth_unstable_by(target - 1, |a, b| b.cmp(a))
+                    .1
+            }
+        };
+        // Sorted access shows a grade no lower than its list's last one, so
+        // B(x) ≥ τ: at a cut of τ or less every waiting slot is in.
+        if cut <= self.tau {
+            fresh.extend(waiting);
+            return;
+        }
+        // A slot missing list i has B(x) ≤ t(1, …, ℓᵢ, …, 1): when that is
+        // below the cut, the slot is out without computing B.
+        let (agg, point) = (&self.agg, &mut self.point);
+        let required = Slab::list_mask(slab.m, |i| {
+            Self::capped(agg, point, slab.m, i, last[i]) < cut
+        });
+        for slot in waiting {
+            if slab.knows_all(slot, &required) && self.upper(slab, slot, last, scratch) >= cut {
+                fresh.push(slot);
+            }
         }
     }
 }
 
 /// A resumable top-k session over the engine: algorithm A₀
 /// ([`EngineSession::new`]), A₀ with per-list depths
-/// ([`EngineSession::shrunk`]), A₀′ ([`EngineSession::min`]), the naive
+/// ([`EngineSession::shrunk`]) or with a threshold stop
+/// ([`EngineSession::threshold`]), A₀′ ([`EngineSession::min`]), the naive
 /// scan ([`EngineSession::scan`]) or B₀ ([`EngineSession::max`]) kept
 /// alive between pages, implementing
 /// Section 4's "continue where we left off". Grades already fetched (by
 /// either access kind) are never re-fetched, so the cumulative *sorted*
-/// cost of paging equals one evaluation at the cumulative `k` — and a
-/// single page is exactly that evaluation.
+/// cost of paging is at most one evaluation at the cumulative `k` (exactly
+/// that, under every rule but the threshold stop) — and a single page is
+/// exactly that evaluation.
 pub struct EngineSession<S, A> {
     engine: Engine<S>,
     rule: Rule<A>,
-    /// Where each slot stands. Under the shrunk and A₀′ rules the
-    /// `Waiting` ones stay in the slab: the `Tᵢ` only rise and `g₀` only
-    /// falls as the cumulative `k` grows, so a later page's candidate set
+    /// Where each slot stands. Under the shrunk, threshold and A₀′ rules
+    /// the `Waiting` ones stay in the slab: a later page's candidate set
     /// can only take more of them.
     status: Vec<Status>,
     /// `scores[slot]` = the overall grade, computed exactly once when the
     /// slot was graded (complete grade vectors never change, so neither
     /// can the score). Meaningful once a slot is no longer `Waiting`.
     scores: Vec<Grade>,
+    /// The slots the current page grades (scratch reuse across pages).
+    fresh: Vec<u32>,
     /// Working buffer lent to [`Aggregation::combine_reusing`].
     scratch: Vec<Grade>,
     cumulative: usize,
@@ -730,6 +1048,22 @@ where
     pub fn shrunk(sources: Vec<S>, agg: A) -> Result<Self, TopKError> {
         let depths = vec![0; sources.len()];
         Self::open(sources, Rule::Shrunk { agg, depths })
+    }
+
+    /// Opens an A₀ session with a threshold stop: each page's sorted phase
+    /// ends once the cumulative `k` seen objects have lower bounds above
+    /// `τ = t(last grades read)`, or on A₀'s own stop, and only the seen
+    /// objects whose upper bound reaches the `k`-th lower bound are
+    /// graded. The pages are A₀'s entry for entry, a single page never
+    /// bills more than A₀'s `S + R`, and the cumulative sorted bill never
+    /// exceeds one A₀ evaluation at the cumulative `k`; paged `S + R` is
+    /// not bounded by A₀ paged alike. See the module docs for the
+    /// arguments. The aggregation must be monotone.
+    pub fn threshold(sources: Vec<S>, agg: A) -> Result<Self, TopKError> {
+        let m = sources.len();
+        let mut session = Self::open(sources, Rule::Threshold(Box::new(Bounds::new(agg, m))))?;
+        session.engine.touched = Some(Vec::new());
+        Ok(session)
     }
 
     /// Opens an A₀′ session for the standard fuzzy conjunction
@@ -776,6 +1110,7 @@ where
             rule,
             status: Vec::new(),
             scores: Vec::new(),
+            fresh: Vec::new(),
             scratch: Vec::new(),
             cumulative: 0,
             frontier_history: Vec::new(),
@@ -801,6 +1136,16 @@ where
     pub fn pivot(&self) -> Option<(Grade, usize)> {
         match self.rule {
             Rule::Min { pivot, .. } => pivot,
+            _ => None,
+        }
+    }
+
+    /// Why the last page's sorted phase ended, and `τ = t(last grades
+    /// read)` there. `None` before the first page and for sessions not
+    /// opened with [`EngineSession::threshold`].
+    pub fn sorted_stop(&self) -> Option<(SortedStop, Grade)> {
+        match &self.rule {
+            Rule::Threshold(bounds) => bounds.stop.map(|stop| (stop, bounds.tau)),
             _ => None,
         }
     }
@@ -867,12 +1212,25 @@ where
         }
 
         // Sorted phase, resumed at the stored depth: until the *cumulative*
-        // target has matched — all `N` objects for the naive scan — or,
-        // for B₀, to the cumulative target's depth whatever has matched.
-        match self.rule {
-            Rule::Scan(_) => self.engine.advance_until_matched(n)?,
-            Rule::Max => self.engine.advance_to_depth(target)?,
-            _ => self.engine.advance_until_matched(target)?,
+        // target has matched — all `N` objects for the naive scan, or
+        // earlier once its lower bounds beat τ under the threshold rule —
+        // or, for B₀, to the cumulative target's depth whatever has matched.
+        let engine = &mut self.engine;
+        match &mut self.rule {
+            Rule::Scan(_) => engine.advance_until_matched(n, |_| false)?,
+            Rule::Max => engine.advance_to_depth(target)?,
+            Rule::Threshold(bounds) => {
+                let scratch = &mut self.scratch;
+                engine.advance_until_matched(target, |e| bounds.refresh(e, scratch) >= target)?;
+                bounds.stop = Some(if bounds.count >= target {
+                    SortedStop::Threshold
+                } else if engine.depth == n {
+                    SortedStop::Exhausted
+                } else {
+                    SortedStop::Matched
+                });
+            }
+            _ => engine.advance_until_matched(target, |_| false)?,
         }
 
         let (slab, matched) = (&self.engine.slab, &self.engine.matched);
@@ -915,21 +1273,39 @@ where
 
         // Random phase: complete this page's candidates that no earlier
         // page graded. A failed completion marks nothing graded, so a
-        // retry finds the same candidates and re-probes only what is
-        // still missing.
+        // retry finds the same candidates (or, under the threshold rule,
+        // a subset: the grades it did learn only tighten the bounds) and
+        // re-probes only what is still missing.
         self.status.resize(slab.len(), Status::Waiting);
-        let (rule, status) = (&self.rule, &self.status);
+        let (status, fresh) = (&self.status, &mut self.fresh);
+        fresh.clear();
+        let waiting =
+            (0..slab.len() as u32).filter(|&slot| status[slot as usize] == Status::Waiting);
+        match &mut self.rule {
+            Rule::Monotone(_) | Rule::Scan(_) => fresh.extend(waiting),
+            Rule::Shrunk { depths, .. } => fresh.extend(waiting.filter(|&slot| {
+                let shallow = |(i, &t)| slab.rank(slot, i).is_some_and(|r| r < t);
+                depths.iter().enumerate().any(shallow)
+            })),
+            Rule::Threshold(bounds) => {
+                let last = &self.engine.last;
+                bounds.candidates(slab, last, waiting, target, fresh, &mut self.scratch);
+            }
+            &mut Rule::Min {
+                pivot: Some((g0, i0)),
+                ..
+            } => fresh.extend(waiting.filter(|&slot| {
+                slab.has_rank(slot, i0) && slab.grades[slot as usize * slab.m + i0] >= g0
+            })),
+            Rule::Min { pivot: None, .. } | Rule::Max => {}
+        }
         let Engine { slab, pending, .. } = &mut self.engine;
         pending.clear();
-        pending.extend((0..slab.len() as u32).filter(|&slot| {
-            status[slot as usize] == Status::Waiting
-                && rule.grades(slab, slot)
-                && !slab.complete(slot)
-        }));
+        pending.extend(fresh.iter().copied().filter(|&slot| !slab.complete(slot)));
         self.engine.complete_pending()?;
 
-        // Computation phase, one pass: score those candidates — once,
-        // straight off the slab's grade slices — and select the next
+        // Computation phase: score those candidates — once, straight off
+        // the slab's grade slices — then select the next
         // `target - cumulative` best among graded objects not yet returned.
         // (Filtering *before* selection keeps the batch size exact even
         // when fresh objects tie an already-returned one at the cut grade
@@ -937,12 +1313,24 @@ where
         // displace a returned object and hand out extra entries.)
         let slab = &self.engine.slab;
         self.scores.resize(slab.len(), Grade::ZERO);
-        let (rule, status, scores, scratch) = (
-            &self.rule,
-            &mut self.status,
-            &mut self.scores,
-            &mut self.scratch,
-        );
+        for &slot in &self.fresh {
+            let grades = slab.grade_slice(slot).expect("grades completed above");
+            let at = slot as usize;
+            self.scores[at] = match &mut self.rule {
+                Rule::Monotone(agg) | Rule::Scan(agg) | Rule::Shrunk { agg, .. } => {
+                    agg.combine_reusing(grades, &mut self.scratch)
+                }
+                Rule::Threshold(bounds) => {
+                    let score = bounds.agg.combine_reusing(grades, &mut self.scratch);
+                    bounds.grade(slot, score);
+                    score
+                }
+                Rule::Min { .. } => grades.iter().min().copied().expect("m >= 1"),
+                Rule::Max => unreachable!("B₀ grades nothing in full"),
+            };
+            self.status[at] = Status::Graded;
+        }
+        let (rule, status, scores) = (&self.rule, &self.status, &self.scores);
         let graded = (0..slab.len()).filter_map(|at| {
             let slot = at as u32;
             if let Rule::Max = rule {
@@ -950,17 +1338,6 @@ where
                 // list, so B₀'s score is read afresh until it is returned.
                 return (status[at] != Status::Returned)
                     .then(|| (slab.id(slot), slab.best_grade(slot)));
-            }
-            if status[at] == Status::Waiting && rule.grades(slab, slot) {
-                let grades = slab.grade_slice(slot).expect("grades completed above");
-                scores[at] = match rule {
-                    Rule::Monotone(agg) | Rule::Scan(agg) | Rule::Shrunk { agg, .. } => {
-                        agg.combine_reusing(grades, scratch)
-                    }
-                    Rule::Min { .. } => grades.iter().min().copied().expect("m >= 1"),
-                    Rule::Max => unreachable!("B₀ grades nothing in full"),
-                };
-                status[at] = Status::Graded;
             }
             (status[at] == Status::Graded).then(|| (slab.id(slot), scores[at]))
         });
@@ -1003,7 +1380,7 @@ mod tests {
     #[test]
     fn advance_finds_first_match() {
         let mut engine = Engine::open(sources()).unwrap();
-        engine.advance_until_matched(1).unwrap();
+        engine.advance_until_matched(1, |_| false).unwrap();
         // List 0 order: 0,1,2,3. List 1 order: 3,2,1,0.
         // Depth 1: {0},{3}. Depth 2: {0,1},{3,2}: no match yet.
         // Depth 3: {0,1,2},{3,2,1}: objects 1 and 2 match.
@@ -1014,11 +1391,11 @@ mod tests {
     #[test]
     fn advance_is_idempotent_and_resumable() {
         let mut engine = Engine::open(sources()).unwrap();
-        engine.advance_until_matched(1).unwrap();
+        engine.advance_until_matched(1, |_| false).unwrap();
         let depth = engine.depth;
-        engine.advance_until_matched(1).unwrap();
+        engine.advance_until_matched(1, |_| false).unwrap();
         assert_eq!(engine.depth, depth); // no extra work
-        engine.advance_until_matched(4).unwrap();
+        engine.advance_until_matched(4, |_| false).unwrap();
         assert_eq!(engine.depth, 4);
         assert_eq!(engine.matched.len(), 4);
     }
@@ -1029,7 +1406,7 @@ mod tests {
         // the engine's batched loop must bill the same m*T entries.
         let cs = counted(sources());
         let mut engine = Engine::open(cs).unwrap();
-        engine.advance_until_matched(1).unwrap();
+        engine.advance_until_matched(1, |_| false).unwrap();
         let stats = total_stats(engine.sources());
         assert_eq!(stats.sorted, 2 * 3); // T = 3 from the hand example
         assert_eq!(stats.random, 0);
@@ -1038,7 +1415,7 @@ mod tests {
     #[test]
     fn complete_grades_fills_missing_slots() {
         let mut engine = Engine::open(sources()).unwrap();
-        engine.advance_until_matched(1).unwrap();
+        engine.advance_until_matched(1, |_| false).unwrap();
         // Object 0 was seen only in list 0 (rank 0); complete it.
         assert!(engine.grade_slice(ObjectId(0)).is_none());
         engine.complete_grades([ObjectId(0)]).unwrap();
@@ -1049,7 +1426,7 @@ mod tests {
     fn duplicate_completion_requests_bill_once() {
         let cs = counted(sources());
         let mut engine = Engine::open(cs).unwrap();
-        engine.advance_until_matched(1).unwrap();
+        engine.advance_until_matched(1, |_| false).unwrap();
         // Object 0: seen in list 0 only, so completion needs 1 random
         // access — and repeating it in one call (or across calls) adds none.
         engine
@@ -1064,7 +1441,7 @@ mod tests {
         // Nothing can be scored from a partial grade vector: seen in one
         // list only, or never seen at all.
         let mut engine = Engine::open(sources()).unwrap();
-        engine.advance_until_matched(1).unwrap();
+        engine.advance_until_matched(1, |_| false).unwrap();
         assert_eq!(engine.grade_slice(ObjectId(0)), None);
         assert_eq!(engine.grade_slice(ObjectId(99)), None);
     }
@@ -1112,7 +1489,7 @@ mod tests {
             })
             .collect();
         let mut engine = Engine::open(lists).unwrap();
-        engine.advance_until_matched(1).unwrap();
+        engine.advance_until_matched(1, |_| false).unwrap();
         assert!(!engine.matched.is_empty());
         let id = engine.matched[0];
         let slice = engine.grade_slice(id).expect("matched objects complete");
@@ -1142,6 +1519,7 @@ mod tests {
         let mut sessions = [
             EngineSession::new(sources(), &agg).unwrap(),
             EngineSession::shrunk(sources(), &agg).unwrap(),
+            EngineSession::threshold(sources(), &agg).unwrap(),
             EngineSession::min(sources()).unwrap(),
             EngineSession::scan(sources(), &agg).unwrap(),
             EngineSession::max(sources()).unwrap(),

@@ -5,6 +5,7 @@
 //! | [`naive`] | §4, "obvious naive algorithm" | any aggregation | first page of [`EngineSession::scan`]; the random-access-only variant is one batched completion |
 //! | [`fa`] (algorithm A₀ — *Fagin's Algorithm*) | §4, Theorem 4.2 | monotone aggregations | first page of [`EngineSession::new`] |
 //! | [`fa`] with per-list depths `Tᵢ ≤ T` | §4, the refinement after Theorem 4.2 | monotone aggregations | first page of [`EngineSession::shrunk`] |
+//! | A₀ with a threshold stop (the middleware's compound queries) | §4's argument, stopped at `k` lower bounds above `t(last grades)` | monotone aggregations | [`EngineSession::threshold`]; answers are A₀'s |
 //! | [`fa_min`] (algorithm A₀′) | §4, Prop. 4.3 / Theorem 4.4 | min | first page of [`EngineSession::min`] |
 //! | [`b0_max`] (algorithm B₀) | §4, Theorem 4.5 | max | first page of [`EngineSession::max`] |
 //! | [`order_stat`] (median & friends) | Remark 6.1, identity (13) | j-th largest | one A₀′ page per j-subset, pooled into one batched completion |
@@ -27,6 +28,7 @@
 //! [`EngineSession`]: engine::EngineSession
 //! [`EngineSession::new`]: engine::EngineSession::new
 //! [`EngineSession::shrunk`]: engine::EngineSession::shrunk
+//! [`EngineSession::threshold`]: engine::EngineSession::threshold
 //! [`EngineSession::min`]: engine::EngineSession::min
 //! [`EngineSession::scan`]: engine::EngineSession::scan
 //! [`EngineSession::max`]: engine::EngineSession::max

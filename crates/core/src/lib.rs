@@ -59,7 +59,7 @@ pub mod topk;
 pub mod validate;
 
 pub use access::{CountingSource, GradedSource, MemorySource, SetAccess, SourceError};
-pub use algorithms::engine::{EngineProfile, EngineSession};
+pub use algorithms::engine::{EngineProfile, EngineSession, SortedStop};
 pub use complement::ComplementSource;
 pub use cost::{AccessStats, CostModel};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet};

@@ -11,6 +11,7 @@
 
 use garlic_agg::iterated::{max_agg, min_agg, product_agg};
 use garlic_agg::means::ArithmeticMean;
+use garlic_agg::weighted::FaginWimmers;
 use garlic_agg::{Aggregation, Grade};
 use garlic_core::access::{counted, total_stats, CountingSource, MemorySource};
 use garlic_core::algorithms::b0_max::b0_max_topk;
@@ -446,6 +447,139 @@ proptest! {
         // (c) the refinement never changes the answer, only the cost.
         prop_assert!(shrunk.topk.same_grades(&plain.topk, 0.0));
         prop_assert!(shrunk.candidates <= plain.candidates);
+    }
+}
+
+/// Case count of the threshold rule's first-page property: 64 locally; CI
+/// runs it once more by name with `PROPTEST_CASES` raised.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(64)
+}
+
+/// `min(g₀, max(g₁, …))` — at m = 3 the `Fi AND (Fj OR Fk)` shape the
+/// middleware hands the threshold rule; `g₀` alone at m = 1.
+struct MinOfMax;
+
+impl Aggregation for MinOfMax {
+    fn name(&self) -> String {
+        "min(a, max(b, c, ...))".into()
+    }
+    fn combine(&self, grades: &[Grade]) -> Grade {
+        match grades {
+            [a] => *a,
+            [a, rest @ ..] => (*a).min(*rest.iter().max().expect("m >= 2")),
+            [] => panic!("no grades"),
+        }
+    }
+    fn is_strict(&self, _arity: usize) -> bool {
+        false
+    }
+}
+
+/// Up to 5 lists of up to 24 objects, with one positive weight per list
+/// for the Fagin–Wimmers row. A database's grades are all on a 4-level
+/// grid (ties everywhere), all continuous, or a mix.
+fn threshold_db() -> impl Strategy<Value = (Vec<Vec<Grade>>, Vec<f64>)> {
+    (1..=5usize, 1..=24usize, 0u8..3).prop_flat_map(|(m, n, mode)| {
+        let grade = (0u8..=3, 0.0f64..=1.0, 0u8..2).prop_map(move |(level, x, coin)| {
+            if mode == 0 || (mode == 2 && coin == 0) {
+                Grade::clamped(level as f64 / 3.0)
+            } else {
+                Grade::clamped(x)
+            }
+        });
+        (
+            proptest::collection::vec(proptest::collection::vec(grade, n..=n), m..=m),
+            proptest::collection::vec(0.05f64..=1.0, m..=m),
+        )
+    })
+}
+
+/// The aggregations the threshold rule is pinned under: min, max, the
+/// arithmetic mean, product, `min(a, max(b, c))`, and the Fagin–Wimmers
+/// weighting of min.
+fn threshold_aggs(weights: &[f64]) -> Vec<Box<dyn Aggregation>> {
+    vec![
+        Box::new(min_agg()),
+        Box::new(max_agg()),
+        Box::new(ArithmeticMean),
+        Box::new(product_agg()),
+        Box::new(MinOfMax),
+        Box::new(FaginWimmers::new(min_agg(), weights)),
+    ]
+}
+
+/// Pages `pages` through a session and returns the pages and its bill.
+fn page_through<S: GradedSource, A: Aggregation>(
+    mut session: EngineSession<CountingSource<S>, A>,
+    pages: &[usize],
+) -> (Vec<TopK>, AccessStats) {
+    let got = pages
+        .iter()
+        .map(|&k| session.next_batch(k).unwrap())
+        .collect();
+    (got, total_stats(session.sources()))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// The threshold rule's first page is A₀'s, entry for entry, at no
+    /// more sorted accesses and no more accesses in all.
+    #[test]
+    fn threshold_first_page_is_a0s_within_a0s_bill(
+        (db, weights) in threshold_db(),
+        k_frac in 0.0f64..=1.0,
+    ) {
+        let n = db[0].len();
+        let k = ((k_frac * n as f64) as usize).clamp(1, n);
+        for agg in threshold_aggs(&weights) {
+            let (a0_page, a0) = page_through(EngineSession::new(counted_of(&db), &agg).unwrap(), &[k]);
+            let (page, bill) =
+                page_through(EngineSession::threshold(counted_of(&db), &agg).unwrap(), &[k]);
+            prop_assert_eq!(page[0].entries(), a0_page[0].entries(), "{} k={}", agg.name(), k);
+            prop_assert!(bill.sorted <= a0.sorted, "{}: {:?} vs A₀ {:?}", agg.name(), bill, a0);
+            prop_assert!(
+                bill.unweighted() <= a0.unweighted(),
+                "{}: {:?} vs A₀ {:?}", agg.name(), bill, a0
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Paged threshold sessions over random splits (then one page for
+    /// whatever is left): A₀'s pages, entry for entry; the brute-force
+    /// grade sequence at every prefix; and a cumulative sorted bill within
+    /// one A₀ evaluation at the cumulative k.
+    #[test]
+    fn paged_threshold_is_a0s_pages_within_one_a0_evaluations_sorted_bill(
+        (db, weights) in threshold_db(),
+        splits in proptest::collection::vec(1usize..7, 1..6),
+    ) {
+        let n = db[0].len();
+        let pages: Vec<usize> = splits.iter().copied().chain(std::iter::once(n)).collect();
+        for agg in threshold_aggs(&weights) {
+            let truth = reference::naive(&sources_of(&db), &agg, n).grades();
+            let mut session = EngineSession::threshold(counted_of(&db), &agg).unwrap();
+            let (a0_pages, _) = page_through(EngineSession::new(counted_of(&db), &agg).unwrap(), &pages);
+            let mut grades = Vec::new();
+            for (&k, a0_page) in pages.iter().zip(&a0_pages) {
+                let page = session.next_batch(k).unwrap();
+                prop_assert_eq!(page.entries(), a0_page.entries(), "{}", agg.name());
+                grades.extend(page.grades());
+                prop_assert_eq!(&grades[..], &truth[..grades.len()], "{}", agg.name());
+                let (_, one) =
+                    page_through(EngineSession::new(counted_of(&db), &agg).unwrap(), &[grades.len()]);
+                prop_assert!(total_stats(session.sources()).sorted <= one.sorted, "{}", agg.name());
+            }
+            prop_assert_eq!(grades.len(), n);
+        }
     }
 }
 

@@ -7,15 +7,19 @@
 //! read and every later one failing, for every j up to one past that
 //! count: a run that reaches the failure must return
 //! `Err(TopKError::SourceFailed(_))`, and a run that does not must return
-//! the healthy answer.
+//! the healthy answer. A session whose j-th read alone fails must, when
+//! the failed page is asked for again, hand out the healthy pages without
+//! any source answering a rank or a probe twice.
 
+use std::ops::RangeInclusive;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use garlic_agg::iterated::{min_agg, IteratedTNorm};
+use garlic_agg::means::ArithmeticMean;
 use garlic_agg::tnorms::Minimum;
-use garlic_agg::Grade;
+use garlic_agg::{Aggregation, Grade};
 use garlic_core::access::{GradedSource, MemorySource, SetAccess, SourceError};
 use garlic_core::algorithms::b0_max::b0_max_topk;
 use garlic_core::algorithms::fa::{fagin_run, fagin_shrunk_run, fagin_topk};
@@ -26,18 +30,27 @@ use garlic_core::algorithms::order_stat::{median_topk, order_statistic_topk};
 use garlic_core::algorithms::ullman::{ullman_run, ullman_top1, ullman_topk};
 use garlic_core::{EngineSession, GradedEntry, ObjectId, TopK, TopKError};
 
-/// A source whose reads share one counter with its siblings; the read
-/// numbered `fail_from` (1-based) and every later one fail.
+/// What a source handed over: a sorted rank or a random-access probe.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Served {
+    Rank(usize),
+    Probe(ObjectId),
+}
+
+/// A source whose reads share one counter with its siblings; the reads
+/// numbered `failing` (1-based) fail.
 struct Flaky {
     inner: MemorySource,
     reads: Arc<AtomicUsize>,
-    fail_from: usize,
+    failing: RangeInclusive<usize>,
+    /// Every rank and probe this source answered, in order.
+    served: Mutex<Vec<Served>>,
 }
 
 impl Flaky {
     fn read(&self) -> Result<(), SourceError> {
         let read = self.reads.fetch_add(1, Ordering::Relaxed) + 1;
-        if read < self.fail_from {
+        if !self.failing.contains(&read) {
             return Ok(());
         }
         Err(SourceError {
@@ -45,6 +58,10 @@ impl Flaky {
             detail: format!("read {read} failed"),
             quarantined: false,
         })
+    }
+
+    fn serve(&self, served: impl IntoIterator<Item = Served>) {
+        self.served.lock().unwrap().extend(served);
     }
 }
 
@@ -60,7 +77,9 @@ impl GradedSource for Flaky {
         out: &mut Vec<GradedEntry>,
     ) -> Result<usize, SourceError> {
         self.read()?;
-        self.inner.try_sorted_batch(start, count, out)
+        let got = self.inner.try_sorted_batch(start, count, out)?;
+        self.serve((start..start + got).map(Served::Rank));
+        Ok(got)
     }
 
     fn try_random_batch(
@@ -69,7 +88,9 @@ impl GradedSource for Flaky {
         out: &mut Vec<Option<Grade>>,
     ) -> Result<(), SourceError> {
         self.read()?;
-        self.inner.try_random_batch(objects, out)
+        self.inner.try_random_batch(objects, out)?;
+        self.serve(objects.iter().copied().map(Served::Probe));
+        Ok(())
     }
 }
 
@@ -94,18 +115,25 @@ fn lists() -> Vec<Vec<Grade>> {
     ]
 }
 
-/// The first `m` lists as flaky sources sharing one read counter.
-fn flaky(m: usize, fail_from: usize) -> (Vec<Flaky>, Arc<AtomicUsize>) {
+/// The first `m` lists as flaky sources sharing one read counter, the
+/// reads numbered `failing` failing.
+fn flaky_range(m: usize, failing: RangeInclusive<usize>) -> (Vec<Flaky>, Arc<AtomicUsize>) {
     let reads = Arc::new(AtomicUsize::new(0));
     let sources = lists()[..m]
         .iter()
         .map(|grades| Flaky {
             inner: MemorySource::from_grades(grades),
             reads: Arc::clone(&reads),
-            fail_from,
+            failing: failing.clone(),
+            served: Mutex::new(Vec::new()),
         })
         .collect();
     (sources, reads)
+}
+
+/// Read `fail_from` and every later one fail.
+fn flaky(m: usize, fail_from: usize) -> (Vec<Flaky>, Arc<AtomicUsize>) {
+    flaky_range(m, fail_from..=usize::MAX)
 }
 
 type Run = fn(&[Flaky]) -> Result<TopK, TopKError>;
@@ -121,7 +149,7 @@ fn two_pages<S: GradedSource, A: garlic_agg::Aggregation>(
 }
 
 /// Every entry point, with the number of lists it runs over.
-fn entry_points() -> [(&'static str, usize, Run); 20] {
+fn entry_points() -> [(&'static str, usize, Run); 21] {
     [
         ("fagin_topk", 3, |s| fagin_topk(s, &min_agg(), 2)),
         ("fagin_run", 3, |s| {
@@ -158,6 +186,12 @@ fn entry_points() -> [(&'static str, usize, Run); 20] {
         ("EngineSession::shrunk", 3, |s| {
             two_pages(EngineSession::shrunk(s.iter().collect(), min_agg())?)
         }),
+        ("EngineSession::threshold", 3, |s| {
+            two_pages(EngineSession::threshold(
+                s.iter().collect(),
+                ArithmeticMean,
+            )?)
+        }),
         ("EngineSession::min", 3, |s| {
             two_pages(EngineSession::<_, MinAgg>::min(s.iter().collect())?)
         }),
@@ -189,6 +223,68 @@ fn every_entry_point_returns_source_failed_and_never_panics() {
                 );
             } else {
                 assert_eq!(outcome, Ok(answer.clone()), "{name}");
+            }
+        }
+    }
+}
+
+type Session<'a> = EngineSession<&'a Flaky, Box<dyn Aggregation>>;
+type Open = fn(Vec<&Flaky>) -> Result<Session<'_>, TopKError>;
+
+fn boxed_min() -> Box<dyn Aggregation> {
+    Box::new(min_agg())
+}
+
+/// Every session rule, over all three lists. The threshold rule runs the
+/// arithmetic mean, under which it stops before A₀ and prunes.
+fn sessions() -> [(&'static str, Open); 6] {
+    [
+        ("new", |s| EngineSession::new(s, boxed_min())),
+        ("shrunk", |s| EngineSession::shrunk(s, boxed_min())),
+        ("threshold", |s| {
+            EngineSession::threshold(s, Box::new(ArithmeticMean))
+        }),
+        ("min", |s| EngineSession::min(s)),
+        ("scan", |s| EngineSession::scan(s, boxed_min())),
+        ("max", |s| EngineSession::max(s)),
+    ]
+}
+
+/// Pages of 2, 3 and the rest, each asked for again after a source
+/// failure until it is answered.
+fn retried_pages(session: &mut Session<'_>) -> Vec<GradedEntry> {
+    let mut entries = Vec::new();
+    for k in [2, 3, 8] {
+        let page = loop {
+            match session.next_batch(k) {
+                Ok(page) => break page,
+                Err(TopKError::SourceFailed(_)) => continue,
+                Err(e) => panic!("untyped failure: {e}"),
+            }
+        };
+        entries.extend(page.into_entries());
+    }
+    entries
+}
+
+#[test]
+fn every_session_retried_after_a_failure_bills_nothing_twice() {
+    for (name, open) in sessions() {
+        let (healthy, reads) = flaky(3, usize::MAX);
+        let answer = retried_pages(&mut open(healthy.iter().collect()).unwrap());
+        let total = reads.load(Ordering::Relaxed);
+        for fail_at in 1..=total {
+            let (sources, _) = flaky_range(3, fail_at..=fail_at);
+            let entries = retried_pages(&mut open(sources.iter().collect()).unwrap());
+            assert_eq!(entries, answer, "{name} with read {fail_at} failing");
+            for (i, source) in sources.iter().enumerate() {
+                let served = source.served.lock().unwrap();
+                let distinct: std::collections::HashSet<_> = served.iter().collect();
+                assert_eq!(
+                    distinct.len(),
+                    served.len(),
+                    "{name}, read {fail_at} failing: list {i} served {served:?}"
+                );
             }
         }
     }

@@ -32,7 +32,7 @@ use garlic_agg::tnorms::Minimum;
 use garlic_agg::weighted::FaginWimmers;
 use garlic_agg::{Aggregation, Grade};
 use garlic_core::access::{total_stats, CountingSource};
-use garlic_core::algorithms::engine::{EngineProfile, EngineSession};
+use garlic_core::algorithms::engine::{EngineProfile, EngineSession, SortedStop};
 use garlic_core::algorithms::filtered::FilteredSession;
 use garlic_core::complement::ComplementSource;
 use garlic_core::{AccessStats, GradedSource, TopK, TopKError};
@@ -330,9 +330,16 @@ impl Garlic {
             profile,
             depth,
             frontier,
+            stop,
+            graded,
         } = session.engine_details();
         let mut engine = Span::new("engine");
         engine.add_field("depth", depth);
+        if let (Some((stop, tau)), Some(graded)) = (stop, graded) {
+            engine.add_field("stop", stop);
+            engine.add_field("tau", tau);
+            engine.add_field("graded", graded);
+        }
         engine.add_field("sorted_ns", profile.sorted_ns);
         engine.add_field("random_ns", profile.random_ns);
         engine.add_field("sorted_batches", profile.sorted_batches);
@@ -380,8 +387,9 @@ impl Garlic {
     /// pages through its ranked result set batch by batch, never repeating
     /// an object and never re-evaluating. Pages past the `N`-th object
     /// come back short, then empty. The A₀ family "continues where it left
-    /// off" (Section 4), so its cumulative sorted cost equals a single
-    /// evaluation at the cumulative k; B₀-family paging costs `m·k`
+    /// off" (Section 4), so its cumulative sorted cost is at most a single
+    /// evaluation at the cumulative k (exactly that for A₀′, less when the
+    /// threshold stop fires first); B₀-family paging costs `m·k`
     /// cumulative; the filtered and naive strategies — whose evaluation
     /// cost does not depend on k — pay it on the first page and cut later
     /// pages from what they graded.
@@ -439,11 +447,17 @@ impl Plan {
                 } else {
                     Box::new(FaginWimmers::new(min_agg(), &self.weights))
                 };
-                SessionKind::Engine(EngineSession::new(counted_atoms(catalog, atoms)?, agg)?)
+                SessionKind::Engine(EngineSession::threshold(
+                    counted_atoms(catalog, atoms)?,
+                    agg,
+                )?)
             }
             Strategy::FaNnf => {
                 let (sources, agg) = nnf_sources(catalog, query)?;
-                SessionKind::Engine(EngineSession::new(sources, Box::new(agg) as SessionAgg)?)
+                SessionKind::Engine(EngineSession::threshold(
+                    sources,
+                    Box::new(agg) as SessionAgg,
+                )?)
             }
             Strategy::NaiveCalculus => SessionKind::Engine(EngineSession::scan(
                 counted_atoms(catalog, atoms)?,
@@ -485,10 +499,13 @@ impl Plan {
 ///
 /// * A₀-family strategies resume the sorted phase at the stored depth on
 ///   each batch ("continue where we left off", Section 4), so cumulative
-///   sorted cost equals one evaluation at the cumulative `k`. The flat min
-///   conjunction runs A₀′: a page random-accesses only the pivot list's
+///   sorted cost is at most one evaluation at the cumulative `k`. The flat
+///   min conjunction runs A₀′: a page random-accesses only the pivot list's
 ///   candidates and leaves the rest of what it has seen for a later page
-///   to complete if it must.
+///   to complete if it must. Compound, weighted and NNF queries run A₀
+///   with a threshold stop ([`EngineSession::threshold`]): a page's sorted
+///   phase may end before A₀'s, and it grades only the objects that can
+///   still reach the `k`-th answer, leaving the rest waiting likewise.
 /// * B₀-family strategies (flat disjunctions and Section 8 pushdown) deepen
 ///   the per-list prefixes page by page — `m·k` cumulative cost, no random
 ///   access.
@@ -524,6 +541,12 @@ pub struct EngineDetails<'a> {
     pub depth: usize,
     /// `(returned, frontier grade)` after each batch boundary.
     pub frontier: &'a [(usize, Grade)],
+    /// Why the last page's sorted phase stopped, and `τ` there — for the
+    /// threshold rule ([`Strategy::FaGeneric`], [`Strategy::FaNnf`]) only.
+    pub stop: Option<(SortedStop, Grade)>,
+    /// How many objects the engine session has graded in full so far
+    /// (`None` for the filtered strategy).
+    pub graded: Option<usize>,
 }
 
 impl QuerySession {
@@ -614,11 +637,15 @@ impl QuerySession {
                 profile: s.profile(),
                 depth: s.depth(),
                 frontier: s.frontier_history(),
+                stop: s.sorted_stop(),
+                graded: Some(s.graded()),
             },
             SessionKind::Filtered { session, .. } => EngineDetails {
                 profile: session.profile(),
                 depth: 0,
                 frontier: &[],
+                stop: None,
+                graded: None,
             },
         }
     }
@@ -916,6 +943,22 @@ mod tests {
         }
     }
 
+    /// The bill of plain A₀ (`EngineSession::new`) paged over `pages` on
+    /// the conjuncts of `q` under `agg`.
+    fn a0_paged(
+        garlic: &Garlic,
+        q: &GarlicQuery,
+        agg: impl Aggregation,
+        pages: &[usize],
+    ) -> AccessStats {
+        let sources = counted_atoms(garlic.catalog(), &q.atoms()).unwrap();
+        let mut a0 = EngineSession::new(sources, agg).unwrap();
+        for &k in pages {
+            a0.next_batch(k).unwrap();
+        }
+        total_stats(a0.sources())
+    }
+
     #[test]
     fn a0_family_paging_cost_equals_one_evaluation_at_cumulative_k() {
         // The acceptance property of the resumable engine sessions: paging
@@ -924,6 +967,13 @@ mod tests {
         // and in total no more than plain A₀ kept alive over the same
         // pages — the bound A₀′ paging is held to (its pivot may move
         // between pages, so one A₀′ run at the cumulative k is not a bound).
+        // FaGeneric's threshold stop is held to less: its pages may stop
+        // earlier than one evaluation at the cumulative k (so paged sorted
+        // need not equal one-shot sorted), and a pair probed on one page can
+        // be read by sorted access on the next (so paged S + R is not bounded
+        // by A₀ paged alike). What holds is that paged sorted never exceeds
+        // one A₀ evaluation at the cumulative k, and one page never bills
+        // more than one A₀ page.
         let f = Fixture::new();
         let garlic = f.garlic();
         for (label, q) in [
@@ -953,28 +1003,30 @@ mod tests {
             for (got, want) in paged.iter().zip(oneshot.answers.grades()) {
                 assert!(got.approx_eq(want, 1e-12), "{label}");
             }
-            // ...the one-shot sorted cost, exactly...
             let mut session = garlic.open_session(&QueryRequest::new(&q, 9)).unwrap();
             for b in [2usize, 3, 4] {
                 session.next_batch(b).unwrap();
             }
             assert_eq!(session.returned(), 9, "{label}");
             assert_eq!(session.stats(), paged_stats, "{label}");
-            assert_eq!(paged_stats.sorted, oneshot.stats.sorted, "{label}");
 
-            // ...and never more random accesses than plain A₀ paged alike.
-            let atoms = q.atoms();
-            let mut a0 = EngineSession::new(
-                counted_atoms(garlic.catalog(), &atoms).unwrap(),
-                QueryAggregation::new(&q, &atoms),
-            )
-            .unwrap();
-            for b in [2usize, 3, 4] {
-                a0.next_batch(b).unwrap();
+            let agg = || QueryAggregation::new(&q, &q.atoms());
+            if label == "FaMin" {
+                // ...the one-shot sorted cost, exactly, and never more
+                // random accesses than plain A₀ paged alike.
+                assert_eq!(paged_stats.sorted, oneshot.stats.sorted, "{label}");
+                let a0_stats = a0_paged(&garlic, &q, agg(), &[2, 3, 4]);
+                assert_eq!(paged_stats.sorted, a0_stats.sorted, "{label}");
+                assert!(paged_stats.random <= a0_stats.random, "{label}");
+            } else {
+                // ...no deeper than one A₀ evaluation at the cumulative k,
+                // and a first page within one A₀ page's S + R.
+                let a0_oneshot = a0_paged(&garlic, &q, agg(), &[9]);
+                assert!(paged_stats.sorted <= a0_oneshot.sorted, "{label}");
+                let first = garlic.top_k(&q, 2).unwrap().stats;
+                let a0_first = a0_paged(&garlic, &q, agg(), &[2]);
+                assert!(first.unweighted() <= a0_first.unweighted(), "{label}");
             }
-            let a0_stats = total_stats(a0.sources());
-            assert_eq!(paged_stats.sorted, a0_stats.sorted, "{label}");
-            assert!(paged_stats.random <= a0_stats.random, "{label}");
         }
     }
 
@@ -1199,7 +1251,7 @@ mod tests {
         assert_eq!(
             weighted.plan.description(),
             "weighted conjunction of 2 atoms with weights [2.0, 1.0] under the \
-             Fagin-Wimmers rule (FW97); monotone, evaluated by A0"
+             Fagin-Wimmers rule (FW97); monotone, evaluated by A0 with a threshold stop"
         );
 
         let sources = vec![
@@ -1363,6 +1415,46 @@ mod tests {
     }
 
     #[test]
+    fn explain_says_why_the_threshold_sorted_phase_stopped() {
+        let f = Fixture::new();
+        let garlic = f.garlic();
+        let q = GarlicQuery::and(
+            GarlicQuery::atom("AlbumColor", Target::text("red")),
+            GarlicQuery::or(
+                GarlicQuery::atom("Shape", Target::text("round")),
+                GarlicQuery::atom("Review", Target::terms(&["rock"])),
+            ),
+        );
+        let (result, ex) = traced(&garlic, &q, 3);
+        assert!(matches!(result.plan.strategy, Strategy::FaGeneric));
+        let engine = ex.trace.find("engine").expect("engine span");
+        assert_eq!(engine.get_field("stop"), Some("threshold"));
+        let mut session = garlic.open_session(&QueryRequest::new(&q, 3)).unwrap();
+        session.next_batch(3).unwrap();
+        let details = session.engine_details();
+        let (stop, tau) = details.stop.expect("a threshold session");
+        assert_eq!(stop, SortedStop::Threshold);
+        assert_eq!(engine.get_field("tau"), Some(tau.to_string().as_str()));
+        let graded = details.graded.expect("an engine session").to_string();
+        assert_eq!(engine.get_field("graded"), Some(graded.as_str()));
+        // The threshold stops the sorted phase before A₀'s depth, and the
+        // per-source counts still sum to the bill.
+        let depth: usize = engine.get_field("depth").unwrap().parse().unwrap();
+        let a0 = a0_paged(&garlic, &q, QueryAggregation::new(&q, &q.atoms()), &[3]);
+        assert!(depth * 3 < a0.sorted as usize, "depth {depth} vs A₀ {a0:?}");
+        assert_eq!(summed(&ex), result.stats);
+
+        // Other strategies report no stop.
+        let flat = GarlicQuery::and(
+            GarlicQuery::atom("AlbumColor", Target::text("red")),
+            GarlicQuery::atom("Shape", Target::text("round")),
+        );
+        let (_, ex) = traced(&garlic, &flat, 3);
+        let engine = ex.trace.find("engine").expect("engine span");
+        assert_eq!(engine.get_field("stop"), None);
+    }
+
+    #[test]
     fn explain_appends_registry_deltas_when_telemetry_attached() {
         let f = Fixture::new();
         let telemetry = garlic_telemetry::Telemetry::new();
@@ -1448,15 +1540,21 @@ mod tests {
         );
         check(&garlic, &plain, request);
 
-        // Weighted × paged: [2, 3, 4] on the request's session is one
-        // page of 9, at the one page's sorted cost.
+        // Weighted × paged: [2, 3, 4] on the request's session grades like
+        // one page of 9. The threshold stop may end a page's sorted phase
+        // early, so what the pages bill is bounded, not pinned: sorted no
+        // deeper than one A₀ evaluation at k = 9, and the one page of 9
+        // within A₀'s S + R.
         let mut session = garlic.open_session(&request).unwrap();
         let pages: Vec<Grade> = [2, 3, 4]
             .iter()
             .flat_map(|&k| session.next_batch(k).unwrap().grades())
             .collect();
         assert_eq!(pages, plain.answers.grades());
-        assert_eq!(session.stats().sorted, plain.stats.sorted);
+        let fw = || FaginWimmers::new(min_agg(), &[2.0, 1.0]);
+        let a0 = a0_paged(&garlic, &q, fw(), &[9]);
+        assert!(session.stats().sorted <= a0.sorted);
+        assert!(plain.stats.unweighted() <= a0.unweighted());
 
         // Weighted × served: the service's deadline reaches it.
         let service = crate::GarlicService::with_threads(garlic, 1);

@@ -7,9 +7,16 @@
 //! | flat conjunction, all atoms on one internal-conjunction subsystem, user opted in | internal pushdown | §8 |
 //! | flat conjunction | algorithm A₀′ | Thm 4.4 |
 //! | flat disjunction | algorithm B₀ | Thm 4.5 |
-//! | any other positive query | algorithm A₀ with the compound-query aggregation | Thm 4.2 |
+//! | any other positive query | algorithm A₀ with the compound-query aggregation and a threshold stop | Thm 4.2 |
 //! | query with negation | naive scan under the calculus | §4 naive |
-//! | flat conjunction, request carries weights | algorithm A₀ with the Fagin–Wimmers weighting of min | §4, \[FW97\] |
+//! | query with negation, negation pushdown on | algorithm A₀ with a threshold stop over the NNF literals | §7 |
+//! | flat conjunction, request carries weights | algorithm A₀ with the Fagin–Wimmers weighting of min and a threshold stop | §4, \[FW97\] |
+//!
+//! "A threshold stop" is
+//! [`EngineSession::threshold`](garlic_core::EngineSession::threshold): A₀'s
+//! answers, entry for entry, from a sorted phase that ends once `k`
+//! objects' lower bounds beat `t` of the last grades read, grading only
+//! the objects that can still reach the `k`-th.
 
 use garlic_subsys::AtomicQuery;
 
@@ -30,8 +37,11 @@ pub enum Strategy {
         /// Which atom is the crisp filter.
         crisp_index: usize,
     },
-    /// Algorithm A₀ with the compound positive query as its monotone
-    /// aggregation.
+    /// Algorithm A₀ with the compound positive query (or, with weights,
+    /// the Fagin–Wimmers weighting of min) as its monotone aggregation,
+    /// run with a threshold stop: the same answers as A₀, with the sorted
+    /// phase ended once `k` lower bounds beat `t(last grades read)` and
+    /// only the objects that can still win graded.
     FaGeneric,
     /// Full scan with per-object grading under the standard calculus
     /// (required for non-monotone queries, e.g. any negation).
@@ -44,7 +54,8 @@ pub enum Strategy {
     },
     /// Negation-normal form: negated atoms become reversed complement
     /// sources (the Section 7 observation), making the query monotone in
-    /// its literals so A₀ applies. Correct for *any* Boolean query, but
+    /// its literals so A₀ applies — run with the same threshold stop as
+    /// [`Strategy::FaGeneric`]. Correct for *any* Boolean query, but
     /// Theorem 7.1 warns the cost can be inherently linear (e.g. `Q ∧ ¬Q`).
     FaNnf,
 }
@@ -99,7 +110,8 @@ impl Plan {
                 "query contains negation: rewriting to negation-normal form \
                  with {m} literal(s); negated literals read their atom's \
                  list in reverse with complemented grades (Section 7's \
-                 π_notQ observation), restoring monotonicity so A0 applies"
+                 π_notQ observation), restoring monotonicity so A0 applies, \
+                 with a threshold stop"
             ),
             Strategy::NaiveCalculus => format!(
                 "query contains negation: not monotone, falling back to the naive \
@@ -134,13 +146,16 @@ impl Plan {
             ),
             Strategy::FaGeneric if !self.weights.is_empty() => format!(
                 "weighted conjunction of {m} atoms with weights {:?} \
-                 under the Fagin-Wimmers rule (FW97); monotone, evaluated by A0",
+                 under the Fagin-Wimmers rule (FW97); monotone, evaluated by A0 \
+                 with a threshold stop",
                 self.weights
             ),
             Strategy::FaGeneric => format!(
                 "positive compound query over {m} atoms: monotone under the \
                  standard calculus, so algorithm A0 applies (Theorem 4.2) with \
-                 the query itself as the aggregation function"
+                 the query itself as the aggregation function; sorted access \
+                 stops once k objects' lower bounds beat t(last grades read), \
+                 and only objects that can still reach the k-th are graded"
             ),
         }
     }
@@ -484,7 +499,8 @@ mod tests {
             ),
             "positive compound query over 3 atoms: monotone under the standard calculus, so \
              algorithm A0 applies (Theorem 4.2) with the query itself as the aggregation \
-             function"
+             function; sorted access stops once k objects' lower bounds beat t(last grades \
+             read), and only objects that can still reach the k-th are graded"
         );
         assert_eq!(
             describe(&negated, 2, PlannerOptions::default()),
@@ -498,7 +514,8 @@ mod tests {
             describe(&negated, 2, pushdown),
             "query contains negation: rewriting to negation-normal form with 2 literal(s); \
              negated literals read their atom's list in reverse with complemented grades \
-             (Section 7's π_notQ observation), restoring monotonicity so A0 applies"
+             (Section 7's π_notQ observation), restoring monotonicity so A0 applies, with a \
+             threshold stop"
         );
         assert_eq!(
             describe(&fuzzy_and, 3, internal),

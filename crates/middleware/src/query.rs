@@ -283,6 +283,7 @@ impl Aggregation for QueryAggregation {
 mod tests {
     use super::*;
     use garlic_subsys::Target;
+    use rand::{Rng, SeedableRng};
 
     fn q_beatles_red() -> GarlicQuery {
         GarlicQuery::and(
@@ -445,6 +446,118 @@ mod tests {
                     .approx_eq(core.grade(&atom_grades, &calc), 1e-12));
             }
         }
+    }
+
+    /// Every positive AND/OR tree whose leaves, left to right, are the
+    /// given queries (n-ary nodes, both operators at every node).
+    fn positive_trees(leaves: &[GarlicQuery]) -> Vec<GarlicQuery> {
+        if leaves.len() == 1 {
+            return leaves.to_vec();
+        }
+        // Split into two or more consecutive non-empty runs: each bit of
+        // `cuts` marks a cut after that leaf.
+        let mut out = Vec::new();
+        for cuts in 1..1u32 << (leaves.len() - 1) {
+            let mut children: Vec<Vec<GarlicQuery>> = vec![Vec::new()];
+            let mut start = 0;
+            for end in 1..=leaves.len() {
+                if end == leaves.len() || cuts & (1 << (end - 1)) != 0 {
+                    let run = positive_trees(&leaves[start..end]);
+                    children = children
+                        .iter()
+                        .flat_map(|prefix| {
+                            run.iter().map(move |t| {
+                                let mut next = prefix.clone();
+                                next.push(t.clone());
+                                next
+                            })
+                        })
+                        .collect();
+                    start = end;
+                }
+            }
+            for kids in children {
+                out.push(GarlicQuery::And(kids.clone()));
+                out.push(GarlicQuery::Or(kids));
+            }
+        }
+        out
+    }
+
+    /// Every assignment of up to `len` leaves to atoms, up to renaming:
+    /// `[0]`, `[0, 0]`, `[0, 1]`, `[0, 0, 0]`, `[0, 0, 1]`, ...
+    fn leaf_labelings(len: usize) -> Vec<Vec<usize>> {
+        let mut out = vec![vec![0]];
+        for _ in 1..len {
+            out = out
+                .into_iter()
+                .flat_map(|labels: Vec<usize>| {
+                    let fresh = labels.iter().max().unwrap() + 1;
+                    (0..=fresh).map(move |next| {
+                        let mut more = labels.clone();
+                        more.push(next);
+                        more
+                    })
+                })
+                .collect();
+        }
+        out
+    }
+
+    /// The threshold rule's bounds — and A₀ itself — are sound only for
+    /// monotone aggregations. Grid-check the three the middleware hands
+    /// it: the compound aggregation of every positive AND/OR tree of up to
+    /// four atoms, the NNF aggregation of negated ones, and Fagin–Wimmers
+    /// weighted min under random weights.
+    #[test]
+    fn threshold_rule_aggregations_are_monotone() {
+        use garlic_agg::axioms::check_monotone;
+        let atom = |i: usize| GarlicQuery::atom(&format!("A{i}"), Target::text("x"));
+        let mut checked = 0;
+        for len in 1..=4 {
+            for labels in leaf_labelings(len) {
+                let leaves: Vec<GarlicQuery> = labels.iter().map(|&i| atom(i)).collect();
+                for tree in positive_trees(&leaves) {
+                    let atoms = tree.atoms();
+                    let agg = QueryAggregation::new(&tree, &atoms);
+                    check_monotone(&agg, atoms.len(), 3).unwrap_or_else(|e| panic!("{tree}: {e}"));
+                    for negated in [
+                        GarlicQuery::not(tree.clone()),
+                        GarlicQuery::and(GarlicQuery::not(atom(0)), tree.clone()),
+                    ] {
+                        let nnf = negated.to_nnf();
+                        let arity = nnf.literals.len();
+                        check_monotone(&QueryAggregation::nnf(nnf), arity, 3)
+                            .unwrap_or_else(|e| panic!("NNF of {negated}: {e}"));
+                    }
+                    checked += 1;
+                }
+            }
+        }
+        // 1 + 2·2 + 10·5 + 62·15 trees: every shape, every atom sharing.
+        assert_eq!(checked, 985);
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
+        for m in 1..=4 {
+            for _ in 0..8 {
+                let mut weights: Vec<f64> = (0..m)
+                    .map(|_| rng.gen_range(0..4) as f64 * rng.gen::<f64>())
+                    .collect();
+                if weights.iter().sum::<f64>() == 0.0 {
+                    weights[0] = 1.0;
+                }
+                let fw = garlic_agg::weighted::FaginWimmers::new(
+                    garlic_agg::iterated::min_agg(),
+                    &weights,
+                );
+                check_monotone(&fw, m, 4).unwrap_or_else(|e| panic!("{weights:?}: {e}"));
+            }
+        }
+
+        // The check has teeth: the raw aggregation of a negated query is
+        // rejected.
+        let hard = GarlicQuery::and(atom(0), GarlicQuery::not(atom(0)));
+        assert!(check_monotone(&QueryAggregation::new(&hard, &hard.atoms()), 1, 3).is_err());
     }
 
     #[test]

@@ -938,11 +938,12 @@ pub(crate) fn merged_pairs(
         let mut entries = Vec::with_capacity(base.len());
         let mut rank = 0;
         loop {
-            // Typed failure here aborts the compaction attempt (recorded by
-            // the compactor and retried later) instead of panicking.
+            // A failure aborts the compaction attempt (recorded by the
+            // compactor and retried later) with the segment's own typed
+            // error — a checksum mismatch stays one.
             let got = base
-                .try_sorted_batch(rank, 4096, &mut entries)
-                .map_err(|e| StorageError::Io(std::io::Error::other(e.to_string())))?;
+                .sorted_scan(rank, 4096, Grade::ZERO, &mut entries)?
+                .appended;
             rank += got;
             if got < 4096 {
                 break;
@@ -1352,6 +1353,39 @@ mod tests {
         assert_eq!(snap.random_access(ObjectId(10)), None);
         assert_eq!(snap.random_access(ObjectId(500)), Some(g(0.9)));
         assert_eq!(snap.random_access(ObjectId(900)), Some(Grade::ONE));
+    }
+
+    #[test]
+    fn compaction_reports_a_corrupt_base_block_as_a_checksum_mismatch() {
+        // No cache, so compaction reads the base segment from disk.
+        let dir = temp_store("compact-checksum");
+        let live =
+            LiveSource::open(&dir, Arc::new(BlockCache::new(0)), LiveOptions::default()).unwrap();
+        let ops: Vec<WalOp> = (0..200u64)
+            .map(|i| WalOp::Upsert {
+                object: ObjectId(i),
+                grade: g(i as f64 / 200.0),
+            })
+            .collect();
+        live.write_batch(&ops).unwrap();
+        live.flush().unwrap();
+        live.upsert(ObjectId(7), g(0.5)).unwrap();
+        live.freeze().unwrap();
+        // Flip a bit inside the base segment's first data block, which
+        // starts right after the 8-byte header.
+        let segment = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| p.extension().is_some_and(|x| x == "seg"))
+            .expect("a base segment");
+        let mut bytes = std::fs::read(&segment).unwrap();
+        bytes[8 + 3] ^= 0x01;
+        std::fs::write(&segment, bytes).unwrap();
+        let err = live.compact().unwrap_err();
+        assert!(
+            matches!(err, StorageError::ChecksumMismatch { .. }),
+            "typed error: {err}"
+        );
     }
 
     #[test]

@@ -673,7 +673,7 @@ impl SegmentSource {
     /// skipping logic lives here; see that method's docs. The fence
     /// counters only count scans that carry a real bound. On error `out`
     /// may hold a partial append — the caller truncates.
-    fn sorted_scan(
+    pub(crate) fn sorted_scan(
         &self,
         start: usize,
         count: usize,

@@ -2,16 +2,113 @@
 //! intersection depths, scoring-database consistency — and the batched
 //! engine's behaviour on skeleton-derived workloads.
 
-use garlic_agg::iterated::min_agg;
+use garlic_agg::iterated::{max_agg, min_agg, product_agg};
+use garlic_agg::means::ArithmeticMean;
+use garlic_agg::weighted::FaginWimmers;
+use garlic_agg::{Aggregation, Grade};
+use garlic_core::access::{counted, total_stats};
 use garlic_core::algorithms::fa::fagin_run;
-use garlic_core::GradedSource;
+use garlic_core::{EngineSession, GradedSource, ObjectId};
 use garlic_workload::distributions::{
     BoundedGrades, CrispGrades, GradeDistribution, QuantizedGrades, StridedGrades, UniformGrades,
 };
+use garlic_workload::lemma51::Lemma51Params;
 use garlic_workload::perm::Permutation;
 use garlic_workload::scoring::ScoringDatabase;
 use garlic_workload::skeleton::Skeleton;
 use proptest::prelude::*;
+use rand::seq::SliceRandom;
+
+/// Every grade distribution of the crate: ties (crisp, quantised),
+/// bounded, strided and continuous.
+fn distributions() -> Vec<Box<dyn GradeDistribution>> {
+    vec![
+        Box::new(UniformGrades),
+        Box::new(BoundedGrades::new(0.9)),
+        Box::new(CrispGrades::new(0.3)),
+        Box::new(StridedGrades),
+        Box::new(QuantizedGrades::new(5)),
+    ]
+}
+
+/// `min(g₀, max(g₁, …))`: the compound `Fi AND (Fj OR Fk)` shape at m = 3.
+struct MinOfMax;
+
+impl Aggregation for MinOfMax {
+    fn name(&self) -> String {
+        "min(a, max(b, ...))".into()
+    }
+    fn combine(&self, grades: &[Grade]) -> Grade {
+        match grades {
+            [a, rest @ ..] => rest.iter().max().map_or(*a, |b| (*a).min(*b)),
+            [] => panic!("no grades"),
+        }
+    }
+    fn is_strict(&self, _arity: usize) -> bool {
+        false
+    }
+}
+
+/// Lemma 5.1's setting pushed to its bad event: list 0 ranks `B1 = {0, …,
+/// l1 − 1}` first, and list 1's top `l2` holds only `a = ⌊M/2⌋` members of
+/// `B1` — the tail `|B1 ∩ B2| ≤ M/2` the lemma bounds — the rest of both
+/// lists in random order.
+fn lemma51_database(
+    p: Lemma51Params,
+    dist: &dyn GradeDistribution,
+    rng: &mut rand::rngs::StdRng,
+) -> ScoringDatabase {
+    let ids = |range: std::ops::Range<usize>| -> Vec<ObjectId> {
+        range.map(|x| ObjectId(x as u64)).collect()
+    };
+    let (mut inside, mut outside) = (ids(0..p.l1), ids(p.l1..p.n));
+    inside.shuffle(rng);
+    outside.shuffle(rng);
+    let a = p.a().min(p.l1).max(p.l2.saturating_sub(outside.len()));
+    let from_outside = p.l2 - a;
+    let mut order: Vec<ObjectId> = inside[..a].to_vec();
+    order.extend_from_slice(&outside[..from_outside]);
+    let mut rest: Vec<ObjectId> = inside[a..]
+        .iter()
+        .chain(&outside[from_outside..])
+        .copied()
+        .collect();
+    rest.shuffle(rng);
+    order.extend(rest);
+    let skeleton = Skeleton::new(vec![
+        Permutation::identity(p.n),
+        Permutation::from_order(order),
+    ]);
+    ScoringDatabase::from_skeleton(&skeleton, dist, rng)
+}
+
+/// On `db`, for k = 1, N/2 and N and a spread of monotone aggregations,
+/// the threshold rule's first page is A₀'s, at no more sorted accesses and
+/// no more accesses in all: its worst case is no worse than A₀'s.
+fn assert_threshold_never_worse_than_a0(db: &ScoringDatabase) {
+    let (m, n) = (db.m(), db.n());
+    let weights: Vec<f64> = (1..=m).map(|i| i as f64).collect();
+    let aggs: Vec<Box<dyn Aggregation>> = vec![
+        Box::new(min_agg()),
+        Box::new(max_agg()),
+        Box::new(ArithmeticMean),
+        Box::new(product_agg()),
+        Box::new(MinOfMax),
+        Box::new(FaginWimmers::new(min_agg(), &weights)),
+    ];
+    for agg in &aggs {
+        for k in [1, n.div_ceil(2), n] {
+            let mut a0 = EngineSession::new(counted(db.to_sources()), agg).unwrap();
+            let mut rule = EngineSession::threshold(counted(db.to_sources()), agg).unwrap();
+            let (want, got) = (a0.next_batch(k).unwrap(), rule.next_batch(k).unwrap());
+            let (a0, rule) = (total_stats(a0.sources()), total_stats(rule.sources()));
+            let label = format!("{} m={m} n={n} k={k}: {rule:?} vs A₀ {a0:?}", agg.name());
+            assert_eq!(got.entries(), want.entries(), "{label}");
+            assert!(rule.sorted <= a0.sorted, "{label}");
+            assert!(rule.unweighted() <= a0.unweighted(), "{label}");
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -153,6 +250,45 @@ proptest! {
                 prop_assert_eq!(entry.object, skeleton.list(i).object_at(rank), "list {i} rank {rank}");
                 prop_assert_eq!(Some(*entry), source.sorted_access(rank));
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn threshold_is_never_worse_than_a0_on_skeleton_databases(
+        m in 1usize..5, n in 1usize..50, seed in 0u64..300
+    ) {
+        let mut rng = garlic_workload::seeded_rng(seed);
+        for dist in distributions() {
+            let skeleton = Skeleton::random(m, n, &mut rng);
+            assert_threshold_never_worse_than_a0(&ScoringDatabase::from_skeleton(
+                &skeleton,
+                dist.as_ref(),
+                &mut rng,
+            ));
+        }
+    }
+
+    #[test]
+    fn threshold_is_never_worse_than_a0_on_lemma51_and_correlated_databases(
+        n in 10usize..80, l1_frac in 0.0f64..=0.1, l2_frac in 0.0f64..=1.0, seed in 0u64..300
+    ) {
+        use garlic_workload::correlation::{hard_query_database, latent_database};
+        let mut rng = garlic_workload::seeded_rng(seed);
+        let l1 = ((l1_frac * n as f64) as usize).max(1);
+        let l2 = ((l2_frac * n as f64) as usize).max(1);
+        let p = Lemma51Params::new(n, l1, l2);
+        for dist in distributions() {
+            assert_threshold_never_worse_than_a0(&lemma51_database(p, dist.as_ref(), &mut rng));
+        }
+        // Section 7's complement pair (A₀ is Θ(N) under min) and latent
+        // rank correlation from perfectly anti-correlated to identical.
+        assert_threshold_never_worse_than_a0(&hard_query_database(n, &mut rng));
+        for rho in [-1.0, -0.5, 0.0, 0.5, 1.0] {
+            assert_threshold_never_worse_than_a0(&latent_database(2, n, rho, &mut rng));
         }
     }
 }

@@ -49,7 +49,8 @@ fn main() {
     println!("   cost: {}\n", weighted.stats);
 
     // 2. Negation pushdown: red covers that are NOT round — planned as A0
-    //    over a complemented (reversed) shape list, not a full scan.
+    //    (with a threshold stop) over a complemented (reversed) shape list,
+    //    not a full scan.
     println!("== negated: red covers that are NOT round (NNF pushdown)");
     let q = GarlicQuery::and(
         GarlicQuery::atom("AlbumColor", Target::text("red")),
@@ -62,8 +63,9 @@ fn main() {
     }
     println!("   cost: {}\n", negated.stats);
 
-    // 3. Paged browsing: "show me 4, then the next 4" — total cost equals
-    //    one top-8 evaluation thanks to A0's resumability.
+    // 3. Paged browsing: "show me 4, then the next 4" — the session resumes
+    //    where it left off, so the pages read no deeper than one top-8
+    //    evaluation.
     println!("== paged: psychedelic-or-rock reviews AND red-ish covers, 2 pages of 4");
     let browse = GarlicQuery::and(
         GarlicQuery::atom("AlbumColor", Target::text("red")),

@@ -39,14 +39,14 @@ fn federated_search_output_is_pinned() {
    Scarlet Parade — Beatles       grade 0.4220
    Ruby District — Animals        grade 0.3847
    Crimson Meadows — Beatles      grade 0.3720
-   cost: S=12 R=4
+   cost: S=12 R=1
 
 == negated: red covers that are NOT round (NNF pushdown)
    strategy: FaNnf
    Scarlet Parade — Beatles       grade 0.7185
    Crimson Meadows — Beatles      grade 0.5935
    Ruby District — Animals        grade 0.5791
-   cost: S=12 R=4
+   cost: S=12 R=2
 
 == paged: psychedelic-or-rock reviews AND red-ish covers, 2 pages of 4
    page 1:
@@ -59,7 +59,7 @@ fn federated_search_output_is_pinned() {
      Red Lantern — Kinks          grade 0.2138
      Pinball Sky — Who            grade 0.1384
      Odessey Grove — Zombies      grade 0.1168
-   total cost across both pages: S=33 R=9
+   total cost across both pages: S=30 R=11
 ";
     assert_eq!(String::from_utf8_lossy(&output.stdout), expected);
 }
