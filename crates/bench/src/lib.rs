@@ -1,21 +1,27 @@
-//! # garlic-bench — the experiment harness
+//! # garlic-bench — the paper ledger and two perf gates
 //!
-//! One binary per quantitative claim in the paper (a claim ↔ binary index,
-//! `EXPERIMENTS.md`, is planned: ROADMAP item 7); this library holds the
-//! shared measurement plumbing.
+//! [`paper::CLAIMS`] holds the paper's quantitative claims as one table.
+//! Each row names its paper section and claim, runs the experiment that
+//! measures it, and checks the measured shape: a fitted exponent, a flat
+//! column, an order, an exact equality, or a Wilson-interval comparison.
+//! `EXPERIMENTS.md` is generated from the same table, and `cargo test`
+//! runs every row at its small size. Run one row, or all of them, with
+//! `cargo run --release -p garlic-bench --bin paper -- e01` (or `-- all`).
 //!
-//! Run any experiment with
-//! `cargo run --release -p garlic-bench --bin exp01_cost_vs_n`.
-//! Each accepts an optional trial-count argument and `--csv`.
+//! This library also holds the shared measurement plumbing: workload
+//! builders for the experiments and the interleaved clock of the two
+//! self-checking `gate_*` binaries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod paper;
 
 use garlic_agg::Aggregation;
 use garlic_core::access::{counted, total_stats, CountingSource, MemorySource};
 use garlic_core::algorithms::fa::{fagin_run, FaRun};
 use garlic_core::AccessStats;
-use garlic_workload::distributions::{GradeDistribution, UniformGrades};
+use garlic_workload::distributions::UniformGrades;
 use garlic_workload::scoring::ScoringDatabase;
 use garlic_workload::skeleton::Skeleton;
 
@@ -28,23 +34,22 @@ pub struct Trial {
     pub depth: usize,
 }
 
-/// Builds an independent-lists workload: random skeleton, grades from the
-/// given distribution, counted sources.
-pub fn independent_workload(
-    m: usize,
-    n: usize,
-    dist: &dyn GradeDistribution,
-    seed: u64,
-) -> Vec<CountingSource<MemorySource>> {
+/// An independent-lists database: a random skeleton of `m` lists over `n`
+/// objects with uniform grades, drawn from `seed`.
+pub fn independent_database(m: usize, n: usize, seed: u64) -> ScoringDatabase {
     let mut rng = garlic_workload::seeded_rng(seed);
     let skeleton = Skeleton::random(m, n, &mut rng);
-    let db = ScoringDatabase::from_skeleton(&skeleton, dist, &mut rng);
-    counted(db.to_sources())
+    ScoringDatabase::from_skeleton(&skeleton, &UniformGrades, &mut rng)
+}
+
+/// [`independent_database`]'s lists as counted in-memory sources.
+pub fn independent_workload(m: usize, n: usize, seed: u64) -> Vec<CountingSource<MemorySource>> {
+    counted(independent_database(m, n, seed).to_sources())
 }
 
 /// Runs one A₀ trial on an independent uniform workload.
 pub fn fa_trial<A: Aggregation>(m: usize, n: usize, k: usize, agg: &A, seed: u64) -> Trial {
-    let sources = independent_workload(m, n, &UniformGrades, seed);
+    let sources = independent_workload(m, n, seed);
     let run: FaRun = fagin_run(&sources, agg, k).expect("valid trial parameters");
     Trial {
         stats: total_stats(&sources),
@@ -65,50 +70,6 @@ pub fn fa_mean_cost<A: Aggregation>(
         .map(|t| fa_trial(m, n, k, agg, seed0 + t as u64).stats.unweighted())
         .sum();
     total as f64 / trials as f64
-}
-
-/// Parses the common experiment CLI:
-/// `[trials] [--csv] [--json] [--small]`.
-pub struct ExpArgs {
-    /// Number of trials per configuration.
-    pub trials: usize,
-    /// Emit CSV instead of an aligned table.
-    pub csv: bool,
-    /// Emit machine-readable JSON instead of an aligned table (for CI
-    /// artifact archiving; wins over `--csv`).
-    pub json: bool,
-    /// Run a reduced-size configuration (perf-smoke mode for CI).
-    pub small: bool,
-}
-
-impl ExpArgs {
-    /// Parses `std::env::args`, with a default trial count.
-    pub fn parse(default_trials: usize) -> ExpArgs {
-        Self::from_iter(default_trials, std::env::args().skip(1))
-    }
-
-    /// [`ExpArgs::parse`] over an explicit argument list (testable).
-    pub fn from_iter(default_trials: usize, args: impl IntoIterator<Item = String>) -> ExpArgs {
-        let mut parsed = ExpArgs {
-            trials: default_trials,
-            csv: false,
-            json: false,
-            small: false,
-        };
-        for arg in args {
-            match arg.as_str() {
-                "--csv" => parsed.csv = true,
-                "--json" => parsed.json = true,
-                "--small" => parsed.small = true,
-                other => {
-                    if let Ok(t) = other.parse::<usize>() {
-                        parsed.trials = t.max(1);
-                    }
-                }
-            }
-        }
-        parsed
-    }
 }
 
 /// Median wall-clock nanoseconds of `a` and of `b`, timed in alternating
@@ -143,26 +104,6 @@ pub fn gate_holds(what: &str, numerator_ns: f64, denominator_ns: f64, bound: f64
     holds
 }
 
-/// Prints an experiment header then the table (or CSV / JSON).
-pub fn emit(id: &str, claim: &str, args: &ExpArgs, table: &garlic_stats::Table, notes: &[&str]) {
-    if args.json {
-        print!("{}", table.to_json());
-        return;
-    }
-    if args.csv {
-        print!("{}", table.to_csv());
-        return;
-    }
-    println!("== {id} ==");
-    println!("paper claim: {claim}");
-    println!("trials per row: {}", args.trials);
-    println!();
-    print!("{}", table.render());
-    for note in notes {
-        println!("note: {note}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,17 +130,5 @@ mod tests {
         let a = fa_trial(2, 100, 1, &min_agg(), 42);
         let b = fa_trial(2, 100, 1, &min_agg(), 42);
         assert_eq!(a.stats, b.stats);
-    }
-
-    #[test]
-    fn exp_args_parse_flags_and_trials() {
-        let args = ExpArgs::from_iter(5, ["3", "--json", "--small"].map(str::to_owned));
-        assert_eq!(args.trials, 3);
-        assert!(args.json);
-        assert!(args.small);
-        assert!(!args.csv);
-        let defaults = ExpArgs::from_iter(5, std::iter::empty());
-        assert_eq!(defaults.trials, 5);
-        assert!(!defaults.json && !defaults.small && !defaults.csv);
     }
 }

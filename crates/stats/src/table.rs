@@ -1,6 +1,5 @@
-//! Fixed-width text tables (and CSV) for the experiment binaries, so every
-//! `expNN_*` harness prints paper-style rows that can be pasted into
-//! `EXPERIMENTS.md` (planned: ROADMAP item 7).
+//! Fixed-width text tables (and CSV / JSON) for the paper ledger, so every
+//! claim `garlic-bench`'s `paper` runner checks prints paper-style rows.
 
 /// A simple column-aligned table.
 #[derive(Debug, Clone)]

@@ -30,10 +30,10 @@
 //!   collectors, Prometheus/JSON snapshots, and the `QueryTrace` span
 //!   tree EXPLAIN renders.
 //! * [`stats`] — summaries, regression, tail probabilities, Chernoff
-//!   machinery, table output for the experiment harness.
+//!   machinery, table output for the paper ledger.
 //!
-//! See `README.md` for a tour; a paper-claim vs. measured-result index,
-//! `EXPERIMENTS.md`, is planned (ROADMAP item 7).
+//! See `README.md` for a tour and `EXPERIMENTS.md` for the paper's claims,
+//! each with the command that measures it and what its check asserts.
 
 #![forbid(unsafe_code)]
 

@@ -1,7 +1,7 @@
 //! Direct checks of the paper's named claims, theorem by theorem, on
-//! concrete workloads (the asymptotic *shapes* are measured by the
-//! `garlic-bench` experiment binaries; these tests pin the exact,
-//! non-probabilistic facts).
+//! concrete workloads (the asymptotic *shapes* are measured and checked
+//! by `garlic-bench`'s paper ledger, `EXPERIMENTS.md`; these tests pin
+//! the exact, non-probabilistic facts).
 
 use garlic::agg::iterated::{max_agg, min_agg};
 use garlic::agg::Aggregation;
