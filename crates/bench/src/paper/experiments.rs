@@ -60,11 +60,9 @@ fn billed<S: GradedSource>(sources: &[CountingSource<S>]) -> u64 {
 
 /// The Wilson interval of `hits` successes in `trials` that the checks
 /// use: z = 3 (99.7 %), so that the dozen interval checks of one row do not
-/// add up to a likely false alarm. With no hits the lower end is 0, which
-/// `wilson_interval` rounds to about 1e-17.
+/// add up to a likely false alarm.
 fn wilson(hits: usize, trials: usize) -> (f64, f64) {
-    let (lower, upper) = wilson_interval(hits, trials, 3.0);
-    (if hits == 0 { 0.0 } else { lower }, upper)
+    wilson_interval(hits, trials, 3.0)
 }
 
 /// A₀'s (min) per-list bill on `lists`.

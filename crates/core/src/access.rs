@@ -21,10 +21,8 @@
 //! [`GradedSource::try_random_batch`] (random access, batched), both
 //! fallible — and a crisp source one more,
 //! [`SetAccess::try_matching_set`]. Query engines call nothing else, plus
-//! [`GradedSource::try_sorted_batch_bounded`] and
-//! [`GradedSource::degraded`], which have correct defaults a source
-//! overrides only when it can do better (skip metadata) or has something
-//! to report (a dropped shard).
+//! [`GradedSource::degraded`], which has a correct default that a wrapper
+//! overrides when it has something to report (a dropped shard).
 //!
 //! Every other method — the positional
 //! [`sorted_access`](GradedSource::sorted_access) /
@@ -76,28 +74,18 @@
 //! block without changing a single measured count. `random_access(object)`
 //! is the batch `[object]`.
 //!
-//! # Threshold hints
+//! # The bounded read
 //!
-//! Once an engine knows its current *k-th score frontier* — the grade of
-//! the worst entry that could still matter — deeper stream entries below
-//! that grade can never change the answer.
-//! [`GradedSource::try_sorted_batch_bounded`] carries that knowledge to the
-//! source as an **advisory bound**: the source may stop early once it can
-//! *prove* every remaining entry grades strictly below the bound
-//! (disk-backed sources prove it from per-block grade fences without even
-//! loading the blocks). The provided default reads
-//! [`try_sorted_batch`](GradedSource::try_sorted_batch) in chunks and stops
-//! after the first chunk that ends below the bound; sources with skip
-//! metadata, and wrappers that must pass the hint through, override it.
-//! The hint never changes *which* entries are emitted — the output is
-//! always an exact prefix of the unbounded stream, same entries, same tie
-//! order — and [`CountingSource`] bills exactly the entries obtained, so
-//! Section 5 accounting is identical for the entries actually consumed. A
-//! *dirty* hint (a bound higher than the true frontier) is therefore
-//! harmless: the caller sees [`BoundedBatch::truncated`], knows the
-//! suppressed suffix grades below the bound, and can resume unbounded from
-//! `start + appended` to recover the identical full stream. No grade is
-//! strictly below [`Grade::ZERO`], so a zero bound is "no bound".
+//! [`GradedSource::try_sorted_batch_bounded`] takes an advisory stop
+//! threshold: a source *may* stop once every remaining entry grades
+//! strictly below it. No source does. Its one provided body is
+//! [`try_sorted_batch`](GradedSource::try_sorted_batch) with
+//! [`BoundedBatch::truncated`] `false`, so it returns and bills exactly
+//! what the plain read does. An early stop could only ever have trimmed
+//! the last batch of a list, because the engine reads each list's exact
+//! positional prefix and stops at a batch boundary by itself. The method
+//! and [`BoundedBatch`] keep their names and signatures for wrappers
+//! written against them; no query path calls them.
 //!
 //! # Threading
 //!
@@ -161,11 +149,9 @@ fn infallible(e: SourceError) -> ! {
 /// [`try_sorted_batch`](GradedSource::try_sorted_batch),
 /// [`try_random_batch`](GradedSource::try_random_batch). Everything else is
 /// **provided** on top of those (see the module docs): override
-/// [`try_sorted_batch_bounded`](GradedSource::try_sorted_batch_bounded) to
-/// use skip metadata or pass a hint through a wrapper, and
-/// [`degraded`](GradedSource::degraded) on wrappers; leave the infallible
-/// and positional adaptors alone. A source written against the positional
-/// pair alone no longer compiles:
+/// [`degraded`](GradedSource::degraded) on wrappers, and leave the
+/// infallible and positional adaptors alone. A source written against the
+/// positional pair alone no longer compiles:
 ///
 /// ```compile_fail,E0046
 /// use garlic_agg::Grade;
@@ -232,54 +218,25 @@ pub trait GradedSource: Send + Sync {
         out: &mut Vec<Option<Grade>>,
     ) -> Result<(), SourceError>;
 
-    /// Batched sorted access with an advisory stop-threshold (see the
-    /// module docs): appends up to `count` entries starting at `start`,
-    /// exactly like [`try_sorted_batch`](GradedSource::try_sorted_batch),
-    /// but the source may stop early once it can prove that every
-    /// remaining entry in the stream grades **strictly below** `bound`.
-    /// The entries appended are always an exact prefix of the unbounded
-    /// stream (same entries, same tie order); entries below the bound *may*
-    /// still be emitted (implementations stop at their natural granularity,
-    /// e.g. a block boundary) — the bound is a permission to stop, never a
-    /// filter.
-    ///
-    /// Returns the number appended plus whether the source stopped because
-    /// of the bound ([`BoundedBatch::truncated`] — the remaining suffix
-    /// provably grades below `bound`) rather than because the request was
-    /// satisfied or the stream ended.
-    ///
-    /// The default walks [`try_sorted_batch`](GradedSource::try_sorted_batch)
-    /// in chunks and stops after the first chunk whose final (least) entry
-    /// falls below the bound — correct for any source, since the stream
-    /// descends. Sources with skip metadata (block grade fences) override
-    /// it to avoid even loading provably useless regions.
+    /// Batched sorted access with an advisory stop threshold (see the
+    /// module docs). A source may stop once every remaining entry grades
+    /// strictly below `bound`, and [`BoundedBatch::truncated`] would say it
+    /// did. This body never stops early: it is
+    /// [`try_sorted_batch`](GradedSource::try_sorted_batch) with
+    /// `truncated: false`, the same entries and the same bill. It is kept
+    /// for wrappers that override it by name; no backend overrides it and
+    /// no query path calls it.
     fn try_sorted_batch_bounded(
         &self,
         start: usize,
         count: usize,
-        bound: Grade,
+        _bound: Grade,
         out: &mut Vec<GradedEntry>,
     ) -> Result<BoundedBatch, SourceError> {
-        const CHUNK: usize = 256;
-        let base = out.len();
-        let mut appended = 0;
-        let mut below = false;
-        while appended < count && !below {
-            let take = (count - appended).min(CHUNK);
-            let got = self
-                .try_sorted_batch(start + appended, take, out)
-                .inspect_err(|_| out.truncate(base))?;
-            appended += got;
-            if got < take {
-                break;
-            }
-            // The stream descends, so once its tail entry dips below the
-            // bound every deeper entry is provably below it too.
-            below = out.last().is_some_and(|e| e.grade < bound);
-        }
+        let appended = self.try_sorted_batch(start, count, out)?;
         Ok(BoundedBatch {
             appended,
-            truncated: below,
+            truncated: false,
         })
     }
 
@@ -355,12 +312,11 @@ pub trait GradedSource: Send + Sync {
 /// the stream provably grades below the bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BoundedBatch {
-    /// Entries appended to the output — an exact prefix of the unbounded
-    /// stream starting at the requested rank.
+    /// Entries appended to the output, starting at the requested rank.
     pub appended: usize,
     /// `true` when the source stopped because every remaining entry
-    /// grades strictly below the bound; `false` when the request was
-    /// satisfied or the stream is exhausted.
+    /// grades strictly below the bound. The provided read never stops
+    /// early, so it is always `false` there.
     pub truncated: bool,
 }
 
@@ -537,24 +493,6 @@ impl<S: GradedSource> GradedSource for CountingSource<S> {
         result
     }
 
-    /// A threshold hint changes how *few* entries a caller reads, never the
-    /// Section 5 price of the entries it does read.
-    fn try_sorted_batch_bounded(
-        &self,
-        start: usize,
-        count: usize,
-        bound: Grade,
-        out: &mut Vec<GradedEntry>,
-    ) -> Result<BoundedBatch, SourceError> {
-        let before = out.len();
-        let result = self
-            .inner
-            .try_sorted_batch_bounded(start, count, bound, out);
-        self.sorted
-            .fetch_add((out.len() - before) as u64, Ordering::Relaxed);
-        result
-    }
-
     fn degraded(&self) -> bool {
         self.inner.degraded()
     }
@@ -582,9 +520,9 @@ pub fn total_stats<S: GradedSource>(sources: &[CountingSource<S>]) -> AccessStat
 }
 
 /// `&S`, `Box<S>` and `Arc<S>` are sources when `S` is: each forwards the
-/// required core plus the two overridable defaults, so the pointee's native
-/// bounded read and degradation flag are reached; the adaptors then sit on
-/// the forwarded core. `Arc<dyn GradedSource>` is the canonical *owned*
+/// required core plus [`GradedSource::degraded`], so the pointee's
+/// degradation flag is reached; the adaptors then sit on the forwarded
+/// core. `Arc<dyn GradedSource>` is the canonical *owned*
 /// answer handle a subsystem returns: cheap to clone, `'static`, and
 /// shareable across the threads of a concurrent service.
 macro_rules! forward_access {
@@ -607,15 +545,6 @@ macro_rules! forward_access {
                 out: &mut Vec<Option<Grade>>,
             ) -> Result<(), SourceError> {
                 (**self).try_random_batch(objects, out)
-            }
-            fn try_sorted_batch_bounded(
-                &self,
-                start: usize,
-                count: usize,
-                bound: Grade,
-                out: &mut Vec<GradedEntry>,
-            ) -> Result<BoundedBatch, SourceError> {
-                (**self).try_sorted_batch_bounded(start, count, bound, out)
             }
             fn degraded(&self) -> bool {
                 (**self).degraded()
@@ -804,14 +733,11 @@ mod tests {
             let result = s.sorted_batch_bounded(0, 10, bound, &mut bounded);
             assert_eq!(result.appended, bounded.len());
             assert_eq!(bounded, full[..result.appended], "prefix for bound {bound}");
-            if result.truncated {
-                assert!(
-                    full[result.appended..].iter().all(|e| e.grade < bound),
-                    "truncation must prove the suffix below {bound}"
-                );
-            }
+            // The bound is advisory and no source stops early: the prefix
+            // is the whole batch and nothing claims a truncation.
+            assert!(!result.truncated, "bound {bound} truncated");
+            assert_eq!(bounded, full, "bound {bound} withheld entries");
         }
-        // A bound of zero can never truncate: no grade is strictly below it.
         let mut all = Vec::new();
         let result = s.sorted_batch_bounded(0, 100, Grade::ZERO, &mut all);
         assert_eq!(
@@ -829,6 +755,7 @@ mod tests {
         let c = CountingSource::new(MemorySource::from_grades(&grades));
         let mut out = Vec::new();
         let result = c.sorted_batch_bounded(0, 8, g(0.99), &mut out);
+        assert_eq!(result.appended, 8);
         assert_eq!(c.stats(), AccessStats::new(result.appended as u64, 0));
     }
 
@@ -838,8 +765,8 @@ mod tests {
         let s = MemorySource::from_grades(&grades);
         let mut full = Vec::new();
         s.sorted_batch(0, 20, &mut full);
-        // A deliberately dirty (too-high) hint: almost everything is
-        // suppressed on the first pass.
+        // A deliberately dirty (too-high) hint: every grade but one is
+        // below it, yet the read ignores it and streams on.
         let mut streamed = Vec::new();
         let stopped = loop {
             let read = s.sorted_batch_bounded(streamed.len(), 4, g(0.95), &mut streamed);
@@ -847,11 +774,11 @@ mod tests {
                 break read.truncated;
             }
         };
-        assert!(stopped, "short batch came from the bound");
-        assert_eq!(streamed, full[..streamed.len()], "still an exact prefix");
-        // Recovery: resume unbounded from the same position.
+        assert!(!stopped, "short batch came from the end of the list");
+        assert_eq!(streamed, full, "the hinted cursor is the exact stream");
+        // Resuming unbounded from the position reached adds nothing more.
         while s.sorted_batch(streamed.len(), 4, &mut streamed) > 0 {}
-        assert_eq!(streamed, full, "dirty hint recovered the identical stream");
+        assert_eq!(streamed, full, "dirty hint left the identical stream");
     }
 
     #[test]

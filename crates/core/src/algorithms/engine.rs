@@ -1674,17 +1674,6 @@ mod tests {
         assert!(session.next_batch(1).unwrap().is_empty());
         assert_eq!(frontier(&session), cut);
         assert_eq!(session.frontier_history().len(), 2);
-
-        // The frontier is a valid advisory bound: a bounded read emits an
-        // exact prefix of the unbounded stream and only withholds entries
-        // strictly below the bound.
-        let source = &session.sources()[0];
-        let bound = frontier(&session).unwrap();
-        let (mut full, mut hinted) = (Vec::new(), Vec::new());
-        source.sorted_batch(0, 4, &mut full);
-        source.sorted_batch_bounded(0, 4, bound, &mut hinted);
-        assert_eq!(full[..hinted.len()], hinted[..]);
-        assert!(full[hinted.len()..].iter().all(|e| e.grade < bound));
     }
 
     #[test]

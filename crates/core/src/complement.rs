@@ -92,10 +92,6 @@ impl<S: GradedSource> GradedSource for ComplementSource<S> {
         Ok(())
     }
 
-    // The reversed stream cannot translate a bound to the inner list's
-    // orientation block-for-block, so bounded reads keep the trait's
-    // chunked default over `try_sorted_batch`.
-
     fn degraded(&self) -> bool {
         self.inner.degraded()
     }

@@ -37,7 +37,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use garlic_agg::Grade;
 
-use crate::access::{BoundedBatch, GradedSource, SetAccess, SourceError};
+use crate::access::{GradedSource, SetAccess, SourceError};
 use crate::fx::FxHashSet;
 use crate::graded_set::GradedEntry;
 use crate::object::ObjectId;
@@ -371,32 +371,15 @@ impl<S: GradedSource> ShardedSource<S> {
         self.consumed.store(0, Ordering::Relaxed);
     }
 
-    /// Extends the merged prefix to `target` entries (or to exhaustion),
-    /// additionally stopping as soon as the lowest merged grade falls
-    /// strictly below `bound`: the skeleton order is descending, so
-    /// everything still unmerged — in *every* shard — is then also below
-    /// the bound, and no shard needs another refill. Returns `true` iff the
-    /// stop was due to the bound; no grade is below [`Grade::ZERO`], so a
-    /// zero bound never stops early.
+    /// Extends the merged prefix to `target` entries (or to exhaustion).
     ///
     /// A shard failure either drops the shard (degraded reads + a
     /// quarantined error) or aborts with the merged prefix unextended
     /// beyond already-completed rounds, so a later retry resumes exactly
     /// where this call left off.
-    fn try_ensure_merged(
-        &self,
-        state: &mut MergeState,
-        target: usize,
-        bound: Grade,
-    ) -> Result<bool, SourceError> {
+    fn try_ensure_merged(&self, state: &mut MergeState, target: usize) -> Result<(), SourceError> {
         let target = target.min(self.len);
-        loop {
-            if state.merged.last().is_some_and(|e| e.grade < bound) {
-                return Ok(true);
-            }
-            if state.merged.len() >= target {
-                return Ok(false);
-            }
+        while state.merged.len() < target {
             self.try_refill(state, target)?;
             // Pop the best head: highest grade, ties by lowest object id.
             // Every non-exhausted shard has a buffered head after refill,
@@ -408,7 +391,7 @@ impl<S: GradedSource> ShardedSource<S> {
                 .filter_map(|(i, run)| run.head().map(|e| (i, e)))
                 .max_by(|(_, a), (_, b)| a.grade.cmp(&b.grade).then(b.object.cmp(&a.object)));
             let Some((winner, entry)) = best else {
-                return Ok(false); // every shard exhausted before `target`
+                break; // every shard exhausted before `target`
             };
             state.runs[winner].pos += 1;
             if state.merged.len() == state.merged.capacity() {
@@ -425,6 +408,7 @@ impl<S: GradedSource> ShardedSource<S> {
             self.emitted
                 .store(state.merged.len() as u64, Ordering::Relaxed);
         }
+        Ok(())
     }
 
     /// Refills every shard whose buffer ran dry. Shards whose last yielded
@@ -529,34 +513,13 @@ impl<S: GradedSource> GradedSource for ShardedSource<S> {
         count: usize,
         out: &mut Vec<GradedEntry>,
     ) -> Result<usize, SourceError> {
-        self.try_sorted_batch_bounded(start, count, Grade::ZERO, out)
-            .map(|batch| batch.appended)
-    }
-
-    /// Bound-aware merge: stops extending the merged prefix — and thus
-    /// refilling *any* shard — once the lowest merged grade falls strictly
-    /// below the bound, instead of merging all the way to `start + count`.
-    /// Fence-skipping shards then never even see requests for the fenced-out
-    /// depths. Emitted entries are still an exact prefix of the unbounded
-    /// stream (the default-impl contract), and a prefix already cached by a
-    /// deeper earlier scan is served in full rather than re-truncated.
-    fn try_sorted_batch_bounded(
-        &self,
-        start: usize,
-        count: usize,
-        bound: Grade,
-        out: &mut Vec<GradedEntry>,
-    ) -> Result<BoundedBatch, SourceError> {
         let mut state = self.state();
-        let stopped = self.try_ensure_merged(&mut state, start.saturating_add(count), bound)?;
+        self.try_ensure_merged(&mut state, start.saturating_add(count))?;
         let merged = &state.merged;
         let from = start.min(merged.len());
         let to = start.saturating_add(count).min(merged.len());
         out.extend_from_slice(&merged[from..to]);
-        Ok(BoundedBatch {
-            appended: to - from,
-            truncated: stopped && to - from < count,
-        })
+        Ok(to - from)
     }
 
     /// Routes each probe to its owning shard by fence lookup, forwards one
@@ -930,52 +893,6 @@ mod tests {
             4 * stats.emitted
         );
         assert!(stats.early_termination_savings() > 0.0);
-    }
-
-    #[test]
-    fn bounded_scan_is_an_exact_prefix_that_stops_every_shard_early() {
-        let data = pairs(4000, 41);
-        let flat = unsharded(&data);
-        let mut full = Vec::new();
-        flat.sorted_batch(0, 4000, &mut full);
-        let sharded = ShardedSource::from_pairs(data, 4);
-        // Reads hinted with a high stop threshold (the engine's k-th score
-        // frontier in real use) must emit an exact prefix, be honest about
-        // truncation, and stop the merge long before depth N.
-        let bound = g(0.8);
-        let got = bounded_scan(&sharded, bound);
-        assert_eq!(got[..], full[..got.len()], "exact prefix");
-        assert!(
-            full[got.len()..].iter().all(|e| e.grade < bound),
-            "only entries strictly below the bound were withheld"
-        );
-        let stats = sharded.scan_stats();
-        assert!(
-            (stats.emitted as usize) < full.len() / 2,
-            "merge stopped early: emitted {} of {}",
-            stats.emitted,
-            full.len()
-        );
-        // A dirty (too-low) bound and a ZERO bound are the full stream.
-        let fresh = ShardedSource::from_pairs(
-            full.iter().map(|e| (e.object, e.grade)).collect::<Vec<_>>(),
-            4,
-        );
-        assert_eq!(bounded_scan(&fresh, Grade::ZERO), full);
-    }
-
-    /// Bounded reads of 256 from rank 0 until one is short or truncated;
-    /// asserts a non-zero bound is what stopped them.
-    fn bounded_scan(source: &impl GradedSource, bound: Grade) -> Vec<GradedEntry> {
-        let mut got = Vec::new();
-        let truncated = loop {
-            let read = source.sorted_batch_bounded(got.len(), 256, bound, &mut got);
-            if read.truncated || read.appended < 256 {
-                break read.truncated;
-            }
-        };
-        assert_eq!(truncated, bound > Grade::ZERO);
-        got
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use garlic_agg::Grade;
 use std::sync::Arc;
 
-use garlic_core::access::{BoundedBatch, CountingSource, GradedSource, MemorySource, SourceError};
+use garlic_core::access::{CountingSource, GradedSource, MemorySource, SourceError};
 use garlic_core::complement::ComplementSource;
 use garlic_core::cost::AccessStats;
 use garlic_core::graded_set::GradedEntry;
@@ -201,8 +201,7 @@ impl GradedSource for CoreOnly {
     }
 }
 
-/// 300 objects (more than one chunk of the provided bounded read), grades
-/// with ties, ids scattered so shards interleave.
+/// 300 objects, grades with ties, ids scattered so shards interleave.
 fn pairs() -> Vec<(ObjectId, Grade)> {
     (0..300u64)
         .map(|i| (ObjectId(i), Grade::clamped(((i * 37) % 101) as f64 / 100.0)))
@@ -277,26 +276,6 @@ fn a_failing_core_is_a_typed_error_through_every_wrapper() {
     assert_fails_typed_and_unbilled(CountingSource::new(failing()), "CountingSource");
     assert_fails_typed_and_unbilled(ComplementSource::new(failing()), "ComplementSource");
     assert_fails_typed_and_unbilled(three_shards(0), "ShardedSource");
-
-    // The provided bounded read spans chunks: a failure in the second chunk
-    // takes back the first, and the healthy prefix is still served.
-    let late = CountingSource::new(CoreOnly::new(pairs()).failing_from(280));
-    let mut entries = Vec::new();
-    let err = late
-        .try_sorted_batch_bounded(0, 300, Grade::ZERO, &mut entries)
-        .unwrap_err();
-    assert_eq!(err, CoreOnly::error());
-    assert!(entries.is_empty());
-    assert_eq!(late.stats(), AccessStats::ZERO);
-    let read = late.try_sorted_batch_bounded(0, 280, Grade::ZERO, &mut entries);
-    assert_eq!(
-        read,
-        Ok(BoundedBatch {
-            appended: 280,
-            truncated: false
-        })
-    );
-    assert_eq!(late.stats(), AccessStats::new(280, 0));
 
     // The infallible adaptors have no error channel: they panic, and never
     // pass a failure off as a miss or a short read.

@@ -363,7 +363,7 @@ impl Garlic {
         if let (Some(before), Some(t)) = (before, &self.telemetry) {
             // Registry-wide counter deltas across the execution: under a
             // single in-flight query these are exactly this query's
-            // storage activity (cache hits/misses, fence skips, ...);
+            // storage activity (cache hits/misses, I/O retries, ...);
             // under concurrency they are a best-effort attribution.
             let after = t.snapshot();
             let mut storage = Span::new("telemetry");

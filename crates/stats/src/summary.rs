@@ -80,6 +80,14 @@ pub fn exceedance(sample: &[f64], threshold: f64) -> f64 {
 /// `(lower, upper)`. More honest than the normal approximation near 0 and 1
 /// — which is exactly where the tail experiments (E04, E16) live.
 ///
+/// Each end is computed as its distance from its own edge: the lower end
+/// from 0 in the successes `s`, the upper end from 1 in the failures `f`.
+/// Rationalising `(centre − half) / denom` gives
+/// `x² / (n·(x + z²/2 + r))` for `x` = `s` or `f`, with
+/// `r = z·√(s·f/n + z²/4)` shared by both. Nothing cancels, so no
+/// successes give a lower end of exactly 0 and no failures an upper end
+/// of exactly 1. With `z = 0` the interval is the point `s/n`.
+///
 /// # Panics
 /// Panics if `trials == 0`, `successes > trials`, or `z < 0`.
 pub fn wilson_interval(successes: usize, trials: usize, z: f64) -> (f64, f64) {
@@ -87,15 +95,15 @@ pub fn wilson_interval(successes: usize, trials: usize, z: f64) -> (f64, f64) {
     assert!(successes <= trials, "successes cannot exceed trials");
     assert!(z >= 0.0, "z must be non-negative");
     let n = trials as f64;
-    let p = successes as f64 / n;
+    if z == 0.0 {
+        let p = successes as f64 / n;
+        return (p, p);
+    }
+    let (s, f) = (successes as f64, (trials - successes) as f64);
     let z2 = z * z;
-    let denom = 1.0 + z2 / n;
-    let centre = p + z2 / (2.0 * n);
-    let half = z * (p * (1.0 - p) / n + z2 / (4.0 * n * n)).sqrt();
-    (
-        ((centre - half) / denom).max(0.0),
-        ((centre + half) / denom).min(1.0),
-    )
+    let r = z * (s * f / n + z2 / 4.0).sqrt();
+    let from_edge = |x: f64| x * x / (n * (x + z2 / 2.0 + r));
+    (from_edge(s), 1.0 - from_edge(f))
 }
 
 #[cfg(test)]
@@ -177,6 +185,29 @@ mod tests {
         let (lo, hi) = wilson_interval(0, 1000, 1.96);
         assert_eq!(lo, 0.0);
         assert!(hi > 0.0 && hi < 0.01);
+        for (trials, z) in [(11, 1.96), (5, 3.0)] {
+            assert_eq!(wilson_interval(0, trials, z).0, 0.0, "0 of {trials}");
+        }
+        // The mirror image: no failures give an upper end of exactly 1.
+        for (trials, z) in [(12, 1.96), (21, 3.0)] {
+            let (lo, hi) = wilson_interval(trials, trials, z);
+            assert_eq!(hi, 1.0, "{trials} of {trials}");
+            assert!(lo > 0.0 && lo < 1.0);
+        }
+    }
+
+    #[test]
+    fn wilson_interval_matches_the_textbook_form() {
+        for (s, n, z) in [(1usize, 100usize, 1.96), (7, 11, 3.0), (50, 100, 1.0)] {
+            let (nf, p) = (n as f64, s as f64 / n as f64);
+            let centre = p + z * z / (2.0 * nf);
+            let half = z * (p * (1.0 - p) / nf + z * z / (4.0 * nf * nf)).sqrt();
+            let denom = 1.0 + z * z / nf;
+            let (lo, hi) = wilson_interval(s, n, z);
+            assert!((lo - (centre - half) / denom).abs() < 1e-15, "s={s}");
+            assert!((hi - (centre + half) / denom).abs() < 1e-15, "s={s}");
+        }
+        assert_eq!(wilson_interval(3, 4, 0.0), (0.75, 0.75));
     }
 
     #[test]

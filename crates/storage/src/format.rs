@@ -48,9 +48,8 @@
 //!   of the non-negative decrease in data blocks, zigzag in table
 //!   blocks) — also bit-exact, because the IEEE-754 bit patterns of the
 //!   non-negative grades order exactly like their values;
-//! * the footer grows per-data-block `grade_max`/`grade_min` fences so
-//!   a reader holding a stop-threshold can prove a block (and every
-//!   block after it) cannot contribute *before loading it*, plus the
+//! * the footer grows per-data-block `grade_max`/`grade_min` fences,
+//!   which the reader verifies against every block at open, plus the
 //!   per-block encoded byte lengths that locate each block in the file.
 //!
 //! Both versions checksum every block (FNV-1a 64) in a self-checksummed
@@ -714,8 +713,7 @@ pub struct FooterV2 {
     pub data_block_lens: Vec<u64>,
     /// Encoded byte length of every table block, in order.
     pub table_block_lens: Vec<u64>,
-    /// Grade bits of each data block's first (greatest) entry — the
-    /// fence a threshold-hinted scan compares before loading the block.
+    /// Grade bits of each data block's first (greatest) entry.
     pub grade_max_bits: Vec<u64>,
     /// Grade bits of each data block's last (least) entry.
     pub grade_min_bits: Vec<u64>,

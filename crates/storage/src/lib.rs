@@ -84,7 +84,7 @@ pub use format::DEFAULT_BLOCK_SIZE;
 pub use live::{LiveOptions, LiveSnapshot, LiveSource};
 pub use manifest::Manifest;
 pub use memtable::Memtable;
-pub use segment::{FenceStats, RetryPolicy, SegmentSource};
+pub use segment::{RetryPolicy, SegmentSource};
 pub use vfs::{std_vfs, FaultKind, FaultOp, FaultRule, FaultVfs, StdVfs, Vfs, VfsFile, VfsRead};
 pub use wal::{Wal, WalOp};
 pub use writer::{SegmentInfo, SegmentWriter, ShardInfo};

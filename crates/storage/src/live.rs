@@ -49,7 +49,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use garlic_agg::Grade;
-use garlic_core::access::{BoundedBatch, GradedSource, SetAccess, SourceError};
+use garlic_core::access::{GradedSource, SetAccess, SourceError};
 use garlic_core::{FxHashMap, GradedEntry, ObjectId};
 
 use garlic_telemetry::{Counter, Histogram, Telemetry};
@@ -699,17 +699,6 @@ struct MergeState {
     base_exhausted: bool,
 }
 
-/// What one attempt to refill the base lookahead produced.
-enum Refill {
-    /// The buffer has at least one entry.
-    Ready,
-    /// The base stream is exhausted.
-    Exhausted,
-    /// The base source stopped early: every remaining base entry provably
-    /// grades strictly below the advisory bound.
-    BoundStop,
-}
-
 /// Chunk size for pulling the base stream through the merge.
 const MERGE_CHUNK: usize = 256;
 
@@ -729,78 +718,45 @@ impl LiveSnapshot {
         self.ones
     }
 
-    /// Refills the shadow-filtered base lookahead, passing `bound` through
-    /// to the base's fences. The merge cursor only advances after a
+    /// Refills the shadow-filtered base lookahead until it holds an entry
+    /// or the base stream ends. The merge cursor only advances after a
     /// successful read (`try_*` leaves `tmp` unchanged on error), so a
     /// failed refill is retryable: the cursor state is as if the call never
     /// happened.
-    fn refill_base(&self, st: &mut MergeState, bound: Grade) -> Result<Refill, SourceError> {
+    fn refill_base(&self, st: &mut MergeState) -> Result<(), SourceError> {
         let Some(base) = &self.base else {
             st.base_exhausted = true;
-            return Ok(Refill::Exhausted);
+            return Ok(());
         };
         let mut tmp = Vec::with_capacity(MERGE_CHUNK);
         while st.base_buf.is_empty() && !st.base_exhausted {
             tmp.clear();
-            let read = base.try_sorted_batch_bounded(st.base_rank, MERGE_CHUNK, bound, &mut tmp)?;
-            st.base_rank += read.appended;
+            let got = base.try_sorted_batch(st.base_rank, MERGE_CHUNK, &mut tmp)?;
+            st.base_rank += got;
             st.base_buf.extend(
                 tmp.iter()
                     .filter(|e| !self.shadow.contains_key(&e.object))
                     .copied(),
             );
-            if read.truncated {
-                return Ok(if st.base_buf.is_empty() {
-                    Refill::BoundStop
-                } else {
-                    Refill::Ready
-                });
-            }
-            if read.appended < MERGE_CHUNK {
+            if got < MERGE_CHUNK {
                 st.base_exhausted = true;
             }
         }
-        Ok(if st.base_buf.is_empty() {
-            Refill::Exhausted
-        } else {
-            Refill::Ready
-        })
+        Ok(())
     }
 
     /// Grows the merged prefix to `target` entries, or until both streams
-    /// end, or until every remaining entry provably grades strictly below
-    /// `bound` — returning `true` only in that last case. No grade is below
-    /// [`Grade::ZERO`], so a zero bound is the plain unbounded merge.
-    fn ensure_merged(
-        &self,
-        st: &mut MergeState,
-        target: usize,
-        bound: Grade,
-    ) -> Result<bool, SourceError> {
-        let mut base_bound_stopped = false;
+    /// end.
+    fn ensure_merged(&self, st: &mut MergeState, target: usize) -> Result<(), SourceError> {
         while st.merged.len() < target {
-            // The merged stream descends: once its tail dips below the
-            // bound, everything deeper is provably below it too.
-            if st.merged.last().is_some_and(|e| e.grade < bound) {
-                return Ok(true);
-            }
-            if st.base_buf.is_empty() && !st.base_exhausted && !base_bound_stopped {
-                if let Refill::BoundStop = self.refill_base(st, bound)? {
-                    base_bound_stopped = true;
-                }
+            if st.base_buf.is_empty() && !st.base_exhausted {
+                self.refill_base(st)?;
             }
             let overlay_next = self.overlay.get(st.overlay_pos).copied();
             let base_next = st.base_buf.front().copied();
             let next = match (overlay_next, base_next) {
-                (None, None) => return Ok(base_bound_stopped),
+                (None, None) => break,
                 (Some(entry), None) => {
-                    if base_bound_stopped && entry.grade < bound {
-                        // Both suffixes are provably below the bound; the
-                        // true interleaving no longer matters.
-                        return Ok(true);
-                    }
-                    // entry.grade >= bound > every remaining base entry,
-                    // so emitting it preserves the exact merge order.
                     st.overlay_pos += 1;
                     entry
                 }
@@ -820,7 +776,7 @@ impl LiveSnapshot {
             };
             st.merged.push(next);
         }
-        Ok(false)
+        Ok(())
     }
 }
 
@@ -835,28 +791,13 @@ impl GradedSource for LiveSnapshot {
         count: usize,
         out: &mut Vec<GradedEntry>,
     ) -> Result<usize, SourceError> {
-        self.try_sorted_batch_bounded(start, count, Grade::ZERO, out)
-            .map(|batch| batch.appended)
-    }
-
-    fn try_sorted_batch_bounded(
-        &self,
-        start: usize,
-        count: usize,
-        bound: Grade,
-        out: &mut Vec<GradedEntry>,
-    ) -> Result<BoundedBatch, SourceError> {
         let mut st = self.merge.lock().unwrap_or_else(PoisonError::into_inner);
         let target = start.saturating_add(count);
-        let bound_stop = self.ensure_merged(&mut st, target, bound)?;
+        self.ensure_merged(&mut st, target)?;
         let end = st.merged.len().min(target);
         let begin = start.min(end);
         out.extend_from_slice(&st.merged[begin..end]);
-        let appended = end - begin;
-        Ok(BoundedBatch {
-            appended,
-            truncated: bound_stop && appended < count,
-        })
+        Ok(end - begin)
     }
 
     fn try_random_batch(
@@ -941,9 +882,7 @@ pub(crate) fn merged_pairs(
             // A failure aborts the compaction attempt (recorded by the
             // compactor and retried later) with the segment's own typed
             // error — a checksum mismatch stays one.
-            let got = base
-                .sorted_scan(rank, 4096, Grade::ZERO, &mut entries)?
-                .appended;
+            let got = base.sorted_scan(rank, 4096, &mut entries)?;
             rank += got;
             if got < 4096 {
                 break;
@@ -1083,14 +1022,6 @@ mod tests {
                 (4, 0.1),
             ]
         );
-        // Bounded reads are an exact prefix of the unbounded stream; the
-        // bound is advisory, so the first below-bound entry may slip out
-        // before the stop (exactly like the default chunked walk).
-        let mut bounded = Vec::new();
-        let result = snap.sorted_batch_bounded(0, 64, g(0.5), &mut bounded);
-        assert!(result.truncated);
-        assert_eq!(bounded, stream[..result.appended]);
-        assert!(result.appended >= 9, "everything at or above the bound");
         // Random batches answer positionally across overlay and base.
         let mut answers = Vec::new();
         snap.random_batch(

@@ -14,11 +14,9 @@
 //! behaviour to a [`MemorySource`] over the same pairs, in either
 //! version (the round-trip property suite holds it to that).
 //!
-//! On v2 segments the per-block grade fences additionally power
-//! [`GradedSource::try_sorted_batch_bounded`]: a threshold-hinted scan stops
-//! *before loading* the first block whose `grade_max` falls below the
-//! bound, skipping the cache, the I/O, and the decode for the entire
-//! remaining region.
+//! A v2 footer's per-block grade fences are checked against every data
+//! block at open, like the rest of the footer; no read skips blocks by
+//! them. Every sorted read decodes the blocks its ranks fall in.
 //!
 //! [`MemorySource`]: garlic_core::access::MemorySource
 
@@ -27,7 +25,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use garlic_agg::Grade;
-use garlic_core::access::{BoundedBatch, GradedSource, SetAccess, SourceError};
+use garlic_core::access::{GradedSource, SetAccess, SourceError};
 use garlic_core::{GradedEntry, ObjectId};
 
 use crate::cache::{BlockCache, BlockKey};
@@ -103,41 +101,12 @@ pub struct SegmentSource {
     poisoned: AtomicBool,
     /// xorshift state feeding the backoff jitter.
     jitter: AtomicU64,
-    /// Data blocks decoded by threshold-hinted scans.
-    fence_loaded: AtomicU64,
-    /// Data blocks a threshold-hinted scan proved irrelevant and never
-    /// loaded (grade fence below the bound, or past a decoded block that
-    /// ended below it).
-    fence_skipped: AtomicU64,
     footer: Footer,
-    /// Present for v2 segments: block addressing, grade dictionary, and
-    /// the data-region skip fences. `None` means the fixed-slot v1 layout.
+    /// Present for v2 segments: block addressing, grade dictionary and
+    /// restart points. `None` means the fixed-slot v1 layout.
     layout: Option<V2Layout>,
     entries_per_block: usize,
     max_object: Option<ObjectId>,
-}
-
-/// Cumulative block outcomes of a segment's threshold-hinted scans — see
-/// [`SegmentSource::fence_stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FenceStats {
-    /// Data blocks decoded by bounded scans.
-    pub blocks_loaded: u64,
-    /// Data blocks bounded scans proved irrelevant before loading them.
-    pub blocks_skipped: u64,
-}
-
-impl FenceStats {
-    /// Fraction of fence-checked blocks the scans never had to load
-    /// (0 when no bounded scan ran).
-    pub fn skip_rate(&self) -> f64 {
-        let total = self.blocks_loaded + self.blocks_skipped;
-        if total == 0 {
-            0.0
-        } else {
-            self.blocks_skipped as f64 / total as f64
-        }
-    }
 }
 
 /// The extra reader state a v2 segment carries beyond the shared footer
@@ -151,9 +120,6 @@ struct V2Layout {
     /// The sorted grade-bit dictionary (dictionary mode), else `None`
     /// (per-block bit-delta mode).
     dict: Option<Vec<u64>>,
-    /// Each data block's greatest grade — the fence consulted before a
-    /// threshold-hinted scan loads the block.
-    grade_max: Vec<Grade>,
     /// The restart points of every data block, block after block: the
     /// decoder state in front of every [`RESTART_INTERVAL`]-th entry, noted
     /// down by the open-time scan, so a read resumes next to its first
@@ -274,11 +240,6 @@ impl SegmentSource {
             let layout = V2Layout {
                 locs,
                 dict: (v2.flags & FLAG_GRADE_DICT != 0).then(|| v2.grade_dict.clone()),
-                grade_max: v2
-                    .grade_max_bits
-                    .iter()
-                    .map(|&bits| Grade::clamped(f64::from_bits(bits)))
-                    .collect(),
                 data_restarts: stats.data_restarts,
                 table_restarts: stats.table_restarts,
             };
@@ -308,8 +269,6 @@ impl SegmentSource {
             io_gave_up: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
             jitter: AtomicU64::new(segment_id.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1),
-            fence_loaded: AtomicU64::new(0),
-            fence_skipped: AtomicU64::new(0),
             entries_per_block: footer.block_size / ENTRY_LEN,
             footer,
             layout,
@@ -397,18 +356,6 @@ impl SegmentSource {
     /// The cache this source reads through.
     pub fn cache(&self) -> &Arc<BlockCache> {
         &self.cache
-    }
-
-    /// Cumulative block outcomes of every threshold-hinted scan
-    /// ([`try_sorted_batch_bounded`](GradedSource::try_sorted_batch_bounded)) this
-    /// source served: blocks decoded vs blocks the grade fence (or a
-    /// decoded block ending below the bound) let the scan skip. Plain
-    /// relaxed counters, bumped once per *block*, never per entry.
-    pub fn fence_stats(&self) -> FenceStats {
-        FenceStats {
-            blocks_loaded: self.fence_loaded.load(Ordering::Relaxed),
-            blocks_skipped: self.fence_skipped.load(Ordering::Relaxed),
-        }
     }
 
     /// Bytes of memory the restart index holds (0 for a v1 segment, whose
@@ -666,66 +613,31 @@ impl SegmentSource {
         Ok(())
     }
 
-    /// The one sorted scan, behind both
-    /// [`GradedSource::try_sorted_batch`] (which passes [`Grade::ZERO`]: no
-    /// grade is below it, so nothing is ever fenced out) and
-    /// [`GradedSource::try_sorted_batch_bounded`] — the grade-fence
-    /// skipping logic lives here; see that method's docs. The fence
-    /// counters only count scans that carry a real bound. On error `out`
-    /// may hold a partial append — the caller truncates.
+    /// The one sorted scan, behind [`GradedSource::try_sorted_batch`] and
+    /// compaction's read of the base: appends ranks `start..start + count`
+    /// (clipped to the segment) to `out`, decoding each touched data block
+    /// once, and returns how many it appended. On error `out` may hold a
+    /// partial append — the caller truncates.
     pub(crate) fn sorted_scan(
         &self,
         start: usize,
         count: usize,
-        bound: Grade,
         out: &mut Vec<GradedEntry>,
-    ) -> Result<BoundedBatch, StorageError> {
+    ) -> Result<usize, StorageError> {
         let n = self.footer.num_entries as usize;
         let start = start.min(n);
         let end = start.saturating_add(count).min(n);
-        let base = out.len();
-        let hinted = bound > Grade::ZERO;
-        if !hinted {
-            out.reserve(end - start);
-        }
+        out.reserve(end - start);
         let mut rank = start;
-        let mut truncated = false;
-        // Last block the unbounded scan would touch — the denominator for
-        // the loaded-vs-skipped fence accounting.
-        let last_block = if end > start {
-            ((end - 1) / self.entries_per_block) as u64
-        } else {
-            0
-        };
         while rank < end {
             let block_index = (rank / self.entries_per_block) as u64;
-            if let Some(layout) = &self.layout {
-                if layout.grade_max[block_index as usize] < bound {
-                    truncated = true;
-                    self.fence_skipped
-                        .fetch_add(last_block - block_index + 1, Ordering::Relaxed);
-                    break;
-                }
-            }
             let block = self.try_data_block(block_index)?;
-            if hinted {
-                self.fence_loaded.fetch_add(1, Ordering::Relaxed);
-            }
             let in_block = rank % self.entries_per_block;
             let take = (end - rank).min(self.entries_per_block - in_block);
             self.decode_data_range(&block, block_index, in_block, in_block + take, out)?;
             rank += take;
-            if out.last().is_some_and(|entry| entry.grade < bound) {
-                truncated = true;
-                self.fence_skipped
-                    .fetch_add(last_block - block_index, Ordering::Relaxed);
-                break;
-            }
         }
-        Ok(BoundedBatch {
-            appended: out.len() - base,
-            truncated,
-        })
+        Ok(end - start)
     }
 }
 
@@ -743,8 +655,11 @@ impl GradedSource for SegmentSource {
         count: usize,
         out: &mut Vec<GradedEntry>,
     ) -> Result<usize, SourceError> {
-        self.try_sorted_batch_bounded(start, count, Grade::ZERO, out)
-            .map(|batch| batch.appended)
+        let base = out.len();
+        self.sorted_scan(start, count, out).map_err(|e| {
+            out.truncate(base);
+            self.source_error(e)
+        })
     }
 
     /// Probes are grouped by table block (sorted by the footer's fence
@@ -759,30 +674,6 @@ impl GradedSource for SegmentSource {
     ) -> Result<(), SourceError> {
         let base = out.len();
         self.random_batch_impl(objects, out).map_err(|e| {
-            out.truncate(base);
-            self.source_error(e)
-        })
-    }
-
-    /// Threshold-hinted streaming. On a v2 segment the footer's
-    /// `grade_max` fences answer "can this block still matter?" *before*
-    /// the block is loaded: the scan stops at the first block whose fence
-    /// falls below `bound`, skipping its cache request, its I/O, and its
-    /// decode — and everything after it, since blocks are grade-descending.
-    /// On v1 the fence check is unavailable, but the scan still stops at
-    /// block granularity once a decoded block ends below the bound. Either
-    /// way the emitted entries are an exact prefix of the unbounded
-    /// stream, and `truncated` is only reported when every remaining entry
-    /// provably grades below `bound`.
-    fn try_sorted_batch_bounded(
-        &self,
-        start: usize,
-        count: usize,
-        bound: Grade,
-        out: &mut Vec<GradedEntry>,
-    ) -> Result<BoundedBatch, SourceError> {
-        let base = out.len();
-        self.sorted_scan(start, count, bound, out).map_err(|e| {
             out.truncate(base);
             self.source_error(e)
         })
@@ -1355,39 +1246,6 @@ mod tests {
         v1.sorted_batch(7, 100, &mut a);
         v2.sorted_batch(7, 100, &mut b);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn bounded_scan_skips_loading_fenced_out_blocks() {
-        // 30 entries, 3 per block: grades descend from 1.0, so a bound of
-        // 0.7 fences out every data block past the first ~third.
-        let cache = Arc::new(BlockCache::new(64));
-        let path = temp_path("fence-skip.seg");
-        let grades: Vec<Grade> = (0..30)
-            .map(|i| Grade::clamped((30 - i) as f64 / 30.0))
-            .collect();
-        SegmentWriter::with_block_size(48)
-            .unwrap()
-            .write_grades(&path, &grades)
-            .unwrap();
-        let seg = SegmentSource::open(&path, Arc::clone(&cache)).unwrap();
-        let before = cache.stats();
-        let mut bounded = Vec::new();
-        let result = seg.sorted_batch_bounded(0, 30, g(0.7), &mut bounded);
-        assert!(result.truncated);
-        assert_eq!(result.appended, bounded.len());
-        let after = cache.stats();
-        let touched = (after.hits + after.misses) - (before.hits + before.misses);
-        assert!(
-            touched < 10,
-            "fences must stop the scan before loading all 10 data blocks (touched {touched})"
-        );
-        // The emitted entries are an exact prefix of the unbounded stream.
-        let mut full = Vec::new();
-        seg.sorted_batch(0, 30, &mut full);
-        assert_eq!(bounded, full[..bounded.len()]);
-        // Everything withheld really does grade below the bound.
-        assert!(full[bounded.len()..].iter().all(|e| e.grade < g(0.7)));
     }
 
     #[test]

@@ -662,10 +662,9 @@ fn dictionary_index_out_of_range_is_corrupt_block() {
 
 #[test]
 fn lying_grade_fence_is_footer_corrupt() {
-    // A fence claiming a higher max than the block holds would let a
-    // threshold-hinted scan load (or bill) the wrong blocks; a fence
-    // claiming a lower max would skip entries it must emit. Both lies are
-    // self-consistent footers — only the open-time scan catches them.
+    // A fence claiming a higher max, or a lower min, than the block holds.
+    // Both lies are self-consistent footers — only the open-time scan
+    // catches them.
     let raise_max = |_: &mut Vec<Vec<u8>>, _: &mut Vec<Vec<u8>>, footer: &mut FooterV2| {
         footer.grade_max_bits[0] = Grade::new(0.9375).unwrap().value().to_bits();
     };

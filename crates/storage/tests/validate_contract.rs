@@ -8,9 +8,11 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use garlic_agg::Grade;
-use garlic_core::access::{CountingSource, GradedSource};
+use garlic_core::access::{BoundedBatch, CountingSource, GradedSource, MemorySource};
 use garlic_core::validate::validate_source;
-use garlic_storage::{BlockCache, SegmentSource, SegmentWriter};
+use garlic_core::{ObjectId, ShardedSource};
+use garlic_storage::format::FORMAT_VERSION;
+use garlic_storage::{BlockCache, LiveOptions, LiveSource, SegmentSource, SegmentWriter, WalOp};
 
 fn temp_path(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("garlic-storage-validate-{}", std::process::id()));
@@ -18,15 +20,18 @@ fn temp_path(name: &str) -> PathBuf {
     dir.join(name)
 }
 
+/// 100 grades over an 11-point grid: plenty of ties, several blocks.
+fn grades() -> Vec<Grade> {
+    (0..100)
+        .map(|i| Grade::clamped((i * 7 % 11) as f64 / 10.0))
+        .collect()
+}
+
 fn graded_segment(name: &str, block_size: usize) -> PathBuf {
     let path = temp_path(name);
-    // 100 grades over an 11-point grid: plenty of ties, several blocks.
-    let grades: Vec<Grade> = (0..100)
-        .map(|i| Grade::clamped((i * 7 % 11) as f64 / 10.0))
-        .collect();
     SegmentWriter::with_block_size(block_size)
         .unwrap()
-        .write_grades(&path, &grades)
+        .write_grades(&path, &grades())
         .unwrap();
     path
 }
@@ -110,4 +115,73 @@ fn crisp_and_empty_segments_pass_the_audit() {
     SegmentWriter::new().write_grades(&empty_path, &[]).unwrap();
     let empty = SegmentSource::open(&empty_path, Arc::new(BlockCache::new(8))).unwrap();
     validate_source(&empty).unwrap();
+}
+
+/// The bounded read is the plain read on every backend: whatever the
+/// bound, it appends the same entries and bills the same accesses as
+/// `try_sorted_batch`, and never reports a truncation.
+#[test]
+fn bounded_read_is_the_plain_read_on_every_backend() {
+    let grades = grades();
+    let memory = MemorySource::from_grades(&grades);
+    let segment = SegmentSource::open(
+        graded_segment("bounded.seg", 64),
+        Arc::new(BlockCache::new(64)),
+    )
+    .unwrap();
+    assert_eq!(segment.version(), FORMAT_VERSION);
+    let sharded = ShardedSource::from_grades(&grades, 3);
+    // A live snapshot: a compacted v2 base under an overlay that raises,
+    // deletes and adds objects.
+    let dir = temp_path("bounded-live");
+    let _ = std::fs::remove_dir_all(&dir);
+    let live =
+        LiveSource::open(&dir, Arc::new(BlockCache::new(64)), LiveOptions::default()).unwrap();
+    let upserts: Vec<WalOp> = grades
+        .iter()
+        .enumerate()
+        .map(|(i, &grade)| WalOp::Upsert {
+            object: ObjectId(i as u64),
+            grade,
+        })
+        .collect();
+    live.write_batch(&upserts).unwrap();
+    live.flush().unwrap();
+    live.upsert(ObjectId(3), Grade::ONE).unwrap();
+    live.delete(ObjectId(4)).unwrap();
+    live.upsert(ObjectId(150), Grade::clamped(0.45)).unwrap();
+    let snapshot = live.snapshot();
+
+    let backends: [(&str, &dyn GradedSource); 4] = [
+        ("memory", &memory),
+        ("v2 segment", &segment),
+        ("3 shards", &sharded),
+        ("live snapshot", &*snapshot),
+    ];
+    for (what, source) in backends {
+        for bound in [Grade::ZERO, Grade::clamped(0.5), Grade::ONE] {
+            let plain = CountingSource::new(source);
+            let bounded = CountingSource::new(source);
+            let (mut want, mut got) = (Vec::new(), Vec::new());
+            // Batches of 7 walk every stream past its end.
+            for start in (0..source.len() + 7).step_by(7) {
+                let appended = plain.try_sorted_batch(start, 7, &mut want).unwrap();
+                let read = bounded
+                    .try_sorted_batch_bounded(start, 7, bound, &mut got)
+                    .unwrap();
+                let expected = BoundedBatch {
+                    appended,
+                    truncated: false,
+                };
+                assert_eq!(read, expected, "{what}, bound {bound}, rank {start}");
+            }
+            assert_eq!(got, want, "{what}, bound {bound}: entries");
+            assert_eq!(
+                bounded.stats(),
+                plain.stats(),
+                "{what}, bound {bound}: bill"
+            );
+            assert_eq!(plain.stats().sorted, source.len() as u64, "{what}");
+        }
+    }
 }

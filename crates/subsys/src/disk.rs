@@ -30,8 +30,7 @@ use std::sync::Arc;
 use garlic_core::access::{GradedSource, SetAccess};
 use garlic_core::ShardedSource;
 use garlic_storage::{
-    std_vfs, BlockCache, CacheStats, FenceStats, LiveOptions, LiveSource, SegmentSource,
-    StorageError, Vfs,
+    std_vfs, BlockCache, CacheStats, LiveOptions, LiveSource, SegmentSource, StorageError, Vfs,
 };
 use garlic_telemetry::{MetricEntry, MetricValue, Telemetry};
 
@@ -117,9 +116,10 @@ pub struct DiskSubsystem {
     universe: usize,
     cache: Arc<BlockCache>,
     segments: BTreeMap<String, DiskAttribute>,
-    /// Concrete handles kept for the telemetry collector: per-attribute
-    /// fence-skip and shard scatter-gather stats are read straight off
-    /// these at snapshot time (pull-based — the query path pays nothing).
+    /// Concrete handles kept for the telemetry collector and
+    /// [`health`](DiskSubsystem::health): per-attribute I/O retry and
+    /// shard scatter-gather stats are read straight off these at snapshot
+    /// time (pull-based — the query path pays nothing).
     probes: Vec<(String, FixedProbe)>,
     /// When set, sharded attributes registered afterwards opt in to
     /// degraded reads (a quarantined shard is dropped instead of failing
@@ -178,42 +178,21 @@ impl FixedProbe {
             name,
             value: MetricValue::Counter(value),
         };
-        let fences: FenceStats = match self {
-            FixedProbe::Segment(segment) => segment.fence_stats(),
-            FixedProbe::Sharded(sharded) => {
-                let stats = sharded.scan_stats();
-                out.push(counter(format!("{prefix}.shard.emitted"), stats.emitted));
-                out.push(counter(format!("{prefix}.shard.consumed"), stats.consumed));
-                out.push(MetricEntry {
-                    name: format!("{prefix}.shard.count"),
-                    value: MetricValue::Gauge(stats.shards as i64),
-                });
-                // Realised early-termination savings, in basis points
-                // (the registry is integer-valued).
-                out.push(MetricEntry {
-                    name: format!("{prefix}.shard.savings_bp"),
-                    value: MetricValue::Gauge(
-                        (stats.early_termination_savings() * 10_000.0) as i64,
-                    ),
-                });
-                sharded
-                    .shards()
-                    .iter()
-                    .map(SegmentSource::fence_stats)
-                    .fold(FenceStats::default(), |acc, s| FenceStats {
-                        blocks_loaded: acc.blocks_loaded + s.blocks_loaded,
-                        blocks_skipped: acc.blocks_skipped + s.blocks_skipped,
-                    })
-            }
-        };
-        out.push(counter(
-            format!("{prefix}.fence.blocks_loaded"),
-            fences.blocks_loaded,
-        ));
-        out.push(counter(
-            format!("{prefix}.fence.blocks_skipped"),
-            fences.blocks_skipped,
-        ));
+        if let FixedProbe::Sharded(sharded) = self {
+            let stats = sharded.scan_stats();
+            out.push(counter(format!("{prefix}.shard.emitted"), stats.emitted));
+            out.push(counter(format!("{prefix}.shard.consumed"), stats.consumed));
+            out.push(MetricEntry {
+                name: format!("{prefix}.shard.count"),
+                value: MetricValue::Gauge(stats.shards as i64),
+            });
+            // Realised early-termination savings, in basis points (the
+            // registry is integer-valued).
+            out.push(MetricEntry {
+                name: format!("{prefix}.shard.savings_bp"),
+                value: MetricValue::Gauge((stats.early_termination_savings() * 10_000.0) as i64),
+            });
+        }
         let (mut retries, mut gave_up, mut quarantined) = (0u64, 0u64, 0i64);
         for segment in self.segments() {
             retries += segment.io_retries();
@@ -453,8 +432,8 @@ impl DiskSubsystem {
     /// Registers this subsystem's storage stats with `telemetry`, all
     /// pull-based: the shared cache's counters (under
     /// `storage.<name>.cache.*`, via [`BlockCache::register_telemetry`])
-    /// plus, per fixed attribute, the segment grade-fence block outcomes
-    /// (`storage.<name>.<attr>.fence.blocks_loaded` / `.blocks_skipped`)
+    /// plus, per fixed attribute, the I/O health counters
+    /// (`storage.<name>.<attr>.io_retries`, `.io_gave_up`, `.quarantined`)
     /// and — for sharded attributes — the scatter-gather merge stats
     /// (`.shard.emitted`, `.shard.consumed`, `.shard.count`,
     /// `.shard.savings_bp`). Query hot paths are untouched; everything is

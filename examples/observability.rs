@@ -88,7 +88,7 @@ fn main() {
 
     // 3. The registry, scraped. Counters/gauges/histograms from the
     //    middleware and service layers land here; a disk-backed catalog
-    //    would add cache hit rates, fence skips, and shard fan-out under
+    //    would add cache hit rates, I/O retries, and shard fan-out under
     //    `storage.*` through the same snapshot.
     let snap = telemetry.snapshot();
     println!("\n== telemetry snapshot (Prometheus exposition)");
