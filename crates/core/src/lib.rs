@@ -18,9 +18,10 @@
 //! * [`complement`] — negated atoms as reversed, grade-complemented
 //!   sources (the Section 7 `π_{¬Q}` observation);
 //! * [`sharded`] — scatter-gather over object-id-range shards: a
-//!   tie-order-stable demand-driven k-way merge with a shared grade
-//!   frontier, bit-identical to the unsharded stream (Section 5's
-//!   threshold argument applied across shards);
+//!   tie-order-stable demand-driven k-way merge that refills each shard
+//!   with its share of the remaining demand, bit-identical to the
+//!   unsharded stream (Section 5's threshold argument applied across
+//!   shards);
 //! * [`fx`] — the vendored fast hash keying every hot-path map (engine
 //!   slot resolution, random-access indexes, block-cache keys);
 //! * [`validate`] — a linear audit of the access contract, for vetting

@@ -16,14 +16,13 @@
 //! deep as the merged prefix actually needs, so a top-k consumer that
 //! stops at depth `T` costs roughly `T` shard entries in total — not the
 //! `S × T` a naive scatter-gather (every shard scanned to the global
-//! depth) pays. A shared atomic **grade frontier** — the lowest grade the
-//! merge has emitted — governs per-shard prefetch: a shard whose last
-//! yielded grade has fallen below the frontier cannot contribute soon, so
-//! its refills drop to a minimal probe chunk while shards still above the
-//! frontier stream large (optionally parallel) chunks. The frontier only
-//! shapes *when* entries are fetched, never *which* entries are emitted,
-//! so correctness never depends on it. [`ShardedSource::scan_stats`]
-//! reports the realised early-termination savings.
+//! depth) pays. A shard whose buffer runs dry is refilled with its share
+//! of what the merge still owes — `remaining / live + 1` entries, clamped
+//! to 16..=4096 — and large refills of several shards run in parallel.
+//! The chunk size only shapes *when* entries are fetched, never *which*
+//! entries are emitted, so correctness never depends on it.
+//! [`ShardedSource::scan_stats`] reports the realised early-termination
+//! savings.
 //!
 //! Random access routes each probe to its owning shard by binary search
 //! over the shard fences ([`ShardedSource::shard_of`]), and batched random
@@ -42,9 +41,8 @@ use crate::fx::FxHashSet;
 use crate::graded_set::GradedEntry;
 use crate::object::ObjectId;
 
-/// Smallest refill chunk: enough to learn a shard's next few heads without
-/// committing to a deep read of a shard the frontier says is out of the
-/// race.
+/// Smallest refill chunk: a shard's share of a nearly finished merge still
+/// reads enough to learn its next few heads.
 const MIN_CHUNK: usize = 16;
 
 /// Largest refill chunk per shard — bounds prefetch overshoot past the
@@ -91,10 +89,6 @@ struct ShardRun {
     next_rank: usize,
     /// Whether the shard returned a short batch (no entries remain).
     exhausted: bool,
-    /// Grade of the last entry this shard yielded — an upper bound on
-    /// everything it still holds, compared against the frontier to size
-    /// refills.
-    last_grade: Option<Grade>,
     /// Whether this shard was quarantined and replaced by its zero-grade
     /// remainder (degraded reads; see
     /// [`ShardedSource::with_degraded_reads`]).
@@ -108,7 +102,6 @@ impl ShardRun {
             pos: 0,
             next_rank: 0,
             exhausted: false,
-            last_grade: None,
             dropped: false,
         }
     }
@@ -134,13 +127,12 @@ struct MergeState {
 
 /// `S` child sources serving one logical graded list, partitioned by
 /// object-id range. Implements the full [`GradedSource`] (+ [`SetAccess`])
-/// contract; see the module docs for the merge, frontier, and routing
+/// contract; see the module docs for the merge, refill, and routing
 /// rules.
 ///
 /// The merged prefix is cached internally (interior mutability), so a
 /// source that was streamed deep once serves later shallow scans without
-/// touching the shards again; [`reset_scan`](ShardedSource::reset_scan)
-/// drops that cache for cold-path measurement.
+/// touching the shards again.
 #[derive(Debug)]
 pub struct ShardedSource<S> {
     shards: Vec<S>,
@@ -149,9 +141,6 @@ pub struct ShardedSource<S> {
     fences: Vec<u64>,
     len: usize,
     state: Mutex<MergeState>,
-    /// Bits of the lowest merged grade emitted so far (grades are
-    /// non-negative, so the f64 bit pattern orders like the value).
-    frontier: AtomicU64,
     emitted: AtomicU64,
     consumed: AtomicU64,
     /// Exclusive end of the dense object-id universe when degraded reads
@@ -197,7 +186,6 @@ impl<S: GradedSource> ShardedSource<S> {
                 merged: Vec::new(),
                 runs,
             }),
-            frontier: AtomicU64::new(Grade::ONE.value().to_bits()),
             emitted: AtomicU64::new(0),
             consumed: AtomicU64::new(0),
             degrade_universe: None,
@@ -305,7 +293,6 @@ impl<S: GradedSource> ShardedSource<S> {
         }));
         run.exhausted = true;
         run.dropped = true;
-        run.last_grade = Some(Grade::ZERO);
         self.dropped[shard].store(true, Ordering::Release);
         Ok(())
     }
@@ -336,39 +323,6 @@ impl<S: GradedSource> ShardedSource<S> {
             consumed: self.consumed.load(Ordering::Relaxed),
             shards: self.shards.len(),
         }
-    }
-
-    /// Drops the cached merged prefix and all shard buffers, returning the
-    /// source to its just-built state (counters included; dropped shards
-    /// are *not* resurrected — quarantine outlives the scan cache). The
-    /// next sorted access replays the merge from the shards — this is how
-    /// cold-path benchmarks measure the scatter-gather itself rather than
-    /// the cache.
-    pub fn reset_scan(&self) {
-        let mut state = self.state();
-        state.merged = Vec::new();
-        for (shard, run) in state.runs.iter_mut().enumerate() {
-            *run = ShardRun::new();
-            if self.dropped[shard].load(Ordering::Acquire) {
-                // Rebuild the zero-grade remainder for an already-dropped
-                // shard rather than re-reading a quarantined source.
-                run.dropped = true;
-                run.exhausted = true;
-                let universe = self
-                    .degrade_universe
-                    .expect("dropped flag implies degraded reads");
-                run.buf
-                    .extend(self.shard_range(shard, universe).map(|id| GradedEntry {
-                        object: ObjectId(id),
-                        grade: Grade::ZERO,
-                    }));
-                run.last_grade = Some(Grade::ZERO);
-            }
-        }
-        self.frontier
-            .store(Grade::ONE.value().to_bits(), Ordering::Relaxed);
-        self.emitted.store(0, Ordering::Relaxed);
-        self.consumed.store(0, Ordering::Relaxed);
     }
 
     /// Extends the merged prefix to `target` entries (or to exhaustion).
@@ -403,18 +357,15 @@ impl<S: GradedSource> ShardedSource<S> {
                     .reserve_exact(have.max(MIN_CHUNK).min(self.len - have));
             }
             state.merged.push(entry);
-            self.frontier
-                .store(entry.grade.value().to_bits(), Ordering::Relaxed);
             self.emitted
                 .store(state.merged.len() as u64, Ordering::Relaxed);
         }
         Ok(())
     }
 
-    /// Refills every shard whose buffer ran dry. Shards whose last yielded
-    /// grade is still at/above the frontier stream demand-sized chunks;
-    /// shards already below it get [`MIN_CHUNK`] probes. Large refills of
-    /// two or more shards run on scoped threads.
+    /// Refills every shard whose buffer ran dry with a demand-sized chunk:
+    /// its share of the entries the merge still owes. Large refills of two
+    /// or more shards run on scoped threads.
     ///
     /// Retry safety: a failing shard's buffer is cleared before the read
     /// and left empty by the `try_sorted_batch` contract, with `next_rank`
@@ -430,17 +381,12 @@ impl<S: GradedSource> ShardedSource<S> {
         if hungry == 0 {
             return Ok(());
         }
-        let frontier = Grade::clamped(f64::from_bits(self.frontier.load(Ordering::Relaxed)));
         let live = state.runs.iter().filter(|r| !r.exhausted).count().max(1);
-        let demand = (remaining / live + 1).clamp(MIN_CHUNK, MAX_CHUNK);
-        let chunk_for = |run: &ShardRun| match run.last_grade {
-            Some(last) if last < frontier => MIN_CHUNK,
-            _ => demand,
-        };
+        let chunk = (remaining / live + 1).clamp(MIN_CHUNK, MAX_CHUNK);
 
         let mut total = 0usize;
         let mut failures: Vec<(usize, SourceError)> = Vec::new();
-        let parallel = hungry >= 2 && demand >= PARALLEL_MIN_CHUNK;
+        let parallel = hungry >= 2 && chunk >= PARALLEL_MIN_CHUNK;
         if parallel {
             std::thread::scope(|scope| {
                 let mut pending = Vec::new();
@@ -448,7 +394,6 @@ impl<S: GradedSource> ShardedSource<S> {
                     if !run.needs_refill() {
                         continue;
                     }
-                    let chunk = chunk_for(run);
                     pending.push((
                         index,
                         scope.spawn(move || {
@@ -472,7 +417,6 @@ impl<S: GradedSource> ShardedSource<S> {
                 if !run.needs_refill() {
                     continue;
                 }
-                let chunk = chunk_for(run);
                 run.buf.clear();
                 run.pos = 0;
                 match shard.try_sorted_batch(run.next_rank, chunk, &mut run.buf) {
@@ -496,9 +440,6 @@ fn finish_refill(run: &mut ShardRun, got: usize, chunk: usize) {
     run.next_rank += got;
     if got < chunk {
         run.exhausted = true;
-    }
-    if let Some(last) = run.buf.last() {
-        run.last_grade = Some(last.grade);
     }
 }
 
@@ -893,19 +834,6 @@ mod tests {
             4 * stats.emitted
         );
         assert!(stats.early_termination_savings() > 0.0);
-    }
-
-    #[test]
-    fn reset_scan_replays_the_identical_stream() {
-        let data = pairs(600, 13);
-        let sharded = ShardedSource::from_pairs(data, 4);
-        let mut first = Vec::new();
-        sharded.sorted_batch(0, 600, &mut first);
-        sharded.reset_scan();
-        assert_eq!(sharded.scan_stats().consumed, 0);
-        let mut second = Vec::new();
-        sharded.sorted_batch(0, 600, &mut second);
-        assert_eq!(first, second);
     }
 
     #[test]

@@ -22,50 +22,50 @@
 //! └────────────────────┘
 //! ```
 //!
-//! In **version 1** every block is exactly `block_size` bytes
-//! (zero-padded), holding `block_size / 16` entries of 16 bytes each:
-//! object id (`u64` LE) followed by grade (`f64` LE bit pattern).
-//!
-//! **Version 2** keeps the same logical geometry — a block still holds
+//! Both versions share the logical geometry: a block holds
 //! `block_size / 16` entries, so ranks, fences, and cache keys mean the
-//! same thing in both versions — but each block is stored *compressed*
-//! as a back-to-back variable-length byte run, with per-block byte
-//! lengths recorded in the footer:
+//! same thing in both. The version decides only how a block's entries are
+//! stored — its [`Encoding`] — and which fields the footer carries:
 //!
-//! * entries are interleaved `[id][grade]` varint streams. The first id
-//!   of a block is a plain LEB128 varint; later ids are encoded as the
-//!   delta from the previous id (zigzag-varint with wrapping arithmetic
-//!   in data blocks where ids arrive in skeleton order, plain varint of
-//!   the strictly-positive delta in the ascending table blocks);
-//! * grades use one of two segment-wide modes. When the list has at
-//!   most [`GRADE_DICT_MAX`] distinct grade bit patterns the footer
-//!   carries a sorted dictionary of raw `f64` bit patterns and each
-//!   entry stores a varint dictionary index — the exact bit pattern
-//!   round-trips by construction, so quantized corpora pay one or two
-//!   bytes per grade with zero loss. Otherwise
-//!   ([`FLAG_GRADE_DICT`] clear) the first grade of a block is stored
-//!   as raw bits and later grades as bit-pattern deltas (plain varint
-//!   of the non-negative decrease in data blocks, zigzag in table
-//!   blocks) — also bit-exact, because the IEEE-754 bit patterns of the
-//!   non-negative grades order exactly like their values;
-//! * the footer grows per-data-block `grade_max`/`grade_min` fences,
-//!   which the reader verifies against every block at open, plus the
-//!   per-block encoded byte lengths that locate each block in the file.
+//! * **Version 1** ([`Encoding::Slots`]) stores every block as exactly
+//!   `block_size` bytes (zero-padded) of 16-byte slots: object id (`u64`
+//!   LE) followed by grade (`f64` LE bit pattern).
+//! * **Version 2** stores each block *compressed*, as a back-to-back
+//!   variable-length byte run. Entries are interleaved `[id][grade]`
+//!   varint streams. The first id of a block is a plain LEB128 varint;
+//!   later ids are the delta from the previous id (zigzag-varint with
+//!   wrapping arithmetic in data blocks where ids arrive in skeleton
+//!   order, plain varint of the strictly-positive delta in the ascending
+//!   table blocks). Grades use one of two segment-wide modes. When the
+//!   list has at most [`GRADE_DICT_MAX`] distinct grade bit patterns
+//!   ([`Encoding::Dict`], [`FLAG_GRADE_DICT`] set) the footer carries a
+//!   sorted dictionary of raw `f64` bit patterns and each entry stores a
+//!   varint dictionary index — the exact bit pattern round-trips by
+//!   construction. Otherwise ([`Encoding::Delta`]) the first grade of a
+//!   block is stored as raw bits and later grades as bit-pattern deltas
+//!   (plain varint of the non-negative decrease in data blocks, zigzag in
+//!   table blocks) — also bit-exact, because the IEEE-754 bit patterns of
+//!   the non-negative grades order exactly like their values.
 //!
-//! Both versions checksum every block (FNV-1a 64) in a self-checksummed
-//! footer found via the trailer, and both get the same full open-time
-//! verification; a decoder never trusts a varint stream past the bytes
-//! its checksum covered.
+//! There is one [`Footer`] type. Its version-2 layout adds the per-block
+//! encoded byte lengths that locate each block in the file, per-data-block
+//! `grade_max`/`grade_min` fences (verified against every block at open)
+//! and the dictionary; a parsed version-1 footer gives every block
+//! `block_size` bytes and has no fences or dictionary. Both versions
+//! checksum every block (FNV-1a 64) in a self-checksummed footer found via
+//! the trailer, and both get the same open-time verification; a decoder
+//! never trusts a varint stream past the bytes its checksum covered.
 //!
-//! A v2 block is a delta chain, so reading entry `i` means decoding the
-//! `i` entries in front of it. The reader shortens that walk with
-//! **restart points** ([`Restart`]): the decoder's state — byte offset,
-//! previous object id, previous grade bits — in front of every
+//! [`Block`] is the one block decoder, for all three encodings. A slot is
+//! addressed directly; a v2 block is a delta chain, so reading entry `i`
+//! means decoding the `i` entries in front of it. The reader shortens that
+//! walk with **restart points** ([`Restart`]): the decoder's state — byte
+//! offset, previous object id, previous grade bits — in front of every
 //! [`RESTART_INTERVAL`]-th entry, noted down while `open` decodes each
 //! block to verify it. They live in memory only; the file holds none and
-//! its bytes are the same with or without them. [`BlockV2`] is the one
-//! decoder: it resumes from a restart (or from a block's start, which is
-//! the zero state) and applies every framing check wherever it starts.
+//! its bytes are the same with or without them. The v2 walk resumes from
+//! a restart (or from a block's start, which is the zero state) and
+//! applies every framing check wherever it starts.
 
 use garlic_agg::Grade;
 use garlic_core::GradedEntry;
@@ -110,46 +110,11 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Encodes one entry into a 16-byte slot.
+/// Encodes one entry into a 16-byte slot — the v1 storage form, and the
+/// canonical form the open-time scan digests in both versions.
 pub fn encode_entry(slot: &mut [u8], entry: GradedEntry) {
     slot[..8].copy_from_slice(&entry.object.0.to_le_bytes());
     slot[8..ENTRY_LEN].copy_from_slice(&entry.grade.value().to_bits().to_le_bytes());
-}
-
-/// Decodes the raw `(object id, grade bits)` of the 16-byte slot at
-/// `index` within a block. Grade validity is the caller's concern (it is
-/// checked once, at open time).
-pub fn decode_raw(block: &[u8], index: usize) -> (u64, f64) {
-    let off = index * ENTRY_LEN;
-    let object = u64::from_le_bytes(block[off..off + 8].try_into().expect("8-byte slot"));
-    let bits = u64::from_le_bytes(
-        block[off + 8..off + ENTRY_LEN]
-            .try_into()
-            .expect("8-byte slot"),
-    );
-    (object, f64::from_bits(bits))
-}
-
-/// Decodes the entries in slots `[from, to)` of an open-time-verified v1
-/// block, appending to `out` — the hot path of sequential streaming.
-/// `chunks_exact` hands the compiler fixed 16-byte windows, so the loop
-/// compiles without per-entry bounds checks — and without a per-entry
-/// panic edge: grade validity needs no re-check here, because every block
-/// reaching this function came through a checksum-verified load of bytes
-/// the open-time scan already validated grade by grade (a post-open
-/// mutation fails the load's checksum and panics there, per the same
-/// torn-write/bit-rot — not adversary — trust model as the checksums
-/// themselves). [`Grade::clamped`] still upholds the `[0, 1]` type
-/// invariant unconditionally, so every read path behaves identically on
-/// any block a verified load can produce.
-pub fn decode_entries(block: &[u8], from: usize, to: usize, out: &mut Vec<GradedEntry>) {
-    let payload = &block[from * ENTRY_LEN..to * ENTRY_LEN];
-    out.reserve(to - from);
-    out.extend(payload.chunks_exact(ENTRY_LEN).map(|chunk| {
-        let object = u64::from_le_bytes(chunk[..8].try_into().expect("8-byte slot"));
-        let bits = u64::from_le_bytes(chunk[8..ENTRY_LEN].try_into().expect("8-byte slot"));
-        GradedEntry::new(object, Grade::clamped(f64::from_bits(bits)))
-    }));
 }
 
 /// Reads a little-endian `u64` at `off`.
@@ -157,12 +122,14 @@ pub fn read_u64(bytes: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8-byte field"))
 }
 
-/// The parsed footer: everything needed to address and verify the blocks.
-#[derive(Debug, Clone)]
+/// The parsed footer of either version: everything needed to address and
+/// verify the blocks.
+#[derive(Debug, Clone, Default)]
 pub struct Footer {
-    /// Flag bits ([`FLAG_CRISP`], ...).
+    /// Flag bits ([`FLAG_CRISP`], [`FLAG_GRADE_DICT`], ...).
     pub flags: u64,
-    /// Block size in bytes.
+    /// *Logical* block size in bytes — fixes entries-per-block geometry;
+    /// encoded v2 blocks are smaller.
     pub block_size: usize,
     /// Number of graded entries.
     pub num_entries: u64,
@@ -172,137 +139,218 @@ pub struct Footer {
     pub data_blocks: u64,
     /// Number of table (object-order) blocks.
     pub table_blocks: u64,
-    /// FNV-1a checksum of every data block, in order.
+    /// FNV-1a checksum of every data block's stored bytes, in order.
     pub data_checksums: Vec<u64>,
-    /// FNV-1a checksum of every table block, in order.
+    /// FNV-1a checksum of every table block's stored bytes, in order.
     pub table_checksums: Vec<u64>,
     /// The first object id stored in each table block — the in-memory
     /// fence index that routes a random access to a single block.
     pub table_first_ids: Vec<u64>,
+    /// Stored byte length of every data block, in order (`block_size`
+    /// each in version 1).
+    pub data_block_lens: Vec<u64>,
+    /// Stored byte length of every table block, in order.
+    pub table_block_lens: Vec<u64>,
+    /// Grade bits of each data block's first (greatest) entry (version 2;
+    /// empty in version 1).
+    pub grade_max_bits: Vec<u64>,
+    /// Grade bits of each data block's last (least) entry (version 2;
+    /// empty in version 1).
+    pub grade_min_bits: Vec<u64>,
+    /// Sorted distinct grade bit patterns (version 2 dictionary mode only;
+    /// empty when [`FLAG_GRADE_DICT`] is clear).
+    pub grade_dict: Vec<u64>,
 }
 
 impl Footer {
-    /// Fixed-length prefix of the footer (all scalar fields).
-    const SCALARS: usize = 6 * 8;
-
-    /// Serialized length in bytes (including the trailing self-checksum).
-    pub fn encoded_len(&self) -> u64 {
-        (Self::SCALARS
-            + 8 * (self.data_checksums.len()
-                + self.table_checksums.len()
-                + self.table_first_ids.len())
-            + 8) as u64
-    }
-
-    /// Serializes the footer, appending its own FNV-1a checksum.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len() as usize);
-        for v in [
+    /// Serializes the footer in the layout of format `version`, appending
+    /// its own FNV-1a checksum. Version 1 writes six scalars and the
+    /// checksum and fence lists; version 2 adds the dictionary length to
+    /// the scalars and the block lengths, grade fences and dictionary to
+    /// the lists.
+    pub fn encode(&self, version: u32) -> Vec<u8> {
+        let mut scalars = vec![
             self.flags,
             self.block_size as u64,
             self.num_entries,
             self.ones,
             self.data_blocks,
             self.table_blocks,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for list in [
+        ];
+        let mut lists = vec![
             &self.data_checksums,
             &self.table_checksums,
             &self.table_first_ids,
-        ] {
-            for v in list {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
+        ];
+        if version != FORMAT_V1 {
+            scalars.push(self.grade_dict.len() as u64);
+            lists.extend([
+                &self.data_block_lens,
+                &self.table_block_lens,
+                &self.grade_max_bits,
+                &self.grade_min_bits,
+                &self.grade_dict,
+            ]);
         }
+        let mut out: Vec<u8> = scalars
+            .iter()
+            .chain(lists.into_iter().flatten())
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
         let checksum = fnv1a64(&out);
         out.extend_from_slice(&checksum.to_le_bytes());
         out
     }
 
-    /// Parses and verifies a serialized footer.
-    pub fn parse(bytes: &[u8]) -> Result<Footer, StorageError> {
-        if bytes.len() < Self::SCALARS + 8 {
-            return Err(StorageError::FooterCorrupt {
-                detail: format!("footer too short ({} bytes)", bytes.len()),
-            });
+    /// Parses and verifies a serialized footer of format `version`.
+    /// Everything a forged footer could abuse downstream — geometry, list
+    /// lengths, fence ordering and, in version 2, block byte lengths,
+    /// grade fences and dictionary shape — is checked here with
+    /// overflow-safe arithmetic before any block is read.
+    pub fn parse(bytes: &[u8], version: u32) -> Result<Footer, StorageError> {
+        let corrupt = |detail: String| StorageError::FooterCorrupt { detail };
+        let v2 = version != FORMAT_V1;
+        let scalars = if v2 { 7 * 8 } else { 6 * 8 };
+        if bytes.len() < scalars + 8 {
+            return Err(corrupt(format!("footer too short ({} bytes)", bytes.len())));
         }
         let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let stored = read_u64(tail, 0);
-        if fnv1a64(body) != stored {
-            return Err(StorageError::FooterCorrupt {
-                detail: "footer checksum mismatch".to_owned(),
-            });
+        if fnv1a64(body) != read_u64(tail, 0) {
+            return Err(corrupt("footer checksum mismatch".to_owned()));
         }
-        let flags = read_u64(body, 0);
-        let block_size = read_u64(body, 8);
-        let num_entries = read_u64(body, 16);
-        let ones = read_u64(body, 24);
-        let data_blocks = read_u64(body, 32);
-        let table_blocks = read_u64(body, 40);
+        let [flags, block_size, num_entries, ones, data_blocks, table_blocks] =
+            std::array::from_fn(|i| read_u64(body, 8 * i));
+        let dict_len = if v2 { read_u64(body, 48) } else { 0 };
         if block_size == 0
             || block_size > MAX_BLOCK_SIZE as u64
             || !block_size.is_multiple_of(ENTRY_LEN as u64)
         {
-            return Err(StorageError::FooterCorrupt {
-                detail: format!("invalid block size {block_size}"),
-            });
+            return Err(corrupt(format!("invalid block size {block_size}")));
         }
-        let lists = data_blocks
-            .checked_add(table_blocks)
-            .and_then(|v| v.checked_add(table_blocks))
+        if dict_len > GRADE_DICT_MAX as u64 {
+            return Err(corrupt(format!(
+                "grade dictionary of {dict_len} exceeds the {GRADE_DICT_MAX} cap"
+            )));
+        }
+        let (d, t) = (data_blocks, table_blocks);
+        let counts: &[u64] = if v2 {
+            &[d, t, t, d, t, d, d, dict_len]
+        } else {
+            &[d, t, t]
+        };
+        let want = counts
+            .iter()
+            .try_fold(0u64, |acc, &n| acc.checked_add(n))
             .and_then(|v| v.checked_mul(8))
-            .and_then(|v| v.checked_add(Self::SCALARS as u64))
-            .ok_or_else(|| StorageError::FooterCorrupt {
-                detail: "block counts overflow".to_owned(),
-            })?;
-        if body.len() as u64 != lists {
-            return Err(StorageError::FooterCorrupt {
-                detail: format!(
-                    "footer length {} disagrees with block counts {data_blocks}+{table_blocks}",
-                    bytes.len()
-                ),
-            });
+            .and_then(|v| v.checked_add(scalars as u64))
+            .ok_or_else(|| corrupt("block counts overflow".to_owned()))?;
+        if body.len() as u64 != want {
+            return Err(corrupt(format!(
+                "footer length {} disagrees with block counts {d}+{t}",
+                bytes.len()
+            )));
         }
         let entries_per_block = block_size / ENTRY_LEN as u64;
         let expected_blocks = num_entries.div_ceil(entries_per_block);
-        if data_blocks != expected_blocks || table_blocks != expected_blocks {
-            return Err(StorageError::FooterCorrupt {
-                detail: format!(
-                    "{num_entries} entries at {entries_per_block}/block need {expected_blocks} \
-                     blocks per region, footer says {data_blocks}/{table_blocks}"
-                ),
-            });
+        if d != expected_blocks || t != expected_blocks {
+            return Err(corrupt(format!(
+                "{num_entries} entries at {entries_per_block}/block need {expected_blocks} \
+                 blocks per region, footer says {d}/{t}"
+            )));
         }
-        let mut off = Self::SCALARS;
+        let mut off = scalars;
         let mut take = |count: u64| {
-            let mut out = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                out.push(read_u64(body, off));
-                off += 8;
-            }
+            let out: Vec<u64> = (0..count)
+                .map(|i| read_u64(body, off + 8 * i as usize))
+                .collect();
+            off += out.len() * 8;
             out
         };
-        let data_checksums = take(data_blocks);
-        let table_checksums = take(table_blocks);
-        let table_first_ids = take(table_blocks);
-        if !table_first_ids.windows(2).all(|w| w[0] < w[1]) {
-            return Err(StorageError::FooterCorrupt {
-                detail: "table fence ids not strictly ascending".to_owned(),
-            });
-        }
-        Ok(Footer {
+        let mut footer = Footer {
             flags,
             block_size: block_size as usize,
             num_entries,
             ones,
-            data_blocks,
-            table_blocks,
-            data_checksums,
-            table_checksums,
-            table_first_ids,
-        })
+            data_blocks: d,
+            table_blocks: t,
+            data_checksums: take(d),
+            table_checksums: take(t),
+            table_first_ids: take(t),
+            data_block_lens: vec![block_size; d as usize],
+            table_block_lens: vec![block_size; t as usize],
+            ..Footer::default()
+        };
+        if !footer.table_first_ids.windows(2).all(|w| w[0] < w[1]) {
+            return Err(corrupt("table fence ids not strictly ascending".to_owned()));
+        }
+        if v2 {
+            footer.data_block_lens = take(d);
+            footer.table_block_lens = take(t);
+            footer.grade_max_bits = take(d);
+            footer.grade_min_bits = take(d);
+            footer.grade_dict = take(dict_len);
+            footer.check_v2_fields()?;
+        }
+        Ok(footer)
+    }
+
+    /// The checks only a version-2 footer needs: block byte lengths, the
+    /// grade fences, and the dictionary's flag, order and values.
+    fn check_v2_fields(&self) -> Result<(), StorageError> {
+        let corrupt = |detail: String| Err(StorageError::FooterCorrupt { detail });
+        // An encoded block can exceed its logical size only modestly (a
+        // worst-case varint entry is 20 bytes vs 16 raw, plus one raw
+        // first grade); 2× bounds every read buffer a forged length
+        // could request before its checksum is consulted.
+        let max_len = 2 * self.block_size as u64;
+        for (region, lens) in [
+            ("data", &self.data_block_lens),
+            ("table", &self.table_block_lens),
+        ] {
+            if let Some(bad) = lens.iter().find(|&&len| len == 0 || len > max_len) {
+                return corrupt(format!("{region} block length {bad} out of range"));
+            }
+        }
+        let valid_grade_bits = |bits: u64| Grade::new(f64::from_bits(bits)).is_ok();
+        let fences = self.grade_max_bits.iter().zip(&self.grade_min_bits);
+        for (i, (&max, &min)) in fences.enumerate() {
+            if !valid_grade_bits(max) || !valid_grade_bits(min) {
+                return corrupt(format!("data block {i} grade fence out of [0, 1]"));
+            }
+            // Non-negative f64 bit patterns order like their values, so
+            // fence ordering is a plain integer comparison.
+            if max < min {
+                return corrupt(format!("data block {i} grade fence inverted"));
+            }
+            if self
+                .grade_max_bits
+                .get(i + 1)
+                .is_some_and(|&next| min < next)
+            {
+                return corrupt(format!(
+                    "grade fences of data blocks {i} and {} violate descending order",
+                    i + 1
+                ));
+            }
+        }
+        let dict_mode = self.flags & FLAG_GRADE_DICT != 0;
+        let dict_len = self.grade_dict.len();
+        if dict_mode != (dict_len > 0) && self.num_entries > 0 {
+            return corrupt(format!(
+                "dictionary flag {dict_mode} disagrees with dictionary length {dict_len}"
+            ));
+        }
+        if !self.grade_dict.windows(2).all(|w| w[0] < w[1]) {
+            return corrupt("grade dictionary not strictly ascending".to_owned());
+        }
+        if let Some(&bad) = self
+            .grade_dict
+            .iter()
+            .find(|&&bits| !valid_grade_bits(bits))
+        {
+            return corrupt(format!("grade dictionary entry {bad:#x} outside [0, 1]"));
+        }
+        Ok(())
     }
 }
 
@@ -317,7 +365,7 @@ pub fn check_block_size(block_size: usize) -> Result<(), StorageError> {
 }
 
 // ---------------------------------------------------------------------------
-// Version 2: varint codecs, compressed blocks, fenced footer.
+// Block encodings: fixed slots (v1), varint delta chains (v2).
 // ---------------------------------------------------------------------------
 
 /// Footer flag bit (v2): grades are stored as indices into the footer's
@@ -403,8 +451,8 @@ pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// Which region a v2 block belongs to — the two regions delta-encode
-/// differently because their sort orders differ.
+/// Which region a block belongs to — the two regions delta-encode
+/// differently in v2 because their sort orders differ.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RegionKind {
     /// Descending-grade skeleton order: ids are arbitrary (zigzag
@@ -415,10 +463,53 @@ pub enum RegionKind {
     Table,
 }
 
-/// Encodes one v2 block. `dict` is the sorted grade dictionary when the
-/// segment uses dictionary mode ([`FLAG_GRADE_DICT`]); entries' grade
-/// bits must then all be present in it.
-pub fn encode_block_v2(entries: &[GradedEntry], kind: RegionKind, dict: Option<&[u64]>) -> Vec<u8> {
+/// How a block stores its entries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Encoding<'a> {
+    /// Version 1: fixed 16-byte slots ([`encode_entry`]), zero-padded to
+    /// the block size. A slot is read in place, so this mode records no
+    /// restart points.
+    Slots,
+    /// Version 2 with grades as bit-pattern deltas.
+    Delta,
+    /// Version 2 with grades as indices into this sorted dictionary
+    /// ([`FLAG_GRADE_DICT`]).
+    Dict(&'a [u64]),
+}
+
+impl<'a> Encoding<'a> {
+    /// The encoding of every block of a format-`version` segment whose
+    /// footer dictionary is `dict` (empty outside dictionary mode) — the
+    /// one place a block's layout follows from the format version.
+    pub fn of(version: u32, dict: &'a [u64]) -> Self {
+        match version {
+            FORMAT_V1 => Encoding::Slots,
+            _ if dict.is_empty() => Encoding::Delta,
+            _ => Encoding::Dict(dict),
+        }
+    }
+}
+
+/// Encodes one block. A slot block ([`Encoding::Slots`]) is zero-padded to
+/// `block_size` bytes; a v2 block is as long as its varints. In
+/// [`Encoding::Dict`] every entry's grade bits must be in the dictionary.
+pub fn encode_block(
+    entries: &[GradedEntry],
+    kind: RegionKind,
+    encoding: Encoding,
+    block_size: usize,
+) -> Vec<u8> {
+    let dict = match encoding {
+        Encoding::Slots => {
+            let mut out = vec![0u8; block_size];
+            for (slot, &entry) in out.chunks_exact_mut(ENTRY_LEN).zip(entries) {
+                encode_entry(slot, entry);
+            }
+            return out;
+        }
+        Encoding::Delta => None,
+        Encoding::Dict(dict) => Some(dict),
+    };
     let mut out = Vec::with_capacity(entries.len() * 4);
     let mut prev_id: u64 = 0;
     let mut prev_bits: u64 = 0;
@@ -475,53 +566,69 @@ fn fault(index: usize, what: &str) -> String {
     format!("entry {index}: {what}")
 }
 
-/// A checksum-verified v2 block together with what decoding it needs.
-/// Every read of a v2 block — the full decode `open` verifies with, a
-/// sorted range, a table probe — is one resumable walk (the private `run`):
-/// start state in, entries out.
+/// A graded entry from its raw bits. Grade bits are trusted on every read
+/// path: each block a read decodes came through a checksum-verified load
+/// of bytes the open-time scan validated grade by grade (a post-open
+/// mutation fails the load's checksum, per the same torn-write/bit-rot —
+/// not adversary — trust model as the checksums themselves), and
+/// [`Grade::clamped`] upholds the `[0, 1]` type invariant regardless.
+fn entry_of(id: u64, bits: u64) -> GradedEntry {
+    GradedEntry::new(id, Grade::clamped(f64::from_bits(bits)))
+}
+
+/// A checksum-verified block together with what decoding it needs. Every
+/// read of a block — the full decode `open` verifies with, a sorted range,
+/// a table probe — dispatches on the [`Encoding`] once: slots are read in
+/// place, and a v2 block is one resumable walk (the private `run`): start
+/// state in, entries out.
 #[derive(Debug, Clone, Copy)]
-pub struct BlockV2<'a> {
-    /// The block's encoded bytes.
+pub struct Block<'a> {
+    /// The block's stored bytes.
     pub bytes: &'a [u8],
     /// Number of entries the block holds.
     pub count: usize,
-    /// Which region's encoding the bytes use.
+    /// Which region's order (and v2 delta encoding) the bytes use.
     pub kind: RegionKind,
-    /// The sorted grade dictionary in dictionary mode
-    /// ([`FLAG_GRADE_DICT`]), else `None`.
-    pub dict: Option<&'a [u64]>,
-    /// The block's restart points: element `r` stands in front of entry
-    /// `(r + 1) * RESTART_INTERVAL`. Empty means "decode from the start",
-    /// which is always correct and is what `open` does.
+    /// How the entries are stored.
+    pub encoding: Encoding<'a>,
+    /// The block's restart points (v2): element `r` stands in front of
+    /// entry `(r + 1) * RESTART_INTERVAL`. Empty means "decode from the
+    /// start", which is always correct and is what `open` does.
     pub restarts: &'a [Restart],
 }
 
-impl<'a> BlockV2<'a> {
-    /// The block with no restart points, so every read decodes from its
-    /// start — what `open` verifies with, before any restart exists.
-    pub fn from_start(
+impl<'a> Block<'a> {
+    /// Block `bytes` of a format-`version` segment whose footer dictionary
+    /// is `dict`, with no restart points.
+    pub fn new(
+        version: u32,
+        dict: &'a [u64],
+        kind: RegionKind,
         bytes: &'a [u8],
         count: usize,
-        kind: RegionKind,
-        dict: Option<&'a [u64]>,
     ) -> Self {
-        BlockV2 {
+        Block {
             bytes,
             count,
             kind,
-            dict,
+            encoding: Encoding::of(version, dict),
             restarts: &[],
         }
     }
 
-    /// Walks the entries from `first` on, whose decoder state is `state`,
-    /// handing each `(index, object id, grade bits, end offset)` to
-    /// `visit`; `visit` returns `false` to stop early. Verifies the
+    /// The occupied slots of a slot block ([`Encoding::Slots`]).
+    fn slots(&self) -> &'a [[u8; ENTRY_LEN]] {
+        self.bytes[..self.count * ENTRY_LEN].as_chunks().0
+    }
+
+    /// Walks the v2 entries from `first` on, whose decoder state is
+    /// `state`, handing each `(index, object id, grade bits, end offset)`
+    /// to `visit`; `visit` returns `false` to stop early. Verifies the
     /// framing as it goes: mid-varint truncation, zero or overflowing
     /// table id deltas, grade delta underflow, out-of-range dictionary
     /// indices, and — when the walk reaches the block's end — trailing
     /// bytes all return a detail string for
-    /// [`StorageError::CorruptBlock`].
+    /// [`StorageError::CorruptBlock`]. Slot blocks never get here.
     #[inline(always)]
     fn run(
         &self,
@@ -531,11 +638,15 @@ impl<'a> BlockV2<'a> {
     ) -> Result<(), String> {
         // One instantiation per (region, grade mode) pair, so the encoding
         // dispatch is resolved outside the per-entry loop.
-        match (self.kind, self.dict) {
-            (RegionKind::Data, Some(d)) => self.run_as::<true, true>(d, first, state, visit),
-            (RegionKind::Data, None) => self.run_as::<true, false>(&[], first, state, visit),
-            (RegionKind::Table, Some(d)) => self.run_as::<false, true>(d, first, state, visit),
-            (RegionKind::Table, None) => self.run_as::<false, false>(&[], first, state, visit),
+        match (self.kind, self.encoding) {
+            (RegionKind::Data, Encoding::Dict(d)) => {
+                self.run_as::<true, true>(d, first, state, visit)
+            }
+            (RegionKind::Data, _) => self.run_as::<true, false>(&[], first, state, visit),
+            (RegionKind::Table, Encoding::Dict(d)) => {
+                self.run_as::<false, true>(d, first, state, visit)
+            }
+            (RegionKind::Table, _) => self.run_as::<false, false>(&[], first, state, visit),
         }
     }
 
@@ -612,14 +723,25 @@ impl<'a> BlockV2<'a> {
         }
     }
 
-    /// Decodes the whole block from its start into raw `(object id, grade
-    /// bits)` pairs, appending its restart points to `restarts` — the
-    /// verification-time path. Grade *validity* is the caller's concern,
-    /// mirroring [`decode_raw`].
-    pub fn decode_all(&self, restarts: &mut Vec<Restart>) -> Result<Vec<(u64, u64)>, String> {
-        let mut out = Vec::with_capacity(self.count);
+    /// Every entry of the block as its canonical 16-byte slot (the
+    /// [`encode_entry`] form), decoded from the block's start — the
+    /// verification-time path. A slot block is read in place; a v2 block
+    /// is decoded into `scratch`, and its restart points are appended to
+    /// `restarts`. Grade *validity* is the caller's concern.
+    pub fn decode_all<'s>(
+        &self,
+        restarts: &mut Vec<Restart>,
+        scratch: &'s mut Vec<[u8; ENTRY_LEN]>,
+    ) -> Result<&'s [[u8; ENTRY_LEN]], String>
+    where
+        'a: 's,
+    {
+        if matches!(self.encoding, Encoding::Slots) {
+            return Ok(self.slots());
+        }
+        scratch.clear();
+        scratch.reserve(self.count);
         self.run(0, Restart::default(), |i, id, bits, end| {
-            out.push((id, bits));
             if (i + 1) % RESTART_INTERVAL == 0 && i + 1 < self.count {
                 restarts.push(Restart {
                     prev_id: id,
@@ -628,18 +750,17 @@ impl<'a> BlockV2<'a> {
                     offset: end as u32,
                 });
             }
+            scratch.push((u128::from(bits) << 64 | u128::from(id)).to_le_bytes());
             true
         })?;
-        Ok(out)
+        Ok(scratch)
     }
 
-    /// Decodes entries `[from, to)`, appending to `out` — the v2
-    /// counterpart of [`decode_entries`]. The walk resumes at the restart
-    /// in front of `from`, so a short read costs at most
-    /// [`RESTART_INTERVAL`] entries of skipping, wherever in the block it
-    /// lands. Grade bits are trusted for the reason [`decode_entries`]
-    /// trusts them; a framing error (a block mutated after open) is a
-    /// typed detail, never a panic.
+    /// Decodes entries `[from, to)`, appending to `out`. Slots are read in
+    /// place; a v2 walk resumes at the restart in front of `from`, so a
+    /// short read costs at most [`RESTART_INTERVAL`] entries of skipping,
+    /// wherever in the block it lands. A framing error (a block mutated
+    /// after open) is a typed detail, never a panic.
     pub fn decode_range(
         &self,
         from: usize,
@@ -651,10 +772,19 @@ impl<'a> BlockV2<'a> {
             return Ok(());
         }
         out.reserve(to - from);
+        if matches!(self.encoding, Encoding::Slots) {
+            let slots = &self.slots()[from..to];
+            out.extend(
+                slots
+                    .iter()
+                    .map(|s| entry_of(read_u64(s, 0), read_u64(s, 8))),
+            );
+            return Ok(());
+        }
         let (first, state) = self.resume_at(from);
         self.run(first, state, |i, id, bits, _| {
             if i >= from {
-                out.push(GradedEntry::new(id, Grade::clamped(f64::from_bits(bits))));
+                out.push(entry_of(id, bits));
             }
             // A range ending with the block walks off its end, where the
             // trailing-bytes check sits.
@@ -662,256 +792,33 @@ impl<'a> BlockV2<'a> {
         })
     }
 
-    /// Looks `object` up in a table block: binary search over the restart
-    /// points' previous ids, then a walk of at most [`RESTART_INTERVAL`]
-    /// entries that stops at the first id past the probe.
+    /// Looks `object` up in a table block: a binary search over the slots,
+    /// or over the restart points' previous ids and then a walk of at most
+    /// [`RESTART_INTERVAL`] entries that stops at the first id past the
+    /// probe.
     pub fn lookup(&self, object: u64) -> Result<Option<Grade>, String> {
         debug_assert_eq!(
             self.kind,
             RegionKind::Table,
             "only table blocks are id-ordered"
         );
+        if matches!(self.encoding, Encoding::Slots) {
+            let slots = self.slots();
+            let hit = slots.binary_search_by_key(&object, |s| read_u64(s, 0));
+            return Ok(hit
+                .ok()
+                .map(|i| entry_of(object, read_u64(&slots[i], 8)).grade));
+        }
         let r = self.restarts.partition_point(|r| r.prev_id < object);
         let (first, state) = self.resume_at(r * RESTART_INTERVAL);
         let mut hit = None;
         self.run(first, state, |_, id, bits, _| {
             if id == object {
-                hit = Some(Grade::clamped(f64::from_bits(bits)));
+                hit = Some(entry_of(id, bits).grade);
             }
             id < object
         })?;
         Ok(hit)
-    }
-}
-
-/// The parsed v2 footer: v1's geometry plus the per-block byte lengths
-/// that locate variable-length blocks, the data-region grade fences,
-/// and the optional grade dictionary.
-#[derive(Debug, Clone)]
-pub struct FooterV2 {
-    /// Flag bits ([`FLAG_CRISP`], [`FLAG_GRADE_DICT`], ...).
-    pub flags: u64,
-    /// *Logical* block size in bytes — fixes entries-per-block geometry;
-    /// encoded blocks are smaller.
-    pub block_size: usize,
-    /// Number of graded entries.
-    pub num_entries: u64,
-    /// Number of entries with grade exactly 1 (the crisp match count).
-    pub ones: u64,
-    /// Number of data (sorted-order) blocks.
-    pub data_blocks: u64,
-    /// Number of table (object-order) blocks.
-    pub table_blocks: u64,
-    /// FNV-1a checksum of every data block's encoded bytes, in order.
-    pub data_checksums: Vec<u64>,
-    /// FNV-1a checksum of every table block's encoded bytes, in order.
-    pub table_checksums: Vec<u64>,
-    /// The first object id stored in each table block — the fence index
-    /// that routes a random access (or skips a non-matching id range).
-    pub table_first_ids: Vec<u64>,
-    /// Encoded byte length of every data block, in order.
-    pub data_block_lens: Vec<u64>,
-    /// Encoded byte length of every table block, in order.
-    pub table_block_lens: Vec<u64>,
-    /// Grade bits of each data block's first (greatest) entry.
-    pub grade_max_bits: Vec<u64>,
-    /// Grade bits of each data block's last (least) entry.
-    pub grade_min_bits: Vec<u64>,
-    /// Sorted distinct grade bit patterns (dictionary mode only; empty
-    /// when [`FLAG_GRADE_DICT`] is clear).
-    pub grade_dict: Vec<u64>,
-}
-
-impl FooterV2 {
-    /// Fixed-length prefix of the v2 footer (all scalar fields).
-    const SCALARS: usize = 7 * 8;
-
-    /// Serialized length in bytes (including the trailing self-checksum).
-    pub fn encoded_len(&self) -> u64 {
-        (Self::SCALARS
-            + 8 * (self.data_checksums.len()
-                + self.table_checksums.len()
-                + self.table_first_ids.len()
-                + self.data_block_lens.len()
-                + self.table_block_lens.len()
-                + self.grade_max_bits.len()
-                + self.grade_min_bits.len()
-                + self.grade_dict.len())
-            + 8) as u64
-    }
-
-    /// Serializes the footer, appending its own FNV-1a checksum.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len() as usize);
-        for v in [
-            self.flags,
-            self.block_size as u64,
-            self.num_entries,
-            self.ones,
-            self.data_blocks,
-            self.table_blocks,
-            self.grade_dict.len() as u64,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        for list in [
-            &self.data_checksums,
-            &self.table_checksums,
-            &self.table_first_ids,
-            &self.data_block_lens,
-            &self.table_block_lens,
-            &self.grade_max_bits,
-            &self.grade_min_bits,
-            &self.grade_dict,
-        ] {
-            for v in list {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-        let checksum = fnv1a64(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
-        out
-    }
-
-    /// Parses and verifies a serialized v2 footer. Like v1, everything a
-    /// forged footer could abuse downstream — geometry, list lengths,
-    /// block byte lengths, fence ordering, dictionary shape — is checked
-    /// here with overflow-safe arithmetic before any block is read.
-    pub fn parse(bytes: &[u8]) -> Result<FooterV2, StorageError> {
-        let corrupt = |detail: String| StorageError::FooterCorrupt { detail };
-        if bytes.len() < Self::SCALARS + 8 {
-            return Err(corrupt(format!("footer too short ({} bytes)", bytes.len())));
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        if fnv1a64(body) != read_u64(tail, 0) {
-            return Err(corrupt("footer checksum mismatch".to_owned()));
-        }
-        let flags = read_u64(body, 0);
-        let block_size = read_u64(body, 8);
-        let num_entries = read_u64(body, 16);
-        let ones = read_u64(body, 24);
-        let data_blocks = read_u64(body, 32);
-        let table_blocks = read_u64(body, 40);
-        let dict_len = read_u64(body, 48);
-        if block_size == 0
-            || block_size > MAX_BLOCK_SIZE as u64
-            || !block_size.is_multiple_of(ENTRY_LEN as u64)
-        {
-            return Err(corrupt(format!("invalid block size {block_size}")));
-        }
-        if dict_len > GRADE_DICT_MAX as u64 {
-            return Err(corrupt(format!(
-                "grade dictionary of {dict_len} exceeds the {GRADE_DICT_MAX} cap"
-            )));
-        }
-        let want = [
-            data_blocks,
-            table_blocks,
-            table_blocks,
-            data_blocks,
-            table_blocks,
-            data_blocks,
-            data_blocks,
-            dict_len,
-        ]
-        .iter()
-        .try_fold(0u64, |acc, &n| acc.checked_add(n))
-        .and_then(|v| v.checked_mul(8))
-        .and_then(|v| v.checked_add(Self::SCALARS as u64))
-        .ok_or_else(|| corrupt("block counts overflow".to_owned()))?;
-        if body.len() as u64 != want {
-            return Err(corrupt(format!(
-                "footer length {} disagrees with block counts {data_blocks}+{table_blocks}",
-                bytes.len()
-            )));
-        }
-        let entries_per_block = block_size / ENTRY_LEN as u64;
-        let expected_blocks = num_entries.div_ceil(entries_per_block);
-        if data_blocks != expected_blocks || table_blocks != expected_blocks {
-            return Err(corrupt(format!(
-                "{num_entries} entries at {entries_per_block}/block need {expected_blocks} \
-                 blocks per region, footer says {data_blocks}/{table_blocks}"
-            )));
-        }
-        let mut off = Self::SCALARS;
-        let mut take = |count: u64| {
-            let mut out = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                out.push(read_u64(body, off));
-                off += 8;
-            }
-            out
-        };
-        let data_checksums = take(data_blocks);
-        let table_checksums = take(table_blocks);
-        let table_first_ids = take(table_blocks);
-        let data_block_lens = take(data_blocks);
-        let table_block_lens = take(table_blocks);
-        let grade_max_bits = take(data_blocks);
-        let grade_min_bits = take(data_blocks);
-        let grade_dict = take(dict_len);
-        if !table_first_ids.windows(2).all(|w| w[0] < w[1]) {
-            return Err(corrupt("table fence ids not strictly ascending".to_owned()));
-        }
-        // An encoded block can exceed its logical size only modestly (a
-        // worst-case varint entry is 20 bytes vs 16 raw, plus one raw
-        // first grade); 2× bounds every read buffer a forged length
-        // could request before its checksum is consulted.
-        let max_len = 2 * block_size;
-        for (region, lens) in [("data", &data_block_lens), ("table", &table_block_lens)] {
-            if let Some(bad) = lens.iter().find(|&&len| len == 0 || len > max_len) {
-                return Err(corrupt(format!("{region} block length {bad} out of range")));
-            }
-        }
-        let valid_grade_bits = |bits: u64| Grade::new(f64::from_bits(bits)).is_ok();
-        for (i, (&max, &min)) in grade_max_bits.iter().zip(&grade_min_bits).enumerate() {
-            if !valid_grade_bits(max) || !valid_grade_bits(min) {
-                return Err(corrupt(format!("data block {i} grade fence out of [0, 1]")));
-            }
-            // Non-negative f64 bit patterns order like their values, so
-            // fence ordering is a plain integer comparison.
-            if max < min {
-                return Err(corrupt(format!("data block {i} grade fence inverted")));
-            }
-            if i + 1 < grade_max_bits.len() && min < grade_max_bits[i + 1] {
-                return Err(corrupt(format!(
-                    "grade fences of data blocks {i} and {} violate descending order",
-                    i + 1
-                )));
-            }
-        }
-        let dict_mode = flags & FLAG_GRADE_DICT != 0;
-        if dict_mode != (dict_len > 0) && num_entries > 0 {
-            return Err(corrupt(format!(
-                "dictionary flag {dict_mode} disagrees with dictionary length {dict_len}"
-            )));
-        }
-        if !grade_dict.windows(2).all(|w| w[0] < w[1]) {
-            return Err(corrupt(
-                "grade dictionary not strictly ascending".to_owned(),
-            ));
-        }
-        if let Some(&bad) = grade_dict.iter().find(|&&bits| !valid_grade_bits(bits)) {
-            return Err(corrupt(format!(
-                "grade dictionary entry {bad:#x} outside [0, 1]"
-            )));
-        }
-        Ok(FooterV2 {
-            flags,
-            block_size: block_size as usize,
-            num_entries,
-            ones,
-            data_blocks,
-            table_blocks,
-            data_checksums,
-            table_checksums,
-            table_first_ids,
-            data_block_lens,
-            table_block_lens,
-            grade_max_bits,
-            grade_min_bits,
-            grade_dict,
-        })
     }
 }
 
@@ -934,7 +841,9 @@ mod tests {
         let entry = GradedEntry::new(ObjectId(42), Grade::new(0.625).unwrap());
         encode_entry(&mut slot, entry);
         let mut decoded = Vec::new();
-        decode_entries(&slot, 0, 1, &mut decoded);
+        Block::new(FORMAT_V1, &[], RegionKind::Data, &slot, 1)
+            .decode_range(0, 1, &mut decoded)
+            .unwrap();
         assert_eq!(decoded, [entry]);
     }
 
@@ -949,28 +858,36 @@ mod tests {
             data_checksums: vec![1, 2],
             table_checksums: vec![3, 4],
             table_first_ids: vec![0, 9],
+            ..Footer::default()
         }
     }
 
     #[test]
     fn footer_round_trips() {
         let f = footer();
-        let bytes = f.encode();
-        assert_eq!(bytes.len() as u64, f.encoded_len());
-        let parsed = Footer::parse(&bytes).unwrap();
+        let bytes = f.encode(FORMAT_V1);
+        // Six scalars, three two-block lists, the self-checksum.
+        assert_eq!(bytes.len(), 6 * 8 + 3 * 2 * 8 + 8);
+        let parsed = Footer::parse(&bytes, FORMAT_V1).unwrap();
         assert_eq!(parsed.num_entries, 7);
         assert_eq!(parsed.ones, 2);
         assert_eq!(parsed.flags, FLAG_CRISP);
         assert_eq!(parsed.data_checksums, vec![1, 2]);
         assert_eq!(parsed.table_first_ids, vec![0, 9]);
+        // A v1 block is exactly `block_size` bytes, and v1 has no fences
+        // and no dictionary.
+        assert_eq!(parsed.data_block_lens, vec![64, 64]);
+        assert_eq!(parsed.table_block_lens, vec![64, 64]);
+        assert!(parsed.grade_max_bits.is_empty() && parsed.grade_dict.is_empty());
+        assert_eq!(parsed.encode(FORMAT_V1), bytes);
     }
 
     #[test]
     fn footer_detects_flipped_bits() {
-        let mut bytes = footer().encode();
+        let mut bytes = footer().encode(FORMAT_V1);
         bytes[3] ^= 0x40;
         assert!(matches!(
-            Footer::parse(&bytes),
+            Footer::parse(&bytes, FORMAT_V1),
             Err(StorageError::FooterCorrupt { .. })
         ));
     }
@@ -981,7 +898,7 @@ mod tests {
         f.data_blocks = 3; // 7 entries in 64-byte blocks need exactly 2.
         f.data_checksums.push(5);
         assert!(matches!(
-            Footer::parse(&f.encode()),
+            Footer::parse(&f.encode(FORMAT_V1), FORMAT_V1),
             Err(StorageError::FooterCorrupt { .. })
         ));
     }
@@ -1038,11 +955,33 @@ mod tests {
         kind: RegionKind,
         dict: Option<&'a [u64]>,
         restarts: &'a [Restart],
-    ) -> BlockV2<'a> {
-        BlockV2 {
+    ) -> Block<'a> {
+        Block {
+            bytes,
+            count,
+            kind,
+            encoding: dict.map_or(Encoding::Delta, Encoding::Dict),
             restarts,
-            ..BlockV2::from_start(bytes, count, kind, dict)
         }
+    }
+
+    /// A v2 block: delta mode without a dictionary, dictionary mode with.
+    fn encode_v2(entries: &[GradedEntry], kind: RegionKind, dict: Option<&[u64]>) -> Vec<u8> {
+        encode_block(
+            entries,
+            kind,
+            dict.map_or(Encoding::Delta, Encoding::Dict),
+            0,
+        )
+    }
+
+    /// Every `(object id, grade bits)` of a block, restarts appended.
+    fn decode_all(block: &Block, restarts: &mut Vec<Restart>) -> Result<Vec<(u64, u64)>, String> {
+        let slots = block.decode_all(restarts, &mut Vec::new())?.to_vec();
+        Ok(slots
+            .iter()
+            .map(|s| (read_u64(s, 0), read_u64(s, 8)))
+            .collect())
     }
 
     fn dict_of(entries: &[GradedEntry]) -> Vec<u64> {
@@ -1058,10 +997,10 @@ mod tests {
             let entries = v2_entries(kind);
             let dict = dict_of(&entries);
             for dict in [None, Some(dict.as_slice())] {
-                let bytes = encode_block_v2(&entries, kind, dict);
+                let bytes = encode_v2(&entries, kind, dict);
                 let block = block(&bytes, entries.len(), kind, dict, &[]);
                 let mut restarts = Vec::new();
-                let raw = block.decode_all(&mut restarts).unwrap();
+                let raw = decode_all(&block, &mut restarts).unwrap();
                 assert!(restarts.is_empty(), "four entries need no restart");
                 let decoded: Vec<GradedEntry> = raw
                     .iter()
@@ -1117,10 +1056,10 @@ mod tests {
                 let dict = dict_of(&entries);
                 for dict in [None, Some(dict.as_slice())] {
                     let what = format!("{kind:?} count={count} dict={}", dict.is_some());
-                    let bytes = encode_block_v2(&entries, kind, dict);
+                    let bytes = encode_v2(&entries, kind, dict);
                     let from_zero = block(&bytes, count, kind, dict, &[]);
                     let mut restarts = Vec::new();
-                    from_zero.decode_all(&mut restarts).unwrap();
+                    decode_all(&from_zero, &mut restarts).unwrap();
                     assert_eq!(restarts.len(), (count - 1) / RESTART_INTERVAL, "{what}");
                     let resumed = block(&bytes, count, kind, dict, &restarts);
                     for from in 0..=count {
@@ -1163,11 +1102,10 @@ mod tests {
         let entries = long_entries(RegionKind::Table, count);
         let last = entries[count - 1].object.0;
         let dict = dict_of(&entries);
-        let bytes = encode_block_v2(&entries, RegionKind::Table, Some(&dict));
+        let bytes = encode_v2(&entries, RegionKind::Table, Some(&dict));
         let mut restarts = Vec::new();
-        block(&bytes, count, RegionKind::Table, Some(&dict), &[])
-            .decode_all(&mut restarts)
-            .unwrap();
+        let from_zero = block(&bytes, count, RegionKind::Table, Some(&dict), &[]);
+        decode_all(&from_zero, &mut restarts).unwrap();
         let tail = restarts[1].offset as usize;
 
         // Trailing bytes: seen by the walks that reach the block's end.
@@ -1220,7 +1158,7 @@ mod tests {
             GradedEntry::new(ObjectId(u64::MAX - 1), Grade::HALF),
             GradedEntry::new(ObjectId(u64::MAX), Grade::HALF),
         ];
-        let mut bytes = encode_block_v2(&top, RegionKind::Table, Some(&dict_of(&top)));
+        let mut bytes = encode_v2(&top, RegionKind::Table, Some(&dict_of(&top)));
         let n = bytes.len();
         bytes[n - 2] = 2; // delta 1 -> 2
         let err = block(&bytes, 2, RegionKind::Table, Some(&dict_of(&top)), &[])
@@ -1232,9 +1170,12 @@ mod tests {
     #[test]
     fn v2_block_decode_flags_framing_corruption() {
         let entries = v2_entries(RegionKind::Data);
-        let bytes = encode_block_v2(&entries, RegionKind::Data, None);
+        let bytes = encode_v2(&entries, RegionKind::Data, None);
         let decode = |bytes: &[u8]| {
-            block(bytes, entries.len(), RegionKind::Data, None, &[]).decode_all(&mut Vec::new())
+            decode_all(
+                &block(bytes, entries.len(), RegionKind::Data, None, &[]),
+                &mut Vec::new(),
+            )
         };
         // Every truncation point either fails or yields fewer entries.
         for cut in 0..bytes.len() {
@@ -1254,15 +1195,17 @@ mod tests {
             GradedEntry::new(ObjectId(1), Grade::HALF),
             GradedEntry::new(ObjectId(2), Grade::HALF),
         ];
-        let encoded = encode_block_v2(&two, RegionKind::Table, Some(&dict));
-        let err = block(&encoded, 2, RegionKind::Table, Some(&[]), &[])
-            .decode_all(&mut Vec::new())
-            .unwrap_err();
+        let encoded = encode_v2(&two, RegionKind::Table, Some(&dict));
+        let err = decode_all(
+            &block(&encoded, 2, RegionKind::Table, Some(&[]), &[]),
+            &mut Vec::new(),
+        )
+        .unwrap_err();
         assert!(err.contains("dictionary"), "{err}");
     }
 
-    fn footer_v2() -> FooterV2 {
-        FooterV2 {
+    fn footer_v2() -> Footer {
+        Footer {
             flags: FLAG_GRADE_DICT,
             block_size: 64,
             num_entries: 7,
@@ -1287,9 +1230,11 @@ mod tests {
     #[test]
     fn footer_v2_round_trips() {
         let f = footer_v2();
-        let bytes = f.encode();
-        assert_eq!(bytes.len() as u64, f.encoded_len());
-        let parsed = FooterV2::parse(&bytes).unwrap();
+        let bytes = f.encode(FORMAT_VERSION);
+        // Seven scalars, seven two-block lists, the three-entry dictionary,
+        // the self-checksum.
+        assert_eq!(bytes.len(), 7 * 8 + 7 * 2 * 8 + 3 * 8 + 8);
+        let parsed = Footer::parse(&bytes, FORMAT_VERSION).unwrap();
         assert_eq!(parsed.num_entries, 7);
         assert_eq!(parsed.data_block_lens, vec![17, 11]);
         assert_eq!(parsed.grade_max_bits, f.grade_max_bits);
@@ -1298,7 +1243,7 @@ mod tests {
 
     #[test]
     fn footer_v2_rejects_forgeries() {
-        type Forgery = (&'static str, fn(&mut FooterV2));
+        type Forgery = (&'static str, fn(&mut Footer));
         let checks: [Forgery; 6] = [
             ("inverted fence", |f| {
                 f.grade_max_bits[0] = Grade::ZERO.value().to_bits()
@@ -1321,17 +1266,17 @@ mod tests {
             tweak(&mut f);
             assert!(
                 matches!(
-                    FooterV2::parse(&f.encode()),
+                    Footer::parse(&f.encode(FORMAT_VERSION), FORMAT_VERSION),
                     Err(StorageError::FooterCorrupt { .. })
                 ),
                 "forged v2 footer accepted: {what}"
             );
         }
-        let mut bytes = footer_v2().encode();
+        let mut bytes = footer_v2().encode(FORMAT_VERSION);
         let last = bytes.len() - 1;
         bytes[last] ^= 1;
         assert!(matches!(
-            FooterV2::parse(&bytes),
+            Footer::parse(&bytes, FORMAT_VERSION),
             Err(StorageError::FooterCorrupt { .. })
         ));
     }

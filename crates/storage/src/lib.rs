@@ -8,10 +8,11 @@
 //! [`SegmentSource`] that serves the Section 4 sorted/random access
 //! contract straight off disk through a shared LRU [`BlockCache`].
 //!
-//! * [`mod@format`] — the version-1 file layout: checksummed fixed-size
-//!   blocks holding the grade-descending sorted run, a mirrored
-//!   object-ordered table region for random access, and a self-checksummed
-//!   footer with the block index;
+//! * [`mod@format`] — the file layout: checksummed blocks holding the
+//!   grade-descending sorted run, a mirrored object-ordered table region
+//!   for random access, and a self-checksummed footer with the block index;
+//!   one footer type and one block decoder serve both format versions
+//!   (v1's fixed slots and v2's compressed blocks);
 //! * [`writer`] — [`SegmentWriter`]: tmp-file + fsync + rename atomic
 //!   publication;
 //! * [`segment`] — [`SegmentSource`]: full integrity verification at
@@ -84,7 +85,7 @@ pub use format::DEFAULT_BLOCK_SIZE;
 pub use live::{LiveOptions, LiveSnapshot, LiveSource};
 pub use manifest::Manifest;
 pub use memtable::Memtable;
-pub use segment::{RetryPolicy, SegmentSource};
+pub use segment::SegmentSource;
 pub use vfs::{std_vfs, FaultKind, FaultOp, FaultRule, FaultVfs, StdVfs, Vfs, VfsFile, VfsRead};
 pub use wal::{Wal, WalOp};
 pub use writer::{SegmentInfo, SegmentWriter, ShardInfo};

@@ -1,18 +1,21 @@
 //! Reading segments: [`SegmentSource`], a disk-backed [`GradedSource`].
 //!
 //! `SegmentSource::open` is where durability is enforced: it parses the
-//! header, dispatches on the format version (v1 fixed-slot or v2
-//! compressed — see [`crate::format`]), then makes one streaming pass
-//! over the whole file verifying every block checksum, every grade, both
-//! sort orders, and (v2) every varint frame and footer fence, so a
-//! corrupted or truncated segment fails with a typed [`StorageError`]
-//! *before* it can serve a single wrong entry. After a successful open
-//! the source is an ordinary `Send + Sync` graded source: sorted access
-//! streams data blocks through the shared [`BlockCache`], random access
-//! routes through the footer's fence index to exactly one table block,
-//! and `SetAccess` enumerates the grade-1 prefix — bit-identical
-//! behaviour to a [`MemorySource`] over the same pairs, in either
-//! version (the round-trip property suite holds it to that).
+//! header and the footer (one [`Footer`] parse for either format version —
+//! see [`crate::format`]), locates every block, then makes one streaming
+//! integrity scan over the whole file verifying every block checksum,
+//! every grade, both sort orders, every footer statistic and fence, and
+//! (v2) every varint frame, so a corrupted or truncated segment fails with
+//! a typed [`StorageError`] *before* it can serve a single wrong entry.
+//! Past the footer parse nothing here depends on the version: blocks are
+//! located by the footer's byte lengths and read through the one block
+//! decoder ([`Block`]), whose encoding the version picks. After a
+//! successful open the source is an ordinary `Send + Sync` graded source:
+//! sorted access streams data blocks through the shared [`BlockCache`],
+//! random access routes through the footer's fence index to exactly one
+//! table block, and `SetAccess` enumerates the grade-1 prefix —
+//! bit-identical behaviour to a [`MemorySource`] over the same pairs, in
+//! either version (the round-trip property suite holds it to that).
 //!
 //! A v2 footer's per-block grade fences are checked against every data
 //! block at open, like the rest of the footer; no read skips blocks by
@@ -20,6 +23,7 @@
 //!
 //! [`MemorySource`]: garlic_core::access::MemorySource
 
+use std::cmp::Reverse;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -31,9 +35,8 @@ use garlic_core::{GradedEntry, ObjectId};
 use crate::cache::{BlockCache, BlockKey};
 use crate::error::StorageError;
 use crate::format::{
-    decode_raw, encode_entry, fnv1a64, read_u64, BlockV2, Footer, FooterV2, RegionKind, Restart,
-    ENTRY_LEN, FLAG_CRISP, FLAG_GRADE_DICT, FORMAT_V1, FORMAT_VERSION, HEADER_LEN, HEADER_MAGIC,
-    RESTART_INTERVAL, TRAILER_LEN, TRAILER_MAGIC,
+    fnv1a64, read_u64, Block, Footer, RegionKind, Restart, ENTRY_LEN, FLAG_CRISP, FORMAT_V1,
+    FORMAT_VERSION, HEADER_LEN, HEADER_MAGIC, RESTART_INTERVAL, TRAILER_LEN, TRAILER_MAGIC,
 };
 use crate::vfs::{std_vfs, Vfs, VfsRead};
 
@@ -41,32 +44,13 @@ use crate::vfs::{std_vfs, Vfs, VfsRead};
 /// share one [`BlockCache`] without key collisions.
 static NEXT_SEGMENT_ID: AtomicU64 = AtomicU64::new(0);
 
-/// How a [`SegmentSource`] reacts to a failing block read: how many
-/// attempts before giving up, and how the exponential backoff between
-/// them is shaped. The delay before attempt `n + 1` is
-/// `min(base_delay_us << n, max_delay_us)` plus a deterministic jitter of
-/// up to half that value, so retrying readers of one struggling disk do
-/// not stampede in lockstep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per block read, the first included. `1` disables
-    /// retries.
-    pub attempts: u32,
-    /// Backoff before the first retry, in microseconds.
-    pub base_delay_us: u64,
-    /// Backoff ceiling, in microseconds.
-    pub max_delay_us: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            attempts: 4,
-            base_delay_us: 100,
-            max_delay_us: 5_000,
-        }
-    }
-}
+/// Attempts per block read, the first included, before the source gives up
+/// and quarantines itself.
+const READ_ATTEMPTS: u32 = 4;
+/// Backoff before the first retry, in microseconds; it doubles per retry.
+const RETRY_BASE_DELAY_US: u64 = 100;
+/// Backoff ceiling, in microseconds.
+const RETRY_MAX_DELAY_US: u64 = 5_000;
 
 /// An immutable on-disk graded list, verified at open, read through a
 /// shared block cache.
@@ -76,22 +60,21 @@ impl Default for RetryPolicy {
 /// `open` verifies the entire file, so a file that is left alone never
 /// fails afterwards. If the *medium* fails later (dying disk, segment
 /// deleted or rewritten underneath the source), the `try_*` reads this
-/// source implements retry transiently failing block loads per the
-/// [`RetryPolicy`], then — once the budget is exhausted — **quarantine**
-/// the source: the failure surfaces as a typed [`SourceError`] with
-/// `quarantined` set and every later read fails fast with
-/// [`StorageError::Quarantined`]. Only the trait's provided *infallible*
-/// adaptors panic on such a failure, and nothing in the query execution
-/// or write path uses them against disk-backed sources.
+/// source implements retry a failing block load up to four times, with
+/// exponential backoff (100 µs doubling, capped at 5 ms) plus a
+/// deterministic jitter of up to half the delay, so retrying readers of
+/// one struggling disk do not stampede in lockstep. Once the attempts are
+/// spent the source is **quarantined**: the failure surfaces as a typed
+/// [`SourceError`] with `quarantined` set and every later read fails fast
+/// with [`StorageError::Quarantined`]. Only the trait's provided
+/// *infallible* adaptors panic on such a failure, and nothing in the query
+/// execution or write path uses them against disk-backed sources.
 pub struct SegmentSource {
     file: Box<dyn VfsRead>,
     path: PathBuf,
     cache: Arc<BlockCache>,
     segment_id: u64,
     version: u32,
-    /// See [`RetryPolicy`]; applied inside the cache's single-flight load,
-    /// so concurrent readers of one failing block share one retry loop.
-    retry: RetryPolicy,
     /// Transiently failed block reads that a retry then served.
     io_retries: AtomicU64,
     /// Block reads that exhausted the whole retry budget.
@@ -102,31 +85,18 @@ pub struct SegmentSource {
     /// xorshift state feeding the backoff jitter.
     jitter: AtomicU64,
     footer: Footer,
-    /// Present for v2 segments: block addressing, grade dictionary and
-    /// restart points. `None` means the fixed-slot v1 layout.
-    layout: Option<V2Layout>,
+    /// `(absolute file offset, stored byte length)` of every file-wide
+    /// block, data region first then table region: prefix sums of the
+    /// footer's per-block lengths (`block_size` each in v1).
+    locs: Vec<(u64, u32)>,
+    /// The restart points of every data block, block after block, then
+    /// the same for the table region: the decoder state in front of every
+    /// [`RESTART_INTERVAL`]-th entry, noted down by the open-time scan, so
+    /// a v2 read resumes next to its first entry instead of at the block's
+    /// start. Slot (v1) blocks record none.
+    restarts: [Vec<Restart>; 2],
     entries_per_block: usize,
     max_object: Option<ObjectId>,
-}
-
-/// The extra reader state a v2 segment carries beyond the shared footer
-/// geometry.
-struct V2Layout {
-    /// `(absolute file offset, encoded byte length)` of every file-wide
-    /// block, data region first then table region — v2 blocks are
-    /// variable-length, so offsets are prefix sums of the footer's
-    /// per-block lengths.
-    locs: Vec<(u64, u32)>,
-    /// The sorted grade-bit dictionary (dictionary mode), else `None`
-    /// (per-block bit-delta mode).
-    dict: Option<Vec<u64>>,
-    /// The restart points of every data block, block after block: the
-    /// decoder state in front of every [`RESTART_INTERVAL`]-th entry, noted
-    /// down by the open-time scan, so a read resumes next to its first
-    /// entry instead of at the block's start.
-    data_restarts: Vec<Restart>,
-    /// The same for the table region.
-    table_restarts: Vec<Restart>,
 }
 
 impl SegmentSource {
@@ -193,69 +163,32 @@ impl SegmentSource {
 
         let mut footer_bytes = vec![0u8; footer_len as usize];
         file.read_exact_at(&mut footer_bytes, footer_offset)?;
-        let (footer, layout, max_object) = if version == FORMAT_V1 {
-            let footer = Footer::parse(&footer_bytes)?;
-            // All footer geometry is untrusted until it survives these
-            // checks: overflow in a forged footer must be an error, not a
-            // wrap/panic.
-            let region_end = footer
-                .data_blocks
-                .checked_add(footer.table_blocks)
-                .and_then(|blocks| blocks.checked_mul(footer.block_size as u64))
-                .and_then(|bytes| bytes.checked_add(HEADER_LEN))
+        let footer = Footer::parse(&footer_bytes, version)?;
+        // Block offsets are prefix sums of the footer's (already
+        // sanity-bounded) byte lengths, and the regions must end exactly
+        // where the footer starts. The geometry is untrusted until it
+        // survives this: overflow in a forged footer is an error, not a
+        // wrap or a panic.
+        let mut locs = Vec::with_capacity((footer.data_blocks + footer.table_blocks) as usize);
+        let mut offset = HEADER_LEN;
+        for &len in footer
+            .data_block_lens
+            .iter()
+            .chain(&footer.table_block_lens)
+        {
+            locs.push((offset, len as u32));
+            offset = offset
+                .checked_add(len)
                 .ok_or_else(|| StorageError::FooterCorrupt {
                     detail: "region geometry overflows".to_owned(),
                 })?;
-            if region_end != footer_offset {
-                return Err(StorageError::FooterCorrupt {
-                    detail: format!(
-                        "blocks end at {region_end} but footer starts at {footer_offset}"
-                    ),
-                });
-            }
-            let stats = verify_blocks(file.as_ref(), &footer)?;
-            (footer, None, stats.max_object)
-        } else {
-            let v2 = FooterV2::parse(&footer_bytes)?;
-            // v2 blocks are variable-length: their file offsets are prefix
-            // sums of the footer's (already sanity-bounded) byte lengths,
-            // and the regions must end exactly where the footer starts.
-            let mut locs =
-                Vec::with_capacity((v2.data_blocks + v2.table_blocks).min(1 << 32) as usize);
-            let mut offset = HEADER_LEN;
-            for &len in v2.data_block_lens.iter().chain(&v2.table_block_lens) {
-                locs.push((offset, len as u32));
-                offset = offset
-                    .checked_add(len)
-                    .ok_or_else(|| StorageError::FooterCorrupt {
-                        detail: "region geometry overflows".to_owned(),
-                    })?;
-            }
-            if offset != footer_offset {
-                return Err(StorageError::FooterCorrupt {
-                    detail: format!("blocks end at {offset} but footer starts at {footer_offset}"),
-                });
-            }
-            let stats = verify_blocks_v2(file.as_ref(), &v2)?;
-            let layout = V2Layout {
-                locs,
-                dict: (v2.flags & FLAG_GRADE_DICT != 0).then(|| v2.grade_dict.clone()),
-                data_restarts: stats.data_restarts,
-                table_restarts: stats.table_restarts,
-            };
-            let footer = Footer {
-                flags: v2.flags,
-                block_size: v2.block_size,
-                num_entries: v2.num_entries,
-                ones: v2.ones,
-                data_blocks: v2.data_blocks,
-                table_blocks: v2.table_blocks,
-                data_checksums: v2.data_checksums,
-                table_checksums: v2.table_checksums,
-                table_first_ids: v2.table_first_ids,
-            };
-            (footer, Some(layout), stats.max_object)
-        };
+        }
+        if offset != footer_offset {
+            return Err(StorageError::FooterCorrupt {
+                detail: format!("blocks end at {offset} but footer starts at {footer_offset}"),
+            });
+        }
+        let scan = verify_blocks(file.as_ref(), &footer, version, &locs)?;
 
         let segment_id = NEXT_SEGMENT_ID.fetch_add(1, Ordering::Relaxed);
         Ok(SegmentSource {
@@ -264,27 +197,16 @@ impl SegmentSource {
             cache,
             segment_id,
             version,
-            retry: RetryPolicy::default(),
             io_retries: AtomicU64::new(0),
             io_gave_up: AtomicU64::new(0),
             poisoned: AtomicBool::new(false),
             jitter: AtomicU64::new(segment_id.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1),
             entries_per_block: footer.block_size / ENTRY_LEN,
             footer,
-            layout,
-            max_object,
+            locs,
+            restarts: scan.restarts,
+            max_object: scan.max_object,
         })
-    }
-
-    /// Replaces the block-read [`RetryPolicy`] (do this before sharing the
-    /// source across threads).
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-    }
-
-    /// The active block-read retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// Transiently failed block reads that a retry then served.
@@ -362,10 +284,7 @@ impl SegmentSource {
     /// fixed slots need none): one [`Restart`] per [`RESTART_INTERVAL`]
     /// entries of each region.
     pub fn restart_index_bytes(&self) -> usize {
-        self.layout.as_ref().map_or(0, |layout| {
-            (layout.data_restarts.capacity() + layout.table_restarts.capacity())
-                * std::mem::size_of::<Restart>()
-        })
+        self.restarts.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<Restart>()
     }
 
     /// This source's process-unique cache namespace: the `segment` half of
@@ -410,25 +329,14 @@ impl SegmentSource {
             block: file_block,
         };
         let result = self.cache.get_or_load(key, || {
-            // v1 blocks are fixed slots; v2 blocks live wherever the
-            // footer's prefix sums put them.
-            let (offset, len) = match &self.layout {
-                None => (
-                    HEADER_LEN + file_block * self.footer.block_size as u64,
-                    self.footer.block_size,
-                ),
-                Some(layout) => {
-                    let (offset, len) = layout.locs[file_block as usize];
-                    (offset, len as usize)
-                }
-            };
+            let (offset, len) = self.locs[file_block as usize];
             // Retry inside the single-flight closure so concurrent readers
             // of the same block share one retry budget, and a block that
             // eventually loads is billed as one miss.
             let mut attempt = 0u32;
             loop {
                 attempt += 1;
-                let mut buf = vec![0u8; len];
+                let mut buf = vec![0u8; len as usize];
                 let outcome = self
                     .file
                     .read_exact_at(&mut buf, offset)
@@ -444,20 +352,13 @@ impl SegmentSource {
                     Ok(()) => {
                         return Ok(Arc::from(buf.into_boxed_slice()));
                     }
-                    Err(e) if attempt < self.retry.attempts => {
+                    Err(_) if attempt < READ_ATTEMPTS => {
                         // Transient-looking failure (I/O error or a read
                         // that raced a torn write): back off and retry.
                         self.io_retries.fetch_add(1, Ordering::Relaxed);
-                        let shift = (attempt - 1).min(20);
-                        let base = self
-                            .retry
-                            .base_delay_us
-                            .checked_shl(shift)
-                            .unwrap_or(u64::MAX)
-                            .min(self.retry.max_delay_us);
+                        let base = (RETRY_BASE_DELAY_US << (attempt - 1)).min(RETRY_MAX_DELAY_US);
                         let jitter = self.next_jitter() % (base / 2 + 1);
                         std::thread::sleep(std::time::Duration::from_micros(base + jitter));
-                        let _ = e;
                     }
                     Err(e) => return Err(e),
                 }
@@ -501,80 +402,18 @@ impl SegmentSource {
         }
     }
 
-    /// Block `index` of a v2 region as the decoder takes it: its bytes, its
+    /// Block `index` of a region as the decoder takes it: its bytes, its
     /// entry count, and its slice of the region's restart points (every
-    /// block but the last holds the same number of them).
-    fn block_v2<'a>(
-        &'a self,
-        layout: &'a V2Layout,
-        kind: RegionKind,
-        bytes: &'a [u8],
-        index: u64,
-    ) -> BlockV2<'a> {
+    /// block but the last holds the same number of them; a slot block's
+    /// region holds none, so its slice is empty).
+    fn block<'a>(&'a self, kind: RegionKind, bytes: &'a [u8], index: u64) -> Block<'a> {
         let count = self.entries_in_block(index);
-        let region = match kind {
-            RegionKind::Data => &layout.data_restarts,
-            RegionKind::Table => &layout.table_restarts,
-        };
         let start = index as usize * ((self.entries_per_block - 1) / RESTART_INTERVAL);
-        BlockV2 {
-            bytes,
-            count,
-            kind,
-            dict: layout.dict.as_deref(),
-            restarts: &region[start..start + (count - 1) / RESTART_INTERVAL],
-        }
-    }
-
-    /// Appends slots `[from, to)` of data block `index` to `out`,
-    /// dispatching on the block encoding. A decode failure (a v2 block
-    /// mutated after open) is a typed error, not a panic.
-    fn decode_data_range(
-        &self,
-        block: &[u8],
-        index: u64,
-        from: usize,
-        to: usize,
-        out: &mut Vec<GradedEntry>,
-    ) -> Result<(), StorageError> {
-        match &self.layout {
-            None => crate::format::decode_entries(block, from, to, out),
-            Some(layout) => self
-                .block_v2(layout, RegionKind::Data, block, index)
-                .decode_range(from, to, out)
-                .map_err(|detail| StorageError::CorruptBlock {
-                    block: index,
-                    detail,
-                })?,
-        }
-        Ok(())
-    }
-
-    /// Binary search for `object` in table block `index`: over the slots
-    /// (v1), or over the restart points and then a walk of at most
-    /// [`RESTART_INTERVAL`] entries (v2). Grade bits are trusted on both
-    /// paths for the same reason: the block came through a
-    /// checksum-verified load of bytes `open` validated. A decode failure
-    /// (a block mutated after open) is a typed error, not a panic.
-    fn lookup_in_table(
-        &self,
-        block: &[u8],
-        index: u64,
-        object: ObjectId,
-    ) -> Result<Option<Grade>, StorageError> {
-        match &self.layout {
-            None => Ok(lookup_in_table_block(
-                block,
-                self.entries_in_block(index),
-                object,
-            )),
-            Some(layout) => self
-                .block_v2(layout, RegionKind::Table, block, index)
-                .lookup(object.0)
-                .map_err(|detail| StorageError::CorruptBlock {
-                    block: self.footer.data_blocks + index,
-                    detail,
-                }),
+        let restarts =
+            self.restarts[kind as usize].get(start..start + (count - 1) / RESTART_INTERVAL);
+        Block {
+            restarts: restarts.unwrap_or_default(),
+            ..Block::new(self.version, &self.footer.grade_dict, kind, bytes, count)
         }
     }
 
@@ -602,11 +441,18 @@ impl SegmentSource {
         let mut index = 0usize;
         while index < probes.len() {
             let block_index = probes[index].0;
-            let block = self.try_table_block(block_index)?;
+            let bytes = self.try_table_block(block_index)?;
+            let block = self.block(RegionKind::Table, &bytes, block_index);
             while index < probes.len() && probes[index].0 == block_index {
                 let position = probes[index].1 as usize;
-                out[base + position] =
-                    self.lookup_in_table(&block, block_index, objects[position])?;
+                // A decode failure (a block mutated after open) is a typed
+                // error, not a panic.
+                out[base + position] = block.lookup(objects[position].0).map_err(|detail| {
+                    StorageError::CorruptBlock {
+                        block: self.footer.data_blocks + block_index,
+                        detail,
+                    }
+                })?;
                 index += 1;
             }
         }
@@ -631,10 +477,15 @@ impl SegmentSource {
         let mut rank = start;
         while rank < end {
             let block_index = (rank / self.entries_per_block) as u64;
-            let block = self.try_data_block(block_index)?;
+            let bytes = self.try_data_block(block_index)?;
             let in_block = rank % self.entries_per_block;
             let take = (end - rank).min(self.entries_per_block - in_block);
-            self.decode_data_range(&block, block_index, in_block, in_block + take, out)?;
+            self.block(RegionKind::Data, &bytes, block_index)
+                .decode_range(in_block, in_block + take, out)
+                .map_err(|detail| StorageError::CorruptBlock {
+                    block: block_index,
+                    detail,
+                })?;
             rank += take;
         }
         Ok(end - start)
@@ -712,285 +563,138 @@ impl std::fmt::Debug for SegmentSource {
     }
 }
 
-/// Binary search for `object` among the first `count` object-ordered slots
-/// of a table block. Grade bits are trusted for the same reason
-/// [`crate::format::decode_entries`] trusts them — the block came through
-/// a checksum-verified load of bytes the open-time scan validated — so
-/// both access paths behave identically on any block the cache can serve.
-fn lookup_in_table_block(block: &[u8], count: usize, object: ObjectId) -> Option<Grade> {
-    let mut lo = 0usize;
-    let mut hi = count;
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        let (id, value) = decode_raw(block, mid);
-        match id.cmp(&object.0) {
-            std::cmp::Ordering::Less => lo = mid + 1,
-            std::cmp::Ordering::Greater => hi = mid,
-            std::cmp::Ordering::Equal => return Some(Grade::clamped(value)),
-        }
-    }
-    None
-}
-
 /// What the integrity scan learned beyond "the file is sound".
-struct VerifiedStats {
+struct Verified {
     /// The largest object id graded, `None` for an empty segment.
     max_object: Option<ObjectId>,
-    /// The restart points of every data block, in order (v2 only).
-    data_restarts: Vec<Restart>,
-    /// The restart points of every table block, in order (v2 only).
-    table_restarts: Vec<Restart>,
+    /// The restart points of every data block, then of every table block.
+    restarts: [Vec<Restart>; 2],
 }
 
-/// The open-time integrity scan: one sequential pass over both regions,
-/// checking every block checksum, every grade, both sort orders, the
-/// footer's derived statistics (crisp flag, match count, fence ids), and —
-/// via an order-independent digest of the entry slots — that the two
-/// regions hold the *same* entries, so sorted access and random access can
-/// never disagree on a file that passed.
-fn verify_blocks(file: &dyn VfsRead, footer: &Footer) -> Result<VerifiedStats, StorageError> {
+/// The open-time integrity scan, for either version: one sequential pass
+/// over both regions that reads every block once, checks its checksum and
+/// decodes it (with every v2 framing check) from its start, noting down
+/// the restart points later reads resume from. A v1 block's slots are
+/// checked in place and a v2 block is decoded into one buffer reused
+/// across blocks, because this runs at every open. Each rule is applied
+/// once:
+///
+/// * every grade lies in `[0, 1]`;
+/// * the data region follows the descending skeleton order, ties
+///   included, and agrees with the footer's match count, crisp flag and —
+///   where the footer has them (v2) — the per-block grade fences;
+/// * the table region ascends by object id and starts each block at the
+///   footer's fence id;
+/// * an order-independent digest of each entry's canonical 16-byte slot
+///   (for a v1 slot, its stored bytes) is equal over the two regions, so
+///   they hold the *same* entries and sorted access and random access can
+///   never disagree on a file that passed.
+fn verify_blocks(
+    file: &dyn VfsRead,
+    footer: &Footer,
+    version: u32,
+    locs: &[(u64, u32)],
+) -> Result<Verified, StorageError> {
     let entries_per_block = footer.block_size / ENTRY_LEN;
-    let mut buf = vec![0u8; footer.block_size];
-    let mut pos = HEADER_LEN;
-
-    let mut prev: Option<GradedEntry> = None;
-    let mut ones = 0u64;
-    let mut crisp = true;
-    let mut data_digest = 0u64;
-    for (i, &expected) in footer.data_checksums.iter().enumerate() {
-        file.read_exact_at(&mut buf, pos)?;
-        pos += buf.len() as u64;
-        if fnv1a64(&buf) != expected {
-            return Err(StorageError::ChecksumMismatch { block: i as u64 });
-        }
-        let count = (footer.num_entries as usize - i * entries_per_block).min(entries_per_block);
-        for slot in 0..count {
-            let (object, value) = decode_raw(&buf, slot);
-            let grade = Grade::new(value).map_err(|e| StorageError::CorruptBlock {
-                block: i as u64,
-                detail: format!("entry {slot}: {e}"),
-            })?;
-            let entry = GradedEntry::new(object, grade);
-            if let Some(p) = prev {
-                if (entry.grade, std::cmp::Reverse(entry.object))
-                    > (p.grade, std::cmp::Reverse(p.object))
-                {
-                    return Err(StorageError::CorruptBlock {
-                        block: i as u64,
-                        detail: format!("entry {slot} breaks the descending skeleton order"),
-                    });
-                }
-            }
-            prev = Some(entry);
-            if grade == Grade::ONE {
-                ones += 1;
-            }
-            crisp &= grade.is_crisp();
-            data_digest ^= fnv1a64(&buf[slot * ENTRY_LEN..(slot + 1) * ENTRY_LEN]);
-        }
-    }
-    if ones != footer.ones {
-        return Err(StorageError::FooterCorrupt {
-            detail: format!("footer says {} exact matches, data has {ones}", footer.ones),
-        });
-    }
-    if crisp != (footer.flags & FLAG_CRISP != 0) {
-        return Err(StorageError::FooterCorrupt {
-            detail: "crisp flag disagrees with the data region".to_owned(),
-        });
-    }
-
-    let mut prev_id: Option<u64> = None;
-    let mut table_digest = 0u64;
-    for (i, &expected) in footer.table_checksums.iter().enumerate() {
-        file.read_exact_at(&mut buf, pos)?;
-        pos += buf.len() as u64;
-        let file_block = footer.data_blocks + i as u64;
-        if fnv1a64(&buf) != expected {
-            return Err(StorageError::ChecksumMismatch { block: file_block });
-        }
-        let count = (footer.num_entries as usize - i * entries_per_block).min(entries_per_block);
-        for slot in 0..count {
-            let (object, value) = decode_raw(&buf, slot);
-            Grade::new(value).map_err(|e| StorageError::CorruptBlock {
-                block: file_block,
-                detail: format!("entry {slot}: {e}"),
-            })?;
-            if slot == 0 && object != footer.table_first_ids[i] {
-                return Err(StorageError::FooterCorrupt {
-                    detail: format!(
-                        "table block {i} starts at object {object}, fence says {}",
-                        footer.table_first_ids[i]
-                    ),
-                });
-            }
-            if let Some(p) = prev_id {
-                if object <= p {
-                    return Err(StorageError::CorruptBlock {
-                        block: file_block,
-                        detail: format!("entry {slot} breaks the ascending object order"),
-                    });
-                }
-            }
-            prev_id = Some(object);
-            table_digest ^= fnv1a64(&buf[slot * ENTRY_LEN..(slot + 1) * ENTRY_LEN]);
-        }
-    }
-    // Both regions are internally consistent; now they must agree with
-    // each other. XOR of per-entry hashes is order-independent, so equal
-    // digests ⇔ (up to hash collisions) equal entry sets.
-    if data_digest != table_digest {
-        return Err(StorageError::RegionMismatch);
-    }
-    Ok(VerifiedStats {
-        max_object: prev_id.map(ObjectId),
-        data_restarts: Vec::new(),
-        table_restarts: Vec::new(),
-    })
-}
-
-/// The v2 integrity scan: everything [`verify_blocks`] checks, plus full
-/// varint-frame decoding of every block and validation of the footer's
-/// per-block grade fences against the actual first/last entries. The two
-/// regions use different encodings, so the cross-region digest hashes each
-/// entry's *canonical* 16-byte slot rather than its encoded bytes. This is
-/// the one place a block is decoded from its start, and the decode notes
-/// down the restart points every later read resumes from.
-fn verify_blocks_v2(file: &dyn VfsRead, footer: &FooterV2) -> Result<VerifiedStats, StorageError> {
-    let entries_per_block = footer.block_size / ENTRY_LEN;
-    let dict = (footer.flags & FLAG_GRADE_DICT != 0).then_some(footer.grade_dict.as_slice());
     let mut buf = Vec::new();
-    let mut slot = [0u8; ENTRY_LEN];
-    let mut pos = HEADER_LEN;
-
-    let mut data_restarts = Vec::new();
-    let mut table_restarts = Vec::new();
-
+    let mut scratch = Vec::new();
+    let mut restarts = [Vec::new(), Vec::new()];
+    let mut digests = [0u64; 2];
     let mut prev: Option<GradedEntry> = None;
-    let mut ones = 0u64;
-    let mut crisp = true;
-    let mut data_digest = 0u64;
-    let checks = footer.data_checksums.iter().zip(&footer.data_block_lens);
-    for (i, (&expected, &len)) in checks.enumerate() {
-        buf.clear();
-        buf.resize(len as usize, 0);
-        file.read_exact_at(&mut buf, pos)?;
-        pos += buf.len() as u64;
-        if fnv1a64(&buf) != expected {
-            return Err(StorageError::ChecksumMismatch { block: i as u64 });
-        }
-        let count = (footer.num_entries as usize - i * entries_per_block).min(entries_per_block);
-        let pairs = BlockV2::from_start(&buf, count, RegionKind::Data, dict)
-            .decode_all(&mut data_restarts)
-            .map_err(|detail| StorageError::CorruptBlock {
-                block: i as u64,
-                detail,
-            })?;
-        for (index, &(object, bits)) in pairs.iter().enumerate() {
-            let grade =
-                Grade::new(f64::from_bits(bits)).map_err(|e| StorageError::CorruptBlock {
-                    block: i as u64,
-                    detail: format!("entry {index}: {e}"),
-                })?;
-            let entry = GradedEntry::new(object, grade);
-            if let Some(p) = prev {
-                if (entry.grade, std::cmp::Reverse(entry.object))
-                    > (p.grade, std::cmp::Reverse(p.object))
-                {
-                    return Err(StorageError::CorruptBlock {
-                        block: i as u64,
-                        detail: format!("entry {index} breaks the descending skeleton order"),
-                    });
-                }
-            }
-            prev = Some(entry);
-            if index == 0 && bits != footer.grade_max_bits[i] {
-                return Err(StorageError::FooterCorrupt {
-                    detail: format!("data block {i} grade_max fence disagrees with the block"),
-                });
-            }
-            if index == count - 1 && bits != footer.grade_min_bits[i] {
-                return Err(StorageError::FooterCorrupt {
-                    detail: format!("data block {i} grade_min fence disagrees with the block"),
-                });
-            }
-            if grade == Grade::ONE {
-                ones += 1;
-            }
-            crisp &= grade.is_crisp();
-            encode_entry(&mut slot, entry);
-            data_digest ^= fnv1a64(&slot);
-        }
-    }
-    if ones != footer.ones {
-        return Err(StorageError::FooterCorrupt {
-            detail: format!("footer says {} exact matches, data has {ones}", footer.ones),
-        });
-    }
-    if crisp != (footer.flags & FLAG_CRISP != 0) {
-        return Err(StorageError::FooterCorrupt {
-            detail: "crisp flag disagrees with the data region".to_owned(),
-        });
-    }
-
     let mut prev_id: Option<u64> = None;
-    let mut table_digest = 0u64;
-    let checks = footer.table_checksums.iter().zip(&footer.table_block_lens);
-    for (i, (&expected, &len)) in checks.enumerate() {
-        buf.clear();
-        buf.resize(len as usize, 0);
-        file.read_exact_at(&mut buf, pos)?;
-        pos += buf.len() as u64;
-        let file_block = footer.data_blocks + i as u64;
-        if fnv1a64(&buf) != expected {
-            return Err(StorageError::ChecksumMismatch { block: file_block });
+    let (mut ones, mut crisp) = (0u64, true);
+    for kind in [RegionKind::Data, RegionKind::Table] {
+        let (first_block, checksums) = match kind {
+            RegionKind::Data => (0, &footer.data_checksums),
+            RegionKind::Table => (footer.data_blocks, &footer.table_checksums),
+        };
+        for (i, &checksum) in checksums.iter().enumerate() {
+            let block = first_block + i as u64;
+            let (offset, len) = locs[block as usize];
+            buf.resize(len as usize, 0);
+            file.read_exact_at(&mut buf, offset)?;
+            if fnv1a64(&buf) != checksum {
+                return Err(StorageError::ChecksumMismatch { block });
+            }
+            let count =
+                (footer.num_entries as usize - i * entries_per_block).min(entries_per_block);
+            let corrupt = |detail| StorageError::CorruptBlock { block, detail };
+            let slots = Block::new(version, &footer.grade_dict, kind, &buf, count)
+                .decode_all(&mut restarts[kind as usize], &mut scratch)
+                .map_err(corrupt)?;
+            for (index, slot) in slots.iter().enumerate() {
+                let (object, bits) = (read_u64(slot, 0), read_u64(slot, 8));
+                let grade = Grade::new(f64::from_bits(bits))
+                    .map_err(|e| corrupt(format!("entry {index}: {e}")))?;
+                match kind {
+                    RegionKind::Data => {
+                        let entry = GradedEntry::new(object, grade);
+                        if prev.is_some_and(|p| {
+                            (grade, Reverse(entry.object)) > (p.grade, Reverse(p.object))
+                        }) {
+                            return Err(corrupt(format!(
+                                "entry {index} breaks the descending skeleton order"
+                            )));
+                        }
+                        prev = Some(entry);
+                        // A v1 footer has no grade fences.
+                        for (which, fences, at) in [
+                            ("grade_max", &footer.grade_max_bits, 0),
+                            ("grade_min", &footer.grade_min_bits, count - 1),
+                        ] {
+                            if index == at && fences.get(i).is_some_and(|&fence| fence != bits) {
+                                return Err(StorageError::FooterCorrupt {
+                                    detail: format!(
+                                        "data block {i} {which} fence disagrees with the block"
+                                    ),
+                                });
+                            }
+                        }
+                        ones += u64::from(grade == Grade::ONE);
+                        crisp &= grade.is_crisp();
+                    }
+                    RegionKind::Table => {
+                        let fence = footer.table_first_ids[i];
+                        if index == 0 && object != fence {
+                            return Err(StorageError::FooterCorrupt {
+                                detail: format!(
+                                    "table block {i} starts at object {object}, fence says {fence}"
+                                ),
+                            });
+                        }
+                        if prev_id.is_some_and(|p| object <= p) {
+                            return Err(corrupt(format!(
+                                "entry {index} breaks the ascending object order"
+                            )));
+                        }
+                        prev_id = Some(object);
+                    }
+                }
+                digests[kind as usize] ^= fnv1a64(slot);
+            }
         }
-        let count = (footer.num_entries as usize - i * entries_per_block).min(entries_per_block);
-        let pairs = BlockV2::from_start(&buf, count, RegionKind::Table, dict)
-            .decode_all(&mut table_restarts)
-            .map_err(|detail| StorageError::CorruptBlock {
-                block: file_block,
-                detail,
-            })?;
-        for (index, &(object, bits)) in pairs.iter().enumerate() {
-            let grade =
-                Grade::new(f64::from_bits(bits)).map_err(|e| StorageError::CorruptBlock {
-                    block: file_block,
-                    detail: format!("entry {index}: {e}"),
-                })?;
-            if index == 0 && object != footer.table_first_ids[i] {
+        if kind == RegionKind::Data {
+            if ones != footer.ones {
                 return Err(StorageError::FooterCorrupt {
-                    detail: format!(
-                        "table block {i} starts at object {object}, fence says {}",
-                        footer.table_first_ids[i]
-                    ),
+                    detail: format!("footer says {} exact matches, data has {ones}", footer.ones),
                 });
             }
-            // The table encoding already rejects non-increasing deltas, so
-            // this only guards the first entry of each block against its
-            // predecessor block.
-            if let Some(p) = prev_id {
-                if object <= p {
-                    return Err(StorageError::CorruptBlock {
-                        block: file_block,
-                        detail: format!("entry {index} breaks the ascending object order"),
-                    });
-                }
+            if crisp != (footer.flags & FLAG_CRISP != 0) {
+                return Err(StorageError::FooterCorrupt {
+                    detail: "crisp flag disagrees with the data region".to_owned(),
+                });
             }
-            prev_id = Some(object);
-            encode_entry(&mut slot, GradedEntry::new(object, grade));
-            table_digest ^= fnv1a64(&slot);
         }
     }
-    if data_digest != table_digest {
+    // XOR of per-entry hashes is order-independent, so equal digests ⇔ (up
+    // to hash collisions) equal entry sets.
+    if digests[0] != digests[1] {
         return Err(StorageError::RegionMismatch);
     }
-    data_restarts.shrink_to_fit();
-    table_restarts.shrink_to_fit();
-    Ok(VerifiedStats {
+    restarts.iter_mut().for_each(Vec::shrink_to_fit);
+    Ok(Verified {
         max_object: prev_id.map(ObjectId),
-        data_restarts,
-        table_restarts,
+        restarts,
     })
 }
 
@@ -1306,12 +1010,7 @@ mod tests {
     #[test]
     fn permanent_read_faults_quarantine_the_segment() {
         let grades = [0.2, 0.9, 0.5, 1.0, 0.5].map(g);
-        let (mut seg, fault) = open_with_faults("quarantine.seg", &grades);
-        seg.set_retry_policy(RetryPolicy {
-            attempts: 3,
-            base_delay_us: 0,
-            max_delay_us: 0,
-        });
+        let (seg, fault) = open_with_faults("quarantine.seg", &grades);
         fault.push_rule(FaultRule {
             path_contains: "quarantine.seg".to_owned(),
             op: FaultOp::Read,
@@ -1324,7 +1023,11 @@ mod tests {
         assert!(out.is_empty(), "out must be unchanged on error");
         assert!(seg.is_quarantined());
         assert_eq!(seg.io_gave_up(), 1);
-        assert_eq!(seg.io_retries(), 2, "attempts - 1 retries before giving up");
+        assert_eq!(
+            seg.io_retries(),
+            u64::from(READ_ATTEMPTS - 1),
+            "attempts - 1 retries before giving up"
+        );
         // Fail-fast: later reads return the typed quarantine error without
         // touching the disk again.
         let before = fault.injected();

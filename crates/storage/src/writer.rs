@@ -22,9 +22,9 @@ use garlic_core::{GradedEntry, GradedSet, ObjectId};
 
 use crate::error::StorageError;
 use crate::format::{
-    check_block_size, encode_block_v2, encode_entry, fnv1a64, Footer, FooterV2, RegionKind,
-    DEFAULT_BLOCK_SIZE, ENTRY_LEN, FLAG_CRISP, FLAG_GRADE_DICT, FORMAT_V1, FORMAT_VERSION,
-    GRADE_DICT_MAX, HEADER_MAGIC, TRAILER_MAGIC,
+    check_block_size, encode_block, fnv1a64, Encoding, Footer, RegionKind, DEFAULT_BLOCK_SIZE,
+    ENTRY_LEN, FLAG_CRISP, FLAG_GRADE_DICT, FORMAT_V1, FORMAT_VERSION, GRADE_DICT_MAX,
+    HEADER_MAGIC, TRAILER_MAGIC,
 };
 use crate::vfs::{std_vfs, Vfs, VfsFile};
 
@@ -249,6 +249,16 @@ impl SegmentWriter {
 
         let entries_per_block = self.block_size / ENTRY_LEN;
         let blocks_per_region = (by_grade.len() as u64).div_ceil(entries_per_block as u64);
+        // Dictionary mode (v2) when the distinct grade bit patterns fit the
+        // cap — exact by construction, since entries store indices into the
+        // very bit patterns recorded in the footer.
+        let mut grade_dict: Vec<u64> = by_grade.iter().map(|e| e.grade.value().to_bits()).collect();
+        grade_dict.sort_unstable();
+        grade_dict.dedup();
+        if grade_dict.len() > GRADE_DICT_MAX {
+            grade_dict.clear();
+        }
+        let encoding = Encoding::of(self.version, &grade_dict);
 
         let tmp_path = tmp_sibling(path);
         let file = self.vfs.create(&tmp_path)?;
@@ -261,101 +271,63 @@ impl SegmentWriter {
         out.write_all(&HEADER_MAGIC)?;
         out.write_all(&self.version.to_le_bytes())?;
 
-        let table_first_ids: Vec<u64> = by_object
-            .chunks(entries_per_block)
-            .map(|c| c[0].object.0)
-            .collect();
-        let flags = if crisp { FLAG_CRISP } else { 0 };
-        let (footer_bytes, payload_len) = if self.version == FORMAT_V1 {
-            let mut block = vec![0u8; self.block_size];
-            let mut write_region = |out: &mut VfsBufWriter,
-                                    region: &[GradedEntry]|
-             -> Result<Vec<u64>, StorageError> {
-                let mut checksums = Vec::with_capacity(blocks_per_region as usize);
-                for chunk in region.chunks(entries_per_block) {
-                    block.fill(0);
-                    for (i, &entry) in chunk.iter().enumerate() {
-                        encode_entry(&mut block[i * ENTRY_LEN..(i + 1) * ENTRY_LEN], entry);
-                    }
-                    checksums.push(fnv1a64(&block));
-                    out.write_all(&block)?;
-                }
-                Ok(checksums)
-            };
-            let data_checksums = write_region(&mut out, &by_grade)?;
-            let table_checksums = write_region(&mut out, &by_object)?;
-            let footer = Footer {
-                flags,
-                block_size: self.block_size,
-                num_entries: by_grade.len() as u64,
-                ones,
-                data_blocks: blocks_per_region,
-                table_blocks: blocks_per_region,
-                data_checksums,
-                table_checksums,
-                table_first_ids,
-            };
-            (
-                footer.encode(),
-                2 * blocks_per_region * self.block_size as u64,
-            )
+        let dict_flag = if matches!(encoding, Encoding::Dict(_)) {
+            FLAG_GRADE_DICT
         } else {
-            // Dictionary mode when the distinct grade bit patterns fit the
-            // cap — exact by construction, since entries store indices into
-            // the very bit patterns recorded in the footer.
-            let mut grade_dict: Vec<u64> =
-                by_grade.iter().map(|e| e.grade.value().to_bits()).collect();
-            grade_dict.sort_unstable();
-            grade_dict.dedup();
-            if grade_dict.len() > GRADE_DICT_MAX {
-                grade_dict.clear();
-            }
-            let dict = (!grade_dict.is_empty()).then_some(grade_dict.as_slice());
-
-            let mut payload_len = 0u64;
-            let mut write_region = |out: &mut VfsBufWriter,
-                                    region: &[GradedEntry],
-                                    kind: RegionKind|
-             -> Result<(Vec<u64>, Vec<u64>), StorageError> {
-                let mut checksums = Vec::with_capacity(blocks_per_region as usize);
-                let mut lens = Vec::with_capacity(blocks_per_region as usize);
-                for chunk in region.chunks(entries_per_block) {
-                    let block = encode_block_v2(chunk, kind, dict);
-                    checksums.push(fnv1a64(&block));
-                    lens.push(block.len() as u64);
-                    payload_len += block.len() as u64;
-                    out.write_all(&block)?;
-                }
-                Ok((checksums, lens))
-            };
-            let (data_checksums, data_block_lens) =
-                write_region(&mut out, &by_grade, RegionKind::Data)?;
-            let (table_checksums, table_block_lens) =
-                write_region(&mut out, &by_object, RegionKind::Table)?;
-            let footer = FooterV2 {
-                flags: flags | if dict.is_some() { FLAG_GRADE_DICT } else { 0 },
-                block_size: self.block_size,
-                num_entries: by_grade.len() as u64,
-                ones,
-                data_blocks: blocks_per_region,
-                table_blocks: blocks_per_region,
-                data_checksums,
-                table_checksums,
-                table_first_ids,
-                data_block_lens,
-                table_block_lens,
-                grade_max_bits: by_grade
-                    .chunks(entries_per_block)
-                    .map(|c| c[0].grade.value().to_bits())
-                    .collect(),
-                grade_min_bits: by_grade
-                    .chunks(entries_per_block)
-                    .map(|c| c[c.len() - 1].grade.value().to_bits())
-                    .collect(),
-                grade_dict,
-            };
-            (footer.encode(), payload_len)
+            0
         };
+        // The footer's version-2 fields (fences, dictionary) are only
+        // written by a version-2 encode.
+        let mut footer = Footer {
+            flags: if crisp { FLAG_CRISP } else { 0 } | dict_flag,
+            block_size: self.block_size,
+            num_entries: by_grade.len() as u64,
+            ones,
+            data_blocks: blocks_per_region,
+            table_blocks: blocks_per_region,
+            table_first_ids: by_object
+                .chunks(entries_per_block)
+                .map(|c| c[0].object.0)
+                .collect(),
+            grade_max_bits: by_grade
+                .chunks(entries_per_block)
+                .map(|c| c[0].grade.value().to_bits())
+                .collect(),
+            grade_min_bits: by_grade
+                .chunks(entries_per_block)
+                .map(|c| c[c.len() - 1].grade.value().to_bits())
+                .collect(),
+            ..Footer::default()
+        };
+        let regions = [
+            (
+                &by_grade,
+                RegionKind::Data,
+                &mut footer.data_checksums,
+                &mut footer.data_block_lens,
+            ),
+            (
+                &by_object,
+                RegionKind::Table,
+                &mut footer.table_checksums,
+                &mut footer.table_block_lens,
+            ),
+        ];
+        for (region, kind, checksums, lens) in regions {
+            for chunk in region.chunks(entries_per_block) {
+                let block = encode_block(chunk, kind, encoding, self.block_size);
+                checksums.push(fnv1a64(&block));
+                lens.push(block.len() as u64);
+                out.write_all(&block)?;
+            }
+        }
+        footer.grade_dict = grade_dict;
+        let footer_bytes = footer.encode(self.version);
+        let payload_len: u64 = footer
+            .data_block_lens
+            .iter()
+            .chain(&footer.table_block_lens)
+            .sum();
         let footer_offset = crate::format::HEADER_LEN + payload_len;
         out.write_all(&footer_bytes)?;
         out.write_all(&footer_offset.to_le_bytes())?;
@@ -524,22 +496,21 @@ mod tests {
         assert!(!info.crisp);
         assert_eq!(info.bytes, fs::metadata(&path).unwrap().len());
         // Header + 4 blocks + footer + trailer.
+        let footer = Footer {
+            flags: 0,
+            block_size: 80,
+            num_entries: 7,
+            ones: 2,
+            data_blocks: 2,
+            table_blocks: 2,
+            data_checksums: vec![0; 2],
+            table_checksums: vec![0; 2],
+            table_first_ids: vec![0, 5],
+            ..Footer::default()
+        };
         assert_eq!(
             info.bytes,
-            8 + 4 * 80
-                + Footer {
-                    flags: 0,
-                    block_size: 80,
-                    num_entries: 7,
-                    ones: 2,
-                    data_blocks: 2,
-                    table_blocks: 2,
-                    data_checksums: vec![0; 2],
-                    table_checksums: vec![0; 2],
-                    table_first_ids: vec![0, 5],
-                }
-                .encoded_len()
-                + 24
+            8 + 4 * 80 + footer.encode(FORMAT_V1).len() as u64 + 24
         );
     }
 

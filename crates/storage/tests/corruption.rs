@@ -9,7 +9,7 @@ use std::sync::Arc;
 use garlic_agg::Grade;
 use garlic_core::GradedEntry;
 use garlic_storage::format::{
-    encode_block_v2, encode_entry, fnv1a64, Footer, FooterV2, RegionKind, ENTRY_LEN, FORMAT_V1,
+    encode_block, encode_entry, fnv1a64, Encoding, Footer, RegionKind, ENTRY_LEN, FORMAT_V1,
     FORMAT_VERSION, HEADER_MAGIC, TRAILER_MAGIC,
 };
 use garlic_storage::{BlockCache, SegmentSource, SegmentWriter, StorageError};
@@ -306,7 +306,7 @@ fn forge(name: &str, entries: &[(u64, f64)], table: &[(u64, f64)], footer: Foote
         table_checksums: vec![table_checksum],
         ..footer
     };
-    let footer_bytes = footer.encode();
+    let footer_bytes = footer.encode(FORMAT_V1);
     let footer_offset = file.len() as u64;
     file.extend_from_slice(&footer_bytes);
     file.extend_from_slice(&footer_offset.to_le_bytes());
@@ -328,6 +328,7 @@ fn footer_skeleton() -> Footer {
         data_checksums: vec![],
         table_checksums: vec![],
         table_first_ids: vec![0],
+        ..Footer::default()
     }
 }
 
@@ -405,6 +406,13 @@ fn lying_match_count_is_footer_corrupt() {
         open(&path),
         Err(StorageError::FooterCorrupt { .. })
     ));
+    let path = forge_v2("lying-ones-v2.seg", &forge_entries(), None, |_, _, f| {
+        f.ones += 1
+    });
+    assert!(matches!(
+        open(&path),
+        Err(StorageError::FooterCorrupt { .. })
+    ));
 }
 
 #[test]
@@ -422,6 +430,13 @@ fn lying_crisp_flag_is_footer_corrupt() {
         open(&path),
         Err(StorageError::FooterCorrupt { .. })
     ));
+    let path = forge_v2("lying-crisp-v2.seg", &forge_entries(), None, |_, _, f| {
+        f.flags ^= garlic_storage::format::FLAG_CRISP
+    });
+    assert!(matches!(
+        open(&path),
+        Err(StorageError::FooterCorrupt { .. })
+    ));
 }
 
 #[test]
@@ -435,6 +450,13 @@ fn lying_fence_id_is_footer_corrupt() {
             ..footer_skeleton()
         },
     );
+    assert!(matches!(
+        open(&path),
+        Err(StorageError::FooterCorrupt { .. })
+    ));
+    let path = forge_v2("lying-fence-v2.seg", &forge_entries(), None, |_, _, f| {
+        f.table_first_ids[0] += 1
+    });
     assert!(matches!(
         open(&path),
         Err(StorageError::FooterCorrupt { .. })
@@ -480,8 +502,9 @@ fn forged_huge_block_size_is_a_typed_error() {
         data_checksums: vec![0],
         table_checksums: vec![0],
         table_first_ids: vec![0],
+        ..Footer::default()
     };
-    let footer_bytes = footer.encode();
+    let footer_bytes = footer.encode(FORMAT_V1);
     let mut file = Vec::new();
     file.extend_from_slice(&HEADER_MAGIC);
     file.extend_from_slice(&FORMAT_V1.to_le_bytes());
@@ -517,7 +540,7 @@ fn forge_v2(
     name: &str,
     entries: &[GradedEntry],
     dict: Option<Vec<u64>>,
-    tamper: impl FnOnce(&mut Vec<Vec<u8>>, &mut Vec<Vec<u8>>, &mut FooterV2),
+    tamper: impl FnOnce(&mut Vec<Vec<u8>>, &mut Vec<Vec<u8>>, &mut Footer),
 ) -> PathBuf {
     use garlic_storage::format::FLAG_GRADE_DICT;
     let block_size = 64;
@@ -527,12 +550,15 @@ fn forge_v2(
     let encode_region = |region: &[GradedEntry], kind: RegionKind| -> Vec<Vec<u8>> {
         region
             .chunks(per_block)
-            .map(|chunk| encode_block_v2(chunk, kind, dict.as_deref()))
+            .map(|chunk| {
+                let encoding = dict.as_deref().map_or(Encoding::Delta, Encoding::Dict);
+                encode_block(chunk, kind, encoding, block_size)
+            })
             .collect()
     };
     let mut data_blocks = encode_region(entries, RegionKind::Data);
     let mut table_blocks = encode_region(&by_id, RegionKind::Table);
-    let mut footer = FooterV2 {
+    let mut footer = Footer {
         flags: if dict.is_some() { FLAG_GRADE_DICT } else { 0 },
         block_size,
         num_entries: entries.len() as u64,
@@ -569,7 +595,7 @@ fn forge_v2(
     for block in data_blocks.iter().chain(&table_blocks) {
         file.extend_from_slice(block);
     }
-    let footer_bytes = footer.encode();
+    let footer_bytes = footer.encode(FORMAT_VERSION);
     let footer_offset = file.len() as u64;
     file.extend_from_slice(&footer_bytes);
     file.extend_from_slice(&footer_offset.to_le_bytes());
@@ -665,7 +691,7 @@ fn lying_grade_fence_is_footer_corrupt() {
     // A fence claiming a higher max, or a lower min, than the block holds.
     // Both lies are self-consistent footers — only the open-time scan
     // catches them.
-    let raise_max = |_: &mut Vec<Vec<u8>>, _: &mut Vec<Vec<u8>>, footer: &mut FooterV2| {
+    let raise_max = |_: &mut Vec<Vec<u8>>, _: &mut Vec<Vec<u8>>, footer: &mut Footer| {
         footer.grade_max_bits[0] = Grade::new(0.9375).unwrap().value().to_bits();
     };
     let path = forge_v2("forge-v2-fence-max.seg", &forge_entries(), None, raise_max);
@@ -674,7 +700,7 @@ fn lying_grade_fence_is_footer_corrupt() {
         Err(StorageError::FooterCorrupt { .. })
     ));
 
-    let lower_min = |_: &mut Vec<Vec<u8>>, _: &mut Vec<Vec<u8>>, footer: &mut FooterV2| {
+    let lower_min = |_: &mut Vec<Vec<u8>>, _: &mut Vec<Vec<u8>>, footer: &mut Footer| {
         footer.grade_min_bits[0] = Grade::new(0.25).unwrap().value().to_bits();
     };
     let path = forge_v2("forge-v2-fence-min.seg", &forge_entries(), None, lower_min);
@@ -697,7 +723,7 @@ fn v2_region_divergence_is_detected() {
             let mut by_id = forge_entries();
             by_id.sort_by_key(|e| e.object);
             by_id[1].grade = Grade::new(0.3125).unwrap();
-            *table = vec![encode_block_v2(&by_id, RegionKind::Table, None)];
+            *table = vec![encode_block(&by_id, RegionKind::Table, Encoding::Delta, 64)];
         },
     );
     assert!(matches!(open(&path), Err(StorageError::RegionMismatch)));
@@ -740,7 +766,7 @@ fn v2_table_block_mutated_after_open_is_a_typed_error_never_a_wrong_grade() {
         .unwrap();
     let pristine = std::fs::read(&path).unwrap();
     let footer_at = footer_offset(&pristine);
-    let footer = FooterV2::parse(&pristine[footer_at..pristine.len() - 24]).unwrap();
+    let footer = Footer::parse(&pristine[footer_at..pristine.len() - 24], FORMAT_VERSION).unwrap();
     let table_at = 8 + footer.data_block_lens.iter().sum::<u64>() as usize;
 
     for at in (table_at..footer_at).step_by(29) {

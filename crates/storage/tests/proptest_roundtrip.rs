@@ -216,47 +216,6 @@ proptest! {
         }
     }
 
-    /// A v1 segment and a v2 segment over the same pairs are observably
-    /// one source: identical streams, tie order, random-access answers,
-    /// matching sets, and Section-5 bills.
-    #[test]
-    fn v1_and_v2_formats_are_observably_identical(
-        pairs in pairs_strategy(),
-        block_size in block_size_strategy(),
-        batch in 1usize..17,
-    ) {
-        let mut segs = Vec::new();
-        for version in [FORMAT_V1, FORMAT_VERSION] {
-            let path = case_path();
-            SegmentWriter::with_block_size(block_size)
-                .unwrap()
-                .with_version(version)
-                .unwrap()
-                .write_pairs(&path, pairs.clone())
-                .unwrap();
-            segs.push(CountingSource::new(reopen(&path)));
-        }
-        let (v1, v2) = (&segs[0], &segs[1]);
-        prop_assert_eq!(v1.inner().version(), FORMAT_V1);
-        prop_assert_eq!(v2.inner().version(), FORMAT_VERSION);
-
-        let mut streams = [Vec::new(), Vec::new()];
-        for (seg, stream) in segs.iter().zip(streams.iter_mut()) {
-            while seg.sorted_batch(stream.len(), batch, stream) > 0 {}
-        }
-        let [s1, s2] = streams;
-        prop_assert_eq!(s1, s2, "identical streams and tie order");
-        for probe in 0..220u64 {
-            prop_assert_eq!(
-                v1.random_access(ObjectId(probe)),
-                v2.random_access(ObjectId(probe)),
-                "object {}", probe
-            );
-        }
-        prop_assert_eq!(v1.matching_set(), v2.matching_set());
-        prop_assert_eq!(v1.stats(), v2.stats(), "identical Section-5 bills");
-    }
-
     /// Threshold-hinted reads — with an arbitrary, possibly dirty hint —
     /// emit the exact unbounded stream on either format: the hint is
     /// advisory and no segment stops early, so nothing is withheld, no
@@ -353,5 +312,60 @@ proptest! {
         let reference: Vec<GradedEntry> =
             (0..mem.len()).map(|r| mem.sorted_access(r).unwrap()).collect();
         prop_assert_eq!(second_leg, reference, "stitched stream equals one-shot stream");
+    }
+}
+
+/// Case count of the v1/v2 equivalence property: 48 locally, like the
+/// rest of the suite; CI runs it once more by name with `PROPTEST_CASES`
+/// raised, since it pins the one reader both versions go through.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(48)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// A v1 segment and a v2 segment over the same pairs are observably
+    /// one source: identical streams, tie order, random-access answers,
+    /// matching sets, and Section-5 bills.
+    #[test]
+    fn v1_and_v2_formats_are_observably_identical(
+        pairs in pairs_strategy(),
+        block_size in block_size_strategy(),
+        batch in 1usize..17,
+    ) {
+        let mut segs = Vec::new();
+        for version in [FORMAT_V1, FORMAT_VERSION] {
+            let path = case_path();
+            SegmentWriter::with_block_size(block_size)
+                .unwrap()
+                .with_version(version)
+                .unwrap()
+                .write_pairs(&path, pairs.clone())
+                .unwrap();
+            segs.push(CountingSource::new(reopen(&path)));
+        }
+        let (v1, v2) = (&segs[0], &segs[1]);
+        prop_assert_eq!(v1.inner().version(), FORMAT_V1);
+        prop_assert_eq!(v2.inner().version(), FORMAT_VERSION);
+
+        let mut streams = [Vec::new(), Vec::new()];
+        for (seg, stream) in segs.iter().zip(streams.iter_mut()) {
+            while seg.sorted_batch(stream.len(), batch, stream) > 0 {}
+        }
+        let [s1, s2] = streams;
+        prop_assert_eq!(s1, s2, "identical streams and tie order");
+        for probe in 0..220u64 {
+            prop_assert_eq!(
+                v1.random_access(ObjectId(probe)),
+                v2.random_access(ObjectId(probe)),
+                "object {}", probe
+            );
+        }
+        prop_assert_eq!(v1.matching_set(), v2.matching_set());
+        prop_assert_eq!(v1.stats(), v2.stats(), "identical Section-5 bills");
     }
 }

@@ -163,24 +163,28 @@ fn index_memory_is_bounded_per_entry() {
 }
 
 /// The index is built in memory at open; the writer knows nothing of it.
-/// These are the bytes the format produced before restart points existed.
+/// These are the bytes the format produced before restart points existed,
+/// and, for v1, the fixed-slot bytes every earlier writer produced.
 #[test]
 fn the_file_is_byte_identical_with_and_without_the_index() {
-    for (distinct, len, checksum) in [
-        (Some(9), 1_737, 0xd0dc_1946_400d_e0ea_u64),
-        (None, 5_061, 0xe5a0_d96b_4c31_9a07_u64),
+    for (version, distinct, len, checksum) in [
+        (FORMAT_VERSION, Some(9), 1_737, 0xd0dc_1946_400d_e0ea_u64),
+        (FORMAT_VERSION, None, 5_061, 0xe5a0_d96b_4c31_9a07_u64),
+        (FORMAT_V1, Some(9), 12_984, 0x5a37_b811_a35e_079e_u64),
     ] {
         let path = temp_path("golden.seg");
         SegmentWriter::with_block_size(16 * 100)
             .unwrap()
+            .with_version(version)
+            .unwrap()
             .write_pairs(&path, pairs(333, distinct))
             .unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(bytes[4..8], FORMAT_VERSION.to_le_bytes());
+        assert_eq!(bytes[4..8], version.to_le_bytes());
         assert_eq!(
             (bytes.len(), fnv1a64(&bytes)),
             (len, checksum),
-            "distinct grades: {distinct:?}"
+            "v{version}, distinct grades: {distinct:?}"
         );
     }
 }
