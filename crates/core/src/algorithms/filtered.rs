@@ -207,10 +207,7 @@ where
         // pages is everything ranked after this page's worst.
         let mut page = TopK::select(scored.iter().map(|e| (e.object, e.grade)), take);
         match page.entries().last() {
-            Some(&worst) if page.len() == take => scored.retain(|e| {
-                (std::cmp::Reverse(e.grade), e.object)
-                    > (std::cmp::Reverse(worst.grade), worst.object)
-            }),
+            Some(&worst) if page.len() == take => scored.retain(|e| e.skeleton_cmp(&worst).is_gt()),
             _ => scored.clear(),
         }
 

@@ -18,7 +18,6 @@
 //!
 //! Experiment E09 reproduces both regimes.
 
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use garlic_agg::Grade;
@@ -26,7 +25,7 @@ use garlic_agg::Grade;
 use crate::access::GradedSource;
 use crate::graded_set::GradedEntry;
 use crate::object::ObjectId;
-use crate::topk::{validate_inputs, TopK, TopKError};
+use crate::topk::{validate_inputs, TopK, TopKError, Worst};
 
 /// Diagnostics from a run of Ullman's algorithm.
 #[derive(Debug, Clone)]
@@ -82,15 +81,15 @@ where
     require_two(sources)?;
     let n = validate_inputs(sources, k)?;
 
-    // The k best seen so far under `TopK::select`'s order (grade, then
-    // lower id), worst on top — so the answer is the one a selection over
-    // everything seen would make, and the k-th best grade is one peek.
-    let mut best: BinaryHeap<Reverse<(Grade, Reverse<ObjectId>)>> = BinaryHeap::with_capacity(k);
+    // The k best seen so far in the skeleton order `TopK::select` uses,
+    // worst on top — so the answer is the one a selection over everything
+    // seen would make, and the k-th best grade is one peek.
+    let mut best: BinaryHeap<Worst> = BinaryHeap::with_capacity(k);
     let mut probes = 0;
     for rank in 0..n {
         let (entry, g2) = step(sources, rank)?;
         probes += 1;
-        let seen = Reverse((entry.grade.min(g2), Reverse(entry.object)));
+        let seen = Worst(GradedEntry::new(entry.object, entry.grade.min(g2)));
         if best.len() < k {
             best.push(seen);
         } else if let Some(mut worst) = best.peek_mut().filter(|worst| seen < **worst) {
@@ -100,13 +99,11 @@ where
         // Threshold: unseen objects have list-1 grade <= entry.grade, so
         // overall grade <= entry.grade; stop once k seen objects reach it.
         let kth = best.peek().filter(|_| best.len() == k);
-        if kth.is_some_and(|Reverse((grade, _))| *grade >= entry.grade) {
+        if kth.is_some_and(|Worst(kth)| kth.grade >= entry.grade) {
             break;
         }
     }
-    let seen = best
-        .into_iter()
-        .map(|Reverse((grade, Reverse(id)))| (id, grade));
+    let seen = best.into_iter().map(|Worst(e)| (e.object, e.grade));
     Ok(UllmanRun {
         topk: TopK::select(seen, k),
         probes,

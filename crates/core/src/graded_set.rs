@@ -28,6 +28,16 @@ impl GradedEntry {
             grade,
         }
     }
+
+    /// The skeleton order: descending grade, ties by ascending object id.
+    /// `Less` means `self` ranks before `other` in every sorted stream.
+    #[inline]
+    pub fn skeleton_cmp(&self, other: &GradedEntry) -> std::cmp::Ordering {
+        other
+            .grade
+            .cmp(&self.grade)
+            .then(self.object.cmp(&other.object))
+    }
 }
 
 /// A graded (fuzzy) set: objects with grades in `[0, 1]`, stored sorted by
@@ -56,7 +66,7 @@ impl GradedSet {
             .into_iter()
             .map(|(object, grade)| GradedEntry { object, grade })
             .collect();
-        entries.sort_by(|a, b| b.grade.cmp(&a.grade).then(a.object.cmp(&b.object)));
+        entries.sort_by(GradedEntry::skeleton_cmp);
         for w in entries.windows(2) {
             assert_ne!(
                 w[0].object, w[1].object,

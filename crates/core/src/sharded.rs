@@ -343,7 +343,7 @@ impl<S: GradedSource> ShardedSource<S> {
                 .iter()
                 .enumerate()
                 .filter_map(|(i, run)| run.head().map(|e| (i, e)))
-                .max_by(|(_, a), (_, b)| a.grade.cmp(&b.grade).then(b.object.cmp(&a.object)));
+                .min_by(|(_, a), (_, b)| a.skeleton_cmp(b));
             let Some((winner, entry)) = best else {
                 break; // every shard exhausted before `target`
             };

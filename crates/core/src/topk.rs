@@ -12,6 +12,24 @@ use garlic_agg::Grade;
 use crate::graded_set::{GradedEntry, GradedSet};
 use crate::object::ObjectId;
 
+/// An entry ordered *worst first* under the skeleton order: a max-heap's
+/// top is the weakest of the entries kept, the one a better candidate
+/// evicts.
+#[derive(PartialEq, Eq)]
+pub(crate) struct Worst(pub(crate) GradedEntry);
+
+impl Ord for Worst {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.skeleton_cmp(&other.0)
+    }
+}
+
+impl PartialOrd for Worst {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
 /// A top-k answer: at most `k` `(object, grade)` pairs in descending grade
 /// order.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,7 +41,7 @@ impl TopK {
     /// Wraps entries that are already the chosen answer, sorting them by
     /// descending grade (ties by object id, for deterministic output).
     pub fn from_entries(mut entries: Vec<GradedEntry>) -> Self {
-        entries.sort_by(|a, b| b.grade.cmp(&a.grade).then(a.object.cmp(&b.object)));
+        entries.sort_by(GradedEntry::skeleton_cmp);
         TopK { entries }
     }
 
@@ -37,25 +55,6 @@ impl TopK {
     /// truncating.
     pub fn select(candidates: impl IntoIterator<Item = (ObjectId, Grade)>, k: usize) -> Self {
         use std::collections::BinaryHeap;
-
-        /// Orders entries *worst first*: the heap's max is the weakest of
-        /// the `k` kept, the one a better candidate evicts.
-        #[derive(PartialEq, Eq)]
-        struct Worst(GradedEntry);
-        impl Ord for Worst {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                other
-                    .0
-                    .grade
-                    .cmp(&self.0.grade)
-                    .then(self.0.object.cmp(&other.0.object))
-            }
-        }
-        impl PartialOrd for Worst {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
 
         if k == 0 {
             // Drain the iterator's side effects are irrelevant; empty answer.

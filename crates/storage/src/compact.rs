@@ -13,8 +13,10 @@
 //!    tombstones dropped) and write the new segment through the ordinary
 //!    [`crate::SegmentWriter`] atomic-publish path.
 //! 3. **Swap** (store lock): publish a manifest whose epoch points at the
-//!    new segment and only the still-live WALs, then splice the new base
-//!    in and drop the flushed frozen prefix. The manifest rename is the
+//!    new segment and only the still-live WALs (each frozen layer stands
+//!    for exactly one sealed WAL, so the flushed prefix of layers retires
+//!    the same-length prefix of logs), then splice the new base in and
+//!    drop the flushed frozen prefix. The manifest rename is the
 //!    commit point — a crash on either side of it recovers cleanly.
 //! 4. **GC** (no locks): retire the old segment's blocks from the shared
 //!    [`crate::BlockCache`] and delete the old segment and sealed WAL
@@ -48,7 +50,7 @@ pub(crate) fn compact_once(shared: &LiveShared) -> Result<bool, StorageError> {
 
     // Phase 1: pin the inputs.
     let (frozen, base, new_file_id) = {
-        let inner = shared.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        let inner = shared.inner();
         if inner.frozen.is_empty() {
             return Ok(false);
         }
@@ -78,19 +80,18 @@ pub(crate) fn compact_once(shared: &LiveShared) -> Result<bool, StorageError> {
 
     // Phase 3: swap, with the manifest rename as the commit point.
     let (old_base, obsolete_wals) = {
-        let mut inner = shared.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let flushed_layers = frozen.len();
-        let flushed_wals: usize = inner.sealed_per_frozen[..flushed_layers].iter().sum();
+        let mut inner = shared.inner();
+        // One sealed WAL per frozen layer, in the same order.
+        let flushed = frozen.len();
         let mut manifest = inner.manifest.clone();
         manifest.epoch += 1;
         manifest.next_file_id = manifest.next_file_id.max(new_file_id + 1);
         manifest.segment = new_segment.as_ref().map(|(name, _)| name.clone());
-        let obsolete: Vec<String> = manifest.wals.drain(..flushed_wals).collect();
+        let obsolete: Vec<String> = manifest.wals.drain(..flushed).collect();
         manifest.store_with(&shared.dir, &shared.vfs)?;
         inner.manifest = manifest;
         let old_base = std::mem::replace(&mut inner.base, new_segment.map(|(_, source)| source));
-        inner.frozen.drain(..flushed_layers);
-        inner.sealed_per_frozen.drain(..flushed_layers);
+        inner.frozen.drain(..flushed);
         inner.bump_version();
         (old_base, obsolete)
     };

@@ -35,8 +35,8 @@
 //!
 //! * [`wal`] — the checksummed, fsynced write-ahead log ([`wal::Wal`])
 //!   with torn-tail crash recovery;
-//! * [`memtable`] — the in-memory sorted buffer ([`memtable::Memtable`])
-//!   mirroring the segment's two region orders;
+//! * `memtable` (crate-private) — the in-memory write buffer: one
+//!   id-ordered table of grades and tombstones per layer;
 //! * [`manifest`] — the versioned, atomically swapped store manifest
 //!   ([`manifest::Manifest`]) naming the live segment and WALs;
 //! * [`live`] — [`LiveSource`]: upserts and tombstone deletes with
@@ -73,7 +73,7 @@ pub mod error;
 pub mod format;
 pub mod live;
 pub mod manifest;
-pub mod memtable;
+mod memtable;
 pub mod segment;
 pub mod vfs;
 pub mod wal;
@@ -84,7 +84,6 @@ pub use error::StorageError;
 pub use format::DEFAULT_BLOCK_SIZE;
 pub use live::{LiveOptions, LiveSnapshot, LiveSource};
 pub use manifest::Manifest;
-pub use memtable::Memtable;
 pub use segment::SegmentSource;
 pub use vfs::{std_vfs, FaultKind, FaultOp, FaultRule, FaultVfs, StdVfs, Vfs, VfsFile, VfsRead};
 pub use wal::{Wal, WalOp};

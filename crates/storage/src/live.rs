@@ -18,14 +18,21 @@
 //! ```
 //!
 //! Every write is appended to the [`crate::wal::Wal`] and fsynced before
-//! it is applied to the active [`crate::memtable::Memtable`] — an
-//! acknowledged write survives any crash. When the active memtable
-//! reaches `memtable_limit` ops it is frozen (the WAL rotates, the
+//! it is applied to the active memtable (an id-ordered table of grades and
+//! tombstones) — an acknowledged write survives any crash. When the active
+//! memtable reaches `memtable_limit` ops it is frozen (the WAL rotates, the
 //! manifest epoch bumps) and the background compactor merges every frozen
 //! layer with the base segment into a fresh v2 segment, swaps it in
 //! atomically through the [`crate::manifest::Manifest`], retires the old
 //! segment's blocks from the shared [`crate::BlockCache`], and deletes
-//! the obsolete WAL and segment files.
+//! the obsolete WAL and segment files. Each frozen layer stands for
+//! exactly one sealed WAL: a freeze seals one, and recovery replays each
+//! sealed log into a layer of its own.
+//!
+//! The overlay's layer order — active first, then frozen from newest to
+//! oldest, the first layer holding an object deciding its state — is
+//! stated once, by `newest_first`; recovery, the write path, snapshots and
+//! compaction all walk it.
 //!
 //! # Snapshot semantics
 //!
@@ -40,13 +47,15 @@
 //! random access answers, and matching set are **provably identical** to
 //! a freshly built [`garlic_core::access::MemorySource`] over the same
 //! live contents, so the Section 5 billed access counts of anything
-//! running on top are identical too. Snapshots are cheap when nothing
-//! changed: the source caches the last snapshot per write version.
+//! running on top are identical too. The snapshot is also the one source
+//! of the store's statistics: its length, exact-match count and
+//! crispness. Snapshots are cheap when nothing changed: the source caches
+//! the last snapshot per write version.
 
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use garlic_agg::Grade;
 use garlic_core::access::{GradedSource, SetAccess, SourceError};
@@ -111,13 +120,10 @@ impl Default for LiveOptions {
 pub(crate) struct LiveInner {
     pub(crate) wal: Wal,
     pub(crate) active: Memtable,
-    /// Frozen memtables, oldest first. Only the compactor removes them,
-    /// and always a prefix.
+    /// Frozen memtables, oldest first, one per sealed WAL (in the
+    /// manifest's order). Only the compactor removes them, and always a
+    /// prefix.
     pub(crate) frozen: Vec<Arc<Memtable>>,
-    /// How many sealed WAL files back each frozen layer (parallel to
-    /// `frozen`): a freeze seals exactly one; recovery can fold several
-    /// sealed logs into one layer.
-    pub(crate) sealed_per_frozen: Vec<usize>,
     pub(crate) base: Option<Arc<SegmentSource>>,
     pub(crate) manifest: Manifest,
     /// Number of visible (live) graded objects across all layers.
@@ -180,6 +186,14 @@ pub(crate) struct LiveShared {
     pub(crate) metrics: Option<LiveMetrics>,
 }
 
+impl LiveShared {
+    /// The store lock, recovered if poisoned: the universe check, the one
+    /// panic a write can provoke, fires before the lock is taken.
+    pub(crate) fn inner(&self) -> MutexGuard<'_, LiveInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
 /// A durable, writable graded source (see the module docs).
 pub struct LiveSource {
     shared: Arc<LiveShared>,
@@ -188,11 +202,7 @@ pub struct LiveSource {
 
 impl std::fmt::Debug for LiveSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self
-            .shared
-            .inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let inner = self.shared.inner();
         f.debug_struct("LiveSource")
             .field("dir", &self.shared.dir)
             .field("epoch", &inner.manifest.epoch)
@@ -206,9 +216,9 @@ impl LiveSource {
     /// Opens (or creates) the live store in `dir`, running crash recovery:
     /// the manifest is loaded and verified, orphaned files are collected,
     /// the base segment is fully verified, and every committed WAL record
-    /// is replayed — sealed logs into a frozen layer, the active log into
-    /// the active memtable. Torn WAL tails are truncated; a corrupt
-    /// manifest or segment is a typed error, never a guess.
+    /// is replayed — each sealed log into a frozen layer of its own, the
+    /// active log into the active memtable. Torn WAL tails are truncated;
+    /// a corrupt manifest or segment is a typed error, never a guess.
     pub fn open(
         dir: &Path,
         cache: Arc<BlockCache>,
@@ -236,39 +246,38 @@ impl LiveSource {
             None => None,
         };
 
-        // Replay: sealed logs (all but the last) fold into one frozen
-        // layer; the last log is the active one and replays into the
-        // active memtable.
+        // Replay: each sealed log (all but the last) into a frozen layer
+        // of its own, as the freeze that sealed it left it; the last log
+        // is the active one and replays into the active memtable.
         let metrics = opts.telemetry.as_deref().map(LiveMetrics::resolve);
-        let sealed_count = manifest.wals.len() - 1;
-        let mut frozen_mem = Memtable::new();
         let mut replayed = 0u64;
         let mut ops = Vec::new();
-        for name in &manifest.wals[..sealed_count] {
+        let mut replay = |name: &String| -> Result<(Wal, Memtable), StorageError> {
             ops.clear();
-            Wal::open_with(&dir.join(name), &mut ops, &vfs)?;
+            let wal = Wal::open_with(&dir.join(name), &mut ops, &vfs)?;
             replayed += ops.len() as u64;
+            let mut layer = Memtable::default();
             for &op in &ops {
-                frozen_mem.apply(op);
+                layer.apply(op);
             }
+            Ok((wal, layer))
+        };
+        let (active_name, sealed) = manifest
+            .wals
+            .split_last()
+            .expect("a manifest lists an active WAL");
+        let mut frozen = Vec::with_capacity(sealed.len());
+        for name in sealed {
+            frozen.push(Arc::new(replay(name)?.1));
         }
-        ops.clear();
-        let wal = Wal::open_with(&dir.join(&manifest.wals[sealed_count]), &mut ops, &vfs)?;
-        replayed += ops.len() as u64;
-        let mut active = Memtable::new();
-        for &op in &ops {
-            active.apply(op);
-        }
+        let (wal, active) = replay(active_name)?;
         if let Some(m) = &metrics {
             m.wal_replayed_ops.add(replayed);
         }
 
         // Rebuild the visible statistics from the base footer plus the
-        // overlay's deltas (newest layer wins, so consult `active` first).
-        let mut newest: FxHashMap<ObjectId, MemEntry> = FxHashMap::default();
-        for (object, state) in active.table_iter().chain(frozen_mem.table_iter()) {
-            newest.entry(object).or_insert(state);
-        }
+        // overlay's deltas.
+        let (newest, _) = fold_overlay(&active, &frozen);
         let mut len = base.as_ref().map_or(0, |b| b.len());
         let mut ones = base.as_ref().map_or(0, |b| b.exact_match_count());
         let objects: Vec<ObjectId> = newest.keys().copied().collect();
@@ -290,11 +299,6 @@ impl LiveSource {
             }
         }
 
-        let (frozen, sealed_per_frozen) = if sealed_count > 0 {
-            (vec![Arc::new(frozen_mem)], vec![sealed_count])
-        } else {
-            (Vec::new(), Vec::new())
-        };
         let has_frozen = !frozen.is_empty();
         let shared = Arc::new(LiveShared {
             dir: dir.to_path_buf(),
@@ -305,7 +309,6 @@ impl LiveSource {
                 wal,
                 active,
                 frozen,
-                sealed_per_frozen,
                 base,
                 manifest,
                 len,
@@ -359,11 +362,7 @@ impl LiveSource {
                 );
             }
         }
-        let mut inner = self
-            .shared
-            .inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut inner = self.shared.inner();
         // Everything the statistics need from disk is read before the
         // batch is logged: a failed base read acknowledges and applies
         // nothing.
@@ -410,12 +409,7 @@ impl LiveSource {
     /// Seals the active memtable into a frozen layer (rotating the WAL and
     /// bumping the manifest epoch). Returns whether anything was frozen.
     pub fn freeze(&self) -> Result<bool, StorageError> {
-        let mut inner = self
-            .shared
-            .inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        freeze_locked(&self.shared, &mut inner)
+        freeze_locked(&self.shared, &mut self.shared.inner())
     }
 
     /// Runs one compaction synchronously: merges every frozen layer with
@@ -437,14 +431,13 @@ impl LiveSource {
 
     /// An immutable, epoch-pinned snapshot serving the full
     /// `GradedSource + SetAccess` contract over the store's current live
-    /// contents (see the module docs). Cached per write version: snapshots
-    /// between writes are one `Arc` clone.
+    /// contents (see the module docs), and the one source of its
+    /// statistics: [`len`](GradedSource::len),
+    /// [`exact_match_count`](LiveSnapshot::exact_match_count) and
+    /// [`is_crisp`](LiveSnapshot::is_crisp). Cached per write version:
+    /// snapshots between writes are one `Arc` clone.
     pub fn snapshot(&self) -> Arc<LiveSnapshot> {
-        let mut inner = self
-            .shared
-            .inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        let mut inner = self.shared.inner();
         if let Some((version, snapshot)) = &inner.cached {
             if *version == inner.version {
                 return Arc::clone(snapshot);
@@ -455,66 +448,19 @@ impl LiveSource {
         snapshot
     }
 
-    /// Number of visible graded objects right now (memtable deltas
-    /// included).
-    pub fn live_len(&self) -> usize {
-        self.shared
-            .inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len
-    }
-
-    /// Number of visible grade-1 objects right now — the planner's
-    /// exact-match estimate, reflecting every acknowledged write.
-    pub fn ones(&self) -> u64 {
-        self.shared
-            .inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .ones
-    }
-
-    /// Whether every visible grade is exactly 0 or 1. Exact for a freshly
-    /// compacted store (the segment footer re-verifies it); while fuzzy
-    /// overlay writes are pending it is conservatively `false`.
-    pub fn is_crisp(&self) -> bool {
-        let inner = self
-            .shared
-            .inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        crisp_of(&inner)
-    }
-
     /// The manifest epoch — bumped by every freeze and compaction swap.
     pub fn epoch(&self) -> u64 {
-        self.shared
-            .inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .manifest
-            .epoch
+        self.shared.inner().manifest.epoch
     }
 
     /// Committed bytes in the active WAL.
     pub fn wal_bytes(&self) -> u64 {
-        self.shared
-            .inner
-            .lock()
-            .expect("live lock")
-            .wal
-            .committed_bytes()
+        self.shared.inner().wal.committed_bytes()
     }
 
     /// Number of frozen memtables awaiting compaction.
     pub fn frozen_layers(&self) -> usize {
-        self.shared
-            .inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .frozen
-            .len()
+        self.shared.inner().frozen.len()
     }
 
     /// The store directory.
@@ -545,17 +491,41 @@ impl Drop for LiveSource {
     }
 }
 
-/// The object's state in the overlay (newest wins): active memtable, then
-/// frozen layers newest→oldest. `None` means no layer holds a write for it
-/// and the base segment decides.
+/// The overlay's layers in precedence order: `active` (when given), then
+/// the `frozen` layers (stored oldest first) from newest to oldest. The
+/// first layer that holds an object decides its state; the base segment
+/// decides only for objects no layer holds.
+fn newest_first<'a>(
+    active: Option<&'a Memtable>,
+    frozen: &'a [Arc<Memtable>],
+) -> impl Iterator<Item = &'a Memtable> {
+    active
+        .into_iter()
+        .chain(frozen.iter().rev().map(|layer| &**layer))
+}
+
+/// The object's state in the overlay. `None` means no layer holds a write
+/// for it and the base segment decides.
 fn overlay_state(inner: &LiveInner, object: ObjectId) -> Option<MemEntry> {
-    inner.active.get(object).or_else(|| {
-        inner
-            .frozen
-            .iter()
-            .rev()
-            .find_map(|layer| layer.get(object))
-    })
+    newest_first(Some(&inner.active), &inner.frozen).find_map(|layer| layer.get(object))
+}
+
+/// Every object the overlay holds, with the state its newest layer gives
+/// it, and whether every grade in any layer — shadowed ones included — is
+/// crisp.
+fn fold_overlay(
+    active: &Memtable,
+    frozen: &[Arc<Memtable>],
+) -> (FxHashMap<ObjectId, MemEntry>, bool) {
+    let mut newest: FxHashMap<ObjectId, MemEntry> = FxHashMap::default();
+    let mut crisp = true;
+    for layer in newest_first(Some(active), frozen) {
+        for (object, state) in layer.table_iter() {
+            crisp &= state.grade().is_none_or(Grade::is_crisp);
+            newest.entry(object).or_insert(state);
+        }
+    }
+    (newest, crisp)
 }
 
 /// The base segment's grade of each of `objects`, in order: one probe
@@ -578,19 +548,6 @@ fn adjust_stats(len: &mut usize, ones: &mut u64, old: Option<Grade>, new: Option
     *len = (*len as i64 + i64::from(new.is_some()) - i64::from(old.is_some())) as usize;
     *ones = (*ones as i64 + i64::from(new == Some(Grade::ONE)) - i64::from(old == Some(Grade::ONE)))
         as u64;
-}
-
-fn crisp_of(inner: &LiveInner) -> bool {
-    let base_crisp = inner.base.as_ref().is_none_or(|b| b.is_crisp());
-    let overlay_crisp = inner
-        .active
-        .table_iter()
-        .chain(inner.frozen.iter().flat_map(|f| f.table_iter()))
-        .all(|(_, state)| match state.grade() {
-            Some(g) => g == Grade::ONE || g == Grade::ZERO,
-            None => true,
-        });
-    base_crisp && overlay_crisp
 }
 
 /// Seals the active memtable: creates the next WAL, publishes a manifest
@@ -617,7 +574,6 @@ pub(crate) fn freeze_locked(
     inner
         .frozen
         .push(Arc::new(std::mem::take(&mut inner.active)));
-    inner.sealed_per_frozen.push(1);
     inner.bump_version();
     if let Some(m) = &shared.metrics {
         m.freezes.inc();
@@ -626,29 +582,24 @@ pub(crate) fn freeze_locked(
 }
 
 /// Builds the immutable snapshot of the current state: the combined
-/// overlay (active + frozen, newest layer winning) as a shadow map plus a
-/// skeleton-ordered run, alongside the pinned base segment.
+/// overlay (newest layer winning) as a shadow map plus a skeleton-ordered
+/// run, alongside the pinned base segment. Crispness is conservative: any
+/// fuzzy grade left in any memtable, shadowed or not, makes the snapshot
+/// fuzzy until compaction re-verifies the base.
 fn build_snapshot(inner: &LiveInner) -> LiveSnapshot {
-    let mut shadow: FxHashMap<ObjectId, MemEntry> = FxHashMap::default();
-    for (object, state) in inner
-        .active
-        .table_iter()
-        .chain(inner.frozen.iter().rev().flat_map(|f| f.table_iter()))
-    {
-        shadow.entry(object).or_insert(state);
-    }
+    let (shadow, overlay_crisp) = fold_overlay(&inner.active, &inner.frozen);
     let mut overlay: Vec<GradedEntry> = shadow
         .iter()
         .filter_map(|(&object, state)| state.grade().map(|grade| GradedEntry { object, grade }))
         .collect();
-    overlay.sort_unstable_by(|a, b| b.grade.cmp(&a.grade).then_with(|| a.object.cmp(&b.object)));
+    overlay.sort_unstable_by(GradedEntry::skeleton_cmp);
     LiveSnapshot {
         overlay,
         shadow,
         base: inner.base.clone(),
         len: inner.len,
         ones: inner.ones,
-        crisp: crisp_of(inner),
+        crisp: overlay_crisp && inner.base.as_ref().is_none_or(|b| b.is_crisp()),
         epoch: inner.manifest.epoch,
         merge: Mutex::new(MergeState::default()),
     }
@@ -765,7 +716,7 @@ impl LiveSnapshot {
                     entry
                 }
                 (Some(o), Some(b)) => {
-                    if o.grade > b.grade || (o.grade == b.grade && o.object < b.object) {
+                    if o.skeleton_cmp(&b).is_lt() {
                         st.overlay_pos += 1;
                         o
                     } else {
@@ -867,11 +818,12 @@ pub(crate) fn merged_pairs(
     base: Option<&Arc<SegmentSource>>,
     frozen: &[Arc<Memtable>],
 ) -> Result<Vec<(ObjectId, Grade)>, StorageError> {
+    // Newest layer first: the first state seen for an object is its
+    // visible one.
     let mut combined: BTreeMap<ObjectId, MemEntry> = BTreeMap::new();
-    // Oldest → newest with overwrite: the newest layer's state wins.
-    for layer in frozen {
+    for layer in newest_first(None, frozen) {
         for (object, state) in layer.table_iter() {
-            combined.insert(object, state);
+            combined.entry(object).or_insert(state);
         }
     }
     let mut pairs = Vec::new();
@@ -924,6 +876,12 @@ mod tests {
         LiveSource::open(dir, Arc::new(BlockCache::new(256)), opts).unwrap()
     }
 
+    /// The current snapshot's visible length and exact-match count.
+    fn stats(live: &LiveSource) -> (usize, u64) {
+        let snap = live.snapshot();
+        (snap.len(), snap.exact_match_count())
+    }
+
     #[test]
     fn writes_survive_reopen() {
         let dir = temp_store("reopen");
@@ -938,7 +896,6 @@ mod tests {
         assert_eq!(snap.len(), 1);
         assert_eq!(snap.random_access(ObjectId(3)), Some(g(0.7)));
         assert_eq!(snap.random_access(ObjectId(1)), None);
-        assert_eq!(live.live_len(), 1);
     }
 
     #[test]
@@ -1055,7 +1012,6 @@ mod tests {
         assert_eq!(live.frozen_layers(), 0, "compactor drains frozen layers");
         assert!(live.last_compact_error().is_none());
         assert_eq!(live.snapshot().len(), 64);
-        assert_eq!(live.live_len(), 64);
     }
 
     #[test]
@@ -1065,19 +1021,25 @@ mod tests {
         live.upsert(ObjectId(0), Grade::ONE).unwrap();
         live.upsert(ObjectId(1), Grade::ZERO).unwrap();
         live.upsert(ObjectId(2), Grade::ONE).unwrap();
-        assert!(live.is_crisp());
-        assert_eq!(live.ones(), 2);
         let snap = live.snapshot();
+        assert!(snap.is_crisp());
+        assert_eq!(snap.exact_match_count(), 2);
         assert_eq!(snap.matching_set(), vec![ObjectId(0), ObjectId(2)]);
         live.upsert(ObjectId(2), g(0.5)).unwrap();
-        assert!(!live.is_crisp());
-        assert_eq!(live.ones(), 1);
+        assert!(!live.snapshot().is_crisp());
+        assert_eq!(live.snapshot().exact_match_count(), 1);
         live.flush().unwrap();
-        assert!(!live.is_crisp(), "the segment re-verifies crispness");
+        assert!(
+            !live.snapshot().is_crisp(),
+            "the segment re-verifies crispness"
+        );
         live.upsert(ObjectId(2), Grade::ONE).unwrap();
         live.flush().unwrap();
-        assert!(live.is_crisp(), "compaction makes crispness exact again");
-        assert_eq!(live.ones(), 2);
+        assert!(
+            live.snapshot().is_crisp(),
+            "compaction makes crispness exact again"
+        );
+        assert_eq!(live.snapshot().exact_match_count(), 2);
         assert_eq!(
             live.snapshot().matching_set(),
             vec![ObjectId(0), ObjectId(2)]
@@ -1109,8 +1071,12 @@ mod tests {
                 ..LiveOptions::default()
             },
         );
-        assert_eq!(live.live_len(), 10);
-        assert!(live.frozen_layers() > 0, "sealed logs replay as frozen");
+        assert_eq!(live.snapshot().len(), 10);
+        assert_eq!(
+            live.frozen_layers(),
+            2,
+            "each sealed log replays into a frozen layer of its own"
+        );
         live.flush().unwrap();
         assert_eq!(live.snapshot().len(), 10);
     }
@@ -1226,9 +1192,8 @@ mod tests {
         live.write_batch(&base).unwrap();
         live.flush().unwrap();
         live.upsert(ObjectId(500), g(0.5)).unwrap();
-        let acknowledged = (live.live_len(), live.ones(), live.wal_bytes());
-        assert_eq!(acknowledged.0, 201);
-        assert_eq!(acknowledged.1, 20);
+        let acknowledged = (stats(&live), live.wal_bytes());
+        assert_eq!(acknowledged.0, (201, 20));
 
         // Objects 3, 10 and 900 are held by no memtable: the statistics
         // need their base grades, and the segment cannot be read.
@@ -1259,10 +1224,7 @@ mod tests {
         assert!(matches!(err, StorageError::Io(_)), "typed error: {err}");
         // Nothing was logged and nothing applied; the store mutex is not
         // poisoned and a write the overlay can account for still lands.
-        assert_eq!(
-            (live.live_len(), live.ones(), live.wal_bytes()),
-            acknowledged
-        );
+        assert_eq!((stats(&live), live.wal_bytes()), acknowledged);
         live.upsert(ObjectId(500), g(0.6)).unwrap();
 
         // The segment quarantined itself (reopen to recover, as for reads).
@@ -1271,14 +1233,14 @@ mod tests {
         fault.clear();
         drop(live);
         let live = reopen();
-        assert_eq!((live.live_len(), live.ones()), (201, 20));
+        assert_eq!(stats(&live), (201, 20));
         let snap = live.snapshot();
         assert_eq!(snap.random_access(ObjectId(3)), Some(g(3.0 / 200.0)));
         assert_eq!(snap.random_access(ObjectId(10)), Some(Grade::ONE));
         assert_eq!(snap.random_access(ObjectId(500)), Some(g(0.6)));
         assert_eq!(snap.random_access(ObjectId(900)), None);
         live.write_batch(&batch).unwrap();
-        assert_eq!((live.live_len(), live.ones()), (201, 21));
+        assert_eq!(stats(&live), (201, 21));
         let snap = live.snapshot();
         assert_eq!(snap.random_access(ObjectId(3)), Some(Grade::ONE));
         assert_eq!(snap.random_access(ObjectId(10)), None);

@@ -20,8 +20,10 @@
 //! ([`DiskSubsystem::open_live`]) is backed by a writable
 //! [`garlic_storage::LiveSource`] (WAL + memtables + compacted base
 //! segment): queries evaluate to epoch-pinned snapshots, and
-//! `estimate_matches`/`is_crisp` are computed from the current visible
-//! state, so the planner sees every acknowledged write.
+//! `estimate_matches`/`is_crisp` read the same snapshot — cached per write
+//! version, so the planner and the query it plans see one state whenever
+//! no write lands between them, and the planner sees every acknowledged
+//! write.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -40,145 +42,58 @@ use crate::api::{AtomicQuery, Subsystem, SubsystemError};
 /// cache: 1024 blocks (4 MiB at the default 4 KiB block size).
 pub const DEFAULT_CACHE_BLOCKS: usize = 1024;
 
-/// One registered persistent ranking.
+/// One registered persistent ranking: the concrete handle behind it, and
+/// the only place the subsystem keeps it.
 ///
-/// A **fixed** attribute holds owned answer handles (both trait facades
-/// cloned from one concrete `Arc` — a single [`SegmentSource`] or a
-/// [`ShardedSource`] over an id-range partition of shard segments) plus
-/// footer-derived statistics, fixed when the segment was written. A
-/// **live** attribute holds a writable [`LiveSource`]; its statistics and
-/// answer handles are computed at query time, so every acknowledged write
-/// is reflected immediately.
+/// A **fixed** attribute (a single [`SegmentSource`], or a
+/// [`ShardedSource`] over an id-range partition of shard segments) takes
+/// its statistics from the segment footers, fixed when the files were
+/// written. A **live** attribute takes them, and its answer handles, from
+/// the current [`LiveSource::snapshot`], so every acknowledged write is
+/// reflected immediately.
 #[derive(Clone)]
 enum DiskAttribute {
-    Fixed {
-        graded: Arc<dyn GradedSource>,
-        set: Arc<dyn SetAccess>,
-        crisp: bool,
-        ones: u64,
-    },
+    Segment(Arc<SegmentSource>),
+    Sharded(Arc<ShardedSource<SegmentSource>>),
     Live(Arc<LiveSource>),
 }
 
 impl DiskAttribute {
-    fn from_concrete<S: SetAccess + 'static>(source: Arc<S>, crisp: bool, ones: u64) -> Self {
-        DiskAttribute::Fixed {
-            graded: Arc::clone(&source) as Arc<dyn GradedSource>,
-            set: source as Arc<dyn SetAccess>,
-            crisp,
-            ones,
+    /// The segments behind a fixed attribute (none behind a live one), for
+    /// footer statistics, health and telemetry.
+    fn segments(&self) -> &[SegmentSource] {
+        match self {
+            DiskAttribute::Segment(segment) => std::slice::from_ref(&**segment),
+            DiskAttribute::Sharded(sharded) => sharded.shards(),
+            DiskAttribute::Live(_) => &[],
         }
     }
 
     fn crisp(&self) -> bool {
         match self {
-            DiskAttribute::Fixed { crisp, .. } => *crisp,
-            DiskAttribute::Live(live) => live.is_crisp(),
+            DiskAttribute::Live(live) => live.snapshot().is_crisp(),
+            fixed => fixed.segments().iter().all(SegmentSource::is_crisp),
         }
     }
 
     fn ones(&self) -> u64 {
         match self {
-            DiskAttribute::Fixed { ones, .. } => *ones,
-            DiskAttribute::Live(live) => live.ones(),
-        }
-    }
-}
-
-impl std::fmt::Debug for DiskAttribute {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DiskAttribute::Fixed {
-                graded,
-                crisp,
-                ones,
-                ..
-            } => f
-                .debug_struct("DiskAttribute")
-                .field("len", &graded.len())
-                .field("crisp", crisp)
-                .field("ones", ones)
-                .finish(),
-            DiskAttribute::Live(live) => f.debug_tuple("DiskAttribute").field(live).finish(),
-        }
-    }
-}
-
-/// A subsystem serving graded lists from immutable segment files, keyed by
-/// attribute.
-///
-/// Like [`crate::mem::VectorSubsystem`], the atomic query's *target* is
-/// ignored: each attribute has exactly one persistent ranking, fixed when
-/// its segment was written.
-#[derive(Debug)]
-pub struct DiskSubsystem {
-    name: String,
-    universe: usize,
-    cache: Arc<BlockCache>,
-    segments: BTreeMap<String, DiskAttribute>,
-    /// Concrete handles kept for the telemetry collector and
-    /// [`health`](DiskSubsystem::health): per-attribute I/O retry and
-    /// shard scatter-gather stats are read straight off these at snapshot
-    /// time (pull-based — the query path pays nothing).
-    probes: Vec<(String, FixedProbe)>,
-    /// When set, sharded attributes registered afterwards opt in to
-    /// degraded reads (a quarantined shard is dropped instead of failing
-    /// the query; see [`ShardedSource::with_degraded_reads`]).
-    degraded_reads: bool,
-    /// Filesystem abstraction every subsequently opened attribute reads
-    /// through — the real filesystem unless a test installed a
-    /// [`garlic_storage::FaultVfs`].
-    vfs: Arc<dyn Vfs>,
-}
-
-/// A concrete stats handle behind a fixed attribute — see
-/// [`DiskSubsystem::register_telemetry`].
-#[derive(Debug, Clone)]
-enum FixedProbe {
-    Segment(Arc<SegmentSource>),
-    Sharded(Arc<ShardedSource<SegmentSource>>),
-}
-
-/// One fixed attribute's I/O health, as reported by
-/// [`DiskSubsystem::health`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AttributeHealth {
-    /// The attribute this report covers.
-    pub attribute: String,
-    /// Segment files quarantined after exhausting their I/O retry budget.
-    /// Empty means the attribute is fully healthy.
-    pub quarantined: Vec<std::path::PathBuf>,
-    /// Total transient read faults absorbed by retries across the
-    /// attribute's segments.
-    pub io_retries: u64,
-    /// Block loads that exhausted the retry budget (each one quarantined
-    /// a segment).
-    pub io_gave_up: u64,
-}
-
-impl AttributeHealth {
-    /// Whether every segment behind the attribute is serving reads.
-    pub fn healthy(&self) -> bool {
-        self.quarantined.is_empty()
-    }
-}
-
-impl FixedProbe {
-    /// The segments behind this attribute, for health and telemetry scans.
-    fn segments(&self) -> Vec<&SegmentSource> {
-        match self {
-            FixedProbe::Segment(segment) => vec![segment],
-            FixedProbe::Sharded(sharded) => sharded.shards().iter().collect(),
+            DiskAttribute::Live(live) => live.snapshot().exact_match_count(),
+            fixed => fixed
+                .segments()
+                .iter()
+                .map(SegmentSource::exact_match_count)
+                .sum(),
         }
     }
 
-    /// Appends this attribute's metrics under `prefix`.
+    /// Appends a fixed attribute's metrics under `prefix`.
     fn collect(&self, prefix: &str, out: &mut Vec<MetricEntry>) {
         let counter = |name: String, value: u64| MetricEntry {
             name,
             value: MetricValue::Counter(value),
         };
-        if let FixedProbe::Sharded(sharded) = self {
+        if let DiskAttribute::Sharded(sharded) = self {
             let stats = sharded.scan_stats();
             out.push(counter(format!("{prefix}.shard.emitted"), stats.emitted));
             out.push(counter(format!("{prefix}.shard.consumed"), stats.consumed));
@@ -208,6 +123,68 @@ impl FixedProbe {
     }
 }
 
+/// Footer-level only: a sharded source's derived `Debug` would dump its
+/// merged prefix.
+impl std::fmt::Debug for DiskAttribute {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DiskAttribute::Live(live) => f.debug_tuple("Live").field(live).finish(),
+            fixed => f.debug_tuple("Fixed").field(&fixed.segments()).finish(),
+        }
+    }
+}
+
+/// A subsystem serving graded lists from immutable segment files, keyed by
+/// attribute.
+///
+/// Like [`crate::mem::VectorSubsystem`], the atomic query's *target* is
+/// ignored: each attribute has exactly one persistent ranking, fixed when
+/// its segment was written.
+#[derive(Debug)]
+pub struct DiskSubsystem {
+    name: String,
+    universe: usize,
+    cache: Arc<BlockCache>,
+    /// Every attribute, by name. The fixed ones also feed the telemetry
+    /// collector and [`health`](DiskSubsystem::health): per-attribute I/O
+    /// retry and shard scatter-gather stats are read straight off their
+    /// handles at snapshot time (pull-based — the query path pays
+    /// nothing).
+    segments: BTreeMap<String, DiskAttribute>,
+    /// When set, sharded attributes registered afterwards opt in to
+    /// degraded reads (a quarantined shard is dropped instead of failing
+    /// the query; see [`ShardedSource::with_degraded_reads`]).
+    degraded_reads: bool,
+    /// Filesystem abstraction every subsequently opened attribute reads
+    /// through — the real filesystem unless a test installed a
+    /// [`garlic_storage::FaultVfs`].
+    vfs: Arc<dyn Vfs>,
+}
+
+/// One fixed attribute's I/O health, as reported by
+/// [`DiskSubsystem::health`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct AttributeHealth {
+    /// The attribute this report covers.
+    pub attribute: String,
+    /// Segment files quarantined after exhausting their I/O retry budget.
+    /// Empty means the attribute is fully healthy.
+    pub quarantined: Vec<std::path::PathBuf>,
+    /// Total transient read faults absorbed by retries across the
+    /// attribute's segments.
+    pub io_retries: u64,
+    /// Block loads that exhausted the retry budget (each one quarantined
+    /// a segment).
+    pub io_gave_up: u64,
+}
+
+impl AttributeHealth {
+    /// Whether every segment behind the attribute is serving reads.
+    pub fn healthy(&self) -> bool {
+        self.quarantined.is_empty()
+    }
+}
+
 impl DiskSubsystem {
     /// An empty subsystem over a universe of `universe` objects, with its
     /// own [`DEFAULT_CACHE_BLOCKS`]-block cache.
@@ -228,7 +205,6 @@ impl DiskSubsystem {
             universe,
             cache,
             segments: BTreeMap::new(),
-            probes: Vec::new(),
             degraded_reads: false,
             vfs: std_vfs(),
         }
@@ -278,15 +254,9 @@ impl DiskSubsystem {
                 self.universe
             );
         }
-        let (crisp, ones) = (segment.is_crisp(), segment.exact_match_count());
-        let segment = Arc::new(segment);
-        self.probes.push((
-            attribute.to_owned(),
-            FixedProbe::Segment(Arc::clone(&segment)),
-        ));
         self.segments.insert(
             attribute.to_owned(),
-            DiskAttribute::from_concrete(segment, crisp, ones),
+            DiskAttribute::Segment(Arc::new(segment)),
         );
         Ok(self)
     }
@@ -350,20 +320,13 @@ impl DiskSubsystem {
                 self.universe
             );
         }
-        let crisp = shards.iter().all(|s| s.is_crisp());
-        let ones = shards.iter().map(|s| s.exact_match_count()).sum();
         let mut sharded = ShardedSource::new(shards, fences);
         if self.degraded_reads {
             sharded = sharded.with_degraded_reads(self.universe as u64);
         }
-        let sharded = Arc::new(sharded);
-        self.probes.push((
-            attribute.to_owned(),
-            FixedProbe::Sharded(Arc::clone(&sharded)),
-        ));
         self.segments.insert(
             attribute.to_owned(),
-            DiskAttribute::from_concrete(sharded, crisp, ones),
+            DiskAttribute::Sharded(Arc::new(sharded)),
         );
         Ok(self)
     }
@@ -376,8 +339,8 @@ impl DiskSubsystem {
     /// miss), since its membership changes over time.
     ///
     /// Queries against a live attribute evaluate to an epoch-pinned
-    /// snapshot, and `estimate_matches`/`is_crisp` are computed from the
-    /// current state, so the planner's Filtered-vs-stream decision tracks
+    /// snapshot, and `estimate_matches`/`is_crisp` read the current
+    /// snapshot too, so the planner's Filtered-vs-stream decision tracks
     /// every acknowledged write instead of a stale footer.
     pub fn open_live(self, attribute: &str, dir: &Path) -> Result<Self, StorageError> {
         let opts = LiveOptions {
@@ -414,7 +377,7 @@ impl DiskSubsystem {
     pub fn live_source(&self, attribute: &str) -> Option<&Arc<LiveSource>> {
         match self.segments.get(attribute)? {
             DiskAttribute::Live(live) => Some(live),
-            DiskAttribute::Fixed { .. } => None,
+            DiskAttribute::Segment(_) | DiskAttribute::Sharded(_) => None,
         }
     }
 
@@ -441,31 +404,34 @@ impl DiskSubsystem {
     pub fn register_telemetry(&self, telemetry: &Telemetry) {
         self.cache
             .register_telemetry(telemetry, &format!("storage.{}.cache", self.name));
-        let probes = self.probes.clone();
+        let fixed: Vec<(String, DiskAttribute)> = self
+            .fixed()
+            .map(|(attribute, handle)| (attribute.clone(), handle.clone()))
+            .collect();
         let name = self.name.clone();
         telemetry.register_collector(move |out| {
-            for (attribute, probe) in &probes {
-                probe.collect(&format!("storage.{name}.{attribute}"), out);
+            for (attribute, handle) in &fixed {
+                handle.collect(&format!("storage.{name}.{attribute}"), out);
             }
         });
     }
 
-    /// The I/O health of every fixed attribute: retry totals and any
-    /// quarantined segment files. A quarantined segment keeps failing fast
-    /// with a typed error until its file is repaired and the subsystem is
-    /// reopened; under [`with_degraded_reads`](Self::with_degraded_reads)
-    /// a sharded attribute keeps answering (flagged degraded) around it.
+    /// The I/O health of every fixed attribute, in name order: retry
+    /// totals and any quarantined segment files. A quarantined segment
+    /// keeps failing fast with a typed error until its file is repaired and
+    /// the subsystem is reopened; under
+    /// [`with_degraded_reads`](Self::with_degraded_reads) a sharded
+    /// attribute keeps answering (flagged degraded) around it.
     pub fn health(&self) -> Vec<AttributeHealth> {
-        self.probes
-            .iter()
-            .map(|(attribute, probe)| {
+        self.fixed()
+            .map(|(attribute, handle)| {
                 let mut report = AttributeHealth {
                     attribute: attribute.clone(),
                     quarantined: Vec::new(),
                     io_retries: 0,
                     io_gave_up: 0,
                 };
-                for segment in probe.segments() {
+                for segment in handle.segments() {
                     report.io_retries += segment.io_retries();
                     report.io_gave_up += segment.io_gave_up();
                     if segment.is_quarantined() {
@@ -475,6 +441,13 @@ impl DiskSubsystem {
                 report
             })
             .collect()
+    }
+
+    /// The fixed (segment-backed) attributes, in name order.
+    fn fixed(&self) -> impl Iterator<Item = (&String, &DiskAttribute)> {
+        self.segments
+            .iter()
+            .filter(|(_, handle)| !matches!(handle, DiskAttribute::Live(_)))
     }
 
     fn segment(&self, query: &AtomicQuery) -> Result<&DiskAttribute, SubsystemError> {
@@ -511,8 +484,9 @@ impl Subsystem for DiskSubsystem {
     /// write version), and entirely unaffected by writes or compactions
     /// that land while the query runs.
     fn evaluate(&self, query: &AtomicQuery) -> Result<Arc<dyn GradedSource>, SubsystemError> {
-        self.segment(query).map(|s| match s {
-            DiskAttribute::Fixed { graded, .. } => Arc::clone(graded),
+        Ok(match self.segment(query)? {
+            DiskAttribute::Segment(segment) => Arc::clone(segment) as Arc<dyn GradedSource>,
+            DiskAttribute::Sharded(sharded) => Arc::clone(sharded) as Arc<dyn GradedSource>,
             DiskAttribute::Live(live) => live.snapshot() as Arc<dyn GradedSource>,
         })
     }
@@ -521,9 +495,21 @@ impl Subsystem for DiskSubsystem {
         self.segments.get(attribute).is_some_and(|s| s.crisp())
     }
 
+    /// A live attribute's set and crispness come from one snapshot, so a
+    /// write landing during the call cannot pair a fuzzy set with a crisp
+    /// verdict.
     fn evaluate_set(&self, query: &AtomicQuery) -> Result<Arc<dyn SetAccess>, SubsystemError> {
         let segment = self.segment(query)?;
-        if !segment.crisp() {
+        let (set, crisp): (Arc<dyn SetAccess>, bool) = match segment {
+            DiskAttribute::Segment(source) => (Arc::clone(source) as _, segment.crisp()),
+            DiskAttribute::Sharded(source) => (Arc::clone(source) as _, segment.crisp()),
+            DiskAttribute::Live(live) => {
+                let snapshot = live.snapshot();
+                let crisp = snapshot.is_crisp();
+                (snapshot, crisp)
+            }
+        };
+        if !crisp {
             return Err(SubsystemError::Unsupported {
                 reason: format!(
                     "{}.{} is not crisp, so it offers no set access",
@@ -531,16 +517,14 @@ impl Subsystem for DiskSubsystem {
                 ),
             });
         }
-        Ok(match segment {
-            DiskAttribute::Fixed { set, .. } => Arc::clone(set),
-            DiskAttribute::Live(live) => live.snapshot() as Arc<dyn SetAccess>,
-        })
+        Ok(set)
     }
 
     /// The footer's exact-match count (summed over the shard footers for a
     /// sharded attribute): free, exact selectivity. A live attribute
-    /// counts its currently visible grade-1 objects — memtable deltas
-    /// included — so a write can flip the planner's decision immediately.
+    /// reads its current snapshot's count of visible grade-1 objects —
+    /// memtable deltas included — so a write can flip the planner's
+    /// decision immediately.
     fn estimate_matches(&self, query: &AtomicQuery) -> Option<usize> {
         self.segments
             .get(&query.attribute)
@@ -900,6 +884,43 @@ mod tests {
     }
 
     #[test]
+    fn reopening_an_attribute_reports_it_once() {
+        let a = temp_seg("reopen-a.seg", &[g(0.1), g(0.9), g(0.5)]);
+        let b = temp_seg("reopen-b.seg", &[g(1.0), g(0.0), g(1.0)]);
+        let live_dir = temp_dir().join("reopen-live");
+        let _ = std::fs::remove_dir_all(&live_dir);
+        let s = DiskSubsystem::new("disk", 3)
+            .open_segment("B", &b)
+            .unwrap()
+            .open_segment("A", &a)
+            .unwrap()
+            .open_segment("A", &b)
+            .unwrap()
+            .open_segment("L", &a)
+            .unwrap()
+            .open_live_with("L", &live_dir, garlic_storage::LiveOptions::default())
+            .unwrap();
+        // Fixed attributes only, once each, in name order; the live
+        // attribute that replaced `L`'s segment has no segment health.
+        let reported: Vec<String> = s.health().into_iter().map(|h| h.attribute).collect();
+        assert_eq!(reported, ["A", "B"]);
+        assert!(s.is_crisp("A"), "the reopened `A` is the crisp file");
+        let telemetry = Telemetry::new();
+        s.register_telemetry(&telemetry);
+        let retries: Vec<String> = telemetry
+            .snapshot()
+            .entries
+            .into_iter()
+            .map(|e| e.name)
+            .filter(|name| name.ends_with(".io_retries"))
+            .collect();
+        assert_eq!(
+            retries,
+            ["storage.disk.A.io_retries", "storage.disk.B.io_retries"]
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "outside the universe size")]
     fn live_writes_respect_the_universe() {
         use garlic_core::ObjectId;
@@ -951,12 +972,8 @@ mod tests {
                 .with_degraded_reads(grades.len() as u64),
         );
         let mut s = DiskSubsystem::with_cache("disk", grades.len(), cache);
-        s.probes
-            .push(("D".to_owned(), FixedProbe::Sharded(Arc::clone(&sharded))));
-        s.segments.insert(
-            "D".to_owned(),
-            DiskAttribute::from_concrete(sharded, false, 0),
-        );
+        s.segments
+            .insert("D".to_owned(), DiskAttribute::Sharded(sharded));
         assert!(s.health().iter().all(AttributeHealth::healthy));
         fault.push_rule(FaultRule {
             path_contains: victim.to_owned(),

@@ -11,6 +11,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use garlic::core::access::GradedSource;
 use garlic::middleware::{parse_query, Catalog, Garlic};
 use garlic::storage::LiveSource;
 use garlic::subsys::DiskSubsystem;
@@ -104,7 +105,7 @@ fn main() {
     println!(
         "wrote {} objects; Color: {} live entries, {} WAL bytes, epoch {}\n",
         N,
-        handles[0].live_len(),
+        handles[0].snapshot().len(),
         handles[0].wal_bytes(),
         handles[0].epoch()
     );
@@ -119,7 +120,7 @@ fn main() {
     let (garlic, handles) = open_store(&cache);
     println!(
         "\nrecovered Color: {} live entries, epoch {} (replayed from the WAL)\n",
-        handles[0].live_len(),
+        handles[0].snapshot().len(),
         handles[0].epoch()
     );
     let recovered = run_queries(&garlic, "after crash recovery");
