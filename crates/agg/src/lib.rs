@@ -38,7 +38,6 @@
 
 pub mod axioms;
 pub mod duality;
-pub mod families;
 pub mod grade;
 pub mod iterated;
 pub mod means;

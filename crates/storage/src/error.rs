@@ -94,6 +94,16 @@ pub enum StorageError {
         /// What exactly was wrong.
         detail: String,
     },
+    /// The data does not fit the universe `0..universe` it was opened or
+    /// written against: it grades an object at or past `universe`, or a
+    /// dense ranking holds a different number of entries. Refused before
+    /// anything is registered or applied.
+    UniverseMismatch {
+        /// The universe size.
+        universe: usize,
+        /// What disagreed with it.
+        detail: String,
+    },
     /// The segment exhausted its I/O retry budget earlier and was
     /// quarantined: every further read fails fast with this error until
     /// the source is reopened, so one bad disk cannot stall queries in
@@ -150,6 +160,9 @@ impl fmt::Display for StorageError {
             }
             StorageError::ManifestCorrupt { detail } => {
                 write!(f, "live-store manifest corrupt: {detail}")
+            }
+            StorageError::UniverseMismatch { universe, detail } => {
+                write!(f, "universe mismatch (size {universe}): {detail}")
             }
             StorageError::Quarantined { path } => {
                 write!(

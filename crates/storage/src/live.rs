@@ -85,9 +85,9 @@ pub struct LiveOptions {
     /// [`LiveSource::flush`]) is called explicitly — what deterministic
     /// tests want.
     pub auto_compact: bool,
-    /// When set, writes must grade objects inside `0..universe`; an
-    /// out-of-range write is a wiring-error panic, matching the
-    /// subsystem-registration contract.
+    /// When set, writes must grade objects inside `0..universe`: an
+    /// out-of-range write, or a reopened store whose data grades such an
+    /// object, is a [`StorageError::UniverseMismatch`].
     pub universe: Option<usize>,
     /// When attached, the store resolves its metric handles from this
     /// registry once at open (`live.wal.fsync_ns`, `live.wal.replayed_ops`,
@@ -187,8 +187,7 @@ pub(crate) struct LiveShared {
 }
 
 impl LiveShared {
-    /// The store lock, recovered if poisoned: the universe check, the one
-    /// panic a write can provoke, fires before the lock is taken.
+    /// The store lock, recovered if poisoned.
     pub(crate) fn inner(&self) -> MutexGuard<'_, LiveInner> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -292,10 +291,12 @@ impl LiveSource {
                 .and_then(|b| b.max_object())
                 .map(|o| o.index());
             if let Some(max) = max_overlay.into_iter().chain(max_base).max() {
-                assert!(
-                    max < universe,
-                    "live store grades object #{max} outside the universe size {universe}"
-                );
+                if max >= universe {
+                    return Err(StorageError::UniverseMismatch {
+                        universe,
+                        detail: format!("live store grades object #{max}"),
+                    });
+                }
             }
         }
 
@@ -344,22 +345,20 @@ impl LiveSource {
     }
 
     /// Applies a batch of ops as **one** WAL record — one fsync for the
-    /// whole batch, the sustained-ingest fast path.
-    ///
-    /// # Panics
-    /// Panics if [`LiveOptions::universe`] is set and an op grades an
-    /// object outside it (a wiring error, like registering a short list).
+    /// whole batch, the sustained-ingest fast path. If
+    /// [`LiveOptions::universe`] is set and an op grades an object outside
+    /// it, the batch is a [`StorageError::UniverseMismatch`] and nothing is
+    /// logged or applied.
     pub fn write_batch(&self, ops: &[WalOp]) -> Result<(), StorageError> {
         if ops.is_empty() {
             return Ok(());
         }
         if let Some(universe) = self.shared.opts.universe {
-            for op in ops {
-                assert!(
-                    op.object().index() < universe,
-                    "live write grades object {} outside the universe size {universe}",
-                    op.object()
-                );
+            if let Some(op) = ops.iter().find(|op| op.object().index() >= universe) {
+                return Err(StorageError::UniverseMismatch {
+                    universe,
+                    detail: format!("live write grades object {}", op.object()),
+                });
             }
         }
         let mut inner = self.shared.inner();
@@ -1082,8 +1081,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "outside the universe size")]
-    fn universe_bound_is_enforced_on_writes() {
+    fn universe_bound_is_a_typed_error_on_writes() {
         let dir = temp_store("universe");
         let live = open(
             &dir,
@@ -1092,7 +1090,60 @@ mod tests {
                 ..LiveOptions::default()
             },
         );
-        let _ = live.upsert(ObjectId(8), g(0.5));
+        live.upsert(ObjectId(7), g(0.5)).unwrap();
+        let wal = live.wal_bytes();
+        let err = live
+            .write_batch(&[
+                WalOp::Upsert {
+                    object: ObjectId(1),
+                    grade: g(0.9),
+                },
+                WalOp::Delete {
+                    object: ObjectId(8),
+                },
+            ])
+            .unwrap_err();
+        assert!(
+            matches!(err, StorageError::UniverseMismatch { universe: 8, .. }),
+            "{err:?}"
+        );
+        assert!(
+            err.to_string()
+                .contains("(size 8): live write grades object #8"),
+            "{err}"
+        );
+        assert_eq!(live.wal_bytes(), wal, "nothing of the batch is logged");
+        assert_eq!(stats(&live), (1, 0), "nothing of the batch is applied");
+    }
+
+    #[test]
+    fn reopening_data_outside_the_universe_is_a_typed_error() {
+        let dir = temp_store("universe-reopen");
+        let live = open(&dir, LiveOptions::default());
+        live.upsert(ObjectId(3), g(0.5)).unwrap();
+        live.upsert(ObjectId(1000), g(0.7)).unwrap();
+        drop(live);
+        let narrow = LiveOptions {
+            universe: Some(10),
+            ..LiveOptions::default()
+        };
+        let err =
+            LiveSource::open(&dir, Arc::new(BlockCache::new(16)), narrow.clone()).unwrap_err();
+        assert!(
+            matches!(err, StorageError::UniverseMismatch { universe: 10, .. }),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("#1000"), "{err}");
+        // The same object out of a compacted base segment.
+        let live = open(&dir, LiveOptions::default());
+        live.flush().unwrap();
+        drop(live);
+        let err = LiveSource::open(&dir, Arc::new(BlockCache::new(16)), narrow).unwrap_err();
+        assert!(
+            matches!(err, StorageError::UniverseMismatch { .. }),
+            "{err:?}"
+        );
+        assert_eq!(stats(&open(&dir, LiveOptions::default())), (2, 0));
     }
 
     fn open_faulty(name: &str) -> (PathBuf, LiveSource, Arc<FaultVfs>) {

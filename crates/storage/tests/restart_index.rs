@@ -13,7 +13,10 @@ use std::sync::Arc;
 use garlic_agg::Grade;
 use garlic_core::access::{GradedSource, MemorySource};
 use garlic_core::ObjectId;
-use garlic_storage::format::{fnv1a64, FORMAT_V1, FORMAT_VERSION, RESTART_INTERVAL};
+use garlic_storage::format::{
+    fnv1a64, Footer, FLAG_GRADE_DICT, FORMAT_V1, FORMAT_VERSION, GRADE_DICT_MAX, RESTART_INTERVAL,
+    TRAILER_LEN,
+};
 use garlic_storage::{BlockCache, SegmentSource, SegmentWriter};
 
 fn temp_path(name: &str) -> PathBuf {
@@ -40,12 +43,14 @@ fn pairs(n: usize, distinct: Option<usize>) -> Vec<(ObjectId, Grade)> {
         .collect()
 }
 
+/// Writes `pairs` and opens the segment: with the grade mode its footer
+/// records (`"v1"`, `"dict"` or `"delta"`).
 fn write_and_open(
     name: &str,
     pairs: &[(ObjectId, Grade)],
     block_size: usize,
     version: u32,
-) -> SegmentSource {
+) -> (SegmentSource, &'static str) {
     let path = temp_path(name);
     SegmentWriter::with_block_size(block_size)
         .unwrap()
@@ -53,12 +58,25 @@ fn write_and_open(
         .unwrap()
         .write_pairs(&path, pairs.to_vec())
         .unwrap();
-    SegmentSource::open(&path, Arc::new(BlockCache::new(64))).unwrap()
+    let bytes = std::fs::read(&path).unwrap();
+    let trailer = bytes.len() - TRAILER_LEN as usize;
+    let at = u64::from_le_bytes(bytes[trailer..trailer + 8].try_into().unwrap()) as usize;
+    let footer = Footer::parse(&bytes[at..trailer], version).unwrap();
+    let mode = match (version, footer.flags & FLAG_GRADE_DICT != 0) {
+        (FORMAT_V1, _) => "v1",
+        (_, true) => "dict",
+        (_, false) => "delta",
+    };
+    let segment = SegmentSource::open(&path, Arc::new(BlockCache::new(64))).unwrap();
+    (segment, mode)
 }
 
 /// Entries per block below, equal to, just past, not a multiple of, and a
 /// multiple of the interval; entry counts that leave a short last block, a
-/// last block of one entry, exactly full blocks, and a one-entry segment.
+/// last block of one entry, exactly full blocks, and (dictionary mode
+/// only, one grade being one dictionary entry) a one-entry segment. The
+/// delta column is pushed past the dictionary cap by whole blocks, so its
+/// last-block shapes are the dictionary column's.
 #[test]
 fn every_range_and_every_probe_match_memory_and_v1() {
     let per_block = [
@@ -70,19 +88,22 @@ fn every_range_and_every_probe_match_memory_and_v1() {
         RESTART_INTERVAL * 8,
     ];
     for entries_per_block in per_block {
+        let past_cap = GRADE_DICT_MAX.div_ceil(entries_per_block) * entries_per_block;
         for n in [
             1,
             entries_per_block,
             entries_per_block + 1,
             2 * entries_per_block + RESTART_INTERVAL + 3,
         ] {
-            for (mode, distinct) in [("dict", Some(9)), ("delta", None)] {
+            for (mode, distinct, n) in [("dict", Some(9), n), ("delta", None, past_cap + n)] {
                 let what = format!("{entries_per_block}/block n={n} {mode}");
                 let pairs = pairs(n, distinct);
                 let block_size = 16 * entries_per_block;
                 let mem = MemorySource::from_pairs(pairs.clone());
-                let v1 = write_and_open("sweep-v1.seg", &pairs, block_size, FORMAT_V1);
-                let v2 = write_and_open("sweep-v2.seg", &pairs, block_size, FORMAT_VERSION);
+                let (v1, v1_mode) = write_and_open("sweep-v1.seg", &pairs, block_size, FORMAT_V1);
+                let (v2, v2_mode) =
+                    write_and_open("sweep-v2.seg", &pairs, block_size, FORMAT_VERSION);
+                assert_eq!((v1_mode, v2_mode), ("v1", mode), "{what}: footer modes");
                 assert_eq!(v2.version(), FORMAT_VERSION);
                 assert_eq!(
                     v1.restart_index_bytes(),
@@ -93,7 +114,29 @@ fn every_range_and_every_probe_match_memory_and_v1() {
                 let mut want = Vec::new();
                 mem.sorted_batch(0, n, &mut want);
                 let (mut a, mut b) = (Vec::new(), Vec::new());
-                for from in 0..=n {
+                // Every `from`; past 150 entries, the ranks around the
+                // first restarts and blocks, around the start of the last
+                // full block, and around the end of the list.
+                let last_block = (n - 1) / entries_per_block * entries_per_block;
+                let froms: Vec<usize> = if n <= 150 {
+                    (0..=n).collect()
+                } else {
+                    [
+                        0,
+                        1,
+                        RESTART_INTERVAL - 1,
+                        RESTART_INTERVAL,
+                        RESTART_INTERVAL + 1,
+                    ]
+                    .into_iter()
+                    .chain([entries_per_block - 1, entries_per_block])
+                    .chain([entries_per_block + 1, 2 * entries_per_block + 5])
+                    .chain([last_block.saturating_sub(1), last_block, last_block + 1])
+                    .chain([n - RESTART_INTERVAL - 1, n - 2, n - 1, n])
+                    .filter(|&from| from <= n)
+                    .collect()
+                };
+                for from in froms {
                     assert_eq!(v2.sorted_access(from), want.get(from).copied(), "{what}");
                     // Every `to`; past 150 entries, the lengths around the
                     // interval, the block and the end of the list.
@@ -144,12 +187,13 @@ fn index_memory_is_bounded_per_entry() {
         (4096, "dict", Some(100)),
         (16 * (RESTART_INTERVAL + 1), "delta", None),
     ] {
-        let seg = write_and_open(
+        let (seg, written) = write_and_open(
             "memory.seg",
             &pairs(n, distinct),
             block_size,
             FORMAT_VERSION,
         );
+        assert_eq!(written, mode, "{block_size}: footer mode");
         let bytes = seg.restart_index_bytes();
         assert!(
             bytes > 0,

@@ -30,7 +30,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use garlic_core::access::{GradedSource, SetAccess};
-use garlic_core::ShardedSource;
+use garlic_core::{ObjectId, ShardedSource};
 use garlic_storage::{
     std_vfs, BlockCache, CacheStats, LiveOptions, LiveSource, SegmentSource, StorageError, Vfs,
 };
@@ -232,28 +232,14 @@ impl DiskSubsystem {
 
     /// Opens (and fully verifies) the segment at `path` as the ranking of
     /// `attribute`. A corrupted or truncated file is a typed
-    /// [`StorageError`]; registering it never partially succeeds.
-    ///
-    /// # Panics
-    /// Panics if the verified segment does not grade exactly this
-    /// subsystem's universe `0..N` — a wiring error, like handing
-    /// [`crate::mem::VectorSubsystem::with_list`] a short list. (Entry
-    /// count `N` plus largest id `< N` plus the verified id uniqueness
-    /// pin the dense universe exactly.)
+    /// [`StorageError`]; registering it never partially succeeds. So is a
+    /// segment that does not grade exactly this subsystem's universe
+    /// `0..N` ([`StorageError::UniverseMismatch`]): entry count `N` plus
+    /// largest id `< N` plus the verified id uniqueness pin the dense
+    /// universe exactly.
     pub fn open_segment(mut self, attribute: &str, path: &Path) -> Result<Self, StorageError> {
         let segment = SegmentSource::open_with(path, Arc::clone(&self.cache), &self.vfs)?;
-        assert_eq!(
-            segment.len(),
-            self.universe,
-            "segment length must match the universe size"
-        );
-        if let Some(max) = segment.max_object() {
-            assert!(
-                max.index() < self.universe,
-                "segment grades object {max} outside the universe size {}",
-                self.universe
-            );
-        }
+        self.check_universe(segment.len(), segment.max_object())?;
         self.segments.insert(
             attribute.to_owned(),
             DiskAttribute::Segment(Arc::new(segment)),
@@ -271,10 +257,12 @@ impl DiskSubsystem {
     ///
     /// [`SegmentWriter::write_sharded_pairs`]: garlic_storage::SegmentWriter::write_sharded_pairs
     ///
+    /// A partition that does not grade exactly this subsystem's universe
+    /// `0..N` is a [`StorageError::UniverseMismatch`].
+    ///
     /// # Panics
-    /// Panics on wiring errors: no shards, an empty shard, overlapping or
-    /// out-of-order shard ranges, or a partition that does not grade
-    /// exactly this subsystem's universe `0..N`.
+    /// Panics on wiring errors: no shards, an empty shard, or overlapping
+    /// or out-of-order shard ranges.
     pub fn open_sharded_segment(
         mut self,
         attribute: &str,
@@ -309,17 +297,7 @@ impl DiskSubsystem {
             );
         }
         let total: usize = shards.iter().map(|s| s.len()).sum();
-        assert_eq!(
-            total, self.universe,
-            "sharded segment length must match the universe size"
-        );
-        if let Some(max) = shards.last().and_then(|s| s.max_object()) {
-            assert!(
-                max.index() < self.universe,
-                "segment grades object {max} outside the universe size {}",
-                self.universe
-            );
-        }
+        self.check_universe(total, shards.last().and_then(|s| s.max_object()))?;
         let mut sharded = ShardedSource::new(shards, fences);
         if self.degraded_reads {
             sharded = sharded.with_degraded_reads(self.universe as u64);
@@ -329,6 +307,22 @@ impl DiskSubsystem {
             DiskAttribute::Sharded(Arc::new(sharded)),
         );
         Ok(self)
+    }
+
+    /// Refuses a fixed ranking — `len` entries, largest graded object
+    /// `max` — that does not grade exactly the universe `0..N`.
+    fn check_universe(&self, len: usize, max: Option<ObjectId>) -> Result<(), StorageError> {
+        let detail = if len != self.universe {
+            format!("ranking holds {len} entries")
+        } else if let Some(max) = max.filter(|max| max.index() >= self.universe) {
+            format!("ranking grades object {max}")
+        } else {
+            return Ok(());
+        };
+        Err(StorageError::UniverseMismatch {
+            universe: self.universe,
+            detail,
+        })
     }
 
     /// Opens (creating or crash-recovering) the **writable** live store in
@@ -653,16 +647,25 @@ mod tests {
         ));
     }
 
-    #[test]
-    #[should_panic(expected = "universe size")]
-    fn mismatched_universe_panics() {
-        let path = temp_seg("short.seg", &[g(0.1)]);
-        let _ = DiskSubsystem::new("disk", 3).open_segment("A", &path);
+    /// The universe error every mismatch below must be.
+    fn assert_universe_error(result: Result<DiskSubsystem, StorageError>, universe: usize) {
+        let err = result.unwrap_err();
+        assert!(
+            matches!(err, StorageError::UniverseMismatch { universe: u, .. } if u == universe),
+            "{err:?}"
+        );
+        let message = format!("universe mismatch (size {universe})");
+        assert!(err.to_string().starts_with(&message), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "outside the universe")]
-    fn out_of_universe_objects_panic() {
+    fn mismatched_universe_is_a_typed_error() {
+        let path = temp_seg("short.seg", &[g(0.1)]);
+        assert_universe_error(DiskSubsystem::new("disk", 3).open_segment("A", &path), 3);
+    }
+
+    #[test]
+    fn out_of_universe_objects_are_a_typed_error() {
         // Right entry count, but sparse ids beyond the declared universe:
         // fused queries against dense sibling attributes would silently
         // miss on random access, so registration must refuse.
@@ -679,7 +682,7 @@ mod tests {
                 ],
             )
             .unwrap();
-        let _ = DiskSubsystem::new("disk", 3).open_segment("A", &path);
+        assert_universe_error(DiskSubsystem::new("disk", 3).open_segment("A", &path), 3);
     }
 
     #[test]
@@ -921,15 +924,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "outside the universe size")]
-    fn live_writes_respect_the_universe() {
+    fn live_writes_outside_the_universe_are_a_typed_error() {
         use garlic_core::ObjectId;
         let dir = temp_dir().join("live-universe");
         let _ = std::fs::remove_dir_all(&dir);
         let s = DiskSubsystem::new("disk", 4)
             .open_live_with("L", &dir, garlic_storage::LiveOptions::default())
             .unwrap();
-        let _ = s.live_source("L").unwrap().upsert(ObjectId(4), g(0.5));
+        let err = s.live_source("L").unwrap().upsert(ObjectId(4), g(0.5));
+        assert!(
+            matches!(err, Err(StorageError::UniverseMismatch { universe: 4, .. })),
+            "{err:?}"
+        );
+        assert_eq!(s.live_source("L").unwrap().snapshot().len(), 0);
     }
 
     #[test]
@@ -1001,13 +1008,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "universe size")]
-    fn sharded_universe_mismatch_panics() {
+    fn sharded_universe_mismatch_is_a_typed_error() {
         let dir = temp_dir();
         let parts = SegmentWriter::new()
             .write_sharded_grades(&dir, "shardshort", 2, &[g(0.1), g(0.2), g(0.3)])
             .unwrap();
-        let _ =
+        let opened =
             DiskSubsystem::new("disk", 5).open_sharded_segment("A", parts.iter().map(|p| &p.path));
+        assert_universe_error(opened, 5);
     }
 }

@@ -6,6 +6,8 @@
 //! Object sets may differ under ties — the paper's definition of "the top k
 //! answers" allows that — so comparisons are on grades, which are unique.
 
+mod support;
+
 use garlic::agg::iterated::{max_agg, min_agg};
 use garlic::agg::means::MedianAgg;
 use garlic::agg::order_stat::KthLargest;
@@ -20,25 +22,7 @@ use garlic::core::algorithms::ullman::{ullman_run, ullman_top1, ullman_topk};
 use garlic::core::GradedSource;
 use garlic::Grade;
 use proptest::prelude::*;
-
-/// Strategy: a database of `m` lists over `n` objects with grades from a
-/// small quantised set (to exercise ties hard) or full-range floats.
-fn db_strategy(max_m: usize, max_n: usize) -> impl Strategy<Value = Vec<Vec<Grade>>> {
-    (1..=max_m, 1..=max_n).prop_flat_map(|(m, n)| {
-        proptest::collection::vec(
-            proptest::collection::vec(
-                prop_oneof![
-                    // Tie-heavy quantised grades.
-                    (0u8..=4).prop_map(|q| Grade::clamped(q as f64 / 4.0)),
-                    // Arbitrary grades.
-                    (0.0f64..=1.0).prop_map(Grade::clamped),
-                ],
-                n..=n,
-            ),
-            m..=m,
-        )
-    })
-}
+use support::db_strategy;
 
 fn to_sources(db: &[Vec<Grade>]) -> Vec<MemorySource> {
     db.iter().map(|g| MemorySource::from_grades(g)).collect()

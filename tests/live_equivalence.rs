@@ -1,32 +1,32 @@
-//! The write-path acceptance criterion: a [`LiveSource`] must be
+//! The write-path acceptance criterion: a live store must be
 //! **indistinguishable** from a freshly built [`MemorySource`] over the
 //! same visible contents — same entries, same skeleton tie order, and the
-//! same per-source Section 5 billed access counts under every strategy —
-//! at every point of its lifecycle: memtable-only, mixed layers, freshly
-//! compacted, and reopened after a crash. Durability and write absorption
-//! must be invisible to the fusion layer.
+//! same per-source Section 5 billed access counts under every session
+//! rule — at every point of its lifecycle: memtable-only, mixed layers,
+//! freshly compacted, and reopened after a crash. Durability and write
+//! absorption must be invisible to the fusion layer.
 //!
 //! The suite is model-driven: a deterministic op tape (upserts that
 //! overwrite, tombstone deletes, sparse ids) is applied to both the live
-//! stores and an in-RAM oracle, and the two worlds are compared at each
-//! lifecycle checkpoint. A separate test pins snapshot isolation while a
+//! stores and an in-RAM model, and the two worlds are compared at each
+//! lifecycle checkpoint, the rules through the backend oracle's session
+//! comparison. A separate test pins snapshot isolation while a
 //! compaction retires the very segment a reader is streaming, and a
 //! middleware test pins that a write alone flips the planner's
 //! Filtered-vs-stream decision (the stale-footer regression).
 
+mod support;
+
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use garlic::agg::iterated::min_agg;
-use garlic::core::access::{CountingSource, GradedSource, MemorySource, SetAccess};
-use garlic::core::algorithms::b0_max::b0_max_topk;
-use garlic::core::algorithms::fa_min::fagin_min_topk;
-use garlic::core::algorithms::filtered::filtered_topk;
-use garlic::core::algorithms::naive::naive_topk;
-use garlic::storage::{LiveOptions, LiveSnapshot, LiveSource};
-use garlic::{BlockCache, Grade, ObjectId};
+use garlic::core::access::{GradedSource, MemorySource, SetAccess};
+use garlic::storage::{LiveOptions, LiveSource};
+use garlic::subsys::Subsystem;
+use garlic::{BlockCache, DiskSubsystem, Grade, ObjectId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use support::{assert_sessions_match, engine_shapes, garlic_over, temp_dir, Db, ATTRS};
 
 /// Sparse id pool: ids `1, 4, 7, …` prove nothing assumes density.
 const POOL: usize = 300;
@@ -39,25 +39,24 @@ fn g(v: f64) -> Grade {
     Grade::clamped(v)
 }
 
-/// The in-RAM oracle: one visible map per attribute.
+/// The in-RAM model: one visible map per attribute of [`ATTRS`].
 type Model = Vec<BTreeMap<ObjectId, Grade>>;
 
-/// Attribute 0 and 1 are fuzzy, attribute 2 ("K") is crisp. Every op
-/// touches the *same object across all attributes*, so the visible object
-/// sets (and thus source lengths) stay equal — what every multi-source
-/// strategy requires — while grades, overwrites, and tombstones differ
-/// freely.
-fn apply_ops(rng: &mut StdRng, count: usize, lives: &[LiveSource], model: &mut Model) {
+/// `A`, `B`, `C` are fuzzy, `K` is crisp. Every op touches the *same
+/// object across all attributes*, so the visible object sets (and thus
+/// source lengths) stay equal — what every multi-source strategy requires
+/// — while grades, overwrites, and tombstones differ freely.
+fn apply_ops(rng: &mut StdRng, count: usize, sub: &DiskSubsystem, model: &mut Model) {
     for _ in 0..count {
         let object = pool_id(rng.gen_range(0..POOL));
-        if rng.gen_bool(0.2) {
-            for (live, m) in lives.iter().zip(model.iter_mut()) {
+        let delete = rng.gen_bool(0.2);
+        for (attr, m) in ATTRS.iter().zip(model.iter_mut()) {
+            let live = sub.live_source(attr).unwrap();
+            if delete {
                 live.delete(object).unwrap();
                 m.remove(&object);
-            }
-        } else {
-            for (i, (live, m)) in lives.iter().zip(model.iter_mut()).enumerate() {
-                let grade = if i == 2 {
+            } else {
+                let grade = if *attr == "K" {
                     Grade::from_bool(rng.gen_bool(0.08))
                 } else {
                     g(rng.gen_range(0..=20) as f64 / 20.0)
@@ -69,197 +68,111 @@ fn apply_ops(rng: &mut StdRng, count: usize, lives: &[LiveSource], model: &mut M
     }
 }
 
-fn oracle_sources(model: &Model) -> Vec<MemorySource> {
-    model
-        .iter()
-        .map(|m| MemorySource::from_pairs(m.iter().map(|(&o, &gr)| (o, gr))))
-        .collect()
+/// The model as one database (every attribute holds the same objects).
+fn model_db(model: &Model) -> Db {
+    Db {
+        objects: model[0].keys().copied().collect(),
+        lists: std::array::from_fn(|a| model[a].values().copied().collect()),
+    }
 }
 
 /// The heart of the suite: at one lifecycle checkpoint, the live
-/// snapshots and the oracle must agree on raw streams, random access,
-/// matching sets, and — across four strategies at three depths — on the
-/// answer entries, tie order, and per-source Section 5 bills.
-fn assert_live_equals_memory(lives: &[LiveSource], model: &Model, checkpoint: &str) {
-    let snaps: Vec<Arc<LiveSnapshot>> = lives.iter().map(|l| l.snapshot()).collect();
-    let mems = oracle_sources(model);
-
-    for (i, (snap, mem)) in snaps.iter().zip(&mems).enumerate() {
-        assert_eq!(snap.len(), mem.len(), "{checkpoint}: length of attr {i}");
+/// snapshots and the model must agree on raw streams, random access and
+/// matching sets, and every session rule must answer and bill like
+/// memory, one shot at three depths and paged.
+fn assert_live_equals_memory(sub: &Arc<DiskSubsystem>, model: &Model, checkpoint: &str) {
+    let db = model_db(model);
+    let memory = db.memory();
+    for (i, attr) in ATTRS.iter().enumerate() {
+        let snap = sub.live_source(attr).unwrap().snapshot();
+        let mem = MemorySource::from_pairs(model[i].iter().map(|(&o, &gr)| (o, gr)));
+        assert_eq!(snap.len(), mem.len(), "{checkpoint}: length of {attr}");
         let (mut live_run, mut mem_run) = (Vec::new(), Vec::new());
         snap.sorted_batch(0, snap.len() + 8, &mut live_run);
         mem.sorted_batch(0, mem.len() + 8, &mut mem_run);
         assert_eq!(
             live_run, mem_run,
-            "{checkpoint}: full stream and tie order of attr {i}"
+            "{checkpoint}: full stream and tie order of {attr}"
         );
         let probes: Vec<ObjectId> = (0..POOL + 5).map(pool_id).collect();
         let (mut live_hits, mut mem_hits) = (Vec::new(), Vec::new());
         snap.random_batch(&probes, &mut live_hits);
         mem.random_batch(&probes, &mut mem_hits);
-        assert_eq!(live_hits, mem_hits, "{checkpoint}: probes of attr {i}");
-    }
-    assert_eq!(
-        snaps[2].matching_set(),
-        mems[2].matching_set(),
-        "{checkpoint}: crisp match set"
-    );
-
-    for k in [1usize, 7, 50] {
-        // FaMin (A0') and B0 (max) over the two fuzzy attributes.
-        let fuzzy_live: Vec<CountingSource<&LiveSnapshot>> = snaps[..2]
-            .iter()
-            .map(|s| CountingSource::new(s.as_ref()))
-            .collect();
-        let fuzzy_mem: Vec<CountingSource<&MemorySource>> =
-            mems[..2].iter().map(CountingSource::new).collect();
-        for (name, live_top, mem_top) in [
-            (
-                "FaMin",
-                fagin_min_topk(&fuzzy_live, k),
-                fagin_min_topk(&fuzzy_mem, k),
-            ),
-            (
-                "B0Max",
-                b0_max_topk(&fuzzy_live, k),
-                b0_max_topk(&fuzzy_mem, k),
-            ),
-        ] {
-            let (live_top, mem_top) = (live_top.unwrap(), mem_top.unwrap());
+        assert_eq!(live_hits, mem_hits, "{checkpoint}: probes of {attr}");
+        if *attr == "K" {
             assert_eq!(
-                live_top.entries(),
-                mem_top.entries(),
-                "{checkpoint}: {name} entries at k={k}"
-            );
-            for (i, (l, m)) in fuzzy_live.iter().zip(&fuzzy_mem).enumerate() {
-                assert_eq!(
-                    l.stats(),
-                    m.stats(),
-                    "{checkpoint}: {name} Section 5 bill of source {i} at k={k}"
-                );
-            }
-            fuzzy_live.iter().for_each(|s| s.reset());
-            fuzzy_mem.iter().for_each(|s| s.reset());
-        }
-
-        // The naive calculus baseline over all three attributes.
-        let all_live: Vec<CountingSource<&LiveSnapshot>> = snaps
-            .iter()
-            .map(|s| CountingSource::new(s.as_ref()))
-            .collect();
-        let all_mem: Vec<CountingSource<&MemorySource>> =
-            mems.iter().map(CountingSource::new).collect();
-        let agg = min_agg();
-        let live_top = naive_topk(&all_live, &agg, k).unwrap();
-        let mem_top = naive_topk(&all_mem, &agg, k).unwrap();
-        assert_eq!(
-            live_top.entries(),
-            mem_top.entries(),
-            "{checkpoint}: NaiveCalculus entries at k={k}"
-        );
-        for (i, (l, m)) in all_live.iter().zip(&all_mem).enumerate() {
-            assert_eq!(
-                l.stats(),
-                m.stats(),
-                "{checkpoint}: NaiveCalculus bill of source {i} at k={k}"
-            );
-        }
-
-        // The filtered ("Beatles") strategy: crisp attr 2 filters, the
-        // fuzzy attributes answer random accesses for the matches only.
-        let crisp_live = CountingSource::new(snaps[2].as_ref());
-        let crisp_mem = CountingSource::new(&mems[2]);
-        let graded_live: Vec<CountingSource<&LiveSnapshot>> = snaps[..2]
-            .iter()
-            .map(|s| CountingSource::new(s.as_ref()))
-            .collect();
-        let graded_mem: Vec<CountingSource<&MemorySource>> =
-            mems[..2].iter().map(CountingSource::new).collect();
-        let live_top = filtered_topk(&crisp_live, &graded_live, 0, &agg, k).unwrap();
-        let mem_top = filtered_topk(&crisp_mem, &graded_mem, 0, &agg, k).unwrap();
-        assert_eq!(
-            live_top.entries(),
-            mem_top.entries(),
-            "{checkpoint}: Filtered entries at k={k}"
-        );
-        assert_eq!(
-            crisp_live.stats(),
-            crisp_mem.stats(),
-            "{checkpoint}: Filtered bill of the crisp source at k={k}"
-        );
-        for (i, (l, m)) in graded_live.iter().zip(&graded_mem).enumerate() {
-            assert_eq!(
-                l.stats(),
-                m.stats(),
-                "{checkpoint}: Filtered bill of graded source {i} at k={k}"
+                snap.matching_set(),
+                mem.matching_set(),
+                "{checkpoint}: crisp match set"
             );
         }
     }
+    let live = [(
+        format!("live, {checkpoint}"),
+        Arc::clone(sub) as Arc<dyn Subsystem>,
+    )];
+    for pages in [&[1][..], &[7], &[50], &[1, 6, 43]] {
+        assert_sessions_match(&live, memory.as_ref(), &db, engine_shapes(), pages);
+    }
 }
 
-fn store_root(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir()
-        .join(format!("garlic-live-eq-{}", std::process::id()))
-        .join(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+/// Live stores for every attribute of [`ATTRS`] under `root`, sharing
+/// `cache`; ids stay below the pool's end.
+fn open_stores(root: &std::path::Path, cache: &Arc<BlockCache>) -> Arc<DiskSubsystem> {
+    let mut sub = DiskSubsystem::with_cache("live", 3 * POOL, Arc::clone(cache));
+    for attr in ATTRS {
+        sub = sub
+            .open_live_with(attr, &root.join(attr), LiveOptions::default())
+            .unwrap();
+    }
+    Arc::new(sub)
 }
 
-fn open_stores(root: &std::path::Path, cache: &Arc<BlockCache>) -> Vec<LiveSource> {
-    (0..3)
-        .map(|i| {
-            LiveSource::open(
-                &root.join(format!("attr{i}")),
-                Arc::clone(cache),
-                LiveOptions::default(),
-            )
-            .unwrap()
-        })
-        .collect()
+/// Runs `f` on every attribute's live store.
+fn each_store(sub: &DiskSubsystem, f: impl Fn(&LiveSource)) {
+    for attr in ATTRS {
+        f(sub.live_source(attr).unwrap());
+    }
 }
 
 #[test]
 fn every_lifecycle_state_is_equivalent_to_memory() {
-    let root = store_root("lifecycle");
+    let root = temp_dir("live-lifecycle");
     let cache = Arc::new(BlockCache::new(512));
     let mut rng = StdRng::seed_from_u64(4096);
-    let lives = open_stores(&root, &cache);
-    let mut model: Model = vec![BTreeMap::new(); 3];
+    let sub = open_stores(&root, &cache);
+    let mut model: Model = vec![BTreeMap::new(); ATTRS.len()];
 
     // Checkpoint 1: everything lives in the active memtable.
-    apply_ops(&mut rng, 200, &lives, &mut model);
+    apply_ops(&mut rng, 200, &sub, &mut model);
     assert!(model[0].len() > 50, "enough survivors for k=50");
-    assert_live_equals_memory(&lives, &model, "memtable-only");
+    assert_live_equals_memory(&sub, &model, "memtable-only");
 
     // Checkpoint 2: mixed layers — a frozen memtable under fresh writes.
-    for live in &lives {
-        live.freeze().unwrap();
-    }
-    apply_ops(&mut rng, 150, &lives, &mut model);
-    assert_live_equals_memory(&lives, &model, "frozen+active");
+    each_store(&sub, |live| assert!(live.freeze().unwrap()));
+    apply_ops(&mut rng, 150, &sub, &mut model);
+    assert_live_equals_memory(&sub, &model, "frozen+active");
 
     // Checkpoint 3: a compacted base segment under fresh overlay writes.
-    for live in &lives {
-        assert!(live.flush().unwrap());
-    }
-    apply_ops(&mut rng, 150, &lives, &mut model);
-    assert_live_equals_memory(&lives, &model, "base+overlay");
+    each_store(&sub, |live| assert!(live.flush().unwrap()));
+    apply_ops(&mut rng, 150, &sub, &mut model);
+    assert_live_equals_memory(&sub, &model, "base+overlay");
 
     // Checkpoint 4: fully compacted — answers come straight off segments.
-    for live in &lives {
+    each_store(&sub, |live| {
         live.flush().unwrap();
-    }
-    assert_live_equals_memory(&lives, &model, "post-compaction");
+    });
+    assert_live_equals_memory(&sub, &model, "post-compaction");
 
     // Checkpoint 5: crash recovery. Every acknowledged write was fsynced,
     // so reopening replays the exact same visible state.
-    drop(lives);
-    let lives = open_stores(&root, &cache);
-    assert_live_equals_memory(&lives, &model, "post-recovery");
+    drop(sub);
+    let sub = open_stores(&root, &cache);
+    assert_live_equals_memory(&sub, &model, "post-recovery");
 
     // And writes keep flowing after recovery.
-    apply_ops(&mut rng, 60, &lives, &mut model);
-    assert_live_equals_memory(&lives, &model, "post-recovery+writes");
+    apply_ops(&mut rng, 60, &sub, &mut model);
+    assert_live_equals_memory(&sub, &model, "post-recovery+writes");
 }
 
 #[test]
@@ -267,45 +180,51 @@ fn upsert_overwrites_and_tombstones_are_pinned_explicitly() {
     // The targeted cases on top of the randomized tape: an overwrite that
     // moves an object across the ranking, a tombstone over a compacted
     // entry, and a delete-then-reinsert.
-    let root = store_root("pinned-cases");
+    let root = temp_dir("live-pinned-cases");
     let cache = Arc::new(BlockCache::new(128));
-    let lives = open_stores(&root, &cache);
-    let mut model: Model = vec![BTreeMap::new(); 3];
+    let sub = open_stores(&root, &cache);
+    let mut model: Model = vec![BTreeMap::new(); ATTRS.len()];
+    let write = |model: &mut Model, object, grade: &dyn Fn(&str) -> Option<Grade>| {
+        for (attr, m) in ATTRS.iter().zip(model.iter_mut()) {
+            let live = sub.live_source(attr).unwrap();
+            match grade(attr) {
+                Some(grade) => {
+                    live.upsert(object, grade).unwrap();
+                    m.insert(object, grade);
+                }
+                None => {
+                    live.delete(object).unwrap();
+                    m.remove(&object);
+                }
+            }
+        }
+    };
 
     for i in 0..60usize {
-        let object = pool_id(i);
-        for (a, (live, m)) in lives.iter().zip(model.iter_mut()).enumerate() {
-            let grade = if a == 2 {
+        write(&mut model, pool_id(i), &|attr| {
+            Some(if attr == "K" {
                 Grade::from_bool(i % 5 == 0)
             } else {
                 g((i % 10) as f64 / 10.0)
-            };
-            live.upsert(object, grade).unwrap();
-            m.insert(object, grade);
-        }
+            })
+        });
     }
-    for live in &lives {
+    each_store(&sub, |live| {
         live.flush().unwrap();
-    }
-    // Overwrite: object 0 jumps to the top of both fuzzy rankings.
-    for (a, (live, m)) in lives.iter().zip(model.iter_mut()).enumerate() {
-        let grade = if a == 2 { Grade::ONE } else { g(0.95) };
-        live.upsert(pool_id(0), grade).unwrap();
-        m.insert(pool_id(0), grade);
-    }
+    });
+    // Overwrite: object 0 jumps to the top of every fuzzy ranking.
+    write(&mut model, pool_id(0), &|attr| {
+        Some(if attr == "K" { Grade::ONE } else { g(0.95) })
+    });
     // Tombstone over compacted entries, plus delete-then-reinsert.
-    for (live, m) in lives.iter().zip(model.iter_mut()) {
-        live.delete(pool_id(7)).unwrap();
-        m.remove(&pool_id(7));
-        live.delete(pool_id(8)).unwrap();
-        live.upsert(pool_id(8), g(0.33)).unwrap();
-        m.insert(pool_id(8), g(0.33));
-    }
-    assert_live_equals_memory(&lives, &model, "pinned overwrite/tombstone");
-    for live in &lives {
+    write(&mut model, pool_id(7), &|_| None);
+    write(&mut model, pool_id(8), &|_| None);
+    write(&mut model, pool_id(8), &|_| Some(g(0.33)));
+    assert_live_equals_memory(&sub, &model, "pinned overwrite/tombstone");
+    each_store(&sub, |live| {
         live.flush().unwrap();
-    }
-    assert_live_equals_memory(&lives, &model, "pinned cases compacted");
+    });
+    assert_live_equals_memory(&sub, &model, "pinned cases compacted");
 }
 
 #[test]
@@ -313,7 +232,7 @@ fn a_snapshot_survives_the_compaction_that_retires_its_segment() {
     // A reader pins a snapshot whose base segment is then compacted away
     // (file deleted, cache blocks retired) while the reader is mid-stream.
     // The snapshot must keep serving the exact pinned state.
-    let root = store_root("snapshot-isolation");
+    let root = temp_dir("live-snapshot-isolation");
     let cache = Arc::new(BlockCache::new(64));
     let live = LiveSource::open(
         &root.join("attr"),
@@ -378,7 +297,7 @@ fn concurrent_readers_see_exactly_one_consistent_snapshot_each() {
     // snapshot any reader takes must be internally consistent — length
     // matches the stream, the stream is strictly skeleton-ordered with no
     // duplicate objects, and random access agrees with the stream.
-    let root = store_root("concurrent");
+    let root = temp_dir("live-concurrent");
     let cache = Arc::new(BlockCache::new(64));
     let live = LiveSource::open(
         &root.join("attr"),
@@ -450,50 +369,37 @@ fn a_write_flips_the_planner_decision_without_reopening() {
     // permissive crisp attribute the stream strategy wins; after writes
     // shrink the match set, the SAME subsystem instance must flip to
     // Filtered — and answer identically to an in-RAM twin in both states.
-    use garlic::middleware::{Catalog, Garlic, GarlicQuery, Strategy};
-    use garlic::subsys::{Target, VectorSubsystem};
+    use garlic::middleware::{GarlicQuery, Strategy};
+    use garlic::subsys::Target;
 
     const N: usize = 200;
-    let root = store_root("planner-flip");
-    let mut rng = StdRng::seed_from_u64(7);
-    let fuzzy: Vec<Grade> = (0..N)
-        .map(|_| g(rng.gen_range(0..=20) as f64 / 20.0))
-        .collect();
-    let mut crisp: Vec<Grade> = (0..N).map(|i| Grade::from_bool(i < 120)).collect();
-
-    let sub = live_disk_subsystem(&root, &fuzzy, &crisp);
+    let mut db = Db::quantised(N, 7);
+    db.lists[3] = (0..N).map(|i| Grade::from_bool(i < 120)).collect();
+    let sub = Arc::new(support::live(&db, &temp_dir("live-planner-flip")));
     let k_live = Arc::clone(sub.live_source("K").unwrap());
-    let mut cat = Catalog::new();
-    cat.register(sub).unwrap();
-    let garlic = Garlic::new(cat);
+    let garlic = garlic_over(&(sub as Arc<dyn Subsystem>), Default::default());
     let query = GarlicQuery::and(
         GarlicQuery::atom("K", Target::text("t")),
         GarlicQuery::atom("A", Target::text("t")),
     );
-
-    let vector_twin = |crisp: &[Grade]| {
-        let mut cat = Catalog::new();
-        cat.register(
-            VectorSubsystem::new("twin", N)
-                .with_list("K", crisp)
-                .with_list("A", &fuzzy),
-        )
-        .unwrap();
-        Garlic::new(cat)
+    let twin = |db: &Db| {
+        garlic_over(&db.memory(), Default::default())
+            .top_k(&query, 5)
+            .unwrap()
     };
 
     // 120 matches: enumerating them costs more than streaming A0'.
     let before = garlic.top_k(&query, 5).unwrap();
     assert_eq!(before.plan.strategy, Strategy::FaMin);
-    let twin = vector_twin(&crisp).top_k(&query, 5).unwrap();
-    assert_eq!(before.plan.strategy, twin.plan.strategy);
-    assert_eq!(before.answers.entries(), twin.answers.entries());
-    assert_eq!(before.stats, twin.stats);
+    let want = twin(&db);
+    assert_eq!(before.plan.strategy, want.plan.strategy);
+    assert_eq!(before.answers.entries(), want.answers.entries());
+    assert_eq!(before.stats, want.stats);
 
     // Writes shrink the match set to 5 — no reopen, no re-registration.
-    for (i, slot) in crisp.iter_mut().enumerate().take(120).skip(5) {
+    for i in 5..120 {
         k_live.upsert(ObjectId(i as u64), Grade::ZERO).unwrap();
-        *slot = Grade::ZERO;
+        db.lists[3][i] = Grade::ZERO;
     }
     let after = garlic.top_k(&query, 5).unwrap();
     assert_eq!(
@@ -501,30 +407,8 @@ fn a_write_flips_the_planner_decision_without_reopening() {
         Strategy::Filtered { crisp_index: 0 },
         "the planner must see the memtable delta immediately"
     );
-    let twin = vector_twin(&crisp).top_k(&query, 5).unwrap();
-    assert_eq!(after.plan.strategy, twin.plan.strategy);
-    assert_eq!(after.answers.entries(), twin.answers.entries());
-    assert_eq!(after.stats, twin.stats);
-}
-
-/// Builds the planner-flip fixture: a [`garlic::DiskSubsystem`] with two
-/// live attributes, seeded dense so it can be compared against a
-/// [`garlic::subsys::VectorSubsystem`] twin.
-fn live_disk_subsystem(
-    root: &std::path::Path,
-    fuzzy: &[Grade],
-    crisp: &[Grade],
-) -> garlic::DiskSubsystem {
-    let sub = garlic::DiskSubsystem::new("live", fuzzy.len())
-        .open_live_with("K", &root.join("K"), LiveOptions::default())
-        .unwrap()
-        .open_live_with("A", &root.join("A"), LiveOptions::default())
-        .unwrap();
-    for (attr, grades) in [("K", crisp), ("A", fuzzy)] {
-        let live = sub.live_source(attr).unwrap();
-        for (i, &grade) in grades.iter().enumerate() {
-            live.upsert(ObjectId(i as u64), grade).unwrap();
-        }
-    }
-    sub
+    let want = twin(&db);
+    assert_eq!(after.plan.strategy, want.plan.strategy);
+    assert_eq!(after.answers.entries(), want.answers.entries());
+    assert_eq!(after.stats, want.stats);
 }

@@ -1,155 +1,57 @@
-//! The tentpole acceptance property: a query answered over **sharded**
-//! attribute lists must be indistinguishable from the same query over flat
-//! lists — identical top-k entries, identical tie order, and identical
-//! total Section-5 billed accesses — for every shard count, every planner
-//! strategy the catalogue can reach, and both the memory and the disk
-//! backend. Sharding is an execution layout, never a semantics.
+//! Sharding is an execution layout, never a semantics: a query answered
+//! over **sharded** attribute lists has the flat lists' entries, tie order
+//! and Section-5 bill, for every shard count, every planner strategy the
+//! catalogue can reach, and both the memory and the disk backend. The
+//! backend oracle (`backend_oracle.rs`) draws one shard count per case;
+//! these sweep all of them against the flat layout of the same backend.
 
-use std::path::PathBuf;
-use std::sync::Arc;
+mod support;
 
-use garlic::middleware::{Catalog, Garlic, GarlicQuery, Strategy};
-use garlic::subsys::{DiskSubsystem, Target, VectorSubsystem};
-use garlic::{BlockCache, Grade, SegmentWriter};
 use proptest::prelude::*;
+use support::{
+    assert_strategies_match, cache, segments, sharded_memory, sharded_segments, temp_dir, Db,
+    SHARD_COUNTS,
+};
 
-const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 7];
-
-/// Quantized fuzzy grades (ties everywhere, so tie order is load-bearing)
-/// plus one selective crisp list to make `Filtered` reachable.
-fn grade_lists(n: usize, seed: u64) -> Vec<(&'static str, Vec<Grade>)> {
-    let mut rng = garlic_workload::seeded_rng(seed);
-    use rand::Rng;
-    let mut fuzzy = || -> Vec<Grade> {
-        (0..n)
-            .map(|_| Grade::clamped(rng.gen_range(0..=12) as f64 / 12.0))
-            .collect()
-    };
-    let (a, b) = (fuzzy(), fuzzy());
-    let crisp = (0..n)
-        .map(|_| Grade::from_bool(rng.gen_bool(0.1)))
-        .collect();
-    vec![("A", a), ("B", b), ("K", crisp)]
-}
-
-/// The strategies the ISSUE names, each exercised by one query shape.
-fn strategy_queries() -> Vec<(GarlicQuery, Strategy)> {
-    let atom = |a: &str| GarlicQuery::atom(a, Target::text("t"));
-    vec![
-        (GarlicQuery::and(atom("A"), atom("B")), Strategy::FaMin),
-        (GarlicQuery::or(atom("A"), atom("B")), Strategy::B0Max),
-        (
-            GarlicQuery::and(atom("A"), GarlicQuery::not(atom("B"))),
-            Strategy::NaiveCalculus,
-        ),
-        (
-            GarlicQuery::and(atom("K"), atom("A")),
-            Strategy::Filtered { crisp_index: 0 },
-        ),
-    ]
-}
-
-fn memory_garlic(lists: &[(&str, Vec<Grade>)], n: usize, shards: Option<usize>) -> Garlic {
-    let mut sub = VectorSubsystem::new("vectors", n);
-    for (attr, grades) in lists {
-        sub = match shards {
-            Some(s) => sub.with_sharded_list(attr, grades, s),
-            None => sub.with_list(attr, grades),
-        };
-    }
-    let mut cat = Catalog::new();
-    cat.register(sub).unwrap();
-    Garlic::new(cat)
-}
-
-fn segment_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("garlic-sharded-eq-{}-{tag}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn disk_garlic(lists: &[(&str, Vec<Grade>)], n: usize, shards: Option<usize>, tag: &str) -> Garlic {
-    let dir = segment_dir(tag);
-    let writer = SegmentWriter::with_block_size(256).unwrap();
-    let mut sub = DiskSubsystem::with_cache("segments", n, Arc::new(BlockCache::new(1024)));
-    for (attr, grades) in lists {
-        sub = match shards {
-            Some(s) => {
-                let parts = writer
-                    .write_sharded_grades(&dir, &format!("{attr}-{tag}"), s, grades)
-                    .unwrap();
-                sub.open_sharded_segment(attr, parts.iter().map(|p| &p.path))
-                    .unwrap()
-            }
-            None => {
-                let path = dir.join(format!("{attr}-{tag}.seg"));
-                writer.write_grades(&path, grades).unwrap();
-                sub.open_segment(attr, &path).unwrap()
-            }
-        };
-    }
-    let mut cat = Catalog::new();
-    cat.register(sub).unwrap();
-    Garlic::new(cat)
-}
-
-fn assert_equivalent(flat: &Garlic, sharded: &Garlic, shards: usize, backend: &str) {
-    for (query, expected_strategy) in strategy_queries() {
-        for k in [1, 5, 23] {
-            let want = flat.top_k(&query, k).unwrap();
-            let got = sharded.top_k(&query, k).unwrap();
-            assert_eq!(
-                want.plan.strategy, expected_strategy,
-                "{query} must exercise the intended strategy"
-            );
-            assert_eq!(
-                got.plan.strategy, want.plan.strategy,
-                "{backend}/S={shards}: identical plan for {query}"
-            );
-            assert_eq!(
-                got.answers.entries(),
-                want.answers.entries(),
-                "{backend}/S={shards}: identical entries and tie order for {query} at k={k}"
-            );
-            assert_eq!(
-                got.stats, want.stats,
-                "{backend}/S={shards}: identical Section-5 billing for {query} at k={k}"
-            );
-        }
-    }
-}
+const KS: [usize; 3] = [1, 5, 23];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
     fn sharded_memory_lists_answer_identically(n in 40usize..160, seed in 0u64..1000) {
-        let lists = grade_lists(n, seed);
-        let flat = memory_garlic(&lists, n, None);
-        for shards in SHARD_COUNTS {
-            let sharded = memory_garlic(&lists, n, Some(shards));
-            assert_equivalent(&flat, &sharded, shards, "memory");
-        }
+        let db = Db::quantised(n, seed);
+        let sharded: Vec<_> = SHARD_COUNTS
+            .iter()
+            .map(|&s| (format!("memory/S={s}"), sharded_memory(&db, s)))
+            .collect();
+        assert_strategies_match(&sharded, &db.memory(), &KS, &[]);
     }
 
     #[test]
     fn sharded_disk_segments_answer_identically(n in 40usize..120, seed in 0u64..1000) {
-        let lists = grade_lists(n, seed);
-        let tag = format!("{n}-{seed}");
-        let flat = disk_garlic(&lists, n, None, &tag);
-        for shards in SHARD_COUNTS {
-            let sharded = disk_garlic(&lists, n, Some(shards), &format!("{tag}-s{shards}"));
-            assert_equivalent(&flat, &sharded, shards, "disk");
-        }
+        let db = Db::quantised(n, seed);
+        let dir = temp_dir("sharded-disk");
+        let sub = |name: &str| {
+            let path = dir.join(name);
+            std::fs::create_dir_all(&path).unwrap();
+            path
+        };
+        let flat = segments(&db, &sub("flat"), garlic::storage::format::FORMAT_VERSION, "dict", cache());
+        let sharded: Vec<_> = SHARD_COUNTS
+            .iter()
+            .map(|&s| (format!("disk/S={s}"), sharded_segments(&db, &sub(&format!("s{s}")), s)))
+            .collect();
+        assert_strategies_match(&sharded, &flat, &KS, &[]);
     }
 
     #[test]
     fn sharded_disk_matches_sharded_memory(n in 40usize..120, seed in 0u64..1000) {
         // The two sharded backends against each other: layout and
         // durability compose without observable effect.
-        let lists = grade_lists(n, seed);
-        let mem = memory_garlic(&lists, n, Some(3));
-        let disk = disk_garlic(&lists, n, Some(3), &format!("x-{n}-{seed}"));
-        assert_equivalent(&mem, &disk, 3, "disk-vs-memory");
+        let db = Db::quantised(n, seed);
+        let disk = sharded_segments(&db, &temp_dir("sharded-vs-memory"), 3);
+        let backends = [("disk-vs-memory/S=3".to_owned(), disk)];
+        assert_strategies_match(&backends, &sharded_memory(&db, 3), &KS, &[]);
     }
 }
