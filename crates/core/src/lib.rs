@@ -17,11 +17,12 @@
 //!   [`EngineSession`];
 //! * [`complement`] — negated atoms as reversed, grade-complemented
 //!   sources (the Section 7 `π_{¬Q}` observation);
-//! * [`sharded`] — scatter-gather over object-id-range shards: a
-//!   tie-order-stable demand-driven k-way merge that refills each shard
-//!   with its share of the remaining demand, bit-identical to the
-//!   unsharded stream (Section 5's threshold argument applied across
-//!   shards);
+//! * [`merge`] — the one tie-order-stable, demand-driven k-way merge of
+//!   sorted runs, refilling each run with its share of the remaining
+//!   demand (Section 5's threshold argument applied across runs); shards
+//!   and live stores compose their lists through it;
+//! * [`sharded`] — scatter-gather over object-id-range shards on that
+//!   merge, bit-identical to the unsharded stream;
 //! * [`fx`] — the vendored fast hash keying every hot-path map (engine
 //!   slot resolution, random-access indexes, block-cache keys);
 //! * [`validate`] — a linear audit of the access contract, for vetting
@@ -53,6 +54,7 @@ pub mod complement;
 pub mod cost;
 pub mod fx;
 pub mod graded_set;
+pub mod merge;
 pub mod object;
 pub mod query;
 pub mod sharded;
@@ -65,6 +67,7 @@ pub use complement::ComplementSource;
 pub use cost::{AccessStats, CostModel};
 pub use fx::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use graded_set::{GradedEntry, GradedSet};
+pub use merge::Merge;
 pub use object::ObjectId;
 pub use query::{Calculus, Query};
 pub use sharded::{ShardScanStats, ShardedSource};

@@ -11,18 +11,16 @@
 //! tie order, same Section 5 billing once a [`CountingSource`] wraps the
 //! merged handle.
 //!
-//! The merge is demand-driven, which is where the paper's Section 5
-//! threshold argument pays off across shards: each shard is only read as
-//! deep as the merged prefix actually needs, so a top-k consumer that
-//! stops at depth `T` costs roughly `T` shard entries in total — not the
-//! `S × T` a naive scatter-gather (every shard scanned to the global
-//! depth) pays. A shard whose buffer runs dry is refilled with its share
-//! of what the merge still owes — `remaining / live + 1` entries, clamped
-//! to 16..=4096 — and large refills of several shards run in parallel.
-//! The chunk size only shapes *when* entries are fetched, never *which*
-//! entries are emitted, so correctness never depends on it.
-//! [`ShardedSource::scan_stats`] reports the realised early-termination
-//! savings.
+//! The k-way merge is [`Merge`], the one merge behind every composed
+//! list: it reads each shard only as deep as the merged prefix needs —
+//! where the paper's Section 5 threshold argument pays off across shards:
+//! a top-k consumer that stops at depth `T` costs roughly `T` shard
+//! entries in total, not the `S × T` a naive scatter-gather (every shard
+//! scanned to the global depth) pays. [`ShardedSource::scan_stats`]
+//! reports the realised early-termination savings. This module adds what
+//! only shards have: the id-range fences, probe routing, the union of
+//! the shards' matching sets, and dropping a quarantined shard under
+//! degraded reads.
 //!
 //! Random access routes each probe to its owning shard by binary search
 //! over the shard fences ([`ShardedSource::shard_of`]), and batched random
@@ -39,19 +37,8 @@ use garlic_agg::Grade;
 use crate::access::{GradedSource, SetAccess, SourceError};
 use crate::fx::FxHashSet;
 use crate::graded_set::GradedEntry;
+use crate::merge::Merge;
 use crate::object::ObjectId;
-
-/// Smallest refill chunk: a shard's share of a nearly finished merge still
-/// reads enough to learn its next few heads.
-const MIN_CHUNK: usize = 16;
-
-/// Largest refill chunk per shard — bounds prefetch overshoot past the
-/// depth the merge was asked for.
-const MAX_CHUNK: usize = 4096;
-
-/// Refills this large (per shard, with at least two shards hungry) are
-/// fetched on scoped threads; smaller ones are not worth a spawn.
-const PARALLEL_MIN_CHUNK: usize = 1024;
 
 /// Cumulative scatter-gather counters of one [`ShardedSource`]: how deep
 /// the merged stream went vs how many entries the shards actually served.
@@ -79,52 +66,6 @@ impl ShardScanStats {
     }
 }
 
-/// One shard's position in the demand-driven merge.
-#[derive(Debug)]
-struct ShardRun {
-    /// Buffered entries not yet consumed by the merge (`buf[pos..]`).
-    buf: Vec<GradedEntry>,
-    pos: usize,
-    /// The shard rank the next refill starts at.
-    next_rank: usize,
-    /// Whether the shard returned a short batch (no entries remain).
-    exhausted: bool,
-    /// Whether this shard was quarantined and replaced by its zero-grade
-    /// remainder (degraded reads; see
-    /// [`ShardedSource::with_degraded_reads`]).
-    dropped: bool,
-}
-
-impl ShardRun {
-    fn new() -> Self {
-        ShardRun {
-            buf: Vec::new(),
-            pos: 0,
-            next_rank: 0,
-            exhausted: false,
-            dropped: false,
-        }
-    }
-
-    fn head(&self) -> Option<GradedEntry> {
-        self.buf.get(self.pos).copied()
-    }
-
-    fn needs_refill(&self) -> bool {
-        !self.exhausted && self.pos == self.buf.len()
-    }
-}
-
-/// The guarded merge state: the merged prefix computed so far plus each
-/// shard's buffered run. Positional sorted access is served out of
-/// `merged`, which only ever grows — the stream is deterministic no matter
-/// how callers batch it.
-#[derive(Debug)]
-struct MergeState {
-    merged: Vec<GradedEntry>,
-    runs: Vec<ShardRun>,
-}
-
 /// `S` child sources serving one logical graded list, partitioned by
 /// object-id range. Implements the full [`GradedSource`] (+ [`SetAccess`])
 /// contract; see the module docs for the merge, refill, and routing
@@ -140,15 +81,15 @@ pub struct ShardedSource<S> {
     /// contiguous and ascending.
     fences: Vec<u64>,
     len: usize,
-    state: Mutex<MergeState>,
+    merge: Mutex<Merge>,
     emitted: AtomicU64,
     consumed: AtomicU64,
     /// Exclusive end of the dense object-id universe when degraded reads
     /// are enabled; `None` means shard failures always fail the read.
     degrade_universe: Option<u64>,
-    /// Lock-free mirror of the per-run dropped flags, for random-access
-    /// routing and [`GradedSource::degraded`] without taking the merge
-    /// lock.
+    /// Which shards were quarantined and replaced by their zero-grade
+    /// remainder (see [`ShardedSource::with_degraded_reads`]); lock-free,
+    /// for random-access routing and [`GradedSource::degraded`].
     dropped: Vec<AtomicBool>,
 }
 
@@ -176,16 +117,13 @@ impl<S: GradedSource> ShardedSource<S> {
             "shard fences must be strictly increasing"
         );
         let len = shards.iter().map(|s| s.len()).sum();
-        let runs = shards.iter().map(|_| ShardRun::new()).collect();
+        let merge = Mutex::new(Merge::new(len, shards.len()));
         let dropped = shards.iter().map(|_| AtomicBool::new(false)).collect();
         ShardedSource {
             shards,
             fences,
             len,
-            state: Mutex::new(MergeState {
-                merged: Vec::new(),
-                runs,
-            }),
+            merge,
             emitted: AtomicU64::new(0),
             consumed: AtomicU64::new(0),
             degrade_universe: None,
@@ -228,11 +166,11 @@ impl<S: GradedSource> ShardedSource<S> {
     }
 
     /// The merge lock, recovered from poisoning: a reader thread that
-    /// panicked mid-merge leaves the guarded state consistent (buffers are
-    /// cleared before any fallible shard read, and the merged prefix only
-    /// grows by whole entries), so later readers may keep using it.
-    fn state(&self) -> MutexGuard<'_, MergeState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    /// panicked mid-merge leaves the merge consistent (buffers are cleared
+    /// before any fallible shard read, and the merged prefix only grows by
+    /// whole entries), so later readers may keep using it.
+    fn merge(&self) -> MutexGuard<'_, Merge> {
+        self.merge.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The dense id range shard `shard` owns under degraded reads.
@@ -243,14 +181,14 @@ impl<S: GradedSource> ShardedSource<S> {
     }
 
     /// Handles a failed shard read: under degraded reads a *quarantined*
-    /// failure drops the shard — its unseen objects are appended to the
-    /// run buffer as zero-grade entries (id-ascending, after any already
-    /// buffered positive entries) and the run is marked exhausted, so the
-    /// ordinary merge loop emits them last with no further reads. Any
-    /// other failure (or no opt-in) propagates.
+    /// failure drops the shard — its run is closed with its buffered
+    /// positive entries followed by every unseen object of its range as a
+    /// zero-grade entry (id-ascending), so the ordinary merge emits them
+    /// last with no further reads. Any other failure (or no opt-in)
+    /// propagates.
     fn drop_shard_or_fail(
         &self,
-        state: &mut MergeState,
+        merge: &mut Merge,
         shard: usize,
         err: SourceError,
     ) -> Result<(), SourceError> {
@@ -260,39 +198,35 @@ impl<S: GradedSource> ShardedSource<S> {
         if !err.quarantined {
             return Err(err);
         }
-        if state.runs[shard].dropped {
+        if self.dropped[shard].load(Ordering::Acquire) {
             return Ok(());
         }
         let range = self.shard_range(shard, universe);
         // Objects of this shard already emitted or still buffered keep
         // their true grades; everything else in the range becomes a zero.
-        let mut seen: FxHashSet<u64> = FxHashSet::default();
-        for entry in &state.merged {
-            if range.contains(&entry.object.0) {
-                seen.insert(entry.object.0);
-            }
-        }
-        let run = &mut state.runs[shard];
-        let survivors: Vec<GradedEntry> = run.buf[run.pos..].to_vec();
-        run.buf.clear();
-        run.pos = 0;
+        let mut seen: FxHashSet<u64> = merge
+            .merged()
+            .iter()
+            .map(|entry| entry.object.0)
+            .filter(|id| range.contains(id))
+            .collect();
+        let mut rest = Vec::new();
         let mut zero_ids: Vec<u64> = Vec::new();
-        for entry in survivors {
+        for &entry in merge.pending(shard) {
             seen.insert(entry.object.0);
             if entry.grade > Grade::ZERO {
-                run.buf.push(entry);
+                rest.push(entry);
             } else {
                 zero_ids.push(entry.object.0);
             }
         }
         zero_ids.extend(range.filter(|id| !seen.contains(id)));
         zero_ids.sort_unstable();
-        run.buf.extend(zero_ids.into_iter().map(|id| GradedEntry {
+        rest.extend(zero_ids.into_iter().map(|id| GradedEntry {
             object: ObjectId(id),
             grade: Grade::ZERO,
         }));
-        run.exhausted = true;
-        run.dropped = true;
+        merge.close_run(shard, rest);
         self.dropped[shard].store(true, Ordering::Release);
         Ok(())
     }
@@ -324,123 +258,6 @@ impl<S: GradedSource> ShardedSource<S> {
             shards: self.shards.len(),
         }
     }
-
-    /// Extends the merged prefix to `target` entries (or to exhaustion).
-    ///
-    /// A shard failure either drops the shard (degraded reads + a
-    /// quarantined error) or aborts with the merged prefix unextended
-    /// beyond already-completed rounds, so a later retry resumes exactly
-    /// where this call left off.
-    fn try_ensure_merged(&self, state: &mut MergeState, target: usize) -> Result<(), SourceError> {
-        let target = target.min(self.len);
-        while state.merged.len() < target {
-            self.try_refill(state, target)?;
-            // Pop the best head: highest grade, ties by lowest object id.
-            // Every non-exhausted shard has a buffered head after refill,
-            // so this comparison sees the true global next entry.
-            let best = state
-                .runs
-                .iter()
-                .enumerate()
-                .filter_map(|(i, run)| run.head().map(|e| (i, e)))
-                .min_by(|(_, a), (_, b)| a.skeleton_cmp(b));
-            let Some((winner, entry)) = best else {
-                break; // every shard exhausted before `target`
-            };
-            state.runs[winner].pos += 1;
-            if state.merged.len() == state.merged.capacity() {
-                // Double, but never past the list: `push` alone would leave
-                // a fully merged 100 000-entry list in 131 072 slots.
-                let have = state.merged.len();
-                state
-                    .merged
-                    .reserve_exact(have.max(MIN_CHUNK).min(self.len - have));
-            }
-            state.merged.push(entry);
-            self.emitted
-                .store(state.merged.len() as u64, Ordering::Relaxed);
-        }
-        Ok(())
-    }
-
-    /// Refills every shard whose buffer ran dry with a demand-sized chunk:
-    /// its share of the entries the merge still owes. Large refills of two
-    /// or more shards run on scoped threads.
-    ///
-    /// Retry safety: a failing shard's buffer is cleared before the read
-    /// and left empty by the `try_sorted_batch` contract, with `next_rank`
-    /// unadvanced — so retrying the refill re-reads from the same rank and
-    /// no entry is lost or duplicated. Other shards that succeeded in the
-    /// same round keep their refilled buffers.
-    fn try_refill(&self, state: &mut MergeState, target: usize) -> Result<(), SourceError> {
-        let remaining = target.saturating_sub(state.merged.len());
-        if remaining == 0 {
-            return Ok(());
-        }
-        let hungry = state.runs.iter().filter(|r| r.needs_refill()).count();
-        if hungry == 0 {
-            return Ok(());
-        }
-        let live = state.runs.iter().filter(|r| !r.exhausted).count().max(1);
-        let chunk = (remaining / live + 1).clamp(MIN_CHUNK, MAX_CHUNK);
-
-        let mut total = 0usize;
-        let mut failures: Vec<(usize, SourceError)> = Vec::new();
-        let parallel = hungry >= 2 && chunk >= PARALLEL_MIN_CHUNK;
-        if parallel {
-            std::thread::scope(|scope| {
-                let mut pending = Vec::new();
-                for (index, (run, shard)) in state.runs.iter_mut().zip(&self.shards).enumerate() {
-                    if !run.needs_refill() {
-                        continue;
-                    }
-                    pending.push((
-                        index,
-                        scope.spawn(move || {
-                            run.buf.clear();
-                            run.pos = 0;
-                            let got = shard.try_sorted_batch(run.next_rank, chunk, &mut run.buf)?;
-                            finish_refill(run, got, chunk);
-                            Ok(got)
-                        }),
-                    ));
-                }
-                for (index, handle) in pending {
-                    match handle.join().expect("refill thread") {
-                        Ok(got) => total += got,
-                        Err(e) => failures.push((index, e)),
-                    }
-                }
-            });
-        } else {
-            for (index, (run, shard)) in state.runs.iter_mut().zip(&self.shards).enumerate() {
-                if !run.needs_refill() {
-                    continue;
-                }
-                run.buf.clear();
-                run.pos = 0;
-                match shard.try_sorted_batch(run.next_rank, chunk, &mut run.buf) {
-                    Ok(got) => {
-                        finish_refill(run, got, chunk);
-                        total += got;
-                    }
-                    Err(e) => failures.push((index, e)),
-                }
-            }
-        }
-        self.consumed.fetch_add(total as u64, Ordering::Relaxed);
-        for (index, err) in failures {
-            self.drop_shard_or_fail(state, index, err)?;
-        }
-        Ok(())
-    }
-}
-
-fn finish_refill(run: &mut ShardRun, got: usize, chunk: usize) {
-    run.next_rank += got;
-    if got < chunk {
-        run.exhausted = true;
-    }
 }
 
 impl<S: GradedSource> GradedSource for ShardedSource<S> {
@@ -454,13 +271,18 @@ impl<S: GradedSource> GradedSource for ShardedSource<S> {
         count: usize,
         out: &mut Vec<GradedEntry>,
     ) -> Result<usize, SourceError> {
-        let mut state = self.state();
-        self.try_ensure_merged(&mut state, start.saturating_add(count))?;
-        let merged = &state.merged;
-        let from = start.min(merged.len());
-        let to = start.saturating_add(count).min(merged.len());
-        out.extend_from_slice(&merged[from..to]);
-        Ok(to - from)
+        let mut merge = self.merge();
+        let result = merge.try_sorted_batch(
+            start,
+            count,
+            out,
+            |shard, rank, count, out| self.shards[shard].try_sorted_batch(rank, count, out),
+            |merge, shard, err| self.drop_shard_or_fail(merge, shard, err),
+        );
+        self.emitted
+            .store(merge.merged().len() as u64, Ordering::Relaxed);
+        self.consumed.store(merge.consumed(), Ordering::Relaxed);
+        result
     }
 
     /// Routes each probe to its owning shard by fence lookup, forwards one
@@ -494,8 +316,7 @@ impl<S: GradedSource> GradedSource for ShardedSource<S> {
                     Ok(()) => {}
                     Err(e) => {
                         answers.clear();
-                        let mut state = self.state();
-                        if let Err(e) = self.drop_shard_or_fail(&mut state, shard, e) {
+                        if let Err(e) = self.drop_shard_or_fail(&mut self.merge(), shard, e) {
                             // `out` unchanged on error, per the contract.
                             out.truncate(base);
                             return Err(e);
@@ -542,10 +363,7 @@ impl<S: SetAccess> SetAccess for ShardedSource<S> {
             }
             match shard.try_matching_set() {
                 Ok(part) => set.extend(part),
-                Err(e) => {
-                    let mut state = self.state();
-                    self.drop_shard_or_fail(&mut state, index, e)?;
-                }
+                Err(e) => self.drop_shard_or_fail(&mut self.merge(), index, e)?,
             }
         }
         Ok(set)
@@ -710,7 +528,7 @@ mod tests {
         let mut out = Vec::new();
         for depth in [1, 40, 170, 300] {
             sharded.sorted_batch(0, depth, &mut out);
-            let capacity = sharded.state.lock().unwrap().merged.capacity();
+            let capacity = sharded.merge.lock().unwrap().capacity();
             assert!((depth..=300).contains(&capacity), "{capacity} at {depth}");
         }
     }

@@ -9,7 +9,9 @@
 //! `Err(TopKError::SourceFailed(_))`, and a run that does not must return
 //! the healthy answer. A session whose j-th read alone fails must, when
 //! the failed page is asked for again, hand out the healthy pages without
-//! any source answering a rank or a probe twice.
+//! any source answering a rank or a probe twice — over the lists
+//! themselves, and over each list sharded into flaky id ranges, where the
+//! merge must retry a failed refill without reading a rank twice.
 
 use std::ops::RangeInclusive;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -28,7 +30,7 @@ use garlic_core::algorithms::filtered::{filtered_topk, FilteredSession};
 use garlic_core::algorithms::naive::{naive_random_topk, naive_topk};
 use garlic_core::algorithms::order_stat::{median_topk, order_statistic_topk};
 use garlic_core::algorithms::ullman::{ullman_run, ullman_top1, ullman_topk};
-use garlic_core::{EngineSession, GradedEntry, ObjectId, TopK, TopKError};
+use garlic_core::{EngineSession, GradedEntry, ObjectId, ShardedSource, TopK, TopKError};
 
 /// What a source handed over: a sorted rank or a random-access probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -115,18 +117,27 @@ fn lists() -> Vec<Vec<Grade>> {
     ]
 }
 
+/// A flaky source over `inner`, counting its reads on `reads`.
+fn flaky_source(
+    inner: MemorySource,
+    reads: &Arc<AtomicUsize>,
+    failing: &RangeInclusive<usize>,
+) -> Flaky {
+    Flaky {
+        inner,
+        reads: Arc::clone(reads),
+        failing: failing.clone(),
+        served: Mutex::new(Vec::new()),
+    }
+}
+
 /// The first `m` lists as flaky sources sharing one read counter, the
 /// reads numbered `failing` failing.
 fn flaky_range(m: usize, failing: RangeInclusive<usize>) -> (Vec<Flaky>, Arc<AtomicUsize>) {
     let reads = Arc::new(AtomicUsize::new(0));
     let sources = lists()[..m]
         .iter()
-        .map(|grades| Flaky {
-            inner: MemorySource::from_grades(grades),
-            reads: Arc::clone(&reads),
-            failing: failing.clone(),
-            served: Mutex::new(Vec::new()),
-        })
+        .map(|grades| flaky_source(MemorySource::from_grades(grades), &reads, &failing))
         .collect();
     (sources, reads)
 }
@@ -228,8 +239,56 @@ fn every_entry_point_returns_source_failed_and_never_panics() {
     }
 }
 
-type Session<'a> = EngineSession<&'a Flaky, Box<dyn Aggregation>>;
-type Open = fn(Vec<&Flaky>) -> Result<Session<'_>, TopKError>;
+type Session<'a> = EngineSession<&'a dyn GradedSource, Box<dyn Aggregation>>;
+type Open = fn(Vec<&dyn GradedSource>) -> Result<Session<'_>, TopKError>;
+
+/// The three lists a session runs over, on flaky sources sharing one read
+/// counter.
+enum Lists {
+    /// Each list one flaky source.
+    Flat(Vec<Flaky>),
+    /// Each list a `ShardedSource` over three flaky id ranges.
+    Sharded(Vec<ShardedSource<Flaky>>),
+}
+
+impl Lists {
+    fn new(sharded: bool, failing: RangeInclusive<usize>) -> (Lists, Arc<AtomicUsize>) {
+        if !sharded {
+            let (sources, reads) = flaky_range(3, failing);
+            return (Lists::Flat(sources), reads);
+        }
+        let reads = Arc::new(AtomicUsize::new(0));
+        let fences = vec![0, 3, 6];
+        let sharded = lists()
+            .iter()
+            .map(|grades| {
+                let shards = [0..3, 3..6, 6..8]
+                    .map(|ids| {
+                        let pairs: Vec<_> = ids.map(|i| (ObjectId::from(i), grades[i])).collect();
+                        flaky_source(MemorySource::from_pairs(pairs), &reads, &failing)
+                    })
+                    .into();
+                ShardedSource::new(shards, fences.clone())
+            })
+            .collect();
+        (Lists::Sharded(sharded), reads)
+    }
+
+    fn sources(&self) -> Vec<&dyn GradedSource> {
+        match self {
+            Lists::Flat(sources) => sources.iter().map(|s| s as &dyn GradedSource).collect(),
+            Lists::Sharded(sources) => sources.iter().map(|s| s as &dyn GradedSource).collect(),
+        }
+    }
+
+    /// Every flaky source under the lists.
+    fn flaky(&self) -> Vec<&Flaky> {
+        match self {
+            Lists::Flat(sources) => sources.iter().collect(),
+            Lists::Sharded(sources) => sources.iter().flat_map(|s| s.shards()).collect(),
+        }
+    }
+}
 
 fn boxed_min() -> Box<dyn Aggregation> {
     Box::new(min_agg())
@@ -269,22 +328,32 @@ fn retried_pages(session: &mut Session<'_>) -> Vec<GradedEntry> {
 
 #[test]
 fn every_session_retried_after_a_failure_bills_nothing_twice() {
-    for (name, open) in sessions() {
-        let (healthy, reads) = flaky(3, usize::MAX);
-        let answer = retried_pages(&mut open(healthy.iter().collect()).unwrap());
-        let total = reads.load(Ordering::Relaxed);
-        for fail_at in 1..=total {
-            let (sources, _) = flaky_range(3, fail_at..=fail_at);
-            let entries = retried_pages(&mut open(sources.iter().collect()).unwrap());
-            assert_eq!(entries, answer, "{name} with read {fail_at} failing");
-            for (i, source) in sources.iter().enumerate() {
-                let served = source.served.lock().unwrap();
-                let distinct: std::collections::HashSet<_> = served.iter().collect();
-                assert_eq!(
-                    distinct.len(),
-                    served.len(),
-                    "{name}, read {fail_at} failing: list {i} served {served:?}"
-                );
+    for sharded in [false, true] {
+        for (name, open) in sessions() {
+            let name = format!("{name}{}", if sharded { " (sharded)" } else { "" });
+            let (healthy, reads) = Lists::new(sharded, usize::MAX..=usize::MAX);
+            let answer = retried_pages(&mut open(healthy.sources()).unwrap());
+            let total = reads.load(Ordering::Relaxed);
+            for fail_at in 1..=total {
+                let (lists, _) = Lists::new(sharded, fail_at..=fail_at);
+                let entries = retried_pages(&mut open(lists.sources()).unwrap());
+                assert_eq!(entries, answer, "{name} with read {fail_at} failing");
+                for (i, source) in lists.flaky().iter().enumerate() {
+                    let mut served = source.served.lock().unwrap().clone();
+                    if sharded {
+                        // A random batch fans out over the shards and fails
+                        // whole, so a shard that answered beside a failing
+                        // sibling answers its probes again on the retry.
+                        // Ranks come from the merge, which never re-reads.
+                        served.retain(|s| matches!(s, Served::Rank(_)));
+                    }
+                    let distinct: std::collections::HashSet<_> = served.iter().collect();
+                    assert_eq!(
+                        distinct.len(),
+                        served.len(),
+                        "{name}, read {fail_at} failing: source {i} served {served:?}"
+                    );
+                }
             }
         }
     }

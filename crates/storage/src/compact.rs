@@ -9,9 +9,12 @@
 //!
 //! 1. **Pin** (store lock): grab the frozen layers, the base segment, and
 //!    a file id for the new segment.
-//! 2. **Build** (no locks): merge base + frozen (newest layer winning,
-//!    tombstones dropped) and write the new segment through the ordinary
-//!    [`crate::SegmentWriter`] atomic-publish path.
+//! 2. **Build** (no locks): fold the frozen layers the way a snapshot
+//!    folds its overlay (`fold_overlay` with no active layer: newest layer
+//!    wins, tombstones drop), keep the base entries no layer holds — read
+//!    with the segment's own scan, so a bad block stays a
+//!    [`StorageError::ChecksumMismatch`] — and write the new segment
+//!    through the ordinary [`crate::SegmentWriter`] atomic-publish path.
 //! 3. **Swap** (store lock): publish a manifest whose epoch points at the
 //!    new segment and only the still-live WALs (each frozen layer stands
 //!    for exactly one sealed WAL, so the flushed prefix of layers retires
@@ -88,7 +91,7 @@ pub(crate) fn compact_once(shared: &LiveShared) -> Result<bool, StorageError> {
         manifest.next_file_id = manifest.next_file_id.max(new_file_id + 1);
         manifest.segment = new_segment.as_ref().map(|(name, _)| name.clone());
         let obsolete: Vec<String> = manifest.wals.drain(..flushed).collect();
-        manifest.store_with(&shared.dir, &shared.vfs)?;
+        manifest.store(&shared.dir, &shared.vfs)?;
         inner.manifest = manifest;
         let old_base = std::mem::replace(&mut inner.base, new_segment.map(|(_, source)| source));
         inner.frozen.drain(..flushed);

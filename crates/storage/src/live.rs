@@ -32,19 +32,22 @@
 //! The overlay's layer order — active first, then frozen from newest to
 //! oldest, the first layer holding an object deciding its state — is
 //! stated once, by `newest_first`; recovery, the write path, snapshots and
-//! compaction all walk it.
+//! compaction all walk it. Snapshots and compaction fold it the same way,
+//! through `fold_overlay` ("newest layer wins, tombstones drop").
 //!
 //! # Snapshot semantics
 //!
 //! Readers never see the store mid-write: [`LiveSource::snapshot`] builds
 //! an immutable [`LiveSnapshot`] pinned to the manifest epoch and the
-//! write version at the moment of the call. The snapshot merges the
-//! overlay (active + frozen memtables, newest layer winning) over the
-//! base segment with the same tie-order-stable k-way merge discipline as
-//! [`garlic_core::ShardedSource`] — descending grade, ties by ascending
-//! object id — while the overlay *shadows* the base (an upsert hides the
-//! older grade, a tombstone hides the object). The resulting stream,
-//! random access answers, and matching set are **provably identical** to
+//! write version at the moment of the call. Its sorted stream is one
+//! [`garlic_core::Merge`] — the k-way merge [`garlic_core::ShardedSource`]
+//! streams through, descending grade with ties by ascending object id —
+//! over two runs: the overlay's live entries (active + frozen memtables,
+//! newest layer winning), known up front, and the base segment, whose
+//! refills drop every object the overlay *shadows* (an upsert hides the
+//! older grade, a tombstone hides the object). The matching set is the
+//! grade-1 prefix of that stream. The resulting stream, random access
+//! answers, and matching set are **provably identical** to
 //! a freshly built [`garlic_core::access::MemorySource`] over the same
 //! live contents, so the Section 5 billed access counts of anything
 //! running on top are identical too. The snapshot is also the one source
@@ -53,13 +56,12 @@
 //! the last snapshot per write version.
 
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use garlic_agg::Grade;
 use garlic_core::access::{GradedSource, SetAccess, SourceError};
-use garlic_core::{FxHashMap, GradedEntry, ObjectId};
+use garlic_core::{FxHashMap, GradedEntry, Merge, ObjectId};
 
 use garlic_telemetry::{Counter, Histogram, Telemetry};
 
@@ -225,12 +227,12 @@ impl LiveSource {
     ) -> Result<LiveSource, StorageError> {
         std::fs::create_dir_all(dir)?;
         let vfs = opts.vfs.clone().unwrap_or_else(std_vfs);
-        let manifest = match Manifest::load_with(dir, &vfs) {
+        let manifest = match Manifest::load(dir, &vfs) {
             Ok(m) => m,
             Err(StorageError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
                 let m = Manifest::initial();
-                Wal::create_with(&dir.join(&m.wals[0]), &vfs)?;
-                m.store_with(dir, &vfs)?;
+                Wal::create(&dir.join(&m.wals[0]), &vfs)?;
+                m.store(dir, &vfs)?;
                 m
             }
             Err(e) => return Err(e),
@@ -253,7 +255,7 @@ impl LiveSource {
         let mut ops = Vec::new();
         let mut replay = |name: &String| -> Result<(Wal, Memtable), StorageError> {
             ops.clear();
-            let wal = Wal::open_with(&dir.join(name), &mut ops, &vfs)?;
+            let wal = Wal::open(&dir.join(name), &mut ops, &vfs)?;
             replayed += ops.len() as u64;
             let mut layer = Memtable::default();
             for &op in &ops {
@@ -276,7 +278,7 @@ impl LiveSource {
 
         // Rebuild the visible statistics from the base footer plus the
         // overlay's deltas.
-        let (newest, _) = fold_overlay(&active, &frozen);
+        let (newest, _): (FxHashMap<_, _>, _) = fold_overlay(Some(&active), &frozen);
         let mut len = base.as_ref().map_or(0, |b| b.len());
         let mut ones = base.as_ref().map_or(0, |b| b.exact_match_count());
         let objects: Vec<ObjectId> = newest.keys().copied().collect();
@@ -462,6 +464,11 @@ impl LiveSource {
         self.shared.inner().frozen.len()
     }
 
+    /// The current base segment, once a compaction has written one.
+    pub fn base(&self) -> Option<Arc<SegmentSource>> {
+        self.shared.inner().base.clone()
+    }
+
     /// The store directory.
     pub fn dir(&self) -> &Path {
         &self.shared.dir
@@ -497,7 +504,7 @@ impl Drop for LiveSource {
 fn newest_first<'a>(
     active: Option<&'a Memtable>,
     frozen: &'a [Arc<Memtable>],
-) -> impl Iterator<Item = &'a Memtable> {
+) -> impl DoubleEndedIterator<Item = &'a Memtable> {
     active
         .into_iter()
         .chain(frozen.iter().rev().map(|layer| &**layer))
@@ -510,19 +517,21 @@ fn overlay_state(inner: &LiveInner, object: ObjectId) -> Option<MemEntry> {
 }
 
 /// Every object the overlay holds, with the state its newest layer gives
-/// it, and whether every grade in any layer — shadowed ones included — is
-/// crisp.
-fn fold_overlay(
-    active: &Memtable,
+/// it ("newest layer wins": the layers fold oldest first, each newer one
+/// overwriting), and whether every grade in any layer — shadowed ones
+/// included — is crisp. Snapshots fold the active layer too, into a hash
+/// map for their per-entry lookups; compaction folds only the frozen ones,
+/// into the leaner ordered map.
+fn fold_overlay<M: Default + Extend<(ObjectId, MemEntry)>>(
+    active: Option<&Memtable>,
     frozen: &[Arc<Memtable>],
-) -> (FxHashMap<ObjectId, MemEntry>, bool) {
-    let mut newest: FxHashMap<ObjectId, MemEntry> = FxHashMap::default();
+) -> (M, bool) {
+    let mut newest = M::default();
     let mut crisp = true;
-    for layer in newest_first(Some(active), frozen) {
-        for (object, state) in layer.table_iter() {
+    for layer in newest_first(active, frozen).rev() {
+        newest.extend(layer.table_iter().inspect(|(_, state)| {
             crisp &= state.grade().is_none_or(Grade::is_crisp);
-            newest.entry(object).or_insert(state);
-        }
+        }));
     }
     (newest, crisp)
 }
@@ -562,12 +571,12 @@ pub(crate) fn freeze_locked(
     }
     let new_id = inner.manifest.next_file_id;
     let new_name = file_name_for(new_id, "wal");
-    let new_wal = Wal::create_with(&shared.dir.join(&new_name), &shared.vfs)?;
+    let new_wal = Wal::create(&shared.dir.join(&new_name), &shared.vfs)?;
     let mut manifest = inner.manifest.clone();
     manifest.epoch += 1;
     manifest.next_file_id = new_id + 1;
     manifest.wals.push(new_name);
-    manifest.store_with(&shared.dir, &shared.vfs)?;
+    manifest.store(&shared.dir, &shared.vfs)?;
     inner.manifest = manifest;
     inner.wal = new_wal;
     inner
@@ -582,25 +591,26 @@ pub(crate) fn freeze_locked(
 
 /// Builds the immutable snapshot of the current state: the combined
 /// overlay (newest layer winning) as a shadow map plus a skeleton-ordered
-/// run, alongside the pinned base segment. Crispness is conservative: any
-/// fuzzy grade left in any memtable, shadowed or not, makes the snapshot
-/// fuzzy until compaction re-verifies the base.
+/// known run of the merge, beside the pinned base segment as its one read
+/// run. Crispness is conservative: any fuzzy grade left in any memtable,
+/// shadowed or not, makes the snapshot fuzzy until compaction re-verifies
+/// the base.
 fn build_snapshot(inner: &LiveInner) -> LiveSnapshot {
-    let (shadow, overlay_crisp) = fold_overlay(&inner.active, &inner.frozen);
+    let (shadow, overlay_crisp): (FxHashMap<_, _>, _) =
+        fold_overlay(Some(&inner.active), &inner.frozen);
     let mut overlay: Vec<GradedEntry> = shadow
         .iter()
         .filter_map(|(&object, state)| state.grade().map(|grade| GradedEntry { object, grade }))
         .collect();
     overlay.sort_unstable_by(GradedEntry::skeleton_cmp);
     LiveSnapshot {
-        overlay,
         shadow,
         base: inner.base.clone(),
         len: inner.len,
         ones: inner.ones,
         crisp: overlay_crisp && inner.base.as_ref().is_none_or(|b| b.is_crisp()),
         epoch: inner.manifest.epoch,
-        merge: Mutex::new(MergeState::default()),
+        merge: Mutex::new(Merge::new(inner.len, 1).with_known_run(overlay)),
     }
 }
 
@@ -611,8 +621,6 @@ fn build_snapshot(inner: &LiveInner) -> LiveSnapshot {
 ///
 /// [`MemorySource`]: garlic_core::access::MemorySource
 pub struct LiveSnapshot {
-    /// Overlay entries (live only) in skeleton order.
-    overlay: Vec<GradedEntry>,
     /// Every overlaid object — upserts shadow the base's grade, tombstones
     /// shadow the object entirely.
     shadow: FxHashMap<ObjectId, MemEntry>,
@@ -621,36 +629,20 @@ pub struct LiveSnapshot {
     ones: u64,
     crisp: bool,
     epoch: u64,
-    merge: Mutex<MergeState>,
+    /// The base segment (run 0, shadowed entries dropped at refill) merged
+    /// with the overlay's live entries (a known run).
+    merge: Mutex<Merge>,
 }
 
 impl std::fmt::Debug for LiveSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LiveSnapshot")
             .field("len", &self.len)
-            .field("overlay", &self.overlay.len())
+            .field("shadowed", &self.shadow.len())
             .field("epoch", &self.epoch)
             .finish()
     }
 }
-
-/// The demand-driven merge cursor: the merged prefix only ever grows, so
-/// the stream is deterministic no matter how reads are batched — the same
-/// discipline [`garlic_core::ShardedSource`] uses, with shadow filtering
-/// layered on.
-#[derive(Default)]
-struct MergeState {
-    merged: Vec<GradedEntry>,
-    overlay_pos: usize,
-    /// Raw rank into the base sorted stream (shadowed entries included).
-    base_rank: usize,
-    /// Shadow-filtered lookahead from the base stream.
-    base_buf: VecDeque<GradedEntry>,
-    base_exhausted: bool,
-}
-
-/// Chunk size for pulling the base stream through the merge.
-const MERGE_CHUNK: usize = 256;
 
 impl LiveSnapshot {
     /// The manifest epoch this snapshot observes.
@@ -667,67 +659,6 @@ impl LiveSnapshot {
     pub fn exact_match_count(&self) -> u64 {
         self.ones
     }
-
-    /// Refills the shadow-filtered base lookahead until it holds an entry
-    /// or the base stream ends. The merge cursor only advances after a
-    /// successful read (`try_*` leaves `tmp` unchanged on error), so a
-    /// failed refill is retryable: the cursor state is as if the call never
-    /// happened.
-    fn refill_base(&self, st: &mut MergeState) -> Result<(), SourceError> {
-        let Some(base) = &self.base else {
-            st.base_exhausted = true;
-            return Ok(());
-        };
-        let mut tmp = Vec::with_capacity(MERGE_CHUNK);
-        while st.base_buf.is_empty() && !st.base_exhausted {
-            tmp.clear();
-            let got = base.try_sorted_batch(st.base_rank, MERGE_CHUNK, &mut tmp)?;
-            st.base_rank += got;
-            st.base_buf.extend(
-                tmp.iter()
-                    .filter(|e| !self.shadow.contains_key(&e.object))
-                    .copied(),
-            );
-            if got < MERGE_CHUNK {
-                st.base_exhausted = true;
-            }
-        }
-        Ok(())
-    }
-
-    /// Grows the merged prefix to `target` entries, or until both streams
-    /// end.
-    fn ensure_merged(&self, st: &mut MergeState, target: usize) -> Result<(), SourceError> {
-        while st.merged.len() < target {
-            if st.base_buf.is_empty() && !st.base_exhausted {
-                self.refill_base(st)?;
-            }
-            let overlay_next = self.overlay.get(st.overlay_pos).copied();
-            let base_next = st.base_buf.front().copied();
-            let next = match (overlay_next, base_next) {
-                (None, None) => break,
-                (Some(entry), None) => {
-                    st.overlay_pos += 1;
-                    entry
-                }
-                (None, Some(entry)) => {
-                    st.base_buf.pop_front();
-                    entry
-                }
-                (Some(o), Some(b)) => {
-                    if o.skeleton_cmp(&b).is_lt() {
-                        st.overlay_pos += 1;
-                        o
-                    } else {
-                        st.base_buf.pop_front();
-                        b
-                    }
-                }
-            };
-            st.merged.push(next);
-        }
-        Ok(())
-    }
 }
 
 impl GradedSource for LiveSnapshot {
@@ -735,19 +666,27 @@ impl GradedSource for LiveSnapshot {
         self.len
     }
 
+    /// Sorted access over the merged stream. The base segment's reads
+    /// drop the objects the overlay shadows; the merge counts them as
+    /// consumed all the same.
     fn try_sorted_batch(
         &self,
         start: usize,
         count: usize,
         out: &mut Vec<GradedEntry>,
     ) -> Result<usize, SourceError> {
-        let mut st = self.merge.lock().unwrap_or_else(PoisonError::into_inner);
-        let target = start.saturating_add(count);
-        self.ensure_merged(&mut st, target)?;
-        let end = st.merged.len().min(target);
-        let begin = start.min(end);
-        out.extend_from_slice(&st.merged[begin..end]);
-        Ok(end - begin)
+        let read = |_, rank, count, out: &mut Vec<GradedEntry>| {
+            let Some(base) = &self.base else {
+                return Ok(0);
+            };
+            let got = base.try_sorted_batch(rank, count, out)?;
+            out.retain(|entry| !self.shadow.contains_key(&entry.object));
+            Ok(got)
+        };
+        self.merge
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .try_sorted_batch(start, count, out, read, |_, _, err| Err(err))
     }
 
     fn try_random_batch(
@@ -786,72 +725,43 @@ impl GradedSource for LiveSnapshot {
 }
 
 impl SetAccess for LiveSnapshot {
+    /// The grade-1 prefix of the merged stream: its first
+    /// [`exact_match_count`](LiveSnapshot::exact_match_count) entries, in
+    /// ascending id order as in `MemorySource` (grade-1 ties break by id).
     fn try_matching_set(&self) -> Result<Vec<ObjectId>, SourceError> {
-        // Overlay ones are the overlay's skeleton prefix; base ones come
-        // from its own matching set, minus anything the overlay shadows.
-        // Ascending-id order matches `MemorySource` (grade-1 ties break
-        // by id).
-        let mut set: Vec<ObjectId> = self
-            .overlay
-            .iter()
-            .take_while(|e| e.grade == Grade::ONE)
-            .map(|e| e.object)
-            .collect();
-        if let Some(base) = &self.base {
-            set.extend(
-                base.try_matching_set()?
-                    .into_iter()
-                    .filter(|object| !self.shadow.contains_key(object)),
-            );
-        }
-        set.sort_unstable();
-        Ok(set)
+        let mut ones = Vec::new();
+        self.try_sorted_batch(0, self.ones as usize, &mut ones)?;
+        debug_assert!(ones.iter().all(|e| e.grade == Grade::ONE));
+        Ok(ones.into_iter().map(|e| e.object).collect())
     }
 }
 
-/// Pure-composition compaction input: the merged full contents of the
-/// base segment plus every frozen layer (newest winning), as writer-ready
-/// pairs. Lives here (not in `compact.rs`) because it is the read-side
-/// inverse of [`build_snapshot`] and the two must agree forever.
+/// Compaction's input: the full contents of the base segment plus every
+/// frozen layer, as writer-ready pairs in no particular order. The frozen
+/// layers fold through [`fold_overlay`] with no active layer, the same
+/// fold a snapshot makes: the newest layer wins, tombstones drop, and a
+/// base entry survives only where no layer holds its object.
 pub(crate) fn merged_pairs(
     base: Option<&Arc<SegmentSource>>,
     frozen: &[Arc<Memtable>],
 ) -> Result<Vec<(ObjectId, Grade)>, StorageError> {
-    // Newest layer first: the first state seen for an object is its
-    // visible one.
-    let mut combined: BTreeMap<ObjectId, MemEntry> = BTreeMap::new();
-    for layer in newest_first(None, frozen) {
-        for (object, state) in layer.table_iter() {
-            combined.entry(object).or_insert(state);
-        }
-    }
-    let mut pairs = Vec::new();
+    let (combined, _): (BTreeMap<_, _>, _) = fold_overlay(None, frozen);
+    let mut entries = Vec::new();
     if let Some(base) = base {
-        let mut entries = Vec::with_capacity(base.len());
-        let mut rank = 0;
-        loop {
-            // A failure aborts the compaction attempt (recorded by the
-            // compactor and retried later) with the segment's own typed
-            // error — a checksum mismatch stays one.
-            let got = base.sorted_scan(rank, 4096, &mut entries)?;
-            rank += got;
-            if got < 4096 {
-                break;
-            }
-        }
-        pairs.extend(
-            entries
-                .iter()
-                .filter(|e| !combined.contains_key(&e.object))
-                .map(|e| (e.object, e.grade)),
-        );
+        // A failure aborts the compaction attempt (recorded by the
+        // compactor and retried later) with the segment's own typed
+        // error — a checksum mismatch stays one.
+        base.sorted_scan(0, base.len(), &mut entries)?;
     }
-    pairs.extend(
-        combined
-            .iter()
-            .filter_map(|(&object, &state)| state.grade().map(|g| (object, g))),
-    );
-    Ok(pairs)
+    let overlay = combined
+        .iter()
+        .filter_map(|(&object, state)| state.grade().map(|grade| (object, grade)));
+    Ok(entries
+        .iter()
+        .filter(|e| !combined.contains_key(&e.object))
+        .map(|e| (e.object, e.grade))
+        .chain(overlay)
+        .collect())
 }
 
 #[cfg(test)]

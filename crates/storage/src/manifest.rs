@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use crate::error::StorageError;
 use crate::format::fnv1a64;
-use crate::vfs::{std_vfs, Vfs};
+use crate::vfs::Vfs;
 use crate::wal::sync_parent_dir;
 use crate::writer::{tmp_sibling, TmpGuard};
 
@@ -89,14 +89,9 @@ impl Manifest {
         out
     }
 
-    /// Atomically replaces the manifest in `dir` with this value
-    /// (tmp sibling + fsync + rename + directory fsync).
-    pub fn store(&self, dir: &Path) -> Result<(), StorageError> {
-        self.store_with(dir, &std_vfs())
-    }
-
-    /// [`store`](Manifest::store) through an explicit [`Vfs`].
-    pub fn store_with(&self, dir: &Path, vfs: &Arc<dyn Vfs>) -> Result<(), StorageError> {
+    /// Atomically replaces the manifest in `dir` with this value, through
+    /// `vfs` (tmp sibling + fsync + rename + directory fsync).
+    pub fn store(&self, dir: &Path, vfs: &Arc<dyn Vfs>) -> Result<(), StorageError> {
         let path = dir.join(MANIFEST_NAME);
         // Same publication as a segment's: a tmp name of this store's own,
         // removed again if anything before the rename fails.
@@ -112,15 +107,10 @@ impl Manifest {
         Ok(())
     }
 
-    /// Loads and verifies the manifest in `dir`. A missing file surfaces
-    /// as `Io(NotFound)` (a fresh store); anything unreadable is a typed
-    /// [`StorageError::ManifestCorrupt`].
-    pub fn load(dir: &Path) -> Result<Manifest, StorageError> {
-        Manifest::load_with(dir, &std_vfs())
-    }
-
-    /// [`load`](Manifest::load) through an explicit [`Vfs`].
-    pub fn load_with(dir: &Path, vfs: &Arc<dyn Vfs>) -> Result<Manifest, StorageError> {
+    /// Loads and verifies the manifest in `dir`, through `vfs`. A missing
+    /// file surfaces as `Io(NotFound)` (a fresh store); anything
+    /// unreadable is a typed [`StorageError::ManifestCorrupt`].
+    pub fn load(dir: &Path, vfs: &Arc<dyn Vfs>) -> Result<Manifest, StorageError> {
         let bytes = {
             let file = vfs.open_read(&dir.join(MANIFEST_NAME))?;
             let len = file.len()?;
@@ -254,6 +244,7 @@ pub(crate) fn collect_garbage(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::std_vfs;
     use std::fs;
 
     fn temp_dir(name: &str) -> PathBuf {
@@ -273,8 +264,8 @@ mod tests {
             segment: Some("seg-000003.seg".into()),
             wals: vec!["wal-000010.wal".into(), "wal-000011.wal".into()],
         };
-        manifest.store(&dir).unwrap();
-        assert_eq!(Manifest::load(&dir).unwrap(), manifest);
+        manifest.store(&dir, &std_vfs()).unwrap();
+        assert_eq!(Manifest::load(&dir, &std_vfs()).unwrap(), manifest);
         // Replacing is atomic: no tmp sibling survives.
         let names: Vec<_> = fs::read_dir(&dir)
             .unwrap()
@@ -286,7 +277,7 @@ mod tests {
     #[test]
     fn missing_manifest_is_not_found() {
         let dir = temp_dir("missing");
-        match Manifest::load(&dir) {
+        match Manifest::load(&dir, &std_vfs()) {
             Err(StorageError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::NotFound),
             other => panic!("expected NotFound, got {other:?}"),
         }
@@ -295,21 +286,21 @@ mod tests {
     #[test]
     fn corruption_is_a_typed_error() {
         let dir = temp_dir("corrupt");
-        Manifest::initial().store(&dir).unwrap();
+        Manifest::initial().store(&dir, &std_vfs()).unwrap();
         let path = dir.join(MANIFEST_NAME);
         let mut bytes = fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
         fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            Manifest::load(&dir),
+            Manifest::load(&dir, &std_vfs()),
             Err(StorageError::ManifestCorrupt { .. })
         ));
         // Truncation too.
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..10]).unwrap();
         assert!(matches!(
-            Manifest::load(&dir),
+            Manifest::load(&dir, &std_vfs()),
             Err(StorageError::ManifestCorrupt { .. })
         ));
     }
@@ -323,7 +314,7 @@ mod tests {
             segment: Some(file_name_for(1, "seg")),
             wals: vec![file_name_for(2, "wal")],
         };
-        manifest.store(&dir).unwrap();
+        manifest.store(&dir, &std_vfs()).unwrap();
         for name in [
             file_name_for(1, "seg"),
             file_name_for(2, "wal"),

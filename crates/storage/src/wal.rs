@@ -43,7 +43,7 @@ use garlic_core::ObjectId;
 
 use crate::error::StorageError;
 use crate::format::{fnv1a64, read_varint, write_varint};
-use crate::vfs::{std_vfs, Vfs, VfsFile};
+use crate::vfs::{Vfs, VfsFile};
 
 /// The 8-byte file magic every WAL starts with.
 pub const WAL_MAGIC: [u8; 8] = *b"GRLCWAL1";
@@ -108,15 +108,10 @@ impl std::fmt::Debug for Wal {
 }
 
 impl Wal {
-    /// Creates a fresh, empty log at `path` (truncating anything there),
-    /// writing and syncing the header — and the containing directory, so
-    /// the file itself survives a crash.
-    pub fn create(path: &Path) -> Result<Wal, StorageError> {
-        Wal::create_with(path, &std_vfs())
-    }
-
-    /// [`create`](Wal::create) through an explicit [`Vfs`].
-    pub fn create_with(path: &Path, vfs: &Arc<dyn Vfs>) -> Result<Wal, StorageError> {
+    /// Creates a fresh, empty log at `path` through `vfs` (truncating
+    /// anything there), writing and syncing the header — and the
+    /// containing directory, so the file itself survives a crash.
+    pub fn create(path: &Path, vfs: &Arc<dyn Vfs>) -> Result<Wal, StorageError> {
         let mut file = vfs.create(path)?;
         file.write_all(&WAL_MAGIC)?;
         file.sync_all()?;
@@ -129,15 +124,10 @@ impl Wal {
         })
     }
 
-    /// Opens the log at `path`, replaying every committed record into
-    /// `ops` and truncating any torn tail (see the module docs for what
-    /// counts as torn). After `open` the log is ready for appends.
-    pub fn open(path: &Path, ops: &mut Vec<WalOp>) -> Result<Wal, StorageError> {
-        Wal::open_with(path, ops, &std_vfs())
-    }
-
-    /// [`open`](Wal::open) through an explicit [`Vfs`].
-    pub fn open_with(
+    /// Opens the log at `path` through `vfs`, replaying every committed
+    /// record into `ops` and truncating any torn tail (see the module docs
+    /// for what counts as torn). After `open` the log is ready for appends.
+    pub fn open(
         path: &Path,
         ops: &mut Vec<WalOp>,
         vfs: &Arc<dyn Vfs>,
@@ -290,7 +280,7 @@ pub(crate) fn sync_parent_dir(vfs: &dyn Vfs, path: &Path) -> Result<(), StorageE
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vfs::{FaultKind, FaultOp, FaultRule, FaultVfs};
+    use crate::vfs::{std_vfs, FaultKind, FaultOp, FaultRule, FaultVfs};
     use std::fs::OpenOptions;
 
     fn g(v: f64) -> Grade {
@@ -313,7 +303,7 @@ mod tests {
     #[test]
     fn round_trips_batches_across_reopen() {
         let path = temp_wal("roundtrip.wal");
-        let mut wal = Wal::create(&path).unwrap();
+        let mut wal = Wal::create(&path, &std_vfs()).unwrap();
         let first = vec![
             WalOp::Upsert {
                 object: ObjectId(3),
@@ -332,7 +322,7 @@ mod tests {
         drop(wal);
 
         let mut ops = Vec::new();
-        let wal = Wal::open(&path, &mut ops).unwrap();
+        let wal = Wal::open(&path, &mut ops, &std_vfs()).unwrap();
         let expected: Vec<WalOp> = first.iter().chain(&second).copied().collect();
         assert_eq!(ops, expected);
         assert_eq!(
@@ -344,14 +334,14 @@ mod tests {
     #[test]
     fn appends_resume_after_recovery() {
         let path = temp_wal("resume.wal");
-        let mut wal = Wal::create(&path).unwrap();
+        let mut wal = Wal::create(&path, &std_vfs()).unwrap();
         wal.append(&[WalOp::Delete {
             object: ObjectId(2),
         }])
         .unwrap();
         drop(wal);
         let mut ops = Vec::new();
-        let mut wal = Wal::open(&path, &mut ops).unwrap();
+        let mut wal = Wal::open(&path, &mut ops, &std_vfs()).unwrap();
         wal.append(&[WalOp::Upsert {
             object: ObjectId(9),
             grade: g(0.25),
@@ -359,7 +349,7 @@ mod tests {
         .unwrap();
         drop(wal);
         let mut ops = Vec::new();
-        Wal::open(&path, &mut ops).unwrap();
+        Wal::open(&path, &mut ops, &std_vfs()).unwrap();
         assert_eq!(ops.len(), 2);
         assert_eq!(ops[1].object(), ObjectId(9));
     }
@@ -367,7 +357,7 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_to_the_committed_prefix() {
         let path = temp_wal("torn.wal");
-        let mut wal = Wal::create(&path).unwrap();
+        let mut wal = Wal::create(&path, &std_vfs()).unwrap();
         wal.append(&[WalOp::Upsert {
             object: ObjectId(1),
             grade: g(0.5),
@@ -387,7 +377,7 @@ mod tests {
         drop(file);
 
         let mut ops = Vec::new();
-        let wal = Wal::open(&path, &mut ops).unwrap();
+        let wal = Wal::open(&path, &mut ops, &std_vfs()).unwrap();
         assert_eq!(ops.len(), 1, "only the committed prefix survives");
         assert_eq!(ops[0].object(), ObjectId(1));
         assert_eq!(wal.committed_bytes(), committed);
@@ -397,7 +387,7 @@ mod tests {
     #[test]
     fn bit_flip_in_a_record_stops_replay_there() {
         let path = temp_wal("flip.wal");
-        let mut wal = Wal::create(&path).unwrap();
+        let mut wal = Wal::create(&path, &std_vfs()).unwrap();
         for i in 0..3 {
             wal.append(&[WalOp::Upsert {
                 object: ObjectId(i),
@@ -417,14 +407,14 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
 
         let mut ops = Vec::new();
-        Wal::open(&path, &mut ops).unwrap();
+        Wal::open(&path, &mut ops, &std_vfs()).unwrap();
         assert_eq!(ops.len(), 1, "replay stops at the first damaged record");
     }
 
     #[test]
     fn damaged_header_is_a_typed_error() {
         let path = temp_wal("badheader.wal");
-        let mut wal = Wal::create(&path).unwrap();
+        let mut wal = Wal::create(&path, &std_vfs()).unwrap();
         wal.append(&[WalOp::Delete {
             object: ObjectId(0),
         }])
@@ -435,7 +425,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let mut ops = Vec::new();
         assert!(matches!(
-            Wal::open(&path, &mut ops),
+            Wal::open(&path, &mut ops, &std_vfs()),
             Err(StorageError::WalCorrupt { .. })
         ));
     }
@@ -457,7 +447,7 @@ mod tests {
             kind: FaultKind::Transient { times: 1 },
         });
         let vfs: Arc<dyn Vfs> = Arc::new(fault);
-        let mut wal = Wal::create_with(&path, &vfs).unwrap();
+        let mut wal = Wal::create(&path, &vfs).unwrap();
         wal.append(&[up(1, 0.5)]).unwrap();
         let committed = wal.committed_bytes();
 
@@ -474,7 +464,7 @@ mod tests {
         wal.append(&[up(2, 0.75)]).unwrap();
         drop(wal);
         let mut ops = Vec::new();
-        Wal::open(&path, &mut ops).unwrap();
+        Wal::open(&path, &mut ops, &std_vfs()).unwrap();
         assert_eq!(ops, vec![up(1, 0.5), up(2, 0.75)]);
     }
 
@@ -492,7 +482,7 @@ mod tests {
             kind: FaultKind::Permanent,
         });
         let vfs: Arc<dyn Vfs> = Arc::new(fault);
-        let mut wal = Wal::create_with(&path, &vfs).unwrap();
+        let mut wal = Wal::create(&path, &vfs).unwrap();
         wal.append(&[up(1, 0.5)]).unwrap();
         let committed = wal.committed_bytes();
         wal.append(&[up(2, 0.75)]).unwrap_err();
@@ -505,7 +495,7 @@ mod tests {
         drop(file);
 
         let mut ops = Vec::new();
-        let recovered = Wal::open(&path, &mut ops).unwrap();
+        let recovered = Wal::open(&path, &mut ops, &std_vfs()).unwrap();
         assert_eq!(ops, vec![up(1, 0.5)], "only acknowledged ops replay");
         assert_eq!(recovered.committed_bytes(), committed);
         assert_eq!(std::fs::metadata(&path).unwrap().len(), committed);
@@ -516,7 +506,7 @@ mod tests {
         let path = temp_wal("empty.wal");
         std::fs::write(&path, b"").unwrap();
         let mut ops = Vec::new();
-        let mut wal = Wal::open(&path, &mut ops).unwrap();
+        let mut wal = Wal::open(&path, &mut ops, &std_vfs()).unwrap();
         assert!(ops.is_empty());
         wal.append(&[WalOp::Upsert {
             object: ObjectId(5),
@@ -525,7 +515,7 @@ mod tests {
         .unwrap();
         drop(wal);
         let mut ops = Vec::new();
-        Wal::open(&path, &mut ops).unwrap();
+        Wal::open(&path, &mut ops, &std_vfs()).unwrap();
         assert_eq!(ops.len(), 1);
     }
 }

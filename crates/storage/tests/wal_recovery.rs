@@ -20,7 +20,7 @@ use garlic_agg::Grade;
 use garlic_core::access::{GradedSource, MemorySource};
 use garlic_core::ObjectId;
 use garlic_storage::wal::WAL_MAGIC;
-use garlic_storage::{BlockCache, LiveOptions, LiveSource, Manifest, StorageError, WalOp};
+use garlic_storage::{std_vfs, BlockCache, LiveOptions, LiveSource, Manifest, StorageError, WalOp};
 use proptest::prelude::*;
 
 static CASE: AtomicU64 = AtomicU64::new(0);
@@ -113,7 +113,7 @@ fn record_ends(wal: &Path) -> Vec<u64> {
 
 /// The single WAL file of a store that has never frozen a memtable.
 fn active_wal(dir: &Path) -> PathBuf {
-    let manifest = Manifest::load(dir).unwrap();
+    let manifest = Manifest::load(dir, &std_vfs()).unwrap();
     dir.join(manifest.wals.last().unwrap())
 }
 
@@ -286,7 +286,7 @@ fn a_torn_active_tail_spares_the_sealed_layers() {
     live.upsert(ObjectId(41), Grade::ONE).unwrap(); // will be torn off
     drop(live);
 
-    let manifest = Manifest::load(&dir).unwrap();
+    let manifest = Manifest::load(&dir, &std_vfs()).unwrap();
     assert!(manifest.wals.len() >= 2, "a sealed WAL plus the active one");
     let active = dir.join(manifest.wals.last().unwrap());
     let len = std::fs::metadata(&active).unwrap().len();

@@ -146,10 +146,9 @@ pub struct DiskSubsystem {
     universe: usize,
     cache: Arc<BlockCache>,
     /// Every attribute, by name. The fixed ones also feed the telemetry
-    /// collector and [`health`](DiskSubsystem::health): per-attribute I/O
-    /// retry and shard scatter-gather stats are read straight off their
-    /// handles at snapshot time (pull-based — the query path pays
-    /// nothing).
+    /// collector: per-attribute I/O retry and shard scatter-gather stats
+    /// are read straight off their handles at snapshot time (pull-based —
+    /// the query path pays nothing).
     segments: BTreeMap<String, DiskAttribute>,
     /// When set, sharded attributes registered afterwards opt in to
     /// degraded reads (a quarantined shard is dropped instead of failing
@@ -161,7 +160,7 @@ pub struct DiskSubsystem {
     vfs: Arc<dyn Vfs>,
 }
 
-/// One fixed attribute's I/O health, as reported by
+/// One segment-backed attribute's I/O health, as reported by
 /// [`DiskSubsystem::health`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttributeHealth {
@@ -410,34 +409,45 @@ impl DiskSubsystem {
         });
     }
 
-    /// The I/O health of every fixed attribute, in name order: retry
-    /// totals and any quarantined segment files. A quarantined segment
-    /// keeps failing fast with a typed error until its file is repaired and
-    /// the subsystem is reopened; under
+    /// The I/O health of every segment-backed attribute, in name order:
+    /// each fixed attribute, and each live attribute through its current
+    /// base segment (one without a base yet reads no file and is left
+    /// out). A report holds retry totals and any quarantined segment
+    /// files. A quarantined segment keeps failing fast with a typed error
+    /// until its file is repaired and the subsystem is reopened; under
     /// [`with_degraded_reads`](Self::with_degraded_reads) a sharded
     /// attribute keeps answering (flagged degraded) around it.
     pub fn health(&self) -> Vec<AttributeHealth> {
-        self.fixed()
-            .map(|(attribute, handle)| {
+        self.segments
+            .iter()
+            .filter_map(|(attribute, handle)| {
+                let base;
+                let segments = match handle {
+                    DiskAttribute::Live(live) => {
+                        base = live.base()?;
+                        std::slice::from_ref(&*base)
+                    }
+                    fixed => fixed.segments(),
+                };
                 let mut report = AttributeHealth {
                     attribute: attribute.clone(),
                     quarantined: Vec::new(),
                     io_retries: 0,
                     io_gave_up: 0,
                 };
-                for segment in handle.segments() {
+                for segment in segments {
                     report.io_retries += segment.io_retries();
                     report.io_gave_up += segment.io_gave_up();
                     if segment.is_quarantined() {
                         report.quarantined.push(segment.path().to_path_buf());
                     }
                 }
-                report
+                Some(report)
             })
             .collect()
     }
 
-    /// The fixed (segment-backed) attributes, in name order.
+    /// The fixed attributes, in name order.
     fn fixed(&self) -> impl Iterator<Item = (&String, &DiskAttribute)> {
         self.segments
             .iter()
@@ -953,6 +963,55 @@ mod tests {
             .write_pairs(&hi, vec![(ObjectId(1), g(0.3)), (ObjectId(3), g(0.2))])
             .unwrap();
         let _ = DiskSubsystem::new("disk", 4).open_sharded_segment("A", [&lo, &hi]);
+    }
+
+    #[test]
+    fn health_reports_a_live_attributes_quarantined_base() {
+        use garlic_core::ObjectId;
+        use garlic_storage::{std_vfs, FaultKind, FaultOp, FaultRule, FaultVfs, LiveOptions, Vfs};
+        let dir = temp_dir().join("live-health");
+        let _ = std::fs::remove_dir_all(&dir);
+        let fault = Arc::new(FaultVfs::wrapping(std_vfs()));
+        // No cache: every read of the base segment goes to the file.
+        let s = DiskSubsystem::with_cache("disk", 64, Arc::new(BlockCache::new(0)))
+            .open_live_with(
+                "L",
+                &dir,
+                LiveOptions {
+                    vfs: Some(Arc::clone(&fault) as Arc<dyn Vfs>),
+                    ..LiveOptions::default()
+                },
+            )
+            .unwrap();
+        let live = s.live_source("L").unwrap();
+        for i in 0..64u64 {
+            live.upsert(ObjectId(i), g(i as f64 / 64.0)).unwrap();
+        }
+        live.flush().unwrap();
+        let base = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .find(|path| path.extension().is_some_and(|x| x == "seg"))
+            .expect("the flush wrote a base segment");
+        assert_eq!(s.health().len(), 1);
+        assert!(s.health()[0].healthy());
+
+        fault.push_rule(FaultRule {
+            path_contains: ".seg".to_owned(),
+            op: FaultOp::Read,
+            nth: 0,
+            kind: FaultKind::Permanent,
+        });
+        let src = s
+            .evaluate(&AtomicQuery::new("L", Target::text("t")))
+            .unwrap();
+        let err = src.try_sorted_batch(0, 64, &mut Vec::new()).unwrap_err();
+        assert!(err.quarantined, "{err}");
+        let report = s.health();
+        assert_eq!(report.len(), 1);
+        assert_eq!(report[0].attribute, "L");
+        assert_eq!(report[0].quarantined, [base]);
+        assert!(report[0].io_gave_up >= 1);
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! The trace is rendered from the same counters the executor bills
 //! against, and a traced request is the plain request with `trace` set, so
 //! there is no second bookkeeping path and no second execution path to
-//! drift. The spans are checked on memory, flat disk and sharded disk;
-//! that each traces, answers and bills like memory (and like its own
-//! `top_k` and one-page session) is checked on the disk backends here and
-//! on every backend by the oracle (`backend_oracle.rs`).
+//! drift. The spans are checked on memory and sharded disk; that each
+//! traces, answers and bills like memory (and like its own `top_k` and
+//! one-page session) is checked on the sharded disk here and on every
+//! backend, flat disk included, by the oracle (`backend_oracle.rs`).
 
 mod support;
 
@@ -69,14 +69,6 @@ proptest! {
     fn explain_bills_bit_equal_on_memory(n in 40usize..160, seed in 0u64..1000) {
         let memory = Db::quantised(n, seed).memory();
         assert_spans_render_the_bill(&garlic_over(&memory, Default::default()));
-    }
-
-    #[test]
-    fn explain_bills_bit_equal_on_disk(n in 40usize..120, seed in 0u64..1000) {
-        let db = Db::quantised(n, seed);
-        let disk = segments(&db, &temp_dir("explain-disk"), FORMAT_VERSION, "dict", cache());
-        assert_spans_render_the_bill(&garlic_over(&disk, Default::default()));
-        assert_strategies_match(&[("disk".to_owned(), disk)], &db.memory(), &[1, 5, 23], &[]);
     }
 
     #[test]

@@ -28,13 +28,6 @@ fn disk(db: &Db, tag: &str, cache: Arc<BlockCache>) -> Arc<dyn Subsystem> {
 }
 
 #[test]
-fn every_strategy_answers_identically_from_disk() {
-    let db = db();
-    let disk = [("v2".to_owned(), disk(&db, "strategies", support::cache()))];
-    assert_strategies_match(&disk, &db.memory(), &[1, 7, 50], &[]);
-}
-
-#[test]
 fn format_versions_and_sharding_are_invisible_to_every_strategy() {
     // v1 segments, v2 segments, and 3-shard v2 partitions must all answer
     // with memory's exact entries, tie order, and Section-5 bills — the
@@ -61,13 +54,6 @@ fn format_versions_and_sharding_are_invisible_to_every_strategy() {
         ),
     ];
     assert_strategies_match(&backends, &db.memory(), &[1, 7, 50], &[]);
-}
-
-#[test]
-fn paged_sessions_answer_identically_from_disk() {
-    let db = db();
-    let disk = [("v2".to_owned(), disk(&db, "paged", support::cache()))];
-    assert_strategies_match(&disk, &db.memory(), &[], &[3, 1, 10, 25]);
 }
 
 #[test]
