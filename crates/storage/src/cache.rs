@@ -37,11 +37,20 @@
 //!   lose to anything warmer and are *rejected* — returned to the caller
 //!   but never made resident, so they cannot displace even probation
 //!   residents with a history.
+//!
+//! # No panics
+//!
+//! A panic under the state lock must not take every later read of every
+//! segment down with it, so the lock recovers from poisoning. The
+//! caller's `load` runs outside the lock, and the rest of the non-test
+//! code holds no `unwrap`, `expect` or `panic!`.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use garlic_core::{fx::FxHasher, FxHashMap};
 use garlic_telemetry::{MetricEntry, MetricValue, Telemetry};
@@ -69,17 +78,21 @@ struct CachedBlock {
     protected: bool,
 }
 
+/// One block read in flight: set once, by its leader — `Some(bytes)` after
+/// a load, `None` after a failed or unwound one (the followers then retry).
+type InFlight = Arc<OnceLock<Option<Arc<[u8]>>>>;
+
 /// The guarded state. The per-block `tick` stamp is the authoritative
 /// recency; the two segment indexes are *lazily repaired* tick → key maps
 /// that hits never touch: a **hit** — the per-block cost of every warm
 /// stream — is one fast-hash lookup plus a tick store (plus, once per
-/// residency, a promotion), leaving its index entry stale. **Eviction**
-/// (and protected-overflow demotion) pops a map's oldest entry and, if
-/// the block's stamp or segment has moved on since, re-files or drops the
-/// entry and tries again — every repair is prepaid by the touch that
-/// staled it, so eviction stays amortised O(log n) even when the cache
-/// thrashes. LRU order within each segment is preserved exactly; only
-/// *when* the index learns about a hit moved.
+/// residency, a promotion), leaving its index entry stale. Finding a
+/// segment's LRU (for eviction or protected-overflow demotion) reads the
+/// map's oldest entry and, if the block's stamp or segment has moved on
+/// since, re-files or drops the entry and reads again — every repair is
+/// prepaid by the touch that staled it, so eviction stays amortised
+/// O(log n) even when the cache thrashes. LRU order within each segment
+/// is preserved exactly; only *when* the index learns about a hit moved.
 struct CacheState {
     /// Resident blocks, keyed by the fast [`garlic_core::fx`] hash —
     /// block keys are process-internal, and this lookup sits on every
@@ -94,14 +107,14 @@ struct CacheState {
     protected: BTreeMap<u64, BlockKey>,
     /// How many resident blocks are currently protected.
     protected_members: usize,
-    /// TinyLFU frequency sketch gating admission (`None` at capacity 0,
-    /// where nothing is ever resident).
-    sketch: Option<FrequencySketch>,
+    /// TinyLFU frequency sketch gating admission (never consulted at
+    /// capacity 0, where nothing is ever resident).
+    sketch: FrequencySketch,
     next_tick: u64,
     /// Single-flight table: one entry per block currently being read from
     /// its file. Concurrent misses on the same key wait on the leader's
-    /// [`Flight`] instead of issuing duplicate reads.
-    in_flight: FxHashMap<BlockKey, Arc<Flight>>,
+    /// [`InFlight`] instead of issuing duplicate reads.
+    in_flight: FxHashMap<BlockKey, InFlight>,
 }
 
 /// A count-min sketch of recent request frequencies — the TinyLFU
@@ -175,51 +188,6 @@ impl FrequencySketch {
             .map(|i| self.counters[i])
             .min()
             .unwrap_or(0)
-    }
-}
-
-/// The rendezvous a miss's followers wait on while the leader reads the
-/// block. Completed exactly once, by the leader (or its unwind guard).
-struct Flight {
-    state: Mutex<FlightState>,
-    ready: Condvar,
-}
-
-enum FlightState {
-    /// The leader is still reading.
-    Pending,
-    /// The leader finished; the bytes every waiter shares.
-    Done(Arc<[u8]>),
-    /// The leader's read failed (or the leader unwound): waiters must
-    /// retry — the next one in becomes the new leader.
-    Failed,
-}
-
-impl Flight {
-    fn new() -> Self {
-        Flight {
-            state: Mutex::new(FlightState::Pending),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn complete(&self, outcome: FlightState) {
-        let mut state = self.state.lock().expect("flight lock");
-        *state = outcome;
-        self.ready.notify_all();
-    }
-
-    /// Blocks until the leader completes; `Some(bytes)` on success, `None`
-    /// when the flight failed and the caller should retry.
-    fn wait(&self) -> Option<Arc<[u8]>> {
-        let mut state = self.state.lock().expect("flight lock");
-        loop {
-            match &*state {
-                FlightState::Pending => state = self.ready.wait(state).expect("flight lock"),
-                FlightState::Done(bytes) => return Some(Arc::clone(bytes)),
-                FlightState::Failed => return None,
-            }
-        }
     }
 }
 
@@ -331,7 +299,7 @@ impl BlockCache {
                 probation: BTreeMap::new(),
                 protected: BTreeMap::new(),
                 protected_members: 0,
-                sketch: (capacity_blocks > 0).then(|| FrequencySketch::new(capacity_blocks)),
+                sketch: FrequencySketch::new(capacity_blocks),
                 next_tick: 0,
                 in_flight: FxHashMap::default(),
             }),
@@ -400,6 +368,12 @@ impl BlockCache {
         }
     }
 
+    /// The guarded state, recovered if a thread panicked while holding it
+    /// (see the module docs).
+    fn state(&self) -> MutexGuard<'_, CacheState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Drops every resident block and resets the admission state — the
     /// frequency sketch, segment membership, and the admitted/rejected
     /// counters — in one critical section, so no concurrent request can
@@ -407,14 +381,12 @@ impl BlockCache {
     /// Request counters (hits/misses/evictions) are preserved. Turns a
     /// warm cache cold — for tests and cold-path benchmarks.
     pub fn clear(&self) {
-        let mut state = self.state.lock().expect("cache lock");
+        let mut state = self.state();
         state.blocks.clear();
         state.probation.clear();
         state.protected.clear();
         state.protected_members = 0;
-        if let Some(sketch) = &mut state.sketch {
-            *sketch = FrequencySketch::new(self.capacity);
-        }
+        state.sketch = FrequencySketch::new(self.capacity);
         // Stored while the state lock pins every writer of these counters
         // (admission decisions happen under the lock), making the combined
         // reset atomic.
@@ -433,7 +405,7 @@ impl BlockCache {
     /// the swap. The retired keys' index entries go stale and are
     /// discarded by the same lazy repair that serves hits.
     pub fn retire(&self, segment: u64) {
-        let mut state = self.state.lock().expect("cache lock");
+        let mut state = self.state();
         let mut demoted = 0usize;
         let before = state.blocks.len();
         state.blocks.retain(|key, block| {
@@ -455,7 +427,7 @@ impl BlockCache {
     /// across `load`, so concurrent misses on *different* blocks read the
     /// file in parallel — but misses on the *same* block **single-flight**:
     /// exactly one caller (the leader) reads the file and bills one miss;
-    /// every racer waits on the leader's [`Flight`] and is billed a hit,
+    /// every racer waits on the leader's [`InFlight`] and is billed a hit,
     /// because it was served from memory. If the leader's read fails (or
     /// unwinds), waiters retry and the next one in leads.
     ///
@@ -471,126 +443,100 @@ impl BlockCache {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return load();
         }
-        // The leader consumes `load` at most once across loop iterations
-        // (a failed follower may loop back and *become* the leader).
-        let mut load = Some(load);
-        loop {
-            let role = {
-                let mut state = self.state.lock().expect("cache lock");
+        let leader = loop {
+            let flight = {
+                let mut state = self.state();
                 if let Some(bytes) = state.touch(key, self.protected_cap) {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     return Ok(bytes);
                 }
-                match state.in_flight.get(&key) {
-                    Some(flight) => Role::Follower(Arc::clone(flight)),
-                    None => {
-                        let flight = Arc::new(Flight::new());
-                        state.in_flight.insert(key, Arc::clone(&flight));
-                        Role::Leader(flight)
+                match state.in_flight.entry(key) {
+                    Entry::Occupied(flight) => Arc::clone(flight.get()),
+                    Entry::Vacant(slot) => {
+                        let flight = Arc::clone(slot.insert(Arc::default()));
+                        break Leader {
+                            cache: self,
+                            key,
+                            flight,
+                        };
                     }
                 }
             };
-            match role {
-                Role::Leader(flight) => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    // The guard keeps a panicking `load` from stranding
-                    // followers: on unwind it marks the flight failed so
-                    // they retry instead of waiting forever.
-                    let guard = FlightGuard {
-                        cache: self,
-                        key,
-                        flight: &flight,
-                        armed: true,
-                    };
-                    let result = (load.take().expect("the leader loads at most once"))();
-                    guard.publish(&result);
-                    return result;
+            // A read is in flight: wait for its leader.
+            if let Some(bytes) = flight.wait() {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(Arc::clone(bytes));
+            }
+            // The leader failed: contend for leadership again.
+        };
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let result = load();
+        if let Ok(bytes) = &result {
+            let mut state = self.state();
+            state.in_flight.remove(&key);
+            self.admit(&mut state, key, Arc::clone(bytes));
+            drop(state);
+            let _ = leader.flight.set(Some(Arc::clone(bytes)));
+        }
+        result
+    }
+
+    /// The one admission step for a block its leader just loaded (never
+    /// resident: the leader is the only writer of its key). Below
+    /// capacity the block goes on probation. At capacity it duels the
+    /// would-be victim — the probation LRU, else the protected LRU — on
+    /// frequency: a loss touches nothing and the block is only handed to
+    /// the caller; a win unlinks the victim once and takes its slot.
+    fn admit(&self, state: &mut CacheState, key: BlockKey, bytes: Arc<[u8]>) {
+        state.sketch.record(key);
+        if state.blocks.len() >= self.capacity {
+            if let Some(victim) = state.lru(false).or_else(|| state.lru(true)) {
+                if state.sketch.estimate(key) < state.sketch.estimate(victim) {
+                    self.rejected.fetch_add(1, Ordering::Relaxed);
+                    return;
                 }
-                Role::Follower(flight) => {
-                    if let Some(bytes) = flight.wait() {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        return Ok(bytes);
-                    }
-                    // Leader failed: loop and contend for leadership.
-                }
+                state.unlink(victim);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
+        let tick = stamp(&mut state.next_tick);
+        state.blocks.insert(
+            key,
+            CachedBlock {
+                bytes,
+                tick,
+                protected: false,
+            },
+        );
+        state.probation.insert(tick, key);
+        self.admitted.fetch_add(1, Ordering::Relaxed);
+        self.resident.store(state.blocks.len(), Ordering::Relaxed);
     }
 }
 
-/// What a miss turned into once the single-flight table was consulted.
-enum Role {
-    /// First miss on the key: this caller reads the file.
-    Leader(Arc<Flight>),
-    /// A read is already in flight: this caller waits for it.
-    Follower(Arc<Flight>),
-}
-
-/// Completion/unwind guard for a single-flight leader: guarantees the
-/// in-flight entry is removed and the flight completed exactly once, even
-/// if the load panics mid-read.
-struct FlightGuard<'a> {
+/// A single-flight leader's hold on its key. Dropped with its flight
+/// still unset — the load failed or unwound — it removes the in-flight
+/// entry and releases the followers with `None`, so they retry and the
+/// next one in leads.
+struct Leader<'a> {
     cache: &'a BlockCache,
     key: BlockKey,
-    flight: &'a Arc<Flight>,
-    armed: bool,
+    flight: InFlight,
 }
 
-impl FlightGuard<'_> {
-    /// Publishes the leader's result: caches the bytes on success, then
-    /// wakes every follower with the outcome.
-    fn publish(mut self, result: &Result<Arc<[u8]>, StorageError>) {
-        self.armed = false;
-        let mut state = self.cache.state.lock().expect("cache lock");
-        state.in_flight.remove(&self.key);
-        match result {
-            Ok(bytes) => {
-                if state.touch(self.key, self.cache.protected_cap).is_none() {
-                    let outcome = state.insert(self.key, Arc::clone(bytes), self.cache.capacity);
-                    self.cache
-                        .evictions
-                        .fetch_add(outcome.evicted, Ordering::Relaxed);
-                    if outcome.rejected {
-                        self.cache.rejected.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        self.cache.admitted.fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.cache
-                        .resident
-                        .store(state.blocks.len(), Ordering::Relaxed);
-                }
-                drop(state);
-                self.flight.complete(FlightState::Done(Arc::clone(bytes)));
-            }
-            Err(_) => {
-                drop(state);
-                self.flight.complete(FlightState::Failed);
-            }
-        }
-    }
-}
-
-impl Drop for FlightGuard<'_> {
+impl Drop for Leader<'_> {
     fn drop(&mut self) {
-        if !self.armed {
-            return;
+        if self.flight.get().is_none() {
+            self.cache.state().in_flight.remove(&self.key);
+            let _ = self.flight.set(None);
         }
-        // The leader unwound without publishing: fail the flight so
-        // followers retry rather than wait forever.
-        let mut state = self.cache.state.lock().expect("cache lock");
-        state.in_flight.remove(&self.key);
-        drop(state);
-        self.flight.complete(FlightState::Failed);
     }
 }
 
-/// What [`CacheState::insert`] did with the loaded block.
-struct InsertOutcome {
-    /// Resident blocks dropped to make room.
-    evicted: u64,
-    /// True when the admission filter turned the block away (nothing was
-    /// inserted and nothing evicted).
-    rejected: bool,
+/// Takes the next recency stamp from the state's tick counter.
+fn stamp(next_tick: &mut u64) -> u64 {
+    *next_tick += 1;
+    *next_tick - 1
 }
 
 impl CacheState {
@@ -602,20 +548,13 @@ impl CacheState {
     /// overflows). The block's old index entry goes stale; eviction
     /// repairs it lazily.
     fn touch(&mut self, key: BlockKey, protected_cap: usize) -> Option<Arc<[u8]>> {
-        if !self.blocks.contains_key(&key) {
-            return None;
-        }
-        if let Some(sketch) = &mut self.sketch {
-            sketch.record(key);
-        }
-        let slot = self.blocks.get_mut(&key).expect("checked above");
-        slot.tick = self.next_tick;
-        self.next_tick += 1;
-        let bytes = Arc::clone(&slot.bytes);
-        if !slot.protected && protected_cap > 0 {
-            slot.protected = true;
-            let tick = slot.tick;
-            self.protected.insert(tick, key);
+        let block = self.blocks.get_mut(&key)?;
+        self.sketch.record(key);
+        block.tick = stamp(&mut self.next_tick);
+        let bytes = Arc::clone(&block.bytes);
+        if !block.protected && protected_cap > 0 {
+            block.protected = true;
+            self.protected.insert(block.tick, key);
             self.protected_members += 1;
             if self.protected_members > protected_cap {
                 self.demote_protected_lru();
@@ -624,133 +563,60 @@ impl CacheState {
         Some(bytes)
     }
 
-    /// Pops the live least-recently-used entry of one segment index,
-    /// repairing stale entries (re-file under the block's current tick)
-    /// and discarding orphans (blocks evicted or moved to the other
-    /// segment) along the way. Returns `None` when the index holds no
-    /// live entries. The returned key's index entry has been removed —
-    /// the caller either evicts/demotes the block or re-files the entry.
-    fn pop_lru(&mut self, from_protected: bool) -> Option<BlockKey> {
+    /// The live least-recently-used block of one segment, or `None` when
+    /// its index holds no live entry. Stale heads are repaired on the way
+    /// (re-filed under the block's current tick, which is always newer, so
+    /// the walk makes strict progress) and orphans — blocks evicted,
+    /// retired or moved to the other segment — dropped. The live head's
+    /// entry stays where it is.
+    fn lru(&mut self, protected: bool) -> Option<BlockKey> {
+        let index = if protected {
+            &mut self.protected
+        } else {
+            &mut self.probation
+        };
         loop {
-            let index = if from_protected {
-                &mut self.protected
-            } else {
-                &mut self.probation
-            };
-            let (&oldest, &candidate) = index.iter().next()?;
-            index.remove(&oldest);
-            match self.blocks.get(&candidate) {
-                None => continue,
-                Some(block) if block.protected != from_protected => continue,
-                Some(block) if block.tick != oldest => {
-                    // Stale: re-file under the current stamp and keep
-                    // looking — prepaid by the touch that staled it. The
-                    // current tick is always newer than the popped one, so
-                    // the scan makes strict forward progress.
-                    let (tick, key) = (block.tick, candidate);
-                    if from_protected {
-                        self.protected.insert(tick, key);
-                    } else {
-                        self.probation.insert(tick, key);
-                    }
-                }
-                Some(_) => return Some(candidate),
+            let (&tick, &key) = index.first_key_value()?;
+            let current = self
+                .blocks
+                .get(&key)
+                .filter(|block| block.protected == protected)
+                .map(|block| block.tick);
+            if current == Some(tick) {
+                return Some(key);
             }
+            index.remove(&tick);
+            if let Some(current) = current {
+                index.insert(current, key);
+            }
+        }
+    }
+
+    /// Drops a resident block with its live index entry, the one named by
+    /// [`CacheState::lru`].
+    fn unlink(&mut self, key: BlockKey) {
+        let Some(block) = self.blocks.remove(&key) else {
+            return;
+        };
+        if block.protected {
+            self.protected.remove(&block.tick);
+            self.protected_members -= 1;
+        } else {
+            self.probation.remove(&block.tick);
         }
     }
 
     /// Moves the protected LRU back to probation (as its most recent
     /// entry) when the protected segment outgrows its target.
     fn demote_protected_lru(&mut self) {
-        if let Some(key) = self.pop_lru(true) {
-            let block = self.blocks.get_mut(&key).expect("popped key is resident");
+        let Some(key) = self.lru(true) else { return };
+        let tick = stamp(&mut self.next_tick);
+        if let Some(block) = self.blocks.get_mut(&key) {
+            self.protected.remove(&block.tick);
             block.protected = false;
-            block.tick = self.next_tick;
-            self.next_tick += 1;
-            self.probation.insert(block.tick, key);
+            block.tick = tick;
+            self.probation.insert(tick, key);
             self.protected_members -= 1;
-        }
-    }
-
-    /// Evicts exactly one block: the probation LRU when probation has any
-    /// live member, else the protected LRU.
-    fn evict_one(&mut self) -> bool {
-        let Some(victim) = self.pop_lru(false).or_else(|| self.pop_lru(true)) else {
-            return false;
-        };
-        let block = self.blocks.remove(&victim).expect("popped key is resident");
-        if block.protected {
-            self.protected_members -= 1;
-        }
-        true
-    }
-
-    /// Inserts a loaded block (on probation), evicting down to `capacity`
-    /// — unless the TinyLFU filter is active and the block loses the
-    /// frequency duel against the would-be victim, in which case nothing
-    /// changes and the block is only handed to the caller.
-    fn insert(&mut self, key: BlockKey, bytes: Arc<[u8]>, capacity: usize) -> InsertOutcome {
-        if let Some(sketch) = &mut self.sketch {
-            sketch.record(key);
-            if self.blocks.len() >= capacity {
-                if let Some(victim) = self.pop_lru(false).or_else(|| self.pop_lru(true)) {
-                    let sketch = self.sketch.as_ref().expect("checked above");
-                    if sketch.estimate(key) < sketch.estimate(victim) {
-                        // The victim has the warmer history: keep it (its
-                        // index entry goes back untouched — it was live)
-                        // and turn the newcomer away.
-                        let block = &self.blocks[&victim];
-                        let (tick, protected) = (block.tick, block.protected);
-                        if protected {
-                            self.protected.insert(tick, victim);
-                        } else {
-                            self.probation.insert(tick, victim);
-                        }
-                        return InsertOutcome {
-                            evicted: 0,
-                            rejected: true,
-                        };
-                    }
-                    let block = self.blocks.remove(&victim).expect("popped key is resident");
-                    if block.protected {
-                        self.protected_members -= 1;
-                    }
-                    let mut outcome = self.insert_unchecked(key, bytes, capacity);
-                    outcome.evicted += 1;
-                    return outcome;
-                }
-            }
-        }
-        self.insert_unchecked(key, bytes, capacity)
-    }
-
-    /// The unconditional tail of an admission: make the block resident on
-    /// probation and trim to `capacity`.
-    fn insert_unchecked(
-        &mut self,
-        key: BlockKey,
-        bytes: Arc<[u8]>,
-        capacity: usize,
-    ) -> InsertOutcome {
-        let tick = self.next_tick;
-        self.next_tick += 1;
-        self.blocks.insert(
-            key,
-            CachedBlock {
-                bytes,
-                tick,
-                protected: false,
-            },
-        );
-        self.probation.insert(tick, key);
-        let mut evicted = 0;
-        while self.blocks.len() > capacity {
-            assert!(self.evict_one(), "a full cache always has a victim");
-            evicted += 1;
-        }
-        InsertOutcome {
-            evicted,
-            rejected: false,
         }
     }
 }
@@ -765,6 +631,7 @@ impl std::fmt::Debug for BlockCache {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 
@@ -1107,5 +974,152 @@ mod tests {
         });
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.resident), (0, 4, 0));
+    }
+
+    #[test]
+    fn a_panicking_leader_releases_its_followers() {
+        // The leader's load panics while three followers wait on its
+        // flight: they must wake, one of them must lead a fresh load, and
+        // the block must end resident.
+        use std::sync::atomic::AtomicUsize;
+        let cache = BlockCache::new(4);
+        let loads = AtomicUsize::new(0);
+        let (started, leading) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let leader = scope.spawn(|| {
+                cache.get_or_load(key(0), || {
+                    started.send(()).unwrap();
+                    std::thread::sleep(std::time::Duration::from_millis(25));
+                    panic!("the leader's load panics");
+                })
+            });
+            leading.recv().unwrap();
+            let followers: Vec<_> = (0..3)
+                .map(|_| {
+                    scope.spawn(|| {
+                        cache.get_or_load(key(0), || {
+                            loads.fetch_add(1, Ordering::SeqCst);
+                            Ok(bytes(5))
+                        })
+                    })
+                })
+                .collect();
+            for follower in followers {
+                assert_eq!(follower.join().unwrap().unwrap()[0], 5);
+            }
+            assert!(
+                leader.join().is_err(),
+                "the panic reaches the leader's caller"
+            );
+        });
+        assert_eq!(loads.load(Ordering::SeqCst), 1, "exactly one more load");
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits, stats.resident), (2, 2, 1));
+        cache.get_or_load(key(0), || panic!("hit")).unwrap();
+    }
+
+    #[test]
+    fn a_panic_under_the_state_lock_leaves_the_cache_working() {
+        let cache = BlockCache::new(4);
+        cache.get_or_load(key(0), || Ok(bytes(1))).unwrap();
+        let poisoner = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _state = cache.state.lock().unwrap();
+                    panic!("a panic while holding the state lock");
+                })
+                .join()
+        });
+        assert!(poisoner.is_err() && cache.state.is_poisoned());
+
+        let hit = cache.get_or_load(key(0), || panic!("hit")).unwrap();
+        assert_eq!(hit[0], 1);
+        cache.get_or_load(key(1), || Ok(bytes(2))).unwrap();
+        assert_eq!(cache.stats().resident, 2);
+        cache.retire(1);
+        assert_eq!(cache.stats().resident, 0);
+        cache.get_or_load(key(2), || Ok(bytes(3))).unwrap();
+        cache.clear();
+        let stats = cache.stats();
+        assert_eq!((stats.resident, stats.admitted), (0, 0));
+        assert_eq!((stats.hits, stats.misses, stats.retired), (1, 3, 2));
+    }
+
+    /// Case count: 64 by default; CI runs the property once more by name
+    /// with `PROPTEST_CASES` raised.
+    fn cases() -> u32 {
+        std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(64)
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+        /// Random single-threaded request streams — a hot set re-read
+        /// across three segments, a scan tail read once, about 2 % failing
+        /// loads, and the odd `clear` or `retire` — keep every counter in
+        /// balance after every operation.
+        #[test]
+        fn counters_balance_over_random_operation_sequences(
+            capacity in 0usize..=64,
+            hot in 1u64..96,
+            ops in 1usize..400,
+            seed in 0u64..1_000_000,
+        ) {
+            let cache = BlockCache::new(capacity);
+            let mut state = seed | 1;
+            let mut rand = |bound: u64| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 33) % bound
+            };
+            let (mut requests, mut loaded) = (0u64, 0u64);
+            let (mut evictions_before, mut retired_before) = (0u64, 0u64);
+            let mut scan = 1_000;
+            for _ in 0..ops {
+                match rand(100) {
+                    0 => {
+                        cache.clear();
+                        let stats = cache.stats();
+                        (evictions_before, retired_before) = (stats.evictions, stats.retired);
+                        loaded = 0;
+                    }
+                    1 => cache.retire(rand(3)),
+                    pick => {
+                        let block = if pick < 70 {
+                            rand(hot)
+                        } else {
+                            scan += 1;
+                            scan
+                        };
+                        let (fails, mut failed) = (rand(50) == 0, false);
+                        let key = BlockKey { segment: block % 3, block };
+                        let got = cache.get_or_load(key, || {
+                            if fails {
+                                failed = true;
+                                return Err(StorageError::BadMagic);
+                            }
+                            loaded += 1;
+                            Ok(bytes(block as u8))
+                        });
+                        requests += 1;
+                        prop_assert_eq!(got.is_err(), failed);
+                    }
+                }
+                let stats = cache.stats();
+                prop_assert_eq!(stats.hits + stats.misses, requests, "{}", stats);
+                prop_assert!(stats.resident <= capacity, "{}", stats);
+                if capacity > 0 {
+                    prop_assert_eq!(stats.admitted + stats.rejected, loaded, "{}", stats);
+                    let dropped = (stats.evictions - evictions_before) + (stats.retired - retired_before);
+                    prop_assert_eq!(stats.resident as u64, stats.admitted - dropped, "{}", stats);
+                }
+            }
+        }
     }
 }

@@ -27,7 +27,7 @@
 
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use garlic_core::access::{GradedSource, SetAccess};
 use garlic_core::{ObjectId, ShardedSource};
@@ -87,8 +87,40 @@ impl DiskAttribute {
         }
     }
 
-    /// Appends a fixed attribute's metrics under `prefix`.
-    fn collect(&self, prefix: &str, out: &mut Vec<MetricEntry>) {
+    /// The I/O health of the segments behind this attribute, read now: a
+    /// fixed attribute's segments, or a live attribute's current base
+    /// segment (`None` before its first compaction wrote one).
+    fn health(&self, attribute: &str) -> Option<AttributeHealth> {
+        let base;
+        let segments = match self {
+            DiskAttribute::Live(live) => {
+                base = live.base()?;
+                std::slice::from_ref(&*base)
+            }
+            fixed => fixed.segments(),
+        };
+        let mut report = AttributeHealth {
+            attribute: attribute.to_owned(),
+            quarantined: Vec::new(),
+            io_retries: 0,
+            io_gave_up: 0,
+        };
+        for segment in segments {
+            report.io_retries += segment.io_retries();
+            report.io_gave_up += segment.io_gave_up();
+            if segment.is_quarantined() {
+                report.quarantined.push(segment.path().to_path_buf());
+            }
+        }
+        Some(report)
+    }
+
+    /// Appends this attribute's metrics under
+    /// `storage.<subsystem>.<attribute>`: the shard merge stats of a
+    /// sharded attribute, and the I/O health [`DiskAttribute::health`]
+    /// reports, if any.
+    fn collect(&self, subsystem: &str, attribute: &str, out: &mut Vec<MetricEntry>) {
+        let prefix = format!("storage.{subsystem}.{attribute}");
         let counter = |name: String, value: u64| MetricEntry {
             name,
             value: MetricValue::Counter(value),
@@ -108,19 +140,23 @@ impl DiskAttribute {
                 value: MetricValue::Gauge((stats.early_termination_savings() * 10_000.0) as i64),
             });
         }
-        let (mut retries, mut gave_up, mut quarantined) = (0u64, 0u64, 0i64);
-        for segment in self.segments() {
-            retries += segment.io_retries();
-            gave_up += segment.io_gave_up();
-            quarantined += i64::from(segment.is_quarantined());
-        }
-        out.push(counter(format!("{prefix}.io_retries"), retries));
-        out.push(counter(format!("{prefix}.io_gave_up"), gave_up));
+        let Some(report) = self.health(attribute) else {
+            return;
+        };
+        out.push(counter(format!("{prefix}.io_retries"), report.io_retries));
+        out.push(counter(format!("{prefix}.io_gave_up"), report.io_gave_up));
         out.push(MetricEntry {
             name: format!("{prefix}.quarantined"),
-            value: MetricValue::Gauge(quarantined),
+            value: MetricValue::Gauge(report.quarantined.len() as i64),
         });
     }
+}
+
+/// What the telemetry collector keeps of one attribute: a fixed handle, or
+/// a live store held weakly (see [`DiskSubsystem::register_telemetry`]).
+enum Watched {
+    Fixed(DiskAttribute),
+    Live(Weak<LiveSource>),
 }
 
 /// Footer-level only: a sharded source's derived `Debug` would dump its
@@ -145,10 +181,10 @@ pub struct DiskSubsystem {
     name: String,
     universe: usize,
     cache: Arc<BlockCache>,
-    /// Every attribute, by name. The fixed ones also feed the telemetry
-    /// collector: per-attribute I/O retry and shard scatter-gather stats
-    /// are read straight off their handles at snapshot time (pull-based —
-    /// the query path pays nothing).
+    /// Every attribute, by name. They also feed the telemetry collector:
+    /// per-attribute I/O retry and shard scatter-gather stats are read
+    /// straight off their handles at snapshot time (pull-based — the
+    /// query path pays nothing).
     segments: BTreeMap<String, DiskAttribute>,
     /// When set, sharded attributes registered afterwards opt in to
     /// degraded reads (a quarantined shard is dropped instead of failing
@@ -388,23 +424,45 @@ impl DiskSubsystem {
     /// Registers this subsystem's storage stats with `telemetry`, all
     /// pull-based: the shared cache's counters (under
     /// `storage.<name>.cache.*`, via [`BlockCache::register_telemetry`])
-    /// plus, per fixed attribute, the I/O health counters
-    /// (`storage.<name>.<attr>.io_retries`, `.io_gave_up`, `.quarantined`)
-    /// and — for sharded attributes — the scatter-gather merge stats
-    /// (`.shard.emitted`, `.shard.consumed`, `.shard.count`,
+    /// plus, per attribute [`health`](Self::health) reports, the I/O
+    /// health counters (`storage.<name>.<attr>.io_retries`, `.io_gave_up`,
+    /// `.quarantined`) and — for sharded attributes — the scatter-gather
+    /// merge stats (`.shard.emitted`, `.shard.consumed`, `.shard.count`,
     /// `.shard.savings_bp`). Query hot paths are untouched; everything is
     /// read at snapshot time from counters the sources already keep.
+    ///
+    /// A live attribute reports the base segment current at snapshot
+    /// time, so its `io_retries` and `io_gave_up` count that base only and
+    /// restart from 0 when a compaction swaps in a new one. The collector
+    /// holds a live store weakly: the store may hold `telemetry` itself
+    /// (`LiveOptions::telemetry`), and a strong handle would keep it, and
+    /// its background compactor, alive after the subsystem is dropped.
+    /// Once it is gone it reports nothing.
     pub fn register_telemetry(&self, telemetry: &Telemetry) {
         self.cache
             .register_telemetry(telemetry, &format!("storage.{}.cache", self.name));
-        let fixed: Vec<(String, DiskAttribute)> = self
-            .fixed()
-            .map(|(attribute, handle)| (attribute.clone(), handle.clone()))
+        let attributes: Vec<(String, Watched)> = self
+            .segments
+            .iter()
+            .map(|(attribute, handle)| {
+                let watched = match handle {
+                    DiskAttribute::Live(live) => Watched::Live(Arc::downgrade(live)),
+                    fixed => Watched::Fixed(fixed.clone()),
+                };
+                (attribute.clone(), watched)
+            })
             .collect();
         let name = self.name.clone();
         telemetry.register_collector(move |out| {
-            for (attribute, handle) in &fixed {
-                handle.collect(&format!("storage.{name}.{attribute}"), out);
+            for (attribute, watched) in &attributes {
+                let handle = match watched {
+                    Watched::Fixed(fixed) => fixed.clone(),
+                    Watched::Live(live) => match live.upgrade() {
+                        Some(live) => DiskAttribute::Live(live),
+                        None => continue,
+                    },
+                };
+                handle.collect(&name, attribute, out);
             }
         });
     }
@@ -420,38 +478,8 @@ impl DiskSubsystem {
     pub fn health(&self) -> Vec<AttributeHealth> {
         self.segments
             .iter()
-            .filter_map(|(attribute, handle)| {
-                let base;
-                let segments = match handle {
-                    DiskAttribute::Live(live) => {
-                        base = live.base()?;
-                        std::slice::from_ref(&*base)
-                    }
-                    fixed => fixed.segments(),
-                };
-                let mut report = AttributeHealth {
-                    attribute: attribute.clone(),
-                    quarantined: Vec::new(),
-                    io_retries: 0,
-                    io_gave_up: 0,
-                };
-                for segment in segments {
-                    report.io_retries += segment.io_retries();
-                    report.io_gave_up += segment.io_gave_up();
-                    if segment.is_quarantined() {
-                        report.quarantined.push(segment.path().to_path_buf());
-                    }
-                }
-                Some(report)
-            })
+            .filter_map(|(attribute, handle)| handle.health(attribute))
             .collect()
-    }
-
-    /// The fixed attributes, in name order.
-    fn fixed(&self) -> impl Iterator<Item = (&String, &DiskAttribute)> {
-        self.segments
-            .iter()
-            .filter(|(_, handle)| !matches!(handle, DiskAttribute::Live(_)))
     }
 
     fn segment(&self, query: &AtomicQuery) -> Result<&DiskAttribute, SubsystemError> {
@@ -1012,6 +1040,62 @@ mod tests {
         assert_eq!(report[0].attribute, "L");
         assert_eq!(report[0].quarantined, [base]);
         assert!(report[0].io_gave_up >= 1);
+        // Telemetry reports the same base segment, read at snapshot time.
+        let telemetry = Telemetry::new();
+        s.register_telemetry(&telemetry);
+        let snapshot = telemetry.snapshot();
+        assert!(matches!(
+            snapshot.get("storage.disk.L.quarantined"),
+            Some(MetricValue::Gauge(1))
+        ));
+        assert_eq!(
+            snapshot.counter("storage.disk.L.io_gave_up"),
+            report[0].io_gave_up
+        );
+    }
+
+    #[test]
+    fn telemetry_does_not_keep_a_dropped_live_store_alive() {
+        use garlic_core::ObjectId;
+        use garlic_storage::LiveOptions;
+        let dir = temp_dir().join("live-telemetry-drop");
+        let _ = std::fs::remove_dir_all(&dir);
+        // The store and the subsystem report into one registry, so the
+        // registry's collector must not own the store that owns it.
+        let telemetry = Telemetry::new();
+        let s = DiskSubsystem::new("disk", 64)
+            .open_live_with(
+                "L",
+                &dir,
+                LiveOptions {
+                    telemetry: Some(Arc::clone(&telemetry)),
+                    ..LiveOptions::default()
+                },
+            )
+            .unwrap();
+        s.register_telemetry(&telemetry);
+        let live = s.live_source("L").unwrap();
+        for i in 0..64u64 {
+            live.upsert(ObjectId(i), g(i as f64 / 64.0)).unwrap();
+        }
+        live.flush().unwrap();
+        let watched = Arc::downgrade(live);
+        assert_eq!(telemetry.snapshot().counter("storage.disk.L.io_retries"), 0);
+        assert!(telemetry
+            .snapshot()
+            .get("storage.disk.L.quarantined")
+            .is_some());
+
+        drop(s);
+        assert!(
+            watched.upgrade().is_none(),
+            "dropping the subsystem drops the live store"
+        );
+        assert!(telemetry
+            .snapshot()
+            .get("storage.disk.L.quarantined")
+            .is_none());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
