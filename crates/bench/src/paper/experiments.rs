@@ -16,7 +16,7 @@ use garlic_core::algorithms::fa_min::{fagin_min_run, fagin_min_topk};
 use garlic_core::algorithms::{filtered::filtered_topk, naive::naive_topk};
 use garlic_core::algorithms::{order_stat::median_topk, ullman::ullman_run};
 use garlic_core::complement::ComplementSource;
-use garlic_core::{AccessStats, CostModel, GradedSource, ShardedSource};
+use garlic_core::{AccessStats, CostModel, GradedSource, SetAccess, ShardedSource};
 use garlic_middleware::{parse_query, Catalog, Garlic};
 use garlic_stats::bounds::{cost_scale, wimmers_depth_threshold, wimmers_dominant_tail};
 use garlic_stats::table::fmt_prob;
@@ -543,10 +543,12 @@ pub(super) fn e13(trials: usize, small: bool) -> Outcome {
             let grades = UniformGrades.descending_grades(n, &mut rng);
             let fuzzy = MemorySource::from_pairs(skeleton.list(1).iter().zip(grades));
             // Filtered strategy.
-            let c = CountingSource::new(crisp.clone());
-            let f = counted(vec![fuzzy.clone()]);
-            filtered_topk(&c, &f, 0, &min_agg(), k.min(n)).unwrap();
-            filtered_cost += c.stats().unweighted() + billed(&f);
+            let lists = counted::<Box<dyn SetAccess>>(vec![
+                Box::new(crisp.clone()),
+                Box::new(fuzzy.clone()),
+            ]);
+            filtered_topk(&lists, 0, &min_agg(), k.min(n)).unwrap();
+            filtered_cost += billed(&lists);
             // A0' on the same two lists.
             let both = counted::<Box<dyn GradedSource>>(vec![Box::new(crisp), Box::new(fuzzy)]);
             fagin_min_topk(&both, k).unwrap();

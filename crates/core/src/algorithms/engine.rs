@@ -16,8 +16,8 @@
 //! [`GradedSource::try_random_batch`], so block-backed sources see a handful of
 //! large requests instead of millions of virtual calls. Its one public face
 //! is [`EngineSession`]; the algorithm modules (`fa`, `fa_min`, `b0_max`,
-//! `naive`) are thin, paper-annotated shells over a session's first page,
-//! and `filtered`, `order_stat` and `naive_random_topk` borrow only its
+//! `naive`, `filtered`) are thin, paper-annotated shells over a session's
+//! first page, and `order_stat` and `naive_random_topk` borrow only its
 //! batched completion.
 //!
 //! # The slab
@@ -70,7 +70,7 @@
 //! result set costs the same sorted accesses as one evaluation at the
 //! cumulative `k` — and "the top k" is simply the first page: there is no
 //! separate one-shot implementation to agree with. One session type runs
-//! six rules, which differ only in where the sorted phase stops and
+//! seven rules, which differ only in where the sorted phase stops and
 //! which objects a page grades:
 //!
 //! * A₀ ([`EngineSession::new`]): every object seen;
@@ -86,7 +86,11 @@
 //!   access alone;
 //! * B₀ ([`EngineSession::max`]): the sorted phase stops at depth =
 //!   cumulative `k`, nothing is probed, and an object scores the best
-//!   grade any list has shown for it — `m·k` cumulative cost.
+//!   grade any list has shown for it — `m·k` cumulative cost;
+//! * the filtered strategy ([`EngineSession::filtered`], Section 4's
+//!   opening): no sorted phase; the first page grades the crisp list's
+//!   match set, and a short page is padded with the objects outside it at
+//!   grade 0.
 //!
 //! Under the shrunk, threshold and A₀′ rules the objects a page does not
 //! grade wait in the slab: the `Tᵢ` only rise, and `g₀` and the threshold
@@ -159,7 +163,7 @@ use std::collections::BinaryHeap;
 
 use garlic_agg::{Aggregation, Grade};
 
-use crate::access::GradedSource;
+use crate::access::{GradedSource, SetAccess, SourceError};
 use crate::fx::FxHashMap;
 use crate::graded_set::GradedEntry;
 use crate::object::ObjectId;
@@ -384,15 +388,6 @@ pub struct EngineProfile {
     pub random_probes: u64,
 }
 
-/// The cooperative cancellation check every batch round starts with.
-#[inline]
-pub(crate) fn check_deadline(deadline: Option<std::time::Instant>) -> Result<(), TopKError> {
-    match deadline {
-        Some(deadline) if std::time::Instant::now() >= deadline => Err(TopKError::DeadlineExceeded),
-        _ => Ok(()),
-    }
-}
-
 /// Nanoseconds elapsed since `start`, saturating.
 fn elapsed_ns(start: std::time::Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
@@ -426,8 +421,11 @@ pub(crate) struct Engine<S> {
     probes: Vec<ObjectId>,
     /// Reusable completion scratch: the grades `random_batch` answered.
     probe_grades: Vec<Option<Grade>>,
-    /// Cooperative cancellation: checked between batch rounds (see
-    /// `set_deadline`).
+    /// Cooperative cancellation, checked once per batch round — between
+    /// `pull_levels` rounds of the sorted phase and between per-list rounds
+    /// of random-access completion. The engine state is consistent at
+    /// every check, so repeating the call after a clear or extension
+    /// resumes the identical stream with no access re-billed.
     deadline: Option<std::time::Instant>,
     /// Phase timings and batch counts (see [`EngineProfile`]).
     profile: EngineProfile,
@@ -435,26 +433,18 @@ pub(crate) struct Engine<S> {
 
 impl<S: GradedSource> Engine<S> {
     /// Opens an engine over the given sources (each conceptually holding a
-    /// sorted cursor at rank 0). Fails if there are no sources or they
-    /// disagree on the database size.
+    /// sorted cursor at rank 0), which the caller has checked with
+    /// `validate_inputs`: at least one, all of one database size.
     ///
     /// # Panics
     /// Panics if the database size exceeds `u32::MAX` ranks (the slab
     /// stores ranks as `u32`; at 16 bytes per entry that bound is only
     /// reachable past 64 GiB per list).
-    pub(crate) fn open(sources: Vec<S>) -> Result<Self, TopKError> {
-        if sources.is_empty() {
-            return Err(TopKError::NoSources);
-        }
-        let n = sources[0].len();
-        if sources.iter().any(|s| s.len() != n) {
-            return Err(TopKError::MismatchedSources {
-                sizes: sources.iter().map(|s| s.len()).collect(),
-            });
-        }
+    pub(crate) fn open(sources: Vec<S>) -> Self {
+        let n = sources.first().map_or(0, |s| s.len());
         assert!(n <= u32::MAX as usize, "slab ranks are u32");
         let m = sources.len();
-        Ok(Engine {
+        Engine {
             sources,
             n,
             slab: Slab::new(m),
@@ -469,34 +459,18 @@ impl<S: GradedSource> Engine<S> {
             probe_grades: Vec::new(),
             deadline: None,
             profile: EngineProfile::default(),
-        })
+        }
     }
 
-    /// Sets (or clears) a cooperative deadline. The engine checks it once
-    /// per batch round — between `pull_levels` rounds of the sorted phase
-    /// and between per-list rounds of random-access completion — and
-    /// returns [`TopKError::DeadlineExceeded`] when it has passed. The
-    /// engine state stays consistent at every check point: clearing or
-    /// extending the deadline and repeating the call resumes the identical
-    /// stream with no access re-billed.
-    pub(crate) fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
-        self.deadline = deadline;
-    }
-
+    /// The cooperative cancellation check every batch round starts with.
     #[inline]
     fn check_deadline(&self) -> Result<(), TopKError> {
-        check_deadline(self.deadline)
-    }
-
-    /// The sources the engine streams from.
-    pub(crate) fn sources(&self) -> &[S] {
-        &self.sources
-    }
-
-    /// Phase timings and batch counts accumulated so far (always on — see
-    /// [`EngineProfile`] for the cost argument).
-    pub(crate) fn profile(&self) -> EngineProfile {
-        self.profile
+        match self.deadline {
+            Some(deadline) if std::time::Instant::now() >= deadline => {
+                Err(TopKError::DeadlineExceeded)
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Runs the sorted phase round-robin until at least `k` objects have
@@ -733,9 +707,12 @@ enum Status {
     Returned,
 }
 
+/// [`SetAccess::try_matching_set`] of the filtered rule's crisp list.
+type MatchingSet<S> = fn(&S) -> Result<Vec<ObjectId>, SourceError>;
+
 /// The strategy a session runs: where its sorted phase stops and which
 /// objects its random phase grades. Fixed by the constructor.
-enum Rule<A> {
+enum Rule<S, A> {
     /// Algorithm A₀ (Theorem 4.2), any monotone aggregation: sorted access
     /// until the cumulative `k` objects have matched, then every object
     /// seen is graded in full.
@@ -769,6 +746,20 @@ enum Rule<A> {
     /// cumulative `k` in every list, no random access; an object scores
     /// the best grade any list has shown for it so far.
     Max,
+    /// The filtered strategy (Section 4's opening), any zero-annihilating
+    /// aggregation: no sorted phase; the first page grades the crisp
+    /// list's match set, and a short page pads with the objects outside
+    /// it, at grade 0 and in id order.
+    Filtered {
+        agg: A,
+        /// Where the crisp list sits among the sources.
+        crisp: usize,
+        /// `S::try_matching_set`, so only the constructor needs
+        /// `S: SetAccess`; `None` once the match set is fetched.
+        fetch: Option<MatchingSet<S>>,
+        /// The next object id to consider as padding.
+        pad_from: u64,
+    },
 }
 
 /// Why a threshold session's sorted phase ended (see
@@ -992,8 +983,9 @@ impl<A: Aggregation> Bounds<A> {
 /// ([`EngineSession::new`]), A₀ with per-list depths
 /// ([`EngineSession::shrunk`]) or with a threshold stop
 /// ([`EngineSession::threshold`]), A₀′ ([`EngineSession::min`]), the naive
-/// scan ([`EngineSession::scan`]) or B₀ ([`EngineSession::max`]) kept
-/// alive between pages, implementing
+/// scan ([`EngineSession::scan`]), B₀ ([`EngineSession::max`]) or the
+/// filtered strategy ([`EngineSession::filtered`]) kept alive between
+/// pages, implementing
 /// Section 4's "continue where we left off". Grades already fetched (by
 /// either access kind) are never re-fetched, so the cumulative *sorted*
 /// cost of paging is at most one evaluation at the cumulative `k` (exactly
@@ -1001,7 +993,7 @@ impl<A: Aggregation> Bounds<A> {
 /// exactly that evaluation.
 pub struct EngineSession<S, A> {
     engine: Engine<S>,
-    rule: Rule<A>,
+    rule: Rule<S, A>,
     /// Where each slot stands. Under the shrunk, threshold and A₀′ rules
     /// the `Waiting` ones stay in the slab: a later page's candidate set
     /// can only take more of them.
@@ -1103,10 +1095,10 @@ where
         Self::open(sources, Rule::Max)
     }
 
-    fn open(sources: Vec<S>, rule: Rule<A>) -> Result<Self, TopKError> {
+    fn open(sources: Vec<S>, rule: Rule<S, A>) -> Result<Self, TopKError> {
         validate_inputs(&sources, 1)?;
         Ok(EngineSession {
-            engine: Engine::open(sources)?,
+            engine: Engine::open(sources),
             rule,
             status: Vec::new(),
             scores: Vec::new(),
@@ -1167,12 +1159,12 @@ where
     /// Phase timings and batch counts accumulated over every page (always
     /// on — see [`EngineProfile`] for the cost argument).
     pub fn profile(&self) -> EngineProfile {
-        self.engine.profile()
+        self.engine.profile
     }
 
     /// The session's sources.
     pub fn sources(&self) -> &[S] {
-        self.engine.sources()
+        &self.engine.sources
     }
 
     /// Size of the matched set `L` so far.
@@ -1196,7 +1188,7 @@ where
     /// [`next_batch`](EngineSession::next_batch) again to get the identical
     /// page with no access re-billed.
     pub fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
-        self.engine.set_deadline(deadline);
+        self.engine.deadline = deadline;
     }
 
     /// Returns the next `k` best answers (fewer if the database is
@@ -1215,10 +1207,26 @@ where
         // target has matched — all `N` objects for the naive scan, or
         // earlier once its lower bounds beat τ under the threshold rule —
         // or, for B₀, to the cumulative target's depth whatever has matched.
+        // The filtered rule has none: its first page fetches the match set
+        // instead, once (a page retried after a failed completion does not
+        // fetch it again), and knows each match's crisp grade without an
+        // access.
         let engine = &mut self.engine;
         match &mut self.rule {
             Rule::Scan(_) => engine.advance_until_matched(n, |_| false)?,
             Rule::Max => engine.advance_to_depth(target)?,
+            Rule::Filtered { crisp, fetch, .. } => {
+                if let Some(matching_set) = *fetch {
+                    engine.check_deadline()?;
+                    let matches =
+                        matching_set(&engine.sources[*crisp]).map_err(TopKError::SourceFailed)?;
+                    for object in matches {
+                        let slot = engine.slab.slot(object);
+                        engine.slab.set_grade(slot, *crisp, Grade::ONE);
+                    }
+                    *fetch = None;
+                }
+            }
             Rule::Threshold(bounds) => {
                 let scratch = &mut self.scratch;
                 engine.advance_until_matched(target, |e| bounds.refresh(e, scratch) >= target)?;
@@ -1282,7 +1290,7 @@ where
         let waiting =
             (0..slab.len() as u32).filter(|&slot| status[slot as usize] == Status::Waiting);
         match &mut self.rule {
-            Rule::Monotone(_) | Rule::Scan(_) => fresh.extend(waiting),
+            Rule::Monotone(_) | Rule::Scan(_) | Rule::Filtered { .. } => fresh.extend(waiting),
             Rule::Shrunk { depths, .. } => fresh.extend(waiting.filter(|&slot| {
                 let shallow = |(i, &t)| slab.rank(slot, i).is_some_and(|r| r < t);
                 depths.iter().enumerate().any(shallow)
@@ -1317,9 +1325,10 @@ where
             let grades = slab.grade_slice(slot).expect("grades completed above");
             let at = slot as usize;
             self.scores[at] = match &mut self.rule {
-                Rule::Monotone(agg) | Rule::Scan(agg) | Rule::Shrunk { agg, .. } => {
-                    agg.combine_reusing(grades, &mut self.scratch)
-                }
+                Rule::Monotone(agg)
+                | Rule::Scan(agg)
+                | Rule::Shrunk { agg, .. }
+                | Rule::Filtered { agg, .. } => agg.combine_reusing(grades, &mut self.scratch),
                 Rule::Threshold(bounds) => {
                     let score = bounds.agg.combine_reusing(grades, &mut self.scratch);
                     bounds.grade(slot, score);
@@ -1341,10 +1350,27 @@ where
             }
             (status[at] == Status::Graded).then(|| (slab.id(slot), scores[at]))
         });
-        let page = TopK::select(graded, target - self.cumulative);
+        let take = target - self.cumulative;
+        let mut page = TopK::select(graded, take);
         for e in page.entries() {
             let slot = slab.slot_of(e.object).expect("selected objects are seen");
             self.status[slot as usize] = Status::Returned;
+        }
+        // Once the match set runs out, the filtered rule pads with objects
+        // outside it — exactly those without a slot — whose overall grade
+        // is known to be 0 without any access.
+        if let Rule::Filtered { pad_from, .. } = &mut self.rule {
+            if page.len() < take {
+                let mut entries = page.into_entries();
+                while entries.len() < take && *pad_from < n as u64 {
+                    let object = ObjectId(*pad_from);
+                    *pad_from += 1;
+                    if slab.slot_of(object).is_none() {
+                        entries.push(GradedEntry::new(object, Grade::ZERO));
+                    }
+                }
+                page = TopK::from_entries(entries);
+            }
         }
         if let Some(last) = page.entries().last() {
             // Pages are handed out best-first, so the latest page's worst
@@ -1353,6 +1379,48 @@ where
         }
         self.cumulative = target;
         Ok(page)
+    }
+}
+
+impl<S, A> EngineSession<S, A>
+where
+    S: SetAccess,
+    A: Aggregation,
+{
+    /// Opens a filtered session ("Beatles", Section 4's opening) over
+    /// `sources`, of which `sources[crisp]` is the crisp conjunct — every
+    /// grade 0 or 1, with set access — and `agg` must be zero-annihilating
+    /// (e.g. any t-norm), so an object outside the match set `S` scores 0.
+    /// `crisp` is the conjunct's place in the aggregation's argument order.
+    ///
+    /// The first page fetches `S` (billed `|S|` sorted accesses), writes
+    /// grade 1 into the crisp column for every match at no access, and
+    /// grades the matches by random access to the other lists
+    /// (`(m−1)·|S|`), under the deadline in force then. Every page takes
+    /// the best of what is left of `S`; once `S` runs out it pads with
+    /// non-matching objects at grade 0, in id order, at no access cost.
+    pub fn filtered(sources: Vec<S>, crisp: usize, agg: A) -> Result<Self, TopKError> {
+        let m = sources.len();
+        if crisp >= m {
+            return Err(TopKError::UnsupportedAggregation {
+                reason: "crisp_position out of range",
+            });
+        }
+        if !agg.zero_annihilates(m) {
+            return Err(TopKError::UnsupportedAggregation {
+                reason: "the filtered strategy requires a zero-annihilating aggregation \
+                         (e.g. any t-norm); with a mean, non-matching objects can still \
+                         have positive overall grades",
+            });
+        }
+        let fetch = Some(S::try_matching_set as MatchingSet<S>);
+        let rule = Rule::Filtered {
+            agg,
+            crisp,
+            fetch,
+            pad_from: 0,
+        };
+        Self::open(sources, rule)
     }
 }
 
@@ -1379,7 +1447,7 @@ mod tests {
 
     #[test]
     fn advance_finds_first_match() {
-        let mut engine = Engine::open(sources()).unwrap();
+        let mut engine = Engine::open(sources());
         engine.advance_until_matched(1, |_| false).unwrap();
         // List 0 order: 0,1,2,3. List 1 order: 3,2,1,0.
         // Depth 1: {0},{3}. Depth 2: {0,1},{3,2}: no match yet.
@@ -1390,7 +1458,7 @@ mod tests {
 
     #[test]
     fn advance_is_idempotent_and_resumable() {
-        let mut engine = Engine::open(sources()).unwrap();
+        let mut engine = Engine::open(sources());
         engine.advance_until_matched(1, |_| false).unwrap();
         let depth = engine.depth;
         engine.advance_until_matched(1, |_| false).unwrap();
@@ -1405,16 +1473,16 @@ mod tests {
         // The positional loop stops at the first depth T with >= k matches;
         // the engine's batched loop must bill the same m*T entries.
         let cs = counted(sources());
-        let mut engine = Engine::open(cs).unwrap();
+        let mut engine = Engine::open(cs);
         engine.advance_until_matched(1, |_| false).unwrap();
-        let stats = total_stats(engine.sources());
+        let stats = total_stats(&engine.sources);
         assert_eq!(stats.sorted, 2 * 3); // T = 3 from the hand example
         assert_eq!(stats.random, 0);
     }
 
     #[test]
     fn complete_grades_fills_missing_slots() {
-        let mut engine = Engine::open(sources()).unwrap();
+        let mut engine = Engine::open(sources());
         engine.advance_until_matched(1, |_| false).unwrap();
         // Object 0 was seen only in list 0 (rank 0); complete it.
         assert!(engine.grade_slice(ObjectId(0)).is_none());
@@ -1425,7 +1493,7 @@ mod tests {
     #[test]
     fn duplicate_completion_requests_bill_once() {
         let cs = counted(sources());
-        let mut engine = Engine::open(cs).unwrap();
+        let mut engine = Engine::open(cs);
         engine.advance_until_matched(1, |_| false).unwrap();
         // Object 0: seen in list 0 only, so completion needs 1 random
         // access — and repeating it in one call (or across calls) adds none.
@@ -1433,14 +1501,14 @@ mod tests {
             .complete_grades([ObjectId(0), ObjectId(0), ObjectId(0)])
             .unwrap();
         engine.complete_grades([ObjectId(0)]).unwrap();
-        assert_eq!(total_stats(engine.sources()).random, 1);
+        assert_eq!(total_stats(&engine.sources).random, 1);
     }
 
     #[test]
     fn overall_is_none_until_complete() {
         // Nothing can be scored from a partial grade vector: seen in one
         // list only, or never seen at all.
-        let mut engine = Engine::open(sources()).unwrap();
+        let mut engine = Engine::open(sources());
         engine.advance_until_matched(1, |_| false).unwrap();
         assert_eq!(engine.grade_slice(ObjectId(0)), None);
         assert_eq!(engine.grade_slice(ObjectId(99)), None);
@@ -1449,20 +1517,20 @@ mod tests {
     #[test]
     fn advance_to_depth_streams_prefixes() {
         let cs = counted(sources());
-        let mut engine = Engine::open(cs).unwrap();
+        let mut engine = Engine::open(cs);
         engine.advance_to_depth(2).unwrap();
-        assert_eq!(total_stats(engine.sources()).sorted, 2 * 2);
+        assert_eq!(total_stats(&engine.sources).sorted, 2 * 2);
         assert_eq!(engine.slab.len(), 4);
         // Clamped at N, idempotent past it.
         engine.advance_to_depth(99).unwrap();
         assert_eq!(engine.depth, 4);
-        assert_eq!(total_stats(engine.sources()).sorted, 2 * 4);
+        assert_eq!(total_stats(&engine.sources).sorted, 2 * 4);
     }
 
     #[test]
     fn open_rejects_bad_sources() {
         assert!(matches!(
-            Engine::<MemorySource>::open(vec![]),
+            EngineSession::<MemorySource, _>::new(vec![], min_agg()),
             Err(TopKError::NoSources)
         ));
         let mismatched = vec![
@@ -1470,7 +1538,7 @@ mod tests {
             MemorySource::from_grades(&[g(0.1)]),
         ];
         assert!(matches!(
-            Engine::open(mismatched),
+            EngineSession::new(mismatched, min_agg()),
             Err(TopKError::MismatchedSources { .. })
         ));
     }
@@ -1488,7 +1556,7 @@ mod tests {
                 ])
             })
             .collect();
-        let mut engine = Engine::open(lists).unwrap();
+        let mut engine = Engine::open(lists);
         engine.advance_until_matched(1, |_| false).unwrap();
         assert!(!engine.matched.is_empty());
         let id = engine.matched[0];

@@ -10,14 +10,15 @@
 //! | [`b0_max`] (algorithm B₀) | §4, Theorem 4.5 | max | first page of [`EngineSession::max`] |
 //! | [`order_stat`] (median & friends) | Remark 6.1, identity (13) | j-th largest | one A₀′ page per j-subset, pooled into one batched completion |
 //! | [`ullman`] | §9 | min, m = 2 | positional stream over the fallible batched core |
-//! | [`filtered`] ("Beatles" strategy) | §4 opening example | zero-annihilating aggregations with one crisp conjunct | its own session, over one batched completion |
+//! | [`filtered`] ("Beatles" strategy) | §4 opening example | zero-annihilating aggregations with one crisp conjunct | first page of [`EngineSession::filtered`] |
 //! | [`engine`] | §4, "continue where we left off" | all of the above | [`EngineSession`]: every later page |
 //!
-//! Every A₀-family algorithm is a page of one [`EngineSession`] — the
-//! shared round-robin sorted phase, candidate bookkeeping, and
-//! random-access completion, built on the batched access core of
-//! [`crate::access`]. Algorithms speak to subsystems exclusively through
-//! [`crate::access::GradedSource`] (sorted + random access), so wrapping
+//! Every A₀-family algorithm, and the filtered strategy, is a page of one
+//! [`EngineSession`] — the shared round-robin sorted phase, candidate
+//! bookkeeping, and random-access completion, built on the batched access
+//! core of [`crate::access`]. Algorithms speak to subsystems exclusively
+//! through [`crate::access::GradedSource`] (sorted + random access, plus
+//! the crisp list's match set), so wrapping
 //! the sources in [`CountingSource`](crate::access::CountingSource)
 //! measures exactly the middleware cost of Section 5 — batched streaming
 //! included (the engine consumes entry-for-entry what the positional loop
@@ -32,6 +33,7 @@
 //! [`EngineSession::min`]: engine::EngineSession::min
 //! [`EngineSession::scan`]: engine::EngineSession::scan
 //! [`EngineSession::max`]: engine::EngineSession::max
+//! [`EngineSession::filtered`]: engine::EngineSession::filtered
 
 pub mod b0_max;
 pub mod engine;

@@ -47,7 +47,7 @@ where
 {
     let n = validate_inputs(sources, k)?;
     let objects = (0..n as u64).map(ObjectId);
-    let mut engine = Engine::open(sources.iter().collect())?;
+    let mut engine = Engine::open(sources.iter().collect());
     engine.complete_grades(objects.clone())?;
     let scored = objects.map(|id| {
         let grades = engine.grade_slice(id).expect("completed above");

@@ -55,7 +55,7 @@ where
     // and keep the best k. One batched completion on a fresh engine: m
     // random accesses per candidate, in ascending id order, whatever the
     // subset runs already saw.
-    let mut engine = Engine::open(sources.iter().collect())?;
+    let mut engine = Engine::open(sources.iter().collect());
     engine.complete_grades(pooled.iter().copied())?;
     let agg = KthLargest::new(j);
     let scored = pooled.into_iter().map(|id| {

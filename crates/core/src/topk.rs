@@ -9,7 +9,7 @@
 
 use garlic_agg::Grade;
 
-use crate::graded_set::{GradedEntry, GradedSet};
+use crate::graded_set::GradedEntry;
 use crate::object::ObjectId;
 
 /// An entry ordered *worst first* under the skeleton order: a max-heap's
@@ -111,11 +111,6 @@ impl TopK {
     /// The grades, best first.
     pub fn grades(&self) -> Vec<Grade> {
         self.entries.iter().map(|e| e.grade).collect()
-    }
-
-    /// Converts into a [`GradedSet`] (the paper's output type).
-    pub fn into_graded_set(self) -> GradedSet {
-        GradedSet::from_pairs(self.entries.into_iter().map(|e| (e.object, e.grade)))
     }
 
     /// Tie-tolerant equivalence: two answers are interchangeable iff their
@@ -318,14 +313,6 @@ mod tests {
             validate_inputs(&mismatched, 1),
             Err(TopKError::MismatchedSources { .. })
         ));
-    }
-
-    #[test]
-    fn into_graded_set_round_trips() {
-        let t = TopK::select([(ObjectId(0), g(0.1)), (ObjectId(1), g(0.9))], 2);
-        assert_eq!(t.clone().into_entries(), t.entries().to_vec());
-        let set = t.into_graded_set();
-        assert_eq!(set.at_rank(0).unwrap().object, ObjectId(1));
     }
 
     #[test]

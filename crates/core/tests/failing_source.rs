@@ -9,9 +9,10 @@
 //! `Err(TopKError::SourceFailed(_))`, and a run that does not must return
 //! the healthy answer. A session whose j-th read alone fails must, when
 //! the failed page is asked for again, hand out the healthy pages without
-//! any source answering a rank or a probe twice — over the lists
-//! themselves, and over each list sharded into flaky id ranges, where the
-//! merge must retry a failed refill without reading a rank twice.
+//! any source answering a rank, a probe or its match set twice — over the
+//! lists themselves, and over each list sharded into flaky id ranges,
+//! where the merge must retry a failed refill without reading a rank
+//! twice.
 
 use std::ops::RangeInclusive;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -26,17 +27,19 @@ use garlic_core::access::{GradedSource, MemorySource, SetAccess, SourceError};
 use garlic_core::algorithms::b0_max::b0_max_topk;
 use garlic_core::algorithms::fa::{fagin_run, fagin_shrunk_run, fagin_topk};
 use garlic_core::algorithms::fa_min::{fagin_min_run, fagin_min_topk};
-use garlic_core::algorithms::filtered::{filtered_topk, FilteredSession};
+use garlic_core::algorithms::filtered::filtered_topk;
 use garlic_core::algorithms::naive::{naive_random_topk, naive_topk};
 use garlic_core::algorithms::order_stat::{median_topk, order_statistic_topk};
 use garlic_core::algorithms::ullman::{ullman_run, ullman_top1, ullman_topk};
 use garlic_core::{EngineSession, GradedEntry, ObjectId, ShardedSource, TopK, TopKError};
 
-/// What a source handed over: a sorted rank or a random-access probe.
+/// What a source handed over: a sorted rank, a random-access probe or its
+/// match set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Served {
     Rank(usize),
     Probe(ObjectId),
+    Set,
 }
 
 /// A source whose reads share one counter with its siblings; the reads
@@ -99,7 +102,9 @@ impl GradedSource for Flaky {
 impl SetAccess for Flaky {
     fn try_matching_set(&self) -> Result<Vec<ObjectId>, SourceError> {
         self.read()?;
-        self.inner.try_matching_set()
+        let set = self.inner.try_matching_set()?;
+        self.serve([Served::Set]);
+        Ok(set)
     }
 }
 
@@ -181,15 +186,9 @@ fn entry_points() -> [(&'static str, usize, Run); 21] {
         ("ullman_top1", 2, ullman_top1),
         ("ullman_topk", 2, |s| ullman_topk(s, 2)),
         ("ullman_run", 2, |s| ullman_run(s, 2).map(|r| r.topk)),
-        ("filtered_topk", 3, |s| {
-            filtered_topk(&s[0], &s[1..], 0, &min_agg(), 2)
-        }),
-        ("FilteredSession::new", 3, |s| {
-            let graded = s[1..].iter().collect();
-            let mut session = FilteredSession::new(&s[0], graded, 0, min_agg())?;
-            let mut entries = session.next_batch(2)?.into_entries();
-            entries.extend(session.next_batch(3)?.into_entries());
-            Ok(TopK::from_entries(entries))
+        ("filtered_topk", 3, |s| filtered_topk(s, 0, &min_agg(), 2)),
+        ("EngineSession::filtered", 3, |s| {
+            two_pages(EngineSession::filtered(s.iter().collect(), 0, min_agg())?)
         }),
         ("EngineSession::new", 3, |s| {
             two_pages(EngineSession::new(s.iter().collect(), min_agg())?)
@@ -239,8 +238,8 @@ fn every_entry_point_returns_source_failed_and_never_panics() {
     }
 }
 
-type Session<'a> = EngineSession<&'a dyn GradedSource, Box<dyn Aggregation>>;
-type Open = fn(Vec<&dyn GradedSource>) -> Result<Session<'_>, TopKError>;
+type Session<'a> = EngineSession<&'a dyn SetAccess, Box<dyn Aggregation>>;
+type Open = fn(Vec<&dyn SetAccess>) -> Result<Session<'_>, TopKError>;
 
 /// The three lists a session runs over, on flaky sources sharing one read
 /// counter.
@@ -274,10 +273,10 @@ impl Lists {
         (Lists::Sharded(sharded), reads)
     }
 
-    fn sources(&self) -> Vec<&dyn GradedSource> {
+    fn sources(&self) -> Vec<&dyn SetAccess> {
         match self {
-            Lists::Flat(sources) => sources.iter().map(|s| s as &dyn GradedSource).collect(),
-            Lists::Sharded(sources) => sources.iter().map(|s| s as &dyn GradedSource).collect(),
+            Lists::Flat(sources) => sources.iter().map(|s| s as &dyn SetAccess).collect(),
+            Lists::Sharded(sources) => sources.iter().map(|s| s as &dyn SetAccess).collect(),
         }
     }
 
@@ -295,8 +294,9 @@ fn boxed_min() -> Box<dyn Aggregation> {
 }
 
 /// Every session rule, over all three lists. The threshold rule runs the
-/// arithmetic mean, under which it stops before A₀ and prunes.
-fn sessions() -> [(&'static str, Open); 6] {
+/// arithmetic mean, under which it stops before A₀ and prunes; the
+/// filtered rule reads list 0 as the crisp one.
+fn sessions() -> [(&'static str, Open); 7] {
     [
         ("new", |s| EngineSession::new(s, boxed_min())),
         ("shrunk", |s| EngineSession::shrunk(s, boxed_min())),
@@ -306,6 +306,7 @@ fn sessions() -> [(&'static str, Open); 6] {
         ("min", |s| EngineSession::min(s)),
         ("scan", |s| EngineSession::scan(s, boxed_min())),
         ("max", |s| EngineSession::max(s)),
+        ("filtered", |s| EngineSession::filtered(s, 0, boxed_min())),
     ]
 }
 

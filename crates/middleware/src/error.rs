@@ -5,11 +5,6 @@ use garlic_core::TopKError;
 use garlic_subsys::SubsystemError;
 use std::fmt;
 
-/// The error type every query entry point returns — an alias making the
-/// failure-model vocabulary (`QueryError::SourceFailed`,
-/// `QueryError::DeadlineExceeded`, ...) read naturally at call sites.
-pub type QueryError = MiddlewareError;
-
 /// Errors surfaced by the Garlic middleware layer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MiddlewareError {

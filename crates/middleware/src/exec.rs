@@ -27,15 +27,15 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use garlic_agg::iterated::{min_agg, IteratedTNorm};
-use garlic_agg::tnorms::Minimum;
+use garlic_agg::iterated::min_agg;
 use garlic_agg::weighted::FaginWimmers;
 use garlic_agg::{Aggregation, Grade};
 use garlic_core::access::{total_stats, CountingSource};
 use garlic_core::algorithms::engine::{EngineProfile, EngineSession, SortedStop};
-use garlic_core::algorithms::filtered::FilteredSession;
 use garlic_core::complement::ComplementSource;
-use garlic_core::{AccessStats, GradedSource, TopK, TopKError};
+use garlic_core::{
+    AccessStats, GradedEntry, GradedSource, ObjectId, SetAccess, SourceError, TopK, TopKError,
+};
 use garlic_subsys::AtomicQuery;
 use garlic_telemetry::{MetricValue, QueryTrace, Span, SpanTimer, Telemetry, TelemetrySnapshot};
 
@@ -44,19 +44,73 @@ use crate::error::MiddlewareError;
 use crate::plan::{plan, Plan, PlannerOptions, Strategy};
 use crate::query::{GarlicQuery, QueryAggregation};
 
-/// A subsystem answer — an owned `Arc` handle — behind the Section 5
-/// metering wrapper.
-type Counted = CountingSource<Arc<dyn GradedSource>>;
-
-/// A crisp (set-access) answer behind the metering wrapper.
-type CountedCrisp = CountingSource<Arc<dyn garlic_core::SetAccess>>;
+/// A subsystem answer behind the Section 5 metering wrapper.
+type Counted = CountingSource<Answer>;
 
 /// The aggregation a session carries: thread-safe so the session is.
 type SessionAgg = Box<dyn Aggregation + Send + Sync>;
 
-/// The one place execution wraps a source in its metering counter.
-fn counted<S: GradedSource>(source: S) -> CountingSource<S> {
-    CountingSource::new(source)
+/// A subsystem's owned `Arc` answer handle: a graded list, or a crisp list
+/// that keeps its set access for the filtered strategy.
+enum Answer {
+    Graded(Arc<dyn GradedSource>),
+    Crisp(Arc<dyn SetAccess>),
+}
+
+impl Answer {
+    fn list(&self) -> &dyn GradedSource {
+        match self {
+            Answer::Graded(list) => list.as_ref(),
+            Answer::Crisp(set) => set.as_ref(),
+        }
+    }
+}
+
+impl GradedSource for Answer {
+    fn len(&self) -> usize {
+        self.list().len()
+    }
+
+    fn try_sorted_batch(
+        &self,
+        start: usize,
+        count: usize,
+        out: &mut Vec<GradedEntry>,
+    ) -> Result<usize, SourceError> {
+        self.list().try_sorted_batch(start, count, out)
+    }
+
+    fn try_random_batch(
+        &self,
+        objects: &[ObjectId],
+        out: &mut Vec<Option<Grade>>,
+    ) -> Result<(), SourceError> {
+        self.list().try_random_batch(objects, out)
+    }
+
+    fn degraded(&self) -> bool {
+        self.list().degraded()
+    }
+}
+
+impl SetAccess for Answer {
+    /// Only the filtered session's crisp list is asked, and it is always
+    /// [`Answer::Crisp`].
+    fn try_matching_set(&self) -> Result<Vec<ObjectId>, SourceError> {
+        match self {
+            Answer::Crisp(set) => set.try_matching_set(),
+            Answer::Graded(_) => Err(SourceError {
+                source: "middleware".into(),
+                detail: "a graded list offers no set access".into(),
+                quarantined: false,
+            }),
+        }
+    }
+}
+
+/// The one place execution wraps a graded list in its metering counter.
+fn counted(list: Arc<dyn GradedSource>) -> Counted {
+    CountingSource::new(Answer::Graded(list))
 }
 
 /// Evaluates each atom through the catalog, metered.
@@ -82,12 +136,11 @@ fn nnf_sources(
         .iter()
         .map(|lit| {
             let base = catalog.evaluate(&lit.atom)?;
-            let source: Arc<dyn GradedSource> = if lit.negated {
+            Ok(counted(if lit.negated {
                 Arc::new(ComplementSource::new(base))
             } else {
                 base
-            };
-            Ok(counted(source))
+            }))
         })
         .collect::<Result<_, MiddlewareError>>()?;
     Ok((sources, QueryAggregation::nnf(nnf)))
@@ -335,7 +388,7 @@ impl Garlic {
         } = session.engine_details();
         let mut engine = Span::new("engine");
         engine.add_field("depth", depth);
-        if let (Some((stop, tau)), Some(graded)) = (stop, graded) {
+        if let Some((stop, tau)) = stop {
             engine.add_field("stop", stop);
             engine.add_field("tau", tau);
             engine.add_field("graded", graded);
@@ -437,65 +490,50 @@ impl Plan {
         request: &QueryRequest<'_>,
     ) -> Result<QuerySession, MiddlewareError> {
         let (atoms, query) = (&self.atoms[..], request.query);
-        let kind = match &self.strategy {
-            Strategy::FaMin => {
-                SessionKind::Engine(EngineSession::min(counted_atoms(catalog, atoms)?)?)
-            }
+        let mut session = match &self.strategy {
+            Strategy::FaMin => EngineSession::min(counted_atoms(catalog, atoms)?)?,
             Strategy::FaGeneric => {
                 let agg: SessionAgg = if self.weights.is_empty() {
-                    Box::new(QueryAggregation::new(query, atoms))
+                    Box::new(QueryAggregation::new(query))
                 } else {
                     Box::new(FaginWimmers::new(min_agg(), &self.weights))
                 };
-                SessionKind::Engine(EngineSession::threshold(
-                    counted_atoms(catalog, atoms)?,
-                    agg,
-                )?)
+                EngineSession::threshold(counted_atoms(catalog, atoms)?, agg)?
             }
             Strategy::FaNnf => {
                 let (sources, agg) = nnf_sources(catalog, query)?;
-                SessionKind::Engine(EngineSession::threshold(
-                    sources,
-                    Box::new(agg) as SessionAgg,
-                )?)
+                EngineSession::threshold(sources, Box::new(agg) as SessionAgg)?
             }
-            Strategy::NaiveCalculus => SessionKind::Engine(EngineSession::scan(
+            Strategy::NaiveCalculus => EngineSession::scan(
                 counted_atoms(catalog, atoms)?,
-                Box::new(QueryAggregation::new(query, atoms)) as SessionAgg,
-            )?),
-            Strategy::B0Max => {
-                SessionKind::Engine(EngineSession::max(counted_atoms(catalog, atoms)?)?)
-            }
+                Box::new(QueryAggregation::new(query)) as SessionAgg,
+            )?,
+            Strategy::B0Max => EngineSession::max(counted_atoms(catalog, atoms)?)?,
             Strategy::InternalPushdown { .. } => {
-                SessionKind::Engine(EngineSession::max(vec![pushdown_source(catalog, atoms)?])?)
+                EngineSession::max(vec![pushdown_source(catalog, atoms)?])?
             }
-            Strategy::Filtered { crisp_index } => {
-                let crisp_atom = &atoms[*crisp_index];
-                let crisp = counted(
-                    catalog
-                        .resolve(&crisp_atom.attribute)?
-                        .evaluate_set(crisp_atom)
-                        .map_err(MiddlewareError::Subsystem)?,
-                );
-                let others = atoms.iter().enumerate().filter(|(i, _)| i != crisp_index);
-                let graded = counted_atoms(catalog, others.map(|(_, a)| a))?;
-                SessionKind::Filtered {
-                    session: FilteredSession::new(crisp, graded, *crisp_index, min_agg())?,
-                    crisp_index: *crisp_index,
-                }
+            &Strategy::Filtered { crisp_index } => {
+                let mut sources = counted_atoms(catalog, &atoms[..crisp_index])?;
+                let crisp = &atoms[crisp_index];
+                let set = catalog
+                    .resolve(&crisp.attribute)?
+                    .evaluate_set(crisp)
+                    .map_err(MiddlewareError::Subsystem)?;
+                sources.push(CountingSource::new(Answer::Crisp(set)));
+                sources.extend(counted_atoms(catalog, &atoms[crisp_index + 1..])?);
+                EngineSession::filtered(sources, crisp_index, Box::new(min_agg()) as SessionAgg)?
             }
         };
-        let mut session = QuerySession { kind };
         session.set_deadline(request.deadline);
-        Ok(session)
+        Ok(QuerySession { session })
     }
 }
 
 /// A resumable, strategy-agnostic paging session over one planned query —
 /// what every request executes through.
 ///
-/// Every strategy but one holds a live [`EngineSession`], under the rule
-/// the strategy names:
+/// Every strategy holds one live [`EngineSession`], under the rule the
+/// strategy names:
 ///
 /// * A₀-family strategies resume the sorted phase at the stored depth on
 ///   each batch ("continue where we left off", Section 4), so cumulative
@@ -509,27 +547,22 @@ impl Plan {
 /// * B₀-family strategies (flat disjunctions and Section 8 pushdown) deepen
 ///   the per-list prefixes page by page — `m·k` cumulative cost, no random
 ///   access.
-/// * The naive scan reads every list to the end on its first page; like
-///   the filtered strategy (the exception: a [`FilteredSession`]) its
-///   evaluation cost is independent of `k`, so it is paid by the first
-///   page and every later page is cut from the scored set at zero access
-///   cost.
+/// * The naive scan ([`EngineSession::scan`]) reads every list to the end
+///   on its first page, and the filtered strategy
+///   ([`EngineSession::filtered`]) grades the crisp conjunct's match set
+///   there. Their evaluation cost is independent of `k`, so the first page
+///   pays it and every later page is cut from the scored set at zero
+///   access cost.
+///
+/// The crisp list is one of the session's sources, so the bill, the
+/// per-source split and the degraded flag cover it like every other list.
 ///
 /// A session owns everything it streams from (`Arc` answer handles plus
 /// its own bookkeeping), so it is `'static` and `Send`: open it on one
 /// thread, store it, hand it to another — the server-side "user session"
 /// the paper's multi-user middleware implies.
 pub struct QuerySession {
-    kind: SessionKind,
-}
-
-enum SessionKind {
-    Engine(EngineSession<Counted, SessionAgg>),
-    Filtered {
-        session: FilteredSession<CountedCrisp, Counted, IteratedTNorm<Minimum>>,
-        /// Where the crisp conjunct sits among the plan's atoms.
-        crisp_index: usize,
-    },
+    session: EngineSession<Counted, SessionAgg>,
 }
 
 /// Engine-phase execution detail surfaced by
@@ -544,56 +577,25 @@ pub struct EngineDetails<'a> {
     /// Why the last page's sorted phase stopped, and `τ` there — for the
     /// threshold rule ([`Strategy::FaGeneric`], [`Strategy::FaNnf`]) only.
     pub stop: Option<(SortedStop, Grade)>,
-    /// How many objects the engine session has graded in full so far
-    /// (`None` for the filtered strategy).
-    pub graded: Option<usize>,
+    /// How many objects the session has graded in full so far.
+    pub graded: usize,
 }
 
 impl QuerySession {
     /// Returns the next `k` best answers (fewer once the result set is
     /// exhausted), never repeating an object across batches.
     pub fn next_batch(&mut self, k: usize) -> Result<TopK, MiddlewareError> {
-        match &mut self.kind {
-            SessionKind::Engine(session) => session.next_batch(k),
-            SessionKind::Filtered { session, .. } => session.next_batch(k),
-        }
-        .map_err(MiddlewareError::from)
+        Ok(self.session.next_batch(k)?)
     }
 
     /// How many answers have been handed out so far.
     pub fn returned(&self) -> usize {
-        match &self.kind {
-            SessionKind::Engine(session) => session.returned(),
-            SessionKind::Filtered { session, .. } => session.returned(),
-        }
-    }
-
-    /// The metered graded sources, in source order.
-    fn graded(&self) -> &[Counted] {
-        match &self.kind {
-            SessionKind::Engine(session) => session.sources(),
-            SessionKind::Filtered { session, .. } => session.graded(),
-        }
-    }
-
-    /// The filtered strategy's crisp match-set source and its place among
-    /// the plan's atoms.
-    fn crisp(&self) -> Option<(usize, &CountedCrisp)> {
-        match &self.kind {
-            SessionKind::Filtered {
-                session,
-                crisp_index,
-            } => Some((*crisp_index, session.crisp())),
-            _ => None,
-        }
+        self.session.returned()
     }
 
     /// The cumulative middleware cost of every batch so far.
     pub fn stats(&self) -> AccessStats {
-        let crisp = self
-            .crisp()
-            .map_or(AccessStats::default(), |(_, c)| c.stats());
-        total_stats(self.graded()) + crisp
+        total_stats(self.session.sources())
     }
 
     /// Per-source `(label, cost)` pairs in source order — read straight
@@ -621,32 +623,23 @@ impl QuerySession {
             }
             _ => attributes().map(str::to_owned).collect(),
         };
-        let mut stats: Vec<AccessStats> = self.graded().iter().map(|s| s.stats()).collect();
-        if let Some((at, crisp)) = self.crisp() {
-            labels[at].push_str(" (crisp)");
-            stats.insert(at, crisp.stats());
+        if let &Strategy::Filtered { crisp_index } = &plan.strategy {
+            labels[crisp_index].push_str(" (crisp)");
         }
+        let stats = self.session.sources().iter().map(CountingSource::stats);
         labels.into_iter().zip(stats).collect()
     }
 
     /// Engine-phase detail for EXPLAIN. The filtered strategy has no
-    /// sorted phase: its depth stays 0 and its frontier empty.
+    /// sorted phase: its depth stays 0.
     pub fn engine_details(&self) -> EngineDetails<'_> {
-        match &self.kind {
-            SessionKind::Engine(s) => EngineDetails {
-                profile: s.profile(),
-                depth: s.depth(),
-                frontier: s.frontier_history(),
-                stop: s.sorted_stop(),
-                graded: Some(s.graded()),
-            },
-            SessionKind::Filtered { session, .. } => EngineDetails {
-                profile: session.profile(),
-                depth: 0,
-                frontier: &[],
-                stop: None,
-                graded: None,
-            },
+        let s = &self.session;
+        EngineDetails {
+            profile: s.profile(),
+            depth: s.depth(),
+            frontier: s.frontier_history(),
+            stop: s.sorted_stop(),
+            graded: s.graded(),
         }
     }
 
@@ -657,16 +650,14 @@ impl QuerySession {
     /// extend (or clear) the deadline and request the page again, and no
     /// access already made is billed a second time.
     pub fn set_deadline(&mut self, deadline: Option<Instant>) {
-        match &mut self.kind {
-            SessionKind::Engine(session) => session.set_deadline(deadline),
-            SessionKind::Filtered { session, .. } => session.set_deadline(deadline),
-        }
+        self.session.set_deadline(deadline);
     }
 
-    /// Whether any source this session reads from has served a degraded
-    /// stream — see [`QueryResult::degraded`].
+    /// Whether any source this session reads from — the crisp list
+    /// included — has served a degraded stream: see
+    /// [`QueryResult::degraded`].
     pub fn degraded(&self) -> bool {
-        self.graded().iter().any(|s| s.degraded())
+        self.session.sources().iter().any(|s| s.degraded())
     }
 }
 
@@ -866,7 +857,7 @@ mod tests {
             .iter()
             .map(|a| garlic.catalog().evaluate(a).unwrap())
             .collect();
-        let agg = QueryAggregation::new(&q, &atoms);
+        let agg = QueryAggregation::new(&q);
         let slow = naive_topk(&sources, &agg, 3).unwrap();
         assert!(fast.answers.same_grades(&slow, 1e-12));
     }
@@ -1010,7 +1001,7 @@ mod tests {
             assert_eq!(session.returned(), 9, "{label}");
             assert_eq!(session.stats(), paged_stats, "{label}");
 
-            let agg = || QueryAggregation::new(&q, &q.atoms());
+            let agg = || QueryAggregation::new(&q);
             if label == "FaMin" {
                 // ...the one-shot sorted cost, exactly, and never more
                 // random accesses than plain A₀ paged alike.
@@ -1435,12 +1426,12 @@ mod tests {
         let (stop, tau) = details.stop.expect("a threshold session");
         assert_eq!(stop, SortedStop::Threshold);
         assert_eq!(engine.get_field("tau"), Some(tau.to_string().as_str()));
-        let graded = details.graded.expect("an engine session").to_string();
+        let graded = details.graded.to_string();
         assert_eq!(engine.get_field("graded"), Some(graded.as_str()));
         // The threshold stops the sorted phase before A₀'s depth, and the
         // per-source counts still sum to the bill.
         let depth: usize = engine.get_field("depth").unwrap().parse().unwrap();
-        let a0 = a0_paged(&garlic, &q, QueryAggregation::new(&q, &q.atoms()), &[3]);
+        let a0 = a0_paged(&garlic, &q, QueryAggregation::new(&q), &[3]);
         assert!(depth * 3 < a0.sorted as usize, "depth {depth} vs A₀ {a0:?}");
         assert_eq!(summed(&ex), result.stats);
 

@@ -48,6 +48,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod catalog;
 pub mod error;
@@ -58,7 +62,7 @@ pub mod query;
 pub mod service;
 
 pub use catalog::Catalog;
-pub use error::{MiddlewareError, QueryError};
+pub use error::MiddlewareError;
 pub use exec::{EngineDetails, Explain, Garlic, QueryRequest, QueryResult, QuerySession};
 pub use parser::{parse_query, ParseError};
 pub use plan::{Plan, PlannerOptions, Strategy};

@@ -236,6 +236,10 @@ impl Parser {
         }
     }
 
+    #[allow(
+        clippy::expect_used,
+        reason = "parts starts with one element and only grows"
+    )]
     fn or_expr(&mut self) -> Result<GarlicQuery, ParseError> {
         let mut parts = vec![self.and_expr()?];
         while self.peek() == Some(&Token::Or) {
@@ -249,6 +253,10 @@ impl Parser {
         })
     }
 
+    #[allow(
+        clippy::expect_used,
+        reason = "parts starts with one element and only grows"
+    )]
     fn and_expr(&mut self) -> Result<GarlicQuery, ParseError> {
         let mut parts = vec![self.unary()?];
         while self.peek() == Some(&Token::And) {

@@ -69,7 +69,11 @@ impl GarlicQuery {
 
     /// Lowers to the index-based core algebra, given the atom universe from
     /// [`GarlicQuery::atoms`].
-    pub fn to_core(&self, atoms: &[AtomicQuery]) -> Query {
+    #[allow(
+        clippy::expect_used,
+        reason = "private: every caller passes the query's own atoms(), which hold each atom"
+    )]
+    fn to_core(&self, atoms: &[AtomicQuery]) -> Query {
         match self {
             GarlicQuery::Atom(a) => Query::Atom(
                 atoms
@@ -232,10 +236,11 @@ pub struct QueryAggregation {
 }
 
 impl QueryAggregation {
-    /// Builds the aggregation for a query over its atom universe.
-    pub fn new(query: &GarlicQuery, atoms: &[AtomicQuery]) -> Self {
+    /// Builds the aggregation for a query over its distinct atoms, in
+    /// [`GarlicQuery::atoms`] order.
+    pub fn new(query: &GarlicQuery) -> Self {
         QueryAggregation {
-            core: query.to_core(atoms),
+            core: query.to_core(&query.atoms()),
             positive: query.is_positive(),
             conjunctive: query.as_flat_and().is_some(),
         }
@@ -327,8 +332,7 @@ mod tests {
     #[test]
     fn query_aggregation_evaluates_standard_semantics() {
         let q = q_beatles_red();
-        let atoms = q.atoms();
-        let agg = QueryAggregation::new(&q, &atoms);
+        let agg = QueryAggregation::new(&q);
         let g = |v: f64| Grade::new(v).unwrap();
         assert_eq!(agg.combine(&[g(1.0), g(0.7)]), g(0.7)); // min
         assert!(agg.is_monotone());
@@ -345,8 +349,7 @@ mod tests {
                 GarlicQuery::atom("Shape", Target::text("round")),
             ),
         );
-        let atoms = q.atoms();
-        let agg = QueryAggregation::new(&q, &atoms);
+        let agg = QueryAggregation::new(&q);
         assert!(agg.is_monotone());
         assert!(!agg.is_strict(3));
         let g = |v: f64| Grade::new(v).unwrap();
@@ -358,8 +361,7 @@ mod tests {
     fn negated_query_not_monotone() {
         let a = GarlicQuery::atom("Color", Target::text("red"));
         let hard = GarlicQuery::and(a.clone(), GarlicQuery::not(a));
-        let atoms = hard.atoms();
-        let agg = QueryAggregation::new(&hard, &atoms);
+        let agg = QueryAggregation::new(&hard);
         assert!(!agg.is_monotone());
         // μ(x) = min(g, 1-g).
         assert_eq!(agg.combine(&[Grade::HALF]), Grade::HALF);
@@ -519,7 +521,7 @@ mod tests {
                 let leaves: Vec<GarlicQuery> = labels.iter().map(|&i| atom(i)).collect();
                 for tree in positive_trees(&leaves) {
                     let atoms = tree.atoms();
-                    let agg = QueryAggregation::new(&tree, &atoms);
+                    let agg = QueryAggregation::new(&tree);
                     check_monotone(&agg, atoms.len(), 3).unwrap_or_else(|e| panic!("{tree}: {e}"));
                     for negated in [
                         GarlicQuery::not(tree.clone()),
@@ -557,7 +559,7 @@ mod tests {
         // The check has teeth: the raw aggregation of a negated query is
         // rejected.
         let hard = GarlicQuery::and(atom(0), GarlicQuery::not(atom(0)));
-        assert!(check_monotone(&QueryAggregation::new(&hard, &hard.atoms()), 1, 3).is_err());
+        assert!(check_monotone(&QueryAggregation::new(&hard), 1, 3).is_err());
     }
 
     #[test]

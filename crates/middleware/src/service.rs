@@ -28,7 +28,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use garlic_telemetry::SpanTimer;
@@ -256,18 +256,23 @@ impl GarlicService {
                         break;
                     };
                     let result = serve_claimed(i, request);
-                    *slots[i].lock().expect("no panics while holding the slot") = Some(result);
+                    *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
                 });
             }
         });
-        slots
+        #[allow(
+            clippy::expect_used,
+            reason = "the workers claim every index below requests.len() before the scope ends"
+        )]
+        let results = slots
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
-                    .expect("worker threads joined")
+                    .unwrap_or_else(PoisonError::into_inner)
                     .expect("every request was claimed by exactly one worker")
             })
-            .collect()
+            .collect();
+        results
     }
 }
 

@@ -127,11 +127,6 @@ impl Table {
     }
 }
 
-/// Formats an f64 with `digits` significant decimals, trimming noise.
-pub fn fmt_f64(v: f64, digits: usize) -> String {
-    format!("{:.*}", digits, v)
-}
-
 /// Formats a probability in compact scientific notation.
 pub fn fmt_prob(p: f64) -> String {
     if p == 0.0 {
@@ -186,7 +181,6 @@ mod tests {
 
     #[test]
     fn float_formatting() {
-        assert_eq!(fmt_f64(1.23456, 2), "1.23");
         assert_eq!(fmt_prob(0.5), "0.5000");
         assert_eq!(fmt_prob(1e-9), "1.00e-9");
         assert_eq!(fmt_prob(0.0), "0");

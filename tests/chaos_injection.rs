@@ -24,9 +24,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use garlic::middleware::{
-    Catalog, Garlic, GarlicQuery, GarlicService, MiddlewareError, QueryResult,
+    Catalog, Garlic, GarlicQuery, GarlicService, MiddlewareError, QueryResult, Strategy,
 };
-use garlic::storage::{FaultVfs, Vfs};
+use garlic::storage::{FaultKind, FaultOp, FaultRule, FaultVfs, Vfs};
 use garlic::subsys::{DiskSubsystem, Target};
 use garlic::{BlockCache, Grade, SegmentWriter};
 use proptest::prelude::*;
@@ -259,4 +259,63 @@ proptest! {
 
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// A crisp attribute sharded with degraded reads loses a shard to a
+/// permanent read fault: the filtered strategy reads it only through its
+/// match set, and the answer must still be bit-identical or flagged
+/// degraded — never a shorter match set reported as whole.
+#[test]
+fn a_filtered_query_over_a_degraded_crisp_attribute_is_flagged() {
+    let (n, k) = (96, 8);
+    let dir = case_dir();
+    let crisp: Vec<Grade> = (0..n).map(|i| Grade::from_bool(i % 9 == 0)).collect();
+    let lists = vec![grade_lists(1, n).swap_remove(0), ("K", crisp)];
+    let writer = SegmentWriter::with_block_size(256).unwrap();
+    for (attr, grades) in &lists {
+        writer
+            .write_grades(&dir.join(format!("{attr}.seg")), grades)
+            .unwrap();
+    }
+    let shards: Vec<PathBuf> = writer
+        .write_sharded_grades(&dir, "K-shard", 3, &lists[1].1)
+        .unwrap()
+        .into_iter()
+        .map(|shard| shard.path)
+        .collect();
+    let query = GarlicQuery::and(
+        GarlicQuery::atom("K", Target::text("t")),
+        GarlicQuery::atom("A", Target::text("t")),
+    );
+    let want = reference_garlic(&dir, &lists, n).top_k(&query, k).unwrap();
+
+    let fault = Arc::new(FaultVfs::new());
+    let sub = DiskSubsystem::with_cache("disk", n, Arc::new(BlockCache::new(64)))
+        .with_vfs(Arc::clone(&fault) as Arc<dyn Vfs>)
+        .with_degraded_reads()
+        .open_segment("A", &dir.join("A.seg"))
+        .unwrap()
+        .open_sharded_segment("K", &shards)
+        .unwrap();
+    fault.push_rule(FaultRule {
+        path_contains: "K-shard.001".into(),
+        op: FaultOp::Read,
+        nth: 0,
+        kind: FaultKind::Permanent,
+    });
+    let mut cat = Catalog::new();
+    cat.register(sub).unwrap();
+    let got = Garlic::new(cat).top_k(&query, k).unwrap();
+
+    assert!(matches!(got.plan.strategy, Strategy::Filtered { .. }));
+    assert!(fault.injected() > 0, "the fault never fired");
+    assert!(
+        got.degraded || (got.answers == want.answers && got.stats == want.stats),
+        "unflagged answer {:?} (billed {:?}) against {:?} (billed {:?})",
+        got.answers.objects(),
+        got.stats,
+        want.answers.objects(),
+        want.stats
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

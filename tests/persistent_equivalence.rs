@@ -1,22 +1,19 @@
-//! Durability is invisible to the fusion layer: segments of either format
-//! version, flat or sharded, answer every planner strategy with memory's
-//! entries, tie order and Section-5 bill, one-shot and paged — under a
-//! cold or thrashing cache, across a cold reopen that resumes a paging
-//! client, and in concurrent service batches. The backend oracle
-//! (`backend_oracle.rs`) sweeps generated databases; these pin one.
+//! Durability is invisible to the fusion layer: segments answer every
+//! planner strategy with memory's entries, tie order and Section-5 bill
+//! under a cold or thrashing cache, across a cold reopen that resumes a
+//! paging client, and in concurrent service batches. The backend oracle
+//! (`backend_oracle.rs`) sweeps every format version, flat and sharded,
+//! over generated databases; these pin one.
 
 mod support;
 
 use std::sync::Arc;
 
 use garlic::middleware::{Catalog, Garlic, GarlicQuery, GarlicService, QueryRequest};
-use garlic::storage::format::{FORMAT_V1, FORMAT_VERSION};
+use garlic::storage::format::FORMAT_VERSION;
 use garlic::subsys::{Subsystem, Target};
 use garlic::BlockCache;
-use support::{
-    assert_strategies_match, garlic_over, paged, segments, sharded_segments, strategy_queries,
-    temp_dir, Db,
-};
+use support::{garlic_over, paged, segments, strategy_queries, temp_dir, Db};
 
 fn db() -> Db {
     Db::quantised(300, 77)
@@ -25,35 +22,6 @@ fn db() -> Db {
 /// v2 segments of `db` under the test's own directory `tag`.
 fn disk(db: &Db, tag: &str, cache: Arc<BlockCache>) -> Arc<dyn Subsystem> {
     segments(db, &temp_dir(tag), FORMAT_VERSION, "dict", cache)
-}
-
-#[test]
-fn format_versions_and_sharding_are_invisible_to_every_strategy() {
-    // v1 segments, v2 segments, and 3-shard v2 partitions must all answer
-    // with memory's exact entries, tie order, and Section-5 bills — the
-    // format migration and the scatter-gather are access-plan details.
-    let db = db();
-    let dir = temp_dir("formats");
-    let sub = |name: &str| {
-        let path = dir.join(name);
-        std::fs::create_dir_all(&path).unwrap();
-        path
-    };
-    let backends = [
-        (
-            "v1".to_owned(),
-            segments(&db, &sub("v1"), FORMAT_V1, "v1", support::cache()),
-        ),
-        (
-            "v2".to_owned(),
-            segments(&db, &sub("v2"), FORMAT_VERSION, "dict", support::cache()),
-        ),
-        (
-            "sharded-v2".to_owned(),
-            sharded_segments(&db, &sub("sharded"), 3),
-        ),
-    ];
-    assert_strategies_match(&backends, &db.memory(), &[1, 7, 50], &[]);
 }
 
 #[test]

@@ -10,9 +10,8 @@
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
-use garlic::core::access::{CountingSource, GradedSource, MemorySource, SetAccess};
-use garlic::core::algorithms::filtered::FilteredSession;
-use garlic::core::{ComplementSource, EngineSession, Query};
+use garlic::core::access::{CountingSource, GradedSource, MemorySource, SetAccess, SourceError};
+use garlic::core::{ComplementSource, EngineSession, GradedEntry, Query};
 use garlic::middleware::{
     Catalog, Explain, Garlic, GarlicQuery, PlannerOptions, QueryAggregation, QueryRequest,
     QueryResult, Strategy,
@@ -444,7 +443,7 @@ pub fn assert_strategies_match(
     });
 }
 
-/// The session rules of the engine, plus the filtered session.
+/// The seven session rules of the engine.
 #[derive(Debug, Clone, Copy)]
 enum Rule {
     New,
@@ -488,7 +487,41 @@ pub fn engine_shapes() -> Vec<Shape> {
     ]
 }
 
-type Counted = CountingSource<Arc<dyn GradedSource>>;
+/// A literal's list, with the set access the filtered rule reads its crisp
+/// literal through.
+struct Listed(Arc<dyn GradedSource>, Option<Arc<dyn SetAccess>>);
+
+impl GradedSource for Listed {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn try_sorted_batch(
+        &self,
+        start: usize,
+        count: usize,
+        out: &mut Vec<GradedEntry>,
+    ) -> Result<usize, SourceError> {
+        self.0.try_sorted_batch(start, count, out)
+    }
+
+    fn try_random_batch(
+        &self,
+        objects: &[ObjectId],
+        out: &mut Vec<Option<Grade>>,
+    ) -> Result<(), SourceError> {
+        self.0.try_random_batch(objects, out)
+    }
+}
+
+impl SetAccess for Listed {
+    fn try_matching_set(&self) -> Result<Vec<ObjectId>, SourceError> {
+        self.1
+            .as_ref()
+            .expect("the crisp literal")
+            .try_matching_set()
+    }
+}
 
 /// An open session of any rule: pages, and the bill of each source so far.
 trait Pager {
@@ -496,25 +529,13 @@ trait Pager {
     fn bills(&self) -> Vec<AccessStats>;
 }
 
-impl<A: Aggregation> Pager for EngineSession<Counted, A> {
+impl<A: Aggregation> Pager for EngineSession<CountingSource<Listed>, A> {
     fn page(&mut self, k: usize) -> TopK {
         self.next_batch(k).unwrap()
     }
 
     fn bills(&self) -> Vec<AccessStats> {
         self.sources().iter().map(CountingSource::stats).collect()
-    }
-}
-
-impl<A: Aggregation> Pager for FilteredSession<CountingSource<Arc<dyn SetAccess>>, Counted, A> {
-    fn page(&mut self, k: usize) -> TopK {
-        self.next_batch(k).unwrap()
-    }
-
-    fn bills(&self) -> Vec<AccessStats> {
-        std::iter::once(self.crisp().stats())
-            .chain(self.graded().iter().map(CountingSource::stats))
-            .collect()
     }
 }
 
@@ -531,16 +552,28 @@ fn open(rule: Rule, sub: &dyn Subsystem, query: &GarlicQuery) -> Option<Box<dyn 
     };
     let conjunctive = matches!(nnf.root, Query::And(_)) && flat(&nnf.root);
     let disjunctive = matches!(nnf.root, Query::Or(_)) && flat(&nnf.root);
-    let mut sources: Vec<Counted> = nnf
+    // The filtered rule's crisp literal: the first positive one `sub`
+    // calls crisp.
+    let crisp = nnf
         .literals
         .iter()
-        .map(|lit| {
+        .position(|l| !l.negated && sub.is_crisp(&l.atom.attribute));
+    let sources: Vec<_> = nnf
+        .literals
+        .iter()
+        .enumerate()
+        .map(|(i, lit)| {
             let source = sub.evaluate(&lit.atom).unwrap();
-            CountingSource::new(if lit.negated {
-                Arc::new(ComplementSource::new(source)) as Arc<dyn GradedSource>
-            } else {
-                source
-            })
+            let set = (matches!(rule, Filtered) && crisp == Some(i))
+                .then(|| sub.evaluate_set(&lit.atom).unwrap());
+            CountingSource::new(Listed(
+                if lit.negated {
+                    Arc::new(ComplementSource::new(source))
+                } else {
+                    source
+                },
+                set,
+            ))
         })
         .collect();
     let agg = QueryAggregation::nnf(nnf.clone());
@@ -551,15 +584,7 @@ fn open(rule: Rule, sub: &dyn Subsystem, query: &GarlicQuery) -> Option<Box<dyn 
         Scan => Box::new(EngineSession::scan(sources, agg).unwrap()),
         Min if conjunctive => Box::new(EngineSession::<_, QueryAggregation>::min(sources).unwrap()),
         Max if disjunctive => Box::new(EngineSession::<_, QueryAggregation>::max(sources).unwrap()),
-        Filtered if conjunctive => {
-            let at = nnf
-                .literals
-                .iter()
-                .position(|l| !l.negated && sub.is_crisp(&l.atom.attribute))?;
-            sources.remove(at);
-            let set = CountingSource::new(sub.evaluate_set(&nnf.literals[at].atom).unwrap());
-            Box::new(FilteredSession::new(set, sources, at, agg).unwrap())
-        }
+        Filtered if conjunctive => Box::new(EngineSession::filtered(sources, crisp?, agg).unwrap()),
         _ => return None,
     })
 }
