@@ -4,7 +4,9 @@
 //! and unweighted arithmetic/geometric means to perform well empirically,
 //! even though they are *not* t-norms (the arithmetic mean of 0 and 1 is 1/2,
 //! violating ∧-conservation). They are still monotone and strict, so both of
-//! the paper's bounds apply to them — exercised by experiment E10.
+//! the paper's bounds apply to them — exercised by experiment E10. The
+//! unweighted means live here; weighted queries run
+//! [`crate::weighted::FaginWimmers`] instead.
 //!
 //! Remark 6.1 adds two aggregations that are monotone but **not** strict,
 //! for which the lower bound *fails*: the median and the "gymnastics"
@@ -59,61 +61,6 @@ impl Aggregation for GeometricMean {
 
     fn zero_annihilates(&self, _arity: usize) -> bool {
         // A zero factor zeroes the product, hence the root.
-        true
-    }
-}
-
-/// A weighted arithmetic mean with fixed positive weights (normalised at
-/// construction). Strict because every argument carries positive weight.
-#[derive(Debug, Clone)]
-pub struct WeightedArithmeticMean {
-    weights: Vec<f64>,
-}
-
-impl WeightedArithmeticMean {
-    /// Creates the mean from positive weights; they are normalised to sum 1.
-    ///
-    /// # Panics
-    /// Panics if `weights` is empty or any weight is not strictly positive
-    /// and finite.
-    pub fn new(weights: &[f64]) -> Self {
-        assert!(!weights.is_empty(), "need at least one weight");
-        assert!(
-            weights.iter().all(|w| w.is_finite() && *w > 0.0),
-            "weights must be positive and finite"
-        );
-        let total: f64 = weights.iter().sum();
-        WeightedArithmeticMean {
-            weights: weights.iter().map(|w| w / total).collect(),
-        }
-    }
-
-    /// The normalised weights.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-}
-
-impl Aggregation for WeightedArithmeticMean {
-    fn name(&self) -> String {
-        format!("weighted-arithmetic-mean({:?})", self.weights)
-    }
-
-    fn combine(&self, grades: &[Grade]) -> Grade {
-        assert_eq!(
-            grades.len(),
-            self.weights.len(),
-            "arity must match the number of weights"
-        );
-        let sum: f64 = grades
-            .iter()
-            .zip(&self.weights)
-            .map(|(g, w)| g.value() * w)
-            .sum();
-        Grade::clamped(sum)
-    }
-
-    fn is_strict(&self, _arity: usize) -> bool {
         true
     }
 }
@@ -220,27 +167,6 @@ mod tests {
             GeometricMean.combine(&[Grade::ZERO, Grade::ONE]),
             Grade::ZERO
         );
-    }
-
-    #[test]
-    fn weighted_mean_normalises() {
-        let w = WeightedArithmeticMean::new(&[2.0, 1.0]);
-        // color twice as important as shape (the paper's §4 example).
-        assert!(w
-            .combine(&[g(0.9), g(0.3)])
-            .approx_eq(g((2.0 * 0.9 + 0.3) / 3.0), 1e-12));
-    }
-
-    #[test]
-    #[should_panic]
-    fn weighted_mean_rejects_arity_mismatch() {
-        WeightedArithmeticMean::new(&[1.0, 1.0]).combine(&[Grade::ONE]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn weighted_mean_rejects_nonpositive_weights() {
-        WeightedArithmeticMean::new(&[1.0, 0.0]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Fuzzy negations. The paper uses Zadeh's standard rule `n(x) = 1 - x`
-//! (Section 3); Bonissone and Decker \[BD86\] show De Morgan duality holds for
-//! "suitable" negations, of which the Sugeno and Yager families are the
-//! classical parametric examples.
+//! Fuzzy negation. The paper uses Zadeh's standard rule `n(x) = 1 - x`
+//! (Section 3), and it is the one negation every query is graded with.
+//! Bonissone and Decker \[BD86\] show De Morgan duality holds for other
+//! "suitable" negations too; one would implement [`Negation`].
 
 use crate::grade::Grade;
 use crate::traits::Negation;
@@ -17,71 +17,6 @@ impl Negation for StandardNegation {
     }
     fn name(&self) -> String {
         "standard".to_owned()
-    }
-}
-
-/// Sugeno's parametric negation `n(x) = (1 - x) / (1 + λx)` for `λ > -1`.
-/// `λ = 0` recovers the standard negation. Involutive for every valid `λ`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SugenoNegation {
-    lambda: f64,
-}
-
-impl SugenoNegation {
-    /// Creates the negation; `lambda` must be greater than `-1`.
-    ///
-    /// # Panics
-    /// Panics if `lambda <= -1` (the formula leaves `[0,1]` there).
-    pub fn new(lambda: f64) -> Self {
-        assert!(lambda > -1.0, "Sugeno negation requires lambda > -1");
-        SugenoNegation { lambda }
-    }
-
-    /// The λ parameter.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-}
-
-impl Negation for SugenoNegation {
-    fn negate(&self, x: Grade) -> Grade {
-        let v = x.value();
-        Grade::clamped((1.0 - v) / (1.0 + self.lambda * v))
-    }
-    fn name(&self) -> String {
-        format!("sugeno(λ={})", self.lambda)
-    }
-}
-
-/// Yager's parametric negation `n(x) = (1 - x^w)^(1/w)` for `w > 0`.
-/// `w = 1` recovers the standard negation. Involutive for every valid `w`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct YagerNegation {
-    w: f64,
-}
-
-impl YagerNegation {
-    /// Creates the negation; `w` must be positive.
-    ///
-    /// # Panics
-    /// Panics if `w <= 0`.
-    pub fn new(w: f64) -> Self {
-        assert!(w > 0.0, "Yager negation requires w > 0");
-        YagerNegation { w }
-    }
-
-    /// The w parameter.
-    pub fn w(&self) -> f64 {
-        self.w
-    }
-}
-
-impl Negation for YagerNegation {
-    fn negate(&self, x: Grade) -> Grade {
-        Grade::clamped((1.0 - x.value().powf(self.w)).powf(1.0 / self.w))
-    }
-    fn name(&self) -> String {
-        format!("yager(w={})", self.w)
     }
 }
 
@@ -101,58 +36,8 @@ mod tests {
     }
 
     #[test]
-    fn sugeno_zero_lambda_is_standard() {
-        let n = SugenoNegation::new(0.0);
-        for g in grade_grid(20) {
-            assert!(n.negate(g).approx_eq(StandardNegation.negate(g), 1e-12));
-        }
-    }
-
-    #[test]
-    fn sugeno_is_involutive() {
-        for lambda in [-0.5, 0.5, 2.0, 10.0] {
-            let n = SugenoNegation::new(lambda);
-            for g in grade_grid(20) {
-                assert!(
-                    n.negate(n.negate(g)).approx_eq(g, 1e-9),
-                    "λ={lambda}, g={g}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn yager_is_involutive() {
-        for w in [0.5, 1.0, 2.0, 5.0] {
-            let n = YagerNegation::new(w);
-            for g in grade_grid(20) {
-                assert!(n.negate(n.negate(g)).approx_eq(g, 1e-9), "w={w}, g={g}");
-            }
-        }
-    }
-
-    #[test]
     fn boundary_conditions() {
-        let negs: Vec<Box<dyn Negation>> = vec![
-            Box::new(StandardNegation),
-            Box::new(SugenoNegation::new(1.5)),
-            Box::new(YagerNegation::new(2.0)),
-        ];
-        for n in negs {
-            assert_eq!(n.negate(Grade::ZERO), Grade::ONE, "{}", n.name());
-            assert_eq!(n.negate(Grade::ONE), Grade::ZERO, "{}", n.name());
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn sugeno_rejects_bad_lambda() {
-        SugenoNegation::new(-1.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn yager_rejects_bad_w() {
-        YagerNegation::new(0.0);
+        assert_eq!(StandardNegation.negate(Grade::ZERO), Grade::ONE);
+        assert_eq!(StandardNegation.negate(Grade::ONE), Grade::ZERO);
     }
 }

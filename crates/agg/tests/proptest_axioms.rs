@@ -4,7 +4,7 @@
 
 use garlic_agg::duality::DualCoNorm;
 use garlic_agg::iterated::{all_iterated_tnorms, min_agg, IteratedTNorm};
-use garlic_agg::negation::{StandardNegation, SugenoNegation, YagerNegation};
+use garlic_agg::negation::StandardNegation;
 use garlic_agg::tconorms::all_tconorms;
 use garlic_agg::tnorms::{all_tnorms, DrasticProduct, Minimum};
 use garlic_agg::weighted::FaginWimmers;
@@ -124,20 +124,10 @@ proptest! {
 
     #[test]
     fn negations_are_involutive_and_antitone(x in grade(), y in grade()) {
-        let negs: Vec<Box<dyn Negation>> = vec![
-            Box::new(StandardNegation),
-            Box::new(SugenoNegation::new(2.0)),
-            Box::new(SugenoNegation::new(-0.5)),
-            Box::new(YagerNegation::new(3.0)),
-        ];
-        for n in negs {
-            prop_assert!(n.negate(n.negate(x)).approx_eq(x, 1e-6), "{}", n.name());
-            let (lo, hi) = if x <= y { (x, y) } else { (y, x) };
-            prop_assert!(
-                n.negate(hi).value() <= n.negate(lo).value() + EPS,
-                "{}", n.name()
-            );
-        }
+        let n = StandardNegation;
+        prop_assert!(n.negate(n.negate(x)).approx_eq(x, 1e-6));
+        let (lo, hi) = if x <= y { (x, y) } else { (y, x) };
+        prop_assert!(n.negate(hi).value() <= n.negate(lo).value() + EPS);
     }
 
     #[test]

@@ -51,11 +51,6 @@ pub struct GradedSet {
 }
 
 impl GradedSet {
-    /// Creates an empty graded set.
-    pub fn new() -> Self {
-        GradedSet::default()
-    }
-
     /// Builds a graded set from arbitrary-order pairs, sorting by descending
     /// grade (ties by ascending object id).
     ///
@@ -97,12 +92,6 @@ impl GradedSet {
         self.entries.is_empty()
     }
 
-    /// The entry at `rank` in descending-grade order (0-based), if any —
-    /// i.e. one *sorted access* (Section 4).
-    pub fn at_rank(&self, rank: usize) -> Option<GradedEntry> {
-        self.entries.get(rank).copied()
-    }
-
     /// Iterates entries in descending-grade order.
     pub fn iter(&self) -> impl Iterator<Item = GradedEntry> + '_ {
         self.entries.iter().copied()
@@ -132,56 +121,6 @@ impl GradedSet {
     /// Hash index from object to grade (for random access).
     pub fn to_map(&self) -> HashMap<ObjectId, Grade> {
         self.entries.iter().map(|e| (e.object, e.grade)).collect()
-    }
-
-    /// The grades in descending order (useful for tie-tolerant comparisons
-    /// between algorithms: two correct top-k answers always agree on the
-    /// grade multiset even when ties let them disagree on objects).
-    pub fn grade_vec(&self) -> Vec<Grade> {
-        self.entries.iter().map(|e| e.grade).collect()
-    }
-
-    /// Checks the descending-grade invariant (used by debug assertions).
-    pub fn is_sorted(&self) -> bool {
-        self.entries.windows(2).all(|w| w[0].grade >= w[1].grade)
-    }
-
-    /// Fuzzy intersection with another graded set over the same universe,
-    /// under a t-norm (Zadeh's `μ_{A∧B} = t(μ_A, μ_B)`, Section 3).
-    ///
-    /// # Panics
-    /// Panics if the sets grade different universes.
-    pub fn intersect(&self, other: &GradedSet, tnorm: &dyn garlic_agg::TNorm) -> GradedSet {
-        self.zip_with(other, |a, b| tnorm.t(a, b))
-    }
-
-    /// Fuzzy union with another graded set over the same universe, under a
-    /// t-conorm (`μ_{A∨B} = s(μ_A, μ_B)`).
-    ///
-    /// # Panics
-    /// Panics if the sets grade different universes.
-    pub fn union(&self, other: &GradedSet, conorm: &dyn garlic_agg::TCoNorm) -> GradedSet {
-        self.zip_with(other, |a, b| conorm.s(a, b))
-    }
-
-    /// Fuzzy complement under a negation (`μ_{¬A} = n(μ_A)`).
-    pub fn complement_with(&self, negation: &dyn garlic_agg::Negation) -> GradedSet {
-        GradedSet::from_pairs(
-            self.entries
-                .iter()
-                .map(|e| (e.object, negation.negate(e.grade))),
-        )
-    }
-
-    fn zip_with(&self, other: &GradedSet, f: impl Fn(Grade, Grade) -> Grade) -> GradedSet {
-        assert_eq!(self.len(), other.len(), "graded sets must share a universe");
-        let theirs = other.to_map();
-        GradedSet::from_pairs(self.entries.iter().map(|e| {
-            let b = *theirs
-                .get(&e.object)
-                .expect("graded sets must share a universe");
-            (e.object, f(e.grade, b))
-        }))
     }
 }
 
@@ -218,10 +157,10 @@ mod tests {
     #[test]
     fn sorted_descending() {
         let s = sample();
-        assert!(s.is_sorted());
-        assert_eq!(s.at_rank(0).unwrap().object, ObjectId(1));
-        assert_eq!(s.at_rank(2).unwrap().object, ObjectId(0));
-        assert_eq!(s.at_rank(3), None);
+        assert!(s.as_slice().windows(2).all(|w| w[0].grade >= w[1].grade));
+        assert_eq!(s.as_slice()[0].object, ObjectId(1));
+        assert_eq!(s.as_slice()[2].object, ObjectId(0));
+        assert_eq!(s.as_slice().get(3), None);
     }
 
     #[test]
@@ -260,55 +199,7 @@ mod tests {
     #[test]
     fn from_grades_indexes_objects() {
         let s = GradedSet::from_grades(&[g(0.1), g(0.8)]);
-        assert_eq!(s.at_rank(0).unwrap().object, ObjectId(1));
+        assert_eq!(s.as_slice()[0].object, ObjectId(1));
         assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn grade_vec_descending() {
-        assert_eq!(sample().grade_vec(), vec![g(0.9), g(0.5), g(0.2)]);
-    }
-
-    #[test]
-    fn zadeh_set_operations() {
-        use garlic_agg::negation::StandardNegation;
-        use garlic_agg::tconorms::Maximum;
-        use garlic_agg::tnorms::Minimum;
-        let a = sample(); // 0:.2, 1:.9, 2:.5
-        let b = GradedSet::from_pairs([
-            (ObjectId(0), g(0.7)),
-            (ObjectId(1), g(0.4)),
-            (ObjectId(2), g(0.5)),
-        ]);
-        let both = a.intersect(&b, &Minimum);
-        assert_eq!(both.grade_of(ObjectId(0)), Some(g(0.2)));
-        assert_eq!(both.grade_of(ObjectId(1)), Some(g(0.4)));
-
-        let either = a.union(&b, &Maximum);
-        assert_eq!(either.grade_of(ObjectId(0)), Some(g(0.7)));
-        assert_eq!(either.grade_of(ObjectId(1)), Some(g(0.9)));
-
-        let not_a = a.complement_with(&StandardNegation);
-        assert!(not_a
-            .grade_of(ObjectId(1))
-            .unwrap()
-            .approx_eq(g(0.1), 1e-12));
-        // De Morgan on graded sets: ¬(A ∧ B) = ¬A ∨ ¬B.
-        let lhs = a.intersect(&b, &Minimum).complement_with(&StandardNegation);
-        let rhs = not_a.union(&b.complement_with(&StandardNegation), &Maximum);
-        for x in 0..3u64 {
-            assert!(lhs
-                .grade_of(ObjectId(x))
-                .unwrap()
-                .approx_eq(rhs.grade_of(ObjectId(x)).unwrap(), 1e-12));
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn set_operations_require_shared_universe() {
-        let a = sample();
-        let b = GradedSet::from_pairs([(ObjectId(0), g(0.1))]);
-        a.intersect(&b, &garlic_agg::tnorms::Minimum);
     }
 }

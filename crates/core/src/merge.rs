@@ -18,10 +18,9 @@
 //!   its share of what the merge still owes — `remaining / live + 1`
 //!   entries over the `live` runs not yet exhausted, clamped to
 //!   16..=4096 — so each run is read only as deep as the merged prefix
-//!   needs (Section 5's threshold argument, across runs). When two or more
-//!   runs are dry and the chunk is at least 1024, they refill on scoped
-//!   threads. The chunk only shapes *when* entries are fetched, never
-//!   *which* are emitted.
+//!   needs (Section 5's threshold argument, across runs). A round reads
+//!   its dry runs in run order on the calling thread. The chunk only
+//!   shapes *when* entries are fetched, never *which* are emitted.
 //! * **Dropping runs.** The read callback returns the *raw* count a run
 //!   consumed, and may keep fewer entries than that — a live base segment
 //!   drops the entries its overlay shadows. A short raw count means the
@@ -46,10 +45,6 @@ const MIN_CHUNK: usize = 16;
 /// Largest refill chunk per run — bounds prefetch overshoot past the depth
 /// the merge was asked for.
 const MAX_CHUNK: usize = 4096;
-
-/// Refills this large (per run, with at least two runs dry) are fetched on
-/// scoped threads; smaller ones are not worth a spawn.
-const PARALLEL_MIN_CHUNK: usize = 1024;
 
 /// One run's position in the merge.
 #[derive(Debug, Default)]
@@ -154,7 +149,7 @@ impl Merge {
         mut on_failure: F,
     ) -> Result<usize, SourceError>
     where
-        R: Fn(usize, usize, usize, &mut Vec<GradedEntry>) -> Result<usize, SourceError> + Sync,
+        R: Fn(usize, usize, usize, &mut Vec<GradedEntry>) -> Result<usize, SourceError>,
         F: FnMut(&mut Merge, usize, SourceError) -> Result<(), SourceError>,
     {
         let end = start.saturating_add(count);
@@ -200,50 +195,31 @@ impl Merge {
         on_failure: &mut F,
     ) -> Result<(), SourceError>
     where
-        R: Fn(usize, usize, usize, &mut Vec<GradedEntry>) -> Result<usize, SourceError> + Sync,
+        R: Fn(usize, usize, usize, &mut Vec<GradedEntry>) -> Result<usize, SourceError>,
         F: FnMut(&mut Merge, usize, SourceError) -> Result<(), SourceError>,
     {
-        let hungry = self.runs.iter().filter(|r| r.needs_refill()).count();
         let live = self.runs.iter().filter(|r| !r.exhausted).count().max(1);
         let chunk = (remaining / live + 1).clamp(MIN_CHUNK, MAX_CHUNK);
-        let refill = |index: usize, run: &mut Run| {
+        let mut failures = Vec::new();
+        for (index, run) in self.runs.iter_mut().enumerate() {
+            if !run.needs_refill() {
+                continue;
+            }
             run.buf.clear();
             run.pos = 0;
-            let result = read(index, run.next_rank, chunk, &mut run.buf);
-            match result {
+            match read(index, run.next_rank, chunk, &mut run.buf) {
                 Ok(got) => {
                     run.next_rank += got;
                     run.exhausted = got < chunk;
+                    self.consumed += got as u64;
                 }
-                Err(_) => run.buf.clear(),
+                Err(err) => {
+                    run.buf.clear();
+                    failures.push((index, err));
+                }
             }
-            result
-        };
-        let dry = self
-            .runs
-            .iter_mut()
-            .enumerate()
-            .filter(|(_, run)| run.needs_refill());
-        let results: Vec<(usize, Result<usize, SourceError>)> =
-            if hungry >= 2 && chunk >= PARALLEL_MIN_CHUNK {
-                let refill = &refill;
-                std::thread::scope(|scope| {
-                    let pending: Vec<_> = dry
-                        .map(|(index, run)| (index, scope.spawn(move || refill(index, run))))
-                        .collect();
-                    pending
-                        .into_iter()
-                        .map(|(index, handle)| (index, handle.join().expect("refill thread")))
-                        .collect()
-                })
-            } else {
-                dry.map(|(index, run)| (index, refill(index, run)))
-                    .collect()
-            };
-        let got: usize = results.iter().filter_map(|(_, r)| r.as_ref().ok()).sum();
-        self.consumed += got as u64;
-        for (index, result) in results {
-            let Err(err) = result else { continue };
+        }
+        for (index, err) in failures {
             on_failure(self, index, err)?;
             debug_assert!(
                 self.runs[index].exhausted,
@@ -264,8 +240,7 @@ impl Merge {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
+    use std::cell::{Cell, RefCell};
 
     use garlic_agg::Grade;
     use proptest::prelude::*;
@@ -362,10 +337,11 @@ mod tests {
                 .collect();
             want.sort_by(GradedEntry::skeleton_cmp);
 
-            let calls = AtomicUsize::new(0);
-            let served: Mutex<Vec<Vec<usize>>> = Mutex::new(vec![Vec::new(); unread]);
+            let calls = Cell::new(0);
+            let served = RefCell::new(vec![Vec::new(); unread]);
             let read = |run: usize, rank: usize, count: usize, out: &mut Vec<GradedEntry>| {
-                if calls.fetch_add(1, Ordering::Relaxed) + 1 == fail_at {
+                calls.set(calls.get() + 1);
+                if calls.get() == fail_at {
                     // A partial append before the failure must not leak.
                     out.push(GradedEntry { object: ObjectId(u64::MAX), grade: Grade::ONE });
                     return Err(SourceError {
@@ -377,7 +353,7 @@ mod tests {
                 let end = rank.saturating_add(count).min(raw[run].len());
                 let taken = &raw[run][rank.min(end)..end];
                 out.extend(taken.iter().filter(|(_, kept)| *kept).map(|(entry, _)| *entry));
-                served.lock().unwrap()[run].extend(rank..end);
+                served.borrow_mut()[run].extend(rank..end);
                 Ok(taken.len())
             };
 
@@ -404,7 +380,7 @@ mod tests {
                 prop_assert_eq!(&out[1..], &want[from..to], "read ({}, {})", start, count);
             }
             prop_assert_eq!(merge.merged(), &want[..]);
-            for (run, ranks) in served.lock().unwrap().iter().enumerate() {
+            for (run, ranks) in served.borrow().iter().enumerate() {
                 let expect: Vec<usize> = (0..ranks.len()).collect();
                 prop_assert_eq!(ranks, &expect, "run {} read each raw rank once, in order", run);
             }

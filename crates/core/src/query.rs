@@ -18,7 +18,6 @@ use garlic_agg::negation::StandardNegation;
 use garlic_agg::tconorms::Maximum;
 use garlic_agg::tnorms::Minimum;
 use garlic_agg::{Grade, Negation, TCoNorm, TNorm};
-use std::collections::BTreeSet;
 
 /// Index of an atomic subquery within a query's atom universe. The concrete
 /// meaning of an atom (e.g. `Artist = "Beatles"`) lives in the middleware
@@ -54,37 +53,6 @@ impl Query {
     #[allow(clippy::should_implement_trait)]
     pub fn not(a: Query) -> Query {
         Query::Not(Box::new(a))
-    }
-
-    /// The set of atoms mentioned by the query.
-    pub fn atoms(&self) -> BTreeSet<AtomId> {
-        let mut out = BTreeSet::new();
-        self.collect_atoms(&mut out);
-        out
-    }
-
-    fn collect_atoms(&self, out: &mut BTreeSet<AtomId>) {
-        match self {
-            Query::Atom(a) => {
-                out.insert(*a);
-            }
-            Query::And(qs) | Query::Or(qs) => {
-                for q in qs {
-                    q.collect_atoms(out);
-                }
-            }
-            Query::Not(q) => q.collect_atoms(out),
-        }
-    }
-
-    /// Whether the query is negation-free (the fragment Theorem 3.1's
-    /// equivalence-preservation statement covers).
-    pub fn is_positive(&self) -> bool {
-        match self {
-            Query::Atom(_) => true,
-            Query::And(qs) | Query::Or(qs) => qs.iter().all(Query::is_positive),
-            Query::Not(_) => false,
-        }
     }
 
     /// Grades the query on one object, given that object's grade under each
@@ -219,17 +187,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn atom_collection_and_positivity() {
-        let q = Query::and(
-            Query::Atom(2),
-            Query::or(Query::Atom(0), Query::not(Query::Atom(2))),
-        );
-        assert_eq!(q.atoms().into_iter().collect::<Vec<_>>(), vec![0, 2]);
-        assert!(!q.is_positive());
-        assert!(Query::and(Query::Atom(0), Query::Atom(1)).is_positive());
     }
 
     #[test]

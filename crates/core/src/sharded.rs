@@ -231,11 +231,6 @@ impl<S: GradedSource> ShardedSource<S> {
         Ok(())
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The child sources, in fence order.
     pub fn shards(&self) -> &[S] {
         &self.shards
@@ -680,7 +675,7 @@ mod tests {
         sharded.sorted_batch(0, 50, &mut a);
         flat.sorted_batch(0, 50, &mut b);
         assert_eq!(a, b);
-        assert_eq!(sharded.shard_count(), 1);
+        assert_eq!(sharded.shards().len(), 1);
     }
 
     #[test]

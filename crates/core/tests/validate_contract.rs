@@ -233,7 +233,7 @@ fn the_three_method_core_is_the_whole_contract_bare_and_under_every_wrapper() {
         Ok(())
     );
     let sharded = three_shards(usize::MAX);
-    assert_eq!(sharded.shard_count(), 3);
+    assert_eq!(sharded.shards().len(), 3);
     assert_eq!(validate_source(&sharded), Ok(()));
     // Same stream as the reference source, through the merge as well.
     let (mut want, mut got) = (Vec::new(), Vec::new());

@@ -220,8 +220,9 @@ const RETRY_ATTEMPTS: u32 = 8;
 /// Spawns the background compactor: each wake-up drains every frozen
 /// layer, recording (not panicking on) errors for the owner to collect.
 /// Transient I/O errors are retried with capped exponential backoff;
-/// shutdown interrupts the backoff sleep immediately.
-pub(crate) fn spawn(shared: Arc<LiveShared>) -> CompactorHandle {
+/// shutdown interrupts the backoff sleep immediately. A thread the OS
+/// refuses is an `Err(StorageError::Io)`.
+pub(crate) fn spawn(shared: Arc<LiveShared>) -> Result<CompactorHandle, StorageError> {
     let thread = std::thread::Builder::new()
         .name("garlic-compact".into())
         .spawn(move || {
@@ -250,7 +251,6 @@ pub(crate) fn spawn(shared: Arc<LiveShared>) -> CompactorHandle {
                     }
                 }
             }
-        })
-        .expect("spawn compactor thread");
-    CompactorHandle { thread }
+        })?;
+    Ok(CompactorHandle { thread })
 }

@@ -118,6 +118,7 @@ pub fn encode_entry(slot: &mut [u8], entry: GradedEntry) {
 }
 
 /// Reads a little-endian `u64` at `off`.
+#[allow(clippy::expect_used, reason = "an 8-byte range converts to [u8; 8]")]
 pub fn read_u64(bytes: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8-byte field"))
 }
@@ -416,6 +417,7 @@ pub fn read_varint(bytes: &[u8], off: &mut usize) -> Option<u64> {
 #[inline(always)]
 fn read_varint_hot(bytes: &[u8], off: &mut usize) -> Option<u64> {
     if let Some(run) = bytes.get(*off..*off + 8) {
+        #[allow(clippy::expect_used, reason = "get(off..off + 8) returned 8 bytes")]
         let word = u64::from_le_bytes(run.try_into().expect("8-byte run"));
         let mut value = word & 0x7f;
         if word & 0x80 == 0 {
@@ -526,6 +528,10 @@ pub fn encode_block(
         }
         match dict {
             Some(dict) => {
+                #[allow(
+                    clippy::expect_used,
+                    reason = "the dictionary was built from these entries' grade bits"
+                )]
                 let index = dict.binary_search(&bits).expect("grade bits in dictionary");
                 write_varint(&mut out, index as u64);
             }
@@ -677,6 +683,7 @@ impl<'a> Block<'a> {
                     .checked_add(raw_id)
                     .ok_or_else(|| fault(i, "table id delta overflows"))?
             };
+            #[allow(clippy::expect_used, reason = "get(off..off + 8) returned 8 bytes")]
             let bits = if DICT {
                 let index = read_varint_hot(bytes, &mut off)
                     .ok_or_else(|| fault(i, "grade index truncated"))?;

@@ -219,7 +219,8 @@ impl LiveSource {
     /// the base segment is fully verified, and every committed WAL record
     /// is replayed — each sealed log into a frozen layer of its own, the
     /// active log into the active memtable. Torn WAL tails are truncated;
-    /// a corrupt manifest or segment is a typed error, never a guess.
+    /// a corrupt manifest or segment is a typed error, never a guess, and
+    /// so is a compactor thread the OS refuses to spawn.
     pub fn open(
         dir: &Path,
         cache: Arc<BlockCache>,
@@ -263,6 +264,10 @@ impl LiveSource {
             }
             Ok((wal, layer))
         };
+        #[allow(
+            clippy::expect_used,
+            reason = "Manifest::load refuses a manifest without an active WAL"
+        )]
         let (active_name, sealed) = manifest
             .wals
             .split_last()
@@ -326,7 +331,8 @@ impl LiveSource {
         });
         let compactor = opts
             .auto_compact
-            .then(|| compact::spawn(Arc::clone(&shared)));
+            .then(|| compact::spawn(Arc::clone(&shared)))
+            .transpose()?;
         if has_frozen {
             shared.signal.notify();
         }
@@ -386,6 +392,10 @@ impl LiveSource {
         }
         for &op in ops {
             let object = op.object();
+            #[allow(
+                clippy::expect_used,
+                reason = "every object the overlay does not hold is in unheld"
+            )]
             let old = match overlay_state(&inner, object) {
                 Some(state) => state.grade(),
                 None => in_base[unheld.binary_search(&object).expect("probed above")],

@@ -127,6 +127,7 @@ impl Manifest {
         if bytes[..8] != MANIFEST_MAGIC {
             return Err(corrupt("bad magic"));
         }
+        #[allow(clippy::expect_used, reason = "a range of the last 8 bytes")]
         let stored_crc = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8 bytes"));
         if fnv1a64(&bytes[..bytes.len() - 8]) != stored_crc {
             return Err(corrupt("checksum mismatch"));
@@ -136,6 +137,7 @@ impl Manifest {
         let read_u32 = |off: &mut usize| -> Result<u32, StorageError> {
             let end = off.checked_add(4).filter(|&e| e <= body.len());
             let end = end.ok_or_else(|| corrupt("truncated field"))?;
+            #[allow(clippy::expect_used, reason = "end is off + 4")]
             let v = u32::from_le_bytes(body[*off..end].try_into().expect("4 bytes"));
             *off = end;
             Ok(v)
@@ -143,6 +145,7 @@ impl Manifest {
         let read_u64 = |off: &mut usize| -> Result<u64, StorageError> {
             let end = off.checked_add(8).filter(|&e| e <= body.len());
             let end = end.ok_or_else(|| corrupt("truncated field"))?;
+            #[allow(clippy::expect_used, reason = "end is off + 8")]
             let v = u64::from_le_bytes(body[*off..end].try_into().expect("8 bytes"));
             *off = end;
             Ok(v)

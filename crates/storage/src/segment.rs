@@ -130,6 +130,7 @@ impl SegmentSource {
         if header[..4] != HEADER_MAGIC {
             return Err(StorageError::BadMagic);
         }
+        #[allow(clippy::expect_used, reason = "a 4-byte range of the header")]
         let version = u32::from_le_bytes(header[4..8].try_into().expect("4-byte field"));
         if !(FORMAT_V1..=FORMAT_VERSION).contains(&version) {
             return Err(StorageError::UnsupportedVersion {

@@ -292,47 +292,46 @@ impl DiskSubsystem {
     ///
     /// [`SegmentWriter::write_sharded_pairs`]: garlic_storage::SegmentWriter::write_sharded_pairs
     ///
-    /// A partition that does not grade exactly this subsystem's universe
-    /// `0..N` is a [`StorageError::UniverseMismatch`].
-    ///
-    /// # Panics
-    /// Panics on wiring errors: no shards, an empty shard, or overlapping
-    /// or out-of-order shard ranges.
+    /// Files that do not partition this subsystem's universe `0..N` are a
+    /// [`StorageError::UniverseMismatch`]: no files, a file with no
+    /// entries, id ranges that overlap or come out of order, or a union
+    /// that is not exactly `0..N`. Nothing is registered then.
     pub fn open_sharded_segment(
         mut self,
         attribute: &str,
         paths: impl IntoIterator<Item = impl AsRef<Path>>,
     ) -> Result<Self, StorageError> {
+        let mismatch = |detail: String| StorageError::UniverseMismatch {
+            universe: self.universe,
+            detail,
+        };
         let mut shards = Vec::new();
+        let mut fences = Vec::new();
+        let mut prev_max: Option<ObjectId> = None;
         for path in paths {
-            shards.push(SegmentSource::open_with(
-                path.as_ref(),
-                Arc::clone(&self.cache),
-                &self.vfs,
-            )?);
+            let path = path.as_ref();
+            let shard = SegmentSource::open_with(path, Arc::clone(&self.cache), &self.vfs)?;
+            let (Some(min), Some(max)) = (shard.min_object(), shard.max_object()) else {
+                return Err(mismatch(format!(
+                    "shard {} holds no entries",
+                    path.display()
+                )));
+            };
+            if let Some(prev) = prev_max.filter(|&prev| prev >= min) {
+                return Err(mismatch(format!(
+                    "shard {} starts at {min}, not after the previous shard's {prev}",
+                    path.display()
+                )));
+            }
+            fences.push(min.0);
+            prev_max = Some(max);
+            shards.push(shard);
         }
-        assert!(!shards.is_empty(), "a sharded attribute needs shards");
-        let fences: Vec<u64> = shards
-            .iter()
-            .map(|s| {
-                s.min_object()
-                    .expect("sharded attributes forbid empty shards")
-                    .0
-            })
-            .collect();
-        for pair in shards.windows(2) {
-            let (prev_max, next_min) = (
-                pair[0].max_object().expect("non-empty shard"),
-                pair[1].min_object().expect("non-empty shard"),
-            );
-            assert!(
-                prev_max < next_min,
-                "shard ranges must be disjoint and ascending \
-                 (shard ending at {prev_max} meets shard starting at {next_min})"
-            );
+        if shards.is_empty() {
+            return Err(mismatch("no shard files".into()));
         }
         let total: usize = shards.iter().map(|s| s.len()).sum();
-        self.check_universe(total, shards.last().and_then(|s| s.max_object()))?;
+        self.check_universe(total, prev_max)?;
         let mut sharded = ShardedSource::new(shards, fences);
         if self.degraded_reads {
             sharded = sharded.with_degraded_reads(self.universe as u64);
@@ -685,8 +684,11 @@ mod tests {
         ));
     }
 
-    /// The universe error every mismatch below must be.
-    fn assert_universe_error(result: Result<DiskSubsystem, StorageError>, universe: usize) {
+    /// The universe error every mismatch below must be; returns it.
+    fn assert_universe_error(
+        result: Result<DiskSubsystem, StorageError>,
+        universe: usize,
+    ) -> StorageError {
         let err = result.unwrap_err();
         assert!(
             matches!(err, StorageError::UniverseMismatch { universe: u, .. } if u == universe),
@@ -694,6 +696,7 @@ mod tests {
         );
         let message = format!("universe mismatch (size {universe})");
         assert!(err.to_string().starts_with(&message), "{err}");
+        err
     }
 
     #[test]
@@ -978,19 +981,34 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "disjoint and ascending")]
-    fn overlapping_shards_panic() {
-        let dir = temp_dir();
-        let lo = dir.join("overlap-lo.seg");
-        let hi = dir.join("overlap-hi.seg");
+    fn shard_files_that_do_not_partition_the_universe_are_a_typed_error() {
         use garlic_core::ObjectId;
-        SegmentWriter::new()
-            .write_pairs(&lo, vec![(ObjectId(0), g(0.5)), (ObjectId(2), g(0.4))])
-            .unwrap();
-        SegmentWriter::new()
-            .write_pairs(&hi, vec![(ObjectId(1), g(0.3)), (ObjectId(3), g(0.2))])
-            .unwrap();
-        let _ = DiskSubsystem::new("disk", 4).open_sharded_segment("A", [&lo, &hi]);
+        let dir = temp_dir();
+        let write = |name: &str, pairs: Vec<(ObjectId, Grade)>| {
+            let path = dir.join(name);
+            SegmentWriter::new().write_pairs(&path, pairs).unwrap();
+            path
+        };
+        let lo = write(
+            "overlap-lo.seg",
+            vec![(ObjectId(0), g(0.5)), (ObjectId(2), g(0.4))],
+        );
+        let hi = write(
+            "overlap-hi.seg",
+            vec![(ObjectId(1), g(0.3)), (ObjectId(3), g(0.2))],
+        );
+        let empty = write("empty-shard.seg", Vec::new());
+        let cases: [(&[&PathBuf], &str); 4] = [
+            (&[], "no shard files"),
+            (&[&lo, &empty], "empty-shard.seg holds no entries"),
+            (&[&lo, &hi], "overlap-hi.seg starts at #1"),
+            (&[&hi, &lo], "overlap-lo.seg starts at #0"),
+        ];
+        for (paths, detail) in cases {
+            let opened = DiskSubsystem::new("disk", 4).open_sharded_segment("A", paths);
+            let err = assert_universe_error(opened, 4);
+            assert!(err.to_string().contains(detail), "{err}");
+        }
     }
 
     #[test]

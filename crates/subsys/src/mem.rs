@@ -138,7 +138,8 @@ impl VectorSubsystem {
     /// [`ShardedSource`] over `shards` contiguous object-id ranges —
     /// observably identical to [`with_list`](Self::with_list) over the
     /// same grades (entries, tie order, billed accesses), but served by a
-    /// parallel scatter-gather merge with threshold early termination.
+    /// k-way merge that reads each shard only as deep as the merged
+    /// prefix needs (threshold early termination).
     ///
     /// # Panics
     /// Panics if `grades.len()` differs from the universe size, the

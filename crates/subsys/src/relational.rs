@@ -2,7 +2,8 @@
 //! subsystem of the running example (Section 2).
 //!
 //! Queries like `Artist = "Beatles"` grade every object crisply: 1 if the
-//! row matches, 0 otherwise. A hash index per column provides the
+//! row matches, 0 otherwise. Selection is equality only, as the paper's
+//! atomic queries are `X = t`. A hash index per column provides the
 //! *set access* (enumerate all matches) that powers the filtered strategy
 //! of Section 4, alongside the regular sorted/random access of every
 //! subsystem.
@@ -24,8 +25,6 @@ pub enum Value {
     Text(String),
     /// A number (equality compares exactly).
     Number(f64),
-    /// A boolean.
-    Bool(bool),
 }
 
 impl Value {
@@ -38,7 +37,6 @@ impl Value {
         match self {
             Value::Text(s) => format!("t:{s}"),
             Value::Number(n) => format!("n:{n}"),
-            Value::Bool(b) => format!("b:{b}"),
         }
     }
 }
@@ -48,7 +46,6 @@ impl fmt::Display for Value {
         match self {
             Value::Text(s) => write!(f, "{s}"),
             Value::Number(n) => write!(f, "{n}"),
-            Value::Bool(b) => write!(f, "{b}"),
         }
     }
 }
@@ -108,12 +105,6 @@ impl RelationalStore {
         self.columns.iter().position(|c| c == name)
     }
 
-    /// A cell value.
-    pub fn cell(&self, id: ObjectId, column: &str) -> Option<&Value> {
-        let c = self.column_index(column)?;
-        self.rows.get(id.index()).map(|r| &r[c])
-    }
-
     /// Index lookup: all rows where `column = value`.
     pub fn select_eq(&self, column: &str, value: &Value) -> Result<Vec<ObjectId>, SubsystemError> {
         let c = self
@@ -128,68 +119,6 @@ impl RelationalStore {
             .unwrap_or_default())
     }
 
-    /// Predicate scan: all rows satisfying an arbitrary [`Predicate`].
-    /// Equality goes through the hash index; ranges scan the column.
-    pub fn select(&self, predicate: &Predicate) -> Result<Vec<ObjectId>, SubsystemError> {
-        match predicate {
-            Predicate::Eq(column, value) => self.select_eq(column, value),
-            Predicate::Ne(column, value) => {
-                let c = self.require_column(column)?;
-                Ok(self.scan(c, |v| v != value))
-            }
-            Predicate::Lt(column, bound) => self.numeric_scan(column, |x| x < *bound),
-            Predicate::Le(column, bound) => self.numeric_scan(column, |x| x <= *bound),
-            Predicate::Gt(column, bound) => self.numeric_scan(column, |x| x > *bound),
-            Predicate::Ge(column, bound) => self.numeric_scan(column, |x| x >= *bound),
-            Predicate::Between(column, lo, hi) => {
-                self.numeric_scan(column, |x| *lo <= x && x <= *hi)
-            }
-        }
-    }
-
-    /// Evaluates any predicate as a crisp graded source with set access.
-    pub fn predicate_source_for(
-        &self,
-        predicate: &Predicate,
-    ) -> Result<CrispSource, SubsystemError> {
-        Ok(CrispSource::new(self.rows.len(), self.select(predicate)?))
-    }
-
-    fn require_column(&self, column: &str) -> Result<usize, SubsystemError> {
-        self.column_index(column)
-            .ok_or_else(|| SubsystemError::UnknownAttribute {
-                attribute: column.to_owned(),
-                subsystem: self.name.clone(),
-            })
-    }
-
-    fn scan(&self, column: usize, keep: impl Fn(&Value) -> bool) -> Vec<ObjectId> {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter(|(_, row)| keep(&row[column]))
-            .map(|(i, _)| ObjectId(i as u64))
-            .collect()
-    }
-
-    fn numeric_scan(
-        &self,
-        column: &str,
-        keep: impl Fn(f64) -> bool,
-    ) -> Result<Vec<ObjectId>, SubsystemError> {
-        let c = self.require_column(column)?;
-        // Type check against the first row, if any.
-        if let Some(first) = self.rows.first() {
-            if !matches!(first[c], Value::Number(_)) {
-                return Err(SubsystemError::TypeMismatch {
-                    attribute: column.to_owned(),
-                    detail: "range predicates require a numeric column".into(),
-                });
-            }
-        }
-        Ok(self.scan(c, |v| matches!(v, Value::Number(x) if keep(*x))))
-    }
-
     /// Evaluates `column = value` as a crisp graded source with set access.
     pub fn predicate_source(
         &self,
@@ -198,36 +127,6 @@ impl RelationalStore {
     ) -> Result<CrispSource, SubsystemError> {
         let matches = self.select_eq(column, value)?;
         Ok(CrispSource::new(self.rows.len(), matches))
-    }
-}
-
-/// A relational selection predicate. `Eq`/`Ne` apply to any column type;
-/// the range forms require numeric columns. (The paper's atomic queries are
-/// `X = t`; the richer forms let the relational substrate express the
-/// selective crisp filters the Section 4 strategy feeds on, e.g.
-/// `Year BETWEEN 1966 AND 1969`.)
-#[derive(Debug, Clone, PartialEq)]
-pub enum Predicate {
-    /// `column = value` (index-accelerated).
-    Eq(String, Value),
-    /// `column != value`.
-    Ne(String, Value),
-    /// `column < bound`.
-    Lt(String, f64),
-    /// `column <= bound`.
-    Le(String, f64),
-    /// `column > bound`.
-    Gt(String, f64),
-    /// `column >= bound`.
-    Ge(String, f64),
-    /// `lo <= column <= hi`.
-    Between(String, f64, f64),
-}
-
-impl Predicate {
-    /// `column = value` shorthand.
-    pub fn eq(column: &str, value: Value) -> Predicate {
-        Predicate::Eq(column.to_owned(), value)
     }
 }
 
@@ -253,11 +152,6 @@ impl CrispSource {
             inner: MemorySource::from_grades(&grades),
             matches,
         }
-    }
-
-    /// The number of matching objects (`|S|` in the Section 4 strategy).
-    pub fn selectivity_count(&self) -> usize {
-        self.matches.len()
     }
 }
 
@@ -387,7 +281,6 @@ mod tests {
         assert_eq!(src.random_access(ObjectId(0)), Some(Grade::ONE));
         assert_eq!(src.random_access(ObjectId(1)), Some(Grade::ZERO));
         assert_eq!(src.matching_set(), vec![ObjectId(0), ObjectId(2)]);
-        assert_eq!(src.selectivity_count(), 2);
         // Sorted access: matches first.
         assert_eq!(src.sorted_access(0).unwrap().grade, Grade::ONE);
         assert_eq!(src.sorted_access(2).unwrap().grade, Grade::ZERO);
@@ -424,77 +317,5 @@ mod tests {
         assert!(s
             .evaluate(&AtomicQuery::new("Artist", Target::terms(&["x"])))
             .is_err());
-    }
-
-    #[test]
-    fn cell_lookup() {
-        let s = store();
-        assert_eq!(s.cell(ObjectId(1), "Artist"), Some(&Value::text("Kinks")));
-        assert_eq!(s.cell(ObjectId(9), "Artist"), None);
-    }
-
-    #[test]
-    fn range_predicates() {
-        let s = store();
-        assert_eq!(
-            s.select(&Predicate::Lt("Year".into(), 1967.0)).unwrap(),
-            vec![ObjectId(0), ObjectId(1)]
-        );
-        assert_eq!(
-            s.select(&Predicate::Ge("Year".into(), 1969.0)).unwrap(),
-            vec![ObjectId(2)]
-        );
-        assert_eq!(
-            s.select(&Predicate::Between("Year".into(), 1966.0, 1969.0))
-                .unwrap()
-                .len(),
-            3
-        );
-        assert_eq!(
-            s.select(&Predicate::Between("Year".into(), 1967.0, 1968.0))
-                .unwrap(),
-            vec![]
-        );
-    }
-
-    #[test]
-    fn ne_predicate_works_on_text() {
-        let s = store();
-        assert_eq!(
-            s.select(&Predicate::Ne("Artist".into(), Value::text("Beatles")))
-                .unwrap(),
-            vec![ObjectId(1)]
-        );
-    }
-
-    #[test]
-    fn range_on_text_column_is_type_error() {
-        let s = store();
-        assert!(matches!(
-            s.select(&Predicate::Lt("Artist".into(), 5.0)),
-            Err(SubsystemError::TypeMismatch { .. })
-        ));
-        assert!(matches!(
-            s.select(&Predicate::Lt("Genre".into(), 5.0)),
-            Err(SubsystemError::UnknownAttribute { .. })
-        ));
-    }
-
-    #[test]
-    fn predicate_source_for_ranges_is_crisp() {
-        let s = store();
-        let src = s
-            .predicate_source_for(&Predicate::Between("Year".into(), 1966.0, 1966.0))
-            .unwrap();
-        assert_eq!(src.selectivity_count(), 2);
-        assert_eq!(src.matching_set(), vec![ObjectId(0), ObjectId(1)]);
-        assert_eq!(src.random_access(ObjectId(2)), Some(Grade::ZERO));
-    }
-
-    #[test]
-    fn eq_shorthand() {
-        let s = store();
-        let p = Predicate::eq("Artist", Value::text("Kinks"));
-        assert_eq!(s.select(&p).unwrap(), vec![ObjectId(1)]);
     }
 }
