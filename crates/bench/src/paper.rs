@@ -47,15 +47,15 @@ pub const CLAIMS: [Claim; 17] = [
     Claim { id: "e01", trials: 20, small_trials: 8, run: experiments::e01,
         section: "Theorems 5.3 and 5.4",
         claim: "Theorem 5.3: middleware cost O(N^((m-1)/m) k^(1/m)) whp; m = 2 gives Θ(√(Nk))",
-        shape: "for each k in {1, 10, 100}, the log-log slope of A₀'s mean cost in N is 0.5 ± 0.15; at `--small`, every trial's per-list bill is bit-equal on a v2 segment and on 4 shards" },
+        shape: "for each k in {1, 10, 100}, the log-log slope of A₀'s mean cost in N is 0.5 ± 0.15; at `--small`, every trial's per-list bill is bit-equal on a segment and on 4 shards" },
     Claim { id: "e02", trials: 15, small_trials: 2, run: experiments::e02,
         section: "Theorem 5.3",
         claim: "Theorem 5.3: cost Θ(N^((m-1)/m) k^(1/m)) whp for m independent lists",
-        shape: "for m = 2…5, the slope in N is (m−1)/m ± 0.15 and grows with m; at `--small`, every trial's per-list bill is bit-equal on a v2 segment and on 4 shards" },
+        shape: "for m = 2…5, the slope in N is (m−1)/m ± 0.15 and grows with m; at `--small`, every trial's per-list bill is bit-equal on a segment and on 4 shards" },
     Claim { id: "e03", trials: 15, small_trials: 4, run: experiments::e03,
         section: "Theorem 5.3",
         claim: "Theorem 5.3: the k-dependence of the cost is k^(1/m)",
-        shape: "for m = 2 and 3, the slope in k is 1/m ± 0.15; at `--small`, every trial's per-list bill is bit-equal on a v2 segment and on 4 shards" },
+        shape: "for m = 2 and 3, the slope in k is 1/m ± 0.15; at `--small`, every trial's per-list bill is bit-equal on a segment and on 4 shards" },
     Claim { id: "e04", trials: 2000, small_trials: 300, run: experiments::e04,
         section: "Lemma 5.1, Wimmers' m = 2 analysis",
         claim: "P[depth > c*sqrt(Nk)] decays like e^(-c^2 k); < 2e-8 at c = 2, < 4e-27 at c = 3 (full bound)",

@@ -73,7 +73,7 @@ fn bills<S: GradedSource>(lists: &[S], k: usize) -> Vec<AccessStats> {
 }
 
 /// Whether A₀'s per-list bill for every k in `ks`, on the database of
-/// `(m, n, seed)`, is bit-equal on its memory lists, on v2 segments and on
+/// `(m, n, seed)`, is bit-equal on its memory lists, on segments and on
 /// 4-shard sources.
 fn bills_agree(m: usize, n: usize, ks: &[usize], seed: u64) -> bool {
     let db = independent_database(m, n, seed);
@@ -121,7 +121,7 @@ impl Outcome {
     /// bit-equal on the three backends.
     fn backends(&mut self, m: usize, ns: &[usize], ks: &[usize], seeds: Range<u64>) {
         let agree = |n| seeds.clone().all(|seed| bills_agree(m, n, ks, seed));
-        let what = format!("m = {m}: every trial's bill is bit-equal on a v2 segment and 4 shards");
+        let what = format!("m = {m}: every trial's bill is bit-equal on a segment and 4 shards");
         self.check(ns.iter().all(|&n| agree(n)), what);
     }
 }

@@ -1,4 +1,4 @@
-//! The on-disk segment format (versions 1 and 2).
+//! The on-disk segment format (versions 1, 2 and 3).
 //!
 //! A segment is one immutable graded list — the durable answer to one
 //! atomic query — laid out for the two access kinds of the paper's
@@ -22,10 +22,11 @@
 //! └────────────────────┘
 //! ```
 //!
-//! Both versions share the logical geometry: a block holds
+//! Every version shares the logical geometry: a block holds
 //! `block_size / 16` entries, so ranks, fences, and cache keys mean the
-//! same thing in both. The version decides only how a block's entries are
-//! stored — its [`Encoding`] — and which fields the footer carries:
+//! same thing in each. The version decides three things: how a block's
+//! entries are stored (its [`Encoding`]), which fields the footer
+//! carries, and which hash computes the file's checksums ([`checksum`]):
 //!
 //! * **Version 1** ([`Encoding::Slots`]) stores every block as exactly
 //!   `block_size` bytes (zero-padded) of 16-byte slots: object id (`u64`
@@ -46,15 +47,24 @@
 //!   (plain varint of the non-negative decrease in data blocks, zigzag in
 //!   table blocks) — also bit-exact, because the IEEE-754 bit patterns of
 //!   the non-negative grades order exactly like their values.
+//! * **Version 3** is version 2's layout and encodings byte for byte,
+//!   except that every checksum in the file — each block's and the
+//!   footer's own — is xxHash64 with seed 0 instead of FNV-1a 64.
+//!   FNV-1a does one dependent multiply per byte; xxHash64 mixes four
+//!   independent 8-byte lanes per round, which makes the whole-block
+//!   check on every cache miss and every open an order of magnitude
+//!   cheaper.
 //!
-//! There is one [`Footer`] type. Its version-2 layout adds the per-block
-//! encoded byte lengths that locate each block in the file, per-data-block
-//! `grade_max`/`grade_min` fences (verified against every block at open)
-//! and the dictionary; a parsed version-1 footer gives every block
-//! `block_size` bytes and has no fences or dictionary. Both versions
-//! checksum every block (FNV-1a 64) in a self-checksummed footer found via
-//! the trailer, and both get the same open-time verification; a decoder
-//! never trusts a varint stream past the bytes its checksum covered.
+//! There is one [`Footer`] type. Its version-2 layout, which version 3
+//! shares, adds the per-block encoded byte lengths that locate each block
+//! in the file, per-data-block `grade_max`/`grade_min` fences (verified
+//! against every block at open) and the dictionary; a parsed version-1
+//! footer gives every block `block_size` bytes and has no fences or
+//! dictionary. Every version checksums every block in a self-checksummed
+//! footer found via the trailer — FNV-1a 64 in versions 1 and 2, xxHash64
+//! in version 3 — and every version gets the same open-time verification;
+//! a decoder never trusts a varint stream past the bytes its checksum
+//! covered.
 //!
 //! [`Block`] is the one block decoder, for all three encodings. A slot is
 //! addressed directly; a v2 block is a delta chain, so reading entry `i`
@@ -77,10 +87,15 @@ pub const HEADER_MAGIC: [u8; 4] = *b"GSEG";
 /// Magic bytes closing every segment file.
 pub const TRAILER_MAGIC: [u8; 8] = *b"GSEGEND1";
 /// The current format version — what [`crate::SegmentWriter`] produces by
-/// default. This build reads versions [`FORMAT_V1`]..=[`FORMAT_VERSION`].
-pub const FORMAT_VERSION: u32 = 2;
-/// The original fixed-slot format, still fully readable (and writable via
-/// [`crate::SegmentWriter::with_version`] for compatibility testing).
+/// default: compressed blocks checksummed with xxHash64. This build reads
+/// versions [`FORMAT_V1`]..=[`FORMAT_VERSION`].
+pub const FORMAT_VERSION: u32 = 3;
+/// Version 2: the compressed layout of [`FORMAT_VERSION`], checksummed
+/// with FNV-1a 64. Still fully readable, and writable via
+/// [`crate::SegmentWriter::with_version`].
+pub const FORMAT_V2: u32 = 2;
+/// The original fixed-slot format, checksummed with FNV-1a 64. Still fully
+/// readable, and writable via [`crate::SegmentWriter::with_version`].
 pub const FORMAT_V1: u32 = 1;
 /// Bytes of one encoded entry: object id (u64) + grade bits (f64).
 pub const ENTRY_LEN: usize = 16;
@@ -99,8 +114,19 @@ pub const MAX_BLOCK_SIZE: usize = 1 << 24;
 /// list is crisp and eligible for set access / the filtered strategy.
 pub const FLAG_CRISP: u64 = 1;
 
-/// FNV-1a 64-bit — the format's checksum. Not cryptographic; it guards
-/// against torn writes, bit rot, and truncation, not adversaries.
+/// The checksum a format-`version` file stores for `bytes` — for each
+/// block and for the footer itself: [`fnv1a64`] in versions 1 and 2,
+/// xxHash64 with seed 0 from version 3 on. Neither is cryptographic; they
+/// guard against torn writes, bit rot, and truncation, not adversaries.
+pub fn checksum(version: u32, bytes: &[u8]) -> u64 {
+    match version {
+        FORMAT_V1 | FORMAT_V2 => fnv1a64(bytes),
+        _ => xxh64(bytes),
+    }
+}
+
+/// FNV-1a 64-bit — the checksum of format versions 1 and 2, and of WAL
+/// and manifest records.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -110,8 +136,81 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     hash
 }
 
+const XXH_PRIME_1: u64 = 0x9e37_79b1_85eb_ca87;
+const XXH_PRIME_2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const XXH_PRIME_3: u64 = 0x1656_67b1_9e37_79f9;
+const XXH_PRIME_4: u64 = 0x85eb_ca77_c2b2_ae63;
+const XXH_PRIME_5: u64 = 0x27d4_eb2f_1656_67c5;
+
+/// One xxHash64 round: folds an 8-byte lane into an accumulator.
+#[inline(always)]
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(XXH_PRIME_2))
+        .rotate_left(31)
+        .wrapping_mul(XXH_PRIME_1)
+}
+
+/// xxHash64 with seed 0, as specified in the xxHash repository's
+/// `doc/xxhash_spec.md`: four independent accumulators over 32-byte
+/// stripes, then the 8-, 4- and 1-byte tails and the final avalanche.
+pub(crate) fn xxh64(bytes: &[u8]) -> u64 {
+    let (stripes, rest) = bytes.as_chunks::<32>();
+    let mut acc = if stripes.is_empty() {
+        XXH_PRIME_5
+    } else {
+        let mut v = [
+            XXH_PRIME_1.wrapping_add(XXH_PRIME_2),
+            XXH_PRIME_2,
+            0,
+            XXH_PRIME_1.wrapping_neg(),
+        ];
+        for stripe in stripes {
+            let (lanes, _) = stripe.as_chunks::<8>();
+            for (vi, lane) in v.iter_mut().zip(lanes) {
+                *vi = xxh_round(*vi, u64::from_le_bytes(*lane));
+            }
+        }
+        let mut acc = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        for vi in v {
+            acc = (acc ^ xxh_round(0, vi))
+                .wrapping_mul(XXH_PRIME_1)
+                .wrapping_add(XXH_PRIME_4);
+        }
+        acc
+    };
+    acc = acc.wrapping_add(bytes.len() as u64);
+    let (lanes, rest) = rest.as_chunks::<8>();
+    for lane in lanes {
+        acc = (acc ^ xxh_round(0, u64::from_le_bytes(*lane)))
+            .rotate_left(27)
+            .wrapping_mul(XXH_PRIME_1)
+            .wrapping_add(XXH_PRIME_4);
+    }
+    let (words, rest) = rest.as_chunks::<4>();
+    for word in words {
+        acc = (acc ^ u64::from(u32::from_le_bytes(*word)).wrapping_mul(XXH_PRIME_1))
+            .rotate_left(23)
+            .wrapping_mul(XXH_PRIME_2)
+            .wrapping_add(XXH_PRIME_3);
+    }
+    for &b in rest {
+        acc = (acc ^ u64::from(b).wrapping_mul(XXH_PRIME_5))
+            .rotate_left(11)
+            .wrapping_mul(XXH_PRIME_1);
+    }
+    acc ^= acc >> 33;
+    acc = acc.wrapping_mul(XXH_PRIME_2);
+    acc ^= acc >> 29;
+    acc = acc.wrapping_mul(XXH_PRIME_3);
+    acc ^ acc >> 32
+}
+
 /// Encodes one entry into a 16-byte slot — the v1 storage form, and the
-/// canonical form the open-time scan digests in both versions.
+/// canonical form the open-time scan digests in every version.
 pub fn encode_entry(slot: &mut [u8], entry: GradedEntry) {
     slot[..8].copy_from_slice(&entry.object.0.to_le_bytes());
     slot[8..ENTRY_LEN].copy_from_slice(&entry.grade.value().to_bits().to_le_bytes());
@@ -123,7 +222,7 @@ pub fn read_u64(bytes: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8-byte field"))
 }
 
-/// The parsed footer of either version: everything needed to address and
+/// The parsed footer of any version: everything needed to address and
 /// verify the blocks.
 #[derive(Debug, Clone, Default)]
 pub struct Footer {
@@ -140,9 +239,9 @@ pub struct Footer {
     pub data_blocks: u64,
     /// Number of table (object-order) blocks.
     pub table_blocks: u64,
-    /// FNV-1a checksum of every data block's stored bytes, in order.
+    /// [`checksum`] of every data block's stored bytes, in order.
     pub data_checksums: Vec<u64>,
-    /// FNV-1a checksum of every table block's stored bytes, in order.
+    /// [`checksum`] of every table block's stored bytes, in order.
     pub table_checksums: Vec<u64>,
     /// The first object id stored in each table block — the in-memory
     /// fence index that routes a random access to a single block.
@@ -152,23 +251,23 @@ pub struct Footer {
     pub data_block_lens: Vec<u64>,
     /// Stored byte length of every table block, in order.
     pub table_block_lens: Vec<u64>,
-    /// Grade bits of each data block's first (greatest) entry (version 2;
-    /// empty in version 1).
+    /// Grade bits of each data block's first (greatest) entry (versions 2
+    /// and 3; empty in version 1).
     pub grade_max_bits: Vec<u64>,
-    /// Grade bits of each data block's last (least) entry (version 2;
-    /// empty in version 1).
+    /// Grade bits of each data block's last (least) entry (versions 2 and
+    /// 3; empty in version 1).
     pub grade_min_bits: Vec<u64>,
-    /// Sorted distinct grade bit patterns (version 2 dictionary mode only;
-    /// empty when [`FLAG_GRADE_DICT`] is clear).
+    /// Sorted distinct grade bit patterns (dictionary mode of versions 2
+    /// and 3 only; empty when [`FLAG_GRADE_DICT`] is clear).
     pub grade_dict: Vec<u64>,
 }
 
 impl Footer {
     /// Serializes the footer in the layout of format `version`, appending
-    /// its own FNV-1a checksum. Version 1 writes six scalars and the
-    /// checksum and fence lists; version 2 adds the dictionary length to
-    /// the scalars and the block lengths, grade fences and dictionary to
-    /// the lists.
+    /// its own [`checksum`]. Version 1 writes six scalars and the
+    /// checksum and fence lists; versions 2 and 3 add the dictionary
+    /// length to the scalars and the block lengths, grade fences and
+    /// dictionary to the lists.
     pub fn encode(&self, version: u32) -> Vec<u8> {
         let mut scalars = vec![
             self.flags,
@@ -198,14 +297,14 @@ impl Footer {
             .chain(lists.into_iter().flatten())
             .flat_map(|v| v.to_le_bytes())
             .collect();
-        let checksum = fnv1a64(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
+        let sum = checksum(version, &out);
+        out.extend_from_slice(&sum.to_le_bytes());
         out
     }
 
     /// Parses and verifies a serialized footer of format `version`.
     /// Everything a forged footer could abuse downstream — geometry, list
-    /// lengths, fence ordering and, in version 2, block byte lengths,
+    /// lengths, fence ordering and, in versions 2 and 3, block byte lengths,
     /// grade fences and dictionary shape — is checked here with
     /// overflow-safe arithmetic before any block is read.
     pub fn parse(bytes: &[u8], version: u32) -> Result<Footer, StorageError> {
@@ -216,7 +315,7 @@ impl Footer {
             return Err(corrupt(format!("footer too short ({} bytes)", bytes.len())));
         }
         let (body, tail) = bytes.split_at(bytes.len() - 8);
-        if fnv1a64(body) != read_u64(tail, 0) {
+        if checksum(version, body) != read_u64(tail, 0) {
             return Err(corrupt("footer checksum mismatch".to_owned()));
         }
         let [flags, block_size, num_entries, ones, data_blocks, table_blocks] =
@@ -843,6 +942,61 @@ mod tests {
     }
 
     #[test]
+    fn xxh64_matches_reference_vectors() {
+        // Published xxHash64 (seed 0) test vectors. The 39-byte input
+        // runs the 32-byte stripe loop, the 4-byte tail and the 1-byte
+        // tail.
+        assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(xxh64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
+        assert_eq!(
+            xxh64(b"Nobody inspects the spammish repetition"),
+            0xfbce_a83c_8a37_8bf1
+        );
+        // Versions 1 and 2 keep FNV-1a; version 3 is xxHash64.
+        assert_eq!(checksum(FORMAT_V1, b"a"), fnv1a64(b"a"));
+        assert_eq!(checksum(FORMAT_V2, b"a"), fnv1a64(b"a"));
+        assert_eq!(checksum(FORMAT_VERSION, b"a"), xxh64(b"a"));
+    }
+
+    /// Every single-bit flip of one version-3 block's stored bytes is a
+    /// `ChecksumMismatch` at open, naming that block.
+    #[test]
+    fn every_bit_flip_of_a_v3_block_is_a_checksum_mismatch() {
+        use crate::{BlockCache, SegmentSource, SegmentWriter};
+        use std::sync::Arc;
+
+        let dir = std::env::temp_dir().join(format!("garlic-format-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bit-flips.seg");
+        let grades: Vec<Grade> = (0..40).map(|i| Grade::clamped(i as f64 / 40.0)).collect();
+        SegmentWriter::with_block_size(160)
+            .unwrap()
+            .write_grades(&path, &grades)
+            .unwrap();
+        let pristine = std::fs::read(&path).unwrap();
+        assert_eq!(pristine[4..8], FORMAT_VERSION.to_le_bytes());
+        let trailer = pristine.len() - TRAILER_LEN as usize;
+        let footer_at = read_u64(&pristine, trailer) as usize;
+        let footer = Footer::parse(&pristine[footer_at..trailer], FORMAT_VERSION).unwrap();
+        // Block 1: the second data block.
+        let start = HEADER_LEN as usize + footer.data_block_lens[0] as usize;
+        let end = start + footer.data_block_lens[1] as usize;
+        for bit in 8 * start..8 * end {
+            let mut damaged = pristine.clone();
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            std::fs::write(&path, damaged).unwrap();
+            let result = SegmentSource::open(&path, Arc::new(BlockCache::new(4)));
+            assert!(
+                matches!(result, Err(StorageError::ChecksumMismatch { block: 1 })),
+                "bit {bit}: {:?}",
+                result.err()
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn entry_round_trips() {
         let mut slot = [0u8; ENTRY_LEN];
         let entry = GradedEntry::new(ObjectId(42), Grade::new(0.625).unwrap());
@@ -1237,15 +1391,30 @@ mod tests {
     #[test]
     fn footer_v2_round_trips() {
         let f = footer_v2();
-        let bytes = f.encode(FORMAT_VERSION);
-        // Seven scalars, seven two-block lists, the three-entry dictionary,
-        // the self-checksum.
-        assert_eq!(bytes.len(), 7 * 8 + 7 * 2 * 8 + 3 * 8 + 8);
-        let parsed = Footer::parse(&bytes, FORMAT_VERSION).unwrap();
-        assert_eq!(parsed.num_entries, 7);
-        assert_eq!(parsed.data_block_lens, vec![17, 11]);
-        assert_eq!(parsed.grade_max_bits, f.grade_max_bits);
-        assert_eq!(parsed.grade_dict, f.grade_dict);
+        for version in [FORMAT_V2, FORMAT_VERSION] {
+            let bytes = f.encode(version);
+            // Seven scalars, seven two-block lists, the three-entry
+            // dictionary, the self-checksum.
+            assert_eq!(bytes.len(), 7 * 8 + 7 * 2 * 8 + 3 * 8 + 8);
+            let parsed = Footer::parse(&bytes, version).unwrap();
+            assert_eq!(parsed.num_entries, 7);
+            assert_eq!(parsed.data_block_lens, vec![17, 11]);
+            assert_eq!(parsed.grade_max_bits, f.grade_max_bits);
+            assert_eq!(parsed.grade_dict, f.grade_dict);
+        }
+        // The two versions differ in the self-checksum alone, and each
+        // rejects the other's.
+        let (v2, v3) = (f.encode(FORMAT_V2), f.encode(FORMAT_VERSION));
+        assert_eq!(v2[..v2.len() - 8], v3[..v3.len() - 8]);
+        assert_ne!(v2[v2.len() - 8..], v3[v3.len() - 8..]);
+        assert!(matches!(
+            Footer::parse(&v2, FORMAT_VERSION),
+            Err(StorageError::FooterCorrupt { .. })
+        ));
+        assert!(matches!(
+            Footer::parse(&v3, FORMAT_V2),
+            Err(StorageError::FooterCorrupt { .. })
+        ));
     }
 
     #[test]
@@ -1268,24 +1437,26 @@ mod tests {
             }),
             ("unsorted dictionary", |f| f.grade_dict.swap(0, 1)),
         ];
-        for (what, tweak) in checks {
-            let mut f = footer_v2();
-            tweak(&mut f);
-            assert!(
-                matches!(
-                    Footer::parse(&f.encode(FORMAT_VERSION), FORMAT_VERSION),
-                    Err(StorageError::FooterCorrupt { .. })
-                ),
-                "forged v2 footer accepted: {what}"
-            );
+        for version in [FORMAT_V2, FORMAT_VERSION] {
+            for (what, tweak) in checks {
+                let mut f = footer_v2();
+                tweak(&mut f);
+                assert!(
+                    matches!(
+                        Footer::parse(&f.encode(version), version),
+                        Err(StorageError::FooterCorrupt { .. })
+                    ),
+                    "forged v{version} footer accepted: {what}"
+                );
+            }
+            let mut bytes = footer_v2().encode(version);
+            let last = bytes.len() - 1;
+            bytes[last] ^= 1;
+            assert!(matches!(
+                Footer::parse(&bytes, version),
+                Err(StorageError::FooterCorrupt { .. })
+            ));
         }
-        let mut bytes = footer_v2().encode(FORMAT_VERSION);
-        let last = bytes.len() - 1;
-        bytes[last] ^= 1;
-        assert!(matches!(
-            Footer::parse(&bytes, FORMAT_VERSION),
-            Err(StorageError::FooterCorrupt { .. })
-        ));
     }
 
     #[test]

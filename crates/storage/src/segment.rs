@@ -1,25 +1,26 @@
 //! Reading segments: [`SegmentSource`], a disk-backed [`GradedSource`].
 //!
 //! `SegmentSource::open` is where durability is enforced: it parses the
-//! header and the footer (one [`Footer`] parse for either format version —
+//! header and the footer (one [`Footer`] parse for every format version —
 //! see [`crate::format`]), locates every block, then makes one streaming
 //! integrity scan over the whole file verifying every block checksum,
 //! every grade, both sort orders, every footer statistic and fence, and
-//! (v2) every varint frame, so a corrupted or truncated segment fails with
-//! a typed [`StorageError`] *before* it can serve a single wrong entry.
-//! Past the footer parse nothing here depends on the version: blocks are
-//! located by the footer's byte lengths and read through the one block
-//! decoder ([`Block`]), whose encoding the version picks. After a
-//! successful open the source is an ordinary `Send + Sync` graded source:
-//! sorted access streams data blocks through the shared [`BlockCache`],
-//! random access routes through the footer's fence index to exactly one
-//! table block, and `SetAccess` enumerates the grade-1 prefix —
-//! bit-identical behaviour to a [`MemorySource`] over the same pairs, in
-//! either version (the round-trip property suite holds it to that).
+//! (v2, v3) every varint frame, so a corrupted or truncated segment fails
+//! with a typed [`StorageError`] *before* it can serve a single wrong
+//! entry. Past the footer parse the version picks only the block checksum
+//! ([`checksum`]) and the block encoding: blocks are located by the
+//! footer's byte lengths and read through the one block decoder
+//! ([`Block`]). After a successful open the source is an ordinary
+//! `Send + Sync` graded source: sorted access streams data blocks through
+//! the shared [`BlockCache`], random access routes through the footer's
+//! fence index to exactly one table block, and `SetAccess` enumerates the
+//! grade-1 prefix — bit-identical behaviour to a [`MemorySource`] over the
+//! same pairs, in every version (the round-trip property suite holds it to
+//! that).
 //!
-//! A v2 footer's per-block grade fences are checked against every data
-//! block at open, like the rest of the footer; no read skips blocks by
-//! them. Every sorted read decodes the blocks its ranks fall in.
+//! A v2 or v3 footer's per-block grade fences are checked against every
+//! data block at open, like the rest of the footer; no read skips blocks
+//! by them. Every sorted read decodes the blocks its ranks fall in.
 //!
 //! [`MemorySource`]: garlic_core::access::MemorySource
 
@@ -35,8 +36,9 @@ use garlic_core::{GradedEntry, ObjectId};
 use crate::cache::{BlockCache, BlockKey};
 use crate::error::StorageError;
 use crate::format::{
-    fnv1a64, read_u64, Block, Footer, RegionKind, Restart, ENTRY_LEN, FLAG_CRISP, FORMAT_V1,
-    FORMAT_VERSION, HEADER_LEN, HEADER_MAGIC, RESTART_INTERVAL, TRAILER_LEN, TRAILER_MAGIC,
+    checksum, read_u64, xxh64, Block, Footer, RegionKind, Restart, ENTRY_LEN, FLAG_CRISP,
+    FORMAT_V1, FORMAT_VERSION, HEADER_LEN, HEADER_MAGIC, RESTART_INTERVAL, TRAILER_LEN,
+    TRAILER_MAGIC,
 };
 use crate::vfs::{std_vfs, Vfs, VfsRead};
 
@@ -317,7 +319,7 @@ impl SegmentSource {
         x
     }
 
-    fn fetch(&self, file_block: u64, checksum: u64) -> Result<Arc<[u8]>, StorageError> {
+    fn fetch(&self, file_block: u64, expected: u64) -> Result<Arc<[u8]>, StorageError> {
         if self.poisoned.load(Ordering::Acquire) {
             // Fail fast: a quarantined segment never re-enters its retry
             // loop, so one dead disk cannot stall every query on it.
@@ -343,7 +345,7 @@ impl SegmentSource {
                     .read_exact_at(&mut buf, offset)
                     .map_err(StorageError::Io)
                     .and_then(|()| {
-                        if fnv1a64(&buf) != checksum {
+                        if checksum(self.version, &buf) != expected {
                             Err(StorageError::ChecksumMismatch { block: file_block })
                         } else {
                             Ok(())
@@ -572,21 +574,22 @@ struct Verified {
     restarts: [Vec<Restart>; 2],
 }
 
-/// The open-time integrity scan, for either version: one sequential pass
+/// The open-time integrity scan, for every version: one sequential pass
 /// over both regions that reads every block once, checks its checksum and
 /// decodes it (with every v2 framing check) from its start, noting down
 /// the restart points later reads resume from. A v1 block's slots are
-/// checked in place and a v2 block is decoded into one buffer reused
+/// checked in place and a v2 or v3 block is decoded into one buffer reused
 /// across blocks, because this runs at every open. Each rule is applied
 /// once:
 ///
 /// * every grade lies in `[0, 1]`;
 /// * the data region follows the descending skeleton order, ties
 ///   included, and agrees with the footer's match count, crisp flag and —
-///   where the footer has them (v2) — the per-block grade fences;
+///   where the footer has them (v2, v3) — the per-block grade fences;
 /// * the table region ascends by object id and starts each block at the
 ///   footer's fence id;
-/// * an order-independent digest of each entry's canonical 16-byte slot
+/// * an order-independent digest (an XOR of xxHash64s, in memory only, so
+///   the same in every version) of each entry's canonical 16-byte slot
 ///   (for a v1 slot, its stored bytes) is equal over the two regions, so
 ///   they hold the *same* entries and sorted access and random access can
 ///   never disagree on a file that passed.
@@ -609,12 +612,12 @@ fn verify_blocks(
             RegionKind::Data => (0, &footer.data_checksums),
             RegionKind::Table => (footer.data_blocks, &footer.table_checksums),
         };
-        for (i, &checksum) in checksums.iter().enumerate() {
+        for (i, &expected) in checksums.iter().enumerate() {
             let block = first_block + i as u64;
             let (offset, len) = locs[block as usize];
             buf.resize(len as usize, 0);
             file.read_exact_at(&mut buf, offset)?;
-            if fnv1a64(&buf) != checksum {
+            if checksum(version, &buf) != expected {
                 return Err(StorageError::ChecksumMismatch { block });
             }
             let count =
@@ -671,7 +674,7 @@ fn verify_blocks(
                         prev_id = Some(object);
                     }
                 }
-                digests[kind as usize] ^= fnv1a64(slot);
+                digests[kind as usize] ^= xxh64(slot);
             }
         }
         if kind == RegionKind::Data {

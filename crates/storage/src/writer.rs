@@ -22,7 +22,7 @@ use garlic_core::{GradedEntry, GradedSet, ObjectId};
 
 use crate::error::StorageError;
 use crate::format::{
-    check_block_size, encode_block, fnv1a64, Encoding, Footer, RegionKind, DEFAULT_BLOCK_SIZE,
+    check_block_size, checksum, encode_block, Encoding, Footer, RegionKind, DEFAULT_BLOCK_SIZE,
     ENTRY_LEN, FLAG_CRISP, FLAG_GRADE_DICT, FORMAT_V1, FORMAT_VERSION, GRADE_DICT_MAX,
     HEADER_MAGIC, TRAILER_MAGIC,
 };
@@ -69,7 +69,8 @@ pub struct SegmentWriter {
 
 impl SegmentWriter {
     /// A writer with the default 4 KiB block size, producing the current
-    /// format version ([`FORMAT_VERSION`] — compressed v2 blocks).
+    /// format version ([`FORMAT_VERSION`] — compressed blocks, xxHash64
+    /// checksums).
     pub fn new() -> Self {
         SegmentWriter {
             block_size: DEFAULT_BLOCK_SIZE,
@@ -100,10 +101,12 @@ impl SegmentWriter {
         self
     }
 
-    /// Selects the on-disk format version: [`FORMAT_VERSION`] (the v2
-    /// default) or [`FORMAT_V1`] for the legacy fixed-slot layout —
-    /// useful for compatibility tests and for serving fleets that still
-    /// run v1-only readers.
+    /// Selects the on-disk format version: [`FORMAT_VERSION`] (the v3
+    /// default: compressed blocks, xxHash64 checksums),
+    /// [`FORMAT_V2`](crate::format::FORMAT_V2) (the same blocks with
+    /// FNV-1a checksums) or [`FORMAT_V1`] (the legacy fixed-slot layout,
+    /// FNV-1a checksums) — useful for compatibility tests and for serving
+    /// fleets that still run readers of an older version.
     pub fn with_version(mut self, version: u32) -> Result<Self, StorageError> {
         if !(FORMAT_V1..=FORMAT_VERSION).contains(&version) {
             return Err(StorageError::UnsupportedVersion {
@@ -316,7 +319,7 @@ impl SegmentWriter {
         for (region, kind, checksums, lens) in regions {
             for chunk in region.chunks(entries_per_block) {
                 let block = encode_block(chunk, kind, encoding, self.block_size);
-                checksums.push(fnv1a64(&block));
+                checksums.push(checksum(self.version, &block));
                 lens.push(block.len() as u64);
                 out.write_all(&block)?;
             }

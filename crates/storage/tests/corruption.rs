@@ -9,8 +9,8 @@ use std::sync::Arc;
 use garlic_agg::Grade;
 use garlic_core::GradedEntry;
 use garlic_storage::format::{
-    encode_block, encode_entry, fnv1a64, Encoding, Footer, RegionKind, ENTRY_LEN, FORMAT_V1,
-    FORMAT_VERSION, HEADER_MAGIC, TRAILER_MAGIC,
+    checksum, encode_block, encode_entry, Encoding, Footer, RegionKind, ENTRY_LEN, FORMAT_V1,
+    FORMAT_V2, FORMAT_VERSION, HEADER_MAGIC, TRAILER_MAGIC,
 };
 use garlic_storage::{BlockCache, SegmentSource, SegmentWriter, StorageError};
 
@@ -20,25 +20,18 @@ fn temp_path(name: &str) -> PathBuf {
     dir.join(name)
 }
 
-/// A healthy multi-block segment (current format, v2) to damage.
-fn healthy(name: &str) -> PathBuf {
-    let path = temp_path(name);
-    let grades: Vec<Grade> = (0..64).map(|i| Grade::clamped(i as f64 / 64.0)).collect();
-    SegmentWriter::with_block_size(64)
-        .unwrap()
-        .write_grades(&path, &grades)
-        .unwrap();
-    path
-}
+/// The compressed-layout versions: FNV-1a (v2) and xxHash64 (v3)
+/// checksums over the same blocks and footer fields.
+const COMPRESSED: [u32; 2] = [FORMAT_V2, FORMAT_VERSION];
 
-/// The same segment in the legacy v1 layout, whose fixed-slot geometry the
-/// byte-offset tests below rely on.
-fn healthy_v1(name: &str) -> PathBuf {
-    let path = temp_path(name);
+/// A healthy multi-block segment in format `version` to damage. In v1, the
+/// fixed-slot geometry the byte-offset tests below rely on.
+fn healthy(name: &str, version: u32) -> PathBuf {
+    let path = temp_path(&format!("v{version}-{name}"));
     let grades: Vec<Grade> = (0..64).map(|i| Grade::clamped(i as f64 / 64.0)).collect();
     SegmentWriter::with_block_size(64)
         .unwrap()
-        .with_version(FORMAT_V1)
+        .with_version(version)
         .unwrap()
         .write_grades(&path, &grades)
         .unwrap();
@@ -60,7 +53,7 @@ fn open(path: &PathBuf) -> Result<SegmentSource, StorageError> {
 
 #[test]
 fn healthy_segment_opens() {
-    let path = healthy("healthy.seg");
+    let path = healthy("healthy.seg", FORMAT_VERSION);
     open(&path).unwrap();
 }
 
@@ -83,7 +76,7 @@ fn foreign_file_is_bad_magic() {
 
 #[test]
 fn future_version_is_unsupported_and_names_both_sides() {
-    let path = healthy("future.seg");
+    let path = healthy("future.seg", FORMAT_VERSION);
     let mut bytes = std::fs::read(&path).unwrap();
     bytes[4..8].copy_from_slice(&99u32.to_le_bytes());
     std::fs::write(&path, bytes).unwrap();
@@ -108,7 +101,7 @@ fn future_version_is_unsupported_and_names_both_sides() {
 
 #[test]
 fn ancient_version_is_unsupported() {
-    let path = healthy("ancient.seg");
+    let path = healthy("ancient.seg", FORMAT_VERSION);
     let mut bytes = std::fs::read(&path).unwrap();
     bytes[4..8].copy_from_slice(&0u32.to_le_bytes());
     std::fs::write(&path, bytes).unwrap();
@@ -120,19 +113,24 @@ fn ancient_version_is_unsupported() {
 
 #[test]
 fn cross_version_opens_work_both_ways() {
-    // A v1 file opens in a v2-default build; a v2 file written by the
+    // v1 and v2 files open in a v3-default build; a v3 file written by the
     // default writer opens too. Compatibility is part of the format.
-    let v1 = healthy_v1("cross-v1.seg");
-    let v2 = healthy("cross-v2.seg");
-    assert_eq!(open(&v1).unwrap().version(), FORMAT_V1);
-    assert_eq!(open(&v2).unwrap().version(), FORMAT_VERSION);
+    for version in [FORMAT_V1, FORMAT_V2, FORMAT_VERSION] {
+        let path = healthy("cross.seg", version);
+        assert_eq!(open(&path).unwrap().version(), version);
+    }
+    let path = temp_path("cross-default.seg");
+    SegmentWriter::new()
+        .write_grades(&path, &[Grade::HALF])
+        .unwrap();
+    assert_eq!(open(&path).unwrap().version(), FORMAT_VERSION);
 }
 
 #[test]
 fn truncated_copies_are_rejected_at_every_length() {
     // A partial copy can end anywhere: mid-blocks, mid-footer, mid-trailer.
     // Every cut must fail with a typed error (and the full file must open).
-    let path = healthy("cuttable.seg");
+    let path = healthy("cuttable.seg", FORMAT_VERSION);
     let bytes = std::fs::read(&path).unwrap();
     let cut_path = temp_path("cut.seg");
     for cut in [
@@ -163,7 +161,7 @@ fn truncated_copies_are_rejected_at_every_length() {
 
 #[test]
 fn flipped_data_block_bit_is_a_checksum_mismatch() {
-    let path = healthy_v1("bitrot-data.seg");
+    let path = healthy("bitrot-data.seg", FORMAT_V1);
     let mut bytes = std::fs::read(&path).unwrap();
     // First data block starts at byte 8.
     bytes[8 + 17] ^= 0x01;
@@ -176,7 +174,7 @@ fn flipped_data_block_bit_is_a_checksum_mismatch() {
 
 #[test]
 fn flipped_table_block_bit_is_a_checksum_mismatch() {
-    let path = healthy_v1("bitrot-table.seg");
+    let path = healthy("bitrot-table.seg", FORMAT_V1);
     let mut bytes = std::fs::read(&path).unwrap();
     // 64 entries in 64-byte blocks (4 entries each) = 16 data blocks; the
     // table region starts at block 16.
@@ -190,7 +188,7 @@ fn flipped_table_block_bit_is_a_checksum_mismatch() {
 
 #[test]
 fn flipped_footer_bit_is_footer_corrupt() {
-    let path = healthy_v1("bitrot-footer.seg");
+    let path = healthy("bitrot-footer.seg", FORMAT_V1);
     let mut bytes = std::fs::read(&path).unwrap();
     let footer_offset = 8 + 32 * 64;
     bytes[footer_offset + 10] ^= 0x10;
@@ -203,73 +201,87 @@ fn flipped_footer_bit_is_footer_corrupt() {
 
 #[test]
 fn flipped_v2_data_block_bit_is_a_checksum_mismatch() {
-    // v2 blocks are variable-length, but the first one still starts right
-    // after the header.
-    let path = healthy("bitrot-v2-data.seg");
-    let mut bytes = std::fs::read(&path).unwrap();
-    bytes[8] ^= 0x01;
-    std::fs::write(&path, bytes).unwrap();
-    assert!(matches!(
-        open(&path),
-        Err(StorageError::ChecksumMismatch { block: 0 })
-    ));
+    // v2 and v3 blocks are variable-length, but the first one still starts
+    // right after the header.
+    for version in COMPRESSED {
+        let path = healthy("bitrot-v2-data.seg", version);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8] ^= 0x01;
+        std::fs::write(&path, bytes).unwrap();
+        assert!(
+            matches!(
+                open(&path),
+                Err(StorageError::ChecksumMismatch { block: 0 })
+            ),
+            "v{version}"
+        );
+    }
 }
 
 #[test]
 fn flipped_v2_table_block_bit_is_a_checksum_mismatch() {
     // The byte immediately before the footer belongs to the last table
     // block (block 31 here: 16 data + 16 table).
-    let path = healthy("bitrot-v2-table.seg");
-    let mut bytes = std::fs::read(&path).unwrap();
-    let footer_at = footer_offset(&bytes);
-    bytes[footer_at - 1] ^= 0x80;
-    std::fs::write(&path, bytes).unwrap();
-    assert!(matches!(
-        open(&path),
-        Err(StorageError::ChecksumMismatch { block: 31 })
-    ));
+    for version in COMPRESSED {
+        let path = healthy("bitrot-v2-table.seg", version);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let footer_at = footer_offset(&bytes);
+        bytes[footer_at - 1] ^= 0x80;
+        std::fs::write(&path, bytes).unwrap();
+        assert!(
+            matches!(
+                open(&path),
+                Err(StorageError::ChecksumMismatch { block: 31 })
+            ),
+            "v{version}"
+        );
+    }
 }
 
 #[test]
 fn flipped_v2_footer_bit_is_footer_corrupt() {
-    let path = healthy("bitrot-v2-footer.seg");
-    let mut bytes = std::fs::read(&path).unwrap();
-    let footer_at = footer_offset(&bytes);
-    bytes[footer_at + 10] ^= 0x10;
-    std::fs::write(&path, bytes).unwrap();
-    assert!(matches!(
-        open(&path),
-        Err(StorageError::FooterCorrupt { .. })
-    ));
+    for version in COMPRESSED {
+        let path = healthy("bitrot-v2-footer.seg", version);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let footer_at = footer_offset(&bytes);
+        bytes[footer_at + 10] ^= 0x10;
+        std::fs::write(&path, bytes).unwrap();
+        assert!(
+            matches!(open(&path), Err(StorageError::FooterCorrupt { .. })),
+            "v{version}"
+        );
+    }
 }
 
 #[test]
 fn truncated_v2_copies_are_rejected_at_every_length() {
-    let path = healthy("cuttable-v2.seg");
-    let bytes = std::fs::read(&path).unwrap();
-    let cut_path = temp_path("cut-v2.seg");
-    for cut in [
-        9,
-        100,
-        bytes.len() / 2,
-        bytes.len() - 25,
-        bytes.len() - 24,
-        bytes.len() - 1,
-    ] {
-        std::fs::write(&cut_path, &bytes[..cut]).unwrap();
-        let err = open(&cut_path).expect_err(&format!("cut at {cut} must not open"));
-        assert!(
-            matches!(
-                err,
-                StorageError::Truncated { .. }
-                    | StorageError::FooterCorrupt { .. }
-                    | StorageError::BadMagic
-            ),
-            "cut at {cut}: unexpected error {err}"
-        );
+    for version in COMPRESSED {
+        let path = healthy("cuttable-v2.seg", version);
+        let bytes = std::fs::read(&path).unwrap();
+        let cut_path = temp_path(&format!("cut-v{version}.seg"));
+        for cut in [
+            9,
+            100,
+            bytes.len() / 2,
+            bytes.len() - 25,
+            bytes.len() - 24,
+            bytes.len() - 1,
+        ] {
+            std::fs::write(&cut_path, &bytes[..cut]).unwrap();
+            let err = open(&cut_path).expect_err(&format!("v{version} cut at {cut} must not open"));
+            assert!(
+                matches!(
+                    err,
+                    StorageError::Truncated { .. }
+                        | StorageError::FooterCorrupt { .. }
+                        | StorageError::BadMagic
+                ),
+                "v{version} cut at {cut}: unexpected error {err}"
+            );
+        }
+        std::fs::write(&cut_path, &bytes).unwrap();
+        open(&cut_path).unwrap();
     }
-    std::fs::write(&cut_path, &bytes).unwrap();
-    open(&cut_path).unwrap();
 }
 
 /// Hand-builds a version-1 segment whose blocks carry *correct* checksums
@@ -295,9 +307,9 @@ fn forge(name: &str, entries: &[(u64, f64)], table: &[(u64, f64)], footer: Foote
                     .copy_from_slice(&value.to_bits().to_le_bytes());
             }
         }
-        let checksum = fnv1a64(&block);
+        let sum = checksum(FORMAT_V1, &block);
         file.extend_from_slice(&block);
-        checksum
+        sum
     };
     let data_checksum = write_block(entries);
     let table_checksum = write_block(table);
@@ -402,17 +414,17 @@ fn lying_match_count_is_footer_corrupt() {
             ..footer_skeleton()
         },
     );
-    assert!(matches!(
-        open(&path),
-        Err(StorageError::FooterCorrupt { .. })
-    ));
-    let path = forge_v2("lying-ones-v2.seg", &forge_entries(), None, |_, _, f| {
-        f.ones += 1
-    });
-    assert!(matches!(
-        open(&path),
-        Err(StorageError::FooterCorrupt { .. })
-    ));
+    assert_footer_lie_caught(&path, FORMAT_V1);
+    for version in COMPRESSED {
+        let path = forge_v2(
+            "lying-ones-v2.seg",
+            version,
+            &forge_entries(),
+            None,
+            |_, _, f| f.ones += 1,
+        );
+        assert_footer_lie_caught(&path, version);
+    }
 }
 
 #[test]
@@ -426,17 +438,17 @@ fn lying_crisp_flag_is_footer_corrupt() {
             ..footer_skeleton()
         },
     );
-    assert!(matches!(
-        open(&path),
-        Err(StorageError::FooterCorrupt { .. })
-    ));
-    let path = forge_v2("lying-crisp-v2.seg", &forge_entries(), None, |_, _, f| {
-        f.flags ^= garlic_storage::format::FLAG_CRISP
-    });
-    assert!(matches!(
-        open(&path),
-        Err(StorageError::FooterCorrupt { .. })
-    ));
+    assert_footer_lie_caught(&path, FORMAT_V1);
+    for version in COMPRESSED {
+        let path = forge_v2(
+            "lying-crisp-v2.seg",
+            version,
+            &forge_entries(),
+            None,
+            |_, _, f| f.flags ^= garlic_storage::format::FLAG_CRISP,
+        );
+        assert_footer_lie_caught(&path, version);
+    }
 }
 
 #[test]
@@ -450,17 +462,17 @@ fn lying_fence_id_is_footer_corrupt() {
             ..footer_skeleton()
         },
     );
-    assert!(matches!(
-        open(&path),
-        Err(StorageError::FooterCorrupt { .. })
-    ));
-    let path = forge_v2("lying-fence-v2.seg", &forge_entries(), None, |_, _, f| {
-        f.table_first_ids[0] += 1
-    });
-    assert!(matches!(
-        open(&path),
-        Err(StorageError::FooterCorrupt { .. })
-    ));
+    assert_footer_lie_caught(&path, FORMAT_V1);
+    for version in COMPRESSED {
+        let path = forge_v2(
+            "lying-fence-v2.seg",
+            version,
+            &forge_entries(),
+            None,
+            |_, _, f| f.table_first_ids[0] += 1,
+        );
+        assert_footer_lie_caught(&path, version);
+    }
 }
 
 #[test]
@@ -531,13 +543,15 @@ fn oversized_block_size_is_rejected_writer_side() {
     ));
 }
 
-/// Hand-builds a v2 segment whose blocks carry *correct* checksums, then
-/// lets `tamper` damage the encoded blocks and/or footer before the
-/// checksums and block lengths are (re)derived from the final block bytes —
-/// so a tampered block still passes its checksum and only deep varint
+/// Hand-builds a compressed-layout segment of format `version` (v2 or v3)
+/// whose blocks carry *correct* checksums, then lets `tamper` damage the
+/// encoded blocks and/or footer before the checksums and block lengths are
+/// (re)derived from the final block bytes and the footer is sealed — so a
+/// tampered block or footer still passes its checksum and only deep
 /// verification can reject it.
 fn forge_v2(
     name: &str,
+    version: u32,
     entries: &[GradedEntry],
     dict: Option<Vec<u64>>,
     tamper: impl FnOnce(&mut Vec<Vec<u8>>, &mut Vec<Vec<u8>>, &mut Footer),
@@ -584,26 +598,37 @@ fn forge_v2(
         grade_dict: dict.clone().unwrap_or_default(),
     };
     tamper(&mut data_blocks, &mut table_blocks, &mut footer);
-    footer.data_checksums = data_blocks.iter().map(|b| fnv1a64(b)).collect();
-    footer.table_checksums = table_blocks.iter().map(|b| fnv1a64(b)).collect();
+    footer.data_checksums = data_blocks.iter().map(|b| checksum(version, b)).collect();
+    footer.table_checksums = table_blocks.iter().map(|b| checksum(version, b)).collect();
     footer.data_block_lens = data_blocks.iter().map(|b| b.len() as u64).collect();
     footer.table_block_lens = table_blocks.iter().map(|b| b.len() as u64).collect();
 
     let mut file = Vec::new();
     file.extend_from_slice(&HEADER_MAGIC);
-    file.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    file.extend_from_slice(&version.to_le_bytes());
     for block in data_blocks.iter().chain(&table_blocks) {
         file.extend_from_slice(block);
     }
-    let footer_bytes = footer.encode(FORMAT_VERSION);
+    let footer_bytes = footer.encode(version);
     let footer_offset = file.len() as u64;
     file.extend_from_slice(&footer_bytes);
     file.extend_from_slice(&footer_offset.to_le_bytes());
     file.extend_from_slice(&(footer_bytes.len() as u64).to_le_bytes());
     file.extend_from_slice(&TRAILER_MAGIC);
-    let path = temp_path(name);
+    let path = temp_path(&format!("v{version}-{name}"));
     std::fs::write(&path, file).unwrap();
     path
+}
+
+/// A forged footer's lie is caught by the checks behind its checksum, not
+/// by the checksum itself: the forge sealed it right for `version`.
+fn assert_footer_lie_caught(path: &PathBuf, version: u32) {
+    match open(path) {
+        Err(StorageError::FooterCorrupt { detail }) => {
+            assert!(!detail.contains("checksum"), "v{version}: {detail}");
+        }
+        other => panic!("v{version}: expected FooterCorrupt, got {:?}", other.err()),
+    }
 }
 
 fn forge_entries() -> Vec<GradedEntry> {
@@ -615,75 +640,103 @@ fn forge_entries() -> Vec<GradedEntry> {
     ]
 }
 
-#[test]
-fn untampered_v2_forgery_opens() {
-    // The forge itself must be sound, or the negative tests prove nothing.
-    let path = forge_v2("forge-v2-ok.seg", &forge_entries(), None, |_, _, _| {});
-    open(&path).unwrap();
-    let dict: Vec<u64> = forge_entries()
+/// The sorted dictionary of [`forge_entries`]' four grades.
+fn forge_dict() -> Vec<u64> {
+    forge_entries()
         .iter()
         .map(|e| e.grade.value().to_bits())
         .rev()
-        .collect();
-    let path = forge_v2(
-        "forge-v2-ok-dict.seg",
-        &forge_entries(),
-        Some(dict),
-        |_, _, _| {},
-    );
-    open(&path).unwrap();
+        .collect()
+}
+
+#[test]
+fn untampered_v2_forgery_opens() {
+    // The forge itself must be sound, or the negative tests prove nothing.
+    for version in COMPRESSED {
+        let path = forge_v2(
+            "forge-v2-ok.seg",
+            version,
+            &forge_entries(),
+            None,
+            |_, _, _| {},
+        );
+        assert_eq!(open(&path).unwrap().version(), version);
+        let path = forge_v2(
+            "forge-v2-ok-dict.seg",
+            version,
+            &forge_entries(),
+            Some(forge_dict()),
+            |_, _, _| {},
+        );
+        assert_eq!(open(&path).unwrap().version(), version);
+    }
 }
 
 #[test]
 fn mid_varint_truncation_with_valid_checksum_is_corrupt_block() {
     // Cut the last byte of the first data block and recompute its checksum:
     // only the varint-frame decode can notice the damage.
-    let path = forge_v2("forge-v2-cut.seg", &forge_entries(), None, |data, _, _| {
-        data[0].pop();
-    });
-    assert!(matches!(
-        open(&path),
-        Err(StorageError::CorruptBlock { block: 0, .. })
-    ));
+    for version in COMPRESSED {
+        let path = forge_v2(
+            "forge-v2-cut.seg",
+            version,
+            &forge_entries(),
+            None,
+            |data, _, _| {
+                data[0].pop();
+            },
+        );
+        assert!(
+            matches!(
+                open(&path),
+                Err(StorageError::CorruptBlock { block: 0, .. })
+            ),
+            "v{version}"
+        );
+    }
 }
 
 #[test]
 fn trailing_block_bytes_with_valid_checksum_are_corrupt_block() {
-    let path = forge_v2(
-        "forge-v2-trail.seg",
-        &forge_entries(),
-        None,
-        |data, _, _| {
-            data[0].push(0x7f);
-        },
-    );
-    assert!(matches!(
-        open(&path),
-        Err(StorageError::CorruptBlock { block: 0, .. })
-    ));
+    for version in COMPRESSED {
+        let path = forge_v2(
+            "forge-v2-trail.seg",
+            version,
+            &forge_entries(),
+            None,
+            |data, _, _| {
+                data[0].push(0x7f);
+            },
+        );
+        assert!(
+            matches!(
+                open(&path),
+                Err(StorageError::CorruptBlock { block: 0, .. })
+            ),
+            "v{version}"
+        );
+    }
 }
 
 #[test]
 fn dictionary_index_out_of_range_is_corrupt_block() {
     // Encode against a 4-grade dictionary, then shrink the footer's copy:
     // surviving indices point past its end.
-    let dict: Vec<u64> = forge_entries()
-        .iter()
-        .map(|e| e.grade.value().to_bits())
-        .rev()
-        .collect();
-    let path = forge_v2(
-        "forge-v2-dict.seg",
-        &forge_entries(),
-        Some(dict),
-        |_, _, footer| {
-            footer.grade_dict.truncate(2);
-        },
-    );
-    assert!(matches!(
-        open(&path),
-        Err(StorageError::CorruptBlock { .. })
-    ));
+    for version in COMPRESSED {
+        let path = forge_v2(
+            "forge-v2-dict.seg",
+            version,
+            &forge_entries(),
+            Some(forge_dict()),
+            |_, _, footer| {
+                footer.grade_dict.truncate(2);
+            },
+        );
+        assert!(
+            matches!(open(&path), Err(StorageError::CorruptBlock { .. })),
+            "v{version}"
+        );
+    }
 }
 
 #[test]
@@ -694,20 +747,27 @@ fn lying_grade_fence_is_footer_corrupt() {
     let raise_max = |_: &mut Vec<Vec<u8>>, _: &mut Vec<Vec<u8>>, footer: &mut Footer| {
         footer.grade_max_bits[0] = Grade::new(0.9375).unwrap().value().to_bits();
     };
-    let path = forge_v2("forge-v2-fence-max.seg", &forge_entries(), None, raise_max);
-    assert!(matches!(
-        open(&path),
-        Err(StorageError::FooterCorrupt { .. })
-    ));
-
     let lower_min = |_: &mut Vec<Vec<u8>>, _: &mut Vec<Vec<u8>>, footer: &mut Footer| {
         footer.grade_min_bits[0] = Grade::new(0.25).unwrap().value().to_bits();
     };
-    let path = forge_v2("forge-v2-fence-min.seg", &forge_entries(), None, lower_min);
-    assert!(matches!(
-        open(&path),
-        Err(StorageError::FooterCorrupt { .. })
-    ));
+    for version in COMPRESSED {
+        let path = forge_v2(
+            "forge-v2-fence-max.seg",
+            version,
+            &forge_entries(),
+            None,
+            raise_max,
+        );
+        assert_footer_lie_caught(&path, version);
+        let path = forge_v2(
+            "forge-v2-fence-min.seg",
+            version,
+            &forge_entries(),
+            None,
+            lower_min,
+        );
+        assert_footer_lie_caught(&path, version);
+    }
 }
 
 #[test]
@@ -715,18 +775,24 @@ fn v2_region_divergence_is_detected() {
     // Replace the table region with one that swaps a grade: every block
     // checksum is valid, both orders hold — only the cross-region digest
     // of canonical entry slots catches it.
-    let path = forge_v2(
-        "forge-v2-diverge.seg",
-        &forge_entries(),
-        None,
-        |_, table, _| {
-            let mut by_id = forge_entries();
-            by_id.sort_by_key(|e| e.object);
-            by_id[1].grade = Grade::new(0.3125).unwrap();
-            *table = vec![encode_block(&by_id, RegionKind::Table, Encoding::Delta, 64)];
-        },
-    );
-    assert!(matches!(open(&path), Err(StorageError::RegionMismatch)));
+    for version in COMPRESSED {
+        let path = forge_v2(
+            "forge-v2-diverge.seg",
+            version,
+            &forge_entries(),
+            None,
+            |_, table, _| {
+                let mut by_id = forge_entries();
+                by_id.sort_by_key(|e| e.object);
+                by_id[1].grade = Grade::new(0.3125).unwrap();
+                *table = vec![encode_block(&by_id, RegionKind::Table, Encoding::Delta, 64)];
+            },
+        );
+        assert!(
+            matches!(open(&path), Err(StorageError::RegionMismatch)),
+            "v{version}"
+        );
+    }
 }
 
 #[test]

@@ -5,6 +5,10 @@
 //! statistics, must match values pinned from an earlier build. Any change
 //! to how memtables, recovery or compaction fold layers that alters a
 //! single byte on disk or a single rank in the stream fails here.
+//!
+//! Compaction writes the current format version. Each compacted segment's
+//! pairs are also re-encoded as version 2, whose bytes were pinned before
+//! version 3 existed and have not moved since.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -12,8 +16,8 @@ use std::sync::Arc;
 use garlic_agg::Grade;
 use garlic_core::access::GradedSource;
 use garlic_core::ObjectId;
-use garlic_storage::format::fnv1a64;
-use garlic_storage::{BlockCache, LiveOptions, LiveSource, WalOp};
+use garlic_storage::format::{fnv1a64, FORMAT_V2};
+use garlic_storage::{BlockCache, LiveOptions, LiveSource, SegmentSource, SegmentWriter, WalOp};
 
 fn store_dir() -> PathBuf {
     let dir = std::env::temp_dir().join(format!("garlic-golden-compaction-{}", std::process::id()));
@@ -64,16 +68,34 @@ impl Script {
     }
 }
 
-/// `(length, fnv1a64)` of the one segment file in `dir`.
-fn segment_fingerprint(dir: &Path) -> (usize, u64) {
+/// `(length, fnv1a64)` of a file.
+fn fingerprint(path: &Path) -> (usize, u64) {
+    let bytes = std::fs::read(path).unwrap();
+    (bytes.len(), fnv1a64(&bytes))
+}
+
+/// The fingerprints of the one segment file in `dir`, as compaction wrote
+/// it and with its pairs re-encoded by a version-2 writer with the
+/// defaults compaction uses otherwise.
+fn segment_fingerprints(dir: &Path) -> ((usize, u64), (usize, u64)) {
     let segments: Vec<PathBuf> = std::fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().path())
         .filter(|p| p.extension().is_some_and(|x| x == "seg"))
         .collect();
     assert_eq!(segments.len(), 1, "a flush leaves exactly one segment");
-    let bytes = std::fs::read(&segments[0]).unwrap();
-    (bytes.len(), fnv1a64(&bytes))
+    let source = SegmentSource::open(&segments[0], Arc::new(BlockCache::new(64))).unwrap();
+    let mut entries = Vec::new();
+    source.sorted_batch(0, source.len() + 1, &mut entries);
+    let v2 = dir.with_extension("v2.seg");
+    SegmentWriter::new()
+        .with_version(FORMAT_V2)
+        .unwrap()
+        .write_pairs(&v2, entries.iter().map(|e| (e.object, e.grade)))
+        .unwrap();
+    let fingerprints = (fingerprint(&segments[0]), fingerprint(&v2));
+    std::fs::remove_file(&v2).unwrap();
+    fingerprints
 }
 
 /// `fnv1a64` over the whole sorted stream, 16 bytes per entry.
@@ -99,12 +121,12 @@ fn scripted_store_compacts_to_pinned_bytes() {
         script.play(&live, 1600, 700);
         assert!(live.frozen_layers() >= 2);
         live.flush().unwrap();
-        segments.push(segment_fingerprint(&dir));
+        segments.push(segment_fingerprints(&dir));
         // Round 2: overwrites and deletes over the compacted base.
         script.play(&live, 1200, 1000);
         assert!(live.frozen_layers() >= 2);
         live.flush().unwrap();
-        segments.push(segment_fingerprint(&dir));
+        segments.push(segment_fingerprints(&dir));
         // Round 3: freezes with no flush; the store closes with sealed
         // logs and a non-empty active log on disk.
         script.play(&live, 900, 1300);
@@ -120,13 +142,22 @@ fn scripted_store_compacts_to_pinned_bytes() {
         snapshot.is_crisp(),
     );
     live.flush().unwrap();
-    segments.push(segment_fingerprint(&dir));
+    segments.push(segment_fingerprints(&dir));
+    let (v3, v2): (Vec<_>, Vec<_>) = segments.into_iter().unzip();
     assert_eq!(
-        segments,
+        v2,
         vec![
             (2661, 13_902_664_435_313_352_530),
             (3698, 619_267_120_783_275_824),
             (4480, 16_889_675_267_808_880_526),
+        ]
+    );
+    assert_eq!(
+        v3,
+        vec![
+            (2661, 4_099_699_083_500_945_612),
+            (3698, 1_694_317_357_873_392_273),
+            (4480, 6_595_683_822_467_263_683),
         ]
     );
     assert_eq!(

@@ -14,8 +14,8 @@ use garlic_agg::Grade;
 use garlic_core::access::{GradedSource, MemorySource};
 use garlic_core::ObjectId;
 use garlic_storage::format::{
-    fnv1a64, Footer, FLAG_GRADE_DICT, FORMAT_V1, FORMAT_VERSION, GRADE_DICT_MAX, RESTART_INTERVAL,
-    TRAILER_LEN,
+    fnv1a64, Footer, FLAG_GRADE_DICT, FORMAT_V1, FORMAT_V2, FORMAT_VERSION, GRADE_DICT_MAX,
+    RESTART_INTERVAL, TRAILER_LEN,
 };
 use garlic_storage::{BlockCache, SegmentSource, SegmentWriter};
 
@@ -207,14 +207,19 @@ fn index_memory_is_bounded_per_entry() {
 }
 
 /// The index is built in memory at open; the writer knows nothing of it.
-/// These are the bytes the format produced before restart points existed,
-/// and, for v1, the fixed-slot bytes every earlier writer produced.
+/// The v2 rows are the bytes the format produced before restart points
+/// existed, and the v1 row the fixed-slot bytes every earlier writer
+/// produced. The v3 rows were pinned when v3 came in; a v3 file stores
+/// the v2 file's blocks byte for byte, under other checksums.
 #[test]
 fn the_file_is_byte_identical_with_and_without_the_index() {
+    let mut files = std::collections::HashMap::new();
     for (version, distinct, len, checksum) in [
-        (FORMAT_VERSION, Some(9), 1_737, 0xd0dc_1946_400d_e0ea_u64),
-        (FORMAT_VERSION, None, 5_061, 0xe5a0_d96b_4c31_9a07_u64),
+        (FORMAT_V2, Some(9), 1_737, 0xd0dc_1946_400d_e0ea_u64),
+        (FORMAT_V2, None, 5_061, 0xe5a0_d96b_4c31_9a07_u64),
         (FORMAT_V1, Some(9), 12_984, 0x5a37_b811_a35e_079e_u64),
+        (FORMAT_VERSION, Some(9), 1_737, 0xa4ce_20ad_bf89_ca42_u64),
+        (FORMAT_VERSION, None, 5_061, 0xb48b_cd0d_8899_6b69_u64),
     ] {
         let path = temp_path("golden.seg");
         SegmentWriter::with_block_size(16 * 100)
@@ -230,5 +235,15 @@ fn the_file_is_byte_identical_with_and_without_the_index() {
             (len, checksum),
             "v{version}, distinct grades: {distinct:?}"
         );
+        files.insert((version, distinct), bytes);
+    }
+    for distinct in [Some(9), None] {
+        let (v2, v3) = (
+            &files[&(FORMAT_V2, distinct)],
+            &files[&(FORMAT_VERSION, distinct)],
+        );
+        let trailer = v2.len() - TRAILER_LEN as usize;
+        let footer_at = u64::from_le_bytes(v2[trailer..trailer + 8].try_into().unwrap()) as usize;
+        assert_eq!(v2[8..footer_at], v3[8..footer_at], "{distinct:?}: blocks");
     }
 }

@@ -16,7 +16,9 @@ use garlic::middleware::{
     Catalog, Explain, Garlic, GarlicQuery, PlannerOptions, QueryAggregation, QueryRequest,
     QueryResult, Strategy,
 };
-use garlic::storage::format::{Footer, FLAG_GRADE_DICT, FORMAT_V1, FORMAT_VERSION, TRAILER_LEN};
+use garlic::storage::format::{
+    Footer, FLAG_GRADE_DICT, FORMAT_V1, FORMAT_V2, FORMAT_VERSION, TRAILER_LEN,
+};
 use garlic::storage::{LiveOptions, WalOp};
 use garlic::subsys::{DiskSubsystem, Subsystem, Target, VectorSubsystem};
 use garlic::{AccessStats, Aggregation, BlockCache, Grade, ObjectId, SegmentWriter, TopK};
@@ -195,8 +197,8 @@ pub fn cache() -> Arc<BlockCache> {
     Arc::new(BlockCache::new(1024))
 }
 
-/// Every attribute of `db` as `shards` id-range shards of v2 segments
-/// under `dir`, served through the scatter-gather merge.
+/// Every attribute of `db` as `shards` id-range shards of current-format
+/// (v3) segments under `dir`, served through the scatter-gather merge.
 pub fn sharded_segments(db: &Db, dir: &Path, shards: usize) -> Arc<dyn Subsystem> {
     let writer = SegmentWriter::with_block_size(BLOCK_SIZE).unwrap();
     let mut sub = DiskSubsystem::with_cache("sharded", db.len(), cache());
@@ -259,10 +261,10 @@ pub fn live(db: &Db, dir: &Path) -> DiskSubsystem {
     sub
 }
 
-/// The backends built per database: memory, v1 and v2 (dictionary mode)
-/// segments, memory and v2 segments in `shards` id-range shards, and live
-/// stores; files go under `dir`. The v2 delta-mode backend is
-/// [`delta_fixture`].
+/// The backends built per database: memory, v1 and v2 (dictionary mode,
+/// FNV-1a checksums) segments, memory and v3 segments in `shards` id-range
+/// shards, and live stores; files go under `dir`. The delta-mode backend
+/// (v3, xxHash64 checksums) is [`delta_fixture`].
 pub fn backends(db: &Db, shards: usize, dir: &Path) -> Vec<(String, Arc<dyn Subsystem>)> {
     let sub = |name: &str| {
         let path = dir.join(name);
@@ -270,8 +272,8 @@ pub fn backends(db: &Db, shards: usize, dir: &Path) -> Vec<(String, Arc<dyn Subs
         path
     };
     let v1 = segments(db, &sub("v1"), FORMAT_V1, "v1", cache());
-    let v2 = segments(db, &sub("v2"), FORMAT_VERSION, "dict", cache());
-    let sharded_v2 = sharded_segments(db, &sub("sharded"), shards);
+    let v2 = segments(db, &sub("v2"), FORMAT_V2, "dict", cache());
+    let sharded_v3 = sharded_segments(db, &sub("sharded"), shards);
     vec![
         ("memory".to_owned(), db.memory()),
         ("v1".to_owned(), v1),
@@ -280,13 +282,13 @@ pub fn backends(db: &Db, shards: usize, dir: &Path) -> Vec<(String, Arc<dyn Subs
             format!("sharded-memory/S={shards}"),
             sharded_memory(db, shards),
         ),
-        (format!("sharded-v2/S={shards}"), sharded_v2),
+        (format!("sharded-v3/S={shards}"), sharded_v3),
         ("live".to_owned(), Arc::new(live(db, &sub("live")))),
     ]
 }
 
-/// The fixed delta-mode database, with its memory reference and its v2
-/// segments.
+/// The fixed delta-mode database, with its memory reference and its
+/// segments in the current format (v3).
 pub struct DeltaFixture {
     pub db: Db,
     pub memory: Arc<dyn Subsystem>,
