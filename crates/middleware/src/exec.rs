@@ -108,44 +108,6 @@ impl SetAccess for Answer {
     }
 }
 
-/// The one place execution wraps a graded list in its metering counter.
-fn counted(list: Arc<dyn GradedSource>) -> Counted {
-    CountingSource::new(Answer::Graded(list))
-}
-
-/// Evaluates each atom through the catalog, metered.
-fn counted_atoms<'a>(
-    catalog: &Catalog,
-    atoms: impl IntoIterator<Item = &'a AtomicQuery>,
-) -> Result<Vec<Counted>, MiddlewareError> {
-    atoms
-        .into_iter()
-        .map(|a| Ok(counted(catalog.evaluate(a)?)))
-        .collect()
-}
-
-/// One metered source per NNF *literal*: negated literals read the atom's
-/// list reversed with complemented grades (the Section 7 observation).
-fn nnf_sources(
-    catalog: &Catalog,
-    query: &GarlicQuery,
-) -> Result<(Vec<Counted>, QueryAggregation), MiddlewareError> {
-    let nnf = query.to_nnf();
-    let sources: Vec<Counted> = nnf
-        .literals
-        .iter()
-        .map(|lit| {
-            let base = catalog.evaluate(&lit.atom)?;
-            Ok(counted(if lit.negated {
-                Arc::new(ComplementSource::new(base))
-            } else {
-                base
-            }))
-        })
-        .collect::<Result<_, MiddlewareError>>()?;
-    Ok((sources, QueryAggregation::nnf(nnf)))
-}
-
 /// One top-k request: "the top `k` answers to this query", optionally
 /// bounded by a deadline, traced, or with its conjuncts weighted. The
 /// request *borrows* the query and the weights, so building one allocates
@@ -343,7 +305,7 @@ impl Garlic {
             explain: None,
         };
         if request.trace {
-            let per_source = session.per_source_stats(&result.plan, request.query);
+            let per_source = session.per_source_stats(&result.plan);
             let mut root = Span::new(format!("query: {} top-{k}", request.query));
             root.push(plan_span(&result.plan, plan_ns));
             root.push(self.execute_span(&result, &session, &per_source, exec_ns, before));
@@ -465,21 +427,37 @@ impl Garlic {
 fn plan_span(plan: &Plan, plan_ns: Option<u64>) -> Span {
     let mut span = Span::new(format!("plan: {:?}", plan.strategy));
     span.duration_ns = plan_ns;
-    span.add_field("atoms", plan.atoms.len());
+    span.add_field("atoms", plan.nnf.atoms().len());
     span.add_field("estimated_cost", format!("{:.1}", plan.estimated_cost));
     span
 }
 
-/// The single fused internal-conjunction list (Section 8), metered.
-fn pushdown_source(catalog: &Catalog, atoms: &[AtomicQuery]) -> Result<Counted, MiddlewareError> {
-    let sub = catalog.resolve(&atoms[0].attribute)?;
-    Ok(counted(
-        sub.evaluate_internal_conjunction(atoms)
-            .map_err(MiddlewareError::Subsystem)?,
-    ))
-}
-
 impl Plan {
+    /// One metered source per list: a complemented one reads its atom's
+    /// list in reverse with complemented grades (the Section 7
+    /// observation), and the filtered strategy's crisp list keeps its set
+    /// access.
+    fn sources(&self, catalog: &Catalog) -> Result<Vec<Counted>, MiddlewareError> {
+        let crisp =
+            |i| matches!(self.strategy, Strategy::Filtered { crisp_index } if crisp_index == i);
+        (self.lists().into_iter().enumerate())
+            .map(|(i, (atom, negated))| {
+                let answer = if crisp(i) {
+                    let sub = catalog.resolve(&atom.attribute)?;
+                    Answer::Crisp(sub.evaluate_set(atom).map_err(MiddlewareError::Subsystem)?)
+                } else {
+                    let list = catalog.evaluate(atom)?;
+                    Answer::Graded(if negated {
+                        Arc::new(ComplementSource::new(list))
+                    } else {
+                        list
+                    })
+                };
+                Ok(CountingSource::new(answer))
+            })
+            .collect()
+    }
+
     /// Opens the plan's resumable session (see [`QuerySession`]) with the
     /// request's deadline armed: asks the subsystems for their answer
     /// handles and wraps them in meters, but accesses nothing — every
@@ -489,40 +467,35 @@ impl Plan {
         catalog: &Catalog,
         request: &QueryRequest<'_>,
     ) -> Result<QuerySession, MiddlewareError> {
-        let (atoms, query) = (&self.atoms[..], request.query);
         let mut session = match &self.strategy {
-            Strategy::FaMin => EngineSession::min(counted_atoms(catalog, atoms)?)?,
-            Strategy::FaGeneric => {
+            Strategy::FaMin => EngineSession::min(self.sources(catalog)?)?,
+            Strategy::B0Max => EngineSession::max(self.sources(catalog)?)?,
+            Strategy::FaGeneric | Strategy::FaNnf => {
                 let agg: SessionAgg = if self.weights.is_empty() {
-                    Box::new(QueryAggregation::new(query))
+                    Box::new(QueryAggregation::nnf(&self.nnf))
                 } else {
                     Box::new(FaginWimmers::new(min_agg(), &self.weights))
                 };
-                EngineSession::threshold(counted_atoms(catalog, atoms)?, agg)?
-            }
-            Strategy::FaNnf => {
-                let (sources, agg) = nnf_sources(catalog, query)?;
-                EngineSession::threshold(sources, Box::new(agg) as SessionAgg)?
+                EngineSession::threshold(self.sources(catalog)?, agg)?
             }
             Strategy::NaiveCalculus => EngineSession::scan(
-                counted_atoms(catalog, atoms)?,
-                Box::new(QueryAggregation::new(query)) as SessionAgg,
+                self.sources(catalog)?,
+                Box::new(QueryAggregation::new(request.query)) as SessionAgg,
             )?,
-            Strategy::B0Max => EngineSession::max(counted_atoms(catalog, atoms)?)?,
             Strategy::InternalPushdown { .. } => {
-                EngineSession::max(vec![pushdown_source(catalog, atoms)?])?
-            }
-            &Strategy::Filtered { crisp_index } => {
-                let mut sources = counted_atoms(catalog, &atoms[..crisp_index])?;
-                let crisp = &atoms[crisp_index];
-                let set = catalog
-                    .resolve(&crisp.attribute)?
-                    .evaluate_set(crisp)
+                // The single fused internal-conjunction list (Section 8).
+                let atoms: Vec<AtomicQuery> =
+                    self.nnf.literals.iter().map(|l| l.atom.clone()).collect();
+                let fused = (catalog.resolve(&atoms[0].attribute)?)
+                    .evaluate_internal_conjunction(&atoms)
                     .map_err(MiddlewareError::Subsystem)?;
-                sources.push(CountingSource::new(Answer::Crisp(set)));
-                sources.extend(counted_atoms(catalog, &atoms[crisp_index + 1..])?);
-                EngineSession::filtered(sources, crisp_index, Box::new(min_agg()) as SessionAgg)?
+                EngineSession::max(vec![CountingSource::new(Answer::Graded(fused))])?
             }
+            &Strategy::Filtered { crisp_index } => EngineSession::filtered(
+                self.sources(catalog)?,
+                crisp_index,
+                Box::new(min_agg()) as SessionAgg,
+            )?,
         };
         session.set_deadline(request.deadline);
         Ok(QuerySession { session })
@@ -600,31 +573,18 @@ impl QuerySession {
 
     /// Per-source `(label, cost)` pairs in source order — read straight
     /// from the session's [`CountingSource`]s, so they sum to exactly
-    /// [`QuerySession::stats`]. `plan` and `query` are the ones the session
-    /// was opened for; they name the sources: attribute names, `¬attr` for
-    /// complemented NNF literals, `(crisp)` / `(fused)` markers for the
+    /// [`QuerySession::stats`]. `plan` is the one the session was opened
+    /// for; its lists name the sources: attribute names, `¬attr` for
+    /// complemented literals, `(crisp)` / `(fused)` markers for the
     /// filtered and pushdown forms.
-    pub fn per_source_stats(&self, plan: &Plan, query: &GarlicQuery) -> Vec<(String, AccessStats)> {
-        let attributes = || plan.atoms.iter().map(|a| a.attribute.as_str());
-        let mut labels: Vec<String> = match &plan.strategy {
-            Strategy::FaNnf => {
-                let literals = query.to_nnf().literals;
-                let mark = |negated| if negated { "¬" } else { "" };
-                literals
-                    .iter()
-                    .map(|lit| format!("{}{}", mark(lit.negated), lit.atom.attribute))
-                    .collect()
-            }
+    pub fn per_source_stats(&self, plan: &Plan) -> Vec<(String, AccessStats)> {
+        let mut labels = plan.labels();
+        match plan.strategy {
             Strategy::InternalPushdown { .. } => {
-                vec![format!(
-                    "{} (fused)",
-                    attributes().collect::<Vec<_>>().join("∧")
-                )]
+                labels = vec![format!("{} (fused)", labels.join("∧"))]
             }
-            _ => attributes().map(str::to_owned).collect(),
-        };
-        if let &Strategy::Filtered { crisp_index } = &plan.strategy {
-            labels[crisp_index].push_str(" (crisp)");
+            Strategy::Filtered { crisp_index } => labels[crisp_index].push_str(" (crisp)"),
+            _ => {}
         }
         let stats = self.session.sources().iter().map(CountingSource::stats);
         labels.into_iter().zip(stats).collect()
@@ -741,6 +701,10 @@ mod tests {
             negation_pushdown,
         };
         let negated = GarlicQuery::and(color(), GarlicQuery::not(shape()));
+        let nested_negated = GarlicQuery::and(
+            color(),
+            GarlicQuery::or(shape(), GarlicQuery::not(review())),
+        );
         [
             (options(false, false), GarlicQuery::and(color(), shape())),
             (options(false, false), GarlicQuery::or(color(), shape())),
@@ -755,8 +719,8 @@ mod tests {
                 options(false, false),
                 GarlicQuery::and(color(), GarlicQuery::or(shape(), review())),
             ),
-            (options(false, false), negated.clone()),
-            (options(false, true), negated),
+            (options(false, false), negated),
+            (options(false, true), nested_negated),
             (options(true, false), GarlicQuery::and(color(), shape())),
         ]
     }
@@ -942,8 +906,8 @@ mod tests {
         agg: impl Aggregation,
         pages: &[usize],
     ) -> AccessStats {
-        let sources = counted_atoms(garlic.catalog(), &q.atoms()).unwrap();
-        let mut a0 = EngineSession::new(sources, agg).unwrap();
+        let plan = garlic.plan_for(q, 1).unwrap();
+        let mut a0 = EngineSession::new(plan.sources(garlic.catalog()).unwrap(), agg).unwrap();
         for &k in pages {
             a0.next_batch(k).unwrap();
         }
@@ -1161,7 +1125,7 @@ mod tests {
         );
         assert!(matches!(
             garlic.plan_for(&q, 6).unwrap().strategy,
-            Strategy::FaNnf
+            Strategy::FaMin
         ));
         let (batches, _) = paged(&garlic, &q, &[3, 3]);
         let oneshot = garlic.top_k(&q, 6).unwrap();
@@ -1306,7 +1270,7 @@ mod tests {
         )
         .top_k(&q, 5)
         .unwrap();
-        assert!(matches!(pushdown.plan.strategy, Strategy::FaNnf));
+        assert!(matches!(pushdown.plan.strategy, Strategy::FaMin));
         assert!(pushdown.answers.same_grades(&naive.answers, 1e-12));
     }
 
@@ -1333,6 +1297,34 @@ mod tests {
         .unwrap();
         assert!(pushdown.answers.same_grades(&naive.answers, 1e-12));
         assert!(pushdown.answers.best().unwrap().grade <= Grade::HALF);
+    }
+
+    /// EXPLAIN names each source after its list: `¬attr` for a
+    /// complemented literal, the bare attribute for each atom the naive
+    /// scan reads.
+    #[test]
+    fn explain_labels_complemented_literals() {
+        let f = Fixture::new();
+        let pushdown = Garlic::with_options(
+            f.garlic().catalog().clone(),
+            PlannerOptions {
+                negation_pushdown: true,
+                ..Default::default()
+            },
+        );
+        let color = || GarlicQuery::atom("AlbumColor", Target::text("red"));
+        let shape = || GarlicQuery::atom("Shape", Target::text("round"));
+        let labels = |garlic: &Garlic, q: &GarlicQuery| {
+            let (_, ex) = traced(garlic, q, 2);
+            let labels: Vec<String> = ex.per_source.into_iter().map(|(l, _)| l).collect();
+            labels
+        };
+        let negated = GarlicQuery::and(color(), GarlicQuery::not(shape()));
+        let hard = GarlicQuery::and(color(), GarlicQuery::not(color()));
+        assert_eq!(labels(&pushdown, &negated), ["AlbumColor", "¬Shape"]);
+        assert_eq!(labels(&pushdown, &hard), ["AlbumColor", "¬AlbumColor"]);
+        assert_eq!(labels(&f.garlic(), &negated), ["AlbumColor", "Shape"]);
+        assert_eq!(labels(&f.garlic(), &hard), ["AlbumColor"]);
     }
 
     #[test]

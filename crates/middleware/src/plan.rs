@@ -1,16 +1,28 @@
 //! The query planner: choosing the evaluation strategy the paper's Section 4
 //! catalogue offers.
 //!
-//! | Query shape | Strategy | Paper reference |
+//! The planner reads each query once, in negation-normal form
+//! ([`GarlicQuery::to_nnf`](crate::GarlicQuery::to_nnf)): its distinct
+//! literals are the lists a strategy reads — a negated one through its
+//! atom's list reversed with complemented grades, Section 7's observation
+//! — and the shape of the NNF root picks the rule. Negation-free queries
+//! have one literal per atom, so the table below reads the same for them
+//! with "atom" for "literal".
+//!
+//! | Query shape (of the NNF) | Strategy | Paper reference |
 //! |---|---|---|
-//! | flat conjunction, one crisp selective atom | filtered ("Beatles") | §4 opening |
-//! | flat conjunction, all atoms on one internal-conjunction subsystem, user opted in | internal pushdown | §8 |
+//! | flat conjunction, one positive crisp selective literal | filtered ("Beatles") | §4 opening |
+//! | flat conjunction of atoms, all on one internal-conjunction subsystem, user opted in | internal pushdown | §8 |
 //! | flat conjunction | algorithm A₀′ | Thm 4.4 |
 //! | flat disjunction | algorithm B₀ | Thm 4.5 |
 //! | any other positive query | algorithm A₀ with the compound-query aggregation and a threshold stop | Thm 4.2 |
-//! | query with negation | naive scan under the calculus | §4 naive |
-//! | query with negation, negation pushdown on | algorithm A₀ with a threshold stop over the NNF literals | §7 |
-//! | flat conjunction, request carries weights | algorithm A₀ with the Fagin–Wimmers weighting of min and a threshold stop | §4, \[FW97\] |
+//! | any other query with negation | algorithm A₀ with a threshold stop over the NNF literals | §7 |
+//! | flat conjunction of atoms, request carries weights | algorithm A₀ with the Fagin–Wimmers weighting of min and a threshold stop | §4, \[FW97\] |
+//!
+//! A negated literal is read through a complement list only with
+//! [`PlannerOptions::negation_pushdown`] on; with it off (the default) a
+//! query with negation takes the naive scan under the calculus (§4 naive),
+//! whatever its shape.
 //!
 //! "A threshold stop" is
 //! [`EngineSession::threshold`](garlic_core::EngineSession::threshold): A₀'s
@@ -23,18 +35,22 @@ use garlic_subsys::AtomicQuery;
 use crate::catalog::Catalog;
 use crate::error::MiddlewareError;
 use crate::exec::QueryRequest;
+use crate::query::Nnf;
 
 /// The chosen evaluation strategy.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Strategy {
-    /// Algorithm B₀ for a flat disjunction (cost `m·k`).
+    /// Algorithm B₀ for a flat disjunction (cost `m·k`): of atoms, or with
+    /// negation pushdown on, of literals.
     B0Max,
-    /// Algorithm A₀′ for a flat conjunction under min.
+    /// Algorithm A₀′ for a flat conjunction under min: of atoms, or with
+    /// negation pushdown on, of literals.
     FaMin,
-    /// The filtered strategy: enumerate the crisp atom's match set, random
-    /// access the rest. Payload: index of the crisp atom in the atom list.
+    /// The filtered strategy: enumerate the crisp literal's match set,
+    /// random access the rest. Payload: index of the crisp literal in the
+    /// literal list.
     Filtered {
-        /// Which atom is the crisp filter.
+        /// Which literal is the crisp filter.
         crisp_index: usize,
     },
     /// Algorithm A₀ with the compound positive query (or, with weights,
@@ -43,8 +59,8 @@ pub enum Strategy {
     /// phase ended once `k` lower bounds beat `t(last grades read)` and
     /// only the objects that can still win graded.
     FaGeneric,
-    /// Full scan with per-object grading under the standard calculus
-    /// (required for non-monotone queries, e.g. any negation).
+    /// Full scan of the atoms' lists with per-object grading under the
+    /// standard calculus: any query with negation, negation pushdown off.
     NaiveCalculus,
     /// Section 8 internal conjunction pushed down to one subsystem (its own
     /// semantics!).
@@ -52,11 +68,11 @@ pub enum Strategy {
         /// The subsystem that evaluates the whole conjunction.
         subsystem: String,
     },
-    /// Negation-normal form: negated atoms become reversed complement
-    /// sources (the Section 7 observation), making the query monotone in
-    /// its literals so A₀ applies — run with the same threshold stop as
-    /// [`Strategy::FaGeneric`]. Correct for *any* Boolean query, but
-    /// Theorem 7.1 warns the cost can be inherently linear (e.g. `Q ∧ ¬Q`).
+    /// Any other negated query, negation pushdown on: the NNF is monotone
+    /// in its literals, negated ones read as reversed complement lists
+    /// (the Section 7 observation), so A₀ applies — run with the same
+    /// threshold stop as [`Strategy::FaGeneric`]. Theorem 7.1 warns the
+    /// cost can be inherently linear (e.g. `Q ∧ ¬Q`).
     FaNnf,
 }
 
@@ -68,10 +84,10 @@ pub struct PlannerOptions {
     /// request an internal conjunction for the sake of efficiency").
     pub prefer_internal: bool,
     /// Evaluate negated queries by pushing negations to the sources
-    /// (negation-normal form + complement sources) and running A₀, instead
-    /// of the naive scan. Same answers; the cost advantage depends on the
-    /// query (none for `Q ∧ ¬Q`, per Theorem 7.1, but real for e.g.
-    /// `A ∧ ¬B` with independent lists).
+    /// (negation-normal form + complement sources) and running the rule of
+    /// the NNF's shape, instead of the naive scan. Same answers; the cost
+    /// advantage depends on the query (none for `Q ∧ ¬Q`, per Theorem 7.1,
+    /// but real for e.g. `A ∧ ¬B` with independent lists).
     pub negation_pushdown: bool,
 }
 
@@ -80,14 +96,17 @@ pub struct PlannerOptions {
 pub struct Plan {
     /// The strategy to execute.
     pub strategy: Strategy,
-    /// The distinct atoms, in evaluation order.
-    pub atoms: Vec<AtomicQuery>,
+    /// The query in negation-normal form, computed once by the planner:
+    /// its literals are the lists every strategy but the naive scan reads,
+    /// in source order, and [`Nnf::atoms`] the ones the scan reads. Boxed,
+    /// because a plan travels with every [`crate::QueryResult`].
+    pub nnf: Box<Nnf>,
     /// A middleware-cost estimate (unweighted accesses).
     pub estimated_cost: f64,
     /// Universe size N the plan was made for.
     pub n: usize,
-    /// Number of lists the strategy combines: atoms, or literals for
-    /// [`Strategy::FaNnf`].
+    /// Number of lists the strategy combines: literals, or atoms for
+    /// [`Strategy::NaiveCalculus`].
     pub m: usize,
     /// The requested page size.
     pub k: usize,
@@ -98,6 +117,26 @@ pub struct Plan {
 }
 
 impl Plan {
+    /// The lists the strategy reads, in source order, each as its atom and
+    /// whether it is complemented: one per NNF literal, or one per atom for
+    /// the naive scan, which grades the query under the calculus.
+    pub(crate) fn lists(&self) -> Vec<(&AtomicQuery, bool)> {
+        match self.strategy {
+            Strategy::NaiveCalculus => self.nnf.atoms().into_iter().map(|a| (a, false)).collect(),
+            _ => (self.nnf.literals.iter())
+                .map(|l| (&l.atom, l.negated))
+                .collect(),
+        }
+    }
+
+    /// Each list's name, as EXPLAIN shows it: its attribute, `¬attr` for
+    /// a complemented one.
+    pub(crate) fn labels(&self) -> Vec<String> {
+        (self.lists().into_iter())
+            .map(|(atom, negated)| format!("{}{}", if negated { "¬" } else { "" }, atom.attribute))
+            .collect()
+    }
+
     /// Human-readable explanation (for EXPLAIN output), rendered from the
     /// strategy and the numbers above — a plan travels with every
     /// [`crate::QueryResult`], so it carries no prose of its own.
@@ -105,6 +144,17 @@ impl Plan {
         let Plan {
             n, m, k, matches, ..
         } = *self;
+        // A negation-free plan names its lists "atoms"; one with a negated
+        // literal names them.
+        let operands = if self.nnf.literals.iter().any(|l| l.negated) {
+            format!(
+                "{m} literals ({}; ¬ reads the atom's list in reverse, \
+                 grades complemented)",
+                self.labels().join(", ")
+            )
+        } else {
+            format!("{m} atoms")
+        };
         match &self.strategy {
             Strategy::FaNnf => format!(
                 "query contains negation: rewriting to negation-normal form \
@@ -133,13 +183,13 @@ impl Plan {
                 m - 1
             ),
             Strategy::FaMin => format!(
-                "flat conjunction of {m} atoms under min: algorithm A0' \
+                "flat conjunction of {operands} under min: algorithm A0' \
                  (sorted access to the k-match depth, random access only for \
                  the pivot list's candidates, Theorem 4.4); expected cost \
                  O(N^(({m}-1)/{m}) k^(1/{m})) for independent lists"
             ),
             Strategy::B0Max => format!(
-                "flat disjunction of {m} atoms under max: algorithm B0 \
+                "flat disjunction of {operands} under max: algorithm B0 \
                  (top k of each list, no random access, Theorem 4.5); cost \
                  m*k = {} independent of N",
                 m * k
@@ -163,9 +213,10 @@ impl Plan {
 
 impl std::fmt::Display for Plan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let atoms = self.nnf.atoms();
         writeln!(f, "strategy: {:?}", self.strategy)?;
-        writeln!(f, "atoms ({}):", self.atoms.len())?;
-        for (i, a) in self.atoms.iter().enumerate() {
+        writeln!(f, "atoms ({}):", atoms.len())?;
+        for (i, a) in atoms.iter().enumerate() {
             writeln!(f, "  [{i}] {a}")?;
         }
         writeln!(f, "estimated cost: {:.1}", self.estimated_cost)?;
@@ -193,33 +244,48 @@ pub fn plan(
     request: &QueryRequest<'_>,
     options: PlannerOptions,
 ) -> Result<Plan, MiddlewareError> {
+    let nnf = request.query.to_nnf();
+    // Verify every atom resolves before committing to a strategy.
+    for lit in &nnf.literals {
+        catalog.resolve(&lit.atom.attribute)?;
+    }
+    let (strategy, estimated_cost, matches) = choose(catalog, request, &nnf, options)?;
+    // The number of lists: see `Plan::lists`.
+    let m = match strategy {
+        Strategy::NaiveCalculus => nnf.atoms().len(),
+        _ => nnf.literals.len(),
+    };
+    Ok(Plan {
+        strategy,
+        nnf: Box::new(nnf),
+        estimated_cost,
+        n: catalog.universe_size(),
+        m,
+        k: request.k,
+        matches,
+        weights: request.weights.to_vec(),
+    })
+}
+
+/// The strategy for the request's NNF, its cost estimate and the crisp
+/// match-set size ([`Strategy::Filtered`] only, else 0).
+fn choose(
+    catalog: &Catalog,
+    request: &QueryRequest<'_>,
+    nnf: &Nnf,
+    options: PlannerOptions,
+) -> Result<(Strategy, f64, usize), MiddlewareError> {
     let QueryRequest {
         query, k, weights, ..
     } = *request;
-    let atoms = query.atoms();
     let n = catalog.universe_size();
-    let m = atoms.len();
-
-    // Verify every atom resolves before committing to a strategy.
-    for a in &atoms {
-        catalog.resolve(&a.attribute)?;
-    }
-    let chosen = move |strategy, m, estimated_cost| Plan {
-        strategy,
-        atoms,
-        estimated_cost,
-        n,
-        m,
-        k,
-        matches: 0,
-        weights: weights.to_vec(),
-    };
+    let literals = &nnf.literals;
+    let m = literals.len();
+    let positive = literals.iter().all(|l| !l.negated);
+    let fa_cost = fa_cost_estimate(n, m, k);
 
     if !weights.is_empty() {
-        if query
-            .as_flat_and()
-            .is_none_or(|flat| flat.len() != weights.len())
-        {
+        if !positive || !nnf.is_flat_and() || m != weights.len() {
             return Err(MiddlewareError::Unsupported {
                 reason: "weights need a flat conjunction of distinct atoms, one weight per atom"
                     .into(),
@@ -231,48 +297,41 @@ pub fn plan(
                 reason: "weights must be non-negative, finite, with a positive sum".into(),
             });
         }
-        return Ok(chosen(Strategy::FaGeneric, m, fa_cost_estimate(n, m, k)));
+        return Ok((Strategy::FaGeneric, fa_cost, 0));
     }
 
-    // Non-positive queries cannot be evaluated by A₀ over the raw atom
-    // lists (monotonicity fails — and Section 7 shows some such queries are
-    // inherently linear). Two options: push negations into the sources
-    // (NNF + complement lists, opt-in) or fall back to the naive scan.
-    if !query.is_positive() {
-        if options.negation_pushdown {
-            let lits = query.to_nnf().literals.len();
-            return Ok(chosen(Strategy::FaNnf, lits, fa_cost_estimate(n, lits, k)));
-        }
-        return Ok(chosen(Strategy::NaiveCalculus, m, (m * n) as f64));
+    // A query that negates anything as written is not monotone in its
+    // atoms' grades (and Section 7 shows some are inherently linear):
+    // unless its negations are pushed to the sources, the naive scan
+    // grades it under the calculus as written.
+    if query.negates() && !options.negation_pushdown {
+        let atoms = nnf.atoms().len();
+        return Ok((Strategy::NaiveCalculus, (atoms * n) as f64, 0));
     }
 
-    if let Some(flat) = query.as_flat_and() {
+    if nnf.is_flat_and() {
         // Section 8 internal pushdown, on request.
-        if options.prefer_internal && m >= 2 {
-            let first = catalog.resolve(&flat[0].attribute)?;
-            let all_same = flat.iter().all(|a| {
+        if positive && options.prefer_internal && m >= 2 {
+            let first = catalog.resolve(&literals[0].atom.attribute)?;
+            let all_same = literals.iter().all(|l| {
                 catalog
-                    .resolve(&a.attribute)
+                    .resolve(&l.atom.attribute)
                     .map(|s| std::sync::Arc::ptr_eq(s, first))
                     .unwrap_or(false)
             });
             if all_same && first.supports_internal_conjunction() {
                 let subsystem = first.name().to_owned();
-                return Ok(chosen(
-                    Strategy::InternalPushdown { subsystem },
-                    m,
-                    k as f64,
-                ));
+                return Ok((Strategy::InternalPushdown { subsystem }, k as f64, 0));
             }
         }
 
-        // The "Beatles" filtered strategy: a crisp atom whose match set is
-        // small enough that probing it beats running A₀′.
-        let mut best: Option<(usize, usize)> = None; // (atom index, |S|)
-        for (i, a) in flat.iter().enumerate() {
-            let sub = catalog.resolve(&a.attribute)?;
-            if sub.is_crisp(&a.attribute) {
-                if let Some(matches) = sub.estimate_matches(a) {
+        // The "Beatles" filtered strategy: a positive crisp literal whose
+        // match set is small enough that probing it beats running A₀′.
+        let mut best: Option<(usize, usize)> = None; // (literal index, |S|)
+        for (i, lit) in literals.iter().enumerate().filter(|(_, l)| !l.negated) {
+            let sub = catalog.resolve(&lit.atom.attribute)?;
+            if sub.is_crisp(&lit.atom.attribute) {
+                if let Some(matches) = sub.estimate_matches(&lit.atom) {
                     if best.is_none_or(|(_, s)| matches < s) {
                         best = Some((i, matches));
                     }
@@ -281,26 +340,24 @@ pub fn plan(
         }
         if let Some((crisp_index, matches)) = best {
             let filtered_cost = (matches * m) as f64;
-            if filtered_cost < fa_cost_estimate(n, m, k) {
-                return Ok(Plan {
-                    matches,
-                    ..chosen(Strategy::Filtered { crisp_index }, m, filtered_cost)
-                });
+            if filtered_cost < fa_cost {
+                return Ok((Strategy::Filtered { crisp_index }, filtered_cost, matches));
             }
         }
-
-        if m >= 1 {
-            return Ok(chosen(Strategy::FaMin, m, fa_cost_estimate(n, m, k)));
-        }
+        return Ok((Strategy::FaMin, fa_cost, 0));
     }
 
-    if let Some(flat) = query.as_flat_or() {
-        let m = flat.len();
-        return Ok(chosen(Strategy::B0Max, m, (m * k) as f64));
+    if nnf.is_flat_or() {
+        return Ok((Strategy::B0Max, (m * k) as f64, 0));
     }
 
-    // General positive query: A₀ with the compound aggregation.
-    Ok(chosen(Strategy::FaGeneric, m, fa_cost_estimate(n, m, k)))
+    // Any other query: A₀ with the compound aggregation over the literals.
+    let strategy = if positive {
+        Strategy::FaGeneric
+    } else {
+        Strategy::FaNnf
+    };
+    Ok((strategy, fa_cost, 0))
 }
 
 #[cfg(test)]
@@ -389,6 +446,59 @@ mod tests {
         let q = GarlicQuery::and(a.clone(), GarlicQuery::not(a));
         let p = plan_of(&f.catalog(), &q, 1, PlannerOptions::default()).unwrap();
         assert_eq!(p.strategy, Strategy::NaiveCalculus);
+    }
+
+    /// With pushdown on, shapes are read on the NNF and `m` counts
+    /// literals; with it off, any written negation scans the atoms.
+    #[test]
+    fn shapes_are_read_on_the_nnf() {
+        let f = Fixture::new();
+        let cat = f.catalog();
+        let (and, or, not) = (GarlicQuery::and, GarlicQuery::or, GarlicQuery::not);
+        let color = || GarlicQuery::atom("AlbumColor", Target::text("red"));
+        let shape = || GarlicQuery::atom("Shape", Target::text("round"));
+        let beatles = || GarlicQuery::atom("Artist", Target::text("Beatles"));
+        let pushdown = PlannerOptions {
+            negation_pushdown: true,
+            prefer_internal: true,
+        };
+        let planned = |q: &GarlicQuery, opts| {
+            let p = plan_of(&cat, q, 3, opts).unwrap();
+            (p.strategy, p.m)
+        };
+        for (q, want) in [
+            (and(color(), not(shape())), (Strategy::FaMin, 2)),
+            (and(color(), not(color())), (Strategy::FaMin, 2)),
+            (not(color()), (Strategy::FaMin, 1)),
+            (or(not(color()), not(shape())), (Strategy::B0Max, 2)),
+            (not(and(color(), shape())), (Strategy::B0Max, 2)),
+            (
+                and(beatles(), not(color())),
+                (Strategy::Filtered { crisp_index: 0 }, 2),
+            ),
+            (
+                and(color(), or(shape(), not(beatles()))),
+                (Strategy::FaNnf, 3),
+            ),
+            (
+                not(not(and(color(), or(shape(), beatles())))),
+                (Strategy::FaGeneric, 3),
+            ),
+            // A negated crisp literal filters nothing, and internal
+            // pushdown takes atoms only (both lists below are on the
+            // QBIC store, which offers it).
+            (and(not(beatles()), color()), (Strategy::FaMin, 2)),
+            (not(or(color(), shape())), (Strategy::FaMin, 2)),
+        ] {
+            assert_eq!(planned(&q, pushdown), want, "{q}");
+        }
+        for q in [and(color(), not(color())), not(not(color()))] {
+            assert_eq!(
+                planned(&q, PlannerOptions::default()),
+                (Strategy::NaiveCalculus, 1),
+                "{q}"
+            );
+        }
     }
 
     #[test]
@@ -510,9 +620,35 @@ mod tests {
                  general); scanning 2 list(s) of {n} objects"
             )
         );
+        // With pushdown on, a flat shape of literals takes A0' or B0, and
+        // the text lists the literals; any other negated query is FaNnf.
         assert_eq!(
             describe(&negated, 2, pushdown),
-            "query contains negation: rewriting to negation-normal form with 2 literal(s); \
+            "flat conjunction of 2 literals (AlbumColor, ¬Shape; ¬ reads the atom's list in \
+             reverse, grades complemented) under min: algorithm A0' (sorted access to the \
+             k-match depth, random access only for the pivot list's candidates, Theorem 4.4); \
+             expected cost O(N^((2-1)/2) k^(1/2)) for independent lists"
+        );
+        assert_eq!(
+            describe(
+                &GarlicQuery::or(GarlicQuery::not(color()), GarlicQuery::not(shape())),
+                7,
+                pushdown
+            ),
+            "flat disjunction of 2 literals (¬AlbumColor, ¬Shape; ¬ reads the atom's list in \
+             reverse, grades complemented) under max: algorithm B0 (top k of each list, no \
+             random access, Theorem 4.5); cost m*k = 14 independent of N"
+        );
+        assert_eq!(
+            describe(
+                &GarlicQuery::and(
+                    color(),
+                    GarlicQuery::or(shape(), GarlicQuery::not(review()))
+                ),
+                2,
+                pushdown
+            ),
+            "query contains negation: rewriting to negation-normal form with 3 literal(s); \
              negated literals read their atom's list in reverse with complemented grades \
              (Section 7's π_notQ observation), restoring monotonicity so A0 applies, with a \
              threshold stop"

@@ -67,6 +67,15 @@ impl GarlicQuery {
         }
     }
 
+    /// Whether the query as written negates anything (`¬¬A` included).
+    pub(crate) fn negates(&self) -> bool {
+        match self {
+            GarlicQuery::Atom(_) => false,
+            GarlicQuery::And(qs) | GarlicQuery::Or(qs) => qs.iter().any(Self::negates),
+            GarlicQuery::Not(_) => true,
+        }
+    }
+
     /// Lowers to the index-based core algebra, given the atom universe from
     /// [`GarlicQuery::atoms`].
     #[allow(
@@ -84,50 +93,6 @@ impl GarlicQuery {
             GarlicQuery::And(qs) => Query::And(qs.iter().map(|q| q.to_core(atoms)).collect()),
             GarlicQuery::Or(qs) => Query::Or(qs.iter().map(|q| q.to_core(atoms)).collect()),
             GarlicQuery::Not(q) => Query::Not(Box::new(q.to_core(atoms))),
-        }
-    }
-
-    /// Negation-free?
-    pub fn is_positive(&self) -> bool {
-        match self {
-            GarlicQuery::Atom(_) => true,
-            GarlicQuery::And(qs) | GarlicQuery::Or(qs) => qs.iter().all(Self::is_positive),
-            GarlicQuery::Not(_) => false,
-        }
-    }
-
-    /// If the query is a flat conjunction of distinct atoms, those atoms.
-    pub fn as_flat_and(&self) -> Option<Vec<&AtomicQuery>> {
-        match self {
-            GarlicQuery::Atom(a) => Some(vec![a]),
-            GarlicQuery::And(qs) => {
-                let mut out = Vec::with_capacity(qs.len());
-                for q in qs {
-                    match q {
-                        GarlicQuery::Atom(a) if !out.contains(&a) => out.push(a),
-                        _ => return None,
-                    }
-                }
-                Some(out)
-            }
-            _ => None,
-        }
-    }
-
-    /// If the query is a flat disjunction of distinct atoms, those atoms.
-    pub fn as_flat_or(&self) -> Option<Vec<&AtomicQuery>> {
-        match self {
-            GarlicQuery::Or(qs) if qs.len() >= 2 => {
-                let mut out = Vec::with_capacity(qs.len());
-                for q in qs {
-                    match q {
-                        GarlicQuery::Atom(a) if !out.contains(&a) => out.push(a),
-                        _ => return None,
-                    }
-                }
-                Some(out)
-            }
-            _ => None,
         }
     }
 }
@@ -177,6 +142,45 @@ pub struct Nnf {
     /// algebra: graded from the literals' grades like any other
     /// [`Query`] (see [`QueryAggregation::nnf`]).
     pub root: Query,
+}
+
+impl Nnf {
+    /// The distinct atoms under the literals, in first-occurrence order:
+    /// the query's [`GarlicQuery::atoms`], since each atom's first literal
+    /// comes from its first occurrence.
+    pub fn atoms(&self) -> Vec<&AtomicQuery> {
+        let mut out: Vec<&AtomicQuery> = Vec::with_capacity(self.literals.len());
+        for lit in &self.literals {
+            if !out.contains(&&lit.atom) {
+                out.push(&lit.atom);
+            }
+        }
+        out
+    }
+
+    /// Whether the root is a conjunction of the literals, each once — a
+    /// lone literal is a conjunction of one.
+    pub(crate) fn is_flat_and(&self) -> bool {
+        match &self.root {
+            Query::Atom(_) => true,
+            Query::And(children) => !children.is_empty() && self.each_literal_once(children),
+            _ => false,
+        }
+    }
+
+    /// Whether the root is a disjunction of two or more literals, each
+    /// once.
+    pub(crate) fn is_flat_or(&self) -> bool {
+        matches!(&self.root, Query::Or(children)
+            if children.len() >= 2 && self.each_literal_once(children))
+    }
+
+    /// Every child is a literal and there are as many as literals: each
+    /// literal occurs in the root, so each appears once.
+    fn each_literal_once(&self, children: &[Query]) -> bool {
+        children.len() == self.literals.len()
+            && children.iter().all(|c| matches!(c, Query::Atom(_)))
+    }
 }
 
 impl GarlicQuery {
@@ -237,24 +241,25 @@ pub struct QueryAggregation {
 
 impl QueryAggregation {
     /// Builds the aggregation for a query over its distinct atoms, in
-    /// [`GarlicQuery::atoms`] order.
+    /// [`GarlicQuery::atoms`] order: monotone only if the query is
+    /// negation-free.
     pub fn new(query: &GarlicQuery) -> Self {
-        QueryAggregation {
-            core: query.to_core(&query.atoms()),
-            positive: query.is_positive(),
-            conjunctive: query.as_flat_and().is_some(),
-        }
+        Self::over(query.to_core(&query.atoms()), !query.negates())
     }
 
     /// An NNF query as an aggregation over its *literals'* grades — always
     /// monotone (min/max over literal grades only), so A₀ evaluates any
     /// Boolean query once negations are pushed to the sources.
-    pub fn nnf(nnf: Nnf) -> Self {
+    pub fn nnf(nnf: &Nnf) -> Self {
+        Self::over(nnf.root.clone(), true)
+    }
+
+    fn over(core: Query, positive: bool) -> Self {
         QueryAggregation {
-            conjunctive: matches!(&nnf.root, Query::And(children)
+            positive,
+            conjunctive: matches!(&core, Query::And(children)
                 if children.iter().all(|c| matches!(c, Query::Atom(_)))),
-            core: nnf.root,
-            positive: true,
+            core,
         }
     }
 }
@@ -308,25 +313,30 @@ mod tests {
 
     #[test]
     fn flat_shapes_detected() {
-        let q = q_beatles_red();
-        assert_eq!(q.as_flat_and().unwrap().len(), 2);
-        assert!(q.as_flat_or().is_none());
-
-        let o = GarlicQuery::or(
-            GarlicQuery::atom("Color", Target::text("red")),
-            GarlicQuery::atom("Shape", Target::text("round")),
+        let atom = |a: &str| GarlicQuery::atom(a, Target::text("x"));
+        let (and, or, not) = (GarlicQuery::and, GarlicQuery::or, GarlicQuery::not);
+        let shape = |q: GarlicQuery| {
+            let nnf = q.to_nnf();
+            (nnf.is_flat_and(), nnf.is_flat_or())
+        };
+        assert_eq!(shape(q_beatles_red()), (true, false));
+        assert_eq!(shape(atom("A")), (true, false));
+        assert_eq!(shape(or(atom("A"), atom("B"))), (false, true));
+        // Shapes are read on the NNF: negated literals count like atoms.
+        assert_eq!(shape(and(atom("A"), not(atom("B")))), (true, false));
+        assert_eq!(shape(not(and(atom("A"), atom("B")))), (false, true));
+        assert_eq!(shape(and(atom("A"), not(atom("A")))), (true, false));
+        assert_eq!(shape(not(not(atom("A")))), (true, false));
+        // A repeated literal, a nested connective or a lone disjunct is
+        // no flat shape.
+        assert_eq!(shape(and(atom("A"), atom("A"))), (false, false));
+        assert_eq!(shape(or(atom("A"), not(not(atom("A"))))), (false, false));
+        assert_eq!(
+            shape(and(atom("A"), or(atom("B"), atom("C")))),
+            (false, false)
         );
-        assert_eq!(o.as_flat_or().unwrap().len(), 2);
-        assert!(o.as_flat_and().is_none());
-
-        let nested = GarlicQuery::and(
-            GarlicQuery::atom("Artist", Target::text("Who")),
-            GarlicQuery::or(
-                GarlicQuery::atom("Color", Target::text("red")),
-                GarlicQuery::atom("Shape", Target::text("round")),
-            ),
-        );
-        assert!(nested.as_flat_and().is_none());
+        assert_eq!(shape(GarlicQuery::Or(vec![atom("A")])), (false, false));
+        assert_eq!(shape(GarlicQuery::And(vec![])), (false, false));
     }
 
     #[test]
@@ -529,7 +539,7 @@ mod tests {
                     ] {
                         let nnf = negated.to_nnf();
                         let arity = nnf.literals.len();
-                        check_monotone(&QueryAggregation::nnf(nnf), arity, 3)
+                        check_monotone(&QueryAggregation::nnf(&nnf), arity, 3)
                             .unwrap_or_else(|e| panic!("NNF of {negated}: {e}"));
                     }
                     checked += 1;
@@ -566,7 +576,7 @@ mod tests {
     fn nnf_aggregation_is_monotone_and_conjunctive_when_flat() {
         let red = GarlicQuery::atom("Color", Target::text("red"));
         let hard = GarlicQuery::and(red.clone(), GarlicQuery::not(red));
-        let agg = QueryAggregation::nnf(hard.to_nnf());
+        let agg = QueryAggregation::nnf(&hard.to_nnf());
         assert!(agg.is_monotone());
         assert!(agg.is_strict(2)); // flat AND over literals
         let g = |v: f64| Grade::new(v).unwrap();

@@ -137,6 +137,11 @@ pub fn demo_albums() -> Vec<Album> {
 /// The three demo subsystems over one universe: a relational store
 /// (`Artist`, `Title`, `Year`), a QBIC store (`AlbumColor`, `Shape`), and a
 /// text store (`Review`). Object `i` is album `i` in every subsystem.
+#[allow(
+    clippy::expect_used,
+    reason = "the album table is a constant and every cover colour in it is named \
+              (`universes_align` builds one image per album)"
+)]
 pub fn demo_subsystems(rng: &mut impl Rng) -> (RelationalStore, QbicStore, TextStore) {
     let albums = demo_albums();
 

@@ -48,9 +48,9 @@ fn main() {
     }
     println!("   cost: {}\n", weighted.stats);
 
-    // 2. Negation pushdown: red covers that are NOT round — planned as A0
-    //    (with a threshold stop) over a complemented (reversed) shape list,
-    //    not a full scan.
+    // 2. Negation pushdown: red covers that are NOT round — a flat
+    //    conjunction of literals, planned as A0' over a complemented
+    //    (reversed) shape list, not a full scan.
     println!("== negated: red covers that are NOT round (NNF pushdown)");
     let q = GarlicQuery::and(
         GarlicQuery::atom("AlbumColor", Target::text("red")),

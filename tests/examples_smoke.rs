@@ -42,7 +42,7 @@ fn federated_search_output_is_pinned() {
    cost: S=12 R=1
 
 == negated: red covers that are NOT round (NNF pushdown)
-   strategy: FaNnf
+   strategy: FaMin
    Scarlet Parade — Beatles       grade 0.7185
    Crimson Meadows — Beatles      grade 0.5935
    Ruby District — Animals        grade 0.5791

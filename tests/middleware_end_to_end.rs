@@ -188,7 +188,7 @@ fn repeated_atom_evaluated_once() {
     let red = GarlicQuery::atom("AlbumColor", Target::text("red"));
     let hard = GarlicQuery::and(red.clone(), GarlicQuery::not(red));
     let result = garlic.top_k(&hard, 1).unwrap();
-    assert_eq!(result.plan.atoms.len(), 1);
+    assert_eq!(result.plan.nnf.atoms().len(), 1);
     // Naive over one list of 12 objects: exactly 12 sorted accesses.
     assert_eq!(result.stats.sorted, 12);
     assert!(result.answers.best().unwrap().grade <= Grade::HALF);

@@ -347,7 +347,17 @@ pub fn strategy_queries() -> Vec<(GarlicQuery, Strategy, PlannerOptions)> {
             Strategy::NaiveCalculus,
             default,
         ),
-        (and(atom("A"), not(atom("B"))), Strategy::FaNnf, pushdown),
+        (and(atom("A"), not(atom("B"))), Strategy::FaMin, pushdown),
+        (
+            or(not(atom("A")), not(atom("B"))),
+            Strategy::B0Max,
+            pushdown,
+        ),
+        (
+            and(atom("A"), or(atom("B"), not(atom("C")))),
+            Strategy::FaNnf,
+            pushdown,
+        ),
     ]
 }
 
@@ -578,7 +588,7 @@ fn open(rule: Rule, sub: &dyn Subsystem, query: &GarlicQuery) -> Option<Box<dyn 
             ))
         })
         .collect();
-    let agg = QueryAggregation::nnf(nnf.clone());
+    let agg = QueryAggregation::nnf(&nnf);
     Some(match rule {
         New => Box::new(EngineSession::new(sources, agg).unwrap()),
         Shrunk => Box::new(EngineSession::shrunk(sources, agg).unwrap()),
