@@ -22,7 +22,7 @@ use garlic_stats::bounds::{cost_scale, wimmers_depth_threshold, wimmers_dominant
 use garlic_stats::table::fmt_prob;
 use garlic_stats::{exceedance, log_log_fit, wilson_interval, LinearFit};
 use garlic_storage::{BlockCache, SegmentSource, SegmentWriter};
-use garlic_subsys::{CrispSource, QbicStore};
+use garlic_subsys::QbicStore;
 use garlic_workload::correlation::{hard_query_database, latent_database, spearman_rho};
 use garlic_workload::distributions::UniformGrades;
 use garlic_workload::distributions::{BoundedGrades, CrispGrades, GradeDistribution};
@@ -537,8 +537,12 @@ pub(super) fn e13(trials: usize, small: bool) -> Outcome {
         for seed in seeds(130_000, trials) {
             let mut rng = seeded_rng(seed);
             let skeleton = Skeleton::random(2, n, &mut rng);
-            // List 0: crisp predicate along skeleton list 0.
-            let crisp = CrispSource::new(n, skeleton.prefix(0, matches));
+            // List 0: crisp predicate along skeleton list 0, its top
+            // `matches` graded 1 and the rest 0.
+            let crisp = MemorySource::from_pairs(
+                (skeleton.list(0).iter().enumerate())
+                    .map(|(rank, object)| (object, Grade::from_bool(rank < matches))),
+            );
             // List 1: fuzzy grades along skeleton list 1.
             let grades = UniformGrades.descending_grades(n, &mut rng);
             let fuzzy = MemorySource::from_pairs(skeleton.list(1).iter().zip(grades));

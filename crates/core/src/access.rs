@@ -19,10 +19,11 @@
 //! A source implements **three** methods — [`GradedSource::len`],
 //! [`GradedSource::try_sorted_batch`] (sorted access, batched) and
 //! [`GradedSource::try_random_batch`] (random access, batched), both
-//! fallible — and a crisp source one more,
-//! [`SetAccess::try_matching_set`]. Query engines call nothing else, plus
-//! [`GradedSource::degraded`], which has a correct default that a wrapper
-//! overrides when it has something to report (a dropped shard).
+//! fallible. A crisp source adds [`SetAccess`] with an empty block: its
+//! [`try_matching_set`](SetAccess::try_matching_set) has one provided body,
+//! the grade-1 prefix of the sorted stream. Query engines call nothing
+//! else, plus [`GradedSource::degraded`], which has a correct default that
+//! a wrapper overrides when it has something to report (a dropped shard).
 //!
 //! Every other method — the positional
 //! [`sorted_access`](GradedSource::sorted_access) /
@@ -34,8 +35,9 @@
 //! module; never a `None` or a short read). They exist for tests, examples
 //! and experiment code over sources that cannot fail. Because the adaptors
 //! sit *on top of* the fallible core, a wrapper that forgets to forward a
-//! fallible method does not compile, rather than silently turning a typed
-//! error into a panic.
+//! required method does not compile, rather than silently turning a typed
+//! error into a panic. One that forgets `try_matching_set` still returns
+//! the same set, read through its own sorted access.
 //!
 //! # The batch contract
 //!
@@ -320,15 +322,39 @@ pub struct BoundedBatch {
     pub truncated: bool,
 }
 
+/// Entries per read of [`SetAccess::try_matching_set`]'s provided body:
+/// one default 4 KiB segment block of 16-byte entries, so a block-backed
+/// list decodes each block of its grade-1 prefix once.
+const MATCH_CHUNK: usize = 256;
+
 /// Extra capability of crisp sources: enumerate every object whose grade is
 /// exactly 1 (the classical relation "result set"). Powers the filtered
 /// conjunction strategy of Section 4.
 ///
-/// **Required** (1): [`try_matching_set`](SetAccess::try_matching_set).
+/// The match set is the **grade-1 prefix** of the sorted stream, in stream
+/// order — which is ascending object id, because grade-1 ties break by id
+/// — and it costs exactly its size in sorted accesses. The one provided
+/// body of [`try_matching_set`](SetAccess::try_matching_set) reads it off
+/// [`try_sorted_batch`](GradedSource::try_sorted_batch), so a backend
+/// implements `SetAccess` with an empty block; an override only forwards
+/// to the wrapped source (and, in [`CountingSource`], bills what it got).
 pub trait SetAccess: GradedSource {
-    /// **Required.** All objects with grade 1, in unspecified order; a read
+    /// All objects with grade 1, in stream order: the sorted stream read in
+    /// fixed chunks up to its first grade below 1 (or its end). A read
     /// failure is a typed [`SourceError`].
-    fn try_matching_set(&self) -> Result<Vec<ObjectId>, SourceError>;
+    fn try_matching_set(&self) -> Result<Vec<ObjectId>, SourceError> {
+        let mut set = Vec::new();
+        let mut chunk = Vec::with_capacity(MATCH_CHUNK);
+        loop {
+            chunk.clear();
+            self.try_sorted_batch(set.len(), MATCH_CHUNK, &mut chunk)?;
+            let ones = chunk.iter().take_while(|e| e.grade == Grade::ONE).count();
+            set.extend(chunk[..ones].iter().map(|e| e.object));
+            if ones < MATCH_CHUNK {
+                return Ok(set);
+            }
+        }
+    }
 
     /// Adaptor: [`try_matching_set`](SetAccess::try_matching_set) for
     /// callers without an error channel; panics if the read fails.
@@ -401,16 +427,7 @@ impl GradedSource for MemorySource {
     }
 }
 
-impl SetAccess for MemorySource {
-    fn try_matching_set(&self) -> Result<Vec<ObjectId>, SourceError> {
-        Ok(self
-            .set
-            .iter()
-            .take_while(|e| e.grade == Grade::ONE)
-            .map(|e| e.object)
-            .collect())
-    }
-}
+impl SetAccess for MemorySource {}
 
 /// Wraps a source and counts accesses, implementing the Section 5 cost
 /// bookkeeping. Uses atomic counters so the counted source still implements
@@ -593,6 +610,62 @@ mod tests {
     fn matching_set_is_grade_one_block() {
         let s = source();
         assert_eq!(s.matching_set(), vec![ObjectId(3)]);
+    }
+
+    #[test]
+    fn matching_set_is_the_brute_force_grade_one_ids() {
+        /// Meters what the provided body reads: it overrides nothing of
+        /// `SetAccess`, so the body runs over the counted sorted reads.
+        struct Reads(CountingSource<MemorySource>);
+        impl GradedSource for Reads {
+            fn len(&self) -> usize {
+                self.0.len()
+            }
+            fn try_sorted_batch(
+                &self,
+                start: usize,
+                count: usize,
+                out: &mut Vec<GradedEntry>,
+            ) -> Result<usize, SourceError> {
+                self.0.try_sorted_batch(start, count, out)
+            }
+            fn try_random_batch(
+                &self,
+                objects: &[ObjectId],
+                out: &mut Vec<Option<Grade>>,
+            ) -> Result<(), SourceError> {
+                self.0.try_random_batch(objects, out)
+            }
+        }
+        impl SetAccess for Reads {}
+
+        const N: usize = 600;
+        for ones in [0, 1, 255, 256, 257, N] {
+            // 7919 is prime to N, so `i * 7919 % N` permutes the ids and
+            // exactly `ones` of them fall below `ones`; the rest grade just
+            // under 1 or 0.
+            let grades: Vec<Grade> = (0..N)
+                .map(|i| match (i * 7919 % N < ones, i % 2) {
+                    (true, _) => Grade::ONE,
+                    (false, 0) => g(0.999),
+                    (false, _) => Grade::ZERO,
+                })
+                .collect();
+            let want: Vec<ObjectId> = (0..N)
+                .filter(|&i| grades[i] == Grade::ONE)
+                .map(|i| ObjectId(i as u64))
+                .collect();
+            assert_eq!(want.len(), ones);
+            let reads = Reads(CountingSource::new(MemorySource::from_grades(&grades)));
+            assert_eq!(reads.matching_set(), want, "{ones} ones");
+            // Whole chunks up to the one holding the first grade below 1,
+            // and never past the end of the list.
+            let read = (ones / MATCH_CHUNK + 1) * MATCH_CHUNK;
+            assert_eq!(reads.0.stats(), AccessStats::new(read.min(N) as u64, 0));
+            let counted = CountingSource::new(reads.0.into_inner());
+            assert_eq!(counted.matching_set(), want);
+            assert_eq!(counted.stats(), AccessStats::new(ones as u64, 0));
+        }
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //! entries in total, not the `S × T` a naive scatter-gather (every shard
 //! scanned to the global depth) pays. [`ShardedSource::scan_stats`]
 //! reports the realised early-termination savings. This module adds what
-//! only shards have: the id-range fences, probe routing, the union of
-//! the shards' matching sets, and dropping a quarantined shard under
-//! degraded reads.
+//! only shards have: the id-range fences, probe routing, and dropping a
+//! quarantined shard under degraded reads. The matching set is
+//! `SetAccess`'s one provided body over the merged stream, so a dropped
+//! shard contributes no match there either.
 //!
 //! Random access routes each probe to its owning shard by binary search
 //! over the shard fences ([`ShardedSource::shard_of`]), and batched random
@@ -344,26 +345,7 @@ impl<S: GradedSource> GradedSource for ShardedSource<S> {
     }
 }
 
-impl<S: SetAccess> SetAccess for ShardedSource<S> {
-    /// The union of the shards' grade-1 sets. Order is unspecified by the
-    /// contract; this yields shard order (ascending id ranges), each
-    /// shard's own enumeration order within. A quarantined shard under
-    /// degraded reads contributes nothing (its objects all read as grade
-    /// zero), any other failure propagates.
-    fn try_matching_set(&self) -> Result<Vec<ObjectId>, SourceError> {
-        let mut set = Vec::new();
-        for (index, shard) in self.shards.iter().enumerate() {
-            if self.dropped[index].load(Ordering::Acquire) {
-                continue;
-            }
-            match shard.try_matching_set() {
-                Ok(part) => set.extend(part),
-                Err(e) => self.drop_shard_or_fail(&mut self.merge(), index, e)?,
-            }
-        }
-        Ok(set)
-    }
-}
+impl<S: SetAccess> SetAccess for ShardedSource<S> {}
 
 /// Splits `(object, grade)` pairs into at most `shards` contiguous,
 /// id-ascending, balanced runs — the canonical shard layout both the

@@ -52,6 +52,7 @@ type SessionAgg = Box<dyn Aggregation + Send + Sync>;
 
 /// A subsystem's owned `Arc` answer handle: a graded list, or a crisp list
 /// that keeps its set access for the filtered strategy.
+#[derive(Clone)]
 enum Answer {
     Graded(Arc<dyn GradedSource>),
     Crisp(Arc<dyn SetAccess>),
@@ -62,6 +63,14 @@ impl Answer {
         match self {
             Answer::Graded(list) => list.as_ref(),
             Answer::Crisp(set) => set.as_ref(),
+        }
+    }
+
+    /// The same handle as a plain graded list.
+    fn graded(&self) -> Arc<dyn GradedSource> {
+        match self {
+            Answer::Graded(list) => Arc::clone(list),
+            Answer::Crisp(set) => Arc::clone(set) as Arc<dyn GradedSource>,
         }
     }
 }
@@ -436,26 +445,39 @@ impl Plan {
     /// One metered source per list: a complemented one reads its atom's
     /// list in reverse with complemented grades (the Section 7
     /// observation), and the filtered strategy's crisp list keeps its set
-    /// access.
+    /// access. Each distinct atom is evaluated once, in first-occurrence
+    /// order, and its literals share that one answer: a live attribute
+    /// answers each evaluation from its current snapshot, so `Q` and `¬Q`
+    /// read from two evaluations could grade two different states.
     fn sources(&self, catalog: &Catalog) -> Result<Vec<Counted>, MiddlewareError> {
-        let crisp =
-            |i| matches!(self.strategy, Strategy::Filtered { crisp_index } if crisp_index == i);
-        (self.lists().into_iter().enumerate())
-            .map(|(i, (atom, negated))| {
-                let answer = if crisp(i) {
-                    let sub = catalog.resolve(&atom.attribute)?;
-                    Answer::Crisp(sub.evaluate_set(atom).map_err(MiddlewareError::Subsystem)?)
-                } else {
-                    let list = catalog.evaluate(atom)?;
-                    Answer::Graded(if negated {
-                        Arc::new(ComplementSource::new(list))
+        let lists = self.lists();
+        let crisp_atom = match self.strategy {
+            Strategy::Filtered { crisp_index } => Some(lists[crisp_index].0),
+            _ => None,
+        };
+        let mut evaluated: Vec<(&AtomicQuery, Answer)> = Vec::with_capacity(lists.len());
+        let mut sources = Vec::with_capacity(lists.len());
+        for (atom, negated) in lists {
+            let answer = match evaluated.iter().find(|(seen, _)| *seen == atom) {
+                Some((_, answer)) => answer.clone(),
+                None => {
+                    let answer = if crisp_atom == Some(atom) {
+                        let sub = catalog.resolve(&atom.attribute)?;
+                        Answer::Crisp(sub.evaluate_set(atom).map_err(MiddlewareError::Subsystem)?)
                     } else {
-                        list
-                    })
-                };
-                Ok(CountingSource::new(answer))
-            })
-            .collect()
+                        Answer::Graded(catalog.evaluate(atom)?)
+                    };
+                    evaluated.push((atom, answer.clone()));
+                    answer
+                }
+            };
+            sources.push(CountingSource::new(if negated {
+                Answer::Graded(Arc::new(ComplementSource::new(answer.graded())))
+            } else {
+                answer
+            }));
+        }
+        Ok(sources)
     }
 
     /// Opens the plan's resumable session (see [`QuerySession`]) with the

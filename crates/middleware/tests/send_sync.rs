@@ -15,9 +15,7 @@ use garlic_core::{GradedSource, SetAccess};
 use garlic_middleware::{
     Catalog, Explain, Garlic, GarlicService, QueryRequest, QueryResult, QuerySession,
 };
-use garlic_subsys::{
-    CrispSource, QbicStore, RelationalStore, Subsystem, TextStore, VectorSubsystem,
-};
+use garlic_subsys::{QbicStore, RelationalStore, Subsystem, TextStore, VectorSubsystem};
 
 fn assert_send_sync<T: Send + Sync>() {}
 fn assert_static<T: 'static>() {}
@@ -25,7 +23,6 @@ fn assert_static<T: 'static>() {}
 #[test]
 fn core_source_types_are_send_sync() {
     assert_send_sync::<MemorySource>();
-    assert_send_sync::<CrispSource>();
     assert_send_sync::<ComplementSource<MemorySource>>();
     assert_send_sync::<CountingSource<MemorySource>>();
     assert_send_sync::<CountingSource<Arc<dyn GradedSource>>>();

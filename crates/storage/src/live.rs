@@ -45,8 +45,9 @@
 //! over two runs: the overlay's live entries (active + frozen memtables,
 //! newest layer winning), known up front, and the base segment, whose
 //! refills drop every object the overlay *shadows* (an upsert hides the
-//! older grade, a tombstone hides the object). The matching set is the
-//! grade-1 prefix of that stream. The resulting stream, random access
+//! older grade, a tombstone hides the object). The matching set is
+//! `SetAccess`'s one provided body over that stream: its grade-1 prefix,
+//! read like any other sorted access. The resulting stream, random access
 //! answers, and matching set are **provably identical** to
 //! a freshly built [`garlic_core::access::MemorySource`] over the same
 //! live contents, so the Section 5 billed access counts of anything
@@ -734,17 +735,7 @@ impl GradedSource for LiveSnapshot {
     }
 }
 
-impl SetAccess for LiveSnapshot {
-    /// The grade-1 prefix of the merged stream: its first
-    /// [`exact_match_count`](LiveSnapshot::exact_match_count) entries, in
-    /// ascending id order as in `MemorySource` (grade-1 ties break by id).
-    fn try_matching_set(&self) -> Result<Vec<ObjectId>, SourceError> {
-        let mut ones = Vec::new();
-        self.try_sorted_batch(0, self.ones as usize, &mut ones)?;
-        debug_assert!(ones.iter().all(|e| e.grade == Grade::ONE));
-        Ok(ones.into_iter().map(|e| e.object).collect())
-    }
-}
+impl SetAccess for LiveSnapshot {}
 
 /// Compaction's input: the full contents of the base segment plus every
 /// frozen layer, as writer-ready pairs in no particular order. The frozen

@@ -12,11 +12,12 @@
 //! footer's byte lengths and read through the one block decoder
 //! ([`Block`]). After a successful open the source is an ordinary
 //! `Send + Sync` graded source: sorted access streams data blocks through
-//! the shared [`BlockCache`], random access routes through the footer's
-//! fence index to exactly one table block, and `SetAccess` enumerates the
-//! grade-1 prefix — bit-identical behaviour to a [`MemorySource`] over the
-//! same pairs, in every version (the round-trip property suite holds it to
-//! that).
+//! the shared [`BlockCache`], and random access routes through the footer's
+//! fence index to exactly one table block — bit-identical behaviour to a
+//! [`MemorySource`] over the same pairs, in every version (the round-trip
+//! property suite holds it to that). The match set is `SetAccess`'s one
+//! provided body over those sorted reads, so it is the same grade-1 prefix
+//! a `MemorySource` returns.
 //!
 //! A v2 or v3 footer's per-block grade fences are checked against every
 //! data block at open, like the rest of the footer; no read skips blocks
@@ -534,25 +535,7 @@ impl GradedSource for SegmentSource {
     }
 }
 
-impl SetAccess for SegmentSource {
-    /// The grade-1 prefix of the sorted order — identical semantics to
-    /// [`MemorySource`](garlic_core::access::MemorySource)'s.
-    fn try_matching_set(&self) -> Result<Vec<ObjectId>, SourceError> {
-        let mut out = Vec::with_capacity(self.footer.ones as usize);
-        let mut batch = Vec::new();
-        let mut rank = 0usize;
-        'scan: while self.try_sorted_batch(rank, self.entries_per_block.max(1), &mut batch)? > 0 {
-            rank += batch.len();
-            for entry in batch.drain(..) {
-                if entry.grade != Grade::ONE {
-                    break 'scan;
-                }
-                out.push(entry.object);
-            }
-        }
-        Ok(out)
-    }
-}
+impl SetAccess for SegmentSource {}
 
 impl std::fmt::Debug for SegmentSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -835,6 +818,16 @@ mod tests {
         assert_eq!(seg.matching_set(), vec![ObjectId(0), ObjectId(2)]);
         assert!(!seg.is_crisp());
         assert_eq!(seg.exact_match_count(), 2);
+        // Seven ones at 3 entries a block: the prefix crosses two data-block
+        // boundaries and ends inside the third block.
+        let grades = [1.0, 0.5, 1.0, 1.0, 0.0, 1.0, 1.0, 0.5, 1.0, 1.0].map(g);
+        let seg = write_and_open("matching-blocks.seg", &grades, 48);
+        let ones: Vec<ObjectId> = (0..grades.len() as u64)
+            .filter(|&i| grades[i as usize] == Grade::ONE)
+            .map(ObjectId)
+            .collect();
+        assert_eq!(ones.len(), 7);
+        assert_eq!(seg.matching_set(), ones);
     }
 
     #[test]

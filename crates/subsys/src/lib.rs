@@ -40,5 +40,5 @@ pub use api::{AtomicQuery, Subsystem, SubsystemError, Target};
 pub use disk::{AttributeHealth, DiskSubsystem};
 pub use mem::VectorSubsystem;
 pub use qbic::QbicStore;
-pub use relational::{CrispSource, RelationalStore, Value};
+pub use relational::{RelationalStore, Value};
 pub use text::TextStore;

@@ -21,15 +21,13 @@ use garlic_core::ShardedSource;
 
 use crate::api::{AtomicQuery, Subsystem, SubsystemError};
 
-/// One registered ranking: owned answer handles (the same allocation
-/// behind both trait facades — stable Rust cannot cross-cast trait-object
-/// `Arc`s, so both are cloned from the concrete `Arc` at registration)
-/// plus statistics precomputed at registration (crispness gates set
-/// access; the exact-match count is planner selectivity). All are O(N) to
-/// derive, so they are derived once here, not per query.
+/// One registered ranking: its owned answer handle (one `Arc`, upcast to
+/// a plain graded list for `evaluate`) plus statistics precomputed at
+/// registration (crispness gates set access; the exact-match count is
+/// planner selectivity). All are O(N) to derive, so they are derived once
+/// here, not per query.
 #[derive(Clone)]
 struct AttributeList {
-    graded: Arc<dyn GradedSource>,
     set: Arc<dyn SetAccess>,
     crisp: bool,
     ones: usize,
@@ -38,17 +36,8 @@ struct AttributeList {
 impl AttributeList {
     fn new(source: MemorySource) -> Self {
         let (crisp, ones) = list_stats(source.graded_set().iter().map(|e| e.grade));
-        AttributeList::from_concrete(Arc::new(source), crisp, ones)
-    }
-
-    fn sharded(source: ShardedSource<MemorySource>, crisp: bool, ones: usize) -> Self {
-        AttributeList::from_concrete(Arc::new(source), crisp, ones)
-    }
-
-    fn from_concrete<S: SetAccess + 'static>(source: Arc<S>, crisp: bool, ones: usize) -> Self {
         AttributeList {
-            graded: Arc::clone(&source) as Arc<dyn GradedSource>,
-            set: source as Arc<dyn SetAccess>,
+            set: Arc::new(source),
             crisp,
             ones,
         }
@@ -58,7 +47,7 @@ impl AttributeList {
 impl std::fmt::Debug for AttributeList {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AttributeList")
-            .field("len", &self.graded.len())
+            .field("len", &self.set.len())
             .field("crisp", &self.crisp)
             .field("ones", &self.ones)
             .finish()
@@ -151,10 +140,9 @@ impl VectorSubsystem {
             "list length must match the universe size"
         );
         let (crisp, ones) = list_stats(grades.iter().copied());
-        self.lists.insert(
-            attribute.to_owned(),
-            AttributeList::sharded(ShardedSource::from_grades(grades, shards), crisp, ones),
-        );
+        let set = Arc::new(ShardedSource::from_grades(grades, shards));
+        self.lists
+            .insert(attribute.to_owned(), AttributeList { set, crisp, ones });
         self
     }
 }
@@ -177,7 +165,7 @@ impl Subsystem for VectorSubsystem {
     fn evaluate(&self, query: &AtomicQuery) -> Result<Arc<dyn GradedSource>, SubsystemError> {
         self.lists
             .get(&query.attribute)
-            .map(|list| Arc::clone(&list.graded))
+            .map(|list| Arc::clone(&list.set) as Arc<dyn GradedSource>)
             .ok_or_else(|| SubsystemError::UnknownAttribute {
                 attribute: query.attribute.clone(),
                 subsystem: self.name.clone(),

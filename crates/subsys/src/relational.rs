@@ -3,14 +3,14 @@
 //!
 //! Queries like `Artist = "Beatles"` grade every object crisply: 1 if the
 //! row matches, 0 otherwise. Selection is equality only, as the paper's
-//! atomic queries are `X = t`. A hash index per column provides the
-//! *set access* (enumerate all matches) that powers the filtered strategy
-//! of Section 4, alongside the regular sorted/random access of every
-//! subsystem.
+//! atomic queries are `X = t`. A hash index per column finds a
+//! predicate's rows, and the answer is a crisp [`MemorySource`] over
+//! those 0/1 grades: the regular sorted/random access of every subsystem,
+//! plus the *set access* (enumerate all matches, the grade-1 prefix of
+//! the sorted order) that powers the filtered strategy of Section 4.
 
 use garlic_agg::Grade;
-use garlic_core::access::{GradedSource, MemorySource, SetAccess, SourceError};
-use garlic_core::graded_set::GradedEntry;
+use garlic_core::access::{GradedSource, MemorySource, SetAccess};
 use garlic_core::ObjectId;
 use std::collections::HashMap;
 use std::fmt;
@@ -119,68 +119,20 @@ impl RelationalStore {
             .unwrap_or_default())
     }
 
-    /// Evaluates `column = value` as a crisp graded source with set access.
+    /// Evaluates `column = value` as a crisp graded source: grade 1 for a
+    /// matching row, 0 for the rest. Its sorted order puts the matches
+    /// first (by id), then the non-matches (by id), so its match set is
+    /// that grade-1 prefix.
     pub fn predicate_source(
         &self,
         column: &str,
         value: &Value,
-    ) -> Result<CrispSource, SubsystemError> {
-        let matches = self.select_eq(column, value)?;
-        Ok(CrispSource::new(self.rows.len(), matches))
-    }
-}
-
-/// A crisp graded source: a match set over a universe, grades 1/0, with
-/// [`SetAccess`]. Sorted order puts matches first (by id), non-matches after
-/// (by id).
-#[derive(Debug, Clone)]
-pub struct CrispSource {
-    inner: MemorySource,
-    matches: Vec<ObjectId>,
-}
-
-impl CrispSource {
-    /// Builds from a universe size and the set of matching objects.
-    pub fn new(n: usize, mut matches: Vec<ObjectId>) -> Self {
-        matches.sort();
-        matches.dedup();
-        let mut grades = vec![Grade::ZERO; n];
-        for id in &matches {
+    ) -> Result<MemorySource, SubsystemError> {
+        let mut grades = vec![Grade::ZERO; self.rows.len()];
+        for id in self.select_eq(column, value)? {
             grades[id.index()] = Grade::ONE;
         }
-        CrispSource {
-            inner: MemorySource::from_grades(&grades),
-            matches,
-        }
-    }
-}
-
-impl GradedSource for CrispSource {
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    /// Streams the materialised matches-first ranking as a sequential
-    /// slice walk (no per-rank index resolution).
-    fn try_sorted_batch(
-        &self,
-        start: usize,
-        count: usize,
-        out: &mut Vec<GradedEntry>,
-    ) -> Result<usize, SourceError> {
-        self.inner.try_sorted_batch(start, count, out)
-    }
-    fn try_random_batch(
-        &self,
-        objects: &[ObjectId],
-        out: &mut Vec<Option<Grade>>,
-    ) -> Result<(), SourceError> {
-        self.inner.try_random_batch(objects, out)
-    }
-}
-
-impl SetAccess for CrispSource {
-    fn try_matching_set(&self) -> Result<Vec<ObjectId>, SourceError> {
-        Ok(self.matches.clone())
+        Ok(MemorySource::from_grades(&grades))
     }
 }
 

@@ -30,6 +30,11 @@
 //! handles) checked once per phase, never per entry, so an unattached
 //! system pays one branch per query phase.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 mod metrics;
 mod registry;
 mod trace;

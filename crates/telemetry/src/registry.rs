@@ -5,9 +5,15 @@
 //! every subsequent `inc()`/`record()` on the handle is a relaxed atomic.
 //! Components are expected to resolve their handles at construction time
 //! and never touch the registry maps per operation.
+//!
+//! Every lock is taken through [`read`] or [`write`], which recover the
+//! guard when a thread panicked while holding the lock: a map is only
+//! extended whole (an insert or a push), so a poisoned one is still
+//! consistent, and one panicking collector or caller does not take the
+//! registry down with it.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 
@@ -27,23 +33,33 @@ pub struct Telemetry {
     collectors: RwLock<Vec<Collector>>,
 }
 
+/// Read-locks `lock`, recovered if poisoned (see the module docs).
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Write-locks `lock`, recovered if poisoned (see the module docs).
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
-            .field("counters", &self.counters.read().unwrap().len())
-            .field("gauges", &self.gauges.read().unwrap().len())
-            .field("histograms", &self.histograms.read().unwrap().len())
-            .field("collectors", &self.collectors.read().unwrap().len())
+            .field("counters", &read(&self.counters).len())
+            .field("gauges", &read(&self.gauges).len())
+            .field("histograms", &read(&self.histograms).len())
+            .field("collectors", &read(&self.collectors).len())
             .finish()
     }
 }
 
 /// Get-or-register `name` in one of the metric maps.
 fn resolve<M: Default>(map: &RwLock<BTreeMap<String, Arc<M>>>, name: &str) -> Arc<M> {
-    if let Some(m) = map.read().unwrap().get(name) {
+    if let Some(m) = read(map).get(name) {
         return Arc::clone(m);
     }
-    let mut w = map.write().unwrap();
+    let mut w = write(map);
     Arc::clone(w.entry(name.to_string()).or_default())
 }
 
@@ -76,32 +92,32 @@ impl Telemetry {
     where
         F: Fn(&mut Vec<MetricEntry>) + Send + Sync + 'static,
     {
-        self.collectors.write().unwrap().push(Box::new(f));
+        write(&self.collectors).push(Box::new(f));
     }
 
     /// A point-in-time copy of every registered metric plus collector
     /// output, sorted by name.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let mut entries = Vec::new();
-        for (name, c) in self.counters.read().unwrap().iter() {
+        for (name, c) in read(&self.counters).iter() {
             entries.push(MetricEntry {
                 name: name.clone(),
                 value: MetricValue::Counter(c.get()),
             });
         }
-        for (name, g) in self.gauges.read().unwrap().iter() {
+        for (name, g) in read(&self.gauges).iter() {
             entries.push(MetricEntry {
                 name: name.clone(),
                 value: MetricValue::Gauge(g.get()),
             });
         }
-        for (name, h) in self.histograms.read().unwrap().iter() {
+        for (name, h) in read(&self.histograms).iter() {
             entries.push(MetricEntry {
                 name: name.clone(),
                 value: MetricValue::Histogram(Box::new(h.snapshot())),
             });
         }
-        for collect in self.collectors.read().unwrap().iter() {
+        for collect in read(&self.collectors).iter() {
             collect(&mut entries);
         }
         entries.sort_by(|a, b| a.name.cmp(&b.name));
@@ -242,6 +258,43 @@ impl TelemetrySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Poisons `lock` from a scoped thread that panics holding it.
+    fn poison<T: Send + Sync>(lock: &RwLock<T>) {
+        let held = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = write(lock);
+                panic!("panicked while holding a registry lock");
+            })
+            .join()
+        });
+        assert!(held.is_err() && lock.is_poisoned());
+    }
+
+    #[test]
+    fn a_poisoned_lock_still_answers() {
+        let t = Telemetry::new();
+        t.counter("before").inc();
+        poison(&t.counters);
+        poison(&t.gauges);
+        poison(&t.histograms);
+        poison(&t.collectors);
+
+        t.counter("before").inc();
+        t.gauge("depth").set(4);
+        t.histogram("lat").record(9);
+        t.register_collector(|out| {
+            out.push(MetricEntry {
+                name: "collected".into(),
+                value: MetricValue::Counter(1),
+            });
+        });
+        let s = t.snapshot();
+        assert_eq!(s.counter("before"), 2);
+        assert_eq!(s.counter("collected"), 1);
+        assert!(matches!(s.get("depth"), Some(MetricValue::Gauge(4))));
+        assert!(format!("{t:?}").contains("collectors: 1"));
+    }
 
     #[test]
     fn register_resolves_same_handle() {

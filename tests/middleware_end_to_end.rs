@@ -1,12 +1,14 @@
 //! End-to-end middleware tests: the full Garlic stack (catalog → planner →
 //! executor → subsystems) on the compact-disk demo and on synthetic stores.
 
+use garlic::core::{GradedSource, SetAccess};
 use garlic::middleware::{Catalog, Garlic, GarlicQuery, PlannerOptions, Strategy};
 use garlic::subsys::cd_store::{demo_albums, demo_subsystems};
-use garlic::subsys::{QbicStore, Subsystem, Target};
+use garlic::subsys::{AtomicQuery, QbicStore, Subsystem, SubsystemError, Target};
 use garlic::Grade;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::{Arc, Mutex};
 
 struct Fixture {
     rel: garlic::subsys::RelationalStore,
@@ -192,6 +194,102 @@ fn repeated_atom_evaluated_once() {
     // Naive over one list of 12 objects: exactly 12 sorted accesses.
     assert_eq!(result.stats.sorted, 12);
     assert!(result.answers.best().unwrap().grade <= Grade::HALF);
+}
+
+/// A subsystem that logs the attribute of every `evaluate` and
+/// `evaluate_set` call and forwards everything to the wrapped one.
+struct Logged<S> {
+    inner: S,
+    log: Arc<Mutex<Vec<String>>>,
+}
+
+impl<S> Logged<S> {
+    fn new(inner: S, log: &Arc<Mutex<Vec<String>>>) -> Self {
+        Logged {
+            inner,
+            log: Arc::clone(log),
+        }
+    }
+}
+
+impl<S: Subsystem> Subsystem for Logged<S> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn attributes(&self) -> Vec<String> {
+        self.inner.attributes()
+    }
+    fn universe_size(&self) -> usize {
+        self.inner.universe_size()
+    }
+    fn evaluate(&self, query: &AtomicQuery) -> Result<Arc<dyn GradedSource>, SubsystemError> {
+        self.log.lock().unwrap().push(query.attribute.clone());
+        self.inner.evaluate(query)
+    }
+    fn is_crisp(&self, attribute: &str) -> bool {
+        self.inner.is_crisp(attribute)
+    }
+    fn evaluate_set(&self, query: &AtomicQuery) -> Result<Arc<dyn SetAccess>, SubsystemError> {
+        self.log.lock().unwrap().push(query.attribute.clone());
+        self.inner.evaluate_set(query)
+    }
+    fn estimate_matches(&self, query: &AtomicQuery) -> Option<usize> {
+        self.inner.estimate_matches(query)
+    }
+    fn supports_internal_conjunction(&self) -> bool {
+        self.inner.supports_internal_conjunction()
+    }
+    fn evaluate_internal_conjunction(
+        &self,
+        queries: &[AtomicQuery],
+    ) -> Result<Arc<dyn GradedSource>, SubsystemError> {
+        self.inner.evaluate_internal_conjunction(queries)
+    }
+}
+
+/// Under negation pushdown an atom and its negation are two lists, but the
+/// subsystem is asked for the atom once: both lists read one answer, so a
+/// live attribute cannot grade `Q` and `¬Q` from two different states.
+#[test]
+fn each_atom_is_evaluated_once_under_pushdown() {
+    let f = Fixture::new(7);
+    let log = Arc::new(Mutex::new(Vec::new()));
+    let mut cat = Catalog::new();
+    cat.register(Logged::new(f.rel.clone(), &log)).unwrap();
+    cat.register(Logged::new(f.qbic.clone(), &log)).unwrap();
+    cat.register(Logged::new(f.text.clone(), &log)).unwrap();
+    let options = PlannerOptions {
+        negation_pushdown: true,
+        ..Default::default()
+    };
+    let garlic = Garlic::with_options(cat, options);
+    let atom = |attribute, target| GarlicQuery::atom(attribute, Target::text(target));
+    let (q, b, k) = (
+        atom("AlbumColor", "red"),
+        atom("Shape", "round"),
+        atom("Artist", "Beatles"),
+    );
+    let not = GarlicQuery::not;
+    let shapes = [
+        GarlicQuery::and(q.clone(), not(q.clone())),
+        GarlicQuery::and(q.clone(), GarlicQuery::or(b, not(q))),
+        GarlicQuery::and(k.clone(), not(k)),
+    ];
+    for query in &shapes {
+        log.lock().unwrap().clear();
+        let result = garlic.top_k(query, 3).unwrap();
+        assert!(result.plan.nnf.literals.len() > result.plan.nnf.atoms().len());
+        let mut asked = log.lock().unwrap().clone();
+        let calls = asked.len();
+        asked.sort();
+        asked.dedup();
+        assert_eq!(
+            calls,
+            asked.len(),
+            "{query}: {asked:?} asked more than once"
+        );
+        assert_eq!(calls, result.plan.nnf.atoms().len(), "{query}");
+    }
 }
 
 /// Single-atom queries work through every entry point.
