@@ -38,6 +38,18 @@
 //!   access kinds, making "has list i shown this object?" a bit test and
 //!   "is the grade vector complete?" an O(1) word compare for `m ≤ 64`.
 //!
+//! The naive scan ([`EngineSession::scan`]) opens the slab *id-addressed*:
+//! it pre-sizes one row per id in `0..N`, and `ObjectId(x)` for `x < N` is
+//! row `x`, so folding an entry in is an index, a grade write and its known
+//! bit — no hash lookup, no rank and no matched list, since the scan reads
+//! to depth `N` whatever has matched. Any other id (a live store with
+//! tombstones streams ids up to its universe) gets an overflow row through
+//! the slot map. A row no list showed is no object of the database: it is
+//! never probed, graded or counted. Only the scan opens this layout,
+//! because only it visits every object: pre-sizing `N` rows for an A₀
+//! page, which touches a few thousand, would fault in most of the table's
+//! pages.
+//!
 //! # Exact Section 5 cost preservation
 //!
 //! Batching is an access-plan optimisation, not a semantic change: the
@@ -182,9 +194,14 @@ struct Slab {
     words: usize,
     /// Bit pattern of the *last* mask word when every list is present.
     last_full: u64,
-    /// `ObjectId → slot` resolution (FxHash — no SipHash per observation).
+    /// Id-addressed rows: `ObjectId(x)` for `x < by_id` is slot `x`,
+    /// pre-sized at open. Zero for the hashed slab, the only one that
+    /// tracks ranks and matches.
+    by_id: usize,
+    /// `ObjectId → slot` resolution for every other id (FxHash — no
+    /// SipHash per observation).
     slots: FxHashMap<ObjectId, u32>,
-    /// `slot → ObjectId`, in first-seen order.
+    /// `slot by_id + j → ObjectId`, in first-seen order.
     ids: Vec<ObjectId>,
     /// m-strided grades; validity is governed by `grade_mask`, and a grade
     /// no list has revealed reads as zero.
@@ -214,37 +231,69 @@ impl Slab {
         }
     }
 
-    /// Number of slots (distinct objects seen via either access kind).
+    /// The scan's slab: one pre-sized row per id in `0..n`, addressed by
+    /// the id itself, and no ranks.
+    fn by_id(m: usize, n: usize) -> Self {
+        let mut slab = Slab::new(m);
+        slab.by_id = n;
+        slab.grades = vec![Grade::ZERO; n * m];
+        slab.grade_mask = vec![0; n * slab.words];
+        slab
+    }
+
+    /// Number of slots: the id-addressed rows, then one per other object
+    /// seen via either access kind.
     fn len(&self) -> usize {
-        self.ids.len()
+        self.by_id + self.ids.len()
     }
 
     /// Resolves an object to its slot, allocating a fresh one on first
-    /// sight. The only hash lookup on the observation path.
+    /// sight. The only hash lookup on the observation path, and none for
+    /// an id-addressed row.
     fn slot(&mut self, id: ObjectId) -> u32 {
+        if id.0 < self.by_id as u64 {
+            return id.0 as u32;
+        }
         match self.slots.entry(id) {
             std::collections::hash_map::Entry::Occupied(e) => *e.get(),
             std::collections::hash_map::Entry::Vacant(e) => {
-                let slot = self.ids.len() as u32;
+                let slot = (self.by_id + self.ids.len()) as u32;
                 e.insert(slot);
                 self.ids.push(id);
-                self.grades.resize(self.grades.len() + self.m, Grade::ZERO);
-                self.ranks.resize(self.ranks.len() + self.m, 0);
-                self.grade_mask
-                    .resize(self.grade_mask.len() + self.words, 0);
-                self.rank_mask.resize(self.rank_mask.len() + self.words, 0);
+                let rows = self.len();
+                self.grades.resize(rows * self.m, Grade::ZERO);
+                self.grade_mask.resize(rows * self.words, 0);
+                if self.by_id == 0 {
+                    self.ranks.resize(rows * self.m, 0);
+                    self.rank_mask.resize(rows * self.words, 0);
+                }
                 slot
             }
         }
     }
 
-    /// The slot of an already-seen object, if any.
+    /// The slot of an object: its id-addressed row, or the slot it got
+    /// when first seen.
     fn slot_of(&self, id: ObjectId) -> Option<u32> {
+        if id.0 < self.by_id as u64 {
+            return Some(id.0 as u32);
+        }
         self.slots.get(&id).copied()
     }
 
     fn id(&self, slot: u32) -> ObjectId {
-        self.ids[slot as usize]
+        match (slot as usize).checked_sub(self.by_id) {
+            Some(j) => self.ids[j],
+            None => ObjectId(u64::from(slot)),
+        }
+    }
+
+    /// Whether any list has revealed a grade of the slot — false only for
+    /// an id-addressed row no list showed.
+    #[inline]
+    fn shown(&self, slot: u32) -> bool {
+        let known = &self.grade_mask[slot as usize * self.words..][..self.words];
+        known.iter().any(|&w| w != 0)
     }
 
     #[inline]
@@ -333,19 +382,29 @@ impl Slab {
     }
 
     /// Folds one sorted observation in; returns `true` when this was the
-    /// slot's last list, i.e. the object just *matched*.
+    /// slot's last list, i.e. the object just *matched*. The id-addressed
+    /// slab writes only the grade and its known bit, and never matches.
     #[inline]
     fn observe(&mut self, slot: u32, list: usize, rank: usize, grade: Grade) -> bool {
         let (w, b) = self.word_bit(slot, list);
+        let ranked = self.by_id == 0;
+        let shown = if ranked {
+            &self.rank_mask
+        } else {
+            &self.grade_mask
+        };
         debug_assert!(
-            self.rank_mask[w] & b == 0,
+            shown[w] & b == 0,
             "object {} shown twice by list {list}",
             self.id(slot)
         );
         let base = slot as usize * self.m + list;
         self.grades[base] = grade;
-        self.ranks[base] = rank as u32;
         self.grade_mask[w] |= b;
+        if !ranked {
+            return false;
+        }
+        self.ranks[base] = rank as u32;
         self.rank_mask[w] |= b;
         Self::mask_full(&self.rank_mask, slot, self.words, self.last_full)
     }
@@ -1080,9 +1139,13 @@ where
     }
 
     /// Opens a naive-scan session: correct for *any* aggregation, at a
-    /// cost of `m·N` sorted accesses paid by the first page.
+    /// cost of `m·N` sorted accesses paid by the first page. Its slab is
+    /// id-addressed (see the module docs).
     pub fn scan(sources: Vec<S>, agg: A) -> Result<Self, TopKError> {
-        Self::open(sources, Rule::Scan(agg))
+        let mut session = Self::open(sources, Rule::Scan(agg))?;
+        let engine = &mut session.engine;
+        engine.slab = Slab::by_id(engine.sources.len(), engine.n);
+        Ok(session)
     }
 
     /// Opens a B₀ session for the standard fuzzy disjunction
@@ -1204,16 +1267,16 @@ where
         }
 
         // Sorted phase, resumed at the stored depth: until the *cumulative*
-        // target has matched — all `N` objects for the naive scan, or
-        // earlier once its lower bounds beat τ under the threshold rule —
-        // or, for B₀, to the cumulative target's depth whatever has matched.
+        // target has matched — or earlier once its lower bounds beat τ
+        // under the threshold rule — or, for B₀, to the cumulative target's
+        // depth whatever has matched, and for the naive scan to depth `N`.
         // The filtered rule has none: its first page fetches the match set
         // instead, once (a page retried after a failed completion does not
         // fetch it again), and knows each match's crisp grade without an
         // access.
         let engine = &mut self.engine;
         match &mut self.rule {
-            Rule::Scan(_) => engine.advance_until_matched(n, |_| false)?,
+            Rule::Scan(_) => engine.advance_to_depth(n)?,
             Rule::Max => engine.advance_to_depth(target)?,
             Rule::Filtered { crisp, fetch, .. } => {
                 if let Some(matching_set) = *fetch {
@@ -1290,7 +1353,9 @@ where
         let waiting =
             (0..slab.len() as u32).filter(|&slot| status[slot as usize] == Status::Waiting);
         match &mut self.rule {
-            Rule::Monotone(_) | Rule::Scan(_) | Rule::Filtered { .. } => fresh.extend(waiting),
+            Rule::Monotone(_) | Rule::Filtered { .. } => fresh.extend(waiting),
+            // A row no list showed is no object of the database.
+            Rule::Scan(_) => fresh.extend(waiting.filter(|&slot| slab.shown(slot))),
             Rule::Shrunk { depths, .. } => fresh.extend(waiting.filter(|&slot| {
                 let shallow = |(i, &t)| slab.rank(slot, i).is_some_and(|r| r < t);
                 depths.iter().enumerate().any(shallow)
@@ -1428,7 +1493,7 @@ where
 mod tests {
     use super::*;
     use crate::access::{counted, total_stats, MemorySource};
-    use garlic_agg::iterated::{min_agg, IteratedTNorm};
+    use garlic_agg::iterated::{max_agg, min_agg, IteratedTNorm};
     use std::collections::HashSet;
 
     type MinAgg = IteratedTNorm<garlic_agg::tnorms::Minimum>;
@@ -1720,6 +1785,83 @@ mod tests {
             total_stats(session.sources()),
             crate::AccessStats::new(8, 0)
         );
+    }
+
+    fn pairs(entries: &[(u64, f64)]) -> MemorySource {
+        MemorySource::from_pairs(entries.iter().map(|&(id, v)| (ObjectId(id), g(v))))
+    }
+
+    #[test]
+    fn scan_completes_a_row_one_list_did_not_show_with_one_probe() {
+        // N = 3 over {0, 1, 2} and {0, 1, 3}: row 2 is id-addressed and
+        // shown by list 0 only, id 3 gets an overflow row shown by list 1
+        // only. Each is completed by one probe of the other list, which
+        // misses (a miss bills nothing) and grades it zero. A page holds at
+        // most N answers.
+        let lists = vec![
+            pairs(&[(0, 0.9), (1, 0.5), (2, 0.7)]),
+            pairs(&[(0, 0.2), (1, 0.6), (3, 0.8)]),
+        ];
+        let agg = max_agg();
+        let mut session = EngineSession::scan(counted(lists), &agg).unwrap();
+        let page = session.next_batch(9).unwrap();
+        assert_eq!(
+            page.entries(),
+            &[
+                GradedEntry::new(ObjectId(0), g(0.9)),
+                GradedEntry::new(ObjectId(3), g(0.8)),
+                GradedEntry::new(ObjectId(2), g(0.7)),
+            ]
+        );
+        assert_eq!(
+            total_stats(session.sources()),
+            crate::AccessStats::new(6, 0)
+        );
+        let profile = session.profile();
+        assert_eq!((profile.random_batches, profile.random_probes), (2, 2));
+        assert_eq!(session.graded(), 4);
+    }
+
+    #[test]
+    fn scan_grades_only_the_rows_some_list_showed() {
+        // N = 3 over ids {1, 4, 9}: rows 0 and 2 are id-addressed but no
+        // list shows them, so they are never probed, graded or returned.
+        let lists = vec![
+            pairs(&[(1, 0.3), (4, 0.9), (9, 0.1)]),
+            pairs(&[(1, 0.8), (4, 0.4), (9, 0.6)]),
+        ];
+        let agg = min_agg();
+        let mut session = EngineSession::scan(counted(lists), &agg).unwrap();
+        let page = session.next_batch(3).unwrap();
+        assert_eq!(page.objects(), vec![ObjectId(4), ObjectId(1), ObjectId(9)]);
+        assert_eq!(session.graded(), 3);
+        assert_eq!(session.profile().random_probes, 0);
+        assert!(session.next_batch(3).unwrap().is_empty());
+        assert_eq!(session.graded(), 3);
+    }
+
+    #[test]
+    fn scan_profile_reads_every_list_in_full_batches_with_no_probe() {
+        let (m, n) = (3usize, 10_000usize);
+        let lists: Vec<MemorySource> = (0..m)
+            .map(|i| {
+                let grades: Vec<Grade> = (0..n)
+                    .map(|x| Grade::clamped(((x * (2 * i + 1)) % 97) as f64 / 96.0))
+                    .collect();
+                MemorySource::from_grades(&grades)
+            })
+            .collect();
+        let agg = min_agg();
+        let mut session = EngineSession::scan(lists, &agg).unwrap();
+        session.next_batch(10).unwrap();
+        let profile = session.profile();
+        // m·⌈N/4096⌉ batches of the one schedule, m·N entries.
+        assert_eq!(
+            (profile.sorted_batches, profile.sorted_entries),
+            (9, 30_000)
+        );
+        assert_eq!((profile.random_batches, profile.random_probes), (0, 0));
+        assert_eq!((session.depth(), session.graded()), (n, n));
     }
 
     /// The cumulative k-th score as of the last non-empty page.

@@ -8,7 +8,10 @@
 //!
 //! A thin shell over [`EngineSession::scan`]: the exhaustive scan is the
 //! session's first page — one batched stream of every list to depth `N`,
-//! after which every grade vector is complete without any random access.
+//! folded into slab rows addressed by object id rather than hashed (see
+//! the engine's module docs), after which every grade vector is complete
+//! without any random access. (Lists over different objects leave a row
+//! some list did not show; one probe per missing grade completes it.)
 
 use garlic_agg::Aggregation;
 
