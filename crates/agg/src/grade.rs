@@ -133,8 +133,8 @@ impl Eq for Grade {}
 
 #[allow(clippy::derive_ord_xor_partial_ord)]
 impl Ord for Grade {
+    #[allow(clippy::expect_used, reason = "the constructor invariant excludes NaN")]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Safe: the constructor invariant excludes NaN.
         self.partial_cmp(other).expect("Grade is never NaN")
     }
 }

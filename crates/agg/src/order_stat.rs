@@ -91,11 +91,11 @@ pub fn kth_largest_via_subsets(j: usize, grades: &[Grade]) -> Grade {
     assert!(j >= 1 && j <= grades.len());
     let mut best = Grade::ZERO;
     for subset in subsets_of_size(grades.len(), j) {
+        // `j ≥ 1`, so every subset is non-empty and folding from ONE is its min.
         let min_in_subset = subset
             .iter()
             .map(|&i| grades[i])
-            .min()
-            .expect("subset is non-empty");
+            .fold(Grade::ONE, Grade::min);
         best = best.max(min_in_subset);
     }
     best

@@ -62,6 +62,7 @@ impl<A: Aggregation> FaginWimmers<A> {
         assert!(total > 0.0, "at least one weight must be positive");
         let weights: Vec<f64> = weights.iter().map(|w| w / total).collect();
         let mut order: Vec<usize> = (0..weights.len()).collect();
+        #[allow(clippy::expect_used, reason = "the weights were checked finite above")]
         order.sort_by(|&a, &b| {
             weights[b]
                 .partial_cmp(&weights[a])

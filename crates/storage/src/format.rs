@@ -1,4 +1,4 @@
-//! The on-disk segment format (versions 1, 2 and 3).
+//! The on-disk segment format (versions 1 to 4).
 //!
 //! A segment is one immutable graded list — the durable answer to one
 //! atomic query — laid out for the two access kinds of the paper's
@@ -25,8 +25,9 @@
 //! Every version shares the logical geometry: a block holds
 //! `block_size / 16` entries, so ranks, fences, and cache keys mean the
 //! same thing in each. The version decides three things: how a block's
-//! entries are stored (its [`Encoding`]), which fields the footer
-//! carries, and which hash computes the file's checksums ([`checksum`]):
+//! entries are stored (its [`Encoding`], which in version 4 also depends
+//! on the block's region), which fields the footer carries, and which
+//! hash computes the file's checksums ([`checksum`]):
 //!
 //! * **Version 1** ([`Encoding::Slots`]) stores every block as exactly
 //!   `block_size` bytes (zero-padded) of 16-byte slots: object id (`u64`
@@ -54,28 +55,44 @@
 //!   independent 8-byte lanes per round, which makes the whole-block
 //!   check on every cache miss and every open an order of magnitude
 //!   cheaper.
+//! * **Version 4** is version 3 byte for byte — data blocks, footer,
+//!   xxHash64 — except for the table blocks ([`Encoding::Column`]). A
+//!   table block is the id run of version 3 (the first id a plain varint,
+//!   then the strictly positive deltas) followed by a fixed-width **grade
+//!   column**: one cell per entry, in id order. A cell is the grade's raw
+//!   8 bytes of `f64` bits when the footer has no dictionary, else the
+//!   entry's dictionary index in 1 byte (at most 256 dictionary entries)
+//!   or 2 bytes (up to [`GRADE_DICT_MAX`]), little-endian. The width
+//!   follows from the footer's dictionary length ([`cell_width`]), and the
+//!   column from the block's length: its last `count × width` bytes. So a
+//!   probe that knows an entry's index reads its grade in one load instead
+//!   of decoding the grade deltas in front of it, and a crisp table (a
+//!   two-entry dictionary, 1-byte cells where version 3 had 1-byte index
+//!   varints) is exactly as long as in version 3.
 //!
-//! There is one [`Footer`] type. Its version-2 layout, which version 3
-//! shares, adds the per-block encoded byte lengths that locate each block
-//! in the file, per-data-block `grade_max`/`grade_min` fences (verified
-//! against every block at open) and the dictionary; a parsed version-1
-//! footer gives every block `block_size` bytes and has no fences or
-//! dictionary. Every version checksums every block in a self-checksummed
-//! footer found via the trailer — FNV-1a 64 in versions 1 and 2, xxHash64
-//! in version 3 — and every version gets the same open-time verification;
-//! a decoder never trusts a varint stream past the bytes its checksum
-//! covered.
+//! There is one [`Footer`] type. Its version-2 layout, which versions 3
+//! and 4 share, adds the per-block encoded byte lengths that locate each
+//! block in the file, per-data-block `grade_max`/`grade_min` fences
+//! (verified against every block at open) and the dictionary; a parsed
+//! version-1 footer gives every block `block_size` bytes and has no fences
+//! or dictionary. Every version checksums every block in a
+//! self-checksummed footer found via the trailer — FNV-1a 64 in versions 1
+//! and 2, xxHash64 from version 3 on — and every version gets the same
+//! open-time verification; a decoder never trusts a varint stream past the
+//! bytes its checksum covered.
 //!
-//! [`Block`] is the one block decoder, for all three encodings. A slot is
-//! addressed directly; a v2 block is a delta chain, so reading entry `i`
-//! means decoding the `i` entries in front of it. The reader shortens that
-//! walk with **restart points** ([`Restart`]): the decoder's state — byte
-//! offset, previous object id, previous grade bits — in front of every
+//! [`Block`] is the one block decoder, for all four encodings. A slot or
+//! a column cell is addressed directly; a v2 block is a delta chain, so
+//! reading entry `i` means decoding the `i` entries in front of it, and a
+//! v4 table block's id run is one too. The reader shortens that walk with
+//! **restart points** ([`Restart`]): the decoder's state — byte offset,
+//! previous object id, previous grade bits — in front of every
 //! [`RESTART_INTERVAL`]-th entry, noted down while `open` decodes each
 //! block to verify it. They live in memory only; the file holds none and
-//! its bytes are the same with or without them. The v2 walk resumes from
-//! a restart (or from a block's start, which is the zero state) and
-//! applies every framing check wherever it starts.
+//! its bytes are the same with or without them. A walk resumes from a
+//! restart (or from a block's start, which is the zero state) and applies
+//! every framing check wherever it starts; in a v4 table block it walks
+//! the id run only, which must end exactly where the grade column starts.
 
 use garlic_agg::Grade;
 use garlic_core::GradedEntry;
@@ -87,11 +104,17 @@ pub const HEADER_MAGIC: [u8; 4] = *b"GSEG";
 /// Magic bytes closing every segment file.
 pub const TRAILER_MAGIC: [u8; 8] = *b"GSEGEND1";
 /// The current format version — what [`crate::SegmentWriter`] produces by
-/// default: compressed blocks checksummed with xxHash64. This build reads
-/// versions [`FORMAT_V1`]..=[`FORMAT_VERSION`].
-pub const FORMAT_VERSION: u32 = 3;
-/// Version 2: the compressed layout of [`FORMAT_VERSION`], checksummed
-/// with FNV-1a 64. Still fully readable, and writable via
+/// default: compressed data blocks, table blocks of an id run and a
+/// fixed-width grade column, xxHash64 checksums. This build reads versions
+/// [`FORMAT_V1`]..=[`FORMAT_VERSION`].
+pub const FORMAT_VERSION: u32 = 4;
+/// Version 3: [`FORMAT_VERSION`]'s data blocks, footer and checksums, with
+/// table blocks that delta-encode their grades like their data blocks
+/// do. Still fully readable, and writable via
+/// [`crate::SegmentWriter::with_version`].
+pub const FORMAT_V3: u32 = 3;
+/// Version 2: the compressed layout of [`FORMAT_V3`], checksummed with
+/// FNV-1a 64. Still fully readable, and writable via
 /// [`crate::SegmentWriter::with_version`].
 pub const FORMAT_V2: u32 = 2;
 /// The original fixed-slot format, checksummed with FNV-1a 64. Still fully
@@ -252,20 +275,20 @@ pub struct Footer {
     /// Stored byte length of every table block, in order.
     pub table_block_lens: Vec<u64>,
     /// Grade bits of each data block's first (greatest) entry (versions 2
-    /// and 3; empty in version 1).
+    /// to 4; empty in version 1).
     pub grade_max_bits: Vec<u64>,
-    /// Grade bits of each data block's last (least) entry (versions 2 and
-    /// 3; empty in version 1).
+    /// Grade bits of each data block's last (least) entry (versions 2 to
+    /// 4; empty in version 1).
     pub grade_min_bits: Vec<u64>,
     /// Sorted distinct grade bit patterns (dictionary mode of versions 2
-    /// and 3 only; empty when [`FLAG_GRADE_DICT`] is clear).
+    /// to 4 only; empty when [`FLAG_GRADE_DICT`] is clear).
     pub grade_dict: Vec<u64>,
 }
 
 impl Footer {
     /// Serializes the footer in the layout of format `version`, appending
     /// its own [`checksum`]. Version 1 writes six scalars and the
-    /// checksum and fence lists; versions 2 and 3 add the dictionary
+    /// checksum and fence lists; versions 2 to 4 add the dictionary
     /// length to the scalars and the block lengths, grade fences and
     /// dictionary to the lists.
     pub fn encode(&self, version: u32) -> Vec<u8> {
@@ -304,7 +327,7 @@ impl Footer {
 
     /// Parses and verifies a serialized footer of format `version`.
     /// Everything a forged footer could abuse downstream — geometry, list
-    /// lengths, fence ordering and, in versions 2 and 3, block byte lengths,
+    /// lengths, fence ordering and, from version 2 on, block byte lengths,
     /// grade fences and dictionary shape — is checked here with
     /// overflow-safe arithmetic before any block is read.
     pub fn parse(bytes: &[u8], version: u32) -> Result<Footer, StorageError> {
@@ -465,7 +488,8 @@ pub fn check_block_size(block_size: usize) -> Result<(), StorageError> {
 }
 
 // ---------------------------------------------------------------------------
-// Block encodings: fixed slots (v1), varint delta chains (v2).
+// Block encodings: fixed slots (v1), varint delta chains (v2), grade
+// columns (v4 table blocks).
 // ---------------------------------------------------------------------------
 
 /// Footer flag bit (v2): grades are stored as indices into the footer's
@@ -507,39 +531,61 @@ pub fn read_varint(bytes: &[u8], off: &mut usize) -> Option<u64> {
     None
 }
 
-/// [`read_varint`] specialised for the decode hot loop: when at least 8
-/// bytes remain, one aligned-load word covers every varint of up to 4
-/// bytes (28 payload bits — all id deltas and dictionary indices a
-/// block-sized run produces) without per-byte bounds checks. Longer
-/// varints and buffer tails fall back to the byte-at-a-time reader, so
-/// the accepted encodings are exactly [`read_varint`]'s.
+/// [`read_varint`] specialised for the decode hot loop. When at least 8
+/// bytes remain, one little-endian load covers every varint of up to 8
+/// bytes without per-byte bounds checks: a one-byte varint (most id deltas
+/// and dictionary indices) returns after one test, and a longer one (a
+/// data block's grade deltas are 5–7 bytes) finds its end from the word's
+/// stop bits and gathers its 7-bit groups in three shift-and-mask steps
+/// ([`gather7`]). A 9- or 10-byte varint reads at most two more bytes,
+/// under [`read_varint`]'s rule for the 10th. Buffer tails fall back to the
+/// byte-at-a-time reader, so the accepted encodings, and where each ends,
+/// are exactly [`read_varint`]'s.
 #[inline(always)]
 fn read_varint_hot(bytes: &[u8], off: &mut usize) -> Option<u64> {
-    if let Some(run) = bytes.get(*off..*off + 8) {
-        #[allow(clippy::expect_used, reason = "get(off..off + 8) returned 8 bytes")]
-        let word = u64::from_le_bytes(run.try_into().expect("8-byte run"));
-        let mut value = word & 0x7f;
-        if word & 0x80 == 0 {
-            *off += 1;
-            return Some(value);
-        }
-        value |= (word >> 8 & 0x7f) << 7;
-        if word & 0x8000 == 0 {
-            *off += 2;
-            return Some(value);
-        }
-        value |= (word >> 16 & 0x7f) << 14;
-        if word & 0x80_0000 == 0 {
-            *off += 3;
-            return Some(value);
-        }
-        value |= (word >> 24 & 0x7f) << 21;
-        if word & 0x8000_0000 == 0 {
-            *off += 4;
-            return Some(value);
-        }
+    let Some(run) = bytes.get(*off..).and_then(<[u8]>::first_chunk::<8>) else {
+        return read_varint(bytes, off);
+    };
+    let word = u64::from_le_bytes(*run);
+    if word & 0x80 == 0 {
+        *off += 1;
+        return Some(word & 0x7f);
     }
-    read_varint(bytes, off)
+    let stops = !word & 0x8080_8080_8080_8080;
+    if stops != 0 {
+        // The first byte with a clear top bit ends the varint: 2..=8 bytes.
+        let len = stops.trailing_zeros() as usize / 8 + 1;
+        let keep = u64::MAX >> (64 - 8 * len);
+        *off += len;
+        return Some(gather7(word & keep));
+    }
+    // Eight continuation bytes carry 56 payload bits; one or two follow.
+    let value = gather7(word);
+    let &ninth = bytes.get(*off + 8)?;
+    let value = value | (u64::from(ninth & 0x7f) << 56);
+    if ninth & 0x80 == 0 {
+        *off += 9;
+        return Some(value);
+    }
+    // The 10th byte may carry only bit 63, and must end the varint.
+    let &tenth = bytes.get(*off + 9)?;
+    if tenth > 1 {
+        return None;
+    }
+    *off += 10;
+    Some(value | (u64::from(tenth) << 63))
+}
+
+/// Packs the 7-bit payload groups of the eight varint bytes in `word`
+/// (byte `i` at bits `8i..8i + 8`, its top bit ignored) into one value
+/// (group `i` at bits `7i..7i + 7`). Bytes past a varint's end must be
+/// masked off first.
+#[inline(always)]
+fn gather7(word: u64) -> u64 {
+    let x = word & 0x7f7f_7f7f_7f7f_7f7f;
+    let x = (x & 0x007f_007f_007f_007f) | ((x & 0x7f00_7f00_7f00_7f00) >> 1);
+    let x = (x & 0x0000_3fff_0000_3fff) | ((x & 0x3fff_0000_3fff_0000) >> 2);
+    (x & 0x0000_0000_0fff_ffff) | ((x & 0x0fff_ffff_0000_0000) >> 4)
 }
 
 /// Zigzag-maps a signed delta onto a small unsigned varint.
@@ -576,24 +622,54 @@ pub enum Encoding<'a> {
     /// Version 2 with grades as indices into this sorted dictionary
     /// ([`FLAG_GRADE_DICT`]).
     Dict(&'a [u64]),
+    /// A version-4 table block: the id run, then one fixed-width grade
+    /// cell per entry — raw grade bits when this dictionary is empty,
+    /// indices into it otherwise ([`cell_width`]).
+    Column(&'a [u64]),
 }
 
 impl<'a> Encoding<'a> {
-    /// The encoding of every block of a format-`version` segment whose
+    /// The encoding of a `kind` block of a format-`version` segment whose
     /// footer dictionary is `dict` (empty outside dictionary mode) — the
     /// one place a block's layout follows from the format version.
-    pub fn of(version: u32, dict: &'a [u64]) -> Self {
+    pub fn of(version: u32, kind: RegionKind, dict: &'a [u64]) -> Self {
         match version {
             FORMAT_V1 => Encoding::Slots,
-            _ if dict.is_empty() => Encoding::Delta,
-            _ => Encoding::Dict(dict),
+            FORMAT_V2 | FORMAT_V3 => Self::inline(dict),
+            _ => match kind {
+                RegionKind::Data => Self::inline(dict),
+                RegionKind::Table => Encoding::Column(dict),
+            },
+        }
+    }
+
+    /// Grades inline in the varint stream: as indices under a dictionary,
+    /// as bit-pattern deltas without.
+    fn inline(dict: &'a [u64]) -> Self {
+        if dict.is_empty() {
+            Encoding::Delta
+        } else {
+            Encoding::Dict(dict)
         }
     }
 }
 
+/// Bytes per grade cell of a version-4 table block under a footer
+/// dictionary of `dict_len` entries: the raw 8-byte grade bits without a
+/// dictionary, a 1-byte index into one of at most 256 entries, and a
+/// 2-byte index into a larger one (up to [`GRADE_DICT_MAX`]).
+pub fn cell_width(dict_len: usize) -> usize {
+    match dict_len {
+        0 => 8,
+        1..=256 => 1,
+        _ => 2,
+    }
+}
+
 /// Encodes one block. A slot block ([`Encoding::Slots`]) is zero-padded to
-/// `block_size` bytes; a v2 block is as long as its varints. In
-/// [`Encoding::Dict`] every entry's grade bits must be in the dictionary.
+/// `block_size` bytes; a v2 block is as long as its varints, and a column
+/// block ([`Encoding::Column`], table blocks only) as its id varints and
+/// its cells. Under a dictionary every entry's grade bits must be in it.
 pub fn encode_block(
     entries: &[GradedEntry],
     kind: RegionKind,
@@ -608,9 +684,21 @@ pub fn encode_block(
             }
             return out;
         }
-        Encoding::Delta => None,
         Encoding::Dict(dict) => Some(dict),
+        Encoding::Column(dict) => Some(dict).filter(|d| !d.is_empty()),
+        Encoding::Delta => None,
     };
+    #[allow(
+        clippy::expect_used,
+        reason = "the dictionary was built from these entries' grade bits"
+    )]
+    let index_of =
+        |bits: u64| dict.map(|d| d.binary_search(&bits).expect("grade bits in dictionary"));
+    let column = matches!(encoding, Encoding::Column(_));
+    debug_assert!(
+        !column || kind == RegionKind::Table,
+        "only table blocks have a column"
+    );
     let mut out = Vec::with_capacity(entries.len() * 4);
     let mut prev_id: u64 = 0;
     let mut prev_bits: u64 = 0;
@@ -625,37 +713,43 @@ pub fn encode_block(
                 RegionKind::Table => write_varint(&mut out, id - prev_id),
             }
         }
-        match dict {
-            Some(dict) => {
-                #[allow(
-                    clippy::expect_used,
-                    reason = "the dictionary was built from these entries' grade bits"
-                )]
-                let index = dict.binary_search(&bits).expect("grade bits in dictionary");
-                write_varint(&mut out, index as u64);
-            }
+        prev_id = id;
+        if column {
+            continue;
+        }
+        match index_of(bits) {
+            Some(index) => write_varint(&mut out, index as u64),
             None if i == 0 => out.extend_from_slice(&bits.to_le_bytes()),
             None => match kind {
                 RegionKind::Data => write_varint(&mut out, prev_bits - bits),
                 RegionKind::Table => write_varint(&mut out, zigzag(bits as i64 - prev_bits as i64)),
             },
         }
-        prev_id = id;
         prev_bits = bits;
+    }
+    if column {
+        let width = cell_width(dict.map_or(0, <[u64]>::len));
+        for entry in entries {
+            let bits = entry.grade.value().to_bits();
+            let cell = index_of(bits).map_or(bits, |index| index as u64);
+            out.extend_from_slice(&cell.to_le_bytes()[..width]);
+        }
     }
     out
 }
 
-/// Entries between two restart points of a v2 block. A constant, not an
-/// option: it trades index memory (one [`Restart`] per interval, about
-/// 1.5 B per entry over both regions) against the longest walk a probe or
-/// a one-entry read can make, and no caller in the repository wants a
-/// different trade.
+/// Entries between two restart points of a compressed block. A constant,
+/// not an option: it trades index memory (one [`Restart`] per interval,
+/// about 1.5 B per entry over both regions) against the longest walk a
+/// probe or a one-entry read can make, and no caller in the repository
+/// wants a different trade.
 pub const RESTART_INTERVAL: usize = 32;
 
-/// The v2 decoder's state in front of one entry: where its bytes start
-/// and what the previous entry decoded to, which is all a delta chain
-/// needs to resume. The default value is the state at a block's start.
+/// The decoder's state in front of one entry: where its bytes start and
+/// what the previous entry decoded to, which is all a delta chain needs to
+/// resume. In a v4 table block the offset is into the id run, and a walk
+/// reads no previous grade. The default value is the state at a block's
+/// start.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Restart {
     /// Object id of the previous entry.
@@ -681,11 +775,56 @@ fn entry_of(id: u64, bits: u64) -> GradedEntry {
     GradedEntry::new(id, Grade::clamped(f64::from_bits(bits)))
 }
 
+/// Decodes entry `i`'s object id from its varint at `*off`, given the
+/// previous entry's: the first id of a block is stored whole, a data
+/// block's later ids as zigzag deltas, a table block's as strictly
+/// positive deltas that must not overflow.
+#[inline(always)]
+fn next_id<const DATA: bool>(
+    bytes: &[u8],
+    off: &mut usize,
+    i: usize,
+    prev_id: u64,
+) -> Result<u64, String> {
+    let raw = read_varint_hot(bytes, off).ok_or_else(|| fault(i, "id varint truncated"))?;
+    if i == 0 {
+        Ok(raw)
+    } else if DATA {
+        Ok(prev_id.wrapping_add(unzigzag(raw) as u64))
+    } else if raw == 0 {
+        Err(fault(i, "zero table id delta"))
+    } else {
+        prev_id
+            .checked_add(raw)
+            .ok_or_else(|| fault(i, "table id delta overflows"))
+    }
+}
+
+/// The grade bits in cell `i` of a grade column of `W`-byte cells: an
+/// 8-byte cell holds them raw, a 1- or 2-byte cell indexes `dict`.
+#[inline(always)]
+fn cell<const W: usize>(column: &[u8], dict: &[u64], i: usize) -> Result<u64, String> {
+    let cell = column
+        .get(i * W..)
+        .and_then(<[u8]>::first_chunk::<W>)
+        .ok_or_else(|| fault(i, "grade cell past the column"))?;
+    let mut raw = [0u8; 8];
+    raw[..W].copy_from_slice(cell);
+    let value = u64::from_le_bytes(raw);
+    if W == 8 {
+        return Ok(value);
+    }
+    dict.get(value as usize)
+        .copied()
+        .ok_or_else(|| fault(i, &format!("grade cell {value} past the dictionary")))
+}
+
 /// A checksum-verified block together with what decoding it needs. Every
 /// read of a block — the full decode `open` verifies with, a sorted range,
 /// a table probe — dispatches on the [`Encoding`] once: slots are read in
-/// place, and a v2 block is one resumable walk (the private `run`): start
-/// state in, entries out.
+/// place, a v2 block is one resumable walk (the private `run`): start
+/// state in, entries out, and a v4 table block is a resumable walk over
+/// its id run beside a grade column read in place.
 #[derive(Debug, Clone, Copy)]
 pub struct Block<'a> {
     /// The block's stored bytes.
@@ -696,7 +835,7 @@ pub struct Block<'a> {
     pub kind: RegionKind,
     /// How the entries are stored.
     pub encoding: Encoding<'a>,
-    /// The block's restart points (v2): element `r` stands in front of
+    /// The block's restart points (v2 on): element `r` stands in front of
     /// entry `(r + 1) * RESTART_INTERVAL`. Empty means "decode from the
     /// start", which is always correct and is what `open` does.
     pub restarts: &'a [Restart],
@@ -716,7 +855,7 @@ impl<'a> Block<'a> {
             bytes,
             count,
             kind,
-            encoding: Encoding::of(version, dict),
+            encoding: Encoding::of(version, kind, dict),
             restarts: &[],
         }
     }
@@ -726,13 +865,34 @@ impl<'a> Block<'a> {
         self.bytes[..self.count * ENTRY_LEN].as_chunks().0
     }
 
-    /// Walks the v2 entries from `first` on, whose decoder state is
-    /// `state`, handing each `(index, object id, grade bits, end offset)`
-    /// to `visit`; `visit` returns `false` to stop early. Verifies the
-    /// framing as it goes: mid-varint truncation, zero or overflowing
-    /// table id deltas, grade delta underflow, out-of-range dictionary
-    /// indices, and — when the walk reaches the block's end — trailing
-    /// bytes all return a detail string for
+    /// A column block's id run and grade column: the column is the last
+    /// `count × width` bytes ([`cell_width`]), the id run everything in
+    /// front of it. A block too short for its column is a detail string
+    /// for [`StorageError::CorruptBlock`].
+    fn split_column(&self) -> Result<(&'a [u8], &'a [u8]), String> {
+        let width = match self.encoding {
+            Encoding::Column(dict) => cell_width(dict.len()),
+            _ => 0,
+        };
+        let cells = self.count * width;
+        let at = self.bytes.len().checked_sub(cells).ok_or_else(|| {
+            format!(
+                "a grade column of {} cells needs {cells} bytes, the block holds {}",
+                self.count,
+                self.bytes.len()
+            )
+        })?;
+        Ok(self.bytes.split_at(at))
+    }
+
+    /// Walks the entries from `first` on, whose decoder state is `state`,
+    /// handing each `(index, object id, grade bits, end offset)` to
+    /// `visit`; `visit` returns `false` to stop early. Verifies the framing
+    /// as it goes: mid-varint truncation, zero or overflowing table id
+    /// deltas, grade delta underflow, out-of-range dictionary indices and
+    /// cells, a column the block cannot hold, and — when the walk reaches
+    /// the block's end — trailing bytes, or an id run that does not end
+    /// where the column starts, all return a detail string for
     /// [`StorageError::CorruptBlock`]. Slot blocks never get here.
     #[inline(always)]
     fn run(
@@ -751,6 +911,11 @@ impl<'a> Block<'a> {
             (RegionKind::Table, Encoding::Dict(d)) => {
                 self.run_as::<false, true>(d, first, state, visit)
             }
+            (RegionKind::Table, Encoding::Column(d)) => match cell_width(d.len()) {
+                1 => self.run_column::<1>(d, first, state, visit),
+                2 => self.run_column::<2>(d, first, state, visit),
+                _ => self.run_column::<8>(d, first, state, visit),
+            },
             (RegionKind::Table, _) => self.run_as::<false, false>(&[], first, state, visit),
         }
     }
@@ -768,21 +933,7 @@ impl<'a> Block<'a> {
         let mut prev_id = state.prev_id;
         let mut prev_bits = state.prev_bits;
         for i in first..self.count {
-            let raw_id =
-                read_varint_hot(bytes, &mut off).ok_or_else(|| fault(i, "id varint truncated"))?;
-            let id = if i == 0 {
-                raw_id
-            } else if DATA {
-                prev_id.wrapping_add(unzigzag(raw_id) as u64)
-            } else {
-                if raw_id == 0 {
-                    return Err(fault(i, "zero table id delta"));
-                }
-                prev_id
-                    .checked_add(raw_id)
-                    .ok_or_else(|| fault(i, "table id delta overflows"))?
-            };
-            #[allow(clippy::expect_used, reason = "get(off..off + 8) returned 8 bytes")]
+            let id = next_id::<DATA>(bytes, &mut off, i, prev_id)?;
             let bits = if DICT {
                 let index = read_varint_hot(bytes, &mut off)
                     .ok_or_else(|| fault(i, "grade index truncated"))?;
@@ -791,10 +942,11 @@ impl<'a> Block<'a> {
                     .ok_or_else(|| fault(i, &format!("grade index {index} out of dictionary")))?
             } else if i == 0 {
                 let slot = bytes
-                    .get(off..off + 8)
+                    .get(off..)
+                    .and_then(<[u8]>::first_chunk::<8>)
                     .ok_or_else(|| fault(i, "first grade truncated"))?;
                 off += 8;
-                u64::from_le_bytes(slot.try_into().expect("8-byte slot"))
+                u64::from_le_bytes(*slot)
             } else {
                 let delta = read_varint_hot(bytes, &mut off)
                     .ok_or_else(|| fault(i, "grade delta truncated"))?;
@@ -821,6 +973,53 @@ impl<'a> Block<'a> {
         Ok(())
     }
 
+    /// `run` over a column block of `W`-byte cells: the id run's walk,
+    /// each entry's grade read from its cell.
+    #[inline(always)]
+    fn run_column<const W: usize>(
+        &self,
+        dict: &[u64],
+        first: usize,
+        state: Restart,
+        mut visit: impl FnMut(usize, u64, u64, usize) -> bool,
+    ) -> Result<(), String> {
+        let (ids, column) = self.split_column()?;
+        self.walk_ids(ids, first, state, |i, id, end| {
+            Ok(visit(i, id, cell::<W>(column, dict, i)?, end))
+        })
+    }
+
+    /// Walks a column block's id run `ids` from entry `first` on, whose
+    /// decoder state is `state`, handing each `(index, object id, end
+    /// offset)` to `visit`, which returns `Ok(false)` to stop early. A walk
+    /// that reaches the block's last entry checks that the run ends
+    /// exactly where the grade column starts.
+    #[inline(always)]
+    fn walk_ids(
+        &self,
+        ids: &[u8],
+        first: usize,
+        state: Restart,
+        mut visit: impl FnMut(usize, u64, usize) -> Result<bool, String>,
+    ) -> Result<(), String> {
+        let mut off = state.offset as usize;
+        let mut prev_id = state.prev_id;
+        for i in first..self.count {
+            let id = next_id::<false>(ids, &mut off, i, prev_id)?;
+            if !visit(i, id, off)? {
+                return Ok(());
+            }
+            prev_id = id;
+        }
+        if off != ids.len() {
+            return Err(format!(
+                "the id run ends {} bytes before the grade column",
+                ids.len() - off
+            ));
+        }
+        Ok(())
+    }
+
     /// The last restart at or before entry `slot`, as `run` takes it.
     fn resume_at(&self, slot: usize) -> (usize, Restart) {
         match (slot / RESTART_INTERVAL).min(self.restarts.len()) {
@@ -831,9 +1030,9 @@ impl<'a> Block<'a> {
 
     /// Every entry of the block as its canonical 16-byte slot (the
     /// [`encode_entry`] form), decoded from the block's start — the
-    /// verification-time path. A slot block is read in place; a v2 block
-    /// is decoded into `scratch`, and its restart points are appended to
-    /// `restarts`. Grade *validity* is the caller's concern.
+    /// verification-time path. A slot block is read in place; any other
+    /// block is decoded into `scratch`, and its restart points are
+    /// appended to `restarts`. Grade *validity* is the caller's concern.
     pub fn decode_all<'s>(
         &self,
         restarts: &mut Vec<Restart>,
@@ -863,8 +1062,8 @@ impl<'a> Block<'a> {
     }
 
     /// Decodes entries `[from, to)`, appending to `out`. Slots are read in
-    /// place; a v2 walk resumes at the restart in front of `from`, so a
-    /// short read costs at most [`RESTART_INTERVAL`] entries of skipping,
+    /// place; a walk resumes at the restart in front of `from`, so a short
+    /// read costs at most [`RESTART_INTERVAL`] entries of skipping,
     /// wherever in the block it lands. A framing error (a block mutated
     /// after open) is a typed detail, never a panic.
     pub fn decode_range(
@@ -898,25 +1097,66 @@ impl<'a> Block<'a> {
         })
     }
 
-    /// Looks `object` up in a table block: a binary search over the slots,
-    /// or over the restart points' previous ids and then a walk of at most
-    /// [`RESTART_INTERVAL`] entries that stops at the first id past the
-    /// probe.
-    pub fn lookup(&self, object: u64) -> Result<Option<Grade>, String> {
+    /// Looks `object` up in a table block.
+    ///
+    /// `dense_from` is `Some(first)` when the caller knows the block's ids
+    /// are exactly `first..first + count` (a segment knows it from its
+    /// fences, which the open-time scan verified): the entry's index is
+    /// then `object - first`, and no id is decoded. Otherwise the index
+    /// comes from a binary search over the slots, or from a walk of at
+    /// most [`RESTART_INTERVAL`] entries from the nearest restart that
+    /// stops at the first id not below the probe — over the id run alone
+    /// in a column block, which then reads one cell. An id the block does
+    /// not hold, past its ids included, is `None`.
+    pub fn lookup(&self, object: u64, dense_from: Option<u64>) -> Result<Option<Grade>, String> {
         debug_assert_eq!(
             self.kind,
             RegionKind::Table,
             "only table blocks are id-ordered"
         );
-        if matches!(self.encoding, Encoding::Slots) {
-            let slots = self.slots();
-            let hit = slots.binary_search_by_key(&object, |s| read_u64(s, 0));
-            return Ok(hit
-                .ok()
-                .map(|i| entry_of(object, read_u64(&slots[i], 8)).grade));
-        }
+        let index = match (dense_from, self.encoding) {
+            (Some(first), _) => object
+                .checked_sub(first)
+                .and_then(|i| usize::try_from(i).ok())
+                .filter(|&i| i < self.count),
+            (None, Encoding::Slots) => self
+                .slots()
+                .binary_search_by_key(&object, |s| read_u64(s, 0))
+                .ok(),
+            (None, Encoding::Column(_)) => self.position(object)?,
+            (None, Encoding::Delta | Encoding::Dict(_)) => return self.chain_lookup(object),
+        };
+        let Some(index) = index else {
+            return Ok(None);
+        };
+        Ok(Some(entry_of(object, self.grade_at(index)?).grade))
+    }
+
+    /// The restart a probe for `object` resumes from: the last one whose
+    /// previous id lies below it.
+    fn resume_before(&self, object: u64) -> (usize, Restart) {
         let r = self.restarts.partition_point(|r| r.prev_id < object);
-        let (first, state) = self.resume_at(r * RESTART_INTERVAL);
+        self.resume_at(r * RESTART_INTERVAL)
+    }
+
+    /// Index of `object` in a column block, from a walk over the id run
+    /// alone.
+    fn position(&self, object: u64) -> Result<Option<usize>, String> {
+        let (ids, _) = self.split_column()?;
+        let (first, state) = self.resume_before(object);
+        let mut hit = None;
+        self.walk_ids(ids, first, state, |i, id, _| {
+            if id == object {
+                hit = Some(i);
+            }
+            Ok(id < object)
+        })?;
+        Ok(hit)
+    }
+
+    /// `object`'s grade in a delta chain, read on the walk that finds it.
+    fn chain_lookup(&self, object: u64) -> Result<Option<Grade>, String> {
+        let (first, state) = self.resume_before(object);
         let mut hit = None;
         self.run(first, state, |_, id, bits, _| {
             if id == object {
@@ -925,6 +1165,31 @@ impl<'a> Block<'a> {
             id < object
         })?;
         Ok(hit)
+    }
+
+    /// Grade bits of entry `index < count`: a slot or a column cell read
+    /// in place, a delta chain walked from the restart in front of it.
+    fn grade_at(&self, index: usize) -> Result<u64, String> {
+        match self.encoding {
+            Encoding::Slots => Ok(read_u64(&self.slots()[index], 8)),
+            Encoding::Column(dict) => {
+                let (_, column) = self.split_column()?;
+                match cell_width(dict.len()) {
+                    1 => cell::<1>(column, dict, index),
+                    2 => cell::<2>(column, dict, index),
+                    _ => cell::<8>(column, dict, index),
+                }
+            }
+            Encoding::Delta | Encoding::Dict(_) => {
+                let (first, state) = self.resume_at(index);
+                let mut bits = 0;
+                self.run(first, state, |i, _, b, _| {
+                    bits = b;
+                    i < index
+                })?;
+                Ok(bits)
+            }
+        }
     }
 }
 
@@ -953,14 +1218,17 @@ mod tests {
             xxh64(b"Nobody inspects the spammish repetition"),
             0xfbce_a83c_8a37_8bf1
         );
-        // Versions 1 and 2 keep FNV-1a; version 3 is xxHash64.
+        // Versions 1 and 2 keep FNV-1a; versions 3 and 4 are xxHash64.
         assert_eq!(checksum(FORMAT_V1, b"a"), fnv1a64(b"a"));
         assert_eq!(checksum(FORMAT_V2, b"a"), fnv1a64(b"a"));
+        assert_eq!(checksum(FORMAT_V3, b"a"), xxh64(b"a"));
         assert_eq!(checksum(FORMAT_VERSION, b"a"), xxh64(b"a"));
     }
 
-    /// Every single-bit flip of one version-3 block's stored bytes is a
-    /// `ChecksumMismatch` at open, naming that block.
+    /// Every single-bit flip of one data block's and one table block's
+    /// stored bytes is a `ChecksumMismatch` at open, naming that block, in
+    /// version 3 and in version 4 (whose table blocks carry a grade
+    /// column). The name predates version 4.
     #[test]
     fn every_bit_flip_of_a_v3_block_is_a_checksum_mismatch() {
         use crate::{BlockCache, SegmentSource, SegmentWriter};
@@ -970,28 +1238,43 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bit-flips.seg");
         let grades: Vec<Grade> = (0..40).map(|i| Grade::clamped(i as f64 / 40.0)).collect();
-        SegmentWriter::with_block_size(160)
-            .unwrap()
-            .write_grades(&path, &grades)
-            .unwrap();
-        let pristine = std::fs::read(&path).unwrap();
-        assert_eq!(pristine[4..8], FORMAT_VERSION.to_le_bytes());
-        let trailer = pristine.len() - TRAILER_LEN as usize;
-        let footer_at = read_u64(&pristine, trailer) as usize;
-        let footer = Footer::parse(&pristine[footer_at..trailer], FORMAT_VERSION).unwrap();
-        // Block 1: the second data block.
-        let start = HEADER_LEN as usize + footer.data_block_lens[0] as usize;
-        let end = start + footer.data_block_lens[1] as usize;
-        for bit in 8 * start..8 * end {
-            let mut damaged = pristine.clone();
-            damaged[bit / 8] ^= 1 << (bit % 8);
-            std::fs::write(&path, damaged).unwrap();
-            let result = SegmentSource::open(&path, Arc::new(BlockCache::new(4)));
-            assert!(
-                matches!(result, Err(StorageError::ChecksumMismatch { block: 1 })),
-                "bit {bit}: {:?}",
-                result.err()
-            );
+        for version in [FORMAT_V3, FORMAT_VERSION] {
+            SegmentWriter::with_block_size(160)
+                .unwrap()
+                .with_version(version)
+                .unwrap()
+                .write_grades(&path, &grades)
+                .unwrap();
+            let pristine = std::fs::read(&path).unwrap();
+            assert_eq!(pristine[4..8], version.to_le_bytes());
+            let trailer = pristine.len() - TRAILER_LEN as usize;
+            let footer_at = read_u64(&pristine, trailer) as usize;
+            let footer = Footer::parse(&pristine[footer_at..trailer], version).unwrap();
+            let lens: Vec<u64> = footer
+                .data_block_lens
+                .iter()
+                .chain(&footer.table_block_lens)
+                .copied()
+                .collect();
+            // Block 1, the second data block, and the second table block.
+            for block in [1, footer.data_blocks as usize + 1] {
+                let start = HEADER_LEN as usize + lens[..block].iter().sum::<u64>() as usize;
+                let end = start + lens[block] as usize;
+                for bit in 8 * start..8 * end {
+                    let mut damaged = pristine.clone();
+                    damaged[bit / 8] ^= 1 << (bit % 8);
+                    std::fs::write(&path, damaged).unwrap();
+                    let result = SegmentSource::open(&path, Arc::new(BlockCache::new(4)));
+                    assert!(
+                        matches!(
+                            result,
+                            Err(StorageError::ChecksumMismatch { block: b }) if b == block as u64
+                        ),
+                        "v{version} bit {bit}: {:?}",
+                        result.err()
+                    );
+                }
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1097,6 +1380,211 @@ mod tests {
         assert_eq!(zigzag(1), 2);
     }
 
+    /// Every varint length from 1 to 10 bytes, with the buffer ending
+    /// right after the varint (the byte reader's path) and with padding
+    /// behind it (the word path): both readers return the value and end
+    /// at the same offset, and every strict prefix is `None` for both.
+    #[test]
+    fn hot_varint_reads_every_length() {
+        let values = (0..64).flat_map(|bit| [1u64 << bit, (1u64 << bit) - 1, !0 >> bit]);
+        for v in values {
+            let mut buf = Vec::new();
+            write_varint(&mut buf, v);
+            let len = buf.len();
+            for padding in [0, 1, 7, 9] {
+                let mut padded = buf.clone();
+                padded.extend(std::iter::repeat_n(0xff, padding));
+                let (mut a, mut b) = (0, 0);
+                assert_eq!(read_varint(&padded, &mut a), Some(v));
+                assert_eq!(
+                    read_varint_hot(&padded, &mut b),
+                    Some(v),
+                    "{v:#x} +{padding}"
+                );
+                assert_eq!((a, b), (len, len), "{v:#x} +{padding}");
+            }
+            for cut in 0..len {
+                let mut off = 0;
+                assert_eq!(read_varint_hot(&buf[..cut], &mut off), None);
+                assert_eq!(off, 0);
+            }
+        }
+        // A 10th byte past bit 63, or one that does not end the varint,
+        // is refused on the word path as on the byte path.
+        for tenth in [0x02, 0x7f, 0x80, 0x81] {
+            let mut bytes = vec![0xffu8; 9];
+            bytes.extend([tenth, 0, 0]);
+            let (mut a, mut b) = (0, 0);
+            assert_eq!(read_varint(&bytes, &mut a), None, "{tenth:#x}");
+            assert_eq!(read_varint_hot(&bytes, &mut b), None, "{tenth:#x}");
+        }
+    }
+
+    /// Byte strings that are mostly continuation bytes, so varints of
+    /// every length, overlong ones and truncated ones are all common, with
+    /// the bytes a 10th byte is judged by (0x00–0x03, 0x80, 0x81) frequent.
+    fn varint_soup() -> impl proptest::strategy::Strategy<Value = Vec<u8>> {
+        use proptest::strategy::Strategy;
+        proptest::collection::vec((0u8..=255, 0u8..8), 0..48).prop_map(|raw| {
+            raw.into_iter()
+                .map(|(byte, kind)| match kind {
+                    0..=3 => byte | 0x80,
+                    4 => (byte & 0x01) | 0x80,
+                    5 => byte & 0x03,
+                    _ => byte,
+                })
+                .collect()
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(256))]
+
+        /// `read_varint_hot` accepts exactly what `read_varint` accepts:
+        /// decoding any byte string varint by varint from any start, the
+        /// two readers return the same values and stop at the same
+        /// offsets, and fail at the same varint.
+        #[test]
+        fn hot_varint_agrees_with_read_varint_on_arbitrary_bytes(
+            bytes in varint_soup(),
+            start in 0usize..40,
+        ) {
+            let (mut a, mut b) = (start.min(bytes.len()), start.min(bytes.len()));
+            loop {
+                let (va, vb) = (read_varint(&bytes, &mut a), read_varint_hot(&bytes, &mut b));
+                proptest::prop_assert_eq!(va, vb);
+                proptest::prop_assert_eq!(a, b);
+                if va.is_none() {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// A table block's dense probe — the caller vouching that its ids are
+    /// `first..first + count` — answers every id exactly like the probe
+    /// that finds the entry, in every encoding, with and without restart
+    /// points; ids past the block's last are `None`.
+    #[test]
+    fn dense_probes_answer_like_found_ones() {
+        let count = 3 * RESTART_INTERVAL + 5;
+        let first = 1_000;
+        let entries: Vec<GradedEntry> = (0..count as u64)
+            .map(|i| GradedEntry::new(first + i, Grade::clamped((i * 37 % 11) as f64 / 10.0)))
+            .collect();
+        let dict = dict_of(&entries);
+        let wide = wide_dict(&dict);
+        let slots = encode_block(
+            &entries,
+            RegionKind::Table,
+            Encoding::Slots,
+            count * ENTRY_LEN,
+        );
+        let mut blocks = vec![(Encoding::Slots, slots)];
+        for encoding in encodings(RegionKind::Table, &dict, &wide) {
+            blocks.push((encoding, encode(&entries, RegionKind::Table, encoding)));
+        }
+        for (encoding, bytes) in &blocks {
+            let from_zero = block(bytes, count, RegionKind::Table, *encoding, &[]);
+            let mut restarts = Vec::new();
+            if *encoding != Encoding::Slots {
+                decode_all(&from_zero, &mut restarts).unwrap();
+            }
+            let resumed = block(bytes, count, RegionKind::Table, *encoding, &restarts);
+            for probe in first..first + count as u64 + 3 {
+                let want = entries
+                    .iter()
+                    .find(|e| e.object.0 == probe)
+                    .map(|e| e.grade);
+                for b in [&from_zero, &resumed] {
+                    assert_eq!(b.lookup(probe, None).unwrap(), want, "{encoding:?} {probe}");
+                    assert_eq!(
+                        b.lookup(probe, Some(first)).unwrap(),
+                        want,
+                        "{encoding:?} {probe}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A grade column's framing is checked wherever a read starts: a block
+    /// too short for its column, an id run that runs into the column or
+    /// ends before it, and a cell past the dictionary are typed details
+    /// from the full decode, a resumed range and a probe, never a panic.
+    #[test]
+    fn column_blocks_keep_every_framing_check() {
+        let count = 2 * RESTART_INTERVAL + 8;
+        let entries = long_entries(RegionKind::Table, count);
+        let last = entries[count - 1].object.0;
+        let dict = dict_of(&entries);
+        let column = Encoding::Column(&dict);
+        let bytes = encode(&entries, RegionKind::Table, column);
+        let mut restarts = Vec::new();
+        decode_all(
+            &block(&bytes, count, RegionKind::Table, column, &[]),
+            &mut restarts,
+        )
+        .unwrap();
+        // The walks that reach the block's end: the full decode, a resumed
+        // range ending with the block, a resumed probe past the last id.
+        let walks_to_the_end = |bytes: &[u8], what: &str| {
+            let from_zero = block(bytes, count, RegionKind::Table, column, &[]);
+            let resumed = block(bytes, count, RegionKind::Table, column, &restarts);
+            for err in [
+                decode_all(&from_zero, &mut Vec::new()).unwrap_err(),
+                resumed
+                    .decode_range(count - 1, count, &mut Vec::new())
+                    .unwrap_err(),
+                resumed.lookup(last + 1, None).unwrap_err(),
+            ] {
+                assert!(err.contains(what), "{what}: {err}");
+            }
+            resumed.lookup(last, None)
+        };
+
+        // Fewer bytes than the column needs.
+        let err = walks_to_the_end(&bytes[..count - 1], "grade column of").unwrap_err();
+        assert!(err.contains("grade column of"), "{err}");
+        // The id run's last varint continues into the column.
+        let ids_end = bytes.len() - count;
+        let mut into_column = bytes.clone();
+        into_column[ids_end - 1] |= 0x80;
+        let err = walks_to_the_end(&into_column, "id varint truncated").unwrap_err();
+        assert!(err.contains("id varint truncated"), "{err}");
+        // A byte between the id run and the column: a probe that stops at
+        // its id before the run's end still reads its own cell.
+        let mut gap = bytes.clone();
+        gap.insert(ids_end, 0);
+        let hit = walks_to_the_end(&gap, "before the grade column").unwrap();
+        assert_eq!(hit, Some(entries[count - 1].grade));
+        // A cell past the dictionary.
+        let short = &dict[..dict.len() - 1];
+        let mut past = bytes.clone();
+        let cell = ids_end
+            + entries
+                .iter()
+                .position(|e| e.grade.value().to_bits() == dict[dict.len() - 1])
+                .unwrap();
+        past[cell] = dict.len() as u8 - 1;
+        let b = block(
+            &past,
+            count,
+            RegionKind::Table,
+            Encoding::Column(short),
+            &restarts,
+        );
+        let err = decode_all(&b, &mut Vec::new()).unwrap_err();
+        assert!(err.contains("past the dictionary"), "{err}");
+        // Found by the walk, or addressed directly as a dense probe would.
+        let index = cell - ids_end;
+        let probe = entries[index].object.0;
+        for dense_from in [None, Some(probe - index as u64)] {
+            let err = b.lookup(probe, dense_from).unwrap_err();
+            assert!(err.contains("past the dictionary"), "{err}");
+        }
+    }
+
     fn v2_entries(kind: RegionKind) -> Vec<GradedEntry> {
         let mut entries = vec![
             GradedEntry::new(ObjectId(900), Grade::new(0.875).unwrap()),
@@ -1114,26 +1602,20 @@ mod tests {
         bytes: &'a [u8],
         count: usize,
         kind: RegionKind,
-        dict: Option<&'a [u64]>,
+        encoding: Encoding<'a>,
         restarts: &'a [Restart],
     ) -> Block<'a> {
         Block {
             bytes,
             count,
             kind,
-            encoding: dict.map_or(Encoding::Delta, Encoding::Dict),
+            encoding,
             restarts,
         }
     }
 
-    /// A v2 block: delta mode without a dictionary, dictionary mode with.
-    fn encode_v2(entries: &[GradedEntry], kind: RegionKind, dict: Option<&[u64]>) -> Vec<u8> {
-        encode_block(
-            entries,
-            kind,
-            dict.map_or(Encoding::Delta, Encoding::Dict),
-            0,
-        )
+    fn encode(entries: &[GradedEntry], kind: RegionKind, encoding: Encoding) -> Vec<u8> {
+        encode_block(entries, kind, encoding, 0)
     }
 
     /// Every `(object id, grade bits)` of a block, restarts appended.
@@ -1152,14 +1634,45 @@ mod tests {
         dict
     }
 
+    /// `dict` padded with grades no entry has, past the 256 entries a
+    /// 1-byte cell can index, so a column over it has 2-byte cells and
+    /// indices above 255.
+    fn wide_dict(dict: &[u64]) -> Vec<u64> {
+        let mut wide: Vec<u64> = (0..300)
+            .map(|i| Grade::clamped(i as f64 / 7919.0).value().to_bits())
+            .chain(dict.iter().copied())
+            .collect();
+        wide.sort_unstable();
+        wide.dedup();
+        assert!(cell_width(wide.len()) == 2);
+        wide
+    }
+
+    /// Every encoding a `kind` block can have over grades drawn from
+    /// `dict` (and `wide`, a superset past 256 entries): grade deltas and
+    /// dictionary indices inline in both regions, and in table blocks the
+    /// grade column with 8-, 1- and 2-byte cells.
+    fn encodings<'a>(kind: RegionKind, dict: &'a [u64], wide: &'a [u64]) -> Vec<Encoding<'a>> {
+        let mut out = vec![Encoding::Delta, Encoding::Dict(dict)];
+        if kind == RegionKind::Table {
+            out.extend([
+                Encoding::Column(&[]),
+                Encoding::Column(dict),
+                Encoding::Column(wide),
+            ]);
+        }
+        out
+    }
+
     #[test]
     fn v2_block_round_trips_both_regions_and_modes() {
         for kind in [RegionKind::Data, RegionKind::Table] {
             let entries = v2_entries(kind);
             let dict = dict_of(&entries);
-            for dict in [None, Some(dict.as_slice())] {
-                let bytes = encode_v2(&entries, kind, dict);
-                let block = block(&bytes, entries.len(), kind, dict, &[]);
+            let wide = wide_dict(&dict);
+            for encoding in encodings(kind, &dict, &wide) {
+                let bytes = encode(&entries, kind, encoding);
+                let block = block(&bytes, entries.len(), kind, encoding, &[]);
                 let mut restarts = Vec::new();
                 let raw = decode_all(&block, &mut restarts).unwrap();
                 assert!(restarts.is_empty(), "four entries need no restart");
@@ -1169,7 +1682,7 @@ mod tests {
                         GradedEntry::new(id, Grade::new(f64::from_bits(bits)).unwrap())
                     })
                     .collect();
-                assert_eq!(decoded, entries, "{kind:?} dict={}", dict.is_some());
+                assert_eq!(decoded, entries, "{kind:?} {encoding:?}");
                 let mut partial = Vec::new();
                 block.decode_range(1, 3, &mut partial).unwrap();
                 assert_eq!(partial, entries[1..3]);
@@ -1198,9 +1711,10 @@ mod tests {
 
     /// The restart index's defining property: a decode resumed from any
     /// restart equals the decode from the block's start — for every
-    /// `(from, to)` range and every probe id, on all four region × grade
-    /// mode encodings, with block lengths below, at, just past, and well
-    /// past a multiple of the interval.
+    /// `(from, to)` range and every probe id, on every region × encoding
+    /// pair (the grade column's three cell widths included), with block
+    /// lengths below, at, just past, and well past a multiple of the
+    /// interval.
     #[test]
     fn resumed_decode_equals_decode_from_the_start() {
         let counts = [
@@ -1215,14 +1729,15 @@ mod tests {
             for count in counts {
                 let entries = long_entries(kind, count);
                 let dict = dict_of(&entries);
-                for dict in [None, Some(dict.as_slice())] {
-                    let what = format!("{kind:?} count={count} dict={}", dict.is_some());
-                    let bytes = encode_v2(&entries, kind, dict);
-                    let from_zero = block(&bytes, count, kind, dict, &[]);
+                let wide = wide_dict(&dict);
+                for encoding in encodings(kind, &dict, &wide) {
+                    let what = format!("{kind:?} count={count} {encoding:?}");
+                    let bytes = encode(&entries, kind, encoding);
+                    let from_zero = block(&bytes, count, kind, encoding, &[]);
                     let mut restarts = Vec::new();
                     decode_all(&from_zero, &mut restarts).unwrap();
                     assert_eq!(restarts.len(), (count - 1) / RESTART_INTERVAL, "{what}");
-                    let resumed = block(&bytes, count, kind, dict, &restarts);
+                    let resumed = block(&bytes, count, kind, encoding, &restarts);
                     for from in 0..=count {
                         for to in from..=count + 1 {
                             let (mut a, mut b) = (Vec::new(), Vec::new());
@@ -1245,8 +1760,16 @@ mod tests {
                                 .iter()
                                 .find(|e| e.object.0 == probe)
                                 .map(|e| e.grade);
-                            assert_eq!(from_zero.lookup(probe).unwrap(), want, "{what} {probe}");
-                            assert_eq!(resumed.lookup(probe).unwrap(), want, "{what} {probe}");
+                            assert_eq!(
+                                from_zero.lookup(probe, None).unwrap(),
+                                want,
+                                "{what} {probe}"
+                            );
+                            assert_eq!(
+                                resumed.lookup(probe, None).unwrap(),
+                                want,
+                                "{what} {probe}"
+                            );
                         }
                     }
                 }
@@ -1263,32 +1786,41 @@ mod tests {
         let entries = long_entries(RegionKind::Table, count);
         let last = entries[count - 1].object.0;
         let dict = dict_of(&entries);
-        let bytes = encode_v2(&entries, RegionKind::Table, Some(&dict));
+        let bytes = encode(&entries, RegionKind::Table, Encoding::Dict(&dict));
         let mut restarts = Vec::new();
-        let from_zero = block(&bytes, count, RegionKind::Table, Some(&dict), &[]);
+        let from_zero = block(&bytes, count, RegionKind::Table, Encoding::Dict(&dict), &[]);
         decode_all(&from_zero, &mut restarts).unwrap();
         let tail = restarts[1].offset as usize;
 
         // Trailing bytes: seen by the walks that reach the block's end.
         let mut padded = bytes.clone();
         padded.push(0);
-        let b = block(&padded, count, RegionKind::Table, Some(&dict), &restarts);
+        let b = block(
+            &padded,
+            count,
+            RegionKind::Table,
+            Encoding::Dict(&dict),
+            &restarts,
+        );
         let err = b
             .decode_range(count - 1, count, &mut Vec::new())
             .unwrap_err();
         assert!(err.contains("trailing"), "{err}");
-        assert!(b.lookup(last + 1).unwrap_err().contains("trailing"));
-        assert_eq!(b.lookup(last).unwrap(), Some(entries[count - 1].grade));
+        assert!(b.lookup(last + 1, None).unwrap_err().contains("trailing"));
+        assert_eq!(
+            b.lookup(last, None).unwrap(),
+            Some(entries[count - 1].grade)
+        );
 
         // Truncation inside the last run.
         let b = block(
             &bytes[..bytes.len() - 1],
             count,
             RegionKind::Table,
-            Some(&dict),
+            Encoding::Dict(&dict),
             &restarts,
         );
-        assert!(b.lookup(last).unwrap_err().contains("truncated"));
+        assert!(b.lookup(last, None).unwrap_err().contains("truncated"));
 
         // A zero id delta right behind the second restart.
         let mut zeroed = bytes.clone();
@@ -1296,8 +1828,14 @@ mod tests {
         let delta = read_varint(&bytes, &mut off).unwrap();
         assert!(delta < 0x80, "one-byte delta expected");
         zeroed[tail] = 0;
-        let b = block(&zeroed, count, RegionKind::Table, Some(&dict), &restarts);
-        let err = b.lookup(last).unwrap_err();
+        let b = block(
+            &zeroed,
+            count,
+            RegionKind::Table,
+            Encoding::Dict(&dict),
+            &restarts,
+        );
+        let err = b.lookup(last, None).unwrap_err();
         assert!(err.contains("zero table id delta"), "{err}");
         let err = b
             .decode_range(2 * RESTART_INTERVAL, count, &mut Vec::new())
@@ -1309,32 +1847,38 @@ mod tests {
             &bytes,
             count,
             RegionKind::Table,
-            Some(&dict[..1]),
+            Encoding::Dict(&dict[..1]),
             &restarts,
         );
-        assert!(b.lookup(last).unwrap_err().contains("dictionary"));
+        assert!(b.lookup(last, None).unwrap_err().contains("dictionary"));
 
         // An overflowing id delta: the previous id sits at the top.
         let top = [
             GradedEntry::new(ObjectId(u64::MAX - 1), Grade::HALF),
             GradedEntry::new(ObjectId(u64::MAX), Grade::HALF),
         ];
-        let mut bytes = encode_v2(&top, RegionKind::Table, Some(&dict_of(&top)));
+        let mut bytes = encode(&top, RegionKind::Table, Encoding::Dict(&dict_of(&top)));
         let n = bytes.len();
         bytes[n - 2] = 2; // delta 1 -> 2
-        let err = block(&bytes, 2, RegionKind::Table, Some(&dict_of(&top)), &[])
-            .lookup(u64::MAX)
-            .unwrap_err();
+        let err = block(
+            &bytes,
+            2,
+            RegionKind::Table,
+            Encoding::Dict(&dict_of(&top)),
+            &[],
+        )
+        .lookup(u64::MAX, None)
+        .unwrap_err();
         assert!(err.contains("overflows"), "{err}");
     }
 
     #[test]
     fn v2_block_decode_flags_framing_corruption() {
         let entries = v2_entries(RegionKind::Data);
-        let bytes = encode_v2(&entries, RegionKind::Data, None);
+        let bytes = encode(&entries, RegionKind::Data, Encoding::Delta);
         let decode = |bytes: &[u8]| {
             decode_all(
-                &block(bytes, entries.len(), RegionKind::Data, None, &[]),
+                &block(bytes, entries.len(), RegionKind::Data, Encoding::Delta, &[]),
                 &mut Vec::new(),
             )
         };
@@ -1356,9 +1900,9 @@ mod tests {
             GradedEntry::new(ObjectId(1), Grade::HALF),
             GradedEntry::new(ObjectId(2), Grade::HALF),
         ];
-        let encoded = encode_v2(&two, RegionKind::Table, Some(&dict));
+        let encoded = encode(&two, RegionKind::Table, Encoding::Dict(&dict));
         let err = decode_all(
-            &block(&encoded, 2, RegionKind::Table, Some(&[]), &[]),
+            &block(&encoded, 2, RegionKind::Table, Encoding::Dict(&[]), &[]),
             &mut Vec::new(),
         )
         .unwrap_err();
@@ -1391,7 +1935,7 @@ mod tests {
     #[test]
     fn footer_v2_round_trips() {
         let f = footer_v2();
-        for version in [FORMAT_V2, FORMAT_VERSION] {
+        for version in [FORMAT_V2, FORMAT_V3, FORMAT_VERSION] {
             let bytes = f.encode(version);
             // Seven scalars, seven two-block lists, the three-entry
             // dictionary, the self-checksum.
@@ -1402,13 +1946,15 @@ mod tests {
             assert_eq!(parsed.grade_max_bits, f.grade_max_bits);
             assert_eq!(parsed.grade_dict, f.grade_dict);
         }
-        // The two versions differ in the self-checksum alone, and each
+        // Versions 3 and 4 share the footer byte for byte.
+        assert_eq!(f.encode(FORMAT_V3), f.encode(FORMAT_VERSION));
+        // Versions 2 and 3 differ in the self-checksum alone, and each
         // rejects the other's.
-        let (v2, v3) = (f.encode(FORMAT_V2), f.encode(FORMAT_VERSION));
+        let (v2, v3) = (f.encode(FORMAT_V2), f.encode(FORMAT_V3));
         assert_eq!(v2[..v2.len() - 8], v3[..v3.len() - 8]);
         assert_ne!(v2[v2.len() - 8..], v3[v3.len() - 8..]);
         assert!(matches!(
-            Footer::parse(&v2, FORMAT_VERSION),
+            Footer::parse(&v2, FORMAT_V3),
             Err(StorageError::FooterCorrupt { .. })
         ));
         assert!(matches!(
@@ -1437,7 +1983,7 @@ mod tests {
             }),
             ("unsorted dictionary", |f| f.grade_dict.swap(0, 1)),
         ];
-        for version in [FORMAT_V2, FORMAT_VERSION] {
+        for version in [FORMAT_V2, FORMAT_V3, FORMAT_VERSION] {
             for (what, tweak) in checks {
                 let mut f = footer_v2();
                 tweak(&mut f);

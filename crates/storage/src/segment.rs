@@ -5,23 +5,50 @@
 //! see [`crate::format`]), locates every block, then makes one streaming
 //! integrity scan over the whole file verifying every block checksum,
 //! every grade, both sort orders, every footer statistic and fence, and
-//! (v2, v3) every varint frame, so a corrupted or truncated segment fails
-//! with a typed [`StorageError`] *before* it can serve a single wrong
-//! entry. Past the footer parse the version picks only the block checksum
-//! ([`checksum`]) and the block encoding: blocks are located by the
-//! footer's byte lengths and read through the one block decoder
-//! ([`Block`]). After a successful open the source is an ordinary
-//! `Send + Sync` graded source: sorted access streams data blocks through
-//! the shared [`BlockCache`], and random access routes through the footer's
-//! fence index to exactly one table block — bit-identical behaviour to a
-//! [`MemorySource`] over the same pairs, in every version (the round-trip
-//! property suite holds it to that). The match set is `SetAccess`'s one
+//! (v2 on) every varint frame and grade column, so a corrupted or
+//! truncated segment fails with a typed [`StorageError`] *before* it can
+//! serve a single wrong entry. Past the footer parse the version picks
+//! only the block checksum ([`checksum`]) and the block encoding: blocks
+//! are located by the footer's byte lengths and read through the one
+//! block decoder ([`Block`]). After a successful open the source is an
+//! ordinary `Send + Sync` graded source: sorted access streams data blocks
+//! through the shared [`BlockCache`], and random access routes through the
+//! footer's fence index to exactly one table block — bit-identical
+//! behaviour to a [`MemorySource`] over the same pairs, in every version
+//! (the round-trip property suite holds it to that). The match set is `SetAccess`'s one
 //! provided body over those sorted reads, so it is the same grade-1 prefix
 //! a `MemorySource` returns.
 //!
-//! A v2 or v3 footer's per-block grade fences are checked against every
-//! data block at open, like the rest of the footer; no read skips blocks
-//! by them. Every sorted read decodes the blocks its ranks fall in.
+//! A v2, v3 or v4 footer's per-block grade fences are checked against
+//! every data block at open, like the rest of the footer; no read skips
+//! blocks by them. Every sorted read decodes the blocks its ranks fall in.
+//!
+//! ## The random-access path
+//!
+//! A batch of probes makes one binary search over the footer's fences per
+//! probe, which names the one table block that can hold the id (a probe
+//! below the first fence is answered `None` there), then groups the probes
+//! by block, so each touched block is fetched from the cache once per
+//! batch. Within a block a probe finds its entry's *index*, and reads one
+//! grade:
+//!
+//! * **Dense blocks.** When a block's id span — from its fence to the
+//!   next block's fence, or through [`max_object`](SegmentSource::max_object)
+//!   for the last block — is exactly as long as its entry count, its ids
+//!   are that span with no gap (the open-time scan verified that every
+//!   block starts at its fence and that ids strictly ascend). The index is
+//!   then `object − fence`, and no id is decoded; an index past the
+//!   block's count (a probe past `max_object`) is `None`. A segment over
+//!   `0..N`, and every id-range shard of one, is dense in every block.
+//! * **Other blocks** find the index by a binary search over v1's slots,
+//!   or by a walk from the nearest restart point that stops at the first
+//!   id not below the probe: over v4's id run alone, at most
+//!   [`RESTART_INTERVAL`] id varints.
+//!
+//! The grade is then one read: a v1 slot, or a v4 table block's grade
+//! column cell (raw bits, or a dictionary index). A v2 or v3 table block
+//! has no column: its grades are a delta chain, so it decodes every grade
+//! from the nearest restart up to the entry.
 //!
 //! [`MemorySource`]: garlic_core::access::MemorySource
 
@@ -95,8 +122,9 @@ pub struct SegmentSource {
     /// The restart points of every data block, block after block, then
     /// the same for the table region: the decoder state in front of every
     /// [`RESTART_INTERVAL`]-th entry, noted down by the open-time scan, so
-    /// a v2 read resumes next to its first entry instead of at the block's
-    /// start. Slot (v1) blocks record none.
+    /// a read resumes next to its first entry instead of at the block's
+    /// start (in a v4 table block, next to its id in the id run). Slot (v1)
+    /// blocks record none.
     restarts: [Vec<Restart>; 2],
     entries_per_block: usize,
     max_object: Option<ObjectId>,
@@ -447,20 +475,39 @@ impl SegmentSource {
             let block_index = probes[index].0;
             let bytes = self.try_table_block(block_index)?;
             let block = self.block(RegionKind::Table, &bytes, block_index);
+            let dense_from = self.dense_from(block_index, block.count);
             while index < probes.len() && probes[index].0 == block_index {
                 let position = probes[index].1 as usize;
                 // A decode failure (a block mutated after open) is a typed
                 // error, not a panic.
-                out[base + position] = block.lookup(objects[position].0).map_err(|detail| {
-                    StorageError::CorruptBlock {
-                        block: self.footer.data_blocks + block_index,
-                        detail,
-                    }
-                })?;
+                out[base + position] =
+                    block
+                        .lookup(objects[position].0, dense_from)
+                        .map_err(|detail| StorageError::CorruptBlock {
+                            block: self.footer.data_blocks + block_index,
+                            detail,
+                        })?;
                 index += 1;
             }
         }
         Ok(())
+    }
+
+    /// `Some(fence)` when table block `index`, of `count` entries, holds
+    /// exactly the ids `fence..fence + count`: when its id span — up to the
+    /// next block's fence, or through [`max_object`](Self::max_object) for
+    /// the last block — is as long as its entry count. The open-time scan
+    /// verified that every block starts at its fence and that ids strictly
+    /// ascend, so a span that long leaves no gap, and a probe's entry
+    /// index is its distance from the fence.
+    fn dense_from(&self, index: u64, count: usize) -> Option<u64> {
+        let fences = &self.footer.table_first_ids;
+        let first = *fences.get(index as usize)?;
+        let last = match fences.get(index as usize + 1) {
+            Some(&next) => next.checked_sub(1)?,
+            None => self.max_object?.0,
+        };
+        (last.checked_sub(first)?.checked_add(1)? == count as u64).then_some(first)
     }
 
     /// The one sorted scan, behind [`GradedSource::try_sorted_batch`] and

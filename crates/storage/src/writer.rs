@@ -69,8 +69,8 @@ pub struct SegmentWriter {
 
 impl SegmentWriter {
     /// A writer with the default 4 KiB block size, producing the current
-    /// format version ([`FORMAT_VERSION`] — compressed blocks, xxHash64
-    /// checksums).
+    /// format version ([`FORMAT_VERSION`] — compressed data blocks, table
+    /// blocks with a fixed-width grade column, xxHash64 checksums).
     pub fn new() -> Self {
         SegmentWriter {
             block_size: DEFAULT_BLOCK_SIZE,
@@ -101,12 +101,15 @@ impl SegmentWriter {
         self
     }
 
-    /// Selects the on-disk format version: [`FORMAT_VERSION`] (the v3
-    /// default: compressed blocks, xxHash64 checksums),
-    /// [`FORMAT_V2`](crate::format::FORMAT_V2) (the same blocks with
-    /// FNV-1a checksums) or [`FORMAT_V1`] (the legacy fixed-slot layout,
-    /// FNV-1a checksums) — useful for compatibility tests and for serving
-    /// fleets that still run readers of an older version.
+    /// Selects the on-disk format version: [`FORMAT_VERSION`] (the v4
+    /// default: compressed data blocks, table blocks with a fixed-width
+    /// grade column, xxHash64 checksums),
+    /// [`FORMAT_V3`](crate::format::FORMAT_V3) (table blocks compressed
+    /// like data blocks), [`FORMAT_V2`](crate::format::FORMAT_V2) (v3's
+    /// blocks with FNV-1a checksums) or [`FORMAT_V1`] (the legacy
+    /// fixed-slot layout, FNV-1a checksums) — useful for compatibility
+    /// tests and for serving fleets that still run readers of an older
+    /// version.
     pub fn with_version(mut self, version: u32) -> Result<Self, StorageError> {
         if !(FORMAT_V1..=FORMAT_VERSION).contains(&version) {
             return Err(StorageError::UnsupportedVersion {
@@ -261,7 +264,6 @@ impl SegmentWriter {
         if grade_dict.len() > GRADE_DICT_MAX {
             grade_dict.clear();
         }
-        let encoding = Encoding::of(self.version, &grade_dict);
 
         let tmp_path = tmp_sibling(path);
         let file = self.vfs.create(&tmp_path)?;
@@ -274,7 +276,7 @@ impl SegmentWriter {
         out.write_all(&HEADER_MAGIC)?;
         out.write_all(&self.version.to_le_bytes())?;
 
-        let dict_flag = if matches!(encoding, Encoding::Dict(_)) {
+        let dict_flag = if self.version != FORMAT_V1 && !grade_dict.is_empty() {
             FLAG_GRADE_DICT
         } else {
             0
@@ -317,6 +319,7 @@ impl SegmentWriter {
             ),
         ];
         for (region, kind, checksums, lens) in regions {
+            let encoding = Encoding::of(self.version, kind, &grade_dict);
             for chunk in region.chunks(entries_per_block) {
                 let block = encode_block(chunk, kind, encoding, self.block_size);
                 checksums.push(checksum(self.version, &block));

@@ -9,8 +9,8 @@ use std::sync::Arc;
 use garlic_agg::Grade;
 use garlic_core::GradedEntry;
 use garlic_storage::format::{
-    checksum, encode_block, encode_entry, Encoding, Footer, RegionKind, ENTRY_LEN, FORMAT_V1,
-    FORMAT_V2, FORMAT_VERSION, HEADER_MAGIC, TRAILER_MAGIC,
+    cell_width, checksum, encode_block, encode_entry, Encoding, Footer, RegionKind, ENTRY_LEN,
+    FORMAT_V1, FORMAT_V2, FORMAT_V3, FORMAT_VERSION, HEADER_MAGIC, TRAILER_MAGIC,
 };
 use garlic_storage::{BlockCache, SegmentSource, SegmentWriter, StorageError};
 
@@ -21,8 +21,9 @@ fn temp_path(name: &str) -> PathBuf {
 }
 
 /// The compressed-layout versions: FNV-1a (v2) and xxHash64 (v3)
-/// checksums over the same blocks and footer fields.
-const COMPRESSED: [u32; 2] = [FORMAT_V2, FORMAT_VERSION];
+/// checksums over the same blocks and footer fields, and v4, whose table
+/// blocks hold an id run and a fixed-width grade column.
+const COMPRESSED: [u32; 3] = [FORMAT_V2, FORMAT_V3, FORMAT_VERSION];
 
 /// A healthy multi-block segment in format `version` to damage. In v1, the
 /// fixed-slot geometry the byte-offset tests below rely on.
@@ -113,9 +114,9 @@ fn ancient_version_is_unsupported() {
 
 #[test]
 fn cross_version_opens_work_both_ways() {
-    // v1 and v2 files open in a v3-default build; a v3 file written by the
-    // default writer opens too. Compatibility is part of the format.
-    for version in [FORMAT_V1, FORMAT_V2, FORMAT_VERSION] {
+    // v1, v2 and v3 files open in a v4-default build; a v4 file written by
+    // the default writer opens too. Compatibility is part of the format.
+    for version in [FORMAT_V1, FORMAT_V2, FORMAT_V3, FORMAT_VERSION] {
         let path = healthy("cross.seg", version);
         assert_eq!(open(&path).unwrap().version(), version);
     }
@@ -543,8 +544,9 @@ fn oversized_block_size_is_rejected_writer_side() {
     ));
 }
 
-/// Hand-builds a compressed-layout segment of format `version` (v2 or v3)
-/// whose blocks carry *correct* checksums, then lets `tamper` damage the
+/// Hand-builds a compressed-layout segment of format `version` (v2, v3 or
+/// v4, table blocks in each version's layout) whose blocks carry
+/// *correct* checksums, then lets `tamper` damage the
 /// encoded blocks and/or footer before the checksums and block lengths are
 /// (re)derived from the final block bytes and the footer is sealed — so a
 /// tampered block or footer still passes its checksum and only deep
@@ -565,7 +567,7 @@ fn forge_v2(
         region
             .chunks(per_block)
             .map(|chunk| {
-                let encoding = dict.as_deref().map_or(Encoding::Delta, Encoding::Dict);
+                let encoding = Encoding::of(version, kind, dict.as_deref().unwrap_or_default());
                 encode_block(chunk, kind, encoding, block_size)
             })
             .collect()
@@ -739,6 +741,87 @@ fn dictionary_index_out_of_range_is_corrupt_block() {
     }
 }
 
+/// A v4 table block is its id run followed by its grade column, the
+/// column being the block's last `count × width` bytes. A block that lost
+/// bytes from its end leaves a column too short to leave the id run whole,
+/// or too short to be a column at all: each is a typed error at open,
+/// with and without a dictionary.
+#[test]
+fn short_v4_grade_column_is_corrupt_block() {
+    for dict in [None, Some(forge_dict())] {
+        for keep in [|len: usize| len - 1, |_: usize| 3] {
+            let path = forge_v2(
+                "forge-v4-short-column.seg",
+                FORMAT_VERSION,
+                &forge_entries(),
+                dict.clone(),
+                |_, table, _| {
+                    let len = keep(table[0].len());
+                    table[0].truncate(len);
+                },
+            );
+            assert!(
+                matches!(
+                    open(&path),
+                    Err(StorageError::CorruptBlock { block: 1, .. })
+                ),
+                "dict {}: {:?}",
+                dict.is_some(),
+                open(&path).err()
+            );
+        }
+    }
+}
+
+/// An id varint that runs on into the grade column (its continuation bit
+/// set) is a truncated id run, not a grade read as an id.
+#[test]
+fn v4_id_run_into_the_grade_column_is_corrupt_block() {
+    for dict in [None, Some(forge_dict())] {
+        let width = cell_width(dict.as_ref().map_or(0, Vec::len));
+        let cells = forge_entries().len() * width;
+        let path = forge_v2(
+            "forge-v4-id-run.seg",
+            FORMAT_VERSION,
+            &forge_entries(),
+            dict.clone(),
+            |_, table, _| {
+                let ids_end = table[0].len() - cells;
+                table[0][ids_end - 1] |= 0x80;
+            },
+        );
+        match open(&path) {
+            Err(StorageError::CorruptBlock { block: 1, detail }) => {
+                assert!(detail.contains("id varint truncated"), "{detail}");
+            }
+            other => panic!("dict {}: {:?}", dict.is_some(), other.err()),
+        }
+    }
+}
+
+/// A 1-byte dictionary cell naming an entry past the footer's dictionary
+/// is a typed error at open, naming the table block.
+#[test]
+fn v4_dictionary_cell_past_the_dictionary_is_corrupt_block() {
+    let dict = forge_dict();
+    let path = forge_v2(
+        "forge-v4-cell.seg",
+        FORMAT_VERSION,
+        &forge_entries(),
+        Some(dict.clone()),
+        |_, table, _| {
+            let last = table[0].len() - 1;
+            table[0][last] = dict.len() as u8;
+        },
+    );
+    match open(&path) {
+        Err(StorageError::CorruptBlock { block: 1, detail }) => {
+            assert!(detail.contains("past the dictionary"), "{detail}");
+        }
+        other => panic!("{:?}", other.err()),
+    }
+}
+
 #[test]
 fn lying_grade_fence_is_footer_corrupt() {
     // A fence claiming a higher max, or a lower min, than the block holds.
@@ -785,7 +868,8 @@ fn v2_region_divergence_is_detected() {
                 let mut by_id = forge_entries();
                 by_id.sort_by_key(|e| e.object);
                 by_id[1].grade = Grade::new(0.3125).unwrap();
-                *table = vec![encode_block(&by_id, RegionKind::Table, Encoding::Delta, 64)];
+                let encoding = Encoding::of(version, RegionKind::Table, &[]);
+                *table = vec![encode_block(&by_id, RegionKind::Table, encoding, 64)];
             },
         );
         assert!(

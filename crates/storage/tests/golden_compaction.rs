@@ -8,7 +8,8 @@
 //!
 //! Compaction writes the current format version. Each compacted segment's
 //! pairs are also re-encoded as version 2, whose bytes were pinned before
-//! version 3 existed and have not moved since.
+//! version 3 existed and have not moved since, and as version 3, whose
+//! bytes were pinned as compaction's output before version 4 existed.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -16,7 +17,7 @@ use std::sync::Arc;
 use garlic_agg::Grade;
 use garlic_core::access::GradedSource;
 use garlic_core::ObjectId;
-use garlic_storage::format::{fnv1a64, FORMAT_V2};
+use garlic_storage::format::{fnv1a64, FORMAT_V2, FORMAT_V3};
 use garlic_storage::{BlockCache, LiveOptions, LiveSource, SegmentSource, SegmentWriter, WalOp};
 
 fn store_dir() -> PathBuf {
@@ -74,10 +75,10 @@ fn fingerprint(path: &Path) -> (usize, u64) {
     (bytes.len(), fnv1a64(&bytes))
 }
 
-/// The fingerprints of the one segment file in `dir`, as compaction wrote
-/// it and with its pairs re-encoded by a version-2 writer with the
-/// defaults compaction uses otherwise.
-fn segment_fingerprints(dir: &Path) -> ((usize, u64), (usize, u64)) {
+/// The fingerprints of the one segment file in `dir`: as compaction wrote
+/// it, then with its pairs re-encoded by a version-3 and a version-2
+/// writer with the defaults compaction uses otherwise.
+fn segment_fingerprints(dir: &Path) -> [(usize, u64); 3] {
     let segments: Vec<PathBuf> = std::fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().path())
@@ -87,15 +88,18 @@ fn segment_fingerprints(dir: &Path) -> ((usize, u64), (usize, u64)) {
     let source = SegmentSource::open(&segments[0], Arc::new(BlockCache::new(64))).unwrap();
     let mut entries = Vec::new();
     source.sorted_batch(0, source.len() + 1, &mut entries);
-    let v2 = dir.with_extension("v2.seg");
-    SegmentWriter::new()
-        .with_version(FORMAT_V2)
-        .unwrap()
-        .write_pairs(&v2, entries.iter().map(|e| (e.object, e.grade)))
-        .unwrap();
-    let fingerprints = (fingerprint(&segments[0]), fingerprint(&v2));
-    std::fs::remove_file(&v2).unwrap();
-    fingerprints
+    let reencoded = [FORMAT_V3, FORMAT_V2].map(|version| {
+        let path = dir.with_extension(format!("v{version}.seg"));
+        SegmentWriter::new()
+            .with_version(version)
+            .unwrap()
+            .write_pairs(&path, entries.iter().map(|e| (e.object, e.grade)))
+            .unwrap();
+        let fingerprint = fingerprint(&path);
+        std::fs::remove_file(&path).unwrap();
+        fingerprint
+    });
+    [fingerprint(&segments[0]), reencoded[0], reencoded[1]]
 }
 
 /// `fnv1a64` over the whole sorted stream, 16 bytes per entry.
@@ -143,7 +147,7 @@ fn scripted_store_compacts_to_pinned_bytes() {
     );
     live.flush().unwrap();
     segments.push(segment_fingerprints(&dir));
-    let (v3, v2): (Vec<_>, Vec<_>) = segments.into_iter().unzip();
+    let [v4, v3, v2] = [0, 1, 2].map(|i| segments.iter().map(|s| s[i]).collect::<Vec<_>>());
     assert_eq!(
         v2,
         vec![
@@ -158,6 +162,16 @@ fn scripted_store_compacts_to_pinned_bytes() {
             (2661, 4_099_699_083_500_945_612),
             (3698, 1_694_317_357_873_392_273),
             (4480, 6_595_683_822_467_263_683),
+        ]
+    );
+    // A 17-grade dictionary: 1-byte cells where version 3 had 1-byte index
+    // varints, so each file is as long as its version-3 copy.
+    assert_eq!(
+        v4,
+        vec![
+            (2661, 9_603_819_591_453_062_150),
+            (3698, 4_173_201_766_014_964_676),
+            (4480, 15_105_896_832_681_979_154),
         ]
     );
     assert_eq!(

@@ -14,7 +14,7 @@ use garlic_agg::Grade;
 use garlic_core::access::{CountingSource, GradedSource, MemorySource, SetAccess};
 use garlic_core::algorithms::fa::fagin_topk;
 use garlic_core::{GradedEntry, ObjectId};
-use garlic_storage::format::{FORMAT_V1, FORMAT_V2, FORMAT_VERSION};
+use garlic_storage::format::{FORMAT_V1, FORMAT_V2, FORMAT_V3, FORMAT_VERSION};
 use garlic_storage::{BlockCache, SegmentSource, SegmentWriter};
 use proptest::prelude::*;
 
@@ -47,7 +47,12 @@ fn block_size_strategy() -> impl Strategy<Value = usize> {
 
 /// Every on-disk format version, so every property holds for each.
 fn version_strategy() -> impl Strategy<Value = u32> {
-    prop_oneof![Just(FORMAT_V1), Just(FORMAT_V2), Just(FORMAT_VERSION)]
+    prop_oneof![
+        Just(FORMAT_V1),
+        Just(FORMAT_V2),
+        Just(FORMAT_V3),
+        Just(FORMAT_VERSION)
+    ]
 }
 
 fn reopen(path: &PathBuf) -> SegmentSource {
@@ -328,10 +333,10 @@ fn cases() -> u32 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
-    /// A v1, a v2 and a v3 segment over the same pairs are observably one
-    /// source: identical streams, tie order, random-access answers,
-    /// matching sets, and Section-5 bills. (The name predates v3; CI runs
-    /// the property by it.)
+    /// A v1, a v2, a v3 and a v4 segment over the same pairs are
+    /// observably one source: identical streams, tie order, random-access
+    /// answers, matching sets, and Section-5 bills. (The name predates v3
+    /// and v4; CI runs the property by it.)
     #[test]
     fn v1_and_v2_formats_are_observably_identical(
         pairs in pairs_strategy(),
@@ -339,7 +344,7 @@ proptest! {
         batch in 1usize..17,
     ) {
         let mut segs = Vec::new();
-        for version in [FORMAT_V1, FORMAT_V2, FORMAT_VERSION] {
+        for version in [FORMAT_V1, FORMAT_V2, FORMAT_V3, FORMAT_VERSION] {
             let path = case_path();
             SegmentWriter::with_block_size(block_size)
                 .unwrap()
@@ -364,11 +369,112 @@ proptest! {
                 (stream, probes, seg.matching_set(), seg.stats())
             })
             .collect();
-        for (version, seen) in [FORMAT_V2, FORMAT_VERSION].iter().zip(&observed[1..]) {
+        for (version, seen) in [FORMAT_V2, FORMAT_V3, FORMAT_VERSION].iter().zip(&observed[1..]) {
             prop_assert_eq!(&seen.0, &observed[0].0, "v{}: streams and tie order", version);
             prop_assert_eq!(&seen.1, &observed[0].1, "v{}: random access", version);
             prop_assert_eq!(&seen.2, &observed[0].2, "v{}: matching set", version);
             prop_assert_eq!(&seen.3, &observed[0].3, "v{}: Section-5 bills", version);
+        }
+    }
+}
+
+/// Ids in runs of consecutive values separated by gaps, from `start` on,
+/// the runs repeated until there are at least `min_len` ids; with `top`,
+/// shifted so the last id is `u64::MAX`.
+fn run_ids(runs: &[(u64, u64)], start: u64, min_len: usize, top: bool) -> Vec<u64> {
+    let mut ids = Vec::new();
+    let mut next = start;
+    while ids.len() < min_len.max(1) {
+        for &(len, gap) in runs {
+            ids.extend(next..next + len);
+            next += len + gap;
+        }
+    }
+    if top {
+        let shift = u64::MAX - ids[ids.len() - 1];
+        ids.iter_mut().for_each(|id| *id += shift);
+    }
+    ids
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// Random access on a v4 segment over ids with gaps — so some table
+    /// blocks hold a run of consecutive ids (the probe addresses its
+    /// entry by its distance from the block's fence) and others do not
+    /// (the probe walks the block's id run) — answers exactly what a
+    /// `MemorySource` and a v3 segment over the same pairs answer.
+    /// Probes fall below the first fence, on both sides of every run,
+    /// inside the gaps, past the largest id (up to `u64::MAX`) and on
+    /// duplicates. Grades take each cell width of the grade column: a
+    /// 9-grade dictionary (1 byte), a dictionary of up to 1 000 grades (2
+    /// bytes) and more distinct grades than a dictionary holds (8 bytes).
+    #[test]
+    fn v4_probes_over_sparse_ids_answer_like_memory_and_v3(
+        runs in proptest::collection::vec((1u64..40, 1u64..5), 1..12),
+        start in 0u64..50,
+        mode in 0u8..3,
+        top in 0u8..2,
+        block_size in block_size_strategy(),
+        picks in proptest::collection::vec((0usize..1 << 16, 0u64..7), 0..60),
+    ) {
+        // Dictionary mode ends past `GRADE_DICT_MAX` distinct grades.
+        let min_len = if mode == 2 { 4_200 } else { 0 };
+        let ids = run_ids(&runs, start, min_len, top == 1);
+        let n = ids.len();
+        let pairs: Vec<(ObjectId, Grade)> = ids
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| {
+                let grade = match mode {
+                    0 => (i * 7 % 9) as f64 / 8.0,
+                    1 => (i * 7919 % 1_000) as f64 / 1_000.0,
+                    _ => i as f64 / n as f64,
+                };
+                (ObjectId(id), Grade::clamped(grade))
+            })
+            .collect();
+        let segments: Vec<SegmentSource> = [FORMAT_V3, FORMAT_VERSION]
+            .iter()
+            .map(|&version| {
+                let path = case_path();
+                SegmentWriter::with_block_size(block_size)
+                    .unwrap()
+                    .with_version(version)
+                    .unwrap()
+                    .write_pairs(&path, pairs.clone())
+                    .unwrap();
+                reopen(&path)
+            })
+            .collect();
+        let mem = MemorySource::from_pairs(pairs);
+
+        // Both sides of every id, the ids below the first and past the
+        // last, then picked ids shifted into their gaps, each probed twice.
+        let mut probes: Vec<u64> = vec![0, 1, u64::MAX - 1, u64::MAX];
+        for &id in &ids {
+            probes.extend([id.saturating_sub(1), id, id.saturating_add(1)]);
+        }
+        for &(at, shift) in &picks {
+            let id = ids[at % n].saturating_add(shift);
+            probes.extend([id, id]);
+        }
+        let probes: Vec<ObjectId> = probes.into_iter().map(ObjectId).collect();
+
+        let mut want = Vec::new();
+        mem.random_batch(&probes, &mut want);
+        for seg in &segments {
+            let mut got = Vec::new();
+            seg.random_batch(&probes, &mut got);
+            prop_assert_eq!(&got, &want, "v{} batch", seg.version());
+        }
+        for &(at, shift) in &picks {
+            let probe = ObjectId(ids[at % n].saturating_add(shift));
+            let want = mem.random_access(probe);
+            for seg in &segments {
+                prop_assert_eq!(seg.random_access(probe), want, "v{} {:?}", seg.version(), probe);
+            }
         }
     }
 }

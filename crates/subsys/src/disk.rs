@@ -817,8 +817,8 @@ mod tests {
 
     #[test]
     fn mixed_format_versions_serve_identical_answers() {
-        // One attribute persisted in segment format v1, its twin in v2
-        // (the default), and a sharded attribute mixing one shard of each:
+        // One attribute persisted in segment format v1, its twin in the
+        // current format, and a sharded attribute mixing one shard of each:
         // the subsystem's open paths dispatch per file, so every handle
         // answers identically.
         use garlic_core::ObjectId;

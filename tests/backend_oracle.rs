@@ -5,11 +5,12 @@
 //! reversed complement list, exact Section 5 bills — must hold whatever
 //! stores the lists. One property builds seven backends over the same
 //! lists: memory, a v1 segment, v2 segments in dictionary mode and (on
-//! one fixed database of continuous grades) v3 segments in delta mode,
-//! sharded memory and sharded v3 at a drawn shard count, and live stores
+//! one fixed database of continuous grades) v4 segments in delta mode,
+//! sharded memory and sharded v4 at a drawn shard count, and live stores
 //! holding a compacted base, a frozen layer and an active memtable — so
-//! both checksum rules (FNV-1a in v1 and v2, xxHash64 in v3) stay under
-//! the oracle. Each is compared with memory at two levels:
+//! both checksum rules (FNV-1a in v1 and v2, xxHash64 in v4) and v4's
+//! grade column (8-byte cells in delta mode, 1-byte cells in the live
+//! stores' compacted bases) stay under the oracle. Each is compared with memory at two levels:
 //!
 //! * **engine** — every session rule (A₀, shrunk, threshold, A₀′, scan,
 //!   B₀, filtered) over every query shape (flat AND, flat OR,
@@ -60,7 +61,7 @@ proptest! {
         // negated shape in each third), so each shape meets four page
         // sequences in twelve cases.
         let fixture = delta_fixture();
-        let delta = [("v3-delta".to_owned(), Arc::clone(&fixture.delta))];
+        let delta = [("v4-delta".to_owned(), Arc::clone(&fixture.delta))];
         let case = DELTA_CASES.fetch_add(1, Ordering::Relaxed);
         let delta_ks = if case == 0 { &KS[..] } else { &[] };
         let delta_shapes = engine_shapes().into_iter().skip(case % 3).step_by(3);

@@ -19,7 +19,7 @@ fn db() -> Db {
     Db::quantised(300, 77)
 }
 
-/// Current-format (v3) segments of `db` under the test's own directory
+/// Current-format (v4) segments of `db` under the test's own directory
 /// `tag`.
 fn disk(db: &Db, tag: &str, cache: Arc<BlockCache>) -> Arc<dyn Subsystem> {
     segments(db, &temp_dir(tag), FORMAT_VERSION, "dict", cache)

@@ -198,7 +198,7 @@ pub fn cache() -> Arc<BlockCache> {
 }
 
 /// Every attribute of `db` as `shards` id-range shards of current-format
-/// (v3) segments under `dir`, served through the scatter-gather merge.
+/// (v4) segments under `dir`, served through the scatter-gather merge.
 pub fn sharded_segments(db: &Db, dir: &Path, shards: usize) -> Arc<dyn Subsystem> {
     let writer = SegmentWriter::with_block_size(BLOCK_SIZE).unwrap();
     let mut sub = DiskSubsystem::with_cache("sharded", db.len(), cache());
@@ -262,9 +262,9 @@ pub fn live(db: &Db, dir: &Path) -> DiskSubsystem {
 }
 
 /// The backends built per database: memory, v1 and v2 (dictionary mode,
-/// FNV-1a checksums) segments, memory and v3 segments in `shards` id-range
+/// FNV-1a checksums) segments, memory and v4 segments in `shards` id-range
 /// shards, and live stores; files go under `dir`. The delta-mode backend
-/// (v3, xxHash64 checksums) is [`delta_fixture`].
+/// (v4, xxHash64 checksums, 8-byte grade cells) is [`delta_fixture`].
 pub fn backends(db: &Db, shards: usize, dir: &Path) -> Vec<(String, Arc<dyn Subsystem>)> {
     let sub = |name: &str| {
         let path = dir.join(name);
@@ -273,7 +273,7 @@ pub fn backends(db: &Db, shards: usize, dir: &Path) -> Vec<(String, Arc<dyn Subs
     };
     let v1 = segments(db, &sub("v1"), FORMAT_V1, "v1", cache());
     let v2 = segments(db, &sub("v2"), FORMAT_V2, "dict", cache());
-    let sharded_v3 = sharded_segments(db, &sub("sharded"), shards);
+    let sharded_v4 = sharded_segments(db, &sub("sharded"), shards);
     vec![
         ("memory".to_owned(), db.memory()),
         ("v1".to_owned(), v1),
@@ -282,13 +282,13 @@ pub fn backends(db: &Db, shards: usize, dir: &Path) -> Vec<(String, Arc<dyn Subs
             format!("sharded-memory/S={shards}"),
             sharded_memory(db, shards),
         ),
-        (format!("sharded-v3/S={shards}"), sharded_v3),
+        (format!("sharded-v4/S={shards}"), sharded_v4),
         ("live".to_owned(), Arc::new(live(db, &sub("live")))),
     ]
 }
 
 /// The fixed delta-mode database, with its memory reference and its
-/// segments in the current format (v3).
+/// segments in the current format (v4).
 pub struct DeltaFixture {
     pub db: Db,
     pub memory: Arc<dyn Subsystem>,
