@@ -11,7 +11,7 @@
 //! one `check: ok — …` line, or `check: FAIL — …` on stderr; a failed check
 //! makes the binary exit 1. `cargo test` runs every row at its small size.
 //!
-//! At `--small`, rows e01–e03 also bill every trial on a v2
+//! At `--small`, rows e01–e03 also bill every trial on a
 //! `SegmentSource` written to a temporary directory and on a 4-shard
 //! `ShardedSource`. §5 billing does not depend on the backend, so each
 //! trial's per-list `AccessStats` must be bit-equal to the `MemorySource`

@@ -1,5 +1,5 @@
 //! Background compaction for [`crate::live::LiveSource`]: frozen
-//! memtables are merged with the base segment into a fresh v2 segment,
+//! memtables are merged with the base segment into a fresh segment,
 //! swapped in atomically through the manifest, and the obsolete files
 //! garbage-collected.
 //!

@@ -20,18 +20,15 @@ pub enum StorageError {
     /// The file does not start (or end) with the segment magic — it is not
     /// a segment file at all.
     BadMagic,
-    /// The file is a segment, but of a format version this build cannot
-    /// read — either from a future writer or (for a hypothetical reader
-    /// compiled without the legacy path) an ancient one. Both sides of
-    /// the mismatch are named so an operator knows which binary or
-    /// which file to upgrade.
+    /// The file is a segment, but of a format version other than the one
+    /// this build reads. Both sides of the mismatch are named so an
+    /// operator knows which binary or which file to replace.
     UnsupportedVersion {
         /// The version recorded in the file.
         found: u32,
-        /// The oldest version this build reads.
-        oldest_supported: u32,
-        /// The newest version this build reads.
-        newest_supported: u32,
+        /// The one version this build reads
+        /// ([`FORMAT_VERSION`](crate::format::FORMAT_VERSION)).
+        supported: u32,
     },
     /// The file is shorter than its own metadata says it must be —
     /// typically a partial copy or an interrupted write.
@@ -119,17 +116,11 @@ impl fmt::Display for StorageError {
         match self {
             StorageError::Io(e) => write!(f, "segment I/O error: {e}"),
             StorageError::BadMagic => write!(f, "not a segment file (bad magic)"),
-            StorageError::UnsupportedVersion {
-                found,
-                oldest_supported,
-                newest_supported,
-            } => {
-                write!(
-                    f,
-                    "unsupported segment format version {found}: this build reads \
-                     versions {oldest_supported} through {newest_supported}"
-                )
-            }
+            StorageError::UnsupportedVersion { found, supported } => write!(
+                f,
+                "unsupported segment format version {found}: this build reads version \
+                 {supported} only"
+            ),
             StorageError::Truncated { expected, actual } => write!(
                 f,
                 "segment truncated: need {expected} bytes, file has {actual}"

@@ -11,9 +11,8 @@
 //! * [`mod@format`] — the file layout: checksummed blocks holding the
 //!   grade-descending sorted run, a mirrored object-ordered table region
 //!   for random access, and a self-checksummed footer with the block index;
-//!   one footer type and one block decoder serve every format version
-//!   (v1's fixed slots, v2's and v3's compressed blocks, and v4's table
-//!   blocks of an id run and a fixed-width grade column);
+//!   one format version (v4): compressed data blocks, and table blocks of
+//!   an id run and a fixed-width grade column;
 //! * [`writer`] — [`SegmentWriter`]: tmp-file + fsync + rename atomic
 //!   publication;
 //! * [`segment`] — [`SegmentSource`]: full integrity verification at

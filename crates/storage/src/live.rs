@@ -22,7 +22,7 @@
 //! tombstones) — an acknowledged write survives any crash. When the active
 //! memtable reaches `memtable_limit` ops it is frozen (the WAL rotates, the
 //! manifest epoch bumps) and the background compactor merges every frozen
-//! layer with the base segment into a fresh v2 segment, swaps it in
+//! layer with the base segment into a fresh segment, swaps it in
 //! atomically through the [`crate::manifest::Manifest`], retires the old
 //! segment's blocks from the shared [`crate::BlockCache`], and deletes
 //! the obsolete WAL and segment files. Each frozen layer stands for

@@ -23,8 +23,8 @@ use garlic_core::{GradedEntry, GradedSet, ObjectId};
 use crate::error::StorageError;
 use crate::format::{
     check_block_size, checksum, encode_block, Encoding, Footer, RegionKind, DEFAULT_BLOCK_SIZE,
-    ENTRY_LEN, FLAG_CRISP, FLAG_GRADE_DICT, FORMAT_V1, FORMAT_VERSION, GRADE_DICT_MAX,
-    HEADER_MAGIC, TRAILER_MAGIC,
+    ENTRY_LEN, FLAG_CRISP, FLAG_GRADE_DICT, FORMAT_VERSION, GRADE_DICT_MAX, HEADER_MAGIC,
+    TRAILER_MAGIC,
 };
 use crate::vfs::{std_vfs, Vfs, VfsFile};
 
@@ -59,36 +59,33 @@ pub struct ShardInfo {
     pub info: SegmentInfo,
 }
 
-/// Serializes graded lists into segment files.
+/// Serializes graded lists into segment files of format
+/// [`FORMAT_VERSION`]: compressed data blocks, table blocks with a
+/// fixed-width grade column, xxHash64 checksums.
 #[derive(Debug, Clone)]
 pub struct SegmentWriter {
     block_size: usize,
-    version: u32,
     vfs: Arc<dyn Vfs>,
 }
 
 impl SegmentWriter {
-    /// A writer with the default 4 KiB block size, producing the current
-    /// format version ([`FORMAT_VERSION`] — compressed data blocks, table
-    /// blocks with a fixed-width grade column, xxHash64 checksums).
+    /// A writer with the default 4 KiB block size.
     pub fn new() -> Self {
         SegmentWriter {
             block_size: DEFAULT_BLOCK_SIZE,
-            version: FORMAT_VERSION,
             vfs: std_vfs(),
         }
     }
 
     /// A writer with a custom block size (a positive multiple of the
     /// 16-byte entry). Small blocks make the cache finer-grained; large
-    /// blocks amortise per-read overhead on sequential scans. In v2 the
-    /// block size fixes the *logical* entries-per-block geometry; the
-    /// encoded blocks are smaller.
+    /// blocks amortise per-read overhead on sequential scans. The block
+    /// size fixes the *logical* entries-per-block geometry; the encoded
+    /// blocks are smaller.
     pub fn with_block_size(block_size: usize) -> Result<Self, StorageError> {
         check_block_size(block_size)?;
         Ok(SegmentWriter {
             block_size,
-            version: FORMAT_VERSION,
             vfs: std_vfs(),
         })
     }
@@ -101,35 +98,9 @@ impl SegmentWriter {
         self
     }
 
-    /// Selects the on-disk format version: [`FORMAT_VERSION`] (the v4
-    /// default: compressed data blocks, table blocks with a fixed-width
-    /// grade column, xxHash64 checksums),
-    /// [`FORMAT_V3`](crate::format::FORMAT_V3) (table blocks compressed
-    /// like data blocks), [`FORMAT_V2`](crate::format::FORMAT_V2) (v3's
-    /// blocks with FNV-1a checksums) or [`FORMAT_V1`] (the legacy
-    /// fixed-slot layout, FNV-1a checksums) — useful for compatibility
-    /// tests and for serving fleets that still run readers of an older
-    /// version.
-    pub fn with_version(mut self, version: u32) -> Result<Self, StorageError> {
-        if !(FORMAT_V1..=FORMAT_VERSION).contains(&version) {
-            return Err(StorageError::UnsupportedVersion {
-                found: version,
-                oldest_supported: FORMAT_V1,
-                newest_supported: FORMAT_VERSION,
-            });
-        }
-        self.version = version;
-        Ok(self)
-    }
-
     /// The block size segments from this writer will use.
     pub fn block_size(&self) -> usize {
         self.block_size
-    }
-
-    /// The format version segments from this writer will use.
-    pub fn version(&self) -> u32 {
-        self.version
     }
 
     /// Writes `(object, grade)` pairs (any order; each object at most
@@ -255,7 +226,7 @@ impl SegmentWriter {
 
         let entries_per_block = self.block_size / ENTRY_LEN;
         let blocks_per_region = (by_grade.len() as u64).div_ceil(entries_per_block as u64);
-        // Dictionary mode (v2) when the distinct grade bit patterns fit the
+        // Dictionary mode when the distinct grade bit patterns fit the
         // cap — exact by construction, since entries store indices into the
         // very bit patterns recorded in the footer.
         let mut grade_dict: Vec<u64> = by_grade.iter().map(|e| e.grade.value().to_bits()).collect();
@@ -274,15 +245,13 @@ impl SegmentWriter {
         let mut out = VfsBufWriter::new(file);
 
         out.write_all(&HEADER_MAGIC)?;
-        out.write_all(&self.version.to_le_bytes())?;
+        out.write_all(&FORMAT_VERSION.to_le_bytes())?;
 
-        let dict_flag = if self.version != FORMAT_V1 && !grade_dict.is_empty() {
-            FLAG_GRADE_DICT
-        } else {
+        let dict_flag = if grade_dict.is_empty() {
             0
+        } else {
+            FLAG_GRADE_DICT
         };
-        // The footer's version-2 fields (fences, dictionary) are only
-        // written by a version-2 encode.
         let mut footer = Footer {
             flags: if crisp { FLAG_CRISP } else { 0 } | dict_flag,
             block_size: self.block_size,
@@ -319,16 +288,16 @@ impl SegmentWriter {
             ),
         ];
         for (region, kind, checksums, lens) in regions {
-            let encoding = Encoding::of(self.version, kind, &grade_dict);
+            let encoding = Encoding::of(kind, &grade_dict);
             for chunk in region.chunks(entries_per_block) {
-                let block = encode_block(chunk, kind, encoding, self.block_size);
-                checksums.push(checksum(self.version, &block));
+                let block = encode_block(chunk, encoding);
+                checksums.push(checksum(&block));
                 lens.push(block.len() as u64);
                 out.write_all(&block)?;
             }
         }
         footer.grade_dict = grade_dict;
-        let footer_bytes = footer.encode(self.version);
+        let footer_bytes = footer.encode();
         let payload_len: u64 = footer
             .data_block_lens
             .iter()
@@ -486,11 +455,7 @@ mod tests {
     fn writes_expected_geometry() {
         let path = temp_path("geometry.seg");
         // 80-byte blocks hold 5 entries; 7 entries need 2 blocks per region.
-        // Pinned to v1, whose fixed-slot layout makes the byte count exact.
-        let writer = SegmentWriter::with_block_size(80)
-            .unwrap()
-            .with_version(FORMAT_V1)
-            .unwrap();
+        let writer = SegmentWriter::with_block_size(80).unwrap();
         let grades: Vec<Grade> = [1.0, 0.5, 0.0, 1.0, 0.25, 0.75, 0.125]
             .iter()
             .map(|&v| g(v))
@@ -500,24 +465,18 @@ mod tests {
         assert_eq!(info.blocks_per_region, 2);
         assert_eq!(info.ones, 2);
         assert!(!info.crisp);
-        assert_eq!(info.bytes, fs::metadata(&path).unwrap().len());
+        let bytes = fs::read(&path).unwrap();
+        assert_eq!(info.bytes, bytes.len() as u64);
         // Header + 4 blocks + footer + trailer.
-        let footer = Footer {
-            flags: 0,
-            block_size: 80,
-            num_entries: 7,
-            ones: 2,
-            data_blocks: 2,
-            table_blocks: 2,
-            data_checksums: vec![0; 2],
-            table_checksums: vec![0; 2],
-            table_first_ids: vec![0, 5],
-            ..Footer::default()
-        };
-        assert_eq!(
-            info.bytes,
-            8 + 4 * 80 + footer.encode(FORMAT_V1).len() as u64 + 24
-        );
+        let footer_at = crate::format::read_u64(&bytes, bytes.len() - 24) as usize;
+        let footer = Footer::parse(&bytes[footer_at..bytes.len() - 24]).unwrap();
+        assert_eq!(footer.table_first_ids, [0, 5]);
+        let blocks: u64 = footer
+            .data_block_lens
+            .iter()
+            .chain(&footer.table_block_lens)
+            .sum();
+        assert_eq!(info.bytes, 8 + blocks + footer.encode().len() as u64 + 24);
     }
 
     #[test]
@@ -681,47 +640,22 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn version_selector_rejects_unknown_versions() {
-        assert_eq!(SegmentWriter::new().version(), FORMAT_VERSION);
-        assert_eq!(
-            SegmentWriter::new()
-                .with_version(FORMAT_V1)
-                .unwrap()
-                .version(),
-            FORMAT_V1
-        );
-        for bad in [0, FORMAT_VERSION + 1] {
-            assert!(matches!(
-                SegmentWriter::new().with_version(bad),
-                Err(StorageError::UnsupportedVersion { found, .. }) if found == bad
-            ));
-        }
-    }
-
+    /// Compressed blocks take at most half the bytes of 16-byte entries
+    /// in full blocks, on a realistic corpus. The name is older than
+    /// version 4.
     #[test]
     fn v2_is_smaller_than_v1_on_quantized_grades() {
-        let dir = temp_path("v1-v2-size");
-        fs::create_dir_all(&dir).unwrap();
-        // A realistic corpus: 1000 quantization levels → dictionary mode.
+        let path = temp_path("quantized.seg");
+        // 1000 quantization levels → dictionary mode.
         let grades: Vec<Grade> = (0..5000)
             .map(|i| g((i * 37 % 1000) as f64 / 1000.0))
             .collect();
-        let v1 = SegmentWriter::new()
-            .with_version(FORMAT_V1)
-            .unwrap()
-            .write_grades(&dir.join("a.v1.seg"), &grades)
-            .unwrap();
-        let v2 = SegmentWriter::new()
-            .write_grades(&dir.join("a.v2.seg"), &grades)
-            .unwrap();
-        assert_eq!(v1.entries, v2.entries);
-        assert_eq!(v1.blocks_per_region, v2.blocks_per_region);
+        let info = SegmentWriter::new().write_grades(&path, &grades).unwrap();
+        let slots = 2 * info.blocks_per_region * DEFAULT_BLOCK_SIZE as u64;
         assert!(
-            v2.bytes * 2 <= v1.bytes,
-            "v2 ({} B) not ≥2× smaller than v1 ({} B)",
-            v2.bytes,
-            v1.bytes
+            info.bytes * 2 <= slots,
+            "{} B not ≥2× smaller than the {slots} B of full 16-byte slots",
+            info.bytes
         );
     }
 }

@@ -6,10 +6,7 @@
 //! to how memtables, recovery or compaction fold layers that alters a
 //! single byte on disk or a single rank in the stream fails here.
 //!
-//! Compaction writes the current format version. Each compacted segment's
-//! pairs are also re-encoded as version 2, whose bytes were pinned before
-//! version 3 existed and have not moved since, and as version 3, whose
-//! bytes were pinned as compaction's output before version 4 existed.
+//! Compaction writes segment format version 4, the one format there is.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -17,8 +14,8 @@ use std::sync::Arc;
 use garlic_agg::Grade;
 use garlic_core::access::GradedSource;
 use garlic_core::ObjectId;
-use garlic_storage::format::{fnv1a64, FORMAT_V2, FORMAT_V3};
-use garlic_storage::{BlockCache, LiveOptions, LiveSource, SegmentSource, SegmentWriter, WalOp};
+use garlic_storage::format::fnv1a64;
+use garlic_storage::{BlockCache, LiveOptions, LiveSource, WalOp};
 
 fn store_dir() -> PathBuf {
     let dir = std::env::temp_dir().join(format!("garlic-golden-compaction-{}", std::process::id()));
@@ -75,31 +72,15 @@ fn fingerprint(path: &Path) -> (usize, u64) {
     (bytes.len(), fnv1a64(&bytes))
 }
 
-/// The fingerprints of the one segment file in `dir`: as compaction wrote
-/// it, then with its pairs re-encoded by a version-3 and a version-2
-/// writer with the defaults compaction uses otherwise.
-fn segment_fingerprints(dir: &Path) -> [(usize, u64); 3] {
+/// The fingerprint of the one segment file in `dir`.
+fn segment_fingerprint(dir: &Path) -> (usize, u64) {
     let segments: Vec<PathBuf> = std::fs::read_dir(dir)
         .unwrap()
         .map(|e| e.unwrap().path())
         .filter(|p| p.extension().is_some_and(|x| x == "seg"))
         .collect();
     assert_eq!(segments.len(), 1, "a flush leaves exactly one segment");
-    let source = SegmentSource::open(&segments[0], Arc::new(BlockCache::new(64))).unwrap();
-    let mut entries = Vec::new();
-    source.sorted_batch(0, source.len() + 1, &mut entries);
-    let reencoded = [FORMAT_V3, FORMAT_V2].map(|version| {
-        let path = dir.with_extension(format!("v{version}.seg"));
-        SegmentWriter::new()
-            .with_version(version)
-            .unwrap()
-            .write_pairs(&path, entries.iter().map(|e| (e.object, e.grade)))
-            .unwrap();
-        let fingerprint = fingerprint(&path);
-        std::fs::remove_file(&path).unwrap();
-        fingerprint
-    });
-    [fingerprint(&segments[0]), reencoded[0], reencoded[1]]
+    fingerprint(&segments[0])
 }
 
 /// `fnv1a64` over the whole sorted stream, 16 bytes per entry.
@@ -125,12 +106,12 @@ fn scripted_store_compacts_to_pinned_bytes() {
         script.play(&live, 1600, 700);
         assert!(live.frozen_layers() >= 2);
         live.flush().unwrap();
-        segments.push(segment_fingerprints(&dir));
+        segments.push(segment_fingerprint(&dir));
         // Round 2: overwrites and deletes over the compacted base.
         script.play(&live, 1200, 1000);
         assert!(live.frozen_layers() >= 2);
         live.flush().unwrap();
-        segments.push(segment_fingerprints(&dir));
+        segments.push(segment_fingerprint(&dir));
         // Round 3: freezes with no flush; the store closes with sealed
         // logs and a non-empty active log on disk.
         script.play(&live, 900, 1300);
@@ -146,28 +127,10 @@ fn scripted_store_compacts_to_pinned_bytes() {
         snapshot.is_crisp(),
     );
     live.flush().unwrap();
-    segments.push(segment_fingerprints(&dir));
-    let [v4, v3, v2] = [0, 1, 2].map(|i| segments.iter().map(|s| s[i]).collect::<Vec<_>>());
+    segments.push(segment_fingerprint(&dir));
+    // A 17-grade dictionary, so the table blocks hold 1-byte cells.
     assert_eq!(
-        v2,
-        vec![
-            (2661, 13_902_664_435_313_352_530),
-            (3698, 619_267_120_783_275_824),
-            (4480, 16_889_675_267_808_880_526),
-        ]
-    );
-    assert_eq!(
-        v3,
-        vec![
-            (2661, 4_099_699_083_500_945_612),
-            (3698, 1_694_317_357_873_392_273),
-            (4480, 6_595_683_822_467_263_683),
-        ]
-    );
-    // A 17-grade dictionary: 1-byte cells where version 3 had 1-byte index
-    // varints, so each file is as long as its version-3 copy.
-    assert_eq!(
-        v4,
+        segments,
         vec![
             (2661, 9_603_819_591_453_062_150),
             (3698, 4_173_201_766_014_964_676),

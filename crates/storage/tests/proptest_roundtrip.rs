@@ -14,7 +14,7 @@ use garlic_agg::Grade;
 use garlic_core::access::{CountingSource, GradedSource, MemorySource, SetAccess};
 use garlic_core::algorithms::fa::fagin_topk;
 use garlic_core::{GradedEntry, ObjectId};
-use garlic_storage::format::{FORMAT_V1, FORMAT_V2, FORMAT_V3, FORMAT_VERSION};
+use garlic_storage::format::{Footer, FLAG_GRADE_DICT, GRADE_DICT_MAX, TRAILER_LEN};
 use garlic_storage::{BlockCache, SegmentSource, SegmentWriter};
 use proptest::prelude::*;
 
@@ -43,16 +43,6 @@ fn pairs_strategy() -> impl Strategy<Value = Vec<(ObjectId, Grade)>> {
 /// block boundaries land everywhere relative to each other.
 fn block_size_strategy() -> impl Strategy<Value = usize> {
     (0usize..4).prop_map(|i| [16, 48, 160, 4096][i])
-}
-
-/// Every on-disk format version, so every property holds for each.
-fn version_strategy() -> impl Strategy<Value = u32> {
-    prop_oneof![
-        Just(FORMAT_V1),
-        Just(FORMAT_V2),
-        Just(FORMAT_V3),
-        Just(FORMAT_VERSION)
-    ]
 }
 
 fn reopen(path: &PathBuf) -> SegmentSource {
@@ -222,7 +212,7 @@ proptest! {
     }
 
     /// Threshold-hinted reads — with an arbitrary, possibly dirty hint —
-    /// emit the exact unbounded stream on either format: the hint is
+    /// emit the exact unbounded stream: the hint is
     /// advisory and no segment stops early, so nothing is withheld, no
     /// read claims a truncation, the bill is exactly the entries emitted,
     /// and resuming unbounded from the rank reached adds nothing.
@@ -230,14 +220,11 @@ proptest! {
     fn hinted_cursors_stay_exact_under_dirty_hints(
         pairs in pairs_strategy(),
         block_size in block_size_strategy(),
-        version in version_strategy(),
         bound_num in 0u32..=10,
         batch in 1usize..17,
     ) {
         let path = case_path();
         SegmentWriter::with_block_size(block_size)
-            .unwrap()
-            .with_version(version)
             .unwrap()
             .write_pairs(&path, pairs.clone())
             .unwrap();
@@ -320,9 +307,9 @@ proptest! {
     }
 }
 
-/// Case count of the format equivalence property: 48 locally, like the
-/// rest of the suite; CI runs it once more by name with `PROPTEST_CASES`
-/// raised, since it pins the one reader every version goes through.
+/// Case count of the two properties below: 48 locally, like the rest of
+/// the suite; CI runs each once more by name with `PROPTEST_CASES` raised,
+/// since they pin the one reader every segment goes through.
 fn cases() -> u32 {
     std::env::var("PROPTEST_CASES")
         .ok()
@@ -330,51 +317,62 @@ fn cases() -> u32 {
         .unwrap_or(48)
 }
 
+/// Whether the segment at `path` stores its grades through a dictionary.
+fn in_dict_mode(path: &PathBuf) -> bool {
+    let bytes = std::fs::read(path).unwrap();
+    let trailer = bytes.len() - TRAILER_LEN as usize;
+    let at = u64::from_le_bytes(bytes[trailer..trailer + 8].try_into().unwrap()) as usize;
+    Footer::parse(&bytes[at..trailer]).unwrap().flags & FLAG_GRADE_DICT != 0
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
-    /// A v1, a v2, a v3 and a v4 segment over the same pairs are
-    /// observably one source: identical streams, tie order, random-access
-    /// answers, matching sets, and Section-5 bills. (The name predates v3
-    /// and v4; CI runs the property by it.)
+    /// A segment over any pairs is observably the `MemorySource` over
+    /// them, at every block size and in both grade modes: the same stream
+    /// in `batch`-sized reads (tie order included), the same answer to
+    /// every probe, the same matching set and the same Section-5 bills.
+    /// In delta mode the pairs are joined by more distinct grades, on ids
+    /// from 1 000 up, than a dictionary holds.
     #[test]
-    fn v1_and_v2_formats_are_observably_identical(
+    fn segments_in_both_grade_modes_are_observably_memory(
         pairs in pairs_strategy(),
+        mode in 0u8..2,
         block_size in block_size_strategy(),
         batch in 1usize..17,
     ) {
-        let mut segs = Vec::new();
-        for version in [FORMAT_V1, FORMAT_V2, FORMAT_V3, FORMAT_VERSION] {
-            let path = case_path();
-            SegmentWriter::with_block_size(block_size)
-                .unwrap()
-                .with_version(version)
-                .unwrap()
-                .write_pairs(&path, pairs.clone())
-                .unwrap();
-            let seg = CountingSource::new(reopen(&path));
-            prop_assert_eq!(seg.inner().version(), version);
-            segs.push(seg);
+        let (mut pairs, delta) = (pairs, mode == 1);
+        if delta {
+            // (i + 0.5) / 8 194 is never an eighth, nor another's grade.
+            pairs.extend((0..=GRADE_DICT_MAX as u64).map(|i| {
+                (ObjectId(1_000 + i), Grade::clamped((i as f64 + 0.5) / 8_194.0))
+            }));
         }
-
-        // What a client observes of each: the stream in `batch`-sized
-        // reads, every probe's answer, the matching set, then the bill.
-        let observed: Vec<_> = segs
-            .iter()
-            .map(|seg| {
-                let mut stream = Vec::new();
-                while seg.sorted_batch(stream.len(), batch, &mut stream) > 0 {}
-                let probes: Vec<_> =
-                    (0..220u64).map(|id| seg.random_access(ObjectId(id))).collect();
-                (stream, probes, seg.matching_set(), seg.stats())
-            })
-            .collect();
-        for (version, seen) in [FORMAT_V2, FORMAT_V3, FORMAT_VERSION].iter().zip(&observed[1..]) {
-            prop_assert_eq!(&seen.0, &observed[0].0, "v{}: streams and tie order", version);
-            prop_assert_eq!(&seen.1, &observed[0].1, "v{}: random access", version);
-            prop_assert_eq!(&seen.2, &observed[0].2, "v{}: matching set", version);
-            prop_assert_eq!(&seen.3, &observed[0].3, "v{}: Section-5 bills", version);
-        }
+        let path = case_path();
+        SegmentWriter::with_block_size(block_size)
+            .unwrap()
+            .write_pairs(&path, pairs.clone())
+            .unwrap();
+        // An empty list has no grades, so no dictionary either.
+        prop_assert_eq!(in_dict_mode(&path), !delta && !pairs.is_empty());
+        let sources = (
+            CountingSource::new(reopen(&path)),
+            CountingSource::new(MemorySource::from_pairs(pairs)),
+        );
+        let probes: Vec<ObjectId> = (0..220).chain(995..1_010).chain(5_090..5_100).map(ObjectId).collect();
+        let observe = |seg: &dyn GradedSource, set: &dyn SetAccess| {
+            let mut stream = Vec::new();
+            while seg.sorted_batch(stream.len(), batch, &mut stream) > 0 {}
+            let answers: Vec<_> = probes.iter().map(|&p| seg.random_access(p)).collect();
+            (stream, answers, set.matching_set())
+        };
+        let (seg, mem) = &sources;
+        let got = observe(seg, seg);
+        let want = observe(mem, mem);
+        prop_assert_eq!(&got.0, &want.0, "streams and tie order");
+        prop_assert_eq!(&got.1, &want.1, "random access");
+        prop_assert_eq!(&got.2, &want.2, "matching set");
+        prop_assert_eq!(seg.stats(), mem.stats(), "Section-5 bills");
     }
 }
 
@@ -400,18 +398,19 @@ fn run_ids(runs: &[(u64, u64)], start: u64, min_len: usize, top: bool) -> Vec<u6
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
-    /// Random access on a v4 segment over ids with gaps — so some table
+    /// Random access on a segment over ids with gaps — so some table
     /// blocks hold a run of consecutive ids (the probe addresses its
-    /// entry by its distance from the block's fence) and others do not
-    /// (the probe walks the block's id run) — answers exactly what a
-    /// `MemorySource` and a v3 segment over the same pairs answer.
+    /// entry by its distance from the block's fence, and the block keeps
+    /// no restarts) and others do not (the probe walks the block's id run
+    /// from a restart) — answers exactly what a `MemorySource` over the
+    /// same pairs answers.
     /// Probes fall below the first fence, on both sides of every run,
     /// inside the gaps, past the largest id (up to `u64::MAX`) and on
     /// duplicates. Grades take each cell width of the grade column: a
     /// 9-grade dictionary (1 byte), a dictionary of up to 1 000 grades (2
     /// bytes) and more distinct grades than a dictionary holds (8 bytes).
     #[test]
-    fn v4_probes_over_sparse_ids_answer_like_memory_and_v3(
+    fn probes_over_sparse_ids_answer_like_memory(
         runs in proptest::collection::vec((1u64..40, 1u64..5), 1..12),
         start in 0u64..50,
         mode in 0u8..3,
@@ -435,19 +434,12 @@ proptest! {
                 (ObjectId(id), Grade::clamped(grade))
             })
             .collect();
-        let segments: Vec<SegmentSource> = [FORMAT_V3, FORMAT_VERSION]
-            .iter()
-            .map(|&version| {
-                let path = case_path();
-                SegmentWriter::with_block_size(block_size)
-                    .unwrap()
-                    .with_version(version)
-                    .unwrap()
-                    .write_pairs(&path, pairs.clone())
-                    .unwrap();
-                reopen(&path)
-            })
-            .collect();
+        let path = case_path();
+        SegmentWriter::with_block_size(block_size)
+            .unwrap()
+            .write_pairs(&path, pairs.clone())
+            .unwrap();
+        let seg = reopen(&path);
         let mem = MemorySource::from_pairs(pairs);
 
         // Both sides of every id, the ids below the first and past the
@@ -462,19 +454,13 @@ proptest! {
         }
         let probes: Vec<ObjectId> = probes.into_iter().map(ObjectId).collect();
 
-        let mut want = Vec::new();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        seg.random_batch(&probes, &mut got);
         mem.random_batch(&probes, &mut want);
-        for seg in &segments {
-            let mut got = Vec::new();
-            seg.random_batch(&probes, &mut got);
-            prop_assert_eq!(&got, &want, "v{} batch", seg.version());
-        }
+        prop_assert_eq!(&got, &want, "batch");
         for &(at, shift) in &picks {
             let probe = ObjectId(ids[at % n].saturating_add(shift));
-            let want = mem.random_access(probe);
-            for seg in &segments {
-                prop_assert_eq!(seg.random_access(probe), want, "v{} {:?}", seg.version(), probe);
-            }
+            prop_assert_eq!(seg.random_access(probe), mem.random_access(probe), "{:?}", probe);
         }
     }
 }

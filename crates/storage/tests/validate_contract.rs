@@ -11,7 +11,6 @@ use garlic_agg::Grade;
 use garlic_core::access::{BoundedBatch, CountingSource, GradedSource, MemorySource};
 use garlic_core::validate::validate_source;
 use garlic_core::{ObjectId, ShardedSource};
-use garlic_storage::format::FORMAT_VERSION;
 use garlic_storage::{BlockCache, LiveOptions, LiveSource, SegmentSource, SegmentWriter, WalOp};
 
 fn temp_path(name: &str) -> PathBuf {
@@ -129,9 +128,8 @@ fn bounded_read_is_the_plain_read_on_every_backend() {
         Arc::new(BlockCache::new(64)),
     )
     .unwrap();
-    assert_eq!(segment.version(), FORMAT_VERSION);
     let sharded = ShardedSource::from_grades(&grades, 3);
-    // A live snapshot: a compacted v2 base under an overlay that raises,
+    // A live snapshot: a compacted base under an overlay that raises,
     // deletes and adds objects.
     let dir = temp_path("bounded-live");
     let _ = std::fs::remove_dir_all(&dir);
@@ -154,7 +152,7 @@ fn bounded_read_is_the_plain_read_on_every_backend() {
 
     let backends: [(&str, &dyn GradedSource); 4] = [
         ("memory", &memory),
-        ("v2 segment", &segment),
+        ("segment", &segment),
         ("3 shards", &sharded),
         ("live snapshot", &*snapshot),
     ];

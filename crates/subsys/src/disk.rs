@@ -816,80 +816,6 @@ mod tests {
     }
 
     #[test]
-    fn mixed_format_versions_serve_identical_answers() {
-        // One attribute persisted in segment format v1, its twin in the
-        // current format, and a sharded attribute mixing one shard of each:
-        // the subsystem's open paths dispatch per file, so every handle
-        // answers identically.
-        use garlic_core::ObjectId;
-        use garlic_storage::format::{FORMAT_V1, FORMAT_VERSION};
-        let grades: Vec<Grade> = (0..48).map(|i| g((i % 13) as f64 / 12.0)).collect();
-        let dir = temp_dir();
-        let v1 = dir.join("mixed-v1.seg");
-        let v2 = dir.join("mixed-v2.seg");
-        SegmentWriter::new()
-            .with_version(FORMAT_V1)
-            .unwrap()
-            .write_grades(&v1, &grades)
-            .unwrap();
-        SegmentWriter::new()
-            .with_version(FORMAT_VERSION)
-            .unwrap()
-            .write_grades(&v2, &grades)
-            .unwrap();
-        let (lo, hi): (Vec<_>, Vec<_>) = grades
-            .iter()
-            .enumerate()
-            .map(|(i, &gr)| (ObjectId(i as u64), gr))
-            .partition(|(id, _)| id.0 < 24);
-        let shard_v1 = dir.join("mixed-shard-v1.seg");
-        let shard_v2 = dir.join("mixed-shard-v2.seg");
-        SegmentWriter::new()
-            .with_version(FORMAT_V1)
-            .unwrap()
-            .write_pairs(&shard_v1, lo)
-            .unwrap();
-        SegmentWriter::new().write_pairs(&shard_v2, hi).unwrap();
-        let s = DiskSubsystem::new("disk", grades.len())
-            .open_segment("V1", &v1)
-            .unwrap()
-            .open_segment("V2", &v2)
-            .unwrap()
-            .open_sharded_segment("MIXED", [&shard_v1, &shard_v2])
-            .unwrap();
-        let answers: Vec<_> = ["V1", "V2", "MIXED"]
-            .iter()
-            .map(|a| s.evaluate(&AtomicQuery::new(a, Target::text("t"))).unwrap())
-            .collect();
-        let streams: Vec<Vec<_>> = answers
-            .iter()
-            .map(|src| {
-                let mut out = Vec::new();
-                src.sorted_batch(0, grades.len(), &mut out);
-                out
-            })
-            .collect();
-        assert_eq!(
-            streams[0], streams[1],
-            "v1 and v2 streams are bit-identical"
-        );
-        assert_eq!(streams[0], streams[2], "mixed shard stream matches");
-        let probes: Vec<ObjectId> = (0..50).map(ObjectId).collect();
-        let grades_for = |src: &Arc<dyn GradedSource>| {
-            let mut out = Vec::new();
-            src.random_batch(&probes, &mut out);
-            out
-        };
-        assert_eq!(grades_for(&answers[0]), grades_for(&answers[1]));
-        assert_eq!(grades_for(&answers[0]), grades_for(&answers[2]));
-        assert_eq!(
-            s.estimate_matches(&AtomicQuery::new("V1", Target::text("t"))),
-            s.estimate_matches(&AtomicQuery::new("MIXED", Target::text("t"))),
-            "footer estimates agree across formats"
-        );
-    }
-
-    #[test]
     fn live_attributes_serve_writes_and_fresh_estimates() {
         use garlic_core::ObjectId;
         let dir = temp_dir().join("live-attr");

@@ -3,14 +3,14 @@
 //! The paper's guarantees — A₀'s answers for monotone queries (Thm 4.2),
 //! A₀′ and B₀ (Thms 4.4, 4.5), Section 7's reading of `¬Q` as the
 //! reversed complement list, exact Section 5 bills — must hold whatever
-//! stores the lists. One property builds seven backends over the same
-//! lists: memory, a v1 segment, v2 segments in dictionary mode and (on
-//! one fixed database of continuous grades) v4 segments in delta mode,
-//! sharded memory and sharded v4 at a drawn shard count, and live stores
-//! holding a compacted base, a frozen layer and an active memtable — so
-//! both checksum rules (FNV-1a in v1 and v2, xxHash64 in v4) and v4's
-//! grade column (8-byte cells in delta mode, 1-byte cells in the live
-//! stores' compacted bases) stay under the oracle. Each is compared with memory at two levels:
+//! stores the lists. One property builds six backends over the same
+//! lists: memory, segments in dictionary mode and (on one fixed database
+//! of continuous grades) segments in delta mode, sharded memory and
+//! sharded segments at a drawn shard count, and live stores holding a
+//! compacted base, a frozen layer and an active memtable — so the grade
+//! column's 8-byte cells (delta mode) and 1-byte cells (dictionary mode,
+//! and the live stores' compacted bases) stay under the oracle. Each is
+//! compared with memory at two levels:
 //!
 //! * **engine** — every session rule (A₀, shrunk, threshold, A₀′, scan,
 //!   B₀, filtered) over every query shape (flat AND, flat OR,

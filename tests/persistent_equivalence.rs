@@ -2,15 +2,14 @@
 //! planner strategy with memory's entries, tie order and Section-5 bill
 //! under a cold or thrashing cache, across a cold reopen that resumes a
 //! paging client, and in concurrent service batches. The backend oracle
-//! (`backend_oracle.rs`) sweeps every format version, flat and sharded,
-//! over generated databases; these pin one.
+//! (`backend_oracle.rs`) sweeps both grade modes, flat and sharded, over
+//! generated databases; these pin one.
 
 mod support;
 
 use std::sync::Arc;
 
 use garlic::middleware::{Catalog, Garlic, GarlicQuery, GarlicService, QueryRequest};
-use garlic::storage::format::FORMAT_VERSION;
 use garlic::subsys::{Subsystem, Target};
 use garlic::BlockCache;
 use support::{garlic_over, paged, segments, strategy_queries, temp_dir, Db};
@@ -19,10 +18,10 @@ fn db() -> Db {
     Db::quantised(300, 77)
 }
 
-/// Current-format (v4) segments of `db` under the test's own directory
+/// Segments of `db` in dictionary mode under the test's own directory
 /// `tag`.
 fn disk(db: &Db, tag: &str, cache: Arc<BlockCache>) -> Arc<dyn Subsystem> {
-    segments(db, &temp_dir(tag), FORMAT_VERSION, "dict", cache)
+    segments(db, &temp_dir(tag), "dict", cache)
 }
 
 #[test]

@@ -16,9 +16,7 @@ use garlic::middleware::{
     Catalog, Explain, Garlic, GarlicQuery, PlannerOptions, QueryAggregation, QueryRequest,
     QueryResult, Strategy,
 };
-use garlic::storage::format::{
-    Footer, FLAG_GRADE_DICT, FORMAT_V1, FORMAT_V2, FORMAT_VERSION, TRAILER_LEN,
-};
+use garlic::storage::format::{Footer, FLAG_GRADE_DICT, TRAILER_LEN};
 use garlic::storage::{LiveOptions, WalOp};
 use garlic::subsys::{DiskSubsystem, Subsystem, Target, VectorSubsystem};
 use garlic::{AccessStats, Aggregation, BlockCache, Grade, ObjectId, SegmentWriter, TopK};
@@ -39,7 +37,7 @@ pub const KS: [usize; 5] = [1, 5, 7, 23, 50];
 /// Segment block size: 16 entries, so even 40 objects span several blocks.
 const BLOCK_SIZE: usize = 256;
 
-/// Objects in the delta-mode fixture: more distinct grades than a v2
+/// Objects in the delta-mode fixture: more distinct grades than a
 /// dictionary holds ([`garlic::storage::format::GRADE_DICT_MAX`]).
 pub const DELTA_N: usize = 4_200;
 
@@ -69,8 +67,8 @@ impl Db {
         Db::dense([a, b, c, k])
     }
 
-    /// `n` dense objects with continuous fuzzy grades (a v2 segment of
-    /// them is in delta mode) and `⌈n/64⌉` matches of `K`.
+    /// `n` dense objects with continuous fuzzy grades (a segment of them
+    /// is in delta mode) and `⌈n/64⌉` matches of `K`.
     pub fn continuous(n: usize, seed: u64) -> Db {
         let mut rng = garlic::workload::seeded_rng(seed);
         let mut fuzzy = || -> Vec<Grade> { (0..n).map(|_| Grade::clamped(rng.gen())).collect() };
@@ -150,36 +148,24 @@ pub fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The grade mode a segment's footer records: `"v1"` (fixed slots),
-/// `"dict"` or `"delta"`.
+/// The grade mode a segment's footer records: `"dict"` or `"delta"`.
 pub fn segment_mode(path: &Path) -> &'static str {
     let bytes = std::fs::read(path).unwrap();
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
     let trailer = bytes.len() - TRAILER_LEN as usize;
     let at = u64::from_le_bytes(bytes[trailer..trailer + 8].try_into().unwrap()) as usize;
-    let footer = Footer::parse(&bytes[at..trailer], version).unwrap();
-    match (version, footer.flags & FLAG_GRADE_DICT != 0) {
-        (FORMAT_V1, _) => "v1",
-        (_, true) => "dict",
-        (_, false) => "delta",
+    let footer = Footer::parse(&bytes[at..trailer]).unwrap();
+    if footer.flags & FLAG_GRADE_DICT != 0 {
+        "dict"
+    } else {
+        "delta"
     }
 }
 
-/// One segment per attribute of `db` in format `version`, under `dir`,
-/// read through `cache`. Every fuzzy attribute's footer must record
-/// `mode` (the crisp `K` has two distinct grades, so v2 always writes it
-/// in dictionary mode).
-pub fn segments(
-    db: &Db,
-    dir: &Path,
-    version: u32,
-    mode: &str,
-    cache: Arc<BlockCache>,
-) -> Arc<dyn Subsystem> {
-    let writer = SegmentWriter::with_block_size(BLOCK_SIZE)
-        .unwrap()
-        .with_version(version)
-        .unwrap();
+/// One segment per attribute of `db` under `dir`, read through `cache`.
+/// Every fuzzy attribute's footer must record `mode` (the crisp `K` has
+/// two distinct grades, so it is always in dictionary mode).
+pub fn segments(db: &Db, dir: &Path, mode: &str, cache: Arc<BlockCache>) -> Arc<dyn Subsystem> {
+    let writer = SegmentWriter::with_block_size(BLOCK_SIZE).unwrap();
     let mut sub = DiskSubsystem::with_cache("segments", db.len(), cache);
     for (attr, list) in ATTRS.iter().zip(&db.lists) {
         let path = dir.join(format!("{attr}.seg"));
@@ -197,8 +183,8 @@ pub fn cache() -> Arc<BlockCache> {
     Arc::new(BlockCache::new(1024))
 }
 
-/// Every attribute of `db` as `shards` id-range shards of current-format
-/// (v4) segments under `dir`, served through the scatter-gather merge.
+/// Every attribute of `db` as `shards` id-range shards of segments under
+/// `dir`, served through the scatter-gather merge.
 pub fn sharded_segments(db: &Db, dir: &Path, shards: usize) -> Arc<dyn Subsystem> {
     let writer = SegmentWriter::with_block_size(BLOCK_SIZE).unwrap();
     let mut sub = DiskSubsystem::with_cache("sharded", db.len(), cache());
@@ -261,23 +247,21 @@ pub fn live(db: &Db, dir: &Path) -> DiskSubsystem {
     sub
 }
 
-/// The backends built per database: memory, v1 and v2 (dictionary mode,
-/// FNV-1a checksums) segments, memory and v4 segments in `shards` id-range
-/// shards, and live stores; files go under `dir`. The delta-mode backend
-/// (v4, xxHash64 checksums, 8-byte grade cells) is [`delta_fixture`].
+/// The backends built per database: memory, segments in dictionary mode
+/// (1-byte grade cells), memory and segments in `shards` id-range shards,
+/// and live stores; files go under `dir`. The delta-mode backend (8-byte
+/// grade cells) is [`delta_fixture`].
 pub fn backends(db: &Db, shards: usize, dir: &Path) -> Vec<(String, Arc<dyn Subsystem>)> {
     let sub = |name: &str| {
         let path = dir.join(name);
         std::fs::create_dir_all(&path).unwrap();
         path
     };
-    let v1 = segments(db, &sub("v1"), FORMAT_V1, "v1", cache());
-    let v2 = segments(db, &sub("v2"), FORMAT_V2, "dict", cache());
+    let dict = segments(db, &sub("dict"), "dict", cache());
     let sharded_v4 = sharded_segments(db, &sub("sharded"), shards);
     vec![
         ("memory".to_owned(), db.memory()),
-        ("v1".to_owned(), v1),
-        ("v2-dict".to_owned(), v2),
+        ("v4-dict".to_owned(), dict),
         (
             format!("sharded-memory/S={shards}"),
             sharded_memory(db, shards),
@@ -288,7 +272,7 @@ pub fn backends(db: &Db, shards: usize, dir: &Path) -> Vec<(String, Arc<dyn Subs
 }
 
 /// The fixed delta-mode database, with its memory reference and its
-/// segments in the current format (v4).
+/// segments.
 pub struct DeltaFixture {
     pub db: Db,
     pub memory: Arc<dyn Subsystem>,
@@ -303,7 +287,7 @@ pub fn delta_fixture() -> &'static DeltaFixture {
         let dir = temp_dir("delta-fixture");
         DeltaFixture {
             memory: db.memory(),
-            delta: segments(&db, &dir, FORMAT_VERSION, "delta", cache()),
+            delta: segments(&db, &dir, "delta", cache()),
             db,
         }
     })
