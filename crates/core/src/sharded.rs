@@ -30,7 +30,7 @@
 //!
 //! [`CountingSource`]: crate::access::CountingSource
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use garlic_agg::Grade;
@@ -83,8 +83,6 @@ pub struct ShardedSource<S> {
     fences: Vec<u64>,
     len: usize,
     merge: Mutex<Merge>,
-    emitted: AtomicU64,
-    consumed: AtomicU64,
     /// Exclusive end of the dense object-id universe when degraded reads
     /// are enabled; `None` means shard failures always fail the read.
     degrade_universe: Option<u64>,
@@ -125,8 +123,6 @@ impl<S: GradedSource> ShardedSource<S> {
             fences,
             len,
             merge,
-            emitted: AtomicU64::new(0),
-            consumed: AtomicU64::new(0),
             degrade_universe: None,
             dropped,
         }
@@ -246,11 +242,13 @@ impl<S: GradedSource> ShardedSource<S> {
             .saturating_sub(1)
     }
 
-    /// Cumulative scatter-gather counters (see [`ShardScanStats`]).
+    /// Cumulative scatter-gather counters (see [`ShardScanStats`]), read
+    /// from the merge itself under its lock.
     pub fn scan_stats(&self) -> ShardScanStats {
+        let merge = self.merge();
         ShardScanStats {
-            emitted: self.emitted.load(Ordering::Relaxed),
-            consumed: self.consumed.load(Ordering::Relaxed),
+            emitted: merge.merged().len() as u64,
+            consumed: merge.consumed(),
             shards: self.shards.len(),
         }
     }
@@ -267,18 +265,13 @@ impl<S: GradedSource> GradedSource for ShardedSource<S> {
         count: usize,
         out: &mut Vec<GradedEntry>,
     ) -> Result<usize, SourceError> {
-        let mut merge = self.merge();
-        let result = merge.try_sorted_batch(
+        self.merge().try_sorted_batch(
             start,
             count,
             out,
             |shard, rank, count, out| self.shards[shard].try_sorted_batch(rank, count, out),
             |merge, shard, err| self.drop_shard_or_fail(merge, shard, err),
-        );
-        self.emitted
-            .store(merge.merged().len() as u64, Ordering::Relaxed);
-        self.consumed.store(merge.consumed(), Ordering::Relaxed);
-        result
+        )
     }
 
     /// Routes each probe to its owning shard by fence lookup, forwards one

@@ -1,4 +1,4 @@
-//! The on-disk segment format (version 4, the one version this build
+//! The on-disk segment format (version 5, the one version this build
 //! writes and reads).
 //!
 //! A segment is one immutable graded list — the durable answer to one
@@ -16,21 +16,28 @@
 //! │ table block 0      │  the same entries sorted by ascending object id
 //! │ ...                │  — the random-access ("object → grade") table
 //! ├────────────────────┤
-//! │ footer             │  geometry, flags, per-block checksums, lengths
-//! │                    │  and fences, grade dictionary, own checksum
+//! │ footer             │  block size, entry count, per-block checksums,
+//! │                    │  lengths and fence ids, grade dictionary, own
+//! │                    │  checksum
 //! ├────────────────────┤
 //! │ trailer (24 B)     │  footer offset + length + magic "GSEGEND1"
 //! └────────────────────┘
 //! ```
 //!
-//! A block holds `block_size / 16` entries, so ranks, fences and cache keys
-//! follow from the footer's logical block size; each block is stored as a
-//! variable-length byte run, and the footer records every block's length.
-//! Grades use one of two segment-wide modes. When the list has at most
-//! [`GRADE_DICT_MAX`] distinct grade bit patterns, [`FLAG_GRADE_DICT`] is
-//! set and the footer carries a sorted dictionary of raw `f64` bit patterns,
-//! which blocks index — the exact bit pattern round-trips by construction.
-//! Otherwise blocks hold grade bits themselves — also bit-exact.
+//! A file stores each fact once. What follows from other stored facts —
+//! the number of blocks, whether the list is crisp, how many grades are 1,
+//! the ids of a table block with no gap — is derived, not written, so no
+//! open-time check exists only to compare a stored copy with its original.
+//!
+//! A block holds `block_size / 16` entries, so block counts, ranks, fences
+//! and cache keys follow from the footer's logical block size and entry
+//! count; each block is stored as a variable-length byte run, and the
+//! footer records every block's length. Grades use one of two segment-wide
+//! modes. When the list has at most [`GRADE_DICT_MAX`] distinct grade bit
+//! patterns, the footer carries a sorted dictionary of raw `f64` bit
+//! patterns, which blocks index — the exact bit pattern round-trips by
+//! construction. Otherwise the dictionary is empty and blocks hold grade
+//! bits themselves — also bit-exact.
 //!
 //! * A **data block** ([`Encoding::Delta`] or [`Encoding::Dict`]) is an
 //!   interleaved `[id][grade]` varint stream. The first id is a plain
@@ -48,12 +55,14 @@
 //!   (up to [`GRADE_DICT_MAX`]), little-endian ([`cell_width`]). The column
 //!   is the block's last `count × width` bytes, so a probe that knows an
 //!   entry's index reads its grade in one load.
+//! * A **dense table block** ([`Encoding::Dense`]) is the grade column
+//!   alone: a table block other than the last whose fence ids say it holds
+//!   `fence..next fence` with no gap ([`Footer::encoding`], which the
+//!   writer and the reader share). Its ids are `fence + index`.
 //!
-//! The [`Footer`] also carries per-data-block `grade_max`/`grade_min`
-//! fences, verified against every block at open. Every block and the
-//! footer itself are checksummed with xxHash64 ([`checksum`]), and every
-//! open verifies the whole file; a decoder never trusts a varint stream
-//! past the bytes its checksum covered.
+//! Every block and the footer itself are checksummed with xxHash64
+//! ([`checksum`]), and every open verifies the whole file; a decoder never
+//! trusts a varint stream past the bytes its checksum covered.
 //!
 //! [`Block`] is the one block decoder. A column cell is addressed
 //! directly, but a data block is a delta chain, so reading entry `i` means
@@ -79,8 +88,9 @@ pub const HEADER_MAGIC: [u8; 4] = *b"GSEG";
 pub const TRAILER_MAGIC: [u8; 8] = *b"GSEGEND1";
 /// The format version [`crate::SegmentWriter`] writes and the only one
 /// [`crate::SegmentSource`] opens: compressed data blocks, table blocks of
-/// an id run and a fixed-width grade column, xxHash64 checksums.
-pub const FORMAT_VERSION: u32 = 4;
+/// a fixed-width grade column behind an id run (none in a dense block), a
+/// footer that stores each fact once, xxHash64 checksums.
+pub const FORMAT_VERSION: u32 = 5;
 /// Bytes of one entry in the logical block geometry: object id (u64) +
 /// grade bits (f64).
 pub const ENTRY_LEN: usize = 16;
@@ -94,10 +104,6 @@ pub const DEFAULT_BLOCK_SIZE: usize = 4096;
 /// footer from driving multi-gigabyte buffer allocations before its
 /// blocks can be verified.
 pub const MAX_BLOCK_SIZE: usize = 1 << 24;
-
-/// Footer flag bit: every grade in the segment is exactly 0 or 1, so the
-/// list is crisp and eligible for set access / the filtered strategy.
-pub const FLAG_CRISP: u64 = 1;
 
 /// FNV-1a 64-bit — the checksum of WAL and manifest records.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -194,19 +200,11 @@ pub fn read_u64(bytes: &[u8], off: usize) -> u64 {
 /// The parsed footer: everything needed to address and verify the blocks.
 #[derive(Debug, Clone, Default)]
 pub struct Footer {
-    /// Flag bits ([`FLAG_CRISP`], [`FLAG_GRADE_DICT`]).
-    pub flags: u64,
     /// *Logical* block size in bytes — fixes entries-per-block geometry;
     /// encoded blocks are smaller.
     pub block_size: usize,
     /// Number of graded entries.
     pub num_entries: u64,
-    /// Number of entries with grade exactly 1 (the crisp match count).
-    pub ones: u64,
-    /// Number of data (sorted-order) blocks.
-    pub data_blocks: u64,
-    /// Number of table (object-order) blocks.
-    pub table_blocks: u64,
     /// [`checksum`] of every data block's stored bytes, in order.
     pub data_checksums: Vec<u64>,
     /// [`checksum`] of every table block's stored bytes, in order.
@@ -218,27 +216,19 @@ pub struct Footer {
     pub data_block_lens: Vec<u64>,
     /// Stored byte length of every table block, in order.
     pub table_block_lens: Vec<u64>,
-    /// Grade bits of each data block's first (greatest) entry.
-    pub grade_max_bits: Vec<u64>,
-    /// Grade bits of each data block's last (least) entry.
-    pub grade_min_bits: Vec<u64>,
-    /// Sorted distinct grade bit patterns (empty when [`FLAG_GRADE_DICT`]
-    /// is clear).
+    /// Sorted distinct grade bit patterns; empty when blocks store grade
+    /// bits themselves.
     pub grade_dict: Vec<u64>,
 }
 
 impl Footer {
-    /// Serializes the footer — seven scalars (the dictionary length last),
-    /// then the checksum, fence, length, grade-fence and dictionary lists —
-    /// and appends its own [`checksum`].
+    /// Serializes the footer — three scalars (block size, entry count,
+    /// dictionary length), then the checksum, fence, length and dictionary
+    /// lists — and appends its own [`checksum`].
     pub fn encode(&self) -> Vec<u8> {
         let scalars = [
-            self.flags,
             self.block_size as u64,
             self.num_entries,
-            self.ones,
-            self.data_blocks,
-            self.table_blocks,
             self.grade_dict.len() as u64,
         ];
         let lists = [
@@ -247,8 +237,6 @@ impl Footer {
             &self.table_first_ids,
             &self.data_block_lens,
             &self.table_block_lens,
-            &self.grade_max_bits,
-            &self.grade_min_bits,
             &self.grade_dict,
         ];
         let mut out: Vec<u8> = scalars
@@ -263,11 +251,11 @@ impl Footer {
 
     /// Parses and verifies a serialized footer. Everything a forged footer
     /// could abuse downstream — geometry, list lengths, fence ordering,
-    /// block byte lengths, grade fences and dictionary shape — is checked
-    /// here with overflow-safe arithmetic before any block is read.
+    /// block byte lengths and dictionary shape — is checked here with
+    /// overflow-safe arithmetic before any block is read.
     pub fn parse(bytes: &[u8]) -> Result<Footer, StorageError> {
         let corrupt = |detail: String| StorageError::FooterCorrupt { detail };
-        const SCALARS: usize = 7 * 8;
+        const SCALARS: usize = 3 * 8;
         if bytes.len() < SCALARS + 8 {
             return Err(corrupt(format!("footer too short ({} bytes)", bytes.len())));
         }
@@ -275,8 +263,7 @@ impl Footer {
         if checksum(body) != read_u64(tail, 0) {
             return Err(corrupt("footer checksum mismatch".to_owned()));
         }
-        let [flags, block_size, num_entries, ones, d, t, dict_len] =
-            std::array::from_fn(|i| read_u64(body, 8 * i));
+        let [block_size, num_entries, dict_len] = std::array::from_fn(|i| read_u64(body, 8 * i));
         if block_size == 0
             || block_size > MAX_BLOCK_SIZE as u64
             || !block_size.is_multiple_of(ENTRY_LEN as u64)
@@ -288,24 +275,19 @@ impl Footer {
                 "grade dictionary of {dict_len} exceeds the {GRADE_DICT_MAX} cap"
             )));
         }
-        let want = [d, t, t, d, t, d, d, dict_len]
-            .iter()
-            .try_fold(0u64, |acc, &n| acc.checked_add(n))
+        // Five lists of one value per block of a region.
+        let blocks = num_entries.div_ceil(block_size / ENTRY_LEN as u64);
+        let want = blocks
+            .checked_mul(5)
+            .and_then(|v| v.checked_add(dict_len))
             .and_then(|v| v.checked_mul(8))
             .and_then(|v| v.checked_add(SCALARS as u64))
             .ok_or_else(|| corrupt("block counts overflow".to_owned()))?;
         if body.len() as u64 != want {
             return Err(corrupt(format!(
-                "footer length {} disagrees with block counts {d}+{t}",
+                "footer length {} disagrees with {num_entries} entries in {blocks} blocks \
+                 per region",
                 bytes.len()
-            )));
-        }
-        let entries_per_block = block_size / ENTRY_LEN as u64;
-        let expected_blocks = num_entries.div_ceil(entries_per_block);
-        if d != expected_blocks || t != expected_blocks {
-            return Err(corrupt(format!(
-                "{num_entries} entries at {entries_per_block}/block need {expected_blocks} \
-                 blocks per region, footer says {d}/{t}"
             )));
         }
         let mut off = SCALARS;
@@ -317,19 +299,13 @@ impl Footer {
             out
         };
         let footer = Footer {
-            flags,
             block_size: block_size as usize,
             num_entries,
-            ones,
-            data_blocks: d,
-            table_blocks: t,
-            data_checksums: take(d),
-            table_checksums: take(t),
-            table_first_ids: take(t),
-            data_block_lens: take(d),
-            table_block_lens: take(t),
-            grade_max_bits: take(d),
-            grade_min_bits: take(d),
+            data_checksums: take(blocks),
+            table_checksums: take(blocks),
+            table_first_ids: take(blocks),
+            data_block_lens: take(blocks),
+            table_block_lens: take(blocks),
             grade_dict: take(dict_len),
         };
         footer.check_lists()?;
@@ -337,8 +313,7 @@ impl Footer {
     }
 
     /// The checks on the footer's lists: ascending fence ids, block byte
-    /// lengths, the grade fences, and the dictionary's flag, order and
-    /// values.
+    /// lengths, and the dictionary's order and values.
     fn check_lists(&self) -> Result<(), StorageError> {
         let corrupt = |detail: String| Err(StorageError::FooterCorrupt { detail });
         if !self.table_first_ids.windows(2).all(|w| w[0] < w[1]) {
@@ -357,46 +332,84 @@ impl Footer {
                 return corrupt(format!("{region} block length {bad} out of range"));
             }
         }
-        let valid_grade_bits = |bits: u64| Grade::new(f64::from_bits(bits)).is_ok();
-        let fences = self.grade_max_bits.iter().zip(&self.grade_min_bits);
-        for (i, (&max, &min)) in fences.enumerate() {
-            if !valid_grade_bits(max) || !valid_grade_bits(min) {
-                return corrupt(format!("data block {i} grade fence out of [0, 1]"));
-            }
-            // Non-negative f64 bit patterns order like their values, so
-            // fence ordering is a plain integer comparison.
-            if max < min {
-                return corrupt(format!("data block {i} grade fence inverted"));
-            }
-            if self
-                .grade_max_bits
-                .get(i + 1)
-                .is_some_and(|&next| min < next)
-            {
-                return corrupt(format!(
-                    "grade fences of data blocks {i} and {} violate descending order",
-                    i + 1
-                ));
-            }
-        }
-        let dict_mode = self.flags & FLAG_GRADE_DICT != 0;
-        let dict_len = self.grade_dict.len();
-        if dict_mode != (dict_len > 0) && self.num_entries > 0 {
-            return corrupt(format!(
-                "dictionary flag {dict_mode} disagrees with dictionary length {dict_len}"
-            ));
-        }
         if !self.grade_dict.windows(2).all(|w| w[0] < w[1]) {
             return corrupt("grade dictionary not strictly ascending".to_owned());
         }
         if let Some(&bad) = self
             .grade_dict
             .iter()
-            .find(|&&bits| !valid_grade_bits(bits))
+            .find(|&&bits| Grade::new(f64::from_bits(bits)).is_err())
         {
             return corrupt(format!("grade dictionary entry {bad:#x} outside [0, 1]"));
         }
         Ok(())
+    }
+
+    /// Blocks per region: the data and table regions have one block per
+    /// `block_size / 16` entries each.
+    pub fn blocks(&self) -> usize {
+        (self.num_entries as usize).div_ceil(self.block_size / ENTRY_LEN)
+    }
+
+    /// Entries in block `index` of either region: full except possibly
+    /// the last.
+    pub(crate) fn entries_in_block(&self, index: usize) -> usize {
+        let per_block = self.block_size / ENTRY_LEN;
+        (self.num_entries as usize - index * per_block).min(per_block)
+    }
+
+    /// `Some(fence)` when table block `index` holds exactly the ids
+    /// `fence..fence + count`: when its id span — up to the next block's
+    /// fence, or through `max_object` (the segment's largest id) for the
+    /// last block — is as long as its entry count. A block is dense by its
+    /// fences alone when it is not the last; the last one only once its
+    /// scan has learned `max_object`. The open-time scan verifies that
+    /// every block starts at its fence and that ids strictly ascend, so a
+    /// span that long leaves no gap, and an entry's index is its distance
+    /// from the fence.
+    pub fn dense_from(&self, index: usize, max_object: Option<u64>) -> Option<u64> {
+        let fences = &self.table_first_ids;
+        let first = *fences.get(index)?;
+        let last = match fences.get(index + 1) {
+            Some(&next) => next.checked_sub(1)?,
+            None => max_object?,
+        };
+        let count = self.entries_in_block(index) as u64;
+        (last.checked_sub(first)?.checked_add(1)? == count).then_some(first)
+    }
+
+    /// How block `index` of a `kind` region stores its entries — the one
+    /// rule the writer encodes by and the reader decodes by: a table
+    /// block that is dense by its fences alone ([`dense_from`] without a
+    /// `max_object`) stores no id run.
+    ///
+    /// [`dense_from`]: Self::dense_from
+    pub fn encoding(&self, kind: RegionKind, index: usize) -> Encoding<'_> {
+        let dict = &self.grade_dict;
+        match kind {
+            RegionKind::Data if dict.is_empty() => Encoding::Delta,
+            RegionKind::Data => Encoding::Dict(dict),
+            RegionKind::Table => match self.dense_from(index, None) {
+                Some(first) => Encoding::Dense(dict, first),
+                None => Encoding::Column(dict),
+            },
+        }
+    }
+
+    /// Block `index` of a `kind` region, stored as `bytes`, with no
+    /// restart points.
+    pub(crate) fn block<'a>(
+        &'a self,
+        kind: RegionKind,
+        index: usize,
+        bytes: &'a [u8],
+    ) -> Block<'a> {
+        Block {
+            bytes,
+            count: self.entries_in_block(index),
+            encoding: self.encoding(kind, index),
+            restarts: &[],
+        }
     }
 }
 
@@ -415,9 +428,6 @@ pub fn check_block_size(block_size: usize) -> Result<(), StorageError> {
 // grade column (table blocks).
 // ---------------------------------------------------------------------------
 
-/// Footer flag bit: grades are stored as indices into the footer's grade
-/// dictionary rather than as bit patterns.
-pub const FLAG_GRADE_DICT: u64 = 2;
 /// Most distinct grade bit patterns the dictionary mode accepts. Past
 /// this the writer falls back to storing bit patterns (still exact),
 /// keeping the footer small and the indices short.
@@ -529,7 +539,8 @@ pub enum RegionKind {
     /// deltas), grades non-increasing (plain varint of the decrease).
     Data,
     /// Ascending-object order: ids strictly increase (plain varint of
-    /// the positive delta), grades sit in a column of fixed-width cells.
+    /// the positive delta, or no id run in a dense block), grades sit in a
+    /// column of fixed-width cells.
     Table,
 }
 
@@ -538,25 +549,16 @@ pub enum RegionKind {
 pub enum Encoding<'a> {
     /// A data block with grades as bit-pattern deltas.
     Delta,
-    /// A data block with grades as indices into this sorted dictionary
-    /// ([`FLAG_GRADE_DICT`]).
+    /// A data block with grades as indices into this sorted, non-empty
+    /// dictionary.
     Dict(&'a [u64]),
     /// A table block: the id run, then one fixed-width grade cell per
     /// entry — raw grade bits when this dictionary is empty, indices into
     /// it otherwise ([`cell_width`]).
     Column(&'a [u64]),
-}
-
-impl<'a> Encoding<'a> {
-    /// The encoding of a `kind` block of a segment whose footer dictionary
-    /// is `dict` (empty outside dictionary mode).
-    pub fn of(kind: RegionKind, dict: &'a [u64]) -> Self {
-        match kind {
-            RegionKind::Table => Encoding::Column(dict),
-            RegionKind::Data if dict.is_empty() => Encoding::Delta,
-            RegionKind::Data => Encoding::Dict(dict),
-        }
-    }
+    /// A table block whose ids are `first..first + count`: the grade
+    /// column alone, exactly `count × width` bytes.
+    Dense(&'a [u64], u64),
 }
 
 /// Bytes per grade cell of a table block under a footer dictionary of
@@ -572,14 +574,22 @@ pub fn cell_width(dict_len: usize) -> usize {
 }
 
 /// Encodes one block: a data block as long as its varints, a table block
-/// as its id varints and its cells. Under a dictionary every entry's grade
-/// bits must be in it. Entries out of their region's order encode without
-/// a panic (the deltas wrap) into a block the decoder rejects.
+/// as its id varints (none when dense) and its cells. Under a dictionary
+/// every entry's grade bits must be in it. Entries out of their region's
+/// order encode without a panic (the deltas wrap) into a block the decoder
+/// rejects.
 pub fn encode_block(entries: &[GradedEntry], encoding: Encoding) -> Vec<u8> {
     let (dict, data) = match encoding {
         Encoding::Delta => (None, true),
         Encoding::Dict(dict) => (Some(dict), true),
-        Encoding::Column(dict) => (Some(dict).filter(|d| !d.is_empty()), false),
+        Encoding::Column(dict) | Encoding::Dense(dict, _) => {
+            (Some(dict).filter(|d| !d.is_empty()), false)
+        }
+    };
+    let ids = if matches!(encoding, Encoding::Dense(..)) {
+        &[]
+    } else {
+        entries
     };
     #[allow(
         clippy::expect_used,
@@ -590,7 +600,7 @@ pub fn encode_block(entries: &[GradedEntry], encoding: Encoding) -> Vec<u8> {
     let mut out = Vec::with_capacity(entries.len() * 4);
     let mut prev_id: u64 = 0;
     let mut prev_bits: u64 = 0;
-    for (i, entry) in entries.iter().enumerate() {
+    for (i, entry) in ids.iter().enumerate() {
         let id = entry.object.0;
         let bits = entry.grade.value().to_bits();
         let delta = id.wrapping_sub(prev_id);
@@ -723,17 +733,6 @@ pub struct Block<'a> {
 }
 
 impl<'a> Block<'a> {
-    /// Block `bytes` of a `kind` region of a segment whose footer
-    /// dictionary is `dict`, with no restart points.
-    pub fn new(dict: &'a [u64], kind: RegionKind, bytes: &'a [u8], count: usize) -> Self {
-        Block {
-            bytes,
-            count,
-            encoding: Encoding::of(kind, dict),
-            restarts: &[],
-        }
-    }
-
     /// A table block's id run and grade column under the dictionary
     /// `dict`: the column is the last `count × width` bytes
     /// ([`cell_width`]), the id run everything in front of it. A block too
@@ -769,14 +768,16 @@ impl<'a> Block<'a> {
     ) -> Result<(), String> {
         // One instantiation per encoding and cell width, so the dispatch
         // is resolved outside the per-entry loop.
-        match self.encoding {
-            Encoding::Delta => self.run_data::<false>(&[], first, state, visit),
-            Encoding::Dict(d) => self.run_data::<true>(d, first, state, visit),
-            Encoding::Column(d) => match cell_width(d.len()) {
-                1 => self.run_column::<1>(d, first, state, visit),
-                2 => self.run_column::<2>(d, first, state, visit),
-                _ => self.run_column::<8>(d, first, state, visit),
-            },
+        let (dict, dense) = match self.encoding {
+            Encoding::Delta => return self.run_data::<false>(&[], first, state, visit),
+            Encoding::Dict(d) => return self.run_data::<true>(d, first, state, visit),
+            Encoding::Column(d) => (d, None),
+            Encoding::Dense(d, fence) => (d, Some(fence)),
+        };
+        match cell_width(dict.len()) {
+            1 => self.run_column::<1>(dict, dense, first, state, visit),
+            2 => self.run_column::<2>(dict, dense, first, state, visit),
+            _ => self.run_column::<8>(dict, dense, first, state, visit),
         }
     }
 
@@ -830,20 +831,36 @@ impl<'a> Block<'a> {
         Ok(())
     }
 
-    /// `run` over a table block of `W`-byte cells: the id run's walk, each
-    /// entry's grade read from its cell.
+    /// `run` over a table block of `W`-byte cells: the id run's walk, or
+    /// in a dense block (`dense` its fence) the ids `fence + index`, each
+    /// entry's grade read from its cell. A dense block holds nothing in
+    /// front of its column.
     #[inline(always)]
     fn run_column<const W: usize>(
         &self,
         dict: &[u64],
+        dense: Option<u64>,
         first: usize,
         state: Restart,
         mut visit: impl FnMut(usize, u64, u64, usize) -> bool,
     ) -> Result<(), String> {
         let (ids, column) = self.split_column(dict)?;
-        self.walk_ids(ids, first, state, |i, id, end| {
-            Ok(visit(i, id, cell::<W>(column, dict, i)?, end))
-        })
+        let mut visit = |i, id, end| Ok(visit(i, id, cell::<W>(column, dict, i)?, end));
+        let Some(fence) = dense else {
+            return self.walk_ids(ids, first, state, visit);
+        };
+        if !ids.is_empty() {
+            return Err(format!(
+                "{} bytes in front of a dense block's grade column",
+                ids.len()
+            ));
+        }
+        for i in first..self.count {
+            if !visit(i, fence.wrapping_add(i as u64), 0)? {
+                break;
+            }
+        }
+        Ok(())
     }
 
     /// Walks a table block's id run `ids` from entry `first` on, whose
@@ -942,16 +959,21 @@ impl<'a> Block<'a> {
     ///
     /// `dense_from` is `Some(first)` when the caller knows the block's ids
     /// are exactly `first..first + count` (a segment knows it from its
-    /// fences, which the open-time scan verified): the entry's index is
-    /// then `object - first`, and no id is decoded. Otherwise the index
-    /// comes from a walk over the id run of at most [`RESTART_INTERVAL`]
-    /// entries from the nearest restart that stops at the first id not
-    /// below the probe. Either way the grade is one cell read. An id the
-    /// block does not hold, past its ids included, is `None`; a data block
-    /// holds no id order and is a typed detail.
+    /// fences, which the open-time scan verified, and a dense block says
+    /// so itself): the entry's index is then `object - first`, and no id
+    /// is decoded. Otherwise the index comes from a walk over the id run
+    /// of at most [`RESTART_INTERVAL`] entries from the nearest restart
+    /// that stops at the first id not below the probe. Either way the
+    /// grade is one cell read. An id the block does not hold, past its ids
+    /// included, is `None`; a data block holds no id order and is a typed
+    /// detail.
     pub fn lookup(&self, object: u64, dense_from: Option<u64>) -> Result<Option<Grade>, String> {
-        let Encoding::Column(dict) = self.encoding else {
-            return Err("a data block is not id-ordered".to_owned());
+        let (dict, dense_from) = match self.encoding {
+            Encoding::Column(dict) => (dict, dense_from),
+            Encoding::Dense(dict, first) => (dict, Some(first)),
+            Encoding::Delta | Encoding::Dict(_) => {
+                return Err("a data block is not id-ordered".to_owned())
+            }
         };
         let index = match dense_from {
             Some(first) => object
@@ -1046,7 +1068,7 @@ mod tests {
             .copied()
             .collect();
         // Block 1, the second data block, and the second table block.
-        for block in [1, footer.data_blocks as usize + 1] {
+        for block in [1, footer.blocks() + 1] {
             let start = HEADER_LEN as usize + lens[..block].iter().sum::<u64>() as usize;
             let end = start + lens[block] as usize;
             for bit in 8 * start..8 * end {
@@ -1097,19 +1119,13 @@ mod tests {
     /// A two-block footer in dictionary mode.
     fn footer() -> Footer {
         Footer {
-            flags: FLAG_GRADE_DICT,
             block_size: 64,
             num_entries: 7,
-            ones: 0,
-            data_blocks: 2,
-            table_blocks: 2,
             data_checksums: vec![1, 2],
             table_checksums: vec![3, 4],
             table_first_ids: vec![0, 9],
             data_block_lens: vec![17, 11],
             table_block_lens: vec![19, 13],
-            grade_max_bits: vec![Grade::ONE.value().to_bits(), Grade::HALF.value().to_bits()],
-            grade_min_bits: vec![Grade::HALF.value().to_bits(), Grade::ZERO.value().to_bits()],
             grade_dict: vec![
                 Grade::ZERO.value().to_bits(),
                 Grade::HALF.value().to_bits(),
@@ -1123,20 +1139,18 @@ mod tests {
     #[test]
     fn footer_round_trips() {
         let f = Footer {
-            flags: FLAG_CRISP,
             grade_dict: Vec::new(),
             ..footer()
         };
         let bytes = f.encode();
-        // Seven scalars, seven two-block lists, the self-checksum.
-        assert_eq!(bytes.len(), 7 * 8 + 7 * 2 * 8 + 8);
+        // Three scalars, five two-block lists, the self-checksum.
+        assert_eq!(bytes.len(), 3 * 8 + 5 * 2 * 8 + 8);
         let parsed = Footer::parse(&bytes).unwrap();
         assert_eq!(parsed.num_entries, 7);
-        assert_eq!(parsed.flags, FLAG_CRISP);
+        assert_eq!(parsed.blocks(), 2);
         assert_eq!(parsed.data_checksums, vec![1, 2]);
         assert_eq!(parsed.table_first_ids, vec![0, 9]);
         assert_eq!(parsed.table_block_lens, vec![19, 13]);
-        assert_eq!(parsed.grade_min_bits, f.grade_min_bits);
         assert!(parsed.grade_dict.is_empty());
         assert_eq!(parsed.encode(), bytes);
     }
@@ -1153,12 +1167,17 @@ mod tests {
 
     #[test]
     fn footer_rejects_inconsistent_geometry() {
+        // 7 entries in 64-byte blocks need exactly 2 per region, not 3.
         let mut f = footer();
-        f.data_blocks = 3; // 7 entries in 64-byte blocks need exactly 2.
-        f.data_checksums.push(5);
-        f.data_block_lens.push(5);
-        f.grade_max_bits.push(0);
-        f.grade_min_bits.push(0);
+        for list in [
+            &mut f.data_checksums,
+            &mut f.table_checksums,
+            &mut f.table_first_ids,
+            &mut f.data_block_lens,
+            &mut f.table_block_lens,
+        ] {
+            list.push(99);
+        }
         match Footer::parse(&f.encode()) {
             Err(StorageError::FooterCorrupt { detail }) => {
                 assert!(detail.contains("blocks per region"), "{detail}");
@@ -1284,7 +1303,10 @@ mod tests {
     /// A table block's dense probe — the caller vouching that its ids are
     /// `first..first + count` — answers every id exactly like the probe
     /// that finds the entry, under every cell width, with and without
-    /// restart points; ids past the block's last are `None`.
+    /// restart points; ids past the block's last are `None`. The same ids
+    /// as a dense block are the column alone, which decodes to the same
+    /// entries and answers the same probes, and is refused one byte long
+    /// or one byte short.
     #[test]
     fn dense_probes_answer_like_found_ones() {
         let count = 3 * RESTART_INTERVAL + 5;
@@ -1300,7 +1322,18 @@ mod tests {
             let mut restarts = Vec::new();
             decode_all(&from_zero, &mut restarts).unwrap();
             let resumed = block(&bytes, count, encoding, &restarts);
-            for probe in first..first + count as u64 + 3 {
+            let Encoding::Column(d) = encoding else {
+                unreachable!("table encodings are columns")
+            };
+            let dense = Encoding::Dense(d, first);
+            let cells = encode_block(&entries, dense);
+            assert_eq!(cells.len(), count * cell_width(d.len()), "{encoding:?}");
+            assert_eq!(bytes[bytes.len() - cells.len()..], cells, "{encoding:?}");
+            let column_only = block(&cells, count, dense, &[]);
+            let mut decoded = Vec::new();
+            column_only.decode_range(0, count, &mut decoded).unwrap();
+            assert_eq!(decoded, entries, "{encoding:?}");
+            for probe in first - 2..first + count as u64 + 3 {
                 let want = entries
                     .iter()
                     .find(|e| e.object.0 == probe)
@@ -1313,7 +1346,19 @@ mod tests {
                         "{encoding:?} {probe}"
                     );
                 }
+                assert_eq!(column_only.lookup(probe, None).unwrap(), want, "{probe}");
             }
+            let mut long = cells.clone();
+            long.insert(0, 0);
+            let err = decode_all(&block(&long, count, dense, &[]), &mut Vec::new()).unwrap_err();
+            assert!(
+                err.contains("in front of a dense block's grade column"),
+                "{err}"
+            );
+            let short = block(&cells[1..], count, dense, &[]);
+            let err = decode_all(&short, &mut Vec::new()).unwrap_err();
+            assert!(err.contains("grade column of"), "{err}");
+            assert!(short.lookup(first, None).is_err());
         }
     }
 
@@ -1682,13 +1727,12 @@ mod tests {
     fn footer_v2_round_trips() {
         let f = footer();
         let bytes = f.encode();
-        // Seven scalars, seven two-block lists, the three-entry
+        // Three scalars, five two-block lists, the three-entry
         // dictionary, the self-checksum.
-        assert_eq!(bytes.len(), 7 * 8 + 7 * 2 * 8 + 3 * 8 + 8);
+        assert_eq!(bytes.len(), 3 * 8 + 5 * 2 * 8 + 3 * 8 + 8);
         let parsed = Footer::parse(&bytes).unwrap();
         assert_eq!(parsed.num_entries, 7);
         assert_eq!(parsed.data_block_lens, vec![17, 11]);
-        assert_eq!(parsed.grade_max_bits, f.grade_max_bits);
         assert_eq!(parsed.grade_dict, f.grade_dict);
         assert_eq!(parsed.encode(), bytes);
     }
@@ -1696,17 +1740,8 @@ mod tests {
     #[test]
     fn footer_v2_rejects_forgeries() {
         type Forgery = (&'static str, fn(&mut Footer));
-        let checks: [Forgery; 6] = [
-            ("inverted fence", |f| {
-                f.grade_max_bits[0] = Grade::ZERO.value().to_bits()
-            }),
-            ("fence outside [0, 1]", |f| {
-                f.grade_min_bits[1] = f64::to_bits(2.0)
-            }),
-            ("fences out of descending order", |f| {
-                f.grade_min_bits[0] = Grade::ZERO.value().to_bits();
-                f.grade_max_bits[1] = Grade::ONE.value().to_bits();
-            }),
+        let checks: [Forgery; 4] = [
+            ("fence ids out of order", |f| f.table_first_ids.swap(0, 1)),
             ("zero block length", |f| f.data_block_lens[1] = 0),
             ("oversized block length", |f| {
                 f.table_block_lens[0] = (3 * f.block_size) as u64

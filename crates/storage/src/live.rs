@@ -282,7 +282,7 @@ impl LiveSource {
             m.wal_replayed_ops.add(replayed);
         }
 
-        // Rebuild the visible statistics from the base footer plus the
+        // Rebuild the visible statistics from the base segment plus the
         // overlay's deltas.
         let (newest, _): (FxHashMap<_, _>, _) = fold_overlay(Some(&active), &frozen);
         let mut len = base.as_ref().map_or(0, |b| b.len());

@@ -6,20 +6,18 @@
 //! [`crate::format`]), locates every block by the footer's byte lengths,
 //! then makes one streaming integrity scan over the whole file verifying
 //! every block checksum, every varint frame and grade column, every grade,
-//! both sort orders, and every footer statistic and fence, so a corrupted
-//! or truncated segment fails with a typed [`StorageError`] *before* it can
-//! serve a single wrong entry. After a successful open the source is an
-//! ordinary `Send + Sync` graded source: sorted access streams data blocks
-//! through the shared [`BlockCache`], and random access routes through the
-//! footer's fence index to exactly one table block — bit-identical
-//! behaviour to a [`MemorySource`] over the same pairs (the round-trip
-//! property suite holds it to that). The match set is `SetAccess`'s one
-//! provided body over those sorted reads, so it is the same grade-1 prefix
-//! a `MemorySource` returns.
-//!
-//! The footer's per-block grade fences are checked against every data
-//! block at open, like the rest of the footer; no read skips blocks by
-//! them. Every sorted read decodes the blocks its ranks fall in.
+//! both sort orders and every fence id, so a corrupted or truncated
+//! segment fails with a typed [`StorageError`] *before* it can serve a
+//! single wrong entry. The same scan counts the grade-1 entries and learns
+//! whether the list is crisp, which the file does not store. After a
+//! successful open the source is an ordinary `Send + Sync` graded source:
+//! sorted access streams data blocks through the shared [`BlockCache`],
+//! and random access routes through the footer's fence index to exactly
+//! one table block — bit-identical behaviour to a [`MemorySource`] over the
+//! same pairs (the round-trip property suite holds it to that). The match
+//! set is `SetAccess`'s one provided body over those sorted reads, so it is
+//! the same grade-1 prefix a `MemorySource` returns. Every sorted read
+//! decodes the blocks its ranks fall in.
 //!
 //! ## The random-access path
 //!
@@ -39,13 +37,15 @@
 //!   then `object − fence`, and no id is decoded; an index past the
 //!   block's count (a probe past `max_object`) is `None`. A segment over
 //!   `0..N`, and every id-range shard of one, is dense in every block, and
-//!   a dense block keeps no restart points.
+//!   a dense block keeps no restart points; every dense block but the last
+//!   stores no id run either ([`Encoding::Dense`]).
 //! * **Other blocks** find the index by a walk over the block's id run from
 //!   the nearest restart point that stops at the first id not below the
 //!   probe: at most [`RESTART_INTERVAL`] id varints.
 //!
 //! [`MemorySource`]: garlic_core::access::MemorySource
 //! [`RESTART_INTERVAL`]: crate::format::RESTART_INTERVAL
+//! [`Encoding::Dense`]: crate::format::Encoding::Dense
 
 use std::cmp::Reverse;
 use std::path::{Path, PathBuf};
@@ -59,8 +59,8 @@ use garlic_core::{GradedEntry, ObjectId};
 use crate::cache::{BlockCache, BlockKey};
 use crate::error::StorageError;
 use crate::format::{
-    checksum, read_u64, Block, Footer, RegionKind, Restart, ENTRY_LEN, FLAG_CRISP, FORMAT_VERSION,
-    HEADER_LEN, HEADER_MAGIC, TRAILER_LEN, TRAILER_MAGIC,
+    checksum, read_u64, Block, Footer, RegionKind, Restart, ENTRY_LEN, FORMAT_VERSION, HEADER_LEN,
+    HEADER_MAGIC, TRAILER_LEN, TRAILER_MAGIC,
 };
 use crate::vfs::{std_vfs, Vfs, VfsRead};
 
@@ -123,6 +123,10 @@ pub struct SegmentSource {
     restarts: Vec<Restart>,
     entries_per_block: usize,
     max_object: Option<ObjectId>,
+    /// Grade-1 entries, counted by the open-time scan.
+    ones: u64,
+    /// Whether every grade is 0 or 1, learned by the open-time scan.
+    crisp: bool,
 }
 
 impl SegmentSource {
@@ -195,7 +199,7 @@ impl SegmentSource {
         // where the footer starts. The geometry is untrusted until it
         // survives this: overflow in a forged footer is an error, not a
         // wrap or a panic.
-        let mut locs = Vec::with_capacity((footer.data_blocks + footer.table_blocks) as usize);
+        let mut locs = Vec::with_capacity(2 * footer.blocks());
         let mut offset = HEADER_LEN;
         for &len in footer
             .data_block_lens
@@ -235,6 +239,8 @@ impl SegmentSource {
             locs,
             restarts: scan.restarts,
             max_object: scan.max_object,
+            ones: scan.ones,
+            crisp: scan.crisp,
         })
     }
 
@@ -260,16 +266,17 @@ impl SegmentSource {
         &self.path
     }
 
-    /// Whether every grade is exactly 0 or 1 (recorded by the writer and
-    /// re-verified at open) — the segment then supports set access.
+    /// Whether every grade is exactly 0 or 1 (learned by the open-time
+    /// scan, which reads every grade) — the segment then supports set
+    /// access.
     pub fn is_crisp(&self) -> bool {
-        self.footer.flags & FLAG_CRISP != 0
+        self.crisp
     }
 
-    /// Number of grade-1 entries — the exact-match count, free selectivity
-    /// information for the planner.
+    /// Number of grade-1 entries — the exact-match count, counted by the
+    /// open-time scan: free selectivity information for the planner.
     pub fn exact_match_count(&self) -> u64 {
-        self.footer.ones
+        self.ones
     }
 
     /// The largest object id graded (`None` for an empty segment), learned
@@ -296,7 +303,7 @@ impl SegmentSource {
     /// Blocks per region (sorted-order data and object-order table regions
     /// are the same size).
     pub fn blocks_per_region(&self) -> u64 {
-        self.footer.data_blocks
+        self.footer.blocks() as u64
     }
 
     /// The cache this source reads through.
@@ -321,14 +328,6 @@ impl SegmentSource {
     /// residency.
     pub fn segment_id(&self) -> u64 {
         self.segment_id
-    }
-
-    /// Number of entries in block `index` of a region (`blocks` total over
-    /// `self.len()` entries): full except possibly the last.
-    fn entries_in_block(&self, index: u64) -> usize {
-        let n = self.footer.num_entries as usize;
-        let start = index as usize * self.entries_per_block;
-        (n - start).min(self.entries_per_block)
     }
 
     /// Draws the next deterministic jitter value (xorshift64*, seeded per
@@ -413,7 +412,7 @@ impl SegmentSource {
     /// Fetches table block `index` (same policy).
     fn try_table_block(&self, index: u64) -> Result<Arc<[u8]>, StorageError> {
         self.fetch(
-            self.footer.data_blocks + index,
+            self.blocks_per_region() + index,
             self.footer.table_checksums[index as usize],
         )
     }
@@ -434,7 +433,7 @@ impl SegmentSource {
     fn block<'a>(&'a self, kind: RegionKind, bytes: &'a [u8], index: u64) -> Block<'a> {
         let file_block = match kind {
             RegionKind::Data => index,
-            RegionKind::Table => self.footer.data_blocks + index,
+            RegionKind::Table => self.blocks_per_region() + index,
         } as usize;
         let start = self.locs[file_block].restarts;
         let end = self
@@ -443,12 +442,7 @@ impl SegmentSource {
             .map_or(self.restarts.len(), |next| next.restarts);
         Block {
             restarts: self.restarts.get(start..end).unwrap_or_default(),
-            ..Block::new(
-                &self.footer.grade_dict,
-                kind,
-                bytes,
-                self.entries_in_block(index),
-            )
+            ..self.footer.block(kind, index as usize, bytes)
         }
     }
 
@@ -478,12 +472,9 @@ impl SegmentSource {
             let block_index = probes[index].0;
             let bytes = self.try_table_block(block_index)?;
             let block = self.block(RegionKind::Table, &bytes, block_index);
-            let dense_from = dense_from(
-                &self.footer.table_first_ids,
-                self.max_object.map(|o| o.0),
-                block_index as usize,
-                block.count,
-            );
+            let dense_from = self
+                .footer
+                .dense_from(block_index as usize, self.max_object.map(|o| o.0));
             while index < probes.len() && probes[index].0 == block_index {
                 let position = probes[index].1 as usize;
                 // A decode failure (a block mutated after open) is a typed
@@ -492,7 +483,7 @@ impl SegmentSource {
                     block
                         .lookup(objects[position].0, dense_from)
                         .map_err(|detail| StorageError::CorruptBlock {
-                            block: self.footer.data_blocks + block_index,
+                            block: self.blocks_per_region() + block_index,
                             detail,
                         })?;
                 index += 1;
@@ -581,7 +572,7 @@ impl std::fmt::Debug for SegmentSource {
             .field("path", &self.path)
             .field("entries", &self.footer.num_entries)
             .field("block_size", &self.footer.block_size)
-            .field("blocks_per_region", &self.footer.data_blocks)
+            .field("blocks_per_region", &self.blocks_per_region())
             .field("crisp", &self.is_crisp())
             .finish()
     }
@@ -598,28 +589,16 @@ struct Loc {
     restarts: usize,
 }
 
-/// `Some(fence)` when table block `index`, of `count` entries, holds
-/// exactly the ids `fence..fence + count`: when its id span — up to the
-/// next block's fence, or through `max_object` (the segment's largest id)
-/// for the last block — is as long as its entry count. The open-time scan
-/// verifies that every block starts at its fence and that ids strictly
-/// ascend, so a span that long leaves no gap, and a probe's entry index is
-/// its distance from the fence.
-fn dense_from(fences: &[u64], max_object: Option<u64>, index: usize, count: usize) -> Option<u64> {
-    let first = *fences.get(index)?;
-    let last = match fences.get(index + 1) {
-        Some(&next) => next.checked_sub(1)?,
-        None => max_object?,
-    };
-    (last.checked_sub(first)?.checked_add(1)? == count as u64).then_some(first)
-}
-
 /// What the integrity scan learned beyond "the file is sound".
 struct Verified {
     /// The largest object id graded, `None` for an empty segment.
     max_object: Option<ObjectId>,
     /// The restart points of every block, in file order.
     restarts: Vec<Restart>,
+    /// Grade-1 entries.
+    ones: u64,
+    /// Whether every grade is 0 or 1.
+    crisp: bool,
 }
 
 /// The open-time integrity scan: one sequential pass over both regions
@@ -627,25 +606,27 @@ struct Verified {
 /// every framing check) from its start into one buffer reused across
 /// blocks, because this runs at every open. It notes down the restart
 /// points later reads resume from, and where each block's run of them
-/// starts in its `locs` entry; a dense table block ([`dense_from`]) keeps
-/// none. Each rule is applied once:
+/// starts in its `locs` entry; a dense table block
+/// ([`Footer::dense_from`]) keeps none. Each rule is applied once:
 ///
 /// * every grade lies in `[0, 1]`;
 /// * the data region follows the descending skeleton order, ties
-///   included, and agrees with the footer's match count, crisp flag and
-///   per-block grade fences;
+///   included;
 /// * the table region ascends by object id and starts each block at the
-///   footer's fence id;
+///   footer's fence id (a dense block's ids are its fence onwards, so a
+///   forged fence surfaces in the order checks or the digest);
 /// * an order-independent digest (an XOR of [`checksum`]s, in memory only)
 ///   of each entry's canonical 16-byte slot is equal over the two regions,
 ///   so they hold the *same* entries and sorted access and random access
 ///   can never disagree on a file that passed.
+///
+/// Along the way it counts the data region's grade-1 entries and whether
+/// every grade is crisp, which the footer does not store.
 fn verify_blocks(
     file: &dyn VfsRead,
     footer: &Footer,
     locs: &mut [Loc],
 ) -> Result<Verified, StorageError> {
-    let entries_per_block = footer.block_size / ENTRY_LEN;
     let mut buf = Vec::new();
     let mut scratch = Vec::new();
     let mut restarts = Vec::new();
@@ -656,7 +637,7 @@ fn verify_blocks(
     for kind in [RegionKind::Data, RegionKind::Table] {
         let (first_block, checksums) = match kind {
             RegionKind::Data => (0, &footer.data_checksums),
-            RegionKind::Table => (footer.data_blocks, &footer.table_checksums),
+            RegionKind::Table => (footer.blocks() as u64, &footer.table_checksums),
         };
         for (i, &expected) in checksums.iter().enumerate() {
             let block = first_block + i as u64;
@@ -666,11 +647,10 @@ fn verify_blocks(
             if checksum(&buf) != expected {
                 return Err(StorageError::ChecksumMismatch { block });
             }
-            let count =
-                (footer.num_entries as usize - i * entries_per_block).min(entries_per_block);
             let corrupt = |detail| StorageError::CorruptBlock { block, detail };
             loc.restarts = restarts.len();
-            let slots = Block::new(&footer.grade_dict, kind, &buf, count)
+            let slots = footer
+                .block(kind, i, &buf)
                 .decode_all(&mut restarts, &mut scratch)
                 .map_err(corrupt)?;
             for (index, slot) in slots.iter().enumerate() {
@@ -688,18 +668,6 @@ fn verify_blocks(
                             )));
                         }
                         prev = Some(entry);
-                        for (which, fence, at) in [
-                            ("grade_max", footer.grade_max_bits[i], 0),
-                            ("grade_min", footer.grade_min_bits[i], count - 1),
-                        ] {
-                            if index == at && fence != bits {
-                                return Err(StorageError::FooterCorrupt {
-                                    detail: format!(
-                                        "data block {i} {which} fence disagrees with the block"
-                                    ),
-                                });
-                            }
-                        }
                         ones += u64::from(grade == Grade::ONE);
                         crisp &= grade.is_crisp();
                     }
@@ -725,22 +693,8 @@ fn verify_blocks(
             // A probe addresses a dense block's entries by their distance
             // from the fence, and never reads its restarts. `prev_id` is
             // the segment's largest id once the last block is decoded.
-            if kind == RegionKind::Table
-                && dense_from(&footer.table_first_ids, prev_id, i, count).is_some()
-            {
+            if kind == RegionKind::Table && footer.dense_from(i, prev_id).is_some() {
                 restarts.truncate(loc.restarts);
-            }
-        }
-        if kind == RegionKind::Data {
-            if ones != footer.ones {
-                return Err(StorageError::FooterCorrupt {
-                    detail: format!("footer says {} exact matches, data has {ones}", footer.ones),
-                });
-            }
-            if crisp != (footer.flags & FLAG_CRISP != 0) {
-                return Err(StorageError::FooterCorrupt {
-                    detail: "crisp flag disagrees with the data region".to_owned(),
-                });
             }
         }
     }
@@ -753,6 +707,8 @@ fn verify_blocks(
     Ok(Verified {
         max_object: prev_id.map(ObjectId),
         restarts,
+        ones,
+        crisp,
     })
 }
 

@@ -22,9 +22,8 @@ use garlic_core::{GradedEntry, GradedSet, ObjectId};
 
 use crate::error::StorageError;
 use crate::format::{
-    check_block_size, checksum, encode_block, Encoding, Footer, RegionKind, DEFAULT_BLOCK_SIZE,
-    ENTRY_LEN, FLAG_CRISP, FLAG_GRADE_DICT, FORMAT_VERSION, GRADE_DICT_MAX, HEADER_MAGIC,
-    TRAILER_MAGIC,
+    check_block_size, checksum, encode_block, Footer, RegionKind, DEFAULT_BLOCK_SIZE, ENTRY_LEN,
+    FORMAT_VERSION, GRADE_DICT_MAX, HEADER_MAGIC, TRAILER_MAGIC,
 };
 use crate::vfs::{std_vfs, Vfs, VfsFile};
 
@@ -61,7 +60,7 @@ pub struct ShardInfo {
 
 /// Serializes graded lists into segment files of format
 /// [`FORMAT_VERSION`]: compressed data blocks, table blocks with a
-/// fixed-width grade column, xxHash64 checksums.
+/// fixed-width grade column, xxHash64 checksums, each fact stored once.
 #[derive(Debug, Clone)]
 pub struct SegmentWriter {
     block_size: usize,
@@ -225,7 +224,6 @@ impl SegmentWriter {
             .all(|e| e.grade == Grade::ONE || e.grade == Grade::ZERO);
 
         let entries_per_block = self.block_size / ENTRY_LEN;
-        let blocks_per_region = (by_grade.len() as u64).div_ceil(entries_per_block as u64);
         // Dictionary mode when the distinct grade bit patterns fit the
         // cap — exact by construction, since entries store indices into the
         // very bit patterns recorded in the footer.
@@ -247,56 +245,31 @@ impl SegmentWriter {
         out.write_all(&HEADER_MAGIC)?;
         out.write_all(&FORMAT_VERSION.to_le_bytes())?;
 
-        let dict_flag = if grade_dict.is_empty() {
-            0
-        } else {
-            FLAG_GRADE_DICT
-        };
         let mut footer = Footer {
-            flags: if crisp { FLAG_CRISP } else { 0 } | dict_flag,
             block_size: self.block_size,
             num_entries: by_grade.len() as u64,
-            ones,
-            data_blocks: blocks_per_region,
-            table_blocks: blocks_per_region,
             table_first_ids: by_object
                 .chunks(entries_per_block)
                 .map(|c| c[0].object.0)
                 .collect(),
-            grade_max_bits: by_grade
-                .chunks(entries_per_block)
-                .map(|c| c[0].grade.value().to_bits())
-                .collect(),
-            grade_min_bits: by_grade
-                .chunks(entries_per_block)
-                .map(|c| c[c.len() - 1].grade.value().to_bits())
-                .collect(),
+            grade_dict,
             ..Footer::default()
         };
-        let regions = [
-            (
-                &by_grade,
-                RegionKind::Data,
-                &mut footer.data_checksums,
-                &mut footer.data_block_lens,
-            ),
-            (
-                &by_object,
-                RegionKind::Table,
-                &mut footer.table_checksums,
-                &mut footer.table_block_lens,
-            ),
-        ];
-        for (region, kind, checksums, lens) in regions {
-            let encoding = Encoding::of(kind, &grade_dict);
-            for chunk in region.chunks(entries_per_block) {
-                let block = encode_block(chunk, encoding);
-                checksums.push(checksum(&block));
-                lens.push(block.len() as u64);
+        let mut sums = [Vec::new(), Vec::new()];
+        let mut lens = [Vec::new(), Vec::new()];
+        for (kind, region) in [
+            (RegionKind::Data, &by_grade),
+            (RegionKind::Table, &by_object),
+        ] {
+            for (i, chunk) in region.chunks(entries_per_block).enumerate() {
+                let block = encode_block(chunk, footer.encoding(kind, i));
+                sums[kind as usize].push(checksum(&block));
+                lens[kind as usize].push(block.len() as u64);
                 out.write_all(&block)?;
             }
         }
-        footer.grade_dict = grade_dict;
+        [footer.data_checksums, footer.table_checksums] = sums;
+        [footer.data_block_lens, footer.table_block_lens] = lens;
         let footer_bytes = footer.encode();
         let payload_len: u64 = footer
             .data_block_lens
@@ -322,7 +295,7 @@ impl SegmentWriter {
         let bytes = footer_offset + footer_bytes.len() as u64 + crate::format::TRAILER_LEN;
         Ok(SegmentInfo {
             entries: by_grade.len() as u64,
-            blocks_per_region,
+            blocks_per_region: footer.blocks() as u64,
             bytes,
             crisp,
             ones,

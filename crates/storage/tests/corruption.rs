@@ -12,8 +12,8 @@ use std::sync::Arc;
 use garlic_agg::Grade;
 use garlic_core::GradedEntry;
 use garlic_storage::format::{
-    cell_width, checksum, encode_block, Encoding, Footer, RegionKind, ENTRY_LEN, FLAG_CRISP,
-    FLAG_GRADE_DICT, FORMAT_VERSION, GRADE_DICT_MAX, HEADER_MAGIC, TRAILER_LEN, TRAILER_MAGIC,
+    cell_width, checksum, encode_block, Encoding, Footer, RegionKind, ENTRY_LEN, FORMAT_VERSION,
+    GRADE_DICT_MAX, HEADER_MAGIC, TRAILER_LEN, TRAILER_MAGIC,
 };
 use garlic_storage::{BlockCache, SegmentSource, SegmentWriter, StorageError};
 
@@ -130,11 +130,12 @@ fn ancient_version_is_unsupported() {
 
 /// The versions before and after the one this build reads are typed
 /// errors before any block is read, whatever the rest of the file holds:
-/// here a sound version-4 file.
+/// here a sound version-5 file.
 #[test]
 fn every_other_version_is_unsupported() {
     let path = healthy("other-versions.seg");
-    for version in [1, 2, 3, FORMAT_VERSION + 1] {
+    assert_eq!(FORMAT_VERSION, 5);
+    for version in [1, 2, 3, 4, 6] {
         set_version(&path, version);
         match open(&path) {
             Err(StorageError::UnsupportedVersion { found, supported }) => {
@@ -198,7 +199,8 @@ fn flipped_data_block_bit_is_a_checksum_mismatch() {
 fn flipped_table_block_bit_is_a_checksum_mismatch() {
     let path = healthy("bitrot-table.seg");
     let mut bytes = std::fs::read(&path).unwrap();
-    // 16 data blocks: the table region starts at block 16, with its id run.
+    // 16 data blocks: the table region starts at block 16, a dense block
+    // whose first byte is its first grade cell.
     let block = block_range(&bytes, 16);
     bytes[block.start] ^= 0x80;
     std::fs::write(&path, bytes).unwrap();
@@ -316,10 +318,12 @@ fn seal(name: &str, blocks: &[Vec<u8>], footer: &[u8]) -> PathBuf {
 
 /// Hand-builds a segment of `entries` (in data order) in 64-byte blocks,
 /// with `dict` as its grade dictionary, whose blocks carry *correct*
-/// checksums. `tamper` may damage the encoded blocks and/or the footer
-/// before the checksums and block lengths are (re)derived from the final
-/// block bytes and the footer is sealed — so a tampered block or footer
-/// still passes its checksum and only deep verification can reject it.
+/// checksums and are encoded as the footer says (a table block dense by
+/// its fences is its grade column alone). `tamper` may damage the encoded
+/// blocks and/or the footer before the checksums and block lengths are
+/// (re)derived from the final block bytes and the footer is sealed — so a
+/// tampered block or footer still passes its checksum and only deep
+/// verification can reject it.
 fn forge(
     name: &str,
     entries: &[GradedEntry],
@@ -330,38 +334,25 @@ fn forge(
     let per_block = block_size / ENTRY_LEN;
     let mut by_id = entries.to_vec();
     by_id.sort_by_key(|e| e.object);
-    let dict_bits = dict.clone().unwrap_or_default();
-    let encode_region = |region: &[GradedEntry], kind: RegionKind| -> Vec<Vec<u8>> {
-        let encoding = Encoding::of(kind, &dict_bits);
-        region
-            .chunks(per_block)
-            .map(|chunk| encode_block(chunk, encoding))
-            .collect()
-    };
-    let mut data_blocks = encode_region(entries, RegionKind::Data);
-    let mut table_blocks = encode_region(&by_id, RegionKind::Table);
     let mut footer = Footer {
-        flags: if dict.is_some() { FLAG_GRADE_DICT } else { 0 },
         block_size,
         num_entries: entries.len() as u64,
-        ones: entries.iter().filter(|e| e.grade == Grade::ONE).count() as u64,
-        data_blocks: data_blocks.len() as u64,
-        table_blocks: table_blocks.len() as u64,
         table_first_ids: by_id
             .chunks(per_block)
             .map(|chunk| chunk[0].object.0)
             .collect(),
-        grade_max_bits: entries
-            .chunks(per_block)
-            .map(|chunk| chunk[0].grade.value().to_bits())
-            .collect(),
-        grade_min_bits: entries
-            .chunks(per_block)
-            .map(|chunk| chunk[chunk.len() - 1].grade.value().to_bits())
-            .collect(),
-        grade_dict: dict_bits.clone(),
+        grade_dict: dict.unwrap_or_default(),
         ..Footer::default()
     };
+    let encode_region = |region: &[GradedEntry], kind: RegionKind| -> Vec<Vec<u8>> {
+        region
+            .chunks(per_block)
+            .enumerate()
+            .map(|(i, chunk)| encode_block(chunk, footer.encoding(kind, i)))
+            .collect()
+    };
+    let mut data_blocks = encode_region(entries, RegionKind::Data);
+    let mut table_blocks = encode_region(&by_id, RegionKind::Table);
     tamper(&mut data_blocks, &mut table_blocks, &mut footer);
     footer.data_checksums = data_blocks.iter().map(|b| checksum(b)).collect();
     footer.table_checksums = table_blocks.iter().map(|b| checksum(b)).collect();
@@ -393,10 +384,25 @@ fn graded(pairs: &[(u64, f64)]) -> Vec<GradedEntry> {
 /// Objects `0..n` graded `(n + i) / 2n`, in data order: distinct grades,
 /// the highest on the largest id.
 fn ladder(n: u64) -> Vec<GradedEntry> {
-    (0..n)
+    ladder_over(&(0..n).collect::<Vec<_>>())
+}
+
+/// Objects `ids` (ascending), the `i`-th graded `(n + i) / 2n`, in data
+/// order: distinct grades, the highest on the largest id.
+fn ladder_over(ids: &[u64]) -> Vec<GradedEntry> {
+    let n = ids.len();
+    ids.iter()
+        .enumerate()
         .rev()
-        .map(|i| GradedEntry::new(i, Grade::new((n + i) as f64 / (2 * n) as f64).unwrap()))
+        .map(|(i, &id)| GradedEntry::new(id, Grade::new((n + i) as f64 / (2 * n) as f64).unwrap()))
         .collect()
+}
+
+/// Seven objects in two table blocks of 64 bytes: the first, `0, 1, 2,
+/// 4`, has a gap (the next fence is 5), so it keeps its id run although
+/// it is not the last block.
+fn gapped() -> Vec<GradedEntry> {
+    ladder_over(&[0, 1, 2, 4, 5, 6, 8])
 }
 
 /// Four entries in one block per region: objects 3, 2, 1, 0 graded 0.875,
@@ -489,10 +495,10 @@ fn duplicate_object_in_table_is_corrupt_block() {
         open(&path),
         Err(StorageError::CorruptBlock { block: 1, .. })
     ));
-    // Across blocks: the first table block (file block 2) runs on to
-    // object 4, where the second one's fence starts it again.
-    let path = forge("dup-across.seg", &ladder(7), None, |_, table, _| {
-        let past_fence = graded(&[(0, 0.5), (1, 8.0 / 14.0), (2, 9.0 / 14.0), (4, 11.0 / 14.0)]);
+    // Across blocks: the first table block (file block 2, gapped) runs on
+    // to object 5, where the second one's fence starts it again.
+    let path = forge("dup-across.seg", &gapped(), None, |_, table, _| {
+        let past_fence = graded(&[(0, 0.5), (1, 8.0 / 14.0), (2, 9.0 / 14.0), (5, 11.0 / 14.0)]);
         table[0] = encode_block(&past_fence, Encoding::Column(&[]));
     });
     match open(&path) {
@@ -501,22 +507,6 @@ fn duplicate_object_in_table_is_corrupt_block() {
         }
         other => panic!("{:?}", other.err()),
     }
-}
-
-#[test]
-fn lying_match_count_is_footer_corrupt() {
-    let path = forge("lying-ones.seg", &forge_entries(), None, |_, _, f| {
-        f.ones += 1
-    });
-    assert_footer_lie_caught(&path);
-}
-
-#[test]
-fn lying_crisp_flag_is_footer_corrupt() {
-    let path = forge("lying-crisp.seg", &forge_entries(), None, |_, _, f| {
-        f.flags ^= FLAG_CRISP
-    });
-    assert_footer_lie_caught(&path);
 }
 
 #[test]
@@ -558,19 +548,13 @@ fn forged_huge_block_size_is_a_typed_error() {
     // hardening this overflowed the region arithmetic (panic in debug,
     // wrap + multi-EiB allocation in release). It must be a typed error.
     let footer = Footer {
-        flags: 0,
         block_size: 1usize << 62,
         num_entries: 1,
-        ones: 0,
-        data_blocks: 1,
-        table_blocks: 1,
         data_checksums: vec![0],
         table_checksums: vec![0],
         table_first_ids: vec![0],
         data_block_lens: vec![1 << 62],
         table_block_lens: vec![1 << 62],
-        grade_max_bits: vec![0],
-        grade_min_bits: vec![0],
         grade_dict: vec![],
     };
     let path = seal("huge-block.seg", &[], &footer.encode());
@@ -599,30 +583,29 @@ fn reseal(path: &PathBuf, footer: &[u8]) {
 #[test]
 fn every_footer_check_is_a_typed_error_at_open() {
     type Lie = (&'static str, fn(&mut Footer));
-    let lies: [Lie; 15] = [
+    let lies: [Lie; 10] = [
         ("invalid block size", |f| f.block_size = 100),
         ("exceeds the", |f| {
             f.grade_dict = (0..=GRADE_DICT_MAX as u64).collect()
         }),
-        ("block counts overflow", |f| f.data_blocks = u64::MAX),
-        ("disagrees with block counts", |f| f.table_first_ids.push(9)),
-        ("blocks per region", |f| f.num_entries += 8),
-        ("not strictly ascending", |f| f.table_first_ids.swap(0, 1)),
+        // One block per entry, five lists of them: past `u64`.
+        ("block counts overflow", |f| {
+            f.block_size = ENTRY_LEN;
+            f.num_entries = u64::MAX;
+        }),
+        ("7 entries in 2 blocks per region", |f| {
+            f.table_first_ids.push(9)
+        }),
+        ("15 entries in 4 blocks per region", |f| f.num_entries += 8),
+        ("fence ids not strictly ascending", |f| {
+            f.table_first_ids.swap(0, 1)
+        }),
         ("block length 0 out of range", |f| f.data_block_lens[0] = 0),
         ("blocks end at", |f| f.table_block_lens[1] += 1),
-        ("fence out of [0, 1]", |f| {
-            f.grade_min_bits[1] = 2f64.to_bits()
-        }),
-        ("fence inverted", |f| f.grade_max_bits[1] = 0),
-        ("violate descending order", |f| {
-            f.grade_max_bits[1] = 1f64.to_bits()
-        }),
-        ("dictionary flag", |f| f.flags ^= FLAG_GRADE_DICT),
         ("dictionary not strictly ascending", |f| {
             f.grade_dict.swap(0, 1)
         }),
         ("outside [0, 1]", |f| f.grade_dict[6] = 2f64.to_bits()),
-        ("disagrees with the block", |f| f.grade_min_bits[1] = 0),
     ];
     let entries = ladder(7);
     for (what, lie) in lies {
@@ -661,8 +644,13 @@ fn oversized_block_size_is_rejected_writer_side() {
 
 #[test]
 fn untampered_v2_forgery_opens() {
-    // The forge itself must be sound, or the negative tests prove nothing.
-    for (name, entries) in [("ok.seg", forge_entries()), ("ok-7.seg", ladder(7))] {
+    // The forge itself must be sound, or the negative tests prove nothing:
+    // one block, a dense first block, a gapped first block.
+    for (name, entries) in [
+        ("ok.seg", forge_entries()),
+        ("ok-7.seg", ladder(7)),
+        ("ok-gapped.seg", gapped()),
+    ] {
         let path = forge(name, &entries, None, |_, _, _| {});
         open(&path).unwrap();
         let dict = Some(dict_of(&entries));
@@ -713,58 +701,152 @@ fn dictionary_index_out_of_range_is_corrupt_block() {
     ));
 }
 
+/// The table blocks that keep an id run: the last block of a one-block
+/// segment (file block 1), and a gapped block that is not the last (file
+/// block 2), each with its index in the table region.
+fn id_run_blocks() -> [(Vec<GradedEntry>, usize, u64); 2] {
+    [(forge_entries(), 0, 1), (gapped(), 0, 2)]
+}
+
 /// A table block is its id run followed by its grade column, the column
 /// being the block's last `count × width` bytes. A block that lost bytes
 /// from its end leaves a column too short to leave the id run whole, or
 /// too short to be a column at all: each is a typed error at open, with
-/// and without a dictionary.
+/// and without a dictionary, in a last block and in a gapped one.
 #[test]
 fn short_v4_grade_column_is_corrupt_block() {
-    for dict in [None, Some(forge_dict())] {
-        for keep in [|len: usize| len - 1, |_: usize| 3] {
-            let path = forge(
-                "short-column.seg",
-                &forge_entries(),
-                dict.clone(),
-                |_, table, _| {
-                    let len = keep(table[0].len());
-                    table[0].truncate(len);
-                },
-            );
-            assert!(
-                matches!(
-                    open(&path),
-                    Err(StorageError::CorruptBlock { block: 1, .. })
-                ),
-                "dict {}: {:?}",
-                dict.is_some(),
-                open(&path).err()
-            );
+    for (entries, index, file_block) in id_run_blocks() {
+        for dict in [None, Some(dict_of(&entries))] {
+            for keep in [|len: usize| len - 1, |_: usize| 3] {
+                let path = forge("short-column.seg", &entries, dict.clone(), |_, table, _| {
+                    let len = keep(table[index].len());
+                    table[index].truncate(len);
+                });
+                let result = open(&path);
+                assert!(
+                    matches!(result, Err(StorageError::CorruptBlock { block, .. }) if block == file_block),
+                    "block {file_block} dict {}: {:?}",
+                    dict.is_some(),
+                    result.err()
+                );
+            }
         }
     }
 }
 
 /// An id varint that runs on into the grade column (its continuation bit
-/// set) is a truncated id run, not a grade read as an id.
+/// set) is a truncated id run, not a grade read as an id — in a last block
+/// and in a gapped one.
 #[test]
 fn v4_id_run_into_the_grade_column_is_corrupt_block() {
-    for dict in [None, Some(forge_dict())] {
-        let width = cell_width(dict.as_ref().map_or(0, Vec::len));
-        let cells = forge_entries().len() * width;
-        let path = forge(
-            "id-run.seg",
-            &forge_entries(),
-            dict.clone(),
-            |_, table, _| {
-                let ids_end = table[0].len() - cells;
-                table[0][ids_end - 1] |= 0x80;
-            },
-        );
-        match open(&path) {
-            Err(StorageError::CorruptBlock { block: 1, detail }) => {
-                assert!(detail.contains("id varint truncated"), "{detail}");
+    for (entries, index, file_block) in id_run_blocks() {
+        for dict in [None, Some(dict_of(&entries))] {
+            let width = cell_width(dict.as_ref().map_or(0, Vec::len));
+            let path = forge("id-run.seg", &entries, dict.clone(), |_, table, _| {
+                let ids_end = table[index].len() - 4 * width;
+                table[index][ids_end - 1] |= 0x80;
+            });
+            match open(&path) {
+                Err(StorageError::CorruptBlock { block, detail }) if block == file_block => {
+                    assert!(detail.contains("id varint truncated"), "{detail}");
+                }
+                other => panic!(
+                    "block {file_block} dict {}: {:?}",
+                    dict.is_some(),
+                    other.err()
+                ),
             }
-            other => panic!("dict {}: {:?}", dict.is_some(), other.err()),
+        }
+    }
+}
+
+/// A dense table block that is not the last is its grade column alone,
+/// exactly `count × width` bytes: one byte more or one byte less, its
+/// checksum resealed, is a typed error at open, with and without a
+/// dictionary.
+#[test]
+fn dense_block_one_byte_long_or_short_is_corrupt_block() {
+    let entries = ladder(8);
+    for dict in [None, Some(dict_of(&entries))] {
+        let width = cell_width(dict.as_ref().map_or(0, Vec::len));
+        for (what, tweak) in [
+            (
+                "long",
+                (|block: &mut Vec<u8>| block.push(0)) as fn(&mut Vec<u8>),
+            ),
+            ("short", |block| {
+                block.pop();
+            }),
+            ("long in front", |block| block.insert(0, 0)),
+        ] {
+            let path = forge("dense-length.seg", &entries, dict.clone(), |_, table, _| {
+                assert_eq!(table[0].len(), 4 * width, "block 0 is dense");
+                tweak(&mut table[0]);
+            });
+            let result = open(&path);
+            assert!(
+                matches!(result, Err(StorageError::CorruptBlock { block: 2, .. })),
+                "{what}, dict {}: {:?}",
+                dict.is_some(),
+                result.err()
+            );
+        }
+    }
+}
+
+/// A forged fence id changes which table blocks the reader takes as dense.
+/// A gapped block read as dense — its fence ids forged to a span as long
+/// as its entry count, with and without its bytes rewritten as a grade
+/// column — and a dense block read as gapped are each a typed error at
+/// open, never a panic or a wrong grade.
+#[test]
+fn forged_fences_that_change_a_blocks_shape_are_typed_errors() {
+    let typed = |path: &PathBuf, what: &str| match open(path) {
+        Err(
+            StorageError::CorruptBlock { .. }
+            | StorageError::RegionMismatch
+            | StorageError::FooterCorrupt { .. },
+        ) => {}
+        other => panic!("{what}: {:?}", other.err()),
+    };
+    // `gapped()`'s first block holds 0, 1, 2, 4; a second fence of 4 makes
+    // its span four ids long. Its id run is then bytes in front of a dense
+    // block's column.
+    let path = forge("gapped-as-dense.seg", &gapped(), None, |_, _, f| {
+        f.table_first_ids[1] = 4
+    });
+    match open(&path) {
+        Err(StorageError::CorruptBlock { block: 2, detail }) => {
+            assert!(detail.contains("in front of a dense block"), "{detail}")
+        }
+        other => panic!("gapped as dense: {:?}", other.err()),
+    }
+    // The same lie with the block rewritten as the column alone: its ids
+    // read 0..4, which the next block's fence, the order checks or the
+    // cross-region digest refuse.
+    let path = forge(
+        "gapped-as-dense-column.seg",
+        &gapped(),
+        None,
+        |_, table, f| {
+            f.table_first_ids[1] = 4;
+            let mut by_id = gapped();
+            by_id.sort_by_key(|e| e.object);
+            table[0] = encode_block(&by_id[..4], Encoding::Dense(&[], 0));
+        },
+    );
+    typed(&path, "gapped as dense, column alone");
+    // `ladder(8)`'s first block holds 0..4 and is stored dense; a second
+    // fence of 5 makes it read as gapped, with an id run it does not hold.
+    for dict in [None, Some(dict_of(&ladder(8)))] {
+        let path = forge("dense-as-gapped.seg", &ladder(8), dict, |_, _, f| {
+            f.table_first_ids[1] = 5
+        });
+        match open(&path) {
+            Err(StorageError::CorruptBlock { block: 2, detail }) => {
+                assert!(detail.contains("id varint truncated"), "{detail}")
+            }
+            other => panic!("dense as gapped: {:?}", other.err()),
         }
     }
 }
@@ -789,21 +871,6 @@ fn v4_dictionary_cell_past_the_dictionary_is_corrupt_block() {
         }
         other => panic!("{:?}", other.err()),
     }
-}
-
-#[test]
-fn lying_grade_fence_is_footer_corrupt() {
-    // A fence claiming a higher max, or a lower min, than the block holds.
-    // Both lies are self-consistent footers — only the open-time scan
-    // catches them.
-    let path = forge("fence-max.seg", &forge_entries(), None, |_, _, footer| {
-        footer.grade_max_bits[0] = Grade::new(0.9375).unwrap().value().to_bits();
-    });
-    assert_footer_lie_caught(&path);
-    let path = forge("fence-min.seg", &forge_entries(), None, |_, _, footer| {
-        footer.grade_min_bits[0] = Grade::new(0.25).unwrap().value().to_bits();
-    });
-    assert_footer_lie_caught(&path);
 }
 
 #[test]

@@ -14,7 +14,7 @@ use garlic_agg::Grade;
 use garlic_core::access::{CountingSource, GradedSource, MemorySource, SetAccess};
 use garlic_core::algorithms::fa::fagin_topk;
 use garlic_core::{GradedEntry, ObjectId};
-use garlic_storage::format::{Footer, FLAG_GRADE_DICT, GRADE_DICT_MAX, TRAILER_LEN};
+use garlic_storage::format::{Footer, GRADE_DICT_MAX, TRAILER_LEN};
 use garlic_storage::{BlockCache, SegmentSource, SegmentWriter};
 use proptest::prelude::*;
 
@@ -322,7 +322,10 @@ fn in_dict_mode(path: &PathBuf) -> bool {
     let bytes = std::fs::read(path).unwrap();
     let trailer = bytes.len() - TRAILER_LEN as usize;
     let at = u64::from_le_bytes(bytes[trailer..trailer + 8].try_into().unwrap()) as usize;
-    Footer::parse(&bytes[at..trailer]).unwrap().flags & FLAG_GRADE_DICT != 0
+    !Footer::parse(&bytes[at..trailer])
+        .unwrap()
+        .grade_dict
+        .is_empty()
 }
 
 proptest! {
@@ -462,5 +465,131 @@ proptest! {
             let probe = ObjectId(ids[at % n].saturating_add(shift));
             prop_assert_eq!(seg.random_access(probe), mem.random_access(probe), "{:?}", probe);
         }
+    }
+}
+
+/// Ids for table blocks of `per_block` entries each, block by block: a
+/// dense block `(1, _)` holds consecutive ids and runs on to the next
+/// block's fence, a gapped block `(0, gap)` skips `gap` ids behind its
+/// first. Blocks take their shapes from `shapes` in turn until there are
+/// at least `min_len` ids; then comes `last`, the last block, of `last_len`
+/// ids (at most `per_block`).
+fn shaped_ids(
+    shapes: &[(u8, u64)],
+    last: (u8, u64),
+    per_block: usize,
+    last_len: usize,
+    min_len: usize,
+    start: u64,
+) -> Vec<u64> {
+    let full = shapes.len().max(min_len.div_ceil(per_block));
+    let blocks = shapes.iter().cycle().take(full).map(|&s| (s, per_block));
+    let mut ids = Vec::new();
+    let mut next = start;
+    for ((dense, gap), count) in blocks.chain([(last, last_len)]) {
+        for j in 0..count {
+            ids.push(next);
+            next += 1 + if dense == 0 && j == 0 { gap } else { 0 };
+        }
+    }
+    ids
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// A segment whose table blocks mix dense runs (every block but the
+    /// last stored as its grade column alone) with gapped ones (an id run
+    /// in front of the column), the last block dense or gapped, reads back
+    /// as the `MemorySource` of the same pairs, at every block size and in
+    /// both grade modes: the same stream in `batch`-sized reads, and the
+    /// same answer to every probe — each id, the ids in the gaps, below
+    /// the first fence and past the largest id. The writer stores exactly
+    /// the dense blocks but the last without an id run, and the restart
+    /// index holds restarts for the data blocks and the gapped table
+    /// blocks only.
+    #[test]
+    fn segments_of_mixed_table_block_shapes_answer_like_memory(
+        shapes in proptest::collection::vec((0u8..2, 1u64..4), 1..8),
+        last in (0u8..2, 1u64..4),
+        last_len in 1usize..=256,
+        mode in 0u8..2,
+        start in 0u64..40,
+        block_size in block_size_strategy(),
+        batch in 1usize..40,
+    ) {
+        use garlic_storage::format::{cell_width, Restart, RESTART_INTERVAL};
+
+        let (per_block, delta) = (block_size / 16, mode == 1);
+        let last_len = (last_len - 1) % per_block + 1;
+        // Delta mode takes more distinct grades than a dictionary holds.
+        let min_len = if delta { GRADE_DICT_MAX + 1 } else { 0 };
+        let ids = shaped_ids(&shapes, last, per_block, last_len, min_len, start);
+        let n = ids.len();
+        let pairs: Vec<(ObjectId, Grade)> = ids
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| {
+                let grade = if delta { i as f64 / n as f64 } else { (i * 7 % 9) as f64 / 8.0 };
+                (ObjectId(id), Grade::clamped(grade))
+            })
+            .collect();
+        let path = case_path();
+        SegmentWriter::with_block_size(block_size)
+            .unwrap()
+            .write_pairs(&path, pairs.clone())
+            .unwrap();
+        prop_assert_eq!(in_dict_mode(&path), !delta);
+        let seg = reopen(&path);
+        let mem = MemorySource::from_pairs(pairs);
+
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        while seg.sorted_batch(got.len(), batch, &mut got) > 0 {}
+        while mem.sorted_batch(want.len(), batch, &mut want) > 0 {}
+        prop_assert_eq!(&got, &want, "stream");
+
+        let max = ids[n - 1];
+        let probes: Vec<ObjectId> = (0..=max + 3).chain([u64::MAX - 1, u64::MAX]).map(ObjectId).collect();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        seg.random_batch(&probes, &mut got);
+        mem.random_batch(&probes, &mut want);
+        prop_assert_eq!(&got, &want, "probes");
+        for &probe in probes.iter().step_by(7) {
+            prop_assert_eq!(seg.random_access(probe), mem.random_access(probe), "{:?}", probe);
+        }
+
+        // Which table blocks are dense, from the ids alone.
+        let blocks: Vec<&[u64]> = ids.chunks(per_block).collect();
+        let dense: Vec<bool> = blocks
+            .iter()
+            .enumerate()
+            .map(|(i, block)| {
+                let end = blocks.get(i + 1).map_or(max + 1, |next| next[0]);
+                end - block[0] == block.len() as u64
+            })
+            .collect();
+        let bytes = std::fs::read(&path).unwrap();
+        let trailer = bytes.len() - TRAILER_LEN as usize;
+        let at = u64::from_le_bytes(bytes[trailer..trailer + 8].try_into().unwrap()) as usize;
+        let footer = Footer::parse(&bytes[at..trailer]).unwrap();
+        let width = cell_width(footer.grade_dict.len());
+        for (i, block) in blocks.iter().enumerate() {
+            let column_only = dense[i] && i + 1 < blocks.len();
+            let len = footer.table_block_lens[i] as usize;
+            prop_assert_eq!(len == block.len() * width, column_only, "table block {}", i);
+        }
+        let restarts = |count: usize| (count - 1) / RESTART_INTERVAL;
+        let data: usize = blocks.iter().map(|b| restarts(b.len())).sum();
+        let gapped: usize = blocks
+            .iter()
+            .zip(&dense)
+            .filter(|(_, &dense)| !dense)
+            .map(|(b, _)| restarts(b.len()))
+            .sum();
+        prop_assert_eq!(
+            seg.restart_index_bytes(),
+            (data + gapped) * std::mem::size_of::<Restart>(),
+            "restart index"
+        );
     }
 }

@@ -14,8 +14,7 @@ use garlic_agg::Grade;
 use garlic_core::access::{GradedSource, MemorySource};
 use garlic_core::ObjectId;
 use garlic_storage::format::{
-    fnv1a64, Footer, Restart, FLAG_GRADE_DICT, FORMAT_VERSION, GRADE_DICT_MAX, RESTART_INTERVAL,
-    TRAILER_LEN,
+    fnv1a64, Footer, Restart, FORMAT_VERSION, GRADE_DICT_MAX, RESTART_INTERVAL, TRAILER_LEN,
 };
 use garlic_storage::{BlockCache, SegmentSource, SegmentWriter};
 
@@ -59,7 +58,7 @@ fn write_and_open(
     let trailer = bytes.len() - TRAILER_LEN as usize;
     let at = u64::from_le_bytes(bytes[trailer..trailer + 8].try_into().unwrap()) as usize;
     let footer = Footer::parse(&bytes[at..trailer]).unwrap();
-    let mode = if footer.flags & FLAG_GRADE_DICT != 0 {
+    let mode = if !footer.grade_dict.is_empty() {
         "dict"
     } else {
         "delta"
@@ -191,10 +190,12 @@ fn index_memory_is_bounded_per_entry() {
 /// its distance from the fence: the index holds the data blocks' restarts
 /// alone. A sparse segment (every third id) keeps the table blocks' too,
 /// one per interval as in the data blocks. Its probes answering like
-/// memory is the sweep above.
+/// memory is the sweep above. 10 032 entries leave a last block long
+/// enough for a restart (48 entries at 256 a block, 33 at 33), so the
+/// last block, dense only by the segment's largest id, is covered too.
 #[test]
 fn dense_table_blocks_keep_no_restarts() {
-    let n = 10_000;
+    let n = 10_032;
     for block_size in [4096, 16 * (RESTART_INTERVAL + 1), 16 * RESTART_INTERVAL] {
         let per_block = block_size / 16;
         // Restarts of one region: one per interval past each block's start.
@@ -216,28 +217,39 @@ fn dense_table_blocks_keep_no_restarts() {
 }
 
 /// The index is built in memory at open; the writer knows nothing of it.
-/// The rows were pinned when version 4 came in, and a version-4 file's
-/// data blocks were a version-2 file's byte for byte, as they had been
-/// before restart points existed; its table blocks hold a grade column
-/// (1-byte cells under the 9-grade dictionary, raw 8-byte bits without
-/// one).
+/// The rows were pinned when version 5 came in. Every block of these
+/// files is the version-4 file's byte for byte (its data blocks were a
+/// version-2 file's, as they had been before restart points existed): the
+/// ids are sparse, so every table block keeps its id run in front of its
+/// grade column (1-byte cells under the 9-grade dictionary, raw 8-byte
+/// bits without one). Only the footer shrank, by the 96 bytes of facts
+/// version 5 no longer stores. The third row grades the ids `0..333`
+/// instead: its first three table blocks are dense and store their grade
+/// columns alone, which are the version-4 blocks without their id runs.
 #[test]
 fn the_file_is_byte_identical_with_and_without_the_index() {
-    for (distinct, len, checksum) in [
-        (Some(9), 1_737, 0xcfa2_0500_5ea3_f7aa_u64),
-        (None, 5_189, 0xaedd_206b_3865_2871_u64),
+    for (distinct, dense, len, checksum) in [
+        (Some(9), false, 1_641, 0x3a79_055e_df87_ee71_u64),
+        (None, false, 5_093, 0xeda4_1275_0e01_2364_u64),
+        (Some(9), true, 1_339, 0x0810_b0c5_ea6f_90ec_u64),
     ] {
+        let mut pairs = pairs(333, distinct);
+        if dense {
+            for (i, (object, _)) in pairs.iter_mut().enumerate() {
+                *object = ObjectId(i as u64);
+            }
+        }
         let path = temp_path("golden.seg");
         SegmentWriter::with_block_size(16 * 100)
             .unwrap()
-            .write_pairs(&path, pairs(333, distinct))
+            .write_pairs(&path, pairs)
             .unwrap();
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(bytes[4..8], FORMAT_VERSION.to_le_bytes());
         assert_eq!(
             (bytes.len(), fnv1a64(&bytes)),
             (len, checksum),
-            "distinct grades: {distinct:?}"
+            "distinct grades: {distinct:?}, dense: {dense}"
         );
     }
 }

@@ -9,14 +9,15 @@
 //! thousand concurrent queries over one attribute share one open file and
 //! one cache working set, exactly like the in-memory subsystems.
 //!
-//! Crisp attributes (every grade exactly 0 or 1 — recorded by the segment
-//! writer and re-verified at open) additionally serve set access, making
-//! persistent collections eligible for the Section 4 filtered strategy;
-//! the footer's exact-match count doubles as free planner selectivity.
+//! Crisp attributes (every grade exactly 0 or 1 — learned by the
+//! open-time scan, which reads every grade) additionally serve set access,
+//! making persistent collections eligible for the Section 4 filtered
+//! strategy; the exact-match count the same scan counts doubles as free
+//! planner selectivity.
 //!
 //! Attributes come in two mutabilities. A segment-backed attribute
 //! ([`DiskSubsystem::open_segment`]) is immutable — its statistics are
-//! fixed footer facts. A **live** attribute
+//! fixed at open, when the scan counts them. A **live** attribute
 //! ([`DiskSubsystem::open_live`]) is backed by a writable
 //! [`garlic_storage::LiveSource`] (WAL + memtables + compacted base
 //! segment): queries evaluate to epoch-pinned snapshots, and
@@ -47,8 +48,8 @@ pub const DEFAULT_CACHE_BLOCKS: usize = 1024;
 ///
 /// A **fixed** attribute (a single [`SegmentSource`], or a
 /// [`ShardedSource`] over an id-range partition of shard segments) takes
-/// its statistics from the segment footers, fixed when the files were
-/// written. A **live** attribute takes them, and its answer handles, from
+/// its statistics from its segments' open-time scans, fixed when the files
+/// were opened. A **live** attribute takes them, and its answer handles, from
 /// the current [`LiveSource::snapshot`], so every acknowledged write is
 /// reflected immediately.
 #[derive(Clone)]
@@ -60,7 +61,7 @@ enum DiskAttribute {
 
 impl DiskAttribute {
     /// The segments behind a fixed attribute (none behind a live one), for
-    /// footer statistics, health and telemetry.
+    /// their statistics, health and telemetry.
     fn segments(&self) -> &[SegmentSource] {
         match self {
             DiskAttribute::Segment(segment) => std::slice::from_ref(&**segment),
@@ -287,8 +288,8 @@ impl DiskSubsystem {
     /// a [`SegmentWriter::write_sharded_pairs`] build published. Evaluation
     /// serves the [`ShardedSource`] scatter-gather merge: bit-identical to
     /// a single segment over the same pairs, with `estimate_matches` summed
-    /// from the shard footers and crispness the conjunction of the shard
-    /// flags.
+    /// over the shards' exact-match counts and crispness the conjunction of
+    /// the shards'.
     ///
     /// [`SegmentWriter::write_sharded_pairs`]: garlic_storage::SegmentWriter::write_sharded_pairs
     ///
@@ -369,7 +370,7 @@ impl DiskSubsystem {
     /// Queries against a live attribute evaluate to an epoch-pinned
     /// snapshot, and `estimate_matches`/`is_crisp` read the current
     /// snapshot too, so the planner's Filtered-vs-stream decision tracks
-    /// every acknowledged write instead of a stale footer.
+    /// every acknowledged write instead of a stale base segment's count.
     pub fn open_live(self, attribute: &str, dir: &Path) -> Result<Self, StorageError> {
         let opts = LiveOptions {
             auto_compact: true,
@@ -551,8 +552,8 @@ impl Subsystem for DiskSubsystem {
         Ok(set)
     }
 
-    /// The footer's exact-match count (summed over the shard footers for a
-    /// sharded attribute): free, exact selectivity. A live attribute
+    /// The exact-match count a segment's open-time scan counted (summed
+    /// over the shards for a sharded attribute): free, exact selectivity. A live attribute
     /// reads its current snapshot's count of visible grade-1 objects —
     /// memtable deltas included — so a write can flip the planner's
     /// decision immediately.
@@ -633,7 +634,7 @@ mod tests {
     }
 
     #[test]
-    fn crispness_comes_from_the_footer() {
+    fn crispness_comes_from_the_open_scan() {
         let s = subsystem();
         assert!(!s.is_crisp("A"));
         assert!(s.is_crisp("B"));
@@ -652,7 +653,7 @@ mod tests {
     }
 
     #[test]
-    fn estimates_come_from_the_footer() {
+    fn estimates_come_from_the_open_scan() {
         let s = subsystem();
         assert_eq!(
             s.estimate_matches(&AtomicQuery::new("B", Target::text("t"))),
@@ -783,7 +784,7 @@ mod tests {
             assert_eq!(
                 s.estimate_matches(&AtomicQuery::new("FLAT", Target::text("t"))),
                 s.estimate_matches(&AtomicQuery::new("SHARDED", Target::text("t"))),
-                "footer estimates sum across shards"
+                "estimates sum across shards"
             );
         }
     }
@@ -835,7 +836,7 @@ mod tests {
         live.upsert(ObjectId(4), Grade::ONE).unwrap();
         live.upsert(ObjectId(6), Grade::ZERO).unwrap();
         // The estimate reflects the memtable immediately — no flush, no
-        // reopen, no stale footer.
+        // reopen, no stale base segment.
         assert_eq!(s.estimate_matches(&q), Some(2));
         assert!(s.is_crisp("L"));
         let set = s.evaluate_set(&q).unwrap();

@@ -48,9 +48,10 @@ fn build_segments() -> std::io::Result<()> {
             info.entries, info.blocks_per_region, info.bytes
         );
     }
-    // A crisp attribute — a classical predicate, persisted. Its footer
-    // records crispness and the exact match count, so the reopened store
-    // is immediately eligible for the Section 4 filtered strategy.
+    // A crisp attribute — a classical predicate, persisted. Opening it
+    // reads every grade, so the reopened store knows its crispness and
+    // exact match count and is immediately eligible for the Section 4
+    // filtered strategy.
     let crisp: Vec<Grade> = (0..N)
         .map(|_| Grade::from_bool(rng.gen_bool(0.002)))
         .collect();

@@ -16,7 +16,7 @@ use garlic::middleware::{
     Catalog, Explain, Garlic, GarlicQuery, PlannerOptions, QueryAggregation, QueryRequest,
     QueryResult, Strategy,
 };
-use garlic::storage::format::{Footer, FLAG_GRADE_DICT, TRAILER_LEN};
+use garlic::storage::format::{Footer, TRAILER_LEN};
 use garlic::storage::{LiveOptions, WalOp};
 use garlic::subsys::{DiskSubsystem, Subsystem, Target, VectorSubsystem};
 use garlic::{AccessStats, Aggregation, BlockCache, Grade, ObjectId, SegmentWriter, TopK};
@@ -154,7 +154,7 @@ pub fn segment_mode(path: &Path) -> &'static str {
     let trailer = bytes.len() - TRAILER_LEN as usize;
     let at = u64::from_le_bytes(bytes[trailer..trailer + 8].try_into().unwrap()) as usize;
     let footer = Footer::parse(&bytes[at..trailer]).unwrap();
-    if footer.flags & FLAG_GRADE_DICT != 0 {
+    if !footer.grade_dict.is_empty() {
         "dict"
     } else {
         "delta"
@@ -162,7 +162,7 @@ pub fn segment_mode(path: &Path) -> &'static str {
 }
 
 /// One segment per attribute of `db` under `dir`, read through `cache`.
-/// Every fuzzy attribute's footer must record `mode` (the crisp `K` has
+/// Every fuzzy attribute's segment must be in `mode` (the crisp `K` has
 /// two distinct grades, so it is always in dictionary mode).
 pub fn segments(db: &Db, dir: &Path, mode: &str, cache: Arc<BlockCache>) -> Arc<dyn Subsystem> {
     let writer = SegmentWriter::with_block_size(BLOCK_SIZE).unwrap();
