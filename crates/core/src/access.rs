@@ -8,9 +8,10 @@
 //! * **Random access** — "Garlic could ask the subsystem the grade (with
 //!   respect to a query) of any given object".
 //!
-//! [`GradedSource`] captures that contract. [`CountingSource`] wraps any
-//! source and meters both access kinds, producing the [`AccessStats`] the
-//! Section 5 cost model is defined over. [`SetAccess`] is the extra
+//! [`GradedSource`] captures that contract. The engine session bills the
+//! [`AccessStats`] the Section 5 cost model is defined over;
+//! [`CountingSource`] wraps any source and meters both access kinds on
+//! their own, the independent check of that bill. [`SetAccess`] is the extra
 //! capability crisp relational subsystems have — enumerating the exact-match
 //! set — which enables the "Beatles" filtered strategy of Section 4.
 //!
@@ -64,10 +65,13 @@
 //!   `start` resumes the stream there, which is what makes paging sessions
 //!   ("continue where we left off", Section 4) restartable across batches
 //!   and across process boundaries.
-//! * **Metering.** [`CountingSource`] bills each *entry* obtained, not each
-//!   call: a batch of 50 entries counts as 50 sorted accesses — exactly the
-//!   Section 5 sorted-access cost `S` — while updating its counter once per
-//!   batch.
+//! * **Metering.** The Section 5 sorted-access cost `S` counts *entries*,
+//!   not calls: a batch of 50 entries is 50 sorted accesses. The query path
+//!   has one meter, the engine session, which bills each entry when it
+//!   folds it ([`crate::algorithms::engine`]). [`CountingSource`] bills
+//!   each entry a source returns, updating its counter once per batch; the
+//!   tests and the paper ledger wrap lists in it as an independent meter
+//!   of the session's bill.
 //!
 //! Random access is batched the same way:
 //! [`GradedSource::try_random_batch`] answers many probes in one call,

@@ -54,12 +54,20 @@
 //!
 //! Batching is an access-plan optimisation, not a semantic change: the
 //! engine consumes *exactly* the entries the paper's positional round-robin
-//! loop would, in the same interleaved order, so measured
-//! [`AccessStats`](crate::cost::AccessStats) are identical entry-for-entry
-//! to the seed positional implementations (property-tested in
-//! `tests/engine_equivalence.rs`). The trick is a pair of lower bounds on
-//! the stop depth `T` of the "wait until k matches" phase, which let the
-//! engine pull large batches without overshooting:
+//! loop would, in the same interleaved order. It is also the meter: the
+//! engine keeps one [`AccessStats`] per source and bills a sorted access
+//! for each entry it folds into the bookkeeping, a random access for each
+//! probe a source answers with a grade (a miss, an object the source does
+//! not hold, bills nothing), and `|S|` sorted accesses on the crisp list
+//! when the filtered rule takes its match set `S`.
+//! [`EngineSession::per_source_stats`] and [`EngineSession::stats`] read
+//! that bill. It is identical entry-for-entry to the seed positional
+//! implementations (property-tested in `tests/engine_equivalence.rs`), and,
+//! barring a failed round (see Failures), to what an independent
+//! [`CountingSource`](crate::access::CountingSource) around each list
+//! counts. The trick that keeps the batches large is a pair of lower
+//! bounds on the stop depth `T` of the "wait until k matches" phase, which
+//! let the engine pull large batches without overshooting:
 //!
 //! * the matched set at depth `T` is contained in every prefix `X^i_T`, so
 //!   `T ≥ k` always;
@@ -71,8 +79,9 @@
 //! Within the region these bounds cover, batches are as large as the bound
 //! allows; past it the engine degrades gracefully to single-level rounds,
 //! never reading an entry the positional algorithm would not. The
-//! random-access phase likewise bills one access per `(object, list)` pair
-//! whether completed one by one or via [`GradedSource::try_random_batch`].
+//! random-access phase likewise bills one access per answered
+//! `(object, list)` pair whether completed one by one or via
+//! [`GradedSource::try_random_batch`].
 //!
 //! # Sessions
 //!
@@ -169,13 +178,16 @@
 //! batches its lists did return, so the retry reads only the lists that
 //! failed; a random round keeps every grade it learned, so the retry
 //! probes only what is still missing. Retrying a page with the same `k`
-//! bills no access twice.
+//! bills no access twice. Entries a sorted round fetched but did not fold
+//! are not billed: a retry with a smaller `k` can end its page before
+//! folding them, and they are billed by the round that folds them.
 
 use std::collections::BinaryHeap;
 
 use garlic_agg::{Aggregation, Grade};
 
 use crate::access::{GradedSource, SetAccess, SourceError};
+use crate::cost::AccessStats;
 use crate::fx::FxHashMap;
 use crate::graded_set::GradedEntry;
 use crate::object::ObjectId;
@@ -437,13 +449,11 @@ pub struct EngineProfile {
     /// Batched cursor reads issued by the sorted phase (one per list per
     /// fetch round; a retried round re-issues only the failed ones).
     pub sorted_batches: u64,
-    /// Entries folded in by the sorted phase across all lists.
-    pub sorted_entries: u64,
     /// `random_batch` calls issued by completion (one per list that was
     /// missing grades, per completion round).
     pub random_batches: u64,
-    /// Object probes carried by those calls (= random accesses billed by
-    /// the completion path).
+    /// Object probes carried by those calls, misses included (the
+    /// random accesses billed are the hits among them).
     pub random_probes: u64,
 }
 
@@ -488,6 +498,10 @@ pub(crate) struct Engine<S> {
     deadline: Option<std::time::Instant>,
     /// Phase timings and batch counts (see [`EngineProfile`]).
     profile: EngineProfile,
+    /// The Section 5 bill per source: entries folded, probes answered
+    /// with a grade, and the filtered rule's match set (see the module
+    /// docs).
+    bills: Vec<AccessStats>,
 }
 
 impl<S: GradedSource> Engine<S> {
@@ -518,6 +532,7 @@ impl<S: GradedSource> Engine<S> {
             probe_grades: Vec::new(),
             deadline: None,
             profile: EngineProfile::default(),
+            bills: vec![AccessStats::ZERO; m],
         }
     }
 
@@ -606,8 +621,9 @@ impl<S: GradedSource> Engine<S> {
     /// failed fetch leaves the bookkeeping untouched at the pre-round depth.
     /// The lists that did answer keep their entries in `scratch`, and the
     /// retry reads only what a list is still missing: no entry is billed
-    /// twice. (Entries kept past a retry's smaller `levels` are folded by
-    /// the next round.)
+    /// twice. (Entries kept past a retry's smaller `levels` are folded,
+    /// and billed, by the next round.) Each list is billed the `levels`
+    /// entries it folds.
     fn pull_levels(&mut self, levels: usize) -> Result<(), TopKError> {
         debug_assert!(self.depth + levels <= self.n);
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -647,11 +663,11 @@ impl<S: GradedSource> Engine<S> {
                 }
             }
         }
-        for (last, buf) in self.last.iter_mut().zip(&mut scratch) {
+        for ((last, buf), bill) in self.last.iter_mut().zip(&mut scratch).zip(&mut self.bills) {
             *last = buf[levels - 1].grade;
             buf.drain(..levels);
+            bill.sorted += levels as u64;
         }
-        self.profile.sorted_entries += (levels * scratch.len()) as u64;
         self.depth += levels;
         self.scratch = scratch;
         Ok(())
@@ -664,8 +680,9 @@ impl<S: GradedSource> Engine<S> {
     /// Completion is batched per list through
     /// [`GradedSource::try_random_batch`]: one call per list carrying every
     /// object that list is missing, so block-backed sources decode each
-    /// block once. Exactly one random access per missing `(object, list)`
-    /// pair is billed — the same count the per-object loop would produce.
+    /// block once. One random access per missing `(object, list)` pair the
+    /// source grades is billed — the same count the per-object loop would
+    /// produce.
     pub(crate) fn complete_grades(
         &mut self,
         objects: impl IntoIterator<Item = ObjectId>,
@@ -713,6 +730,7 @@ impl<S: GradedSource> Engine<S> {
                 probes,
                 probe_grades,
                 profile,
+                bills,
                 ..
             } = self;
             let source = &sources[i];
@@ -737,10 +755,10 @@ impl<S: GradedSource> Engine<S> {
             for (&slot, grade) in probe_slots.iter().zip(probe_grades.iter()) {
                 // The paper's model grades every object in every list
                 // (possibly zero); a miss — e.g. a degraded sharded source
-                // that lost the object's shard — is graded zero rather than
-                // poisoning the whole query.
-                let grade = grade.unwrap_or(Grade::ZERO);
-                slab.set_grade(slot, i, grade);
+                // that lost the object's shard — bills nothing and is graded
+                // zero rather than poisoning the whole query.
+                bills[i].random += u64::from(grade.is_some());
+                slab.set_grade(slot, i, grade.unwrap_or(Grade::ZERO));
             }
         }
         Ok(())
@@ -1225,6 +1243,18 @@ where
         self.engine.profile
     }
 
+    /// The Section 5 bill of every page so far, per source in source order:
+    /// the entries the session folded, the probes answered with a grade,
+    /// and the filtered rule's match set (see the module docs).
+    pub fn per_source_stats(&self) -> &[AccessStats] {
+        &self.engine.bills
+    }
+
+    /// The Section 5 bill of every page so far, summed over the sources.
+    pub fn stats(&self) -> AccessStats {
+        self.engine.bills.iter().copied().sum()
+    }
+
     /// The session's sources.
     pub fn sources(&self) -> &[S] {
         &self.engine.sources
@@ -1283,6 +1313,7 @@ where
                     engine.check_deadline()?;
                     let matches =
                         matching_set(&engine.sources[*crisp]).map_err(TopKError::SourceFailed)?;
+                    engine.bills[*crisp].sorted += matches.len() as u64;
                     for object in matches {
                         let slot = engine.slab.slot(object);
                         engine.slab.set_grade(slot, *crisp, Grade::ONE);
@@ -1492,7 +1523,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::{counted, total_stats, MemorySource};
+    use crate::access::{counted, total_stats, CountingSource, MemorySource};
     use garlic_agg::iterated::{max_agg, min_agg, IteratedTNorm};
     use std::collections::HashSet;
 
@@ -1856,12 +1887,97 @@ mod tests {
         session.next_batch(10).unwrap();
         let profile = session.profile();
         // m·⌈N/4096⌉ batches of the one schedule, m·N entries.
-        assert_eq!(
-            (profile.sorted_batches, profile.sorted_entries),
-            (9, 30_000)
-        );
+        assert_eq!(profile.sorted_batches, 9);
+        assert_eq!(session.stats(), crate::AccessStats::new(30_000, 0));
         assert_eq!((profile.random_batches, profile.random_probes), (0, 0));
         assert_eq!((session.depth(), session.graded()), (n, n));
+    }
+
+    /// A list whose next sorted read fails while `fail` is set.
+    struct FailsOnce {
+        inner: MemorySource,
+        fail: std::sync::atomic::AtomicBool,
+    }
+
+    impl GradedSource for FailsOnce {
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+
+        fn try_sorted_batch(
+            &self,
+            start: usize,
+            count: usize,
+            out: &mut Vec<GradedEntry>,
+        ) -> Result<usize, SourceError> {
+            if self.fail.swap(false, std::sync::atomic::Ordering::Relaxed) {
+                return Err(SourceError {
+                    source: "fails once".into(),
+                    detail: "injected".into(),
+                    quarantined: false,
+                });
+            }
+            self.inner.try_sorted_batch(start, count, out)
+        }
+
+        fn try_random_batch(
+            &self,
+            objects: &[ObjectId],
+            out: &mut Vec<Option<Grade>>,
+        ) -> Result<(), SourceError> {
+            self.inner.try_random_batch(objects, out)
+        }
+    }
+
+    #[test]
+    fn a_retry_with_a_smaller_k_bills_what_it_folds_not_what_was_fetched() {
+        // A page of k = 4 opens with a 4-level round: list 0 answers and
+        // list 1 fails, so list 0's 4 entries wait in `scratch`, unfolded
+        // and unbilled. The retry asks k = 1, whose rounds fold one level
+        // at a time and stop at depth 3 (the hand example), leaving list
+        // 0's rank-3 entry fetched but unfolded. A meter around each list
+        // bills it on fetch; the session bills it on the page that folds it.
+        let [first, second]: [MemorySource; 2] = sources().try_into().unwrap();
+        let lists = counted(vec![
+            FailsOnce {
+                inner: first,
+                fail: false.into(),
+            },
+            FailsOnce {
+                inner: second,
+                fail: true.into(),
+            },
+        ]);
+        let mut session = EngineSession::new(lists, min_agg()).unwrap();
+        let fetched = |session: &EngineSession<CountingSource<FailsOnce>, _>| {
+            let stats = session.sources().iter().map(CountingSource::stats);
+            stats.collect::<Vec<_>>()
+        };
+        let bill = |sorted: [u64; 2], random: [u64; 2]| {
+            vec![
+                crate::AccessStats::new(sorted[0], random[0]),
+                crate::AccessStats::new(sorted[1], random[1]),
+            ]
+        };
+        assert!(matches!(
+            session.next_batch(4),
+            Err(TopKError::SourceFailed(_))
+        ));
+        assert_eq!(session.stats(), crate::AccessStats::ZERO);
+        assert_eq!(fetched(&session), bill([4, 0], [0, 0]));
+
+        // Depth 3 folded: 3 entries per list, and objects 0 and 3 each
+        // completed by one probe of the list that had not shown them.
+        session.next_batch(1).unwrap();
+        assert_eq!(session.depth(), 3);
+        assert_eq!(session.per_source_stats(), bill([3, 3], [1, 1]));
+        assert_eq!(session.stats().sorted, 2 * session.depth() as u64);
+        assert_eq!(fetched(&session), bill([4, 3], [1, 1]));
+
+        // The next round folds the waiting entry, and the two agree again.
+        session.next_batch(2).unwrap();
+        assert_eq!(session.depth(), 4);
+        assert_eq!(session.per_source_stats(), fetched(&session));
     }
 
     /// The cumulative k-th score as of the last non-empty page.

@@ -18,11 +18,13 @@
 //! bookkeeping, and random-access completion, built on the batched access
 //! core of [`crate::access`]. Algorithms speak to subsystems exclusively
 //! through [`crate::access::GradedSource`] (sorted + random access, plus
-//! the crisp list's match set), so wrapping
-//! the sources in [`CountingSource`](crate::access::CountingSource)
-//! measures exactly the middleware cost of Section 5 — batched streaming
-//! included (the engine consumes entry-for-entry what the positional loop
-//! would; see [`engine`]), and a failing source is a typed
+//! the crisp list's match set). A session bills the middleware cost of
+//! Section 5 itself, per source, as it folds entries and probes grades —
+//! batched streaming included (the engine consumes entry-for-entry what
+//! the positional loop would; see [`engine`]); wrapping the sources in
+//! [`CountingSource`](crate::access::CountingSource) measures the same
+//! bill independently, which is how the one-shot entry points here are
+//! metered. A failing source is a typed
 //! [`TopKError::SourceFailed`](crate::topk::TopKError::SourceFailed) from
 //! every entry point.
 //!

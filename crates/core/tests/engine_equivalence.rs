@@ -213,6 +213,24 @@ fn counted_of(db: &[Vec<Grade>]) -> Vec<CountingSource<MemorySource>> {
     counted(sources_of(db))
 }
 
+/// The session's own bill, after checking it source by source against the
+/// independent meter around each list.
+fn billed<S: GradedSource, A: Aggregation>(
+    session: &EngineSession<CountingSource<S>, A>,
+) -> AccessStats {
+    let metered: Vec<AccessStats> = session
+        .sources()
+        .iter()
+        .map(CountingSource::stats)
+        .collect();
+    assert_eq!(
+        session.per_source_stats(),
+        metered,
+        "the session bills what the lists return"
+    );
+    session.stats()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -301,6 +319,7 @@ proptest! {
             cumulative = target;
 
             prop_assert_eq!(page.entries(), ref_page.entries(), "page at {}", cumulative);
+            billed(&session);
             for (a, b) in session.sources().iter().zip(&ref_sources) {
                 prop_assert_eq!(a.stats(), b.stats(), "stats at {}", cumulative);
             }
@@ -387,6 +406,7 @@ proptest! {
             collected.extend(chunk.grades());
         }
         let stats = total_stats(&sources);
+        prop_assert_eq!(session.stats(), stats);
         prop_assert_eq!(collected.len(), n);
         prop_assert_eq!(stats.sorted, (m * n) as u64);
 
@@ -571,7 +591,7 @@ fn page_through<S: GradedSource, A: Aggregation>(
         .iter()
         .map(|&k| session.next_batch(k).unwrap())
         .collect();
-    (got, total_stats(session.sources()))
+    (got, billed(&session))
 }
 
 proptest! {
@@ -604,7 +624,7 @@ proptest! {
                 }
                 paged.extend_from_slice(page.entries());
             }
-            let engine_stats = total_stats(session.sources());
+            let engine_stats = billed(&session);
 
             let ref_sources = lists();
             let ref_top = reference::naive(&ref_sources, &agg, n);
@@ -664,7 +684,7 @@ proptest! {
                 prop_assert_eq!(&grades[..], &truth[..grades.len()], "{}", agg.name());
                 let (_, one) =
                     page_through(EngineSession::new(counted_of(&db), &agg).unwrap(), &[grades.len()]);
-                prop_assert!(total_stats(session.sources()).sorted <= one.sorted, "{}", agg.name());
+                prop_assert!(billed(&session).sorted <= one.sorted, "{}", agg.name());
             }
             prop_assert_eq!(grades.len(), n);
         }
@@ -694,8 +714,8 @@ fn assert_paged_fa_min(db: &[Vec<Grade>], splits: &[usize]) {
         assert_eq!(&grades[..], &truth[..grades.len()]);
         assert_eq!(session.returned(), grades.len());
 
-        let stats = total_stats(session.sources());
-        let a0_stats = total_stats(a0.sources());
+        let stats = billed(&session);
+        let a0_stats = billed(&a0);
         assert_eq!(stats.sorted, a0_stats.sorted);
         assert!(
             stats.random <= a0_stats.random,
@@ -743,8 +763,8 @@ fn assert_paged_shrunk(db: &[Vec<Grade>], splits: &[usize]) {
         }
         assert_eq!(&grades[..], &truth[..grades.len()]);
 
-        let stats = total_stats(session.sources());
-        let a0_stats = total_stats(a0.sources());
+        let stats = billed(&session);
+        let a0_stats = billed(&a0);
         let oneshot = counted_of(db);
         let run = fagin_shrunk_run(&oneshot, &agg, grades.len()).unwrap();
         assert_eq!(session.depth(), run.stop_depth);

@@ -12,7 +12,8 @@
 //! any source answering a rank, a probe or its match set twice — over the
 //! lists themselves, and over each list sharded into flaky id ranges,
 //! where the merge must retry a failed refill without reading a rank
-//! twice.
+//! twice — and, after every page it answers, with the session's own
+//! per-source bill equal to an independent meter around each list.
 
 use std::ops::RangeInclusive;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -23,7 +24,9 @@ use garlic_agg::iterated::{min_agg, IteratedTNorm};
 use garlic_agg::means::ArithmeticMean;
 use garlic_agg::tnorms::Minimum;
 use garlic_agg::{Aggregation, Grade};
-use garlic_core::access::{GradedSource, MemorySource, SetAccess, SourceError};
+use garlic_core::access::{
+    counted, CountingSource, GradedSource, MemorySource, SetAccess, SourceError,
+};
 use garlic_core::algorithms::b0_max::b0_max_topk;
 use garlic_core::algorithms::fa::{fagin_run, fagin_shrunk_run, fagin_topk};
 use garlic_core::algorithms::fa_min::{fagin_min_run, fagin_min_topk};
@@ -238,8 +241,8 @@ fn every_entry_point_returns_source_failed_and_never_panics() {
     }
 }
 
-type Session<'a> = EngineSession<&'a dyn SetAccess, Box<dyn Aggregation>>;
-type Open = fn(Vec<&dyn SetAccess>) -> Result<Session<'_>, TopKError>;
+type Session<'a> = EngineSession<CountingSource<&'a dyn SetAccess>, Box<dyn Aggregation>>;
+type Open = fn(Vec<CountingSource<&dyn SetAccess>>) -> Result<Session<'_>, TopKError>;
 
 /// The three lists a session runs over, on flaky sources sharing one read
 /// counter.
@@ -311,7 +314,8 @@ fn sessions() -> [(&'static str, Open); 7] {
 }
 
 /// Pages of 2, 3 and the rest, each asked for again after a source
-/// failure until it is answered.
+/// failure until it is answered; once it is, the session's per-source bill
+/// is what the meter around each list counted.
 fn retried_pages(session: &mut Session<'_>) -> Vec<GradedEntry> {
     let mut entries = Vec::new();
     for k in [2, 3, 8] {
@@ -322,6 +326,12 @@ fn retried_pages(session: &mut Session<'_>) -> Vec<GradedEntry> {
                 Err(e) => panic!("untyped failure: {e}"),
             }
         };
+        let metered: Vec<_> = session
+            .sources()
+            .iter()
+            .map(CountingSource::stats)
+            .collect();
+        assert_eq!(session.per_source_stats(), metered, "page of {k}");
         entries.extend(page.into_entries());
     }
     entries
@@ -333,11 +343,11 @@ fn every_session_retried_after_a_failure_bills_nothing_twice() {
         for (name, open) in sessions() {
             let name = format!("{name}{}", if sharded { " (sharded)" } else { "" });
             let (healthy, reads) = Lists::new(sharded, usize::MAX..=usize::MAX);
-            let answer = retried_pages(&mut open(healthy.sources()).unwrap());
+            let answer = retried_pages(&mut open(counted(healthy.sources())).unwrap());
             let total = reads.load(Ordering::Relaxed);
             for fail_at in 1..=total {
                 let (lists, _) = Lists::new(sharded, fail_at..=fail_at);
-                let entries = retried_pages(&mut open(lists.sources()).unwrap());
+                let entries = retried_pages(&mut open(counted(lists.sources())).unwrap());
                 assert_eq!(entries, answer, "{name} with read {fail_at} failing");
                 for (i, source) in lists.flaky().iter().enumerate() {
                     let mut served = source.served.lock().unwrap().clone();

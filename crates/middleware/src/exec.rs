@@ -4,8 +4,8 @@
 //! many answers, and optionally a deadline, an execution trace and
 //! Fagin–Wimmers weights on the conjuncts; the options compose freely.
 //! [`Garlic::run`] answers it with a [`QueryResult`]: the ranked page, its
-//! measured Section 5 middleware cost (every source is read through a
-//! counting wrapper), the plan, and — when the request asked for a trace —
+//! measured Section 5 middleware cost (the engine session's bill of what it
+//! folded and probed), the plan, and — when the request asked for a trace —
 //! what only a traced run adds ([`Explain`]). [`Garlic::top_k`] is the
 //! shorthand for the plain request.
 //!
@@ -30,7 +30,6 @@ use std::time::Instant;
 use garlic_agg::iterated::min_agg;
 use garlic_agg::weighted::FaginWimmers;
 use garlic_agg::{Aggregation, Grade};
-use garlic_core::access::{total_stats, CountingSource};
 use garlic_core::algorithms::engine::{EngineProfile, EngineSession, SortedStop};
 use garlic_core::complement::ComplementSource;
 use garlic_core::{
@@ -43,9 +42,6 @@ use crate::catalog::Catalog;
 use crate::error::MiddlewareError;
 use crate::plan::{plan, Plan, PlannerOptions, Strategy};
 use crate::query::{GarlicQuery, QueryAggregation};
-
-/// A subsystem answer behind the Section 5 metering wrapper.
-type Counted = CountingSource<Answer>;
 
 /// The aggregation a session carries: thread-safe so the session is.
 type SessionAgg = Box<dyn Aggregation + Send + Sync>;
@@ -192,14 +188,14 @@ pub struct QueryResult {
 /// What only a traced run adds to its [`QueryResult`]: the per-source
 /// split of the bill and the per-query execution trace.
 ///
-/// The trace's `source[i]` spans are rendered from the same
-/// [`CountingSource`] totals `stats` sums over — the per-source counts in
+/// The trace's `source[i]` spans are rendered from the same per-source
+/// bill of the engine session that `stats` sums — the per-source counts in
 /// the trace are **bit-equal to the billed totals by construction**, not
 /// re-derived estimates (pinned by the `explain_equivalence` suite).
 #[derive(Debug, Clone)]
 pub struct Explain {
-    /// Per-source `(label, cost)` pairs, in source order — the exact
-    /// [`CountingSource`] totals, summing to [`QueryResult::stats`].
+    /// Per-source `(label, cost)` pairs, in source order — the session's
+    /// per-source bill, summing to [`QueryResult::stats`].
     pub per_source: Vec<(String, AccessStats)>,
     /// The execution trace (plan decision, engine phases, per-source
     /// costs, storage counter deltas when telemetry is attached).
@@ -284,9 +280,9 @@ impl Garlic {
     ///
     /// With [`QueryRequest::trace`] set the result also carries the
     /// per-query trace — the plan decision, engine phase timings,
-    /// per-source Section 5 access counts (bit-equal to the billed
-    /// [`CountingSource`] totals), and, when telemetry is attached, the
-    /// storage counter deltas the query caused.
+    /// per-source Section 5 access counts (the session's per-source bill,
+    /// bit-equal to [`QueryResult::stats`] summed), and, when telemetry is
+    /// attached, the storage counter deltas the query caused.
     pub fn run(&self, request: &QueryRequest<'_>) -> Result<QueryResult, MiddlewareError> {
         let timer = self.telemetry.as_ref().map(|_| SpanTimer::start());
         // A traced request also times its two phases.
@@ -367,7 +363,6 @@ impl Garlic {
         engine.add_field("sorted_ns", profile.sorted_ns);
         engine.add_field("random_ns", profile.random_ns);
         engine.add_field("sorted_batches", profile.sorted_batches);
-        engine.add_field("sorted_entries", profile.sorted_entries);
         engine.add_field("random_batches", profile.random_batches);
         engine.add_field("random_probes", profile.random_probes);
         if !frontier.is_empty() {
@@ -442,14 +437,14 @@ fn plan_span(plan: &Plan, plan_ns: Option<u64>) -> Span {
 }
 
 impl Plan {
-    /// One metered source per list: a complemented one reads its atom's
+    /// One source per list: a complemented one reads its atom's
     /// list in reverse with complemented grades (the Section 7
     /// observation), and the filtered strategy's crisp list keeps its set
     /// access. Each distinct atom is evaluated once, in first-occurrence
     /// order, and its literals share that one answer: a live attribute
     /// answers each evaluation from its current snapshot, so `Q` and `¬Q`
     /// read from two evaluations could grade two different states.
-    fn sources(&self, catalog: &Catalog) -> Result<Vec<Counted>, MiddlewareError> {
+    fn sources(&self, catalog: &Catalog) -> Result<Vec<Answer>, MiddlewareError> {
         let lists = self.lists();
         let crisp_atom = match self.strategy {
             Strategy::Filtered { crisp_index } => Some(lists[crisp_index].0),
@@ -471,19 +466,19 @@ impl Plan {
                     answer
                 }
             };
-            sources.push(CountingSource::new(if negated {
+            sources.push(if negated {
                 Answer::Graded(Arc::new(ComplementSource::new(answer.graded())))
             } else {
                 answer
-            }));
+            });
         }
         Ok(sources)
     }
 
     /// Opens the plan's resumable session (see [`QuerySession`]) with the
     /// request's deadline armed: asks the subsystems for their answer
-    /// handles and wraps them in meters, but accesses nothing — every
-    /// strategy does its first access on its first page.
+    /// handles, but accesses nothing — every strategy does its first access
+    /// on its first page.
     fn open_session(
         &self,
         catalog: &Catalog,
@@ -511,7 +506,7 @@ impl Plan {
                 let fused = (catalog.resolve(&atoms[0].attribute)?)
                     .evaluate_internal_conjunction(&atoms)
                     .map_err(MiddlewareError::Subsystem)?;
-                EngineSession::max(vec![CountingSource::new(Answer::Graded(fused))])?
+                EngineSession::max(vec![Answer::Graded(fused)])?
             }
             &Strategy::Filtered { crisp_index } => EngineSession::filtered(
                 self.sources(catalog)?,
@@ -551,13 +546,15 @@ impl Plan {
 ///
 /// The crisp list is one of the session's sources, so the bill, the
 /// per-source split and the degraded flag cover it like every other list.
+/// The session bills what it folds and probes, per source; no wrapper
+/// stands between it and the subsystem answers.
 ///
 /// A session owns everything it streams from (`Arc` answer handles plus
 /// its own bookkeeping), so it is `'static` and `Send`: open it on one
 /// thread, store it, hand it to another — the server-side "user session"
 /// the paper's multi-user middleware implies.
 pub struct QuerySession {
-    session: EngineSession<Counted, SessionAgg>,
+    session: EngineSession<Answer, SessionAgg>,
 }
 
 /// Engine-phase execution detail surfaced by
@@ -588,13 +585,14 @@ impl QuerySession {
         self.session.returned()
     }
 
-    /// The cumulative middleware cost of every batch so far.
+    /// The cumulative middleware cost of every batch so far: the engine
+    /// session's bill.
     pub fn stats(&self) -> AccessStats {
-        total_stats(self.session.sources())
+        self.session.stats()
     }
 
     /// Per-source `(label, cost)` pairs in source order — read straight
-    /// from the session's [`CountingSource`]s, so they sum to exactly
+    /// from the engine session's per-source bill, so they sum to exactly
     /// [`QuerySession::stats`]. `plan` is the one the session was opened
     /// for; its lists name the sources: attribute names, `¬attr` for
     /// complemented literals, `(crisp)` / `(fused)` markers for the
@@ -608,7 +606,7 @@ impl QuerySession {
             Strategy::Filtered { crisp_index } => labels[crisp_index].push_str(" (crisp)"),
             _ => {}
         }
-        let stats = self.session.sources().iter().map(CountingSource::stats);
+        let stats = self.session.per_source_stats().iter().copied();
         labels.into_iter().zip(stats).collect()
     }
 
@@ -933,7 +931,7 @@ mod tests {
         for &k in pages {
             a0.next_batch(k).unwrap();
         }
-        total_stats(a0.sources())
+        a0.stats()
     }
 
     #[test]

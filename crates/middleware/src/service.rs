@@ -18,13 +18,13 @@
 //!
 //! # Cost accounting under concurrency
 //!
-//! Each query evaluation wraps its own fresh
-//! [`CountingSource`](garlic_core::access::CountingSource)s around the
-//! subsystem answers, so per-query [`AccessStats`](garlic_core::AccessStats)
-//! are computed in isolation: running a batch concurrently reports, for
-//! every query, exactly the Section 5 access counts a sequential run would
-//! (pinned by the `concurrent_service` equivalence suite). Concurrency
-//! changes wall-clock time, never measured cost.
+//! Each query evaluation opens its own engine session over the subsystem
+//! answers, and the session bills what it folds and probes, so per-query
+//! [`AccessStats`](garlic_core::AccessStats) are computed in isolation:
+//! running a batch concurrently reports, for every query, exactly the
+//! Section 5 access counts a sequential run would (pinned by the
+//! `concurrent_service` equivalence suite). Concurrency changes wall-clock
+//! time, never measured cost.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -216,8 +216,8 @@ impl GarlicService {
     ///
     /// Requests are pulled from a shared work queue by up to
     /// `min(threads, batch len)` scoped worker threads, each through the
-    /// one serve path; every evaluation is fully independent (own metered
-    /// sources, own engine state), so results, tie order, and per-query
+    /// one serve path; every evaluation is fully independent (own engine
+    /// session and its bill), so results, tie order, and per-query
     /// access counts are identical to serving the batch sequentially.
     ///
     /// With telemetry attached the batch also keeps the

@@ -34,13 +34,13 @@ fn core_source_types_are_send_sync() {
 #[test]
 fn engine_and_sessions_are_send_sync() {
     // One session type, whatever the rule (A₀, shrunk A₀, A₀′, the scan,
-    // B₀); the aggregation slot used by the middleware is Send + Sync.
-    assert_send_sync::<
-        EngineSession<
-            CountingSource<Arc<dyn GradedSource>>,
-            Box<dyn garlic_agg::Aggregation + Send + Sync>,
-        >,
-    >();
+    // B₀, filtered). The middleware's session runs it over the bare answer
+    // handles, graded or crisp, with no metering wrapper, and the
+    // aggregation slot it uses is Send + Sync.
+    type SessionAgg = Box<dyn garlic_agg::Aggregation + Send + Sync>;
+    assert_send_sync::<EngineSession<Arc<dyn GradedSource>, SessionAgg>>();
+    assert_send_sync::<EngineSession<Arc<dyn SetAccess>, SessionAgg>>();
+    assert_send_sync::<QuerySession>();
 }
 
 #[test]

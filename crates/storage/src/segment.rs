@@ -930,10 +930,9 @@ mod tests {
         );
     }
 
-    /// The default writer writes the one version the reader opens. The
-    /// name is older than version 4.
+    /// The default writer writes the one version the reader opens.
     #[test]
-    fn default_writer_produces_v2_and_reader_reports_it() {
+    fn default_writer_writes_the_version_the_reader_opens() {
         write_and_open("version.seg", &[0.5, 0.25].map(g), 48);
         let bytes = std::fs::read(temp_path("version.seg")).unwrap();
         assert_eq!(bytes[4..8], FORMAT_VERSION.to_le_bytes());

@@ -614,10 +614,9 @@ mod tests {
     }
 
     /// Compressed blocks take at most half the bytes of 16-byte entries
-    /// in full blocks, on a realistic corpus. The name is older than
-    /// version 4.
+    /// in full blocks, on a realistic corpus.
     #[test]
-    fn v2_is_smaller_than_v1_on_quantized_grades() {
+    fn dictionary_blocks_take_at_most_half_of_full_entries() {
         let path = temp_path("quantized.seg");
         // 1000 quantization levels → dictionary mode.
         let grades: Vec<Grade> = (0..5000)

@@ -3,9 +3,9 @@
 //!
 //! The paper's Section 5 cost model prices a query in sorted and random
 //! accesses, and the rest of the workspace already meters those exactly
-//! (`CountingSource`, `CacheStats`, `ShardScanStats`). This crate is the
-//! substrate that makes those numbers *queryable at runtime* instead of
-//! scattered across per-subsystem structs:
+//! (the engine session's bill, `CacheStats`, `ShardScanStats`). This crate
+//! is the substrate that makes those numbers *queryable at runtime* instead
+//! of scattered across per-subsystem structs:
 //!
 //! - [`Telemetry`] — a `Send + Sync` registry of named [`Counter`]s,
 //!   [`Gauge`]s, and [`Histogram`]s. Registration (rare) takes a lock;

@@ -36,8 +36,8 @@ fn main() {
 
     // 1. EXPLAIN — a request with `trace` set: plan + *execute* + render
     //    the span tree next to the answers. The per-source
-    //    S/R counts in the trace are read from the same CountingSource
-    //    wrappers the executor bills against — they cannot drift.
+    //    S/R counts in the trace are read from the same engine-session
+    //    bill the result's stats sum — they cannot drift.
     let atom = |a: &str| GarlicQuery::atom(a, Target::text("t"));
     let queries = [
         GarlicQuery::and(atom("Color"), atom("Shape")),

@@ -1,14 +1,14 @@
 //! The observability acceptance property: the per-source access counts a
 //! traced request's [`Explain`](garlic::middleware::Explain) reports are
 //! rendered into the trace's `source[i]` spans, and sum **bit-equal** to
-//! the Section-5 totals the [`CountingSource`](garlic::core::CountingSource)
-//! wrappers bill — for every planner strategy the catalogue can reach.
-//! The trace is rendered from the same counters the executor bills
-//! against, and a traced request is the plain request with `trace` set, so
-//! there is no second bookkeeping path and no second execution path to
-//! drift. The spans are checked on memory and sharded disk; that every
-//! backend traces, answers and bills like memory (and like its own `top_k`
-//! and one-page session) is checked by the oracle (`backend_oracle.rs`).
+//! the Section-5 totals the engine session bills — for every planner
+//! strategy the catalogue can reach. The trace is rendered from the same
+//! per-source bill the result's `stats` sums, and a traced request is the
+//! plain request with `trace` set, so there is no second bookkeeping path
+//! and no second execution path to drift. The spans are checked on memory
+//! and sharded disk; that every backend traces, answers and bills like
+//! memory (and like its own `top_k` and one-page session) is checked by the
+//! oracle (`backend_oracle.rs`).
 
 mod support;
 

@@ -530,8 +530,16 @@ impl<A: Aggregation> Pager for EngineSession<CountingSource<Listed>, A> {
         self.next_batch(k).unwrap()
     }
 
+    /// The session's own per-source bill, checked against the independent
+    /// meter around each list.
     fn bills(&self) -> Vec<AccessStats> {
-        self.sources().iter().map(CountingSource::stats).collect()
+        let metered: Vec<_> = self.sources().iter().map(CountingSource::stats).collect();
+        assert_eq!(
+            self.per_source_stats(),
+            metered,
+            "the session bills what the lists return"
+        );
+        metered
     }
 }
 
