@@ -547,62 +547,48 @@ impl<S: GradedSource> Engine<S> {
         }
     }
 
-    /// Runs the sorted phase round-robin until at least `k` objects have
-    /// been seen in every list ("wait until there are at least k matches"),
-    /// the lists are exhausted, or `stop` — asked before the first round
-    /// and after every round — says the phase may end early. Idempotent
-    /// for already-achieved targets, so sessions can call it repeatedly
-    /// with a growing `k`.
+    /// The one sorted-phase driver. Streams every list round-robin down to
+    /// depth `floor` (clamped to `N`) whatever has matched — B₀ passes
+    /// `floor = k` and the naive scan `floor = N` — then on until at least
+    /// `k` objects have been seen in every list ("wait until there are at
+    /// least k matches"), the lists are exhausted, or `stop` — asked once
+    /// the floor is reached, before the first round past it and after
+    /// every round — says the phase may end early. The A₀ family and the
+    /// threshold rule pass `floor = 0`. Idempotent for already-achieved
+    /// targets, so sessions can call it repeatedly with a growing `k`.
     ///
     /// Streaming is batched (see the module docs for why the batch sizes
-    /// cannot overshoot the positional stop depth).
+    /// cannot overshoot the positional stop depth): a round reads
+    /// `max(max(floor, k) − depth, ⌈(k − matched)/m⌉, 1)` levels, capped by
+    /// the levels left and by `CHUNK`.
     /// Errors leave the already-folded prefix intact: a transient
     /// [`TopKError::SourceFailed`] or [`TopKError::DeadlineExceeded`] can
-    /// be retried by calling again with the same target, and no entry is
+    /// be retried by calling again with the same targets, and no entry is
     /// re-read or re-billed.
     fn advance_until_matched(
         &mut self,
+        floor: usize,
         k: usize,
         mut stop: impl FnMut(&mut Self) -> bool,
     ) -> Result<(), TopKError> {
         let start = std::time::Instant::now();
+        let floor = floor.min(self.n);
         let mut result = Ok(());
-        while !stop(self) && self.matched.len() < k && self.depth < self.n {
+        while self.depth < floor || (!stop(self) && self.matched.len() < k && self.depth < self.n) {
             if let Err(e) = self.check_deadline() {
                 result = Err(e);
                 break;
             }
             // T >= k, and at most m objects can complete per level.
-            let by_depth = k.saturating_sub(self.depth);
-            let by_matches = (k - self.matched.len()).div_ceil(self.sources.len());
+            let by_depth = floor.max(k).saturating_sub(self.depth);
+            let by_matches = k
+                .saturating_sub(self.matched.len())
+                .div_ceil(self.sources.len());
             let step = by_depth
                 .max(by_matches)
                 .max(1)
                 .min(self.n - self.depth)
                 .min(CHUNK);
-            if let Err(e) = self.pull_levels(step) {
-                result = Err(e);
-                break;
-            }
-        }
-        self.profile.sorted_ns += elapsed_ns(start);
-        result
-    }
-
-    /// Streams every list down to `target` (clamped to `N`) regardless of
-    /// matches — the full-scan primitive behind B₀ (`target = k`) and the
-    /// naive baseline (`target = N`). Errors are resumable exactly as on
-    /// `advance_until_matched`.
-    fn advance_to_depth(&mut self, target: usize) -> Result<(), TopKError> {
-        let start = std::time::Instant::now();
-        let target = target.min(self.n);
-        let mut result = Ok(());
-        while self.depth < target {
-            if let Err(e) = self.check_deadline() {
-                result = Err(e);
-                break;
-            }
-            let step = (target - self.depth).min(CHUNK);
             if let Err(e) = self.pull_levels(step) {
                 result = Err(e);
                 break;
@@ -1306,8 +1292,8 @@ where
         // access.
         let engine = &mut self.engine;
         match &mut self.rule {
-            Rule::Scan(_) => engine.advance_to_depth(n)?,
-            Rule::Max => engine.advance_to_depth(target)?,
+            Rule::Scan(_) => engine.advance_until_matched(n, 0, |_| false)?,
+            Rule::Max => engine.advance_until_matched(target, 0, |_| false)?,
             Rule::Filtered { crisp, fetch, .. } => {
                 if let Some(matching_set) = *fetch {
                     engine.check_deadline()?;
@@ -1323,7 +1309,8 @@ where
             }
             Rule::Threshold(bounds) => {
                 let scratch = &mut self.scratch;
-                engine.advance_until_matched(target, |e| bounds.refresh(e, scratch) >= target)?;
+                engine
+                    .advance_until_matched(0, target, |e| bounds.refresh(e, scratch) >= target)?;
                 bounds.stop = Some(if bounds.count >= target {
                     SortedStop::Threshold
                 } else if engine.depth == n {
@@ -1332,7 +1319,7 @@ where
                     SortedStop::Matched
                 });
             }
-            _ => engine.advance_until_matched(target, |_| false)?,
+            _ => engine.advance_until_matched(0, target, |_| false)?,
         }
 
         let (slab, matched) = (&self.engine.slab, &self.engine.matched);
@@ -1544,7 +1531,7 @@ mod tests {
     #[test]
     fn advance_finds_first_match() {
         let mut engine = Engine::open(sources());
-        engine.advance_until_matched(1, |_| false).unwrap();
+        engine.advance_until_matched(0, 1, |_| false).unwrap();
         // List 0 order: 0,1,2,3. List 1 order: 3,2,1,0.
         // Depth 1: {0},{3}. Depth 2: {0,1},{3,2}: no match yet.
         // Depth 3: {0,1,2},{3,2,1}: objects 1 and 2 match.
@@ -1555,11 +1542,11 @@ mod tests {
     #[test]
     fn advance_is_idempotent_and_resumable() {
         let mut engine = Engine::open(sources());
-        engine.advance_until_matched(1, |_| false).unwrap();
+        engine.advance_until_matched(0, 1, |_| false).unwrap();
         let depth = engine.depth;
-        engine.advance_until_matched(1, |_| false).unwrap();
+        engine.advance_until_matched(0, 1, |_| false).unwrap();
         assert_eq!(engine.depth, depth); // no extra work
-        engine.advance_until_matched(4, |_| false).unwrap();
+        engine.advance_until_matched(0, 4, |_| false).unwrap();
         assert_eq!(engine.depth, 4);
         assert_eq!(engine.matched.len(), 4);
     }
@@ -1570,7 +1557,7 @@ mod tests {
         // the engine's batched loop must bill the same m*T entries.
         let cs = counted(sources());
         let mut engine = Engine::open(cs);
-        engine.advance_until_matched(1, |_| false).unwrap();
+        engine.advance_until_matched(0, 1, |_| false).unwrap();
         let stats = total_stats(&engine.sources);
         assert_eq!(stats.sorted, 2 * 3); // T = 3 from the hand example
         assert_eq!(stats.random, 0);
@@ -1579,7 +1566,7 @@ mod tests {
     #[test]
     fn complete_grades_fills_missing_slots() {
         let mut engine = Engine::open(sources());
-        engine.advance_until_matched(1, |_| false).unwrap();
+        engine.advance_until_matched(0, 1, |_| false).unwrap();
         // Object 0 was seen only in list 0 (rank 0); complete it.
         assert!(engine.grade_slice(ObjectId(0)).is_none());
         engine.complete_grades([ObjectId(0)]).unwrap();
@@ -1590,7 +1577,7 @@ mod tests {
     fn duplicate_completion_requests_bill_once() {
         let cs = counted(sources());
         let mut engine = Engine::open(cs);
-        engine.advance_until_matched(1, |_| false).unwrap();
+        engine.advance_until_matched(0, 1, |_| false).unwrap();
         // Object 0: seen in list 0 only, so completion needs 1 random
         // access — and repeating it in one call (or across calls) adds none.
         engine
@@ -1605,7 +1592,7 @@ mod tests {
         // Nothing can be scored from a partial grade vector: seen in one
         // list only, or never seen at all.
         let mut engine = Engine::open(sources());
-        engine.advance_until_matched(1, |_| false).unwrap();
+        engine.advance_until_matched(0, 1, |_| false).unwrap();
         assert_eq!(engine.grade_slice(ObjectId(0)), None);
         assert_eq!(engine.grade_slice(ObjectId(99)), None);
     }
@@ -1614,11 +1601,11 @@ mod tests {
     fn advance_to_depth_streams_prefixes() {
         let cs = counted(sources());
         let mut engine = Engine::open(cs);
-        engine.advance_to_depth(2).unwrap();
+        engine.advance_until_matched(2, 0, |_| false).unwrap();
         assert_eq!(total_stats(&engine.sources).sorted, 2 * 2);
         assert_eq!(engine.slab.len(), 4);
         // Clamped at N, idempotent past it.
-        engine.advance_to_depth(99).unwrap();
+        engine.advance_until_matched(99, 0, |_| false).unwrap();
         assert_eq!(engine.depth, 4);
         assert_eq!(total_stats(&engine.sources).sorted, 2 * 4);
     }
@@ -1653,12 +1640,12 @@ mod tests {
             })
             .collect();
         let mut engine = Engine::open(lists);
-        engine.advance_until_matched(1, |_| false).unwrap();
+        engine.advance_until_matched(0, 1, |_| false).unwrap();
         assert!(!engine.matched.is_empty());
         let id = engine.matched[0];
         let slice = engine.grade_slice(id).expect("matched objects complete");
         assert_eq!(slice.len(), m);
-        engine.advance_to_depth(2).unwrap();
+        engine.advance_until_matched(2, 0, |_| false).unwrap();
         assert_eq!(engine.matched.len(), 2);
     }
 

@@ -46,7 +46,9 @@ impl Summary {
 }
 
 /// The `q`-quantile (0 ≤ q ≤ 1) of a sample, by linear interpolation between
-/// order statistics.
+/// order statistics. Values are ordered by [`f64::total_cmp`], so a NaN
+/// sample sorts past every number (a negative one before) instead of
+/// panicking.
 ///
 /// # Panics
 /// Panics on an empty sample or `q` outside `[0, 1]`.
@@ -54,7 +56,7 @@ pub fn quantile(sample: &[f64], q: f64) -> f64 {
     assert!(!sample.is_empty(), "cannot take a quantile of nothing");
     assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
     let mut sorted = sample.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
+    sorted.sort_by(f64::total_cmp);
     let pos = q * (sorted.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
@@ -140,6 +142,16 @@ mod tests {
     #[test]
     fn quantile_is_order_invariant() {
         assert_eq!(quantile(&[3.0, 1.0, 2.0], 0.5), 2.0);
+    }
+
+    /// A NaN sample is ordered, not a panic: it sorts past every number,
+    /// so the quantiles below it are the numbers' own.
+    #[test]
+    fn a_nan_sample_sorts_last_instead_of_panicking() {
+        let v = [0.5, f64::NAN, 1.0];
+        assert_eq!(quantile(&v, 0.0), 0.5);
+        assert_eq!(quantile(&v, 0.5), 1.0);
+        assert!(quantile(&v, 1.0).is_nan());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The on-disk segment format (version 5, the one version this build
+//! The on-disk segment format (version 6, the one version this build
 //! writes and reads).
 //!
 //! A segment is one immutable graded list — the durable answer to one
@@ -55,10 +55,11 @@
 //!   (up to [`GRADE_DICT_MAX`]), little-endian ([`cell_width`]). The column
 //!   is the block's last `count × width` bytes, so a probe that knows an
 //!   entry's index reads its grade in one load.
-//! * A **dense table block** ([`Encoding::Dense`]) is the grade column
-//!   alone: a table block other than the last whose fence ids say it holds
-//!   `fence..next fence` with no gap ([`Footer::encoding`], which the
-//!   writer and the reader share). Its ids are `fence + index`.
+//! * A **dense table block** — one whose ids are `fence..fence + count`,
+//!   the last block included — stores no id run: it is the grade column
+//!   alone. The writer decides that from the block's own entries, and an
+//!   empty id run is the one sign a reader takes of it: the ids are then
+//!   `fence + index`, and an entry's index is its distance from the fence.
 //!
 //! Every block and the footer itself are checksummed with xxHash64
 //! ([`checksum`]), and every open verifies the whole file; a decoder never
@@ -88,9 +89,10 @@ pub const HEADER_MAGIC: [u8; 4] = *b"GSEG";
 pub const TRAILER_MAGIC: [u8; 8] = *b"GSEGEND1";
 /// The format version [`crate::SegmentWriter`] writes and the only one
 /// [`crate::SegmentSource`] opens: compressed data blocks, table blocks of
-/// a fixed-width grade column behind an id run (none in a dense block), a
-/// footer that stores each fact once, xxHash64 checksums.
-pub const FORMAT_VERSION: u32 = 5;
+/// a fixed-width grade column behind an id run (none in a dense block, the
+/// last included), a footer that stores each fact once, xxHash64
+/// checksums.
+pub const FORMAT_VERSION: u32 = 6;
 /// Bytes of one entry in the logical block geometry: object id (u64) +
 /// grade bits (f64).
 pub const ENTRY_LEN: usize = 16;
@@ -358,41 +360,15 @@ impl Footer {
         (self.num_entries as usize - index * per_block).min(per_block)
     }
 
-    /// `Some(fence)` when table block `index` holds exactly the ids
-    /// `fence..fence + count`: when its id span — up to the next block's
-    /// fence, or through `max_object` (the segment's largest id) for the
-    /// last block — is as long as its entry count. A block is dense by its
-    /// fences alone when it is not the last; the last one only once its
-    /// scan has learned `max_object`. The open-time scan verifies that
-    /// every block starts at its fence and that ids strictly ascend, so a
-    /// span that long leaves no gap, and an entry's index is its distance
-    /// from the fence.
-    pub fn dense_from(&self, index: usize, max_object: Option<u64>) -> Option<u64> {
-        let fences = &self.table_first_ids;
-        let first = *fences.get(index)?;
-        let last = match fences.get(index + 1) {
-            Some(&next) => next.checked_sub(1)?,
-            None => max_object?,
-        };
-        let count = self.entries_in_block(index) as u64;
-        (last.checked_sub(first)?.checked_add(1)? == count).then_some(first)
-    }
-
     /// How block `index` of a `kind` region stores its entries — the one
-    /// rule the writer encodes by and the reader decodes by: a table
-    /// block that is dense by its fences alone ([`dense_from`] without a
-    /// `max_object`) stores no id run.
-    ///
-    /// [`dense_from`]: Self::dense_from
+    /// rule the writer encodes by and the reader decodes by. A table block
+    /// carries its fence, from which a dense block's ids count.
     pub fn encoding(&self, kind: RegionKind, index: usize) -> Encoding<'_> {
         let dict = &self.grade_dict;
         match kind {
             RegionKind::Data if dict.is_empty() => Encoding::Delta,
             RegionKind::Data => Encoding::Dict(dict),
-            RegionKind::Table => match self.dense_from(index, None) {
-                Some(first) => Encoding::Dense(dict, first),
-                None => Encoding::Column(dict),
-            },
+            RegionKind::Table => Encoding::Column(dict, self.table_first_ids[index]),
         }
     }
 
@@ -552,13 +528,12 @@ pub enum Encoding<'a> {
     /// A data block with grades as indices into this sorted, non-empty
     /// dictionary.
     Dict(&'a [u64]),
-    /// A table block: the id run, then one fixed-width grade cell per
-    /// entry — raw grade bits when this dictionary is empty, indices into
-    /// it otherwise ([`cell_width`]).
-    Column(&'a [u64]),
-    /// A table block whose ids are `first..first + count`: the grade
-    /// column alone, exactly `count × width` bytes.
-    Dense(&'a [u64], u64),
+    /// A table block whose first id is the fence (the `u64`): the id run,
+    /// then one fixed-width grade cell per entry — raw grade bits when
+    /// this dictionary is empty, indices into it otherwise
+    /// ([`cell_width`]). A block whose ids are `fence..fence + count`
+    /// stores no id run, and an empty id run means exactly that.
+    Column(&'a [u64], u64),
 }
 
 /// Bytes per grade cell of a table block under a footer dictionary of
@@ -574,22 +549,26 @@ pub fn cell_width(dict_len: usize) -> usize {
 }
 
 /// Encodes one block: a data block as long as its varints, a table block
-/// as its id varints (none when dense) and its cells. Under a dictionary
-/// every entry's grade bits must be in it. Entries out of their region's
-/// order encode without a panic (the deltas wrap) into a block the decoder
-/// rejects.
+/// as its id varints and its cells — with no id varints when its ids are
+/// `fence..fence + count`. Under a dictionary every entry's grade bits
+/// must be in it. Entries out of their region's order encode without a
+/// panic (the deltas wrap) into a block the decoder rejects.
 pub fn encode_block(entries: &[GradedEntry], encoding: Encoding) -> Vec<u8> {
     let (dict, data) = match encoding {
         Encoding::Delta => (None, true),
         Encoding::Dict(dict) => (Some(dict), true),
-        Encoding::Column(dict) | Encoding::Dense(dict, _) => {
-            (Some(dict).filter(|d| !d.is_empty()), false)
-        }
+        Encoding::Column(dict, _) => (Some(dict).filter(|d| !d.is_empty()), false),
     };
-    let ids = if matches!(encoding, Encoding::Dense(..)) {
-        &[]
-    } else {
-        entries
+    let ids = match encoding {
+        Encoding::Column(_, fence)
+            if entries
+                .iter()
+                .enumerate()
+                .all(|(i, e)| e.object.0.checked_sub(fence) == Some(i as u64)) =>
+        {
+            &[]
+        }
+        _ => entries,
     };
     #[allow(
         clippy::expect_used,
@@ -735,10 +714,10 @@ pub struct Block<'a> {
 impl<'a> Block<'a> {
     /// A table block's id run and grade column under the dictionary
     /// `dict`: the column is the last `count × width` bytes
-    /// ([`cell_width`]), the id run everything in front of it. A block too
-    /// short for its column is a detail string for
-    /// [`StorageError::CorruptBlock`].
-    fn split_column(&self, dict: &[u64]) -> Result<(&'a [u8], &'a [u8]), String> {
+    /// ([`cell_width`]), the id run everything in front of it — `None`
+    /// when that is nothing, the sign of a dense block. A block too short
+    /// for its column is a detail string for [`StorageError::CorruptBlock`].
+    fn split_column(&self, dict: &[u64]) -> Result<(Option<&'a [u8]>, &'a [u8]), String> {
         let cells = self.count * cell_width(dict.len());
         let at = self.bytes.len().checked_sub(cells).ok_or_else(|| {
             format!(
@@ -747,7 +726,17 @@ impl<'a> Block<'a> {
                 self.bytes.len()
             )
         })?;
-        Ok(self.bytes.split_at(at))
+        let (ids, column) = self.bytes.split_at(at);
+        Ok(((!ids.is_empty()).then_some(ids), column))
+    }
+
+    /// Whether reads of the block walk a delta chain, and so resume from
+    /// restart points: every block but a dense table block.
+    fn walks(&self) -> bool {
+        match self.encoding {
+            Encoding::Column(dict, _) => !matches!(self.split_column(dict), Ok((None, _))),
+            Encoding::Delta | Encoding::Dict(_) => true,
+        }
     }
 
     /// Walks the entries from `first` on, whose decoder state is `state`,
@@ -768,16 +757,15 @@ impl<'a> Block<'a> {
     ) -> Result<(), String> {
         // One instantiation per encoding and cell width, so the dispatch
         // is resolved outside the per-entry loop.
-        let (dict, dense) = match self.encoding {
+        let (dict, fence) = match self.encoding {
             Encoding::Delta => return self.run_data::<false>(&[], first, state, visit),
             Encoding::Dict(d) => return self.run_data::<true>(d, first, state, visit),
-            Encoding::Column(d) => (d, None),
-            Encoding::Dense(d, fence) => (d, Some(fence)),
+            Encoding::Column(d, fence) => (d, fence),
         };
         match cell_width(dict.len()) {
-            1 => self.run_column::<1>(dict, dense, first, state, visit),
-            2 => self.run_column::<2>(dict, dense, first, state, visit),
-            _ => self.run_column::<8>(dict, dense, first, state, visit),
+            1 => self.run_column::<1>(dict, fence, first, state, visit),
+            2 => self.run_column::<2>(dict, fence, first, state, visit),
+            _ => self.run_column::<8>(dict, fence, first, state, visit),
         }
     }
 
@@ -832,28 +820,21 @@ impl<'a> Block<'a> {
     }
 
     /// `run` over a table block of `W`-byte cells: the id run's walk, or
-    /// in a dense block (`dense` its fence) the ids `fence + index`, each
-    /// entry's grade read from its cell. A dense block holds nothing in
-    /// front of its column.
+    /// in a dense block the ids `fence + index`, each entry's grade read
+    /// from its cell.
     #[inline(always)]
     fn run_column<const W: usize>(
         &self,
         dict: &[u64],
-        dense: Option<u64>,
+        fence: u64,
         first: usize,
         state: Restart,
         mut visit: impl FnMut(usize, u64, u64, usize) -> bool,
     ) -> Result<(), String> {
         let (ids, column) = self.split_column(dict)?;
         let mut visit = |i, id, end| Ok(visit(i, id, cell::<W>(column, dict, i)?, end));
-        let Some(fence) = dense else {
+        if let Some(ids) = ids {
             return self.walk_ids(ids, first, state, visit);
-        };
-        if !ids.is_empty() {
-            return Err(format!(
-                "{} bytes in front of a dense block's grade column",
-                ids.len()
-            ));
         }
         for i in first..self.count {
             if !visit(i, fence.wrapping_add(i as u64), 0)? {
@@ -905,7 +886,8 @@ impl<'a> Block<'a> {
     /// Every entry of the block as its canonical 16-byte slot (object id,
     /// then grade bits, little-endian), decoded from the block's start into
     /// `scratch` — the verification-time path. Its restart points are
-    /// appended to `restarts`. Grade *validity* is the caller's concern.
+    /// appended to `restarts` (none for a dense table block, which a read
+    /// addresses by index). Grade *validity* is the caller's concern.
     pub fn decode_all<'s>(
         &self,
         restarts: &mut Vec<Restart>,
@@ -913,8 +895,9 @@ impl<'a> Block<'a> {
     ) -> Result<&'s [[u8; ENTRY_LEN]], String> {
         scratch.clear();
         scratch.reserve(self.count);
+        let walks = self.walks();
         self.run(0, Restart::default(), |i, id, bits, end| {
-            if (i + 1) % RESTART_INTERVAL == 0 && i + 1 < self.count {
+            if walks && (i + 1) % RESTART_INTERVAL == 0 && i + 1 < self.count {
                 restarts.push(Restart {
                     prev_id: id,
                     prev_bits: bits,
@@ -957,35 +940,28 @@ impl<'a> Block<'a> {
 
     /// Looks `object` up in a table block.
     ///
-    /// `dense_from` is `Some(first)` when the caller knows the block's ids
-    /// are exactly `first..first + count` (a segment knows it from its
-    /// fences, which the open-time scan verified, and a dense block says
-    /// so itself): the entry's index is then `object - first`, and no id
-    /// is decoded. Otherwise the index comes from a walk over the id run
-    /// of at most [`RESTART_INTERVAL`] entries from the nearest restart
-    /// that stops at the first id not below the probe. Either way the
-    /// grade is one cell read. An id the block does not hold, past its ids
-    /// included, is `None`; a data block holds no id order and is a typed
-    /// detail.
-    pub fn lookup(&self, object: u64, dense_from: Option<u64>) -> Result<Option<Grade>, String> {
-        let (dict, dense_from) = match self.encoding {
-            Encoding::Column(dict) => (dict, dense_from),
-            Encoding::Dense(dict, first) => (dict, Some(first)),
-            Encoding::Delta | Encoding::Dict(_) => {
-                return Err("a data block is not id-ordered".to_owned())
-            }
+    /// In a dense block, which stores no id run, the entry's index is
+    /// `object - fence`, and no id is decoded. Otherwise the index comes
+    /// from a walk over the id run of at most [`RESTART_INTERVAL`] entries
+    /// from the nearest restart that stops at the first id not below the
+    /// probe. Either way the grade is one cell read. An id the block does
+    /// not hold, past its ids included, is `None`; a data block holds no id
+    /// order and is a typed detail.
+    pub fn lookup(&self, object: u64) -> Result<Option<Grade>, String> {
+        let Encoding::Column(dict, fence) = self.encoding else {
+            return Err("a data block is not id-ordered".to_owned());
         };
-        let index = match dense_from {
-            Some(first) => object
-                .checked_sub(first)
+        let (ids, column) = self.split_column(dict)?;
+        let index = match ids {
+            None => object
+                .checked_sub(fence)
                 .and_then(|i| usize::try_from(i).ok())
                 .filter(|&i| i < self.count),
-            None => self.position(object, dict)?,
+            Some(ids) => self.position(object, ids)?,
         };
         let Some(index) = index else {
             return Ok(None);
         };
-        let (_, column) = self.split_column(dict)?;
         let bits = match cell_width(dict.len()) {
             1 => cell::<1>(column, dict, index),
             2 => cell::<2>(column, dict, index),
@@ -994,11 +970,10 @@ impl<'a> Block<'a> {
         Ok(Some(entry_of(object, bits).grade))
     }
 
-    /// Index of `object` in a table block, from a walk over the id run
-    /// alone that resumes from the last restart whose previous id lies
-    /// below it.
-    fn position(&self, object: u64, dict: &[u64]) -> Result<Option<usize>, String> {
-        let (ids, _) = self.split_column(dict)?;
+    /// Index of `object` in a table block, from a walk over its id run
+    /// `ids` alone that resumes from the last restart whose previous id
+    /// lies below it.
+    fn position(&self, object: u64, ids: &[u8]) -> Result<Option<usize>, String> {
         let r = self.restarts.partition_point(|r| r.prev_id < object);
         let (first, state) = self.resume_at(r * RESTART_INTERVAL);
         let mut hit = None;
@@ -1097,20 +1072,17 @@ mod tests {
         let dict = dict_of(&[entry]);
         let wide = wide_dict(&dict);
         for kind in [RegionKind::Data, RegionKind::Table] {
-            for encoding in encodings(kind, &dict, &wide) {
+            for encoding in encodings(kind, &dict, &wide, 42) {
                 let bytes = encode_block(&[entry], encoding);
                 let block = block(&bytes, 1, encoding, &[]);
                 let mut decoded = Vec::new();
                 block.decode_range(0, 1, &mut decoded).unwrap();
                 assert_eq!(decoded, [entry], "{encoding:?}");
                 if kind == RegionKind::Table {
-                    assert_eq!(block.lookup(42, None).unwrap(), Some(entry.grade));
-                    assert_eq!(block.lookup(41, None).unwrap(), None);
+                    assert_eq!(block.lookup(42).unwrap(), Some(entry.grade));
+                    assert_eq!(block.lookup(41).unwrap(), None);
                 } else {
-                    assert!(
-                        block.lookup(42, None).is_err(),
-                        "data blocks are not probed"
-                    );
+                    assert!(block.lookup(42).is_err(), "data blocks are not probed");
                 }
             }
         }
@@ -1300,13 +1272,13 @@ mod tests {
         }
     }
 
-    /// A table block's dense probe — the caller vouching that its ids are
-    /// `first..first + count` — answers every id exactly like the probe
-    /// that finds the entry, under every cell width, with and without
-    /// restart points; ids past the block's last are `None`. The same ids
-    /// as a dense block are the column alone, which decodes to the same
-    /// entries and answers the same probes, and is refused one byte long
-    /// or one byte short.
+    /// A table block over the ids `fence..fence + count` is its grade
+    /// column alone under every cell width: the same cells as the block
+    /// with an id run that a fence below its first id gives it. Both decode
+    /// to the same entries and answer every id alike, with and without
+    /// restart points; ids past the block's last are `None`. The column
+    /// one byte longer reads the byte as an id run and one byte shorter
+    /// cannot hold its cells: each is a typed detail.
     #[test]
     fn dense_probes_answer_like_found_ones() {
         let count = 3 * RESTART_INTERVAL + 5;
@@ -1316,16 +1288,17 @@ mod tests {
             .collect();
         let dict = dict_of(&entries);
         let wide = wide_dict(&dict);
-        for encoding in encodings(RegionKind::Table, &dict, &wide) {
+        for encoding in encodings(RegionKind::Table, &dict, &wide, first - 1) {
             let bytes = encode_block(&entries, encoding);
             let from_zero = block(&bytes, count, encoding, &[]);
             let mut restarts = Vec::new();
             decode_all(&from_zero, &mut restarts).unwrap();
+            assert!(!restarts.is_empty(), "{encoding:?}");
             let resumed = block(&bytes, count, encoding, &restarts);
-            let Encoding::Column(d) = encoding else {
+            let Encoding::Column(d, _) = encoding else {
                 unreachable!("table encodings are columns")
             };
-            let dense = Encoding::Dense(d, first);
+            let dense = Encoding::Column(d, first);
             let cells = encode_block(&entries, dense);
             assert_eq!(cells.len(), count * cell_width(d.len()), "{encoding:?}");
             assert_eq!(bytes[bytes.len() - cells.len()..], cells, "{encoding:?}");
@@ -1333,32 +1306,26 @@ mod tests {
             let mut decoded = Vec::new();
             column_only.decode_range(0, count, &mut decoded).unwrap();
             assert_eq!(decoded, entries, "{encoding:?}");
+            let mut column_restarts = Vec::new();
+            decode_all(&column_only, &mut column_restarts).unwrap();
+            assert!(column_restarts.is_empty(), "a dense block keeps none");
             for probe in first - 2..first + count as u64 + 3 {
                 let want = entries
                     .iter()
                     .find(|e| e.object.0 == probe)
                     .map(|e| e.grade);
-                for b in [&from_zero, &resumed] {
-                    assert_eq!(b.lookup(probe, None).unwrap(), want, "{encoding:?} {probe}");
-                    assert_eq!(
-                        b.lookup(probe, Some(first)).unwrap(),
-                        want,
-                        "{encoding:?} {probe}"
-                    );
+                for b in [&from_zero, &resumed, &column_only] {
+                    assert_eq!(b.lookup(probe).unwrap(), want, "{encoding:?} {probe}");
                 }
-                assert_eq!(column_only.lookup(probe, None).unwrap(), want, "{probe}");
             }
             let mut long = cells.clone();
             long.insert(0, 0);
             let err = decode_all(&block(&long, count, dense, &[]), &mut Vec::new()).unwrap_err();
-            assert!(
-                err.contains("in front of a dense block's grade column"),
-                "{err}"
-            );
+            assert!(err.contains("id varint truncated"), "{err}");
             let short = block(&cells[1..], count, dense, &[]);
             let err = decode_all(&short, &mut Vec::new()).unwrap_err();
             assert!(err.contains("grade column of"), "{err}");
-            assert!(short.lookup(first, None).is_err());
+            assert!(short.lookup(first).is_err());
         }
     }
 
@@ -1372,7 +1339,7 @@ mod tests {
         let entries = long_entries(RegionKind::Table, count);
         let last = entries[count - 1].object.0;
         let dict = dict_of(&entries);
-        let column = Encoding::Column(&dict);
+        let column = Encoding::Column(&dict, entries[0].object.0);
         let bytes = encode_block(&entries, column);
         let mut restarts = Vec::new();
         decode_all(&block(&bytes, count, column, &[]), &mut restarts).unwrap();
@@ -1386,11 +1353,11 @@ mod tests {
                 resumed
                     .decode_range(count - 1, count, &mut Vec::new())
                     .unwrap_err(),
-                resumed.lookup(last + 1, None).unwrap_err(),
+                resumed.lookup(last + 1).unwrap_err(),
             ] {
                 assert!(err.contains(what), "{what}: {err}");
             }
-            resumed.lookup(last, None)
+            resumed.lookup(last)
         };
 
         // Fewer bytes than the column needs.
@@ -1417,14 +1384,17 @@ mod tests {
                 .position(|e| e.grade.value().to_bits() == dict[dict.len() - 1])
                 .unwrap();
         past[cell] = dict.len() as u8 - 1;
-        let b = block(&past, count, Encoding::Column(short), &restarts);
+        let fence = entries[0].object.0;
+        let b = block(&past, count, Encoding::Column(short, fence), &restarts);
         let err = decode_all(&b, &mut Vec::new()).unwrap_err();
         assert!(err.contains("past the dictionary"), "{err}");
-        // Found by the walk, or addressed directly as a dense probe would.
+        // Found by the walk, or addressed directly in the same cells read
+        // as a dense block.
         let index = cell - ids_end;
         let probe = entries[index].object.0;
-        for dense_from in [None, Some(probe - index as u64)] {
-            let err = b.lookup(probe, dense_from).unwrap_err();
+        let dense = Encoding::Column(short, probe - index as u64);
+        for b in [b, block(&past[ids_end..], count, dense, &[])] {
+            let err = b.lookup(probe).unwrap_err();
             assert!(err.contains("past the dictionary"), "{err}");
         }
     }
@@ -1488,15 +1458,20 @@ mod tests {
 
     /// Every encoding a `kind` block can have over grades drawn from
     /// `dict` (and `wide`, a superset past 256 entries): in data blocks
-    /// grade deltas and dictionary indices, in table blocks the grade
-    /// column with 8-, 1- and 2-byte cells.
-    fn encodings<'a>(kind: RegionKind, dict: &'a [u64], wide: &'a [u64]) -> Vec<Encoding<'a>> {
+    /// grade deltas and dictionary indices, in table blocks fenced at
+    /// `fence` the grade column with 8-, 1- and 2-byte cells.
+    fn encodings<'a>(
+        kind: RegionKind,
+        dict: &'a [u64],
+        wide: &'a [u64],
+        fence: u64,
+    ) -> Vec<Encoding<'a>> {
         match kind {
             RegionKind::Data => vec![Encoding::Delta, Encoding::Dict(dict)],
             RegionKind::Table => vec![
-                Encoding::Column(&[]),
-                Encoding::Column(dict),
-                Encoding::Column(wide),
+                Encoding::Column(&[], fence),
+                Encoding::Column(dict, fence),
+                Encoding::Column(wide, fence),
             ],
         }
     }
@@ -1507,7 +1482,7 @@ mod tests {
             let entries = v2_entries(kind);
             let dict = dict_of(&entries);
             let wide = wide_dict(&dict);
-            for encoding in encodings(kind, &dict, &wide) {
+            for encoding in encodings(kind, &dict, &wide, entries[0].object.0) {
                 let bytes = encode_block(&entries, encoding);
                 let block = block(&bytes, entries.len(), encoding, &[]);
                 let mut restarts = Vec::new();
@@ -1567,7 +1542,7 @@ mod tests {
                 let entries = long_entries(kind, count);
                 let dict = dict_of(&entries);
                 let wide = wide_dict(&dict);
-                for encoding in encodings(kind, &dict, &wide) {
+                for encoding in encodings(kind, &dict, &wide, entries[0].object.0) {
                     let what = format!("{kind:?} count={count} {encoding:?}");
                     let bytes = encode_block(&entries, encoding);
                     let from_zero = block(&bytes, count, encoding, &[]);
@@ -1597,16 +1572,8 @@ mod tests {
                                 .iter()
                                 .find(|e| e.object.0 == probe)
                                 .map(|e| e.grade);
-                            assert_eq!(
-                                from_zero.lookup(probe, None).unwrap(),
-                                want,
-                                "{what} {probe}"
-                            );
-                            assert_eq!(
-                                resumed.lookup(probe, None).unwrap(),
-                                want,
-                                "{what} {probe}"
-                            );
+                            assert_eq!(from_zero.lookup(probe).unwrap(), want, "{what} {probe}");
+                            assert_eq!(resumed.lookup(probe).unwrap(), want, "{what} {probe}");
                         }
                     }
                 }
@@ -1649,7 +1616,7 @@ mod tests {
         let entries = long_entries(RegionKind::Table, count);
         let last = entries[count - 1].object.0;
         let dict = dict_of(&entries);
-        let column = Encoding::Column(&dict);
+        let column = Encoding::Column(&dict, entries[0].object.0);
         let bytes = encode_block(&entries, column);
         let mut restarts = Vec::new();
         decode_all(&block(&bytes, count, column, &[]), &mut restarts).unwrap();
@@ -1660,27 +1627,27 @@ mod tests {
         assert!(delta < 0x80, "one-byte delta expected");
         zeroed[tail] = 0;
         let b = block(&zeroed, count, column, &restarts);
-        let err = b.lookup(last, None).unwrap_err();
+        let err = b.lookup(last).unwrap_err();
         assert!(err.contains("zero table id delta"), "{err}");
         let err = b
             .decode_range(2 * RESTART_INTERVAL, count, &mut Vec::new())
             .unwrap_err();
         assert!(err.contains("zero table id delta"), "{err}");
 
-        // An overflowing id delta: the previous id sits at the top.
+        // An overflowing id delta: the previous id sits at the top. A fence
+        // below the first id keeps the id run of these contiguous ids.
         let top = [
             GradedEntry::new(ObjectId(u64::MAX - 1), Grade::HALF),
             GradedEntry::new(ObjectId(u64::MAX), Grade::HALF),
         ];
         let dict = dict_of(&top);
-        let mut bytes = encode_block(&top, Encoding::Column(&dict));
+        let column = Encoding::Column(&dict, 0);
+        let mut bytes = encode_block(&top, column);
         let n = bytes.len();
         // The id run ends in the one-byte delta, in front of two 1-byte
         // cells.
         bytes[n - 3] = 2; // delta 1 -> 2
-        let err = block(&bytes, 2, Encoding::Column(&dict), &[])
-            .lookup(u64::MAX, None)
-            .unwrap_err();
+        let err = block(&bytes, 2, column, &[]).lookup(u64::MAX).unwrap_err();
         assert!(err.contains("overflows"), "{err}");
     }
 

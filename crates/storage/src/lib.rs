@@ -11,9 +11,9 @@
 //! * [`mod@format`] — the file layout: checksummed blocks holding the
 //!   grade-descending sorted run, a mirrored object-ordered table region
 //!   for random access, and a self-checksummed footer with the block index;
-//!   one format version (v5), which stores each fact once: compressed data
+//!   one format version (v6), which stores each fact once: compressed data
 //!   blocks, and table blocks of a fixed-width grade column behind an id
-//!   run (none in a dense block);
+//!   run (none in a dense block, the last included);
 //! * [`writer`] — [`SegmentWriter`]: tmp-file + fsync + rename atomic
 //!   publication;
 //! * [`segment`] — [`SegmentSource`]: full integrity verification at

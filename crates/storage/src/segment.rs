@@ -29,23 +29,18 @@
 //! grade cell (raw bits, or a dictionary index) from the block's grade
 //! column:
 //!
-//! * **Dense blocks.** When a block's id span — from its fence to the
-//!   next block's fence, or through [`max_object`](SegmentSource::max_object)
-//!   for the last block — is exactly as long as its entry count, its ids
-//!   are that span with no gap (the open-time scan verified that every
-//!   block starts at its fence and that ids strictly ascend). The index is
-//!   then `object − fence`, and no id is decoded; an index past the
-//!   block's count (a probe past `max_object`) is `None`. A segment over
-//!   `0..N`, and every id-range shard of one, is dense in every block, and
-//!   a dense block keeps no restart points; every dense block but the last
-//!   stores no id run either ([`Encoding::Dense`]).
+//! * **Dense blocks.** A block whose ids are `fence..fence + count` stores
+//!   no id run ([`crate::format`]), and says so by that alone. The index is
+//!   `object − fence`, and no id is decoded; an index past the block's
+//!   count (a probe past the block's last id) is `None`. A segment over
+//!   `0..N`, and every id-range shard of one, is dense in every block, the
+//!   last included, and a dense block keeps no restart points.
 //! * **Other blocks** find the index by a walk over the block's id run from
 //!   the nearest restart point that stops at the first id not below the
 //!   probe: at most [`RESTART_INTERVAL`] id varints.
 //!
 //! [`MemorySource`]: garlic_core::access::MemorySource
 //! [`RESTART_INTERVAL`]: crate::format::RESTART_INTERVAL
-//! [`Encoding::Dense`]: crate::format::Encoding::Dense
 
 use std::cmp::Reverse;
 use std::path::{Path, PathBuf};
@@ -472,20 +467,16 @@ impl SegmentSource {
             let block_index = probes[index].0;
             let bytes = self.try_table_block(block_index)?;
             let block = self.block(RegionKind::Table, &bytes, block_index);
-            let dense_from = self
-                .footer
-                .dense_from(block_index as usize, self.max_object.map(|o| o.0));
             while index < probes.len() && probes[index].0 == block_index {
                 let position = probes[index].1 as usize;
                 // A decode failure (a block mutated after open) is a typed
                 // error, not a panic.
-                out[base + position] =
-                    block
-                        .lookup(objects[position].0, dense_from)
-                        .map_err(|detail| StorageError::CorruptBlock {
-                            block: self.blocks_per_region() + block_index,
-                            detail,
-                        })?;
+                out[base + position] = block.lookup(objects[position].0).map_err(|detail| {
+                    StorageError::CorruptBlock {
+                        block: self.blocks_per_region() + block_index,
+                        detail,
+                    }
+                })?;
                 index += 1;
             }
         }
@@ -606,8 +597,8 @@ struct Verified {
 /// every framing check) from its start into one buffer reused across
 /// blocks, because this runs at every open. It notes down the restart
 /// points later reads resume from, and where each block's run of them
-/// starts in its `locs` entry; a dense table block
-/// ([`Footer::dense_from`]) keeps none. Each rule is applied once:
+/// starts in its `locs` entry; a dense table block keeps none. Each rule
+/// is applied once:
 ///
 /// * every grade lies in `[0, 1]`;
 /// * the data region follows the descending skeleton order, ties
@@ -689,12 +680,6 @@ fn verify_blocks(
                     }
                 }
                 digests[kind as usize] ^= checksum(slot);
-            }
-            // A probe addresses a dense block's entries by their distance
-            // from the fence, and never reads its restarts. `prev_id` is
-            // the segment's largest id once the last block is decoded.
-            if kind == RegionKind::Table && footer.dense_from(i, prev_id).is_some() {
-                restarts.truncate(loc.restarts);
             }
         }
     }

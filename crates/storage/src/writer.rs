@@ -28,7 +28,10 @@ use crate::format::{
 use crate::vfs::{std_vfs, Vfs, VfsFile};
 
 /// What a finished write produced — geometry an operator (or a test) can
-/// check against expectations.
+/// check against expectations. What the grades say (crispness, the
+/// exact-match count) the open-time scan learns:
+/// [`SegmentSource::is_crisp`](crate::SegmentSource::is_crisp) and
+/// [`SegmentSource::exact_match_count`](crate::SegmentSource::exact_match_count).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentInfo {
     /// Number of graded entries stored.
@@ -37,10 +40,6 @@ pub struct SegmentInfo {
     pub blocks_per_region: u64,
     /// Total file size in bytes.
     pub bytes: u64,
-    /// Whether every grade is exactly 0 or 1.
-    pub crisp: bool,
-    /// Number of grade-1 entries (the exact-match count).
-    pub ones: u64,
 }
 
 /// One shard of a sharded build: where it was published, the lowest
@@ -215,14 +214,6 @@ impl SegmentWriter {
         entries.sort_by_key(|e| std::cmp::Reverse(e.grade));
         let by_grade = entries;
 
-        let ones = by_grade
-            .iter()
-            .take_while(|e| e.grade == Grade::ONE)
-            .count() as u64;
-        let crisp = by_grade
-            .iter()
-            .all(|e| e.grade == Grade::ONE || e.grade == Grade::ZERO);
-
         let entries_per_block = self.block_size / ENTRY_LEN;
         // Dictionary mode when the distinct grade bit patterns fit the
         // cap — exact by construction, since entries store indices into the
@@ -297,8 +288,6 @@ impl SegmentWriter {
             entries: by_grade.len() as u64,
             blocks_per_region: footer.blocks() as u64,
             bytes,
-            crisp,
-            ones,
         })
     }
 }
@@ -436,8 +425,10 @@ mod tests {
         let info = writer.write_grades(&path, &grades).unwrap();
         assert_eq!(info.entries, 7);
         assert_eq!(info.blocks_per_region, 2);
-        assert_eq!(info.ones, 2);
-        assert!(!info.crisp);
+        let opened =
+            crate::SegmentSource::open(&path, Arc::new(crate::BlockCache::new(4))).unwrap();
+        assert_eq!(opened.exact_match_count(), 2);
+        assert!(!opened.is_crisp());
         let bytes = fs::read(&path).unwrap();
         assert_eq!(info.bytes, bytes.len() as u64);
         // Header + 4 blocks + footer + trailer.
@@ -469,11 +460,13 @@ mod tests {
     #[test]
     fn crisp_lists_are_flagged() {
         let path = temp_path("crisp.seg");
-        let info = SegmentWriter::new()
+        SegmentWriter::new()
             .write_grades(&path, &[g(1.0), g(0.0), g(1.0)])
             .unwrap();
-        assert!(info.crisp);
-        assert_eq!(info.ones, 2);
+        let opened =
+            crate::SegmentSource::open(&path, Arc::new(crate::BlockCache::new(4))).unwrap();
+        assert!(opened.is_crisp());
+        assert_eq!(opened.exact_match_count(), 2);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! can be damaged must surface as a **typed** [`StorageError`] at open —
 //! never a panic, never a silently wrong graded list. These are the
 //! durability guarantees the README documents. Tests named `v2_…` cover
-//! the compressed block layout version 2 introduced, which version 4
+//! the compressed block layout version 2 introduced, which version 6
 //! keeps for its data blocks.
 
 use std::ops::Range;
@@ -130,12 +130,12 @@ fn ancient_version_is_unsupported() {
 
 /// The versions before and after the one this build reads are typed
 /// errors before any block is read, whatever the rest of the file holds:
-/// here a sound version-5 file.
+/// here a sound version-6 file.
 #[test]
 fn every_other_version_is_unsupported() {
     let path = healthy("other-versions.seg");
-    assert_eq!(FORMAT_VERSION, 5);
-    for version in [1, 2, 3, 4, 6] {
+    assert_eq!(FORMAT_VERSION, 6);
+    for version in [1, 2, 3, 4, 5, 7] {
         set_version(&path, version);
         match open(&path) {
             Err(StorageError::UnsupportedVersion { found, supported }) => {
@@ -318,8 +318,8 @@ fn seal(name: &str, blocks: &[Vec<u8>], footer: &[u8]) -> PathBuf {
 
 /// Hand-builds a segment of `entries` (in data order) in 64-byte blocks,
 /// with `dict` as its grade dictionary, whose blocks carry *correct*
-/// checksums and are encoded as the footer says (a table block dense by
-/// its fences is its grade column alone). `tamper` may damage the encoded
+/// checksums and are encoded as the writer encodes them (a table block
+/// over `fence..fence + count` is its grade column alone). `tamper` may damage the encoded
 /// blocks and/or the footer before the checksums and block lengths are
 /// (re)derived from the final block bytes and the footer is sealed — so a
 /// tampered block or footer still passes its checksum and only deep
@@ -403,6 +403,12 @@ fn ladder_over(ids: &[u64]) -> Vec<GradedEntry> {
 /// it is not the last block.
 fn gapped() -> Vec<GradedEntry> {
     ladder_over(&[0, 1, 2, 4, 5, 6, 8])
+}
+
+/// Four objects with a gap, `0, 1, 2, 4`, in one block per region: the
+/// last table block keeps its id run because of the gap alone.
+fn gapped_last() -> Vec<GradedEntry> {
+    ladder_over(&[0, 1, 2, 4])
 }
 
 /// Four entries in one block per region: objects 3, 2, 1, 0 graded 0.875,
@@ -489,7 +495,7 @@ fn duplicate_object_in_table_is_corrupt_block() {
     // Within a block: a zero id delta in the id run.
     let path = forge("dup-table.seg", &forge_entries(), None, |_, table, _| {
         let twice = graded(&[(0, 0.5), (1, 0.625), (1, 0.75), (3, 0.875)]);
-        table[0] = encode_block(&twice, Encoding::Column(&[]));
+        table[0] = encode_block(&twice, Encoding::Column(&[], 0));
     });
     assert!(matches!(
         open(&path),
@@ -499,7 +505,7 @@ fn duplicate_object_in_table_is_corrupt_block() {
     // to object 5, where the second one's fence starts it again.
     let path = forge("dup-across.seg", &gapped(), None, |_, table, _| {
         let past_fence = graded(&[(0, 0.5), (1, 8.0 / 14.0), (2, 9.0 / 14.0), (5, 11.0 / 14.0)]);
-        table[0] = encode_block(&past_fence, Encoding::Column(&[]));
+        table[0] = encode_block(&past_fence, Encoding::Column(&[], 0));
     });
     match open(&path) {
         Err(StorageError::CorruptBlock { block: 3, detail }) => {
@@ -509,9 +515,13 @@ fn duplicate_object_in_table_is_corrupt_block() {
     }
 }
 
+/// A fence that is not its block's first stored id. Only a block with an
+/// id run stores that id; a dense block's ids count from its fence, so a
+/// moved fence there is the shape change the `forged_fences_…` test
+/// covers.
 #[test]
 fn lying_fence_id_is_footer_corrupt() {
-    let path = forge("lying-fence.seg", &forge_entries(), None, |_, _, f| {
+    let path = forge("lying-fence.seg", &gapped_last(), None, |_, _, f| {
         f.table_first_ids[0] += 1
     });
     assert_footer_lie_caught(&path);
@@ -528,7 +538,7 @@ fn divergent_regions_are_a_typed_error() {
         None,
         |_, t, _| {
             let other = graded(&[(0, 0.5), (1, 0.625), (2, 0.75), (4, 0.875)]);
-            t[0] = encode_block(&other, Encoding::Column(&[]));
+            t[0] = encode_block(&other, Encoding::Column(&[], 0));
         },
     );
     assert!(matches!(open(&path), Err(StorageError::RegionMismatch)));
@@ -536,7 +546,7 @@ fn divergent_regions_are_a_typed_error() {
     // Same objects, one divergent grade: random access would lie.
     let path = forge("divergent-grades.seg", &forge_entries(), None, |_, t, _| {
         let other = graded(&[(0, 0.5), (1, 0.25), (2, 0.75), (3, 0.875)]);
-        t[0] = encode_block(&other, Encoding::Column(&[]));
+        t[0] = encode_block(&other, Encoding::Column(&[], 0));
     });
     assert!(matches!(open(&path), Err(StorageError::RegionMismatch)));
 }
@@ -701,11 +711,11 @@ fn dictionary_index_out_of_range_is_corrupt_block() {
     ));
 }
 
-/// The table blocks that keep an id run: the last block of a one-block
-/// segment (file block 1), and a gapped block that is not the last (file
-/// block 2), each with its index in the table region.
+/// Table blocks that keep an id run, both gapped: the last block of a
+/// one-block segment (file block 1), and a block that is not the last
+/// (file block 2), each with its index in the table region.
 fn id_run_blocks() -> [(Vec<GradedEntry>, usize, u64); 2] {
-    [(forge_entries(), 0, 1), (gapped(), 0, 2)]
+    [(gapped_last(), 0, 1), (gapped(), 0, 2)]
 }
 
 /// A table block is its id run followed by its grade column, the column
@@ -760,10 +770,9 @@ fn v4_id_run_into_the_grade_column_is_corrupt_block() {
     }
 }
 
-/// A dense table block that is not the last is its grade column alone,
-/// exactly `count × width` bytes: one byte more or one byte less, its
-/// checksum resealed, is a typed error at open, with and without a
-/// dictionary.
+/// A dense table block is its grade column alone, exactly `count ×
+/// width` bytes: one byte more or one byte less, its checksum resealed,
+/// is a typed error at open, with and without a dictionary.
 #[test]
 fn dense_block_one_byte_long_or_short_is_corrupt_block() {
     let entries = ladder(8);
@@ -794,11 +803,11 @@ fn dense_block_one_byte_long_or_short_is_corrupt_block() {
     }
 }
 
-/// A forged fence id changes which table blocks the reader takes as dense.
-/// A gapped block read as dense — its fence ids forged to a span as long
-/// as its entry count, with and without its bytes rewritten as a grade
-/// column — and a dense block read as gapped are each a typed error at
-/// open, never a panic or a wrong grade.
+/// A table block is dense exactly when it stores no id run, and a dense
+/// block's ids count from its fence. A gapped block with its id run
+/// stripped, and a dense block under a moved fence, each read as ids the
+/// block does not hold: every one is a typed error at open, with and
+/// without a dictionary, never a panic or a wrong grade.
 #[test]
 fn forged_fences_that_change_a_blocks_shape_are_typed_errors() {
     let typed = |path: &PathBuf, what: &str| match open(path) {
@@ -809,44 +818,33 @@ fn forged_fences_that_change_a_blocks_shape_are_typed_errors() {
         ) => {}
         other => panic!("{what}: {:?}", other.err()),
     };
-    // `gapped()`'s first block holds 0, 1, 2, 4; a second fence of 4 makes
-    // its span four ids long. Its id run is then bytes in front of a dense
-    // block's column.
-    let path = forge("gapped-as-dense.seg", &gapped(), None, |_, _, f| {
-        f.table_first_ids[1] = 4
-    });
-    match open(&path) {
-        Err(StorageError::CorruptBlock { block: 2, detail }) => {
-            assert!(detail.contains("in front of a dense block"), "{detail}")
-        }
-        other => panic!("gapped as dense: {:?}", other.err()),
-    }
-    // The same lie with the block rewritten as the column alone: its ids
-    // read 0..4, which the next block's fence, the order checks or the
-    // cross-region digest refuse.
-    let path = forge(
-        "gapped-as-dense-column.seg",
-        &gapped(),
-        None,
-        |_, table, f| {
-            f.table_first_ids[1] = 4;
-            let mut by_id = gapped();
-            by_id.sort_by_key(|e| e.object);
-            table[0] = encode_block(&by_id[..4], Encoding::Dense(&[], 0));
-        },
-    );
-    typed(&path, "gapped as dense, column alone");
-    // `ladder(8)`'s first block holds 0..4 and is stored dense; a second
-    // fence of 5 makes it read as gapped, with an id run it does not hold.
-    for dict in [None, Some(dict_of(&ladder(8)))] {
-        let path = forge("dense-as-gapped.seg", &ladder(8), dict, |_, _, f| {
-            f.table_first_ids[1] = 5
+    for dict in [None, Some(dict_of(&gapped()))] {
+        let width = cell_width(dict.as_ref().map_or(0, Vec::len));
+        // `gapped()`'s first block holds 0, 1, 2, 4: as its column alone it
+        // reads 0..4, which the cross-region digest refuses.
+        let path = forge("stripped.seg", &gapped(), dict, |_, table, _| {
+            let id_run = table[0].len() - 4 * width;
+            assert!(id_run > 0, "block 0 is gapped");
+            table[0].drain(..id_run);
         });
-        match open(&path) {
-            Err(StorageError::CorruptBlock { block: 2, detail }) => {
-                assert!(detail.contains("id varint truncated"), "{detail}")
-            }
-            other => panic!("dense as gapped: {:?}", other.err()),
+        typed(&path, "gapped block without its id run");
+    }
+    // `ladder(8)`'s two blocks hold 0..4 and 4..8 and are stored dense.
+    // Each moved fence shifts a block's ids onto its neighbour's or past
+    // what the data region holds.
+    for dict in [None, Some(dict_of(&ladder(8)))] {
+        let width = cell_width(dict.as_ref().map_or(0, Vec::len));
+        for (block, fence) in [(0, 1), (1, 3), (1, 5)] {
+            let path = forge(
+                "moved-fence.seg",
+                &ladder(8),
+                dict.clone(),
+                |_, table, f| {
+                    assert!(table.iter().all(|b| b.len() == 4 * width), "dense");
+                    f.table_first_ids[block] = fence;
+                },
+            );
+            typed(&path, &format!("block {block} fenced at {fence}"));
         }
     }
 }
@@ -882,7 +880,7 @@ fn v2_region_divergence_is_detected() {
         let mut by_id = forge_entries();
         by_id.sort_by_key(|e| e.object);
         by_id[1].grade = Grade::new(0.3125).unwrap();
-        *table = vec![encode_block(&by_id, Encoding::Column(&[]))];
+        *table = vec![encode_block(&by_id, Encoding::Column(&[], 0))];
     });
     assert!(matches!(open(&path), Err(StorageError::RegionMismatch)));
 }

@@ -498,16 +498,16 @@ fn shaped_ids(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases()))]
 
-    /// A segment whose table blocks mix dense runs (every block but the
-    /// last stored as its grade column alone) with gapped ones (an id run
-    /// in front of the column), the last block dense or gapped, reads back
+    /// A segment whose table blocks mix dense runs (stored as their grade
+    /// column alone) with gapped ones (an id run in front of the column),
+    /// the last block dense or gapped, reads back
     /// as the `MemorySource` of the same pairs, at every block size and in
     /// both grade modes: the same stream in `batch`-sized reads, and the
     /// same answer to every probe — each id, the ids in the gaps, below
     /// the first fence and past the largest id. The writer stores exactly
-    /// the dense blocks but the last without an id run, and the restart
-    /// index holds restarts for the data blocks and the gapped table
-    /// blocks only.
+    /// the blocks whose own ids have no gap, the last included, without an
+    /// id run, and the restart index holds restarts for the data blocks
+    /// and the gapped table blocks only.
     #[test]
     fn segments_of_mixed_table_block_shapes_answer_like_memory(
         shapes in proptest::collection::vec((0u8..2, 1u64..4), 1..8),
@@ -558,15 +558,12 @@ proptest! {
             prop_assert_eq!(seg.random_access(probe), mem.random_access(probe), "{:?}", probe);
         }
 
-        // Which table blocks are dense, from the ids alone.
+        // Which table blocks are dense: those whose ids are their first id
+        // onwards, with no gap (one after the block does not count).
         let blocks: Vec<&[u64]> = ids.chunks(per_block).collect();
         let dense: Vec<bool> = blocks
             .iter()
-            .enumerate()
-            .map(|(i, block)| {
-                let end = blocks.get(i + 1).map_or(max + 1, |next| next[0]);
-                end - block[0] == block.len() as u64
-            })
+            .map(|block| block[block.len() - 1] - block[0] + 1 == block.len() as u64)
             .collect();
         let bytes = std::fs::read(&path).unwrap();
         let trailer = bytes.len() - TRAILER_LEN as usize;
@@ -574,9 +571,8 @@ proptest! {
         let footer = Footer::parse(&bytes[at..trailer]).unwrap();
         let width = cell_width(footer.grade_dict.len());
         for (i, block) in blocks.iter().enumerate() {
-            let column_only = dense[i] && i + 1 < blocks.len();
             let len = footer.table_block_lens[i] as usize;
-            prop_assert_eq!(len == block.len() * width, column_only, "table block {}", i);
+            prop_assert_eq!(len == block.len() * width, dense[i], "table block {}", i);
         }
         let restarts = |count: usize| (count - 1) / RESTART_INTERVAL;
         let data: usize = blocks.iter().map(|b| restarts(b.len())).sum();

@@ -192,7 +192,7 @@ fn index_memory_is_bounded_per_entry() {
 /// one per interval as in the data blocks. Its probes answering like
 /// memory is the sweep above. 10 032 entries leave a last block long
 /// enough for a restart (48 entries at 256 a block, 33 at 33), so the
-/// last block, dense only by the segment's largest id, is covered too.
+/// last block is covered too.
 #[test]
 fn dense_table_blocks_keep_no_restarts() {
     let n = 10_032;
@@ -216,22 +216,55 @@ fn dense_table_blocks_keep_no_restarts() {
     }
 }
 
+/// A segment over `0..N` whose last table block is short stores that block
+/// as its grade column alone, like every block in front of it: its stored
+/// length is `count × width`, in both grade modes, and it keeps no
+/// restarts although it is long enough for one (48 entries).
+#[test]
+fn a_short_last_block_over_dense_ids_is_its_column_alone() {
+    let n = 10_032;
+    let per_block = 256;
+    for (distinct, width) in [(Some(100), 1), (None, 8)] {
+        let dense: Vec<(ObjectId, Grade)> = pairs(n, distinct)
+            .into_iter()
+            .enumerate()
+            .map(|(i, (_, grade))| (ObjectId(i as u64), grade))
+            .collect();
+        let (seg, _) = write_and_open("dense-last.seg", &dense, 16 * per_block);
+        let bytes = std::fs::read(temp_path("dense-last.seg")).unwrap();
+        let trailer = bytes.len() - TRAILER_LEN as usize;
+        let at = u64::from_le_bytes(bytes[trailer..trailer + 8].try_into().unwrap()) as usize;
+        let footer = Footer::parse(&bytes[at..trailer]).unwrap();
+        let (last, full) = footer.table_block_lens.split_last().unwrap();
+        assert_eq!(*last as usize, (n % per_block) * width, "{distinct:?}");
+        assert!(full.iter().all(|&len| len as usize == per_block * width));
+        // The data blocks' restarts alone: 7 per full block, 1 in the last.
+        let data = (n / per_block) * 7 + 1;
+        assert_eq!(
+            seg.restart_index_bytes(),
+            data * std::mem::size_of::<Restart>(),
+            "{distinct:?}"
+        );
+    }
+}
+
 /// The index is built in memory at open; the writer knows nothing of it.
-/// The rows were pinned when version 5 came in. Every block of these
-/// files is the version-4 file's byte for byte (its data blocks were a
-/// version-2 file's, as they had been before restart points existed): the
-/// ids are sparse, so every table block keeps its id run in front of its
-/// grade column (1-byte cells under the 9-grade dictionary, raw 8-byte
-/// bits without one). Only the footer shrank, by the 96 bytes of facts
-/// version 5 no longer stores. The third row grades the ids `0..333`
-/// instead: its first three table blocks are dense and store their grade
-/// columns alone, which are the version-4 blocks without their id runs.
+/// The rows were pinned when version 6 came in, from a block-by-block
+/// comparison with the version-5 files of the same pairs. The ids of the
+/// first two rows are sparse, so every table block keeps its id run in
+/// front of its grade column (1-byte cells under the 9-grade dictionary,
+/// raw 8-byte bits without one), and the files differ from version 5's in
+/// the header's version byte alone. The third row grades the ids `0..333`
+/// instead: every table block is dense and stores its grade column alone,
+/// the last (33 entries) now included, which is the version-5 block
+/// without its 34-byte id run; its length and checksum are the only other
+/// footer fields that moved.
 #[test]
 fn the_file_is_byte_identical_with_and_without_the_index() {
     for (distinct, dense, len, checksum) in [
-        (Some(9), false, 1_641, 0x3a79_055e_df87_ee71_u64),
-        (None, false, 5_093, 0xeda4_1275_0e01_2364_u64),
-        (Some(9), true, 1_339, 0x0810_b0c5_ea6f_90ec_u64),
+        (Some(9), false, 1_641, 0x6b7b_a415_4291_a274_u64),
+        (None, false, 5_093, 0x4886_f962_32c6_6461_u64),
+        (Some(9), true, 1_305, 0xc312_26eb_afaf_e375_u64),
     ] {
         let mut pairs = pairs(333, distinct);
         if dense {

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use garlic::middleware::{parse_query, Catalog, Garlic, GarlicService, QueryRequest};
 use garlic::subsys::{DiskSubsystem, Subsystem};
-use garlic::{BlockCache, Grade, SegmentWriter};
+use garlic::{BlockCache, Grade, SegmentSource, SegmentWriter};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -55,12 +55,13 @@ fn build_segments() -> std::io::Result<()> {
     let crisp: Vec<Grade> = (0..N)
         .map(|_| Grade::from_bool(rng.gen_bool(0.002)))
         .collect();
-    let info = writer
-        .write_grades(&dir.join("InStock.seg"), &crisp)
-        .expect("segment build");
+    let path = dir.join("InStock.seg");
+    writer.write_grades(&path, &crisp).expect("segment build");
+    let opened = SegmentSource::open(&path, Arc::new(BlockCache::new(4))).expect("verified open");
     println!(
         "built InStock.seg: crisp = {}, {} exact matches\n",
-        info.crisp, info.ones
+        opened.is_crisp(),
+        opened.exact_match_count()
     );
     Ok(())
 }
