@@ -18,7 +18,7 @@
 pub mod paper;
 
 use garlic_agg::Aggregation;
-use garlic_core::access::{counted, total_stats, CountingSource, MemorySource};
+use garlic_core::access::MemorySource;
 use garlic_core::algorithms::fa::{fagin_run, FaRun};
 use garlic_core::AccessStats;
 use garlic_workload::distributions::UniformGrades;
@@ -42,9 +42,9 @@ pub fn independent_database(m: usize, n: usize, seed: u64) -> ScoringDatabase {
     ScoringDatabase::from_skeleton(&skeleton, &UniformGrades, &mut rng)
 }
 
-/// [`independent_database`]'s lists as counted in-memory sources.
-pub fn independent_workload(m: usize, n: usize, seed: u64) -> Vec<CountingSource<MemorySource>> {
-    counted(independent_database(m, n, seed).to_sources())
+/// [`independent_database`]'s lists as in-memory sources.
+pub fn independent_workload(m: usize, n: usize, seed: u64) -> Vec<MemorySource> {
+    independent_database(m, n, seed).to_sources()
 }
 
 /// Runs one A₀ trial on an independent uniform workload.
@@ -52,7 +52,7 @@ pub fn fa_trial<A: Aggregation>(m: usize, n: usize, k: usize, agg: &A, seed: u64
     let sources = independent_workload(m, n, seed);
     let run: FaRun = fagin_run(&sources, agg, k).expect("valid trial parameters");
     Trial {
-        stats: total_stats(&sources),
+        stats: run.stats,
         depth: run.stop_depth,
     }
 }

@@ -6,17 +6,17 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use garlic_agg::iterated::{all_iterated_tnorms, min_agg};
+use garlic_agg::iterated::{all_iterated_tnorms, min_agg, IteratedTCoNorm};
 use garlic_agg::means::{ArithmeticMean, GeometricMean, MedianAgg};
+use garlic_agg::tconorms::Maximum;
 use garlic_agg::{Aggregation, Grade};
-use garlic_core::access::{counted, total_stats, CountingSource, MemorySource};
-use garlic_core::algorithms::b0_max::b0_max_topk;
-use garlic_core::algorithms::fa::{fagin_run, fagin_shrunk_run, fagin_topk};
-use garlic_core::algorithms::fa_min::{fagin_min_run, fagin_min_topk};
-use garlic_core::algorithms::{filtered::filtered_topk, naive::naive_topk};
-use garlic_core::algorithms::{order_stat::median_topk, ullman::ullman_run};
+use garlic_core::access::MemorySource;
+use garlic_core::algorithms::fa::{fagin_run, fagin_shrunk_run};
+use garlic_core::algorithms::fa_min::fagin_min_run;
+use garlic_core::algorithms::naive::naive_topk;
+use garlic_core::algorithms::{order_stat::order_statistic_run, ullman::ullman_run};
 use garlic_core::complement::ComplementSource;
-use garlic_core::{AccessStats, CostModel, GradedSource, SetAccess, ShardedSource};
+use garlic_core::{AccessStats, CostModel, EngineSession, GradedSource, ShardedSource, TopKError};
 use garlic_middleware::{parse_query, Catalog, Garlic};
 use garlic_stats::bounds::{cost_scale, wimmers_depth_threshold, wimmers_dominant_tail};
 use garlic_stats::table::fmt_prob;
@@ -53,9 +53,23 @@ fn seeds(seed0: u64, trials: usize) -> Range<u64> {
     seed0..seed0 + trials as u64
 }
 
-/// The total unweighted bill of `sources`.
-fn billed<S: GradedSource>(sources: &[CountingSource<S>]) -> u64 {
-    total_stats(sources).unweighted()
+/// The Section 5 bill of a first page of `k` from `session`, as the
+/// session meters it.
+fn page_bill<S, A>(session: Result<EngineSession<S, A>, TopKError>, k: usize) -> AccessStats
+where
+    S: GradedSource,
+    A: Aggregation,
+{
+    let mut session = session.expect("valid trial parameters");
+    session.next_batch(k).expect("valid trial parameters");
+    session.stats()
+}
+
+/// A₀'s (min) bill on `lists` for a page of `k`.
+fn a0_bill<S: GradedSource>(lists: &[S], k: usize) -> AccessStats {
+    fagin_run(lists, &min_agg(), k)
+        .expect("valid trial parameters")
+        .stats
 }
 
 /// The Wilson interval of `hits` successes in `trials` that the checks
@@ -67,9 +81,10 @@ fn wilson(hits: usize, trials: usize) -> (f64, f64) {
 
 /// A₀'s (min) per-list bill on `lists`.
 fn bills<S: GradedSource>(lists: &[S], k: usize) -> Vec<AccessStats> {
-    let sources = counted(lists.iter().collect());
-    fagin_run(&sources, &min_agg(), k).expect("valid trial parameters");
-    sources.iter().map(CountingSource::stats).collect()
+    let session = EngineSession::new(lists.iter().collect(), min_agg());
+    let mut session = session.expect("valid trial parameters");
+    session.next_batch(k).expect("valid trial parameters");
+    session.per_source_stats().to_vec()
 }
 
 /// Whether A₀'s per-list bill for every k in `ks`, on the database of
@@ -278,12 +293,9 @@ pub(super) fn e06(trials: usize, small: bool) -> Outcome {
         let (mut a0, mut naive) = (0, 0);
         for seed in seeds(60_000, trials) {
             let db = hard_query_database(n, &mut seeded_rng(seed));
-            let sources = counted(db.to_sources());
-            fagin_run(&sources, &min_agg(), 1).unwrap();
-            a0 += billed(&sources);
-            let sources = counted(db.to_sources());
-            naive_topk(&sources, &min_agg(), 1).unwrap();
-            naive += billed(&sources);
+            a0 += a0_bill(&db.to_sources(), 1).unweighted();
+            let scan = EngineSession::scan(db.to_sources(), min_agg());
+            naive += page_bill(scan, 1).unweighted();
         }
         let (a0, naive) = (a0 as f64 / trials as f64, naive as f64 / trials as f64);
         a0_costs.push(a0);
@@ -308,9 +320,9 @@ pub(super) fn e07(trials: usize, small: bool) -> Outcome {
             // Cost is deterministic; one trial suffices but we verify all.
             let (mut sorted, mut random) = (0, 0);
             for seed in seeds(70_000, trials) {
-                let sources = independent_workload(m, n, seed);
-                b0_max_topk(&sources, k).unwrap();
-                let stats = total_stats(&sources);
+                let lists = independent_workload(m, n, seed);
+                let b0 = EngineSession::<_, IteratedTCoNorm<Maximum>>::max(lists);
+                let stats = page_bill(b0, k);
                 exact &= stats.sorted == (m * k) as u64 && stats.random == 0;
                 (sorted, random) = (sorted + stats.sorted, random + stats.random);
             }
@@ -331,15 +343,14 @@ pub(super) fn e08(trials: usize, small: bool) -> Outcome {
     let mut out = Outcome::new("E08: the median query, m = 3 (k = 10)", headers);
     let (mut med_costs, mut a0_costs) = (Vec::new(), Vec::new());
     for &n in &ns {
+        // The median of three is the second largest grade.
         let med = mean(seeds(80_000, trials), |seed| {
-            let sources = independent_workload(m, n, seed);
-            median_topk(&sources, k).unwrap();
-            billed(&sources)
+            let run = order_statistic_run(&independent_workload(m, n, seed), m / 2 + 1, k);
+            run.unwrap().stats.unweighted()
         });
         let a0 = mean(seeds(80_000, trials), |seed| {
-            let sources = independent_workload(m, n, seed);
-            fagin_topk(&sources, &MedianAgg, k).unwrap();
-            billed(&sources)
+            let run = fagin_run(&independent_workload(m, n, seed), &MedianAgg, k);
+            run.unwrap().stats.unweighted()
         });
         let what = format!("N = {n}: the median algorithm is cheaper than generic A0");
         out.check(med < a0, what);
@@ -381,9 +392,7 @@ fn section9(
         });
         earliest &= run.probes == safe.map_or(n, |depth| depth + 1);
         probes.push(run.probes);
-        let sources = counted(db.to_sources());
-        fagin_topk(&sources, &min_agg(), 1).unwrap();
-        billed(&sources)
+        a0_bill(&db.to_sources(), 1).unweighted()
     });
     (probes, earliest, a0)
 }
@@ -434,10 +443,10 @@ pub(super) fn e10(trials: usize, small: bool) -> Outcome {
         let mut agrees = true;
         let mean = mean(seeds(100_000, trials), |seed| {
             let sources = independent_workload(2, n, seed);
-            let fast = fagin_topk(&sources, agg, k).unwrap();
-            let slow = naive_topk(&independent_workload(2, n, seed), agg, k).unwrap();
-            agrees &= fast.same_grades(&slow, 1e-9);
-            billed(&sources)
+            let fast = fagin_run(&sources, agg, k).unwrap();
+            let slow = naive_topk(&sources, agg, k).unwrap();
+            agrees &= fast.topk.same_grades(&slow, 1e-9);
+            fast.stats.unweighted()
         });
         let same = mean == *min_cost.get_or_insert(mean);
         (all_agree, all_equal) = (all_agree && agrees, all_equal && same);
@@ -451,27 +460,25 @@ pub(super) fn e10(trials: usize, small: bool) -> Outcome {
     out
 }
 
-/// One of row e11's A₀ variants, run for a given k on counted lists.
-type Variant = fn(&[CountingSource<MemorySource>], usize);
+/// One of row e11's A₀ variants: its bill for a given k on the lists.
+type Variant = fn(&[MemorySource], usize) -> AccessStats;
 
 pub(super) fn e11(trials: usize, small: bool) -> Outcome {
     let (n, k) = (if small { 4096 } else { 32_768 }, 10);
     let title = format!("E11: A0 refinements (N = {n}, k = 10)");
     let mut out = Outcome::new(title, "m;variant;sorted;random;total;vs A0");
     let variants: [(&str, Variant); 3] = [
-        ("A0", |s, k| drop(fagin_run(s, &min_agg(), k).unwrap())),
+        ("A0", a0_bill),
         ("A0 + shrink Ti", |s, k| {
-            drop(fagin_shrunk_run(s, &min_agg(), k).unwrap())
+            fagin_shrunk_run(s, &min_agg(), k).unwrap().stats
         }),
-        ("A0' (min)", |s, k| drop(fagin_min_run(s, k).unwrap())),
+        ("A0' (min)", |s, k| fagin_min_run(s, k).unwrap().stats),
     ];
     for m in [2, 3, 4] {
         let mut bills = [AccessStats::default(); 3];
         for (bill, (_, run)) in bills.iter_mut().zip(variants) {
             for seed in seeds(110_000, trials) {
-                let sources = independent_workload(m, n, seed);
-                run(&sources, k);
-                *bill += total_stats(&sources);
+                *bill += run(&independent_workload(m, n, seed), k);
             }
         }
         let per_trial = |total: u64| total as f64 / trials as f64;
@@ -503,9 +510,7 @@ pub(super) fn e12(trials: usize, small: bool) -> Outcome {
         let cost = mean(seeds(120_000, trials), |seed| {
             let db = latent_database(2, n, rho, &mut seeded_rng(seed));
             measured += spearman_rho(&db, 0, 1);
-            let sources = counted(db.to_sources());
-            fagin_topk(&sources, &min_agg(), k).unwrap();
-            billed(&sources)
+            a0_bill(&db.to_sources(), k).unweighted()
         });
         costs.push(cost);
         let (rho_hat, per_sqrt_nk) = (measured / trials as f64, cost / ((n * k) as f64).sqrt());
@@ -546,17 +551,12 @@ pub(super) fn e13(trials: usize, small: bool) -> Outcome {
             // List 1: fuzzy grades along skeleton list 1.
             let grades = UniformGrades.descending_grades(n, &mut rng);
             let fuzzy = MemorySource::from_pairs(skeleton.list(1).iter().zip(grades));
+            let lists = [crisp, fuzzy];
             // Filtered strategy.
-            let lists = counted::<Box<dyn SetAccess>>(vec![
-                Box::new(crisp.clone()),
-                Box::new(fuzzy.clone()),
-            ]);
-            filtered_topk(&lists, 0, &min_agg(), k.min(n)).unwrap();
-            filtered_cost += billed(&lists);
+            let filtered = EngineSession::filtered(lists.to_vec(), 0, min_agg());
+            filtered_cost += page_bill(filtered, k.min(n)).unweighted();
             // A0' on the same two lists.
-            let both = counted::<Box<dyn GradedSource>>(vec![Box::new(crisp), Box::new(fuzzy)]);
-            fagin_min_topk(&both, k).unwrap();
-            fa_cost += billed(&both);
+            fa_cost += fagin_min_run(&lists, k).unwrap().stats.unweighted();
         }
         let filtered = filtered_cost as f64 / trials as f64;
         let fa = fa_cost as f64 / trials as f64;
@@ -578,12 +578,9 @@ pub(super) fn e14(trials: usize, small: bool) -> Outcome {
     // Measure access stats once per trial; re-weigh afterwards.
     let (mut fa_stats, mut naive_stats) = (Vec::new(), Vec::new());
     for seed in seeds(140_000, trials) {
-        let sources = independent_workload(2, n, seed);
-        fagin_topk(&sources, &min_agg(), k).unwrap();
-        fa_stats.push(total_stats(&sources));
-        let sources = independent_workload(2, n, seed);
-        naive_topk(&sources, &min_agg(), k).unwrap();
-        naive_stats.push(total_stats(&sources));
+        fa_stats.push(a0_bill(&independent_workload(2, n, seed), k));
+        let scan = EngineSession::scan(independent_workload(2, n, seed), min_agg());
+        naive_stats.push(page_bill(scan, k));
     }
     let title = format!("E14: cost-model weighting sweep (m = 2, N = {n}, k = 10)");
     let mut out = Outcome::new(title, "c1 (sorted);c2 (random);A0 cost;naive cost;speedup");
@@ -639,9 +636,8 @@ pub(super) fn e15(trials: usize, small: bool) -> Outcome {
             // complement the SAME list (the §7 hard pairing).
             for (negated, cost) in [(b, &mut indep), (a.clone(), &mut selfneg)] {
                 let negated = Box::new(ComplementSource::new(negated));
-                let pair = counted::<Box<dyn GradedSource>>(vec![Box::new(a.clone()), negated]);
-                fagin_topk(&pair, &min_agg(), k).unwrap();
-                *cost += billed(&pair);
+                let pair: [Box<dyn GradedSource>; 2] = [Box::new(a.clone()), negated];
+                *cost += a0_bill(&pair, k).unweighted();
             }
         }
         let (indep, selfneg) = (indep as f64 / trials as f64, selfneg as f64 / trials as f64);

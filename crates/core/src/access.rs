@@ -10,8 +10,8 @@
 //!
 //! [`GradedSource`] captures that contract. The engine session bills the
 //! [`AccessStats`] the Section 5 cost model is defined over;
-//! [`CountingSource`] wraps any source and meters both access kinds on
-//! their own, the independent check of that bill. [`SetAccess`] is the extra
+//! [`CountingSource`] wraps any source and meters what it physically
+//! returns, the independent check of that bill. [`SetAccess`] is the extra
 //! capability crisp relational subsystems have — enumerating the exact-match
 //! set — which enables the "Beatles" filtered strategy of Section 4.
 //!
@@ -68,10 +68,14 @@
 //! * **Metering.** The Section 5 sorted-access cost `S` counts *entries*,
 //!   not calls: a batch of 50 entries is 50 sorted accesses. The query path
 //!   has one meter, the engine session, which bills each entry when it
-//!   folds it ([`crate::algorithms::engine`]). [`CountingSource`] bills
-//!   each entry a source returns, updating its counter once per batch; the
-//!   tests and the paper ledger wrap lists in it as an independent meter
-//!   of the session's bill.
+//!   folds it ([`crate::algorithms::engine`]), not when it fetches it: the
+//!   engine fetches each list to the end of a [`SORTED_WINDOW`]-rank
+//!   window and folds only what the positional loop would read.
+//!   [`CountingSource`] counts each entry a source returns, updating its
+//!   counter once per batch: the physical reads, which are exactly the
+//!   session's bill plus the entries it fetched and has not folded
+//!   ([`EngineSession::unfolded`](crate::EngineSession::unfolded)). The
+//!   tests wrap lists in it to check that identity.
 //!
 //! Random access is batched the same way:
 //! [`GradedSource::try_random_batch`] answers many probes in one call,
@@ -326,10 +330,13 @@ pub struct BoundedBatch {
     pub truncated: bool,
 }
 
-/// Entries per read of [`SetAccess::try_matching_set`]'s provided body:
-/// one default 4 KiB segment block of 16-byte entries, so a block-backed
-/// list decodes each block of its grade-1 prefix once.
-const MATCH_CHUNK: usize = 256;
+/// Ranks per sorted read window: one default 4 KiB segment block of
+/// 16-byte entries. [`SetAccess::try_matching_set`]'s provided body reads
+/// in chunks of this size, and the engine fetches a list to the end of the
+/// window that holds a round's last folded rank
+/// ([`crate::algorithms::engine`]), so a block-backed list decodes each
+/// block it reads once and never loads a block the fold does not reach.
+pub const SORTED_WINDOW: usize = 256;
 
 /// Extra capability of crisp sources: enumerate every object whose grade is
 /// exactly 1 (the classical relation "result set"). Powers the filtered
@@ -348,13 +355,13 @@ pub trait SetAccess: GradedSource {
     /// failure is a typed [`SourceError`].
     fn try_matching_set(&self) -> Result<Vec<ObjectId>, SourceError> {
         let mut set = Vec::new();
-        let mut chunk = Vec::with_capacity(MATCH_CHUNK);
+        let mut chunk = Vec::with_capacity(SORTED_WINDOW);
         loop {
             chunk.clear();
-            self.try_sorted_batch(set.len(), MATCH_CHUNK, &mut chunk)?;
+            self.try_sorted_batch(set.len(), SORTED_WINDOW, &mut chunk)?;
             let ones = chunk.iter().take_while(|e| e.grade == Grade::ONE).count();
             set.extend(chunk[..ones].iter().map(|e| e.object));
-            if ones < MATCH_CHUNK {
+            if ones < SORTED_WINDOW {
                 return Ok(set);
             }
         }
@@ -433,10 +440,16 @@ impl GradedSource for MemorySource {
 
 impl SetAccess for MemorySource {}
 
-/// Wraps a source and counts accesses, implementing the Section 5 cost
-/// bookkeeping. Uses atomic counters so the counted source still implements
+/// Wraps a source and counts the accesses it physically answers: every
+/// entry a sorted read returns, every probe answered with a grade, and
+/// `|S|` for a match set. Under an engine session that is the session's
+/// Section 5 bill plus the entries the session fetched ahead and has not
+/// folded yet ([`EngineSession::unfolded`](crate::EngineSession::unfolded)),
+/// so the bill itself is read from the session
+/// ([`EngineSession::per_source_stats`](crate::EngineSession::per_source_stats)).
+/// Uses atomic counters so the counted source still implements
 /// [`GradedSource`] by shared reference — including shared *across threads*:
-/// each access kind bills exactly one increment per entry obtained, so the
+/// each access kind counts exactly one increment per entry obtained, so the
 /// totals are identical whether the source was read sequentially or from a
 /// parallel sorted phase, in batches or through the positional adaptors.
 #[derive(Debug)]
@@ -664,7 +677,7 @@ mod tests {
             assert_eq!(reads.matching_set(), want, "{ones} ones");
             // Whole chunks up to the one holding the first grade below 1,
             // and never past the end of the list.
-            let read = (ones / MATCH_CHUNK + 1) * MATCH_CHUNK;
+            let read = (ones / SORTED_WINDOW + 1) * SORTED_WINDOW;
             assert_eq!(reads.0.stats(), AccessStats::new(read.min(N) as u64, 0));
             let counted = CountingSource::new(reads.0.into_inner());
             assert_eq!(counted.matching_set(), want);

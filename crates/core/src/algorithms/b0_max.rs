@@ -40,8 +40,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::{counted, total_stats, MemorySource};
+    use crate::access::MemorySource;
     use crate::algorithms::naive::naive_topk;
+    use crate::cost::AccessStats;
     use crate::object::ObjectId;
     use garlic_agg::iterated::max_agg;
     use garlic_agg::Grade;
@@ -66,13 +67,16 @@ mod tests {
         }
     }
 
+    /// The bill of one B₀ page of `k` over `lists`.
+    fn bill(lists: Vec<MemorySource>, k: usize) -> AccessStats {
+        let mut session = EngineSession::<_, IteratedTCoNorm<Maximum>>::max(lists).unwrap();
+        session.next_batch(k).unwrap();
+        session.stats()
+    }
+
     #[test]
     fn cost_is_mk_with_no_random_access() {
-        let cs = counted(sources());
-        b0_max_topk(&cs, 2).unwrap();
-        let stats = total_stats(&cs);
-        assert_eq!(stats.sorted, 2 * 2);
-        assert_eq!(stats.random, 0);
+        assert_eq!(bill(sources(), 2), AccessStats::new(2 * 2, 0));
     }
 
     #[test]
@@ -87,11 +91,7 @@ mod tests {
                 )
             })
             .collect();
-        let small = counted(sources());
-        let large = counted(big);
-        b0_max_topk(&small, 3).unwrap();
-        b0_max_topk(&large, 3).unwrap();
-        assert_eq!(total_stats(&small), total_stats(&large));
+        assert_eq!(bill(sources(), 3), bill(big, 3));
     }
 
     #[test]

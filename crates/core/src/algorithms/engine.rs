@@ -52,22 +52,36 @@
 //!
 //! # Exact Section 5 cost preservation
 //!
-//! Batching is an access-plan optimisation, not a semantic change: the
-//! engine consumes *exactly* the entries the paper's positional round-robin
-//! loop would, in the same interleaved order. It is also the meter: the
-//! engine keeps one [`AccessStats`] per source and bills a sorted access
-//! for each entry it folds into the bookkeeping, a random access for each
+//! Batching is an access-plan optimisation, not a semantic change. It
+//! separates two things the positional loop does at once:
+//!
+//! * **Fetch.** A list that holds fewer unfolded entries than a round
+//!   folds reads, in one [`GradedSource::try_sorted_batch`] call, from the
+//!   first rank it lacks to the end of the [`SORTED_WINDOW`]-rank window
+//!   that holds the round's last folded rank (or to `N`). A window is one
+//!   default 4 KiB segment block, so a fetch never loads a data block the
+//!   fold does not reach.
+//! * **Fold.** The round then folds *exactly* the entries the paper's
+//!   positional round-robin loop would read, in the same interleaved
+//!   order. What a fetch returned past them waits, unfolded, for the next
+//!   rounds.
+//!
+//! The engine is also the meter, and it bills the fold, never the fetch:
+//! it keeps one [`AccessStats`] per source and bills a sorted access for
+//! each entry it folds into the bookkeeping, a random access for each
 //! probe a source answers with a grade (a miss, an object the source does
 //! not hold, bills nothing), and `|S|` sorted accesses on the crisp list
 //! when the filtered rule takes its match set `S`.
 //! [`EngineSession::per_source_stats`] and [`EngineSession::stats`] read
 //! that bill. It is identical entry-for-entry to the seed positional
-//! implementations (property-tested in `tests/engine_equivalence.rs`), and,
-//! barring a failed round (see Failures), to what an independent
-//! [`CountingSource`](crate::access::CountingSource) around each list
-//! counts. The trick that keeps the batches large is a pair of lower
-//! bounds on the stop depth `T` of the "wait until k matches" phase, which
-//! let the engine pull large batches without overshooting:
+//! implementations (property-tested in `tests/engine_equivalence.rs`). An
+//! independent [`CountingSource`](crate::access::CountingSource) around
+//! each list counts the physical reads instead: exactly the bill plus
+//! [`EngineSession::unfolded`], the entries fetched and not yet folded.
+//!
+//! The trick that keeps the folds large is a pair of lower bounds on the
+//! stop depth `T` of the "wait until k matches" phase, which let the
+//! engine fold many levels per round without overshooting:
 //!
 //! * the matched set at depth `T` is contained in every prefix `X^i_T`, so
 //!   `T ≥ k` always;
@@ -76,9 +90,10 @@
 //!   match per step: from a state with `c` matches at depth `d`,
 //!   `T ≥ d + ⌈(k − c)/m⌉`.
 //!
-//! Within the region these bounds cover, batches are as large as the bound
-//! allows; past it the engine degrades gracefully to single-level rounds,
-//! never reading an entry the positional algorithm would not. The
+//! Within the region these bounds cover, a round folds as many levels as
+//! the bound allows; past it the engine folds one level per round, never
+//! folding an entry the positional algorithm would not, and the window
+//! keeps those rounds to one fetch per list per 256 ranks. The
 //! random-access phase likewise bills one access per answered
 //! `(object, list)` pair whether completed one by one or via
 //! [`GradedSource::try_random_batch`].
@@ -174,28 +189,52 @@
 //!
 //! # Failures
 //!
-//! A failed page leaves the session resumable. A sorted round keeps the
-//! batches its lists did return, so the retry reads only the lists that
+//! A failed page leaves the session resumable. A sorted round folds
+//! nothing until every list has answered, and keeps the entries the lists
+//! that did answer returned, so the retry fetches only for the lists that
 //! failed; a random round keeps every grade it learned, so the retry
-//! probes only what is still missing. Retrying a page with the same `k`
-//! bills no access twice. Entries a sorted round fetched but did not fold
-//! are not billed: a retry with a smaller `k` can end its page before
-//! folding them, and they are billed by the round that folds them.
+//! probes only what is still missing. No entry is fetched twice and no
+//! access is billed twice. A sorted read that appends other than the
+//! count asked for (a list shorter than its `len`) is a
+//! [`TopKError::SourceFailed`], not an index past the end: the list keeps
+//! what it held before the read. Entries fetched and not folded — read
+//! ahead, or kept from a failed round — are not billed: a retry with a
+//! smaller `k` can end its page before folding them, and they are billed
+//! by the round that folds them.
 
 use std::collections::BinaryHeap;
 
 use garlic_agg::{Aggregation, Grade};
 
-use crate::access::{GradedSource, SetAccess, SourceError};
+use crate::access::{GradedSource, SetAccess, SourceError, SORTED_WINDOW};
 use crate::cost::AccessStats;
 use crate::fx::FxHashMap;
 use crate::graded_set::GradedEntry;
 use crate::object::ObjectId;
 use crate::topk::{validate_inputs, TopK, TopKError};
 
-/// Upper bound on levels fetched per batched round, to bound scratch-buffer
-/// memory (`m · CHUNK` entries) on full-database streams.
+/// Upper bound on levels folded per batched round, to bound scratch-buffer
+/// memory (about `m · CHUNK` entries) on full-database streams.
 const CHUNK: usize = 4096;
+
+/// One list's fetch buffer: `buf[read..]` holds the entries from rank
+/// `depth` on that a round fetched but did not fold in (see
+/// `Engine::pull_levels`). Folding advances `read`; the folded front is
+/// dropped only when the list fetches again, so a one-level round moves
+/// no entry.
+#[derive(Debug, Clone, Default)]
+struct Fetched {
+    buf: Vec<GradedEntry>,
+    /// How many of `buf`'s entries are folded in.
+    read: usize,
+}
+
+impl Fetched {
+    /// Entries fetched and not yet folded in.
+    fn unfolded(&self) -> usize {
+        self.buf.len() - self.read
+    }
+}
 
 /// Flat, slot-addressed candidate bookkeeping — see the module docs.
 #[derive(Debug, Default)]
@@ -446,9 +485,16 @@ pub struct EngineProfile {
     pub sorted_ns: u64,
     /// Wall-clock nanoseconds inside random-access completion.
     pub random_ns: u64,
-    /// Batched cursor reads issued by the sorted phase (one per list per
-    /// fetch round; a retried round re-issues only the failed ones).
+    /// Batched cursor reads issued by the sorted phase: one per list per
+    /// round that folds past what the list already fetched, which reads to
+    /// the end of that round's [`SORTED_WINDOW`]-rank window (a retried
+    /// round re-issues only the reads that failed).
     pub sorted_batches: u64,
+    /// Entries the sorted phase fetched and has not folded in yet, summed
+    /// over the lists: read ahead to the end of a window, or kept by a
+    /// failed round. They are not billed until a round folds them
+    /// ([`EngineSession::unfolded`] splits them per list).
+    pub sorted_read_ahead: u64,
     /// `random_batch` calls issued by completion (one per list that was
     /// missing grades, per completion round).
     pub random_batches: u64,
@@ -475,10 +521,8 @@ pub(crate) struct Engine<S> {
     /// The grade at the deepest rank read so far, per list (the paper's
     /// `μ_Ai` at depth `T`; zero before the first round).
     last: Vec<Grade>,
-    /// One reusable fetch buffer per list, holding the entries from rank
-    /// `depth` on that a round fetched but did not fold in (see
-    /// `pull_levels`); empty between successful rounds.
-    scratch: Vec<Vec<GradedEntry>>,
+    /// One reusable fetch buffer per list (see `pull_levels`).
+    scratch: Vec<Fetched>,
     /// The slot of every entry folded in since the threshold rule last
     /// drained it; `None` (nothing recorded) under every other rule.
     touched: Option<Vec<u32>>,
@@ -524,7 +568,7 @@ impl<S: GradedSource> Engine<S> {
             matched: Vec::new(),
             depth: 0,
             last: vec![Grade::ZERO; m],
-            scratch: vec![Vec::new(); m],
+            scratch: vec![Fetched::default(); m],
             touched: None,
             pending: Vec::new(),
             probe_slots: Vec::new(),
@@ -557,14 +601,15 @@ impl<S: GradedSource> Engine<S> {
     /// threshold rule pass `floor = 0`. Idempotent for already-achieved
     /// targets, so sessions can call it repeatedly with a growing `k`.
     ///
-    /// Streaming is batched (see the module docs for why the batch sizes
-    /// cannot overshoot the positional stop depth): a round reads
+    /// Streaming is batched (see the module docs for why the round sizes
+    /// cannot overshoot the positional stop depth): a round folds
     /// `max(max(floor, k) − depth, ⌈(k − matched)/m⌉, 1)` levels, capped by
-    /// the levels left and by `CHUNK`.
-    /// Errors leave the already-folded prefix intact: a transient
-    /// [`TopKError::SourceFailed`] or [`TopKError::DeadlineExceeded`] can
-    /// be retried by calling again with the same targets, and no entry is
-    /// re-read or re-billed.
+    /// the levels left and by `CHUNK`, and `pull_levels` fetches each list
+    /// to the end of that round's [`SORTED_WINDOW`]-rank window.
+    /// Errors leave the already-folded prefix and every fetched entry
+    /// intact: a transient [`TopKError::SourceFailed`] or
+    /// [`TopKError::DeadlineExceeded`] can be retried by calling again with
+    /// the same targets, and no entry is re-read or re-billed.
     fn advance_until_matched(
         &mut self,
         floor: usize,
@@ -598,39 +643,56 @@ impl<S: GradedSource> Engine<S> {
         result
     }
 
-    /// Fetches `levels` more entries from every list (one batched sorted
-    /// read per list) and folds them into the bookkeeping in the exact
-    /// interleaved order of the positional round-robin loop, so match order
-    /// — and therefore every downstream tie-break — is preserved.
+    /// Folds `levels` more entries of every list into the bookkeeping in the
+    /// exact interleaved order of the positional round-robin loop, so match
+    /// order — and therefore every downstream tie-break — is preserved.
+    ///
+    /// A list that holds fewer than `levels` unfolded entries fetches, in
+    /// one batched sorted read, from the first rank it lacks to the end of
+    /// the [`SORTED_WINDOW`]-rank window holding the round's last folded
+    /// rank, `depth + levels − 1` (or to `N`). The entries past `levels`
+    /// wait unfolded for the next rounds, so a run of one-level rounds
+    /// makes one read per list per window. Each list is billed the
+    /// `levels` entries it folds, never what it fetched.
     ///
     /// All `m` fetches complete **before** any entry is folded in, so a
     /// failed fetch leaves the bookkeeping untouched at the pre-round depth.
-    /// The lists that did answer keep their entries in `scratch`, and the
-    /// retry reads only what a list is still missing: no entry is billed
-    /// twice. (Entries kept past a retry's smaller `levels` are folded,
-    /// and billed, by the next round.) Each list is billed the `levels`
-    /// entries it folds.
+    /// The lists that did answer keep their entries, and the retry reads
+    /// only what a list is still missing: no entry is fetched or billed
+    /// twice. A read that appends other than the count asked for is a
+    /// [`TopKError::SourceFailed`] and leaves the list as it was.
     fn pull_levels(&mut self, levels: usize) -> Result<(), TopKError> {
         debug_assert!(self.depth + levels <= self.n);
         let mut scratch = std::mem::take(&mut self.scratch);
         let depth = self.depth;
-        let mut failed: Option<crate::access::SourceError> = None;
-        for (buf, source) in scratch.iter_mut().zip(&self.sources) {
-            let have = buf.len();
+        let end = (depth + levels).next_multiple_of(SORTED_WINDOW).min(self.n);
+        let mut failed = None;
+        for (i, (list, source)) in scratch.iter_mut().zip(&self.sources).enumerate() {
+            let have = list.unfolded();
             if have >= levels {
                 continue;
             }
+            list.buf.drain(..list.read);
+            list.read = 0;
             self.profile.sorted_batches += 1;
-            match source.try_sorted_batch(depth + have, levels - have, buf) {
-                Ok(got) => debug_assert_eq!(
-                    got,
-                    levels - have,
-                    "depth + levels <= N implies full batches"
-                ),
-                Err(e) => {
-                    failed = Some(e);
-                    break;
-                }
+            let (start, count) = (depth + have, end - depth - have);
+            if let Err(e) = source.try_sorted_batch(start, count, &mut list.buf) {
+                failed = Some(e);
+                break;
+            }
+            let got = list.buf.len() - have;
+            if got != count {
+                list.buf.truncate(have);
+                failed = Some(SourceError {
+                    source: format!("list {i}"),
+                    detail: format!(
+                        "sorted read from rank {start} appended {got} of {count} entries \
+                         inside a list of {}",
+                        self.n
+                    ),
+                    quarantined: false,
+                });
+                break;
             }
         }
         if let Some(e) = failed {
@@ -638,8 +700,8 @@ impl<S: GradedSource> Engine<S> {
             return Err(TopKError::SourceFailed(e));
         }
         for level in 0..levels {
-            for (i, buf) in scratch.iter().enumerate() {
-                let entry = buf[level];
+            for (i, list) in scratch.iter().enumerate() {
+                let entry = list.buf[list.read + level];
                 let slot = self.slab.slot(entry.object);
                 if self.slab.observe(slot, i, self.depth + level, entry.grade) {
                     self.matched.push(entry.object);
@@ -649,9 +711,9 @@ impl<S: GradedSource> Engine<S> {
                 }
             }
         }
-        for ((last, buf), bill) in self.last.iter_mut().zip(&mut scratch).zip(&mut self.bills) {
-            *last = buf[levels - 1].grade;
-            buf.drain(..levels);
+        for ((last, list), bill) in self.last.iter_mut().zip(&mut scratch).zip(&mut self.bills) {
+            list.read += levels;
+            *last = list.buf[list.read - 1].grade;
             bill.sorted += levels as u64;
         }
         self.depth += levels;
@@ -748,6 +810,11 @@ impl<S: GradedSource> Engine<S> {
             }
         }
         Ok(())
+    }
+
+    /// The Section 5 bill so far, summed over the sources.
+    pub(crate) fn stats(&self) -> AccessStats {
+        self.bills.iter().copied().sum()
     }
 
     /// The complete grade vector of an object as a borrowed slice — the
@@ -1224,9 +1291,14 @@ where
     }
 
     /// Phase timings and batch counts accumulated over every page (always
-    /// on — see [`EngineProfile`] for the cost argument).
+    /// on — see [`EngineProfile`] for the cost argument), and the entries
+    /// read ahead as of now.
     pub fn profile(&self) -> EngineProfile {
-        self.engine.profile
+        let ahead: usize = self.engine.scratch.iter().map(Fetched::unfolded).sum();
+        EngineProfile {
+            sorted_read_ahead: ahead as u64,
+            ..self.engine.profile
+        }
     }
 
     /// The Section 5 bill of every page so far, per source in source order:
@@ -1238,7 +1310,17 @@ where
 
     /// The Section 5 bill of every page so far, summed over the sources.
     pub fn stats(&self) -> AccessStats {
-        self.engine.bills.iter().copied().sum()
+        self.engine.stats()
+    }
+
+    /// Entries each source has handed the sorted phase that no round has
+    /// folded in yet, in source order. A
+    /// [`CountingSource`](crate::access::CountingSource) around a source
+    /// therefore counts exactly its billed `sorted` plus this count, and
+    /// its billed `random`.
+    pub fn unfolded(&self) -> Vec<u64> {
+        let lists = self.engine.scratch.iter();
+        lists.map(|list| list.unfolded() as u64).collect()
     }
 
     /// The session's sources.
@@ -1511,6 +1593,7 @@ where
 mod tests {
     use super::*;
     use crate::access::{counted, total_stats, CountingSource, MemorySource};
+    use crate::AccessStats;
     use garlic_agg::iterated::{max_agg, min_agg, IteratedTNorm};
     use std::collections::HashSet;
 
@@ -1551,16 +1634,37 @@ mod tests {
         assert_eq!(engine.matched.len(), 4);
     }
 
+    /// How many entries each list of `engine` fetched and has not folded.
+    fn unfolded<S>(engine: &Engine<S>) -> Vec<usize> {
+        engine.scratch.iter().map(Fetched::unfolded).collect()
+    }
+
     #[test]
-    fn batched_streaming_reads_no_more_than_positional_round_robin() {
+    fn batched_streaming_bills_positional_and_reads_to_window_end() {
         // The positional loop stops at the first depth T with >= k matches;
-        // the engine's batched loop must bill the same m*T entries.
-        let cs = counted(sources());
-        let mut engine = Engine::open(cs);
+        // the engine bills the same m*T entries. Each list reads on to the
+        // end of the window holding rank T - 1, here the whole 4-entry list.
+        let mut engine = Engine::open(counted(sources()));
         engine.advance_until_matched(0, 1, |_| false).unwrap();
-        let stats = total_stats(&engine.sources);
-        assert_eq!(stats.sorted, 2 * 3); // T = 3 from the hand example
-        assert_eq!(stats.random, 0);
+        assert_eq!(engine.depth, 3); // T = 3 from the hand example
+        assert_eq!(engine.bills, vec![AccessStats::new(3, 0); 2]);
+        assert_eq!(total_stats(&engine.sources), AccessStats::new(2 * 4, 0));
+        assert_eq!(unfolded(&engine), vec![1, 1]);
+
+        // Two 600-entry lists in opposite orders: object x sits at rank x
+        // and 599 - x, so T = 301, reached one level per round. Each list
+        // makes one read per 256-rank window: to 256, then to 512.
+        let n = 600;
+        let grades: Vec<Grade> = (0..n).map(|x| g(1.0 - x as f64 / n as f64)).collect();
+        let reversed: Vec<Grade> = grades.iter().rev().copied().collect();
+        let lists = [grades, reversed].map(|list| MemorySource::from_grades(&list));
+        let mut engine = Engine::open(counted(lists.to_vec()));
+        engine.advance_until_matched(0, 1, |_| false).unwrap();
+        assert_eq!(engine.depth, 301);
+        assert_eq!(engine.bills, vec![AccessStats::new(301, 0); 2]);
+        assert_eq!(total_stats(&engine.sources), AccessStats::new(2 * 512, 0));
+        assert_eq!(unfolded(&engine), vec![512 - 301; 2]);
+        assert_eq!(engine.profile.sorted_batches, 2 * 2);
     }
 
     #[test]
@@ -1575,8 +1679,7 @@ mod tests {
 
     #[test]
     fn duplicate_completion_requests_bill_once() {
-        let cs = counted(sources());
-        let mut engine = Engine::open(cs);
+        let mut engine = Engine::open(sources());
         engine.advance_until_matched(0, 1, |_| false).unwrap();
         // Object 0: seen in list 0 only, so completion needs 1 random
         // access — and repeating it in one call (or across calls) adds none.
@@ -1584,7 +1687,7 @@ mod tests {
             .complete_grades([ObjectId(0), ObjectId(0), ObjectId(0)])
             .unwrap();
         engine.complete_grades([ObjectId(0)]).unwrap();
-        assert_eq!(total_stats(&engine.sources).random, 1);
+        assert_eq!(engine.stats().random, 1);
     }
 
     #[test]
@@ -1599,15 +1702,14 @@ mod tests {
 
     #[test]
     fn advance_to_depth_streams_prefixes() {
-        let cs = counted(sources());
-        let mut engine = Engine::open(cs);
+        let mut engine = Engine::open(sources());
         engine.advance_until_matched(2, 0, |_| false).unwrap();
-        assert_eq!(total_stats(&engine.sources).sorted, 2 * 2);
+        assert_eq!(engine.stats().sorted, 2 * 2);
         assert_eq!(engine.slab.len(), 4);
         // Clamped at N, idempotent past it.
         engine.advance_until_matched(99, 0, |_| false).unwrap();
         assert_eq!(engine.depth, 4);
-        assert_eq!(total_stats(&engine.sources).sorted, 2 * 4);
+        assert_eq!(engine.stats().sorted, 2 * 4);
     }
 
     #[test]
@@ -1695,7 +1797,7 @@ mod tests {
     #[test]
     fn min_session_defers_non_candidates_and_follows_a_moving_pivot() {
         let (a, b) = (ObjectId(0), ObjectId(1));
-        let mut session = EngineSession::<_, MinAgg>::min(counted(pivot_moving_sources())).unwrap();
+        let mut session = EngineSession::<_, MinAgg>::min(pivot_moving_sources()).unwrap();
         assert_eq!(session.pivot(), None);
 
         // Page 1: T = 2, L = {b}, x₀ = b at .9 in list 0. Candidates are
@@ -1705,10 +1807,7 @@ mod tests {
         assert_eq!(first.entries(), &[GradedEntry::new(b, g(0.9))]);
         assert_eq!(session.pivot(), Some((g(0.9), 0)));
         assert_eq!(session.graded(), 2);
-        assert_eq!(
-            total_stats(session.sources()),
-            crate::AccessStats::new(4, 1)
-        );
+        assert_eq!(session.stats(), AccessStats::new(4, 1));
 
         // Page 2: T = 3, a matches at .85 in list 1 — the pivot moves.
         // List 1's prefix at or above .85 is {b, e, a}: e is completed
@@ -1717,33 +1816,27 @@ mod tests {
         assert_eq!(second.entries(), &[GradedEntry::new(a, g(0.85))]);
         assert_eq!(session.pivot(), Some((g(0.85), 1)));
         assert_eq!(session.graded(), 3);
-        assert_eq!(
-            total_stats(session.sources()),
-            crate::AccessStats::new(6, 2)
-        );
+        assert_eq!(session.stats(), AccessStats::new(6, 2));
 
         // The rest: both lists run out, sorted access alone grades c, d, f.
         let rest = session.next_batch(9).unwrap();
         assert_eq!(rest.grades(), vec![g(0.5), g(0.3), g(0.2), g(0.05)]);
-        assert_eq!(
-            total_stats(session.sources()),
-            crate::AccessStats::new(12, 2)
-        );
+        assert_eq!(session.stats(), AccessStats::new(12, 2));
 
         // Plain A₀ over the same pages pays for e and c as soon as it
         // sees them.
-        let mut a0 = EngineSession::new(counted(pivot_moving_sources()), min_agg()).unwrap();
+        let mut a0 = EngineSession::new(pivot_moving_sources(), min_agg()).unwrap();
         for k in [1, 1, 9] {
             a0.next_batch(k).unwrap();
         }
-        assert_eq!(total_stats(a0.sources()), crate::AccessStats::new(12, 3));
+        assert_eq!(a0.stats(), AccessStats::new(12, 3));
     }
 
     #[test]
     fn shrunk_session_grades_the_shrunk_union_and_its_depths_only_rise() {
         let (a, b) = (ObjectId(0), ObjectId(1));
         let agg = min_agg();
-        let mut session = EngineSession::shrunk(counted(pivot_moving_sources()), &agg).unwrap();
+        let mut session = EngineSession::shrunk(pivot_moving_sources(), &agg).unwrap();
 
         // Page 1: T = 2, L = {b} at ranks (1, 0), so T₀ = 2 and T₁ = 1.
         // The union {a, b} is graded; e (rank 1 of list 1 only) waits,
@@ -1752,10 +1845,7 @@ mod tests {
         assert_eq!(first.entries(), &[GradedEntry::new(b, g(0.9))]);
         assert_eq!(session.per_list_depths(), vec![2, 1]);
         assert_eq!(session.graded(), 2);
-        assert_eq!(
-            total_stats(session.sources()),
-            crate::AccessStats::new(4, 1)
-        );
+        assert_eq!(session.stats(), AccessStats::new(4, 1));
 
         // Page 2: T = 3 and a matches with worst rank 2, so T₁ rises to 3
         // and e is graded now.
@@ -1763,10 +1853,7 @@ mod tests {
         assert_eq!(second.entries(), &[GradedEntry::new(a, g(0.85))]);
         assert_eq!(session.per_list_depths(), vec![2, 3]);
         assert_eq!(session.graded(), 3);
-        assert_eq!(
-            total_stats(session.sources()),
-            crate::AccessStats::new(6, 2)
-        );
+        assert_eq!(session.stats(), AccessStats::new(6, 2));
     }
 
     #[test]
@@ -1787,22 +1874,16 @@ mod tests {
                 false
             }
         }
-        let mut session = EngineSession::scan(counted(sources()), DistanceFromHalf).unwrap();
+        let mut session = EngineSession::scan(sources(), DistanceFromHalf).unwrap();
         let first = session.next_batch(1).unwrap();
         // List 0 grades 1.0, .8, .6, .4: objects 2 and 3 are nearest 1/2.
         assert_eq!(first.objects(), vec![ObjectId(2)]);
-        assert_eq!(
-            total_stats(session.sources()),
-            crate::AccessStats::new(8, 0)
-        );
+        assert_eq!(session.stats(), AccessStats::new(8, 0));
         assert_eq!(
             session.next_batch(2).unwrap().objects(),
             vec![ObjectId(3), ObjectId(1)]
         );
-        assert_eq!(
-            total_stats(session.sources()),
-            crate::AccessStats::new(8, 0)
-        );
+        assert_eq!(session.stats(), AccessStats::new(8, 0));
     }
 
     fn pairs(entries: &[(u64, f64)]) -> MemorySource {
@@ -1821,7 +1902,7 @@ mod tests {
             pairs(&[(0, 0.2), (1, 0.6), (3, 0.8)]),
         ];
         let agg = max_agg();
-        let mut session = EngineSession::scan(counted(lists), &agg).unwrap();
+        let mut session = EngineSession::scan(lists, &agg).unwrap();
         let page = session.next_batch(9).unwrap();
         assert_eq!(
             page.entries(),
@@ -1831,10 +1912,7 @@ mod tests {
                 GradedEntry::new(ObjectId(2), g(0.7)),
             ]
         );
-        assert_eq!(
-            total_stats(session.sources()),
-            crate::AccessStats::new(6, 0)
-        );
+        assert_eq!(session.stats(), AccessStats::new(6, 0));
         let profile = session.profile();
         assert_eq!((profile.random_batches, profile.random_probes), (2, 2));
         assert_eq!(session.graded(), 4);
@@ -1849,7 +1927,7 @@ mod tests {
             pairs(&[(1, 0.8), (4, 0.4), (9, 0.6)]),
         ];
         let agg = min_agg();
-        let mut session = EngineSession::scan(counted(lists), &agg).unwrap();
+        let mut session = EngineSession::scan(lists, &agg).unwrap();
         let page = session.next_batch(3).unwrap();
         assert_eq!(page.objects(), vec![ObjectId(4), ObjectId(1), ObjectId(9)]);
         assert_eq!(session.graded(), 3);
@@ -1875,15 +1953,23 @@ mod tests {
         let profile = session.profile();
         // m·⌈N/4096⌉ batches of the one schedule, m·N entries.
         assert_eq!(profile.sorted_batches, 9);
-        assert_eq!(session.stats(), crate::AccessStats::new(30_000, 0));
+        assert_eq!(session.stats(), AccessStats::new(30_000, 0));
         assert_eq!((profile.random_batches, profile.random_probes), (0, 0));
         assert_eq!((session.depth(), session.graded()), (n, n));
     }
 
-    /// A list whose next sorted read fails while `fail` is set.
+    /// A list whose next sorted read fails while `fail` is set: with a
+    /// typed error, or, when `short`, by appending one entry fewer than
+    /// asked for and returning `Ok`.
     struct FailsOnce {
         inner: MemorySource,
         fail: std::sync::atomic::AtomicBool,
+        short: bool,
+    }
+
+    fn fails_once(inner: MemorySource, fail: bool, short: bool) -> FailsOnce {
+        let fail = fail.into();
+        FailsOnce { inner, fail, short }
     }
 
     impl GradedSource for FailsOnce {
@@ -1897,14 +1983,17 @@ mod tests {
             count: usize,
             out: &mut Vec<GradedEntry>,
         ) -> Result<usize, SourceError> {
-            if self.fail.swap(false, std::sync::atomic::Ordering::Relaxed) {
-                return Err(SourceError {
-                    source: "fails once".into(),
-                    detail: "injected".into(),
-                    quarantined: false,
-                });
+            if !self.fail.swap(false, std::sync::atomic::Ordering::Relaxed) {
+                return self.inner.try_sorted_batch(start, count, out);
             }
-            self.inner.try_sorted_batch(start, count, out)
+            if self.short {
+                return self.inner.try_sorted_batch(start, count - 1, out);
+            }
+            Err(SourceError {
+                source: "fails once".into(),
+                detail: "injected".into(),
+                quarantined: false,
+            })
         }
 
         fn try_random_batch(
@@ -1918,22 +2007,18 @@ mod tests {
 
     #[test]
     fn a_retry_with_a_smaller_k_bills_what_it_folds_not_what_was_fetched() {
-        // A page of k = 4 opens with a 4-level round: list 0 answers and
-        // list 1 fails, so list 0's 4 entries wait in `scratch`, unfolded
-        // and unbilled. The retry asks k = 1, whose rounds fold one level
-        // at a time and stop at depth 3 (the hand example), leaving list
-        // 0's rank-3 entry fetched but unfolded. A meter around each list
-        // bills it on fetch; the session bills it on the page that folds it.
+        // A page of k = 4 opens with a 4-level round, which fetches each
+        // list to N = 4: list 0 answers and list 1 fails, so list 0's 4
+        // entries wait unfolded and unbilled. The retry asks k = 1, whose
+        // one-level rounds stop at depth 3 (the hand example); list 1
+        // fetches its window once, and each list is left holding its
+        // rank-3 entry unfolded. A meter around each list counts entries
+        // as they are fetched, the session bills them on the page that
+        // folds them, and the two differ by exactly the unfolded entries.
         let [first, second]: [MemorySource; 2] = sources().try_into().unwrap();
         let lists = counted(vec![
-            FailsOnce {
-                inner: first,
-                fail: false.into(),
-            },
-            FailsOnce {
-                inner: second,
-                fail: true.into(),
-            },
+            fails_once(first, false, false),
+            fails_once(second, true, false),
         ]);
         let mut session = EngineSession::new(lists, min_agg()).unwrap();
         let fetched = |session: &EngineSession<CountingSource<FailsOnce>, _>| {
@@ -1942,15 +2027,16 @@ mod tests {
         };
         let bill = |sorted: [u64; 2], random: [u64; 2]| {
             vec![
-                crate::AccessStats::new(sorted[0], random[0]),
-                crate::AccessStats::new(sorted[1], random[1]),
+                AccessStats::new(sorted[0], random[0]),
+                AccessStats::new(sorted[1], random[1]),
             ]
         };
         assert!(matches!(
             session.next_batch(4),
             Err(TopKError::SourceFailed(_))
         ));
-        assert_eq!(session.stats(), crate::AccessStats::ZERO);
+        assert_eq!(session.stats(), AccessStats::ZERO);
+        assert_eq!(session.unfolded(), vec![4, 0]);
         assert_eq!(fetched(&session), bill([4, 0], [0, 0]));
 
         // Depth 3 folded: 3 entries per list, and objects 0 and 3 each
@@ -1959,12 +2045,43 @@ mod tests {
         assert_eq!(session.depth(), 3);
         assert_eq!(session.per_source_stats(), bill([3, 3], [1, 1]));
         assert_eq!(session.stats().sorted, 2 * session.depth() as u64);
-        assert_eq!(fetched(&session), bill([4, 3], [1, 1]));
+        assert_eq!(session.unfolded(), vec![1, 1]);
+        assert_eq!(fetched(&session), bill([4, 4], [1, 1]));
 
-        // The next round folds the waiting entry, and the two agree again.
+        // The next round folds the waiting entries, and the two agree
+        // again. List 0 read once, list 1 twice (the failed read and its
+        // retry).
         session.next_batch(2).unwrap();
         assert_eq!(session.depth(), 4);
+        assert_eq!(session.unfolded(), vec![0, 0]);
         assert_eq!(session.per_source_stats(), fetched(&session));
+        assert_eq!(session.profile().sorted_batches, 3);
+    }
+
+    #[test]
+    fn a_short_sorted_read_is_a_typed_error_and_the_page_resumes() {
+        // A page of k = 4 opens with a 4-level round, and list 1's read
+        // appends one entry fewer than asked for and returns `Ok`: the
+        // round fails with a typed error rather than index past what it
+        // got, folds and bills nothing, and the retry pages exactly as a
+        // session that never failed.
+        let [first, second]: [MemorySource; 2] = sources().try_into().unwrap();
+        let lists = vec![
+            fails_once(first, false, false),
+            fails_once(second, true, true),
+        ];
+        let mut session = EngineSession::new(lists, min_agg()).unwrap();
+        let err = session.next_batch(4).unwrap_err();
+        assert!(
+            matches!(&err, TopKError::SourceFailed(e) if e.source == "list 1" && !e.quarantined),
+            "{err:?}"
+        );
+        assert_eq!((session.depth(), session.stats()), (0, AccessStats::ZERO));
+        assert_eq!(session.unfolded(), vec![4, 0]);
+        let mut clean = EngineSession::new(sources(), min_agg()).unwrap();
+        assert_eq!(session.next_batch(4).unwrap(), clean.next_batch(4).unwrap());
+        assert_eq!(session.per_source_stats(), clean.per_source_stats());
+        assert_eq!(session.unfolded(), clean.unfolded());
     }
 
     /// The cumulative k-th score as of the last non-empty page.
@@ -2004,25 +2121,23 @@ mod tests {
         // Page through everything one answer at a time: every (object,
         // list) pair must be fetched at most once per access kind, so the
         // total is bounded by 2·m·N even with N pages.
-        let cs = counted(sources());
-        let mut session = EngineSession::new(cs, min_agg()).unwrap();
+        let mut session = EngineSession::new(sources(), min_agg()).unwrap();
         for _ in 0..4 {
             session.next_batch(1).unwrap();
         }
-        let stats = total_stats(session.sources());
+        let stats = session.stats();
         assert!(stats.unweighted() <= 2 * 2 * 4, "stats {stats:?}");
         assert_eq!(stats.sorted, 2 * 4);
     }
 
     #[test]
     fn b0_session_paging_costs_m_times_cumulative_k() {
-        let paged = counted(sources());
-        let mut session = EngineSession::<_, MinAgg>::max(paged).unwrap();
+        let mut session = EngineSession::<_, MinAgg>::max(sources()).unwrap();
         let first = session.next_batch(1).unwrap();
         let second = session.next_batch(2).unwrap();
         assert_eq!(first.len(), 1);
         assert_eq!(second.len(), 2);
-        let stats = total_stats(session.sources());
+        let stats = session.stats();
         assert_eq!(stats.sorted, 2 * 3);
         assert_eq!(stats.random, 0);
 

@@ -31,6 +31,7 @@
 use garlic_agg::Aggregation;
 
 use crate::access::GradedSource;
+use crate::cost::AccessStats;
 use crate::topk::{validate_inputs, TopK, TopKError};
 
 use super::engine::EngineSession;
@@ -50,6 +51,9 @@ pub struct FaRun {
     /// Number of distinct objects whose grade vectors were completed (the
     /// size of the random-access candidate set).
     pub candidates: usize,
+    /// The run's Section 5 bill, as the session metered it
+    /// ([`EngineSession::stats`]).
+    pub stats: AccessStats,
 }
 
 /// Runs algorithm A₀ and returns only the answers.
@@ -116,13 +120,14 @@ where
         per_list_depths: session.per_list_depths(),
         matched: session.matched(),
         candidates: session.graded(),
+        stats: session.stats(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::{counted, total_stats, MemorySource};
+    use crate::access::MemorySource;
     use crate::algorithms::naive::naive_topk;
     use crate::object::ObjectId;
     use garlic_agg::iterated::{min_agg, product_agg};
@@ -186,18 +191,16 @@ mod tests {
         // Objects seen in both lists by sorted access need zero random
         // accesses; here depth reaches 4 of 4 for k = 4, so all grades come
         // from sorted access.
-        let cs = counted(sources());
-        fagin_topk(&cs, &min_agg(), 4).unwrap();
-        assert_eq!(total_stats(&cs).random, 0);
+        let run = fagin_run(&sources(), &min_agg(), 4).unwrap();
+        assert_eq!(run.stats.random, 0);
     }
 
     #[test]
     fn k_equals_n_grades_whole_database() {
         // Remark 5.2: with k = N the cost is necessarily linear.
-        let cs = counted(sources());
-        let top = fagin_topk(&cs, &min_agg(), 4).unwrap();
-        assert_eq!(top.len(), 4);
-        assert_eq!(total_stats(&cs).sorted, 8);
+        let run = fagin_run(&sources(), &min_agg(), 4).unwrap();
+        assert_eq!(run.topk.len(), 4);
+        assert_eq!(run.stats.sorted, 8);
     }
 
     #[test]

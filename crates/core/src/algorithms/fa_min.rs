@@ -21,6 +21,7 @@ use garlic_agg::tnorms::Minimum;
 use garlic_agg::Grade;
 
 use crate::access::GradedSource;
+use crate::cost::AccessStats;
 use crate::topk::{validate_inputs, TopK, TopKError};
 
 use super::engine::EngineSession;
@@ -38,6 +39,9 @@ pub struct FaMinRun {
     pub pivot_list: usize,
     /// Number of candidate objects sent to the random-access phase.
     pub candidates: usize,
+    /// The run's Section 5 bill, as the session metered it
+    /// ([`EngineSession::stats`]).
+    pub stats: AccessStats,
 }
 
 /// Runs algorithm A₀′ for the standard fuzzy conjunction
@@ -70,13 +74,14 @@ where
         threshold,
         pivot_list,
         candidates: session.graded(),
+        stats: session.stats(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::{counted, total_stats, MemorySource};
+    use crate::access::MemorySource;
     use crate::algorithms::fa::fagin_run;
     use crate::algorithms::naive::naive_topk;
     use garlic_agg::iterated::min_agg;
@@ -113,10 +118,8 @@ mod tests {
 
     #[test]
     fn random_cost_at_most_candidates_times_m_minus_1() {
-        let cs = counted(sources());
-        let run = fagin_min_run(&cs, 1).unwrap();
-        let stats = total_stats(&cs);
-        assert!(stats.random <= (run.candidates * (cs.len() - 1)) as u64);
+        let run = fagin_min_run(&sources(), 1).unwrap();
+        assert!(run.stats.random <= (run.candidates * (sources().len() - 1)) as u64);
     }
 
     #[test]

@@ -20,11 +20,13 @@
 //! through [`crate::access::GradedSource`] (sorted + random access, plus
 //! the crisp list's match set). A session bills the middleware cost of
 //! Section 5 itself, per source, as it folds entries and probes grades —
-//! batched streaming included (the engine consumes entry-for-entry what
-//! the positional loop would; see [`engine`]); wrapping the sources in
-//! [`CountingSource`](crate::access::CountingSource) measures the same
-//! bill independently, which is how the one-shot entry points here are
-//! metered. A failing source is a typed
+//! batched streaming included (the engine fetches a list to the end of a
+//! 256-rank window but folds entry-for-entry what the positional loop
+//! would; see [`engine`]), and the one-shot run structs carry that bill
+//! (`FaRun::stats`, `FaMinRun::stats`, `OrderStatRun::stats`). Wrapping
+//! the sources in [`CountingSource`](crate::access::CountingSource)
+//! counts the physical reads instead: the bill plus the entries fetched
+//! ahead and not yet folded. A failing source is a typed
 //! [`TopKError::SourceFailed`](crate::topk::TopKError::SourceFailed) from
 //! every entry point.
 //!

@@ -19,11 +19,22 @@ use garlic_agg::Aggregation;
 use std::collections::BTreeSet;
 
 use crate::access::GradedSource;
+use crate::cost::AccessStats;
 use crate::object::ObjectId;
 use crate::topk::{validate_inputs, TopK, TopKError};
 
 use super::engine::Engine;
-use super::fa_min::fagin_min_topk;
+use super::fa_min::fagin_min_run;
+
+/// The answers of one [`order_statistic_run`] and its Section 5 bill.
+#[derive(Debug, Clone)]
+pub struct OrderStatRun {
+    /// The top-k answers.
+    pub topk: TopK,
+    /// Every subset's A₀′ bill plus the pooled completion's, as the
+    /// engine metered them.
+    pub stats: AccessStats,
+}
 
 /// Finds the top-k answers under the *j-th largest* aggregation (1-based)
 /// by the subset decomposition of Remark 6.1.
@@ -31,6 +42,14 @@ use super::fa_min::fagin_min_topk;
 /// `j = m` degenerates to A₀′ itself; `j = 1` (max) is better served by
 /// [`super::b0_max::b0_max_topk`] but is still handled correctly here.
 pub fn order_statistic_topk<S>(sources: &[S], j: usize, k: usize) -> Result<TopK, TopKError>
+where
+    S: GradedSource,
+{
+    order_statistic_run(sources, j, k).map(|run| run.topk)
+}
+
+/// [`order_statistic_topk`] with the run's bill.
+pub fn order_statistic_run<S>(sources: &[S], j: usize, k: usize) -> Result<OrderStatRun, TopKError>
 where
     S: GradedSource,
 {
@@ -45,10 +64,12 @@ where
     // Step 1-3 (generalised): for every j-subset of the lists, find the
     // top-k under min over that subset, via algorithm A₀′.
     let mut pooled: BTreeSet<ObjectId> = BTreeSet::new();
+    let mut stats = AccessStats::ZERO;
     for subset in subsets_of_size(m, j) {
         let view: Vec<&S> = subset.iter().map(|&i| &sources[i]).collect();
-        let top = fagin_min_topk(&view, k)?;
-        pooled.extend(top.objects());
+        let run = fagin_min_run(&view, k)?;
+        pooled.extend(run.topk.objects());
+        stats += run.stats;
     }
 
     // Step 4: grade every pooled candidate under the true order statistic
@@ -62,7 +83,10 @@ where
         let grades = engine.grade_slice(id).expect("completed above");
         (id, agg.combine(grades))
     });
-    Ok(TopK::select(scored, k))
+    Ok(OrderStatRun {
+        topk: TopK::select(scored, k),
+        stats: stats + engine.stats(),
+    })
 }
 
 /// The paper's median query: the ⌈m/2⌉-th largest grade (for odd `m` the
@@ -81,7 +105,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::{counted, total_stats, MemorySource};
+    use crate::access::MemorySource;
     use crate::algorithms::b0_max::b0_max_topk;
     use crate::algorithms::naive::naive_topk;
     use garlic_agg::means::MedianAgg;
@@ -153,9 +177,7 @@ mod tests {
                 )
             })
             .collect();
-        let cs = counted(lists);
-        median_topk(&cs, 1).unwrap();
-        let stats = total_stats(&cs);
+        let stats = order_statistic_run(&lists, 2, 1).unwrap().stats;
         assert!(
             stats.unweighted() < 300,
             "median algorithm did as much work as the naive scan: {stats}"

@@ -15,7 +15,7 @@ use garlic_agg::weighted::FaginWimmers;
 use garlic_agg::{Aggregation, Grade};
 use garlic_core::access::{counted, total_stats, CountingSource, MemorySource};
 use garlic_core::algorithms::b0_max::b0_max_topk;
-use garlic_core::algorithms::fa::{fagin_run, fagin_shrunk_run, fagin_topk};
+use garlic_core::algorithms::fa::{fagin_run, fagin_shrunk_run};
 use garlic_core::algorithms::fa_min::fagin_min_run;
 use garlic_core::algorithms::naive::naive_topk;
 use garlic_core::{AccessStats, EngineSession, GradedSource, ObjectId, TopK};
@@ -214,19 +214,26 @@ fn counted_of(db: &[Vec<Grade>]) -> Vec<CountingSource<MemorySource>> {
 }
 
 /// The session's own bill, after checking it source by source against the
-/// independent meter around each list.
+/// independent meter around each list: the meter counts every entry a list
+/// returned, which is exactly what the session billed plus what it fetched
+/// and has not folded yet, and every probe the session billed.
 fn billed<S: GradedSource, A: Aggregation>(
     session: &EngineSession<CountingSource<S>, A>,
 ) -> AccessStats {
-    let metered: Vec<AccessStats> = session
-        .sources()
-        .iter()
-        .map(CountingSource::stats)
-        .collect();
+    let unfolded = session.unfolded();
+    let sources = session.sources().iter().zip(session.per_source_stats());
+    for (i, ((source, bill), ahead)) in sources.zip(&unfolded).enumerate() {
+        let read = source.stats();
+        assert_eq!(
+            read.sorted,
+            bill.sorted + ahead,
+            "list {i}: reads = bill + read-ahead"
+        );
+        assert_eq!(read.random, bill.random, "list {i}: probes = bill");
+    }
     assert_eq!(
-        session.per_source_stats(),
-        metered,
-        "the session bills what the lists return"
+        session.profile().sorted_read_ahead,
+        unfolded.iter().sum::<u64>()
     );
     session.stats()
 }
@@ -239,9 +246,8 @@ proptest! {
         let n = db[0].len();
         let k = ((k_frac * n as f64) as usize).clamp(1, n);
         for agg in [&min_agg() as &dyn Aggregation, &product_agg(), &ArithmeticMean] {
-            let engine_sources = counted_of(&db);
-            let engine_top = fagin_topk(&engine_sources, &agg, k).unwrap();
-            let engine_stats = total_stats(&engine_sources);
+            let engine_run = fagin_run(&sources_of(&db), &agg, k).unwrap();
+            let (engine_top, engine_stats) = (engine_run.topk, engine_run.stats);
 
             let ref_sources = counted_of(&db);
             let ref_top = reference::fagin(&ref_sources, &agg, k);
@@ -320,8 +326,8 @@ proptest! {
 
             prop_assert_eq!(page.entries(), ref_page.entries(), "page at {}", cumulative);
             billed(&session);
-            for (a, b) in session.sources().iter().zip(&ref_sources) {
-                prop_assert_eq!(a.stats(), b.stats(), "stats at {}", cumulative);
+            for (a, b) in session.per_source_stats().iter().zip(&ref_sources) {
+                prop_assert_eq!(*a, b.stats(), "stats at {}", cumulative);
             }
             if page.is_empty() {
                 break;
@@ -335,9 +341,8 @@ proptest! {
         let n = db[0].len();
         let k = ((k_frac * n as f64) as usize).clamp(1, n);
 
-        let engine_sources = counted_of(&db);
-        let engine_run = fagin_min_run(&engine_sources, k).unwrap();
-        let engine_stats = total_stats(&engine_sources);
+        let engine_run = fagin_min_run(&sources_of(&db), k).unwrap();
+        let engine_stats = engine_run.stats;
 
         let ref_sources = counted_of(&db);
         let ref_top = reference::fagin_min(&ref_sources, k);
@@ -354,9 +359,10 @@ proptest! {
         let m = db.len();
         let k = ((k_frac * n as f64) as usize).clamp(1, n);
 
-        let engine_sources = counted_of(&db);
-        let engine_top = b0_max_topk(&engine_sources, k).unwrap();
-        let engine_stats = total_stats(&engine_sources);
+        let mut session = EngineSession::<_, MinAgg>::max(counted_of(&db)).unwrap();
+        let engine_top = session.next_batch(k).unwrap();
+        let engine_stats = billed(&session);
+        prop_assert_eq!(&engine_top, &b0_max_topk(&sources_of(&db), k).unwrap());
 
         let ref_sources = counted_of(&db);
         let ref_top = reference::b0_max(&ref_sources, k);
@@ -765,8 +771,7 @@ fn assert_paged_shrunk(db: &[Vec<Grade>], splits: &[usize]) {
 
         let stats = billed(&session);
         let a0_stats = billed(&a0);
-        let oneshot = counted_of(db);
-        let run = fagin_shrunk_run(&oneshot, &agg, grades.len()).unwrap();
+        let run = fagin_shrunk_run(&sources_of(db), &agg, grades.len()).unwrap();
         assert_eq!(session.depth(), run.stop_depth);
         assert_eq!(stats.sorted, (m * run.stop_depth) as u64);
         assert_eq!(stats.sorted, a0_stats.sorted);
@@ -782,7 +787,7 @@ fn assert_paged_shrunk(db: &[Vec<Grade>], splits: &[usize]) {
         depths = run.per_list_depths;
         if page_no == 0 {
             assert_eq!(page.entries(), run.topk.entries());
-            assert_eq!(stats, total_stats(&oneshot));
+            assert_eq!(stats, run.stats);
         }
     }
     assert_eq!(grades.len(), n);
@@ -882,9 +887,8 @@ fn engine_matches_seed_on_all_four_subsystem_families() {
         for k in [1, n / 2, n] {
             let k = k.max(1);
 
-            let engine_sources = counted(sources.iter().collect::<Vec<_>>());
-            let engine_top = fagin_topk(&engine_sources, &min_agg(), k).unwrap();
-            let engine_stats = total_stats(&engine_sources);
+            let engine_run = fagin_run(&sources, &min_agg(), k).unwrap();
+            let (engine_top, engine_stats) = (engine_run.topk, engine_run.stats);
 
             let ref_sources = counted(sources.iter().collect::<Vec<_>>());
             let ref_top = reference::fagin(&ref_sources, &min_agg(), k);
@@ -894,19 +898,18 @@ fn engine_matches_seed_on_all_four_subsystem_families() {
             assert_eq!(engine_stats, ref_stats, "{family} A0 k={k}");
 
             // A0', B0, naive on the same workload.
-            let e = counted(sources.iter().collect::<Vec<_>>());
+            let et = fagin_min_run(&sources, k).unwrap();
             let r = counted(sources.iter().collect::<Vec<_>>());
-            let et = fagin_min_run(&e, k).unwrap().topk;
             let rt = reference::fagin_min(&r, k);
-            assert!(et.same_grades(&rt, 0.0), "{family} A0' k={k}");
-            assert_eq!(total_stats(&e), total_stats(&r), "{family} A0' k={k}");
+            assert!(et.topk.same_grades(&rt, 0.0), "{family} A0' k={k}");
+            assert_eq!(et.stats, total_stats(&r), "{family} A0' k={k}");
 
-            let e = counted(sources.iter().collect::<Vec<_>>());
+            let mut e = EngineSession::<_, MinAgg>::max(counted(sources.iter().collect())).unwrap();
             let r = counted(sources.iter().collect::<Vec<_>>());
-            let et = b0_max_topk(&e, k).unwrap();
+            let et = e.next_batch(k).unwrap();
             let rt = reference::b0_max(&r, k);
             assert!(et.same_grades(&rt, 0.0), "{family} B0 k={k}");
-            assert_eq!(total_stats(&e), total_stats(&r), "{family} B0 k={k}");
+            assert_eq!(billed(&e), total_stats(&r), "{family} B0 k={k}");
 
             let e = counted(sources.iter().collect::<Vec<_>>());
             let r = counted(sources.iter().collect::<Vec<_>>());
@@ -914,6 +917,181 @@ fn engine_matches_seed_on_all_four_subsystem_families() {
             let rt = reference::naive(&r, &max_agg(), k);
             assert!(et.same_grades(&rt, 0.0), "{family} naive k={k}");
             assert_eq!(total_stats(&e), total_stats(&r), "{family} naive k={k}");
+        }
+    }
+}
+
+/// A list that logs the `[start, end)` rank range of every sorted read it
+/// answers, and fails the sorted read numbered `fail_at` among all reads
+/// of the lists sharing `calls`.
+struct Logged {
+    inner: MemorySource,
+    reads: std::sync::Mutex<Vec<(usize, usize)>>,
+    calls: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    fail_at: usize,
+}
+
+impl GradedSource for Logged {
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+
+    fn try_sorted_batch(
+        &self,
+        start: usize,
+        count: usize,
+        out: &mut Vec<garlic_core::GradedEntry>,
+    ) -> Result<usize, garlic_core::access::SourceError> {
+        let call = self
+            .calls
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        if call == self.fail_at {
+            return Err(garlic_core::access::SourceError {
+                source: "logged".into(),
+                detail: "injected".into(),
+                quarantined: false,
+            });
+        }
+        let got = self.inner.try_sorted_batch(start, count, out)?;
+        self.reads.lock().unwrap().push((start, start + got));
+        Ok(got)
+    }
+
+    fn try_random_batch(
+        &self,
+        objects: &[ObjectId],
+        out: &mut Vec<Option<Grade>>,
+    ) -> Result<(), garlic_core::access::SourceError> {
+        self.inner.try_random_batch(objects, out)
+    }
+}
+
+impl garlic_core::SetAccess for Logged {}
+
+/// The session rules, by the constructor that opens them.
+const RULES: [&str; 7] = [
+    "new",
+    "shrunk",
+    "threshold",
+    "min",
+    "scan",
+    "max",
+    "filtered",
+];
+
+/// Opens rule `RULES[rule]` over `lists`, under min.
+fn open_rule<S: garlic_core::SetAccess>(rule: usize, lists: Vec<S>) -> EngineSession<S, MinAgg> {
+    match RULES[rule] {
+        "new" => EngineSession::new(lists, min_agg()),
+        "shrunk" => EngineSession::shrunk(lists, min_agg()),
+        "threshold" => EngineSession::threshold(lists, min_agg()),
+        "min" => EngineSession::min(lists),
+        "scan" => EngineSession::scan(lists, min_agg()),
+        "max" => EngineSession::max(lists),
+        _ => EngineSession::filtered(lists, 0, min_agg()),
+    }
+    .unwrap()
+}
+
+/// Up to three lists of up to 700 objects, so a session's reads cross
+/// several 256-rank windows. List 0 is crisp (every grade 0 or 1) for the
+/// filtered rule and graded from the same draws otherwise.
+fn windowed_db() -> impl Strategy<Value = Vec<Vec<Grade>>> {
+    (1..=3usize, 1..=700usize).prop_flat_map(|(m, n)| {
+        let grade = (0u8..=8).prop_map(|q| Grade::clamped(q as f64 / 8.0));
+        proptest::collection::vec(proptest::collection::vec(grade, n..=n), m..=m)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// Every rule, paged at random, with one sorted read failing at a
+    /// random point and its page retried with the same k: after each
+    /// page, each list is billed the positional loop's prefix (A₀'s stop
+    /// depth for the A₀ family, the threshold rule's own depth at most
+    /// that, the cumulative k for B₀, `N` for the scan, the match set on
+    /// the filtered rule's crisp list), the pages and bills are those of
+    /// the same session with no failure, a meter around each list reads
+    /// exactly the bill plus the entries fetched and not folded, and no
+    /// list fetches an entry twice or past the end of the 256-rank window
+    /// holding the page's last folded rank.
+    #[test]
+    fn every_rule_bills_the_positional_prefix_and_fetches_within_its_window(
+        db in windowed_db(),
+        rule in 0..RULES.len(),
+        pages in proptest::collection::vec(1usize..=300, 1..=4),
+        fail_at in 0usize..8,
+    ) {
+        let (m, n) = (db.len(), db[0].len());
+        let filtered = RULES[rule] == "filtered";
+        let mut db = db;
+        if filtered {
+            db[0] = db[0].iter().map(|g| Grade::from_bool(g.value() >= 0.5)).collect();
+        }
+        let calls = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let lists = db.iter().map(|grades| Logged {
+            inner: MemorySource::from_grades(grades),
+            reads: Default::default(),
+            calls: calls.clone(),
+            fail_at,
+        });
+        let mut session = open_rule(rule, counted(lists.collect()));
+        let mut clean = open_rule(rule, sources_of(&db));
+        let positional = sources_of(&db);
+        let mut phase = reference::Phase::new(m, n);
+        let ones = db[0].iter().filter(|&&g| g == Grade::ONE).count() as u64;
+        // Per list: reads checked so far, and the rank the next one must
+        // start at.
+        let (mut checked, mut fetched) = (vec![0; m], vec![0; m]);
+        for &k in &pages {
+            let page = loop {
+                match session.next_batch(k) {
+                    Ok(page) => break page,
+                    Err(e) => {
+                        prop_assert!(matches!(e, garlic_core::TopKError::SourceFailed(_)), "{e}");
+                        billed(&session);
+                    }
+                }
+            };
+            prop_assert_eq!(&page, &clean.next_batch(k).unwrap(), "{}", RULES[rule]);
+            let bill = billed(&session);
+            prop_assert_eq!(session.per_source_stats(), clean.per_source_stats());
+            prop_assert_eq!(bill, clean.stats());
+
+            let (depth, target) = (session.depth(), session.returned());
+            phase.advance_until_matched(&positional, target);
+            let prefix = match RULES[rule] {
+                "scan" => n,
+                "max" => target,
+                "threshold" => {
+                    prop_assert!(depth <= phase.depth, "threshold: {} > {}", depth, phase.depth);
+                    depth
+                }
+                "filtered" => 0,
+                _ => phase.depth,
+            };
+            prop_assert_eq!(depth, prefix, "{}", RULES[rule]);
+            for (i, source) in session.per_source_stats().iter().enumerate() {
+                let want = if filtered && i == 0 { ones } else { prefix as u64 };
+                prop_assert_eq!(source.sorted, want, "{} list {}", RULES[rule], i);
+            }
+
+            // The filtered rule has no sorted phase: it reads the match set
+            // whole, again if a read of it failed.
+            if filtered {
+                continue;
+            }
+            let end = depth.next_multiple_of(256).min(n);
+            for (i, list) in session.sources().iter().enumerate() {
+                let reads = list.inner().reads.lock().unwrap();
+                for &(start, stop) in &reads[checked[i]..] {
+                    prop_assert_eq!(start, fetched[i], "list {} fetched a rank twice or skipped one", i);
+                    prop_assert!(stop <= end, "list {} read to {} past window end {}", i, stop, end);
+                    fetched[i] = stop;
+                }
+                checked[i] = reads.len();
+            }
         }
     }
 }

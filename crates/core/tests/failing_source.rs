@@ -34,7 +34,9 @@ use garlic_core::algorithms::filtered::filtered_topk;
 use garlic_core::algorithms::naive::{naive_random_topk, naive_topk};
 use garlic_core::algorithms::order_stat::{median_topk, order_statistic_topk};
 use garlic_core::algorithms::ullman::{ullman_run, ullman_top1, ullman_topk};
-use garlic_core::{EngineSession, GradedEntry, ObjectId, ShardedSource, TopK, TopKError};
+use garlic_core::{
+    AccessStats, EngineSession, GradedEntry, ObjectId, ShardedSource, TopK, TopKError,
+};
 
 /// What a source handed over: a sorted rank, a random-access probe or its
 /// match set.
@@ -314,8 +316,9 @@ fn sessions() -> [(&'static str, Open); 7] {
 }
 
 /// Pages of 2, 3 and the rest, each asked for again after a source
-/// failure until it is answered; once it is, the session's per-source bill
-/// is what the meter around each list counted.
+/// failure until it is answered; once it is, the meter around each list
+/// counted exactly the session's bill for it plus the entries it fetched
+/// and has not folded.
 fn retried_pages(session: &mut Session<'_>) -> Vec<GradedEntry> {
     let mut entries = Vec::new();
     for k in [2, 3, 8] {
@@ -326,12 +329,16 @@ fn retried_pages(session: &mut Session<'_>) -> Vec<GradedEntry> {
                 Err(e) => panic!("untyped failure: {e}"),
             }
         };
+        let bills = session.per_source_stats().iter().zip(session.unfolded());
+        let read: Vec<_> = bills
+            .map(|(bill, ahead)| AccessStats::new(bill.sorted + ahead, bill.random))
+            .collect();
         let metered: Vec<_> = session
             .sources()
             .iter()
             .map(CountingSource::stats)
             .collect();
-        assert_eq!(session.per_source_stats(), metered, "page of {k}");
+        assert_eq!(read, metered, "page of {k}");
         entries.extend(page.into_entries());
     }
     entries

@@ -363,6 +363,7 @@ impl Garlic {
         engine.add_field("sorted_ns", profile.sorted_ns);
         engine.add_field("random_ns", profile.random_ns);
         engine.add_field("sorted_batches", profile.sorted_batches);
+        engine.add_field("read_ahead", profile.sorted_read_ahead);
         engine.add_field("random_batches", profile.random_batches);
         engine.add_field("random_probes", profile.random_probes);
         if !frontier.is_empty() {
@@ -1404,6 +1405,7 @@ mod tests {
         let engine = ex.trace.find("engine").expect("engine span");
         let n = garlic.catalog().universe_size();
         assert_eq!(engine.get_field("depth"), Some(n.to_string().as_str()));
+        assert_eq!(engine.get_field("read_ahead"), Some("0"));
         assert_eq!(summed(&ex), result.stats);
 
         // Filtered: the crisp match set is labelled in place.
@@ -1440,6 +1442,14 @@ mod tests {
         assert_eq!(engine.get_field("tau"), Some(tau.to_string().as_str()));
         let graded = details.graded.to_string();
         assert_eq!(engine.get_field("graded"), Some(graded.as_str()));
+        // Each list was fetched past the stop depth, to its window's end,
+        // and the span reports those unfolded entries.
+        let ahead = details.profile.sorted_read_ahead;
+        assert!(ahead > 0);
+        assert_eq!(
+            engine.get_field("read_ahead"),
+            Some(ahead.to_string().as_str())
+        );
         // The threshold stops the sorted phase before A₀'s depth, and the
         // per-source counts still sum to the bill.
         let depth: usize = engine.get_field("depth").unwrap().parse().unwrap();

@@ -6,7 +6,6 @@ use garlic_agg::iterated::{max_agg, min_agg, product_agg};
 use garlic_agg::means::ArithmeticMean;
 use garlic_agg::weighted::FaginWimmers;
 use garlic_agg::{Aggregation, Grade};
-use garlic_core::access::{counted, total_stats};
 use garlic_core::algorithms::fa::fagin_run;
 use garlic_core::{EngineSession, GradedSource, ObjectId};
 use garlic_workload::distributions::{
@@ -98,10 +97,10 @@ fn assert_threshold_never_worse_than_a0(db: &ScoringDatabase) {
     ];
     for agg in &aggs {
         for k in [1, n.div_ceil(2), n] {
-            let mut a0 = EngineSession::new(counted(db.to_sources()), agg).unwrap();
-            let mut rule = EngineSession::threshold(counted(db.to_sources()), agg).unwrap();
+            let mut a0 = EngineSession::new(db.to_sources(), agg).unwrap();
+            let mut rule = EngineSession::threshold(db.to_sources(), agg).unwrap();
             let (want, got) = (a0.next_batch(k).unwrap(), rule.next_batch(k).unwrap());
-            let (a0, rule) = (total_stats(a0.sources()), total_stats(rule.sources()));
+            let (a0, rule) = (a0.stats(), rule.stats());
             let label = format!("{} m={m} n={n} k={k}: {rule:?} vs A₀ {a0:?}", agg.name());
             assert_eq!(got.entries(), want.entries(), "{label}");
             assert!(rule.sorted <= a0.sorted, "{label}");

@@ -7,8 +7,7 @@
 //! ```
 
 use garlic::agg::iterated::min_agg;
-use garlic::core::access::{counted, total_stats};
-use garlic::core::algorithms::fa::fagin_topk;
+use garlic::core::algorithms::fa::fagin_run;
 use garlic::stats::log_log_fit;
 use garlic::workload::distributions::UniformGrades;
 use garlic::workload::scoring::ScoringDatabase;
@@ -33,9 +32,8 @@ fn main() {
             let mut rng = garlic::workload::seeded_rng(9000 + t);
             let skeleton = Skeleton::random(m, n, &mut rng);
             let db = ScoringDatabase::from_skeleton(&skeleton, &UniformGrades, &mut rng);
-            let sources = counted(db.to_sources());
-            fagin_topk(&sources, &min_agg(), k).expect("valid parameters");
-            total += total_stats(&sources).unweighted();
+            let run = fagin_run(&db.to_sources(), &min_agg(), k).expect("valid parameters");
+            total += run.stats.unweighted();
         }
         let mean = total as f64 / trials as f64;
         let scale = ((n * k) as f64).sqrt();

@@ -25,11 +25,10 @@ fn main() {
     // Each atomic query is answered by the subsystem as a graded set.
     let color = store.evaluate(&color_q).expect("known colour");
     let shape = store.evaluate(&shape_q).expect("known shape");
-    let sources = counted(vec![color, shape]);
 
-    // Fagin's Algorithm, min-specialised (A0').
-    let run = fagin_min_run(&sources, 10).expect("valid query");
-    let fa_cost = total_stats(&sources);
+    // Fagin's Algorithm, min-specialised (A0'), with its own bill.
+    let run = fagin_min_run(&[color, shape], 10).expect("valid query");
+    let fa_cost = run.stats;
 
     println!("\ntop 10 red AND round images (min rule):");
     for e in run.topk.entries() {
@@ -49,6 +48,8 @@ fn main() {
     // The naive baseline pays 2N.
     let color = store.evaluate(&color_q).unwrap();
     let shape = store.evaluate(&shape_q).unwrap();
+    // The scan consumes every entry it reads, so a meter around each list
+    // counts its bill.
     let naive_sources = counted(vec![color, shape]);
     let reference = naive_topk(&naive_sources, &min_agg(), 10).unwrap();
     let naive_cost = total_stats(&naive_sources);

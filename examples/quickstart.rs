@@ -5,8 +5,8 @@
 //! ```
 
 use garlic::agg::iterated::min_agg;
-use garlic::core::access::{counted, total_stats, MemorySource};
-use garlic::core::algorithms::fa::fagin_topk;
+use garlic::core::access::MemorySource;
+use garlic::core::algorithms::fa::fagin_run;
 use garlic::Grade;
 
 fn main() {
@@ -16,14 +16,13 @@ fn main() {
     let color = MemorySource::from_grades(&[g(0.95), g(0.30), g(0.80), g(0.60), g(0.10)]);
     let shape = MemorySource::from_grades(&[g(0.20), g(0.90), g(0.75), g(0.85), g(0.40)]);
 
-    // Meter every access so we can report the middleware cost (Section 5).
-    let sources = counted(vec![color, shape]);
-
-    // The standard fuzzy conjunction takes the min of the two grades.
-    let top = fagin_topk(&sources, &min_agg(), 3).expect("valid query");
+    // The standard fuzzy conjunction takes the min of the two grades. The
+    // run bills its own middleware cost (Section 5): the entries it
+    // consumed by sorted access and the grades it probed.
+    let run = fagin_run(&[color, shape], &min_agg(), 3).expect("valid query");
 
     println!("top 3 under (Color = red) AND (Shape = round), min rule:");
-    print!("{top}");
-    println!("middleware cost: {}", total_stats(&sources));
+    print!("{}", run.topk);
+    println!("middleware cost: {}", run.stats);
     println!("(the naive algorithm would retrieve all 2 x 5 = 10 entries)");
 }

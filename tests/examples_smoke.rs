@@ -3,8 +3,8 @@
 //! claims stay true.
 
 use garlic::agg::iterated::min_agg;
-use garlic::core::access::{counted, total_stats, MemorySource};
-use garlic::core::algorithms::fa::fagin_topk;
+use garlic::core::access::MemorySource;
+use garlic::core::algorithms::fa::fagin_run;
 use garlic::core::ObjectId;
 use garlic::Grade;
 
@@ -72,9 +72,9 @@ fn quickstart_path_end_to_end() {
     // Same data as examples/quickstart.rs.
     let color = MemorySource::from_grades(&[g(0.95), g(0.30), g(0.80), g(0.60), g(0.10)]);
     let shape = MemorySource::from_grades(&[g(0.20), g(0.90), g(0.75), g(0.85), g(0.40)]);
-    let sources = counted(vec![color, shape]);
 
-    let top = fagin_topk(&sources, &min_agg(), 3).expect("valid query");
+    let run = fagin_run(&[color, shape], &min_agg(), 3).expect("valid query");
+    let top = &run.topk;
 
     // Per-object min grades: 0.20, 0.30, 0.75, 0.60, 0.10 → top 3 are
     // objects 2 (0.75), 3 (0.60), 1 (0.30), in that order.
@@ -90,9 +90,9 @@ fn quickstart_path_end_to_end() {
     assert!(grades[2] - 0.30 < 1e-12 && 0.30 - grades[2] < 1e-12);
 
     // The quickstart's cost claim: the naive algorithm retrieves all
-    // 2 × 5 = 10 entries under sorted access; A₀ must not exceed that, and
-    // every access must have been metered.
-    let stats = total_stats(&sources);
+    // 2 × 5 = 10 entries under sorted access; A₀'s bill must not exceed
+    // that.
+    let stats = run.stats;
     assert!(stats.sorted > 0, "A₀ must perform sorted accesses");
     assert!(
         stats.sorted <= 10,

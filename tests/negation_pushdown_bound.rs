@@ -17,7 +17,6 @@ mod support;
 
 use std::collections::{HashMap, HashSet};
 
-use garlic::core::access::{total_stats, CountingSource};
 use garlic::core::{ComplementSource, EngineSession};
 use garlic::middleware::{
     Garlic, GarlicQuery, PlannerOptions, QueryAggregation, QueryRequest, Strategy,
@@ -234,16 +233,16 @@ fn threshold_bill(garlic: &Garlic, query: &GarlicQuery, k: usize) -> u64 {
         .iter()
         .map(|lit| {
             let list = garlic.catalog().evaluate(&lit.atom).unwrap();
-            CountingSource::new(if lit.negated {
+            if lit.negated {
                 std::sync::Arc::new(ComplementSource::new(list))
             } else {
                 list
-            })
+            }
         })
         .collect();
     let mut session = EngineSession::threshold(sources, QueryAggregation::nnf(&nnf)).unwrap();
     session.next_batch(k).unwrap();
-    total_stats(session.sources()).unweighted()
+    session.stats().unweighted()
 }
 
 /// Each negated flat shape, on fixed data, bills at or below the

@@ -3,12 +3,12 @@
 //! by `garlic-bench`'s paper ledger, `EXPERIMENTS.md`; these tests pin
 //! the exact, non-probabilistic facts).
 
-use garlic::agg::iterated::{max_agg, min_agg};
+use garlic::agg::iterated::{max_agg, min_agg, IteratedTCoNorm};
+use garlic::agg::tconorms::Maximum;
 use garlic::agg::Aggregation;
-use garlic::core::access::{counted, total_stats};
-use garlic::core::algorithms::b0_max::b0_max_topk;
 use garlic::core::algorithms::fa::fagin_run;
 use garlic::core::algorithms::naive::naive_topk;
+use garlic::core::EngineSession;
 use garlic::workload::correlation::{hard_query_database, is_complement_pair};
 use garlic::workload::distributions::UniformGrades;
 use garlic::workload::scoring::ScoringDatabase;
@@ -23,9 +23,10 @@ fn b0_cost_is_exactly_mk() {
         let mut rng = garlic::workload::seeded_rng(1);
         let skeleton = Skeleton::random(m, n, &mut rng);
         let db = ScoringDatabase::from_skeleton(&skeleton, &UniformGrades, &mut rng);
-        let sources = counted(db.to_sources());
-        b0_max_topk(&sources, k).unwrap();
-        let stats = total_stats(&sources);
+        let mut session =
+            EngineSession::<_, IteratedTCoNorm<Maximum>>::max(db.to_sources()).unwrap();
+        session.next_batch(k).unwrap();
+        let stats = session.stats();
         assert_eq!(stats.sorted, (m * k) as u64, "m={m} n={n} k={k}");
         assert_eq!(stats.random, 0);
     }
@@ -52,9 +53,8 @@ fn a0_sorted_cost_is_m_times_depth() {
     let mut rng = garlic::workload::seeded_rng(5);
     let skeleton = Skeleton::random(3, 400, &mut rng);
     let db = ScoringDatabase::from_skeleton(&skeleton, &UniformGrades, &mut rng);
-    let sources = counted(db.to_sources());
-    let run = fagin_run(&sources, &min_agg(), 5).unwrap();
-    assert_eq!(total_stats(&sources).sorted, (3 * run.stop_depth) as u64);
+    let run = fagin_run(&db.to_sources(), &min_agg(), 5).unwrap();
+    assert_eq!(run.stats.sorted, (3 * run.stop_depth) as u64);
 }
 
 /// Section 7: on the Q ∧ ¬Q instance the top grade is min(g, 1−g) ≤ 1/2,
@@ -100,10 +100,9 @@ fn k_equals_n_is_linear() {
     let mut rng = garlic::workload::seeded_rng(9);
     let skeleton = Skeleton::random(m, n, &mut rng);
     let db = ScoringDatabase::from_skeleton(&skeleton, &UniformGrades, &mut rng);
-    let sources = counted(db.to_sources());
-    let run = fagin_run(&sources, &min_agg(), n).unwrap();
+    let run = fagin_run(&db.to_sources(), &min_agg(), n).unwrap();
     assert_eq!(run.topk.len(), n);
-    assert_eq!(total_stats(&sources).sorted, (m * n) as u64);
+    assert_eq!(run.stats.sorted, (m * n) as u64);
 }
 
 /// The Bellman–Giertz / Yager / Dubois–Prade uniqueness direction we can
@@ -191,9 +190,8 @@ fn correlation_orders_cost() {
         for seed in 0..5 {
             let mut rng = garlic::workload::seeded_rng(400 + seed);
             let db = latent_database(2, n, rho, &mut rng);
-            let sources = counted(db.to_sources());
-            fagin_run(&sources, &min_agg(), k).unwrap();
-            total += total_stats(&sources).unweighted();
+            let run = fagin_run(&db.to_sources(), &min_agg(), k).unwrap();
+            total += run.stats.unweighted();
         }
         total
     };

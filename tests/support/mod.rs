@@ -531,15 +531,20 @@ impl<A: Aggregation> Pager for EngineSession<CountingSource<Listed>, A> {
     }
 
     /// The session's own per-source bill, checked against the independent
-    /// meter around each list.
+    /// meter around each list: the meter reads exactly the bill plus the
+    /// entries fetched and not yet folded.
     fn bills(&self) -> Vec<AccessStats> {
-        let metered: Vec<_> = self.sources().iter().map(CountingSource::stats).collect();
-        assert_eq!(
-            self.per_source_stats(),
-            metered,
-            "the session bills what the lists return"
-        );
-        metered
+        let bills = self.per_source_stats();
+        let unfolded = self.unfolded();
+        for ((source, bill), ahead) in self.sources().iter().zip(bills).zip(unfolded) {
+            let read = AccessStats::new(bill.sorted + ahead, bill.random);
+            assert_eq!(
+                source.stats(),
+                read,
+                "the meter reads the bill plus read-ahead"
+            );
+        }
+        bills.to_vec()
     }
 }
 
